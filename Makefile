@@ -6,11 +6,11 @@ GO       ?= go
 FUZZTIME ?= 5s
 BENCHDIR ?= .
 
-.PHONY: all check fmt vet build test race fuzz-smoke bench bench-diff bench-gate prof-smoke chaos-smoke crash-smoke churn-smoke rdma-smoke critical-smoke flow-smoke
+.PHONY: all check fmt vet build test race fuzz-smoke bench bench-identical bench-diff bench-gate prof-smoke chaos-smoke crash-smoke churn-smoke rdma-smoke critical-smoke flow-smoke
 
 all: check
 
-check: fmt vet build test race fuzz-smoke prof-smoke chaos-smoke crash-smoke churn-smoke rdma-smoke critical-smoke flow-smoke bench bench-diff bench-gate
+check: fmt vet build test race fuzz-smoke prof-smoke chaos-smoke crash-smoke churn-smoke rdma-smoke critical-smoke flow-smoke bench-identical bench bench-diff bench-gate
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -41,8 +41,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzHandleCompletion$$' -fuzztime $(FUZZTIME) ./internal/substrate/rdmagm/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCtx$$' -fuzztime $(FUZZTIME) ./internal/trace/
 
-# Chaos sweep: all four applications on both transports over a seeded
-# lossy fabric (drop, corruption, latency spikes, a timed blackout),
+# Chaos sweep: all four applications on the two-sided substrates (udpgm,
+# fastgm; harness.Transports) over a seeded lossy fabric (drop, corruption, latency spikes, a timed blackout),
 # asserting bit-correct results, active recovery, no residual disabled
 # ports, and zero-probability fault-config identity.
 chaos-smoke:
@@ -50,8 +50,10 @@ chaos-smoke:
 
 # Crash-tolerance sweep: a rank death injected into a checkpointing
 # barrier app (must restart bit-correct) and a lock app (must abort with
-# a post-mortem naming the dead rank and blocking entity), on both
-# transports, plus determinism and inert-crash-config identity.
+# a post-mortem naming the dead rank and blocking entity), on udpgm and
+# fastgm, plus determinism and inert-crash-config identity. (rdmagm's
+# loss and dead-peer coverage is the stest conformance table and
+# internal/substrate/rdmagm's own tests.)
 crash-smoke:
 	$(GO) run ./cmd/tmkrun -crash
 
@@ -62,8 +64,24 @@ crash-smoke:
 churn-smoke:
 	$(GO) run ./cmd/tmkrun -churn
 
-# Machine-readable bench trajectory: writes BENCH_e0/e1/e2/e3/churn.json into
-# BENCHDIR. Deterministic — rerunning on the same tree is byte-identical,
+# Strict refactor proof: regenerate all six suites into a temp dir and
+# require every file byte-identical to the checked-in BENCH_*.json. Runs
+# in `check` ahead of `bench`, which overwrites the checked-in files
+# (BENCHDIR=.) before bench-diff/bench-gate read them — so inside `make
+# check` those two can only ever compare a tree with itself, and this
+# target is the one that fails when virtual time moved. A PR that means
+# to move it commits the regenerated files.
+bench-identical:
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) run ./cmd/bench -out "$$tmp" > /dev/null || exit 1; \
+	for s in e0 e1 e2 e3 churn flow; do \
+		cmp "BENCH_$$s.json" "$$tmp/BENCH_$$s.json" || fail=1; \
+	done; \
+	if [ -n "$$fail" ]; then echo "bench-identical: regenerated suites differ from the checked-in BENCH_*.json"; exit 1; fi; \
+	echo "bench-identical: all six suites byte-identical"
+
+# Machine-readable bench trajectory: writes BENCH_e0/e1/e2/e3/churn/flow.json
+# into BENCHDIR. Deterministic — rerunning on the same tree is byte-identical,
 # so `git diff BENCH_*.json` across commits shows real perf movement.
 bench:
 	$(GO) run ./cmd/bench -out $(BENCHDIR)

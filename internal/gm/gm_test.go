@@ -563,6 +563,30 @@ func TestWaitRecvUntilTimesOut(t *testing.T) {
 	}
 }
 
+// TestKickInterruptsBlockingReceive: a Kick from scheduler context makes
+// the receive blocked on an empty port return nil at that instant, once;
+// a Kick with nobody waiting is remembered for the next blocking receive.
+func TestKickInterruptsBlockingReceive(t *testing.T) {
+	s, sys := newTestSystem(t, 2)
+	_, pb := openPair(t, sys, 2)
+	s.After(300*sim.Microsecond, pb.Kick)
+	s.Spawn("recv", 0, func(p *sim.Proc) {
+		if rv := pb.WaitRecv(p); rv != nil || p.Now() != 300*sim.Microsecond {
+			t.Errorf("WaitRecv returned %v at %v, want nil at the kick", rv, p.Now())
+		}
+		if rv := pb.WaitRecvUntil(p, 500*sim.Microsecond); rv != nil || p.Now() != 500*sim.Microsecond {
+			t.Errorf("one kick ended two waits: %v at %v", rv, p.Now())
+		}
+		pb.Kick()
+		if rv := pb.WaitRecvUntil(p, sim.Second); rv != nil || p.Now() != 500*sim.Microsecond {
+			t.Errorf("pending kick not honoured: %v at %v", rv, p.Now())
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestBandwidthMatchesPaper(t *testing.T) {
 	s, sys := newTestSystem(t, 2)
 	pa, pb := openPair(t, sys, 2)

@@ -88,6 +88,7 @@ type Port struct {
 
 	rxQ    []*Recv
 	rxCond *sim.Cond
+	kicked bool // a blocking receive must return empty-handed (Kick)
 
 	posted map[int][]*Buffer    // class → preposted receive buffers
 	parked map[int][]*parkedMsg // class → arrivals awaiting a buffer
@@ -477,24 +478,38 @@ func (p *Port) TryPeek() bool { return len(p.rxQ) > 0 }
 
 // WaitRecv blocks (modelling a gm_receive polling loop: the CPU spins but
 // virtual time passes only until the next arrival) until a message is
-// available, then returns it with the poll cost charged.
+// available, then returns it with the poll cost charged. It returns nil
+// only if Kick interrupted the wait.
 func (p *Port) WaitRecv(proc *sim.Proc) *Recv {
 	for len(p.rxQ) == 0 {
+		if p.kicked {
+			p.kicked = false
+			return nil
+		}
 		proc.WaitOn(p.rxCond)
 	}
 	return p.Poll(proc)
 }
 
 // WaitRecvUntil is WaitRecv with a deadline; it returns nil if the
-// deadline passes first.
+// deadline passes (or Kick fires) first.
 func (p *Port) WaitRecvUntil(proc *sim.Proc, deadline sim.Time) *Recv {
 	for len(p.rxQ) == 0 {
-		if proc.Now() >= deadline {
+		if proc.Now() >= deadline || p.kicked {
+			p.kicked = false
 			return nil
 		}
 		proc.WaitOnUntil(p.rxCond, deadline)
 	}
 	return p.Poll(proc)
+}
+
+// Kick makes the blocking receive in progress on an empty port — or, if
+// none is, the next one — return nil without a message, so its caller can
+// re-examine state changed from scheduler context (a peer declared dead).
+func (p *Port) Kick() {
+	p.kicked = true
+	p.rxCond.Broadcast()
 }
 
 // EnableInterrupt turns on the paper's NIC-firmware modification for this

@@ -1,0 +1,297 @@
+package substrate
+
+import (
+	"slices"
+	"testing"
+
+	"repro/internal/msg"
+	"repro/internal/sim"
+)
+
+// fakeWire is a binding with no interconnect: transmitted frames are
+// recorded, replies are whatever the test queues, and the wait is a plain
+// condition variable. It lets the core be driven sim-only.
+type fakeWire struct {
+	sent    []Lane
+	replies []*msg.Message
+	cond    *sim.Cond
+	probes  []int
+	gone    []int
+}
+
+func (w *fakeWire) Transmit(p *sim.Proc, dst int, lane Lane, kind msg.Kind, body, aux []byte) {
+	w.sent = append(w.sent, lane)
+}
+
+func (w *fakeWire) AwaitReply(p *sim.Proc, deadline sim.Time) *msg.Message {
+	for len(w.replies) == 0 {
+		if deadline == 0 {
+			p.WaitOn(w.cond)
+		} else if !p.WaitOnUntil(w.cond, deadline) && p.Now() >= deadline {
+			return nil
+		}
+	}
+	m := w.replies[0]
+	w.replies = w.replies[1:]
+	return m
+}
+
+func (w *fakeWire) Probe(peer int) bool { w.probes = append(w.probes, peer); return true }
+func (w *fakeWire) PeerGone(peer int)   { w.gone = append(w.gone, peer); w.cond.Broadcast() }
+
+// deliver queues a reply for seq, as the wire would at time at.
+func (w *fakeWire) deliver(s *sim.Simulator, at sim.Time, seq uint32) {
+	s.At(at, func() {
+		w.replies = append(w.replies, &msg.Message{Kind: msg.KPong, Seq: seq, From: 1})
+		w.cond.Broadcast()
+	})
+}
+
+// coreArgs are the Init arguments a test varies.
+type coreArgs struct {
+	Liveness   LivenessConfig
+	Hedge      HedgeConfig
+	RTO        Backoff
+	MaxRetries int
+}
+
+// runCore builds a 3-rank core for rank 0 over a fake wire and runs body
+// as its owning process.
+func runCore(t *testing.T, cfg coreArgs, body func(p *sim.Proc, c *Core, w *fakeWire)) (*Core, *fakeWire) {
+	t.Helper()
+	s := sim.New(1)
+	w := &fakeWire{cond: sim.NewCond("fake:replies")}
+	c := &Core{}
+	c.Init(w, 0, 3, cfg.Liveness, cfg.Hedge, 0, cfg.RTO, cfg.MaxRetries)
+	s.Spawn("rank0", 0, func(p *sim.Proc) {
+		c.Attach(p, func(*sim.Proc, *msg.Message) {})
+		body(p, c, w)
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return c, w
+}
+
+func TestLivenessSilenceDeclaresExactlyOnce(t *testing.T) {
+	lc := LivenessConfig{Enabled: true, Interval: sim.Millisecond, Threshold: 3}
+	var deaths []int
+	var at sim.Time
+	c, w := runCore(t, coreArgs{Liveness: lc}, func(p *sim.Proc, c *Core, w *fakeWire) {
+		c.SetOnPeerDead(func(peer int, err error) { deaths, at = append(deaths, peer), p.Sim().Now() })
+		c.Live.Start()
+		for i := 1; i <= 20; i++ { // peer 1 stays audible, peer 2 never speaks
+			p.Sim().At(sim.Time(i)*sim.Millisecond/2, func() { c.Live.Heard(1) })
+		}
+		p.Advance(12 * sim.Millisecond)
+		c.Live.Stop()
+	})
+	if !slices.Equal(deaths, []int{2}) || c.Stats().PeersDeclaredDead != 1 {
+		t.Fatalf("deaths = %v, PeersDeclaredDead = %d; want peer 2 exactly once", deaths, c.Stats().PeersDeclaredDead)
+	}
+	// Silent since Start at 0: 3ms is not past the 3ms deadline, 4ms is.
+	if at != 4*sim.Millisecond {
+		t.Errorf("declared at %v, want the first tick past Deadline() (4ms)", at)
+	}
+	if pf := c.PeerFailure(); pf == nil || pf.Peer != 2 || pf.Kind != "heartbeat-miss" || pf.Rank != 0 {
+		t.Errorf("failure = %+v, want heartbeat-miss toward peer 2", pf)
+	}
+	if !slices.Equal(w.gone, []int{2}) {
+		t.Errorf("binding cleanup ran for %v, want [2] once", w.gone)
+	}
+	if n := int64(len(w.probes)); n != c.Stats().HeartbeatsSent || w.probes[n-1] != 1 || slices.Contains(w.probes[8:], 2) {
+		t.Errorf("probes %v (HeartbeatsSent %d): want every probe counted and none toward the dead peer", w.probes, c.Stats().HeartbeatsSent)
+	}
+}
+
+func TestLivenessMarkDepartedIsSilent(t *testing.T) {
+	fired := false
+	c, _ := runCore(t, coreArgs{}, func(p *sim.Proc, c *Core, w *fakeWire) {
+		c.SetOnPeerDead(func(int, error) { fired = true })
+		c.Live.MarkDeparted(1)
+		c.Live.MarkDeparted(0) // self: ignored
+	})
+	if !c.Live.Dead(1) || c.Live.Dead(0) || c.Live.Dead(2) {
+		t.Errorf("dead flags wrong: %v", c.Live.dead)
+	}
+	if fired || c.PeerFailure() != nil || c.Stats().PeersDeclaredDead != 0 {
+		t.Errorf("departure recorded as a failure: fired=%v failure=%+v", fired, c.PeerFailure())
+	}
+}
+
+func TestLivenessHeardWithinBoundary(t *testing.T) {
+	runCore(t, coreArgs{}, func(p *sim.Proc, c *Core, w *fakeWire) {
+		p.Advance(sim.Millisecond)
+		c.Live.Heard(1)
+		p.Advance(5 * sim.Microsecond)
+		if !c.Live.HeardWithin(1, 5*sim.Microsecond) {
+			t.Error("a frame exactly d ago must count as heard within d")
+		}
+		if c.Live.HeardWithin(1, 5*sim.Microsecond-1) {
+			t.Error("a frame older than d counted as heard within d")
+		}
+		if c.Live.HeardWithin(7, sim.Second) || c.Live.HeardWithin(-1, sim.Second) {
+			t.Error("out-of-range rank reported as heard")
+		}
+	})
+}
+
+func TestCreditsClampRefreshReset(t *testing.T) {
+	fc := FlowConfig{Enabled: true, CreditTimeout: 10 * sim.Millisecond}
+	var acquired []sim.Time
+	c, _ := runCore(t, coreArgs{}, func(p *sim.Proc, c *Core, w *fakeWire) {
+		cr := c.NewCredits(fc, "test:credits", []int{2, 8}, []int{1, 4})
+		cr.Acquire(p, 1, 0, 1, 0)
+		for i := 0; i < 3; i++ { // duplicate returns must not oversubscribe
+			cr.Release(1, 0, 2)
+		}
+		cr.Release(1, 9, 1) // unknown lane: ignored
+		if cr.Have(1, 0) != 2 || cr.Have(2, 0) != 2 {
+			t.Errorf("lane 0 credits %d/%d after duplicate releases, want budget 2", cr.Have(1, 0), cr.Have(2, 0))
+		}
+		// Exhaust lane 1, then park: only the refresh can help.
+		cr.Acquire(p, 1, 1, 8, 0)
+		cr.Acquire(p, 1, 1, 3, 0)
+		acquired = append(acquired, p.Now())
+		if cr.Have(1, 1) != 1 || c.Stats().CreditRefills != 1 {
+			t.Errorf("after refresh: %d credits, %d refills; want one 4-credit quantum minus 3", cr.Have(1, 1), c.Stats().CreditRefills)
+		}
+		// Park again; the peer's death resets the ledger and the sender
+		// proceeds undebited, observing the dead flag.
+		p.Sim().After(sim.Millisecond, func() { c.Live.DeclareDead(1, "retry-exhausted", 3) })
+		cr.Acquire(p, 1, 1, 8, 0)
+		cr.Acquire(p, 1, 1, 8, 0)
+		acquired = append(acquired, p.Now())
+		if !c.Live.Dead(1) || cr.Have(1, 1) != 0 {
+			t.Errorf("after reset: dead=%v credits=%d, want a full budget taken once", c.Live.Dead(1), cr.Have(1, 1))
+		}
+	})
+	if want := []sim.Time{10 * sim.Millisecond, 11 * sim.Millisecond}; !slices.Equal(acquired, want) {
+		t.Errorf("parked sends resumed at %v, want %v (refresh, then reset)", acquired, want)
+	}
+	if st := c.Stats(); st.CreditStalls != 2 || st.CreditWaitTime != 11*sim.Millisecond {
+		t.Errorf("stalls=%d wait=%v, want 2 stalls over 11ms", st.CreditStalls, st.CreditWaitTime)
+	}
+	var off *Credits // flow control off: the nil ledger is inert
+	off.Acquire(nil, 1, 0, 1, 0)
+	off.Release(1, 0, 1)
+}
+
+func TestCreditsHaltReleasesParkedSender(t *testing.T) {
+	c, _ := runCore(t, coreArgs{}, func(p *sim.Proc, c *Core, w *fakeWire) {
+		cr := c.NewCredits(FlowConfig{Enabled: true}, "test:credits", []int{1}, []int{1})
+		cr.Acquire(p, 2, 0, 1, 0)
+		p.Sim().After(sim.Millisecond, func() { c.Quiesce() })
+		cr.Acquire(p, 2, 0, 1, 0)
+		if p.Now() != sim.Millisecond || !c.Halted() || cr.Have(2, 0) != 0 {
+			t.Errorf("parked sender resumed at %v halted=%v credits=%d", p.Now(), c.Halted(), cr.Have(2, 0))
+		}
+	})
+	if c.Quiesce() {
+		t.Error("second Quiesce reported a fresh halt")
+	}
+}
+
+func TestKeysWhereAscending(t *testing.T) {
+	m := map[uint32]int{}
+	for i := uint32(1); i <= 200; i++ {
+		m[i*7919%1000] = int(i % 2)
+	}
+	keys := KeysWhere(m, func(v int) bool { return v == 1 })
+	if len(keys) != 100 || !slices.IsSorted(keys) {
+		t.Errorf("KeysWhere returned %d keys, sorted=%v", len(keys), slices.IsSorted(keys))
+	}
+}
+
+func TestForgetPeerResolvesCallsTowardPeer(t *testing.T) {
+	c, w := runCore(t, coreArgs{}, func(p *sim.Proc, c *Core, w *fakeWire) {
+		var calls []Pending
+		for i := 0; i < 6; i++ {
+			calls = append(calls, c.CallBegin(p, 1+i%2, &msg.Message{Kind: msg.KPing}))
+		}
+		p.Advance(sim.Millisecond)
+		c.ForgetPeer(1)
+		for i, pd := range calls {
+			if gone := pd.Dst() == 1; pd.Done() != gone || (gone && (pd.Reply() != nil || pd.Completed() != sim.Millisecond)) {
+				t.Errorf("call %d toward %d: done=%v reply=%v", i, pd.Dst(), pd.Done(), pd.Reply())
+			}
+		}
+		if len(c.pending) != 3 {
+			t.Errorf("%d calls left pending, want the 3 toward peer 2", len(c.pending))
+		}
+		// The survivors still resolve normally; a later call toward the
+		// departed rank gives up at once without touching the wire.
+		for _, pd := range calls {
+			if pd.Dst() == 2 {
+				w.deliver(p.Sim(), p.Now(), pd.Seq())
+			}
+		}
+		c.Collect(p, calls)
+		if rep := c.Call(p, 1, &msg.Message{Kind: msg.KPing}); rep != nil {
+			t.Errorf("call toward a departed peer returned %+v", rep)
+		}
+	})
+	if st := c.Stats(); st.SendsAbandoned != 4 || st.RepliesRecvd != 3 || st.RequestsSent != 6 || len(w.sent) != 6 {
+		t.Errorf("abandoned=%d replies=%d requests=%d frames=%d", st.SendsAbandoned, st.RepliesRecvd, st.RequestsSent, len(w.sent))
+	}
+	if c.PeerFailure() != nil || !slices.Equal(w.gone, []int{1}) {
+		t.Errorf("departure: failure=%+v cleanup=%v", c.PeerFailure(), w.gone)
+	}
+}
+
+func TestStaleReplyCountedOnce(t *testing.T) {
+	c, _ := runCore(t, coreArgs{}, func(p *sim.Proc, c *Core, w *fakeWire) {
+		first := c.CallBegin(p, 1, &msg.Message{Kind: msg.KPing})
+		w.deliver(p.Sim(), sim.Millisecond, first.Seq())
+		w.deliver(p.Sim(), sim.Millisecond, first.Seq()) // the duplicate answer
+		if rep := c.Collect(p, []Pending{first})[0]; rep == nil || rep.Seq != first.Seq() {
+			t.Fatalf("first call: reply %+v", rep)
+		}
+		second := c.CallBegin(p, 1, &msg.Message{Kind: msg.KPing})
+		w.deliver(p.Sim(), 2*sim.Millisecond, second.Seq())
+		if rep := c.Collect(p, []Pending{second})[0]; rep == nil || rep.Seq != second.Seq() {
+			t.Fatalf("second call matched the stale reply: %+v", rep)
+		}
+	})
+	if st := c.Stats(); st.StaleReplies != 1 || st.RepliesRecvd != 2 {
+		t.Errorf("StaleReplies=%d RepliesRecvd=%d, want 1 and 2", st.StaleReplies, st.RepliesRecvd)
+	}
+}
+
+func TestHedgeFiresAtMostOncePerCall(t *testing.T) {
+	hc := HedgeConfig{Enabled: true, MinDeadline: sim.Millisecond}
+	c, w := runCore(t, coreArgs{Hedge: hc}, func(p *sim.Proc, c *Core, w *fakeWire) {
+		slow := c.CallBegin(p, 1, &msg.Message{Kind: msg.KPing})
+		fast := c.CallBegin(p, 2, &msg.Message{Kind: msg.KPing})
+		w.deliver(p.Sim(), sim.Millisecond/2, fast.Seq())
+		w.deliver(p.Sim(), 50*sim.Millisecond, slow.Seq())
+		reps := c.Collect(p, []Pending{slow, fast})
+		if reps[0] == nil || reps[1] == nil || p.Now() != 50*sim.Millisecond {
+			t.Errorf("replies %v at %v", reps, p.Now())
+		}
+	})
+	// Only the straggler hedges, once, however long it keeps straggling.
+	want := []Lane{LaneRequest, LaneRequest, LaneRelay}
+	if c.Stats().HedgedRequests != 1 || !slices.Equal(w.sent, want) {
+		t.Errorf("HedgedRequests=%d frames=%v, want 1 and %v", c.Stats().HedgedRequests, w.sent, want)
+	}
+}
+
+func TestRTOBacksOffThenGivesUp(t *testing.T) {
+	cfg := coreArgs{RTO: Backoff{Initial: 10 * sim.Millisecond, Max: 40 * sim.Millisecond}, MaxRetries: 3}
+	c, w := runCore(t, cfg, func(p *sim.Proc, c *Core, w *fakeWire) {
+		if rep := c.Call(p, 1, &msg.Message{Kind: msg.KPing}); rep != nil {
+			t.Errorf("call into the void returned %+v", rep)
+		}
+		// 10 + 20 + 40 + 40: the original plus three retransmissions.
+		if p.Now() != 110*sim.Millisecond {
+			t.Errorf("gave up at %v, want 110ms", p.Now())
+		}
+	})
+	if st := c.Stats(); st.Retransmits != 3 || st.RequestsSent != 4 || len(w.sent) != 4 {
+		t.Errorf("retransmits=%d requests=%d frames=%d", st.Retransmits, st.RequestsSent, len(w.sent))
+	}
+	if pf := c.PeerFailure(); pf == nil || pf.Kind != "retry-exhausted" || pf.Attempts != 4 || !c.Live.Dead(1) {
+		t.Errorf("failure = %+v", pf)
+	}
+}

@@ -1,13 +1,14 @@
 package substrate
 
-// Duplicate-request filtering, shared by both substrates. Requests are
-// identified cluster-wide by (originator rank, originator sequence
-// number); both fields survive forwarding, so every node a request
-// passes through can filter duplicates of it. udpgm needs this because
-// UDP datagrams are retransmitted blindly on reply timeout; fastgm needs
-// it because GM-level recovery can deliver a frame twice (the original
-// is accepted from the receiver's park queue after the sender's resend
-// timer already fired and triggered a retransmission).
+// Duplicate-request filtering, used by the Core on every substrate (and
+// by rdmagm a second time, for verbs). Requests are identified
+// cluster-wide by (originator rank, originator sequence number); both
+// fields survive forwarding, so every node a request passes through can
+// filter duplicates of it. udpgm needs this because UDP datagrams are
+// retransmitted blindly on reply timeout; fastgm needs it because
+// GM-level recovery can deliver a frame twice (the original is accepted
+// from the receiver's park queue after the sender's resend timer already
+// fired and triggered a retransmission); hedging needs it everywhere.
 
 // DupKey identifies one request cluster-wide.
 type DupKey struct {

@@ -11,14 +11,6 @@ import (
 	"repro/internal/substrate/stest"
 )
 
-// slowLiveness arms the liveness layer (so a blocked Call can observe a
-// declared-dead peer instead of hanging) with a deadline far beyond any
-// blackout used here — detection in these tests must come from the retry
-// budget, never from heartbeat misses.
-func slowLiveness() substrate.LivenessConfig {
-	return substrate.LivenessConfig{Enabled: true, Interval: 50 * sim.Millisecond, Threshold: 100000}
-}
-
 func echoHandler(c *stest.Cluster) func(rank int) substrate.Handler {
 	return func(rank int) substrate.Handler {
 		return func(p *sim.Proc, m *msg.Message) {
@@ -38,7 +30,6 @@ func echoHandler(c *stest.Cluster) func(rank int) substrate.Handler {
 func TestRetryBudgetResetsAfterSendOK(t *testing.T) {
 	cfg := fastgm.DefaultConfig()
 	cfg.MaxSendRetries = 1
-	cfg.Liveness = slowLiveness()
 	c := stest.NewFast(2, 1, cfg)
 	// GM's resend timeout is 3s: a frame sent at ~2ms into a window ending
 	// at 3s fails once (~3.002s) and its 5ms-backoff retransmission clears
@@ -83,7 +74,6 @@ func TestRetryBudgetResetsAfterSendOK(t *testing.T) {
 func TestRetryExhaustionGivesUp(t *testing.T) {
 	cfg := fastgm.DefaultConfig()
 	cfg.MaxSendRetries = 1
-	cfg.Liveness = slowLiveness()
 	c := stest.NewFast(2, 1, cfg)
 	c.Fabric.SetFaults(myrinet.FaultConfig{Blackouts: []myrinet.Blackout{
 		{Src: 0, Dst: 1, From: sim.Millisecond, To: 1000 * sim.Second},

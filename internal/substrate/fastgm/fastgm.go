@@ -2,7 +2,6 @@ package fastgm
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/gm"
 	"repro/internal/msg"
@@ -35,118 +34,44 @@ const (
 	frameCredit byte = 6
 )
 
-// Transport is the FAST/GM substrate for one process.
+// Transport is the FAST/GM substrate for one process: the shared protocol
+// core (call table, duplicate filter, liveness, credits — package
+// substrate) over the GM wire this package implements.
 type Transport struct {
+	substrate.Core
 	node *gm.Node
 	cfg  Config
-	rank int
-	size int
-
-	proc    *sim.Proc
-	handler substrate.Handler
 
 	asyncPort *gm.Port
 	syncPort  *gm.Port
 
-	sendPool  map[int][]*gm.Buffer // class → free registered send buffers
-	sendCond  *sim.Cond
+	sendPool  *SendPool // registered send buffers
 	tokenCond *sim.Cond
 
 	rv rendezvousState
 
-	// Recovery state (recovery.go): receiver-side duplicate filter,
-	// one-resume-per-port guard, and the cond senders park on while their
-	// port is disabled.
-	dup      *substrate.DupCache
+	// Recovery state (recovery.go): the one-resume-per-port guard and the
+	// cond senders park on while their port is disabled.
 	resuming map[*gm.Port]bool
 	portCond *sim.Cond
 
-	// Liveness/crash state (liveness.go): per-peer last-heard clocks,
-	// declared-dead flags, and the heartbeat machinery. halted is set by
-	// Halt() during crash teardown; every timer and completion checks it.
-	live   livenessState
-	halted bool
-
-	// view, when set before Start, is piggybacked on every heartbeat
-	// frame and delivered from every heartbeat received (the membership
-	// layer's epoch-stamped view exchange; substrate.MemberControl).
-	view substrate.ViewExchange
-
-	// Flow-control credit ledger (flow.go) and hedged-request state: the
-	// normalized hedge config plus an EWMA of observed reply latencies
-	// that derives each pending call's hedge deadline.
-	flow      flowState
-	hedge     substrate.HedgeConfig
-	hedgeOn   bool
-	hedgeEWMA sim.Time
-
-	// pending maps seq → outstanding call. Seq alone identifies a call
-	// (sequence numbers are unique per sender) and must, because forwarded
-	// requests are answered by a third node, not the rank we sent to.
-	pending map[uint32]*pendingCall
-
-	seq   uint32
-	stats substrate.Stats
+	hbBufs []*gm.Buffer // free registered heartbeat send buffers (liveness.go)
+	flow   flowState    // credit ledger + return machinery (flow.go)
 }
-
-// pendingCall is one outstanding request awaiting its reply on the
-// synchronous port (substrate.Pending).
-type pendingCall struct {
-	dst       int
-	seq       uint32
-	kind      msg.Kind
-	reply     *msg.Message
-	done      bool
-	issued    sim.Time
-	completed sim.Time
-
-	// Hedge state (populated only with HedgeConfig.Enabled): the encoded
-	// request and its causal aux are stashed so a straggling call can be
-	// re-issued verbatim once, at hedgeAt, without re-encoding.
-	body    []byte
-	aux     []byte
-	hedged  bool
-	hedgeAt sim.Time
-}
-
-func (pc *pendingCall) Dst() int            { return pc.dst }
-func (pc *pendingCall) Seq() uint32         { return pc.seq }
-func (pc *pendingCall) Done() bool          { return pc.done }
-func (pc *pendingCall) Reply() *msg.Message { return pc.reply }
-func (pc *pendingCall) Issued() sim.Time    { return pc.issued }
-func (pc *pendingCall) Completed() sim.Time { return pc.completed }
 
 // New creates the substrate for process rank of size on a GM node.
 func New(node *gm.Node, rank, size int, cfg Config) *Transport {
-	t := &Transport{
-		node:     node,
-		cfg:      cfg,
-		rank:     rank,
-		size:     size,
-		sendPool: make(map[int][]*gm.Buffer),
-		dup:      substrate.NewDupCache(cfg.DupCacheSize),
-		resuming: make(map[*gm.Port]bool),
-		pending:  make(map[uint32]*pendingCall),
-	}
-	t.live.init(t)
+	t := &Transport{node: node, cfg: cfg, resuming: make(map[*gm.Port]bool)}
+	// No user-level call clock: GM-level retransmission (recovery.go)
+	// recovers lost frames below the core.
+	t.Core.Init(t, rank, size, cfg.Liveness, cfg.Hedge, cfg.DupCacheSize, substrate.Backoff{}, 0)
 	t.flow.init(t)
-	t.hedge = cfg.Hedge.Norm()
-	t.hedgeOn = cfg.Hedge.Enabled
 	return t
 }
-
-// Rank returns this process's rank.
-func (t *Transport) Rank() int { return t.rank }
-
-// Size returns the number of processes.
-func (t *Transport) Size() int { return t.size }
 
 // MaxData returns the largest encoded message carried (one byte of each
 // GM message is the frame tag).
 func (t *Transport) MaxData() int { return t.node.System().Params().MaxMessage() - 1 }
-
-// Stats returns the transport counters.
-func (t *Transport) Stats() *substrate.Stats { return &t.stats }
 
 // outstandingCalls returns the number of reply slots the sync port is
 // provisioned for: the configured cap, or (n−1) when unset — a read
@@ -155,10 +80,7 @@ func (t *Transport) outstandingCalls() int {
 	if t.cfg.OutstandingCalls > 0 {
 		return t.cfg.OutstandingCalls
 	}
-	if t.size <= 1 {
-		return 1
-	}
-	return t.size - 1
+	return max(t.Size()-1, 1)
 }
 
 // maxPrepostClass returns the largest class preposted (classes above use
@@ -175,11 +97,10 @@ func (t *Transport) maxPrepostClass() int {
 // strategy, allocates the registered send pool, and arms the selected
 // asynchronous notification scheme.
 func (t *Transport) Start(p *sim.Proc, h substrate.Handler) {
-	t.proc = p
-	t.handler = h
-	t.sendCond = sim.NewCond(fmt.Sprintf("fastgm:%d:sendpool", t.rank))
-	t.tokenCond = sim.NewCond(fmt.Sprintf("fastgm:%d:tokens", t.rank))
-	t.portCond = sim.NewCond(fmt.Sprintf("fastgm:%d:port", t.rank))
+	t.Attach(p, h)
+	t.sendPool = NewSendPool(fmt.Sprintf("fastgm:%d:sendpool", t.Rank()))
+	t.tokenCond = sim.NewCond(fmt.Sprintf("fastgm:%d:tokens", t.Rank()))
+	t.portCond = sim.NewCond(fmt.Sprintf("fastgm:%d:port", t.Rank()))
 	t.rv.init(t)
 
 	var err error
@@ -191,10 +112,7 @@ func (t *Transport) Start(p *sim.Proc, h substrate.Handler) {
 	}
 
 	params := t.node.System().Params()
-	peers := t.size - 1
-	if peers < 1 {
-		peers = 1
-	}
+	peers := max(t.Size()-1, 1)
 	// Asynchronous port: o×(n−1) small request buffers per class, (n−1)
 	// of each larger class (the barrier-response sizes).
 	for c := params.MinClass; c <= t.maxPrepostClass(); c++ {
@@ -226,15 +144,12 @@ func (t *Transport) Start(p *sim.Proc, h substrate.Handler) {
 		if c <= t.cfg.SmallClassMax {
 			count = 4
 		}
-		mem := t.node.Register(p, count*gm.ClassCapacity(c))
-		for i := 0; i < count; i++ {
-			t.sendPool[c] = append(t.sendPool[c], mem.SubBuffer(i*gm.ClassCapacity(c), c))
-		}
+		t.sendPool.Fill(t.node.Register(p, count*gm.ClassCapacity(c)), count, c)
 	}
 
-	t.live.start()
+	t.startLiveness()
 	t.flow.start()
-	if t.cfg.Liveness.Enabled || t.flow.enabled {
+	if t.Live.Enabled() || t.flow.credits != nil {
 		t.asyncPort.SetFilter(t.asyncNICFilter)
 	}
 
@@ -256,57 +171,19 @@ func (t *Transport) Start(p *sim.Proc, h substrate.Handler) {
 // stops the timer scheme and the heartbeat clock.
 func (t *Transport) Shutdown(p *sim.Proc) {
 	t.rv.shutdown = true
-	t.live.stopped = true
-}
-
-// SetViewExchange implements substrate.MemberControl: attach the
-// membership-view piggyback. Must run before Start — the heartbeat send
-// buffers are sized for the view frame when they are registered.
-func (t *Transport) SetViewExchange(v substrate.ViewExchange) {
-	if t.proc != nil {
-		panic("fastgm: SetViewExchange after Start")
-	}
-	t.view = v
-}
-
-// ForgetPeer implements substrate.MemberControl: purge every per-peer
-// entry for a departed rank. Duplicate-cache entries keyed by its origin
-// are dropped (a re-joining rank restarts its sequence numbers), and any
-// calls still pending toward it resolve as abandoned, exactly as if the
-// liveness layer had declared it dead. The peer is also marked dead in
-// the liveness state (without a recorded failure) so heartbeat ticks
-// stop probing its closed port.
-func (t *Transport) ForgetPeer(peer int) {
-	t.live.markDeparted(peer)
-	t.flow.reset(peer)
-	t.dup.PurgeOrigin(int32(peer))
-	seqs := make([]uint32, 0, len(t.pending))
-	for seq, pc := range t.pending {
-		if pc.dst == peer {
-			seqs = append(seqs, seq)
-		}
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	for _, seq := range seqs {
-		pc := t.pending[seq]
-		delete(t.pending, seq)
-		pc.done = true
-		pc.completed = t.proc.Sim().Now()
-		t.stats.SendsAbandoned++
-	}
-	t.abandonStagedTo(peer)
+	t.Live.Stop()
 }
 
 // armTimer schedules the periodic async-port check for AsyncTimer.
 func (t *Transport) armTimer() {
-	s := t.proc.Sim()
+	s := t.Proc().Sim()
 	var tick func()
 	tick = func() {
 		if t.rv.shutdown {
 			return
 		}
 		if t.asyncPort.TryPeek() {
-			t.proc.Interrupt(t.asyncPort)
+			t.Proc().Interrupt(t.asyncPort)
 		}
 		s.After(t.cfg.TimerInterval, tick)
 	}
@@ -320,23 +197,23 @@ func (t *Transport) armTimer() {
 // while the host computes with asynchronous delivery masked. Everything
 // else flows to the host unchanged.
 func (t *Transport) asyncNICFilter(rv *gm.Recv) bool {
-	if t.cfg.Liveness.Enabled {
-		t.live.heard(int(rv.From))
+	if t.Live.Enabled() {
+		t.Live.Heard(int(rv.From))
 	}
 	if len(rv.Data) == 0 {
 		return false
 	}
 	switch rv.Data[0] {
 	case frameHB:
-		if !t.cfg.Liveness.Enabled {
+		if !t.Live.Enabled() {
 			return false
 		}
-		if t.view != nil && len(rv.Data) > 1 {
-			t.view.OnPeerView(int(rv.From), rv.Data[1:])
+		if t.View != nil && len(rv.Data) > 1 {
+			t.View.OnPeerView(int(rv.From), rv.Data[1:])
 		}
 		return true
 	case frameCredit:
-		if !t.flow.enabled {
+		if t.flow.credits == nil {
 			return false
 		}
 		t.flow.onCreditFrame(rv)
@@ -345,15 +222,9 @@ func (t *Transport) asyncNICFilter(rv *gm.Recv) bool {
 	return false
 }
 
-// DisableAsync masks asynchronous request delivery.
-func (t *Transport) DisableAsync(p *sim.Proc) { p.DisableInterrupts() }
-
-// EnableAsync unmasks it, servicing anything queued.
-func (t *Transport) EnableAsync(p *sim.Proc) { p.EnableInterrupts() }
-
 // onAsyncInterrupt services the NIC interrupt (paper's firmware mod).
 func (t *Transport) onAsyncInterrupt(p *sim.Proc, payload any) {
-	t.stats.AsyncWakeups++
+	t.Stats().AsyncWakeups++
 	p.Advance(t.asyncPort.InterruptCost())
 	t.drainAsync(p)
 }
@@ -361,7 +232,7 @@ func (t *Transport) onAsyncInterrupt(p *sim.Proc, payload any) {
 // onPollDetect services a polling-thread or timer detection: cheaper
 // dispatch, no interrupt cost.
 func (t *Transport) onPollDetect(p *sim.Proc, payload any) {
-	t.stats.AsyncWakeups++
+	t.Stats().AsyncWakeups++
 	p.Advance(t.cfg.PollDispatch)
 	t.drainAsync(p)
 }
@@ -383,15 +254,15 @@ func (t *Transport) handleAsyncFrame(p *sim.Proc, rv *gm.Recv) {
 		t.rejectFrame(p, rv, "empty")
 		return
 	}
-	t.live.heard(int(rv.From))
+	t.Live.Heard(int(rv.From))
 	tag, body := rv.Data[0], rv.Data[1:]
 	switch tag {
 	case frameHB:
 		// A heartbeat's arrival already refreshed the peer's last-heard
 		// clock above; with a view exchange attached its body carries the
 		// peer's membership view.
-		if t.view != nil && len(body) > 0 {
-			t.view.OnPeerView(int(rv.From), body)
+		if t.View != nil && len(body) > 0 {
+			t.View.OnPeerView(int(rv.From), body)
 		}
 		t.asyncPort.ProvideReceiveBuffer(rv.Buffer)
 	case frameMsg, frameData:
@@ -404,23 +275,19 @@ func (t *Transport) handleAsyncFrame(p *sim.Proc, rv *gm.Recv) {
 			}
 			return
 		}
-		if cz := p.Sim().Causal(); cz != nil {
-			// Arrival before the duplicate filter: GM-level redelivery
-			// carries the same span, so Arrive stays idempotent.
-			m.Ctx = trace.DecodeCtx(rv.Aux)
-			cz.Arrive(m.Ctx, p.ID(), int64(p.Now()))
-		}
-		key := substrate.DupKey{Origin: m.ReplyTo, Seq: m.Seq}
-		if e, seen := t.dup.Lookup(key); seen {
-			t.dupRequest(p, rv, tag, m, e)
+		if e := t.Admit(p, m, rv.Aux, len(rv.Data)); e != nil {
+			// Recycle to the prepost ring, then answer idempotently. For a
+			// duplicate rendezvous data frame the buffer stays in rv.pinned:
+			// the duplicate may have consumed a buffer pinned for another
+			// in-flight transfer of the same class, and re-preposting (rather
+			// than deregistering) lets that transfer's retransmission land.
+			t.asyncPort.ProvideReceiveBuffer(rv.Buffer)
+			t.AnswerDup(p, m, e)
 			if tag == frameMsg {
 				t.flow.noteConsumed(int(rv.From), rv.Class)
 			}
 			return
 		}
-		t.dup.Insert(key)
-		t.stats.RequestsRecvd++
-		t.stats.BytesRecvd += int64(len(rv.Data))
 		if tag == frameData {
 			t.rv.finishReceive(p, t.asyncPort, rv.Buffer)
 		} else {
@@ -434,13 +301,8 @@ func (t *Transport) handleAsyncFrame(p *sim.Proc, rv *gm.Recv) {
 			t.flow.noteConsumed(int(rv.From), rv.Class)
 		}
 		start := p.Now()
-		t.handler(p, m)
-		t.stats.RequestService += p.Now() - start
-		if tr := p.Sim().Tracer(); tr != nil {
-			tr.Emit(trace.Event{T: int64(start), Dur: int64(p.Now() - start),
-				Layer: trace.LayerSubstrate, Kind: "serve:" + m.Kind.String(),
-				Proc: p.ID(), Peer: int(m.From), Bytes: len(rv.Data)})
-		}
+		t.Serve(p, m, len(rv.Data))
+		t.Stats().RequestService += p.Now() - start
 	case frameRTS:
 		t.rv.onRTS(p, rv)
 		t.asyncPort.ProvideReceiveBuffer(rv.Buffer)
@@ -452,304 +314,46 @@ func (t *Transport) handleAsyncFrame(p *sim.Proc, rv *gm.Recv) {
 	}
 }
 
-// Call implements substrate.Transport.
-func (t *Transport) Call(p *sim.Proc, dst int, req *msg.Message) *msg.Message {
-	pc := t.CallBegin(p, dst, req)
-	return t.Collect(p, []substrate.Pending{pc})[0]
-}
-
-// CallBegin implements substrate.Transport: transmit the request on the
-// asynchronous port and register the outstanding call; the reply is
-// matched by Collect. GM-level retransmission (recovery.go) covers the
-// request frame per-pending, so no user-level timer is needed here.
-func (t *Transport) CallBegin(p *sim.Proc, dst int, req *msg.Message) substrate.Pending {
-	if dst == t.rank {
-		panic("fastgm: Call to self")
-	}
+// AwaitReply implements substrate.Wire: poll the synchronous port for
+// the next reply. GM-level retransmission (recovery.go) covers request
+// frames below the core, so calls carry no user-level clock here: the
+// wait is bounded only by a hedge deadline, and a peer's death wakes it
+// through PeerGone.
+func (t *Transport) AwaitReply(p *sim.Proc, deadline sim.Time) *msg.Message {
 	if !p.InterruptsEnabled() {
 		// The DSM must not await a reply while asynchronous delivery is
 		// masked: the peer may need to serve our request via its own
 		// handler, and (with rendezvous) our reply may need an RTS/CTS
 		// exchange serviced by our handler.
-		panic("fastgm: Call with async delivery disabled")
-	}
-	t.seq++
-	req.Seq = t.seq
-	req.From = int32(t.rank)
-	req.ReplyTo = int32(t.rank)
-	pc := &pendingCall{dst: dst, seq: req.Seq, kind: req.Kind, issued: p.Now()}
-	t.pending[pc.seq] = pc
-	t.stats.RequestsSent++
-	if t.hedgeOn {
-		// Stash the encoded form so a straggling call can be re-issued
-		// verbatim; the deadline starts once the transmit (which may park
-		// on credits) has actually staged the frame.
-		aux := t.reqEdge(p, dst, req)
-		pc.body, pc.aux = req.Encode(), aux
-		t.transmitBody(p, dst, AsyncPort, frameMsg, req.Kind, pc.body, aux)
-		pc.hedgeAt = p.Now() + t.hedgeDelay()
-	} else {
-		t.transmit(p, dst, AsyncPort, frameMsg, req, t.reqEdge(p, dst, req))
-	}
-	return pc
-}
-
-// hedgeDelay derives the hedge deadline from the EWMA of observed reply
-// latencies — the causal-trace view of what a healthy call costs —
-// floored by the configured minimum.
-func (t *Transport) hedgeDelay() sim.Time {
-	d := sim.Time(float64(t.hedgeEWMA) * t.hedge.LatencyScale)
-	if d < t.hedge.MinDeadline {
-		d = t.hedge.MinDeadline
-	}
-	return d
-}
-
-// reqEdge records the send half of an outbound request in the causal DAG
-// and returns the encoded context the frame carries (nil with causal
-// tracing off). The parent is the request's explicit context when the
-// caller set one, otherwise the rank's mainline context.
-func (t *Transport) reqEdge(p *sim.Proc, dst int, req *msg.Message) []byte {
-	cz := p.Sim().Causal()
-	if cz == nil {
-		return nil
-	}
-	parent := req.Ctx.Span
-	if req.Ctx.Zero() {
-		parent = cz.Cur(t.rank).Span
-	}
-	ctx := cz.Edge("req:"+req.Kind.String(), t.rank, dst, p.ID(), parent,
-		req.EncodedSize(), int64(p.Now()))
-	return trace.EncodeCtx(ctx)
-}
-
-// Collect implements substrate.Transport: poll the synchronous port
-// until every pending call resolves, matching replies in arrival order
-// against the pending table. With the liveness layer enabled the wait is
-// chopped into heartbeat-interval slices so calls to a peer declared
-// dead give up (nil reply) instead of blocking into the void.
-func (t *Transport) Collect(p *sim.Proc, pending []substrate.Pending) []*msg.Message {
-	if !p.InterruptsEnabled() {
 		panic("fastgm: Collect with async delivery disabled")
 	}
-	for t.unresolved(pending) > 0 {
-		var rv *gm.Recv
-		deadline := sim.Time(0) // 0 = wait without bound
-		if t.cfg.Liveness.Enabled {
-			deadline = p.Now() + t.live.cfg.Interval
-		}
-		if t.hedgeOn {
-			if hd, ok := t.nextHedgeDeadline(pending); ok && (deadline == 0 || hd < deadline) {
-				deadline = hd
-			}
-		}
-		if deadline > 0 {
-			if rv = t.syncPort.WaitRecvUntil(p, deadline); rv == nil {
-				t.maybeHedge(p, pending)
-				continue
-			}
-		} else {
-			rv = t.syncPort.WaitRecv(p)
-		}
-		m := t.recvSyncFrame(p, rv)
-		if m == nil {
-			continue
-		}
-		pc := t.pending[m.Seq]
-		if pc == nil {
-			// A duplicate of an already-consumed reply, produced by GM-level
-			// retransmission after the first copy was matched.
-			t.stats.StaleReplies++
-			if tr := p.Sim().Tracer(); tr != nil {
-				tr.Emit(trace.Event{T: int64(p.Now()), Layer: trace.LayerSubstrate,
-					Kind: "stale-reply", Proc: p.ID(), Peer: int(m.From)})
-				tr.Metrics().Counter(trace.LayerSubstrate, "stale.replies").Inc(1)
-			}
-			continue
-		}
-		delete(t.pending, m.Seq)
-		pc.done = true
-		pc.reply = m
-		pc.completed = p.Now()
-		if cz := p.Sim().Causal(); cz != nil && !m.Ctx.Zero() {
-			// The matched reply is what unblocks the mainline: requests the
-			// rank issues next are caused by it.
-			cz.SetCur(t.rank, m.Ctx)
-		}
-		t.stats.RepliesRecvd++
-		t.stats.ReplyWaitTime += pc.completed - pc.issued
-		if t.hedgeOn {
-			rtt := pc.completed - pc.issued
-			if t.hedgeEWMA == 0 {
-				t.hedgeEWMA = rtt
-			} else {
-				t.hedgeEWMA = (3*t.hedgeEWMA + rtt) / 4
-			}
-		}
-		if tr := p.Sim().Tracer(); tr != nil {
-			tr.Emit(trace.Event{T: int64(pc.issued), Dur: int64(pc.completed - pc.issued),
-				Layer: trace.LayerSubstrate, Kind: "call:" + pc.kind.String(),
-				Proc: p.ID(), Peer: pc.dst})
-		}
+	var rv *gm.Recv
+	if deadline > 0 {
+		rv = t.syncPort.WaitRecvUntil(p, deadline)
+	} else {
+		rv = t.syncPort.WaitRecv(p)
 	}
-	out := make([]*msg.Message, len(pending))
-	for i, pd := range pending {
-		out[i] = pd.(*pendingCall).reply
+	if rv == nil {
+		return nil
 	}
-	return out
-}
-
-// nextHedgeDeadline returns the earliest hedge deadline among the
-// still-unhedged outstanding calls, if any.
-func (t *Transport) nextHedgeDeadline(pending []substrate.Pending) (sim.Time, bool) {
-	var min sim.Time
-	found := false
-	for _, pd := range pending {
-		pc := pd.(*pendingCall)
-		if pc.done || pc.hedged || pc.body == nil {
-			continue
-		}
-		if !found || pc.hedgeAt < min {
-			min = pc.hedgeAt
-		}
-		found = true
-	}
-	return min, found
-}
-
-// maybeHedge re-issues, at most once each, every outstanding call whose
-// hedge deadline has passed. The duplicate is end-to-end safe: the
-// receiver deduplicates on (origin,seq) and re-sends its cached reply,
-// and whichever copy of the reply loses the race is absorbed as a
-// StaleReply in this loop.
-func (t *Transport) maybeHedge(p *sim.Proc, pending []substrate.Pending) {
-	now := p.Now()
-	for _, pd := range pending {
-		pc := pd.(*pendingCall)
-		if pc.done || pc.hedged || pc.body == nil || now < pc.hedgeAt {
-			continue
-		}
-		pc.hedged = true
-		t.stats.HedgedRequests++
-		if tr := p.Sim().Tracer(); tr != nil {
-			tr.Emit(trace.Event{T: int64(now), Layer: trace.LayerSubstrate,
-				Kind: "hedge:" + pc.kind.String(), Proc: p.ID(), Peer: pc.dst,
-				Bytes: len(pc.body)})
-			tr.Metrics().Counter(trace.LayerSubstrate, "hedged.requests").Inc(1)
-		}
-		t.transmitBody(p, pc.dst, AsyncPort, frameMsg, pc.kind, pc.body, pc.aux)
-	}
-}
-
-// unresolved counts the still-outstanding entries, first giving up on
-// any whose peer the liveness layer has declared dead (the typed failure
-// is recorded in t.live for the caller to surface).
-func (t *Transport) unresolved(pending []substrate.Pending) int {
-	n := 0
-	for _, pd := range pending {
-		pc, ok := pd.(*pendingCall)
-		if !ok {
-			panic("fastgm: Collect of a foreign Pending")
-		}
-		if pc.done {
-			continue
-		}
-		if t.cfg.Liveness.Enabled && t.live.isDead(pc.dst) {
-			delete(t.pending, pc.seq)
-			pc.done = true
-			pc.completed = t.proc.Sim().Now()
-			continue
-		}
-		n++
-	}
-	return n
-}
-
-// Reply implements substrate.Transport: replies go to the originator's
-// synchronous port. The encoded reply is cached in the duplicate filter
-// so a redelivered request can be answered without re-executing it.
-func (t *Transport) Reply(p *sim.Proc, req *msg.Message, rep *msg.Message) {
-	rep.Seq = req.Seq
-	rep.From = int32(t.rank)
-	rep.ReplyTo = int32(t.rank)
-	body := rep.Encode()
-	var aux []byte
-	if cz := p.Sim().Causal(); cz != nil {
-		// A reply is caused by the request it answers, unless the handler
-		// set an explicit enabling cause (barrier releases: the true cause
-		// is the last arrival, not this rank's own early arrival).
-		parent := req.Ctx.Span
-		if !rep.Ctx.Zero() {
-			parent = rep.Ctx.Span
-		}
-		ctx := cz.Edge("rep:"+rep.Kind.String(), t.rank, int(req.ReplyTo), p.ID(),
-			parent, len(body), int64(p.Now()))
-		aux = trace.EncodeCtx(ctx)
-	}
-	key := substrate.DupKey{Origin: req.ReplyTo, Seq: req.Seq}
-	e, ok := t.dup.Lookup(key)
-	if !ok {
-		e = t.dup.Insert(key)
-	}
-	e.Done = true
-	e.Reply = body
-	e.ReplyAux = aux
-	e.To = int(req.ReplyTo)
-	t.stats.RepliesSent++
-	t.transmitBody(p, int(req.ReplyTo), SyncPort, frameMsg, rep.Kind, body, aux)
-}
-
-// Forward implements substrate.Transport: relays a request, preserving
-// the originator. The relay target is recorded so a duplicate of the
-// request re-triggers the forward if the first relay chain was lost.
-func (t *Transport) Forward(p *sim.Proc, dst int, req *msg.Message) {
-	req.From = int32(t.rank)
-	var aux []byte
-	if cz := p.Sim().Causal(); cz != nil {
-		ctx := cz.Edge("fwd:"+req.Kind.String(), t.rank, dst, p.ID(),
-			req.Ctx.Span, req.EncodedSize(), int64(p.Now()))
-		aux = trace.EncodeCtx(ctx)
-	}
-	if e, ok := t.dup.Lookup(substrate.DupKey{Origin: req.ReplyTo, Seq: req.Seq}); ok {
-		e.ForwardedTo = dst
-		e.FwdAux = aux
-	}
-	t.stats.ForwardsSent++
-	t.transmit(p, dst, AsyncPort, frameMsg, req, aux)
-}
-
-// Send implements substrate.Transport: one-shot request.
-func (t *Transport) Send(p *sim.Proc, dst int, req *msg.Message) {
-	t.seq++
-	req.Seq = t.seq
-	req.From = int32(t.rank)
-	req.ReplyTo = int32(t.rank)
-	t.stats.RequestsSent++
-	t.transmit(p, dst, AsyncPort, frameMsg, req, t.reqEdge(p, dst, req))
+	return t.recvSyncFrame(p, rv)
 }
 
 // recvSyncFrame decodes one synchronous-port arrival into a reply
 // message, or returns nil for a frame that must be skipped (malformed or
 // corrupt), with the receive buffer recycled either way.
 func (t *Transport) recvSyncFrame(p *sim.Proc, rv *gm.Recv) *msg.Message {
-	t.live.heard(int(rv.From))
-	if len(rv.Data) == 0 {
-		t.stats.CorruptFrames++
-		t.syncPort.ProvideReceiveBuffer(rv.Buffer)
-		return nil
+	t.Live.Heard(int(rv.From))
+	var m *msg.Message
+	if len(rv.Data) > 0 && (rv.Data[0] == frameMsg || rv.Data[0] == frameData) {
+		// Replies are copied out of the receive buffer into TreadMarks
+		// structures (the paper's extra-copy design).
+		body := rv.Data[1:]
+		p.Advance(t.cfg.DispatchCost + sim.BytesTime(len(body), t.cfg.CopyBandwidth))
+		m, _ = msg.Decode(body)
 	}
-	tag, body := rv.Data[0], rv.Data[1:]
-	if tag != frameMsg && tag != frameData {
-		t.stats.CorruptFrames++
-		t.syncPort.ProvideReceiveBuffer(rv.Buffer)
-		return nil
-	}
-	// Replies are copied out of the receive buffer into TreadMarks
-	// structures (the paper's extra-copy design).
-	p.Advance(t.cfg.DispatchCost + sim.BytesTime(len(body), t.cfg.CopyBandwidth))
-	m, err := msg.Decode(body)
-	if err != nil {
-		t.stats.CorruptFrames++
+	if m == nil {
+		t.Stats().CorruptFrames++
 		t.syncPort.ProvideReceiveBuffer(rv.Buffer)
 		return nil
 	}
@@ -757,8 +361,8 @@ func (t *Transport) recvSyncFrame(p *sim.Proc, rv *gm.Recv) *msg.Message {
 		m.Ctx = trace.DecodeCtx(rv.Aux)
 		cz.Arrive(m.Ctx, p.ID(), int64(p.Now()))
 	}
-	t.stats.BytesRecvd += int64(len(rv.Data))
-	if tag == frameData {
+	t.Stats().BytesRecvd += int64(len(rv.Data))
+	if rv.Data[0] == frameData {
 		t.rv.finishReceive(p, t.syncPort, rv.Buffer)
 	} else {
 		t.syncPort.ProvideReceiveBuffer(rv.Buffer)
@@ -766,15 +370,15 @@ func (t *Transport) recvSyncFrame(p *sim.Proc, rv *gm.Recv) *msg.Message {
 	return m
 }
 
-// transmit frames, stages, and sends one message to (dst, dstPort),
+// Transmit implements substrate.Wire: requests (first copies and relays
+// alike) go to the peer's asynchronous port, replies to its synchronous
+// port. The frame is staged into a registered send buffer and sent,
 // applying the rendezvous protocol for oversized frames when enabled.
-func (t *Transport) transmit(p *sim.Proc, dst, dstPort int, tag byte, m *msg.Message, aux []byte) {
-	t.transmitBody(p, dst, dstPort, tag, m.Kind, m.Encode(), aux)
-}
-
-// transmitBody is transmit for an already-encoded message (the recovery
-// path resends cached replies without re-encoding).
-func (t *Transport) transmitBody(p *sim.Proc, dst, dstPort int, tag byte, kind msg.Kind, body, aux []byte) {
+func (t *Transport) Transmit(p *sim.Proc, dst int, lane substrate.Lane, kind msg.Kind, body, aux []byte) {
+	dstPort := AsyncPort
+	if lane == substrate.LaneReply {
+		dstPort = SyncPort
+	}
 	n := len(body) + 1
 	params := t.node.System().Params()
 	if n > params.MaxMessage() {
@@ -792,16 +396,21 @@ func (t *Transport) transmitBody(p *sim.Proc, dst, dstPort int, tag byte, kind m
 	// are flow-controlled by RTS/CTS above; heartbeats and credit frames
 	// never pass through here). Acquire before taking a send buffer so a
 	// parked sender holds no pool resources.
-	if t.flow.enabled && dstPort == AsyncPort && tag == frameMsg {
-		t.flow.acquire(p, dst, class)
+	if dstPort == AsyncPort {
+		t.flow.credits.Acquire(p, dst, class-params.MinClass, 1, gm.ClassCapacity(class))
 	}
-	buf := t.takeSendBuffer(p, class)
+	t.stage(p, dst, dstPort, frameMsg, class, body, aux)
+}
+
+// stage copies one tagged frame into a registered send buffer — the copy
+// into registered memory of paper Section 2.2.3 — and hands it to GM.
+func (t *Transport) stage(p *sim.Proc, dst, dstPort int, tag byte, class int, body, aux []byte) {
+	buf := t.TakeSendBuffer(p, t.sendPool, class)
 	buf.Bytes()[0] = tag
-	// The copy into registered memory (paper Section 2.2.3).
 	p.Advance(sim.BytesTime(len(body), t.cfg.CopyBandwidth))
 	copy(buf.Bytes()[1:], body)
-	t.stats.BytesSent += int64(n)
-	t.gmSend(p, t.portFor(dstPort), dst, dstPort, buf, n, class, aux)
+	t.Stats().BytesSent += int64(len(body) + 1)
+	t.gmSend(p, t.portFor(dstPort), dst, dstPort, buf, len(body)+1, class, aux)
 }
 
 // portFor returns our sending port for a destination port: requests go
@@ -831,32 +440,62 @@ func (t *Transport) gmSend(p *sim.Proc, port *gm.Port, dst, dstPort int, buf *gm
 		case gm.ErrNoSendTokens:
 			p.WaitOn(t.tokenCond)
 		case gm.ErrPortDisabled:
-			// An earlier failure disabled our port; a resume is (or is now)
-			// pending. Park until it fires rather than spinning.
-			t.ensureResume(port)
-			p.WaitOn(t.portCond)
+			t.AwaitResume(p, port)
 		default:
 			panic(fmt.Sprintf("fastgm: send: %v", err))
 		}
 	}
 }
 
-// takeSendBuffer pops a registered send buffer of the class, blocking
-// until one is recycled if the pool is dry.
-func (t *Transport) takeSendBuffer(p *sim.Proc, class int) *gm.Buffer {
+// SendPool is a pool of registered send buffers by size class, with the
+// cond senders park on while a class is dry. Exported for substrates
+// layered on this transport, which keep pools of their own.
+type SendPool struct {
+	free map[int][]*gm.Buffer
+	cond *sim.Cond
+}
+
+// NewSendPool returns an empty pool.
+func NewSendPool(name string) *SendPool {
+	return &SendPool{free: make(map[int][]*gm.Buffer), cond: sim.NewCond(name)}
+}
+
+// Fill carves count class-sized buffers out of mem into the pool.
+func (sp *SendPool) Fill(mem *gm.Memory, count, class int) {
+	for i := 0; i < count; i++ {
+		sp.free[class] = append(sp.free[class], mem.SubBuffer(i*gm.ClassCapacity(class), class))
+	}
+}
+
+// TryTake pops a free buffer of the class, or returns nil.
+func (sp *SendPool) TryTake(class int) *gm.Buffer {
+	bufs := sp.free[class]
+	if len(bufs) == 0 {
+		return nil
+	}
+	sp.free[class] = bufs[:len(bufs)-1]
+	return bufs[len(bufs)-1]
+}
+
+// Put returns a buffer and wakes senders waiting for one.
+func (sp *SendPool) Put(class int, b *gm.Buffer) {
+	sp.free[class] = append(sp.free[class], b)
+	sp.cond.Broadcast()
+}
+
+// TakeSendBuffer pops a registered send buffer of the class from pool,
+// blocking until one is recycled if the pool is dry.
+func (t *Transport) TakeSendBuffer(p *sim.Proc, pool *SendPool, class int) *gm.Buffer {
 	for {
-		bufs := t.sendPool[class]
-		if len(bufs) > 0 {
-			b := bufs[len(bufs)-1]
-			t.sendPool[class] = bufs[:len(bufs)-1]
+		if b := pool.TryTake(class); b != nil {
 			return b
 		}
-		t.stats.SendBufStalls++
+		t.Stats().SendBufStalls++
 		if tr := p.Sim().Tracer(); tr != nil {
 			tr.Emit(trace.Event{T: int64(p.Now()), Layer: trace.LayerSubstrate,
 				Kind: "sendbuf-stall", Proc: p.ID(), Peer: -1})
 			tr.Metrics().Counter(trace.LayerSubstrate, "sendbuf.stalls").Inc(0)
 		}
-		p.WaitOn(t.sendCond)
+		p.WaitOn(pool.cond)
 	}
 }

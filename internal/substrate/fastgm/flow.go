@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/gm"
-	"repro/internal/myrinet"
 	"repro/internal/sim"
 	"repro/internal/substrate"
-	"repro/internal/trace"
 )
 
 // creditFlushRetry is the re-arm delay when a credit-return frame cannot
@@ -16,150 +14,86 @@ import (
 // completion-retry discipline.
 const creditFlushRetry = 50 * sim.Microsecond
 
-// flowState is the sender-side credit ledger and receiver-side return
-// machinery for proactive flow control (substrate.FlowConfig). Credits
-// mirror the asynchronous port's preposting schedule exactly: a sender
-// holds SmallPerPeer credits per small class and one per large class
-// toward each peer — its share of the receiver's per-peer prepost ring —
-// so the shared ring can never be oversubscribed and a frame can never
-// park into GM's 3 s resend-timeout → port-disable countdown. A credit
-// is consumed when a request frame is staged and returned by an explicit
-// frameCredit frame once the receiver has recycled the prepost buffer
-// the frame occupied (recycling, not delivery: a masked or overloaded
-// host holds its senders back, which is the point).
+// flowState binds the shared credit ledger (substrate.Credits) to the
+// asynchronous port's preposting schedule and carries the returns.
+// Lanes are size classes: a sender holds SmallPerPeer credits per small
+// class and one per large class toward each peer — its share of the
+// receiver's per-peer prepost ring — so the shared ring can never be
+// oversubscribed and a frame can never park into GM's 3 s resend-timeout
+// → port-disable countdown. A credit is consumed when a request frame is
+// staged and returned by an explicit frameCredit frame once the receiver
+// has recycled the prepost buffer the frame occupied (recycling, not
+// delivery: a masked or overloaded host holds its senders back, which is
+// the point).
 //
 // Credit frames are consumed at the NIC filter in scheduler context, so
 // a sender parked on exhausted credits inside its own interrupt handler
-// is still replenished. A lost credit frame is repaired by the
-// optimistic refresh: a sender parked longer than CreditTimeout restores
-// one credit on its own (counted, never silent).
+// is still replenished.
 type flowState struct {
-	t       *Transport
-	cfg     substrate.FlowConfig
-	enabled bool
-	cond    *sim.Cond
-
+	t        *Transport
+	credits  *substrate.Credits // nil with flow control off
 	minClass int
-	nClass   int
-	budget   []int // per class index: this sender's prepost share at any peer
 
-	credits      [][]int  // [peer][class index] send credits remaining
-	refreshArmed [][]bool // [peer][class index] optimistic refresh pending
-
-	owed       [][]int // [peer][class index] returns owed to that sender
+	owed       [][]int // [peer][lane] returns owed to that sender
 	flushArmed []bool  // [peer] flush retry timer pending
 	bufs       []*gm.Buffer
 }
 
+// init sizes the ledger: one lane per size class, budget = this sender's
+// prepost share at any peer, refresh quantum one buffer.
 func (fl *flowState) init(t *Transport) {
 	fl.t = t
-	fl.cfg = t.cfg.Flow.Norm()
-	fl.enabled = t.cfg.Flow.Enabled
+	if !t.cfg.Flow.Enabled {
+		return
+	}
+	params := t.node.System().Params()
+	fl.minClass = params.MinClass
+	n := params.MaxClass - params.MinClass + 1
+	budget, quantum := make([]int, n), make([]int, n)
+	for lane := range budget {
+		budget[lane], quantum[lane] = 1, 1
+		if fl.minClass+lane <= t.cfg.SmallClassMax {
+			budget[lane] = t.cfg.SmallPerPeer
+		}
+	}
+	fl.credits = t.NewCredits(t.cfg.Flow, fmt.Sprintf("fastgm:%d:credits", t.Rank()), budget, quantum)
+	fl.owed = make([][]int, t.Size())
+	fl.flushArmed = make([]bool, t.Size())
+	for i := range fl.owed {
+		fl.owed[i] = make([]int, n)
+	}
 }
 
-// start builds the ledger and registers the credit-frame send pool; runs
-// from Transport.Start in process context.
+// start registers the credit-frame send pool; runs from Transport.Start
+// in process context. Credit-return frames are the tag byte plus one
+// (class, count16) entry per class, shipped from kernel context out of a
+// dedicated registered pool (one buffer per peer covers the worst case
+// of owing every peer at once).
 func (fl *flowState) start() {
-	if !fl.enabled {
+	if fl.credits == nil {
 		return
 	}
 	t := fl.t
-	params := t.node.System().Params()
-	fl.cond = sim.NewCond(fmt.Sprintf("fastgm:%d:credits", t.rank))
-	fl.minClass = params.MinClass
-	fl.nClass = params.MaxClass - params.MinClass + 1
-	fl.budget = make([]int, fl.nClass)
-	for c := params.MinClass; c <= params.MaxClass; c++ {
-		share := 1
-		if c <= t.cfg.SmallClassMax {
-			share = t.cfg.SmallPerPeer
-		}
-		fl.budget[c-params.MinClass] = share
-	}
-	fl.credits = make([][]int, t.size)
-	fl.refreshArmed = make([][]bool, t.size)
-	fl.owed = make([][]int, t.size)
-	fl.flushArmed = make([]bool, t.size)
-	for i := 0; i < t.size; i++ {
-		fl.credits[i] = append([]int(nil), fl.budget...)
-		fl.refreshArmed[i] = make([]bool, fl.nClass)
-		fl.owed[i] = make([]int, fl.nClass)
-	}
-	// Credit-return frames: tag byte plus one (class, count16) entry per
-	// class, shipped from kernel context out of a dedicated registered
-	// pool (one buffer per peer covers the worst case of owing every peer
-	// at once).
-	class := params.ClassFor(1 + 3*fl.nClass)
+	class := t.node.System().Params().ClassFor(1 + 3*len(fl.owed[0]))
 	slot := gm.ClassCapacity(class)
-	mem := t.node.Register(t.proc, t.size*slot)
-	for i := 0; i < t.size; i++ {
+	mem := t.node.Register(t.Proc(), t.Size()*slot)
+	for i := 0; i < t.Size(); i++ {
 		fl.bufs = append(fl.bufs, mem.SubBuffer(i*slot, class))
 	}
-}
-
-// acquire blocks until a send credit toward (dst, class) is available
-// and consumes it. Called from transmitBody before a buffer is taken, in
-// process or handler context — parking here is safe because credit
-// returns and refresh timers both run in scheduler context.
-func (fl *flowState) acquire(p *sim.Proc, dst, class int) {
-	t := fl.t
-	idx := class - fl.minClass
-	for fl.credits[dst][idx] <= 0 {
-		if t.halted || t.live.isDead(dst) {
-			// Teardown or a dead peer: let the send proceed; the recovery
-			// and abandonment layers own this frame's fate now.
-			return
-		}
-		t.stats.CreditStalls++
-		if tr := p.Sim().Tracer(); tr != nil {
-			tr.Emit(trace.Event{T: int64(p.Now()), Layer: trace.LayerSubstrate,
-				Kind: "credit-stall", Proc: p.ID(), Peer: dst, Bytes: gm.ClassCapacity(class)})
-			tr.Metrics().Counter(trace.LayerSubstrate, "credit.stalls").Inc(1)
-		}
-		fl.armRefresh(dst, idx)
-		start := p.Now()
-		p.WaitOn(fl.cond)
-		t.stats.CreditWaitTime += p.Now() - start
-	}
-	fl.credits[dst][idx]--
-}
-
-// armRefresh schedules the optimistic refresh for an exhausted (dst,
-// class): after CreditTimeout with the ledger still empty, one credit is
-// restored so a lost credit frame degrades throughput instead of
-// wedging the sender.
-func (fl *flowState) armRefresh(dst, idx int) {
-	if fl.refreshArmed[dst][idx] {
-		return
-	}
-	fl.refreshArmed[dst][idx] = true
-	t := fl.t
-	t.proc.Sim().After(fl.cfg.CreditTimeout, func() {
-		fl.refreshArmed[dst][idx] = false
-		if t.halted {
-			fl.cond.Broadcast() // let waiters observe halted and bail
-			return
-		}
-		if fl.credits[dst][idx] <= 0 {
-			fl.credits[dst][idx]++
-			t.stats.CreditRefills++
-			fl.cond.Broadcast()
-		}
-	})
 }
 
 // noteConsumed records that a credited request frame from src has been
 // recycled to the prepost ring and owes its sender a credit, then tries
 // to ship the return immediately.
 func (fl *flowState) noteConsumed(src, class int) {
-	if !fl.enabled || src == fl.t.rank || src < 0 || src >= fl.t.size {
+	if fl.credits == nil || src == fl.t.Rank() || src < 0 || src >= len(fl.owed) {
 		return
 	}
-	idx := class - fl.minClass
-	if idx < 0 || idx >= fl.nClass {
+	lane := class - fl.minClass
+	if lane < 0 || lane >= len(fl.owed[src]) {
 		return
 	}
-	fl.owed[src][idx]++
+	fl.owed[src][lane]++
 	fl.flush(src)
 }
 
@@ -169,7 +103,7 @@ func (fl *flowState) noteConsumed(src, class int) {
 // peer's optimistic refresh.
 func (fl *flowState) flush(peer int) {
 	t := fl.t
-	if t.halted {
+	if t.Halted() {
 		return
 	}
 	total := 0
@@ -188,34 +122,21 @@ func (fl *flowState) flush(peer int) {
 	b := buf.Bytes()
 	b[0] = frameCredit
 	n := 1
-	for idx, cnt := range fl.owed[peer] {
+	for lane, cnt := range fl.owed[peer] {
 		if cnt <= 0 {
 			continue
 		}
-		b[n] = byte(fl.minClass + idx)
+		b[n] = byte(fl.minClass + lane)
 		b[n+1] = byte(cnt)
 		b[n+2] = byte(cnt >> 8)
 		n += 3
 	}
-	err := t.asyncPort.SendFromKernel(myrinet.NodeID(peer), AsyncPort, buf, n,
-		func(st gm.SendStatus) {
-			fl.bufs = append(fl.bufs, buf)
-			if st != gm.SendOK && !t.halted {
-				t.ensureResume(t.asyncPort)
-			}
-		})
-	if err != nil {
-		fl.bufs = append(fl.bufs, buf)
-		if err == gm.ErrPortDisabled {
-			t.ensureResume(t.asyncPort)
-		}
+	if !t.kernelSend(peer, buf, n, &fl.bufs) {
 		fl.armFlushRetry(peer)
 		return
 	}
-	for idx := range fl.owed[peer] {
-		fl.owed[peer][idx] = 0
-	}
-	t.stats.CreditReturnsSent++
+	clear(fl.owed[peer])
+	t.Stats().CreditReturnsSent++
 }
 
 func (fl *flowState) armFlushRetry(peer int) {
@@ -223,51 +144,30 @@ func (fl *flowState) armFlushRetry(peer int) {
 		return
 	}
 	fl.flushArmed[peer] = true
-	t := fl.t
-	t.proc.Sim().After(creditFlushRetry, func() {
+	fl.t.Proc().Sim().After(creditFlushRetry, func() {
 		fl.flushArmed[peer] = false
-		if !t.halted {
-			fl.flush(peer)
-		}
+		fl.flush(peer)
 	})
 }
 
 // onCreditFrame consumes a frameCredit arrival in NIC-filter (scheduler)
-// context: replenish the ledger toward the sending peer, capped at the
-// prepost-share budget so duplicate returns can never oversubscribe.
+// context: replenish the ledger toward the sending peer (clamped at the
+// budget, so duplicate returns can never oversubscribe).
 func (fl *flowState) onCreditFrame(rv *gm.Recv) {
 	peer := int(rv.From)
-	if peer < 0 || peer >= fl.t.size || peer == fl.t.rank {
+	if peer < 0 || peer >= len(fl.owed) || peer == fl.t.Rank() {
 		return
 	}
-	fl.t.stats.CreditReturnsRecvd++
-	body := rv.Data[1:]
-	for len(body) >= 3 {
-		class := int(body[0])
-		count := int(body[1]) | int(body[2])<<8
-		body = body[3:]
-		idx := class - fl.minClass
-		if idx < 0 || idx >= fl.nClass {
-			continue
-		}
-		fl.credits[peer][idx] += count
-		if fl.credits[peer][idx] > fl.budget[idx] {
-			fl.credits[peer][idx] = fl.budget[idx]
-		}
+	fl.t.Stats().CreditReturnsRecvd++
+	for body := rv.Data[1:]; len(body) >= 3; body = body[3:] {
+		fl.credits.Release(peer, int(body[0])-fl.minClass, int(body[1])|int(body[2])<<8)
 	}
-	fl.cond.Broadcast()
 }
 
-// reset restores the full budget toward a departed or dead peer and
-// wakes any sender parked on it; its owed returns are dropped (the peer
-// is gone) and pending flush timers become no-ops.
-func (fl *flowState) reset(peer int) {
-	if !fl.enabled || peer < 0 || peer >= fl.t.size {
-		return
+// forget drops the returns owed to a departed or dead peer (the peer is
+// gone); pending flush timers become no-ops.
+func (fl *flowState) forget(peer int) {
+	if fl.credits != nil && peer >= 0 && peer < len(fl.owed) {
+		clear(fl.owed[peer])
 	}
-	copy(fl.credits[peer], fl.budget)
-	for idx := range fl.owed[peer] {
-		fl.owed[peer][idx] = 0
-	}
-	fl.cond.Broadcast()
 }

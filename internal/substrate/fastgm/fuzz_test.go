@@ -109,15 +109,16 @@ func FuzzCreditFrame(f *testing.F) {
 			tr0.Start(p, noop)
 			// Drain a credit first so a replenish has room to act, then
 			// deliver the fuzzed frame twice through the NIC classifier.
-			tr0.flow.acquire(p, 1, params.MinClass)
+			ledger := tr0.flow.credits
+			ledger.Acquire(p, 1, 0, 1, 0)
 			for i := 0; i < 2; i++ {
 				rv := &gm.Recv{From: 1, FromPort: AsyncPort, Class: params.MaxClass, Data: data}
 				tr0.asyncNICFilter(rv)
 			}
-			for idx, have := range tr0.flow.credits[1] {
-				if have > tr0.flow.budget[idx] {
-					t.Fatalf("frame %x oversubscribed class index %d: %d credits > budget %d",
-						data, idx, have, tr0.flow.budget[idx])
+			for lane := 0; lane <= params.MaxClass-params.MinClass; lane++ {
+				if have := ledger.Have(1, lane); have > ledger.Budget(lane) {
+					t.Fatalf("frame %x oversubscribed lane %d: %d credits > budget %d",
+						data, lane, have, ledger.Budget(lane))
 				}
 			}
 		})

@@ -1,270 +1,114 @@
 package fastgm
 
 import (
-	"sort"
-
 	"repro/internal/gm"
 	"repro/internal/myrinet"
-	"repro/internal/sim"
 	"repro/internal/substrate"
-	"repro/internal/trace"
 )
 
-// The liveness layer (crash model). Heartbeat frames are multiplexed over
-// the existing asynchronous port — one extra frame tag, no new GM
-// resources beyond a handful of registered one-byte send buffers — and
-// every frame from a peer (data or heartbeat) refreshes that peer's
-// last-heard clock. A peer silent for longer than the configured deadline
-// is declared dead: pending and future sends toward it are abandoned
-// instead of retransmitted into the void, a blocked Call gives up with a
-// typed failure, and the OnPeerDead callback hands the event to the DSM's
-// stall watchdog.
-//
-// Detection is by silence, not by delivery failure: a dead process's
-// heartbeat clock stops (the tick checks the owning process), so every
-// survivor notices within Deadline() on its own. Heartbeats themselves
-// are fire-and-forget — a failed heartbeat send is never retransmitted,
-// it only triggers a port resume so real traffic can flow.
-type livenessState struct {
-	t   *Transport
-	cfg substrate.LivenessConfig
+// The wire half of the liveness layer (the clocks, the silence rule and
+// the give-up live in substrate.Liveness). Heartbeat frames are
+// multiplexed over the existing asynchronous port — one extra frame tag,
+// no new GM resources beyond a handful of registered small send buffers —
+// and are serviced in NIC context (the paper's firmware-mod spirit):
+// arrival refreshes the peer's last-heard clock and delivers the
+// piggybacked membership view even while the host computes with
+// asynchronous delivery masked — a multi-millisecond diff flush must not
+// make live peers look silent.
 
-	lastHeard []sim.Time
-	dead      []bool
-	stopped   bool
-
-	hbBufs  []*gm.Buffer // free registered heartbeat send buffers
-	failure *substrate.PeerUnreachableError
-	onDead  func(peer int, err error)
-}
-
-func (lv *livenessState) init(t *Transport) {
-	lv.t = t
-	lv.cfg = t.cfg.Liveness.Norm()
-	lv.cfg.Enabled = t.cfg.Liveness.Enabled
-	// dead/lastHeard exist even with liveness disabled: retry exhaustion
-	// also declares peers dead, and the recovery paths consult the flags
-	// unconditionally.
-	lv.lastHeard = make([]sim.Time, t.size)
-	lv.dead = make([]bool, t.size)
-}
-
-// start arms the heartbeat clock; called from Start in process context so
-// buffer registration can be charged to the owning process.
-func (lv *livenessState) start() {
-	if !lv.cfg.Enabled {
+// startLiveness registers the heartbeat send buffers and arms the probe
+// clock; called from Start in process context so registration is charged
+// to the owning process.
+func (t *Transport) startLiveness() {
+	if !t.Live.Enabled() {
 		return
-	}
-	t := lv.t
-	s := t.proc.Sim()
-	now := s.Now()
-	for i := range lv.lastHeard {
-		lv.lastHeard[i] = now
 	}
 	// With a membership-view exchange attached, every heartbeat carries
 	// the view frame; size the registered send buffers for it (LocalView
 	// keeps a fixed length for the life of the run).
 	payload := 1
-	if t.view != nil {
-		payload += len(t.view.LocalView())
+	if t.View != nil {
+		payload += len(t.View.LocalView())
 	}
 	class := t.node.System().Params().ClassFor(payload)
 	slot := gm.ClassCapacity(class)
-	mem := t.node.Register(t.proc, t.size*slot)
-	for i := 0; i < t.size; i++ {
-		lv.hbBufs = append(lv.hbBufs, mem.SubBuffer(i*slot, class))
+	mem := t.node.Register(t.Proc(), t.Size()*slot)
+	for i := 0; i < t.Size(); i++ {
+		t.hbBufs = append(t.hbBufs, mem.SubBuffer(i*slot, class))
 	}
-	// Heartbeats are serviced in NIC context (the paper's firmware-mod
-	// spirit): arrival refreshes the peer's last-heard clock and delivers
-	// the piggybacked membership view even while the host computes with
-	// asynchronous delivery masked — a multi-millisecond diff flush must
-	// not make live peers look silent. The async-port classifier itself
-	// lives on the Transport (asyncNICFilter) because the flow-control
-	// layer shares it for credit frames.
+	// The async-port classifier (asyncNICFilter) is shared with the flow
+	// layer's credit frames; the sync port only needs the clock refresh.
 	t.syncPort.SetFilter(func(rv *gm.Recv) bool {
-		lv.heard(int(rv.From))
+		t.Live.Heard(int(rv.From))
 		return false
 	})
-	s.After(lv.cfg.Interval, lv.tick)
+	t.Live.Start()
 }
 
-// tick runs on the event clock: detect silent peers, probe the live ones,
-// re-arm. It stops ticking — which is exactly what peers detect — once
-// the owning process is done, the transport was shut down, or a crash
-// teardown halted it.
-func (lv *livenessState) tick() {
-	t := lv.t
-	if lv.stopped || t.halted || t.proc.Done() {
-		return
+// Probe implements substrate.Wire: ship one heartbeat frame from
+// kernel/event context. Probes are best-effort: out of buffers or tokens
+// means skip this round, and a failed send only resumes the port (never a
+// retransmission).
+func (t *Transport) Probe(peer int) bool {
+	if len(t.hbBufs) == 0 {
+		return false
 	}
-	s := t.proc.Sim()
-	now := s.Now()
-	deadline := lv.cfg.Deadline()
-	for peer := 0; peer < t.size; peer++ {
-		if peer == t.rank || lv.dead[peer] {
-			continue
-		}
-		if now-lv.lastHeard[peer] > deadline {
-			lv.declareDead(peer, "heartbeat-miss", 0)
-			continue
-		}
-		lv.sendHeartbeat(peer)
-	}
-	s.After(lv.cfg.Interval, lv.tick)
-}
-
-// sendHeartbeat ships one probe frame from kernel/event context. Probes
-// are best-effort: out of buffers or tokens means skip this round, and a
-// failed send only resumes the port (never a retransmission).
-func (lv *livenessState) sendHeartbeat(peer int) {
-	t := lv.t
-	if len(lv.hbBufs) == 0 {
-		return
-	}
-	buf := lv.hbBufs[len(lv.hbBufs)-1]
-	lv.hbBufs = lv.hbBufs[:len(lv.hbBufs)-1]
+	buf := t.hbBufs[len(t.hbBufs)-1]
+	t.hbBufs = t.hbBufs[:len(t.hbBufs)-1]
 	buf.Bytes()[0] = frameHB
 	n := 1
-	if t.view != nil {
-		n += copy(buf.Bytes()[1:], t.view.LocalView())
+	if t.View != nil {
+		n += copy(buf.Bytes()[1:], t.View.LocalView())
 	}
+	return t.kernelSend(peer, buf, n, &t.hbBufs)
+}
+
+// kernelSend ships a transport-internal frame (heartbeat, credit return)
+// to peer's async port from kernel context, returning buf to its pool
+// when the send completes or cannot start.
+func (t *Transport) kernelSend(peer int, buf *gm.Buffer, n int, pool *[]*gm.Buffer) bool {
 	err := t.asyncPort.SendFromKernel(myrinet.NodeID(peer), AsyncPort, buf, n,
 		func(st gm.SendStatus) {
-			lv.hbBufs = append(lv.hbBufs, buf)
-			if st != gm.SendOK && !t.halted {
-				t.ensureResume(t.asyncPort)
+			*pool = append(*pool, buf)
+			if st != gm.SendOK && !t.Halted() {
+				t.EnsureResume(t.asyncPort)
 			}
 		})
 	if err != nil {
-		lv.hbBufs = append(lv.hbBufs, buf)
+		*pool = append(*pool, buf)
 		if err == gm.ErrPortDisabled {
-			t.ensureResume(t.asyncPort)
-		}
-		return
-	}
-	t.stats.HeartbeatsSent++
-}
-
-// heard refreshes a peer's last-heard clock (any frame counts).
-func (lv *livenessState) heard(peer int) {
-	if peer < 0 || peer >= len(lv.lastHeard) {
-		return
-	}
-	lv.lastHeard[peer] = lv.t.proc.Sim().Now()
-}
-
-// markDeparted records an administratively departed peer as dead — ticks
-// stop probing it and the silence detector never fires on it — without
-// recording a failure or invoking the watchdog callback. Without this,
-// survivors keep heartbeating toward the departed rank's closed port;
-// those sends park in GM retransmission and drain the shared heartbeat
-// buffer pool, silencing the sender toward everyone else.
-func (lv *livenessState) markDeparted(peer int) {
-	if peer < 0 || peer >= len(lv.dead) || peer == lv.t.rank || lv.dead[peer] {
-		return
-	}
-	lv.dead[peer] = true
-	lv.t.abandonStagedTo(peer)
-}
-
-// isDead reports whether peer has been declared dead.
-func (lv *livenessState) isDead(peer int) bool {
-	return peer >= 0 && peer < len(lv.dead) && lv.dead[peer]
-}
-
-// declareDead marks a peer dead (idempotently), records the typed
-// failure, abandons staged rendezvous sends toward the peer, and invokes
-// the watchdog callback.
-func (lv *livenessState) declareDead(peer int, kind string, attempts int) {
-	t := lv.t
-	if peer < 0 || peer >= len(lv.dead) || peer == t.rank || lv.dead[peer] {
-		return
-	}
-	lv.dead[peer] = true
-	t.stats.PeersDeclaredDead++
-	err := &substrate.PeerUnreachableError{Rank: t.rank, Peer: peer, Attempts: attempts, Kind: kind}
-	if lv.failure == nil {
-		lv.failure = err
-	}
-	s := t.proc.Sim()
-	if tr := s.Tracer(); tr != nil {
-		tr.Emit(trace.Event{T: int64(s.Now()), Layer: trace.LayerSubstrate,
-			Kind: "peer-dead:" + kind, Proc: -1, Peer: peer})
-		tr.Metrics().Counter(trace.LayerSubstrate, "peers.dead").Inc(1)
-	}
-	t.abandonStagedTo(peer)
-	t.flow.reset(peer)
-	if lv.onDead != nil {
-		lv.onDead(peer, err)
-	}
-}
-
-// abandonStagedTo drops every staged rendezvous send addressed to a dead
-// peer: its CTS will never come. Iteration is in sorted id order so the
-// abandonment sequence is deterministic.
-func (t *Transport) abandonStagedTo(peer int) {
-	ids := make([]uint32, 0, len(t.rv.staged))
-	for id, st := range t.rv.staged {
-		if st.dst == peer {
-			ids = append(ids, id)
+			t.EnsureResume(t.asyncPort)
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		delete(t.rv.staged, id)
-		t.stats.SendsAbandoned++
+	return err == nil
+}
+
+// PeerGone implements substrate.Wire: drop every staged rendezvous send
+// addressed to the dead or departed peer (its CTS will never come) and
+// the credit returns owed to it, then wake a collector blocked on the
+// synchronous port so it observes the dead flag.
+func (t *Transport) PeerGone(peer int) {
+	staged := t.rv.staged
+	for _, id := range substrate.KeysWhere(staged, func(st *stagedSend) bool { return st.dst == peer }) {
+		delete(staged, id)
+		t.Stats().SendsAbandoned++
+	}
+	t.flow.forget(peer)
+	if t.syncPort != nil {
+		t.syncPort.Kick()
 	}
 }
-
-// PeerDead reports whether rank has been declared dead (by silence or by
-// retry exhaustion). Exported for substrates layered on this transport so
-// their give-up decisions share one liveness state.
-func (t *Transport) PeerDead(rank int) bool { return t.live.isDead(rank) }
-
-// DeclarePeerDead records rank as failed with the typed cause kind,
-// exactly as an exhausted retransmission would: idempotent, counted,
-// staged sends abandoned, watchdog callback invoked. Exported for
-// substrates layered on this transport.
-func (t *Transport) DeclarePeerDead(rank int, kind string, attempts int) {
-	t.live.declareDead(rank, kind, attempts)
-}
-
-// NoteHeard refreshes rank's last-heard clock (any frame counts,
-// including frames received by a layered substrate on its own ports).
-func (t *Transport) NoteHeard(rank int) { t.live.heard(rank) }
-
-// HeardWithin reports whether any frame from rank arrived in the last d.
-// Exported for layered substrates whose give-up decisions want silence as
-// corroboration: retry exhaustion against a peer that is still audibly
-// alive is congestion, not death.
-func (t *Transport) HeardWithin(rank int, d sim.Time) bool {
-	if rank < 0 || rank >= len(t.live.lastHeard) {
-		return false
-	}
-	return t.proc.Sim().Now()-t.live.lastHeard[rank] <= d
-}
-
-// Halted reports whether Halt has torn this transport down.
-func (t *Transport) Halted() bool { return t.halted }
-
-// SetOnPeerDead implements substrate.CrashControl.
-func (t *Transport) SetOnPeerDead(fn func(peer int, err error)) { t.live.onDead = fn }
-
-// PeerFailure implements substrate.CrashControl.
-func (t *Transport) PeerFailure() *substrate.PeerUnreachableError { return t.live.failure }
 
 // Halt implements substrate.CrashControl: crash teardown from scheduler
-// context. Timers and retransmissions go quiescent (they check t.halted)
+// context. Timers and retransmissions go quiescent (they check Halted)
 // and both GM ports close so a replacement process can reopen them;
 // in-flight traffic toward the closed ports is dropped by GM and the
 // senders' own halted checks absorb the resulting completions.
 func (t *Transport) Halt() {
-	if t.halted {
+	if !t.Quiesce() {
 		return
 	}
-	t.halted = true
 	t.rv.shutdown = true
-	t.live.stopped = true
 	t.node.ClosePort(AsyncPort)
 	t.node.ClosePort(SyncPort)
 }

@@ -2,7 +2,6 @@ package fastgm
 
 import (
 	"repro/internal/gm"
-	"repro/internal/msg"
 	"repro/internal/myrinet"
 	"repro/internal/sim"
 	"repro/internal/substrate"
@@ -46,9 +45,7 @@ type pendingSend struct {
 func (t *Transport) completion(ps *pendingSend) gm.SendCallback {
 	return func(st gm.SendStatus) {
 		if st == gm.SendOK {
-			t.sendPool[ps.class] = append(t.sendPool[ps.class], ps.buf)
-			t.sendCond.Broadcast()
-			t.tokenCond.Broadcast()
+			t.recycleSend(ps)
 			return
 		}
 		t.onSendFailure(ps, st)
@@ -57,11 +54,11 @@ func (t *Transport) completion(ps *pendingSend) gm.SendCallback {
 
 // onSendFailure runs in scheduler context when GM reports a failed send.
 func (t *Transport) onSendFailure(ps *pendingSend, st gm.SendStatus) {
-	if t.halted {
+	if t.Halted() {
 		t.recycleSend(ps)
 		return
 	}
-	t.stats.GMSendFailures++
+	t.Stats().GMSendFailures++
 	ps.attempts++
 	if ps.attempts > t.cfg.MaxSendRetries {
 		// The fault is not transient. The original code fail-stopped here;
@@ -71,12 +68,12 @@ func (t *Transport) onSendFailure(ps *pendingSend, st gm.SendStatus) {
 		t.abandonSend(ps, "retry-exhausted")
 		return
 	}
-	if tr := t.proc.Sim().Tracer(); tr != nil {
-		tr.Emit(trace.Event{T: int64(t.proc.Sim().Now()), Layer: trace.LayerSubstrate,
+	if tr := t.Proc().Sim().Tracer(); tr != nil {
+		tr.Emit(trace.Event{T: int64(t.Proc().Sim().Now()), Layer: trace.LayerSubstrate,
 			Kind: "gm-send-failed", Proc: -1, Peer: ps.dst, Bytes: ps.n})
 		tr.Metrics().Counter(trace.LayerSubstrate, "gm.send.failures").Inc(1)
 	}
-	t.ensureResume(ps.port)
+	t.EnsureResume(ps.port)
 	t.scheduleRetransmit(ps)
 }
 
@@ -89,20 +86,20 @@ func (t *Transport) retryBackoff(attempts int) sim.Time {
 // further (same attempt) while the port is still disabled or out of
 // tokens.
 func (t *Transport) scheduleRetransmit(ps *pendingSend) {
-	s := t.proc.Sim()
+	s := t.Proc().Sim()
 	s.After(t.retryBackoff(ps.attempts), func() {
-		if t.halted {
+		if t.Halted() {
 			t.recycleSend(ps)
 			return
 		}
-		if t.live.isDead(ps.dst) {
+		if t.Live.Dead(ps.dst) {
 			// The peer was declared dead while this frame sat in backoff;
 			// retrying would only re-disable our port.
 			t.abandonSend(ps, "peer-dead")
 			return
 		}
 		if !ps.port.Enabled() {
-			t.ensureResume(ps.port)
+			t.EnsureResume(ps.port)
 			t.scheduleRetransmit(ps)
 			return
 		}
@@ -111,7 +108,7 @@ func (t *Transport) scheduleRetransmit(ps *pendingSend) {
 			t.scheduleRetransmit(ps)
 			return
 		}
-		t.stats.GMRetransmits++
+		t.Stats().GMRetransmits++
 		if tr := s.Tracer(); tr != nil {
 			tr.Emit(trace.Event{T: int64(s.Now()), Layer: trace.LayerSubstrate,
 				Kind: "gm-retransmit", Proc: -1, Peer: ps.dst, Bytes: ps.n})
@@ -123,8 +120,7 @@ func (t *Transport) scheduleRetransmit(ps *pendingSend) {
 // recycleSend returns an abandoned frame's buffer to the pool and wakes
 // anything waiting on pool space or tokens.
 func (t *Transport) recycleSend(ps *pendingSend) {
-	t.sendPool[ps.class] = append(t.sendPool[ps.class], ps.buf)
-	t.sendCond.Broadcast()
+	t.sendPool.Put(ps.class, ps.buf)
 	t.tokenCond.Broadcast()
 }
 
@@ -133,75 +129,56 @@ func (t *Transport) recycleSend(ps *pendingSend) {
 // destination is declared dead (idempotently) so everything else queued
 // toward it gives up too.
 func (t *Transport) abandonSend(ps *pendingSend, kind string) {
-	t.stats.SendsAbandoned++
+	t.Stats().SendsAbandoned++
 	t.recycleSend(ps)
-	s := t.proc.Sim()
+	s := t.Proc().Sim()
 	if tr := s.Tracer(); tr != nil {
 		tr.Emit(trace.Event{T: int64(s.Now()), Layer: trace.LayerSubstrate,
 			Kind: "send-abandoned:" + kind, Proc: -1, Peer: ps.dst, Bytes: ps.n})
 		tr.Metrics().Counter(trace.LayerSubstrate, "sends.abandoned").Inc(1)
 	}
-	t.live.declareDead(ps.dst, kind, ps.attempts)
+	t.Live.DeclareDead(ps.dst, kind, ps.attempts)
 }
 
-// ensureResume schedules exactly one pending gm_resume_sending for a
+// EnsureResume schedules exactly one pending gm_resume_sending for a
 // disabled port; the probe delay runs on the event clock (no process is
-// blocked on it — senders park on portCond instead).
-func (t *Transport) ensureResume(port *gm.Port) {
+// blocked on it — senders park in AwaitResume instead). Exported, with
+// AwaitResume, for substrates layered on this transport and their ports.
+func (t *Transport) EnsureResume(port *gm.Port) {
 	if port.Enabled() || t.resuming[port] {
 		return
 	}
 	t.resuming[port] = true
-	s := t.proc.Sim()
+	s := t.Proc().Sim()
 	s.After(t.node.System().Params().ResumeCost, func() {
 		t.resuming[port] = false
 		port.ForceResume()
-		t.stats.PortResumes++
+		t.Stats().PortResumes++
 		if tr := s.Tracer(); tr != nil {
 			tr.Emit(trace.Event{T: int64(s.Now()), Layer: trace.LayerSubstrate,
-				Kind: "transport-resume", Proc: -1, Peer: t.rank})
+				Kind: "transport-resume", Proc: -1, Peer: t.Rank()})
 			tr.Metrics().Counter(trace.LayerSubstrate, "port.resumes").Inc(1)
 		}
 		t.portCond.Broadcast()
 	})
 }
 
+// AwaitResume parks a sender whose port an earlier failure disabled until
+// the (now certainly pending) resume fires, rather than spinning.
+func (t *Transport) AwaitResume(p *sim.Proc, port *gm.Port) {
+	t.EnsureResume(port)
+	p.WaitOn(t.portCond)
+}
+
 // rejectFrame counts and discards a truncated/corrupt/unknown async
 // frame, returning its buffer to the prepost ring so the class cannot
 // starve (prepost replenishment on drop).
 func (t *Transport) rejectFrame(p *sim.Proc, rv *gm.Recv, why string) {
-	t.stats.CorruptFrames++
+	t.Stats().CorruptFrames++
 	if tr := p.Sim().Tracer(); tr != nil {
 		tr.Emit(trace.Event{T: int64(p.Now()), Layer: trace.LayerSubstrate,
 			Kind: "frame-reject:" + why, Proc: p.ID(), Peer: int(rv.From), Bytes: len(rv.Data)})
 		tr.Metrics().Counter(trace.LayerSubstrate, "frame.rejects").Inc(1)
 	}
 	t.asyncPort.ProvideReceiveBuffer(rv.Buffer)
-}
-
-// dupRequest answers a redelivered request idempotently: resend the
-// cached reply if we already answered, re-relay if we forwarded, or
-// drop it if the original is still being served (the eventual reply
-// covers both copies).
-func (t *Transport) dupRequest(p *sim.Proc, rv *gm.Recv, tag byte, m *msg.Message, e *substrate.DupEntry) {
-	t.stats.DupRequests++
-	if tr := p.Sim().Tracer(); tr != nil {
-		tr.Emit(trace.Event{T: int64(p.Now()), Layer: trace.LayerSubstrate,
-			Kind: "dup-request", Proc: p.ID(), Peer: int(m.From), Bytes: len(rv.Data)})
-		tr.Metrics().Counter(trace.LayerSubstrate, "dup.requests").Inc(1)
-	}
-	// Recycle to the prepost ring. For a duplicate rendezvous data frame
-	// the buffer stays in rv.pinned: the duplicate may have consumed a
-	// buffer pinned for another in-flight transfer of the same class, and
-	// re-preposting (rather than deregistering) lets that transfer's
-	// retransmission land.
-	t.asyncPort.ProvideReceiveBuffer(rv.Buffer)
-	if e.Done {
-		t.transmitBody(p, e.To, SyncPort, frameMsg, m.Kind, e.Reply, e.ReplyAux)
-	} else if e.ForwardedTo >= 0 {
-		fwd := *m
-		fwd.From = int32(t.rank)
-		t.stats.ForwardsSent++
-		t.transmit(p, e.ForwardedTo, AsyncPort, frameMsg, &fwd, e.FwdAux)
-	}
 }

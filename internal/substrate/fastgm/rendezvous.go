@@ -56,7 +56,7 @@ func (rv *rendezvousState) init(t *Transport) {
 // asynchronously when the CTS arrives.
 func (rv *rendezvousState) sendLarge(p *sim.Proc, dst, dstPort int, body, aux []byte) {
 	t := rv.t
-	t.stats.RendezvousRTS++
+	t.Stats().RendezvousRTS++
 	if tr := p.Sim().Tracer(); tr != nil {
 		tr.Emit(trace.Event{T: int64(p.Now()), Layer: trace.LayerSubstrate,
 			Kind: "rendezvous-rts", Proc: p.ID(), Peer: dst, Bytes: len(body)})
@@ -84,7 +84,7 @@ func (rv *rendezvousState) onRTS(p *sim.Proc, recv *gm.Recv) {
 	t := rv.t
 	body := recv.Data[1:]
 	if len(body) < 6 {
-		t.stats.CorruptFrames++
+		t.Stats().CorruptFrames++
 		return
 	}
 	id := binary.LittleEndian.Uint32(body)
@@ -92,12 +92,12 @@ func (rv *rendezvousState) onRTS(p *sim.Proc, recv *gm.Recv) {
 	dstPort := int(body[5])
 	if class < 0 || class > t.node.System().Params().MaxClass ||
 		(dstPort != AsyncPort && dstPort != SyncPort) {
-		t.stats.CorruptFrames++
+		t.Stats().CorruptFrames++
 		return
 	}
 	key := uint64(recv.From)<<32 | uint64(id)
 	if rv.seenRTS[key] {
-		t.stats.DupRequests++
+		t.Stats().DupRequests++
 		return
 	}
 	if len(rv.rtsOrder) >= rtsFilterMax {
@@ -123,25 +123,19 @@ func (rv *rendezvousState) onRTS(p *sim.Proc, recv *gm.Recv) {
 func (rv *rendezvousState) onCTS(p *sim.Proc, body []byte) {
 	t := rv.t
 	if len(body) < 4 {
-		t.stats.CorruptFrames++
+		t.Stats().CorruptFrames++
 		return
 	}
 	id := binary.LittleEndian.Uint32(body)
 	st := rv.staged[id]
 	if st == nil {
-		t.stats.DupRequests++
+		t.Stats().DupRequests++
 		return
 	}
 	delete(rv.staged, id)
 
-	n := len(st.body) + 1
-	class := t.node.System().Params().ClassFor(n)
-	buf := t.takeSendBuffer(p, class)
-	buf.Bytes()[0] = frameData
-	p.Advance(sim.BytesTime(len(st.body), t.cfg.CopyBandwidth))
-	copy(buf.Bytes()[1:], st.body)
-	t.stats.BytesSent += int64(n)
-	t.gmSend(p, t.portFor(st.dstPort), st.dst, st.dstPort, buf, n, class, st.aux)
+	class := t.node.System().Params().ClassFor(len(st.body) + 1)
+	t.stage(p, st.dst, st.dstPort, frameData, class, st.body, st.aux)
 }
 
 // finishReceive deregisters the dynamically pinned buffer a rendezvous
@@ -151,7 +145,7 @@ func (rv *rendezvousState) onCTS(p *sim.Proc, body []byte) {
 func (rv *rendezvousState) finishReceive(p *sim.Proc, port *gm.Port, buf *gm.Buffer) {
 	mem := rv.pinned[buf]
 	if mem == nil {
-		rv.t.stats.CorruptFrames++
+		rv.t.Stats().CorruptFrames++
 		port.ProvideReceiveBuffer(buf)
 		return
 	}
@@ -163,10 +157,10 @@ func (rv *rendezvousState) finishReceive(p *sim.Proc, port *gm.Port, buf *gm.Buf
 func (t *Transport) rawSend(p *sim.Proc, dst, dstPort int, tag byte, body []byte) {
 	n := len(body) + 1
 	class := t.node.System().Params().ClassFor(n)
-	buf := t.takeSendBuffer(p, class)
+	buf := t.TakeSendBuffer(p, t.sendPool, class)
 	buf.Bytes()[0] = tag
 	copy(buf.Bytes()[1:], body)
-	t.stats.BytesSent += int64(n)
+	t.Stats().BytesSent += int64(n)
 	// Control frames (RTS/CTS) are transport plumbing, not causal edges.
 	t.gmSend(p, t.portFor(dstPort), dst, dstPort, buf, n, class, nil)
 }

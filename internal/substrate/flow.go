@@ -1,6 +1,9 @@
 package substrate
 
-import "repro/internal/sim"
+import (
+	"repro/internal/sim"
+	"repro/internal/trace"
+)
 
 // FlowConfig enables proactive, credit-based flow control. Each sender
 // tracks per-peer, per-size-class send credits that mirror the
@@ -75,4 +78,119 @@ func (hc HedgeConfig) Norm() HedgeConfig {
 		hc.LatencyScale = DefaultHedgeLatencyScale
 	}
 	return hc
+}
+
+// Credits is the sender-side credit ledger, indexed (peer, lane): each
+// lane has a budget mirroring the receiver resource it meters (fastgm:
+// one lane per size class, in prepost buffers; udpgm: one lane, in socket
+// buffer bytes; rdmagm: one lane, in outstanding verbs). A send with too
+// little credit parks — counted, never silent — until the receiver's
+// return arrives through Release; how a return is carried is the
+// binding's business. A lost return is repaired by the optimistic
+// refresh: a sender parked longer than CreditTimeout restores one
+// quantum on its own, so loss degrades throughput instead of wedging the
+// cluster. A nil ledger (flow control off) is inert.
+type Credits struct {
+	c       *Core
+	timeout sim.Time
+	cond    *sim.Cond
+	budget  []int // per lane
+	quantum []int // per lane: what one refresh restores
+	have    [][]int
+	armed   [][]bool // optimistic refresh pending
+
+	// Park, when set, replaces parking on the ledger's condition variable
+	// (rdmagm reaps its completion queue: the wait is what returns credit).
+	Park func(p *sim.Proc)
+}
+
+// NewCredits builds a ledger at full budget toward every peer and
+// registers it with the core (reset on peer death, woken on halt). It
+// returns nil — the inert ledger — when fc is disabled.
+func (c *Core) NewCredits(fc FlowConfig, name string, budget, quantum []int) *Credits {
+	if !fc.Enabled {
+		return nil
+	}
+	cr := &Credits{c: c, timeout: fc.Norm().CreditTimeout, cond: sim.NewCond(name),
+		budget: budget, quantum: quantum}
+	for i := 0; i < c.size; i++ {
+		cr.have = append(cr.have, append([]int(nil), budget...))
+		cr.armed = append(cr.armed, make([]bool, len(budget)))
+	}
+	c.credits = append(c.credits, cr)
+	return cr
+}
+
+// Budget returns a lane's budget; Have the credits left toward a peer.
+func (cr *Credits) Budget(lane int) int     { return cr.budget[lane] }
+func (cr *Credits) Have(peer, lane int) int { return cr.have[peer][lane] }
+
+// Acquire debits n credits toward (dst, lane), parking until that many
+// are available; bytes sizes the stall's trace event. Parking is safe in
+// process or handler context as long as the binding's returns and the
+// refresh timer run in scheduler context. Teardown or a dead peer lets
+// the send proceed undebited: the recovery and abandonment layers own
+// the frame's fate then.
+func (cr *Credits) Acquire(p *sim.Proc, dst, lane, n, bytes int) {
+	if cr == nil {
+		return
+	}
+	c := cr.c
+	for cr.have[dst][lane] < n {
+		if c.halted || c.Live.Dead(dst) {
+			return
+		}
+		c.stats.CreditStalls++
+		if tr := p.Sim().Tracer(); tr != nil {
+			emit(tr, trace.Event{T: int64(p.Now()), Kind: "credit-stall",
+				Proc: p.ID(), Peer: dst, Bytes: bytes}, "credit.stalls", 1)
+		}
+		start := p.Now()
+		if cr.Park != nil {
+			cr.Park(p)
+		} else {
+			cr.armRefresh(dst, lane)
+			p.WaitOn(cr.cond)
+		}
+		c.stats.CreditWaitTime += p.Now() - start
+	}
+	cr.have[dst][lane] -= n
+}
+
+// armRefresh schedules the optimistic refresh for an exhausted (dst,
+// lane): after the timeout with less than a quantum left, one quantum
+// is restored.
+func (cr *Credits) armRefresh(dst, lane int) {
+	if cr.armed[dst][lane] {
+		return
+	}
+	cr.armed[dst][lane] = true
+	cr.c.proc.Sim().After(cr.timeout, func() {
+		cr.armed[dst][lane] = false
+		if cr.c.halted {
+			cr.cond.Broadcast() // let waiters observe the halt and bail
+		} else if cr.have[dst][lane] < cr.quantum[lane] {
+			cr.c.stats.CreditRefills++
+			cr.Release(dst, lane, cr.quantum[lane])
+		}
+	})
+}
+
+// Release returns n credits toward (peer, lane), clamped at the budget so
+// duplicate returns can never oversubscribe the receiver.
+func (cr *Credits) Release(peer, lane, n int) {
+	if cr == nil || peer < 0 || peer >= len(cr.have) || lane < 0 || lane >= len(cr.budget) || n <= 0 {
+		return
+	}
+	cr.have[peer][lane] = min(cr.have[peer][lane]+n, cr.budget[lane])
+	cr.cond.Broadcast()
+}
+
+// Reset restores the full budget toward a departed or dead peer and
+// wakes any sender parked on it, which then observes the dead flag.
+func (cr *Credits) Reset(peer int) {
+	if peer >= 0 && peer < len(cr.have) {
+		copy(cr.have[peer], cr.budget)
+		cr.cond.Broadcast()
+	}
 }

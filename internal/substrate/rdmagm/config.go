@@ -35,7 +35,7 @@ type Config struct {
 	// VerbTimeout is the delay before the first retransmission of a verb
 	// whose completion has not arrived, doubling per attempt up to
 	// VerbTimeoutMax. The target-side duplicate filter makes redelivered
-	// verbs idempotent (FetchAdd is never re-executed: the cached
+	// verbs idempotent (a stale Put is never re-executed: the cached
 	// completion is resent).
 	VerbTimeout    sim.Time
 	VerbTimeoutMax sim.Time

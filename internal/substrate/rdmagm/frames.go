@@ -8,13 +8,12 @@ import "fmt"
 // little-endian, hardened against truncation and garbage: on a faulty
 // fabric the layer below may hand the NIC anything.
 
-// Frame tags. Disjoint from the fastgm tags (1..5) so a frame misrouted
+// Frame tags. Disjoint from the fastgm tags (1..6) so a frame misrouted
 // across ports is always rejected rather than misparsed.
 const (
-	frameVerbPut      byte = 0x11 // one-sided write: payload follows the header
-	frameVerbGet      byte = 0x12 // one-sided read: no payload
-	frameVerbFetchAdd byte = 0x13 // atomic fetch-and-add: 8-byte delta follows
-	frameCompletion   byte = 0x14 // CQ entry answering one verb
+	frameVerbPut    byte = 0x11 // one-sided write: payload follows the header
+	frameVerbGet    byte = 0x12 // one-sided read: no payload
+	frameCompletion byte = 0x14 // CQ entry answering one verb
 )
 
 // Completion statuses.
@@ -31,9 +30,6 @@ const verbHeaderLen = 21
 // compHeaderLen is the fixed prefix of every completion frame:
 // tag(1) from(4) seq(4) op(1) status(1).
 const compHeaderLen = 11
-
-// faaWidth is the operand width of FetchAdd (one little-endian int64).
-const faaWidth = 8
 
 func put32(b []byte, v uint32) {
 	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
@@ -60,12 +56,11 @@ type verbFrame struct {
 	window  int32
 	off     int
 	length  int
-	delta   int64  // FetchAdd only
 	payload []byte // Put only; aliases the receive buffer
 }
 
 // encodeVerb writes the frame for vf into dst and returns its length.
-// dst must have room (verbHeaderLen + payload/delta).
+// dst must have room (verbFrameLen).
 func encodeVerb(dst []byte, vf *verbFrame) int {
 	dst[0] = vf.op
 	put32(dst[1:], uint32(vf.origin))
@@ -74,26 +69,18 @@ func encodeVerb(dst []byte, vf *verbFrame) int {
 	put32(dst[13:], uint32(vf.off))
 	put32(dst[17:], uint32(vf.length))
 	n := verbHeaderLen
-	switch vf.op {
-	case frameVerbPut:
+	if vf.op == frameVerbPut {
 		n += copy(dst[verbHeaderLen:], vf.payload)
-	case frameVerbFetchAdd:
-		put64(dst[verbHeaderLen:], uint64(vf.delta))
-		n += faaWidth
 	}
 	return n
 }
 
 // verbFrameLen returns the encoded size of vf.
 func verbFrameLen(vf *verbFrame) int {
-	switch vf.op {
-	case frameVerbPut:
+	if vf.op == frameVerbPut {
 		return verbHeaderLen + len(vf.payload)
-	case frameVerbFetchAdd:
-		return verbHeaderLen + faaWidth
-	default:
-		return verbHeaderLen
 	}
+	return verbHeaderLen
 }
 
 // decodeVerb parses one verb frame. The returned payload aliases data.
@@ -123,11 +110,6 @@ func decodeVerb(data []byte) (*verbFrame, error) {
 		if len(data) != verbHeaderLen {
 			return nil, fmt.Errorf("rdmagm: get frame with trailing bytes")
 		}
-	case frameVerbFetchAdd:
-		if vf.length != faaWidth || len(data) != verbHeaderLen+faaWidth {
-			return nil, fmt.Errorf("rdmagm: fetch-add frame malformed")
-		}
-		vf.delta = int64(get64(data[verbHeaderLen:]))
 	default:
 		return nil, fmt.Errorf("rdmagm: unknown verb op %#x", vf.op)
 	}
@@ -141,7 +123,6 @@ type compFrame struct {
 	op      byte
 	status  byte
 	payload []byte // Get payload (compOK); aliases the receive buffer
-	old     int64  // FetchAdd pre-add value (compOK)
 	// Bounds-fault detail (compBadWindow/compOOB).
 	window int32
 	off    int
@@ -150,18 +131,15 @@ type compFrame struct {
 }
 
 // encodeCompletion builds the CQ entry answering vf with the given
-// status. For compOK, get carries the snapshot payload and faaOld the
-// pre-add value; for faults, size is the registered window size (-1 for
-// an unknown window id).
-func encodeCompletion(from int32, vf *verbFrame, status byte, get []byte, faaOld int64, size int64) []byte {
+// status. For compOK, get carries a Get's snapshot payload; for faults,
+// size is the registered window size (-1 for an unknown window id).
+func encodeCompletion(from int32, vf *verbFrame, status byte, get []byte, size int64) []byte {
 	n := compHeaderLen
 	switch {
 	case status != compOK:
 		n += 4 + 4 + 4 + 8
 	case vf.op == frameVerbGet:
 		n += len(get)
-	case vf.op == frameVerbFetchAdd:
-		n += faaWidth
 	}
 	b := make([]byte, n)
 	b[0] = frameCompletion
@@ -177,8 +155,6 @@ func encodeCompletion(from int32, vf *verbFrame, status byte, get []byte, faaOld
 		put64(b[compHeaderLen+12:], uint64(size))
 	case vf.op == frameVerbGet:
 		copy(b[compHeaderLen:], get)
-	case vf.op == frameVerbFetchAdd:
-		put64(b[compHeaderLen:], uint64(faaOld))
 	}
 	return b
 }
@@ -208,11 +184,6 @@ func decodeCompletion(data []byte) (*compFrame, error) {
 		return nil, fmt.Errorf("rdmagm: unknown completion status %#x", cf.status)
 	case cf.op == frameVerbGet:
 		cf.payload = body
-	case cf.op == frameVerbFetchAdd:
-		if len(body) != faaWidth {
-			return nil, fmt.Errorf("rdmagm: fetch-add completion malformed")
-		}
-		cf.old = int64(get64(body))
 	case cf.op == frameVerbPut:
 		if len(body) != 0 {
 			return nil, fmt.Errorf("rdmagm: put completion with trailing bytes")

@@ -54,7 +54,7 @@ func deliver(p *sim.Proc, node *gm.Node, from myrinet.NodeID, fromPort int, data
 // NIC-firmware surface a faulty fabric attacks: truncated descriptors,
 // ops with inconsistent lengths, negative offsets, unknown window ids,
 // unknown tags. Every input is delivered twice because GM-level recovery
-// redelivers frames, so the duplicate-verb filter (FetchAdd idempotence,
+// redelivers frames, so the duplicate-verb filter (no re-execution,
 // cached-completion resend) is on the fuzzed path too. The invariant:
 // never panic, never deadlock, never DMA outside the window — malformed
 // frames are counted and their receive buffers recycled.
@@ -67,8 +67,6 @@ func FuzzHandleVerbFrame(f *testing.F) {
 	f.Add(seed(&verbFrame{op: frameVerbPut, origin: 1, seq: 1, window: 1, off: 64,
 		length: 4, payload: []byte{1, 2, 3, 4}})) // well-formed put
 	f.Add(seed(&verbFrame{op: frameVerbGet, origin: 1, seq: 2, window: 1, off: 0, length: 128}))
-	f.Add(seed(&verbFrame{op: frameVerbFetchAdd, origin: 1, seq: 3, window: 1, off: 8,
-		length: faaWidth, delta: -5}))
 	f.Add(seed(&verbFrame{op: frameVerbGet, origin: 1, seq: 4, window: 99, off: 0, length: 8})) // unknown window
 	f.Add(seed(&verbFrame{op: frameVerbPut, origin: 1, seq: 5, window: 1, off: 4090,
 		length: 16, payload: make([]byte, 16)})) // straddles the window end
@@ -76,8 +74,7 @@ func FuzzHandleVerbFrame(f *testing.F) {
 	f.Add(seed(&verbFrame{op: frameVerbGet, origin: 77, seq: 7, window: 1, off: 0, length: 8})) // absurd origin
 	truncated := seed(&verbFrame{op: frameVerbPut, origin: 1, seq: 8, window: 1, off: 0,
 		length: 64, payload: make([]byte, 64)})
-	f.Add(truncated[:verbHeaderLen+10]) // payload shorter than header claims
-	f.Add([]byte{frameVerbFetchAdd, 1, 0, 0, 0, 9, 0, 0, 0})
+	f.Add(truncated[:verbHeaderLen+10])     // payload shorter than header claims
 	f.Add([]byte{frameCompletion, 1, 2, 3}) // completion tag on the verb port
 	f.Add([]byte{})
 	f.Add([]byte{250, 1, 2, 3}) // unknown tag
@@ -106,14 +103,14 @@ func FuzzHandleVerbFrame(f *testing.F) {
 func FuzzHandleCompletion(f *testing.F) {
 	// Completions answering the outstanding put (seq 1): matched op,
 	// mismatched op, fault statuses, trailing garbage.
-	okPut := encodeCompletion(0, &verbFrame{op: frameVerbPut, seq: 1}, compOK, nil, 0, 0)
+	okPut := encodeCompletion(0, &verbFrame{op: frameVerbPut, seq: 1}, compOK, nil, 0)
 	f.Add(okPut)
-	f.Add(append(okPut, 0xEE))                                                                // put completion with trailing bytes
-	f.Add(encodeCompletion(0, &verbFrame{op: frameVerbGet, seq: 1}, compOK, []byte{9}, 0, 0)) // wrong op for seq 1
-	f.Add(encodeCompletion(0, &verbFrame{op: frameVerbFetchAdd, seq: 1}, compOK, nil, 42, 0)) // wrong op, faa body
+	f.Add(append(okPut, 0xEE))                                                             // put completion with trailing bytes
+	f.Add(encodeCompletion(0, &verbFrame{op: frameVerbGet, seq: 1}, compOK, []byte{9}, 0)) // wrong op for seq 1
+	f.Add(encodeCompletion(0, &verbFrame{op: 0x13, seq: 1}, compOK, nil, 0))               // unknown op for seq 1
 	f.Add(encodeCompletion(0, &verbFrame{op: frameVerbPut, seq: 1, window: 1, off: 4, length: 8},
-		compOOB, nil, 0, 4096)) // bounds fault for the live verb
-	f.Add(encodeCompletion(0, &verbFrame{op: frameVerbPut, seq: 900}, compOK, nil, 0, 0)) // stale seq
+		compOOB, nil, 4096)) // bounds fault for the live verb
+	f.Add(encodeCompletion(0, &verbFrame{op: frameVerbPut, seq: 900}, compOK, nil, 0)) // stale seq
 	badStatus := append([]byte(nil), okPut...)
 	badStatus[10] = 9 // unknown status
 	f.Add(badStatus)

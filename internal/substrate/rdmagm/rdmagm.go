@@ -4,9 +4,9 @@
 // barriers, heartbeats) is the embedded fastgm transport, unchanged on
 // ports 2/3 — and adds two ports of its own:
 //
-//   - VerbPort (4) receives verb descriptors (Put/Get/FetchAdd against
-//     registered memory windows). It is serviced by a port sink — the
-//     model of NIC-firmware execution: the verb is parsed, bounds-checked
+//   - VerbPort (4) receives verb descriptors (Put/Get against registered
+//     memory windows). It is serviced by a port sink — the model of
+//     NIC-firmware execution: the verb is parsed, bounds-checked
 //     against the window table, and DMA'd without host CPU, handler, or
 //     interrupt involvement at the target. This is the whole point: the
 //     fastgm page-fetch path pays a 7µs NIC interrupt plus dispatch,
@@ -21,14 +21,14 @@
 // The fault-recovery contract matches fastgm's: initiator-side verb
 // retransmission with exponential backoff (a lost completion is
 // recovered by re-posting the verb), a target-side (origin, seq)
-// duplicate filter that makes redelivery idempotent — FetchAdd is never
-// re-executed, its cached completion is resent — and give-ups that feed
-// the shared liveness state, so chaos and crash sweeps run unchanged.
+// duplicate filter that makes redelivery idempotent — a redelivered stale
+// Put must not overwrite a newer one; its cached completion is resent —
+// and give-ups that feed the shared liveness state, so chaos and crash
+// sweeps run unchanged.
 package rdmagm
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/gm"
 	"repro/internal/myrinet"
@@ -48,7 +48,7 @@ const (
 // buffer or token (kernel context cannot block).
 const compRetry = 50 * sim.Microsecond
 
-// verbFlowWindow is the per-QP outstanding-verb cap when end-to-end flow
+// verbFlowWindow is the per-QP verb credit budget when end-to-end flow
 // control (Config.Fast.Flow) is enabled: small enough that n−1 initiators
 // incasting at one target cannot overrun its verb ring, large enough to
 // keep the wire pipelined for a single initiator.
@@ -59,10 +59,6 @@ type Transport struct {
 	*fastgm.Transport
 	node *gm.Node
 	rcfg Config
-	rank int
-	size int
-
-	proc *sim.Proc
 
 	verbPort *gm.Port
 	cqPort   *gm.Port
@@ -71,18 +67,22 @@ type Transport struct {
 	// memory the NIC may DMA against.
 	windows map[int32][]byte
 
-	sendPool  map[int][]*gm.Buffer // class → free registered send buffers
-	compPool  map[int][]*gm.Buffer // class → firmware completion staging buffers
-	sendCond  *sim.Cond
+	sendPool  *fastgm.SendPool // registered verb-descriptor send buffers
+	compPool  *fastgm.SendPool // firmware completion staging buffers
 	tokenCond *sim.Cond
-	resuming  map[*gm.Port]bool
 
 	vdup *substrate.DupCache // target-side duplicate-verb filter
 
-	verbs       map[uint32]*pendingVerb // seq → outstanding verb
-	qpDepth     []int                   // per-dst outstanding verbs (QP send queue fill)
-	vseq        uint32
-	rdmaHalted  bool
+	verbs   map[uint32]*pendingVerb // seq → outstanding verb
+	qpDepth []int                   // per-dst outstanding verbs (QP send queue fill)
+	vseq    uint32
+
+	// credits is the verb flow window (nil with flow control off): one
+	// lane metered in outstanding verbs. A verb is only "done" once the
+	// target NIC serviced it, so the CQ completion is what carries the
+	// credit back, and the wait for one is reaping the CQ.
+	credits *substrate.Credits
+
 	onDeadChain func(peer int, err error)
 }
 
@@ -94,7 +94,6 @@ type pendingVerb struct {
 	frame     []byte // encoded descriptor, kept for retransmission
 	aux       []byte // causal-context metadata, resent with every retransmit
 	data      []byte // Get payload once resolved
-	old       int64  // FetchAdd pre-add value once resolved
 	err       error
 	done      bool
 	attempts  int
@@ -106,7 +105,6 @@ func (pv *pendingVerb) Dst() int            { return pv.dst }
 func (pv *pendingVerb) Done() bool          { return pv.done }
 func (pv *pendingVerb) Err() error          { return pv.err }
 func (pv *pendingVerb) Data() []byte        { return pv.data }
-func (pv *pendingVerb) Old() int64          { return pv.old }
 func (pv *pendingVerb) Issued() sim.Time    { return pv.issued }
 func (pv *pendingVerb) Completed() sim.Time { return pv.completed }
 
@@ -116,15 +114,14 @@ func New(node *gm.Node, rank, size int, cfg Config) *Transport {
 		Transport: fastgm.New(node, rank, size, cfg.Fast),
 		node:      node,
 		rcfg:      cfg,
-		rank:      rank,
-		size:      size,
 		windows:   make(map[int32][]byte),
-		sendPool:  make(map[int][]*gm.Buffer),
-		compPool:  make(map[int][]*gm.Buffer),
-		resuming:  make(map[*gm.Port]bool),
 		vdup:      substrate.NewDupCache(cfg.DupCacheSize),
 		verbs:     make(map[uint32]*pendingVerb),
 		qpDepth:   make([]int, size),
+	}
+	if t.credits = t.NewCredits(cfg.Fast.Flow, fmt.Sprintf("rdmagm:%d:credits", rank),
+		[]int{verbFlowWindow}, []int{1}); t.credits != nil {
+		t.credits.Park = t.reapOne
 	}
 	return t
 }
@@ -140,9 +137,9 @@ func (t *Transport) MaxVerbPayload() int {
 // send pool, and installs the firmware sink.
 func (t *Transport) Start(p *sim.Proc, h substrate.Handler) {
 	t.Transport.Start(p, h)
-	t.proc = p
-	t.sendCond = sim.NewCond(fmt.Sprintf("rdmagm:%d:sendpool", t.rank))
-	t.tokenCond = sim.NewCond(fmt.Sprintf("rdmagm:%d:tokens", t.rank))
+	t.sendPool = fastgm.NewSendPool(fmt.Sprintf("rdmagm:%d:sendpool", t.Rank()))
+	t.compPool = fastgm.NewSendPool(fmt.Sprintf("rdmagm:%d:comppool", t.Rank()))
+	t.tokenCond = sim.NewCond(fmt.Sprintf("rdmagm:%d:tokens", t.Rank()))
 
 	var err error
 	if t.verbPort, err = t.node.OpenPort(VerbPort); err != nil {
@@ -176,10 +173,7 @@ func (t *Transport) Start(p *sim.Proc, h substrate.Handler) {
 		if c <= t.rcfg.Fast.SmallClassMax {
 			count = 4
 		}
-		mem := t.node.Register(p, count*gm.ClassCapacity(c))
-		for i := 0; i < count; i++ {
-			t.sendPool[c] = append(t.sendPool[c], mem.SubBuffer(i*gm.ClassCapacity(c), c))
-		}
+		t.sendPool.Fill(t.node.Register(p, count*gm.ClassCapacity(c)), count, c)
 	}
 	// Completion entries ship from the firmware's own staging pool, pinned
 	// at boot like the kernel pools — never from the verb send pool. The
@@ -192,10 +186,7 @@ func (t *Transport) Start(p *sim.Proc, h substrate.Handler) {
 		if c <= t.rcfg.Fast.SmallClassMax {
 			count = 4
 		}
-		mem := t.node.RegisterAtBoot(count * gm.ClassCapacity(c))
-		for i := 0; i < count; i++ {
-			t.compPool[c] = append(t.compPool[c], mem.SubBuffer(i*gm.ClassCapacity(c), c))
-		}
+		t.compPool.Fill(t.node.RegisterAtBoot(count*gm.ClassCapacity(c)), count, c)
 	}
 
 	t.verbPort.SetSink(t.onVerbFrame)
@@ -203,7 +194,7 @@ func (t *Transport) Start(p *sim.Proc, h substrate.Handler) {
 		// One-sided traffic proves the initiator alive at NIC level, even
 		// while this host computes with asynchronous delivery masked.
 		t.cqPort.SetFilter(func(rv *gm.Recv) bool {
-			t.NoteHeard(int(rv.From))
+			t.Live.Heard(int(rv.From))
 			return false
 		})
 	}
@@ -229,29 +220,16 @@ func (t *Transport) SetOnPeerDead(fn func(peer int, err error)) { t.onDeadChain 
 // embedded fastgm transport, whose heartbeats this substrate shares).
 func (t *Transport) ForgetPeer(peer int) {
 	t.vdup.PurgeOrigin(int32(peer))
-	seqs := make([]uint32, 0, len(t.verbs))
-	for seq, pv := range t.verbs {
-		if pv.dst == peer {
-			seqs = append(seqs, seq)
-		}
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	for _, seq := range seqs {
-		pv := t.verbs[seq]
-		t.Stats().VerbsAbandoned++
-		pv.err = &substrate.PeerUnreachableError{Rank: t.rank, Peer: peer, Kind: "member-departed"}
-		t.resolve(pv)
-	}
+	t.abandonVerbsTo(peer, &substrate.PeerUnreachableError{Rank: t.Rank(), Peer: peer, Kind: "member-departed"})
 	t.Transport.ForgetPeer(peer)
 }
 
 // Halt implements substrate.CrashControl: the embedded teardown plus the
 // one-sided ports.
 func (t *Transport) Halt() {
-	if t.rdmaHalted {
+	if t.Halted() {
 		return
 	}
-	t.rdmaHalted = true
 	t.Transport.Halt()
 	t.node.ClosePort(VerbPort)
 	t.node.ClosePort(CQPort)
@@ -287,61 +265,32 @@ func (t *Transport) PostGet(p *sim.Proc, dst int, window int32, off, n int) subs
 	return t.post(p, dst, &verbFrame{op: frameVerbGet, window: window, off: off, length: n})
 }
 
-// PostFetchAdd implements substrate.OneSided.
-func (t *Transport) PostFetchAdd(p *sim.Proc, dst int, window int32, off int, delta int64) substrate.PendingVerb {
-	t.Stats().OneSidedFetchAdds++
-	return t.post(p, dst, &verbFrame{op: frameVerbFetchAdd, window: window, off: off,
-		length: faaWidth, delta: delta})
-}
-
-// post assigns the verb its sequence number, applies QP flow control,
+// post applies flow control, assigns the verb its sequence number,
 // transmits the descriptor, and arms the retransmission timer.
 func (t *Transport) post(p *sim.Proc, dst int, vf *verbFrame) substrate.PendingVerb {
-	if dst == t.rank {
+	if dst == t.Rank() {
 		panic("rdmagm: one-sided verb to self")
 	}
 	if n := verbFrameLen(vf); n > t.node.System().Params().MaxMessage() {
 		panic(fmt.Sprintf("rdmagm: %d-byte verb exceeds the %d-byte frame cap",
 			n, t.node.System().Params().MaxMessage()))
 	}
-	// QP flow control: a full send queue reaps completions until a slot
-	// frees (or every outstanding verb toward a dead peer resolves). With
-	// end-to-end flow control on, the window per QP tightens to
-	// verbFlowWindow well under the ring depth: a verb is only "done" once
-	// the target NIC serviced it, so a small completion-clocked window is
-	// the one-sided analogue of the two-sided credit ledger — an incast of
+	// Flow control, end to end then per QP. With Config.Fast.Flow on, the
+	// verb first takes a credit from a window well under the ring depth —
+	// the one-sided analogue of the two-sided credit ledger: an incast of
 	// Puts self-paces at the initiators instead of flooding the target's
-	// verb ring. Stalls on the tightened window are counted as credit
-	// stalls so the overload shows up in the same place on every substrate.
-	depth := t.rcfg.SendQueueDepth
-	flowOn := t.rcfg.Fast.Flow.Enabled
-	if flowOn && depth > verbFlowWindow {
-		depth = verbFlowWindow
-	}
-	for t.qpDepth[dst] >= depth {
-		if t.reapDead() {
-			continue
-		}
-		if t.qpDepth[dst] < depth {
-			break
-		}
-		if flowOn && t.qpDepth[dst] < t.rcfg.SendQueueDepth {
-			// Only the tightened window is blocking us, not the ring itself.
-			t.Stats().CreditStalls++
-			if tr := p.Sim().Tracer(); tr != nil {
-				tr.Emit(trace.Event{T: int64(p.Now()), Layer: trace.LayerSubstrate,
-					Kind: "credit-stall", Proc: p.ID(), Peer: dst, Bytes: verbFrameLen(vf)})
-				tr.Metrics().Counter(trace.LayerSubstrate, "credit.stalls").Inc(1)
-			}
-			start := p.Now()
+	// verb ring, and the stalls are counted as credit stalls so overload
+	// shows up in the same place on every substrate. Then the QP itself:
+	// a full send queue reaps completions until a slot frees (or every
+	// outstanding verb toward a dead peer resolves).
+	t.credits.Acquire(p, dst, 0, 1, verbFrameLen(vf))
+	for t.qpDepth[dst] >= t.rcfg.SendQueueDepth {
+		if !t.reapDead() {
 			t.reapOne(p)
-			t.Stats().CreditWaitTime += p.Now() - start
-			continue
 		}
-		t.reapOne(p)
 	}
 	t.vseq++
-	vf.origin = int32(t.rank)
+	vf.origin = int32(t.Rank())
 	vf.seq = t.vseq
 	pv := &pendingVerb{dst: dst, seq: vf.seq, op: vf.op, issued: p.Now()}
 	pv.frame = make([]byte, verbFrameLen(vf))
@@ -349,13 +298,13 @@ func (t *Transport) post(p *sim.Proc, dst int, vf *verbFrame) substrate.PendingV
 	if cz := p.Sim().Causal(); cz != nil {
 		// A verb is always posted from the initiator's mainline (there is
 		// no handler-context posting path).
-		ctx := cz.Edge("verb:"+verbName(vf.op), t.rank, dst, p.ID(),
-			cz.Cur(t.rank).Span, len(pv.frame), int64(p.Now()))
+		ctx := cz.Edge("verb:"+verbName(vf.op), t.Rank(), dst, p.ID(),
+			cz.Cur(t.Rank()).Span, len(pv.frame), int64(p.Now()))
 		pv.aux = trace.EncodeCtx(ctx)
 	}
 	t.verbs[pv.seq] = pv
 	t.qpDepth[dst]++
-	if t.PeerDead(dst) {
+	if t.Live.Dead(dst) {
 		t.abandonVerb(pv, "peer-dead")
 		return pv
 	}
@@ -368,7 +317,7 @@ func (t *Transport) post(p *sim.Proc, dst int, vf *verbFrame) substrate.PendingV
 // tokens or a port resume like any GM send.
 func (t *Transport) sendVerb(p *sim.Proc, pv *pendingVerb) {
 	class := t.node.System().Params().ClassFor(len(pv.frame))
-	buf := t.takeVerbBuffer(p, class)
+	buf := t.TakeSendBuffer(p, t.sendPool, class)
 	copy(buf.Bytes(), pv.frame)
 	t.Stats().BytesSent += int64(len(pv.frame))
 	for {
@@ -381,8 +330,7 @@ func (t *Transport) sendVerb(p *sim.Proc, pv *pendingVerb) {
 		case gm.ErrNoSendTokens:
 			p.WaitOn(t.tokenCond)
 		case gm.ErrPortDisabled:
-			t.ensureResume(t.verbPort)
-			p.WaitOn(t.tokenCond)
+			t.AwaitResume(p, t.verbPort)
 		default:
 			panic(fmt.Sprintf("rdmagm: send: %v", err))
 		}
@@ -394,12 +342,11 @@ func (t *Transport) sendVerb(p *sim.Proc, pv *pendingVerb) {
 // re-stages the kept frame into a fresh buffer.
 func (t *Transport) verbSendCompletion(buf *gm.Buffer, class, dst int) gm.SendCallback {
 	return func(st gm.SendStatus) {
-		t.sendPool[class] = append(t.sendPool[class], buf)
-		t.sendCond.Broadcast()
+		t.sendPool.Put(class, buf)
 		t.tokenCond.Broadcast()
-		if st != gm.SendOK && !t.rdmaHalted {
+		if st != gm.SendOK && !t.Halted() {
 			t.Stats().GMSendFailures++
-			t.ensureResume(t.verbPort)
+			t.EnsureResume(t.verbPort)
 		}
 	}
 }
@@ -407,17 +354,17 @@ func (t *Transport) verbSendCompletion(buf *gm.Buffer, class, dst int) gm.SendCa
 // armVerbTimer schedules the next completion-timeout check for pv.
 func (t *Transport) armVerbTimer(pv *pendingVerb) {
 	d := substrate.Backoff{Initial: t.rcfg.VerbTimeout, Max: t.rcfg.VerbTimeoutMax}.Delay(pv.attempts + 1)
-	t.proc.Sim().After(d, func() { t.verbTick(pv) })
+	t.Proc().Sim().After(d, func() { t.verbTick(pv) })
 }
 
 // verbTick retransmits a verb whose completion has not arrived, from
 // kernel/event context, with exponential backoff; past the retry budget
 // the target is declared dead through the shared liveness state.
 func (t *Transport) verbTick(pv *pendingVerb) {
-	if pv.done || t.rdmaHalted {
+	if pv.done || t.Halted() {
 		return
 	}
-	if t.PeerDead(pv.dst) {
+	if t.Live.Dead(pv.dst) {
 		t.abandonVerb(pv, "peer-dead")
 		return
 	}
@@ -426,14 +373,15 @@ func (t *Transport) verbTick(pv *pendingVerb) {
 		// target's completion channel can starve for seconds — a few lost
 		// completion frames pin its send buffers for GM's full resend
 		// timeout — while its two-sided retransmissions keep arriving here
-		// and refreshing lastHeard. A peer we can still hear is congested,
-		// not dead: extend the budget at max backoff and let the GM timeout
-		// free the far side. Only silence for the grace window corroborates.
+		// and refreshing its last-heard clock. A peer we can still hear is
+		// congested, not dead: extend the budget at max backoff and let the
+		// GM timeout free the far side. Only silence for the grace window
+		// corroborates.
 		grace := t.node.System().Params().ResendTimeout
 		if t.rcfg.Fast.Liveness.Enabled {
 			grace = t.rcfg.Fast.Liveness.Norm().Deadline()
 		}
-		if !t.HeardWithin(pv.dst, grace) {
+		if !t.Live.HeardWithin(pv.dst, grace) {
 			t.abandonVerb(pv, "verb-retry-exhausted")
 			return
 		}
@@ -450,26 +398,23 @@ func (t *Transport) verbTick(pv *pendingVerb) {
 	// waiting for them back would turn a transient storm into a false
 	// peer death.
 	if !t.verbPort.Enabled() {
-		t.ensureResume(t.verbPort)
+		t.EnsureResume(t.verbPort)
 		t.armVerbTimer(pv)
 		return
 	}
 	class := t.node.System().Params().ClassFor(len(pv.frame))
-	bufs := t.sendPool[class]
-	if len(bufs) == 0 {
+	buf := t.sendPool.TryTake(class)
+	if buf == nil {
 		t.armVerbTimer(pv)
 		return
 	}
-	buf := bufs[len(bufs)-1]
-	t.sendPool[class] = bufs[:len(bufs)-1]
 	copy(buf.Bytes(), pv.frame)
 	err := t.verbPort.SendFromKernelAux(myrinet.NodeID(pv.dst), VerbPort, buf, len(pv.frame),
 		pv.aux, t.verbSendCompletion(buf, class, pv.dst))
 	if err != nil {
-		t.sendPool[class] = append(t.sendPool[class], buf)
-		t.sendCond.Broadcast()
+		t.sendPool.Put(class, buf)
 		if err == gm.ErrPortDisabled {
-			t.ensureResume(t.verbPort)
+			t.EnsureResume(t.verbPort)
 		}
 		t.armVerbTimer(pv)
 		return
@@ -478,7 +423,7 @@ func (t *Transport) verbTick(pv *pendingVerb) {
 	st := t.Stats()
 	st.VerbRetransmits++
 	st.BytesSent += int64(len(pv.frame))
-	s := t.proc.Sim()
+	s := t.Proc().Sim()
 	if tr := s.Tracer(); tr != nil {
 		tr.Emit(trace.Event{T: int64(s.Now()), Layer: trace.LayerSubstrate,
 			Kind: "verb-retransmit", Proc: -1, Peer: pv.dst, Bytes: len(pv.frame)})
@@ -493,8 +438,9 @@ func (t *Transport) resolve(pv *pendingVerb) {
 		return
 	}
 	pv.done = true
-	pv.completed = t.proc.Sim().Now()
+	pv.completed = t.Proc().Sim().Now()
 	t.qpDepth[pv.dst]--
+	t.credits.Release(pv.dst, 0, 1)
 	delete(t.verbs, pv.seq)
 }
 
@@ -502,28 +448,21 @@ func (t *Transport) resolve(pv *pendingVerb) {
 // retries) declares the target dead so everything else gives up too.
 func (t *Transport) abandonVerb(pv *pendingVerb, kind string) {
 	t.Stats().VerbsAbandoned++
-	pv.err = &substrate.PeerUnreachableError{Rank: t.rank, Peer: pv.dst, Attempts: pv.attempts, Kind: kind}
+	pv.err = &substrate.PeerUnreachableError{Rank: t.Rank(), Peer: pv.dst, Attempts: pv.attempts, Kind: kind}
 	t.resolve(pv)
-	s := t.proc.Sim()
+	s := t.Proc().Sim()
 	if tr := s.Tracer(); tr != nil {
 		tr.Emit(trace.Event{T: int64(s.Now()), Layer: trace.LayerSubstrate,
 			Kind: "verb-abandoned:" + kind, Proc: -1, Peer: pv.dst})
 		tr.Metrics().Counter(trace.LayerSubstrate, "verbs.abandoned").Inc(1)
 	}
-	t.DeclarePeerDead(pv.dst, kind, pv.attempts)
+	t.Live.DeclareDead(pv.dst, kind, pv.attempts)
 }
 
-// abandonVerbsTo resolves every outstanding verb toward a dead peer, in
-// sequence order for determinism.
+// abandonVerbsTo resolves every outstanding verb toward a dead or
+// departed peer with err, in sequence order for determinism.
 func (t *Transport) abandonVerbsTo(peer int, err error) {
-	seqs := make([]uint32, 0, len(t.verbs))
-	for seq, pv := range t.verbs {
-		if pv.dst == peer {
-			seqs = append(seqs, seq)
-		}
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	for _, seq := range seqs {
+	for _, seq := range substrate.KeysWhere(t.verbs, func(pv *pendingVerb) bool { return pv.dst == peer }) {
 		pv := t.verbs[seq]
 		t.Stats().VerbsAbandoned++
 		pv.err = err
@@ -534,13 +473,7 @@ func (t *Transport) abandonVerbsTo(peer int, err error) {
 // reapDead resolves outstanding verbs whose targets are now dead;
 // returns whether any were resolved.
 func (t *Transport) reapDead() bool {
-	seqs := make([]uint32, 0, len(t.verbs))
-	for seq, pv := range t.verbs {
-		if t.PeerDead(pv.dst) {
-			seqs = append(seqs, seq)
-		}
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+	seqs := substrate.KeysWhere(t.verbs, func(pv *pendingVerb) bool { return t.Live.Dead(pv.dst) })
 	for _, seq := range seqs {
 		t.abandonVerb(t.verbs[seq], "peer-dead")
 	}
@@ -575,7 +508,7 @@ func (t *Transport) unresolvedVerbs(verbs []substrate.PendingVerb) int {
 		if pv.done {
 			continue
 		}
-		if t.PeerDead(pv.dst) {
+		if t.Live.Dead(pv.dst) {
 			t.abandonVerb(pv, "peer-dead")
 			continue
 		}
@@ -601,7 +534,7 @@ func (t *Transport) reapOne(p *sim.Proc) {
 // handleCompletion consumes one CQ entry in initiator context.
 func (t *Transport) handleCompletion(p *sim.Proc, rv *gm.Recv) {
 	st := t.Stats()
-	t.NoteHeard(int(rv.From))
+	t.Live.Heard(int(rv.From))
 	if len(rv.Data) == 0 || rv.Data[0] != frameCompletion {
 		st.CorruptFrames++
 		t.cqPort.ProvideReceiveBuffer(rv.Buffer)
@@ -639,8 +572,6 @@ func (t *Transport) handleCompletion(p *sim.Proc, rv *gm.Recv) {
 			// the receive ring before recycling (no host-copy charge — the
 			// consumer's own memcpy is the host cost).
 			pv.data = append([]byte(nil), cf.payload...)
-		case frameVerbFetchAdd:
-			pv.old = cf.old
 		}
 	default:
 		pv.err = &substrate.WindowBoundsError{Peer: pv.dst, Window: cf.window,
@@ -650,7 +581,7 @@ func (t *Transport) handleCompletion(p *sim.Proc, rv *gm.Recv) {
 	if cz != nil {
 		if ctx := trace.DecodeCtx(rv.Aux); !ctx.Zero() {
 			// The matched completion is what unblocks WaitVerbs' mainline.
-			cz.SetCur(t.rank, ctx)
+			cz.SetCur(t.Rank(), ctx)
 		}
 	}
 	if tr := p.Sim().Tracer(); tr != nil {
@@ -667,8 +598,6 @@ func verbName(op byte) string {
 		return "put"
 	case frameVerbGet:
 		return "get"
-	case frameVerbFetchAdd:
-		return "fetch-add"
 	default:
 		return "unknown"
 	}
@@ -678,7 +607,7 @@ func verbName(op byte) string {
 // target, in scheduler context — no host CPU, no interrupt, no handler.
 func (t *Transport) onVerbFrame(rv *gm.Recv) {
 	st := t.Stats()
-	t.NoteHeard(int(rv.From))
+	t.Live.Heard(int(rv.From))
 	if len(rv.Data) == 0 {
 		st.CorruptFrames++
 		t.verbPort.ProvideReceiveBuffer(rv.Buffer)
@@ -691,17 +620,18 @@ func (t *Transport) onVerbFrame(rv *gm.Recv) {
 		return
 	}
 	st.BytesRecvd += int64(len(rv.Data))
-	cz := t.proc.Sim().Causal()
+	cz := t.Proc().Sim().Causal()
 	if cz != nil {
 		// The firmware sink has no host process; the flow endpoint is the
 		// target process's track. Redelivered verbs carry the same span, so
 		// Arrive stays idempotent.
-		cz.Arrive(trace.DecodeCtx(rv.Aux), t.proc.ID(), int64(t.proc.Sim().Now()))
+		cz.Arrive(trace.DecodeCtx(rv.Aux), t.Proc().ID(), int64(t.Proc().Sim().Now()))
 	}
 	key := substrate.DupKey{Origin: vf.origin, Seq: vf.seq}
 	if e, seen := t.vdup.Lookup(key); seen {
-		// Redelivered verb: never re-execute (FetchAdd idempotence);
-		// resend the cached completion if the original finished.
+		// Redelivered verb: never re-execute (a stale Put must not
+		// overwrite a newer one); resend the cached completion if the
+		// original finished.
 		st.DupRequests++
 		t.verbPort.ProvideReceiveBuffer(rv.Buffer)
 		if e.Done {
@@ -717,25 +647,20 @@ func (t *Transport) onVerbFrame(rv *gm.Recv) {
 	switch {
 	case !ok:
 		st.WindowFaults++
-		comp = encodeCompletion(int32(t.rank), vf, compBadWindow, nil, 0, -1)
+		comp = encodeCompletion(int32(t.Rank()), vf, compBadWindow, nil, -1)
 	case vf.off < 0 || vf.length < 0 || vf.off+vf.length > len(win):
 		st.WindowFaults++
-		comp = encodeCompletion(int32(t.rank), vf, compOOB, nil, 0, int64(len(win)))
+		comp = encodeCompletion(int32(t.Rank()), vf, compOOB, nil, int64(len(win)))
 	default:
 		switch vf.op {
 		case frameVerbPut:
 			copy(win[vf.off:vf.off+vf.length], vf.payload)
 			dmaBytes = vf.length
-			comp = encodeCompletion(int32(t.rank), vf, compOK, nil, 0, 0)
+			comp = encodeCompletion(int32(t.Rank()), vf, compOK, nil, 0)
 		case frameVerbGet:
 			snap := append([]byte(nil), win[vf.off:vf.off+vf.length]...)
 			dmaBytes = vf.length
-			comp = encodeCompletion(int32(t.rank), vf, compOK, snap, 0, 0)
-		case frameVerbFetchAdd:
-			old := int64(get64(win[vf.off:]))
-			put64(win[vf.off:], uint64(old+vf.delta))
-			dmaBytes = faaWidth
-			comp = encodeCompletion(int32(t.rank), vf, compOK, nil, old, 0)
+			comp = encodeCompletion(int32(t.Rank()), vf, compOK, snap, 0)
 		}
 	}
 	// Firmware service + DMA latency, then the completion entry.
@@ -746,8 +671,8 @@ func (t *Transport) onVerbFrame(rv *gm.Recv) {
 		// The completion is caused by the verb that requested it; its send
 		// time is when the firmware actually ships the entry.
 		vctx := trace.DecodeCtx(rv.Aux)
-		cctx := cz.Edge("comp:"+verbName(vf.op), t.rank, dst, t.proc.ID(),
-			vctx.Span, len(comp), int64(t.proc.Sim().Now()+delay))
+		cctx := cz.Edge("comp:"+verbName(vf.op), t.Rank(), dst, t.Proc().ID(),
+			vctx.Span, len(comp), int64(t.Proc().Sim().Now()+delay))
 		compAux = trace.EncodeCtx(cctx)
 	}
 	e.Done = true
@@ -756,72 +681,39 @@ func (t *Transport) onVerbFrame(rv *gm.Recv) {
 	e.To = int(vf.origin)
 	t.verbPort.ProvideReceiveBuffer(rv.Buffer)
 
-	t.proc.Sim().After(delay, func() { t.sendCompletion(dst, comp, compAux) })
+	t.Proc().Sim().After(delay, func() { t.sendCompletion(dst, comp, compAux) })
 }
 
 // sendCompletion ships one CQ entry from kernel/event context,
 // best-effort with a short retry when buffers or tokens are dry: a lost
 // completion is recovered by the initiator's verb retransmission.
 func (t *Transport) sendCompletion(dst int, comp, aux []byte) {
-	if t.rdmaHalted || dst < 0 || dst >= t.size || dst == t.rank {
+	if t.Halted() || dst < 0 || dst >= t.Size() || dst == t.Rank() {
 		return
 	}
 	class := t.node.System().Params().ClassFor(len(comp))
-	bufs := t.compPool[class]
-	if len(bufs) == 0 {
-		t.proc.Sim().After(compRetry, func() { t.sendCompletion(dst, comp, aux) })
+	buf := t.compPool.TryTake(class)
+	if buf == nil {
+		t.Proc().Sim().After(compRetry, func() { t.sendCompletion(dst, comp, aux) })
 		return
 	}
-	buf := bufs[len(bufs)-1]
-	t.compPool[class] = bufs[:len(bufs)-1]
 	copy(buf.Bytes(), comp)
 	err := t.cqPort.SendFromKernelAux(myrinet.NodeID(dst), CQPort, buf, len(comp), aux,
 		func(st gm.SendStatus) {
-			t.compPool[class] = append(t.compPool[class], buf)
+			t.compPool.Put(class, buf)
 			t.tokenCond.Broadcast()
-			if st != gm.SendOK && !t.rdmaHalted {
+			if st != gm.SendOK && !t.Halted() {
 				t.Stats().GMSendFailures++
-				t.ensureResume(t.cqPort)
+				t.EnsureResume(t.cqPort)
 			}
 		})
 	if err != nil {
-		t.compPool[class] = append(t.compPool[class], buf)
+		t.compPool.Put(class, buf)
 		if err == gm.ErrPortDisabled {
-			t.ensureResume(t.cqPort)
+			t.EnsureResume(t.cqPort)
 		}
-		t.proc.Sim().After(compRetry, func() { t.sendCompletion(dst, comp, aux) })
+		t.Proc().Sim().After(compRetry, func() { t.sendCompletion(dst, comp, aux) })
 		return
 	}
 	t.Stats().BytesSent += int64(len(comp))
-}
-
-// takeVerbBuffer pops a registered send buffer of the class, blocking
-// until one is recycled if the pool is dry.
-func (t *Transport) takeVerbBuffer(p *sim.Proc, class int) *gm.Buffer {
-	for {
-		bufs := t.sendPool[class]
-		if len(bufs) > 0 {
-			b := bufs[len(bufs)-1]
-			t.sendPool[class] = bufs[:len(bufs)-1]
-			return b
-		}
-		t.Stats().SendBufStalls++
-		p.WaitOn(t.sendCond)
-	}
-}
-
-// ensureResume schedules exactly one gm_resume_sending for a disabled
-// one-sided port (the embedded fastgm guards its own ports).
-func (t *Transport) ensureResume(port *gm.Port) {
-	if port.Enabled() || t.resuming[port] {
-		return
-	}
-	t.resuming[port] = true
-	s := t.proc.Sim()
-	s.After(t.node.System().Params().ResumeCost, func() {
-		t.resuming[port] = false
-		port.ForceResume()
-		t.Stats().PortResumes++
-		t.tokenCond.Broadcast()
-	})
 }

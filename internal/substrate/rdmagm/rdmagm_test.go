@@ -100,63 +100,6 @@ func TestOneSidedPutGetRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFetchAddAtomicity: three ranks hammer one 8-byte counter with
-// concurrent FetchAdds of +1. Atomic read-modify-write means the set of
-// returned pre-add values is exactly {0, …, total−1} — any lost update
-// or double-execution (e.g. a retransmitted verb re-applied) would
-// duplicate or skip a value.
-func TestFetchAddAtomicity(t *testing.T) {
-	const n = 4
-	const perRank = 25
-	c := build(n, 1)
-	counter := make([]byte, 8)
-	olds := make(chan int64, (n-1)*perRank)
-	c.Spawn(
-		func(rank int) substrate.Handler {
-			return func(p *sim.Proc, m *msg.Message) {}
-		},
-		func(rank int, p *sim.Proc, tr substrate.Transport) {
-			os := oneSided(t, tr)
-			if rank == 0 {
-				os.RegisterWindow(p, 1, counter)
-				return
-			}
-			p.Advance(sim.Millisecond)
-			for k := 0; k < perRank; k += 5 {
-				var batch []substrate.PendingVerb
-				for j := 0; j < 5; j++ {
-					batch = append(batch, os.PostFetchAdd(p, 0, 1, 0, 1))
-				}
-				if err := os.WaitVerbs(p, batch); err != nil {
-					t.Errorf("rank %d fetch-add: %v", rank, err)
-					return
-				}
-				for _, v := range batch {
-					olds <- v.Old()
-				}
-			}
-		},
-	)
-	if err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	close(olds)
-	total := (n - 1) * perRank
-	seen := make(map[int64]bool)
-	for v := range olds {
-		if v < 0 || v >= int64(total) {
-			t.Errorf("pre-add value %d out of range [0,%d)", v, total)
-		}
-		if seen[v] {
-			t.Errorf("pre-add value %d returned twice (lost atomicity)", v)
-		}
-		seen[v] = true
-	}
-	if len(seen) != total {
-		t.Errorf("saw %d distinct pre-add values, want %d", len(seen), total)
-	}
-}
-
 // TestWindowBoundsErrors: verbs against an unknown window and past the
 // end of a known one must fail with a typed *WindowBoundsError carrying
 // the diagnosis, and must not touch memory.

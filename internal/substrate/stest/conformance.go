@@ -33,6 +33,7 @@ func RunConformance(t *testing.T, build Builder) {
 	t.Run("CorruptedReplyCRC", func(t *testing.T) { ConformanceCorruptedReplyCRC(t, build) })
 	t.Run("PortDisabledMidBurstResumed", func(t *testing.T) { ConformancePortDisabledMidBurstResumed(t, build) })
 	t.Run("SilentPeerMidRendezvous", func(t *testing.T) { ConformanceSilentPeerMidRendezvous(t, build) })
+	t.Run("RetryExhaustionLivenessOff", func(t *testing.T) { ConformanceRetryExhaustionLivenessOff(t, build) })
 	t.Run("HeartbeatViewPiggyback", func(t *testing.T) { ConformanceHeartbeatViewPiggyback(t, build) })
 	t.Run("MemberTeardown", func(t *testing.T) { ConformanceMemberTeardown(t, build) })
 	t.Run("ScatterGather", func(t *testing.T) { ConformanceScatterGather(t, build) })
@@ -300,6 +301,64 @@ func ConformanceSilentPeerMidRendezvous(t *testing.T, build Builder) {
 	}
 	if st := c.Transports[0].Stats(); st.PeersDeclaredDead == 0 {
 		t.Errorf("peer never declared dead: %+v", st)
+	}
+}
+
+// ConformanceRetryExhaustionLivenessOff: the give-up rule is the same on
+// every substrate and does not depend on the liveness layer. Rank 0's
+// path to rank 1 blacks out for good with liveness off (the stock
+// configuration), so nothing but the retry budget — GM-level frame
+// retransmission on FAST/GM and RDMA/GM, the per-call RTO on UDP/GM — can
+// notice. Once it is spent the peer is declared dead exactly once, the
+// blocked Call resolves nil (woken even though the declaration happens in
+// scheduler context and the collector waits without a deadline), and the
+// typed failure names the peer.
+func ConformanceRetryExhaustionLivenessOff(t *testing.T, build Builder) {
+	c := build(2, 1)
+	c.Fabric.SetFaults(myrinet.FaultConfig{Blackouts: []myrinet.Blackout{
+		{Src: 0, Dst: 1, From: sim.Millisecond, To: 100000 * sim.Second},
+	}})
+	cc, ok := c.Transports[0].(substrate.CrashControl)
+	if !ok {
+		t.Fatal("transport does not implement substrate.CrashControl")
+	}
+	declared := 0
+	cc.SetOnPeerDead(func(peer int, err error) { declared++ })
+	var rep *msg.Message
+	returned := false
+	c.Spawn(
+		func(rank int) substrate.Handler {
+			return func(p *sim.Proc, m *msg.Message) {
+				c.Transports[rank].Reply(p, m, &msg.Message{Kind: msg.KPong})
+			}
+		},
+		func(rank int, p *sim.Proc, tr substrate.Transport) {
+			if rank != 0 {
+				return
+			}
+			p.Advance(2 * sim.Millisecond)
+			rep = tr.Call(p, 1, &msg.Message{Kind: msg.KPing})
+			returned = true
+		},
+	)
+	if err := c.Run(); err != nil {
+		t.Fatalf("simulation did not quiesce: %v", err)
+	}
+	if !returned {
+		t.Fatal("rank 0's Call never returned (hang)")
+	}
+	if rep != nil {
+		t.Fatalf("Call through a permanent blackout returned %+v", rep)
+	}
+	pf := cc.PeerFailure()
+	if pf == nil || pf.Peer != 1 || pf.Kind != "retry-exhausted" {
+		t.Errorf("failure = %+v, want retry-exhausted toward peer 1", pf)
+	}
+	if declared != 1 {
+		t.Errorf("OnPeerDead fired %d times, want exactly 1", declared)
+	}
+	if st := c.Transports[0].Stats(); st.PeersDeclaredDead != 1 || st.SendsAbandoned == 0 {
+		t.Errorf("give-up not counted: %+v", st)
 	}
 }
 

@@ -1,20 +1,61 @@
-// Package substrate defines the communication interface TreadMarks is
-// written against (Figure 2 of the paper), with two implementations:
-//
-//   - udpgm — the baseline: TreadMarks' stock request/reply machinery over
-//     UDP sockets (Sockets-GM), with SIGIO-driven asynchronous requests
-//     and user-level retransmission, exactly the structure of the original
-//     TreadMarks transport.
-//   - fastgm — the paper's contribution: a thin substrate binding
-//     TreadMarks directly to GM, multiplexing all peers over two GM ports
-//     (asynchronous request port with the NIC-interrupt firmware mod,
-//     synchronous reply port that is polled), with size-class receive
-//     buffer preposting, a registered send-buffer pool, and an optional
-//     rendezvous protocol for large messages.
+// Package substrate is the communication layer TreadMarks is written
+// against (Figure 2 of the paper): the Transport interface, one protocol
+// core that implements most of it, and — in the sub-packages — three thin
+// bindings of that core to an interconnect.
 //
 // The interface mirrors TreadMarks' communication model: requests arrive
 // asynchronously and may be forwarded; replies are awaited synchronously
 // and may come from a third node.
+//
+// # The core (this package)
+//
+// Everything that does not depend on how a frame travels is written here
+// once and embedded by every binding (Core):
+//
+//   - the call table (calls.go): sequence numbers, CallBegin/Collect/Call,
+//     reply matching, and the one per-call clock that serves both the
+//     user-level retransmission timeout and the once-only hedge;
+//   - request service (core.go): the (origin, seq) duplicate filter with
+//     cached replies and re-forwarding (DupCache), Reply/Forward/Send
+//     bookkeeping, causal edge stamping, the membership purge;
+//   - Liveness (liveness.go): last-heard clocks, the silence rule,
+//     declared-dead flags, the typed PeerUnreachableError, CrashControl;
+//   - Credits (flow.go): the sender-side credit ledger indexed (peer,
+//     lane) with park, optimistic refresh, clamped release, reset;
+//   - Backoff (backoff.go): the shared retransmission schedule.
+//
+// The give-up rule is one rule: a peer is declared dead by silence
+// (Liveness) or by an exhausted retry budget (any layer), and from then
+// on every call toward it — pending or future, on every substrate, with
+// or without the liveness layer — resolves nil with PeerFailure() set.
+//
+// # The wire (what a binding provides)
+//
+// A binding implements the four methods of Wire — Transmit one encoded
+// frame on a Lane, AwaitReply until a deadline, Probe a peer, release
+// per-peer state in PeerGone — plus Start/Shutdown/Halt/MaxData, and
+// feeds arrivals to Core.Admit/Serve/AnswerDup and Liveness.Heard. How a
+// credit return is carried is also the binding's business.
+//
+// # The three bindings
+//
+//   - udpgm — the baseline: TreadMarks' stock transport over UDP sockets
+//     (Sockets-GM). Per-peer request sockets armed with SIGIO and reply
+//     sockets read synchronously; every send and receive pays the kernel
+//     path; UDP is unreliable, so the core's per-call RTO runs; credits
+//     are socket-buffer bytes returned by KCredit datagrams.
+//   - fastgm — the paper's contribution (§2.2): all peers multiplexed
+//     over two GM ports (an asynchronous request port with the
+//     NIC-interrupt firmware mod, a synchronous reply port that is
+//     polled), size-class receive-buffer preposting, a registered
+//     send-buffer pool, three asynchronous-delivery schemes, and an
+//     optional rendezvous protocol for large messages. Losses are
+//     recovered below the core by GM-level retransmission; credits are
+//     prepost buffers per size class returned by NIC-filtered frames.
+//   - rdmagm — fastgm plus one-sided verbs (OneSided): registered memory
+//     windows, Put/Get descriptors serviced by the target NIC without
+//     host involvement, a completion queue reaped by the initiator; verb
+//     credits are returned by the completions themselves.
 package substrate
 
 import (
@@ -54,8 +95,8 @@ type Transport interface {
 	// Collect blocks until every pending call has resolved, servicing
 	// asynchronous requests meanwhile and accepting replies in any arrival
 	// order. The result is indexed like pending; an entry is nil iff the
-	// transport gave up on that peer (declared dead by the liveness
-	// layer), mirroring Call's nil return.
+	// transport gave up on that peer (declared dead, by silence or by an
+	// exhausted retry budget), mirroring Call's nil return.
 	Collect(p *sim.Proc, pending []Pending) []*msg.Message
 
 	// Reply answers a previously received request; the reply is routed to
@@ -117,7 +158,7 @@ type MemberControl interface {
 }
 
 // OneSided is the optional capability interface for transports whose
-// fabric supports RDMA-style one-sided verbs (remote read/write/atomic
+// fabric supports RDMA-style one-sided verbs (remote read/write
 // against registered memory windows, serviced by the remote NIC without
 // host CPU, handler, or interrupt involvement). Discover it by type
 // assertion, like CrashControl; the two-sided Transport contract remains
@@ -142,13 +183,6 @@ type OneSided interface {
 	// once the verb resolves.
 	PostGet(p *sim.Proc, dst int, window int32, off, n int) PendingVerb
 
-	// PostFetchAdd starts an atomic fetch-and-add of delta on the
-	// 8-byte little-endian integer at byte offset off of dst's window;
-	// the pre-add value is available from the handle's Old once the
-	// verb resolves. Atomicity is with respect to all verbs targeting
-	// the same window word, regardless of poster.
-	PostFetchAdd(p *sim.Proc, dst int, window int32, off int, delta int64) PendingVerb
-
 	// WaitVerbs blocks until every verb has resolved, servicing
 	// completions in any arrival order (like Collect, it may be called
 	// with asynchronous request delivery masked — completion delivery
@@ -168,10 +202,8 @@ type PendingVerb interface {
 	Done() bool
 	// Err is nil until Done, and after if the verb succeeded.
 	Err() error
-	// Data returns a Get's payload; nil until Done and for other verbs.
+	// Data returns a Get's payload; nil until Done and for a Put.
 	Data() []byte
-	// Old returns a FetchAdd's pre-add value; zero until Done.
-	Old() int64
 	// Issued and Completed bound the verb's lifetime.
 	Issued() sim.Time
 	Completed() sim.Time
@@ -256,7 +288,6 @@ type Stats struct {
 	// OneSided and the protocol posts verbs).
 	OneSidedPuts        int64 // Put verbs posted
 	OneSidedGets        int64 // Get verbs posted
-	OneSidedFetchAdds   int64 // FetchAdd verbs posted
 	OneSidedBytesPut    int64 // payload bytes written by Put verbs
 	OneSidedBytesGot    int64 // payload bytes read by Get verbs
 	VerbRetransmits     int64 // verb frames retransmitted after loss/failure

@@ -13,7 +13,6 @@ package udpgm
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/msg"
 	"repro/internal/myrinet"
@@ -45,7 +44,7 @@ type Config struct {
 	Liveness substrate.LivenessConfig
 
 	// Flow enables sender-side byte-window flow control mirroring the
-	// receiver's request socket buffer (flow.go); Hedge enables hedged
+	// receiver's request socket buffer; Hedge enables hedged
 	// re-issues of straggling calls past a latency-derived deadline. Both
 	// zero values are inert: the wire traffic is bit-identical with them
 	// disabled.
@@ -64,271 +63,129 @@ func DefaultConfig() Config {
 	}
 }
 
-// Transport is the UDP/GM substrate for one process.
+// Transport is the UDP/GM substrate for one process: the shared protocol
+// core (call table with its retransmission clock, duplicate filter,
+// liveness, credits — package substrate) over kernel datagram sockets.
 type Transport struct {
-	stack   *sockets.Stack
-	cfg     Config
-	rank    int
-	size    int
-	proc    *sim.Proc
-	handler substrate.Handler
+	substrate.Core
+	stack *sockets.Stack
+	cfg   Config
 
 	reqIn []*sockets.Socket // [peer] requests from peer (SIGIO)
 	repIn []*sockets.Socket // [peer] replies from peer
 
-	seq uint32
-
-	// pending maps seq → outstanding call. Seq alone identifies a call
-	// (sequence numbers are unique per sender) and must, because
-	// forwarded requests are answered by a third node, not the rank the
-	// request was sent to; the destination lives in the entry for
-	// retransmission and liveness checks.
-	pending map[uint32]*pendingCall
-
-	// dup filters retransmitted requests: a duplicate re-sends the cached
-	// reply (lock-manager forwards are re-relayed; the downstream filter
-	// absorbs the extras).
-	dup *substrate.DupCache
-
-	stats substrate.Stats
 	// Separate scratch buffers: the SIGIO handler can interrupt the
 	// reply path mid-receive, so they must not share memory.
 	reqBuf []byte
 	repBuf []byte
 
-	// Liveness/crash state: per-peer last-heard clocks and declared-dead
-	// flags (allocated unconditionally — retry exhaustion declares peers
-	// dead even with heartbeats off), the pre-encoded heartbeat datagram,
-	// and the crash watchdog hook. halted is set by Halt() during crash
-	// teardown.
-	liveCfg     substrate.LivenessConfig
-	lastHeard   []sim.Time
-	dead        []bool
-	liveStopped bool
-	halted      bool
-	hbData      []byte
-	failure     *substrate.PeerUnreachableError
-	onDead      func(peer int, err error)
+	hbData []byte // the pre-encoded heartbeat datagram
 
-	// view, when set before Start, rides in every heartbeat datagram's
-	// PageData field and is delivered from every heartbeat received (the
-	// membership layer's view exchange; substrate.MemberControl).
-	view substrate.ViewExchange
-
-	// Flow-control and hedging state (flow.go): per-peer send windows in
-	// bytes with an optimistic refresh per exhausted peer, and the EWMA of
-	// reply latencies that derives the hedge deadline.
-	flowOn           bool
-	flowCfg          substrate.FlowConfig
-	flowBudget       int
-	flowCredit       []int
-	flowRefreshArmed []bool
-	flowCond         *sim.Cond
-	hedgeOn          bool
-	hedgeCfg         substrate.HedgeConfig
-	hedgeEWMA        sim.Time
+	// credits is the per-peer send window (nil with flow control off).
+	// The unbounded resource here is not a prepost ring but the receiver's
+	// per-sender request socket buffer (SO_RCVBUF): an incast of request
+	// datagrams overflows it and the kernel silently drops, costing a full
+	// retransmission timeout per loss. So the one lane is metered in
+	// bytes, budgeted at that buffer, and refreshed a datagram at a time.
+	credits *substrate.Credits
 }
 
 // New creates the transport for process rank of size over the node's
-// socket stack.
+// socket stack. UDP is unreliable, so the core runs its user-level
+// per-call retransmission clock with this config's backoff and budget.
 func New(stack *sockets.Stack, rank, size int, cfg Config) *Transport {
 	t := &Transport{
-		stack:   stack,
-		cfg:     cfg,
-		rank:    rank,
-		size:    size,
-		pending: make(map[uint32]*pendingCall),
-		dup:     substrate.NewDupCache(cfg.DupCacheSize),
-		reqBuf:  make([]byte, stack.Params().MaxDatagram),
-		repBuf:  make([]byte, stack.Params().MaxDatagram),
+		stack:  stack,
+		cfg:    cfg,
+		reqBuf: make([]byte, stack.Params().MaxDatagram),
+		repBuf: make([]byte, stack.Params().MaxDatagram),
 	}
-	t.liveCfg = cfg.Liveness.Norm()
-	t.liveCfg.Enabled = cfg.Liveness.Enabled
-	t.lastHeard = make([]sim.Time, size)
-	t.dead = make([]bool, size)
-	t.flowInit()
+	t.Core.Init(t, rank, size, cfg.Liveness, cfg.Hedge, cfg.DupCacheSize,
+		substrate.Backoff{Initial: cfg.RetransmitInitial, Max: cfg.RetransmitMax}, cfg.MaxRetries)
+	t.credits = t.NewCredits(cfg.Flow, fmt.Sprintf("udpgm:%d:credits", rank),
+		[]int{stack.Params().RecvBufDefault}, []int{stack.Params().MaxDatagram})
 	return t
 }
-
-// Rank returns this process's rank.
-func (t *Transport) Rank() int { return t.rank }
-
-// Size returns the number of processes.
-func (t *Transport) Size() int { return t.size }
 
 // MaxData returns the largest encodable message.
 func (t *Transport) MaxData() int { return t.stack.Params().MaxDatagram }
 
-// Stats returns the transport counters.
-func (t *Transport) Stats() *substrate.Stats { return &t.stats }
-
-// Start binds the 2(size-1) sockets and arms SIGIO on the request side.
+// Start binds the 2(size-1) sockets, arms SIGIO on the request side, and
+// starts the heartbeat clock.
 func (t *Transport) Start(p *sim.Proc, h substrate.Handler) {
-	t.proc = p
-	t.handler = h
+	t.Attach(p, h)
 	// Handler before the first Bind: binding advances virtual time, and in
 	// a restart generation peers that started earlier may already be
 	// heartbeating at ports as they come up.
 	p.SetInterruptHandler(t.onSIGIO)
-	t.reqIn = make([]*sockets.Socket, t.size)
-	t.repIn = make([]*sockets.Socket, t.size)
-	for j := 0; j < t.size; j++ {
-		if j == t.rank {
+	t.reqIn = make([]*sockets.Socket, t.Size())
+	t.repIn = make([]*sockets.Socket, t.Size())
+	for j := 0; j < t.Size(); j++ {
+		if j == t.Rank() {
 			continue
 		}
 		rq := t.stack.Socket(p)
 		if err := rq.Bind(p, reqPortBase+j); err != nil {
-			panic(fmt.Sprintf("udpgm: bind req %d/%d: %v", t.rank, j, err))
+			panic(fmt.Sprintf("udpgm: bind req %d/%d: %v", t.Rank(), j, err))
 		}
 		rq.SetSIGIO(p)
 		t.reqIn[j] = rq
 
 		rp := t.stack.Socket(p)
 		if err := rp.Bind(p, repPortBase+j); err != nil {
-			panic(fmt.Sprintf("udpgm: bind rep %d/%d: %v", t.rank, j, err))
+			panic(fmt.Sprintf("udpgm: bind rep %d/%d: %v", t.Rank(), j, err))
 		}
 		t.repIn[j] = rp
 	}
-	t.startLiveness(p)
+	if t.Live.Enabled() {
+		t.hbData = t.heartbeat(nil)
+	}
+	t.Live.Start()
 }
 
 // Shutdown closes all sockets and stops the heartbeat clock.
 func (t *Transport) Shutdown(p *sim.Proc) {
-	t.liveStopped = true
-	for _, sk := range append(append([]*sockets.Socket(nil), t.reqIn...), t.repIn...) {
-		if sk != nil {
-			sk.Close(p)
+	t.Live.Stop()
+	for _, sk := range t.bound() {
+		sk.Close(p)
+	}
+}
+
+// bound returns every socket this transport bound, request side first.
+func (t *Transport) bound() []*sockets.Socket {
+	var socks []*sockets.Socket
+	for _, side := range [][]*sockets.Socket{t.reqIn, t.repIn} {
+		for _, sk := range side {
+			if sk != nil {
+				socks = append(socks, sk)
+			}
 		}
 	}
+	return socks
 }
 
-// SetViewExchange implements substrate.MemberControl: attach the
-// membership-view piggyback before Start.
-func (t *Transport) SetViewExchange(v substrate.ViewExchange) {
-	if t.proc != nil {
-		panic("udpgm: SetViewExchange after Start")
-	}
-	t.view = v
+func (t *Transport) heartbeat(view []byte) []byte {
+	return (&msg.Message{Kind: msg.KHeartbeat, From: int32(t.Rank()),
+		ReplyTo: int32(t.Rank()), PageData: view}).Encode()
 }
 
-// ForgetPeer implements substrate.MemberControl: drop the departed
-// rank's duplicate-cache entries (a re-joining rank restarts its
-// sequence numbers) and resolve any calls still pending toward it as
-// abandoned, as if the liveness layer had declared it dead.
-func (t *Transport) ForgetPeer(peer int) {
-	// Mark the departed rank dead administratively (no recorded failure,
-	// no watchdog callback) so heartbeat ticks stop probing its closed
-	// port and retransmissions toward it never start.
-	if peer >= 0 && peer < len(t.dead) && peer != t.rank {
-		t.dead[peer] = true
+// Probe implements substrate.Wire: one heartbeat datagram on the request
+// path, from kernel context — no syscall is charged to the process.
+func (t *Transport) Probe(peer int) bool {
+	data := t.hbData
+	if t.View != nil {
+		// The membership view changes over the run, so the heartbeat is
+		// re-encoded each tick with the current view in PageData. A nil
+		// view keeps the pre-encoded datagram bit-identical.
+		data = t.heartbeat(t.View.LocalView())
 	}
-	t.flowForget(peer)
-	t.dup.PurgeOrigin(int32(peer))
-	seqs := make([]uint32, 0, len(t.pending))
-	for seq, pc := range t.pending {
-		if pc.dst == peer {
-			seqs = append(seqs, seq)
-		}
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	now := t.proc.Sim().Now()
-	for _, seq := range seqs {
-		pc := t.pending[seq]
-		delete(t.pending, seq)
-		pc.done = true
-		pc.completed = now
-		t.stats.SendsAbandoned++
-	}
+	return t.stack.SendFromKernel(myrinet.NodeID(peer), reqPortBase+t.Rank(), data) == nil
 }
 
-// startLiveness arms the heartbeat clock (no-op with liveness disabled).
-func (t *Transport) startLiveness(p *sim.Proc) {
-	if !t.liveCfg.Enabled {
-		return
-	}
-	hb := &msg.Message{Kind: msg.KHeartbeat, From: int32(t.rank), ReplyTo: int32(t.rank)}
-	t.hbData = hb.Encode()
-	s := p.Sim()
-	now := s.Now()
-	for i := range t.lastHeard {
-		t.lastHeard[i] = now
-	}
-	s.After(t.liveCfg.Interval, t.livenessTick)
-}
-
-// livenessTick runs on the event clock: declare silent peers dead, probe
-// the live ones with a heartbeat datagram (kernel context — no syscall is
-// charged to the process), re-arm. The tick stops — which is exactly what
-// peers detect — once the owning process is done or the transport was
-// shut down or halted.
-func (t *Transport) livenessTick() {
-	if t.liveStopped || t.halted || t.proc.Done() {
-		return
-	}
-	s := t.proc.Sim()
-	now := s.Now()
-	deadline := t.liveCfg.Deadline()
-	for peer := 0; peer < t.size; peer++ {
-		if peer == t.rank || t.dead[peer] {
-			continue
-		}
-		if now-t.lastHeard[peer] > deadline {
-			t.declareDead(peer, "heartbeat-miss", 0)
-			continue
-		}
-		data := t.hbData
-		if t.view != nil {
-			// The membership view changes over the run, so the heartbeat is
-			// re-encoded each tick with the current view in PageData. A nil
-			// view keeps the pre-encoded datagram bit-identical.
-			hb := &msg.Message{Kind: msg.KHeartbeat, From: int32(t.rank),
-				ReplyTo: int32(t.rank), PageData: t.view.LocalView()}
-			data = hb.Encode()
-		}
-		if t.stack.SendFromKernel(myrinet.NodeID(peer), reqPortBase+t.rank, data) == nil {
-			t.stats.HeartbeatsSent++
-		}
-	}
-	s.After(t.liveCfg.Interval, t.livenessTick)
-}
-
-// heard refreshes a peer's last-heard clock (any datagram counts).
-func (t *Transport) heard(peer int) {
-	if peer < 0 || peer >= len(t.lastHeard) {
-		return
-	}
-	t.lastHeard[peer] = t.proc.Sim().Now()
-}
-
-// declareDead marks a peer dead (idempotently), records the typed
-// failure, and invokes the crash watchdog callback.
-func (t *Transport) declareDead(peer int, kind string, attempts int) {
-	if peer < 0 || peer >= len(t.dead) || peer == t.rank || t.dead[peer] {
-		return
-	}
-	t.dead[peer] = true
-	t.flowForget(peer)
-	t.stats.PeersDeclaredDead++
-	err := &substrate.PeerUnreachableError{Rank: t.rank, Peer: peer, Attempts: attempts, Kind: kind}
-	if t.failure == nil {
-		t.failure = err
-	}
-	s := t.proc.Sim()
-	if tr := s.Tracer(); tr != nil {
-		tr.Emit(trace.Event{T: int64(s.Now()), Layer: trace.LayerSubstrate,
-			Kind: "peer-dead:" + kind, Proc: -1, Peer: peer})
-		tr.Metrics().Counter(trace.LayerSubstrate, "peers.dead").Inc(1)
-	}
-	if t.onDead != nil {
-		t.onDead(peer, err)
-	}
-}
-
-// SetOnPeerDead implements substrate.CrashControl.
-func (t *Transport) SetOnPeerDead(fn func(peer int, err error)) { t.onDead = fn }
-
-// PeerFailure implements substrate.CrashControl.
-func (t *Transport) PeerFailure() *substrate.PeerUnreachableError { return t.failure }
+// PeerGone implements substrate.Wire. Nothing to release: the sockets
+// facing a dead peer stay bound so its late datagrams are drained, and a
+// collector always holds a retransmission deadline, so it needs no wake.
+func (t *Transport) PeerGone(peer int) {}
 
 // Halt implements substrate.CrashControl: crash teardown from scheduler
 // context. The heartbeat clock stops and every socket is force-closed so
@@ -336,37 +193,18 @@ func (t *Transport) PeerFailure() *substrate.PeerUnreachableError { return t.fai
 // the closed sockets are dropped by the kernel (DatagramsNoSock), exactly
 // as with a genuinely dead process.
 func (t *Transport) Halt() {
-	if t.halted {
+	if !t.Quiesce() {
 		return
 	}
-	t.halted = true
-	t.liveStopped = true
-	if t.flowCond != nil {
-		t.flowCond.Broadcast()
-	}
-	for _, sk := range t.reqIn {
-		if sk != nil {
-			sk.ForceClose()
-		}
-	}
-	for _, sk := range t.repIn {
-		if sk != nil {
-			sk.ForceClose()
-		}
+	for _, sk := range t.bound() {
+		sk.ForceClose()
 	}
 }
-
-// DisableAsync masks SIGIO delivery (TreadMarks' sigprocmask around
-// consistency-critical sections).
-func (t *Transport) DisableAsync(p *sim.Proc) { p.DisableInterrupts() }
-
-// EnableAsync unmasks SIGIO; queued signals are serviced immediately.
-func (t *Transport) EnableAsync(p *sim.Proc) { p.EnableInterrupts() }
 
 // onSIGIO is the signal handler: pay signal delivery, then drain every
 // readable request socket.
 func (t *Transport) onSIGIO(p *sim.Proc, payload any) {
-	t.stats.AsyncWakeups++
+	t.Stats().AsyncWakeups++
 	sigStart := p.Now()
 	p.Advance(t.stack.Params().SignalDelivery)
 	start := p.Now()
@@ -384,423 +222,122 @@ func (t *Transport) onSIGIO(p *sim.Proc, payload any) {
 			t.dispatchRequest(p, t.reqBuf[:n], aux)
 		}
 	}
-	t.stats.RequestService += p.Now() - start
+	t.Stats().RequestService += p.Now() - start
 	if tr := p.Sim().Tracer(); tr != nil {
 		tr.Emit(trace.Event{T: int64(sigStart), Dur: int64(p.Now() - sigStart),
 			Layer: trace.LayerSubstrate, Kind: "sigio-service", Proc: p.ID(), Peer: -1})
 	}
 }
 
-// dispatchRequest decodes and runs one incoming request through the
+// dispatchRequest decodes one incoming request datagram, intercepts the
+// transport-internal kinds, and runs the rest through the core's
 // duplicate filter and the DSM handler.
 func (t *Transport) dispatchRequest(p *sim.Proc, raw, aux []byte) {
 	p.Advance(t.cfg.DispatchCost)
 	m, err := msg.Decode(raw)
 	if err != nil {
-		panic(fmt.Sprintf("udpgm: corrupt request on node %d: %v", t.rank, err))
+		panic(fmt.Sprintf("udpgm: corrupt request on node %d: %v", t.Rank(), err))
 	}
-	t.heard(int(m.From))
-	if m.Kind == msg.KHeartbeat {
+	t.Live.Heard(int(m.From))
+	switch m.Kind {
+	case msg.KHeartbeat:
 		// Liveness probe: the arrival already refreshed the sender's
 		// last-heard clock. Intercepted before the duplicate filter (all
 		// heartbeats share Seq 0) and never handed to the DSM handler. With
 		// a view exchange attached, the probe carries the peer's membership
 		// view in PageData.
-		if t.view != nil && len(m.PageData) > 0 {
-			t.view.OnPeerView(int(m.From), m.PageData)
+		if t.View != nil && len(m.PageData) > 0 {
+			t.View.OnPeerView(int(m.From), m.PageData)
 		}
 		return
-	}
-	if m.Kind == msg.KCredit {
+	case msg.KCredit:
 		// Credit return: the peer drained Page bytes of requests we sent it.
-		// Intercepted before the duplicate filter (credits share Seq 0) and
-		// never handed to the DSM handler; without flow control enabled no
-		// peer emits these, so the branch is dead on the stock wire.
-		t.stats.CreditReturnsRecvd++
-		t.flowRelease(int(m.From), int(m.Page))
+		// Intercepted like heartbeats (credits share Seq 0); without flow
+		// control enabled no peer emits these, so the branch is dead on the
+		// stock wire.
+		t.Stats().CreditReturnsRecvd++
+		t.credits.Release(int(m.From), 0, int(m.Page))
 		return
 	}
-	if t.flowOn {
+	if t.credits != nil {
 		// Every drained request datagram freed its bytes in our socket
 		// buffer; return them to the sender's window.
 		t.sendCredit(p, int(m.From), len(raw))
 	}
-	if cz := p.Sim().Causal(); cz != nil {
-		// Arrival before the duplicate filter: retransmitted copies carry
-		// the same span, so Arrive stays idempotent across the resends.
-		m.Ctx = trace.DecodeCtx(aux)
-		cz.Arrive(m.Ctx, p.ID(), int64(p.Now()))
+	if e := t.Admit(p, m, aux, len(raw)); e != nil {
+		t.AnswerDup(p, m, e)
+	} else {
+		t.Serve(p, m, len(raw))
 	}
-	t.stats.RequestsRecvd++
-	t.stats.BytesRecvd += int64(len(raw))
-	key := substrate.DupKey{Origin: m.ReplyTo, Seq: m.Seq}
-	if e, seen := t.dup.Lookup(key); seen {
-		t.stats.DupRequests++
-		if e.Done {
-			// Re-send the cached reply: the original likely got lost.
-			t.send(p, e.To, repPortBase+t.rank, e.Reply, e.ReplyAux)
-		} else if e.ForwardedTo >= 0 {
-			// The forward (or everything downstream) may have been lost;
-			// relay again. Downstream duplicate filters absorb extras.
-			t.stats.ForwardsSent++
-			t.send(p, e.ForwardedTo, reqPortBase+t.rank, m.Encode(), e.FwdAux)
-		}
+}
+
+// sendCredit ships the credit return for a drained request datagram of n
+// bytes back to its sender — a msg.KCredit whose Page carries the freed
+// byte count — on the request path, so the peer's SIGIO dispatcher
+// intercepts it even while parked.
+func (t *Transport) sendCredit(p *sim.Proc, peer, n int) {
+	if peer < 0 || peer >= t.Size() || peer == t.Rank() || t.Live.Dead(peer) {
 		return
 	}
-	t.dup.Insert(key)
-	if tr := p.Sim().Tracer(); tr != nil {
-		start := p.Now()
-		t.handler(p, m)
-		tr.Emit(trace.Event{T: int64(start), Dur: int64(p.Now() - start),
-			Layer: trace.LayerSubstrate, Kind: "serve:" + m.Kind.String(),
-			Proc: p.ID(), Peer: int(m.From), Bytes: len(raw)})
-		return
-	}
-	t.handler(p, m)
+	cr := &msg.Message{Kind: msg.KCredit, From: int32(t.Rank()),
+		ReplyTo: int32(t.Rank()), Page: int32(n)}
+	t.send(p, peer, reqPortBase+t.Rank(), cr.Encode(), nil)
+	t.Stats().CreditReturnsSent++
 }
 
-// pendingCall is one outstanding request awaiting its reply, with its
-// own retransmission clock (substrate.Pending).
-type pendingCall struct {
-	dst       int
-	seq       uint32
-	kind      msg.Kind
-	data      []byte // encoded request, kept for retransmission
-	aux       []byte // causal-context metadata, resent with every retransmit
-	reply     *msg.Message
-	done      bool
-	issued    sim.Time
-	completed sim.Time
-	attempts  int      // retransmissions so far
-	rto       sim.Time // current backoff interval
-	deadline  sim.Time // next retransmit time
-
-	// hedgePending marks a call whose next deadline is the hedge deadline
-	// (earlier than rto): on expiry the request is re-issued once without
-	// consuming a retry attempt, then the normal retransmission clock
-	// resumes from the original issue time.
-	hedgePending bool
-}
-
-func (pc *pendingCall) Dst() int            { return pc.dst }
-func (pc *pendingCall) Seq() uint32         { return pc.seq }
-func (pc *pendingCall) Done() bool          { return pc.done }
-func (pc *pendingCall) Reply() *msg.Message { return pc.reply }
-func (pc *pendingCall) Issued() sim.Time    { return pc.issued }
-func (pc *pendingCall) Completed() sim.Time { return pc.completed }
-
-// Call implements substrate.Transport.
-func (t *Transport) Call(p *sim.Proc, dst int, req *msg.Message) *msg.Message {
-	pc := t.CallBegin(p, dst, req)
-	return t.Collect(p, []substrate.Pending{pc})[0]
-}
-
-// CallBegin implements substrate.Transport: encode, send, and register
-// the outstanding call with its retransmission clock armed; Collect does
-// the waiting.
-func (t *Transport) CallBegin(p *sim.Proc, dst int, req *msg.Message) substrate.Pending {
-	if dst == t.rank {
-		panic("udpgm: Call to self")
-	}
-	t.seq++
-	req.Seq = t.seq
-	req.From = int32(t.rank)
-	req.ReplyTo = int32(t.rank)
-	pc := &pendingCall{
-		dst:    dst,
-		seq:    req.Seq,
-		kind:   req.Kind,
-		data:   req.Encode(),
-		issued: p.Now(),
-		rto:    t.cfg.RetransmitInitial,
-	}
-	pc.aux = t.reqEdge(p, dst, req, len(pc.data))
-	t.pending[pc.seq] = pc
-	if t.dead[dst] {
-		t.giveUpPending(p, pc, "peer-dead", 0)
-		return pc
-	}
-	t.flowAcquire(p, dst, len(pc.data))
-	t.stats.RequestsSent++
-	t.stats.BytesSent += int64(len(pc.data))
-	t.send(p, dst, reqPortBase+t.rank, pc.data, pc.aux)
-	pc.deadline = p.Now() + pc.rto
-	if t.hedgeOn {
-		// Hedge only when the latency-derived deadline undercuts the
-		// retransmission clock; otherwise the normal rto path is already
-		// the faster recovery.
-		if hd := t.hedgeDelay(); hd < pc.rto {
-			pc.hedgePending = true
-			pc.deadline = p.Now() + hd
-		}
-	}
-	return pc
-}
-
-// reqEdge records the send half of an outbound request in the causal DAG
-// and returns the encoded context the frame carries (nil with causal
-// tracing off). The parent is the request's explicit context when the
-// caller set one, otherwise the rank's mainline context.
-func (t *Transport) reqEdge(p *sim.Proc, dst int, req *msg.Message, bytes int) []byte {
-	cz := p.Sim().Causal()
-	if cz == nil {
-		return nil
-	}
-	parent := req.Ctx.Span
-	if req.Ctx.Zero() {
-		parent = cz.Cur(t.rank).Span
-	}
-	ctx := cz.Edge("req:"+req.Kind.String(), t.rank, dst, p.ID(), parent, bytes, int64(p.Now()))
-	return trace.EncodeCtx(ctx)
-}
-
-// Collect implements substrate.Transport: select on the reply sockets
-// until every pending call resolves. Each pending keeps its own
-// retransmission deadline and exponential backoff, so a lost reply
-// retransmits only its own request while unrelated pendings ride out the
-// wait untouched.
-func (t *Transport) Collect(p *sim.Proc, pending []substrate.Pending) []*msg.Message {
-	for {
-		var earliest sim.Time
-		open := 0
-		for _, pd := range pending {
-			pc, ok := pd.(*pendingCall)
-			if !ok {
-				panic("udpgm: Collect of a foreign Pending")
-			}
-			if pc.done {
-				continue
-			}
-			if t.dead[pc.dst] {
-				t.giveUpPending(p, pc, "peer-dead", pc.attempts)
-				continue
-			}
-			if open == 0 || pc.deadline < earliest {
-				earliest = pc.deadline
-			}
-			open++
-		}
-		if open == 0 {
-			break
-		}
-		idx := sockets.Select(p, t.repSockets(), earliest)
-		if idx < 0 {
-			// Timeout: retransmit exactly the pendings whose deadline hit.
-			now := p.Now()
-			for _, pd := range pending {
-				pc := pd.(*pendingCall)
-				if pc.done || pc.deadline > now {
-					continue
-				}
-				if pc.hedgePending {
-					// Straggler past the hedge deadline: re-issue once (the
-					// duplicate cache answers both copies idempotently) and
-					// fall back to the normal retransmission clock, anchored
-					// at the original issue time so the hedge never delays
-					// the real retransmit.
-					pc.hedgePending = false
-					t.stats.HedgedRequests++
-					if tr := p.Sim().Tracer(); tr != nil {
-						tr.Emit(trace.Event{T: int64(now), Layer: trace.LayerSubstrate,
-							Kind: "hedge:" + pc.kind.String(), Proc: p.ID(), Peer: pc.dst, Bytes: len(pc.data)})
-						tr.Metrics().Counter(trace.LayerSubstrate, "hedged.requests").Inc(1)
-					}
-					t.stats.RequestsSent++
-					t.stats.BytesSent += int64(len(pc.data))
-					t.send(p, pc.dst, reqPortBase+t.rank, pc.data, pc.aux)
-					pc.deadline = pc.issued + pc.rto
-					if pc.deadline <= now {
-						pc.deadline = now + pc.rto
-					}
-					continue
-				}
-				if pc.attempts >= t.cfg.MaxRetries {
-					t.giveUpPending(p, pc, "retry-exhausted", t.cfg.MaxRetries+1)
-					continue
-				}
-				pc.attempts++
-				t.stats.Retransmits++
-				if tr := p.Sim().Tracer(); tr != nil {
-					tr.Emit(trace.Event{T: int64(p.Now()), Layer: trace.LayerSubstrate,
-						Kind: "retransmit", Proc: p.ID(), Peer: pc.dst, Bytes: len(pc.data)})
-					tr.Metrics().Counter(trace.LayerSubstrate, "retransmits").Inc(0)
-				}
-				t.stats.RequestsSent++
-				t.stats.BytesSent += int64(len(pc.data))
-				t.send(p, pc.dst, reqPortBase+t.rank, pc.data, pc.aux)
-				pc.rto = substrate.Backoff{Initial: t.cfg.RetransmitInitial, Max: t.cfg.RetransmitMax}.Delay(pc.attempts + 1)
-				pc.deadline = p.Now() + pc.rto
-			}
-			continue
-		}
-		m := t.recvReply(p, idx)
-		if m == nil {
-			continue
-		}
-		pc := t.pending[m.Seq]
-		if pc == nil {
-			// A reply for an already-consumed call (the request was
-			// retransmitted and both copies were answered).
-			t.stats.StaleReplies++
-			continue
-		}
-		delete(t.pending, m.Seq)
-		pc.done = true
-		pc.reply = m
-		pc.completed = p.Now()
-		if cz := p.Sim().Causal(); cz != nil && !m.Ctx.Zero() {
-			// The matched reply is what unblocks the mainline: requests the
-			// rank issues next are caused by it.
-			cz.SetCur(t.rank, m.Ctx)
-		}
-		t.stats.RepliesRecvd++
-		t.stats.ReplyWaitTime += pc.completed - pc.issued
-		if t.hedgeOn {
-			rtt := pc.completed - pc.issued
-			if t.hedgeEWMA == 0 {
-				t.hedgeEWMA = rtt
-			} else {
-				t.hedgeEWMA = (3*t.hedgeEWMA + rtt) / 4
-			}
-		}
-		if tr := p.Sim().Tracer(); tr != nil {
-			tr.Emit(trace.Event{T: int64(pc.issued), Dur: int64(pc.completed - pc.issued),
-				Layer: trace.LayerSubstrate, Kind: "call:" + pc.kind.String(),
-				Proc: p.ID(), Peer: pc.dst})
-		}
-	}
-	out := make([]*msg.Message, len(pending))
-	for i, pd := range pending {
-		out[i] = pd.(*pendingCall).reply
-	}
-	return out
-}
-
-// giveUpPending abandons one outstanding call permanently: the peer is
-// declared dead and the pending resolves to a nil reply so the DSM
-// watchdog can take over. Without a watchdog or liveness config nothing
-// above can handle the nil, so the historical fail-stop is preserved
-// verbatim.
-func (t *Transport) giveUpPending(p *sim.Proc, pc *pendingCall, kind string, attempts int) {
-	if t.onDead == nil && !t.liveCfg.Enabled {
-		panic(fmt.Sprintf("udpgm: node %d: no reply from %d for %v after %d attempts",
-			t.rank, pc.dst, pc.kind, t.cfg.MaxRetries+1))
-	}
-	delete(t.pending, pc.seq)
-	pc.done = true
-	pc.completed = p.Now()
-	t.stats.SendsAbandoned++
-	if tr := p.Sim().Tracer(); tr != nil {
-		tr.Emit(trace.Event{T: int64(p.Now()), Layer: trace.LayerSubstrate,
-			Kind: "send-abandoned:" + kind, Proc: p.ID(), Peer: pc.dst})
-		tr.Metrics().Counter(trace.LayerSubstrate, "sends.abandoned").Inc(1)
-	}
-	t.declareDead(pc.dst, kind, attempts)
-}
-
-// repSockets returns the live reply sockets (indexed compactly).
-func (t *Transport) repSockets() []*sockets.Socket {
-	socks := make([]*sockets.Socket, 0, t.size-1)
+// AwaitReply implements substrate.Wire: select on the reply sockets until
+// a reply datagram arrives or the earliest per-call deadline passes.
+func (t *Transport) AwaitReply(p *sim.Proc, deadline sim.Time) *msg.Message {
+	socks := make([]*sockets.Socket, 0, t.Size()-1)
 	for _, sk := range t.repIn {
 		if sk != nil {
 			socks = append(socks, sk)
 		}
 	}
-	return socks
-}
-
-// recvReply pulls one reply datagram from the idx-th live reply socket.
-func (t *Transport) recvReply(p *sim.Proc, idx int) *msg.Message {
-	socks := t.repSockets()
+	if deadline == 0 {
+		deadline = sim.Infinity
+	}
+	idx := sockets.Select(p, socks, deadline)
+	if idx < 0 {
+		return nil
+	}
 	n, _, _, aux, ok := socks[idx].TryRecvFromAux(p, t.repBuf)
 	if !ok {
 		return nil
 	}
-	t.stats.BytesRecvd += int64(n)
+	t.Stats().BytesRecvd += int64(n)
 	m, err := msg.Decode(t.repBuf[:n])
 	if err != nil {
-		panic(fmt.Sprintf("udpgm: corrupt reply on node %d: %v", t.rank, err))
+		panic(fmt.Sprintf("udpgm: corrupt reply on node %d: %v", t.Rank(), err))
 	}
 	if cz := p.Sim().Causal(); cz != nil {
 		m.Ctx = trace.DecodeCtx(aux)
 		cz.Arrive(m.Ctx, p.ID(), int64(p.Now()))
 	}
-	t.heard(int(m.From))
+	t.Live.Heard(int(m.From))
 	return m
 }
 
-// Reply implements substrate.Transport: answer req's originator and cache
-// the reply for duplicate-request resends.
-func (t *Transport) Reply(p *sim.Proc, req *msg.Message, rep *msg.Message) {
-	origin := int(req.ReplyTo)
-	rep.Seq = req.Seq
-	rep.From = int32(t.rank)
-	rep.ReplyTo = int32(t.rank)
-	data := rep.Encode()
-	var aux []byte
-	if cz := p.Sim().Causal(); cz != nil {
-		// A reply is caused by the request it answers, unless the handler
-		// set an explicit enabling cause (barrier releases: the true cause
-		// is the last arrival, not this rank's own early arrival).
-		parent := req.Ctx.Span
-		if !rep.Ctx.Zero() {
-			parent = rep.Ctx.Span
-		}
-		ctx := cz.Edge("rep:"+rep.Kind.String(), t.rank, origin, p.ID(),
-			parent, len(data), int64(p.Now()))
-		aux = trace.EncodeCtx(ctx)
+// Transmit implements substrate.Wire: requests go to the peer's request
+// socket for this rank, replies to its reply socket. Only a request's
+// first copy (a call or one-way send from the mainline) debits the credit
+// window, parking while the receiver drains earlier datagrams: one-way
+// datagrams share the buffer and an uncredited storm of them would be
+// lost with no retransmission clock to recover it, while retransmissions,
+// hedges and forwards ride debt-free — their copies are credited by the
+// receiver anyway (the window is clamped at the budget), and a forward is
+// sent from inside the SIGIO handler, where a credit return could not be
+// serviced.
+func (t *Transport) Transmit(p *sim.Proc, dst int, lane substrate.Lane, kind msg.Kind, body, aux []byte) {
+	port := reqPortBase + t.Rank()
+	switch lane {
+	case substrate.LaneRequest:
+		t.credits.Acquire(p, dst, 0, len(body), len(body))
+	case substrate.LaneReply:
+		port = repPortBase + t.Rank()
 	}
-	key := substrate.DupKey{Origin: req.ReplyTo, Seq: req.Seq}
-	e, ok := t.dup.Lookup(key)
-	if !ok {
-		e = t.dup.Insert(key)
-	}
-	e.Done = true
-	e.Reply = data
-	e.ReplyAux = aux
-	e.To = origin
-	t.stats.RepliesSent++
-	t.stats.BytesSent += int64(len(data))
-	t.send(p, origin, repPortBase+t.rank, data, aux)
-}
-
-// Forward implements substrate.Transport: relay req to dst preserving the
-// originator. The forward target is recorded so a duplicate of the same
-// request can re-trigger the relay if this one is lost.
-func (t *Transport) Forward(p *sim.Proc, dst int, req *msg.Message) {
-	req.From = int32(t.rank)
-	data := req.Encode()
-	var aux []byte
-	if cz := p.Sim().Causal(); cz != nil {
-		ctx := cz.Edge("fwd:"+req.Kind.String(), t.rank, dst, p.ID(),
-			req.Ctx.Span, len(data), int64(p.Now()))
-		aux = trace.EncodeCtx(ctx)
-	}
-	if e, ok := t.dup.Lookup(substrate.DupKey{Origin: req.ReplyTo, Seq: req.Seq}); ok {
-		e.ForwardedTo = dst
-		e.FwdAux = aux
-	}
-	t.stats.ForwardsSent++
-	t.stats.BytesSent += int64(len(data))
-	t.send(p, dst, reqPortBase+t.rank, data, aux)
-}
-
-// Send implements substrate.Transport: one-shot request, no reply.
-// One-way datagrams land in the same per-sender request socket buffer as
-// calls, so they draw on the same credit window — an uncredited one-way
-// storm could overflow the receiver and be lost with no retransmission
-// clock to recover it.
-func (t *Transport) Send(p *sim.Proc, dst int, req *msg.Message) {
-	t.seq++
-	req.Seq = t.seq
-	req.From = int32(t.rank)
-	req.ReplyTo = int32(t.rank)
-	data := req.Encode()
-	aux := t.reqEdge(p, dst, req, len(data))
-	t.flowAcquire(p, dst, len(data))
-	t.stats.RequestsSent++
-	t.stats.BytesSent += int64(len(data))
-	t.send(p, dst, reqPortBase+t.rank, data, aux)
+	t.Stats().BytesSent += int64(len(body))
+	t.send(p, dst, port, body, aux)
 }
 
 // send transmits raw bytes to (dst rank, dstPort) over any of our bound
@@ -812,10 +349,8 @@ func (t *Transport) send(p *sim.Proc, dst, dstPort int, data, aux []byte) {
 			"(too many consistency intervals in one exchange; coarsen the application's "+
 			"synchronization grain)", len(data), t.MaxData()))
 	}
-	var sk *sockets.Socket
-	if t.repIn[dst] != nil {
-		sk = t.repIn[dst]
-	} else if t.reqIn[dst] != nil {
+	sk := t.repIn[dst]
+	if sk == nil {
 		sk = t.reqIn[dst]
 	}
 	if sk == nil {
