@@ -61,7 +61,7 @@ func TestHedgeUnderChaosDeterminism(t *testing.T) {
 		cfg.Hedge.Enabled = true
 		cfg.Admission.Enabled = true
 	}
-	var hedged, stalls int64
+	var hedged, stalls, rdmaPuts, rdmaRetx int64
 	for _, app := range chaosApps() {
 		for _, kind := range AllTransports {
 			a, err := VerifiedRun(app, spec.Nodes, kind, mutate)
@@ -80,6 +80,10 @@ func TestHedgeUnderChaosDeterminism(t *testing.T) {
 			}
 			hedged += a.Transport.HedgedRequests
 			stalls += a.Transport.CreditStalls
+			if kind == tmk.TransportRDMAGM {
+				rdmaPuts += a.Transport.OneSidedPuts
+				rdmaRetx += a.Transport.Retransmits
+			}
 		}
 	}
 	if hedged == 0 {
@@ -87,6 +91,11 @@ func TestHedgeUnderChaosDeterminism(t *testing.T) {
 	}
 	if stalls == 0 {
 		t.Error("no credit stall anywhere in the chaos sweep; weak test")
+	}
+	// The home-based runs recover lost verbs from the waiting process (the
+	// core's wait loop), not from a timer: they must have exercised it.
+	if rdmaPuts == 0 || rdmaRetx == 0 {
+		t.Errorf("rdmagm runs posted %d puts and retransmitted %d frames; weak test", rdmaPuts, rdmaRetx)
 	}
 }
 

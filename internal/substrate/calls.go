@@ -6,27 +6,53 @@ import (
 	"repro/internal/trace"
 )
 
-// Call is one outstanding request awaiting its reply (Pending). The
-// table is keyed by seq alone: sequence numbers are unique per sender,
-// and must identify the call by themselves because a forwarded request is
-// answered by a third node, not the rank it was sent to.
+// Exchange describes one family of calls to the table. The core's own is
+// the two-sided request/reply call; a binding whose interconnect has
+// another acknowledged frame format (rdmagm's verbs) declares one more and
+// shares the table, the clock, the stale-answer count and the give-up rule.
+type Exchange struct {
+	// Await blocks for at most one arrival, resolves the call it answers,
+	// and reports whether there was one. It returns no later than deadline
+	// (0 = none) and whenever Wire.PeerGone wakes it.
+	Await func(p *sim.Proc, deadline sim.Time) bool
+	// Resend re-issues a call's kept frame from the waiting process without
+	// parking it (the waiter is also who drains the answers) and reports
+	// whether the frame left; a local stall spends no retry.
+	Resend func(p *sim.Proc, pc *Call) bool
+	// RTO is the user-level retransmission clock and MaxRetries its budget;
+	// the zero Backoff means the wire recovers losses below the core.
+	RTO        Backoff
+	MaxRetries int
+	// Grace, when set, makes silence corroborate exhaustion: a spent budget
+	// against a peer heard within Grace is congestion, not death, and is
+	// extended at the maximum backoff until the peer falls silent.
+	Grace sim.Time
+}
+
+// Call is one outstanding exchange awaiting its answer (Pending,
+// PendingVerb). The table is keyed by seq alone: sequence numbers are
+// unique per sender, and must identify the call by themselves because a
+// forwarded request is answered by a third node, not the rank it was sent
+// to.
 type Call struct {
+	x         *Exchange
 	dst       int
 	seq       uint32
 	kind      msg.Kind
-	reply     *msg.Message
 	done      bool
+	hedge     bool
+	reply     *msg.Message
+	data      []byte // opaque completion payload (a Get's bytes)
+	err       error  // typed failure; nil on success and until done
 	issued    sim.Time
 	completed sim.Time
 
-	// Re-issue state. body/aux are kept only when a re-issue is possible
-	// (hedging on, or the binding runs a user-level RTO). deadline is the
-	// one per-call clock: the once-only hedge while hedge is set, the
-	// retransmission timeout otherwise; 0 = none.
+	// Re-issue state: the encoded frame, and the one per-call clock — the
+	// once-only hedge while hedge is set, the retransmission timeout
+	// otherwise; 0 = none.
 	body     []byte
 	aux      []byte
 	deadline sim.Time
-	hedge    bool
 	attempts int // retransmissions so far
 }
 
@@ -34,43 +60,66 @@ func (pc *Call) Dst() int            { return pc.dst }
 func (pc *Call) Seq() uint32         { return pc.seq }
 func (pc *Call) Done() bool          { return pc.done }
 func (pc *Call) Reply() *msg.Message { return pc.reply }
+func (pc *Call) Data() []byte        { return pc.data }
+func (pc *Call) Err() error          { return pc.err }
 func (pc *Call) Issued() sim.Time    { return pc.issued }
 func (pc *Call) Completed() sim.Time { return pc.completed }
+
+// Frame returns the kept encoded frame and its causal metadata.
+func (pc *Call) Frame() (body, aux []byte) { return pc.body, pc.aux }
+
+// Arm starts the retransmission clock; call it once the first copy has
+// actually been staged (the transmit may have parked on credits).
+func (pc *Call) Arm(now sim.Time) {
+	if rto := pc.x.RTO.Initial; rto > 0 {
+		pc.deadline = now + rto
+	}
+}
 
 // Call implements Transport.
 func (c *Core) Call(p *sim.Proc, dst int, req *msg.Message) *msg.Message {
 	return c.Collect(p, []Pending{c.CallBegin(p, dst, req)})[0]
 }
 
+// NextSeq allocates the sequence number of the next outbound exchange.
+func (c *Core) NextSeq() uint32 {
+	c.seq++
+	return c.seq
+}
+
+// Open registers one outstanding call of family x under seq, keeping
+// body/aux for re-issue; the caller transmits the first copy and Arms
+// it. A call toward a peer already declared dead resolves at once and
+// must not be transmitted.
+func (c *Core) Open(p *sim.Proc, x *Exchange, dst int, seq uint32, body, aux []byte) *Call {
+	pc := &Call{x: x, dst: dst, seq: seq, body: body, aux: aux, issued: p.Now()}
+	c.pending[seq] = pc
+	if c.Live.Dead(dst) {
+		c.giveUp(p, pc, "peer-dead", 0)
+	}
+	return pc
+}
+
 // CallBegin implements Transport: transmit the request and register the
-// outstanding call with its clock armed; Collect does the waiting. A call
-// toward a peer already declared dead resolves at once, untransmitted.
+// outstanding call with its clock armed; Collect does the waiting.
 func (c *Core) CallBegin(p *sim.Proc, dst int, req *msg.Message) Pending {
 	if dst == c.rank {
 		panic("substrate: Call to self")
 	}
 	body, aux := c.stamp(p, dst, req)
-	pc := &Call{dst: dst, seq: req.Seq, kind: req.Kind, issued: p.Now()}
-	c.pending[pc.seq] = pc
-	if c.Live.Dead(dst) {
-		c.giveUp(p, pc, "peer-dead", 0)
+	pc := c.Open(p, &c.calls, dst, req.Seq, body, aux)
+	pc.kind = req.Kind
+	if pc.done {
 		return pc
-	}
-	if c.hedge.Enabled || c.rto.Initial > 0 {
-		pc.body, pc.aux = body, aux
 	}
 	c.stats.RequestsSent++
 	c.wire.Transmit(p, dst, LaneRequest, req.Kind, body, aux)
-	// The clock starts once the transmit (which may park on credits) has
-	// actually staged the frame. Hedge only when the latency-derived
-	// deadline undercuts the retransmission clock; otherwise the RTO is
-	// already the faster recovery.
-	rto := c.rto.Initial
-	if rto > 0 {
-		pc.deadline = p.Now() + rto
-	}
+	pc.Arm(p.Now())
 	if c.hedge.Enabled {
-		if hd := c.hedgeDelay(); rto == 0 || hd < rto {
+		// Hedge only when the latency-derived deadline undercuts the
+		// retransmission clock; otherwise the RTO is already the faster
+		// recovery.
+		if hd := c.hedgeDelay(); pc.deadline == 0 || p.Now()+hd < pc.deadline {
 			pc.hedge, pc.deadline = true, p.Now()+hd
 		}
 	}
@@ -85,37 +134,9 @@ func (c *Core) hedgeDelay() sim.Time {
 }
 
 // Collect implements Transport: wait on the binding's reply channel until
-// every pending call resolves, matching replies in arrival order. Each
-// call keeps its own deadline, so a lost reply re-issues only its own
-// request while unrelated calls ride out the wait untouched.
+// every pending call resolves, matching replies in arrival order.
 func (c *Core) Collect(p *sim.Proc, pending []Pending) []*msg.Message {
-	for {
-		open, deadline := 0, sim.Time(0)
-		for _, pd := range pending {
-			pc, ok := pd.(*Call)
-			if !ok {
-				panic("substrate: Collect of a foreign Pending")
-			}
-			if pc.done {
-				continue
-			}
-			if c.Live.Dead(pc.dst) {
-				c.giveUp(p, pc, "peer-dead", pc.attempts)
-				continue
-			}
-			if pc.deadline != 0 && (deadline == 0 || pc.deadline < deadline) {
-				deadline = pc.deadline
-			}
-			open++
-		}
-		if open == 0 {
-			break
-		}
-		if m := c.wire.AwaitReply(p, deadline); m != nil {
-			c.match(p, m)
-		} else {
-			c.reissueDue(p, pending)
-		}
+	for Step(c, p, pending) > 0 {
 	}
 	out := make([]*msg.Message, len(pending))
 	for i, pd := range pending {
@@ -124,21 +145,64 @@ func (c *Core) Collect(p *sim.Proc, pending []Pending) []*msg.Message {
 	return out
 }
 
+// Step is one turn of the one wait loop, over the calls hs of one family:
+// if any is still open it waits for one arrival or the earliest deadline,
+// then re-issues exactly the calls whose deadline has hit — each keeps its
+// own, so a lost answer re-issues only its own frame while unrelated calls
+// ride out the wait untouched. It reports how many calls were open: loop
+// until zero, or until the resource the caller is short of frees up.
+func Step[H any](c *Core, p *sim.Proc, hs []H) int {
+	var x *Exchange
+	open, deadline := 0, sim.Time(0)
+	for _, h := range hs {
+		pc, ok := any(h).(*Call)
+		if !ok {
+			panic("substrate: wait on a foreign handle")
+		}
+		if pc.done {
+			continue
+		}
+		if pc.deadline != 0 && (deadline == 0 || pc.deadline < deadline) {
+			deadline = pc.deadline
+		}
+		x = pc.x
+		open++
+	}
+	if open == 0 || x.Await(p, deadline) {
+		return open
+	}
+	now := p.Now()
+	for _, h := range hs {
+		if pc := any(h).(*Call); !pc.done && pc.deadline != 0 && pc.deadline <= now {
+			c.reissue(p, pc, now)
+		}
+	}
+	return open
+}
+
+// Lookup returns the open call of family x that an answer carrying seq
+// resolves. With none — its frame was re-issued (hedge, RTO, GM-level
+// redelivery) and both copies were answered — the answer is counted stale.
+func (c *Core) Lookup(p *sim.Proc, x *Exchange, seq uint32, from int) *Call {
+	if pc := c.pending[seq]; pc != nil && pc.x == x {
+		return pc
+	}
+	c.stats.StaleReplies++
+	if tr := p.Sim().Tracer(); tr != nil {
+		emit(tr, trace.Event{T: int64(p.Now()), Kind: "stale-reply",
+			Proc: p.ID(), Peer: from}, "stale.replies", 1)
+	}
+	return nil
+}
+
 // match resolves the call a reply answers.
 func (c *Core) match(p *sim.Proc, m *msg.Message) {
-	pc := c.pending[m.Seq]
-	tr := p.Sim().Tracer()
+	pc := c.Lookup(p, &c.calls, m.Seq, int(m.From))
 	if pc == nil {
-		// A reply for an already-consumed call: the request was re-issued
-		// (hedge, RTO, GM-level redelivery) and both copies were answered.
-		c.stats.StaleReplies++
-		if tr != nil {
-			emit(tr, trace.Event{T: int64(p.Now()), Kind: "stale-reply",
-				Proc: p.ID(), Peer: int(m.From)}, "stale.replies", 1)
-		}
 		return
 	}
-	c.resolve(pc, m, p.Now())
+	pc.reply = m
+	c.Complete(pc, nil, nil)
 	if cz := p.Sim().Causal(); cz != nil && !m.Ctx.Zero() {
 		// The matched reply is what unblocks the mainline: requests the
 		// rank issues next are caused by it.
@@ -154,24 +218,25 @@ func (c *Core) match(p *sim.Proc, m *msg.Message) {
 			c.hedgeEWMA = (3*c.hedgeEWMA + rtt) / 4
 		}
 	}
-	if tr != nil {
+	if tr := p.Sim().Tracer(); tr != nil {
 		emit(tr, trace.Event{T: int64(pc.issued), Dur: int64(rtt),
 			Kind: "call:" + pc.kind.String(), Proc: p.ID(), Peer: pc.dst}, "", 0)
 	}
 }
 
-// resolve retires a call with its reply (nil = abandoned).
-func (c *Core) resolve(pc *Call, reply *msg.Message, now sim.Time) {
+// Complete retires a call with its outcome: the reply already attached, a
+// binding's own payload, or the typed failure.
+func (c *Core) Complete(pc *Call, data []byte, err error) {
 	delete(c.pending, pc.seq)
-	pc.done, pc.reply, pc.completed = true, reply, now
+	pc.data, pc.err, pc.done, pc.completed = data, err, true, c.proc.Sim().Now()
 }
 
-// giveUp abandons one outstanding call permanently: it resolves to a nil
-// reply and its peer is declared dead (idempotently), so everything else
-// queued toward the peer gives up too and the typed failure is recorded
-// for the caller to surface.
+// giveUp abandons one outstanding call permanently and declares its peer
+// dead (idempotently), which resolves everything else open toward the
+// peer the same way and records the typed failure for the caller to
+// surface.
 func (c *Core) giveUp(p *sim.Proc, pc *Call, kind string, attempts int) {
-	c.resolve(pc, nil, p.Now())
+	c.Complete(pc, nil, &PeerUnreachableError{Rank: c.rank, Peer: pc.dst, Attempts: attempts, Kind: kind})
 	c.stats.SendsAbandoned++
 	if tr := p.Sim().Tracer(); tr != nil {
 		emit(tr, trace.Event{T: int64(p.Now()), Kind: "send-abandoned:" + kind,
@@ -180,49 +245,45 @@ func (c *Core) giveUp(p *sim.Proc, pc *Call, kind string, attempts int) {
 	c.Live.DeclareDead(pc.dst, kind, attempts)
 }
 
-// reissueDue re-sends exactly the calls whose deadline has hit. A hedge
-// fires at most once per call and consumes no retry attempt: the
-// duplicate is safe end to end (receivers deduplicate on (origin, seq) and
-// resend the cached reply; whichever reply loses the race is absorbed as
-// a StaleReply), and the retransmission clock resumes anchored at the
-// original issue time so the hedge never delays the real retransmit.
-func (c *Core) reissueDue(p *sim.Proc, pending []Pending) {
-	now := p.Now()
-	for _, pd := range pending {
-		pc := pd.(*Call)
-		if pc.done || pc.deadline == 0 || pc.deadline > now {
-			continue
+// reissue re-sends one call whose deadline has hit. A hedge fires at most
+// once per call and consumes no retry attempt: the duplicate is safe end
+// to end (receivers deduplicate on (origin, seq) and resend the cached
+// reply; whichever reply loses the race is absorbed as a StaleReply), and
+// the retransmission clock resumes anchored at the original issue time so
+// the hedge never delays the real retransmit.
+func (c *Core) reissue(p *sim.Proc, pc *Call, now sim.Time) {
+	x, tr := pc.x, p.Sim().Tracer()
+	switch {
+	case pc.hedge:
+		c.stats.HedgedRequests++
+		if tr != nil {
+			emit(tr, trace.Event{T: int64(now), Kind: "hedge:" + pc.kind.String(),
+				Proc: p.ID(), Peer: pc.dst, Bytes: len(pc.body)}, "hedged.requests", 1)
 		}
-		tr := p.Sim().Tracer()
-		if pc.hedge {
-			c.stats.HedgedRequests++
-			if tr != nil {
-				emit(tr, trace.Event{T: int64(now), Kind: "hedge:" + pc.kind.String(),
-					Proc: p.ID(), Peer: pc.dst, Bytes: len(pc.body)}, "hedged.requests", 1)
-			}
-		} else if pc.attempts >= c.maxRetries {
-			c.giveUp(p, pc, "retry-exhausted", pc.attempts+1)
-			continue
-		} else {
-			pc.attempts++
-			c.stats.Retransmits++
-			if tr != nil {
-				emit(tr, trace.Event{T: int64(p.Now()), Kind: "retransmit",
-					Proc: p.ID(), Peer: pc.dst, Bytes: len(pc.body)}, "retransmits", 0)
-			}
-		}
-		c.stats.RequestsSent++
-		c.wire.Transmit(p, pc.dst, LaneRelay, pc.kind, pc.body, pc.aux)
-		switch {
-		case c.rto.Initial == 0:
-			pc.deadline = 0
-		case pc.hedge:
-			if pc.deadline = pc.issued + c.rto.Initial; pc.deadline <= now {
-				pc.deadline = now + c.rto.Initial
-			}
-		default:
-			pc.deadline = p.Now() + c.rto.Delay(pc.attempts+1)
-		}
-		pc.hedge = false
+	case pc.attempts < x.MaxRetries:
+	case x.Grace > 0 && c.Live.HeardWithin(pc.dst, x.Grace):
+		c.stats.RetryExtensions++
+	default:
+		c.giveUp(p, pc, "retry-exhausted", pc.attempts+1)
+		return
 	}
+	if t0 := p.Now(); x.Resend(p, pc) && !pc.hedge {
+		pc.attempts = min(pc.attempts+1, x.MaxRetries)
+		c.stats.Retransmits++
+		if tr != nil {
+			emit(tr, trace.Event{T: int64(t0), Kind: "retransmit",
+				Proc: p.ID(), Peer: pc.dst, Bytes: len(pc.body)}, "retransmits", 0)
+		}
+	}
+	switch {
+	case x.RTO.Initial == 0:
+		pc.deadline = 0
+	case pc.hedge:
+		if pc.deadline = pc.issued + x.RTO.Initial; pc.deadline <= now {
+			pc.deadline = now + x.RTO.Initial
+		}
+	default:
+		pc.deadline = p.Now() + x.RTO.Delay(pc.attempts+1)
+	}
+	pc.hedge = false
 }

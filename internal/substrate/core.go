@@ -41,9 +41,10 @@ type Wire interface {
 }
 
 // Core is the protocol half of a substrate, written once: sequence
-// numbers and the pending-call table, the hedge/retransmission clock,
-// the (origin, seq) duplicate filter with its cached replies, causal
-// edge stamping, peer liveness, and the membership purge. A binding
+// numbers and the table of outstanding calls (requests, and any other
+// acknowledged exchange a binding declares), the hedge/retransmission
+// clock, the (origin, seq) duplicate filter with its cached replies,
+// causal edge stamping, peer liveness, and the membership purge. A binding
 // embeds it, implements Wire, and keeps only what its interconnect is.
 type Core struct {
 	wire    Wire
@@ -62,12 +63,11 @@ type Core struct {
 	dup     *DupCache
 	credits []*Credits
 
-	seq        uint32
-	pending    map[uint32]*Call
-	rto        Backoff
-	maxRetries int
-	hedge      HedgeConfig // normalized; Enabled as configured
-	hedgeEWMA  sim.Time
+	seq       uint32
+	pending   map[uint32]*Call
+	calls     Exchange    // the two-sided request/reply family
+	hedge     HedgeConfig // normalized; Enabled as configured
+	hedgeEWMA sim.Time
 }
 
 // Init prepares the core of process rank of size for the binding w. rto
@@ -79,10 +79,26 @@ func (c *Core) Init(w Wire, rank, size int, live LivenessConfig, hedge HedgeConf
 	c.wire, c.rank, c.size = w, rank, size
 	c.dup = NewDupCache(dupCacheSize)
 	c.pending = make(map[uint32]*Call)
-	c.rto, c.maxRetries = rto, maxRetries
+	c.calls = Exchange{RTO: rto, MaxRetries: maxRetries,
+		Await: func(p *sim.Proc, deadline sim.Time) bool {
+			m := c.wire.AwaitReply(p, deadline)
+			if m != nil {
+				c.match(p, m)
+			}
+			return m != nil
+		},
+		Resend: func(p *sim.Proc, pc *Call) bool {
+			c.stats.RequestsSent++
+			c.wire.Transmit(p, pc.dst, LaneRelay, pc.kind, pc.body, pc.aux)
+			return true
+		}}
 	c.hedge = hedge.Norm()
 	c.Live.init(c, live)
 }
+
+// SetWire re-points the core at w: a binding layered on another (rdmagm on
+// fastgm) takes over the wire it extends.
+func (c *Core) SetWire(w Wire) { c.wire = w }
 
 // Attach records the owning process and request handler; a binding's
 // Start calls it first.
@@ -145,21 +161,24 @@ func (c *Core) PeerFailure() *PeerUnreachableError { return c.Live.failure }
 // administratively (no recorded failure, no callback — probes toward its
 // closed endpoint stop), its credits are restored, duplicate-cache
 // entries keyed by its origin are dropped (a re-joining rank restarts its
-// sequence numbers), and calls still pending toward it resolve as
+// sequence numbers), and calls still open toward it resolve as
 // abandoned, exactly as if the liveness layer had declared it dead.
 func (c *Core) ForgetPeer(peer int) {
 	c.Live.MarkDeparted(peer)
 	c.dup.PurgeOrigin(int32(peer))
-	now := c.proc.Sim().Now()
-	for _, seq := range KeysWhere(c.pending, func(pc *Call) bool { return pc.dst == peer }) {
-		c.resolve(c.pending[seq], nil, now)
-		c.stats.SendsAbandoned++
-	}
-	c.peerGone(peer)
+	c.peerGone(&PeerUnreachableError{Rank: c.rank, Peer: peer, Kind: "member-departed"})
 }
 
-// peerGone is the cleanup shared by death and departure.
-func (c *Core) peerGone(peer int) {
+// peerGone is the cleanup shared by death and departure: every call of
+// every family still open toward the peer resolves with err, ascending
+// by seq, before credits are restored and the binding releases its own
+// state (which wakes whoever was waiting on those calls).
+func (c *Core) peerGone(err *PeerUnreachableError) {
+	peer := err.Peer
+	for _, seq := range KeysWhere(c.pending, func(pc *Call) bool { return pc.dst == peer }) {
+		c.Complete(c.pending[seq], nil, err)
+		c.stats.SendsAbandoned++
+	}
 	for _, cr := range c.credits {
 		cr.Reset(peer)
 	}
@@ -303,8 +322,7 @@ func (c *Core) Send(p *sim.Proc, dst int, req *msg.Message) {
 // its causal send edge. The parent is the request's explicit context when
 // the caller set one, otherwise the rank's mainline context.
 func (c *Core) stamp(p *sim.Proc, dst int, req *msg.Message) (body, aux []byte) {
-	c.seq++
-	req.Seq = c.seq
+	req.Seq = c.NextSeq()
 	req.From = int32(c.rank)
 	req.ReplyTo = int32(c.rank)
 	body = req.Encode()

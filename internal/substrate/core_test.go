@@ -1,6 +1,7 @@
 package substrate
 
 import (
+	"errors"
 	"slices"
 	"testing"
 
@@ -293,5 +294,149 @@ func TestRTOBacksOffThenGivesUp(t *testing.T) {
 	}
 	if pf := c.PeerFailure(); pf == nil || pf.Kind != "retry-exhausted" || pf.Attempts != 4 || !c.Live.Dead(1) {
 		t.Errorf("failure = %+v", pf)
+	}
+}
+
+// fakeVerbs is a second family of calls over the same core, the shape of
+// rdmagm's one-sided verbs: the answer to seq is a completion the test
+// queues, a re-issue is recorded, and nothing counts as a request or reply.
+type fakeVerbs struct {
+	c      *Core
+	x      Exchange
+	comps  []uint32
+	cond   *sim.Cond
+	resent []uint32
+}
+
+func newFakeVerbs(c *Core, rto Backoff, maxRetries int) *fakeVerbs {
+	v := &fakeVerbs{c: c, cond: sim.NewCond("fake:cq")}
+	v.x = Exchange{RTO: rto, MaxRetries: maxRetries,
+		Await: func(p *sim.Proc, deadline sim.Time) bool {
+			if len(v.comps) == 0 {
+				p.WaitOnUntil(v.cond, deadline)
+			}
+			if len(v.comps) == 0 {
+				return false // deadline, or PeerGone's kick
+			}
+			seq := v.comps[0]
+			v.comps = v.comps[1:]
+			if pc := c.Lookup(p, &v.x, seq, 1); pc != nil {
+				c.Complete(pc, []byte{byte(seq)}, nil)
+			}
+			return true
+		},
+		Resend: func(p *sim.Proc, pc *Call) bool { v.resent = append(v.resent, pc.Seq()); return true }}
+	return v
+}
+
+func (v *fakeVerbs) post(p *sim.Proc, dst int) *Call {
+	pc := v.c.Open(p, &v.x, dst, v.c.NextSeq(), []byte{0x11}, nil)
+	if !pc.Done() {
+		pc.Arm(p.Now())
+	}
+	return pc
+}
+
+// complete queues the completion for seq at time at; PeerGone wakes the
+// same wait, as a binding's would.
+func (v *fakeVerbs) complete(s *sim.Simulator, at sim.Time, seq uint32) {
+	s.At(at, func() { v.comps = append(v.comps, seq); v.cond.Broadcast() })
+}
+
+func waitAll(c *Core, p *sim.Proc, hs []*Call) {
+	for Step(c, p, hs) > 0 {
+	}
+}
+
+func TestExchangeLostCompletionReissuedResolvesOnce(t *testing.T) {
+	rto := Backoff{Initial: 10 * sim.Millisecond, Max: 40 * sim.Millisecond}
+	var v *fakeVerbs
+	c, w := runCore(t, coreArgs{Hedge: HedgeConfig{Enabled: true, MinDeadline: sim.Millisecond}},
+		func(p *sim.Proc, c *Core, w *fakeWire) {
+			v = newFakeVerbs(c, rto, 3)
+			pc := v.post(p, 1)
+			// The first completion is lost; the re-issue at 10ms is answered
+			// at 12ms, and so (late) is the original: one resolves, one is stale.
+			v.complete(p.Sim(), 12*sim.Millisecond, pc.Seq())
+			v.complete(p.Sim(), 12*sim.Millisecond, pc.Seq())
+			waitAll(c, p, []*Call{pc})
+			if !pc.Done() || pc.Err() != nil || !slices.Equal(pc.Data(), []byte{byte(pc.Seq())}) ||
+				pc.Completed() != 12*sim.Millisecond {
+				t.Errorf("verb resolved done=%v err=%v data=%v at %v", pc.Done(), pc.Err(), pc.Data(), pc.Completed())
+			}
+			other := v.post(p, 2) // drains the duplicate
+			v.complete(p.Sim(), 13*sim.Millisecond, other.Seq())
+			waitAll(c, p, []*Call{other})
+			if pc.Completed() != 12*sim.Millisecond || len(c.pending) != 0 {
+				t.Errorf("duplicate completion re-resolved the verb (completed %v, %d pending)", pc.Completed(), len(c.pending))
+			}
+		})
+	st := c.Stats()
+	if !slices.Equal(v.resent, []uint32{1}) || st.Retransmits != 1 || st.StaleReplies != 1 {
+		t.Errorf("resent=%v Retransmits=%d StaleReplies=%d, want one re-issue and one stale answer", v.resent, st.Retransmits, st.StaleReplies)
+	}
+	// A verb is not a request: never hedged (the hedge deadline of 1ms passed
+	// untouched), never on the two-sided wire, never in the call counters.
+	if st.HedgedRequests != 0 || st.RequestsSent != 0 || st.RepliesRecvd != 0 || st.ReplyWaitTime != 0 || len(w.sent) != 0 {
+		t.Errorf("verb leaked into two-sided accounting: %+v frames=%v", st, w.sent)
+	}
+	// Resolved means gone: the last event is the second completion, not a
+	// retransmission clock still armed behind it.
+	if now := c.Proc().Sim().Now(); now != 13*sim.Millisecond {
+		t.Errorf("simulation ran on to %v after the last completion at 13ms", now)
+	}
+}
+
+func TestExchangePeerGoneResolvesEveryFamily(t *testing.T) {
+	for _, forget := range []bool{false, true} {
+		var order []uint32
+		c, _ := runCore(t, coreArgs{}, func(p *sim.Proc, c *Core, w *fakeWire) {
+			v := newFakeVerbs(c, Backoff{Initial: sim.Second, Max: sim.Second}, 3)
+			w.cond = v.cond // PeerGone wakes the verb wait
+			var hs []*Call
+			for i := 0; i < 8; i++ { // verbs and two-sided calls interleaved, peers 1 and 2
+				hs = append(hs, v.post(p, 1+i%2))
+				c.CallBegin(p, 1+i%2, &msg.Message{Kind: msg.KPing})
+			}
+			p.Sim().After(sim.Millisecond, func() {
+				if forget {
+					c.ForgetPeer(1)
+				} else {
+					c.Live.DeclareDead(1, "heartbeat-miss", 0)
+				}
+				for _, seq := range KeysWhere(c.pending, func(*Call) bool { return true }) {
+					order = append(order, seq)
+				}
+			})
+			var toward1 []*Call
+			for _, pc := range hs {
+				if pc.Dst() == 1 {
+					toward1 = append(toward1, pc)
+				}
+			}
+			waitAll(c, p, toward1)
+			if p.Now() != sim.Millisecond {
+				t.Errorf("forget=%v: waiter woke at %v, want the declaration at 1ms", forget, p.Now())
+			}
+			var pue *PeerUnreachableError
+			for _, pc := range toward1 {
+				if !errors.As(pc.Err(), &pue) || pue.Peer != 1 || pc.Data() != nil {
+					t.Errorf("forget=%v: verb %d resolved with %v", forget, pc.Seq(), pc.Err())
+				}
+			}
+			for _, pc := range hs {
+				if pc.Dst() == 2 && pc.Done() {
+					t.Errorf("forget=%v: verb %d toward the live peer resolved", forget, pc.Seq())
+				}
+			}
+		})
+		// Everything toward peer 1 — four verbs, four calls — left the table
+		// in the one sweep; what is left is exactly peer 2's.
+		if want := []uint32{3, 4, 7, 8, 11, 12, 15, 16}; !slices.Equal(order, want) {
+			t.Errorf("forget=%v: still pending %v, want %v", forget, order, want)
+		}
+		if st := c.Stats(); st.SendsAbandoned != 8 || (c.PeerFailure() == nil) != forget {
+			t.Errorf("forget=%v: abandoned=%d failure=%+v", forget, st.SendsAbandoned, c.PeerFailure())
+		}
 	}
 }

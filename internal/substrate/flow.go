@@ -100,8 +100,8 @@ type Credits struct {
 	armed   [][]bool // optimistic refresh pending
 
 	// Park, when set, replaces parking on the ledger's condition variable
-	// (rdmagm reaps its completion queue: the wait is what returns credit).
-	Park func(p *sim.Proc)
+	// (rdmagm waits on its verbs toward dst: completions return the credit).
+	Park func(p *sim.Proc, dst int)
 }
 
 // NewCredits builds a ledger at full budget toward every peer and
@@ -147,7 +147,7 @@ func (cr *Credits) Acquire(p *sim.Proc, dst, lane, n, bytes int) {
 		}
 		start := p.Now()
 		if cr.Park != nil {
-			cr.Park(p)
+			cr.Park(p, dst)
 		} else {
 			cr.armRefresh(dst, lane)
 			p.WaitOn(cr.cond)

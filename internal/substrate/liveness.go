@@ -180,7 +180,7 @@ func (lv *Liveness) DeclareDead(peer int, kind string, attempts int) {
 		emit(tr, trace.Event{T: int64(s.Now()), Kind: "peer-dead:" + kind, Proc: -1, Peer: peer},
 			"peers.dead", 1)
 	}
-	c.peerGone(peer)
+	c.peerGone(err)
 	if lv.onDead != nil {
 		lv.onDead(peer, err)
 	}

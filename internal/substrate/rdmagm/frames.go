@@ -1,6 +1,9 @@
 package rdmagm
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // Wire framing for the one-sided ports. Verb descriptors travel to the
 // target's verb port; completion entries travel back to the initiator's
@@ -31,23 +34,6 @@ const verbHeaderLen = 21
 // tag(1) from(4) seq(4) op(1) status(1).
 const compHeaderLen = 11
 
-func put32(b []byte, v uint32) {
-	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-}
-
-func get32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func put64(b []byte, v uint64) {
-	put32(b, uint32(v))
-	put32(b[4:], uint32(v>>32))
-}
-
-func get64(b []byte) uint64 {
-	return uint64(get32(b)) | uint64(get32(b[4:]))<<32
-}
-
 // verbFrame is one decoded verb descriptor.
 type verbFrame struct {
 	op      byte
@@ -63,11 +49,11 @@ type verbFrame struct {
 // dst must have room (verbFrameLen).
 func encodeVerb(dst []byte, vf *verbFrame) int {
 	dst[0] = vf.op
-	put32(dst[1:], uint32(vf.origin))
-	put32(dst[5:], vf.seq)
-	put32(dst[9:], uint32(vf.window))
-	put32(dst[13:], uint32(vf.off))
-	put32(dst[17:], uint32(vf.length))
+	binary.LittleEndian.PutUint32(dst[1:], uint32(vf.origin))
+	binary.LittleEndian.PutUint32(dst[5:], vf.seq)
+	binary.LittleEndian.PutUint32(dst[9:], uint32(vf.window))
+	binary.LittleEndian.PutUint32(dst[13:], uint32(vf.off))
+	binary.LittleEndian.PutUint32(dst[17:], uint32(vf.length))
 	n := verbHeaderLen
 	if vf.op == frameVerbPut {
 		n += copy(dst[verbHeaderLen:], vf.payload)
@@ -90,11 +76,11 @@ func decodeVerb(data []byte) (*verbFrame, error) {
 	}
 	vf := &verbFrame{
 		op:     data[0],
-		origin: int32(get32(data[1:])),
-		seq:    get32(data[5:]),
-		window: int32(get32(data[9:])),
-		off:    int(int32(get32(data[13:]))),
-		length: int(int32(get32(data[17:]))),
+		origin: int32(binary.LittleEndian.Uint32(data[1:])),
+		seq:    binary.LittleEndian.Uint32(data[5:]),
+		window: int32(binary.LittleEndian.Uint32(data[9:])),
+		off:    int(int32(binary.LittleEndian.Uint32(data[13:]))),
+		length: int(int32(binary.LittleEndian.Uint32(data[17:]))),
 	}
 	if vf.length < 0 {
 		return nil, fmt.Errorf("rdmagm: verb with negative length %d", vf.length)
@@ -143,16 +129,16 @@ func encodeCompletion(from int32, vf *verbFrame, status byte, get []byte, size i
 	}
 	b := make([]byte, n)
 	b[0] = frameCompletion
-	put32(b[1:], uint32(from))
-	put32(b[5:], vf.seq)
+	binary.LittleEndian.PutUint32(b[1:], uint32(from))
+	binary.LittleEndian.PutUint32(b[5:], vf.seq)
 	b[9] = vf.op
 	b[10] = status
 	switch {
 	case status != compOK:
-		put32(b[compHeaderLen:], uint32(vf.window))
-		put32(b[compHeaderLen+4:], uint32(vf.off))
-		put32(b[compHeaderLen+8:], uint32(vf.length))
-		put64(b[compHeaderLen+12:], uint64(size))
+		binary.LittleEndian.PutUint32(b[compHeaderLen:], uint32(vf.window))
+		binary.LittleEndian.PutUint32(b[compHeaderLen+4:], uint32(vf.off))
+		binary.LittleEndian.PutUint32(b[compHeaderLen+8:], uint32(vf.length))
+		binary.LittleEndian.PutUint64(b[compHeaderLen+12:], uint64(size))
 	case vf.op == frameVerbGet:
 		copy(b[compHeaderLen:], get)
 	}
@@ -165,8 +151,8 @@ func decodeCompletion(data []byte) (*compFrame, error) {
 		return nil, fmt.Errorf("rdmagm: completion truncated (%d bytes)", len(data))
 	}
 	cf := &compFrame{
-		from:   int32(get32(data[1:])),
-		seq:    get32(data[5:]),
+		from:   int32(binary.LittleEndian.Uint32(data[1:])),
+		seq:    binary.LittleEndian.Uint32(data[5:]),
 		op:     data[9],
 		status: data[10],
 	}
@@ -176,10 +162,10 @@ func decodeCompletion(data []byte) (*compFrame, error) {
 		if len(body) != 4+4+4+8 {
 			return nil, fmt.Errorf("rdmagm: fault completion malformed")
 		}
-		cf.window = int32(get32(body))
-		cf.off = int(int32(get32(body[4:])))
-		cf.length = int(int32(get32(body[8:])))
-		cf.size = int64(get64(body[12:]))
+		cf.window = int32(binary.LittleEndian.Uint32(body))
+		cf.off = int(int32(binary.LittleEndian.Uint32(body[4:])))
+		cf.length = int(int32(binary.LittleEndian.Uint32(body[8:])))
+		cf.size = int64(binary.LittleEndian.Uint64(body[12:]))
 	case cf.status != compOK:
 		return nil, fmt.Errorf("rdmagm: unknown completion status %#x", cf.status)
 	case cf.op == frameVerbGet:

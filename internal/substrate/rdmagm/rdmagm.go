@@ -18,17 +18,20 @@
 //     asynchronous request delivery is masked — the hazard that makes
 //     fastgm panic on a masked Call cannot arise.
 //
-// The fault-recovery contract matches fastgm's: initiator-side verb
-// retransmission with exponential backoff (a lost completion is
-// recovered by re-posting the verb), a target-side (origin, seq)
-// duplicate filter that makes redelivery idempotent — a redelivered stale
-// Put must not overwrite a newer one; its cached completion is resent —
-// and give-ups that feed the shared liveness state, so chaos and crash
-// sweeps run unchanged.
+// A posted verb is an entry in the substrate core's call table, like a
+// two-sided request: the core allocates its sequence number and owns its
+// retransmission clock (run by whoever waits on it — a lost completion is
+// recovered by re-staging the kept descriptor), the stale-completion
+// count, dead-peer resolution and the give-up rule. What this package
+// adds is the interconnect: the frame codec, the firmware sink with its
+// target-side (origin, seq) duplicate filter — a redelivered stale Put
+// must not overwrite a newer one; its cached completion is resent — the
+// CQ wait, the QP send queues and the verb credit lane.
 package rdmagm
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/gm"
 	"repro/internal/myrinet"
@@ -73,40 +76,19 @@ type Transport struct {
 
 	vdup *substrate.DupCache // target-side duplicate-verb filter
 
-	verbs   map[uint32]*pendingVerb // seq → outstanding verb
-	qpDepth []int                   // per-dst outstanding verbs (QP send queue fill)
-	vseq    uint32
+	// verbs is the one-sided family in the core's call table: a posted verb
+	// is a substrate.Call answered by a CQ entry and re-issued by re-staging
+	// its kept descriptor. sq is the per-destination QP send queue — the
+	// verbs posted and not yet retired, in post order.
+	verbs substrate.Exchange
+	sq    [][]*substrate.Call
 
 	// credits is the verb flow window (nil with flow control off): one
 	// lane metered in outstanding verbs. A verb is only "done" once the
-	// target NIC serviced it, so the CQ completion is what carries the
-	// credit back, and the wait for one is reaping the CQ.
+	// target NIC serviced it, so the CQ completion carries the credit back
+	// and the wait for one is waiting on the verbs themselves.
 	credits *substrate.Credits
-
-	onDeadChain func(peer int, err error)
 }
-
-// pendingVerb is one outstanding one-sided verb (substrate.PendingVerb).
-type pendingVerb struct {
-	dst       int
-	seq       uint32
-	op        byte
-	frame     []byte // encoded descriptor, kept for retransmission
-	aux       []byte // causal-context metadata, resent with every retransmit
-	data      []byte // Get payload once resolved
-	err       error
-	done      bool
-	attempts  int
-	issued    sim.Time
-	completed sim.Time
-}
-
-func (pv *pendingVerb) Dst() int            { return pv.dst }
-func (pv *pendingVerb) Done() bool          { return pv.done }
-func (pv *pendingVerb) Err() error          { return pv.err }
-func (pv *pendingVerb) Data() []byte        { return pv.data }
-func (pv *pendingVerb) Issued() sim.Time    { return pv.issued }
-func (pv *pendingVerb) Completed() sim.Time { return pv.completed }
 
 // New creates the substrate for process rank of size on a GM node.
 func New(node *gm.Node, rank, size int, cfg Config) *Transport {
@@ -116,20 +98,26 @@ func New(node *gm.Node, rank, size int, cfg Config) *Transport {
 		rcfg:      cfg,
 		windows:   make(map[int32][]byte),
 		vdup:      substrate.NewDupCache(cfg.DupCacheSize),
-		verbs:     make(map[uint32]*pendingVerb),
-		qpDepth:   make([]int, size),
+		sq:        make([][]*substrate.Call, size),
 	}
+	t.SetWire(t)
+	// Under loss the target's completion channel can starve for seconds — a
+	// few lost frames pin its send buffers for GM's full resend timeout —
+	// while its two-sided traffic keeps arriving here: only silence for the
+	// grace window corroborates an exhausted verb budget.
+	grace := node.System().Params().ResendTimeout
+	if cfg.Fast.Liveness.Enabled {
+		grace = cfg.Fast.Liveness.Deadline()
+	}
+	t.verbs = substrate.Exchange{Await: t.reapOne,
+		RTO:        substrate.Backoff{Initial: cfg.VerbTimeout, Max: cfg.VerbTimeoutMax},
+		MaxRetries: cfg.MaxVerbRetries, Grace: grace,
+		Resend: func(p *sim.Proc, pc *substrate.Call) bool { return t.sendVerb(p, pc, false) }}
 	if t.credits = t.NewCredits(cfg.Fast.Flow, fmt.Sprintf("rdmagm:%d:credits", rank),
 		[]int{verbFlowWindow}, []int{1}); t.credits != nil {
-		t.credits.Park = t.reapOne
+		t.credits.Park = t.awaitSlot
 	}
 	return t
-}
-
-// MaxVerbPayload returns the largest Put payload (and Get length) one
-// verb carries.
-func (t *Transport) MaxVerbPayload() int {
-	return t.node.System().Params().MaxMessage() - verbHeaderLen
 }
 
 // Start starts the embedded two-sided transport, then opens the verb and
@@ -150,42 +138,33 @@ func (t *Transport) Start(p *sim.Proc, h substrate.Handler) {
 	}
 
 	params := t.node.System().Params()
+	prepost := func(port *gm.Port, count int) {
+		for c := params.MinClass; c <= params.MaxClass; c++ {
+			mem := t.node.Register(p, count*gm.ClassCapacity(c))
+			for i := 0; i < count; i++ {
+				port.ProvideReceiveBuffer(mem.SubBuffer(i*gm.ClassCapacity(c), c))
+			}
+		}
+	}
 	// Verb port: the sink recycles each buffer synchronously at arrival,
 	// so a small ring per class suffices regardless of cluster size.
-	for c := params.MinClass; c <= params.MaxClass; c++ {
-		mem := t.node.Register(p, 4*gm.ClassCapacity(c))
-		for i := 0; i < 4; i++ {
-			t.verbPort.ProvideReceiveBuffer(mem.SubBuffer(i*gm.ClassCapacity(c), c))
-		}
-	}
+	prepost(t.verbPort, 4)
 	// CQ port: one entry per send-queue slot plus margin; completions
 	// beyond that park briefly until WaitVerbs reaps.
-	cqCount := t.rcfg.SendQueueDepth + 2
-	for c := params.MinClass; c <= params.MaxClass; c++ {
-		mem := t.node.Register(p, cqCount*gm.ClassCapacity(c))
-		for i := 0; i < cqCount; i++ {
-			t.cqPort.ProvideReceiveBuffer(mem.SubBuffer(i*gm.ClassCapacity(c), c))
-		}
-	}
-	// Registered send pool for verb descriptors.
+	prepost(t.cqPort, t.rcfg.SendQueueDepth+2)
+	// A registered send pool for verb descriptors, and for completion
+	// entries the firmware's own staging pool, pinned at boot like the
+	// kernel pools — never the verb send pool. The separation is
+	// load-bearing under loss: a lost data-verb frame pins its buffer for
+	// GM's full resend timeout, and if completions competed for those
+	// buffers a burst of losses would silence the completion channel
+	// exactly when the initiator's retry clock is running.
 	for c := params.MinClass; c <= params.MaxClass; c++ {
 		count := 2
 		if c <= t.rcfg.Fast.SmallClassMax {
 			count = 4
 		}
 		t.sendPool.Fill(t.node.Register(p, count*gm.ClassCapacity(c)), count, c)
-	}
-	// Completion entries ship from the firmware's own staging pool, pinned
-	// at boot like the kernel pools — never from the verb send pool. The
-	// separation is load-bearing under loss: a lost data-verb frame pins
-	// its buffer for GM's full resend timeout, and if completions competed
-	// for those buffers a burst of losses would silence the completion
-	// channel exactly when the initiator's retry clock is running.
-	for c := params.MinClass; c <= params.MaxClass; c++ {
-		count := 2
-		if c <= t.rcfg.Fast.SmallClassMax {
-			count = 4
-		}
 		t.compPool.Fill(t.node.RegisterAtBoot(count*gm.ClassCapacity(c)), count, c)
 	}
 
@@ -198,29 +177,22 @@ func (t *Transport) Start(p *sim.Proc, h substrate.Handler) {
 			return false
 		})
 	}
-	// Interpose on the dead-peer callback so outstanding verbs toward a
-	// peer the liveness layer declares dead are abandoned before the
-	// DSM's watchdog runs.
-	t.Transport.SetOnPeerDead(func(peer int, err error) {
-		t.abandonVerbsTo(peer, err)
-		if t.onDeadChain != nil {
-			t.onDeadChain(peer, err)
-		}
-	})
 }
 
-// SetOnPeerDead implements substrate.CrashControl, preserving the verb
-// abandonment interposition installed by Start.
-func (t *Transport) SetOnPeerDead(fn func(peer int, err error)) { t.onDeadChain = fn }
+// PeerGone implements substrate.Wire on top of the embedded binding's: the
+// core has already resolved every verb toward the peer, so a process
+// blocked on the completion queue is woken to observe it.
+func (t *Transport) PeerGone(peer int) {
+	t.Transport.PeerGone(peer)
+	if t.cqPort != nil {
+		t.cqPort.Kick()
+	}
+}
 
-// ForgetPeer implements substrate.MemberControl: the embedded purge
-// (duplicate cache, pending calls) plus the one-sided state — the
-// verb duplicate filter keyed by the departed origin, and any verbs
-// still outstanding toward it (SetViewExchange is inherited from the
-// embedded fastgm transport, whose heartbeats this substrate shares).
+// ForgetPeer implements substrate.MemberControl: the embedded purge plus
+// the target-side verb duplicate filter keyed by the departed origin.
 func (t *Transport) ForgetPeer(peer int) {
 	t.vdup.PurgeOrigin(int32(peer))
-	t.abandonVerbsTo(peer, &substrate.PeerUnreachableError{Rank: t.Rank(), Peer: peer, Kind: "member-departed"})
 	t.Transport.ForgetPeer(peer)
 }
 
@@ -265,8 +237,8 @@ func (t *Transport) PostGet(p *sim.Proc, dst int, window int32, off, n int) subs
 	return t.post(p, dst, &verbFrame{op: frameVerbGet, window: window, off: off, length: n})
 }
 
-// post applies flow control, assigns the verb its sequence number,
-// transmits the descriptor, and arms the retransmission timer.
+// post applies flow control, opens the verb in the core's call table under
+// a fresh sequence number, transmits the descriptor and starts its clock.
 func (t *Transport) post(p *sim.Proc, dst int, vf *verbFrame) substrate.PendingVerb {
 	if dst == t.Rank() {
 		panic("rdmagm: one-sided verb to self")
@@ -281,212 +253,106 @@ func (t *Transport) post(p *sim.Proc, dst int, vf *verbFrame) substrate.PendingV
 	// Puts self-paces at the initiators instead of flooding the target's
 	// verb ring, and the stalls are counted as credit stalls so overload
 	// shows up in the same place on every substrate. Then the QP itself:
-	// a full send queue reaps completions until a slot frees (or every
-	// outstanding verb toward a dead peer resolves).
+	// a full send queue waits on its own verbs until a slot frees.
+	t.retire(dst)
 	t.credits.Acquire(p, dst, 0, 1, verbFrameLen(vf))
-	for t.qpDepth[dst] >= t.rcfg.SendQueueDepth {
-		if !t.reapDead() {
-			t.reapOne(p)
-		}
+	for len(t.sq[dst]) >= t.rcfg.SendQueueDepth {
+		t.awaitSlot(p, dst)
 	}
-	t.vseq++
 	vf.origin = int32(t.Rank())
-	vf.seq = t.vseq
-	pv := &pendingVerb{dst: dst, seq: vf.seq, op: vf.op, issued: p.Now()}
-	pv.frame = make([]byte, verbFrameLen(vf))
-	encodeVerb(pv.frame, vf)
+	vf.seq = t.NextSeq()
+	frame := make([]byte, verbFrameLen(vf))
+	encodeVerb(frame, vf)
+	var aux []byte
 	if cz := p.Sim().Causal(); cz != nil {
 		// A verb is always posted from the initiator's mainline (there is
 		// no handler-context posting path).
-		ctx := cz.Edge("verb:"+verbName(vf.op), t.Rank(), dst, p.ID(),
-			cz.Cur(t.Rank()).Span, len(pv.frame), int64(p.Now()))
-		pv.aux = trace.EncodeCtx(ctx)
+		aux = trace.EncodeCtx(cz.Edge("verb:"+verbName(vf.op), t.Rank(), dst, p.ID(),
+			cz.Cur(t.Rank()).Span, len(frame), int64(p.Now())))
 	}
-	t.verbs[pv.seq] = pv
-	t.qpDepth[dst]++
-	if t.Live.Dead(dst) {
-		t.abandonVerb(pv, "peer-dead")
-		return pv
+	pc := t.Open(p, &t.verbs, dst, vf.seq, frame, aux)
+	t.sq[dst] = append(t.sq[dst], pc)
+	if !pc.Done() {
+		t.sendVerb(p, pc, true)
+		pc.Arm(p.Now())
 	}
-	t.sendVerb(p, pv)
-	t.armVerbTimer(pv)
-	return pv
+	return pc
 }
 
-// sendVerb transmits the descriptor from process context, waiting for
-// tokens or a port resume like any GM send.
-func (t *Transport) sendVerb(p *sim.Proc, pv *pendingVerb) {
-	class := t.node.System().Params().ClassFor(len(pv.frame))
-	buf := t.TakeSendBuffer(p, t.sendPool, class)
-	copy(buf.Bytes(), pv.frame)
-	t.Stats().BytesSent += int64(len(pv.frame))
-	for {
-		err := t.verbPort.SendAux(p, myrinet.NodeID(pv.dst), VerbPort, buf, len(pv.frame),
-			pv.aux, t.verbSendCompletion(buf, class, pv.dst))
-		if err == nil {
-			return
+// awaitSlot waits for what only a completion gives back — a verb credit or
+// a QP slot toward dst: one turn of the core's wait loop over dst's send
+// queue, then retirement of whatever resolved.
+func (t *Transport) awaitSlot(p *sim.Proc, dst int) {
+	substrate.Step(&t.Core, p, t.sq[dst])
+	t.retire(dst)
+}
+
+// retire drops resolved verbs from dst's send queue and returns their
+// credits.
+func (t *Transport) retire(dst int) {
+	q := t.sq[dst]
+	t.sq[dst] = slices.DeleteFunc(q, (*substrate.Call).Done)
+	t.credits.Release(dst, 0, len(q)-len(t.sq[dst]))
+}
+
+// sendVerb stages the kept descriptor into a registered buffer and sends
+// it from process context. The first transmission waits for a buffer,
+// tokens or a port resume like any GM send; a re-send (wait false) reports
+// such a stall instead — GM holds a lost frame's buffer and token for its
+// full resend timeout, and the re-sender is who reaps the completion queue.
+func (t *Transport) sendVerb(p *sim.Proc, pc *substrate.Call, wait bool) bool {
+	frame, aux := pc.Frame()
+	class := t.node.System().Params().ClassFor(len(frame))
+	buf := t.sendPool.TryTake(class)
+	if buf == nil {
+		if !wait {
+			return false
 		}
-		switch err {
-		case gm.ErrNoSendTokens:
+		buf = t.TakeSendBuffer(p, t.sendPool, class)
+	}
+	copy(buf.Bytes(), frame)
+	for {
+		err := t.verbPort.SendAux(p, myrinet.NodeID(pc.Dst()), VerbPort, buf, len(frame),
+			aux, t.sendDone(t.sendPool, t.verbPort, buf, class))
+		switch {
+		case err == nil:
+			t.Stats().BytesSent += int64(len(frame))
+			return true
+		case err == gm.ErrNoSendTokens && wait:
 			p.WaitOn(t.tokenCond)
-		case gm.ErrPortDisabled:
+		case err == gm.ErrPortDisabled && wait:
 			t.AwaitResume(p, t.verbPort)
+		case err == gm.ErrNoSendTokens || err == gm.ErrPortDisabled:
+			t.sendPool.Put(class, buf)
+			t.EnsureResume(t.verbPort) // no-op on an enabled port
+			return false
 		default:
 			panic(fmt.Sprintf("rdmagm: send: %v", err))
 		}
 	}
 }
 
-// verbSendCompletion recycles the descriptor buffer; a failed send only
-// resumes the port — retransmission is driven by the verb timer, which
-// re-stages the kept frame into a fresh buffer.
-func (t *Transport) verbSendCompletion(buf *gm.Buffer, class, dst int) gm.SendCallback {
+// sendDone is the GM send callback of both directions: the staging buffer
+// returns to its pool, and a failed send only resumes the port — recovery
+// is the verb's clock in the core re-staging the kept descriptor (the
+// target resends a redelivered verb's cached completion).
+func (t *Transport) sendDone(pool *fastgm.SendPool, port *gm.Port, buf *gm.Buffer, class int) gm.SendCallback {
 	return func(st gm.SendStatus) {
-		t.sendPool.Put(class, buf)
+		pool.Put(class, buf)
 		t.tokenCond.Broadcast()
 		if st != gm.SendOK && !t.Halted() {
 			t.Stats().GMSendFailures++
-			t.EnsureResume(t.verbPort)
+			t.EnsureResume(port)
 		}
 	}
 }
 
-// armVerbTimer schedules the next completion-timeout check for pv.
-func (t *Transport) armVerbTimer(pv *pendingVerb) {
-	d := substrate.Backoff{Initial: t.rcfg.VerbTimeout, Max: t.rcfg.VerbTimeoutMax}.Delay(pv.attempts + 1)
-	t.Proc().Sim().After(d, func() { t.verbTick(pv) })
-}
-
-// verbTick retransmits a verb whose completion has not arrived, from
-// kernel/event context, with exponential backoff; past the retry budget
-// the target is declared dead through the shared liveness state.
-func (t *Transport) verbTick(pv *pendingVerb) {
-	if pv.done || t.Halted() {
-		return
-	}
-	if t.Live.Dead(pv.dst) {
-		t.abandonVerb(pv, "peer-dead")
-		return
-	}
-	if pv.attempts >= t.rcfg.MaxVerbRetries {
-		// Retry exhaustion alone does not prove death. Under loss the
-		// target's completion channel can starve for seconds — a few lost
-		// completion frames pin its send buffers for GM's full resend
-		// timeout — while its two-sided retransmissions keep arriving here
-		// and refreshing its last-heard clock. A peer we can still hear is
-		// congested, not dead: extend the budget at max backoff and let the
-		// GM timeout free the far side. Only silence for the grace window
-		// corroborates.
-		grace := t.node.System().Params().ResendTimeout
-		if t.rcfg.Fast.Liveness.Enabled {
-			grace = t.rcfg.Fast.Liveness.Norm().Deadline()
-		}
-		if !t.Live.HeardWithin(pv.dst, grace) {
-			t.abandonVerb(pv, "verb-retry-exhausted")
-			return
-		}
-		// Hand back one attempt and fall through to the retransmit below:
-		// the budget holds at the cap, every extension retries at the
-		// maximum backoff, and the silence check above re-runs each tick.
-		t.Stats().VerbRetryExtensions++
-		pv.attempts--
-	}
-	// Only a frame actually handed to GM consumes retry budget. A stall —
-	// port disabled, no tokens, pool dry — re-arms without spending it:
-	// GM's 3s resend timeout holds the tokens of lost frames far longer
-	// than the whole backoff schedule, and burning the budget while
-	// waiting for them back would turn a transient storm into a false
-	// peer death.
-	if !t.verbPort.Enabled() {
-		t.EnsureResume(t.verbPort)
-		t.armVerbTimer(pv)
-		return
-	}
-	class := t.node.System().Params().ClassFor(len(pv.frame))
-	buf := t.sendPool.TryTake(class)
-	if buf == nil {
-		t.armVerbTimer(pv)
-		return
-	}
-	copy(buf.Bytes(), pv.frame)
-	err := t.verbPort.SendFromKernelAux(myrinet.NodeID(pv.dst), VerbPort, buf, len(pv.frame),
-		pv.aux, t.verbSendCompletion(buf, class, pv.dst))
-	if err != nil {
-		t.sendPool.Put(class, buf)
-		if err == gm.ErrPortDisabled {
-			t.EnsureResume(t.verbPort)
-		}
-		t.armVerbTimer(pv)
-		return
-	}
-	pv.attempts++
-	st := t.Stats()
-	st.VerbRetransmits++
-	st.BytesSent += int64(len(pv.frame))
-	s := t.Proc().Sim()
-	if tr := s.Tracer(); tr != nil {
-		tr.Emit(trace.Event{T: int64(s.Now()), Layer: trace.LayerSubstrate,
-			Kind: "verb-retransmit", Proc: -1, Peer: pv.dst, Bytes: len(pv.frame)})
-		tr.Metrics().Counter(trace.LayerSubstrate, "verb.retransmits").Inc(1)
-	}
-	t.armVerbTimer(pv)
-}
-
-// resolve marks pv complete and frees its QP slot (exactly once).
-func (t *Transport) resolve(pv *pendingVerb) {
-	if pv.done {
-		return
-	}
-	pv.done = true
-	pv.completed = t.Proc().Sim().Now()
-	t.qpDepth[pv.dst]--
-	t.credits.Release(pv.dst, 0, 1)
-	delete(t.verbs, pv.seq)
-}
-
-// abandonVerb gives up on pv with a typed failure and (for exhausted
-// retries) declares the target dead so everything else gives up too.
-func (t *Transport) abandonVerb(pv *pendingVerb, kind string) {
-	t.Stats().VerbsAbandoned++
-	pv.err = &substrate.PeerUnreachableError{Rank: t.Rank(), Peer: pv.dst, Attempts: pv.attempts, Kind: kind}
-	t.resolve(pv)
-	s := t.Proc().Sim()
-	if tr := s.Tracer(); tr != nil {
-		tr.Emit(trace.Event{T: int64(s.Now()), Layer: trace.LayerSubstrate,
-			Kind: "verb-abandoned:" + kind, Proc: -1, Peer: pv.dst})
-		tr.Metrics().Counter(trace.LayerSubstrate, "verbs.abandoned").Inc(1)
-	}
-	t.Live.DeclareDead(pv.dst, kind, pv.attempts)
-}
-
-// abandonVerbsTo resolves every outstanding verb toward a dead or
-// departed peer with err, in sequence order for determinism.
-func (t *Transport) abandonVerbsTo(peer int, err error) {
-	for _, seq := range substrate.KeysWhere(t.verbs, func(pv *pendingVerb) bool { return pv.dst == peer }) {
-		pv := t.verbs[seq]
-		t.Stats().VerbsAbandoned++
-		pv.err = err
-		t.resolve(pv)
-	}
-}
-
-// reapDead resolves outstanding verbs whose targets are now dead;
-// returns whether any were resolved.
-func (t *Transport) reapDead() bool {
-	seqs := substrate.KeysWhere(t.verbs, func(pv *pendingVerb) bool { return t.Live.Dead(pv.dst) })
-	for _, seq := range seqs {
-		t.abandonVerb(t.verbs[seq], "peer-dead")
-	}
-	return len(seqs) > 0
-}
-
-// WaitVerbs implements substrate.OneSided: reap the completion queue
-// until every verb resolves. Legal with asynchronous delivery masked —
-// completion arrival never involves the async request port, and the
-// target never needs our handler.
+// WaitVerbs implements substrate.OneSided: the core's wait loop over the
+// completion queue until every verb resolves. Legal with asynchronous
+// delivery masked — completion arrival never involves the async request
+// port, and the target never needs our handler.
 func (t *Transport) WaitVerbs(p *sim.Proc, verbs []substrate.PendingVerb) error {
-	for t.unresolvedVerbs(verbs) > 0 {
-		t.reapOne(p)
+	for substrate.Step(&t.Core, p, verbs) > 0 {
 	}
 	for _, v := range verbs {
 		if err := v.Err(); err != nil {
@@ -496,111 +362,75 @@ func (t *Transport) WaitVerbs(p *sim.Proc, verbs []substrate.PendingVerb) error 
 	return nil
 }
 
-// unresolvedVerbs counts still-outstanding entries, first giving up on
-// any whose target has been declared dead.
-func (t *Transport) unresolvedVerbs(verbs []substrate.PendingVerb) int {
-	n := 0
-	for _, v := range verbs {
-		pv, ok := v.(*pendingVerb)
-		if !ok {
-			panic("rdmagm: WaitVerbs on a foreign PendingVerb")
-		}
-		if pv.done {
-			continue
-		}
-		if t.Live.Dead(pv.dst) {
-			t.abandonVerb(pv, "peer-dead")
-			continue
-		}
-		n++
+// reapOne is the verb family's Await: block on the CQ port for one entry.
+func (t *Transport) reapOne(p *sim.Proc, deadline sim.Time) bool {
+	rv := t.cqPort.WaitRecvUntil(p, deadline)
+	if rv != nil {
+		t.handleCompletion(p, rv)
 	}
-	return n
-}
-
-// reapOne blocks on the CQ port for one arrival, sliced so give-ups
-// (liveness detection, retry exhaustion) are noticed promptly.
-func (t *Transport) reapOne(p *sim.Proc) {
-	slice := t.rcfg.VerbTimeout
-	if t.rcfg.Fast.Liveness.Enabled {
-		slice = t.rcfg.Fast.Liveness.Norm().Interval
-	}
-	rv := t.cqPort.WaitRecvUntil(p, p.Now()+slice)
-	if rv == nil {
-		return
-	}
-	t.handleCompletion(p, rv)
+	return rv != nil
 }
 
 // handleCompletion consumes one CQ entry in initiator context.
 func (t *Transport) handleCompletion(p *sim.Proc, rv *gm.Recv) {
 	st := t.Stats()
 	t.Live.Heard(int(rv.From))
+	defer t.cqPort.ProvideReceiveBuffer(rv.Buffer)
 	if len(rv.Data) == 0 || rv.Data[0] != frameCompletion {
 		st.CorruptFrames++
-		t.cqPort.ProvideReceiveBuffer(rv.Buffer)
 		return
 	}
 	p.Advance(t.rcfg.CompletionCost)
 	cf, err := decodeCompletion(rv.Data)
 	if err != nil {
 		st.CorruptFrames++
-		t.cqPort.ProvideReceiveBuffer(rv.Buffer)
 		return
 	}
 	st.BytesRecvd += int64(len(rv.Data))
-	cz := p.Sim().Causal()
+	cz, ctx := p.Sim().Causal(), trace.Ctx{}
 	if cz != nil {
-		cz.Arrive(trace.DecodeCtx(rv.Aux), p.ID(), int64(p.Now()))
+		ctx = trace.DecodeCtx(rv.Aux)
+		cz.Arrive(ctx, p.ID(), int64(p.Now()))
 	}
-	pv := t.verbs[cf.seq]
-	if pv == nil || pv.done || pv.op != cf.op {
-		// A duplicate completion (verb retransmitted after the original
-		// completion was already matched), or one for an abandoned verb.
-		st.StaleCompletions++
-		if tr := p.Sim().Tracer(); tr != nil {
-			tr.Emit(trace.Event{T: int64(p.Now()), Layer: trace.LayerSubstrate,
-				Kind: "stale-completion", Proc: p.ID(), Peer: int(cf.from)})
-		}
-		t.cqPort.ProvideReceiveBuffer(rv.Buffer)
+	pc := t.Lookup(p, &t.verbs, cf.seq, int(cf.from))
+	if pc == nil {
 		return
 	}
-	switch cf.status {
-	case compOK:
-		switch pv.op {
-		case frameVerbGet:
-			// The payload was DMA'd into initiator memory; copy it out of
-			// the receive ring before recycling (no host-copy charge — the
-			// consumer's own memcpy is the host cost).
-			pv.data = append([]byte(nil), cf.payload...)
-		}
-	default:
-		pv.err = &substrate.WindowBoundsError{Peer: pv.dst, Window: cf.window,
-			Off: cf.off, Len: cf.length, Size: int(cf.size)}
+	if frame, _ := pc.Frame(); frame[0] != cf.op {
+		// The live verb of that sequence number is not what this answers.
+		st.CorruptFrames++
+		return
 	}
-	t.resolve(pv)
-	if cz != nil {
-		if ctx := trace.DecodeCtx(rv.Aux); !ctx.Zero() {
-			// The matched completion is what unblocks WaitVerbs' mainline.
-			cz.SetCur(t.Rank(), ctx)
-		}
+	var data []byte
+	var verr error
+	switch {
+	case cf.status != compOK:
+		verr = &substrate.WindowBoundsError{Peer: pc.Dst(), Window: cf.window,
+			Off: cf.off, Len: cf.length, Size: int(cf.size)}
+	case cf.op == frameVerbGet:
+		// The payload was DMA'd into initiator memory; copy it out of
+		// the receive ring before recycling (no host-copy charge — the
+		// consumer's own memcpy is the host cost).
+		data = append([]byte(nil), cf.payload...)
+	}
+	t.Complete(pc, data, verr)
+	if cz != nil && !ctx.Zero() {
+		// The matched completion is what unblocks WaitVerbs' mainline.
+		cz.SetCur(t.Rank(), ctx)
 	}
 	if tr := p.Sim().Tracer(); tr != nil {
-		tr.Emit(trace.Event{T: int64(pv.issued), Dur: int64(pv.completed - pv.issued),
-			Layer: trace.LayerSubstrate, Kind: "verb:" + verbName(pv.op),
-			Proc: p.ID(), Peer: pv.dst, Bytes: len(rv.Data)})
+		tr.Emit(trace.Event{T: int64(pc.Issued()), Dur: int64(pc.Completed() - pc.Issued()),
+			Layer: trace.LayerSubstrate, Kind: "verb:" + verbName(cf.op),
+			Proc: p.ID(), Peer: pc.Dst(), Bytes: len(rv.Data)})
 	}
-	t.cqPort.ProvideReceiveBuffer(rv.Buffer)
 }
 
+// verbName names a validated verb op for trace kinds.
 func verbName(op byte) string {
-	switch op {
-	case frameVerbPut:
+	if op == frameVerbPut {
 		return "put"
-	case frameVerbGet:
-		return "get"
-	default:
-		return "unknown"
 	}
+	return "get"
 }
 
 // onVerbFrame is the verb-port sink: NIC-firmware verb service at the
@@ -608,11 +438,6 @@ func verbName(op byte) string {
 func (t *Transport) onVerbFrame(rv *gm.Recv) {
 	st := t.Stats()
 	t.Live.Heard(int(rv.From))
-	if len(rv.Data) == 0 {
-		st.CorruptFrames++
-		t.verbPort.ProvideReceiveBuffer(rv.Buffer)
-		return
-	}
 	vf, err := decodeVerb(rv.Data)
 	if err != nil {
 		st.CorruptFrames++
@@ -675,10 +500,7 @@ func (t *Transport) onVerbFrame(rv *gm.Recv) {
 			vctx.Span, len(comp), int64(t.Proc().Sim().Now()+delay))
 		compAux = trace.EncodeCtx(cctx)
 	}
-	e.Done = true
-	e.Reply = comp
-	e.ReplyAux = compAux
-	e.To = int(vf.origin)
+	e.Done, e.Reply, e.ReplyAux, e.To = true, comp, compAux, dst
 	t.verbPort.ProvideReceiveBuffer(rv.Buffer)
 
 	t.Proc().Sim().After(delay, func() { t.sendCompletion(dst, comp, compAux) })
@@ -699,19 +521,10 @@ func (t *Transport) sendCompletion(dst int, comp, aux []byte) {
 	}
 	copy(buf.Bytes(), comp)
 	err := t.cqPort.SendFromKernelAux(myrinet.NodeID(dst), CQPort, buf, len(comp), aux,
-		func(st gm.SendStatus) {
-			t.compPool.Put(class, buf)
-			t.tokenCond.Broadcast()
-			if st != gm.SendOK && !t.Halted() {
-				t.Stats().GMSendFailures++
-				t.EnsureResume(t.cqPort)
-			}
-		})
+		t.sendDone(t.compPool, t.cqPort, buf, class))
 	if err != nil {
 		t.compPool.Put(class, buf)
-		if err == gm.ErrPortDisabled {
-			t.EnsureResume(t.cqPort)
-		}
+		t.EnsureResume(t.cqPort)
 		t.Proc().Sim().After(compRetry, func() { t.sendCompletion(dst, comp, aux) })
 		return
 	}

@@ -220,16 +220,16 @@ func TestVerbFaultStorm(t *testing.T) {
 		t.Error("storm dropped nothing; weak test")
 	}
 	st := c.Transports[0].Stats()
-	if st.VerbRetransmits == 0 {
+	if st.Retransmits == 0 {
 		t.Error("no verb retransmissions despite the storm")
 	}
 	requirePortsEnabled(t, c)
 }
 
 // TestVerbBlackoutRecovery: the link into the target blacks out while a
-// batch of Puts is in flight. The initiator's retransmission timer must
-// carry the verbs across the outage; nothing may be lost or left
-// disabled afterwards.
+// batch of Puts is in flight. The initiator's retransmission clock, run
+// by WaitVerbs, must carry the verbs across the outage; nothing may be
+// lost or left disabled afterwards.
 func TestVerbBlackoutRecovery(t *testing.T) {
 	c := build(2, 1)
 	c.Fabric.SetFaults(myrinet.FaultConfig{Blackouts: []myrinet.Blackout{
@@ -268,7 +268,7 @@ func TestVerbBlackoutRecovery(t *testing.T) {
 	if fs := c.Fabric.FaultStats(); fs.Blackout == 0 {
 		t.Error("blackout dropped nothing; weak test")
 	}
-	if st := c.Transports[0].Stats(); st.VerbRetransmits == 0 {
+	if st := c.Transports[0].Stats(); st.Retransmits == 0 {
 		t.Error("no verb retransmissions despite an 8ms blackout")
 	}
 	requirePortsEnabled(t, c)
@@ -311,7 +311,7 @@ func TestVerbsAbandonedOnDeadPeer(t *testing.T) {
 		t.Errorf("diagnosis names peer %d kind %q, want peer 1 with a kind", pue.Peer, pue.Kind)
 	}
 	st := c.Transports[0].Stats()
-	if st.VerbsAbandoned == 0 {
+	if st.SendsAbandoned == 0 {
 		t.Errorf("no verbs abandoned: %+v", st)
 	}
 	if st.PeersDeclaredDead == 0 {

@@ -2,6 +2,7 @@ package stest
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -312,7 +313,8 @@ func ConformanceSilentPeerMidRendezvous(t *testing.T, build Builder) {
 // notice. Once it is spent the peer is declared dead exactly once, the
 // blocked Call resolves nil (woken even though the declaration happens in
 // scheduler context and the collector waits without a deadline), and the
-// typed failure names the peer.
+// typed failure names the peer. Bindings that implement OneSided run the
+// same blackout against their verbs (retryExhaustionOneSided).
 func ConformanceRetryExhaustionLivenessOff(t *testing.T, build Builder) {
 	c := build(2, 1)
 	c.Fabric.SetFaults(myrinet.FaultConfig{Blackouts: []myrinet.Blackout{
@@ -359,6 +361,66 @@ func ConformanceRetryExhaustionLivenessOff(t *testing.T, build Builder) {
 	}
 	if st := c.Transports[0].Stats(); st.PeersDeclaredDead != 1 || st.SendsAbandoned == 0 {
 		t.Errorf("give-up not counted: %+v", st)
+	}
+	if _, ok := c.Transports[0].(substrate.OneSided); ok {
+		retryExhaustionOneSided(t, build)
+	}
+}
+
+// retryExhaustionOneSided is the same rule on the verb path: a Put and a
+// Get outstanding into the permanent blackout spend the verb retry budget
+// in the waiting process, WaitVerbs returns the typed failure for both, a
+// later post toward the dead peer resolves without touching the wire, and
+// nothing is left re-arming once the waiter has returned.
+func retryExhaustionOneSided(t *testing.T, build Builder) {
+	c := build(2, 1)
+	c.Fabric.SetFaults(myrinet.FaultConfig{Blackouts: []myrinet.Blackout{
+		{Src: 0, Dst: 1, From: sim.Millisecond, To: 100000 * sim.Second},
+	}})
+	var werr, lateErr error
+	lateDone, lateBytes := false, int64(0)
+	c.Spawn(
+		func(rank int) substrate.Handler { return func(p *sim.Proc, m *msg.Message) {} },
+		func(rank int, p *sim.Proc, tr substrate.Transport) {
+			os := tr.(substrate.OneSided)
+			if rank != 0 {
+				os.RegisterWindow(p, 1, make([]byte, 4096))
+				return
+			}
+			p.Advance(2 * sim.Millisecond)
+			verbs := []substrate.PendingVerb{
+				os.PostPut(p, 1, 1, 0, []byte{1, 2, 3, 4}),
+				os.PostGet(p, 1, 1, 0, 64),
+			}
+			werr = os.WaitVerbs(p, verbs)
+			for i, v := range verbs {
+				if !v.Done() || v.Err() == nil || v.Data() != nil {
+					t.Errorf("verb %d after give-up: done=%v err=%v", i, v.Done(), v.Err())
+				}
+			}
+			sent := tr.Stats().BytesSent
+			late := os.PostPut(p, 1, 1, 0, []byte{5})
+			lateDone, lateErr, lateBytes = late.Done(), late.Err(), tr.Stats().BytesSent-sent
+		},
+	)
+	if err := c.Run(); err != nil {
+		t.Fatalf("simulation did not quiesce: %v", err)
+	}
+	var pue *substrate.PeerUnreachableError
+	if !errors.As(werr, &pue) || pue.Peer != 1 || pue.Kind != "retry-exhausted" {
+		t.Errorf("WaitVerbs returned %v, want retry-exhausted toward peer 1", werr)
+	}
+	if pf := c.Transports[0].(substrate.CrashControl).PeerFailure(); pf == nil || pf.Peer != 1 {
+		t.Errorf("PeerFailure() = %+v, want peer 1", pf)
+	}
+	if !lateDone || !errors.As(lateErr, &pue) || lateBytes != 0 {
+		t.Errorf("post toward the dead peer: done=%v err=%v sent %d bytes; want resolved untransmitted",
+			lateDone, lateErr, lateBytes)
+	}
+	st := c.Transports[0].Stats()
+	if st.Retransmits == 0 || st.SendsAbandoned < 3 || st.PeersDeclaredDead != 1 {
+		t.Errorf("retransmits=%d abandoned=%d declared=%d, want >0, >=3 (put, get, late put), 1",
+			st.Retransmits, st.SendsAbandoned, st.PeersDeclaredDead)
 	}
 }
 

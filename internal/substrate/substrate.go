@@ -12,9 +12,11 @@
 // Everything that does not depend on how a frame travels is written here
 // once and embedded by every binding (Core):
 //
-//   - the call table (calls.go): sequence numbers, CallBegin/Collect/Call,
-//     reply matching, and the one per-call clock that serves both the
-//     user-level retransmission timeout and the once-only hedge;
+//   - the call table (calls.go): sequence numbers and every outstanding
+//     acknowledged exchange — CallBegin/Collect/Call, and any family a
+//     binding declares as an Exchange (rdmagm's verbs) — answer matching,
+//     the one per-call clock serving both the retransmission timeout and
+//     the once-only hedge, and the one wait loop (Step);
 //   - request service (core.go): the (origin, seq) duplicate filter with
 //     cached replies and re-forwarding (DupCache), Reply/Forward/Send
 //     bookkeeping, causal edge stamping, the membership purge;
@@ -26,8 +28,9 @@
 //
 // The give-up rule is one rule: a peer is declared dead by silence
 // (Liveness) or by an exhausted retry budget (any layer), and from then
-// on every call toward it — pending or future, on every substrate, with
-// or without the liveness layer — resolves nil with PeerFailure() set.
+// on every call toward it — request or verb, pending or future, on every
+// substrate, with or without the liveness layer — resolves to no answer
+// and a *PeerUnreachableError, with PeerFailure() set.
 //
 // # The wire (what a binding provides)
 //
@@ -54,8 +57,10 @@
 //     prepost buffers per size class returned by NIC-filtered frames.
 //   - rdmagm — fastgm plus one-sided verbs (OneSided): registered memory
 //     windows, Put/Get descriptors serviced by the target NIC without
-//     host involvement, a completion queue reaped by the initiator; verb
-//     credits are returned by the completions themselves.
+//     host involvement, a completion queue reaped by the initiator. A
+//     posted verb is a Call in the core's table (awaited on the CQ,
+//     re-issued by re-staging its descriptor); verb credits are returned
+//     by the completions themselves.
 package substrate
 
 import (
@@ -188,8 +193,8 @@ type OneSided interface {
 	// with asynchronous request delivery masked — completion delivery
 	// does not ride the async request port). It returns the first
 	// verb-level error (*WindowBoundsError, or a *PeerUnreachableError
-	// if the liveness layer declared the target dead mid-verb), or nil
-	// if all verbs completed.
+	// if the target was declared dead mid-verb, by silence or by a spent
+	// retry budget), or nil if all verbs completed.
 	WaitVerbs(p *sim.Proc, verbs []PendingVerb) error
 }
 
@@ -272,7 +277,8 @@ type Stats struct {
 
 	// Liveness-layer counters (all zero unless LivenessConfig.Enabled or a
 	// send actually exhausts its retry budget).
-	SendsAbandoned    int64 // sends given up after retry exhaustion or peer death
+	SendsAbandoned    int64 // sends, calls and verbs given up after retry exhaustion or peer death
+	RetryExtensions   int64 // spent retry budgets extended because the peer is audibly alive
 	HeartbeatsSent    int64 // liveness probes transmitted
 	PeersDeclaredDead int64 // peers this process declared dead
 
@@ -286,15 +292,11 @@ type Stats struct {
 
 	// One-sided verb counters (all zero unless the transport implements
 	// OneSided and the protocol posts verbs).
-	OneSidedPuts        int64 // Put verbs posted
-	OneSidedGets        int64 // Get verbs posted
-	OneSidedBytesPut    int64 // payload bytes written by Put verbs
-	OneSidedBytesGot    int64 // payload bytes read by Get verbs
-	VerbRetransmits     int64 // verb frames retransmitted after loss/failure
-	StaleCompletions    int64 // completions for verbs already resolved
-	VerbsAbandoned      int64 // verbs given up on a dead target
-	VerbRetryExtensions int64 // retry budgets extended because the peer is audibly alive
-	WindowFaults        int64 // verbs rejected by the target's bounds check
+	OneSidedPuts     int64 // Put verbs posted
+	OneSidedGets     int64 // Get verbs posted
+	OneSidedBytesPut int64 // payload bytes written by Put verbs
+	OneSidedBytesGot int64 // payload bytes read by Get verbs
+	WindowFaults     int64 // verbs rejected by the target's bounds check
 
 	ReplyWaitTime  sim.Time
 	RequestService sim.Time

@@ -1,6 +1,7 @@
 package tmk
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -215,9 +216,9 @@ const memberViewLen = 4 + 8 + 8
 
 func encodeMemberView(epoch int32, live, inRing uint64) []byte {
 	b := make([]byte, memberViewLen)
-	putU32(b[0:], uint32(epoch))
-	putU64(b[4:], live)
-	putU64(b[12:], inRing)
+	binary.LittleEndian.PutUint32(b[0:], uint32(epoch))
+	binary.LittleEndian.PutUint64(b[4:], live)
+	binary.LittleEndian.PutUint64(b[12:], inRing)
 	return b
 }
 
@@ -225,7 +226,7 @@ func decodeMemberView(b []byte) (epoch int32, live, inRing uint64, err error) {
 	if len(b) != memberViewLen {
 		return 0, 0, 0, fmt.Errorf("tmk: member view frame: %d bytes, want %d", len(b), memberViewLen)
 	}
-	return int32(getU32(b[0:])), getU64(b[4:]), getU64(b[12:]), nil
+	return int32(binary.LittleEndian.Uint32(b[0:])), binary.LittleEndian.Uint64(b[4:]), binary.LittleEndian.Uint64(b[12:]), nil
 }
 
 // handoffFrame is the decoded form of a serialized entity handoff.
@@ -243,15 +244,15 @@ func encodeHandoff(f handoffFrame) []byte {
 	case entPage:
 		b := make([]byte, 1+4+4+len(f.data))
 		b[0] = byte(f.kind)
-		putU32(b[1:], uint32(f.id))
-		putU32(b[5:], uint32(len(f.data)))
+		binary.LittleEndian.PutUint32(b[1:], uint32(f.id))
+		binary.LittleEndian.PutUint32(b[5:], uint32(len(f.data)))
 		copy(b[9:], f.data)
 		return b
 	default:
 		b := make([]byte, 1+4+4)
 		b[0] = byte(f.kind)
-		putU32(b[1:], uint32(f.id))
-		putU32(b[5:], uint32(f.tail))
+		binary.LittleEndian.PutUint32(b[1:], uint32(f.id))
+		binary.LittleEndian.PutUint32(b[5:], uint32(f.tail))
 		return b
 	}
 }
@@ -262,15 +263,15 @@ func decodeHandoff(b []byte) (handoffFrame, error) {
 		return f, fmt.Errorf("tmk: handoff frame: %d bytes, want ≥ 9", len(b))
 	}
 	f.kind = entityKind(b[0])
-	f.id = int32(getU32(b[1:]))
+	f.id = int32(binary.LittleEndian.Uint32(b[1:]))
 	switch f.kind {
 	case entLock, entRoot:
 		if len(b) != 9 {
 			return f, fmt.Errorf("tmk: %v handoff frame: %d bytes, want 9", f.kind, len(b))
 		}
-		f.tail = int32(getU32(b[5:]))
+		f.tail = int32(binary.LittleEndian.Uint32(b[5:]))
 	case entPage:
-		n := int(getU32(b[5:]))
+		n := int(binary.LittleEndian.Uint32(b[5:]))
 		if n != len(b)-9 {
 			return f, fmt.Errorf("tmk: page handoff frame: payload %d, have %d", n, len(b)-9)
 		}
@@ -282,23 +283,6 @@ func decodeHandoff(b []byte) (handoffFrame, error) {
 		return f, fmt.Errorf("tmk: handoff frame: unknown kind %d", f.kind)
 	}
 	return f, nil
-}
-
-func putU32(b []byte, v uint32) {
-	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-}
-
-func getU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func putU64(b []byte, v uint64) {
-	putU32(b, uint32(v))
-	putU32(b[4:], uint32(v>>32))
-}
-
-func getU64(b []byte) uint64 {
-	return uint64(getU32(b)) | uint64(getU32(b[4:]))<<32
 }
 
 // ---------------------------------------------------------------------------
