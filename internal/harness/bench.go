@@ -4,9 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 
+	"repro/internal/apps"
 	"repro/internal/tmk"
 	"repro/internal/ubench"
 )
@@ -89,8 +91,10 @@ func BenchE2(nodes []int) (*BenchSuite, error) {
 // BenchE3 captures the one-sided substrate's headline comparison:
 // homeless LRC on fastgm versus home-based LRC on rdmagm, plus the flat
 // barrier for context (the two-sided halves should track each other
-// closely). Two rows are expected to favor rdmagm, and
-// TestBenchE3RDMAWinsHeadlineRows enforces it:
+// closely), and the four applications on rdmagm (App/<name>). Two
+// microbenchmark rows are expected to favor rdmagm, and every application
+// is held to fastgm's time or to a pinned ceiling above it;
+// TestBenchE3RDMAWinsHeadlineRows enforces both:
 //
 //   - Page: a read fault is one firmware-serviced Get from the home
 //     (free when the faulting rank IS the home) instead of an interrupt,
@@ -129,6 +133,16 @@ func BenchE3() (*BenchSuite, error) {
 			BenchEntry{Name: "DiffMultiWriter/15w", Transport: string(kind), Nodes: dmwNodes, Value: int64(dm.Per), Unit: "ns/op"},
 			BenchEntry{Name: "Barrier", Transport: string(kind), Nodes: pageNodes, Value: int64(br.Per), Unit: "ns/op"},
 		)
+	}
+	// Whole applications on the one-sided path, at Figure 4's default
+	// sizes; BENCH_e2's n=4 fastgm rows are their comparators.
+	for _, name := range AppNames {
+		res, err := RunApp(apps.ByName(name), pageNodes, tmk.TransportRDMAGM, nil)
+		if err != nil {
+			return nil, fmt.Errorf("e3 app %s: %w", name, err)
+		}
+		s.Entries = append(s.Entries, BenchEntry{Name: "App/" + name,
+			Transport: string(tmk.TransportRDMAGM), Nodes: pageNodes, Value: int64(res.ExecTime), Unit: "ns"})
 	}
 	return s, nil
 }
@@ -286,16 +300,19 @@ func PrintBenchDiff(w io.Writer, suite string, deltas []BenchDelta) {
 // outside it means "update the checked-in file deliberately or explain
 // the regression", never noise.
 
-// Gate tolerance defaults: a row passes when |new−old| ≤
+// Gate tolerance defaults: a row is within tolerance when |new−old| ≤
 // max(GateAbsNs, GateRelTol·|old|). The absolute floor keeps
 // sub-microsecond rows (per-op latencies) from failing on rounding-scale
 // movement; the relative bound scales with the long application runs.
+// Beyond it the direction decides: times ("ns", "ns/op") are better
+// lower, rates ("B/s") better higher, and only a worsening fails.
 const (
 	GateRelTol = 0.02 // 2% relative tolerance
 	GateAbsNs  = 500  // 500ns absolute floor
 )
 
-// GateViolation is one row outside its tolerance (or missing outright).
+// GateViolation is one row that worsened beyond its tolerance (or is
+// missing outright).
 type GateViolation struct {
 	Suite string
 	Delta BenchDelta
@@ -305,22 +322,16 @@ type GateViolation struct {
 // GateReport is one suite's gate outcome.
 type GateReport struct {
 	Suite      string
-	Rows       int // rows compared against the checked-in file
-	Added      int // rows present only in the regenerated suite (informational)
+	Rows       int          // rows compared against the checked-in file
+	Added      int          // rows present only in the regenerated suite (informational)
+	Improved   []BenchDelta // rows better by more than the tolerance (informational)
 	Violations []GateViolation
 }
 
 // GateBench regenerates the selected suites ("all" or one of e0–e3) and
-// gates each against the checked-in file in dir. A removed row is a
-// violation (a benchmark silently disappearing is a coverage loss); an
-// added row is informational. relTol/absNs ≤ 0 select the defaults.
+// gates each against the checked-in file in dir. relTol/absNs ≤ 0 select
+// the defaults.
 func GateBench(suite, dir string, relTol float64, absNs int64) ([]GateReport, error) {
-	if relTol <= 0 {
-		relTol = GateRelTol
-	}
-	if absNs <= 0 {
-		absNs = GateAbsNs
-	}
 	ran := false
 	var reports []GateReport
 	for _, g := range BenchGens() {
@@ -336,29 +347,7 @@ func GateBench(suite, dir string, relTol float64, absNs int64) ([]GateReport, er
 		if err != nil {
 			return nil, err
 		}
-		rep := GateReport{Suite: g.Name}
-		for _, d := range DiffBench(old, cur) {
-			switch {
-			case !d.HasNew:
-				rep.Violations = append(rep.Violations, GateViolation{
-					Suite: g.Name, Delta: d, Why: "row removed from regenerated suite"})
-			case !d.HasOld:
-				rep.Added++
-			default:
-				rep.Rows++
-				tol := absNs
-				if rel := int64(relTol * float64(abs64(d.Old))); rel > tol {
-					tol = rel
-				}
-				if diff := abs64(d.New - d.Old); diff > tol {
-					rep.Violations = append(rep.Violations, GateViolation{
-						Suite: g.Name, Delta: d,
-						Why: fmt.Sprintf("|%d−%d| = %d%s exceeds tolerance %d%s",
-							d.New, d.Old, diff, d.Unit, tol, d.Unit)})
-				}
-			}
-		}
-		reports = append(reports, rep)
+		reports = append(reports, gateSuite(old, cur, relTol, absNs))
 	}
 	if !ran {
 		return nil, fmt.Errorf("unknown suite %q", suite)
@@ -366,27 +355,80 @@ func GateBench(suite, dir string, relTol float64, absNs int64) ([]GateReport, er
 	return reports, nil
 }
 
+// gateSuite holds cur to old row by row. A removed row is a violation (a
+// benchmark silently disappearing is a coverage loss); an added row and a
+// row that improved beyond the tolerance are informational.
+func gateSuite(old, cur *BenchSuite, relTol float64, absNs int64) GateReport {
+	if relTol <= 0 {
+		relTol = GateRelTol
+	}
+	if absNs <= 0 {
+		absNs = GateAbsNs
+	}
+	rep := GateReport{Suite: cur.Suite}
+	for _, d := range DiffBench(old, cur) {
+		switch {
+		case !d.HasNew:
+			rep.Violations = append(rep.Violations, GateViolation{
+				Suite: cur.Suite, Delta: d, Why: "row removed from regenerated suite"})
+		case !d.HasOld:
+			rep.Added++
+		default:
+			rep.Rows++
+			tol := max(absNs, int64(relTol*math.Abs(float64(d.Old))))
+			worse := d.New - d.Old
+			if d.Unit == "B/s" {
+				worse = -worse
+			}
+			switch {
+			case worse > tol:
+				rep.Violations = append(rep.Violations, GateViolation{
+					Suite: cur.Suite, Delta: d,
+					Why: fmt.Sprintf("%d → %d: worse by %d%s, tolerance %d%s",
+						d.Old, d.New, worse, d.Unit, tol, d.Unit)})
+			case -worse > tol:
+				rep.Improved = append(rep.Improved, d)
+			}
+		}
+	}
+	return rep
+}
+
 // PrintGate renders the gate outcome and reports whether every suite
 // passed.
 func PrintGate(w io.Writer, reports []GateReport) bool {
 	ok := true
+	rowName := func(d BenchDelta) string {
+		if d.Nodes > 0 {
+			return fmt.Sprintf("%s (n=%d)", d.Name, d.Nodes)
+		}
+		return d.Name
+	}
 	for _, rep := range reports {
 		status := "PASS"
 		if len(rep.Violations) > 0 {
 			status = "FAIL"
 			ok = false
 		}
-		fprintf(w, "gate %s: %s (%d rows within tolerance", rep.Suite, status, rep.Rows-len(rep.Violations))
+		within := rep.Rows - len(rep.Improved)
+		for _, v := range rep.Violations {
+			if v.Delta.HasNew { // a removed row was never among Rows
+				within--
+			}
+		}
+		fprintf(w, "gate %s: %s (%d rows within tolerance", rep.Suite, status, within)
+		if len(rep.Improved) > 0 {
+			fprintf(w, ", %d improved", len(rep.Improved))
+		}
 		if rep.Added > 0 {
 			fprintf(w, ", %d new rows", rep.Added)
 		}
 		fprintf(w, ")\n")
+		for _, d := range rep.Improved {
+			fprintf(w, "  improved %-38s %-7s %d → %d %s\n", rowName(d), d.Transport, d.Old, d.New, d.Unit)
+		}
 		for _, v := range rep.Violations {
-			name := v.Delta.Name
-			if v.Delta.Nodes > 0 {
-				name = fmt.Sprintf("%s (n=%d)", v.Delta.Name, v.Delta.Nodes)
-			}
-			fprintf(w, "  FAIL %-42s %-7s %s\n", name, v.Delta.Transport, v.Why)
+			fprintf(w, "  FAIL %-42s %-7s %s\n", rowName(v.Delta), v.Delta.Transport, v.Why)
 		}
 	}
 	return ok
@@ -410,13 +452,6 @@ func BenchGens() []BenchGen {
 		{"churn", BenchChurn},
 		{"flow", BenchFlow},
 	}
-}
-
-func abs64(v int64) int64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 // BenchAll runs every suite and writes its file into dir, returning the

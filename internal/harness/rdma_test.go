@@ -110,7 +110,9 @@ func TestHomeBasedMatchesHomeless(t *testing.T) {
 // fault is one firmware-serviced Get (or free, when the page is
 // self-homed) instead of an interrupt, handler dispatch, and two host
 // copies; a 15-writer page costs one home fetch instead of a 15-way
-// gather whose occupancy grows with the writer count.
+// gather whose occupancy grows with the writer count. The application
+// rows extend the claim to whole programs: a one-sided path that wins
+// microbenchmarks and loses the application is a regression.
 func TestBenchE3RDMAWinsHeadlineRows(t *testing.T) {
 	s, err := BenchE3()
 	if err != nil {
@@ -131,6 +133,37 @@ func TestBenchE3RDMAWinsHeadlineRows(t *testing.T) {
 		}
 		if rdma >= fast {
 			t.Errorf("%s: rdmagm %d ns/op not faster than fastgm %d ns/op", name, rdma, fast)
+		}
+	}
+	// Whole applications (4 nodes, default sizes): home-based LRC on rdmagm
+	// must not lose to homeless LRC on fastgm, except where listed — with
+	// the measured ratio rounded up to 0.05 as a ceiling, so an exception
+	// can shrink but never quietly grow.
+	exceptions := map[string]struct {
+		ceiling float64
+		why     string
+	}{
+		"sor":   {1.40, "round-robin homes: a writer flushes ¾ of its band every phase; homeless ships only the boundary rows a neighbour reads"},
+		"3dfft": {1.15, "round-robin homes: transposed data crosses the wire twice (writer → home → reader) unless the home is one of the two"},
+		"tsp":   {1.05, "lock-bound: every release waits for its flush to complete at the home before the lock can move on"},
+	}
+	for _, name := range AppNames {
+		rdma, ok := byRow["App/"+name][string(tmk.TransportRDMAGM)]
+		if !ok {
+			t.Fatalf("App/%s: no rdmagm row in %+v", name, byRow)
+		}
+		res, err := RunApp(apps.ByName(name), 4, tmk.TransportFastGM, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ratio, ex := float64(rdma)/float64(res.ExecTime), exceptions[name]
+		switch {
+		case ex.why == "" && ratio > 1:
+			t.Errorf("%s: rdmagm %d ns loses to fastgm %d ns (%.3f×) and is not a listed exception", name, rdma, res.ExecTime, ratio)
+		case ex.why != "" && ratio > ex.ceiling:
+			t.Errorf("%s: rdmagm/fastgm = %.3f, above its pinned ceiling %.2f (%s)", name, ratio, ex.ceiling, ex.why)
+		case ex.why != "" && ratio <= 1:
+			t.Errorf("%s: rdmagm now wins (%.3f×); delete its exception", name, ratio)
 		}
 	}
 }

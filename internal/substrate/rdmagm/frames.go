@@ -3,6 +3,8 @@ package rdmagm
 import (
 	"encoding/binary"
 	"fmt"
+
+	"repro/internal/substrate"
 )
 
 // Wire framing for the one-sided ports. Verb descriptors travel to the
@@ -14,8 +16,8 @@ import (
 // Frame tags. Disjoint from the fastgm tags (1..6) so a frame misrouted
 // across ports is always rejected rather than misparsed.
 const (
-	frameVerbPut    byte = 0x11 // one-sided write: payload follows the header
-	frameVerbGet    byte = 0x12 // one-sided read: no payload
+	frameVerbPut    byte = 0x11 // one-sided write: a vector of (range, payload) segments
+	frameVerbGet    byte = 0x12 // one-sided read: one range, no payload
 	frameCompletion byte = 0x14 // CQ entry answering one verb
 )
 
@@ -26,9 +28,16 @@ const (
 	compOOB       byte = 2 // byte range outside the registered window
 )
 
-// verbHeaderLen is the fixed prefix of every verb frame:
-// tag(1) origin(4) seq(4) window(4) off(4) length(4).
-const verbHeaderLen = 21
+// verbHeaderLen is the fixed prefix of every verb frame — tag(1)
+// origin(4) seq(4) window(4) — and rangeLen one byte range, off(4)
+// length(4). A Get is the header and the one range it reads. A Put is the
+// header and its segments back to back, each a range followed by that
+// many payload bytes; the frame's own length delimits them (there is no
+// segment count to lie), so a contiguous Put is header, range, payload.
+const (
+	verbHeaderLen = 13
+	rangeLen      = 8
+)
 
 // compHeaderLen is the fixed prefix of every completion frame:
 // tag(1) from(4) seq(4) op(1) status(1).
@@ -36,13 +45,40 @@ const compHeaderLen = 11
 
 // verbFrame is one decoded verb descriptor.
 type verbFrame struct {
-	op      byte
-	origin  int32
-	seq     uint32
-	window  int32
-	off     int
-	length  int
-	payload []byte // Put only; aliases the receive buffer
+	op     byte
+	origin int32
+	seq    uint32
+	window int32
+	// off, length: a Get's range; on a Put, the range a fault completion
+	// names (set by the sink to the first offending segment).
+	off    int
+	length int
+	segs   []substrate.PutSeg // Put only; Data aliases the receive buffer
+}
+
+// putFrameLen returns the encoded size of a Put of nseg segments carrying
+// payload bytes in total.
+func putFrameLen(nseg, payload int) int { return verbHeaderLen + nseg*rangeLen + payload }
+
+// verbFrameLen returns the encoded size of vf.
+func verbFrameLen(vf *verbFrame) int {
+	if vf.op != frameVerbPut {
+		return verbHeaderLen + rangeLen
+	}
+	payload := 0
+	for _, s := range vf.segs {
+		payload += len(s.Data)
+	}
+	return putFrameLen(len(vf.segs), payload)
+}
+
+func putRange(dst []byte, off, length int) {
+	binary.LittleEndian.PutUint32(dst, uint32(off))
+	binary.LittleEndian.PutUint32(dst[4:], uint32(length))
+}
+
+func getRange(b []byte) (off, length int) {
+	return int(int32(binary.LittleEndian.Uint32(b))), int(int32(binary.LittleEndian.Uint32(b[4:])))
 }
 
 // encodeVerb writes the frame for vf into dst and returns its length.
@@ -52,24 +88,21 @@ func encodeVerb(dst []byte, vf *verbFrame) int {
 	binary.LittleEndian.PutUint32(dst[1:], uint32(vf.origin))
 	binary.LittleEndian.PutUint32(dst[5:], vf.seq)
 	binary.LittleEndian.PutUint32(dst[9:], uint32(vf.window))
-	binary.LittleEndian.PutUint32(dst[13:], uint32(vf.off))
-	binary.LittleEndian.PutUint32(dst[17:], uint32(vf.length))
 	n := verbHeaderLen
-	if vf.op == frameVerbPut {
-		n += copy(dst[verbHeaderLen:], vf.payload)
+	if vf.op != frameVerbPut {
+		putRange(dst[n:], vf.off, vf.length)
+		return n + rangeLen
+	}
+	for _, s := range vf.segs {
+		putRange(dst[n:], s.Off, len(s.Data))
+		n += rangeLen + copy(dst[n+rangeLen:], s.Data)
 	}
 	return n
 }
 
-// verbFrameLen returns the encoded size of vf.
-func verbFrameLen(vf *verbFrame) int {
-	if vf.op == frameVerbPut {
-		return verbHeaderLen + len(vf.payload)
-	}
-	return verbHeaderLen
-}
-
-// decodeVerb parses one verb frame. The returned payload aliases data.
+// decodeVerb parses one verb frame. Segment data aliases data. Every
+// length is checked against the bytes actually present before it is
+// used, and the segment list grows only as real segments are parsed.
 func decodeVerb(data []byte) (*verbFrame, error) {
 	if len(data) < verbHeaderLen {
 		return nil, fmt.Errorf("rdmagm: verb frame truncated (%d bytes)", len(data))
@@ -79,27 +112,46 @@ func decodeVerb(data []byte) (*verbFrame, error) {
 		origin: int32(binary.LittleEndian.Uint32(data[1:])),
 		seq:    binary.LittleEndian.Uint32(data[5:]),
 		window: int32(binary.LittleEndian.Uint32(data[9:])),
-		off:    int(int32(binary.LittleEndian.Uint32(data[13:]))),
-		length: int(int32(binary.LittleEndian.Uint32(data[17:]))),
 	}
-	if vf.length < 0 {
-		return nil, fmt.Errorf("rdmagm: verb with negative length %d", vf.length)
-	}
+	body := data[verbHeaderLen:]
 	switch vf.op {
 	case frameVerbPut:
-		if len(data) != verbHeaderLen+vf.length {
-			return nil, fmt.Errorf("rdmagm: put frame carries %d payload bytes, header claims %d",
-				len(data)-verbHeaderLen, vf.length)
+		for len(body) > 0 {
+			if len(body) < rangeLen {
+				return nil, fmt.Errorf("rdmagm: put frame ends inside a segment header (%d stray bytes)", len(body))
+			}
+			off, n := getRange(body)
+			if n < 0 || n > len(body)-rangeLen {
+				return nil, fmt.Errorf("rdmagm: put segment claims %d bytes, frame holds %d", n, len(body)-rangeLen)
+			}
+			vf.segs = append(vf.segs, substrate.PutSeg{Off: off, Data: body[rangeLen : rangeLen+n]})
+			body = body[rangeLen+n:]
 		}
-		vf.payload = data[verbHeaderLen:]
 	case frameVerbGet:
-		if len(data) != verbHeaderLen {
-			return nil, fmt.Errorf("rdmagm: get frame with trailing bytes")
+		if len(body) != rangeLen {
+			return nil, fmt.Errorf("rdmagm: get frame is %d bytes, want %d", len(data), verbHeaderLen+rangeLen)
+		}
+		if vf.off, vf.length = getRange(body); vf.length < 0 {
+			return nil, fmt.Errorf("rdmagm: get with negative length %d", vf.length)
 		}
 	default:
 		return nil, fmt.Errorf("rdmagm: unknown verb op %#x", vf.op)
 	}
 	return vf, nil
+}
+
+// outside returns the first byte range of vf that does not lie inside a
+// window of size bytes (-1: no such window, so every range is outside).
+func (vf *verbFrame) outside(size int) (off, length int, bad bool) {
+	if vf.op != frameVerbPut {
+		return vf.off, vf.length, vf.off < 0 || vf.off+vf.length > size
+	}
+	for _, s := range vf.segs {
+		if s.Off < 0 || s.Off+len(s.Data) > size {
+			return s.Off, len(s.Data), true
+		}
+	}
+	return 0, 0, false
 }
 
 // compFrame is one decoded completion-queue entry.

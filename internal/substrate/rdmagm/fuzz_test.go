@@ -1,6 +1,7 @@
 package rdmagm
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/gm"
@@ -52,29 +53,42 @@ func deliver(p *sim.Proc, node *gm.Node, from myrinet.NodeID, fromPort int, data
 
 // FuzzHandleVerbFrame feeds arbitrary bytes to the verb-port sink — the
 // NIC-firmware surface a faulty fabric attacks: truncated descriptors,
-// ops with inconsistent lengths, negative offsets, unknown window ids,
-// unknown tags. Every input is delivered twice because GM-level recovery
+// Put segment vectors whose lengths disagree with the frame's, ranges
+// outside the window, negative offsets, unknown window ids, unknown tags. Every input is delivered twice because GM-level recovery
 // redelivers frames, so the duplicate-verb filter (no re-execution,
 // cached-completion resend) is on the fuzzed path too. The invariant:
-// never panic, never deadlock, never DMA outside the window — malformed
-// frames are counted and their receive buffers recycled.
+// never panic, never deadlock, never DMA outside the window, never apply
+// part of a Put — malformed frames are counted and their receive buffers
+// recycled.
 func FuzzHandleVerbFrame(f *testing.F) {
 	seed := func(vf *verbFrame) []byte {
 		b := make([]byte, verbFrameLen(vf))
 		encodeVerb(b, vf)
 		return b
 	}
-	f.Add(seed(&verbFrame{op: frameVerbPut, origin: 1, seq: 1, window: 1, off: 64,
-		length: 4, payload: []byte{1, 2, 3, 4}})) // well-formed put
+	put := func(seq uint32, segs ...substrate.PutSeg) []byte {
+		return seed(&verbFrame{op: frameVerbPut, origin: 1, seq: seq, window: 1, segs: segs})
+	}
+	seg := func(off, n int) substrate.PutSeg {
+		return substrate.PutSeg{Off: off, Data: bytes.Repeat([]byte{0xAB}, n)}
+	}
+	f.Add(put(1, substrate.PutSeg{Off: 64, Data: []byte{1, 2, 3, 4}})) // well-formed contiguous put
 	f.Add(seed(&verbFrame{op: frameVerbGet, origin: 1, seq: 2, window: 1, off: 0, length: 128}))
+	f.Add(put(3, seg(0, 8), seg(8, 0), seg(8, 8), seg(4000, 96)))                               // vector put: adjacent and empty segments
 	f.Add(seed(&verbFrame{op: frameVerbGet, origin: 1, seq: 4, window: 99, off: 0, length: 8})) // unknown window
-	f.Add(seed(&verbFrame{op: frameVerbPut, origin: 1, seq: 5, window: 1, off: 4090,
-		length: 16, payload: make([]byte, 16)})) // straddles the window end
+	f.Add(put(5, seg(4090, 16)))                                                                // straddles the window end
 	f.Add(seed(&verbFrame{op: frameVerbGet, origin: 1, seq: 6, window: 1, off: -4, length: 8})) // negative offset
 	f.Add(seed(&verbFrame{op: frameVerbGet, origin: 77, seq: 7, window: 1, off: 0, length: 8})) // absurd origin
-	truncated := seed(&verbFrame{op: frameVerbPut, origin: 1, seq: 8, window: 1, off: 0,
-		length: 64, payload: make([]byte, 64)})
-	f.Add(truncated[:verbHeaderLen+10])     // payload shorter than header claims
+	f.Add(put(8))                                                                               // no segments at all
+	f.Add(put(9, seg(0, 16), seg(32, 16), seg(4096, 1)))                                        // last segment past the window end: nothing may land
+	f.Add(put(10, seg(100, 64), seg(120, 64), seg(100, 8)))                                     // overlapping segments apply in order
+	two := put(11, seg(0, 16), seg(64, 16))
+	f.Add(two[:len(two)-16-3]) // frame ends inside the second segment's header
+	f.Add(two[:len(two)-5])    // second segment claims more bytes than the frame holds
+	f.Add(append(two, 0xEE))   // stray bytes after the last segment
+	huge := put(12, seg(0, 16))
+	putRange(huge[verbHeaderLen:], 0, 1<<30) // a length no frame could carry
+	f.Add(huge)
 	f.Add([]byte{frameCompletion, 1, 2, 3}) // completion tag on the verb port
 	f.Add([]byte{})
 	f.Add([]byte{250, 1, 2, 3}) // unknown tag
@@ -87,6 +101,14 @@ func FuzzHandleVerbFrame(f *testing.F) {
 		fuzzCluster(t, func(p *sim.Proc, target, initiator *Transport) {
 			for i := 0; i < 2; i++ { // redelivery: the dup filter must hold
 				target.onVerbFrame(deliver(p, target.node, 1, VerbPort, data))
+			}
+			// All or nothing: a Put with any segment outside the window
+			// must not have deposited its in-bounds segments either.
+			win := target.windows[1]
+			if vf, err := decodeVerb(data); err == nil && vf.op == frameVerbPut && vf.window == 1 {
+				if _, _, bad := vf.outside(len(win)); bad && !bytes.Equal(win, make([]byte, len(win))) {
+					t.Fatal("a faulting Put wrote part of its segments")
+				}
 			}
 		})
 	})
@@ -125,8 +147,8 @@ func FuzzHandleCompletion(f *testing.F) {
 			data = data[:params.MaxMessage()]
 		}
 		fuzzCluster(t, func(p *sim.Proc, target, initiator *Transport) {
-			pv := initiator.PostPut(p, 0, 1, 0, []byte{1, 2, 3, 4}) // live verb, seq 1
-			for i := 0; i < 2; i++ {                                // duplicated ack: second copy must be stale
+			pv := initiator.PostPut(p, 0, 1, substrate.PutSeg{Data: []byte{1, 2, 3, 4}}) // live verb, seq 1
+			for i := 0; i < 2; i++ {                                                     // duplicated ack: second copy must be stale
 				initiator.handleCompletion(p, deliver(p, initiator.node, 0, CQPort, data))
 			}
 			// However the fuzzed entries collided with it, the genuine verb

@@ -51,6 +51,12 @@ const (
 // buffer or token (kernel context cannot block).
 const compRetry = 50 * sim.Microsecond
 
+// segDMACost is the target NIC's cost per Put segment on top of the
+// frame's NICServiceCost: each segment is one more host DMA to set up,
+// priced like every other host DMA in the model (myrinet.Params'
+// Tx/RxDMASetup; DESIGN.md §12.1).
+const segDMACost = 600 * sim.Nanosecond
+
 // verbFlowWindow is the per-QP verb credit budget when end-to-end flow
 // control (Config.Fast.Flow) is enabled: small enough that n−1 initiators
 // incasting at one target cannot overrun its verb ring, large enough to
@@ -218,16 +224,21 @@ func (t *Transport) RegisterWindow(p *sim.Proc, id int32, mem []byte) {
 }
 
 // PostPut implements substrate.OneSided.
-func (t *Transport) PostPut(p *sim.Proc, dst int, window int32, off int, data []byte) substrate.PendingVerb {
+func (t *Transport) PostPut(p *sim.Proc, dst int, window int32, segs ...substrate.PutSeg) substrate.PendingVerb {
+	vf := &verbFrame{op: frameVerbPut, window: window, segs: segs}
+	n := verbFrameLen(vf)
 	st := t.Stats()
 	st.OneSidedPuts++
-	st.OneSidedBytesPut += int64(len(data))
-	// The staging copy into the registered descriptor (the payload rides
-	// the frame; windows on the initiator side need no registration).
-	p.Advance(sim.BytesTime(len(data), t.rcfg.Fast.CopyBandwidth))
-	return t.post(p, dst, &verbFrame{op: frameVerbPut, window: window, off: off,
-		length: len(data), payload: data})
+	st.OneSidedBytesPut += int64(n - putFrameLen(len(segs), 0)) // payload: the frame less its headers
+	// The gather into the registered descriptor: every segment header and
+	// payload byte is a host copy (the payload rides the frame; windows on
+	// the initiator side need no registration).
+	p.Advance(sim.BytesTime(n, t.rcfg.Fast.CopyBandwidth))
+	return t.post(p, dst, vf)
 }
+
+// PutSize implements substrate.OneSided.
+func (t *Transport) PutSize(nseg, payload int) int { return putFrameLen(nseg, payload) }
 
 // PostGet implements substrate.OneSided.
 func (t *Transport) PostGet(p *sim.Proc, dst int, window int32, off, n int) substrate.PendingVerb {
@@ -466,30 +477,33 @@ func (t *Transport) onVerbFrame(rv *gm.Recv) {
 	}
 	e := t.vdup.Insert(key)
 
+	// Every range is checked against the window before any byte moves: a
+	// faulting Put writes nothing, whichever of its segments is at fault.
 	var comp []byte
 	var dmaBytes int
 	win, ok := t.windows[vf.window]
-	switch {
-	case !ok:
-		st.WindowFaults++
-		comp = encodeCompletion(int32(t.Rank()), vf, compBadWindow, nil, -1)
-	case vf.off < 0 || vf.length < 0 || vf.off+vf.length > len(win):
-		st.WindowFaults++
-		comp = encodeCompletion(int32(t.Rank()), vf, compOOB, nil, int64(len(win)))
-	default:
-		switch vf.op {
-		case frameVerbPut:
-			copy(win[vf.off:vf.off+vf.length], vf.payload)
-			dmaBytes = vf.length
-			comp = encodeCompletion(int32(t.Rank()), vf, compOK, nil, 0)
-		case frameVerbGet:
-			snap := append([]byte(nil), win[vf.off:vf.off+vf.length]...)
-			dmaBytes = vf.length
-			comp = encodeCompletion(int32(t.Rank()), vf, compOK, snap, 0)
-		}
+	size, status := int64(len(win)), compOOB
+	if !ok {
+		size, status = -1, compBadWindow
 	}
-	// Firmware service + DMA latency, then the completion entry.
-	delay := t.rcfg.NICServiceCost + sim.BytesTime(dmaBytes, t.rcfg.DMABandwidth)
+	if off, length, bad := vf.outside(int(size)); !ok || bad {
+		st.WindowFaults++
+		vf.off, vf.length = off, length
+		comp = encodeCompletion(int32(t.Rank()), vf, status, nil, size)
+	} else if vf.op == frameVerbPut {
+		for _, s := range vf.segs {
+			dmaBytes += copy(win[s.Off:], s.Data)
+		}
+		comp = encodeCompletion(int32(t.Rank()), vf, compOK, nil, 0)
+	} else {
+		snap := append([]byte(nil), win[vf.off:vf.off+vf.length]...)
+		dmaBytes = vf.length
+		comp = encodeCompletion(int32(t.Rank()), vf, compOK, snap, 0)
+	}
+	// Firmware service (once per frame), one DMA descriptor per Put
+	// segment, the DMA itself, then the completion entry.
+	delay := t.rcfg.NICServiceCost + sim.Time(len(vf.segs))*segDMACost +
+		sim.BytesTime(dmaBytes, t.rcfg.DMABandwidth)
 	dst := int(vf.origin)
 	var compAux []byte
 	if cz != nil {

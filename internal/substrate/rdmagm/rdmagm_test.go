@@ -65,7 +65,7 @@ func TestOneSidedPutGetRoundTrip(t *testing.T) {
 				return
 			}
 			p.Advance(sim.Millisecond) // let rank 1 register first
-			pv := os.PostPut(p, 1, 7, 1024, payload)
+			pv := os.PostPut(p, 1, 7, substrate.PutSeg{Off: 1024, Data: payload})
 			if err := os.WaitVerbs(p, []substrate.PendingVerb{pv}); err != nil {
 				t.Errorf("put: %v", err)
 			}
@@ -119,7 +119,7 @@ func TestWindowBoundsErrors(t *testing.T) {
 			p.Advance(sim.Millisecond)
 
 			// Unknown window: Size is reported as -1.
-			pv := os.PostPut(p, 1, 99, 0, []byte{1, 2, 3})
+			pv := os.PostPut(p, 1, 99, substrate.PutSeg{Data: []byte{1, 2, 3}})
 			err := os.WaitVerbs(p, []substrate.PendingVerb{pv})
 			var wbe *substrate.WindowBoundsError
 			if !errors.As(err, &wbe) {
@@ -144,7 +144,7 @@ func TestWindowBoundsErrors(t *testing.T) {
 
 			// A valid verb afterwards still works: faults are per-verb, not
 			// connection-fatal.
-			ok := os.PostPut(p, 1, 3, 0, []byte{9})
+			ok := os.PostPut(p, 1, 3, substrate.PutSeg{Data: []byte{9}})
 			if err := os.WaitVerbs(p, []substrate.PendingVerb{ok}); err != nil {
 				t.Errorf("valid put after faults: %v", err)
 			}
@@ -190,7 +190,7 @@ func TestVerbFaultStorm(t *testing.T) {
 			p.Advance(sim.Millisecond)
 			var batch []substrate.PendingVerb
 			for k := 0; k < puts; k++ {
-				batch = append(batch, os.PostPut(p, 1, 5, k*chunk, want[k*chunk:(k+1)*chunk]))
+				batch = append(batch, os.PostPut(p, 1, 5, substrate.PutSeg{Off: k * chunk, Data: want[k*chunk : (k+1)*chunk]}))
 			}
 			if err := os.WaitVerbs(p, batch); err != nil {
 				t.Errorf("put storm: %v", err)
@@ -250,7 +250,7 @@ func TestVerbBlackoutRecovery(t *testing.T) {
 			var batch []substrate.PendingVerb
 			for k := 0; k < 8; k++ {
 				chunk := bytes.Repeat([]byte{byte(k + 1)}, 512)
-				batch = append(batch, os.PostPut(p, 1, 2, k*512, chunk))
+				batch = append(batch, os.PostPut(p, 1, 2, substrate.PutSeg{Off: k * 512, Data: chunk}))
 			}
 			if err := os.WaitVerbs(p, batch); err != nil {
 				t.Errorf("blackout puts: %v", err)
@@ -296,7 +296,7 @@ func TestVerbsAbandonedOnDeadPeer(t *testing.T) {
 		tr.Start(p, func(p *sim.Proc, m *msg.Message) {})
 		os := oneSided(t, tr)
 		p.Advance(5 * sim.Millisecond) // rank 1 is dead by now
-		pv := os.PostPut(p, 0+1, 4, 0, []byte{1, 2, 3, 4})
+		pv := os.PostPut(p, 0+1, 4, substrate.PutSeg{Data: []byte{1, 2, 3, 4}})
 		verr = os.WaitVerbs(p, []substrate.PendingVerb{pv})
 		tr.Shutdown(p)
 	})

@@ -41,6 +41,7 @@ func RunConformance(t *testing.T, build Builder) {
 	t.Run("ScatterGatherFaultStorm", func(t *testing.T) { ConformanceScatterGatherFaultStorm(t, build) })
 	t.Run("IncastStorm", func(t *testing.T) { ConformanceIncastStorm(t, build) })
 	t.Run("CreditStarvationParkResume", func(t *testing.T) { ConformanceCreditStarvationParkResume(t, build) })
+	t.Run("VectorPut", func(t *testing.T) { ConformanceVectorPut(t, build) })
 }
 
 // requireAllPortsEnabled asserts the residual-damage invariant after a
@@ -389,7 +390,7 @@ func retryExhaustionOneSided(t *testing.T, build Builder) {
 			}
 			p.Advance(2 * sim.Millisecond)
 			verbs := []substrate.PendingVerb{
-				os.PostPut(p, 1, 1, 0, []byte{1, 2, 3, 4}),
+				os.PostPut(p, 1, 1, substrate.PutSeg{Data: []byte{1, 2, 3, 4}}),
 				os.PostGet(p, 1, 1, 0, 64),
 			}
 			werr = os.WaitVerbs(p, verbs)
@@ -399,7 +400,7 @@ func retryExhaustionOneSided(t *testing.T, build Builder) {
 				}
 			}
 			sent := tr.Stats().BytesSent
-			late := os.PostPut(p, 1, 1, 0, []byte{5})
+			late := os.PostPut(p, 1, 1, substrate.PutSeg{Data: []byte{5}})
 			lateDone, lateErr, lateBytes = late.Done(), late.Err(), tr.Stats().BytesSent-sent
 		},
 	)
@@ -422,6 +423,93 @@ func retryExhaustionOneSided(t *testing.T, build Builder) {
 		t.Errorf("retransmits=%d abandoned=%d declared=%d, want >0, >=3 (put, get, late put), 1",
 			st.Retransmits, st.SendsAbandoned, st.PeersDeclaredDead)
 	}
+}
+
+// ConformanceVectorPut is the write verb's contract, for bindings that
+// implement OneSided (the others pass vacuously): a Put is a vector of
+// segments — adjacent and empty ones are legal — that lands whole and
+// reads back by Get; a Put whose last segment is out of bounds completes
+// with a *WindowBoundsError naming that segment and has written none of
+// the earlier ones; and a redelivered duplicate of an old Put (its
+// completion is dropped once, so the initiator re-sends the descriptor)
+// is answered from the target's duplicate filter, not re-applied over a
+// newer Put to the same words.
+func ConformanceVectorPut(t *testing.T, build Builder) {
+	c := build(2, 1)
+	if _, ok := c.Transports[0].(substrate.OneSided); !ok {
+		return
+	}
+	win := make([]byte, 4096)
+	seg := func(off int, fill byte, n int) substrate.PutSeg {
+		return substrate.PutSeg{Off: off, Data: bytes.Repeat([]byte{fill}, n)}
+	}
+	var readBack []byte
+	var oobErr error
+	c.Spawn(
+		func(rank int) substrate.Handler { return func(p *sim.Proc, m *msg.Message) {} },
+		func(rank int, p *sim.Proc, tr substrate.Transport) {
+			os := tr.(substrate.OneSided)
+			if rank == 1 {
+				os.RegisterWindow(p, 1, win)
+				return
+			}
+			p.Advance(sim.Millisecond) // let rank 1 register first
+			wait := func(what string, v substrate.PendingVerb) error {
+				err := os.WaitVerbs(p, []substrate.PendingVerb{v})
+				if err != nil && what != "" {
+					t.Errorf("%s: %v", what, err)
+				}
+				return err
+			}
+			// Multi-segment round trip: two adjacent segments, an empty
+			// one, and a distant one.
+			wait("vector put", os.PostPut(p, 1, 1, seg(8, 1, 8), seg(16, 2, 4), seg(20, 3, 0), seg(100, 4, 12)))
+			gv := os.PostGet(p, 1, 1, 0, 128)
+			wait("get", gv)
+			readBack = gv.Data()
+
+			// All or nothing: the last segment runs off the window.
+			oobErr = wait("", os.PostPut(p, 1, 1, seg(200, 5, 4), seg(300, 6, 4), seg(4094, 7, 4)))
+
+			// The old Put's completion is the next packet from rank 1, and
+			// it is lost. The newer Put to the same words completes first;
+			// waiting on the old one then re-sends its descriptor.
+			c.Fabric.SetFaults(myrinet.FaultConfig{DropNexts: []myrinet.DropNext{{Src: 1, Dst: 0, Count: 1}}})
+			old := os.PostPut(p, 1, 1, seg(400, 8, 4), seg(500, 8, 4))
+			wait("newer put", os.PostPut(p, 1, 1, seg(400, 9, 4), seg(500, 9, 4)))
+			wait("old put", old)
+		},
+	)
+	if err := c.Run(); err != nil {
+		t.Fatalf("simulation did not quiesce: %v", err)
+	}
+	want := make([]byte, 128)
+	copy(want[8:], bytes.Repeat([]byte{1}, 8))
+	copy(want[16:], bytes.Repeat([]byte{2}, 4))
+	copy(want[100:], bytes.Repeat([]byte{4}, 12))
+	if !bytes.Equal(readBack, want) || !bytes.Equal(win[:128], want) {
+		t.Errorf("vector put read back %v, window holds %v, want %v", readBack, win[:128], want)
+	}
+	var wbe *substrate.WindowBoundsError
+	if !errors.As(oobErr, &wbe) || wbe.Off != 4094 || wbe.Len != 4 || wbe.Size != len(win) {
+		t.Errorf("out-of-bounds vector put: got %v, want a WindowBoundsError naming [4094,+4) of %d", oobErr, len(win))
+	}
+	if !bytes.Equal(win[200:204], make([]byte, 4)) || !bytes.Equal(win[300:304], make([]byte, 4)) {
+		t.Error("a faulting vector put wrote its in-bounds segments")
+	}
+	if win[400] != 9 || win[500] != 9 {
+		t.Errorf("redelivered old put overwrote the newer one: window holds %d/%d, want 9/9", win[400], win[500])
+	}
+	if fs := c.Fabric.FaultStats(); fs.Dropped != 1 {
+		t.Errorf("dropped %d packets, want exactly the old put's completion", fs.Dropped)
+	}
+	if st := c.Transports[0].Stats(); st.Retransmits == 0 {
+		t.Errorf("initiator never re-sent the put whose completion was lost: %+v", st)
+	}
+	if st := c.Transports[1].Stats(); st.DupRequests == 0 {
+		t.Errorf("target never saw the redelivered put: %+v", st)
+	}
+	requireAllPortsEnabled(t, c)
 }
 
 // ConformanceScatterGather: two overlapped calls to different peers, with

@@ -177,11 +177,24 @@ type OneSided interface {
 	// (the checkpoint/restart path re-registers restored memory).
 	RegisterWindow(p *sim.Proc, id int32, mem []byte)
 
-	// PostPut starts a one-sided write of data into dst's window at
-	// byte offset off and returns immediately; the transfer is complete
-	// (visible to the remote CPU and to subsequent verbs) once the verb
-	// resolves in WaitVerbs.
-	PostPut(p *sim.Proc, dst int, window int32, off int, data []byte) PendingVerb
+	// PostPut starts a one-sided scatter write — each segment's Data lands
+	// at its byte offset Off in dst's window — and returns immediately;
+	// the transfer is complete (visible to the remote CPU and to
+	// subsequent verbs) once the verb resolves in WaitVerbs. It is the one
+	// write verb: a contiguous Put is the one-segment case. The target
+	// checks every segment against the window before writing any, so a
+	// Put that faults (the *WindowBoundsError names the first offending
+	// segment) has written nothing; otherwise segments apply in order
+	// (they may abut or overlap, and may be empty). The segments are
+	// staged before PostPut returns and not retained. The whole verb is
+	// one frame, one credit and one completion, so it must fit one: a Put
+	// whose PutSize exceeds the fabric's largest message is a caller bug.
+	PostPut(p *sim.Proc, dst int, window int32, segs ...PutSeg) PendingVerb
+
+	// PutSize returns the frame size of a Put carrying nseg segments of
+	// payload bytes in total — what a caller packing segments into Puts
+	// sizes its frames by.
+	PutSize(nseg, payload int) int
 
 	// PostGet starts a one-sided read of n bytes from dst's window at
 	// byte offset off; the payload is available from the handle's Data
@@ -196,6 +209,13 @@ type OneSided interface {
 	// if the target was declared dead mid-verb, by silence or by a spent
 	// retry budget), or nil if all verbs completed.
 	WaitVerbs(p *sim.Proc, verbs []PendingVerb) error
+}
+
+// PutSeg is one contiguous piece of a one-sided write: Data, deposited at
+// byte offset Off of the target window.
+type PutSeg struct {
+	Off  int
+	Data []byte
 }
 
 // PendingVerb is the handle for one outstanding one-sided verb.

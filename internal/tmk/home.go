@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/gm"
 	"repro/internal/sim"
 	"repro/internal/substrate"
 	"repro/internal/trace"
@@ -230,12 +231,68 @@ func (tp *Proc) promoteValid(pm *pageMeta) {
 	}
 }
 
+// homePut is one packed write verb of a flush: the diff runs of same-home
+// pages of one region, each a segment at its byte range in the window.
+type homePut struct {
+	home    int
+	window  int32
+	segs    []substrate.PutSeg
+	payload int
+}
+
+// homePacker packs an interval's diffs into as few Puts as the frame
+// limit allows: one open frame per home, closed when the next page
+// belongs to another region or its segments would push the frame (sized
+// by the transport's PutSize) past limit. No single page can: 512 runs
+// is the most a page encodes, ≈6 KB of segments.
+type homePacker struct {
+	limit int
+	size  func(nseg, payload int) int
+	puts  []homePut
+	open  map[int]int        // home → index of its open frame in puts
+	page  []substrate.PutSeg // scratch: the current page's segments
+}
+
+// add appends one page's diff, as segments offset by the page's window
+// offset base, to home's open frame and returns the payload bytes (an
+// empty diff adds nothing).
+func (hp *homePacker) add(home int, window int32, base int, diff []byte) int {
+	hp.page = hp.page[:0]
+	payload := 0
+	for off := 0; off < len(diff); {
+		start := int(binary.LittleEndian.Uint16(diff[off:]))
+		n := 4 * int(binary.LittleEndian.Uint16(diff[off+2:]))
+		off += 4
+		hp.page = append(hp.page, substrate.PutSeg{Off: base + start*4, Data: diff[off : off+n]})
+		off += n
+		payload += n
+	}
+	if len(hp.page) == 0 {
+		return 0
+	}
+	i, ok := hp.open[home]
+	if !ok || hp.puts[i].window != window ||
+		hp.size(len(hp.puts[i].segs)+len(hp.page), hp.puts[i].payload+payload) > hp.limit {
+		i = len(hp.puts)
+		hp.open[home] = i
+		hp.puts = append(hp.puts, homePut{home: home, window: window})
+	}
+	hp.puts[i].segs = append(hp.puts[i].segs, hp.page...)
+	hp.puts[i].payload += payload
+	return payload
+}
+
 // flushHomeDiffs ships the interval's diffs into each dirty page's home
 // window and waits for every completion — the flush-before-synchronize
-// half of HLRC. Each diff run becomes one Put at the run's exact byte
-// range, so the wire carries only changed words. Runs masked (callers of
-// closeInterval hold delivery disabled), which is legal: completions
-// arrive on the dedicated CQ port, not the async request port.
+// half of HLRC. The wire carries only changed words, and carries them in
+// few frames: every diff run is one segment of a scatter Put, and a Put
+// holds as many pages' segments as fit the GM size class a dense
+// single-page Put occupies anyway — so a dense page is still one frame
+// (and its staging still overlaps the previous frame's send), while
+// sparse pages, whose runs would each have been a verb, share one. Runs
+// masked (callers of closeInterval hold delivery disabled), which is
+// legal: completions arrive on the dedicated CQ port, not the async
+// request port.
 //
 // No coverage filtering is needed on this path (contrast the homeless
 // applyDiffs): the home is a single ordered application point — Puts
@@ -243,7 +300,8 @@ func (tp *Proc) promoteValid(pm *pageMeta) {
 // reader always takes the whole current home page — so there is no
 // "diff subsumed by a concurrently fetched copy" hazard to filter.
 func (tp *Proc) flushHomeDiffs(ts int32, pages []int32) {
-	var verbs []substrate.PendingVerb
+	hp := homePacker{size: tp.os.PutSize, open: map[int]int{},
+		limit: gm.ClassCapacity(tp.cluster.cfg.GM.ClassFor(tp.os.PutSize(1, PageSize)))}
 	total := 0
 	for _, pg := range pages {
 		pm := tp.page(pg)
@@ -251,18 +309,7 @@ func (tp *Proc) flushHomeDiffs(ts int32, pages []int32) {
 		if home == tp.rank {
 			continue // our copy is the home window; nothing to ship
 		}
-		diff := tp.myDiffs[diffKey{page: pg, ts: ts}]
-		base := windowOff(pm)
-		nbytes := 0
-		for off := 0; off < len(diff); {
-			start := int(binary.LittleEndian.Uint16(diff[off:]))
-			count := int(binary.LittleEndian.Uint16(diff[off+2:]))
-			off += 4
-			verbs = append(verbs, tp.os.PostPut(tp.sp, home, pm.region.ID,
-				base+start*4, diff[off:off+count*4]))
-			off += count * 4
-			nbytes += count * 4
-		}
+		nbytes := hp.add(home, pm.region.ID, windowOff(pm), tp.myDiffs[diffKey{page: pg, ts: ts}])
 		total += nbytes
 		tp.stats.HomeFlushes++
 		tp.stats.HomeFlushBytes += int64(nbytes)
@@ -270,8 +317,12 @@ func (tp *Proc) flushHomeDiffs(ts int32, pages []int32) {
 			pf.HomeFlush(tp.rank, pg, pm.region.ID, home, nbytes)
 		}
 	}
-	if len(verbs) == 0 {
+	if len(hp.puts) == 0 {
 		return
+	}
+	verbs := make([]substrate.PendingVerb, len(hp.puts))
+	for i, put := range hp.puts {
+		verbs[i] = tp.os.PostPut(tp.sp, put.home, put.window, put.segs...)
 	}
 	start := tp.sp.Now()
 	tp.waitVerbs(fmt.Sprintf("interval %d (home flush, %d puts)", ts, len(verbs)), verbs)
