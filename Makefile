@@ -6,7 +6,7 @@ GO       ?= go
 FUZZTIME ?= 5s
 BENCHDIR ?= .
 
-.PHONY: all check fmt vet build test race fuzz-smoke bench bench-identical bench-diff bench-gate prof-smoke chaos-smoke crash-smoke churn-smoke rdma-smoke critical-smoke flow-smoke
+.PHONY: all check fmt vet build test race loc fuzz-smoke bench bench-identical bench-diff bench-gate prof-smoke chaos-smoke crash-smoke churn-smoke rdma-smoke critical-smoke flow-smoke
 
 all: check
 
@@ -30,6 +30,14 @@ test:
 # reported), and `test` already runs it.
 race:
 	$(GO) test -race $$($(GO) list ./... | grep -v '/benchmark$$')
+
+# Non-test line counts per package, the one number simplicity PRs quote
+# (comments and blank lines included; nothing moved into _test files counts
+# as removed).
+loc:
+	@for d in $$($(GO) list -f '{{.Dir}}' ./... | sed "s|^$$PWD|.|"); do \
+		printf '%6d  %s\n' "$$(cat $$(ls $$d/*.go | grep -v _test) 2>/dev/null | wc -l)" "$$d"; \
+	done
 
 # Short fuzz runs of every fuzz target (seeds are checked in under each
 # package's testdata/fuzz/). A finding is written there as a new case.

@@ -74,7 +74,7 @@ func main() {
 	transport := flag.String("transport", "fastgm", "substrate: fastgm, udpgm, or rdmagm")
 	sizeIdx := flag.Int("size", -1, "size ladder index 0..3 (-1 = default size)")
 	verify := flag.Bool("verify", false, "check the result against the sequential reference")
-	rendezvous := flag.Bool("rendezvous", false, "enable the FAST/GM rendezvous protocol")
+	rendezvous := flag.Bool("rendezvous", false, "enable the FAST/GM rendezvous protocol (fastgm, and rdmagm's two-sided half)")
 	homeless := flag.Bool("homeless", false, "run the homeless protocol on rdmagm (default there is home-based LRC)")
 	seed := flag.Int64("seed", 1, "simulation RNG seed (fault schedules, tie-breaking)")
 	chaos := flag.Bool("chaos", false, "run the chaos sweep (all apps × transports on a lossy fabric)")

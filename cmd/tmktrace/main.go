@@ -67,9 +67,7 @@ func main() {
 		cfg.Prof = pf
 	}
 	cluster := tmk.NewCluster(cfg)
-	cluster.Sim().SetTrace(func(format string, args ...any) {
-		fmt.Printf(format+"\n", args...)
-	})
+	cluster.TraceTo(os.Stdout)
 
 	var body func(tp *tmk.Proc)
 	switch *scenario {

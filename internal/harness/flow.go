@@ -86,10 +86,10 @@ func runIncast(family string, spec IncastSpec) (*incastRow, error) {
 			trs[i] = fastgm.New(g.Node(myrinet.NodeID(i)), i, n, cfg)
 		}
 	case "rdmagm":
-		cfg := rdmagm.DefaultConfig()
-		cfg.Fast.Flow = fl
+		cfg := fastgm.DefaultConfig()
+		cfg.Flow = fl
 		for i := 0; i < n; i++ {
-			trs[i] = rdmagm.New(g.Node(myrinet.NodeID(i)), i, n, cfg)
+			trs[i] = rdmagm.New(g.Node(myrinet.NodeID(i)), i, n, cfg, rdmagm.DefaultConfig())
 		}
 	default:
 		return nil, fmt.Errorf("incast: unknown substrate family %q", family)

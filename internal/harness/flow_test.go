@@ -30,7 +30,6 @@ func TestFlowOffBitIdentity(t *testing.T) {
 					hd := substrate.HedgeConfig{MinDeadline: sim.Millisecond, LatencyScale: 2}
 					cfg.UDP.Flow, cfg.UDP.Hedge = fl, hd
 					cfg.Fast.Flow, cfg.Fast.Hedge = fl, hd
-					cfg.RDMA.Fast.Flow, cfg.RDMA.Fast.Hedge = fl, hd
 					cfg.Admission = tmk.AdmissionConfig{MaxOutstanding: 2, HighWater: 1}
 					cfg.MetaGC = tmk.MetaGCConfig{HighWater: 1}
 				})

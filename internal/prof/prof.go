@@ -10,7 +10,7 @@
 //
 // Like internal/trace, the package is standard-library-only and knows
 // nothing about the simulator: times are raw virtual nanoseconds
-// (int64), every hook site in internal/tmk is nil-checked, and
+// (int64), tmk hands it events through the one Observe entry point, and
 // recording never charges virtual time — a profiled run is
 // bit-identical to an unprofiled one (enforced by
 // TestProfilingDoesNotPerturbResults in internal/harness).
@@ -201,177 +201,151 @@ func (p *Profiler) lockCell(id int32, rank int) *Cell {
 	return c
 }
 
-// ---------------------------------------------------------------------
-// Page hooks (called from tmk's fault/diff paths).
-// ---------------------------------------------------------------------
+// Kind says what happened to the entity an Event is about.
+type Kind uint8
 
-// PageReadFault records a completed read fault of durNs on the page.
-func (p *Profiler) PageReadFault(rank int, page, region int32, durNs int64) {
-	ps := p.page(page, region)
-	ps.ReadFaults++
-	ps.FaultNs += durNs
-	c := p.pageCell(page, rank)
-	c.Events++
-	c.Ns += durNs
+const (
+	ReadFault     Kind = iota // a read fault on page ID completed after Dur
+	WriteFault                // a write fault on page ID (twin creation) completed after Dur
+	Fetch                     // a full-page fetch of page ID moved Bytes
+	DiffFetch                 // one diff request for page ID returned Bytes of payload
+	DiffCreated               // an interval close emitted a Bytes-long diff of page ID
+	HomeFlush                 // Bytes of page ID's diff runs were Put into home Peer's window at interval close
+	HomeFetch                 // a whole-page Get of Bytes read page ID out of home Peer's window
+	Notice                    // a write notice for page ID from writer Peer arrived at Rank
+	LockLocal                 // Rank re-acquired lock ID (manager Peer) at At for free: the token was already there
+	LockRemote                // Rank was granted lock ID (manager Peer) at At after waiting Dur
+	LockForward               // manager Rank forwarded an acquire of lock ID down the holder chain
+	LockRelease               // Rank released lock ID at At, closing the hold its acquire began
+	BarrierArrive             // Rank reached barrier ID in episode Episode at At
+	BarrierDepart             // Rank crossed it after Dur, having carried Intervals and NoticePages upward
+)
+
+// Event is one protocol occurrence as the profiler sees it: the single
+// entry point Observe takes it from tmk's event stream. Times are raw
+// virtual nanoseconds; a field the Kind's comment does not name is
+// ignored.
+type Event struct {
+	Kind   Kind
+	Rank   int   // the observing rank
+	ID     int32 // page, lock or barrier id
+	Region int32 // a page's region
+	Peer   int   // home, writer or manager rank
+	Bytes  int
+	At     int64 // when it happened (a span's end)
+	Dur    int64 // how long the fault, acquire or crossing took
+
+	// Notice: whether it flipped a valid copy to invalid, and whether the
+	// receiving rank has itself written the page (the false-sharing signal
+	// under the multiple-writer protocol).
+	Invalidated, WroteHere bool
+
+	// Barriers: the episode identifies the crossing cluster-wide (skew per
+	// episode is max−min of its arrival times); a departure reports the
+	// interval records and write-notice page entries of its arrive payload.
+	Episode                int32
+	Intervals, NoticePages int
 }
 
-// PageWriteFault records a completed write fault (twin creation).
-func (p *Profiler) PageWriteFault(rank int, page, region int32, durNs int64) {
-	ps := p.page(page, region)
-	ps.WriteFaults++
-	ps.FaultNs += durNs
-	ps.writers[rank] = true
-	c := p.pageCell(page, rank)
-	c.Events++
-	c.Ns += durNs
-}
-
-// PageFetch records a full-page fetch of bytes taking durNs.
-func (p *Profiler) PageFetch(rank int, page, region int32, bytes int, durNs int64) {
-	ps := p.page(page, region)
-	ps.Fetches++
-	ps.FetchBytes += int64(bytes)
-	p.pageCell(page, rank).Bytes += int64(bytes)
-}
-
-// DiffFetch records one diff request for the page returning bytes of
-// diff payload after durNs.
-func (p *Profiler) DiffFetch(rank int, page, region int32, bytes int, durNs int64) {
-	ps := p.page(page, region)
-	ps.DiffFetches++
-	ps.DiffBytesFetched += int64(bytes)
-	p.pageCell(page, rank).Bytes += int64(bytes)
-}
-
-// DiffCreated records an interval close emitting a diff for the page.
-func (p *Profiler) DiffCreated(rank int, page, region int32, bytes int) {
-	ps := p.page(page, region)
-	ps.DiffsCreated++
-	ps.DiffBytesCreated += int64(bytes)
-	ps.writers[rank] = true
-}
-
-// HomeFlush records one dirty page's diff runs (bytes of changed words)
-// being Put into its home window at interval close.
-func (p *Profiler) HomeFlush(rank int, page, region int32, home, bytes int) {
-	ps := p.page(page, region)
-	ps.Home = home
-	ps.HomeFlushes++
-	ps.HomeFlushBytes += int64(bytes)
-	ps.writers[rank] = true
-	p.pageCell(page, rank).Bytes += int64(bytes)
-}
-
-// HomeFetch records a whole-page Get out of the page's home window on a
-// read fault.
-func (p *Profiler) HomeFetch(rank int, page, region int32, home, bytes int) {
-	ps := p.page(page, region)
-	ps.Home = home
-	ps.HomeFetches++
-	ps.HomeFetchBytes += int64(bytes)
-}
-
-// PageNotice records a write notice from writer arriving at rank.
-// invalidated reports whether the notice flipped a valid copy to
-// invalid; wroteHere whether the receiving rank has itself written the
-// page (the false-sharing signal under the multiple-writer protocol).
-func (p *Profiler) PageNotice(rank int, page, region int32, writer int, invalidated, wroteHere bool) {
-	ps := p.page(page, region)
-	ps.Notices++
-	ps.writers[writer] = true
-	if invalidated {
-		ps.Invalidations++
+// Observe records one event against its entity.
+func (p *Profiler) Observe(e Event) {
+	switch e.Kind {
+	case ReadFault, WriteFault:
+		ps := p.page(e.ID, e.Region)
+		if e.Kind == ReadFault {
+			ps.ReadFaults++
+		} else {
+			ps.WriteFaults++
+			ps.writers[e.Rank] = true
+		}
+		ps.FaultNs += e.Dur
+		c := p.pageCell(e.ID, e.Rank)
+		c.Events++
+		c.Ns += e.Dur
+	case Fetch:
+		ps := p.page(e.ID, e.Region)
+		ps.Fetches++
+		ps.FetchBytes += int64(e.Bytes)
+		p.pageCell(e.ID, e.Rank).Bytes += int64(e.Bytes)
+	case DiffFetch:
+		ps := p.page(e.ID, e.Region)
+		ps.DiffFetches++
+		ps.DiffBytesFetched += int64(e.Bytes)
+		p.pageCell(e.ID, e.Rank).Bytes += int64(e.Bytes)
+	case DiffCreated:
+		ps := p.page(e.ID, e.Region)
+		ps.DiffsCreated++
+		ps.DiffBytesCreated += int64(e.Bytes)
+		ps.writers[e.Rank] = true
+	case HomeFlush:
+		ps := p.page(e.ID, e.Region)
+		ps.Home = e.Peer
+		ps.HomeFlushes++
+		ps.HomeFlushBytes += int64(e.Bytes)
+		ps.writers[e.Rank] = true
+		p.pageCell(e.ID, e.Rank).Bytes += int64(e.Bytes)
+	case HomeFetch:
+		ps := p.page(e.ID, e.Region)
+		ps.Home = e.Peer
+		ps.HomeFetches++
+		ps.HomeFetchBytes += int64(e.Bytes)
+	case Notice:
+		ps := p.page(e.ID, e.Region)
+		ps.Notices++
+		ps.writers[e.Peer] = true
+		if e.Invalidated {
+			ps.Invalidations++
+		}
+		if e.WroteHere && e.Peer != e.Rank {
+			ps.FalseShareNotices++
+		}
+	case LockLocal, LockRemote:
+		ls := p.lockStats(e.ID, e.Peer)
+		if e.Kind == LockLocal {
+			ls.AcquiresLocal++
+		} else {
+			ls.AcquiresRemote++
+			ls.WaitNs += e.Dur
+			c := p.lockCell(e.ID, e.Rank)
+			c.Events++
+			c.Ns += e.Dur
+		}
+		if prev, ok := p.lastHolder[e.ID]; ok && prev != e.Rank {
+			ls.Handoffs++
+		}
+		p.lastHolder[e.ID] = e.Rank
+		p.heldSince[holderKey{rank: e.Rank, lock: e.ID}] = e.At
+	case LockForward:
+		p.lockStats(e.ID, e.Rank).Forwards++
+	case LockRelease:
+		k := holderKey{rank: e.Rank, lock: e.ID}
+		if since, ok := p.heldSince[k]; ok {
+			ls := p.lockStats(e.ID, -1)
+			ls.Holds++
+			ls.HoldNs += e.At - since
+			delete(p.heldSince, k)
+		}
+	case BarrierArrive:
+		k := episodeKey{barrier: e.ID, episode: e.Episode}
+		ea := p.episodes[k]
+		if ea == nil {
+			ea = &episodeAgg{barrier: e.ID, episode: e.Episode, minArrive: e.At, maxArrive: e.At}
+			p.episodes[k] = ea
+		}
+		ea.arrivals++
+		ea.minArrive = min(ea.minArrive, e.At)
+		ea.maxArrive = max(ea.maxArrive, e.At)
+	case BarrierDepart:
+		ba := p.barriers[e.ID]
+		if ba == nil {
+			ba = &barrierAgg{id: e.ID}
+			p.barriers[e.ID] = ba
+		}
+		ba.waitNs += e.Dur
+		ba.intervals += int64(e.Intervals)
+		ba.noticePages += int64(e.NoticePages)
+		// Crossing a barrier advances the rank's epoch.
+		p.epochOf(e.Rank) // ensure the table covers rank
+		p.epochs[e.Rank]++
 	}
-	if wroteHere && writer != rank {
-		ps.FalseShareNotices++
-	}
-}
-
-// ---------------------------------------------------------------------
-// Lock hooks.
-// ---------------------------------------------------------------------
-
-// LockAcquireLocal records a free re-acquire (token already at rank).
-func (p *Profiler) LockAcquireLocal(rank int, lock int32, manager int, nowNs int64) {
-	ls := p.lockStats(lock, manager)
-	ls.AcquiresLocal++
-	p.noteHolder(ls, rank)
-	p.heldSince[holderKey{rank: rank, lock: lock}] = nowNs
-}
-
-// LockAcquireRemote records a remote acquire that waited waitNs before
-// the grant landed at nowNs.
-func (p *Profiler) LockAcquireRemote(rank int, lock int32, manager int, waitNs, nowNs int64) {
-	ls := p.lockStats(lock, manager)
-	ls.AcquiresRemote++
-	ls.WaitNs += waitNs
-	p.noteHolder(ls, rank)
-	p.heldSince[holderKey{rank: rank, lock: lock}] = nowNs
-	c := p.lockCell(lock, rank)
-	c.Events++
-	c.Ns += waitNs
-}
-
-// LockForward records a manager indirection: the acquire was forwarded
-// down the holder chain instead of granted directly.
-func (p *Profiler) LockForward(lock int32, manager int) {
-	p.lockStats(lock, manager).Forwards++
-}
-
-// LockRelease records the release, closing the hold that began at the
-// matching acquire.
-func (p *Profiler) LockRelease(rank int, lock int32, nowNs int64) {
-	k := holderKey{rank: rank, lock: lock}
-	if since, ok := p.heldSince[k]; ok {
-		ls := p.lockStats(lock, -1)
-		ls.Holds++
-		ls.HoldNs += nowNs - since
-		delete(p.heldSince, k)
-	}
-}
-
-func (p *Profiler) noteHolder(ls *LockStats, rank int) {
-	if prev, ok := p.lastHolder[ls.ID]; ok && prev != rank {
-		ls.Handoffs++
-	}
-	p.lastHolder[ls.ID] = rank
-}
-
-// ---------------------------------------------------------------------
-// Barrier hooks.
-// ---------------------------------------------------------------------
-
-// BarrierArrive records rank reaching barrier id in the given episode at
-// nowNs. Skew per episode is max−min of these arrival times.
-func (p *Profiler) BarrierArrive(rank int, barrier, episode int32, nowNs int64) {
-	k := episodeKey{barrier: barrier, episode: episode}
-	ea := p.episodes[k]
-	if ea == nil {
-		ea = &episodeAgg{barrier: barrier, episode: episode, minArrive: nowNs, maxArrive: nowNs}
-		p.episodes[k] = ea
-	}
-	ea.arrivals++
-	if nowNs < ea.minArrive {
-		ea.minArrive = nowNs
-	}
-	if nowNs > ea.maxArrive {
-		ea.maxArrive = nowNs
-	}
-}
-
-// BarrierDepart records rank crossing the barrier after waitNs, having
-// carried intervals interval records naming noticePages write-notice
-// page entries in its arrive payload. Crossing a barrier advances the
-// rank's epoch.
-func (p *Profiler) BarrierDepart(rank int, barrier, episode int32, waitNs int64, intervals, noticePages int) {
-	ba := p.barriers[barrier]
-	if ba == nil {
-		ba = &barrierAgg{id: barrier}
-		p.barriers[barrier] = ba
-	}
-	ba.waitNs += waitNs
-	ba.intervals += int64(intervals)
-	ba.noticePages += int64(noticePages)
-	p.epochOf(rank) // ensure the table covers rank
-	p.epochs[rank]++
 }

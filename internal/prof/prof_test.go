@@ -10,16 +10,16 @@ func TestPageAttributionAndFalseSharing(t *testing.T) {
 	p := New()
 	// Rank 0 and rank 1 both write page 7; rank 0 receives 4 notices from
 	// rank 1 while twinned (false sharing), plus one covered duplicate.
-	p.PageWriteFault(0, 7, 1, 100)
-	p.PageWriteFault(1, 7, 1, 150)
-	p.PageReadFault(0, 7, 1, 50)
+	p.Observe(Event{Kind: WriteFault, Rank: 0, ID: 7, Region: 1, Dur: 100})
+	p.Observe(Event{Kind: WriteFault, Rank: 1, ID: 7, Region: 1, Dur: 150})
+	p.Observe(Event{Kind: ReadFault, Rank: 0, ID: 7, Region: 1, Dur: 50})
 	for i := 0; i < 4; i++ {
-		p.PageNotice(0, 7, 1, 1, true, true)
+		p.Observe(Event{Kind: Notice, Rank: 0, ID: 7, Region: 1, Peer: 1, Invalidated: true, WroteHere: true})
 	}
-	p.PageNotice(0, 7, 1, 1, false, false)
+	p.Observe(Event{Kind: Notice, Rank: 0, ID: 7, Region: 1, Peer: 1, Invalidated: false, WroteHere: false})
 	// Page 8 has a single writer: score must stay 0 regardless of notices.
-	p.PageWriteFault(0, 8, 1, 10)
-	p.PageNotice(1, 8, 1, 0, true, false)
+	p.Observe(Event{Kind: WriteFault, Rank: 0, ID: 8, Region: 1, Dur: 10})
+	p.Observe(Event{Kind: Notice, Rank: 1, ID: 8, Region: 1, Peer: 0, Invalidated: true, WroteHere: false})
 
 	ps := p.pages[7]
 	if ps.Writers() != 2 {
@@ -42,15 +42,15 @@ func TestPageAttributionAndFalseSharing(t *testing.T) {
 func TestLockWaitHoldHandoffs(t *testing.T) {
 	p := New()
 	// Rank 1 (manager) acquires locally at t=100, holds 400ns.
-	p.LockAcquireLocal(1, 5, 1, 100)
-	p.LockRelease(1, 5, 500)
+	p.Observe(Event{Kind: LockLocal, Rank: 1, ID: 5, Peer: 1, At: 100})
+	p.Observe(Event{Kind: LockRelease, Rank: 1, ID: 5, At: 500})
 	// Rank 0 acquires remotely after waiting 300ns, holds 200ns.
-	p.LockAcquireRemote(0, 5, 1, 300, 600)
-	p.LockForward(5, 1)
-	p.LockRelease(0, 5, 800)
+	p.Observe(Event{Kind: LockRemote, Rank: 0, ID: 5, Peer: 1, Dur: 300, At: 600})
+	p.Observe(Event{Kind: LockForward, Rank: 1, ID: 5})
+	p.Observe(Event{Kind: LockRelease, Rank: 0, ID: 5, At: 800})
 	// Rank 0 re-acquires: no handoff.
-	p.LockAcquireLocal(0, 5, 1, 900)
-	p.LockRelease(0, 5, 950)
+	p.Observe(Event{Kind: LockLocal, Rank: 0, ID: 5, Peer: 1, At: 900})
+	p.Observe(Event{Kind: LockRelease, Rank: 0, ID: 5, At: 950})
 
 	ls := p.locks[5]
 	if ls.Manager != 1 {
@@ -73,14 +73,14 @@ func TestLockWaitHoldHandoffs(t *testing.T) {
 func TestBarrierEpisodesAndEpochs(t *testing.T) {
 	p := New()
 	// Episode 0 of barrier 3: rank 0 arrives at 1000, rank 1 at 1700.
-	p.BarrierArrive(0, 3, 0, 1000)
-	p.BarrierArrive(1, 3, 0, 1700)
+	p.Observe(Event{Kind: BarrierArrive, Rank: 0, ID: 3, Episode: 0, At: 1000})
+	p.Observe(Event{Kind: BarrierArrive, Rank: 1, ID: 3, Episode: 0, At: 1700})
 	// Page activity before the departs lands in epoch 0.
-	p.PageReadFault(0, 9, 1, 10)
-	p.BarrierDepart(0, 3, 0, 900, 2, 5)
-	p.BarrierDepart(1, 3, 0, 200, 1, 3)
+	p.Observe(Event{Kind: ReadFault, Rank: 0, ID: 9, Region: 1, Dur: 10})
+	p.Observe(Event{Kind: BarrierDepart, Rank: 0, ID: 3, Episode: 0, Dur: 900, Intervals: 2, NoticePages: 5})
+	p.Observe(Event{Kind: BarrierDepart, Rank: 1, ID: 3, Episode: 0, Dur: 200, Intervals: 1, NoticePages: 3})
 	// After crossing, activity lands in epoch 1.
-	p.PageReadFault(0, 9, 1, 20)
+	p.Observe(Event{Kind: ReadFault, Rank: 0, ID: 9, Region: 1, Dur: 20})
 
 	pr := p.Snapshot()
 	if pr.MaxEpoch != 1 {
@@ -111,11 +111,11 @@ func TestBarrierEpisodesAndEpochs(t *testing.T) {
 
 func TestTopNOrdering(t *testing.T) {
 	p := New()
-	p.PageReadFault(0, 1, 0, 100)
-	p.PageReadFault(0, 2, 0, 300)
-	p.PageReadFault(0, 3, 0, 200)
-	p.LockAcquireRemote(0, 10, 0, 50, 1000)
-	p.LockAcquireRemote(0, 11, 1, 500, 1000)
+	p.Observe(Event{Kind: ReadFault, Rank: 0, ID: 1, Region: 0, Dur: 100})
+	p.Observe(Event{Kind: ReadFault, Rank: 0, ID: 2, Region: 0, Dur: 300})
+	p.Observe(Event{Kind: ReadFault, Rank: 0, ID: 3, Region: 0, Dur: 200})
+	p.Observe(Event{Kind: LockRemote, Rank: 0, ID: 10, Peer: 0, Dur: 50, At: 1000})
+	p.Observe(Event{Kind: LockRemote, Rank: 0, ID: 11, Peer: 1, Dur: 500, At: 1000})
 	pr := p.Snapshot()
 	top := pr.TopPages(2)
 	if len(top) != 2 || top[0].ID != 2 || top[1].ID != 3 {
@@ -130,13 +130,13 @@ func TestTopNOrdering(t *testing.T) {
 func TestSnapshotJSONDeterministic(t *testing.T) {
 	build := func() []byte {
 		p := New()
-		p.PageWriteFault(1, 4, 0, 70)
-		p.PageWriteFault(0, 3, 0, 80)
-		p.PageNotice(0, 4, 0, 1, true, true)
-		p.LockAcquireRemote(0, 2, 0, 10, 100)
-		p.LockRelease(0, 2, 150)
-		p.BarrierArrive(0, 1, 0, 500)
-		p.BarrierDepart(0, 1, 0, 40, 1, 2)
+		p.Observe(Event{Kind: WriteFault, Rank: 1, ID: 4, Region: 0, Dur: 70})
+		p.Observe(Event{Kind: WriteFault, Rank: 0, ID: 3, Region: 0, Dur: 80})
+		p.Observe(Event{Kind: Notice, Rank: 0, ID: 4, Region: 0, Peer: 1, Invalidated: true, WroteHere: true})
+		p.Observe(Event{Kind: LockRemote, Rank: 0, ID: 2, Peer: 0, Dur: 10, At: 100})
+		p.Observe(Event{Kind: LockRelease, Rank: 0, ID: 2, At: 150})
+		p.Observe(Event{Kind: BarrierArrive, Rank: 0, ID: 1, Episode: 0, At: 500})
+		p.Observe(Event{Kind: BarrierDepart, Rank: 0, ID: 1, Episode: 0, Dur: 40, Intervals: 1, NoticePages: 2})
 		var buf bytes.Buffer
 		if err := p.Snapshot().WriteJSON(&buf); err != nil {
 			t.Fatal(err)
@@ -158,10 +158,10 @@ func TestSnapshotJSONDeterministic(t *testing.T) {
 
 func TestWriteTablesAndHeatmap(t *testing.T) {
 	p := New()
-	p.PageReadFault(0, 12, 0, 1000)
-	p.BarrierArrive(0, 1, 0, 10)
-	p.BarrierDepart(0, 1, 0, 5, 0, 0)
-	p.PageReadFault(0, 12, 0, 9000)
+	p.Observe(Event{Kind: ReadFault, Rank: 0, ID: 12, Region: 0, Dur: 1000})
+	p.Observe(Event{Kind: BarrierArrive, Rank: 0, ID: 1, Episode: 0, At: 10})
+	p.Observe(Event{Kind: BarrierDepart, Rank: 0, ID: 1, Episode: 0, Dur: 5, Intervals: 0, NoticePages: 0})
+	p.Observe(Event{Kind: ReadFault, Rank: 0, ID: 12, Region: 0, Dur: 9000})
 	pr := p.Snapshot()
 	pr.App = "demo"
 	pr.Size = "s"
@@ -198,9 +198,9 @@ func TestWriteTablesAndHeatmap(t *testing.T) {
 func TestHeatmapBucketsWideRuns(t *testing.T) {
 	p := New()
 	for e := 0; e < 200; e++ {
-		p.PageReadFault(0, 1, 0, 100)
-		p.BarrierArrive(0, 1, int32(e), int64(e))
-		p.BarrierDepart(0, 1, int32(e), 1, 0, 0)
+		p.Observe(Event{Kind: ReadFault, Rank: 0, ID: 1, Region: 0, Dur: 100})
+		p.Observe(Event{Kind: BarrierArrive, Rank: 0, ID: 1, Episode: int32(e), At: int64(e)})
+		p.Observe(Event{Kind: BarrierDepart, Rank: 0, ID: 1, Episode: int32(e), Dur: 1, Intervals: 0, NoticePages: 0})
 	}
 	var buf bytes.Buffer
 	if err := p.Snapshot().WriteHeatmap(&buf, 3); err != nil {

@@ -21,7 +21,6 @@ type Simulator struct {
 	procs   []*Proc
 	yielded chan struct{}
 	rng     *rand.Rand
-	tracef  func(format string, args ...any)
 	running bool
 
 	tracer *trace.Tracer
@@ -52,13 +51,9 @@ func (s *Simulator) Now() Time { return s.now }
 // Rand returns the simulator's deterministic random source.
 func (s *Simulator) Rand() *rand.Rand { return s.rng }
 
-// SetTrace installs a trace sink; nil disables tracing.
-func (s *Simulator) SetTrace(fn func(format string, args ...any)) { s.tracef = fn }
-
-// SetTracer attaches a structured tracer (nil detaches). The printf sink
-// installed by SetTrace is independent and keeps working either way.
-// Tracing records events and metrics only — it never charges virtual
-// time — so results are bit-identical with and without a tracer.
+// SetTracer attaches a structured tracer (nil detaches). Tracing records
+// events and metrics only — it never charges virtual time — so results are
+// bit-identical with and without a tracer.
 func (s *Simulator) SetTracer(t *trace.Tracer) {
 	s.tracer = t
 	if t == nil {
@@ -87,13 +82,6 @@ func (s *Simulator) SetCausal(c *trace.Causal) { s.causal = c }
 
 // Causal returns the attached causal collector, or nil.
 func (s *Simulator) Causal() *trace.Causal { return s.causal }
-
-// Tracef emits a trace line prefixed with the current virtual time.
-func (s *Simulator) Tracef(format string, args ...any) {
-	if s.tracef != nil {
-		s.tracef("[%v] "+format, append([]any{s.now}, args...)...)
-	}
-}
 
 // At schedules fn to run in scheduler context at virtual time t.
 // Scheduling in the past is an error in the model; it panics.

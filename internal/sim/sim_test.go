@@ -514,21 +514,6 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestTraceHook(t *testing.T) {
-	s := New(1)
-	var lines []string
-	s.SetTrace(func(format string, args ...any) {
-		lines = append(lines, fmt.Sprintf(format, args...))
-	})
-	s.At(10, func() { s.Tracef("hello %d", 7) })
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(lines) != 1 || lines[0] != "[10ns] hello 7" {
-		t.Errorf("trace lines = %q", lines)
-	}
-}
-
 func TestProcsAccessor(t *testing.T) {
 	s := New(1)
 	a := s.Spawn("a", 0, func(p *Proc) {})

@@ -1,16 +1,10 @@
 package rdmagm
 
-import (
-	"repro/internal/sim"
-	"repro/internal/substrate/fastgm"
-)
+import "repro/internal/sim"
 
-// Config tunes the one-sided substrate. The embedded fastgm config
-// governs the two-sided request/reply half (startup, locks, barriers,
-// liveness heartbeats — everything the verbs do not cover).
+// Config tunes the one-sided half of the substrate; the two-sided half
+// runs on the fastgm.Config passed to New beside it.
 type Config struct {
-	Fast fastgm.Config
-
 	// NICServiceCost is the target-NIC firmware time to parse one verb
 	// descriptor, run the window bounds check, and stage the DMA. It is
 	// the whole remote-side cost of a verb: no interrupt, no dispatch,
@@ -43,11 +37,9 @@ type Config struct {
 	DupCacheSize int
 }
 
-// DefaultConfig returns the RDMA/GM design point: the fastgm defaults
-// for the two-sided half, firmware verb service on the one-sided half.
+// DefaultConfig returns the RDMA/GM design point: firmware verb service.
 func DefaultConfig() Config {
 	return Config{
-		Fast:           fastgm.DefaultConfig(),
 		NICServiceCost: sim.Micro(1.2),
 		DMABandwidth:   900e6,
 		CompletionCost: sim.Micro(0.6),

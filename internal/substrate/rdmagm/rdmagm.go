@@ -58,7 +58,7 @@ const compRetry = 50 * sim.Microsecond
 const segDMACost = 600 * sim.Nanosecond
 
 // verbFlowWindow is the per-QP verb credit budget when end-to-end flow
-// control (Config.Fast.Flow) is enabled: small enough that n−1 initiators
+// control (the fastgm config's Flow) is enabled: small enough that n−1 initiators
 // incasting at one target cannot overrun its verb ring, large enough to
 // keep the wire pipelined for a single initiator.
 const verbFlowWindow = 4
@@ -67,6 +67,7 @@ const verbFlowWindow = 4
 type Transport struct {
 	*fastgm.Transport
 	node *gm.Node
+	fast fastgm.Config // the two-sided half's config, as the embedded transport runs it
 	rcfg Config
 
 	verbPort *gm.Port
@@ -96,11 +97,14 @@ type Transport struct {
 	credits *substrate.Credits
 }
 
-// New creates the substrate for process rank of size on a GM node.
-func New(node *gm.Node, rank, size int, cfg Config) *Transport {
+// New creates the substrate for process rank of size on a GM node: fast
+// governs the two-sided request/reply half (startup, locks, barriers,
+// liveness heartbeats — everything the verbs do not cover), cfg the verbs.
+func New(node *gm.Node, rank, size int, fast fastgm.Config, cfg Config) *Transport {
 	t := &Transport{
-		Transport: fastgm.New(node, rank, size, cfg.Fast),
+		Transport: fastgm.New(node, rank, size, fast),
 		node:      node,
+		fast:      fast,
 		rcfg:      cfg,
 		windows:   make(map[int32][]byte),
 		vdup:      substrate.NewDupCache(cfg.DupCacheSize),
@@ -112,14 +116,14 @@ func New(node *gm.Node, rank, size int, cfg Config) *Transport {
 	// while its two-sided traffic keeps arriving here: only silence for the
 	// grace window corroborates an exhausted verb budget.
 	grace := node.System().Params().ResendTimeout
-	if cfg.Fast.Liveness.Enabled {
-		grace = cfg.Fast.Liveness.Deadline()
+	if fast.Liveness.Enabled {
+		grace = fast.Liveness.Deadline()
 	}
 	t.verbs = substrate.Exchange{Await: t.reapOne,
 		RTO:        substrate.Backoff{Initial: cfg.VerbTimeout, Max: cfg.VerbTimeoutMax},
 		MaxRetries: cfg.MaxVerbRetries, Grace: grace,
 		Resend: func(p *sim.Proc, pc *substrate.Call) bool { return t.sendVerb(p, pc, false) }}
-	if t.credits = t.NewCredits(cfg.Fast.Flow, fmt.Sprintf("rdmagm:%d:credits", rank),
+	if t.credits = t.NewCredits(fast.Flow, fmt.Sprintf("rdmagm:%d:credits", rank),
 		[]int{verbFlowWindow}, []int{1}); t.credits != nil {
 		t.credits.Park = t.awaitSlot
 	}
@@ -167,7 +171,7 @@ func (t *Transport) Start(p *sim.Proc, h substrate.Handler) {
 	// exactly when the initiator's retry clock is running.
 	for c := params.MinClass; c <= params.MaxClass; c++ {
 		count := 2
-		if c <= t.rcfg.Fast.SmallClassMax {
+		if c <= t.fast.SmallClassMax {
 			count = 4
 		}
 		t.sendPool.Fill(t.node.Register(p, count*gm.ClassCapacity(c)), count, c)
@@ -175,7 +179,7 @@ func (t *Transport) Start(p *sim.Proc, h substrate.Handler) {
 	}
 
 	t.verbPort.SetSink(t.onVerbFrame)
-	if t.rcfg.Fast.Liveness.Enabled {
+	if t.fast.Liveness.Enabled {
 		// One-sided traffic proves the initiator alive at NIC level, even
 		// while this host computes with asynchronous delivery masked.
 		t.cqPort.SetFilter(func(rv *gm.Recv) bool {
@@ -233,7 +237,7 @@ func (t *Transport) PostPut(p *sim.Proc, dst int, window int32, segs ...substrat
 	// The gather into the registered descriptor: every segment header and
 	// payload byte is a host copy (the payload rides the frame; windows on
 	// the initiator side need no registration).
-	p.Advance(sim.BytesTime(n, t.rcfg.Fast.CopyBandwidth))
+	p.Advance(sim.BytesTime(n, t.fast.CopyBandwidth))
 	return t.post(p, dst, vf)
 }
 
@@ -258,7 +262,7 @@ func (t *Transport) post(p *sim.Proc, dst int, vf *verbFrame) substrate.PendingV
 		panic(fmt.Sprintf("rdmagm: %d-byte verb exceeds the %d-byte frame cap",
 			n, t.node.System().Params().MaxMessage()))
 	}
-	// Flow control, end to end then per QP. With Config.Fast.Flow on, the
+	// Flow control, end to end then per QP. With the fastgm config's Flow on, the
 	// verb first takes a credit from a window well under the ring depth —
 	// the one-sided analogue of the two-sided credit ledger: an incast of
 	// Puts self-paces at the initiators instead of flooding the target's

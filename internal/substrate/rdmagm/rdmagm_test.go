@@ -10,6 +10,7 @@ import (
 	"repro/internal/myrinet"
 	"repro/internal/sim"
 	"repro/internal/substrate"
+	"repro/internal/substrate/fastgm"
 	"repro/internal/substrate/rdmagm"
 	"repro/internal/substrate/stest"
 )
@@ -19,7 +20,7 @@ import (
 // one-sided half of the contract.
 
 func build(n int, seed int64) *stest.Cluster {
-	return stest.NewRDMA(n, seed, rdmagm.DefaultConfig())
+	return stest.NewRDMA(n, seed, fastgm.DefaultConfig(), rdmagm.DefaultConfig())
 }
 
 func oneSided(t *testing.T, tr substrate.Transport) substrate.OneSided {
@@ -279,9 +280,9 @@ func TestVerbBlackoutRecovery(t *testing.T) {
 // PeerUnreachableError instead of hanging, and the failure must feed the
 // shared liveness state.
 func TestVerbsAbandonedOnDeadPeer(t *testing.T) {
-	cfg := rdmagm.DefaultConfig()
-	cfg.Fast.Liveness = substrate.LivenessConfig{Enabled: true}
-	c := stest.NewRDMA(2, 1, cfg)
+	cfg := fastgm.DefaultConfig()
+	cfg.Liveness = substrate.LivenessConfig{Enabled: true}
+	c := stest.NewRDMA(2, 1, cfg, rdmagm.DefaultConfig())
 	win := make([]byte, 4096)
 	var verr error
 	c.Sim.Spawn("rank1", 0, func(p *sim.Proc) {

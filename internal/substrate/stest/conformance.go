@@ -233,9 +233,9 @@ func livenessCluster(build Builder, n int) *Cluster {
 		cfg.Liveness = substrate.LivenessConfig{Enabled: true}
 		return NewUDPConfig(n, 1, cfg)
 	case oneSided:
-		cfg := rdmagm.DefaultConfig()
-		cfg.Fast.Liveness = substrate.LivenessConfig{Enabled: true}
-		return NewRDMA(n, 1, cfg)
+		cfg := fastgm.DefaultConfig()
+		cfg.Liveness = substrate.LivenessConfig{Enabled: true}
+		return NewRDMA(n, 1, cfg, rdmagm.DefaultConfig())
 	default:
 		cfg := fastgm.DefaultConfig()
 		cfg.Liveness = substrate.LivenessConfig{Enabled: true}
@@ -1035,10 +1035,10 @@ func flowCluster(build Builder, n, outstanding int) *Cluster {
 		cfg.Flow = fl
 		return NewUDPConfig(n, 1, cfg)
 	case oneSided:
-		cfg := rdmagm.DefaultConfig()
-		cfg.Fast.Flow = fl
-		cfg.Fast.OutstandingCalls = outstanding
-		return NewRDMA(n, 1, cfg)
+		cfg := fastgm.DefaultConfig()
+		cfg.Flow = fl
+		cfg.OutstandingCalls = outstanding
+		return NewRDMA(n, 1, cfg, rdmagm.DefaultConfig())
 	default:
 		cfg := fastgm.DefaultConfig()
 		cfg.Flow = fl

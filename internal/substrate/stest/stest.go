@@ -53,11 +53,12 @@ func NewFast(n int, seed int64, cfg fastgm.Config) *Cluster {
 	return c
 }
 
-// NewRDMA builds an n-rank cluster on the RDMA/GM one-sided transport.
-func NewRDMA(n int, seed int64, cfg rdmagm.Config) *Cluster {
+// NewRDMA builds an n-rank cluster on the RDMA/GM one-sided transport,
+// its two-sided half configured by fast.
+func NewRDMA(n int, seed int64, fast fastgm.Config, cfg rdmagm.Config) *Cluster {
 	c := newBase(n, seed)
 	for i := 0; i < n; i++ {
-		c.Transports[i] = rdmagm.New(c.GM.Node(myrinet.NodeID(i)), i, n, cfg)
+		c.Transports[i] = rdmagm.New(c.GM.Node(myrinet.NodeID(i)), i, n, fast, cfg)
 	}
 	return c
 }

@@ -27,7 +27,7 @@ func TestConformanceAllSubstrates(t *testing.T) {
 			return stest.NewFast(n, seed, fastgm.DefaultConfig())
 		}},
 		{"rdmagm", func(n int, seed int64) *stest.Cluster {
-			return stest.NewRDMA(n, seed, rdmagm.DefaultConfig())
+			return stest.NewRDMA(n, seed, fastgm.DefaultConfig(), rdmagm.DefaultConfig())
 		}},
 	}
 	for _, b := range builders {

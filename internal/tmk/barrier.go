@@ -116,20 +116,18 @@ func (tp *Proc) Barrier(id int32) {
 	// (handleBarrierArrive asserts every arrival matches it); it is only
 	// incremented in phase 3 below.
 	ep := tp.barrier.episode
-	if pf := tp.prof(); pf != nil {
-		pf.BarrierArrive(tp.rank, id, ep, int64(start))
-	}
+	tp.observe(event{kind: evBarrierArrive, id: id, a: int(ep)})
 
 	children := tp.barrierChildren()
 	parent := tp.barrierParent()
 
 	// Phase 1: wait for all our children to arrive (their intervals are
 	// applied on receipt by the handler).
-	tp.blockedOn = fmt.Sprintf("barrier %d episode %d (awaiting %d arrivals)", id, ep, children)
+	tp.blockedOn = blocked("barrier %d episode %d (awaiting %d arrivals)", int(id), int(ep), children)
 	for len(tp.barrier.arrivals) < children {
 		tp.sp.WaitOn(tp.barrier.cond)
 	}
-	tp.blockedOn = ""
+	tp.blockedOn = entity{}
 
 	tp.tr.DisableAsync(tp.sp)
 	tp.closeInterval()
@@ -161,13 +159,11 @@ func (tp *Proc) Barrier(id int32) {
 		tp.tr.DisableAsync(tp.sp)
 		recs := tp.store.since(tp.lastBarrierVC)
 		tp.tr.EnableAsync(tp.sp)
-		if tp.prof() != nil {
-			pIvs = len(recs)
-			for _, r := range recs {
-				pPgs += len(r.pages)
-			}
+		pIvs = len(recs)
+		for _, r := range recs {
+			pPgs += len(r.pages)
 		}
-		rep := tp.call(parent, fmt.Sprintf("barrier %d episode %d (arrive at parent %d)", id, ep, parent),
+		rep := tp.call(parent, blocked("barrier %d episode %d (arrive at parent %d)", int(id), int(ep), parent),
 			&msg.Message{
 				Kind:      msg.KBarrierArrive,
 				Barrier:   id,
@@ -241,13 +237,8 @@ func (tp *Proc) Barrier(id int32) {
 
 	tp.lastBarrierVC = tp.vc.Clone()
 	tp.stats.BarrierWait += tp.sp.Now() - start
-	if tr := tp.tracer(); tr != nil {
-		tr.Emit(trace.Event{T: int64(start), Dur: int64(tp.sp.Now() - start),
-			Layer: trace.LayerTMK, Kind: "barrier", Proc: tp.sp.ID(), Peer: parent})
-	}
-	if pf := tp.prof(); pf != nil {
-		pf.BarrierDepart(tp.rank, id, ep, int64(tp.sp.Now()-start), pIvs, pPgs)
-	}
+	tp.observe(event{kind: evBarrier, start: start, dur: tp.sp.Now() - start, id: id, peer: parent,
+		a: int(ep), b: pIvs, c: pPgs})
 
 	// Membership fence: churn events scheduled at this crossing execute
 	// here, after every compute rank is through the barrier (membership.go).

@@ -3,8 +3,6 @@ package tmk
 import (
 	"fmt"
 	"sort"
-
-	"repro/internal/trace"
 )
 
 // Barrier-epoch checkpoint/restart. Applications that structure their
@@ -63,11 +61,7 @@ func (tp *Proc) checkpoint(e int) {
 	tp.stats.Checkpoints++
 	tp.stats.CheckpointBytes += int64(len(snap))
 	tp.tr.EnableAsync(tp.sp)
-	if tr := tp.tracer(); tr != nil {
-		tr.Emit(trace.Event{T: int64(start), Dur: int64(tp.sp.Now() - start),
-			Layer: trace.LayerTMK, Kind: "checkpoint", Proc: tp.sp.ID(), Peer: -1,
-			Bytes: len(snap)})
-	}
+	tp.observe(event{kind: evCheckpoint, start: start, dur: tp.sp.Now() - start, peer: -1, bytes: len(snap)})
 	// Fence 2: release. No rank enters epoch e+1 until all n snapshots
 	// for epoch e are stored — the checkpoint generation is atomic.
 	tp.Barrier(ckptBarrierBase + int32(2*e) + 1)

@@ -2,7 +2,7 @@ package tmk
 
 import (
 	"fmt"
-	"os"
+	"io"
 
 	"repro/internal/gm"
 	"repro/internal/myrinet"
@@ -79,23 +79,19 @@ type Config struct {
 	// a run without a crash model.
 	Crash CrashConfig
 
-	// SerialDiffFetch reverts the read-fault path to one blocking call at
-	// a time (sum-of-RTTs): the pre-scatter-gather behaviour, kept as the
-	// measured baseline for the overlap win (the DiffMultiWriter bench
-	// rows run it side by side with the default).
-	SerialDiffFetch bool
-
 	// Flow, when enabled, arms end-to-end credit flow control in whichever
-	// substrate the run uses (NewCluster copies it into the UDP, Fast, and
-	// RDMA configs); Hedge likewise arms hedged re-issues of straggling
-	// calls. Both zero values are inert — the run is bit-identical to one
-	// without them (DESIGN.md §15).
+	// substrate the run uses (NewCluster copies it into the UDP and Fast
+	// configs; rdmagm's two-sided half runs on Fast); Hedge likewise arms
+	// hedged re-issues of straggling calls. Both zero values are inert —
+	// the run is bit-identical to one without them (DESIGN.md §15).
 	Flow  substrate.FlowConfig
 	Hedge substrate.HedgeConfig
 
 	// Admission bounds the read-fault path's outstanding fetches and
 	// degrades to serial diff fetch under sustained substrate pressure
-	// (DESIGN.md §15.2). Zero value: inert.
+	// (DESIGN.md §15.2). Zero value: inert. {Enabled, MaxOutstanding: 1} is
+	// the serial, sum-of-RTTs baseline the DiffMultiWriter bench rows run
+	// side by side with the default scatter.
 	Admission AdmissionConfig
 
 	// MetaGC bounds protocol metadata (write notices, retained diffs,
@@ -115,8 +111,8 @@ type Config struct {
 // AdmissionConfig tunes read-fault admission control: the scatter width
 // is capped at MaxOutstanding calls per wave, and a pressure EWMA of the
 // substrate's stall counters degrades the fault path to serial diff
-// fetch (the Config.SerialDiffFetch machinery) past HighWater, recovering
-// once it decays below LowWater.
+// fetch (waves of one) past HighWater, recovering once it decays below
+// LowWater.
 type AdmissionConfig struct {
 	Enabled bool
 	// MaxOutstanding caps concurrently outstanding diff fetches per read
@@ -210,6 +206,8 @@ type Cluster struct {
 
 	nextRegionID int32
 	nextPage     int32
+
+	text io.Writer // protocol-trace sink (TraceTo), nil = off
 }
 
 // Result summarizes a completed run.
@@ -278,57 +276,21 @@ func NewCluster(cfg Config) *Cluster {
 		// homes at interval close and never retained by the writer.
 		panic("tmk: MetaGC is incompatible with HomeBased (no retained diffs to collect)")
 	}
-	if cfg.Flow.Enabled {
-		fl := cfg.Flow.Norm()
-		cfg.UDP.Flow = fl
-		cfg.Fast.Flow = fl
-		cfg.RDMA.Fast.Flow = fl
-	}
-	if cfg.Hedge.Enabled {
-		hd := cfg.Hedge.Norm()
-		cfg.UDP.Hedge = hd
-		cfg.Fast.Hedge = hd
-		cfg.RDMA.Fast.Hedge = hd
-	}
-	if cfg.Crash.Enabled {
-		if cfg.Crash.Rank < 0 || cfg.Crash.Rank >= cfg.Procs {
-			panic(fmt.Sprintf("tmk: crash rank %d out of range", cfg.Crash.Rank))
-		}
-		// A trigger without a detector would leave survivors blocked on
-		// the dead rank forever; arm the liveness layer in both substrate
-		// configs. With no trigger and no explicit liveness the crash
-		// model stays completely inert (bit-identity).
-		if cfg.Crash.Liveness.Enabled || cfg.Crash.hasTrigger() {
-			lv := cfg.Crash.Liveness.Norm()
-			lv.Enabled = true
-			cfg.UDP.Liveness = lv
-			cfg.Fast.Liveness = lv
-			cfg.RDMA.Fast.Liveness = lv
-		}
+	if cfg.Crash.Enabled && (cfg.Crash.Rank < 0 || cfg.Crash.Rank >= cfg.Procs) {
+		panic(fmt.Sprintf("tmk: crash rank %d out of range", cfg.Crash.Rank))
 	}
 	validateMembership(&cfg)
+	cfg.armSubstrate(&cfg.UDP.Flow, &cfg.UDP.Hedge, &cfg.UDP.Liveness)
+	cfg.armSubstrate(&cfg.Fast.Flow, &cfg.Fast.Hedge, &cfg.Fast.Liveness)
 	total := cfg.Procs
 	if cfg.Membership.Enabled {
 		total += cfg.Membership.Extra
-		// Churn needs a failure detector: departed and dead extras go
-		// silent, and survivors must notice (and find membership already
-		// converged) instead of retrying forever. With no extras and no
-		// schedule nothing is armed — the zero-churn bit-identity.
-		if (cfg.Membership.Extra > 0 || len(cfg.Membership.Schedule) > 0) && !cfg.Fast.Liveness.Enabled {
-			lv := substrate.LivenessConfig{Enabled: true}.Norm()
-			cfg.UDP.Liveness = lv
-			cfg.Fast.Liveness = lv
-			cfg.RDMA.Fast.Liveness = lv
-		}
 	}
 	c := &Cluster{cfg: cfg, n: total, w: cfg.Procs}
 	if cfg.Membership.Enabled {
 		c.member = newMemberState(c.w, c.n)
 	}
 	c.sim = sim.New(cfg.Seed)
-	if os.Getenv("TMK_DEBUG_TRACE") != "" {
-		c.sim.SetTrace(func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) })
-	}
 	if cfg.Trace != nil {
 		c.sim.SetTracer(cfg.Trace)
 	}
@@ -344,6 +306,31 @@ func NewCluster(cfg Config) *Cluster {
 		}
 	}
 	return c
+}
+
+// armSubstrate resolves the cluster-uniform policies into one substrate
+// binding's config; each stays as the caller set it unless the run arms it.
+func (cfg *Config) armSubstrate(flow *substrate.FlowConfig, hedge *substrate.HedgeConfig, live *substrate.LivenessConfig) {
+	if cfg.Flow.Enabled {
+		*flow = cfg.Flow.Norm()
+	}
+	if cfg.Hedge.Enabled {
+		*hedge = cfg.Hedge.Norm()
+	}
+	// A crash trigger without a detector would leave survivors blocked on
+	// the dead rank forever. With no trigger and no explicit liveness the
+	// crash model stays completely inert (bit-identity).
+	if cfg.Crash.Enabled && (cfg.Crash.Liveness.Enabled || cfg.Crash.hasTrigger()) {
+		*live = cfg.Crash.Liveness.Norm()
+		live.Enabled = true
+	}
+	// Churn needs a failure detector too: departed and dead extras go
+	// silent, and survivors must notice (and find membership already
+	// converged) instead of retrying forever. With no extras and no
+	// schedule nothing is armed — the zero-churn bit-identity.
+	if mc := cfg.Membership; mc.Enabled && (mc.Extra > 0 || len(mc.Schedule) > 0) && !live.Enabled {
+		*live = substrate.LivenessConfig{Enabled: true}.Norm()
+	}
 }
 
 // Sim exposes the simulator (tests and harness).
@@ -383,7 +370,7 @@ func (c *Cluster) spawnGeneration(gen, resumeEpoch int) {
 			case TransportFastGM:
 				tr = fastgm.New(c.gmsys.Node(myrinet.NodeID(rank)), rank, n, c.cfg.Fast)
 			case TransportRDMAGM:
-				tr = rdmagm.New(c.gmsys.Node(myrinet.NodeID(rank)), rank, n, c.cfg.RDMA)
+				tr = rdmagm.New(c.gmsys.Node(myrinet.NodeID(rank)), rank, n, c.cfg.Fast, c.cfg.RDMA)
 			default:
 				panic(fmt.Sprintf("tmk: unknown transport %q", c.cfg.Transport))
 			}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/msg"
 	"repro/internal/sim"
 	"repro/internal/substrate"
-	"repro/internal/trace"
 )
 
 // Crash-failure model. A seeded injector kills one rank at a chosen
@@ -131,11 +130,10 @@ func (c *Cluster) handleCrash(detector, peer int, err error) {
 	// The heartbeat detection that follows is expected — count it and
 	// stand down instead of condemning the generation (the partial-recovery
 	// path that replaces whole-generation restart, DESIGN.md §14).
+	watchdog := c.procs[detector]
 	if m := c.member; m != nil && peer >= c.w && !m.isLive(peer) {
-		if tp := c.procs[detector]; tp != nil {
-			tp.stats.MemberDeadDetections++
-		}
-		c.sim.Tracef("tmk: rank %d detected departed extra %d; membership already converged", detector, peer)
+		watchdog.stats.MemberDeadDetections++
+		watchdog.observe(event{kind: evDepartedExtra, peer: peer})
 		return
 	}
 	if c.crash.handled {
@@ -159,18 +157,14 @@ func (c *Cluster) handleCrash(detector, peer int, err error) {
 			rep.Entities[rank] = "(dead)"
 		case tp.sp.Done():
 			rep.Entities[rank] = "(finished)"
-		case tp.blockedOn != "":
-			rep.Entities[rank] = "blocked on " + tp.blockedOn
+		case tp.blockedOn.format != "":
+			rep.Entities[rank] = "blocked on " + tp.blockedOn.String()
 		default:
 			rep.Entities[rank] = "(running)"
 		}
 	}
 	c.crash.report = rep
-	if tr := c.sim.Tracer(); tr != nil {
-		tr.Emit(trace.Event{T: int64(now), Layer: trace.LayerTMK,
-			Kind: "crash-detected", Proc: detector, Peer: peer})
-	}
-	c.sim.Tracef("tmk: watchdog: rank %d dead (detected by %d): tearing down generation %d", peer, detector, c.crash.gen)
+	watchdog.observe(event{kind: evCrashDetected, peer: peer, a: c.crash.gen})
 
 	// Kill the whole generation (survivors' partial epoch state is not
 	// recoverable piecemeal) and halt its transports so their timers and
@@ -205,7 +199,7 @@ func (c *Cluster) afterCrash() {
 		rep.RestartEpoch = epoch + 1
 		c.crash.gen++
 		rep.Generations = c.crash.gen + 1
-		c.sim.Tracef("tmk: watchdog: restarting generation %d from epoch %d", c.crash.gen, rep.RestartEpoch)
+		c.procs[rep.DetectedBy].observe(event{kind: evRestart, a: c.crash.gen, b: rep.RestartEpoch})
 		c.spawnGeneration(c.crash.gen, rep.RestartEpoch)
 		return
 	}
@@ -222,22 +216,44 @@ func (tp *Proc) maybeCrashAt(counter *int, at int) {
 	}
 	*counter++
 	if *counter == at {
-		tp.sp.Sim().Tracef("tmk: crash injector: rank %d dies (trigger %d)", tp.rank, at)
+		tp.observe(event{kind: evCrashInject, a: at})
 		tp.sp.Exit()
 	}
+}
+
+// entity names the protocol entity a process is blocked on, for the
+// watchdog's post-mortem: a format over up to three ids, rendered only
+// when a report or a panic needs the text — never per remote call.
+type entity struct {
+	format string
+	ids    [3]int
+}
+
+func blocked(format string, ids ...int) (e entity) {
+	e.format = format
+	copy(e.ids[:], ids)
+	return e
+}
+
+func (e entity) String() string {
+	args := make([]any, strings.Count(e.format, "%"))
+	for i := range args {
+		args[i] = e.ids[i]
+	}
+	return fmt.Sprintf(e.format, args...)
 }
 
 // call wraps the substrate Call with blocking-entity accounting for the
 // watchdog's post-mortem. A nil reply means the transport gave up on a
 // dead peer — the watchdog has already been notified, this process's
 // generation is condemned, and the caller unwinds like a killed process.
-func (tp *Proc) call(dst int, entity string, req *msg.Message) *msg.Message {
-	tp.blockedOn = entity
+func (tp *Proc) call(dst int, on entity, req *msg.Message) *msg.Message {
+	tp.blockedOn = on
 	rep := tp.tr.Call(tp.sp, dst, req)
 	if rep == nil {
 		tp.sp.Exit()
 	}
-	tp.blockedOn = ""
+	tp.blockedOn = entity{}
 	return rep
 }
 
@@ -245,14 +261,14 @@ func (tp *Proc) call(dst int, entity string, req *msg.Message) *msg.Message {
 // issued with CallBegin: gather every reply, with the same
 // blocking-entity accounting and the same unwinding if the transport
 // gave up on any peer mid-gather.
-func (tp *Proc) scatter(entity string, pending []substrate.Pending) []*msg.Message {
-	tp.blockedOn = entity
+func (tp *Proc) scatter(on entity, pending []substrate.Pending) []*msg.Message {
+	tp.blockedOn = on
 	reps := tp.tr.Collect(tp.sp, pending)
 	for _, rep := range reps {
 		if rep == nil {
 			tp.sp.Exit()
 		}
 	}
-	tp.blockedOn = ""
+	tp.blockedOn = entity{}
 	return reps
 }

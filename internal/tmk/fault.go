@@ -7,7 +7,6 @@ import (
 	"repro/internal/msg"
 	"repro/internal/sim"
 	"repro/internal/substrate"
-	"repro/internal/trace"
 )
 
 // readFault makes an invalid page valid: fetch a full copy if we never
@@ -17,7 +16,7 @@ import (
 // missing.
 func (tp *Proc) readFault(pm *pageMeta) {
 	start := tp.sp.Now()
-	tp.sp.Sim().Tracef("tmk: rank %d read fault page %d", tp.rank, pm.id)
+	tp.observe(event{kind: evReadFaultBegin, page: pm})
 	tp.stats.ReadFaults++
 	tp.sp.Advance(tp.cpu.FaultOverhead)
 
@@ -31,7 +30,7 @@ func (tp *Proc) readFault(pm *pageMeta) {
 			if !pm.haveCopy {
 				wide := tp.admission.Enabled &&
 					len(tp.missingRanges(pm)) >= tp.admission.MaxOutstanding
-				if tp.serialFetch() || wide {
+				if tp.degraded || wide {
 					// Wide faults under admission control skip the combined
 					// page+diff scatter: the page fetch goes alone and the
 					// diff chase below runs in width-capped waves.
@@ -49,22 +48,9 @@ func (tp *Proc) readFault(pm *pageMeta) {
 		}
 		tp.notePressure(tp.pressureSignal() - before)
 	}
-	if pm.state == pageInvalid {
-		if pm.twin != nil {
-			pm.state = pageWritable
-		} else {
-			pm.state = pageReadOnly
-		}
-	}
+	tp.promoteValid(pm)
 	tp.stats.FaultTime += tp.sp.Now() - start
-	if tr := tp.tracer(); tr != nil {
-		tr.Emit(trace.Event{T: int64(start), Dur: int64(tp.sp.Now() - start),
-			Layer: trace.LayerTMK, Kind: "read-fault", Proc: tp.sp.ID(), Peer: -1,
-			Bytes: PageSize})
-	}
-	if pf := tp.prof(); pf != nil {
-		pf.PageReadFault(tp.rank, pm.id, pm.region.ID, int64(tp.sp.Now()-start))
-	}
+	tp.observe(event{kind: evReadFault, start: start, dur: tp.sp.Now() - start, page: pm, peer: -1, bytes: PageSize})
 }
 
 // writeFault makes a page writable: valid first, then twinned. A write
@@ -88,14 +74,7 @@ func (tp *Proc) writeFault(pm *pageMeta) {
 		tp.dirty = append(tp.dirty, pm.id)
 		tp.stats.TwinsCreated++
 		tp.stats.FaultTime += tp.sp.Now() - start
-		if tr := tp.tracer(); tr != nil {
-			tr.Emit(trace.Event{T: int64(start), Dur: int64(tp.sp.Now() - start),
-				Layer: trace.LayerTMK, Kind: "write-fault", Proc: tp.sp.ID(), Peer: -1,
-				Bytes: PageSize})
-		}
-		if pf := tp.prof(); pf != nil {
-			pf.PageWriteFault(tp.rank, pm.id, pm.region.ID, int64(tp.sp.Now()-start))
-		}
+		tp.observe(event{kind: evWriteFault, start: start, dur: tp.sp.Now() - start, page: pm, peer: -1, bytes: PageSize})
 		if pm.isMissingAny(tp.rank) {
 			// A notice arrived mid-fault; fetch its diffs (they will be
 			// applied to both data and twin) before writing proceeds.
@@ -127,10 +106,10 @@ func (tp *Proc) missingRanges(pm *pageMeta) []msg.DiffRange {
 	return out
 }
 
-// fetchPage pulls a full copy from the most recent known writer (who
-// certainly has one) or, lacking notices, from the region's owner. The
-// reply also carries the holder's coverage vector for the page.
-func (tp *Proc) fetchPage(pm *pageMeta) {
+// pageHolder picks the rank a full copy is fetched from: the most recent
+// known writer (who certainly has one) or, lacking notices, the region's
+// owner.
+func (tp *Proc) pageHolder(pm *pageMeta) int {
 	target := pm.lastWriterHint(tp.rank)
 	if target < 0 {
 		target = pm.region.Owner
@@ -139,17 +118,23 @@ func (tp *Proc) fetchPage(pm *pageMeta) {
 		panic(fmt.Sprintf("tmk: rank %d: page %d fetch targets self", tp.rank, pm.id))
 	}
 	tp.stats.PageFetches++
-	fetchStart := tp.sp.Now()
-	rep := tp.call(target, fmt.Sprintf("page %d (fetch from %d)", pm.id, target),
+	return target
+}
+
+// fetchPage pulls a full copy from the page's holder, alone.
+func (tp *Proc) fetchPage(pm *pageMeta) {
+	target := tp.pageHolder(pm)
+	start := tp.sp.Now()
+	rep := tp.call(target, blocked("page %d (fetch from %d)", int(pm.id), target),
 		&msg.Message{Kind: msg.KPageReq, Page: pm.id})
-	if tr := tp.tracer(); tr != nil {
-		tr.Emit(trace.Event{T: int64(fetchStart), Dur: int64(tp.sp.Now() - fetchStart),
-			Layer: trace.LayerTMK, Kind: "page-fetch", Proc: tp.sp.ID(), Peer: target,
-			Bytes: PageSize})
-	}
-	if pf := tp.prof(); pf != nil {
-		pf.PageFetch(tp.rank, pm.id, pm.region.ID, PageSize, int64(tp.sp.Now()-fetchStart))
-	}
+	tp.installPage(pm, target, start, tp.sp.Now()-start, rep)
+}
+
+// installPage adopts the full copy fetched from target over [start,
+// start+dur], together with the holder's coverage vector for the page,
+// which the reply also carries.
+func (tp *Proc) installPage(pm *pageMeta, target int, start, dur sim.Time, rep *msg.Message) {
+	tp.observe(event{kind: evPageFetch, start: start, dur: dur, page: pm, peer: target, bytes: PageSize})
 	if rep.Kind != msg.KPageReply || len(rep.PageData) != PageSize {
 		panic(fmt.Sprintf("tmk: bad page reply %v (%d bytes)", rep.Kind, len(rep.PageData)))
 	}
@@ -164,46 +149,31 @@ func (tp *Proc) fetchPage(pm *pageMeta) {
 }
 
 // fetchDiffs requests the missing diffs and applies everything received
-// in a happens-before linear extension. By default the requests are
-// scattered — one batched message per writer, all transmitted before any
-// reply is awaited — so a k-writer fault costs max-RTT instead of
-// sum-of-RTTs; SerialDiffFetch reverts to one blocking call at a time
-// (the measured baseline).
+// in a happens-before linear extension. The requests are scattered — one
+// batched message per writer, a wave of them transmitted before any reply
+// is awaited — so a k-writer fault costs max-RTT instead of sum-of-RTTs.
+// A wave is every range, unless admission control caps it (DESIGN.md
+// §15.2): at MaxOutstanding, so one rank's fault storm cannot monopolize
+// every peer's request ring, or at one blocking call at a time while
+// degraded under sustained substrate pressure. Each range targets a
+// distinct writer (missingRanges emits one per writer), so chunking ranges
+// chunks outstanding calls.
 func (tp *Proc) fetchDiffs(pm *pageMeta, ranges []msg.DiffRange) {
-	var all []msg.Diff
+	w := len(ranges)
 	switch {
-	case tp.serialFetch():
-		for _, dr := range ranges {
-			pending := tp.beginDiffFetches(pm, []msg.DiffRange{dr})
-			all = append(all, tp.gatherDiffs(pm, pending)...)
-		}
-	case tp.admission.Enabled && len(ranges) > tp.admission.MaxOutstanding:
-		// Admission control: a wide fault (many writers owing diffs)
-		// scatters in width-capped waves instead of all at once, so one
-		// rank's fault storm cannot monopolize every peer's request ring.
-		// Each range targets a distinct writer (missingRanges emits one
-		// per writer), so chunking ranges chunks outstanding calls.
+	case tp.degraded:
+		w = 1
+	case tp.admission.Enabled && w > tp.admission.MaxOutstanding:
+		w = tp.admission.MaxOutstanding
 		tp.stats.AdmissionWaves++
-		w := tp.admission.MaxOutstanding
-		for i := 0; i < len(ranges); i += w {
-			j := i + w
-			if j > len(ranges) {
-				j = len(ranges)
-			}
-			pending := tp.beginDiffFetches(pm, ranges[i:j])
-			all = append(all, tp.gatherDiffs(pm, pending)...)
-		}
-	default:
-		all = tp.gatherDiffs(pm, tp.beginDiffFetches(pm, ranges))
+	}
+	var all []msg.Diff
+	for i := 0; i < len(ranges); i += w {
+		pending := tp.beginDiffFetches(pm, ranges[i:min(i+w, len(ranges))])
+		reps := tp.scatter(blocked("page %d (diffs from %d writers)", int(pm.id), len(pending)), pending)
+		all = tp.diffsFromReplies(all, pm, pending, reps)
 	}
 	tp.applyDiffs(pm, all)
-}
-
-// serialFetch reports whether the read-fault path must run one blocking
-// call at a time: configured statically (SerialDiffFetch) or degraded
-// dynamically by admission control under sustained substrate pressure.
-func (tp *Proc) serialFetch() bool {
-	return tp.cluster.cfg.SerialDiffFetch || tp.degraded
 }
 
 // pressureSignal is the monotone substrate overload gauge admission
@@ -228,18 +198,11 @@ func (tp *Proc) notePressure(delta int64) {
 	case !tp.degraded && tp.pressure >= float64(tp.admission.HighWater):
 		tp.degraded = true
 		tp.stats.AdmissionFallbacks++
-		if tr := tp.tracer(); tr != nil {
-			tr.Emit(trace.Event{T: int64(tp.sp.Now()), Layer: trace.LayerTMK,
-				Kind: "admission-fallback", Proc: tp.sp.ID(), Peer: -1})
-			tr.Metrics().Counter(trace.LayerTMK, "admission.fallbacks").Inc(1)
-		}
+		tp.observe(event{kind: evAdmissionFallback, peer: -1})
 	case tp.degraded && tp.pressure <= float64(tp.admission.LowWater):
 		tp.degraded = false
 		tp.stats.AdmissionRecoveries++
-		if tr := tp.tracer(); tr != nil {
-			tr.Emit(trace.Event{T: int64(tp.sp.Now()), Layer: trace.LayerTMK,
-				Kind: "admission-recover", Proc: tp.sp.ID(), Peer: -1})
-		}
+		tp.observe(event{kind: evAdmissionRecover, peer: -1})
 	}
 }
 
@@ -250,7 +213,7 @@ func (tp *Proc) beginDiffFetches(pm *pageMeta, ranges []msg.DiffRange) []substra
 	var reqs []*msg.Message
 	byWriter := make(map[int32]*msg.Message)
 	for _, dr := range ranges {
-		tp.sp.Sim().Tracef("tmk: rank %d requests diffs page %d from %d (%d,%d]", tp.rank, dr.Page, dr.Proc, dr.FromTS, dr.ToTS)
+		tp.observe(event{kind: evDiffRequest, page: pm, peer: int(dr.Proc), a: int(dr.FromTS), b: int(dr.ToTS)})
 		m := byWriter[dr.Proc]
 		if m == nil {
 			m = &msg.Message{Kind: msg.KDiffReq}
@@ -267,22 +230,11 @@ func (tp *Proc) beginDiffFetches(pm *pageMeta, ranges []msg.DiffRange) []substra
 	return pending
 }
 
-// gatherDiffs collects scattered diff requests, accepting replies in any
-// arrival order, and flattens the received diffs. Each pending gets its
-// own trace/prof span attributed to its writer, bounded by the issue and
-// completion times the transport recorded.
-func (tp *Proc) gatherDiffs(pm *pageMeta, pending []substrate.Pending) []msg.Diff {
-	if len(pending) == 0 {
-		return nil
-	}
-	reps := tp.scatter(fmt.Sprintf("page %d (diffs from %d writers)", pm.id, len(pending)), pending)
-	return tp.diffsFromReplies(pm, pending, reps)
-}
-
-// diffsFromReplies validates gathered diff replies and emits the
-// per-pending attribution spans.
-func (tp *Proc) diffsFromReplies(pm *pageMeta, pending []substrate.Pending, reps []*msg.Message) []msg.Diff {
-	var all []msg.Diff
+// diffsFromReplies validates the replies gathered for scattered diff
+// requests (accepted in any arrival order), appends their diffs to all
+// and observes one fetch per pending, attributed to its writer and
+// bounded by the issue and completion times the transport recorded.
+func (tp *Proc) diffsFromReplies(all []msg.Diff, pm *pageMeta, pending []substrate.Pending, reps []*msg.Message) []msg.Diff {
 	for i, rep := range reps {
 		if rep.Kind != msg.KDiffReply {
 			panic(fmt.Sprintf("tmk: bad diff reply %v", rep.Kind))
@@ -292,14 +244,8 @@ func (tp *Proc) diffsFromReplies(pm *pageMeta, pending []substrate.Pending, reps
 			nbytes += len(d.Data)
 		}
 		pend := pending[i]
-		if tr := tp.tracer(); tr != nil {
-			tr.Emit(trace.Event{T: int64(pend.Issued()), Dur: int64(pend.Completed() - pend.Issued()),
-				Layer: trace.LayerTMK, Kind: "diff-fetch", Proc: tp.sp.ID(),
-				Peer: pend.Dst(), Bytes: nbytes})
-		}
-		if pf := tp.prof(); pf != nil {
-			pf.DiffFetch(tp.rank, pm.id, pm.region.ID, nbytes, int64(pend.Completed()-pend.Issued()))
-		}
+		tp.observe(event{kind: evDiffFetch, start: pend.Issued(), dur: pend.Completed() - pend.Issued(),
+			page: pm, peer: pend.Dst(), bytes: nbytes})
 		all = append(all, rep.Diffs...)
 	}
 	return all
@@ -348,12 +294,9 @@ func (tp *Proc) applyDiffs(pm *pageMeta, all []msg.Diff) {
 			cost *= 2
 		}
 		tp.sp.Advance(cost)
-		tp.sp.Sim().Tracef("tmk: rank %d applies diff page %d from %d ts %d (%d bytes)", tp.rank, d.Page, d.Proc, d.TS, len(d.Data))
+		tp.observe(event{kind: evDiffApply, page: pm, peer: int(d.Proc), a: int(d.TS), bytes: len(d.Data)})
 		tp.stats.DiffsApplied++
 		tp.stats.DiffBytesApplied += int64(len(d.Data))
-		if tr := tp.tracer(); tr != nil {
-			tr.Metrics().Counter(trace.LayerTMK, "diff.bytes.applied").Inc(int64(len(d.Data)))
-		}
 		pm.cover[d.Proc] = d.TS
 	}
 	tp.tr.EnableAsync(tp.sp)
@@ -365,14 +308,7 @@ func (tp *Proc) applyDiffs(pm *pageMeta, all []msg.Diff) {
 // closed — and any other requested diff the fetched copy turns out to
 // subsume is discarded by applyDiffs' coverage filter.
 func (tp *Proc) fetchPageAndDiffs(pm *pageMeta) {
-	target := pm.lastWriterHint(tp.rank)
-	if target < 0 {
-		target = pm.region.Owner
-	}
-	if target == tp.rank {
-		panic(fmt.Sprintf("tmk: rank %d: page %d fetch targets self", tp.rank, pm.id))
-	}
-	tp.stats.PageFetches++
+	target := tp.pageHolder(pm)
 	pagePend := tp.tr.CallBegin(tp.sp, target, &msg.Message{Kind: msg.KPageReq, Page: pm.id})
 	var ranges []msg.DiffRange
 	for _, dr := range tp.missingRanges(pm) {
@@ -382,30 +318,10 @@ func (tp *Proc) fetchPageAndDiffs(pm *pageMeta) {
 	}
 	diffPends := tp.beginDiffFetches(pm, ranges)
 	pending := append([]substrate.Pending{pagePend}, diffPends...)
-	reps := tp.scatter(fmt.Sprintf("page %d (fetch from %d, diffs from %d writers)",
-		pm.id, target, len(diffPends)), pending)
-
-	rep := reps[0]
-	if tr := tp.tracer(); tr != nil {
-		tr.Emit(trace.Event{T: int64(pagePend.Issued()), Dur: int64(pagePend.Completed() - pagePend.Issued()),
-			Layer: trace.LayerTMK, Kind: "page-fetch", Proc: tp.sp.ID(), Peer: target,
-			Bytes: PageSize})
-	}
-	if pf := tp.prof(); pf != nil {
-		pf.PageFetch(tp.rank, pm.id, pm.region.ID, PageSize, int64(pagePend.Completed()-pagePend.Issued()))
-	}
-	if rep.Kind != msg.KPageReply || len(rep.PageData) != PageSize {
-		panic(fmt.Sprintf("tmk: bad page reply %v (%d bytes)", rep.Kind, len(rep.PageData)))
-	}
-	copy(pm.data, rep.PageData)
-	tp.sp.Advance(sim.BytesTime(PageSize, tp.cpu.MemcpyBandwidth))
-	for _, c := range rep.Covered {
-		if pm.cover[c.Proc] < c.TS {
-			pm.cover[c.Proc] = c.TS
-		}
-	}
-	pm.haveCopy = true
-	tp.applyDiffs(pm, tp.diffsFromReplies(pm, diffPends, reps[1:]))
+	reps := tp.scatter(blocked("page %d (fetch from %d, diffs from %d writers)",
+		int(pm.id), target, len(diffPends)), pending)
+	tp.installPage(pm, target, pagePend.Issued(), pagePend.Completed()-pagePend.Issued(), reps[0])
+	tp.applyDiffs(pm, tp.diffsFromReplies(nil, pm, diffPends, reps[1:]))
 }
 
 // closeInterval ends the current interval if any pages were written:
@@ -433,18 +349,10 @@ func (tp *Proc) closeInterval() {
 		diff := EncodeDiff(pm.twin, pm.data)
 		tp.sp.Advance(sim.BytesTime(2*PageSize, tp.cpu.DiffScanBandwidth) +
 			sim.BytesTime(len(diff), tp.cpu.MemcpyBandwidth))
-		tp.sp.Sim().Tracef("tmk: rank %d closes interval ts %d page %d (%d-byte diff)", tp.rank, ts, pg, len(diff))
 		tp.myDiffs[diffKey{page: pg, ts: ts}] = diff
 		tp.stats.DiffsCreated++
 		tp.stats.DiffBytesCreated += int64(len(diff))
-		if tr := tp.tracer(); tr != nil {
-			tr.Emit(trace.Event{T: int64(tp.sp.Now()), Layer: trace.LayerTMK,
-				Kind: "diff-create", Proc: tp.sp.ID(), Peer: -1, Bytes: len(diff)})
-			tr.Metrics().Counter(trace.LayerTMK, "diff.bytes.created").Inc(int64(len(diff)))
-		}
-		if pf := tp.prof(); pf != nil {
-			pf.DiffCreated(tp.rank, pg, pm.region.ID, len(diff))
-		}
+		tp.observe(event{kind: evDiffCreate, page: pm, peer: -1, a: int(ts), bytes: len(diff)})
 		pm.twin = nil
 		pm.cover[tp.rank] = ts
 		pm.addNotice(tp.rank, ts)
@@ -507,10 +415,8 @@ func (tp *Proc) applyIntervals(ivs []msg.Interval) {
 					invalidated = true
 				}
 			}
-			if pf := tp.prof(); pf != nil {
-				wroteHere := pm.twin != nil || len(pm.notices[tp.rank]) > 0
-				pf.PageNotice(tp.rank, pg, pm.region.ID, int(rec.proc), invalidated, wroteHere)
-			}
+			tp.observe(event{kind: evNotice, page: pm, peer: int(rec.proc), invalidated: invalidated,
+				wroteHere: pm.twin != nil || len(pm.notices[tp.rank]) > 0})
 		}
 	}
 }

@@ -3,8 +3,6 @@ package tmk
 import (
 	"fmt"
 	"sort"
-
-	"repro/internal/trace"
 )
 
 // Metadata garbage collection (DESIGN.md §15.4). TreadMarks' protocol
@@ -116,10 +114,5 @@ func (tp *Proc) runMetaGC() {
 		tp.stats.GCNoticesPruned += int64(pruned)
 	}
 
-	if tr := tp.tracer(); tr != nil {
-		tr.Emit(trace.Event{T: int64(start), Dur: int64(tp.sp.Now() - start),
-			Layer: trace.LayerTMK, Kind: "meta-gc", Proc: tp.sp.ID(), Peer: -1,
-			Bytes: int(tp.metaGauge())})
-		tr.Metrics().Counter(trace.LayerTMK, "gc.epochs").Inc(1)
-	}
+	tp.observe(event{kind: evMetaGC, start: start, dur: tp.sp.Now() - start, peer: -1, bytes: int(tp.metaGauge())})
 }

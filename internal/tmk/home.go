@@ -8,7 +8,6 @@ import (
 	"repro/internal/gm"
 	"repro/internal/sim"
 	"repro/internal/substrate"
-	"repro/internal/trace"
 )
 
 // Home-based lazy release consistency (HLRC) over a one-sided substrate.
@@ -50,16 +49,16 @@ func windowOff(pm *pageMeta) int { return int(pm.id-pm.region.StartPage) * PageS
 // waitVerbs resolves outstanding verbs with tp.call's crash contract: a
 // target declared dead condemns this generation (the watchdog owns the
 // post-mortem), while a window fault is a protocol bug and panics.
-func (tp *Proc) waitVerbs(entity string, verbs []substrate.PendingVerb) {
-	tp.blockedOn = entity
+func (tp *Proc) waitVerbs(on entity, verbs []substrate.PendingVerb) {
+	tp.blockedOn = on
 	if err := tp.os.WaitVerbs(tp.sp, verbs); err != nil {
 		var pu *substrate.PeerUnreachableError
 		if errors.As(err, &pu) {
 			tp.sp.Exit()
 		}
-		panic(fmt.Sprintf("tmk: rank %d: one-sided %s: %v", tp.rank, entity, err))
+		panic(fmt.Sprintf("tmk: rank %d: one-sided %v: %v", tp.rank, on, err))
 	}
-	tp.blockedOn = ""
+	tp.blockedOn = entity{}
 }
 
 // noticeSnap records, per writer, the newest write notice known for the
@@ -141,18 +140,10 @@ func (tp *Proc) homeReadFault(pm *pageMeta) {
 		tp.stats.HomeFetchBytes += PageSize
 		fetchStart := tp.sp.Now()
 		pv := tp.os.PostGet(tp.sp, home, pm.region.ID, windowOff(pm), PageSize)
-		tp.waitVerbs(fmt.Sprintf("page %d (home get from %d)", pm.id, home),
+		tp.waitVerbs(blocked("page %d (home get from %d)", int(pm.id), home),
 			[]substrate.PendingVerb{pv})
 		tp.homeApply(pm, pv.Data(), snap)
-		if tr := tp.tracer(); tr != nil {
-			tr.Emit(trace.Event{T: int64(fetchStart), Dur: int64(tp.sp.Now() - fetchStart),
-				Layer: trace.LayerTMK, Kind: "home-fetch", Proc: tp.sp.ID(), Peer: home,
-				Bytes: PageSize})
-		}
-		if pf := tp.prof(); pf != nil {
-			pf.PageFetch(tp.rank, pm.id, pm.region.ID, PageSize, int64(tp.sp.Now()-fetchStart))
-			pf.HomeFetch(tp.rank, pm.id, pm.region.ID, home, PageSize)
-		}
+		tp.observe(event{kind: evHomeFetch, start: fetchStart, dur: tp.sp.Now() - fetchStart, page: pm, peer: home, bytes: PageSize})
 		if !pm.isMissingAny(tp.rank) {
 			return
 		}
@@ -189,23 +180,15 @@ func (tp *Proc) homeFaultRange(first, last int32, write bool) {
 		if len(verbs) == 0 {
 			break
 		}
-		tp.waitVerbs(fmt.Sprintf("pages %d..%d (batched home gets, %d pages)", first, last, len(verbs)), verbs)
+		tp.waitVerbs(blocked("pages %d..%d (batched home gets, %d pages)", int(first), int(last), len(verbs)), verbs)
 		for i, pm := range pms {
 			pv := verbs[i]
 			tp.homeApply(pm, pv.Data(), snaps[i])
 			if !pm.isMissingAny(tp.rank) {
 				tp.promoteValid(pm)
 			}
-			if tr := tp.tracer(); tr != nil {
-				tr.Emit(trace.Event{T: int64(pv.Issued()), Dur: int64(pv.Completed() - pv.Issued()),
-					Layer: trace.LayerTMK, Kind: "home-fetch", Proc: tp.sp.ID(), Peer: pv.Dst(),
-					Bytes: PageSize})
-			}
-			if pf := tp.prof(); pf != nil {
-				pf.PageReadFault(tp.rank, pm.id, pm.region.ID, int64(pv.Completed()-pv.Issued()))
-				pf.PageFetch(tp.rank, pm.id, pm.region.ID, PageSize, int64(pv.Completed()-pv.Issued()))
-				pf.HomeFetch(tp.rank, pm.id, pm.region.ID, pv.Dst(), PageSize)
-			}
+			tp.observe(event{kind: evHomeRangeFetch, start: pv.Issued(), dur: pv.Completed() - pv.Issued(),
+				page: pm, peer: pv.Dst(), bytes: PageSize})
 		}
 		tp.stats.FaultTime += tp.sp.Now() - start
 		// Loop: a page that picked up a fresh notice mid-batch stays
@@ -313,9 +296,7 @@ func (tp *Proc) flushHomeDiffs(ts int32, pages []int32) {
 		total += nbytes
 		tp.stats.HomeFlushes++
 		tp.stats.HomeFlushBytes += int64(nbytes)
-		if pf := tp.prof(); pf != nil {
-			pf.HomeFlush(tp.rank, pg, pm.region.ID, home, nbytes)
-		}
+		tp.observe(event{kind: evHomeFlushPage, page: pm, peer: home, bytes: nbytes})
 	}
 	if len(hp.puts) == 0 {
 		return
@@ -325,10 +306,6 @@ func (tp *Proc) flushHomeDiffs(ts int32, pages []int32) {
 		verbs[i] = tp.os.PostPut(tp.sp, put.home, put.window, put.segs...)
 	}
 	start := tp.sp.Now()
-	tp.waitVerbs(fmt.Sprintf("interval %d (home flush, %d puts)", ts, len(verbs)), verbs)
-	if tr := tp.tracer(); tr != nil {
-		tr.Emit(trace.Event{T: int64(start), Dur: int64(tp.sp.Now() - start),
-			Layer: trace.LayerTMK, Kind: "home-flush", Proc: tp.sp.ID(), Peer: -1,
-			Bytes: total})
-	}
+	tp.waitVerbs(blocked("interval %d (home flush, %d puts)", int(ts), len(verbs)), verbs)
+	tp.observe(event{kind: evHomeFlush, start: start, dur: tp.sp.Now() - start, peer: -1, bytes: total})
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/msg"
-	"repro/internal/trace"
 )
 
 // Lock management (paper Section 1.1 / TreadMarks): every lock has an
@@ -59,13 +58,7 @@ func (tp *Proc) LockAcquire(id int32) {
 		// lock since: purely local re-acquire.
 		ls.held = true
 		tp.stats.LockAcquiresLocal++
-		if tr := tp.tracer(); tr != nil {
-			tr.Metrics().Counter(trace.LayerTMK, "lock.acquire.local").Inc(0)
-		}
-		if pf := tp.prof(); pf != nil {
-			pf.LockAcquireLocal(tp.rank, id, tp.lockManager(id), int64(tp.sp.Now()))
-		}
-		tp.sp.Sim().Tracef("tmk: rank %d acquire lock %d locally", tp.rank, id)
+		tp.observe(event{kind: evLockAcquireLocal, id: id, peer: tp.lockManager(id)})
 		return
 	}
 	mgr := tp.lockManager(id)
@@ -75,10 +68,10 @@ func (tp *Proc) LockAcquire(id int32) {
 		// send the acquire down the chain ourselves.
 		tail := ls.tail
 		ls.tail = tp.rank
-		rep = tp.call(tail, fmt.Sprintf("lock %d (acquire from chain tail %d)", id, tail),
+		rep = tp.call(tail, blocked("lock %d (acquire from chain tail %d)", int(id), tail),
 			&msg.Message{Kind: msg.KLockAcquire, Lock: id, VC: tp.vc.Ints()})
 	} else {
-		rep = tp.call(mgr, fmt.Sprintf("lock %d (acquire via manager %d)", id, mgr),
+		rep = tp.call(mgr, blocked("lock %d (acquire via manager %d)", int(id), mgr),
 			&msg.Message{Kind: msg.KLockAcquire, Lock: id, VC: tp.vc.Ints()})
 	}
 	if rep.Kind != msg.KLockGrant {
@@ -91,13 +84,7 @@ func (tp *Proc) LockAcquire(id int32) {
 	tp.tr.EnableAsync(tp.sp)
 	tp.stats.LockAcquiresRemote++
 	tp.stats.LockWait += tp.sp.Now() - start
-	if tr := tp.tracer(); tr != nil {
-		tr.Emit(trace.Event{T: int64(start), Dur: int64(tp.sp.Now() - start),
-			Layer: trace.LayerTMK, Kind: "lock-acquire", Proc: tp.sp.ID(), Peer: mgr})
-	}
-	if pf := tp.prof(); pf != nil {
-		pf.LockAcquireRemote(tp.rank, id, mgr, int64(tp.sp.Now()-start), int64(tp.sp.Now()))
-	}
+	tp.observe(event{kind: evLockAcquire, start: start, dur: tp.sp.Now() - start, id: id, peer: mgr})
 }
 
 // LockRelease releases the lock. The release itself is local; if a
@@ -110,9 +97,7 @@ func (tp *Proc) LockRelease(id int32) {
 	}
 	ls.held = false
 	tp.stats.LockReleases++
-	if pf := tp.prof(); pf != nil {
-		pf.LockRelease(tp.rank, id, int64(tp.sp.Now()))
-	}
+	tp.observe(event{kind: evLockRelease, id: id})
 	tp.serveLockWaiters(ls)
 }
 
@@ -143,7 +128,7 @@ func (tp *Proc) grantLock(ls *lockState, req *msg.Message) {
 		tp.tr.DisableAsync(tp.sp)
 		defer tp.tr.EnableAsync(tp.sp)
 	}
-	tp.sp.Sim().Tracef("tmk: rank %d grants lock %d to %d (vc=%v)", tp.rank, ls.id, req.ReplyTo, tp.vc)
+	tp.observe(event{kind: evLockGrant, id: ls.id, peer: int(req.ReplyTo)})
 	tp.closeInterval()
 	recs := tp.store.since(VC(req.VC))
 	tp.tr.Reply(tp.sp, req, &msg.Message{
@@ -164,15 +149,7 @@ func (tp *Proc) handleLockAcquire(req *msg.Message) {
 			// Forward down the chain; the requester becomes the new tail.
 			tail := ls.tail
 			ls.tail = int(req.ReplyTo)
-			tp.sp.Sim().Tracef("tmk: mgr %d forwards lock %d acquire of %d to %d", tp.rank, id, req.ReplyTo, tail)
-			if tr := tp.tracer(); tr != nil {
-				tr.Emit(trace.Event{T: int64(tp.sp.Now()), Layer: trace.LayerTMK,
-					Kind: "lock-forward", Proc: tp.sp.ID(), Peer: tail})
-				tr.Metrics().Counter(trace.LayerTMK, "lock.forward.hops").Inc(0)
-			}
-			if pf := tp.prof(); pf != nil {
-				pf.LockForward(id, tp.rank)
-			}
+			tp.observe(event{kind: evLockForward, id: id, peer: tail, a: int(req.ReplyTo)})
 			tp.tr.Forward(tp.sp, tail, req)
 			return
 		}

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/sim"
 	"repro/internal/substrate"
-	"repro/internal/trace"
 )
 
 // Elastic membership (DESIGN.md §14). TreadMarks' protocol entities —
@@ -308,7 +307,7 @@ func (tp *Proc) OnPeerView(peer int, frame []byte) {
 		tp.viewLive = live
 		tp.viewInRing = inRing
 		tp.stats.MemberViewAdopts++
-		tp.sp.Sim().Tracef("tmk: rank %d adopts membership view epoch %d from %d", tp.rank, epoch, peer)
+		tp.observe(event{kind: evViewAdopt, peer: peer, a: int(epoch)})
 	}
 }
 
@@ -374,11 +373,11 @@ func (tp *Proc) maybeChurn() {
 	seq := m.fenceSeq
 	m.fenceCount++
 	if m.fenceCount < c.w {
-		tp.blockedOn = fmt.Sprintf("membership fence (barrier crossing %d, epoch %d)", crossing, m.epoch)
+		tp.blockedOn = blocked("membership fence (barrier crossing %d, epoch %d)", crossing, int(m.epoch))
 		for m.fenceSeq == seq {
 			tp.sp.WaitOn(m.fenceCond)
 		}
-		tp.blockedOn = ""
+		tp.blockedOn = entity{}
 		return
 	}
 	m.fenceCount = 0
@@ -386,6 +385,9 @@ func (tp *Proc) maybeChurn() {
 	m.fenceSeq++
 	m.fenceCond.Broadcast()
 }
+
+// churnKinds maps a (validated) ChurnEvent.Kind to its event kind.
+var churnKinds = map[string]*evKind{"join": evMemberJoin, "leave": evMemberLeave, "crash": evMemberCrash}
 
 // runChurn executes every event due at this crossing, bumps the view
 // epoch, and pushes the new view to the quiesced compute ranks (extras
@@ -396,11 +398,7 @@ func (c *Cluster) runChurn(leader *Proc, crossing int) {
 		if ev.AtBarrier != crossing {
 			continue
 		}
-		c.sim.Tracef("tmk: membership: %s rank %d at crossing %d (epoch %d)", ev.Kind, ev.Rank, crossing, m.epoch)
-		if tr := c.sim.Tracer(); tr != nil {
-			tr.Emit(trace.Event{T: int64(c.sim.Now()), Layer: trace.LayerTMK,
-				Kind: "member-" + ev.Kind, Proc: leader.rank, Peer: ev.Rank})
-		}
+		leader.observe(event{kind: churnKinds[ev.Kind], peer: ev.Rank, a: crossing, b: int(m.epoch)})
 		switch ev.Kind {
 		case "join":
 			c.churnJoin(leader, ev.Rank)
@@ -578,7 +576,7 @@ func (c *Cluster) replaceEntitiesOf(leader *Proc, r int, rebuild bool) {
 		}
 		m.owner[entityKey{entRoot, 0}] = to
 		leader.stats.MemberHandoffRoots++
-		c.sim.Tracef("tmk: membership: barrier root %d -> %d", r, to)
+		leader.observe(event{kind: evRootMove, peer: to, a: r})
 	}
 }
 
@@ -600,7 +598,7 @@ func (c *Cluster) handoffLock(leader *Proc, id int32, from, to int) {
 	frame := encodeHandoff(handoffFrame{kind: entLock, id: id, tail: int32(ols.tail)})
 	c.applyLockHandoff(leader, to, frame)
 	c.member.owner[entityKey{entLock, id}] = to
-	c.sim.Tracef("tmk: membership: lock %d manager %d -> %d (tail %d)", id, from, to, ols.tail)
+	leader.observe(event{kind: evLockHandoff, id: id, peer: to, a: from, b: ols.tail})
 }
 
 // recoverLock re-places a dead manager's lock from surviving state: the
@@ -631,7 +629,7 @@ func (c *Cluster) recoverLock(leader *Proc, id int32, dead, to int) {
 	frame := encodeHandoff(handoffFrame{kind: entLock, id: id, tail: int32(tail)})
 	c.applyLockHandoff(leader, to, frame)
 	c.member.owner[entityKey{entLock, id}] = to
-	c.sim.Tracef("tmk: membership: lock %d recovered from dead manager %d -> %d (token at %d)", id, dead, to, tail)
+	leader.observe(event{kind: evLockRecover, id: id, peer: to, a: dead, b: tail})
 }
 
 // applyLockHandoff decodes a lock handoff at the new manager. Only the
@@ -664,7 +662,7 @@ func (c *Cluster) handoffPage(leader *Proc, pg int32, from, to int) {
 	}
 	frame := encodeHandoff(handoffFrame{kind: entPage, id: pg, data: pm.data})
 	c.applyPageHandoff(leader, pg, to, frame)
-	c.sim.Tracef("tmk: membership: page %d home %d -> %d", pg, from, to)
+	leader.observe(event{kind: evPageHandoff, id: pg, peer: to, a: from})
 }
 
 // recoverPage rebuilds a dead home's page at the new home from zeros
@@ -715,7 +713,7 @@ func (c *Cluster) recoverPage(leader *Proc, pg int32, to int) {
 	}
 	frame := encodeHandoff(handoffFrame{kind: entPage, id: pg, data: buf})
 	c.applyPageHandoff(leader, pg, to, frame)
-	c.sim.Tracef("tmk: membership: page %d rebuilt at %d from %d surviving diffs", pg, to, len(diffs))
+	leader.observe(event{kind: evPageRebuild, id: pg, peer: to, a: len(diffs)})
 }
 
 // applyPageHandoff decodes a page handoff at the new home: the image

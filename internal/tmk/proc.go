@@ -5,10 +5,8 @@ import (
 	"sort"
 
 	"repro/internal/msg"
-	"repro/internal/prof"
 	"repro/internal/sim"
 	"repro/internal/substrate"
-	"repro/internal/trace"
 )
 
 // Proc is one TreadMarks process: the per-rank DSM engine bound to a
@@ -65,7 +63,7 @@ type Proc struct {
 	// Crash model (see crash.go / checkpoint.go).
 	gen           int    // process generation (0 = original, ≥1 = restarted)
 	resumeEpoch   int    // EpochLoop skips epochs below this after restore
-	blockedOn     string // protocol entity currently awaited (watchdog)
+	blockedOn     entity // protocol entity currently awaited (watchdog)
 	crashBarriers int    // injector counters: Barrier / LockAcquire entries
 	crashLocks    int
 }
@@ -88,12 +86,6 @@ func (tp *Proc) Transport() substrate.Transport { return tp.tr }
 
 // Stats returns the DSM counters.
 func (tp *Proc) Stats() *Stats { return &tp.stats }
-
-// tracer returns the simulation's structured tracer, or nil.
-func (tp *Proc) tracer() *trace.Tracer { return tp.sp.Sim().Tracer() }
-
-// prof returns the run's protocol-entity profiler, or nil.
-func (tp *Proc) prof() *prof.Profiler { return tp.cluster.cfg.Prof }
 
 func newProc(c *Cluster, rank int, sp *sim.Proc, tr substrate.Transport, cpu CPUParams) *Proc {
 	tp := &Proc{

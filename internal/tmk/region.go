@@ -64,7 +64,7 @@ func (tp *Proc) Distribute(r *Region) {
 		if peer == tp.rank {
 			continue
 		}
-		rep := tp.call(peer, fmt.Sprintf("region %d (distribute to %d)", r.ID, peer),
+		rep := tp.call(peer, blocked("region %d (distribute to %d)", int(r.ID), peer),
 			&msg.Message{Kind: msg.KDistribute, Region: r.wire()})
 		if rep.Kind != msg.KAck {
 			panic(fmt.Sprintf("tmk: distribute: unexpected %v", rep.Kind))
@@ -75,7 +75,7 @@ func (tp *Proc) Distribute(r *Region) {
 			if peer == tp.rank {
 				continue
 			}
-			rep := tp.call(peer, fmt.Sprintf("region %d (commit to %d)", r.ID, peer),
+			rep := tp.call(peer, blocked("region %d (commit to %d)", int(r.ID), peer),
 				&msg.Message{Kind: msg.KDistributeCommit, Region: r.wire()})
 			if rep.Kind != msg.KAck {
 				panic(fmt.Sprintf("tmk: distribute commit: unexpected %v", rep.Kind))
@@ -98,11 +98,11 @@ func (tp *Proc) AllocShared(nbytes int) *Region {
 	}
 	want := tp.expectRegion
 	tp.expectRegion++
-	tp.blockedOn = fmt.Sprintf("region %d (awaiting distribute from rank %d)", want, leader)
+	tp.blockedOn = blocked("region %d (awaiting distribute from rank %d)", int(want), leader)
 	for tp.regions[want] == nil || (tp.homeBased && !tp.regions[want].committed) {
 		tp.sp.WaitOn(tp.regionCond)
 	}
-	tp.blockedOn = ""
+	tp.blockedOn = entity{}
 	return tp.regions[want]
 }
 
