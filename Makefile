@@ -6,11 +6,11 @@ GO       ?= go
 FUZZTIME ?= 5s
 BENCHDIR ?= .
 
-.PHONY: all check fmt vet build test race loc fuzz-smoke bench bench-identical bench-diff bench-gate prof-smoke chaos-smoke crash-smoke churn-smoke rdma-smoke critical-smoke flow-smoke
+.PHONY: all check fmt vet build test race loc fuzz-smoke bench bench-identical bench-diff bench-gate prof-smoke chaos-smoke crash-smoke churn-smoke rdma-smoke critical-smoke flow-smoke cli-smoke
 
 all: check
 
-check: fmt vet build test race fuzz-smoke prof-smoke chaos-smoke crash-smoke churn-smoke rdma-smoke critical-smoke flow-smoke bench-identical bench
+check: fmt vet build test race fuzz-smoke prof-smoke chaos-smoke crash-smoke churn-smoke rdma-smoke critical-smoke flow-smoke cli-smoke bench-identical bench
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -62,7 +62,7 @@ chaos-smoke:
 # Crash-tolerance sweep: a rank death injected into a checkpointing
 # barrier app (must restart bit-correct) and a lock app (must abort with
 # a post-mortem naming the dead rank and blocking entity), on udpgm and
-# fastgm, plus determinism and inert-crash-config identity. (rdmagm's
+# fastgm, plus determinism. (rdmagm's
 # loss and dead-peer coverage is the stest conformance table and
 # internal/substrate/rdmagm's own tests.)
 crash-smoke:
@@ -71,7 +71,7 @@ crash-smoke:
 # Membership churn sweep: a seeded schedule of join/leave/crash events at
 # barrier fences, all four applications on all three substrates,
 # asserting bit-correct results, bounded partial recovery (no generation
-# restart), converged views, determinism, and zero-churn identity.
+# restart), converged views, and determinism.
 churn-smoke:
 	$(GO) run ./cmd/tmkrun -churn
 
@@ -128,6 +128,24 @@ bench-gate:
 # socket drops / GM send timeouts / disabled ports (DESIGN.md §15).
 flow-smoke:
 	$(GO) run ./cmd/tmkrun -incast
+
+# Every command that builds a Config from flags reports an illegal one as
+# tmk.Config.Validate's one-line verdict and a non-zero exit — never a
+# goroutine dump — and the smallest verified run passes on each substrate.
+cli-smoke:
+	@for args in "tmkrun -nodes 0" "tmkrun -transport bogus" "tmktrace -transport bogus" \
+			"ubench -barrier-nodes 0" "figures -fig 4 -nodes 0"; do \
+		if out="$$($(GO) run ./cmd/$$args 2>&1)"; then echo "cli-smoke: $$args: exited 0"; exit 1; fi; \
+		case "$$out" in \
+			*"goroutine "*) echo "cli-smoke: $$args: goroutine dump"; exit 1;; \
+			*"invalid config"*) ;; \
+			*) echo "cli-smoke: $$args: no invalid-config line: $$out"; exit 1;; \
+		esac; \
+	done
+	@for t in udpgm fastgm rdmagm; do \
+		$(GO) run ./cmd/tmkrun -app jacobi -nodes 2 -size 0 -transport $$t -verify > /dev/null || exit 1; \
+	done
+	@echo "cli-smoke: illegal configs rejected in one line, verified runs pass on all three substrates"
 
 # Quick end-to-end run of the protocol-entity profiler (small sizes).
 prof-smoke:

@@ -32,14 +32,14 @@
 // into a barrier-structured app (checkpoint/restart must finish the run
 // bit-correct) and a lock-structured app (coordinated abort whose
 // post-mortem names the dead rank and the blocking protocol entity), on
-// both transports, plus determinism and inert-config identity checks.
+// both transports, plus a determinism check.
 //
 // -churn runs the elastic-membership sweep: a seeded schedule of
 // join/leave/crash events (standby extras entering the ring at barrier
 // fences, one crashed mid-run, a compute rank departing the ring) on all
 // four applications over all three substrates, verifying bit-correct
 // results, bounded partial recovery (no generation restart), converged
-// membership views, determinism, and zero-churn identity.
+// membership views, and determinism.
 //
 // -incast runs the overload-resilience storm: every peer blasts a burst
 // of largest-class frames at rank 0 while it is briefly masked, on all
@@ -49,11 +49,14 @@
 // zero disabled ports. -nodes sets the storm's cluster size.
 //
 // -flow and -hedge arm the overload-resilience machinery on a normal
-// application run: -flow enables end-to-end credit flow control (plus
-// the read-fault admission limiter and barrier-epoch metadata GC on the
-// transports that support it stays opt-in via the library), -hedge
-// enables hedged re-issues of straggling remote requests. Both default
-// off; an armed run's statistics show the credit/hedge counters.
+// application run: -flow enables end-to-end credit flow control and
+// nothing else (barrier-epoch metadata GC and the diff-fetch width stay
+// library-only settings), -hedge enables hedged re-issues of straggling
+// remote requests. Both default off; an armed run's statistics show the
+// credit/hedge counters.
+//
+// An illegal configuration (-nodes 0, an unknown -transport, ...) is
+// reported as tmk.Config.Validate's one-line verdict on stderr, exit 1.
 package main
 
 import (
@@ -88,64 +91,49 @@ func main() {
 	traceCap := flag.Int("trace-cap", 0, "event ring capacity for the -prof breakdown (0 = default)")
 	flag.Parse()
 
-	if *chaos {
-		spec := harness.DefaultChaosSpec()
-		spec.Seed = *seed
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "nodes" {
-				spec.Nodes = *nodes
-			}
-		})
-		if err := harness.Chaos(os.Stdout, spec); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+	// The sweeps: each ignores the per-run flags, takes -seed, and takes
+	// -nodes only when given (its default spec carries its own size).
+	nodesSet := false
+	flag.Visit(func(f *flag.Flag) { nodesSet = nodesSet || f.Name == "nodes" })
+	sized := func(def int) int {
+		if nodesSet {
+			return *nodes
 		}
-		return
+		return def
 	}
-
-	if *crash {
-		spec := harness.DefaultCrashSpec()
-		spec.Seed = *seed
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "nodes" {
-				spec.Nodes = *nodes
-			}
-		})
-		if err := harness.CrashSweep(os.Stdout, spec); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
+	sweeps := []struct {
+		on  bool
+		run func() error
+	}{
+		{*chaos, func() error {
+			spec := harness.DefaultChaosSpec()
+			spec.Seed, spec.Nodes = *seed, sized(spec.Nodes)
+			return harness.Chaos(os.Stdout, spec)
+		}},
+		{*crash, func() error {
+			spec := harness.DefaultCrashSpec()
+			spec.Seed, spec.Nodes = *seed, sized(spec.Nodes)
+			return harness.CrashSweep(os.Stdout, spec)
+		}},
+		{*churn, func() error {
+			spec := harness.DefaultChurnSpec()
+			spec.Seed, spec.Nodes = *seed, sized(spec.Nodes)
+			return harness.Churn(os.Stdout, spec)
+		}},
+		{*incast, func() error {
+			spec := harness.DefaultIncastSpec()
+			spec.Seed, spec.Nodes = *seed, sized(spec.Nodes)
+			return harness.Incast(os.Stdout, spec)
+		}},
 	}
-
-	if *churn {
-		spec := harness.DefaultChurnSpec()
-		spec.Seed = *seed
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "nodes" {
-				spec.Nodes = *nodes
+	for _, sw := range sweeps {
+		if sw.on {
+			if err := sw.run(); err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				os.Exit(1)
 			}
-		})
-		if err := harness.Churn(os.Stdout, spec); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return
 		}
-		return
-	}
-
-	if *incast {
-		spec := harness.DefaultIncastSpec()
-		spec.Seed = *seed
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "nodes" {
-				spec.Nodes = *nodes
-			}
-		})
-		if err := harness.Incast(os.Stdout, spec); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	var app apps.App
@@ -164,10 +152,6 @@ func main() {
 		os.Exit(2)
 	}
 	kind := tmk.TransportKind(*transport)
-	if kind != tmk.TransportFastGM && kind != tmk.TransportUDPGM && kind != tmk.TransportRDMAGM {
-		fmt.Fprintf(os.Stderr, "unknown transport %q\n", *transport)
-		os.Exit(2)
-	}
 
 	var pf *prof.Profiler
 	var tracer *trace.Tracer

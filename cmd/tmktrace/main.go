@@ -37,7 +37,7 @@ import (
 func main() {
 	scenario := flag.String("scenario", "counter", "counter, sharing, or lockchain")
 	nodes := flag.Int("nodes", 4, "number of DSM processes")
-	transport := flag.String("transport", "fastgm", "fastgm or udpgm")
+	transport := flag.String("transport", "fastgm", "substrate: fastgm, udpgm, or rdmagm")
 	out := flag.String("out", "", "write a Chrome trace_event JSON file (Perfetto-loadable)")
 	traceCap := flag.Int("trace-cap", 0, "event ring capacity (0 = default)")
 	critical := flag.Bool("critical", false, "collect the causal DAG and print the run's critical path")

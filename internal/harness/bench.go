@@ -150,10 +150,9 @@ func BenchE3() (*BenchSuite, error) {
 // BenchChurn captures the elastic-membership cost: the default churn
 // schedule (two joins, a crash absorbed by partial recovery, a ring
 // leave) applied to one application on every substrate, next to the
-// zero-churn run. The generator itself enforces zero-churn identity —
-// membership enabled with no events must be bit-identical to no
-// membership layer at all — so the checked-in zero-churn rows are the
-// same numbers the e-suites see, and the gate holds both sides.
+// zero-churn run — the same configuration without the membership layer,
+// so the checked-in zero-churn rows are the numbers the e-suites see and
+// the gate holds both sides.
 func BenchChurn() (*BenchSuite, error) {
 	spec := DefaultChurnSpec()
 	app := chaosApps()[0]
@@ -167,19 +166,9 @@ func BenchChurn() (*BenchSuite, error) {
 		if err != nil {
 			return nil, err
 		}
-		inert, err := RunApp(app, spec.Nodes, kind, func(cfg *tmk.Config) {
-			cfg.Seed = spec.Seed
-			cfg.Membership = tmk.MemberConfig{Enabled: true}
-		})
-		if err != nil {
-			return nil, err
-		}
-		if err := sameResult(plain, inert); err != nil {
-			return nil, fmt.Errorf("churn bench: zero-churn membership perturbed %s/%s: %w", app.Name(), kind, err)
-		}
 		s.Entries = append(s.Entries,
 			BenchEntry{Name: "Churn/" + app.Name(), Transport: string(kind), Nodes: spec.Nodes, Value: int64(churned.ExecTime), Unit: "ns"},
-			BenchEntry{Name: "ZeroChurn/" + app.Name(), Transport: string(kind), Nodes: spec.Nodes, Value: int64(inert.ExecTime), Unit: "ns"},
+			BenchEntry{Name: "ZeroChurn/" + app.Name(), Transport: string(kind), Nodes: spec.Nodes, Value: int64(plain.ExecTime), Unit: "ns"},
 		)
 	}
 	return s, nil

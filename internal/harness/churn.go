@@ -23,8 +23,6 @@ import (
 //     fence epoch, and the executed events match the schedule exactly.
 //  4. Determinism: the same churned configuration run twice is
 //     byte-identical — churn is part of the simulation, not noise.
-//  5. Identity: membership enabled with no extras and no schedule is
-//     bit-identical to a run without the layer at all.
 
 // ChurnSpec configures the churn sweep.
 type ChurnSpec struct {
@@ -64,7 +62,6 @@ func DefaultChurnSpec() ChurnSpec {
 func (cs ChurnSpec) Mutate(cfg *tmk.Config) {
 	cfg.Seed = cs.Seed
 	cfg.Membership = tmk.MemberConfig{
-		Enabled:  true,
 		Extra:    cs.Extra,
 		Schedule: append([]tmk.ChurnEvent(nil), cs.Schedule...),
 	}
@@ -175,26 +172,7 @@ func Churn(w io.Writer, spec ChurnSpec) error {
 		}
 	}
 
-	// Invariant 5: an empty membership layer is invisible — enabled with
-	// no extras and no schedule, the placement override map stays empty
-	// and results are bit-identical to a run without the layer.
-	for _, kind := range AllTransports {
-		base, err := RunApp(app, spec.Nodes, kind, func(cfg *tmk.Config) { cfg.Seed = spec.Seed })
-		if err != nil {
-			return err
-		}
-		inert, err := RunApp(app, spec.Nodes, kind, func(cfg *tmk.Config) {
-			cfg.Seed = spec.Seed
-			cfg.Membership = tmk.MemberConfig{Enabled: true}
-		})
-		if err != nil {
-			return err
-		}
-		if err := sameResult(base, inert); err != nil {
-			return fmt.Errorf("churn: zero-churn membership perturbed %s/%s: %w", app.Name(), kind, err)
-		}
-	}
 	fprintf(w, "\nall invariants held: bit-correct results under churn, crashes absorbed by partial\n")
-	fprintf(w, "recovery (no generation restart), views converged, deterministic, zero-churn identical\n")
+	fprintf(w, "recovery (no generation restart), views converged, deterministic\n")
 	return nil
 }

@@ -9,8 +9,7 @@ import (
 )
 
 // TestChurnSweep runs the full churn matrix (4 apps × 3 substrates plus
-// the determinism and zero-churn identity passes) and requires every
-// invariant to hold.
+// the determinism pass) and requires every invariant to hold.
 func TestChurnSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full churn sweep in -short mode")

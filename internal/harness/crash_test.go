@@ -7,8 +7,8 @@ import (
 
 // TestCrashSweep is the crash-tolerance tentpole's end-to-end gate: a
 // rank death on both transports, with every invariant (restart
-// bit-correct, abort post-mortem names the blocking entity, determinism,
-// inert-config identity) checked by CrashSweep itself.
+// bit-correct, abort post-mortem names the blocking entity, determinism)
+// checked by CrashSweep itself.
 func TestCrashSweep(t *testing.T) {
 	var buf bytes.Buffer
 	if err := CrashSweep(&buf, DefaultCrashSpec()); err != nil {

@@ -220,7 +220,7 @@ func Figure3(barrierNodes []int) ([]Fig3Row, error) {
 	rs = append(rs, runner{"DiffMultiWriter (4 writers, serial)",
 		func(cfg tmk.Config) (ubench.Result, error) {
 			cfg.Procs = 5
-			cfg.Admission = tmk.AdmissionConfig{Enabled: true, MaxOutstanding: 1}
+			cfg.DiffFetchWidth = 1
 			return ubench.DiffMultiWriter(cfg, 16, 4)
 		}})
 	var rows []Fig3Row

@@ -67,29 +67,23 @@ func runIncast(family string, spec IncastSpec) (*incastRow, error) {
 	s := sim.New(spec.Seed)
 	fab := myrinet.NewFabric(s, myrinet.DefaultParams(), n)
 	g := gm.NewSystem(s, fab, gm.DefaultParams())
-	fl := substrate.FlowConfig{Enabled: true}
+	pol := substrate.Policy{Flow: substrate.FlowConfig{Enabled: true}}
 	trs := make([]substrate.Transport, n)
 	var stacks []*sockets.Stack
 	switch family {
 	case "udpgm":
-		cfg := udpgm.DefaultConfig()
-		cfg.Flow = fl
 		stacks = make([]*sockets.Stack, n)
 		for i := 0; i < n; i++ {
 			stacks[i] = sockets.NewStack(s, g.Node(myrinet.NodeID(i)), sockets.DefaultParams())
-			trs[i] = udpgm.New(stacks[i], i, n, cfg)
+			trs[i] = udpgm.New(stacks[i], i, n, pol, udpgm.DefaultConfig())
 		}
 	case "fastgm":
-		cfg := fastgm.DefaultConfig()
-		cfg.Flow = fl
 		for i := 0; i < n; i++ {
-			trs[i] = fastgm.New(g.Node(myrinet.NodeID(i)), i, n, cfg)
+			trs[i] = fastgm.New(g.Node(myrinet.NodeID(i)), i, n, pol, fastgm.DefaultConfig())
 		}
 	case "rdmagm":
-		cfg := fastgm.DefaultConfig()
-		cfg.Flow = fl
 		for i := 0; i < n; i++ {
-			trs[i] = rdmagm.New(g.Node(myrinet.NodeID(i)), i, n, cfg, rdmagm.DefaultConfig())
+			trs[i] = rdmagm.New(g.Node(myrinet.NodeID(i)), i, n, pol, fastgm.DefaultConfig(), rdmagm.DefaultConfig())
 		}
 	default:
 		return nil, fmt.Errorf("incast: unknown substrate family %q", family)
@@ -208,13 +202,12 @@ func Incast(w io.Writer, spec IncastSpec) error {
 }
 
 // BenchFlow captures the overload-resilience machinery's cost on a clean
-// fabric: one application per substrate with flow control + hedging +
-// admission control armed, next to the stock baseline, plus the
-// metadata-GC run on the two-sided substrates (home-based rdmagm retains
-// no diffs to collect). The generator itself enforces the inertness
-// contract — every knob present but disabled must be bit-identical to no
-// knobs at all — so the checked-in baseline rows are the same numbers
-// the e-suites see, and the gate holds both sides.
+// fabric: one application per substrate with flow control + hedging
+// armed, next to the stock baseline (the same numbers the e-suites see,
+// so the gate holds both sides), plus the metadata-GC run on the
+// two-sided substrates (home-based rdmagm retains no diffs to collect).
+// That every knob present but disabled is bit-identical to no knobs at
+// all is TestFlowOffBitIdentity's to assert, for every app and size.
 func BenchFlow() (*BenchSuite, error) {
 	app := chaosApps()[0]
 	const nodes = 4
@@ -225,24 +218,10 @@ func BenchFlow() (*BenchSuite, error) {
 		if err != nil {
 			return nil, err
 		}
-		inert, err := RunApp(app, nodes, kind, func(cfg *tmk.Config) {
-			cfg.Seed = seed
-			cfg.Flow = substrate.FlowConfig{CreditTimeout: 250 * sim.Millisecond}
-			cfg.Hedge = substrate.HedgeConfig{MinDeadline: sim.Millisecond}
-			cfg.Admission = tmk.AdmissionConfig{MaxOutstanding: 2}
-		})
-		if err != nil {
-			return nil, err
-		}
-		if err := sameResult(plain, inert); err != nil {
-			return nil, fmt.Errorf("flow bench: disabled flow/hedge/admission perturbed %s/%s: %w",
-				app.Name(), kind, err)
-		}
 		armed, err := VerifiedRun(app, nodes, kind, func(cfg *tmk.Config) {
 			cfg.Seed = seed
 			cfg.Flow.Enabled = true
 			cfg.Hedge.Enabled = true
-			cfg.Admission.Enabled = true
 		})
 		if err != nil {
 			return nil, fmt.Errorf("flow bench (%s): %w", kind, err)

@@ -11,11 +11,10 @@ import (
 )
 
 // TestFlowOffBitIdentity holds the overload machinery to its inertness
-// contract: a configuration that carries the full flow / hedge /
-// admission / metadata-GC structure with every Enabled flag false — the
-// knobs plumbed straight into the substrate configs so their inert code
-// paths run — is bit-identical to a configuration without the knobs at
-// all, for every application, substrate, and cluster size.
+// contract, the one place it is asserted: a configuration that carries the
+// full flow / hedge / metadata-GC structure with every tunable set and
+// every Enabled flag false is bit-identical to a configuration without the
+// knobs at all, for every application, substrate, and cluster size.
 func TestFlowOffBitIdentity(t *testing.T) {
 	for _, app := range chaosApps() {
 		for _, kind := range AllTransports {
@@ -26,11 +25,8 @@ func TestFlowOffBitIdentity(t *testing.T) {
 				}
 				off, err := RunApp(app, n, kind, func(cfg *tmk.Config) {
 					cfg.Seed = 1
-					fl := substrate.FlowConfig{CreditTimeout: 100 * sim.Millisecond}
-					hd := substrate.HedgeConfig{MinDeadline: sim.Millisecond, LatencyScale: 2}
-					cfg.UDP.Flow, cfg.UDP.Hedge = fl, hd
-					cfg.Fast.Flow, cfg.Fast.Hedge = fl, hd
-					cfg.Admission = tmk.AdmissionConfig{MaxOutstanding: 2, HighWater: 1}
+					cfg.Flow = substrate.FlowConfig{CreditTimeout: 100 * sim.Millisecond}
+					cfg.Hedge = substrate.HedgeConfig{MinDeadline: sim.Millisecond}
 					cfg.MetaGC = tmk.MetaGCConfig{HighWater: 1}
 				})
 				if err != nil {
@@ -45,12 +41,11 @@ func TestFlowOffBitIdentity(t *testing.T) {
 	}
 }
 
-// TestHedgeUnderChaosDeterminism: flow control, hedging, and admission
-// control armed together on a lossy fabric. Hedged duplicates ride the
-// (origin, seq) duplicate filter, credit refreshes repair lost credit
-// frames, and the pressure EWMA reacts to retransmission noise — and the
-// whole stack must stay a deterministic function of the seed: the same
-// configuration twice is bit-identical, and every application still
+// TestHedgeUnderChaosDeterminism: flow control and hedging armed
+// together on a lossy fabric. Hedged duplicates ride the (origin, seq)
+// duplicate filter and credit refreshes repair lost credit frames — and
+// the whole stack must stay a deterministic function of the seed: the
+// same configuration twice is bit-identical, and every application still
 // verifies against its sequential reference.
 func TestHedgeUnderChaosDeterminism(t *testing.T) {
 	spec := DefaultChaosSpec()
@@ -58,7 +53,6 @@ func TestHedgeUnderChaosDeterminism(t *testing.T) {
 		spec.Mutate(cfg)
 		cfg.Flow.Enabled = true
 		cfg.Hedge.Enabled = true
-		cfg.Admission.Enabled = true
 	}
 	var hedged, stalls, rdmaPuts, rdmaRetx int64
 	for _, app := range chaosApps() {
@@ -109,7 +103,7 @@ func TestHedgeUnderChaosDeterminism(t *testing.T) {
 // ramp for ~10 iterations before saturating at full-page size (the data
 // evolves toward every-word-changed), so the plateau only becomes visible
 // past that ramp. The GC-on ladder therefore starts where the GC-off one
-// ends.
+// ends. A third ladder holds home-based LRC to retaining no diffs at all.
 func TestMetaGCBoundsMetadata(t *testing.T) {
 	offLadder := []int{4, 8, 16}
 	onLadder := []int{16, 32, 64}
@@ -161,6 +155,30 @@ func TestMetaGCBoundsMetadata(t *testing.T) {
 			t.Errorf("%s: GC fired but pruned nothing: epochs=%d diffs=%d ivs=%d notices=%d",
 				kind, last.GCEpochs, last.GCDiffsPruned, last.GCIntervalsPruned, last.GCNoticesPruned)
 		}
+	}
+
+	// Home-based LRC retains no diffs (the reason Validate rejects MetaGC
+	// with it): an interval's diffs are gone once flushed to their homes.
+	// What is left — interval records and write notices — grows with run
+	// length but no faster, where the retained diffs, whose size ramps as
+	// the data evolves, grew 9× over this ladder and were 96 % of the peak.
+	var hlrc []int64
+	var created int64
+	for _, iters := range []int{8, 16, 32} {
+		res, err := VerifiedRun(jacobi(iters), 4, tmk.TransportRDMAGM, func(cfg *tmk.Config) { cfg.Seed = 1 })
+		if err != nil {
+			t.Fatalf("rdmagm iters=%d: %v", iters, err)
+		}
+		hlrc = append(hlrc, res.Stats.MetaBytesPeak)
+		created = res.Stats.DiffBytesCreated
+	}
+	t.Logf("rdmagm iters=8/16/32: peak %v, %d diff bytes created at 32", hlrc, created)
+	if hlrc[2] > 4*hlrc[0] {
+		t.Errorf("rdmagm: home-based metadata grew faster than the run: %v over iters 8/16/32", hlrc)
+	}
+	if 8*hlrc[2] > created {
+		t.Errorf("rdmagm: metadata peak %d is no small fraction of the %d diff bytes created: diffs retained?",
+			hlrc[2], created)
 	}
 }
 

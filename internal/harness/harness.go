@@ -51,6 +51,8 @@ func RunApp(app apps.App, n int, kind tmk.TransportKind, mutate func(*tmk.Config
 
 // VerifiedRun is RunApp plus a rank-0 check against the sequential
 // reference; it fails loudly rather than report timings for wrong answers.
+// Whatever Result the run produced comes back beside the error: an aborted
+// run's post-mortem is what the crash sweep inspects.
 func VerifiedRun(app apps.App, n int, kind tmk.TransportKind, mutate func(*tmk.Config)) (*tmk.Result, error) {
 	cfg := tmk.DefaultConfig(n, kind)
 	if mutate != nil {
@@ -64,13 +66,10 @@ func VerifiedRun(app apps.App, n int, kind tmk.TransportKind, mutate func(*tmk.C
 			verr = app.Verify(tp)
 		}
 	})
-	if err != nil {
-		return nil, err
+	if err == nil && verr != nil {
+		err = fmt.Errorf("harness: %s verification: %w", app.Name(), verr)
 	}
-	if verr != nil {
-		return nil, fmt.Errorf("harness: %s verification: %w", app.Name(), verr)
-	}
-	return res, nil
+	return res, err
 }
 
 // SizeLadder returns the Table 1 application-size ladder (reconstructed

@@ -1,0 +1,66 @@
+package harness
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"repro/internal/apps"
+	"repro/internal/sim"
+	"repro/internal/substrate"
+	"repro/internal/tmk"
+)
+
+// TestFeatureMatrix is the compose-or-reject contract (DESIGN.md §17):
+// every unordered pair of feature settings — a setting with itself
+// included — on every substrate has exactly two legal outcomes. Either
+// Config.Validate accepts the pair and the run verifies against the
+// sequential reference, or Validate rejects it and Run returns that same
+// verdict without spawning anything. A panic or a hang takes the test
+// binary down; any other error is the third outcome that fails here. A
+// pair that misbehaves gets a Validate rule, not a special case.
+func TestFeatureMatrix(t *testing.T) {
+	settings := []struct {
+		name string
+		set  func(*tmk.Config)
+	}{
+		{"tree-barrier", func(c *tmk.Config) { c.BarrierFanout = 2 }},
+		{"crash-restart", func(c *tmk.Config) { c.Crash.Rank, c.Crash.AtBarrier, c.Crash.Checkpoint = 1, 3, true }},
+		{"checkpoint", func(c *tmk.Config) { c.Crash.Checkpoint = true }},
+		{"liveness", func(c *tmk.Config) { c.Crash.Liveness.Enabled = true }},
+		{"flow", func(c *tmk.Config) { c.Flow.Enabled = true }},
+		{"hedge", func(c *tmk.Config) { c.Hedge = substrate.HedgeConfig{Enabled: true} }},
+		{"serial-diff-fetch", func(c *tmk.Config) { c.DiffFetchWidth = 1 }},
+		{"meta-gc", func(c *tmk.Config) { c.MetaGC = tmk.MetaGCConfig{Enabled: true, HighWater: 8 << 10} }},
+		{"churn", DefaultChurnSpec().Mutate},
+		{"homeless", func(c *tmk.Config) { c.HomeBased = false }},
+		{"rendezvous", func(c *tmk.Config) { c.Fast.Rendezvous = true }},
+		{"chaos", DefaultChaosSpec().Mutate},
+	}
+	app := &apps.Jacobi{N: 64, Iters: 6, CostPerPoint: 30 * sim.Nanosecond}
+	ran, rejected := 0, 0
+	for _, kind := range AllTransports {
+		for i, a := range settings {
+			for _, b := range settings[i:] {
+				name := fmt.Sprintf("%s/%s+%s", kind, a.name, b.name)
+				mutate := func(c *tmk.Config) { a.set(c); b.set(c) }
+				cfg := tmk.DefaultConfig(4, kind)
+				mutate(&cfg)
+				verdict := cfg.Validate()
+				_, err := VerifiedRun(app, 4, kind, mutate)
+				switch {
+				case verdict == nil && err == nil:
+					ran++
+				case verdict != nil && reflect.DeepEqual(err, verdict):
+					rejected++
+				default:
+					t.Errorf("%s: third outcome: Validate says %v, run says %v", name, verdict, err)
+				}
+			}
+		}
+	}
+	t.Logf("%d pairs verified, %d rejected by Validate", ran, rejected)
+	if want := 3 * len(settings) * (len(settings) + 1) / 2; ran+rejected != want || rejected == 0 {
+		t.Errorf("covered %d+%d pairs, want %d with some rejections", ran, rejected, want)
+	}
+}

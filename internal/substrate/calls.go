@@ -115,7 +115,7 @@ func (c *Core) CallBegin(p *sim.Proc, dst int, req *msg.Message) Pending {
 	c.stats.RequestsSent++
 	c.wire.Transmit(p, dst, LaneRequest, req.Kind, body, aux)
 	pc.Arm(p.Now())
-	if c.hedge.Enabled {
+	if c.pol.Hedge.Enabled {
 		// Hedge only when the latency-derived deadline undercuts the
 		// retransmission clock; otherwise the RTO is already the faster
 		// recovery.
@@ -130,7 +130,7 @@ func (c *Core) CallBegin(p *sim.Proc, dst int, req *msg.Message) Pending {
 // latencies — what a healthy call costs — floored by the configured
 // minimum so cold starts don't hedge spuriously.
 func (c *Core) hedgeDelay() sim.Time {
-	return max(sim.Time(float64(c.hedgeEWMA)*c.hedge.LatencyScale), c.hedge.MinDeadline)
+	return max(hedgeLatencyScale*c.hedgeEWMA, c.pol.Hedge.MinDeadline)
 }
 
 // Collect implements Transport: wait on the binding's reply channel until
@@ -211,7 +211,7 @@ func (c *Core) match(p *sim.Proc, m *msg.Message) {
 	rtt := pc.completed - pc.issued
 	c.stats.RepliesRecvd++
 	c.stats.ReplyWaitTime += rtt
-	if c.hedge.Enabled {
+	if c.pol.Hedge.Enabled {
 		if c.hedgeEWMA == 0 {
 			c.hedgeEWMA = rtt
 		} else {

@@ -65,18 +65,50 @@ type Core struct {
 
 	seq       uint32
 	pending   map[uint32]*Call
-	calls     Exchange    // the two-sided request/reply family
-	hedge     HedgeConfig // normalized; Enabled as configured
+	calls     Exchange // the two-sided request/reply family
+	pol       Policy   // defaults filled in; each Enabled as configured
 	hedgeEWMA sim.Time
 }
 
-// Init prepares the core of process rank of size for the binding w. rto
-// is the user-level per-call retransmission clock and maxRetries its
-// budget; the zero Backoff means the wire recovers losses below the core
-// (GM-level retransmission) and calls carry no clock.
-func (c *Core) Init(w Wire, rank, size int, live LivenessConfig, hedge HedgeConfig,
-	dupCacheSize int, rto Backoff, maxRetries int) {
+// Policy is the protocol policy every process of a run must share: the
+// failure detector, credit flow control and hedged re-issues. A receiver
+// only returns credits, answers probes or absorbs a hedged duplicate on
+// the assumption that its peers run the same policy, so there is one
+// value per run — resolved by whoever assembles the cluster, handed to
+// each binding's New beside the binding's own config, and owned by the
+// Core from then on. The zero value is inert: no probes, no credit
+// state, no hedges, wire traffic bit-identical to a run without it.
+type Policy struct {
+	Liveness LivenessConfig
+	Flow     FlowConfig
+	Hedge    HedgeConfig
+}
+
+// norm fills in the policy's defaults (the zero tunables).
+func (pol Policy) norm() Policy {
+	if pol.Liveness.Interval <= 0 {
+		pol.Liveness.Interval = DefaultLivenessInterval
+	}
+	if pol.Liveness.Threshold <= 0 {
+		pol.Liveness.Threshold = DefaultLivenessThreshold
+	}
+	if pol.Flow.CreditTimeout <= 0 {
+		pol.Flow.CreditTimeout = DefaultCreditTimeout
+	}
+	if pol.Hedge.MinDeadline <= 0 {
+		pol.Hedge.MinDeadline = DefaultHedgeMinDeadline
+	}
+	return pol
+}
+
+// Init prepares the core of process rank of size for the binding w under
+// the run's policy. rto is the user-level per-call retransmission clock
+// and maxRetries its budget; the zero Backoff means the wire recovers
+// losses below the core (GM-level retransmission) and calls carry no
+// clock.
+func (c *Core) Init(w Wire, rank, size int, pol Policy, dupCacheSize int, rto Backoff, maxRetries int) {
 	c.wire, c.rank, c.size = w, rank, size
+	c.pol = pol.norm()
 	c.dup = NewDupCache(dupCacheSize)
 	c.pending = make(map[uint32]*Call)
 	c.calls = Exchange{RTO: rto, MaxRetries: maxRetries,
@@ -92,9 +124,11 @@ func (c *Core) Init(w Wire, rank, size int, live LivenessConfig, hedge HedgeConf
 			c.wire.Transmit(p, pc.dst, LaneRelay, pc.kind, pc.body, pc.aux)
 			return true
 		}}
-	c.hedge = hedge.Norm()
-	c.Live.init(c, live)
+	c.Live.init(c)
 }
+
+// Policy returns the run's policy with defaults filled in.
+func (c *Core) Policy() Policy { return c.pol }
 
 // SetWire re-points the core at w: a binding layered on another (rdmagm on
 // fastgm) takes over the wire it extends.

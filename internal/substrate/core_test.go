@@ -50,8 +50,7 @@ func (w *fakeWire) deliver(s *sim.Simulator, at sim.Time, seq uint32) {
 
 // coreArgs are the Init arguments a test varies.
 type coreArgs struct {
-	Liveness   LivenessConfig
-	Hedge      HedgeConfig
+	Policy
 	RTO        Backoff
 	MaxRetries int
 }
@@ -63,7 +62,7 @@ func runCore(t *testing.T, cfg coreArgs, body func(p *sim.Proc, c *Core, w *fake
 	s := sim.New(1)
 	w := &fakeWire{cond: sim.NewCond("fake:replies")}
 	c := &Core{}
-	c.Init(w, 0, 3, cfg.Liveness, cfg.Hedge, 0, cfg.RTO, cfg.MaxRetries)
+	c.Init(w, 0, 3, cfg.Policy, 0, cfg.RTO, cfg.MaxRetries)
 	s.Spawn("rank0", 0, func(p *sim.Proc) {
 		c.Attach(p, func(*sim.Proc, *msg.Message) {})
 		body(p, c, w)
@@ -78,7 +77,7 @@ func TestLivenessSilenceDeclaresExactlyOnce(t *testing.T) {
 	lc := LivenessConfig{Enabled: true, Interval: sim.Millisecond, Threshold: 3}
 	var deaths []int
 	var at sim.Time
-	c, w := runCore(t, coreArgs{Liveness: lc}, func(p *sim.Proc, c *Core, w *fakeWire) {
+	c, w := runCore(t, coreArgs{Policy: Policy{Liveness: lc}}, func(p *sim.Proc, c *Core, w *fakeWire) {
 		c.SetOnPeerDead(func(peer int, err error) { deaths, at = append(deaths, peer), p.Sim().Now() })
 		c.Live.Start()
 		for i := 1; i <= 20; i++ { // peer 1 stays audible, peer 2 never speaks
@@ -140,8 +139,8 @@ func TestLivenessHeardWithinBoundary(t *testing.T) {
 func TestCreditsClampRefreshReset(t *testing.T) {
 	fc := FlowConfig{Enabled: true, CreditTimeout: 10 * sim.Millisecond}
 	var acquired []sim.Time
-	c, _ := runCore(t, coreArgs{}, func(p *sim.Proc, c *Core, w *fakeWire) {
-		cr := c.NewCredits(fc, "test:credits", []int{2, 8}, []int{1, 4})
+	c, _ := runCore(t, coreArgs{Policy: Policy{Flow: fc}}, func(p *sim.Proc, c *Core, w *fakeWire) {
+		cr := c.NewCredits("test:credits", []int{2, 8}, []int{1, 4})
 		cr.Acquire(p, 1, 0, 1, 0)
 		for i := 0; i < 3; i++ { // duplicate returns must not oversubscribe
 			cr.Release(1, 0, 2)
@@ -179,8 +178,8 @@ func TestCreditsClampRefreshReset(t *testing.T) {
 }
 
 func TestCreditsHaltReleasesParkedSender(t *testing.T) {
-	c, _ := runCore(t, coreArgs{}, func(p *sim.Proc, c *Core, w *fakeWire) {
-		cr := c.NewCredits(FlowConfig{Enabled: true}, "test:credits", []int{1}, []int{1})
+	c, _ := runCore(t, coreArgs{Policy: Policy{Flow: FlowConfig{Enabled: true}}}, func(p *sim.Proc, c *Core, w *fakeWire) {
+		cr := c.NewCredits("test:credits", []int{1}, []int{1})
 		cr.Acquire(p, 2, 0, 1, 0)
 		p.Sim().After(sim.Millisecond, func() { c.Quiesce() })
 		cr.Acquire(p, 2, 0, 1, 0)
@@ -261,7 +260,7 @@ func TestStaleReplyCountedOnce(t *testing.T) {
 
 func TestHedgeFiresAtMostOncePerCall(t *testing.T) {
 	hc := HedgeConfig{Enabled: true, MinDeadline: sim.Millisecond}
-	c, w := runCore(t, coreArgs{Hedge: hc}, func(p *sim.Proc, c *Core, w *fakeWire) {
+	c, w := runCore(t, coreArgs{Policy: Policy{Hedge: hc}}, func(p *sim.Proc, c *Core, w *fakeWire) {
 		slow := c.CallBegin(p, 1, &msg.Message{Kind: msg.KPing})
 		fast := c.CallBegin(p, 2, &msg.Message{Kind: msg.KPing})
 		w.deliver(p.Sim(), sim.Millisecond/2, fast.Seq())
@@ -351,7 +350,7 @@ func waitAll(c *Core, p *sim.Proc, hs []*Call) {
 func TestExchangeLostCompletionReissuedResolvesOnce(t *testing.T) {
 	rto := Backoff{Initial: 10 * sim.Millisecond, Max: 40 * sim.Millisecond}
 	var v *fakeVerbs
-	c, w := runCore(t, coreArgs{Hedge: HedgeConfig{Enabled: true, MinDeadline: sim.Millisecond}},
+	c, w := runCore(t, coreArgs{Policy: Policy{Hedge: HedgeConfig{Enabled: true, MinDeadline: sim.Millisecond}}},
 		func(p *sim.Proc, c *Core, w *fakeWire) {
 			v = newFakeVerbs(c, rto, 3)
 			pc := v.post(p, 1)

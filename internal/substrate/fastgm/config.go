@@ -25,10 +25,7 @@
 // memory — measured by experiment E5.
 package fastgm
 
-import (
-	"repro/internal/sim"
-	"repro/internal/substrate"
-)
+import "repro/internal/sim"
 
 // AsyncScheme selects how asynchronous requests are detected.
 type AsyncScheme int
@@ -113,20 +110,6 @@ type Config struct {
 	RetryBackoffMax sim.Time
 	// DupCacheSize bounds the receiver-side duplicate-request filter.
 	DupCacheSize int
-
-	// Liveness enables the peer-liveness layer: heartbeat frames
-	// multiplexed over the async port plus silence-based death detection.
-	// Disabled (the zero value), the transport is bit-identical to the
-	// pre-liveness code.
-	Liveness substrate.LivenessConfig
-
-	// Flow enables sender-side credit flow control mirroring the async
-	// port's preposting schedule (flow.go); Hedge enables hedged
-	// re-issues of straggling calls past a latency-derived deadline.
-	// Both zero values are inert: the wire traffic is bit-identical with
-	// them disabled.
-	Flow  substrate.FlowConfig
-	Hedge substrate.HedgeConfig
 }
 
 // DefaultConfig returns the paper's adopted design: interrupt-driven

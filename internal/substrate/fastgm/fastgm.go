@@ -59,12 +59,15 @@ type Transport struct {
 	flow   flowState    // credit ledger + return machinery (flow.go)
 }
 
-// New creates the substrate for process rank of size on a GM node.
-func New(node *gm.Node, rank, size int, cfg Config) *Transport {
+// New creates the substrate for process rank of size on a GM node, under
+// the run's policy: heartbeat frames multiplexed over the async port
+// (liveness.go), credits mirroring its preposting schedule (flow.go), and
+// the core's hedged calls.
+func New(node *gm.Node, rank, size int, pol substrate.Policy, cfg Config) *Transport {
 	t := &Transport{node: node, cfg: cfg, resuming: make(map[*gm.Port]bool)}
 	// No user-level call clock: GM-level retransmission (recovery.go)
 	// recovers lost frames below the core.
-	t.Core.Init(t, rank, size, cfg.Liveness, cfg.Hedge, cfg.DupCacheSize, substrate.Backoff{}, 0)
+	t.Core.Init(t, rank, size, pol, cfg.DupCacheSize, substrate.Backoff{}, 0)
 	t.flow.init(t)
 	return t
 }

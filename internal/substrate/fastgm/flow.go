@@ -43,7 +43,7 @@ type flowState struct {
 // prepost share at any peer, refresh quantum one buffer.
 func (fl *flowState) init(t *Transport) {
 	fl.t = t
-	if !t.cfg.Flow.Enabled {
+	if !t.Policy().Flow.Enabled {
 		return
 	}
 	params := t.node.System().Params()
@@ -56,7 +56,7 @@ func (fl *flowState) init(t *Transport) {
 			budget[lane] = t.cfg.SmallPerPeer
 		}
 	}
-	fl.credits = t.NewCredits(t.cfg.Flow, fmt.Sprintf("fastgm:%d:credits", t.Rank()), budget, quantum)
+	fl.credits = t.NewCredits(fmt.Sprintf("fastgm:%d:credits", t.Rank()), budget, quantum)
 	fl.owed = make([][]int, t.Size())
 	fl.flushArmed = make([]bool, t.Size())
 	for i := range fl.owed {

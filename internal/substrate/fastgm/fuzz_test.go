@@ -8,6 +8,7 @@ import (
 	"repro/internal/msg"
 	"repro/internal/myrinet"
 	"repro/internal/sim"
+	"repro/internal/substrate"
 )
 
 // FuzzHandleAsyncFrame feeds arbitrary bytes to the async-port frame
@@ -44,8 +45,8 @@ func FuzzHandleAsyncFrame(f *testing.F) {
 		s := sim.New(1)
 		fabric := myrinet.NewFabric(s, myrinet.DefaultParams(), 2)
 		sys := gm.NewSystem(s, fabric, params)
-		tr0 := New(sys.Node(0), 0, 2, DefaultConfig())
-		tr1 := New(sys.Node(1), 1, 2, DefaultConfig())
+		tr0 := New(sys.Node(0), 0, 2, substrate.Policy{}, DefaultConfig())
+		tr1 := New(sys.Node(1), 1, 2, substrate.Policy{}, DefaultConfig())
 		noop := func(p *sim.Proc, m *msg.Message) {}
 		s.Spawn("peer", 0, func(p *sim.Proc) {
 			tr1.Start(p, noop)
@@ -99,10 +100,9 @@ func FuzzCreditFrame(f *testing.F) {
 		s := sim.New(1)
 		fabric := myrinet.NewFabric(s, myrinet.DefaultParams(), 2)
 		sys := gm.NewSystem(s, fabric, params)
-		cfg := DefaultConfig()
-		cfg.Flow.Enabled = true
-		tr0 := New(sys.Node(0), 0, 2, cfg)
-		tr1 := New(sys.Node(1), 1, 2, cfg)
+		pol := substrate.Policy{Flow: substrate.FlowConfig{Enabled: true}}
+		tr0 := New(sys.Node(0), 0, 2, pol, DefaultConfig())
+		tr1 := New(sys.Node(1), 1, 2, pol, DefaultConfig())
 		noop := func(p *sim.Proc, m *msg.Message) {}
 		s.Spawn("peer", 0, func(p *sim.Proc) { tr1.Start(p, noop) })
 		s.Spawn("target", 0, func(p *sim.Proc) {

@@ -15,9 +15,10 @@ import (
 // explicit credit-return frames from the receiver once it has recycled
 // the buffer the frame occupied.
 //
-// The config must be uniform across the cluster: a receiver only emits
+// The config must be uniform across the cluster — a receiver only emits
 // credit returns when its own FlowConfig is enabled, so a mixed cluster
-// would wedge flow-controlled senders. The zero value is inert — with
+// would wedge flow-controlled senders — which is why it travels in the
+// run's one Policy. The zero value is inert — with
 // Enabled false no credit state is kept, no frames are emitted, and the
 // wire traffic is bit-identical to a build without this file.
 type FlowConfig struct {
@@ -43,9 +44,6 @@ type HedgeConfig struct {
 	// history yet) and ultra-fast replies don't hedge spuriously. Zero
 	// selects DefaultHedgeMinDeadline.
 	MinDeadline sim.Time
-	// LatencyScale multiplies the EWMA of observed reply latencies to form
-	// the deadline; zero selects DefaultHedgeLatencyScale.
-	LatencyScale float64
 }
 
 // Default flow/hedge parameters. The 500 ms credit refresh sits well
@@ -56,29 +54,13 @@ type HedgeConfig struct {
 // refilling faster would just re-create the incast storm the credits
 // exist to prevent.
 const (
-	DefaultCreditTimeout     = 500 * sim.Millisecond
-	DefaultHedgeMinDeadline  = 500 * sim.Microsecond
-	DefaultHedgeLatencyScale = 4.0
+	DefaultCreditTimeout    = 500 * sim.Millisecond
+	DefaultHedgeMinDeadline = 500 * sim.Microsecond
 )
 
-// Norm returns the config with defaults filled in.
-func (fc FlowConfig) Norm() FlowConfig {
-	if fc.CreditTimeout <= 0 {
-		fc.CreditTimeout = DefaultCreditTimeout
-	}
-	return fc
-}
-
-// Norm returns the config with defaults filled in.
-func (hc HedgeConfig) Norm() HedgeConfig {
-	if hc.MinDeadline <= 0 {
-		hc.MinDeadline = DefaultHedgeMinDeadline
-	}
-	if hc.LatencyScale <= 0 {
-		hc.LatencyScale = DefaultHedgeLatencyScale
-	}
-	return hc
-}
+// hedgeLatencyScale multiplies the EWMA of observed reply latencies to
+// form the hedge deadline.
+const hedgeLatencyScale = 4
 
 // Credits is the sender-side credit ledger, indexed (peer, lane): each
 // lane has a budget mirroring the receiver resource it meters (fastgm:
@@ -106,12 +88,13 @@ type Credits struct {
 
 // NewCredits builds a ledger at full budget toward every peer and
 // registers it with the core (reset on peer death, woken on halt). It
-// returns nil — the inert ledger — when fc is disabled.
-func (c *Core) NewCredits(fc FlowConfig, name string, budget, quantum []int) *Credits {
-	if !fc.Enabled {
+// returns nil — the inert ledger — when the run's policy has flow
+// control off.
+func (c *Core) NewCredits(name string, budget, quantum []int) *Credits {
+	if !c.pol.Flow.Enabled {
 		return nil
 	}
-	cr := &Credits{c: c, timeout: fc.Norm().CreditTimeout, cond: sim.NewCond(name),
+	cr := &Credits{c: c, timeout: c.pol.Flow.CreditTimeout, cond: sim.NewCond(name),
 		budget: budget, quantum: quantum}
 	for i := 0; i < c.size; i++ {
 		cr.have = append(cr.have, append([]int(nil), budget...))

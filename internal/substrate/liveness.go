@@ -39,28 +39,14 @@ const (
 	DefaultLivenessThreshold = 8
 )
 
-// Norm returns the config with defaults filled in.
-func (lc LivenessConfig) Norm() LivenessConfig {
-	if lc.Interval <= 0 {
-		lc.Interval = DefaultLivenessInterval
-	}
-	if lc.Threshold <= 0 {
-		lc.Threshold = DefaultLivenessThreshold
-	}
-	return lc
-}
-
-// Deadline returns the silence bound: a peer unheard for longer than this
-// is dead.
-func (lc LivenessConfig) Deadline() sim.Time {
-	n := lc.Norm()
-	return n.Interval * sim.Time(n.Threshold)
-}
+// Deadline returns the silence bound of a config with its defaults filled
+// in (Core.Policy): a peer unheard for longer than this is dead.
+func (lc LivenessConfig) Deadline() sim.Time { return lc.Interval * sim.Time(lc.Threshold) }
 
 // Liveness is the peer-liveness state of one process, owned by the Core:
 // per-peer last-heard clocks, the silence rule, declared-dead flags, and
 // the typed give-up. Every frame from a peer (data or probe) refreshes
-// its clock via Heard; a peer silent past cfg.Deadline() is declared dead
+// its clock via Heard; a peer silent past the policy's Deadline() is declared dead
 // on the next tick: pending and future sends toward it are abandoned
 // instead of retransmitted into the void, blocked calls resolve nil, and
 // the OnPeerDead callback hands the event to the DSM's stall watchdog.
@@ -74,7 +60,6 @@ func (lc LivenessConfig) Deadline() sim.Time {
 // declares peers dead, and every give-up path consults them.
 type Liveness struct {
 	c         *Core
-	cfg       LivenessConfig // normalized; Enabled as configured
 	lastHeard []sim.Time
 	dead      []bool
 	stopped   bool
@@ -82,27 +67,26 @@ type Liveness struct {
 	onDead    func(peer int, err error)
 }
 
-func (lv *Liveness) init(c *Core, cfg LivenessConfig) {
+func (lv *Liveness) init(c *Core) {
 	lv.c = c
-	lv.cfg = cfg.Norm()
 	lv.lastHeard = make([]sim.Time, c.size)
 	lv.dead = make([]bool, c.size)
 }
 
 // Enabled reports whether probing and silence detection are configured.
-func (lv *Liveness) Enabled() bool { return lv.cfg.Enabled }
+func (lv *Liveness) Enabled() bool { return lv.c.pol.Liveness.Enabled }
 
 // Start arms the probe clock (no-op with liveness disabled); a binding's
 // Start calls it once its probe resources exist.
 func (lv *Liveness) Start() {
-	if !lv.cfg.Enabled {
+	if !lv.c.pol.Liveness.Enabled {
 		return
 	}
 	s := lv.c.proc.Sim()
 	for i := range lv.lastHeard {
 		lv.lastHeard[i] = s.Now()
 	}
-	s.After(lv.cfg.Interval, lv.tick)
+	s.After(lv.c.pol.Liveness.Interval, lv.tick)
 }
 
 // Stop halts the probe clock — which is exactly what peers detect.
@@ -117,7 +101,7 @@ func (lv *Liveness) tick() {
 		return
 	}
 	s := c.proc.Sim()
-	now, deadline := s.Now(), lv.cfg.Deadline()
+	now, deadline := s.Now(), lv.c.pol.Liveness.Deadline()
 	for peer := range lv.dead {
 		if peer == c.rank || lv.dead[peer] {
 			continue
@@ -128,7 +112,7 @@ func (lv *Liveness) tick() {
 			c.stats.HeartbeatsSent++
 		}
 	}
-	s.After(lv.cfg.Interval, lv.tick)
+	s.After(lv.c.pol.Liveness.Interval, lv.tick)
 }
 
 // Heard refreshes a peer's last-heard clock (any frame counts).

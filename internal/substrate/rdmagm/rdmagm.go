@@ -97,12 +97,13 @@ type Transport struct {
 	credits *substrate.Credits
 }
 
-// New creates the substrate for process rank of size on a GM node: fast
-// governs the two-sided request/reply half (startup, locks, barriers,
-// liveness heartbeats — everything the verbs do not cover), cfg the verbs.
-func New(node *gm.Node, rank, size int, fast fastgm.Config, cfg Config) *Transport {
+// New creates the substrate for process rank of size on a GM node under
+// the run's policy: fast governs the two-sided request/reply half
+// (startup, locks, barriers, liveness heartbeats — everything the verbs
+// do not cover), cfg the verbs.
+func New(node *gm.Node, rank, size int, pol substrate.Policy, fast fastgm.Config, cfg Config) *Transport {
 	t := &Transport{
-		Transport: fastgm.New(node, rank, size, fast),
+		Transport: fastgm.New(node, rank, size, pol, fast),
 		node:      node,
 		fast:      fast,
 		rcfg:      cfg,
@@ -116,14 +117,14 @@ func New(node *gm.Node, rank, size int, fast fastgm.Config, cfg Config) *Transpo
 	// while its two-sided traffic keeps arriving here: only silence for the
 	// grace window corroborates an exhausted verb budget.
 	grace := node.System().Params().ResendTimeout
-	if fast.Liveness.Enabled {
-		grace = fast.Liveness.Deadline()
+	if live := t.Policy().Liveness; live.Enabled {
+		grace = live.Deadline()
 	}
 	t.verbs = substrate.Exchange{Await: t.reapOne,
 		RTO:        substrate.Backoff{Initial: cfg.VerbTimeout, Max: cfg.VerbTimeoutMax},
 		MaxRetries: cfg.MaxVerbRetries, Grace: grace,
 		Resend: func(p *sim.Proc, pc *substrate.Call) bool { return t.sendVerb(p, pc, false) }}
-	if t.credits = t.NewCredits(fast.Flow, fmt.Sprintf("rdmagm:%d:credits", rank),
+	if t.credits = t.NewCredits(fmt.Sprintf("rdmagm:%d:credits", rank),
 		[]int{verbFlowWindow}, []int{1}); t.credits != nil {
 		t.credits.Park = t.awaitSlot
 	}
@@ -179,7 +180,7 @@ func (t *Transport) Start(p *sim.Proc, h substrate.Handler) {
 	}
 
 	t.verbPort.SetSink(t.onVerbFrame)
-	if t.fast.Liveness.Enabled {
+	if t.Live.Enabled() {
 		// One-sided traffic proves the initiator alive at NIC level, even
 		// while this host computes with asynchronous delivery masked.
 		t.cqPort.SetFilter(func(rv *gm.Recv) bool {

@@ -20,7 +20,7 @@ import (
 // one-sided half of the contract.
 
 func build(n int, seed int64) *stest.Cluster {
-	return stest.NewRDMA(n, seed, fastgm.DefaultConfig(), rdmagm.DefaultConfig())
+	return stest.NewRDMA(n, seed, substrate.Policy{}, fastgm.DefaultConfig(), rdmagm.DefaultConfig())
 }
 
 func oneSided(t *testing.T, tr substrate.Transport) substrate.OneSided {
@@ -280,9 +280,8 @@ func TestVerbBlackoutRecovery(t *testing.T) {
 // PeerUnreachableError instead of hanging, and the failure must feed the
 // shared liveness state.
 func TestVerbsAbandonedOnDeadPeer(t *testing.T) {
-	cfg := fastgm.DefaultConfig()
-	cfg.Liveness = substrate.LivenessConfig{Enabled: true}
-	c := stest.NewRDMA(2, 1, cfg, rdmagm.DefaultConfig())
+	pol := substrate.Policy{Liveness: substrate.LivenessConfig{Enabled: true}}
+	c := stest.NewRDMA(2, 1, pol, fastgm.DefaultConfig(), rdmagm.DefaultConfig())
 	win := make([]byte, 4096)
 	var verr error
 	c.Sim.Spawn("rank1", 0, func(p *sim.Proc) {

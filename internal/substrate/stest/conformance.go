@@ -221,26 +221,29 @@ func ConformancePortDisabledMidBurstResumed(t *testing.T, build Builder) {
 	requireAllPortsEnabled(t, c)
 }
 
-// livenessCluster probes the builder to learn which transport family is
+// policyCluster probes the builder to learn which transport family is
 // under test, then constructs a fresh n-rank cluster of the same family
-// with heartbeat liveness enabled.
-func livenessCluster(build Builder, n int) *Cluster {
+// under pol. outstanding widens the scatter-call slots on the GM
+// substrates so a sender can keep several flow-controlled calls pending at
+// once (0 keeps the automatic n−1 sizing).
+func policyCluster(build Builder, n int, pol substrate.Policy, outstanding int) *Cluster {
 	probe := build(2, 1)
 	_, oneSided := probe.Transports[0].(substrate.OneSided)
+	fast := fastgm.DefaultConfig()
+	fast.OutstandingCalls = outstanding
 	switch {
 	case probe.Stacks != nil:
-		cfg := udpgm.DefaultConfig()
-		cfg.Liveness = substrate.LivenessConfig{Enabled: true}
-		return NewUDPConfig(n, 1, cfg)
+		return NewUDPConfig(n, 1, pol, udpgm.DefaultConfig())
 	case oneSided:
-		cfg := fastgm.DefaultConfig()
-		cfg.Liveness = substrate.LivenessConfig{Enabled: true}
-		return NewRDMA(n, 1, cfg, rdmagm.DefaultConfig())
+		return NewRDMA(n, 1, pol, fast, rdmagm.DefaultConfig())
 	default:
-		cfg := fastgm.DefaultConfig()
-		cfg.Liveness = substrate.LivenessConfig{Enabled: true}
-		return NewFast(n, 1, cfg)
+		return NewFast(n, 1, pol, fast)
 	}
+}
+
+// livenessCluster is policyCluster with heartbeat liveness enabled.
+func livenessCluster(build Builder, n int) *Cluster {
+	return policyCluster(build, n, substrate.Policy{Liveness: substrate.LivenessConfig{Enabled: true}}, 0)
 }
 
 // ConformanceSilentPeerMidRendezvous: the peer of a large transfer goes
@@ -1020,31 +1023,9 @@ func ConformanceOverflowRetransmission(t *testing.T, build Builder) {
 	}
 }
 
-// flowCluster probes the builder family, then constructs a fresh n-rank
-// cluster of the same family with credit flow control enabled.
-// outstanding widens the scatter-call slots on the GM substrates so a
-// sender can keep several flow-controlled calls pending at once (0 keeps
-// the automatic n−1 sizing).
+// flowCluster is policyCluster with credit flow control enabled.
 func flowCluster(build Builder, n, outstanding int) *Cluster {
-	probe := build(2, 1)
-	_, oneSided := probe.Transports[0].(substrate.OneSided)
-	fl := substrate.FlowConfig{Enabled: true}
-	switch {
-	case probe.Stacks != nil:
-		cfg := udpgm.DefaultConfig()
-		cfg.Flow = fl
-		return NewUDPConfig(n, 1, cfg)
-	case oneSided:
-		cfg := fastgm.DefaultConfig()
-		cfg.Flow = fl
-		cfg.OutstandingCalls = outstanding
-		return NewRDMA(n, 1, cfg, rdmagm.DefaultConfig())
-	default:
-		cfg := fastgm.DefaultConfig()
-		cfg.Flow = fl
-		cfg.OutstandingCalls = outstanding
-		return NewFast(n, 1, cfg)
-	}
+	return policyCluster(build, n, substrate.Policy{Flow: substrate.FlowConfig{Enabled: true}}, outstanding)
 }
 
 // sumPortStats totals GM port counters (parked frames, send timeouts)

@@ -29,36 +29,36 @@ type Cluster struct {
 
 // NewUDP builds an n-rank cluster on the UDP/GM transport.
 func NewUDP(n int, seed int64) *Cluster {
-	return NewUDPConfig(n, seed, udpgm.DefaultConfig())
+	return NewUDPConfig(n, seed, substrate.Policy{}, udpgm.DefaultConfig())
 }
 
-// NewUDPConfig builds an n-rank UDP/GM cluster with an explicit transport
-// configuration (liveness, retry budget, ...).
-func NewUDPConfig(n int, seed int64, cfg udpgm.Config) *Cluster {
+// NewUDPConfig builds an n-rank UDP/GM cluster under an explicit policy
+// (liveness, flow, hedging) and transport configuration (retry budget, ...).
+func NewUDPConfig(n int, seed int64, pol substrate.Policy, cfg udpgm.Config) *Cluster {
 	c := newBase(n, seed)
 	c.Stacks = make([]*sockets.Stack, n)
 	for i := 0; i < n; i++ {
 		c.Stacks[i] = sockets.NewStack(c.Sim, c.GM.Node(myrinet.NodeID(i)), sockets.DefaultParams())
-		c.Transports[i] = udpgm.New(c.Stacks[i], i, n, cfg)
+		c.Transports[i] = udpgm.New(c.Stacks[i], i, n, pol, cfg)
 	}
 	return c
 }
 
 // NewFast builds an n-rank cluster on the FAST/GM transport.
-func NewFast(n int, seed int64, cfg fastgm.Config) *Cluster {
+func NewFast(n int, seed int64, pol substrate.Policy, cfg fastgm.Config) *Cluster {
 	c := newBase(n, seed)
 	for i := 0; i < n; i++ {
-		c.Transports[i] = fastgm.New(c.GM.Node(myrinet.NodeID(i)), i, n, cfg)
+		c.Transports[i] = fastgm.New(c.GM.Node(myrinet.NodeID(i)), i, n, pol, cfg)
 	}
 	return c
 }
 
 // NewRDMA builds an n-rank cluster on the RDMA/GM one-sided transport,
 // its two-sided half configured by fast.
-func NewRDMA(n int, seed int64, fast fastgm.Config, cfg rdmagm.Config) *Cluster {
+func NewRDMA(n int, seed int64, pol substrate.Policy, fast fastgm.Config, cfg rdmagm.Config) *Cluster {
 	c := newBase(n, seed)
 	for i := 0; i < n; i++ {
-		c.Transports[i] = rdmagm.New(c.GM.Node(myrinet.NodeID(i)), i, n, fast, cfg)
+		c.Transports[i] = rdmagm.New(c.GM.Node(myrinet.NodeID(i)), i, n, pol, fast, cfg)
 	}
 	return c
 }

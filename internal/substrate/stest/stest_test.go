@@ -3,6 +3,7 @@ package stest_test
 import (
 	"testing"
 
+	"repro/internal/substrate"
 	"repro/internal/substrate/fastgm"
 	"repro/internal/substrate/rdmagm"
 	"repro/internal/substrate/stest"
@@ -21,13 +22,13 @@ func TestConformanceAllSubstrates(t *testing.T) {
 		build stest.Builder
 	}{
 		{"udpgm", func(n int, seed int64) *stest.Cluster {
-			return stest.NewUDPConfig(n, seed, udpgm.DefaultConfig())
+			return stest.NewUDPConfig(n, seed, substrate.Policy{}, udpgm.DefaultConfig())
 		}},
 		{"fastgm", func(n int, seed int64) *stest.Cluster {
-			return stest.NewFast(n, seed, fastgm.DefaultConfig())
+			return stest.NewFast(n, seed, substrate.Policy{}, fastgm.DefaultConfig())
 		}},
 		{"rdmagm", func(n int, seed int64) *stest.Cluster {
-			return stest.NewRDMA(n, seed, fastgm.DefaultConfig(), rdmagm.DefaultConfig())
+			return stest.NewRDMA(n, seed, substrate.Policy{}, fastgm.DefaultConfig(), rdmagm.DefaultConfig())
 		}},
 	}
 	for _, b := range builders {

@@ -24,7 +24,9 @@
 //     declared-dead flags, the typed PeerUnreachableError, CrashControl;
 //   - Credits (flow.go): the sender-side credit ledger indexed (peer,
 //     lane) with park, optimistic refresh, clamped release, reset;
-//   - Backoff (backoff.go): the shared retransmission schedule.
+//   - Backoff (backoff.go): the shared retransmission schedule;
+//   - Policy (core.go): the run's one value of the three cluster-uniform
+//     policies (liveness, flow, hedge), handed to every binding's New.
 //
 // The give-up rule is one rule: a peer is declared dead by silence
 // (Liveness) or by an exhausted retry budget (any layer), and from then

@@ -37,19 +37,6 @@ type Config struct {
 	MaxRetries        int      // give up (fail-stop) after this many
 	DispatchCost      sim.Time // per-request decode/dispatch CPU
 	DupCacheSize      int      // cached replies per process
-
-	// Liveness enables the peer-liveness layer: heartbeat datagrams on the
-	// request path plus silence-based death detection. Disabled (the zero
-	// value), the transport is bit-identical to the pre-liveness code.
-	Liveness substrate.LivenessConfig
-
-	// Flow enables sender-side byte-window flow control mirroring the
-	// receiver's request socket buffer; Hedge enables hedged
-	// re-issues of straggling calls past a latency-derived deadline. Both
-	// zero values are inert: the wire traffic is bit-identical with them
-	// disabled.
-	Flow  substrate.FlowConfig
-	Hedge substrate.HedgeConfig
 }
 
 // DefaultConfig mirrors TreadMarks' retransmission behaviour.
@@ -91,18 +78,21 @@ type Transport struct {
 }
 
 // New creates the transport for process rank of size over the node's
-// socket stack. UDP is unreliable, so the core runs its user-level
-// per-call retransmission clock with this config's backoff and budget.
-func New(stack *sockets.Stack, rank, size int, cfg Config) *Transport {
+// socket stack, under the run's policy: heartbeat datagrams on the request
+// path, a byte window mirroring the receiver's request socket buffer, and
+// the core's hedged calls. UDP is unreliable, so the core runs its
+// user-level per-call retransmission clock with this config's backoff and
+// budget.
+func New(stack *sockets.Stack, rank, size int, pol substrate.Policy, cfg Config) *Transport {
 	t := &Transport{
 		stack:  stack,
 		cfg:    cfg,
 		reqBuf: make([]byte, stack.Params().MaxDatagram),
 		repBuf: make([]byte, stack.Params().MaxDatagram),
 	}
-	t.Core.Init(t, rank, size, cfg.Liveness, cfg.Hedge, cfg.DupCacheSize,
+	t.Core.Init(t, rank, size, pol, cfg.DupCacheSize,
 		substrate.Backoff{Initial: cfg.RetransmitInitial, Max: cfg.RetransmitMax}, cfg.MaxRetries)
-	t.credits = t.NewCredits(cfg.Flow, fmt.Sprintf("udpgm:%d:credits", rank),
+	t.credits = t.NewCredits(fmt.Sprintf("udpgm:%d:credits", rank),
 		[]int{stack.Params().RecvBufDefault}, []int{stack.Params().MaxDatagram})
 	return t
 }

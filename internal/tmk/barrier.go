@@ -38,7 +38,7 @@ type barrierState struct {
 
 	// gcArmed is the root's metadata-GC trigger hysteresis (DESIGN.md
 	// §15.4): a GC epoch fires when armed and the cluster's gauge maximum
-	// crosses HighWater, and re-arms once the gauge decays below LowWater.
+	// crosses HighWater, and re-arms once the gauge decays below half of it.
 	gcArmed bool
 }
 
@@ -181,14 +181,14 @@ func (tp *Proc) Barrier(id int32) {
 		tp.applyIntervals(rep.Intervals)
 		tp.tr.EnableAsync(tp.sp)
 	} else if gcOn {
-		// Root: armed/HighWater trigger with LowWater re-arm hysteresis,
+		// Root: armed/HighWater trigger with re-arm hysteresis at half of it,
 		// so a collection that cannot reclaim below HighWater does not
 		// re-fire at every subsequent barrier.
 		switch {
 		case tp.barrier.gcArmed && int64(gauge) >= tp.metaGC.HighWater:
 			gcNow = true
 			tp.barrier.gcArmed = false
-		case !tp.barrier.gcArmed && int64(gauge) <= tp.metaGC.LowWater:
+		case !tp.barrier.gcArmed && int64(gauge) <= tp.metaGC.HighWater/2:
 			tp.barrier.gcArmed = true
 		}
 	}

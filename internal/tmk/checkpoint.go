@@ -37,7 +37,7 @@ const ckptMagic = "TMKCKPT1"
 // generation the epochs up to and including the restored checkpoint are
 // skipped: their effects are already in the restored state.
 func (tp *Proc) EpochLoop(epochs int, body func(e int)) {
-	ck := tp.cluster.cfg.Crash.Enabled && tp.cluster.cfg.Crash.Checkpoint
+	ck := tp.cluster.cfg.Crash.Checkpoint
 	for e := 0; e < epochs; e++ {
 		if e < tp.resumeEpoch {
 			continue

@@ -74,69 +74,39 @@ type Config struct {
 
 	// Crash configures the crash-failure model: the seeded injector, the
 	// substrate liveness detector, and the recovery policy (abort with a
-	// post-mortem, or barrier-epoch checkpoint/restart). The zero value
-	// — and an enabled config with no trigger armed — is bit-identical to
-	// a run without a crash model.
+	// post-mortem, or barrier-epoch checkpoint/restart). Each part is on
+	// when it is configured — a trigger, Liveness.Enabled, Checkpoint —
+	// and the zero value is a run without a crash model.
 	Crash CrashConfig
 
 	// Flow, when enabled, arms end-to-end credit flow control in whichever
-	// substrate the run uses (NewCluster copies it into the UDP and Fast
-	// configs; rdmagm's two-sided half runs on Fast); Hedge likewise arms
-	// hedged re-issues of straggling calls. Both zero values are inert —
-	// the run is bit-identical to one without them (DESIGN.md §15).
+	// substrate the run uses; Hedge likewise arms hedged re-issues of
+	// straggling calls. With Crash.Liveness they are the run's one
+	// substrate.Policy. Both zero values are inert — the run is
+	// bit-identical to one without them (DESIGN.md §15).
 	Flow  substrate.FlowConfig
 	Hedge substrate.HedgeConfig
 
-	// Admission bounds the read-fault path's outstanding fetches and
-	// degrades to serial diff fetch under sustained substrate pressure
-	// (DESIGN.md §15.2). Zero value: inert. {Enabled, MaxOutstanding: 1} is
-	// the serial, sum-of-RTTs baseline the DiffMultiWriter bench rows run
-	// side by side with the default scatter.
-	Admission AdmissionConfig
+	// DiffFetchWidth caps how many writers a read fault asks for diffs at
+	// once (DESIGN.md §15.2): 0 scatters to every writer in one wave
+	// (max-RTT), w ≥ 1 fetches in waves of at most w, and a fault at least
+	// that wide fetches its page alone first. 1 is the serial,
+	// sum-of-RTTs baseline the DiffMultiWriter bench rows run side by side
+	// with the default scatter.
+	DiffFetchWidth int
 
 	// MetaGC bounds protocol metadata (write notices, retained diffs,
 	// interval records) with TreadMarks-style garbage collection at
 	// full-barrier epochs (DESIGN.md §15.4). Zero value: inert.
 	MetaGC MetaGCConfig
 
-	// Membership enables the elastic-membership layer (DESIGN.md §14):
+	// Membership configures the elastic-membership layer (DESIGN.md §14):
 	// protocol entities are placed on a consistent-hashed ring of live
 	// ranks, standby extras can join/leave at barrier fences with bounded
 	// role handoff, and a crashed extra's entities are re-placed and
-	// restored while the run continues. The zero value — and Enabled with
-	// no extras and no schedule — is bit-identical to a run without it.
+	// restored while the run continues. The layer is on when there are
+	// extras or a schedule; the zero value is a run without it.
 	Membership MemberConfig
-}
-
-// AdmissionConfig tunes read-fault admission control: the scatter width
-// is capped at MaxOutstanding calls per wave, and a pressure EWMA of the
-// substrate's stall counters degrades the fault path to serial diff
-// fetch (waves of one) past HighWater, recovering once it decays below
-// LowWater.
-type AdmissionConfig struct {
-	Enabled bool
-	// MaxOutstanding caps concurrently outstanding diff fetches per read
-	// fault (0 = 8). Faults needing more scatter in waves.
-	MaxOutstanding int
-	// HighWater is the pressure-EWMA threshold (substrate credit stalls +
-	// retransmits per fault) that trips serial degradation (0 = 8);
-	// LowWater is the recovery threshold (0 = 1).
-	HighWater int
-	LowWater  int
-}
-
-// norm fills defaults.
-func (ac AdmissionConfig) norm() AdmissionConfig {
-	if ac.MaxOutstanding <= 0 {
-		ac.MaxOutstanding = 8
-	}
-	if ac.HighWater <= 0 {
-		ac.HighWater = 8
-	}
-	if ac.LowWater <= 0 {
-		ac.LowWater = 1
-	}
-	return ac
 }
 
 // MetaGCConfig tunes barrier-epoch metadata garbage collection: every
@@ -145,23 +115,18 @@ func (ac AdmissionConfig) norm() AdmissionConfig {
 // crosses HighWater the root orders a GC epoch in the releases — each
 // rank validates its page copies, a nested fence confirms everyone is
 // covered, and all metadata up to the barrier vector clock is pruned. The
-// trigger then re-arms once the gauge decays below LowWater.
+// trigger then re-arms once the gauge decays below half of HighWater.
 type MetaGCConfig struct {
 	Enabled bool
 	// HighWater is the per-rank metadata-bytes gauge that triggers a GC
-	// epoch at the next barrier (0 = 1 MiB); LowWater re-arms the trigger
-	// (0 = HighWater/2).
+	// epoch at the next barrier (0 = 1 MiB).
 	HighWater int64
-	LowWater  int64
 }
 
 // norm fills defaults.
 func (mc MetaGCConfig) norm() MetaGCConfig {
 	if mc.HighWater <= 0 {
 		mc.HighWater = 1 << 20
-	}
-	if mc.LowWater <= 0 {
-		mc.LowWater = mc.HighWater / 2
 	}
 	return mc
 }
@@ -189,8 +154,10 @@ func DefaultConfig(n int, kind TransportKind) Config {
 // Cluster is one assembled DSM run.
 type Cluster struct {
 	cfg    Config
-	n      int // total ranks: w compute processes plus standby extras
-	w      int // compute ranks (= Config.Procs): app partitioning, barriers
+	err    error            // Config.Validate's verdict; Run reports it
+	pol    substrate.Policy // the run's one cluster-uniform substrate policy
+	n      int              // total ranks: w compute processes plus standby extras
+	w      int              // compute ranks (= Config.Procs): app partitioning, barriers
 	member *memberState
 	sim    *sim.Simulator
 	fabric *myrinet.Fabric
@@ -249,7 +216,7 @@ type Result struct {
 	// silent forever-pending send.
 	PeerFailure *substrate.PeerUnreachableError
 	// Member summarizes the elastic-membership layer's end state (nil
-	// unless Config.Membership.Enabled): final epoch, live/ring bitmaps,
+	// with Config.Membership off): final epoch, live/ring bitmaps,
 	// moved-entity count, and every rank's converged view epoch.
 	Member *MemberReport
 }
@@ -258,38 +225,17 @@ type Result struct {
 const finalBarrier int32 = 1<<31 - 1
 
 // NewCluster assembles the simulator, fabric, GM, kernels, and per-rank
-// transports; Run then executes the application.
+// transports; Run then executes the application. A Config that fails
+// Validate assembles nothing: Run returns the verdict (and Sim/GM are nil).
 func NewCluster(cfg Config) *Cluster {
-	if cfg.Procs < 1 {
-		panic("tmk: need at least one process")
+	c := &Cluster{cfg: cfg, w: cfg.Procs, n: cfg.Procs + cfg.Membership.Extra}
+	if c.err = cfg.Validate(); c.err != nil {
+		return c
 	}
-	if cfg.HomeBased && cfg.Transport != TransportRDMAGM {
-		panic(fmt.Sprintf("tmk: HomeBased requires a one-sided transport, got %q", cfg.Transport))
-	}
-	if cfg.MetaGC.Enabled && cfg.Membership.Enabled {
-		// GC prunes on the assumption that every rank holding metadata
-		// crosses the fence; standby extras never do.
-		panic("tmk: MetaGC is incompatible with Membership (standby extras cross no barriers)")
-	}
-	if cfg.MetaGC.Enabled && cfg.HomeBased {
-		// HLRC already bounds metadata its own way: diffs are flushed to
-		// homes at interval close and never retained by the writer.
-		panic("tmk: MetaGC is incompatible with HomeBased (no retained diffs to collect)")
-	}
-	if cfg.Crash.Enabled && (cfg.Crash.Rank < 0 || cfg.Crash.Rank >= cfg.Procs) {
-		panic(fmt.Sprintf("tmk: crash rank %d out of range", cfg.Crash.Rank))
-	}
-	validateMembership(&cfg)
-	cfg.armSubstrate(&cfg.UDP.Flow, &cfg.UDP.Hedge, &cfg.UDP.Liveness)
-	cfg.armSubstrate(&cfg.Fast.Flow, &cfg.Fast.Hedge, &cfg.Fast.Liveness)
-	total := cfg.Procs
-	if cfg.Membership.Enabled {
-		total += cfg.Membership.Extra
-	}
-	c := &Cluster{cfg: cfg, n: total, w: cfg.Procs}
-	if cfg.Membership.Enabled {
+	if cfg.Membership.on() {
 		c.member = newMemberState(c.w, c.n)
 	}
+	c.pol = cfg.policy()
 	c.sim = sim.New(cfg.Seed)
 	if cfg.Trace != nil {
 		c.sim.SetTracer(cfg.Trace)
@@ -297,40 +243,28 @@ func NewCluster(cfg Config) *Cluster {
 	if cfg.Causal != nil {
 		c.sim.SetCausal(cfg.Causal)
 	}
-	c.fabric = myrinet.NewFabric(c.sim, cfg.Net, total)
+	c.fabric = myrinet.NewFabric(c.sim, cfg.Net, c.n)
 	c.gmsys = gm.NewSystem(c.sim, c.fabric, cfg.GM)
 	if cfg.Transport == TransportUDPGM {
-		c.stacks = make([]*sockets.Stack, total)
-		for i := 0; i < total; i++ {
+		c.stacks = make([]*sockets.Stack, c.n)
+		for i := 0; i < c.n; i++ {
 			c.stacks[i] = sockets.NewStack(c.sim, c.gmsys.Node(myrinet.NodeID(i)), cfg.Sockets)
 		}
 	}
 	return c
 }
 
-// armSubstrate resolves the cluster-uniform policies into one substrate
-// binding's config; each stays as the caller set it unless the run arms it.
-func (cfg *Config) armSubstrate(flow *substrate.FlowConfig, hedge *substrate.HedgeConfig, live *substrate.LivenessConfig) {
-	if cfg.Flow.Enabled {
-		*flow = cfg.Flow.Norm()
+// policy resolves the run's one cluster-uniform substrate policy. A crash
+// trigger without a detector would leave survivors blocked on the dead
+// rank forever, and churn needs one too: departed and dead extras go
+// silent, and survivors must notice (and find membership already
+// converged) instead of retrying forever.
+func (cfg *Config) policy() substrate.Policy {
+	pol := substrate.Policy{Liveness: cfg.Crash.Liveness, Flow: cfg.Flow, Hedge: cfg.Hedge}
+	if cfg.Crash.hasTrigger() || cfg.Membership.on() {
+		pol.Liveness.Enabled = true
 	}
-	if cfg.Hedge.Enabled {
-		*hedge = cfg.Hedge.Norm()
-	}
-	// A crash trigger without a detector would leave survivors blocked on
-	// the dead rank forever. With no trigger and no explicit liveness the
-	// crash model stays completely inert (bit-identity).
-	if cfg.Crash.Enabled && (cfg.Crash.Liveness.Enabled || cfg.Crash.hasTrigger()) {
-		*live = cfg.Crash.Liveness.Norm()
-		live.Enabled = true
-	}
-	// Churn needs a failure detector too: departed and dead extras go
-	// silent, and survivors must notice (and find membership already
-	// converged) instead of retrying forever. With no extras and no
-	// schedule nothing is armed — the zero-churn bit-identity.
-	if mc := cfg.Membership; mc.Enabled && (mc.Extra > 0 || len(mc.Schedule) > 0) && !live.Enabled {
-		*live = substrate.LivenessConfig{Enabled: true}.Norm()
-	}
+	return pol
 }
 
 // Sim exposes the simulator (tests and harness).
@@ -364,15 +298,13 @@ func (c *Cluster) spawnGeneration(gen, resumeEpoch int) {
 		}
 		c.sim.Spawn(name, 0, func(sp *sim.Proc) {
 			var tr substrate.Transport
-			switch c.cfg.Transport {
+			switch node := c.gmsys.Node(myrinet.NodeID(rank)); c.cfg.Transport {
 			case TransportUDPGM:
-				tr = udpgm.New(c.stacks[rank], rank, n, c.cfg.UDP)
+				tr = udpgm.New(c.stacks[rank], rank, n, c.pol, c.cfg.UDP)
 			case TransportFastGM:
-				tr = fastgm.New(c.gmsys.Node(myrinet.NodeID(rank)), rank, n, c.cfg.Fast)
+				tr = fastgm.New(node, rank, n, c.pol, c.cfg.Fast)
 			case TransportRDMAGM:
-				tr = rdmagm.New(c.gmsys.Node(myrinet.NodeID(rank)), rank, n, c.cfg.Fast, c.cfg.RDMA)
-			default:
-				panic(fmt.Sprintf("tmk: unknown transport %q", c.cfg.Transport))
+				tr = rdmagm.New(node, rank, n, c.pol, c.cfg.Fast, c.cfg.RDMA)
 			}
 			tp := newProc(c, rank, sp, tr, c.cfg.CPU)
 			tp.gen = gen
@@ -443,10 +375,13 @@ func (c *Cluster) spawnGeneration(gen, resumeEpoch int) {
 // Run executes app on every rank and returns the result. The app
 // receives its rank's Proc; a final barrier is implicit.
 func (c *Cluster) Run(app func(tp *Proc)) (*Result, error) {
+	if c.err != nil {
+		return nil, c.err
+	}
 	n := c.n
 	c.appFn = app
 	c.spawnGeneration(0, 0)
-	if cc := c.cfg.Crash; cc.Enabled && cc.AtTime > 0 {
+	if cc := c.cfg.Crash; cc.AtTime > 0 {
 		c.sim.At(cc.AtTime, func() {
 			if tp := c.procs[cc.Rank]; tp != nil && tp.gen == 0 {
 				tp.sp.Kill()

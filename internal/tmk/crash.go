@@ -18,12 +18,13 @@ import (
 // replacement generation of processes restored from the last complete
 // barrier checkpoint.
 
-// CrashConfig configures the injector and the recovery policy. The zero
-// value (and an Enabled config with no trigger and no liveness) changes
-// nothing: runs are bit-identical to a config without a crash model.
+// CrashConfig configures the injector and the recovery policy. There is
+// no master switch: the injector is armed by a trigger, the detector by
+// Liveness.Enabled (or a trigger), checkpointing by Checkpoint. The zero
+// value — and a Rank with no trigger — changes nothing: runs are
+// bit-identical to a config without a crash model.
 type CrashConfig struct {
-	Enabled bool
-	// Rank is the process the injector kills.
+	// Rank is the process the injector kills once a trigger is armed.
 	Rank int
 	// AtTime kills Rank at this virtual time (0 disables this trigger).
 	AtTime sim.Time
@@ -34,8 +35,8 @@ type CrashConfig struct {
 	// from 1 (0 disables).
 	AtLock int
 	// Liveness configures the substrate's heartbeat/failure detector. It
-	// is forced on whenever a trigger is armed — without detection the
-	// survivors would block forever on the dead rank.
+	// is forced on whenever a trigger is armed (or membership is on) —
+	// without detection the survivors would block forever on the dead rank.
 	Liveness substrate.LivenessConfig
 	// Checkpoint enables barrier-epoch checkpoint/restart for apps that
 	// structure themselves with EpochLoop; without it (or without a
@@ -194,7 +195,7 @@ func (c *Cluster) handleCrash(detector, peer int, err error) {
 func (c *Cluster) afterCrash() {
 	rep := c.crash.report
 	epoch, ok := c.latestCompleteCheckpoint()
-	if c.cfg.Crash.Enabled && c.cfg.Crash.Checkpoint && c.crash.gen == 0 && ok {
+	if c.cfg.Crash.Checkpoint && c.crash.gen == 0 && ok {
 		rep.Action = "restart"
 		rep.RestartEpoch = epoch + 1
 		c.crash.gen++
@@ -210,8 +211,7 @@ func (c *Cluster) afterCrash() {
 // injected rank of generation 0 dies mid-protocol, without any cleanup,
 // on its at-th entry to the instrumented operation.
 func (tp *Proc) maybeCrashAt(counter *int, at int) {
-	cc := tp.cluster.cfg.Crash
-	if !cc.Enabled || at <= 0 || tp.gen != 0 || tp.rank != cc.Rank {
+	if at <= 0 || tp.gen != 0 || tp.rank != tp.cluster.cfg.Crash.Rank {
 		return
 	}
 	*counter++

@@ -74,7 +74,6 @@ func TestCrashRestartFromCheckpoint(t *testing.T) {
 		t.Run(string(kind), func(t *testing.T) {
 			cfg := tmk.DefaultConfig(4, kind)
 			cfg.Crash = tmk.CrashConfig{
-				Enabled:    true,
 				Rank:       1,
 				AtBarrier:  6, // app barrier 1, fences(0), then dies entering epoch-1's work barrier wave
 				Checkpoint: true,
@@ -119,9 +118,8 @@ func TestCrashAbortNamesBlockingEntity(t *testing.T) {
 		t.Run(string(kind), func(t *testing.T) {
 			cfg := tmk.DefaultConfig(3, kind)
 			cfg.Crash = tmk.CrashConfig{
-				Enabled: true,
-				Rank:    1,
-				AtLock:  2, // die holding nothing but with the token chain pointed here
+				Rank:   1,
+				AtLock: 2, // die holding nothing but with the token chain pointed here
 			}
 			res, err := tmk.Run(cfg, func(tp *tmk.Proc) {
 				r := tp.AllocShared(8)
@@ -165,7 +163,6 @@ func TestCrashAtTime(t *testing.T) {
 		t.Run(string(kind), func(t *testing.T) {
 			cfg := tmk.DefaultConfig(3, kind)
 			cfg.Crash = tmk.CrashConfig{
-				Enabled:    true,
 				Rank:       2,
 				AtTime:     2_000_000, // 2ms: mid-epoch
 				Checkpoint: true,
@@ -188,7 +185,7 @@ func TestCheckpointBytesDeterministic(t *testing.T) {
 	const epochs = 3
 	run := func() (*tmk.Cluster, *tmk.Result) {
 		cfg := tmk.DefaultConfig(4, tmk.TransportFastGM)
-		cfg.Crash = tmk.CrashConfig{Enabled: true, Rank: 1, AtBarrier: 6, Checkpoint: true}
+		cfg.Crash = tmk.CrashConfig{Rank: 1, AtBarrier: 6, Checkpoint: true}
 		c := tmk.NewCluster(cfg)
 		res, err := c.Run(epochApp(epochs))
 		if err != nil {
@@ -218,9 +215,10 @@ func TestCheckpointBytesDeterministic(t *testing.T) {
 	}
 }
 
-// TestZeroCrashConfigBitIdentical requires an enabled-but-inert crash
-// model (no trigger, no liveness) to be invisible: results bit-identical
-// to a run with no crash model at all.
+// TestZeroCrashConfigBitIdentical pins what arms the crash model: a
+// victim rank and detector tunables with no trigger, Liveness.Enabled
+// false and no Checkpoint arm nothing — results bit-identical to a run
+// with no crash model at all, and no heartbeat flows.
 func TestZeroCrashConfigBitIdentical(t *testing.T) {
 	for _, kind := range bothTransports {
 		kind := kind
@@ -231,7 +229,8 @@ func TestZeroCrashConfigBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg := tmk.DefaultConfig(4, kind)
-			cfg.Crash = tmk.CrashConfig{Enabled: true}
+			cfg.Crash = tmk.CrashConfig{Rank: 1,
+				Liveness: substrate.LivenessConfig{Interval: 100_000, Threshold: 3}}
 			inert, err := tmk.Run(cfg, app)
 			if err != nil {
 				t.Fatal(err)
@@ -246,20 +245,17 @@ func TestZeroCrashConfigBitIdentical(t *testing.T) {
 				t.Errorf("transport stats diverged:\n%+v\n%+v", base.Transport, inert.Transport)
 			}
 			if inert.Crash != nil {
-				t.Errorf("inert crash config produced a report: %s", inert.Crash)
+				t.Errorf("unarmed crash config produced a report: %s", inert.Crash)
 			}
 		})
 	}
 }
 
-// TestLivenessStatsFlow sanity-checks that an armed crash config routes
-// liveness config into the substrate: heartbeats actually flow.
+// TestLivenessStatsFlow sanity-checks that Crash.Liveness alone reaches
+// the substrate's policy: heartbeats actually flow.
 func TestLivenessStatsFlow(t *testing.T) {
 	cfg := tmk.DefaultConfig(2, tmk.TransportFastGM)
-	cfg.Crash = tmk.CrashConfig{
-		Enabled:  true,
-		Liveness: substrate.LivenessConfig{Enabled: true},
-	}
+	cfg.Crash = tmk.CrashConfig{Liveness: substrate.LivenessConfig{Enabled: true}}
 	res, err := tmk.Run(cfg, epochApp(2))
 	if err != nil {
 		t.Fatal(err)

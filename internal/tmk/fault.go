@@ -25,13 +25,10 @@ func (tp *Proc) readFault(pm *pageMeta) {
 		// the page fetch + per-writer diff chase (home.go).
 		tp.homeReadFault(pm)
 	} else {
-		before := tp.pressureSignal()
 		for {
 			if !pm.haveCopy {
-				wide := tp.admission.Enabled &&
-					len(tp.missingRanges(pm)) >= tp.admission.MaxOutstanding
-				if tp.degraded || wide {
-					// Wide faults under admission control skip the combined
+				if w := tp.cluster.cfg.DiffFetchWidth; w > 0 && len(tp.missingRanges(pm)) >= w {
+					// A fault at least DiffFetchWidth wide skips the combined
 					// page+diff scatter: the page fetch goes alone and the
 					// diff chase below runs in width-capped waves.
 					tp.fetchPage(pm)
@@ -46,7 +43,6 @@ func (tp *Proc) readFault(pm *pageMeta) {
 			}
 			tp.fetchDiffs(pm, missing)
 		}
-		tp.notePressure(tp.pressureSignal() - before)
 	}
 	tp.promoteValid(pm)
 	tp.stats.FaultTime += tp.sp.Now() - start
@@ -152,20 +148,14 @@ func (tp *Proc) installPage(pm *pageMeta, target int, start, dur sim.Time, rep *
 // in a happens-before linear extension. The requests are scattered — one
 // batched message per writer, a wave of them transmitted before any reply
 // is awaited — so a k-writer fault costs max-RTT instead of sum-of-RTTs.
-// A wave is every range, unless admission control caps it (DESIGN.md
-// §15.2): at MaxOutstanding, so one rank's fault storm cannot monopolize
-// every peer's request ring, or at one blocking call at a time while
-// degraded under sustained substrate pressure. Each range targets a
+// A wave is every range, unless Config.DiffFetchWidth caps it (DESIGN.md
+// §15.2; 1 is the serial sum-of-RTTs baseline). Each range targets a
 // distinct writer (missingRanges emits one per writer), so chunking ranges
 // chunks outstanding calls.
 func (tp *Proc) fetchDiffs(pm *pageMeta, ranges []msg.DiffRange) {
 	w := len(ranges)
-	switch {
-	case tp.degraded:
-		w = 1
-	case tp.admission.Enabled && w > tp.admission.MaxOutstanding:
-		w = tp.admission.MaxOutstanding
-		tp.stats.AdmissionWaves++
+	if width := tp.cluster.cfg.DiffFetchWidth; width > 0 {
+		w = min(w, width)
 	}
 	var all []msg.Diff
 	for i := 0; i < len(ranges); i += w {
@@ -174,36 +164,6 @@ func (tp *Proc) fetchDiffs(pm *pageMeta, ranges []msg.DiffRange) {
 		all = tp.diffsFromReplies(all, pm, pending, reps)
 	}
 	tp.applyDiffs(pm, all)
-}
-
-// pressureSignal is the monotone substrate overload gauge admission
-// control differentiates across a fault: credit stalls (flow control on)
-// plus retransmits (loss or overflow, flow control off).
-func (tp *Proc) pressureSignal() int64 {
-	st := tp.tr.Stats()
-	return st.CreditStalls + st.Retransmits
-}
-
-// notePressure folds one fault's overload delta into the pressure EWMA
-// and moves the degradation state machine: past HighWater the fault path
-// falls back to serial diff fetch (graceful degradation — slower but
-// one-outstanding-call gentle), and once pressure decays below LowWater
-// the scatter-gather path is restored.
-func (tp *Proc) notePressure(delta int64) {
-	if !tp.admission.Enabled {
-		return
-	}
-	tp.pressure = (3*tp.pressure + float64(delta)) / 4
-	switch {
-	case !tp.degraded && tp.pressure >= float64(tp.admission.HighWater):
-		tp.degraded = true
-		tp.stats.AdmissionFallbacks++
-		tp.observe(event{kind: evAdmissionFallback, peer: -1})
-	case tp.degraded && tp.pressure <= float64(tp.admission.LowWater):
-		tp.degraded = false
-		tp.stats.AdmissionRecoveries++
-		tp.observe(event{kind: evAdmissionRecover, peer: -1})
-	}
 }
 
 // beginDiffFetches scatters the diff requests: one batched KDiffReq per
@@ -370,6 +330,14 @@ func (tp *Proc) closeInterval() {
 		// returns — and the messages that make the interval visible
 		// elsewhere (barrier arrive, lock grant) are sent strictly after.
 		tp.flushHomeDiffs(ts, pages)
+		if tp.cluster.member == nil {
+			// The homes hold the data now, and no one asks a home-based
+			// writer for a diff; only membership's recoverPage replays
+			// them, so only a run with membership on keeps them.
+			for _, pg := range pages {
+				delete(tp.myDiffs, diffKey{page: pg, ts: ts})
+			}
+		}
 	}
 	tp.dirty = tp.dirty[:0]
 }

@@ -53,20 +53,23 @@ type ChurnEvent struct {
 	Rank      int    // the rank joining, departing, or dying
 }
 
-// MemberConfig enables the elastic-membership layer. The zero value is
-// inert; Enabled with no extras and no schedule is bit-identical to a
-// run without the layer (the zero-churn regression enforces this).
+// MemberConfig configures the elastic-membership layer, which is on when
+// there is something for it to do — extras to spawn or a schedule to run
+// — and absent otherwise. What makes a schedule legal is Config.Validate's
+// replay (validate.go), nothing here.
 type MemberConfig struct {
-	Enabled bool
 	// Extra spawns this many standby ranks beyond Config.Procs. Extras
 	// run no application code and arrive at no barrier; they serve
 	// protocol requests, heartbeat, and become eligible ring members
 	// when a "join" event admits them.
 	Extra int
-	// Schedule is the seeded churn schedule, executed in order at each
-	// event's barrier fence.
+	// Schedule is the seeded churn schedule: each event executes at its
+	// barrier fence, events sharing a fence in list order.
 	Schedule []ChurnEvent
 }
+
+// on reports whether the run has a membership layer at all.
+func (mc MemberConfig) on() bool { return mc.Extra > 0 || len(mc.Schedule) > 0 }
 
 // entityKind discriminates the ring-placed protocol entities.
 type entityKind uint8
@@ -356,7 +359,7 @@ func (tp *Proc) barrierRoot() int { return tp.cluster.placeRoot() }
 func (tp *Proc) maybeChurn() {
 	c := tp.cluster
 	m := c.member
-	if m == nil || len(c.cfg.Membership.Schedule) == 0 {
+	if m == nil {
 		return
 	}
 	crossing := int(tp.stats.Barriers)
@@ -386,7 +389,7 @@ func (tp *Proc) maybeChurn() {
 	m.fenceCond.Broadcast()
 }
 
-// churnKinds maps a (validated) ChurnEvent.Kind to its event kind.
+// churnKinds maps a ChurnEvent.Kind to its event kind.
 var churnKinds = map[string]*evKind{"join": evMemberJoin, "leave": evMemberLeave, "crash": evMemberCrash}
 
 // runChurn executes every event due at this crossing, bumps the view
@@ -406,8 +409,6 @@ func (c *Cluster) runChurn(leader *Proc, crossing int) {
 			c.churnLeave(leader, ev.Rank)
 		case "crash":
 			c.churnCrash(leader, ev.Rank)
-		default:
-			panic(fmt.Sprintf("tmk: unknown churn event kind %q", ev.Kind))
 		}
 	}
 	m.epoch++
@@ -446,12 +447,6 @@ func (c *Cluster) liveLockIDs() []int32 {
 // root never moves on a join (roots must cross barriers; extras do not).
 func (c *Cluster) churnJoin(leader *Proc, r int) {
 	m := c.member
-	if r < c.w || r >= c.n {
-		panic(fmt.Sprintf("tmk: join of rank %d: not a standby extra", r))
-	}
-	if !m.isLive(r) || m.isInRing(r) {
-		panic(fmt.Sprintf("tmk: join of rank %d: not live or already in ring", r))
-	}
 	m.inRing |= 1 << uint(r)
 	pts := ringPointsFor(m.members(c.n, nil))
 	for _, id := range c.liveLockIDs() {
@@ -478,9 +473,6 @@ func (c *Cluster) churnJoin(leader *Proc, r int) {
 // its per-peer transport state.
 func (c *Cluster) churnLeave(leader *Proc, r int) {
 	m := c.member
-	if !m.isLive(r) || !m.isInRing(r) {
-		panic(fmt.Sprintf("tmk: leave of rank %d: not a live ring member", r))
-	}
 	m.inRing &^= 1 << uint(r)
 	c.replaceEntitiesOf(leader, r, false)
 	if r >= c.w {
@@ -498,12 +490,6 @@ func (c *Cluster) churnLeave(leader *Proc, r int) {
 // instead of tearing the generation down).
 func (c *Cluster) churnCrash(leader *Proc, r int) {
 	m := c.member
-	if r < c.w || r >= c.n {
-		panic(fmt.Sprintf("tmk: crash of rank %d: only standby extras crash under membership", r))
-	}
-	if !m.isLive(r) {
-		panic(fmt.Sprintf("tmk: crash of rank %d: already dead", r))
-	}
 	m.live &^= 1 << uint(r)
 	m.inRing &^= 1 << uint(r)
 	c.replaceEntitiesOf(leader, r, true)
@@ -531,7 +517,9 @@ func (c *Cluster) departRank(r int) {
 
 // replaceEntitiesOf re-places every entity currently owned by rank r.
 // With rebuild set (crash), page homes are reconstructed from surviving
-// writers' diffs instead of copied from r's memory.
+// writers' diffs instead of copied from r's memory. Validate's replay
+// guarantees the takers exist: rank 0 is always a compute ring member,
+// and a departing extra leaves another joined extra behind under HLRC.
 func (c *Cluster) replaceEntitiesOf(leader *Proc, r int, rebuild bool) {
 	m := c.member
 	anyPts := ringPointsFor(m.members(c.n, nil))
@@ -543,9 +531,6 @@ func (c *Cluster) replaceEntitiesOf(leader *Proc, r int, rebuild bool) {
 			continue
 		}
 		to := succOn(anyPts, entityKey{entLock, id}.hash())
-		if to < 0 {
-			panic("tmk: membership: no live ring member to take lock " + fmt.Sprint(id))
-		}
 		if rebuild {
 			c.recoverLock(leader, id, r, to)
 		} else {
@@ -559,8 +544,9 @@ func (c *Cluster) replaceEntitiesOf(leader *Proc, r int, rebuild bool) {
 			}
 			to := succOn(extraPts, entityKey{entPage, pg}.hash())
 			if to < 0 {
-				panic(fmt.Sprintf("tmk: membership: no in-ring extra to take page %d's home "+
-					"(home re-placement requires a live joined extra)", pg))
+				// No joined extra: r is a compute rank shedding its manager
+				// roles, still running — its window keeps serving the page.
+				continue
 			}
 			if rebuild {
 				c.recoverPage(leader, pg, to)
@@ -571,9 +557,6 @@ func (c *Cluster) replaceEntitiesOf(leader *Proc, r int, rebuild bool) {
 	}
 	if c.placeRoot() == r {
 		to := succOn(computePts, entityKey{entRoot, 0}.hash())
-		if to < 0 {
-			panic("tmk: membership: no compute rank to take the barrier root")
-		}
 		m.owner[entityKey{entRoot, 0}] = to
 		leader.stats.MemberHandoffRoots++
 		leader.observe(event{kind: evRootMove, peer: to, a: r})
@@ -740,70 +723,6 @@ func (c *Cluster) applyPageHandoff(leader *Proc, pg int32, to int, frame []byte)
 	leader.stats.MemberHandoffPages++
 	leader.stats.MemberHandoffBytes += int64(len(frame))
 	c.member.owner[entityKey{entPage, pg}] = to
-}
-
-// validateMembership checks the configuration at cluster assembly.
-func validateMembership(cfg *Config) {
-	mc := cfg.Membership
-	if !mc.Enabled {
-		if mc.Extra > 0 || len(mc.Schedule) > 0 {
-			panic("tmk: Membership.Extra/Schedule without Membership.Enabled")
-		}
-		return
-	}
-	if mc.Extra < 0 {
-		panic("tmk: negative Membership.Extra")
-	}
-	total := cfg.Procs + mc.Extra
-	if total > 64 {
-		panic(fmt.Sprintf("tmk: membership supports at most 64 ranks, got %d", total))
-	}
-	if cfg.BarrierFanout >= 2 {
-		panic("tmk: membership requires the flat barrier (BarrierFanout < 2): the ring re-places a single root")
-	}
-	if cfg.Crash.Checkpoint {
-		panic("tmk: membership and checkpoint/restart are mutually exclusive recovery models")
-	}
-	joined := make(map[int]bool)
-	gone := make(map[int]bool)
-	for _, ev := range mc.Schedule {
-		if ev.AtBarrier < 1 {
-			panic(fmt.Sprintf("tmk: churn event %q rank %d: AtBarrier must be ≥ 1", ev.Kind, ev.Rank))
-		}
-		switch ev.Kind {
-		case "join":
-			if ev.Rank < cfg.Procs || ev.Rank >= total {
-				panic(fmt.Sprintf("tmk: join of rank %d: not a standby extra", ev.Rank))
-			}
-			if joined[ev.Rank] || gone[ev.Rank] {
-				panic(fmt.Sprintf("tmk: rank %d joins twice or after departing", ev.Rank))
-			}
-			joined[ev.Rank] = true
-		case "leave":
-			if ev.Rank == 0 {
-				panic("tmk: rank 0 cannot leave (it is the collective allocator)")
-			}
-			if ev.Rank >= cfg.Procs && !joined[ev.Rank] {
-				panic(fmt.Sprintf("tmk: leave of extra %d before it joined", ev.Rank))
-			}
-			if gone[ev.Rank] {
-				panic(fmt.Sprintf("tmk: rank %d departs twice", ev.Rank))
-			}
-			if ev.Rank >= cfg.Procs {
-				gone[ev.Rank] = true
-			}
-		case "crash":
-			if ev.Rank < cfg.Procs || ev.Rank >= total {
-				panic(fmt.Sprintf("tmk: crash of rank %d: only standby extras crash under membership", ev.Rank))
-			}
-			if !joined[ev.Rank] || gone[ev.Rank] {
-				panic(fmt.Sprintf("tmk: crash of extra %d before joining or after departing", ev.Rank))
-			}
-			gone[ev.Rank] = true
-		default:
-			panic(fmt.Sprintf("tmk: unknown churn event kind %q", ev.Kind))
-		}
-	}
 }
 
 // MemberReport summarizes the membership layer's end state for a Result.

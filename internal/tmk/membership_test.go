@@ -69,47 +69,6 @@ func verifyChurnApp(t *testing.T, tp *tmk.Proc, n, phases int) {
 	}
 }
 
-// TestZeroChurnBitIdentical requires an enabled membership layer with no
-// extras and no schedule to be invisible on every transport: results
-// bit-identical to a run without the layer (the override map stays empty,
-// so every placement is the static base and no liveness is armed).
-func TestZeroChurnBitIdentical(t *testing.T) {
-	for _, kind := range allTransports {
-		kind := kind
-		t.Run(string(kind), func(t *testing.T) {
-			app := churnApp(3)
-			base, err := tmk.Run(tmk.DefaultConfig(4, kind), app)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg := tmk.DefaultConfig(4, kind)
-			cfg.Membership = tmk.MemberConfig{Enabled: true}
-			inert, err := tmk.Run(cfg, app)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if base.ExecTime != inert.ExecTime {
-				t.Errorf("ExecTime %v != %v", base.ExecTime, inert.ExecTime)
-			}
-			if base.Stats != inert.Stats {
-				t.Errorf("tmk stats diverged:\n%+v\n%+v", base.Stats, inert.Stats)
-			}
-			if base.Transport != inert.Transport {
-				t.Errorf("transport stats diverged:\n%+v\n%+v", base.Transport, inert.Transport)
-			}
-			for i := range base.PerProc {
-				if base.PerProc[i] != inert.PerProc[i] {
-					t.Errorf("rank %d time %v != %v", i, base.PerProc[i], inert.PerProc[i])
-				}
-			}
-			m := inert.Member
-			if m == nil || m.Epoch != 0 || m.Moves != 0 {
-				t.Errorf("inert membership report: %+v", m)
-			}
-		})
-	}
-}
-
 // TestJoinMidBarrier admits a standby extra at a barrier fence on every
 // transport and requires the run to stay bit-correct while the joiner
 // captures a bounded slice of the ring (its handoffs are counted, and no
@@ -121,8 +80,7 @@ func TestJoinMidBarrier(t *testing.T) {
 		t.Run(string(kind), func(t *testing.T) {
 			cfg := tmk.DefaultConfig(4, kind)
 			cfg.Membership = tmk.MemberConfig{
-				Enabled: true,
-				Extra:   1,
+				Extra: 1,
 				Schedule: []tmk.ChurnEvent{
 					{AtBarrier: 2, Kind: "join", Rank: 4},
 				},
@@ -173,7 +131,6 @@ func TestLeaveWhileHoldingLockToken(t *testing.T) {
 		t.Run(string(kind), func(t *testing.T) {
 			cfg := tmk.DefaultConfig(4, kind)
 			cfg.Membership = tmk.MemberConfig{
-				Enabled: true,
 				Schedule: []tmk.ChurnEvent{
 					{AtBarrier: 2, Kind: "leave", Rank: 1},
 				},
@@ -235,8 +192,7 @@ func TestCrashOfJoinedExtra(t *testing.T) {
 		t.Run(string(kind), func(t *testing.T) {
 			cfg := tmk.DefaultConfig(4, kind)
 			cfg.Membership = tmk.MemberConfig{
-				Enabled: true,
-				Extra:   2,
+				Extra: 2,
 				Schedule: []tmk.ChurnEvent{
 					{AtBarrier: 2, Kind: "join", Rank: 4},
 					{AtBarrier: 3, Kind: "join", Rank: 5},
@@ -296,8 +252,7 @@ func TestChurnDeterministic(t *testing.T) {
 	run := func() *tmk.Result {
 		cfg := tmk.DefaultConfig(4, tmk.TransportFastGM)
 		cfg.Membership = tmk.MemberConfig{
-			Enabled: true,
-			Extra:   2,
+			Extra: 2,
 			Schedule: []tmk.ChurnEvent{
 				{AtBarrier: 2, Kind: "join", Rank: 4},
 				{AtBarrier: 3, Kind: "join", Rank: 5},
@@ -327,7 +282,7 @@ func TestChurnDeterministic(t *testing.T) {
 func TestStandbyExtrasInert(t *testing.T) {
 	const phases = 3
 	cfg := tmk.DefaultConfig(4, tmk.TransportFastGM)
-	cfg.Membership = tmk.MemberConfig{Enabled: true, Extra: 2}
+	cfg.Membership = tmk.MemberConfig{Extra: 2}
 	app := churnApp(phases)
 	res, err := tmk.Run(cfg, func(tp *tmk.Proc) {
 		app(tp)
@@ -347,5 +302,29 @@ func TestStandbyExtrasInert(t *testing.T) {
 	}
 	if res.Transport.HeartbeatsSent == 0 {
 		t.Error("liveness armed but no heartbeats flowed")
+	}
+}
+
+// TestComputeLeaveKeepsPageHomes: under HLRC page homes move only onto
+// joined extras. A compute rank that leaves a ring with none sheds its lock
+// managers and keeps its homes — it is still running, its window still
+// serves them — instead of failing the fence.
+func TestComputeLeaveKeepsPageHomes(t *testing.T) {
+	const phases = 3
+	cfg := tmk.DefaultConfig(4, tmk.TransportRDMAGM)
+	cfg.Membership.Schedule = []tmk.ChurnEvent{{AtBarrier: 2, Kind: "leave", Rank: 1}}
+	app := churnApp(phases)
+	res, err := tmk.Run(cfg, func(tp *tmk.Proc) {
+		app(tp)
+		if tp.Rank() == 0 {
+			verifyChurnApp(t, tp, 4, phases)
+		}
+	})
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if st := res.Stats; st.MemberLeaves != 1 || st.MemberHandoffLocks == 0 || st.MemberHandoffPages != 0 {
+		t.Errorf("leaves=%d lock handoffs=%d page handoffs=%d, want 1 / >0 / 0",
+			st.MemberLeaves, st.MemberHandoffLocks, st.MemberHandoffPages)
 	}
 }

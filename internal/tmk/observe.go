@@ -50,9 +50,7 @@ var (
 	evDiffCreate  = &evKind{ring: "diff-create", prof: []prof.Kind{prof.DiffCreated},
 		text: "rank %[1]d closes interval ts %[5]d page %[2]d (%[4]d-byte diff)"}
 	// DRIFT: write-notice arrival exists for the profiler only.
-	evNotice            = &evKind{prof: []prof.Kind{prof.Notice}}
-	evAdmissionFallback = &evKind{ring: "admission-fallback"}
-	evAdmissionRecover  = &evKind{ring: "admission-recover"}
+	evNotice = &evKind{prof: []prof.Kind{prof.Notice}}
 
 	// Home-based LRC; peer = the home. DRIFT: a single-page home fault is
 	// a read fault (evReadFault, the whole fault) plus a home fetch; a page

@@ -51,14 +51,10 @@ type Proc struct {
 	viewLive   uint64
 	viewInRing uint64
 
-	// Overload resilience (see gc.go / fault.go): admission pressure EWMA
-	// with the degraded-to-serial flag, and the metadata-GC in-progress
+	// Metadata GC (see gc.go): the normalized config and the in-progress
 	// guard that keeps the nested GC fence from recursing.
-	admission AdmissionConfig
-	metaGC    MetaGCConfig
-	pressure  float64
-	degraded  bool
-	inGC      bool
+	metaGC MetaGCConfig
+	inGC   bool
 
 	// Crash model (see crash.go / checkpoint.go).
 	gen           int    // process generation (0 = original, ≥1 = restarted)
@@ -107,18 +103,11 @@ func newProc(c *Cluster, rank int, sp *sim.Proc, tr substrate.Transport, cpu CPU
 		regionCond:    sim.NewCond(fmt.Sprintf("tmk:%d:region", rank)),
 		barrier:       barrierState{cond: sim.NewCond(fmt.Sprintf("tmk:%d:barrier", rank))},
 	}
-	tp.admission = c.cfg.Admission.norm()
-	tp.admission.Enabled = c.cfg.Admission.Enabled
 	tp.metaGC = c.cfg.MetaGC.norm()
-	tp.metaGC.Enabled = c.cfg.MetaGC.Enabled
 	tp.barrier.gcArmed = true
 	if c.cfg.HomeBased {
-		os, ok := tr.(substrate.OneSided)
-		if !ok {
-			panic(fmt.Sprintf("tmk: HomeBased with transport %T (no one-sided verbs)", tr))
-		}
 		tp.homeBased = true
-		tp.os = os
+		tp.os = tr.(substrate.OneSided)
 	}
 	return tp
 }

@@ -53,7 +53,7 @@ type Stats struct {
 	HomeFetches    int64 // read faults served by a one-sided home page read
 	HomeFetchBytes int64 // page bytes RDMA-read from homes
 
-	// Elastic-membership counters (zero unless Config.Membership.Enabled;
+	// Elastic-membership counters (zero with Config.Membership off;
 	// DESIGN.md §14). Handoff counters are charged to the fence leader.
 	MemberJoins             int64 // ring admissions executed
 	MemberLeaves            int64 // ring departures executed
@@ -68,17 +68,14 @@ type Stats struct {
 	MemberViewsHeard        int64 // membership views received on heartbeat frames
 	MemberViewAdopts        int64 // strictly newer views adopted from a heartbeat
 
-	// Overload-resilience counters (DESIGN.md §15; zero unless
-	// Config.Admission / Config.MetaGC are enabled).
-	AdmissionWaves      int64 // read faults whose scatter was split into width-capped waves
-	AdmissionFallbacks  int64 // degradations to serial diff fetch under pressure
-	AdmissionRecoveries int64 // returns to scatter-gather after pressure cleared
-	GCEpochs            int64 // metadata GC epochs executed
-	GCValidations       int64 // pages brought current during GC validation
-	GCDiffsPruned       int64 // retained diffs discarded by GC
-	GCIntervalsPruned   int64 // interval records discarded by GC
-	GCNoticesPruned     int64 // write notices discarded by GC
-	MetaBytesPeak       int64 // per-rank metadata gauge high-water (summed across ranks by Add)
+	// Metadata counters (DESIGN.md §15.4; the GC ones zero unless
+	// Config.MetaGC is enabled).
+	GCEpochs          int64 // metadata GC epochs executed
+	GCValidations     int64 // pages brought current during GC validation
+	GCDiffsPruned     int64 // retained diffs discarded by GC
+	GCIntervalsPruned int64 // interval records discarded by GC
+	GCNoticesPruned   int64 // write notices discarded by GC
+	MetaBytesPeak     int64 // per-rank metadata gauge high-water (summed across ranks by Add)
 
 	LockWait    sim.Time
 	BarrierWait sim.Time

@@ -54,9 +54,9 @@ type (
 	TransportKind = tmk.TransportKind
 	// Time is a virtual-time instant or duration in nanoseconds.
 	Time = sim.Time
-	// CrashConfig arms the crash-failure model: a seeded rank death plus
-	// liveness detection, stall diagnosis, and (for barrier-structured
-	// apps using Proc.EpochLoop) checkpoint/restart.
+	// CrashConfig configures the crash-failure model: a seeded rank death
+	// (armed by its trigger), liveness detection, stall diagnosis, and
+	// (for barrier-structured apps using Proc.EpochLoop) checkpoint/restart.
 	CrashConfig = tmk.CrashConfig
 	// CrashReport is the post-mortem of a detected rank death: who died,
 	// who detected it, what every survivor was blocked on, and whether
@@ -68,10 +68,16 @@ type (
 	// StallError is returned when a run stalls on unreachable peers
 	// without an armed crash model (e.g. transport retry exhaustion).
 	StallError = tmk.StallError
-	// MemberConfig arms the elastic-membership layer: protocol entities
-	// placed on a consistent-hashed ring of live ranks, standby extras
-	// joining/leaving at barrier fences with bounded handoff, and partial
-	// recovery of a crashed rank's entities with no generation restart.
+	// InvalidConfigError is what Config.Validate — and so Run, before
+	// anything is spawned — returns for an illegal configuration: every
+	// violated rule at once, each a ConfigError naming its rule.
+	InvalidConfigError = tmk.InvalidConfigError
+	ConfigError        = tmk.ConfigError
+	// MemberConfig configures the elastic-membership layer (on when it
+	// names extras or a schedule): protocol entities placed on a
+	// consistent-hashed ring of live ranks, standby extras joining/leaving
+	// at barrier fences with bounded handoff, and partial recovery of a
+	// crashed rank's entities with no generation restart.
 	MemberConfig = tmk.MemberConfig
 	// ChurnEvent is one scheduled membership transition ("join", "leave",
 	// or "crash" of a rank at a barrier crossing).
@@ -86,9 +92,6 @@ type (
 	// HedgeConfig arms hedged re-issues of straggling remote requests
 	// (deduplicated end to end, so determinism is preserved).
 	HedgeConfig = substrate.HedgeConfig
-	// AdmissionConfig arms read-fault admission control: bounded diff
-	// fetch scatter, degrading to serial fetch under substrate pressure.
-	AdmissionConfig = tmk.AdmissionConfig
 	// MetaGCConfig arms barrier-epoch garbage collection of protocol
 	// metadata (retained diffs, interval records, write notices).
 	MetaGCConfig = tmk.MetaGCConfig
@@ -109,7 +112,8 @@ const PageSize = tmk.PageSize
 // chosen transport.
 func DefaultConfig(n int, kind TransportKind) Config { return tmk.DefaultConfig(n, kind) }
 
-// NewCluster assembles a run from a configuration.
+// NewCluster assembles a run from a configuration; an illegal one is
+// reported by the cluster's Run, never by a panic.
 func NewCluster(cfg Config) *Cluster { return tmk.NewCluster(cfg) }
 
 // Run executes app as an SPMD program: one invocation per process, each

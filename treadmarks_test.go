@@ -62,7 +62,7 @@ func TestFacadeConstants(t *testing.T) {
 func TestFacadeMembership(t *testing.T) {
 	cfg := treadmarks.DefaultConfig(4, treadmarks.FastGM)
 	cfg.Membership = treadmarks.MemberConfig{
-		Enabled: true, Extra: 2,
+		Extra: 2,
 		Schedule: []treadmarks.ChurnEvent{
 			{AtBarrier: 2, Kind: "join", Rank: 4},
 			{AtBarrier: 4, Kind: "crash", Rank: 4},
