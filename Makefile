@@ -109,9 +109,12 @@ bench-diff:
 # homeless LRC on fastgm (short matrix; `go test ./internal/harness -run
 # TestHomeBased` runs the full seeds × node-counts sweep) — and the
 # one-sided path must still win the E3 rows and applications it is pinned
-# to win, or stay under the ceiling its exception names.
+# to win, or stay under the ceiling its exception names. The placement
+# rule's own tests ride along: homes follow the sole writer and nothing
+# else, and every rank remembers a barrier by the same vector clock.
 rdma-smoke:
 	$(GO) test -short -run 'TestHomeBased|TestBenchE3RDMAWinsHeadlineRows' ./internal/harness/
+	$(GO) test -run 'TestHomesFollowTheSoleWriter|TestHomeWritesAreTwinFree|TestBarrierVCAgreesOnEveryRank' ./internal/tmk/
 
 # Bench regression gate: no regenerated row may be worse than the
 # checked-in BENCH_*.json by more than its tolerance (max(500ns, 2%·old)

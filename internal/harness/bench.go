@@ -135,14 +135,17 @@ func BenchE3() (*BenchSuite, error) {
 		)
 	}
 	// Whole applications on the one-sided path, at Figure 4's default
-	// sizes; BENCH_e2's n=4 fastgm rows are their comparators.
-	for _, name := range AppNames {
-		res, err := RunApp(apps.ByName(name), pageNodes, tmk.TransportRDMAGM, nil)
-		if err != nil {
-			return nil, fmt.Errorf("e3 app %s: %w", name, err)
+	// sizes; BENCH_e2's fastgm rows are their comparators at 4 and 8 nodes,
+	// and the 8- and 16-node rows pin the table EXPERIMENTS.md E3 quotes.
+	for _, n := range []int{pageNodes, 8, 16} {
+		for _, name := range AppNames {
+			res, err := RunApp(apps.ByName(name), n, tmk.TransportRDMAGM, nil)
+			if err != nil {
+				return nil, fmt.Errorf("e3 app %s/%d: %w", name, n, err)
+			}
+			s.Entries = append(s.Entries, BenchEntry{Name: "App/" + name,
+				Transport: string(tmk.TransportRDMAGM), Nodes: n, Value: int64(res.ExecTime), Unit: "ns"})
 		}
-		s.Entries = append(s.Entries, BenchEntry{Name: "App/" + name,
-			Transport: string(tmk.TransportRDMAGM), Nodes: pageNodes, Value: int64(res.ExecTime), Unit: "ns"})
 	}
 	return s, nil
 }

@@ -103,7 +103,8 @@ func TestHedgeUnderChaosDeterminism(t *testing.T) {
 // ramp for ~10 iterations before saturating at full-page size (the data
 // evolves toward every-word-changed), so the plateau only becomes visible
 // past that ramp. The GC-on ladder therefore starts where the GC-off one
-// ends. A third ladder holds home-based LRC to retaining no diffs at all.
+// ends. A third ladder holds home-based LRC, which prunes at every barrier
+// instead, to the same flatness.
 func TestMetaGCBoundsMetadata(t *testing.T) {
 	offLadder := []int{4, 8, 16}
 	onLadder := []int{16, 32, 64}
@@ -157,28 +158,22 @@ func TestMetaGCBoundsMetadata(t *testing.T) {
 		}
 	}
 
-	// Home-based LRC retains no diffs (the reason Validate rejects MetaGC
-	// with it): an interval's diffs are gone once flushed to their homes.
-	// What is left — interval records and write notices — grows with run
-	// length but no faster, where the retained diffs, whose size ramps as
-	// the data evolves, grew 9× over this ladder and were 96 % of the peak.
+	// Home-based LRC needs no GC epochs (the reason Validate rejects MetaGC
+	// with it): an interval's diffs are gone once flushed to their homes — a
+	// home's own writes never make one — and every barrier drops the interval
+	// records of the epoch before last and all but the newest notice per
+	// writer up to it (tmk's endEpoch). The peak is flat in run length.
 	var hlrc []int64
-	var created int64
 	for _, iters := range []int{8, 16, 32} {
 		res, err := VerifiedRun(jacobi(iters), 4, tmk.TransportRDMAGM, func(cfg *tmk.Config) { cfg.Seed = 1 })
 		if err != nil {
 			t.Fatalf("rdmagm iters=%d: %v", iters, err)
 		}
 		hlrc = append(hlrc, res.Stats.MetaBytesPeak)
-		created = res.Stats.DiffBytesCreated
 	}
-	t.Logf("rdmagm iters=8/16/32: peak %v, %d diff bytes created at 32", hlrc, created)
-	if hlrc[2] > 4*hlrc[0] {
-		t.Errorf("rdmagm: home-based metadata grew faster than the run: %v over iters 8/16/32", hlrc)
-	}
-	if 8*hlrc[2] > created {
-		t.Errorf("rdmagm: metadata peak %d is no small fraction of the %d diff bytes created: diffs retained?",
-			hlrc[2], created)
+	t.Logf("rdmagm iters=8/16/32: peak %v", hlrc)
+	if hlrc[2] > hlrc[0]*9/8 {
+		t.Errorf("rdmagm: home-based metadata kept growing: %v over iters 8/16/32", hlrc)
 	}
 }
 

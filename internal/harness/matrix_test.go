@@ -64,3 +64,26 @@ func TestFeatureMatrix(t *testing.T) {
 		t.Errorf("covered %d+%d pairs, want %d with some rejections", ran, rejected, want)
 	}
 }
+
+// TestHedgeChaosSeedSweepRDMA widens the matrix's rdmagm hedge+chaos cell
+// from one seed to sixty. It is the cell where multiplying completion
+// retry chains (rdmagm.sendCompletion) starved an unrelated initiator's
+// Get into a false "peer unreachable" — on about one seed in sixty, so one
+// seed cannot hold the fix.
+func TestHedgeChaosSeedSweepRDMA(t *testing.T) {
+	if testing.Short() {
+		t.Skip("60-seed sweep")
+	}
+	app := &apps.Jacobi{N: 64, Iters: 6, CostPerPoint: 30 * sim.Nanosecond}
+	for seed := int64(1); seed <= 60; seed++ {
+		_, err := VerifiedRun(app, 4, tmk.TransportRDMAGM, func(c *tmk.Config) {
+			spec := DefaultChaosSpec()
+			spec.Seed = seed
+			spec.Mutate(c)
+			c.Hedge = substrate.HedgeConfig{Enabled: true}
+		})
+		if err != nil {
+			t.Errorf("seed %d: %v", seed, err)
+		}
+	}
+}

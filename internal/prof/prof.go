@@ -63,6 +63,7 @@ type PageStats struct {
 	HomeFlushBytes int64
 	HomeFetches    int64
 	HomeFetchBytes int64
+	HomeMoves      int64 // times the home migrated to the page's sole writer
 
 	ReadFaults  int64
 	WriteFaults int64
@@ -206,12 +207,13 @@ type Kind uint8
 
 const (
 	ReadFault     Kind = iota // a read fault on page ID completed after Dur
-	WriteFault                // a write fault on page ID (twin creation) completed after Dur
+	WriteFault                // a write fault on page ID (twin creation, but for a page homed at Rank) completed after Dur
 	Fetch                     // a full-page fetch of page ID moved Bytes
 	DiffFetch                 // one diff request for page ID returned Bytes of payload
 	DiffCreated               // an interval close emitted a Bytes-long diff of page ID
 	HomeFlush                 // Bytes of page ID's diff runs were Put into home Peer's window at interval close
 	HomeFetch                 // a whole-page Get of Bytes read page ID out of home Peer's window
+	HomeMove                  // page ID's home migrated from Peer to Rank, its sole writer
 	Notice                    // a write notice for page ID from writer Peer arrived at Rank
 	LockLocal                 // Rank re-acquired lock ID (manager Peer) at At for free: the token was already there
 	LockRemote                // Rank was granted lock ID (manager Peer) at At after waiting Dur
@@ -289,6 +291,10 @@ func (p *Profiler) Observe(e Event) {
 		ps.Home = e.Peer
 		ps.HomeFetches++
 		ps.HomeFetchBytes += int64(e.Bytes)
+	case HomeMove:
+		ps := p.page(e.ID, e.Region)
+		ps.Home = e.Rank
+		ps.HomeMoves++
 	case Notice:
 		ps := p.page(e.ID, e.Region)
 		ps.Notices++

@@ -82,6 +82,12 @@ type Transport struct {
 	tokenCond *sim.Cond
 
 	vdup *substrate.DupCache // target-side duplicate-verb filter
+	// compQueued marks the cached completions whose send is re-arming on
+	// compRetry. A redelivery must not start a second chain beside it: every
+	// chain sends when a buffer frees, and the copies — to an initiator that
+	// has moved on and is not reaping — fill its CQ ring, park the sends
+	// behind them for GM's resend timeout and starve the other initiators.
+	compQueued map[substrate.DupKey]bool
 
 	// verbs is the one-sided family in the core's call table: a posted verb
 	// is a substrate.Call answered by a CQ entry and re-issued by re-staging
@@ -103,13 +109,14 @@ type Transport struct {
 // do not cover), cfg the verbs.
 func New(node *gm.Node, rank, size int, pol substrate.Policy, fast fastgm.Config, cfg Config) *Transport {
 	t := &Transport{
-		Transport: fastgm.New(node, rank, size, pol, fast),
-		node:      node,
-		fast:      fast,
-		rcfg:      cfg,
-		windows:   make(map[int32][]byte),
-		vdup:      substrate.NewDupCache(cfg.DupCacheSize),
-		sq:        make([][]*substrate.Call, size),
+		Transport:  fastgm.New(node, rank, size, pol, fast),
+		node:       node,
+		fast:       fast,
+		rcfg:       cfg,
+		windows:    make(map[int32][]byte),
+		vdup:       substrate.NewDupCache(cfg.DupCacheSize),
+		compQueued: make(map[substrate.DupKey]bool),
+		sq:         make([][]*substrate.Call, size),
 	}
 	t.SetWire(t)
 	// Under loss the target's completion channel can starve for seconds — a
@@ -475,8 +482,8 @@ func (t *Transport) onVerbFrame(rv *gm.Recv) {
 		// original finished.
 		st.DupRequests++
 		t.verbPort.ProvideReceiveBuffer(rv.Buffer)
-		if e.Done {
-			t.sendCompletion(e.To, e.Reply, e.ReplyAux)
+		if e.Done && !t.compQueued[key] {
+			t.sendCompletion(key, e.To, e.Reply, e.ReplyAux)
 		}
 		return
 	}
@@ -522,30 +529,29 @@ func (t *Transport) onVerbFrame(rv *gm.Recv) {
 	e.Done, e.Reply, e.ReplyAux, e.To = true, comp, compAux, dst
 	t.verbPort.ProvideReceiveBuffer(rv.Buffer)
 
-	t.Proc().Sim().After(delay, func() { t.sendCompletion(dst, comp, compAux) })
+	t.Proc().Sim().After(delay, func() { t.sendCompletion(key, dst, comp, compAux) })
 }
 
 // sendCompletion ships one CQ entry from kernel/event context,
 // best-effort with a short retry when buffers or tokens are dry: a lost
 // completion is recovered by the initiator's verb retransmission.
-func (t *Transport) sendCompletion(dst int, comp, aux []byte) {
+func (t *Transport) sendCompletion(key substrate.DupKey, dst int, comp, aux []byte) {
+	delete(t.compQueued, key)
 	if t.Halted() || dst < 0 || dst >= t.Size() || dst == t.Rank() {
 		return
 	}
 	class := t.node.System().Params().ClassFor(len(comp))
-	buf := t.compPool.TryTake(class)
-	if buf == nil {
-		t.Proc().Sim().After(compRetry, func() { t.sendCompletion(dst, comp, aux) })
-		return
-	}
-	copy(buf.Bytes(), comp)
-	err := t.cqPort.SendFromKernelAux(myrinet.NodeID(dst), CQPort, buf, len(comp), aux,
-		t.sendDone(t.compPool, t.cqPort, buf, class))
-	if err != nil {
+	if buf := t.compPool.TryTake(class); buf != nil {
+		copy(buf.Bytes(), comp)
+		err := t.cqPort.SendFromKernelAux(myrinet.NodeID(dst), CQPort, buf, len(comp), aux,
+			t.sendDone(t.compPool, t.cqPort, buf, class))
+		if err == nil {
+			t.Stats().BytesSent += int64(len(comp))
+			return
+		}
 		t.compPool.Put(class, buf)
 		t.EnsureResume(t.cqPort)
-		t.Proc().Sim().After(compRetry, func() { t.sendCompletion(dst, comp, aux) })
-		return
 	}
-	t.Stats().BytesSent += int64(len(comp))
+	t.compQueued[key] = true
+	t.Proc().Sim().After(compRetry, func() { t.sendCompletion(key, dst, comp, aux) })
 }

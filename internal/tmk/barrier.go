@@ -179,6 +179,7 @@ func (tp *Proc) Barrier(id int32) {
 		gcNow = gcOn && rep.Page != 0
 		tp.tr.DisableAsync(tp.sp)
 		tp.applyIntervals(rep.Intervals)
+		tp.endEpoch()
 		tp.tr.EnableAsync(tp.sp)
 	} else if gcOn {
 		// Root: armed/HighWater trigger with re-arm hysteresis at half of it,
@@ -221,6 +222,9 @@ func (tp *Proc) Barrier(id int32) {
 		gcFlag = 1
 	}
 	tp.tr.DisableAsync(tp.sp)
+	if parent < 0 {
+		tp.endEpoch()
+	}
 	for _, req := range arrivals {
 		recs := tp.store.since(VC(req.VC))
 		tp.tr.Reply(tp.sp, req, &msg.Message{
@@ -235,7 +239,6 @@ func (tp *Proc) Barrier(id int32) {
 	tp.barrier.episode++
 	tp.tr.EnableAsync(tp.sp)
 
-	tp.lastBarrierVC = tp.vc.Clone()
 	tp.stats.BarrierWait += tp.sp.Now() - start
 	tp.observe(event{kind: evBarrier, start: start, dur: tp.sp.Now() - start, id: id, peer: parent,
 		a: int(ep), b: pIvs, c: pPgs})
@@ -248,6 +251,27 @@ func (tp *Proc) Barrier(id int32) {
 	// crossing, so the validation and the nested prune fence line up.
 	if gcNow {
 		tp.runMetaGC()
+	}
+}
+
+// endEpoch fixes the barrier's vector clock. It runs under the mask that
+// applied the release (the root: before it builds any), where tp.vc is the
+// same on every rank; once a child is released and delivery is on, its next
+// arrival can be merged before Barrier returns. A home-based run that owns
+// its placement also moves homes on the epoch just closed and drops what
+// nobody can ask for again: every rank is past the previous barrier, so
+// its interval records go, and all but the newest notice per writer up to
+// it (only the newest is ever read).
+func (tp *Proc) endEpoch() {
+	prev := tp.lastBarrierVC
+	tp.lastBarrierVC = tp.vc.Clone()
+	if tp.homes == nil {
+		return
+	}
+	tp.moveHomes(tp.store.since(prev))
+	tp.store.pruneThrough(prev)
+	for _, pm := range tp.pages {
+		pm.keepNewest(prev)
 	}
 }
 

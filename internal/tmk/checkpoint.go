@@ -25,7 +25,9 @@ import (
 // barriers (apps own the small id space; finalBarrier is 1<<31-1).
 const ckptBarrierBase int32 = 1 << 30
 
-// ckptMagic versions the checkpoint encoding.
+// ckptMagic versions the checkpoint encoding. A run with migrating homes
+// (Proc.homes) appends its home and candidate tables, each in page order:
+// a restart that fell back to static placement would trust stale copies.
 const ckptMagic = "TMKCKPT1"
 
 // EpochLoop runs body(0) … body(epochs-1), checkpointing after every
@@ -129,6 +131,19 @@ func (w *ckptWriter) tsList(l []int32) {
 	}
 }
 
+func (w *ckptWriter) pageTable(m map[int32]int32) {
+	pgs := make([]int32, 0, len(m))
+	for pg := range m {
+		pgs = append(pgs, pg)
+	}
+	sort.Slice(pgs, func(i, j int) bool { return pgs[i] < pgs[j] })
+	w.i32(int32(len(pgs)))
+	for _, pg := range pgs {
+		w.i32(pg)
+		w.i32(m[pg])
+	}
+}
+
 // ckptReader decodes; every method panics on truncation (a corrupt
 // checkpoint is a bug in the deterministic codec, not a runtime input).
 type ckptReader struct {
@@ -176,6 +191,12 @@ func (r *ckptReader) tsList() []int32 {
 		v[i] = r.i32()
 	}
 	return v
+}
+func (r *ckptReader) pageTable(m map[int32]int32) {
+	for n := r.i32(); n > 0; n-- {
+		pg := r.i32()
+		m[pg] = r.i32()
+	}
 }
 
 // encodeSnapshot serializes this rank's complete DSM state at a quiesced
@@ -285,6 +306,10 @@ func (tp *Proc) encodeSnapshot(epoch int) []byte {
 		w.bool(ls.haveToken)
 		w.i32(int32(ls.tail))
 	}
+	if tp.homes != nil {
+		w.pageTable(tp.homes.home)
+		w.pageTable(tp.homes.cand)
+	}
 	return w.b
 }
 
@@ -370,6 +395,10 @@ func (tp *Proc) restoreSnapshot(epoch int) {
 		ls.haveToken = r.bool()
 		ls.tail = int(r.i32())
 		tp.locks[ls.id] = ls
+	}
+	if tp.homes != nil {
+		r.pageTable(tp.homes.home)
+		r.pageTable(tp.homes.cand)
 	}
 	if r.off != len(snap) {
 		panic(fmt.Sprintf("tmk: checkpoint trailing bytes: %d of %d consumed", r.off, len(snap)))

@@ -52,7 +52,9 @@ func (tp *Proc) readFault(pm *pageMeta) {
 // writeFault makes a page writable: valid first, then twinned. A write
 // notice can land during the fault's own cost charges (interrupt
 // handlers run mid-Advance); the loop re-validates until the page is
-// simultaneously covered and twinned.
+// simultaneously covered and twinned. A page homed here under migrating
+// placement takes no twin: the window is the master copy, and nobody is
+// owed a diff against it.
 func (tp *Proc) writeFault(pm *pageMeta) {
 	for {
 		if pm.state == pageInvalid {
@@ -64,11 +66,13 @@ func (tp *Proc) writeFault(pm *pageMeta) {
 		start := tp.sp.Now()
 		tp.stats.WriteFaults++
 		tp.sp.Advance(tp.cpu.FaultOverhead)
-		pm.twin = MakeTwin(pm.data)
-		tp.sp.Advance(sim.BytesTime(PageSize, tp.cpu.MemcpyBandwidth))
+		if !tp.selfHomed(pm.id) {
+			pm.twin = MakeTwin(pm.data)
+			tp.sp.Advance(sim.BytesTime(PageSize, tp.cpu.MemcpyBandwidth))
+			tp.stats.TwinsCreated++
+		}
 		pm.state = pageWritable
 		tp.dirty = append(tp.dirty, pm.id)
-		tp.stats.TwinsCreated++
 		tp.stats.FaultTime += tp.sp.Now() - start
 		tp.observe(event{kind: evWriteFault, start: start, dur: tp.sp.Now() - start, page: pm, peer: -1, bytes: PageSize})
 		if pm.isMissingAny(tp.rank) {
@@ -302,18 +306,19 @@ func (tp *Proc) closeInterval() {
 
 	for _, pg := range tp.dirty {
 		pm := tp.page(pg)
-		if pm.twin == nil {
-			panic("tmk: dirty page without twin")
+		if pm.twin != nil {
+			// Diff creation: scan twin vs page (two pages of memory traffic).
+			diff := EncodeDiff(pm.twin, pm.data)
+			tp.sp.Advance(sim.BytesTime(2*PageSize, tp.cpu.DiffScanBandwidth) +
+				sim.BytesTime(len(diff), tp.cpu.MemcpyBandwidth))
+			tp.myDiffs[diffKey{page: pg, ts: ts}] = diff
+			tp.stats.DiffsCreated++
+			tp.stats.DiffBytesCreated += int64(len(diff))
+			tp.observe(event{kind: evDiffCreate, page: pm, peer: -1, a: int(ts), bytes: len(diff)})
+			pm.twin = nil
+		} else if !tp.selfHomed(pg) {
+			panic("tmk: dirty page without twin, and not self-homed")
 		}
-		// Diff creation: scan twin vs page (two pages of memory traffic).
-		diff := EncodeDiff(pm.twin, pm.data)
-		tp.sp.Advance(sim.BytesTime(2*PageSize, tp.cpu.DiffScanBandwidth) +
-			sim.BytesTime(len(diff), tp.cpu.MemcpyBandwidth))
-		tp.myDiffs[diffKey{page: pg, ts: ts}] = diff
-		tp.stats.DiffsCreated++
-		tp.stats.DiffBytesCreated += int64(len(diff))
-		tp.observe(event{kind: evDiffCreate, page: pm, peer: -1, a: int(ts), bytes: len(diff)})
-		pm.twin = nil
 		pm.cover[tp.rank] = ts
 		pm.addNotice(tp.rank, ts)
 		// Write notices may have arrived while the page was dirty (it
@@ -369,7 +374,7 @@ func (tp *Proc) applyIntervals(ivs []msg.Interval) {
 			}
 			invalidated := false
 			if pm.addNotice(int(rec.proc), rec.ts) {
-				if tp.homeBased && tp.homeOf(pg) == tp.rank {
+				if tp.homeBased && tp.HomeOf(pg) == tp.rank {
 					// We are the page's home: the writer's flush completed
 					// before this interval became visible (HLRC rule 1), so
 					// our copy already holds the data — cover the notice
@@ -384,7 +389,7 @@ func (tp *Proc) applyIntervals(ivs []msg.Interval) {
 				}
 			}
 			tp.observe(event{kind: evNotice, page: pm, peer: int(rec.proc), invalidated: invalidated,
-				wroteHere: pm.twin != nil || len(pm.notices[tp.rank]) > 0})
+				wroteHere: pm.twin != nil || pm.state == pageWritable || len(pm.notices[tp.rank]) > 0})
 		}
 	}
 }

@@ -12,11 +12,10 @@ import (
 
 // Home-based lazy release consistency (HLRC) over a one-sided substrate.
 //
-// Every page has a statically assigned home rank whose copy of the page
-// is the RDMA window itself: remote writers deposit diffs straight into
-// it with Put verbs, remote readers pull the whole page out of it with a
-// Get verb. Two rules make this correct without any request handler on
-// the page hot path:
+// Every page has a home rank whose copy of the page is the RDMA window
+// itself: remote writers deposit diffs straight into it with Put verbs,
+// remote readers pull the whole page out of it with a Get verb. Two rules
+// make this correct without any request handler on the page hot path:
 //
 //  1. Flush before synchronize. closeInterval waits for every home Put
 //     to complete before the interval record can travel anywhere (the
@@ -37,11 +36,73 @@ import (
 // writer's release by some synchronization chain, by which time the
 // notice has arrived anyway.
 
-// homeOf returns the rank serving as page pg's home: static round-robin
-// over the compute ranks (consecutive pages of a region spread across
-// the cluster without any directory state), overridden by the membership
-// ring when the home has moved to a joined extra (DESIGN.md §14).
-func (tp *Proc) homeOf(pg int32) int { return tp.cluster.placePage(pg) }
+// HomeOf returns the rank serving as page pg's home: where moveHomes last
+// put it, else static round-robin over the compute ranks (consecutive
+// pages of a region spread across the cluster without any directory
+// state), overridden by the membership ring when the home has moved to a
+// joined extra (DESIGN.md §14).
+func (tp *Proc) HomeOf(pg int32) int {
+	if tp.homes != nil {
+		if h, ok := tp.homes.home[pg]; ok {
+			return int(h)
+		}
+	}
+	return tp.cluster.placePage(pg)
+}
+
+// selfHomed reports whether this rank's copy of pg is a master copy it may
+// write in place: homed here, under migrating placement (with membership
+// on, recoverPage replays writers' diffs, so every writer keeps twinning).
+func (tp *Proc) selfHomed(pg int32) bool { return tp.homes != nil && tp.HomeOf(pg) == tp.rank }
+
+// homeTable is one rank's copy of the migrating placement (DESIGN.md
+// §12.3): home holds the pages that left their static home, cand each
+// page's sole writer in the last epoch that wrote it. Every rank derives
+// both from the same interval records at the same barrier, so all copies
+// are equal without a message.
+type homeTable struct {
+	home, cand map[int32]int32
+	sole       map[int32]int32 // scratch: this epoch's only writer per page, -1 for several
+	order      []int32         // scratch: this epoch's pages, first write first
+}
+
+// moveHomes applies the placement rule to one barrier epoch's interval
+// records: a page whose only writer was the same rank w in two consecutive
+// epochs that wrote it is homed at w from this barrier on. No data moves:
+// w validated the page before writing it and nobody else has written it
+// since, so w's copy is complete, and every flush of the epoch completed
+// at the old home before its notice got here. An epoch that did not write
+// the page neither counts nor resets; one with several writers clears the
+// candidate.
+func (tp *Proc) moveHomes(epoch []*intervalRec) {
+	ht := tp.homes
+	for _, rec := range epoch {
+		for _, pg := range rec.pages {
+			if w, seen := ht.sole[pg]; !seen {
+				ht.sole[pg] = rec.proc
+				ht.order = append(ht.order, pg)
+			} else if w != rec.proc {
+				ht.sole[pg] = -1
+			}
+		}
+	}
+	for _, pg := range ht.order {
+		w := ht.sole[pg]
+		if c, ok := ht.cand[pg]; w < 0 {
+			delete(ht.cand, pg)
+		} else if !ok || c != w {
+			ht.cand[pg] = w
+		} else if old := tp.HomeOf(pg); old != int(w) {
+			ht.home[pg] = w
+			if int(w) == tp.rank {
+				tp.stats.HomeMoves++
+				tp.observe(event{kind: evHomeMove, page: tp.page(pg), peer: old})
+			}
+		}
+	}
+	clear(ht.sole)
+	ht.order = ht.order[:0]
+}
 
 // windowOff maps a page to its byte offset inside its region's window.
 func windowOff(pm *pageMeta) int { return int(pm.id-pm.region.StartPage) * PageSize }
@@ -128,7 +189,7 @@ func (tp *Proc) homeApply(pm *pageMeta, data []byte, snap VC) {
 // one more Get covers it. The caller (readFault) owns the state
 // promotion and fault accounting.
 func (tp *Proc) homeReadFault(pm *pageMeta) {
-	home := tp.homeOf(pm.id)
+	home := tp.HomeOf(pm.id)
 	if home == tp.rank {
 		tp.coverSelfHome(pm)
 		return
@@ -165,7 +226,7 @@ func (tp *Proc) homeFaultRange(first, last int32, write bool) {
 			}
 			tp.stats.ReadFaults++
 			tp.sp.Advance(tp.cpu.FaultOverhead)
-			if tp.homeOf(pg) == tp.rank {
+			if tp.HomeOf(pg) == tp.rank {
 				tp.coverSelfHome(pm)
 				tp.promoteValid(pm)
 				continue
@@ -175,7 +236,7 @@ func (tp *Proc) homeFaultRange(first, last int32, write bool) {
 			tp.stats.HomeFetchBytes += PageSize
 			pms = append(pms, pm)
 			snaps = append(snaps, tp.noticeSnap(pm))
-			verbs = append(verbs, tp.os.PostGet(tp.sp, tp.homeOf(pg), pm.region.ID, windowOff(pm), PageSize))
+			verbs = append(verbs, tp.os.PostGet(tp.sp, tp.HomeOf(pg), pm.region.ID, windowOff(pm), PageSize))
 		}
 		if len(verbs) == 0 {
 			break
@@ -288,7 +349,7 @@ func (tp *Proc) flushHomeDiffs(ts int32, pages []int32) {
 	total := 0
 	for _, pg := range pages {
 		pm := tp.page(pg)
-		home := tp.homeOf(pg)
+		home := tp.HomeOf(pg)
 		if home == tp.rank {
 			continue // our copy is the home window; nothing to ship
 		}

@@ -24,7 +24,7 @@ import (
 //  1. Placement is materialized, not recomputed. The static rank
 //     arithmetic remains the base placement; the ring only decides which
 //     entities *move* when membership changes, and every move is recorded
-//     in an override map consulted by lockManager/homeOf/barrierRoot.
+//     in an override map consulted by lockManager/HomeOf/barrierRoot.
 //     With no churn the map stays empty and every run is bit-identical
 //     to the static protocol.
 //

@@ -62,6 +62,10 @@ var (
 	evHomeRangeFetch = &evKind{ring: "home-fetch", prof: []prof.Kind{prof.ReadFault, prof.Fetch, prof.HomeFetch}}
 	evHomeFlushPage  = &evKind{prof: []prof.Kind{prof.HomeFlush}}
 	evHomeFlush      = &evKind{ring: "home-flush"}
+	// A migration, observed once, by the rank that becomes home; peer = the
+	// home it leaves.
+	evHomeMove = &evKind{ring: "home-move", prof: []prof.Kind{prof.HomeMove},
+		text: "rank %[1]d becomes home of page %[2]d (was %[3]d)"}
 
 	// Locks; peer = the manager (a forward: the chain tail, a = the
 	// requester). DRIFT: a local acquire and a release are not in the ring,

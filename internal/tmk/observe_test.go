@@ -35,6 +35,7 @@ func TestObserveUnattachedAllocatesNothing(t *testing.T) {
 	pm := &pageMeta{id: 3, region: &Region{ID: 1}}
 	if n := testing.AllocsPerRun(100, func() {
 		tp.observe(event{kind: evReadFault, start: 5, dur: 7, page: pm, peer: -1, bytes: PageSize})
+		tp.observe(event{kind: evHomeMove, page: pm, peer: 2})
 		tp.blockedOn = blocked("page %d (fetch from %d)", int(pm.id), 1)
 	}); n != 0 {
 		t.Errorf("unattached observe allocates %v times per call", n)

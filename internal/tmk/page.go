@@ -80,6 +80,21 @@ func (pm *pageMeta) isMissingAny(self int) bool {
 	return false
 }
 
+// keepNewest drops, per writer q, every notice older than the newest one
+// with ts ≤ v[q]. It runs on every page at every barrier, and a list holds
+// a few entries past v at most: count those from the end.
+func (pm *pageMeta) keepNewest(v VC) {
+	for q, lst := range pm.notices {
+		cut := len(lst)
+		for cut > 0 && lst[cut-1] > v[q] {
+			cut--
+		}
+		if cut > 1 {
+			pm.notices[q] = append(lst[:0], lst[cut-1:]...)
+		}
+	}
+}
+
 // pruneNotices discards write notices with ts ≤ v[q] (metadata GC). On
 // a page this rank holds a copy of, validation has already covered them
 // all — pruning an uncovered notice is a protocol error. On a page with

@@ -24,6 +24,7 @@ type Proc struct {
 	// case os is the transport's one-sided capability.
 	homeBased bool
 	os        substrate.OneSided
+	homes     *homeTable // migrating placement; nil unless homeBased without membership
 
 	vc            VC
 	lastBarrierVC VC
@@ -108,6 +109,9 @@ func newProc(c *Cluster, rank int, sp *sim.Proc, tr substrate.Transport, cpu CPU
 	if c.cfg.HomeBased {
 		tp.homeBased = true
 		tp.os = tr.(substrate.OneSided)
+		if c.member == nil {
+			tp.homes = &homeTable{home: map[int32]int32{}, cand: map[int32]int32{}, sole: map[int32]int32{}}
+		}
 	}
 	return tp
 }

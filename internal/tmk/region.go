@@ -123,7 +123,7 @@ func (tp *Proc) mapRegion(r *Region, owned bool) {
 	for i := int32(0); i < r.NPages; i++ {
 		pg := r.StartPage + i
 		pm := newPageMeta(pg, r, mem[int(i)*PageSize:int(i+1)*PageSize], tp.n)
-		if owned || (tp.homeBased && tp.homeOf(pg) == tp.rank) {
+		if owned || (tp.homeBased && tp.HomeOf(pg) == tp.rank) {
 			// The home's copy IS the window: incoming flushes keep it
 			// current from the moment the region exists, so it starts (and
 			// stays) valid here.
@@ -146,7 +146,7 @@ func (tp *Proc) mapRegion(r *Region, owned bool) {
 			if pg >= r.StartPage && pg < r.StartPage+r.NPages {
 				pm := tp.pages[pg]
 				if pm.addNotice(int(rec.proc), rec.ts) {
-					if tp.homeBased && tp.homeOf(pg) == tp.rank {
+					if tp.homeBased && tp.HomeOf(pg) == tp.rank {
 						// Home copy already holds the flushed data (cannot
 						// actually occur before the commit round completes,
 						// but mirror applyIntervals defensively).

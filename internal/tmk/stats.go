@@ -52,6 +52,7 @@ type Stats struct {
 	HomeFlushBytes int64 // diff-run payload bytes RDMA-written to homes
 	HomeFetches    int64 // read faults served by a one-sided home page read
 	HomeFetchBytes int64 // page bytes RDMA-read from homes
+	HomeMoves      int64 // pages whose home migrated to their sole writer (counted there)
 
 	// Elastic-membership counters (zero with Config.Membership off;
 	// DESIGN.md §14). Handoff counters are charged to the fence leader.
