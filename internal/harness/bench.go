@@ -157,7 +157,7 @@ func BenchE3() (*BenchSuite, error) {
 // so the checked-in zero-churn rows are the numbers the e-suites see and
 // the gate holds both sides.
 func BenchChurn() (*BenchSuite, error) {
-	spec := DefaultChurnSpec()
+	spec := DefaultChurnSpec(4)
 	app := chaosApps()[0]
 	s := &BenchSuite{Schema: BenchSchema, Suite: "churn"}
 	for _, kind := range AllTransports {

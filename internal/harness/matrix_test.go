@@ -32,7 +32,7 @@ func TestFeatureMatrix(t *testing.T) {
 		{"hedge", func(c *tmk.Config) { c.Hedge = substrate.HedgeConfig{Enabled: true} }},
 		{"serial-diff-fetch", func(c *tmk.Config) { c.DiffFetchWidth = 1 }},
 		{"meta-gc", func(c *tmk.Config) { c.MetaGC = tmk.MetaGCConfig{Enabled: true, HighWater: 8 << 10} }},
-		{"churn", DefaultChurnSpec().Mutate},
+		{"churn", DefaultChurnSpec(4).Mutate},
 		{"homeless", func(c *tmk.Config) { c.HomeBased = false }},
 		{"rendezvous", func(c *tmk.Config) { c.Fast.Rendezvous = true }},
 		{"chaos", DefaultChaosSpec().Mutate},

@@ -79,10 +79,9 @@ type ProfChurnRun struct {
 
 // ProfChurn runs the default churn schedule on every substrate and
 // captures the membership counters next to the zero-churn baseline, so
-// handoff and re-placement cost shows up in the prof tables (the node
-// count is fixed by the schedule's ring layout).
+// handoff and re-placement cost shows up in the prof tables.
 func ProfChurn() ([]ProfChurnRun, error) {
-	spec := DefaultChurnSpec()
+	spec := DefaultChurnSpec(4)
 	app := chaosApps()[0]
 	var out []ProfChurnRun
 	for _, kind := range AllTransports {
@@ -104,23 +103,22 @@ func ProfChurn() ([]ProfChurnRun, error) {
 }
 
 // PrintProfChurn renders the membership-churn counter table: events
-// executed, handoffs by entity kind, serialized handoff bytes, diffs
+// executed, handoffs by entity kind, handoff bytes copied, diffs
 // replayed into rebuilt homes, and the runtime cost over the zero-churn
 // baseline.
 func PrintProfChurn(w io.Writer, runs []ProfChurnRun) {
 	fprintf(w, "Membership churn — handoff/re-placement counters (default schedule)\n")
-	fprintf(w, "%-8s %-7s %12s %8s %6s %6s %6s %6s %6s %6s %6s %8s %7s\n",
-		"app", "tport", "time", "vs base", "joins", "leaves", "crash", "recov", "hlock", "hpage", "hroot", "hbytes", "replay")
+	fprintf(w, "%-8s %-7s %12s %8s %6s %6s %6s %6s %6s %6s %8s %7s\n",
+		"app", "tport", "time", "vs base", "joins", "leaves", "crash", "recov", "hlock", "hpage", "hbytes", "replay")
 	for _, r := range runs {
 		over := "-"
 		if r.BaseNs > 0 {
 			over = fmt.Sprintf("%+.1f%%", 100*float64(r.ExecNs-r.BaseNs)/float64(r.BaseNs))
 		}
 		st := r.Stats
-		fprintf(w, "%-8s %-7s %12d %8s %6d %6d %6d %6d %6d %6d %6d %8d %7d\n",
+		fprintf(w, "%-8s %-7s %12d %8s %6d %6d %6d %6d %6d %6d %8d %7d\n",
 			r.App, r.Transport, r.ExecNs, over,
 			st.MemberJoins, st.MemberLeaves, st.MemberCrashes, st.MemberPartialRecoveries,
-			st.MemberHandoffLocks, st.MemberHandoffPages, st.MemberHandoffRoots,
-			st.MemberHandoffBytes, st.MemberDiffsReplayed)
+			st.MemberHandoffLocks, st.MemberHandoffPages, st.MemberHandoffBytes, st.MemberDiffsReplayed)
 	}
 }

@@ -55,9 +55,6 @@ type Core struct {
 	stats   Stats
 	halted  bool
 
-	// View, when set before Start, is piggybacked on every probe and fed
-	// from every probe received (the binding carries it).
-	View ViewExchange
 	Live Liveness
 
 	dup     *DupCache
@@ -174,16 +171,6 @@ func (c *Core) DisableAsync(p *sim.Proc) { p.DisableInterrupts() }
 
 // EnableAsync unmasks it, servicing anything queued.
 func (c *Core) EnableAsync(p *sim.Proc) { p.EnableInterrupts() }
-
-// SetViewExchange implements MemberControl: attach the membership-view
-// piggyback. Must run before Start — bindings size probe buffers for the
-// view frame when they register them.
-func (c *Core) SetViewExchange(v ViewExchange) {
-	if c.proc != nil {
-		panic("substrate: SetViewExchange after Start")
-	}
-	c.View = v
-}
 
 // SetOnPeerDead implements CrashControl.
 func (c *Core) SetOnPeerDead(fn func(peer int, err error)) { c.Live.onDead = fn }

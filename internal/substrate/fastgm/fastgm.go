@@ -211,9 +211,6 @@ func (t *Transport) asyncNICFilter(rv *gm.Recv) bool {
 		if !t.Live.Enabled() {
 			return false
 		}
-		if t.View != nil && len(rv.Data) > 1 {
-			t.View.OnPeerView(int(rv.From), rv.Data[1:])
-		}
 		return true
 	case frameCredit:
 		if t.flow.credits == nil {
@@ -262,11 +259,7 @@ func (t *Transport) handleAsyncFrame(p *sim.Proc, rv *gm.Recv) {
 	switch tag {
 	case frameHB:
 		// A heartbeat's arrival already refreshed the peer's last-heard
-		// clock above; with a view exchange attached its body carries the
-		// peer's membership view.
-		if t.View != nil && len(body) > 0 {
-			t.View.OnPeerView(int(rv.From), body)
-		}
+		// clock above; it carries nothing else.
 		t.asyncPort.ProvideReceiveBuffer(rv.Buffer)
 	case frameMsg, frameData:
 		p.Advance(t.cfg.DispatchCost)

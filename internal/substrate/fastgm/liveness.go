@@ -11,10 +11,9 @@ import (
 // multiplexed over the existing asynchronous port — one extra frame tag,
 // no new GM resources beyond a handful of registered small send buffers —
 // and are serviced in NIC context (the paper's firmware-mod spirit):
-// arrival refreshes the peer's last-heard clock and delivers the
-// piggybacked membership view even while the host computes with
-// asynchronous delivery masked — a multi-millisecond diff flush must not
-// make live peers look silent.
+// arrival refreshes the peer's last-heard clock even while the host
+// computes with asynchronous delivery masked — a multi-millisecond diff
+// flush must not make live peers look silent.
 
 // startLiveness registers the heartbeat send buffers and arms the probe
 // clock; called from Start in process context so registration is charged
@@ -23,14 +22,7 @@ func (t *Transport) startLiveness() {
 	if !t.Live.Enabled() {
 		return
 	}
-	// With a membership-view exchange attached, every heartbeat carries
-	// the view frame; size the registered send buffers for it (LocalView
-	// keeps a fixed length for the life of the run).
-	payload := 1
-	if t.View != nil {
-		payload += len(t.View.LocalView())
-	}
-	class := t.node.System().Params().ClassFor(payload)
+	class := t.node.System().Params().ClassFor(1)
 	slot := gm.ClassCapacity(class)
 	mem := t.node.Register(t.Proc(), t.Size()*slot)
 	for i := 0; i < t.Size(); i++ {
@@ -56,11 +48,7 @@ func (t *Transport) Probe(peer int) bool {
 	buf := t.hbBufs[len(t.hbBufs)-1]
 	t.hbBufs = t.hbBufs[:len(t.hbBufs)-1]
 	buf.Bytes()[0] = frameHB
-	n := 1
-	if t.View != nil {
-		n += copy(buf.Bytes()[1:], t.View.LocalView())
-	}
-	return t.kernelSend(peer, buf, n, &t.hbBufs)
+	return t.kernelSend(peer, buf, 1, &t.hbBufs)
 }
 
 // kernelSend ships a transport-internal frame (heartbeat, credit return)

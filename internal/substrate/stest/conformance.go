@@ -3,7 +3,6 @@ package stest
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"testing"
 
 	"repro/internal/gm"
@@ -35,7 +34,6 @@ func RunConformance(t *testing.T, build Builder) {
 	t.Run("PortDisabledMidBurstResumed", func(t *testing.T) { ConformancePortDisabledMidBurstResumed(t, build) })
 	t.Run("SilentPeerMidRendezvous", func(t *testing.T) { ConformanceSilentPeerMidRendezvous(t, build) })
 	t.Run("RetryExhaustionLivenessOff", func(t *testing.T) { ConformanceRetryExhaustionLivenessOff(t, build) })
-	t.Run("HeartbeatViewPiggyback", func(t *testing.T) { ConformanceHeartbeatViewPiggyback(t, build) })
 	t.Run("MemberTeardown", func(t *testing.T) { ConformanceMemberTeardown(t, build) })
 	t.Run("ScatterGather", func(t *testing.T) { ConformanceScatterGather(t, build) })
 	t.Run("ScatterGatherFaultStorm", func(t *testing.T) { ConformanceScatterGatherFaultStorm(t, build) })
@@ -1180,63 +1178,6 @@ func ConformanceCreditStarvationParkResume(t *testing.T, build Builder) {
 		t.Error("refresh never trickled a frame into the exhausted ring (Parked = 0); weak test")
 	}
 	requireAllPortsEnabled(t, c)
-}
-
-// testMemberView is a minimal substrate.ViewExchange: a fixed local
-// frame, and a record of the latest frame heard from each peer.
-type testMemberView struct {
-	frame []byte
-	got   map[int][]byte
-}
-
-func newTestMemberView(rank int) *testMemberView {
-	return &testMemberView{
-		frame: bytes.Repeat([]byte{byte(0xE0 + rank)}, 20),
-		got:   make(map[int][]byte),
-	}
-}
-
-func (v *testMemberView) LocalView() []byte { return v.frame }
-func (v *testMemberView) OnPeerView(peer int, frame []byte) {
-	v.got[peer] = append([]byte(nil), frame...)
-}
-
-// ConformanceHeartbeatViewPiggyback: with a view exchange attached and
-// liveness enabled, every heartbeat carries the sender's membership view
-// and the receiver's exchange observes it — even while the receiver does
-// nothing but compute. This is the substrate half of the elastic
-// membership contract: view convergence must not depend on the host
-// mainline servicing any particular request.
-func ConformanceHeartbeatViewPiggyback(t *testing.T, build Builder) {
-	c := livenessCluster(build, 2)
-	views := []*testMemberView{newTestMemberView(0), newTestMemberView(1)}
-	for rank, tr := range c.Transports {
-		mc, ok := tr.(substrate.MemberControl)
-		if !ok {
-			t.Fatal("transport does not implement substrate.MemberControl")
-		}
-		mc.SetViewExchange(views[rank])
-	}
-	noHandler := func(p *sim.Proc, m *msg.Message) {}
-	for rank := range c.Transports {
-		rank := rank
-		c.Sim.Spawn(fmt.Sprintf("rank%d", rank), 0, func(p *sim.Proc) {
-			c.Transports[rank].Start(p, noHandler)
-			p.Advance(5 * sim.Millisecond) // several heartbeat intervals
-		})
-	}
-	if err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for rank := range views {
-		peer := 1 - rank
-		if got := views[rank].got[peer]; !bytes.Equal(got, views[peer].frame) {
-			t.Errorf("rank %d heard view %x from peer %d, want %x", rank, got, peer, views[peer].frame)
-		}
-		if st := c.Transports[rank].Stats(); st.HeartbeatsSent == 0 {
-			t.Errorf("rank %d sent no heartbeats", rank)
-		}
-	}
 }
 
 // ConformanceMemberTeardown: ForgetPeer — the membership layer's

@@ -136,28 +136,12 @@ type Transport interface {
 	Shutdown(p *sim.Proc)
 }
 
-// ViewExchange lets the DSM layer piggyback an epoch-stamped membership
-// view on the transport's heartbeat frames. LocalView is sampled each
-// heartbeat tick and must keep a fixed length for the life of the run
-// (buffer classes are sized at Start); OnPeerView is invoked in the
-// receiving process's context for every heartbeat that carried a view.
-type ViewExchange interface {
-	LocalView() []byte
-	OnPeerView(peer int, frame []byte)
-}
-
 // MemberControl is the optional capability interface for transports that
-// support elastic membership: attaching a view exchange to the heartbeat
-// path, and purging all per-peer state when a member departs so a later
-// joiner reusing the rank id can never match a stale (origin, seq)
-// duplicate-cache or pending-call entry. Discover it by type assertion,
-// like CrashControl.
+// support elastic membership: purging all per-peer state when a member
+// departs so a later joiner reusing the rank id can never match a stale
+// (origin, seq) duplicate-cache or pending-call entry. Discover it by
+// type assertion, like CrashControl.
 type MemberControl interface {
-	// SetViewExchange attaches the heartbeat view piggyback; must be
-	// called before Start. A nil ViewExchange (the default) keeps the
-	// heartbeat frames bit-identical to a run without membership.
-	SetViewExchange(v ViewExchange)
-
 	// ForgetPeer drops every per-peer entry for a departed rank:
 	// duplicate-cache entries keyed by its origin, and any pending calls
 	// toward it (resolved as abandoned, like a declared-dead peer).

@@ -128,7 +128,8 @@ func (t *Transport) Start(p *sim.Proc, h substrate.Handler) {
 		t.repIn[j] = rp
 	}
 	if t.Live.Enabled() {
-		t.hbData = t.heartbeat(nil)
+		hb := &msg.Message{Kind: msg.KHeartbeat, From: int32(t.Rank()), ReplyTo: int32(t.Rank())}
+		t.hbData = hb.Encode()
 	}
 	t.Live.Start()
 }
@@ -154,22 +155,10 @@ func (t *Transport) bound() []*sockets.Socket {
 	return socks
 }
 
-func (t *Transport) heartbeat(view []byte) []byte {
-	return (&msg.Message{Kind: msg.KHeartbeat, From: int32(t.Rank()),
-		ReplyTo: int32(t.Rank()), PageData: view}).Encode()
-}
-
 // Probe implements substrate.Wire: one heartbeat datagram on the request
 // path, from kernel context — no syscall is charged to the process.
 func (t *Transport) Probe(peer int) bool {
-	data := t.hbData
-	if t.View != nil {
-		// The membership view changes over the run, so the heartbeat is
-		// re-encoded each tick with the current view in PageData. A nil
-		// view keeps the pre-encoded datagram bit-identical.
-		data = t.heartbeat(t.View.LocalView())
-	}
-	return t.stack.SendFromKernel(myrinet.NodeID(peer), reqPortBase+t.Rank(), data) == nil
+	return t.stack.SendFromKernel(myrinet.NodeID(peer), reqPortBase+t.Rank(), t.hbData) == nil
 }
 
 // PeerGone implements substrate.Wire. Nothing to release: the sockets
@@ -233,12 +222,7 @@ func (t *Transport) dispatchRequest(p *sim.Proc, raw, aux []byte) {
 	case msg.KHeartbeat:
 		// Liveness probe: the arrival already refreshed the sender's
 		// last-heard clock. Intercepted before the duplicate filter (all
-		// heartbeats share Seq 0) and never handed to the DSM handler. With
-		// a view exchange attached, the probe carries the peer's membership
-		// view in PageData.
-		if t.View != nil && len(m.PageData) > 0 {
-			t.View.OnPeerView(int(m.From), m.PageData)
-		}
+		// heartbeats share Seq 0) and never handed to the DSM handler.
 		return
 	case msg.KCredit:
 		// Credit return: the peer drained Page bytes of requests we sent it.

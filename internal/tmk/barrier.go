@@ -8,14 +8,13 @@ import (
 	"repro/internal/trace"
 )
 
-// Barriers (paper Section 1.1): centralized at the manager — the
-// ring-placed root, which is rank 0 in a static cluster (the membership
-// layer may re-place the root on a compute rank when its owner leaves
-// the ring, DESIGN.md §14). Clients close their interval and send a
-// barrier-arrive message carrying their vector clock and the intervals
-// created since the last barrier; the manager merges everything and,
-// when the last arrival lands, releases each client with exactly the
-// intervals that client lacks.
+// Barriers (paper Section 1.1): centralized at the manager, rank 0 —
+// under membership too: rank 0 is the collective allocator and may
+// neither leave nor crash (Config.Validate), so the root never moves.
+// Clients close their interval and send a barrier-arrive message carrying
+// their vector clock and the intervals created since the last barrier;
+// the manager merges everything and, when the last arrival lands,
+// releases each client with exactly the intervals that client lacks.
 //
 // As the paper's §5 future-work direction ("scaling a DSM system to a
 // cluster having 256 nodes ... further optimization to communication and
@@ -43,19 +42,14 @@ type barrierState struct {
 }
 
 // barrierParent returns the rank this process reports to, or -1 for the
-// root. The flat topology reports to the ring-placed root; the combining
-// tree keeps its static shape (membership forbids fanout ≥ 2).
+// root.
 func (tp *Proc) barrierParent() int {
-	k := tp.cluster.cfg.BarrierFanout
-	if k < 2 {
-		root := tp.barrierRoot()
-		if tp.rank == root {
-			return -1
-		}
-		return root
-	}
 	if tp.rank == 0 {
 		return -1
+	}
+	k := tp.cluster.cfg.BarrierFanout
+	if k < 2 {
+		return 0 // flat: everyone reports to the root
 	}
 	return (tp.rank - 1) / k
 }
@@ -65,7 +59,7 @@ func (tp *Proc) barrierParent() int {
 func (tp *Proc) barrierChildren() int {
 	k := tp.cluster.cfg.BarrierFanout
 	if k < 2 {
-		if tp.rank == tp.barrierRoot() {
+		if tp.rank == 0 {
 			return tp.w - 1
 		}
 		return 0

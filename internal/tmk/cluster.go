@@ -216,8 +216,8 @@ type Result struct {
 	// silent forever-pending send.
 	PeerFailure *substrate.PeerUnreachableError
 	// Member summarizes the elastic-membership layer's end state (nil
-	// with Config.Membership off): final epoch, live/ring bitmaps,
-	// moved-entity count, and every rank's converged view epoch.
+	// with Config.Membership off): final fence epoch, live/ring bitmaps
+	// and moved-entity count.
 	Member *MemberReport
 }
 
@@ -314,15 +314,6 @@ func (c *Cluster) spawnGeneration(gen, resumeEpoch int) {
 			}
 			c.procs[rank] = tp
 			c.allProcs = append(c.allProcs, tp)
-			if c.member != nil {
-				tp.viewLive = c.member.live
-				tp.viewInRing = c.member.inRing
-				// Attach the view piggyback before the transport sizes its
-				// heartbeat buffers (fastgm preposts them in Start).
-				if mc, ok := tr.(substrate.MemberControl); ok {
-					mc.SetViewExchange(tp)
-				}
-			}
 			tr.Start(sp, tp.handleRequest)
 			// The stall watchdog rides on the transport's failure
 			// detector: any declared-dead peer (liveness miss or retry
@@ -433,16 +424,7 @@ func (c *Cluster) Run(app func(tp *Proc)) (*Result, error) {
 	res.NetFaults = c.fabric.FaultStats()
 	res.Crash = c.crash.report
 	if m := c.member; m != nil {
-		mr := &MemberReport{Epoch: m.epoch, Live: m.live, InRing: m.inRing,
-			Moves: len(m.owner), ViewEpochs: make([]int32, c.n)}
-		for r, tp := range c.procs {
-			if tp == nil || !m.isLive(r) {
-				mr.ViewEpochs[r] = -1
-				continue
-			}
-			mr.ViewEpochs[r] = tp.viewEpoch
-		}
-		res.Member = mr
+		res.Member = &MemberReport{Epoch: m.epoch, Live: m.live, InRing: m.inRing, Moves: len(m.owner)}
 	}
 	if res.Crash != nil && res.Crash.Action == "abort" {
 		return res, &CrashAbortError{Report: res.Crash}

@@ -125,18 +125,6 @@ type crashState struct {
 // marks state, kills, and schedules: the teardown completes in afterCrash
 // once every killed process has unwound.
 func (c *Cluster) handleCrash(detector, peer int, err error) {
-	// Under elastic membership a scheduled departure or crash of a standby
-	// extra is handled at the fence before any detector fires: the dead
-	// rank's entities are already re-placed and the view epoch advanced.
-	// The heartbeat detection that follows is expected — count it and
-	// stand down instead of condemning the generation (the partial-recovery
-	// path that replaces whole-generation restart, DESIGN.md §14).
-	watchdog := c.procs[detector]
-	if m := c.member; m != nil && peer >= c.w && !m.isLive(peer) {
-		watchdog.stats.MemberDeadDetections++
-		watchdog.observe(event{kind: evDepartedExtra, peer: peer})
-		return
-	}
 	if c.crash.handled {
 		return
 	}
@@ -165,7 +153,7 @@ func (c *Cluster) handleCrash(detector, peer int, err error) {
 		}
 	}
 	c.crash.report = rep
-	watchdog.observe(event{kind: evCrashDetected, peer: peer, a: c.crash.gen})
+	c.procs[detector].observe(event{kind: evCrashDetected, peer: peer, a: c.crash.gen})
 
 	// Kill the whole generation (survivors' partial epoch state is not
 	// recoverable piecemeal) and halt its transports so their timers and

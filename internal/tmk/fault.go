@@ -228,14 +228,7 @@ func (tp *Proc) applyDiffs(pm *pageMeta, all []msg.Diff) {
 		if ra == nil || rb == nil {
 			panic("tmk: diff for unknown interval")
 		}
-		sa, sb := ra.vc.Sum(), rb.vc.Sum()
-		if sa != sb {
-			return sa < sb
-		}
-		if a.Proc != b.Proc {
-			return a.Proc < b.Proc
-		}
-		return a.TS < b.TS
+		return hbBefore(ra, rb)
 	})
 	tp.tr.DisableAsync(tp.sp)
 	for _, d := range all {

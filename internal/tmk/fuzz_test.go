@@ -81,46 +81,6 @@ func FuzzDiffRoundTrip(f *testing.F) {
 	})
 }
 
-func memberFrameSeeds() [][]byte {
-	page := bytes.Repeat([]byte{0x3c}, PageSize)
-	return [][]byte{
-		{},
-		encodeMemberView(0, 0xf, 0xf),
-		encodeMemberView(7, 0x3f, 0x2f),
-		encodeMemberView(-1, ^uint64(0), 0),
-		encodeHandoff(handoffFrame{kind: entLock, id: 5, tail: 2}),
-		encodeHandoff(handoffFrame{kind: entRoot, id: 0, tail: 3}),
-		encodeHandoff(handoffFrame{kind: entPage, id: 9, data: page}),
-		encodeHandoff(handoffFrame{kind: entPage, id: 1, data: nil}),
-		{byte(entPage), 1, 0, 0, 0, 0xff, 0xff, 0xff, 0xff}, // length claims more than present
-		{byte(entPage), 1, 0, 0, 0, 2, 0, 0, 0, 0xaa},       // length claims more than present
-		{0x7f, 0, 0, 0, 0, 0, 0, 0, 0},                      // unknown entity kind
-		{byte(entLock), 1, 0, 0, 0, 2, 0, 0, 0, 0xbb},       // trailing garbage on a lock frame
-	}
-}
-
-// FuzzMemberFrame drives both membership codecs — the view frame
-// piggybacked on heartbeats and the entity handoff frame — with
-// arbitrary bytes: they must decode cleanly or return an error, never
-// panic, and everything that decodes must re-encode byte-identically.
-func FuzzMemberFrame(f *testing.F) {
-	for _, b := range memberFrameSeeds() {
-		f.Add(b)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if epoch, live, inRing, err := decodeMemberView(data); err == nil {
-			if !bytes.Equal(encodeMemberView(epoch, live, inRing), data) {
-				t.Fatalf("member view frame does not round-trip: %x", data)
-			}
-		}
-		if hf, err := decodeHandoff(data); err == nil {
-			if !bytes.Equal(encodeHandoff(hf), data) {
-				t.Fatalf("handoff frame does not round-trip: %x", data)
-			}
-		}
-	})
-}
-
 // verifyFuzzCorpus checks that every seed is checked in under
 // testdata/fuzz/<target>; UPDATE_FUZZ_CORPUS=1 regenerates the files.
 func verifyFuzzCorpus(t *testing.T, target string, seeds [][]byte) {
@@ -149,5 +109,4 @@ func verifyFuzzCorpus(t *testing.T, target string, seeds [][]byte) {
 func TestFuzzCorpusCheckedIn(t *testing.T) {
 	verifyFuzzCorpus(t, "FuzzApplyDiff", applyDiffSeeds())
 	verifyFuzzCorpus(t, "FuzzDiffRoundTrip", roundTripSeeds())
-	verifyFuzzCorpus(t, "FuzzMemberFrame", memberFrameSeeds())
 }

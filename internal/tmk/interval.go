@@ -109,17 +109,21 @@ func (s *intervalStore) pruneThrough(v VC) int {
 	return pruned
 }
 
+// hbBefore is the linear extension of happens-before that every replay of
+// intervals or diffs follows: vector-clock sum (a causal predecessor's is
+// strictly smaller), concurrent intervals ordered by (proc, ts).
+func hbBefore(a, b *intervalRec) bool {
+	if sa, sb := a.vc.Sum(), b.vc.Sum(); sa != sb {
+		return sa < sb
+	}
+	if a.proc != b.proc {
+		return a.proc < b.proc
+	}
+	return a.ts < b.ts
+}
+
 func sortIntervals(recs []*intervalRec) {
-	sort.Slice(recs, func(i, j int) bool {
-		si, sj := recs[i].vc.Sum(), recs[j].vc.Sum()
-		if si != sj {
-			return si < sj
-		}
-		if recs[i].proc != recs[j].proc {
-			return recs[i].proc < recs[j].proc
-		}
-		return recs[i].ts < recs[j].ts
-	})
+	sort.Slice(recs, func(i, j int) bool { return hbBefore(recs[i], recs[j]) })
 }
 
 // toWire converts records to wire intervals.

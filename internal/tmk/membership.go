@@ -1,7 +1,6 @@
 package tmk
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -10,21 +9,22 @@ import (
 )
 
 // Elastic membership (DESIGN.md §14). TreadMarks' protocol entities —
-// lock managers, page homes, the barrier root — are statically placed by
-// rank arithmetic, which bakes a fixed node set into every protocol
-// message and forces whole-generation recovery when any rank dies. The
+// lock managers and page homes — are statically placed by rank
+// arithmetic, which bakes a fixed node set into every protocol message
+// and forces whole-generation recovery when any rank dies. The
 // membership layer lifts placement onto a consistent-hashed ring of live
 // ranks (the Kademlia-style discipline from the ROADMAP): each in-ring
 // member owns a set of virtual points, every entity hashes to a point on
 // the same circle, and an entity is owned by the member whose point
-// follows it.
+// follows it. (The barrier root is not ring-placed: it is rank 0, which
+// Config.Validate never lets leave or crash.)
 //
 // Two properties make this safe to bolt onto an LRC protocol mid-run:
 //
 //  1. Placement is materialized, not recomputed. The static rank
 //     arithmetic remains the base placement; the ring only decides which
 //     entities *move* when membership changes, and every move is recorded
-//     in an override map consulted by lockManager/HomeOf/barrierRoot.
+//     in an override map consulted by lockManager/HomeOf.
 //     With no churn the map stays empty and every run is bit-identical
 //     to the static protocol.
 //
@@ -38,11 +38,10 @@ import (
 //     and a page home's window contents equal the happens-before
 //     ordered application of every writer's retained diffs.
 //
-// The epoch-stamped view (epoch, live set, ring set) is pushed directly
-// to the quiesced compute ranks at the fence and piggybacked on the
-// substrates' heartbeat frames for everyone else — standby and joined
-// extras converge within one heartbeat interval without any dedicated
-// message.
+// The layer is a cluster-side service: every decision reads memberState,
+// which only a fence leader writes, and nothing about it travels on the
+// wire — its one cost on a run that never churns is the liveness
+// heartbeat it forces on.
 
 // ChurnEvent is one scheduled membership transition, executed at the
 // fence following the AtBarrier-th barrier crossing (counting every
@@ -77,36 +76,20 @@ type entityKind uint8
 const (
 	entLock entityKind = 1
 	entPage entityKind = 2
-	entRoot entityKind = 3
 )
 
-// entityKey names one ring-placed entity (the root's id is 0).
+// entityKey names one ring-placed entity.
 type entityKey struct {
 	kind entityKind
 	id   int32
 }
 
-func (e entityKey) String() string {
-	switch e.kind {
-	case entLock:
-		return fmt.Sprintf("lock %d", e.id)
-	case entPage:
-		return fmt.Sprintf("page %d", e.id)
-	default:
-		return "barrier root"
-	}
-}
-
 // hash returns the entity's position on the ring circle.
 func (e entityKey) hash() uint64 {
-	switch e.kind {
-	case entLock:
+	if e.kind == entLock {
 		return fnv64(fmt.Sprintf("L:%d", e.id))
-	case entPage:
-		return fnv64(fmt.Sprintf("P:%d", e.id))
-	default:
-		return fnv64("B")
 	}
+	return fnv64(fmt.Sprintf("P:%d", e.id))
 }
 
 // fnv64 is FNV-1a, the ring's point hash (stable across runs — placement
@@ -207,114 +190,6 @@ func (m *memberState) members(total int, keep func(int) bool) []int {
 }
 
 // ---------------------------------------------------------------------------
-// Wire frames. The view frame rides in heartbeat payloads; the handoff
-// frames carry serialized manager state between the old and new owner of
-// a moved entity. Both codecs are fuzzed (FuzzMemberFrame) — decoders
-// must reject arbitrary input with an error, never a panic.
-
-// memberViewLen is the fixed view-frame size: epoch i32 + live u64 +
-// inRing u64, little-endian.
-const memberViewLen = 4 + 8 + 8
-
-func encodeMemberView(epoch int32, live, inRing uint64) []byte {
-	b := make([]byte, memberViewLen)
-	binary.LittleEndian.PutUint32(b[0:], uint32(epoch))
-	binary.LittleEndian.PutUint64(b[4:], live)
-	binary.LittleEndian.PutUint64(b[12:], inRing)
-	return b
-}
-
-func decodeMemberView(b []byte) (epoch int32, live, inRing uint64, err error) {
-	if len(b) != memberViewLen {
-		return 0, 0, 0, fmt.Errorf("tmk: member view frame: %d bytes, want %d", len(b), memberViewLen)
-	}
-	return int32(binary.LittleEndian.Uint32(b[0:])), binary.LittleEndian.Uint64(b[4:]), binary.LittleEndian.Uint64(b[12:]), nil
-}
-
-// handoffFrame is the decoded form of a serialized entity handoff.
-type handoffFrame struct {
-	kind entityKind
-	id   int32
-	tail int32  // entLock: the manager's chain tail (= the token holder)
-	data []byte // entPage: the page image for the new home's window
-}
-
-// encodeHandoff serializes a handoff frame: kind u8, id i32, then either
-// tail i32 (lock/root) or a u32-length-prefixed page image (page).
-func encodeHandoff(f handoffFrame) []byte {
-	switch f.kind {
-	case entPage:
-		b := make([]byte, 1+4+4+len(f.data))
-		b[0] = byte(f.kind)
-		binary.LittleEndian.PutUint32(b[1:], uint32(f.id))
-		binary.LittleEndian.PutUint32(b[5:], uint32(len(f.data)))
-		copy(b[9:], f.data)
-		return b
-	default:
-		b := make([]byte, 1+4+4)
-		b[0] = byte(f.kind)
-		binary.LittleEndian.PutUint32(b[1:], uint32(f.id))
-		binary.LittleEndian.PutUint32(b[5:], uint32(f.tail))
-		return b
-	}
-}
-
-func decodeHandoff(b []byte) (handoffFrame, error) {
-	var f handoffFrame
-	if len(b) < 9 {
-		return f, fmt.Errorf("tmk: handoff frame: %d bytes, want ≥ 9", len(b))
-	}
-	f.kind = entityKind(b[0])
-	f.id = int32(binary.LittleEndian.Uint32(b[1:]))
-	switch f.kind {
-	case entLock, entRoot:
-		if len(b) != 9 {
-			return f, fmt.Errorf("tmk: %v handoff frame: %d bytes, want 9", f.kind, len(b))
-		}
-		f.tail = int32(binary.LittleEndian.Uint32(b[5:]))
-	case entPage:
-		n := int(binary.LittleEndian.Uint32(b[5:]))
-		if n != len(b)-9 {
-			return f, fmt.Errorf("tmk: page handoff frame: payload %d, have %d", n, len(b)-9)
-		}
-		if n > PageSize {
-			return f, fmt.Errorf("tmk: page handoff frame: payload %d exceeds page size", n)
-		}
-		f.data = b[9:]
-	default:
-		return f, fmt.Errorf("tmk: handoff frame: unknown kind %d", f.kind)
-	}
-	return f, nil
-}
-
-// ---------------------------------------------------------------------------
-// The per-process view and its heartbeat exchange (substrate.ViewExchange).
-
-// LocalView encodes this process's current membership view for the
-// transport to piggyback on its next heartbeat frame.
-func (tp *Proc) LocalView() []byte {
-	return encodeMemberView(tp.viewEpoch, tp.viewLive, tp.viewInRing)
-}
-
-// OnPeerView merges a view heard on a heartbeat: strictly newer epochs
-// are adopted wholesale (views are totally ordered by epoch — only the
-// fence leader ever advances it, under a quiesced cluster).
-func (tp *Proc) OnPeerView(peer int, frame []byte) {
-	epoch, live, inRing, err := decodeMemberView(frame)
-	if err != nil {
-		return // malformed piggyback: ignore, the heartbeat itself counted
-	}
-	tp.stats.MemberViewsHeard++
-	if epoch > tp.viewEpoch {
-		tp.viewEpoch = epoch
-		tp.viewLive = live
-		tp.viewInRing = inRing
-		tp.stats.MemberViewAdopts++
-		tp.observe(event{kind: evViewAdopt, peer: peer, a: int(epoch)})
-	}
-}
-
-// ---------------------------------------------------------------------------
 // Placement. The static rank arithmetic is the base; the override map
 // records every entity the ring moved.
 
@@ -335,19 +210,6 @@ func (c *Cluster) placePage(pg int32) int {
 	}
 	return int(pg % int32(c.w))
 }
-
-func (c *Cluster) placeRoot() int {
-	if c.member != nil {
-		if o, ok := c.member.owner[entityKey{entRoot, 0}]; ok {
-			return o
-		}
-	}
-	return 0
-}
-
-// barrierRoot returns the current ring-placed barrier root (rank 0 in a
-// static cluster) — also the collective leader AllocShared routes to.
-func (tp *Proc) barrierRoot() int { return tp.cluster.placeRoot() }
 
 // ---------------------------------------------------------------------------
 // The membership fence.
@@ -392,9 +254,8 @@ func (tp *Proc) maybeChurn() {
 // churnKinds maps a ChurnEvent.Kind to its event kind.
 var churnKinds = map[string]*evKind{"join": evMemberJoin, "leave": evMemberLeave, "crash": evMemberCrash}
 
-// runChurn executes every event due at this crossing, bumps the view
-// epoch, and pushes the new view to the quiesced compute ranks (extras
-// converge via the heartbeat piggyback).
+// runChurn executes every event due at this crossing and bumps the fence
+// epoch.
 func (c *Cluster) runChurn(leader *Proc, crossing int) {
 	m := c.member
 	for _, ev := range c.cfg.Membership.Schedule {
@@ -412,12 +273,6 @@ func (c *Cluster) runChurn(leader *Proc, crossing int) {
 		}
 	}
 	m.epoch++
-	for r := 0; r < c.w; r++ {
-		p := c.procs[r]
-		p.viewEpoch = m.epoch
-		p.viewLive = m.live
-		p.viewInRing = m.inRing
-	}
 }
 
 // liveLockIDs enumerates every lock id materialized anywhere on a live
@@ -443,8 +298,7 @@ func (c *Cluster) liveLockIDs() []int32 {
 // churnJoin admits a standby extra to the ring. The joiner captures
 // exactly the entities whose ring position it now succeeds — a bounded
 // ~1/(members+1) arc — and each captured entity's manager state is
-// serialized, shipped, and restored before any rank resumes. The barrier
-// root never moves on a join (roots must cross barriers; extras do not).
+// installed at the joiner before any rank resumes.
 func (c *Cluster) churnJoin(leader *Proc, r int) {
 	m := c.member
 	m.inRing |= 1 << uint(r)
@@ -469,13 +323,14 @@ func (c *Cluster) churnJoin(leader *Proc, r int) {
 // churnLeave removes a rank from the ring and re-places every entity it
 // owned. A compute rank keeps running (it merely sheds its manager
 // roles); an extra departs entirely — state is handed off from its
-// still-reachable memory, then it is killed and every survivor purges
-// its per-peer transport state.
+// still-reachable memory, then it is struck from the live set, killed,
+// and every survivor purges its per-peer transport state.
 func (c *Cluster) churnLeave(leader *Proc, r int) {
 	m := c.member
 	m.inRing &^= 1 << uint(r)
 	c.replaceEntitiesOf(leader, r, false)
 	if r >= c.w {
+		m.live &^= 1 << uint(r)
 		c.departRank(r)
 	}
 	leader.stats.MemberLeaves++
@@ -484,10 +339,9 @@ func (c *Cluster) churnLeave(leader *Proc, r int) {
 // churnCrash handles a scheduled extra death: the rank is declared dead,
 // only its entities are re-placed — locks from the surviving token
 // census, page homes rebuilt from every live writer's retained diffs —
-// and the run continues. The substrates' heartbeat detectors notice the
-// silence shortly after and find the membership layer already converged
-// (handleCrash's membership branch counts the detection and stands down
-// instead of tearing the generation down).
+// and the run continues. No failure detector fires afterwards: departRank
+// has every survivor forget the rank (ForgetPeer is administrative — no
+// recorded failure, no callback) before anyone resumes.
 func (c *Cluster) churnCrash(leader *Proc, r int) {
 	m := c.member
 	m.live &^= 1 << uint(r)
@@ -524,7 +378,6 @@ func (c *Cluster) replaceEntitiesOf(leader *Proc, r int, rebuild bool) {
 	m := c.member
 	anyPts := ringPointsFor(m.members(c.n, nil))
 	extraPts := ringPointsFor(m.members(c.n, func(q int) bool { return q >= c.w }))
-	computePts := ringPointsFor(m.members(c.n, func(q int) bool { return q < c.w }))
 
 	for _, id := range c.liveLockIDs() {
 		if c.placeLock(id) != r {
@@ -555,17 +408,19 @@ func (c *Cluster) replaceEntitiesOf(leader *Proc, r int, rebuild bool) {
 			}
 		}
 	}
-	if c.placeRoot() == r {
-		to := succOn(computePts, entityKey{entRoot, 0}.hash())
-		m.owner[entityKey{entRoot, 0}] = to
-		leader.stats.MemberHandoffRoots++
-		leader.observe(event{kind: evRootMove, peer: to, a: r})
-	}
 }
 
-// handoffLock ships a lock's manager state (its chain tail — at a
+// What a handoff costs the fence leader: it copies the entity's manager
+// state to the new owner at MemcpyBandwidth. A lock's state is its kind,
+// id and chain tail; a page home's is kind, id, length and the page image.
+const (
+	lockHandoffBytes = 1 + 4 + 4
+	pageHandoffBytes = 1 + 4 + 4 + PageSize
+)
+
+// handoffLock moves a lock's manager state (its chain tail — at a
 // quiesced fence the tail is the token holder) from the old manager to
-// the new one through the wire codec, charging the leader for the bytes.
+// the new one.
 func (c *Cluster) handoffLock(leader *Proc, id int32, from, to int) {
 	fp := c.procs[from]
 	ols := fp.locks[id]
@@ -578,9 +433,7 @@ func (c *Cluster) handoffLock(leader *Proc, id int32, from, to int) {
 	if len(ols.waiters) > 0 {
 		panic(fmt.Sprintf("tmk: lock %d handoff with %d queued waiters (fence not quiescent)", id, len(ols.waiters)))
 	}
-	frame := encodeHandoff(handoffFrame{kind: entLock, id: id, tail: int32(ols.tail)})
-	c.applyLockHandoff(leader, to, frame)
-	c.member.owner[entityKey{entLock, id}] = to
+	c.installLock(leader, id, to, ols.tail)
 	leader.observe(event{kind: evLockHandoff, id: id, peer: to, a: from, b: ols.tail})
 }
 
@@ -609,42 +462,36 @@ func (c *Cluster) recoverLock(leader *Proc, id int32, dead, to int) {
 			sp.locks[id] = &lockState{id: id, haveToken: true, tail: tail}
 		}
 	}
-	frame := encodeHandoff(handoffFrame{kind: entLock, id: id, tail: int32(tail)})
-	c.applyLockHandoff(leader, to, frame)
-	c.member.owner[entityKey{entLock, id}] = to
+	c.installLock(leader, id, to, tail)
 	leader.observe(event{kind: evLockRecover, id: id, peer: to, a: dead, b: tail})
 }
 
-// applyLockHandoff decodes a lock handoff at the new manager. Only the
-// chain tail is adopted: token/held/waiters are the new manager's own
-// local state (it may itself be the token holder).
-func (c *Cluster) applyLockHandoff(leader *Proc, to int, frame []byte) {
-	f, err := decodeHandoff(frame)
-	if err != nil || f.kind != entLock {
-		panic(fmt.Sprintf("tmk: lock handoff frame: %v", err))
-	}
+// installLock makes rank to the manager of lock id. Only the chain tail
+// is adopted: token/held/waiters are the new manager's own local state
+// (it may itself be the token holder).
+func (c *Cluster) installLock(leader *Proc, id int32, to, tail int) {
 	np := c.procs[to]
-	nls := np.locks[f.id]
+	nls := np.locks[id]
 	if nls == nil {
-		nls = &lockState{id: f.id}
-		np.locks[f.id] = nls
+		nls = &lockState{id: id}
+		np.locks[id] = nls
 	}
-	nls.tail = int(f.tail)
-	leader.sp.Advance(sim.BytesTime(len(frame), leader.cpu.MemcpyBandwidth))
+	nls.tail = tail
+	leader.sp.Advance(sim.BytesTime(lockHandoffBytes, leader.cpu.MemcpyBandwidth))
 	leader.stats.MemberHandoffLocks++
-	leader.stats.MemberHandoffBytes += int64(len(frame))
+	leader.stats.MemberHandoffBytes += lockHandoffBytes
+	c.member.owner[entityKey{entLock, id}] = to
 }
 
-// handoffPage ships a page home's window image to the new home (always a
-// joined extra) through the wire codec.
+// handoffPage copies a page home's window image to the new home (always
+// a joined extra).
 func (c *Cluster) handoffPage(leader *Proc, pg int32, from, to int) {
 	fp := c.procs[from]
 	pm := fp.pages[pg]
 	if pm == nil || !pm.haveCopy {
 		panic(fmt.Sprintf("tmk: page %d handoff: old home %d has no copy", pg, from))
 	}
-	frame := encodeHandoff(handoffFrame{kind: entPage, id: pg, data: pm.data})
-	c.applyPageHandoff(leader, pg, to, frame)
+	c.installPage(leader, pg, to, pm.data)
 	leader.observe(event{kind: evPageHandoff, id: pg, peer: to, a: from})
 }
 
@@ -655,9 +502,7 @@ func (c *Cluster) handoffPage(leader *Proc, pg int32, from, to int) {
 // machinery, so the replay reproduces the lost window exactly.
 func (c *Cluster) recoverPage(leader *Proc, pg int32, to int) {
 	type replayDiff struct {
-		sum  int64
-		proc int32
-		ts   int32
+		rec  *intervalRec
 		data []byte
 	}
 	var diffs []replayDiff
@@ -673,19 +518,10 @@ func (c *Cluster) recoverPage(leader *Proc, pg int32, to int) {
 			if rec == nil {
 				panic(fmt.Sprintf("tmk: rank %d diff page %d ts %d with no interval record", q, pg, key.ts))
 			}
-			diffs = append(diffs, replayDiff{sum: rec.vc.Sum(), proc: int32(q), ts: key.ts, data: d})
+			diffs = append(diffs, replayDiff{rec: rec, data: d})
 		}
 	}
-	sort.Slice(diffs, func(i, j int) bool {
-		a, b := diffs[i], diffs[j]
-		if a.sum != b.sum {
-			return a.sum < b.sum
-		}
-		if a.proc != b.proc {
-			return a.proc < b.proc
-		}
-		return a.ts < b.ts
-	})
+	sort.Slice(diffs, func(i, j int) bool { return hbBefore(diffs[i].rec, diffs[j].rec) })
 	buf := make([]byte, PageSize)
 	for _, d := range diffs {
 		if err := ApplyDiff(buf, d.data); err != nil {
@@ -694,44 +530,36 @@ func (c *Cluster) recoverPage(leader *Proc, pg int32, to int) {
 		leader.sp.Advance(sim.BytesTime(len(d.data), leader.cpu.MemcpyBandwidth))
 		leader.stats.MemberDiffsReplayed++
 	}
-	frame := encodeHandoff(handoffFrame{kind: entPage, id: pg, data: buf})
-	c.applyPageHandoff(leader, pg, to, frame)
+	c.installPage(leader, pg, to, buf)
 	leader.observe(event{kind: evPageRebuild, id: pg, peer: to, a: len(diffs)})
 }
 
-// applyPageHandoff decodes a page handoff at the new home: the image
-// lands in the home's registered window (readers' Gets serve from it
-// immediately) and the page is marked resident. Extras never receive
-// intervals, so a home page on an extra is never invalidated — exactly
-// the HLRC home discipline.
-func (c *Cluster) applyPageHandoff(leader *Proc, pg int32, to int, frame []byte) {
-	f, err := decodeHandoff(frame)
-	if err != nil || f.kind != entPage {
-		panic(fmt.Sprintf("tmk: page handoff frame: %v", err))
-	}
+// installPage makes rank to the home of page pg: the image lands in the
+// home's registered window (readers' Gets serve from it immediately) and
+// the page is marked resident. Extras never receive intervals, so a home
+// page on an extra is never invalidated — exactly the HLRC home
+// discipline.
+func (c *Cluster) installPage(leader *Proc, pg int32, to int, image []byte) {
 	np := c.procs[to]
 	pm := np.pages[pg]
 	if pm == nil {
 		panic(fmt.Sprintf("tmk: page %d handoff: new home %d has not mapped the region", pg, to))
 	}
-	copy(pm.data, f.data)
+	copy(pm.data, image)
 	pm.haveCopy = true
 	if pm.state == pageInvalid {
 		pm.state = pageReadOnly
 	}
-	leader.sp.Advance(sim.BytesTime(len(frame), leader.cpu.MemcpyBandwidth))
+	leader.sp.Advance(sim.BytesTime(pageHandoffBytes, leader.cpu.MemcpyBandwidth))
 	leader.stats.MemberHandoffPages++
-	leader.stats.MemberHandoffBytes += int64(len(frame))
+	leader.stats.MemberHandoffBytes += pageHandoffBytes
 	c.member.owner[entityKey{entPage, pg}] = to
 }
 
 // MemberReport summarizes the membership layer's end state for a Result.
 type MemberReport struct {
-	Epoch  int32  // view epochs advanced (= fences executed)
+	Epoch  int32  // fences executed
 	Live   uint64 // final live bitmap
 	InRing uint64 // final ring bitmap
 	Moves  int    // entities whose placement moved off the static base
-	// ViewEpochs is each rank's final view epoch (−1 for departed ranks);
-	// the churn harness asserts every live rank converged.
-	ViewEpochs []int32
 }

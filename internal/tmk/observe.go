@@ -92,16 +92,13 @@ var (
 	// detecting rank; peer = the rank the event is about or the new owner,
 	// a = the previous owner. DRIFT: only the churn events and the crash
 	// detection reach the ring.
-	evViewAdopt     = &evKind{text: "rank %[1]d adopts membership view epoch %[5]d from %[3]d"}
 	evMemberJoin    = &evKind{ring: "member-join", text: "membership: join rank %[3]d at crossing %[5]d (epoch %[6]d)"}
 	evMemberLeave   = &evKind{ring: "member-leave", text: "membership: leave rank %[3]d at crossing %[5]d (epoch %[6]d)"}
 	evMemberCrash   = &evKind{ring: "member-crash", text: "membership: crash rank %[3]d at crossing %[5]d (epoch %[6]d)"}
-	evRootMove      = &evKind{text: "membership: barrier root %[5]d -> %[3]d"}
 	evLockHandoff   = &evKind{text: "membership: lock %[2]d manager %[5]d -> %[3]d (tail %[6]d)"}
 	evLockRecover   = &evKind{text: "membership: lock %[2]d recovered from dead manager %[5]d -> %[3]d (token at %[6]d)"}
 	evPageHandoff   = &evKind{text: "membership: page %[2]d home %[5]d -> %[3]d"}
 	evPageRebuild   = &evKind{text: "membership: page %[2]d rebuilt at %[3]d from %[5]d surviving diffs"}
-	evDepartedExtra = &evKind{text: "rank %[1]d detected departed extra %[3]d; membership already converged"}
 	evCrashDetected = &evKind{ring: "crash-detected",
 		text: "watchdog: rank %[3]d dead (detected by %[1]d): tearing down generation %[5]d"}
 	evRestart     = &evKind{text: "watchdog: restarting generation %[5]d from epoch %[6]d"}

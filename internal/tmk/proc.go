@@ -46,12 +46,6 @@ type Proc struct {
 	appStart sim.Time
 	appEnd   sim.Time
 
-	// Elastic-membership view (see membership.go): epoch-stamped live and
-	// ring bitmaps, pushed at fences and adopted from heartbeat frames.
-	viewEpoch  int32
-	viewLive   uint64
-	viewInRing uint64
-
 	// Metadata GC (see gc.go): the normalized config and the in-progress
 	// guard that keeps the nested GC fence from recursing.
 	metaGC MetaGCConfig

@@ -85,20 +85,17 @@ func (tp *Proc) Distribute(r *Region) {
 }
 
 // AllocShared is the collective convenience used by SPMD applications:
-// every process calls it at the same point; the collective leader — the
-// ring-placed barrier root, rank 0 in a static cluster — allocates and
-// distributes, everyone returns the same region. The stall message names
-// the current leader from the ring view, not a hard-coded rank.
+// every process calls it at the same point; rank 0 allocates and
+// distributes, everyone returns the same region.
 func (tp *Proc) AllocShared(nbytes int) *Region {
-	leader := tp.barrierRoot()
-	if tp.rank == leader {
+	if tp.rank == 0 {
 		r := tp.Alloc(nbytes)
 		tp.Distribute(r)
 		return r
 	}
 	want := tp.expectRegion
 	tp.expectRegion++
-	tp.blockedOn = blocked("region %d (awaiting distribute from rank %d)", int(want), leader)
+	tp.blockedOn = blocked("region %d (awaiting distribute from rank 0)", int(want))
 	for tp.regions[want] == nil || (tp.homeBased && !tp.regions[want].committed) {
 		tp.sp.WaitOn(tp.regionCond)
 	}
@@ -132,8 +129,8 @@ func (tp *Proc) mapRegion(r *Region, owned bool) {
 		}
 		tp.pages[pg] = pm
 	}
-	if tp.rank == tp.barrierRoot() && !owned {
-		// The collective leader learned a region distributed by someone else.
+	if tp.rank == 0 && !owned {
+		// Rank 0 learned a region distributed by someone else.
 		tp.expectRegion = r.ID + 1
 	}
 	// Replay write notices from intervals learned before the region was

@@ -60,14 +60,10 @@ type Stats struct {
 	MemberLeaves            int64 // ring departures executed
 	MemberCrashes           int64 // scheduled rank deaths executed
 	MemberPartialRecoveries int64 // crash recoveries that re-placed only the dead rank's entities
-	MemberDeadDetections    int64 // heartbeat detectors that found membership already converged
 	MemberHandoffLocks      int64 // lock managers shipped to a new owner
 	MemberHandoffPages      int64 // page homes shipped or rebuilt at a new owner
-	MemberHandoffRoots      int64 // barrier-root re-placements
-	MemberHandoffBytes      int64 // serialized handoff frame bytes
+	MemberHandoffBytes      int64 // handoff bytes copied (lockHandoffBytes / pageHandoffBytes each)
 	MemberDiffsReplayed     int64 // surviving diffs replayed into rebuilt home pages
-	MemberViewsHeard        int64 // membership views received on heartbeat frames
-	MemberViewAdopts        int64 // strictly newer views adopted from a heartbeat
 
 	// Metadata counters (DESIGN.md §15.4; the GC ones zero unless
 	// Config.MetaGC is enabled).

@@ -21,7 +21,6 @@ const (
 	RuleCrashRank        ConfigRule = "crash-rank"        // an armed trigger names a compute rank
 	RuleLivenessFaults   ConfigRule = "liveness-faults"   // the detector presumes a fault-free fabric
 	RuleMemberSize       ConfigRule = "member-size"       // 0 ≤ extras, ≤ 64 ranks in all
-	RuleMemberBarrier    ConfigRule = "member-barrier"    // the ring re-places one flat root
 	RuleMemberCheckpoint ConfigRule = "member-checkpoint" // two recovery models, pick one
 	RuleChurnSchedule    ConfigRule = "churn-schedule"    // every event executable at its fence
 )
@@ -114,9 +113,6 @@ func (cfg *Config) Validate() error {
 			bad(RuleChurnSchedule, "%v", err)
 		}
 	}
-	if mc.on() && cfg.BarrierFanout >= 2 {
-		bad(RuleMemberBarrier, "membership requires the flat barrier (BarrierFanout < 2): the ring re-places a single root")
-	}
 	if mc.on() && cfg.Crash.Checkpoint {
 		bad(RuleMemberCheckpoint, "membership and checkpoint/restart are mutually exclusive recovery models")
 	}
@@ -131,10 +127,10 @@ func (cfg *Config) Validate() error {
 // first event its fence could not execute. The bitmaps are a pure function
 // of the schedule, so everything churnJoin/Leave/Crash rely on is decided
 // here: who is a standby extra, who is in the ring, who is gone. Rank 0
-// never leaves and only extras crash, so a live compute ring member always
-// remains to take a departing rank's locks and the barrier root; page
-// homes move only onto joined extras, so under HLRC an extra may depart
-// only while another one stays in the ring.
+// never leaves and only extras crash, so it stays the barrier root and a
+// live compute ring member always remains to take a departing rank's
+// locks; page homes move only onto joined extras, so under HLRC an extra
+// may depart only while another one stays in the ring.
 func (mc MemberConfig) replay(w int, homeBased bool) error {
 	order := append([]ChurnEvent(nil), mc.Schedule...)
 	sort.SliceStable(order, func(i, j int) bool { return order[i].AtBarrier < order[j].AtBarrier })

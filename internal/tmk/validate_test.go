@@ -67,9 +67,6 @@ func TestValidateRules(t *testing.T) {
 			[]tmk.ConfigRule{tmk.RuleLivenessFaults}},
 		{"negative extras", 4, tmk.TransportFastGM, churn(-1), []tmk.ConfigRule{tmk.RuleMemberSize}},
 		{"more than 64 ranks", 60, tmk.TransportFastGM, churn(5), []tmk.ConfigRule{tmk.RuleMemberSize}},
-		{"membership under a tree barrier", 4, tmk.TransportFastGM,
-			func(c *tmk.Config) { c.Membership.Extra = 1; c.BarrierFanout = 2 },
-			[]tmk.ConfigRule{tmk.RuleMemberBarrier}},
 		{"membership with checkpointing", 4, tmk.TransportFastGM,
 			func(c *tmk.Config) { c.Membership.Extra = 1; c.Crash.Checkpoint = true },
 			[]tmk.ConfigRule{tmk.RuleMemberCheckpoint}},

@@ -83,7 +83,7 @@ type (
 	// or "crash" of a rank at a barrier crossing).
 	ChurnEvent = tmk.ChurnEvent
 	// MemberReport summarizes a run's membership outcome: final fence
-	// epoch, live/ring bitmaps, placement moves, per-rank view epochs.
+	// epoch, live/ring bitmaps, placement moves.
 	MemberReport = tmk.MemberReport
 	// FlowConfig arms end-to-end credit flow control on the substrate:
 	// senders park locally on exhausted per-peer credits instead of
