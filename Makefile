@@ -47,6 +47,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDiffRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/tmk/
 	$(GO) test -run '^$$' -fuzz '^FuzzHandleAsyncFrame$$' -fuzztime $(FUZZTIME) ./internal/substrate/fastgm/
 	$(GO) test -run '^$$' -fuzz '^FuzzCreditFrame$$' -fuzztime $(FUZZTIME) ./internal/substrate/fastgm/
+	$(GO) test -run '^$$' -fuzz '^FuzzSendArena$$' -fuzztime $(FUZZTIME) ./internal/substrate/fastgm/
 	$(GO) test -run '^$$' -fuzz '^FuzzHandleVerbFrame$$' -fuzztime $(FUZZTIME) ./internal/substrate/rdmagm/
 	$(GO) test -run '^$$' -fuzz '^FuzzHandleCompletion$$' -fuzztime $(FUZZTIME) ./internal/substrate/rdmagm/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCtx$$' -fuzztime $(FUZZTIME) ./internal/trace/

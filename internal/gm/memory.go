@@ -70,18 +70,23 @@ func (n *Node) PinnedBytes() int64 { return n.pinnedBytes }
 // used by the rendezvous ablation (E5) to compare memory footprints.
 func (n *Node) MaxPinnedBytes() int64 { return n.maxPinnedBytes }
 
-// Buffer is a send or receive buffer carved from registered memory, tagged
-// with its size class.
+// Buffer is a send or receive buffer carved from registered memory. A
+// receive buffer is tagged with the size class it is preposted under; a
+// send buffer needs none (see Span).
 type Buffer struct {
 	mem   *Memory
 	class int
+	off   int
 	data  []byte
 }
 
-// Class returns the buffer's size class.
+// Class returns the buffer's size class (0 for a Span, which has none).
 func (b *Buffer) Class() int { return b.class }
 
-// Bytes exposes the buffer's storage (capacity 2^class).
+// Offset returns where in its region the buffer starts.
+func (b *Buffer) Offset() int { return b.off }
+
+// Bytes exposes the buffer's storage (capacity 2^class, or a Span's length).
 func (b *Buffer) Bytes() []byte { return b.data }
 
 // AllocBuffer registers and returns a buffer of the given size class.
@@ -104,5 +109,21 @@ func (m *Memory) SubBuffer(off, class int) *Buffer {
 	if !m.registered {
 		panic("gm: SubBuffer of deregistered memory")
 	}
-	return &Buffer{mem: m, class: class, data: m.buf[off:end:end]}
+	return &Buffer{mem: m, class: class, off: off, data: m.buf[off:end:end]}
+}
+
+// Span points b (a fresh header when nil; a pool recycles them so a send
+// allocates none) at the n bytes at off of the region, as a send buffer.
+// It has no size class: in GM the class belongs to the receive buffer a
+// message lands in and a send derives it from the message length, so
+// registered send memory can be carved to any length.
+func (m *Memory) Span(b *Buffer, off, n int) *Buffer {
+	if off < 0 || n < 0 || off+n > len(m.buf) {
+		panic("gm: Span out of range")
+	}
+	if b == nil {
+		b = new(Buffer)
+	}
+	*b = Buffer{mem: m, off: off, data: m.buf[off : off+n : off+n]}
+	return b
 }

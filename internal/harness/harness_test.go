@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/apps"
 	"repro/internal/harness"
 	"repro/internal/sim"
 	"repro/internal/tmk"
@@ -162,5 +163,33 @@ func TestFigure3SmallSubset(t *testing.T) {
 	harness.PrintFigure3(&buf, rows)
 	if !strings.Contains(buf.String(), "Barrier (2)") {
 		t.Error("printer output incomplete")
+	}
+}
+
+// TestRepliesDoNotSerialiseOnSendPool: Jacobi at 16 nodes is rank 0 serving
+// cold page fetches to fifteen peers. With one registered send buffer per
+// size class each reply parked — in the interrupt handler, the rank's own
+// computation suspended under it — until the previous one had completed at
+// the far NIC: 3,285 stalls for 4,670 GM sends. Carved by length, the same
+// registered bytes hold a reply to every peer at once: stalls are the rare
+// exception, and not one byte more is pinned (the pinned peak is the
+// per-class pool's, to the byte).
+func TestRepliesDoNotSerialiseOnSendPool(t *testing.T) {
+	app := &apps.Jacobi{N: 640, Iters: 10, CostPerPoint: 120 * sim.Nanosecond}
+	res, err := harness.RunApp(app, 16, tmk.TransportFastGM, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Without rendezvous every request, reply and forward is one GM send.
+	tr := res.Transport
+	sends := tr.RequestsSent + tr.RepliesSent + tr.ForwardsSent
+	if sends == 0 || tr.SendBufStalls*50 > sends {
+		t.Errorf("%d send-buffer stalls (%v parked) for %d GM sends, want ≤ 2%%", tr.SendBufStalls, tr.SendBufWait, sends)
+	}
+	if (tr.SendBufStalls == 0) != (tr.SendBufWait == 0) {
+		t.Errorf("%d stalls but %v parked: the stall is counted and timed at one point", tr.SendBufStalls, tr.SendBufWait)
+	}
+	if res.MaxPinnedBytes != 2108160 {
+		t.Errorf("pinned peak %d B, want the per-class pool's 2108160", res.MaxPinnedBytes)
 	}
 }

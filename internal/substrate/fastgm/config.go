@@ -11,10 +11,12 @@
 //     scatter-gather fault path keeps up to OutstandingCalls replies in
 //     flight). Buffers are recycled immediately after the message is
 //     consumed, so GM's no-buffer send timeout can never fire.
-//  3. Buffer management — outgoing messages are copied into a pool of
-//     registered send buffers (one extra copy, zero TreadMarks changes);
-//     incoming requests are processed in place; incoming replies are
-//     copied out into TreadMarks structures (the paper's chosen design).
+//  3. Buffer management — outgoing messages are copied into registered
+//     send memory (one extra copy, zero TreadMarks changes): one arena
+//     carved by message length (SendPool) — GM's size class belongs to
+//     the receive buffer, so the send side needs none. Incoming requests
+//     are processed in place; incoming replies are copied out into
+//     TreadMarks structures (the paper's chosen design).
 //  4. Asynchronous messages — three schemes: the NIC-firmware receive
 //     interrupt (the paper's choice), a dedicated polling thread, and a
 //     periodic timer; selectable for the ablation experiment (E4).

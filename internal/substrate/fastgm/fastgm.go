@@ -2,6 +2,7 @@ package fastgm
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/gm"
 	"repro/internal/msg"
@@ -101,7 +102,6 @@ func (t *Transport) maxPrepostClass() int {
 // asynchronous notification scheme.
 func (t *Transport) Start(p *sim.Proc, h substrate.Handler) {
 	t.Attach(p, h)
-	t.sendPool = NewSendPool(fmt.Sprintf("fastgm:%d:sendpool", t.Rank()))
 	t.tokenCond = sim.NewCond(fmt.Sprintf("fastgm:%d:tokens", t.Rank()))
 	t.portCond = sim.NewCond(fmt.Sprintf("fastgm:%d:port", t.Rank()))
 	t.rv.init(t)
@@ -139,16 +139,11 @@ func (t *Transport) Start(p *sim.Proc, h substrate.Handler) {
 			t.syncPort.ProvideReceiveBuffer(mem.SubBuffer(i*gm.ClassCapacity(c), c))
 		}
 	}
-	// Registered send-buffer pool: a few small buffers plus one of each
-	// large class. Senders copy outgoing messages in (extra copy,
-	// unmodified TreadMarks — the paper's choice).
-	for c := params.MinClass; c <= params.MaxClass; c++ {
-		count := 1
-		if c <= t.cfg.SmallClassMax {
-			count = 4
-		}
-		t.sendPool.Fill(t.node.Register(p, count*gm.ClassCapacity(c)), count, c)
-	}
+	// Registered send memory: one arena, room for one frame of each large
+	// class and a few of each small. Senders copy outgoing messages in
+	// (extra copy, unmodified TreadMarks — the paper's choice).
+	t.sendPool = NewSendPool(fmt.Sprintf("fastgm:%d:sendpool", t.Rank()),
+		t.node.Register(p, t.SendPoolBytes(1)))
 
 	t.startLiveness()
 	t.flow.start()
@@ -395,18 +390,18 @@ func (t *Transport) Transmit(p *sim.Proc, dst int, lane substrate.Lane, kind msg
 	if dstPort == AsyncPort {
 		t.flow.credits.Acquire(p, dst, class-params.MinClass, 1, gm.ClassCapacity(class))
 	}
-	t.stage(p, dst, dstPort, frameMsg, class, body, aux)
+	t.stage(p, dst, dstPort, frameMsg, body, aux)
 }
 
 // stage copies one tagged frame into a registered send buffer — the copy
 // into registered memory of paper Section 2.2.3 — and hands it to GM.
-func (t *Transport) stage(p *sim.Proc, dst, dstPort int, tag byte, class int, body, aux []byte) {
-	buf := t.TakeSendBuffer(p, t.sendPool, class)
+func (t *Transport) stage(p *sim.Proc, dst, dstPort int, tag byte, body, aux []byte) {
+	buf := t.TakeSendBuffer(p, t.sendPool, len(body)+1)
 	buf.Bytes()[0] = tag
 	p.Advance(sim.BytesTime(len(body), t.cfg.CopyBandwidth))
 	copy(buf.Bytes()[1:], body)
 	t.Stats().BytesSent += int64(len(body) + 1)
-	t.gmSend(p, t.portFor(dstPort), dst, dstPort, buf, len(body)+1, class, aux)
+	t.gmSend(p, t.portFor(dstPort), dst, dstPort, buf, len(body)+1, aux)
 }
 
 // portFor returns our sending port for a destination port: requests go
@@ -425,8 +420,8 @@ func (t *Transport) portFor(dstPort int) *gm.Port {
 // faulty one the completion hands the frame to the recovery machinery
 // (recovery.go) — resume the port, retransmit with backoff, let the
 // receiver's duplicate filter absorb redeliveries.
-func (t *Transport) gmSend(p *sim.Proc, port *gm.Port, dst, dstPort int, buf *gm.Buffer, n, class int, aux []byte) {
-	ps := &pendingSend{port: port, dst: dst, dstPort: dstPort, buf: buf, n: n, class: class, aux: aux}
+func (t *Transport) gmSend(p *sim.Proc, port *gm.Port, dst, dstPort int, buf *gm.Buffer, n int, aux []byte) {
+	ps := &pendingSend{port: port, dst: dst, dstPort: dstPort, buf: buf, n: n, aux: aux}
 	for {
 		err := port.SendAux(p, myrinet.NodeID(dst), dstPort, buf, n, aux, t.completion(ps))
 		if err == nil {
@@ -443,47 +438,97 @@ func (t *Transport) gmSend(p *sim.Proc, port *gm.Port, dst, dstPort int, buf *gm
 	}
 }
 
-// SendPool is a pool of registered send buffers by size class, with the
-// cond senders park on while a class is dry. Exported for substrates
-// layered on this transport, which keep pools of their own.
+// SendPool is one process's registered send memory: a single region carved
+// by message length. GM's size class belongs to the receive buffer a
+// message lands in (gm derives it from the length), so send memory needs no
+// partition by class and holds as many frames as fit. Free spans are kept
+// sorted by offset, 8-byte aligned and coalesced as completions return
+// them; a take is first fit from the bottom, which packs short frames low
+// and leaves the top whole for a long one. Exported for substrates layered
+// on this transport, which keep pools of their own.
+//
+// Takers are not queued. A pool has one process, so the only senders that
+// can be parked on it are its mainline and its one interrupt handler above
+// that, and the handler — the later arrival — has to finish first. Nor can
+// a maximal frame starve behind the handler's short replies: each answers
+// a caller blocked on it, so the bytes in flight are bounded by the peers'
+// outstanding calls and return one completion later, and whoever waits for
+// the long frame is blocked on it too.
 type SendPool struct {
-	free map[int][]*gm.Buffer
+	mem  *gm.Memory
+	free []span       // by offset; no two adjacent
+	hdrs []*gm.Buffer // returned headers, reused so a send allocates none
 	cond *sim.Cond
 }
 
-// NewSendPool returns an empty pool.
-func NewSendPool(name string) *SendPool {
-	return &SendPool{free: make(map[int][]*gm.Buffer), cond: sim.NewCond(name)}
+type span struct{ off, n int }
+
+// NewSendPool returns a pool over all of mem.
+func NewSendPool(name string, mem *gm.Memory) *SendPool {
+	return &SendPool{mem: mem, free: []span{{0, len(mem.Bytes()) &^ 7}}, cond: sim.NewCond(name)}
 }
 
-// Fill carves count class-sized buffers out of mem into the pool.
-func (sp *SendPool) Fill(mem *gm.Memory, count, class int) {
-	for i := 0; i < count; i++ {
-		sp.free[class] = append(sp.free[class], mem.SubBuffer(i*gm.ClassCapacity(class), class))
+// SendPoolBytes sizes a send pool: room for four frames of each small
+// class and large of each class above, whatever their actual mix.
+func (t *Transport) SendPoolBytes(large int) (n int) {
+	params := t.node.System().Params()
+	for c := params.MinClass; c <= params.MaxClass; c++ {
+		count := large
+		if c <= t.cfg.SmallClassMax {
+			count = 4
+		}
+		n += count * gm.ClassCapacity(c)
 	}
+	return n
 }
 
-// TryTake pops a free buffer of the class, or returns nil.
-func (sp *SendPool) TryTake(class int) *gm.Buffer {
-	bufs := sp.free[class]
-	if len(bufs) == 0 {
-		return nil
+// TryTake carves a buffer of at least n bytes out of the lowest free span
+// that fits, or returns nil.
+func (sp *SendPool) TryTake(n int) *gm.Buffer {
+	n = (n + 7) &^ 7
+	for i, f := range sp.free {
+		if f.n < n {
+			continue
+		}
+		if f.n == n {
+			sp.free = slices.Delete(sp.free, i, i+1)
+		} else {
+			sp.free[i] = span{f.off + n, f.n - n}
+		}
+		var b *gm.Buffer
+		if last := len(sp.hdrs) - 1; last >= 0 {
+			b, sp.hdrs = sp.hdrs[last], sp.hdrs[:last]
+		}
+		return sp.mem.Span(b, f.off, n)
 	}
-	sp.free[class] = bufs[:len(bufs)-1]
-	return bufs[len(bufs)-1]
+	return nil
 }
 
-// Put returns a buffer and wakes senders waiting for one.
-func (sp *SendPool) Put(class int, b *gm.Buffer) {
-	sp.free[class] = append(sp.free[class], b)
+// Put returns a taken buffer's span, merging it with the free spans it
+// touches, and wakes senders waiting for space.
+func (sp *SendPool) Put(b *gm.Buffer) {
+	s := span{b.Offset(), len(b.Bytes())}
+	i, _ := slices.BinarySearchFunc(sp.free, s.off, func(f span, off int) int { return f.off - off })
+	if i < len(sp.free) && s.off+s.n == sp.free[i].off {
+		s.n += sp.free[i].n
+		sp.free = slices.Delete(sp.free, i, i+1)
+	}
+	if i > 0 && sp.free[i-1].off+sp.free[i-1].n == s.off {
+		sp.free[i-1].n += s.n
+	} else {
+		sp.free = slices.Insert(sp.free, i, s)
+	}
+	sp.hdrs = append(sp.hdrs, b)
 	sp.cond.Broadcast()
 }
 
-// TakeSendBuffer pops a registered send buffer of the class from pool,
-// blocking until one is recycled if the pool is dry.
-func (t *Transport) TakeSendBuffer(p *sim.Proc, pool *SendPool, class int) *gm.Buffer {
+// TakeSendBuffer carves a registered send buffer of n bytes out of pool,
+// blocking until completions return enough space if it has none.
+func (t *Transport) TakeSendBuffer(p *sim.Proc, pool *SendPool, n int) *gm.Buffer {
+	start := p.Now()
 	for {
-		if b := pool.TryTake(class); b != nil {
+		if b := pool.TryTake(n); b != nil {
+			t.Stats().SendBufWait += p.Now() - start
 			return b
 		}
 		t.Stats().SendBufStalls++

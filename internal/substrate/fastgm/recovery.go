@@ -35,7 +35,6 @@ type pendingSend struct {
 	dstPort  int
 	buf      *gm.Buffer
 	n        int
-	class    int
 	aux      []byte // causal-context metadata, resent with every retransmit
 	attempts int
 }
@@ -120,7 +119,7 @@ func (t *Transport) scheduleRetransmit(ps *pendingSend) {
 // recycleSend returns an abandoned frame's buffer to the pool and wakes
 // anything waiting on pool space or tokens.
 func (t *Transport) recycleSend(ps *pendingSend) {
-	t.sendPool.Put(ps.class, ps.buf)
+	t.sendPool.Put(ps.buf)
 	t.tokenCond.Broadcast()
 }
 

@@ -134,8 +134,7 @@ func (rv *rendezvousState) onCTS(p *sim.Proc, body []byte) {
 	}
 	delete(rv.staged, id)
 
-	class := t.node.System().Params().ClassFor(len(st.body) + 1)
-	t.stage(p, st.dst, st.dstPort, frameData, class, st.body, st.aux)
+	t.stage(p, st.dst, st.dstPort, frameData, st.body, st.aux)
 }
 
 // finishReceive deregisters the dynamically pinned buffer a rendezvous
@@ -156,11 +155,10 @@ func (rv *rendezvousState) finishReceive(p *sim.Proc, port *gm.Port, buf *gm.Buf
 // rawSend ships a small transport-control frame.
 func (t *Transport) rawSend(p *sim.Proc, dst, dstPort int, tag byte, body []byte) {
 	n := len(body) + 1
-	class := t.node.System().Params().ClassFor(n)
-	buf := t.TakeSendBuffer(p, t.sendPool, class)
+	buf := t.TakeSendBuffer(p, t.sendPool, n)
 	buf.Bytes()[0] = tag
 	copy(buf.Bytes()[1:], body)
 	t.Stats().BytesSent += int64(n)
 	// Control frames (RTS/CTS) are transport plumbing, not causal edges.
-	t.gmSend(p, t.portFor(dstPort), dst, dstPort, buf, n, class, nil)
+	t.gmSend(p, t.portFor(dstPort), dst, dstPort, buf, n, nil)
 }

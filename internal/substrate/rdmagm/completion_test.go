@@ -21,11 +21,10 @@ func TestCompletionRetryChainsDoNotMultiply(t *testing.T) {
 		frame := make([]byte, verbFrameLen(get))
 		encodeVerb(frame, get)
 		compLen := int64(len(encodeCompletion(0, get, compOK, make([]byte, get.length), 0)))
-		class := target.node.System().Params().ClassFor(int(compLen))
 		sends := func() int64 { return target.Stats().BytesSent / compLen }
 
 		var held []*gm.Buffer
-		for buf := target.compPool.TryTake(class); buf != nil; buf = target.compPool.TryTake(class) {
+		for buf := target.compPool.TryTake(int(compLen)); buf != nil; buf = target.compPool.TryTake(int(compLen)) {
 			held = append(held, buf)
 		}
 		for i := 0; i <= redeliveries; i++ {
@@ -36,7 +35,7 @@ func TestCompletionRetryChainsDoNotMultiply(t *testing.T) {
 			t.Fatalf("%d completions sent from a dry pool", n)
 		}
 		for _, buf := range held {
-			target.compPool.Put(class, buf)
+			target.compPool.Put(buf)
 		}
 		p.Advance(sim.Millisecond)
 		if n := sends(); n != 1 {

@@ -143,8 +143,6 @@ func New(node *gm.Node, rank, size int, pol substrate.Policy, fast fastgm.Config
 // send pool, and installs the firmware sink.
 func (t *Transport) Start(p *sim.Proc, h substrate.Handler) {
 	t.Transport.Start(p, h)
-	t.sendPool = fastgm.NewSendPool(fmt.Sprintf("rdmagm:%d:sendpool", t.Rank()))
-	t.compPool = fastgm.NewSendPool(fmt.Sprintf("rdmagm:%d:comppool", t.Rank()))
 	t.tokenCond = sim.NewCond(fmt.Sprintf("rdmagm:%d:tokens", t.Rank()))
 
 	var err error
@@ -170,21 +168,18 @@ func (t *Transport) Start(p *sim.Proc, h substrate.Handler) {
 	// CQ port: one entry per send-queue slot plus margin; completions
 	// beyond that park briefly until WaitVerbs reaps.
 	prepost(t.cqPort, t.rcfg.SendQueueDepth+2)
-	// A registered send pool for verb descriptors, and for completion
-	// entries the firmware's own staging pool, pinned at boot like the
-	// kernel pools — never the verb send pool. The separation is
-	// load-bearing under loss: a lost data-verb frame pins its buffer for
-	// GM's full resend timeout, and if completions competed for those
-	// buffers a burst of losses would silence the completion channel
-	// exactly when the initiator's retry clock is running.
-	for c := params.MinClass; c <= params.MaxClass; c++ {
-		count := 2
-		if c <= t.fast.SmallClassMax {
-			count = 4
-		}
-		t.sendPool.Fill(t.node.Register(p, count*gm.ClassCapacity(c)), count, c)
-		t.compPool.Fill(t.node.RegisterAtBoot(count*gm.ClassCapacity(c)), count, c)
-	}
+	// A registered send arena for verb descriptors (room for two frames of
+	// each large class), and for completion entries the firmware's own
+	// staging arena, pinned at boot like the kernel pools — never the verb
+	// send pool. The separation is load-bearing under loss: a lost
+	// data-verb frame pins its bytes for GM's full resend timeout, and if
+	// completions competed for that space a burst of losses would silence
+	// the completion channel exactly when the initiator's retry clock is
+	// running.
+	t.sendPool = fastgm.NewSendPool(fmt.Sprintf("rdmagm:%d:sendpool", t.Rank()),
+		t.node.Register(p, t.SendPoolBytes(2)))
+	t.compPool = fastgm.NewSendPool(fmt.Sprintf("rdmagm:%d:comppool", t.Rank()),
+		t.node.RegisterAtBoot(t.SendPoolBytes(2)))
 
 	t.verbPort.SetSink(t.onVerbFrame)
 	if t.Live.Enabled() {
@@ -325,18 +320,17 @@ func (t *Transport) retire(dst int) {
 // full resend timeout, and the re-sender is who reaps the completion queue.
 func (t *Transport) sendVerb(p *sim.Proc, pc *substrate.Call, wait bool) bool {
 	frame, aux := pc.Frame()
-	class := t.node.System().Params().ClassFor(len(frame))
-	buf := t.sendPool.TryTake(class)
+	buf := t.sendPool.TryTake(len(frame))
 	if buf == nil {
 		if !wait {
 			return false
 		}
-		buf = t.TakeSendBuffer(p, t.sendPool, class)
+		buf = t.TakeSendBuffer(p, t.sendPool, len(frame))
 	}
 	copy(buf.Bytes(), frame)
 	for {
 		err := t.verbPort.SendAux(p, myrinet.NodeID(pc.Dst()), VerbPort, buf, len(frame),
-			aux, t.sendDone(t.sendPool, t.verbPort, buf, class))
+			aux, t.sendDone(t.sendPool, t.verbPort, buf))
 		switch {
 		case err == nil:
 			t.Stats().BytesSent += int64(len(frame))
@@ -346,7 +340,7 @@ func (t *Transport) sendVerb(p *sim.Proc, pc *substrate.Call, wait bool) bool {
 		case err == gm.ErrPortDisabled && wait:
 			t.AwaitResume(p, t.verbPort)
 		case err == gm.ErrNoSendTokens || err == gm.ErrPortDisabled:
-			t.sendPool.Put(class, buf)
+			t.sendPool.Put(buf)
 			t.EnsureResume(t.verbPort) // no-op on an enabled port
 			return false
 		default:
@@ -359,9 +353,9 @@ func (t *Transport) sendVerb(p *sim.Proc, pc *substrate.Call, wait bool) bool {
 // returns to its pool, and a failed send only resumes the port — recovery
 // is the verb's clock in the core re-staging the kept descriptor (the
 // target resends a redelivered verb's cached completion).
-func (t *Transport) sendDone(pool *fastgm.SendPool, port *gm.Port, buf *gm.Buffer, class int) gm.SendCallback {
+func (t *Transport) sendDone(pool *fastgm.SendPool, port *gm.Port, buf *gm.Buffer) gm.SendCallback {
 	return func(st gm.SendStatus) {
-		pool.Put(class, buf)
+		pool.Put(buf)
 		t.tokenCond.Broadcast()
 		if st != gm.SendOK && !t.Halted() {
 			t.Stats().GMSendFailures++
@@ -540,16 +534,15 @@ func (t *Transport) sendCompletion(key substrate.DupKey, dst int, comp, aux []by
 	if t.Halted() || dst < 0 || dst >= t.Size() || dst == t.Rank() {
 		return
 	}
-	class := t.node.System().Params().ClassFor(len(comp))
-	if buf := t.compPool.TryTake(class); buf != nil {
+	if buf := t.compPool.TryTake(len(comp)); buf != nil {
 		copy(buf.Bytes(), comp)
 		err := t.cqPort.SendFromKernelAux(myrinet.NodeID(dst), CQPort, buf, len(comp), aux,
-			t.sendDone(t.compPool, t.cqPort, buf, class))
+			t.sendDone(t.compPool, t.cqPort, buf))
 		if err == nil {
 			t.Stats().BytesSent += int64(len(comp))
 			return
 		}
-		t.compPool.Put(class, buf)
+		t.compPool.Put(buf)
 		t.EnsureResume(t.cqPort)
 	}
 	t.compQueued[key] = true

@@ -37,6 +37,7 @@ func RunConformance(t *testing.T, build Builder) {
 	t.Run("MemberTeardown", func(t *testing.T) { ConformanceMemberTeardown(t, build) })
 	t.Run("ScatterGather", func(t *testing.T) { ConformanceScatterGather(t, build) })
 	t.Run("ScatterGatherFaultStorm", func(t *testing.T) { ConformanceScatterGatherFaultStorm(t, build) })
+	t.Run("LostReplyPinsOnlyItself", func(t *testing.T) { ConformanceLostReplyPinsOnlyItself(t, build) })
 	t.Run("IncastStorm", func(t *testing.T) { ConformanceIncastStorm(t, build) })
 	t.Run("CreditStarvationParkResume", func(t *testing.T) { ConformanceCreditStarvationParkResume(t, build) })
 	t.Run("VectorPut", func(t *testing.T) { ConformanceVectorPut(t, build) })
@@ -643,6 +644,57 @@ func ConformanceScatterGatherFaultStorm(t *testing.T, build Builder) {
 		}
 		requireAllPortsEnabled(t, c)
 	}
+}
+
+// ConformanceLostReplyPinsOnlyItself: one page-sized reply loses a packet
+// on the fabric, so GM keeps its registered send bytes until the 3 s
+// resend timeout. That may cost the victim alone: a page-sized call from a
+// different peer to the same server, made while the lost frame is still
+// pending, completes at wire speed. With one send buffer per size class it
+// parked the server's handler behind the lost frame for the whole timeout
+// (DESIGN.md §15.5); a send arena pins only the lost frame's own bytes.
+func ConformanceLostReplyPinsOnlyItself(t *testing.T, build Builder) {
+	c := build(3, 1)
+	page := bytes.Repeat([]byte{0x5A}, 4096)
+	var took [3]sim.Time
+	c.Spawn(
+		func(rank int) substrate.Handler {
+			return func(p *sim.Proc, m *msg.Message) {
+				c.Transports[rank].Reply(p, m, &msg.Message{Kind: msg.KPageReply, Page: m.Page, PageData: page})
+			}
+		},
+		func(rank int, p *sim.Proc, tr substrate.Transport) {
+			switch rank {
+			case 0:
+				return
+			case 1:
+				// Armed after startup, so the next packet on 0→1 belongs to
+				// the reply to this call.
+				c.Fabric.SetFaults(myrinet.FaultConfig{DropNexts: []myrinet.DropNext{{Src: 0, Dst: 1, Count: 1}}})
+			case 2:
+				p.Advance(sim.Millisecond) // the victim's reply is lost and pending by now
+			}
+			start := p.Now()
+			rep := tr.Call(p, 0, &msg.Message{Kind: msg.KPageReq, Page: int32(rank)})
+			took[rank] = p.Now() - start
+			if rep.Kind != msg.KPageReply || rep.Page != int32(rank) || !bytes.Equal(rep.PageData, page) {
+				t.Errorf("rank %d: wrong page reply %v/%d", rank, rep.Kind, rep.Page)
+			}
+		},
+	)
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if fs := c.Fabric.FaultStats(); fs.Dropped != 1 {
+		t.Errorf("dropped %d packets, want exactly the one armed reply packet", fs.Dropped)
+	}
+	if took[1] < sim.Millisecond {
+		t.Errorf("the victim's call took %v: its reply was not lost; weak test", took[1])
+	}
+	if took[2] >= sim.Millisecond {
+		t.Errorf("a call from another peer took %v behind one lost reply, want < 1ms", took[2])
+	}
+	requireAllPortsEnabled(t, c)
 }
 
 // ConformancePingPong: a simple matched request/reply with payload echo.

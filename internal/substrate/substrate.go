@@ -307,6 +307,7 @@ type Stats struct {
 	ReplyWaitTime  sim.Time
 	RequestService sim.Time
 	CreditWaitTime sim.Time // virtual time spent parked on exhausted credits
+	SendBufWait    sim.Time // virtual time spent parked in SendBufStalls
 }
 
 // Add accumulates other into s for cluster-wide totals (every field, by
@@ -314,7 +315,11 @@ type Stats struct {
 func (s *Stats) Add(other *Stats) { statsutil.AddInto(s, other) }
 
 func (s *Stats) String() string {
-	return fmt.Sprintf("req=%d rep=%d fwd=%d retx=%d dup=%d async=%d bytes=%d/%d",
+	out := fmt.Sprintf("req=%d rep=%d fwd=%d retx=%d dup=%d async=%d bytes=%d/%d",
 		s.RequestsSent, s.RepliesSent, s.ForwardsSent, s.Retransmits,
 		s.DupRequests, s.AsyncWakeups, s.BytesSent, s.BytesRecvd)
+	if s.SendBufStalls > 0 {
+		out += fmt.Sprintf(" sendbuf=%d/%v", s.SendBufStalls, s.SendBufWait)
+	}
+	return out
 }

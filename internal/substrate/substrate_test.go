@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/sim"
 	"repro/internal/statsutil"
 	"repro/internal/substrate"
 	"repro/internal/substrate/fastgm"
@@ -48,5 +49,11 @@ func TestStatsStringMentionsCoreCounters(t *testing.T) {
 	str := s.String()
 	if str == "" {
 		t.Fatal("empty Stats string")
+	}
+	// A send-buffer stall is reported with its cost, and only when there
+	// was one: a run without stalls (every udpgm run) prints as before.
+	s.SendBufStalls, s.SendBufWait = 7, 3*sim.Millisecond
+	if got, want := s.String(), str+" sendbuf=7/3.000ms"; got != want {
+		t.Errorf("Stats string with stalls = %q, want %q", got, want)
 	}
 }
