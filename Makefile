@@ -6,11 +6,11 @@ GO       ?= go
 FUZZTIME ?= 5s
 BENCHDIR ?= .
 
-.PHONY: all check fmt vet build test race loc fuzz-smoke bench bench-identical bench-diff bench-gate prof-smoke chaos-smoke crash-smoke churn-smoke rdma-smoke critical-smoke flow-smoke cli-smoke
+.PHONY: all check fmt vet build test race loc fuzz-smoke bench bench-identical bench-gate prof-smoke chaos-smoke crash-smoke churn-smoke rdma-smoke critical-smoke flow-smoke cli-smoke
 
 all: check
 
-check: fmt vet build test race fuzz-smoke prof-smoke chaos-smoke crash-smoke churn-smoke rdma-smoke critical-smoke flow-smoke cli-smoke bench-identical bench
+check: fmt vet build test race fuzz-smoke prof-smoke chaos-smoke crash-smoke churn-smoke rdma-smoke critical-smoke flow-smoke cli-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -27,9 +27,11 @@ test:
 
 # Every package but ./benchmark: its TestBucketing asserts a CPU-profile
 # share the race detector's slowdown skews (flaky there with no race
-# reported), and `test` already runs it.
+# reported), and `test` already runs it. -short: `test` has just
+# regenerated the bench trajectory and proved the checked-in files current
+# (TestBenchReproducibleByteIdentical); the race run does not do it again.
 race:
-	$(GO) test -race $$($(GO) list ./... | grep -v '/benchmark$$')
+	$(GO) test -race -short $$($(GO) list ./... | grep -v '/benchmark$$')
 
 # Non-test line counts per package, the one number simplicity PRs quote
 # (comments and blank lines included; nothing moved into _test files counts
@@ -75,34 +77,21 @@ crash-smoke:
 churn-smoke:
 	$(GO) run ./cmd/tmkrun -churn
 
-# Strict refactor proof: regenerate all six suites into a temp dir and
-# require every file byte-identical to the checked-in BENCH_*.json. Runs
-# in `check` ahead of `bench`, which overwrites the checked-in files
-# (BENCHDIR=.), and is the target that fails when virtual time moved. A
-# PR that means to move it commits the regenerated files and reviews the
-# movement with bench-diff / bench-gate.
+# Strict refactor proof: regenerate all six suites, once, and require every
+# file byte-identical to the checked-in BENCH_*.json; on failure it names
+# each row that moved. The target that fails when virtual time moved — and
+# part of `test`, so `check` needs no step of its own for it. A PR that
+# means to move virtual time reviews the movement with bench-gate, then
+# rewrites the files with bench and commits them.
 bench-identical:
-	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) run ./cmd/bench -out "$$tmp" > /dev/null || exit 1; \
-	for s in e0 e1 e2 e3 churn flow; do \
-		cmp "BENCH_$$s.json" "$$tmp/BENCH_$$s.json" || fail=1; \
-	done; \
-	if [ -n "$$fail" ]; then echo "bench-identical: regenerated suites differ from the checked-in BENCH_*.json"; exit 1; fi; \
-	echo "bench-identical: all six suites byte-identical"
+	$(GO) test -count=1 -run '^TestBenchReproducibleByteIdentical$$' ./internal/harness/
 
-# Machine-readable bench trajectory: writes BENCH_e0/e1/e2/e3/churn/flow.json
-# into BENCHDIR. Deterministic — rerunning on the same tree is byte-identical,
-# so `git diff BENCH_*.json` across commits shows real perf movement.
+# The writer: BENCH_e0/e1/e2/e3/churn/flow.json into BENCHDIR. Not part of
+# `check` — CI reads the checked-in files, it does not rewrite them.
+# Deterministic, so `git diff BENCH_*.json` across commits shows real perf
+# movement.
 bench:
 	$(GO) run ./cmd/bench -out $(BENCHDIR)
-
-# Per-row deltas of the regenerated suites against the checked-in
-# BENCH_*.json (informational: nonzero deltas are perf movement to review,
-# not an error). Not part of `check`: after `bench` has rewritten the
-# files it could only compare the tree with itself. Run it on its own,
-# before `bench`, for a PR that means to move numbers.
-bench-diff:
-	$(GO) run ./cmd/bench -diff -out $(BENCHDIR)
 
 # Differential regression of the home-based protocol: every app's final
 # shared memory under home-based LRC on rdmagm must be bit-identical to
@@ -116,12 +105,12 @@ rdma-smoke:
 	$(GO) test -short -run 'TestHomeBased|TestBenchE3RDMAWinsHeadlineRows' ./internal/harness/
 	$(GO) test -run 'TestHomesFollowTheSoleWriter|TestHomeWritesAreTwinFree|TestBarrierVCAgreesOnEveryRank' ./internal/tmk/
 
-# Bench regression gate: no regenerated row may be worse than the
-# checked-in BENCH_*.json by more than its tolerance (max(500ns, 2%·old)
-# by default; times lower-is-better, B/s higher-is-better); a removed row
-# is a failure, an improvement is listed. Unlike bench-diff, violations
-# exit nonzero.
-# Like bench-diff, callable on its own and not part of `check`.
+# The one comparison: every regenerated row that differs from the
+# checked-in BENCH_*.json is printed with its old and new value, and none
+# may be worse by more than its tolerance (max(500ns, 2%·old) by default;
+# times lower-is-better, B/s higher-is-better; `-gate-rel 0 -gate-abs-ns 0`
+# for exactness); a removed row is a failure, an improvement is listed.
+# Writes nothing. Callable on its own and not part of `check`.
 bench-gate:
 	$(GO) run ./cmd/bench -gate -out $(BENCHDIR)
 

@@ -7,17 +7,21 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 
 	"repro/internal/apps"
 	"repro/internal/tmk"
 	"repro/internal/ubench"
 )
 
-// Machine-readable bench trajectory: the E0/E1/E2 headline numbers
+// Machine-readable bench trajectory: the headline numbers of six suites
 // serialized as BENCH_<suite>.json so successive commits can be compared
 // mechanically. Runs are deterministic simulations, so regenerating a
 // suite on the same tree reproduces the file byte-identically — any diff
-// is a real performance change, not noise.
+// is a real performance change, not noise — and the checked-in files are
+// the single source of measured truth: TestBenchReproducibleByteIdentical
+// regenerates them once per test run and requires them current, and every
+// other test that judges a row reads them with ReadBench.
 
 // BenchSchema identifies the JSON format of a bench suite file.
 const BenchSchema = "tmk-bench/1"
@@ -93,8 +97,9 @@ func BenchE2(nodes []int) (*BenchSuite, error) {
 // barrier for context (the two-sided halves should track each other
 // closely), and the four applications on rdmagm (App/<name>). Two
 // microbenchmark rows are expected to favor rdmagm, and every application
-// is held to fastgm's time or to a pinned ceiling above it;
-// TestBenchE3RDMAWinsHeadlineRows enforces both:
+// cell with a fastgm comparator in BENCH_e2 (4 and 8 nodes) is held to
+// fastgm's time or to a pinned ceiling above it;
+// TestBenchE3RDMAWinsHeadlineRows enforces both, from the checked-in files:
 //
 //   - Page: a read fault is one firmware-serviced Get from the home
 //     (free when the faulting rank IS the home) instead of an interrupt,
@@ -116,15 +121,15 @@ func BenchE3() (*BenchSuite, error) {
 	)
 	s := &BenchSuite{Schema: BenchSchema, Suite: "e3"}
 	for _, kind := range []tmk.TransportKind{tmk.TransportFastGM, tmk.TransportRDMAGM} {
-		pg, err := ubench.Page(withBenchTracer(tmk.DefaultConfig(pageNodes, kind)), 32)
+		pg, err := ubench.Page(tmk.DefaultConfig(pageNodes, kind), 32)
 		if err != nil {
 			return nil, fmt.Errorf("e3 page (%s): %w", kind, err)
 		}
-		dm, err := ubench.DiffMultiWriter(withBenchTracer(tmk.DefaultConfig(dmwNodes, kind)), 16, dmwWriter)
+		dm, err := ubench.DiffMultiWriter(tmk.DefaultConfig(dmwNodes, kind), 16, dmwWriter)
 		if err != nil {
 			return nil, fmt.Errorf("e3 diff-multiwriter (%s): %w", kind, err)
 		}
-		br, err := ubench.Barrier(withBenchTracer(tmk.DefaultConfig(pageNodes, kind)), 5)
+		br, err := ubench.Barrier(tmk.DefaultConfig(pageNodes, kind), 5)
 		if err != nil {
 			return nil, fmt.Errorf("e3 barrier (%s): %w", kind, err)
 		}
@@ -257,116 +262,99 @@ func DiffBench(old, cur *BenchSuite) []BenchDelta {
 	return out
 }
 
-// PrintBenchDiff renders per-row deltas (negative = faster/smaller).
-func PrintBenchDiff(w io.Writer, suite string, deltas []BenchDelta) {
-	fprintf(w, "BENCH_%s.json: checked-in vs regenerated\n", suite)
-	fprintf(w, "  %-42s %-7s %14s %14s %9s\n", "benchmark", "trans", "old", "new", "delta")
-	for _, d := range deltas {
-		name := d.Name
-		if d.Nodes > 0 {
-			name = fmt.Sprintf("%s (n=%d)", d.Name, d.Nodes)
-		}
-		switch {
-		case !d.HasOld:
-			fprintf(w, "  %-42s %-7s %14s %14d %9s\n", name, d.Transport, "-", d.New, "new")
-		case !d.HasNew:
-			fprintf(w, "  %-42s %-7s %14d %14s %9s\n", name, d.Transport, d.Old, "-", "removed")
-		default:
-			delta := "0.0%"
-			if d.Old != 0 {
-				delta = fmt.Sprintf("%+.1f%%", 100*float64(d.New-d.Old)/float64(d.Old))
-			} else if d.New != 0 {
-				delta = "+inf"
-			}
-			fprintf(w, "  %-42s %-7s %14d %14d %9s\n", name, d.Transport, d.Old, d.New, delta)
-		}
-	}
-}
+// The one comparison (`cmd/bench -gate`, `make bench-gate`, and — at zero
+// tolerance — TestBenchReproducibleByteIdentical's failure text): a
+// regenerated suite is held to the checked-in BENCH_<suite>.json row by
+// row, every row that moved is listed, and the ones that worsened beyond
+// their tolerance fail. The simulations are deterministic, so on an
+// unchanged tree nothing moves; the tolerance exists for intentional
+// cross-commit movement — anything outside it means "update the
+// checked-in file deliberately or explain the regression", never noise.
 
-// Bench regression gate (`make bench-gate`): regenerate every suite
-// in-memory and hold each row to the checked-in BENCH_<suite>.json
-// within a per-row tolerance, turning the perf trajectory from an
-// informational diff into an enforced contract. The simulations are
-// deterministic, so on an unchanged tree every delta is exactly zero;
-// the tolerance exists for intentional cross-commit movement — anything
-// outside it means "update the checked-in file deliberately or explain
-// the regression", never noise.
-
-// Gate tolerance defaults: a row is within tolerance when |new−old| ≤
-// max(GateAbsNs, GateRelTol·|old|). The absolute floor keeps
-// sub-microsecond rows (per-op latencies) from failing on rounding-scale
-// movement; the relative bound scales with the long application runs.
-// Beyond it the direction decides: times ("ns", "ns/op") are better
-// lower, rates ("B/s") better higher, and only a worsening fails.
+// Gate tolerance defaults (the -gate-rel / -gate-abs-ns flag defaults): a
+// row is within tolerance when |new−old| ≤ max(absNs, relTol·|old|). The
+// absolute floor keeps sub-microsecond rows (per-op latencies) from
+// failing on rounding-scale movement; the relative bound scales with the
+// long application runs. Beyond it the direction decides: times ("ns",
+// "ns/op") are better lower, rates ("B/s") better higher, and only a
+// worsening fails. Zero means zero: at (0, 0) any worsening fails.
 const (
 	GateRelTol = 0.02 // 2% relative tolerance
 	GateAbsNs  = 500  // 500ns absolute floor
 )
 
-// GateViolation is one row that worsened beyond its tolerance (or is
-// missing outright).
-type GateViolation struct {
-	Suite string
-	Delta BenchDelta
-	Why   string
+// The gate's verdicts on a row that differs from the checked-in file.
+const (
+	gateFail     = "FAIL"     // worse beyond the tolerance, or removed
+	gateImproved = "improved" // better beyond the tolerance
+	gateMoved    = "moved"    // changed within the tolerance
+	gateNew      = "new"      // absent from the checked-in file
+)
+
+// GateRow is one row that moved, with the gate's verdict on it.
+type GateRow struct {
+	BenchDelta
+	Verdict string
+	Why     string // a failure's reason
 }
 
 // GateReport is one suite's gate outcome.
 type GateReport struct {
-	Suite      string
-	Rows       int          // rows compared against the checked-in file
-	Added      int          // rows present only in the regenerated suite (informational)
-	Improved   []BenchDelta // rows better by more than the tolerance (informational)
-	Violations []GateViolation
+	Suite string
+	Rows  int       // rows present on both sides
+	Moved []GateRow // every row that differs from the checked-in file
 }
 
-// GateBench regenerates the selected suites ("all" or one of e0–e3) and
-// gates each against the checked-in file in dir. relTol/absNs ≤ 0 select
-// the defaults.
-func GateBench(suite, dir string, relTol float64, absNs int64) ([]GateReport, error) {
-	ran := false
-	var reports []GateReport
-	for _, g := range BenchGens() {
-		if suite != "all" && suite != g.Name {
-			continue
+// count returns how many moved rows carry the verdict.
+func (r GateReport) count(verdict string) int {
+	n := 0
+	for _, m := range r.Moved {
+		if m.Verdict == verdict {
+			n++
 		}
-		ran = true
-		cur, err := g.Fn()
+	}
+	return n
+}
+
+// GateBench regenerates the selected suites ("all" or one suite's name)
+// and gates each against the checked-in file in dir.
+func GateBench(suite, dir string, relTol float64, absNs int64) ([]GateReport, error) {
+	gens, err := benchGens(suite)
+	if err != nil {
+		return nil, err
+	}
+	var reports []GateReport
+	for _, g := range gens {
+		cur, err := g.fn()
 		if err != nil {
 			return nil, err
 		}
-		old, err := ReadBench(filepath.Join(dir, fmt.Sprintf("BENCH_%s.json", g.Name)))
+		old, err := ReadBench(filepath.Join(dir, fmt.Sprintf("BENCH_%s.json", g.name)))
 		if err != nil {
 			return nil, err
 		}
 		reports = append(reports, gateSuite(old, cur, relTol, absNs))
 	}
-	if !ran {
-		return nil, fmt.Errorf("unknown suite %q", suite)
-	}
 	return reports, nil
 }
 
-// gateSuite holds cur to old row by row. A removed row is a violation (a
-// benchmark silently disappearing is a coverage loss); an added row and a
-// row that improved beyond the tolerance are informational.
+// gateSuite holds cur to old row by row. A removed row fails (a benchmark
+// silently disappearing is a coverage loss); an added row, a row that
+// improved beyond the tolerance and a row that moved within it are listed.
 func gateSuite(old, cur *BenchSuite, relTol float64, absNs int64) GateReport {
-	if relTol <= 0 {
-		relTol = GateRelTol
-	}
-	if absNs <= 0 {
-		absNs = GateAbsNs
-	}
 	rep := GateReport{Suite: cur.Suite}
 	for _, d := range DiffBench(old, cur) {
+		row := GateRow{BenchDelta: d}
 		switch {
 		case !d.HasNew:
-			rep.Violations = append(rep.Violations, GateViolation{
-				Suite: cur.Suite, Delta: d, Why: "row removed from regenerated suite"})
+			row.Verdict, row.Why = gateFail, "row removed"
 		case !d.HasOld:
-			rep.Added++
+			row.Verdict = gateNew
 		default:
 			rep.Rows++
+			if d.New == d.Old {
+				continue
+			}
 			tol := max(absNs, int64(relTol*math.Abs(float64(d.Old))))
 			worse := d.New - d.Old
 			if d.Unit == "B/s" {
@@ -374,69 +362,70 @@ func gateSuite(old, cur *BenchSuite, relTol float64, absNs int64) GateReport {
 			}
 			switch {
 			case worse > tol:
-				rep.Violations = append(rep.Violations, GateViolation{
-					Suite: cur.Suite, Delta: d,
-					Why: fmt.Sprintf("%d → %d: worse by %d%s, tolerance %d%s",
-						d.Old, d.New, worse, d.Unit, tol, d.Unit)})
+				row.Verdict = gateFail
+				row.Why = fmt.Sprintf("worse by %d, tolerance %d", worse, tol)
 			case -worse > tol:
-				rep.Improved = append(rep.Improved, d)
+				row.Verdict = gateImproved
+			default:
+				row.Verdict = gateMoved
 			}
 		}
+		rep.Moved = append(rep.Moved, row)
 	}
 	return rep
 }
 
-// PrintGate renders the gate outcome and reports whether every suite
-// passed.
+// PrintGate renders the gate outcome — one line per moved row, as
+// `verdict name (n=N) transport old → new unit` — and reports whether
+// every suite passed.
 func PrintGate(w io.Writer, reports []GateReport) bool {
 	ok := true
-	rowName := func(d BenchDelta) string {
-		if d.Nodes > 0 {
-			return fmt.Sprintf("%s (n=%d)", d.Name, d.Nodes)
+	value := func(v int64, has bool) string {
+		if !has {
+			return "-"
 		}
-		return d.Name
+		return strconv.FormatInt(v, 10)
 	}
 	for _, rep := range reports {
 		status := "PASS"
-		if len(rep.Violations) > 0 {
+		if rep.count(gateFail) > 0 {
 			status = "FAIL"
 			ok = false
 		}
-		within := rep.Rows - len(rep.Improved)
-		for _, v := range rep.Violations {
-			if v.Delta.HasNew { // a removed row was never among Rows
-				within--
+		fprintf(w, "gate %s: %s (%d rows", rep.Suite, status, rep.Rows)
+		for _, v := range []string{gateFail, gateImproved, gateMoved, gateNew} {
+			if n := rep.count(v); n > 0 {
+				fprintf(w, ", %d %s", n, v)
 			}
 		}
-		fprintf(w, "gate %s: %s (%d rows within tolerance", rep.Suite, status, within)
-		if len(rep.Improved) > 0 {
-			fprintf(w, ", %d improved", len(rep.Improved))
-		}
-		if rep.Added > 0 {
-			fprintf(w, ", %d new rows", rep.Added)
-		}
 		fprintf(w, ")\n")
-		for _, d := range rep.Improved {
-			fprintf(w, "  improved %-38s %-7s %d → %d %s\n", rowName(d), d.Transport, d.Old, d.New, d.Unit)
-		}
-		for _, v := range rep.Violations {
-			fprintf(w, "  FAIL %-42s %-7s %s\n", rowName(v.Delta), v.Delta.Transport, v.Why)
+		for _, m := range rep.Moved {
+			name := m.Name
+			if m.Nodes > 0 {
+				name = fmt.Sprintf("%s (n=%d)", m.Name, m.Nodes)
+			}
+			fprintf(w, "  %-8s %-38s %-7s %s → %s %s", m.Verdict, name, m.Transport,
+				value(m.Old, m.HasOld), value(m.New, m.HasNew), m.Unit)
+			if m.Why != "" {
+				fprintf(w, " (%s)", m.Why)
+			}
+			fprintf(w, "\n")
 		}
 	}
 	return ok
 }
 
-// BenchGen names one suite generator.
-type BenchGen struct {
-	Name string
-	Fn   func() (*BenchSuite, error)
+// benchGen names one suite generator.
+type benchGen struct {
+	name string
+	fn   func() (*BenchSuite, error)
 }
 
-// BenchGens lists the suite generators in suite order; every driver
-// (write, diff, gate) iterates this one list so a new suite cannot be
-// wired into some modes and silently missed by others.
-func BenchGens() []BenchGen {
-	return []BenchGen{
+// benchGens returns the generators of the selected suite ("all": every
+// suite, in suite order). Both drivers (write, gate) select from this one
+// list, so a new suite cannot be wired into one and missed by the other.
+func benchGens(suite string) ([]benchGen, error) {
+	all := []benchGen{
 		{"e0", BenchE0},
 		{"e1", BenchE1},
 		{"e2", func() (*BenchSuite, error) { return BenchE2([]int{2, 4, 8}) }},
@@ -444,14 +433,27 @@ func BenchGens() []BenchGen {
 		{"churn", BenchChurn},
 		{"flow", BenchFlow},
 	}
+	if suite == "all" {
+		return all, nil
+	}
+	for _, g := range all {
+		if g.name == suite {
+			return []benchGen{g}, nil
+		}
+	}
+	return nil, fmt.Errorf("unknown suite %q", suite)
 }
 
-// BenchAll runs every suite and writes its file into dir, returning the
-// paths written.
-func BenchAll(dir string) ([]string, error) {
+// BenchAll runs the selected suites ("all" or one suite's name) and
+// writes each one's file into dir, returning the paths written.
+func BenchAll(suite, dir string) ([]string, error) {
+	gens, err := benchGens(suite)
+	if err != nil {
+		return nil, err
+	}
 	var paths []string
-	for _, g := range BenchGens() {
-		s, err := g.Fn()
+	for _, g := range gens {
+		s, err := g.fn()
 		if err != nil {
 			return nil, err
 		}

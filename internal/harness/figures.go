@@ -131,7 +131,7 @@ func rawGM() (sim.Time, float64, error) {
 // transportPerf measures a substrate's half-RTT and large-message
 // streaming bandwidth using the ping handler built into the DSM engine.
 func transportPerf(kind tmk.TransportKind) (sim.Time, float64, error) {
-	cfg := withBenchTracer(tmk.DefaultConfig(2, kind))
+	cfg := tmk.DefaultConfig(2, kind)
 	const pingPongs = 32
 	const bigSize = 24000
 	const bigCount = 32
@@ -225,11 +225,11 @@ func Figure3(barrierNodes []int) ([]Fig3Row, error) {
 		}})
 	var rows []Fig3Row
 	for _, r := range rs {
-		udp, err := r.fn(withBenchTracer(tmk.DefaultConfig(4, tmk.TransportUDPGM)))
+		udp, err := r.fn(tmk.DefaultConfig(4, tmk.TransportUDPGM))
 		if err != nil {
 			return nil, fmt.Errorf("%s (udp): %w", r.name, err)
 		}
-		fast, err := r.fn(withBenchTracer(tmk.DefaultConfig(4, tmk.TransportFastGM)))
+		fast, err := r.fn(tmk.DefaultConfig(4, tmk.TransportFastGM))
 		if err != nil {
 			return nil, fmt.Errorf("%s (fast): %w", r.name, err)
 		}

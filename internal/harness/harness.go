@@ -13,31 +13,10 @@ import (
 	"repro/internal/apps"
 	"repro/internal/sim"
 	"repro/internal/tmk"
-	"repro/internal/trace"
 )
 
 // Transports under comparison, in paper order (baseline first).
 var Transports = []tmk.TransportKind{tmk.TransportUDPGM, tmk.TransportFastGM}
-
-// benchTracer, when set, is attached to every simulation the harness
-// launches (RunApp and the ubench-based suites). Tracing is observation
-// only — TestTracingDoesNotPerturbResults proves the numbers are
-// bit-identical either way — but a shared ring lets batch drivers like
-// cmd/bench detect and report wrap-around instead of silently
-// truncating breakdowns.
-var benchTracer *trace.Tracer
-
-// SetBenchTracer installs (or, with nil, removes) the shared tracer.
-func SetBenchTracer(t *trace.Tracer) { benchTracer = t }
-
-// withBenchTracer attaches the shared tracer to a configuration that
-// does not already carry one.
-func withBenchTracer(cfg tmk.Config) tmk.Config {
-	if benchTracer != nil && cfg.Trace == nil {
-		cfg.Trace = benchTracer
-	}
-	return cfg
-}
 
 // RunApp executes one application on n processes over the given
 // transport; mutate (optional) tweaks the configuration first.
@@ -46,7 +25,7 @@ func RunApp(app apps.App, n int, kind tmk.TransportKind, mutate func(*tmk.Config
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	return tmk.Run(withBenchTracer(cfg), app.Run)
+	return tmk.Run(cfg, app.Run)
 }
 
 // VerifiedRun is RunApp plus a rank-0 check against the sequential

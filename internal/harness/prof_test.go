@@ -1,10 +1,7 @@
 package harness
 
 import (
-	"bytes"
 	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/apps"
@@ -176,43 +173,6 @@ func TestProfilingDoesNotPerturbResults(t *testing.T) {
 					}
 				})
 			}
-		}
-	}
-}
-
-// TestBenchReproducibleByteIdentical runs the full bench trajectory
-// twice and requires every BENCH_*.json to come out byte-identical —
-// the property that makes the trajectory diffable across commits.
-func TestBenchReproducibleByteIdentical(t *testing.T) {
-	dirA, dirB := t.TempDir(), t.TempDir()
-	pathsA, err := BenchAll(dirA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pathsB, err := BenchAll(dirB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := len(BenchGens()); len(pathsA) != want || len(pathsB) != want {
-		t.Fatalf("suite counts (want %d): %v vs %v", want, pathsA, pathsB)
-	}
-	for i, pa := range pathsA {
-		a, err := os.ReadFile(pa)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := os.ReadFile(pathsB[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if filepath.Base(pa) != filepath.Base(pathsB[i]) {
-			t.Fatalf("suite order diverged: %s vs %s", pa, pathsB[i])
-		}
-		if !bytes.Equal(a, b) {
-			t.Errorf("%s not byte-identical across runs", filepath.Base(pa))
-		}
-		if len(a) == 0 || a[0] != '{' {
-			t.Errorf("%s is not a JSON object", filepath.Base(pa))
 		}
 	}
 }

@@ -150,7 +150,7 @@ func (c *Core) Stats() *Stats { return &c.stats }
 // Halted reports whether crash teardown has quiesced the transport.
 func (c *Core) Halted() bool { return c.halted }
 
-// Quiesce is the shared half of CrashControl.Halt: the liveness clock
+// Quiesce is the shared half of Transport.Halt: the liveness clock
 // stops and senders parked on credits are released to observe the halt.
 // It reports false if the transport was already halted.
 func (c *Core) Quiesce() bool {
@@ -172,13 +172,13 @@ func (c *Core) DisableAsync(p *sim.Proc) { p.DisableInterrupts() }
 // EnableAsync unmasks it, servicing anything queued.
 func (c *Core) EnableAsync(p *sim.Proc) { p.EnableInterrupts() }
 
-// SetOnPeerDead implements CrashControl.
+// SetOnPeerDead implements Transport.
 func (c *Core) SetOnPeerDead(fn func(peer int, err error)) { c.Live.onDead = fn }
 
-// PeerFailure implements CrashControl.
+// PeerFailure implements Transport.
 func (c *Core) PeerFailure() *PeerUnreachableError { return c.Live.failure }
 
-// ForgetPeer implements MemberControl: the departed rank is marked dead
+// ForgetPeer implements Transport: the departed rank is marked dead
 // administratively (no recorded failure, no callback — probes toward its
 // closed endpoint stop), its credits are restored, duplicate-cache
 // entries keyed by its origin are dropped (a re-joining rank restarts its

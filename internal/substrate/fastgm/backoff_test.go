@@ -104,7 +104,7 @@ func TestRetryExhaustionGivesUp(t *testing.T) {
 	if st.PeersDeclaredDead != 1 {
 		t.Errorf("PeersDeclaredDead = %d, want 1", st.PeersDeclaredDead)
 	}
-	pf := c.Transports[0].(substrate.CrashControl).PeerFailure()
+	pf := c.Transports[0].PeerFailure()
 	if pf == nil || pf.Kind != "retry-exhausted" || pf.Peer != 1 {
 		t.Errorf("failure = %+v, want retry-exhausted toward peer 1", pf)
 	}

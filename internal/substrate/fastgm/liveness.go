@@ -87,7 +87,7 @@ func (t *Transport) PeerGone(peer int) {
 	}
 }
 
-// Halt implements substrate.CrashControl: crash teardown from scheduler
+// Halt implements substrate.Transport: crash teardown from scheduler
 // context. Timers and retransmissions go quiescent (they check Halted)
 // and both GM ports close so a replacement process can reopen them;
 // in-flight traffic toward the closed ports is dropped by GM and the

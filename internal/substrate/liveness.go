@@ -170,22 +170,6 @@ func (lv *Liveness) DeclareDead(peer int, kind string, attempts int) {
 	}
 }
 
-// CrashControl is the optional transport extension the DSM's crash
-// watchdog uses. Every substrate implements it; callers type-assert so
-// the base Transport interface (and every existing mock) is untouched.
-type CrashControl interface {
-	// SetOnPeerDead installs a callback invoked (once per peer, in
-	// scheduler or process context) when the liveness layer declares a
-	// peer dead or a send exhausts its retry budget.
-	SetOnPeerDead(fn func(peer int, err error))
-	// PeerFailure returns the first typed give-up recorded, or nil.
-	PeerFailure() *PeerUnreachableError
-	// Halt tears the transport down from scheduler context during crash
-	// recovery: timers stop, pending retransmissions are abandoned, and
-	// ports/sockets are released so a replacement process can rebind them.
-	Halt()
-}
-
 // PeerUnreachableError is the typed give-up: a transport stopped waiting
 // on a peer, either because the liveness layer declared it dead or because
 // a send exhausted its retry budget. It surfaces through tmk.Result into

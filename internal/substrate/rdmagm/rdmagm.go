@@ -202,14 +202,14 @@ func (t *Transport) PeerGone(peer int) {
 	}
 }
 
-// ForgetPeer implements substrate.MemberControl: the embedded purge plus
+// ForgetPeer implements substrate.Transport: the embedded purge plus
 // the target-side verb duplicate filter keyed by the departed origin.
 func (t *Transport) ForgetPeer(peer int) {
 	t.vdup.PurgeOrigin(int32(peer))
 	t.Transport.ForgetPeer(peer)
 }
 
-// Halt implements substrate.CrashControl: the embedded teardown plus the
+// Halt implements substrate.Transport: the embedded teardown plus the
 // one-sided ports.
 func (t *Transport) Halt() {
 	if t.Halted() {

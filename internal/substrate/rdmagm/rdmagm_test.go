@@ -289,7 +289,7 @@ func TestVerbsAbandonedOnDeadPeer(t *testing.T) {
 		oneSided(t, c.Transports[1]).RegisterWindow(p, 4, win)
 		p.Advance(2 * sim.Millisecond)
 		// Fail-stop: close the ports and stop heartbeating, no shutdown.
-		c.Transports[1].(substrate.CrashControl).Halt()
+		c.Transports[1].Halt()
 	})
 	c.Sim.Spawn("rank0", 0, func(p *sim.Proc) {
 		tr := c.Transports[0]

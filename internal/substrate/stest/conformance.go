@@ -292,11 +292,7 @@ func ConformanceSilentPeerMidRendezvous(t *testing.T, build Builder) {
 	if rep != nil {
 		t.Fatalf("Call against a dead peer returned a reply: %+v", rep)
 	}
-	cc, ok := c.Transports[0].(substrate.CrashControl)
-	if !ok {
-		t.Fatal("transport does not implement substrate.CrashControl")
-	}
-	pf := cc.PeerFailure()
+	pf := c.Transports[0].PeerFailure()
 	if pf == nil {
 		t.Fatal("no PeerUnreachableError recorded")
 	}
@@ -323,12 +319,8 @@ func ConformanceRetryExhaustionLivenessOff(t *testing.T, build Builder) {
 	c.Fabric.SetFaults(myrinet.FaultConfig{Blackouts: []myrinet.Blackout{
 		{Src: 0, Dst: 1, From: sim.Millisecond, To: 100000 * sim.Second},
 	}})
-	cc, ok := c.Transports[0].(substrate.CrashControl)
-	if !ok {
-		t.Fatal("transport does not implement substrate.CrashControl")
-	}
 	declared := 0
-	cc.SetOnPeerDead(func(peer int, err error) { declared++ })
+	c.Transports[0].SetOnPeerDead(func(peer int, err error) { declared++ })
 	var rep *msg.Message
 	returned := false
 	c.Spawn(
@@ -355,7 +347,7 @@ func ConformanceRetryExhaustionLivenessOff(t *testing.T, build Builder) {
 	if rep != nil {
 		t.Fatalf("Call through a permanent blackout returned %+v", rep)
 	}
-	pf := cc.PeerFailure()
+	pf := c.Transports[0].PeerFailure()
 	if pf == nil || pf.Peer != 1 || pf.Kind != "retry-exhausted" {
 		t.Errorf("failure = %+v, want retry-exhausted toward peer 1", pf)
 	}
@@ -413,7 +405,7 @@ func retryExhaustionOneSided(t *testing.T, build Builder) {
 	if !errors.As(werr, &pue) || pue.Peer != 1 || pue.Kind != "retry-exhausted" {
 		t.Errorf("WaitVerbs returned %v, want retry-exhausted toward peer 1", werr)
 	}
-	if pf := c.Transports[0].(substrate.CrashControl).PeerFailure(); pf == nil || pf.Peer != 1 {
+	if pf := c.Transports[0].PeerFailure(); pf == nil || pf.Peer != 1 {
 		t.Errorf("PeerFailure() = %+v, want peer 1", pf)
 	}
 	if !lateDone || !errors.As(lateErr, &pue) || lateBytes != 0 {
@@ -1256,13 +1248,7 @@ func ConformanceMemberTeardown(t *testing.T, build Builder) {
 				return
 			}
 			before = tr.Call(p, 1, &msg.Message{Kind: msg.KPing, Page: 1})
-			mc, ok := tr.(substrate.MemberControl)
-			if !ok {
-				t.Error("transport does not implement substrate.MemberControl")
-				done = true
-				return
-			}
-			mc.ForgetPeer(1)
+			tr.ForgetPeer(1)
 			gone = tr.Call(p, 1, &msg.Message{Kind: msg.KPing, Page: 2})
 			after = tr.Call(p, 2, &msg.Message{Kind: msg.KPing, Page: 3})
 			done = true
@@ -1280,9 +1266,7 @@ func ConformanceMemberTeardown(t *testing.T, build Builder) {
 	if after == nil || after.Page != 30 {
 		t.Errorf("call to an unaffected peer after teardown: %+v, want Page 30", after)
 	}
-	if cc, ok := c.Transports[0].(substrate.CrashControl); ok {
-		if pf := cc.PeerFailure(); pf != nil {
-			t.Errorf("administrative teardown recorded a failure: %v", pf)
-		}
+	if pf := c.Transports[0].PeerFailure(); pf != nil {
+		t.Errorf("administrative teardown recorded a failure: %v", pf)
 	}
 }

@@ -21,7 +21,7 @@
 //     cached replies and re-forwarding (DupCache), Reply/Forward/Send
 //     bookkeeping, causal edge stamping, the membership purge;
 //   - Liveness (liveness.go): last-heard clocks, the silence rule,
-//     declared-dead flags, the typed PeerUnreachableError, CrashControl;
+//     declared-dead flags, the typed PeerUnreachableError;
 //   - Credits (flow.go): the sender-side credit ledger indexed (peer,
 //     lane) with park, optimistic refresh, clamped release, reset;
 //   - Backoff (backoff.go): the shared retransmission schedule;
@@ -134,17 +134,24 @@ type Transport interface {
 
 	// Shutdown releases transport resources at process exit.
 	Shutdown(p *sim.Proc)
-}
 
-// MemberControl is the optional capability interface for transports that
-// support elastic membership: purging all per-peer state when a member
-// departs so a later joiner reusing the rank id can never match a stale
-// (origin, seq) duplicate-cache or pending-call entry. Discover it by
-// type assertion, like CrashControl.
-type MemberControl interface {
-	// ForgetPeer drops every per-peer entry for a departed rank:
-	// duplicate-cache entries keyed by its origin, and any pending calls
-	// toward it (resolved as abandoned, like a declared-dead peer).
+	// SetOnPeerDead installs a callback invoked (once per peer, in
+	// scheduler or process context) when the liveness layer declares a
+	// peer dead or a send exhausts its retry budget.
+	SetOnPeerDead(fn func(peer int, err error))
+
+	// PeerFailure returns the first typed give-up recorded, or nil.
+	PeerFailure() *PeerUnreachableError
+
+	// Halt tears the transport down from scheduler context during crash
+	// recovery: timers stop, pending retransmissions are abandoned, and
+	// ports/sockets are released so a replacement process can rebind them.
+	Halt()
+
+	// ForgetPeer drops every per-peer entry for a departed member:
+	// duplicate-cache entries keyed by its origin (a later joiner reusing
+	// the rank id can never match a stale (origin, seq)), and any pending
+	// calls toward it (resolved as abandoned, like a declared-dead peer).
 	ForgetPeer(peer int)
 }
 
@@ -152,8 +159,8 @@ type MemberControl interface {
 // fabric supports RDMA-style one-sided verbs (remote read/write
 // against registered memory windows, serviced by the remote NIC without
 // host CPU, handler, or interrupt involvement). Discover it by type
-// assertion, like CrashControl; the two-sided Transport contract remains
-// mandatory and is used for everything the verbs do not cover.
+// assertion (udpgm and fastgm lack it); the two-sided Transport contract
+// remains mandatory and is used for everything the verbs do not cover.
 type OneSided interface {
 	// RegisterWindow pins mem and exposes it to every peer as remote
 	// window id. Window ids are chosen by the caller and must be

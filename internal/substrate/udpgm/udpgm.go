@@ -166,7 +166,7 @@ func (t *Transport) Probe(peer int) bool {
 // collector always holds a retransmission deadline, so it needs no wake.
 func (t *Transport) PeerGone(peer int) {}
 
-// Halt implements substrate.CrashControl: crash teardown from scheduler
+// Halt implements substrate.Transport: crash teardown from scheduler
 // context. The heartbeat clock stops and every socket is force-closed so
 // a replacement process can rebind the ports; in-flight datagrams toward
 // the closed sockets are dropped by the kernel (DatagramsNoSock), exactly

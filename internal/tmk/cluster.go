@@ -319,11 +319,9 @@ func (c *Cluster) spawnGeneration(gen, resumeEpoch int) {
 			// detector: any declared-dead peer (liveness miss or retry
 			// exhaustion) triggers coordinated teardown instead of an
 			// unbounded wait.
-			if cc, ok := tr.(substrate.CrashControl); ok {
-				cc.SetOnPeerDead(func(peer int, err error) {
-					c.handleCrash(rank, peer, err)
-				})
-			}
+			tr.SetOnPeerDead(func(peer int, err error) {
+				c.handleCrash(rank, peer, err)
+			})
 
 			// Setup rendezvous: no DSM traffic before every rank has
 			// preposted its buffers (the real system synchronizes via
@@ -397,9 +395,7 @@ func (c *Cluster) Run(app func(tp *Proc)) (*Result, error) {
 		res.Stats.Add(&tp.stats)
 		res.Transport.Add(tp.tr.Stats())
 		if res.PeerFailure == nil {
-			if cc, ok := tp.tr.(substrate.CrashControl); ok {
-				res.PeerFailure = cc.PeerFailure()
-			}
+			res.PeerFailure = tp.tr.PeerFailure()
 		}
 	}
 	for i := 0; i < n; i++ {
@@ -438,10 +434,8 @@ func (c *Cluster) Run(app func(tp *Proc)) (*Result, error) {
 func (c *Cluster) wrapRunError(err error) error {
 	var fails []*substrate.PeerUnreachableError
 	for _, tp := range c.allProcs {
-		if cc, ok := tp.tr.(substrate.CrashControl); ok {
-			if f := cc.PeerFailure(); f != nil {
-				fails = append(fails, f)
-			}
+		if f := tp.tr.PeerFailure(); f != nil {
+			fails = append(fails, f)
 		}
 	}
 	if len(fails) == 0 {

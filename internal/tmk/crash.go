@@ -166,9 +166,7 @@ func (c *Cluster) handleCrash(detector, peer int, err error) {
 	}
 	for _, tp := range c.procs {
 		if tp != nil {
-			if cc, ok := tp.tr.(substrate.CrashControl); ok {
-				cc.Halt()
-			}
+			tp.tr.Halt()
 		}
 	}
 	// Same-time FIFO ordering guarantees every kill-wake dispatch (and so

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/sim"
-	"repro/internal/substrate"
 )
 
 // Elastic membership (DESIGN.md §14). TreadMarks' protocol entities —
@@ -363,9 +362,7 @@ func (c *Cluster) departRank(r int) {
 		if tp == nil || q == r || !c.member.isLive(q) {
 			continue
 		}
-		if mc, ok := tp.tr.(substrate.MemberControl); ok {
-			mc.ForgetPeer(r)
-		}
+		tp.tr.ForgetPeer(r)
 	}
 }
 
