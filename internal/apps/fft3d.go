@@ -84,24 +84,37 @@ func fft1d(a []complex128) int {
 // two float64 slots per complex point.
 func (f *FFT3D) idx(x, y, z int) int { return (z*f.Z+y)*f.Z + x }
 
-// readRow fetches Z complex values laid out contiguously from slot base.
-func readRow(tp *tmk.Proc, r *tmk.Region, base, n int) []complex128 {
-	raw := tp.ReadF64Span(r, 2*base, 2*n)
-	row := make([]complex128, n)
+// rowIO moves rows of complex values between a region and the caller's
+// storage through one float64 scratch buffer, grown to the longest row.
+type rowIO struct {
+	tp  *tmk.Proc
+	raw []float64
+}
+
+func (io *rowIO) scratch(n int) []float64 {
+	if cap(io.raw) < 2*n {
+		io.raw = make([]float64, 2*n)
+	}
+	return io.raw[:2*n]
+}
+
+// read fills row with the complex values laid out from slot base on.
+func (io *rowIO) read(r *tmk.Region, base int, row []complex128) {
+	raw := io.scratch(len(row))
+	io.tp.ReadF64Span(r, 2*base, raw)
 	for i := range row {
 		row[i] = complex(raw[2*i], raw[2*i+1])
 	}
-	return row
 }
 
-// writeRow stores a contiguous row of complex values at slot base.
-func writeRow(tp *tmk.Proc, r *tmk.Region, base int, row []complex128) {
-	raw := make([]float64, 2*len(row))
+// write stores a contiguous row of complex values at slot base.
+func (io *rowIO) write(r *tmk.Region, base int, row []complex128) {
+	raw := io.scratch(len(row))
 	for i, c := range row {
 		raw[2*i] = real(c)
 		raw[2*i+1] = imag(c)
 	}
-	tp.WriteF64Span(r, 2*base, raw)
+	io.tp.WriteF64Span(r, 2*base, raw)
 }
 
 // Run implements App.
@@ -118,6 +131,12 @@ func (f *FFT3D) Run(tp *tmk.Proc) {
 
 	n := tp.NProcs()
 	zlo, zhi := blockRange(0, z, tp.Rank(), tp.NProcs())
+	io := &rowIO{tp: tp}
+	row, col := make([]complex128, z), make([]complex128, z)
+	plane := make([][]complex128, z) // [y][x], one z-plane of A
+	for y := range plane {
+		plane[y] = make([]complex128, z)
+	}
 
 	// Block offsets in the exchange region: block (s, d) holds the
 	// elements moving from rank s's z-planes to rank d's x-planes,
@@ -139,23 +158,20 @@ func (f *FFT3D) Run(tp *tmk.Proc) {
 		// forward transform of the same input field.
 		for zz := zlo; zz < zhi; zz++ {
 			for y := 0; y < z; y++ {
-				row := make([]complex128, z)
 				for x := 0; x < z; x++ {
 					row[x] = fftInit(x, y, zz)
 				}
-				writeRow(tp, a, f.idx(0, y, zz), row)
+				io.write(a, f.idx(0, y, zz), row)
 			}
 		}
 		tp.Barrier(int32(10 + it*5))
 		// Phase 1: FFT along x then y for each owned z-plane (local).
 		butterflies := 0
 		for zz := zlo; zz < zhi; zz++ {
-			plane := make([][]complex128, z) // [y][x]
 			for y := 0; y < z; y++ {
-				plane[y] = readRow(tp, a, f.idx(0, y, zz), z)
+				io.read(a, f.idx(0, y, zz), plane[y])
 				butterflies += fft1d(plane[y])
 			}
-			col := make([]complex128, z)
 			for x := 0; x < z; x++ {
 				for y := 0; y < z; y++ {
 					col[y] = plane[y][x]
@@ -166,7 +182,7 @@ func (f *FFT3D) Run(tp *tmk.Proc) {
 				}
 			}
 			for y := 0; y < z; y++ {
-				writeRow(tp, a, f.idx(0, y, zz), plane[y])
+				io.write(a, f.idx(0, y, zz), plane[y])
 			}
 		}
 		chargePoints(tp, butterflies, f.CostPerButterfly)
@@ -185,11 +201,11 @@ func (f *FFT3D) Run(tp *tmk.Proc) {
 			blk := make([]complex128, (zhi-zlo)*z*xw)
 			for zz := zlo; zz < zhi; zz++ {
 				for y := 0; y < z; y++ {
-					row := readRow(tp, a, f.idx(dxlo, y, zz), xw)
-					copy(blk[((zz-zlo)*z+y)*xw:], row)
+					at := ((zz-zlo)*z + y) * xw
+					io.read(a, f.idx(dxlo, y, zz), blk[at:at+xw])
 				}
 			}
-			writeRow(tp, xch, base, blk)
+			io.write(xch, base, blk)
 		}
 		tp.Barrier(int32(12 + it*5))
 
@@ -205,10 +221,10 @@ func (f *FFT3D) Run(tp *tmk.Proc) {
 				szlo, szhi := blockRange(0, z, s, n)
 				starts[s] = szlo
 				if szhi > szlo {
-					blks[s] = readRow(tp, xch, blockOff[s][tp.Rank()], (szhi-szlo)*z*xw)
+					blks[s] = make([]complex128, (szhi-szlo)*z*xw)
+					io.read(xch, blockOff[s][tp.Rank()], blks[s])
 				}
 			}
-			row := make([]complex128, z)
 			for x := zlo; x < zhi; x++ {
 				for y := 0; y < z; y++ {
 					for s := 0; s < n; s++ {
@@ -222,7 +238,7 @@ func (f *FFT3D) Run(tp *tmk.Proc) {
 							row[szlo+k] = blk[(k*z+y)*xw+(x-zlo)]
 						}
 					}
-					writeRow(tp, b, f.idx(0, y, x), row)
+					io.write(b, f.idx(0, y, x), row)
 				}
 			}
 		}
@@ -232,9 +248,9 @@ func (f *FFT3D) Run(tp *tmk.Proc) {
 		butterflies = 0
 		for p := zlo; p < zhi; p++ {
 			for y := 0; y < z; y++ {
-				row := readRow(tp, b, f.idx(0, y, p), z)
+				io.read(b, f.idx(0, y, p), row)
 				butterflies += fft1d(row)
-				writeRow(tp, b, f.idx(0, y, p), row)
+				io.write(b, f.idx(0, y, p), row)
 			}
 		}
 		chargePoints(tp, butterflies, f.CostPerButterfly)
@@ -292,7 +308,8 @@ func (f *FFT3D) Sequential() []complex128 {
 func (f *FFT3D) Verify(tp *tmk.Proc) error {
 	want := f.Sequential()
 	z := f.Z
-	got := tp.ReadF64Span(tp.RegionByID(1), 0, 2*z*z*z)
+	got := make([]float64, 2*z*z*z)
+	tp.ReadF64Span(tp.RegionByID(1), 0, got)
 	for i := range want {
 		if got[2*i] != real(want[i]) || got[2*i+1] != imag(want[i]) {
 			return fmt.Errorf("3dfft: point %d = (%v,%v), want %v", i, got[2*i], got[2*i+1], want[i])

@@ -49,6 +49,7 @@ func (j *Jacobi) Run(tp *tmk.Proc) {
 	n := j.N
 	lo, hi := blockRange(1, n-1, tp.Rank(), tp.NProcs())
 	out := make([]float64, n-2)
+	up, mid, down := make([]float64, n), make([]float64, n), make([]float64, n)
 	tp.EpochLoop(j.Iters+1, func(e int) {
 		if e == 0 {
 			a := tp.AllocShared(n * n * 8)
@@ -83,9 +84,9 @@ func (j *Jacobi) Run(tp *tmk.Proc) {
 		src := tp.RegionByID(int32(it % 2))
 		dst := tp.RegionByID(int32((it + 1) % 2))
 		for i := lo; i < hi; i++ {
-			up := tp.ReadF64Span(src, (i-1)*n, n)
-			mid := tp.ReadF64Span(src, i*n, n)
-			down := tp.ReadF64Span(src, (i+1)*n, n)
+			tp.ReadF64Span(src, (i-1)*n, up)
+			tp.ReadF64Span(src, i*n, mid)
+			tp.ReadF64Span(src, (i+1)*n, down)
 			for c := 1; c < n-1; c++ {
 				out[c-1] = 0.25 * (up[c] + down[c] + mid[c-1] + mid[c+1])
 			}
@@ -130,7 +131,8 @@ func (j *Jacobi) Verify(tp *tmk.Proc) error {
 	// the one holding iteration Iters' result.
 	n := j.N
 	region := tp.RegionByID(int32(j.Iters % 2))
-	got := tp.ReadF64Span(region, 0, n*n)
+	got := make([]float64, n*n)
+	tp.ReadF64Span(region, 0, got)
 	for i := range want {
 		if got[i] != want[i] {
 			return fmt.Errorf("jacobi: cell %d = %v, want %v", i, got[i], want[i])

@@ -56,15 +56,16 @@ func (s *SOR) Run(tp *tmk.Proc) {
 	tp.Barrier(1)
 
 	lo, hi := blockRange(1, m-1, tp.Rank(), tp.NProcs())
+	up, mid, down, out := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
 	for it := 0; it < s.Iters; it++ {
 		local := 0.0
 		for _, color := range []int{0, 1} {
 			points := 0
 			for i := lo; i < hi; i++ {
-				up := tp.ReadF64Span(grid, (i-1)*n, n)
-				mid := tp.ReadF64Span(grid, i*n, n)
-				down := tp.ReadF64Span(grid, (i+1)*n, n)
-				out := append([]float64(nil), mid...)
+				tp.ReadF64Span(grid, (i-1)*n, up)
+				tp.ReadF64Span(grid, i*n, mid)
+				tp.ReadF64Span(grid, (i+1)*n, down)
+				copy(out, mid)
 				for j := 1; j < n-1; j++ {
 					if (i+j)%2 != color {
 						continue
@@ -118,7 +119,8 @@ func (s *SOR) Sequential() []float64 {
 // Verify implements App.
 func (s *SOR) Verify(tp *tmk.Proc) error {
 	want := s.Sequential()
-	got := tp.ReadF64Span(tp.RegionByID(0), 0, s.M*s.N)
+	got := make([]float64, s.M*s.N)
+	tp.ReadF64Span(tp.RegionByID(0), 0, got)
 	for i := range want {
 		if got[i] != want[i] {
 			return fmt.Errorf("sor: cell %d = %v, want %v", i, got[i], want[i])

@@ -132,8 +132,8 @@ func (t *TSP) prefixCount() int {
 // revisits a city (indices enumerate ordered selections, all valid).
 func (t *TSP) prefixByIndex(d [][]int32, idx int) ([]int, int32, bool) {
 	n := t.Cities
-	prefix := make([]int, 1, t.PrefixDepth)
-	prefix[0] = 0
+	// Room for the whole tour: solve extends the prefix in place.
+	prefix := make([]int, 1, n)
 	used := 1 // bitmask
 	var plen int32
 	radix := n - 1
@@ -165,7 +165,9 @@ func (t *TSP) prefixByIndex(d [][]int32, idx int) ([]int, int32, bool) {
 }
 
 // solve runs depth-first branch and bound from the prefix, returning the
-// best complete-tour length found under the given bound.
+// best complete-tour length found under the given bound. path has capacity
+// for Cities entries, so every append below lands in its one backing array,
+// siblings overwriting the same tail — a child's slice is dead on return.
 func (t *TSP) solve(d [][]int32, path []int, visited int, plen, bound int32, nodes *int) int32 {
 	*nodes++
 	n := t.Cities
@@ -195,7 +197,7 @@ func (t *TSP) solve(d [][]int32, path []int, visited int, plen, bound int32, nod
 func (t *TSP) Sequential() int32 {
 	d := t.dist()
 	nodes := 0
-	return t.solve(d, []int{0}, 1, 0, math.MaxInt32, &nodes)
+	return t.solve(d, make([]int, 1, t.Cities), 1, 0, math.MaxInt32, &nodes)
 }
 
 // Verify implements App.

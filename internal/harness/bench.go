@@ -2,12 +2,16 @@ package harness
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strconv"
+	"sync"
 
 	"repro/internal/apps"
 	"repro/internal/tmk"
@@ -319,17 +323,13 @@ func (r GateReport) count(verdict string) int {
 // GateBench regenerates the selected suites ("all" or one suite's name)
 // and gates each against the checked-in file in dir.
 func GateBench(suite, dir string, relTol float64, absNs int64) ([]GateReport, error) {
-	gens, err := benchGens(suite)
+	suites, err := generate(suite)
 	if err != nil {
 		return nil, err
 	}
 	var reports []GateReport
-	for _, g := range gens {
-		cur, err := g.fn()
-		if err != nil {
-			return nil, err
-		}
-		old, err := ReadBench(filepath.Join(dir, fmt.Sprintf("BENCH_%s.json", g.name)))
+	for _, cur := range suites {
+		old, err := ReadBench(filepath.Join(dir, fmt.Sprintf("BENCH_%s.json", cur.Suite)))
 		if err != nil {
 			return nil, err
 		}
@@ -415,17 +415,18 @@ func PrintGate(w io.Writer, reports []GateReport) bool {
 	return ok
 }
 
-// benchGen names one suite generator.
-type benchGen struct {
-	name string
-	fn   func() (*BenchSuite, error)
-}
-
-// benchGens returns the generators of the selected suite ("all": every
-// suite, in suite order). Both drivers (write, gate) select from this one
-// list, so a new suite cannot be wired into one and missed by the other.
-func benchGens(suite string) ([]benchGen, error) {
-	all := []benchGen{
+// generate runs the selected suites ("all", or one suite's name) and
+// returns them in suite order: the one generator behind the writer, the
+// gate and the byte-identity test, so a new suite cannot be wired into one
+// and missed by another. Suites run concurrently, as many at a time as
+// there are CPUs: every run owns its simulator and nothing below keeps
+// package-level state, so no result depends on the interleaving.
+func generate(suite string) ([]*BenchSuite, error) {
+	type gen struct {
+		name string
+		fn   func() (*BenchSuite, error)
+	}
+	gens := []gen{
 		{"e0", BenchE0},
 		{"e1", BenchE1},
 		{"e2", func() (*BenchSuite, error) { return BenchE2([]int{2, 4, 8}) }},
@@ -433,30 +434,37 @@ func benchGens(suite string) ([]benchGen, error) {
 		{"churn", BenchChurn},
 		{"flow", BenchFlow},
 	}
-	if suite == "all" {
-		return all, nil
+	if suite != "all" {
+		gens = slices.DeleteFunc(gens, func(g gen) bool { return g.name != suite })
 	}
-	for _, g := range all {
-		if g.name == suite {
-			return []benchGen{g}, nil
-		}
+	if len(gens) == 0 {
+		return nil, fmt.Errorf("unknown suite %q", suite)
 	}
-	return nil, fmt.Errorf("unknown suite %q", suite)
+	suites, errs := make([]*BenchSuite, len(gens)), make([]error, len(gens))
+	slots := make(chan struct{}, runtime.GOMAXPROCS(0)) // semaphore
+	var wg sync.WaitGroup
+	for i, g := range gens {
+		slots <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			suites[i], errs[i] = g.fn()
+			<-slots
+		}()
+	}
+	wg.Wait()
+	return suites, errors.Join(errs...)
 }
 
 // BenchAll runs the selected suites ("all" or one suite's name) and
 // writes each one's file into dir, returning the paths written.
 func BenchAll(suite, dir string) ([]string, error) {
-	gens, err := benchGens(suite)
+	suites, err := generate(suite)
 	if err != nil {
 		return nil, err
 	}
 	var paths []string
-	for _, g := range gens {
-		s, err := g.fn()
-		if err != nil {
-			return nil, err
-		}
+	for _, s := range suites {
 		p, err := WriteBench(dir, s)
 		if err != nil {
 			return nil, err

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/trace"
 )
@@ -25,10 +24,16 @@ type Proc struct {
 	name   string
 	id     int
 	clock  Time
-	resume chan struct{}
 	state  procState
 	where  string // what the proc is blocked on, for deadlock reports
-	killed bool   // crash injected: next resume exits instead of returning
+	killed bool   // crash injected: next resume unwinds instead of returning
+
+	// The handoff is a direct coroutine switch (iter.Pull): dispatch calls
+	// next, block calls yield; neither allocates nor queues a goroutine.
+	next       func() (struct{}, bool)
+	yield      func(struct{}) bool
+	wakeFn     func() // p.wake, built once: the callback of every timer
+	dispatchEv Event  // the one pending dispatch a proc can have (see wake)
 
 	irqQ       []any
 	irqMasked  bool
@@ -70,18 +75,21 @@ func (p *Proc) Now() Time { return p.clock }
 func (p *Proc) block(where string) {
 	p.where = where
 	p.state = stateBlocked
-	p.s.yielded <- struct{}{}
-	<-p.resume
+	p.yield(struct{}{})
 	// dispatch set state/clock already.
 	if p.killed {
-		// A crash was injected while we were blocked. Unwind the goroutine;
-		// Spawn's deferred handoff marks the proc done and returns control
-		// to the scheduler. Deferred cleanups (e.g. WaitOnUntil's timer
-		// cancel) still run; skipped non-deferred cleanup is harmless: a
-		// dead proc left on a Cond's waiter list is ignored by wake().
-		runtime.Goexit()
+		// A crash was injected while we were blocked. Unwind the coroutine;
+		// Spawn's wrapper recovers the sentinel and marks the proc done.
+		// Deferred cleanups (e.g. WaitOnUntil's timer release) still run;
+		// skipped non-deferred cleanup is harmless: a dead proc left on a
+		// Cond's waiter list is ignored by wake(), and an unreleased timer
+		// is simply never reused.
+		panic(killed{})
 	}
 }
+
+// killed is the panic value Kill and Exit unwind a process with.
+type killed struct{}
 
 // Kill injects a crash: the process never executes another instruction.
 // If it is blocked (the common case — a crashed rank is parked in some
@@ -102,7 +110,7 @@ func (p *Proc) Kill() {
 // process's own context.
 func (p *Proc) Exit() {
 	p.killed = true
-	runtime.Goexit()
+	panic(killed{})
 }
 
 // Done reports whether the process has finished (normally or by crash).
@@ -119,7 +127,9 @@ func (p *Proc) wake() {
 		return
 	}
 	p.state = stateWaking
-	p.s.At(p.s.now, func() { p.s.dispatch(p) })
+	// Only a blocked proc gets here and it stays stateWaking until the
+	// event fires, so dispatchEv is never pushed while still queued.
+	p.s.push(&p.dispatchEv, p.s.now)
 }
 
 // Advance charges d of computation to the process's clock. If interrupts
@@ -140,9 +150,9 @@ func (p *Proc) Advance(d Time) {
 	p.serviceInterrupts()
 	for d > 0 {
 		start := p.clock
-		ev := p.s.At(start+d, p.wake)
+		ev := p.s.timer(start+d, p.wakeFn)
 		p.block("advance")
-		ev.Cancel()
+		p.s.release(ev)
 		elapsed := p.clock - start
 		if elapsed > d {
 			elapsed = d
@@ -163,9 +173,9 @@ func (p *Proc) Advance(d Time) {
 // processes) execute before continuing. Equivalent to Advance(0) except it
 // always round-trips through the scheduler once.
 func (p *Proc) Yield() {
-	ev := p.s.At(p.clock, p.wake)
+	ev := p.s.timer(p.clock, p.wakeFn)
 	p.block("yield")
-	ev.Cancel()
+	p.s.release(ev)
 	p.serviceInterrupts()
 }
 
@@ -261,7 +271,7 @@ func (p *Proc) WaitOn(c *Cond) {
 	c.waiters = append(c.waiters, p)
 	p.waitingOn = c
 	p.waitWoken = false
-	p.block("cond:" + c.name)
+	p.block(c.label)
 	if !p.waitWoken {
 		// Spurious wake (interrupt): withdraw from the wait list.
 		c.remove(p)
@@ -276,12 +286,12 @@ func (p *Proc) WaitOnUntil(c *Cond, deadline Time) bool {
 	if deadline <= p.clock {
 		return false
 	}
-	ev := p.s.At(deadline, p.wake)
-	defer ev.Cancel()
+	ev := p.s.timer(deadline, p.wakeFn)
+	defer p.s.release(ev) // stays armed while handlers run below, as ever
 	c.waiters = append(c.waiters, p)
 	p.waitingOn = c
 	p.waitWoken = false
-	p.block("cond:" + c.name)
+	p.block(c.label)
 	if !p.waitWoken {
 		c.remove(p)
 	}
@@ -295,13 +305,13 @@ func (p *Proc) WaitOnUntil(c *Cond, deadline Time) bool {
 // waiters at the current simulator time; the woken process resumes with
 // its clock set to that time.
 type Cond struct {
-	name    string
+	label   string // "cond:"+name, where a waiter is reported blocked
 	waiters []*Proc
 }
 
 // NewCond creates a named condition variable (the name appears in
 // deadlock reports).
-func NewCond(name string) *Cond { return &Cond{name: name} }
+func NewCond(name string) *Cond { return &Cond{label: "cond:" + name} }
 
 func (c *Cond) remove(p *Proc) {
 	for i, w := range c.waiters {
@@ -314,12 +324,11 @@ func (c *Cond) remove(p *Proc) {
 
 // Broadcast wakes every current waiter.
 func (c *Cond) Broadcast() {
-	ws := c.waiters
-	c.waiters = nil
-	for _, p := range ws {
+	for _, p := range c.waiters {
 		p.waitWoken = true
-		p.wake()
+		p.wake() // schedules only; nothing runs, or waits on c, until we return
 	}
+	c.waiters = c.waiters[:0]
 }
 
 // Signal wakes the longest-waiting waiter, if any.

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"runtime"
-	"testing"
-)
+import "testing"
 
 func TestComputeScale(t *testing.T) {
 	s := New(1)
@@ -33,27 +30,6 @@ func TestComputeScaleBelowOnePanics(t *testing.T) {
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestGoexitYieldsScheduler(t *testing.T) {
-	// A process aborted with runtime.Goexit (what t.Fatalf does) must
-	// hand control back to the scheduler instead of wedging the run.
-	s := New(1)
-	otherRan := false
-	s.Spawn("dies", 0, func(p *Proc) {
-		p.Advance(10)
-		runtime.Goexit()
-	})
-	s.Spawn("survives", 0, func(p *Proc) {
-		p.Advance(100)
-		otherRan = true
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !otherRan {
-		t.Error("surviving process never completed")
 	}
 }
 

@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"container/heap"
 	"fmt"
+	"iter"
 	"math/rand"
+	"runtime/debug"
 	"sort"
 	"strings"
 
@@ -19,7 +22,7 @@ type Simulator struct {
 	queue   eventQueue
 	seq     uint64
 	procs   []*Proc
-	yielded chan struct{}
+	timers  []*Event // released timer events, reused by timer()
 	rng     *rand.Rand
 	running bool
 
@@ -39,10 +42,7 @@ type simCounters struct {
 
 // New creates a simulator whose random source is seeded deterministically.
 func New(seed int64) *Simulator {
-	return &Simulator{
-		yielded: make(chan struct{}),
-		rng:     rand.New(rand.NewSource(seed)),
-	}
+	return &Simulator{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -86,13 +86,43 @@ func (s *Simulator) Causal() *trace.Causal { return s.causal }
 // At schedules fn to run in scheduler context at virtual time t.
 // Scheduling in the past is an error in the model; it panics.
 func (s *Simulator) At(t Time, fn func()) *Event {
+	e := &Event{fn: fn}
+	s.push(e, t)
+	return e
+}
+
+// push queues e, which must not be queued already, to fire at t.
+func (s *Simulator) push(e *Event, t Time) {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 	}
 	s.seq++
-	e := &Event{t: t, seq: s.seq, fn: fn}
+	e.t, e.seq = t, s.seq
 	s.queue.push(e)
+}
+
+// timer is At for a process arming its own wake-up. Only the process holds
+// the Event, and hands it back with release exactly once, fired or not —
+// so a reused Event has no other holder.
+func (s *Simulator) timer(t Time, fn func()) *Event {
+	var e *Event
+	if n := len(s.timers); n > 0 {
+		e, s.timers = s.timers[n-1], s.timers[:n-1]
+		e.fn = fn
+	} else {
+		e = &Event{fn: fn}
+	}
+	s.push(e, t)
 	return e
+}
+
+// release disarms a timer and returns it for reuse. A pending event
+// leaves the heap at once, so nothing queued ever points at a free Event.
+func (s *Simulator) release(e *Event) {
+	if e.index >= 0 {
+		heap.Remove(&s.queue, e.index)
+	}
+	s.timers = append(s.timers, e)
 }
 
 // After schedules fn to run d from now.
@@ -104,39 +134,47 @@ func (s *Simulator) After(d Time, fn func()) *Event {
 }
 
 // Spawn creates a process that will begin executing fn at time start.
+//
+// fn runs as a coroutine of whichever goroutine is inside Run, so how it
+// ends is seen there: a return, Exit or Kill ends the process and the run
+// goes on; a panic is re-raised from Run, recoverable by Run's caller, as
+// an error naming the process and carrying the stack it was raised on
+// (which the switch would otherwise lose); runtime.Goexit in fn (t.Fatalf
+// in a test body) ends the goroutine that called Run, deferred calls and
+// all — which is what testing.FailNow requires of the test's goroutine.
 func (s *Simulator) Spawn(name string, start Time, fn func(*Proc)) *Proc {
 	if start < s.now {
 		start = s.now
 	}
 	p := &Proc{
-		s:      s,
-		name:   name,
-		id:     len(s.procs),
-		clock:  start,
-		resume: make(chan struct{}),
-		state:  stateBlocked,
-		where:  "spawn",
+		s:     s,
+		name:  name,
+		id:    len(s.procs),
+		clock: start,
+		state: stateBlocked,
+		where: "spawn",
 	}
+	dispatch := func() { s.dispatch(p) }
+	p.wakeFn, p.dispatchEv.fn = p.wake, dispatch
 	s.procs = append(s.procs, p)
 	if s.tracer != nil {
 		s.tracer.SetThreadName(p.id, name)
 	}
-	go func() {
-		// The yield is deferred so that a process terminating abnormally
-		// (runtime.Goexit, e.g. t.Fatalf in a test body) still returns
-		// control to the scheduler instead of wedging the handoff.
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
 			p.state = stateDone
-			s.yielded <- struct{}{}
+			if r := recover(); r != nil && r != (killed{}) {
+				panic(fmt.Errorf("sim: proc %q panicked: %v\n%s", name, r, debug.Stack()))
+			}
 		}()
-		<-p.resume
-		if p.killed {
-			return // crashed before first dispatch
+		if !p.killed { // else crashed before first dispatch
+			fn(p)
 		}
-		p.state = stateRunning
-		fn(p)
-	}()
-	s.At(start, func() { s.dispatch(p) })
+	})
+	// A fresh event, not dispatchEv: an Interrupt or Kill before start
+	// wakes the proc through dispatchEv while this one is still queued.
+	s.At(start, dispatch)
 	return p
 }
 
@@ -153,8 +191,7 @@ func (s *Simulator) dispatch(p *Proc) {
 	if p.clock < s.now {
 		p.clock = s.now
 	}
-	p.resume <- struct{}{}
-	<-s.yielded
+	p.next()
 }
 
 // DeadlockError reports a simulation that went quiescent while processes

@@ -360,33 +360,32 @@ func (tp *Proc) restoreSnapshot(epoch int) {
 			// peers of the new generation flush into it as before.
 			tp.os.RegisterWindow(tp.sp, reg.ID, mem)
 		}
+		tp.mapPages(reg, mem)
 	}
 
+	// A region's pages are mapped, and so snapshotted, all together: each
+	// record fills a pageMeta built above.
 	nPages := int(r.i32())
 	for i := 0; i < nPages; i++ {
-		id := r.i32()
-		regID := r.i32()
-		reg := tp.regions[regID]
-		mem := tp.regionMem[regID]
-		idx := int(id - reg.StartPage)
-		pm := newPageMeta(id, reg, mem[idx*PageSize:(idx+1)*PageSize], tp.n)
+		pm := tp.pages[r.i32()]
+		r.i32() // the region id, which the page id implies
 		pm.state = pageState(r.u8())
 		pm.haveCopy = r.bool()
-		pm.cover = r.vc()
+		copy(pm.cover, r.vc())
 		nNotices := int(r.i32())
 		for q := 0; q < nNotices; q++ {
 			pm.notices[q] = r.tsList()
+			tp.notices.live += int64(len(pm.notices[q]))
 		}
 		if pm.haveCopy {
 			copy(pm.data, r.bytes())
 		}
-		tp.pages[id] = pm
 	}
 
 	nDiffs := int(r.i32())
 	for i := 0; i < nDiffs; i++ {
 		k := diffKey{page: r.i32(), ts: r.i32()}
-		tp.myDiffs[k] = r.bytes()
+		tp.keepDiff(k, r.bytes())
 	}
 
 	nLocks := int(r.i32())

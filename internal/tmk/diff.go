@@ -27,11 +27,14 @@ func MakeTwin(page []byte) []byte {
 // clean — compares two words at a time through 8-byte loads; run
 // boundaries are then refined with single-word compares, so the output
 // is byte-identical to a word-at-a-time scan.
-func EncodeDiff(twin, cur []byte) []byte {
+func EncodeDiff(twin, cur []byte) []byte { return appendDiff(nil, twin, cur) }
+
+// appendDiff is EncodeDiff into the caller's buffer: the encoding is
+// appended to out, and only a nil out is allocated for.
+func appendDiff(out, twin, cur []byte) []byte {
 	if len(twin) != PageSize || len(cur) != PageSize {
 		panic("tmk: diff of non-page")
 	}
-	var out []byte
 	w := 0
 	for w < wordsPerPage {
 		for w+1 < wordsPerPage &&

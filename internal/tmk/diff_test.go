@@ -226,7 +226,8 @@ func TestIntervalStore(t *testing.T) {
 }
 
 func TestPageMetaNotices(t *testing.T) {
-	pm := newPageMeta(7, nil, make([]byte, PageSize), 3)
+	tp := &Proc{n: 3, pages: map[int32]*pageMeta{}}
+	pm := &tp.mapPages(&Region{StartPage: 7, NPages: 1}, make([]byte, PageSize))[0]
 	if !pm.addNotice(1, 3) {
 		t.Error("uncovered notice not flagged")
 	}

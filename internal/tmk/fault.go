@@ -67,7 +67,11 @@ func (tp *Proc) writeFault(pm *pageMeta) {
 		tp.stats.WriteFaults++
 		tp.sp.Advance(tp.cpu.FaultOverhead)
 		if !tp.selfHomed(pm.id) {
-			pm.twin = MakeTwin(pm.data)
+			var twin []byte // nil: the free list is empty, append allocates
+			if n := len(tp.freeTwins); n > 0 {
+				twin, tp.freeTwins = tp.freeTwins[n-1], tp.freeTwins[:n-1]
+			}
+			pm.twin = append(twin[:0], pm.data...)
 			tp.sp.Advance(sim.BytesTime(PageSize, tp.cpu.MemcpyBandwidth))
 			tp.stats.TwinsCreated++
 		}
@@ -301,14 +305,17 @@ func (tp *Proc) closeInterval() {
 		pm := tp.page(pg)
 		if pm.twin != nil {
 			// Diff creation: scan twin vs page (two pages of memory traffic).
-			diff := EncodeDiff(pm.twin, pm.data)
+			diff := append([]byte(nil), appendDiff(tp.diffScratch, pm.twin, pm.data)...)
 			tp.sp.Advance(sim.BytesTime(2*PageSize, tp.cpu.DiffScanBandwidth) +
 				sim.BytesTime(len(diff), tp.cpu.MemcpyBandwidth))
-			tp.myDiffs[diffKey{page: pg, ts: ts}] = diff
+			tp.keepDiff(diffKey{page: pg, ts: ts}, diff)
 			tp.stats.DiffsCreated++
 			tp.stats.DiffBytesCreated += int64(len(diff))
 			tp.observe(event{kind: evDiffCreate, page: pm, peer: -1, a: int(ts), bytes: len(diff)})
-			pm.twin = nil
+			if pm.twin != nil { // else a handler's own close, run inside the Advance above, took it
+				tp.freeTwins = append(tp.freeTwins, pm.twin)
+				pm.twin = nil
+			}
 		} else if !tp.selfHomed(pg) {
 			panic("tmk: dirty page without twin, and not self-homed")
 		}
@@ -333,7 +340,7 @@ func (tp *Proc) closeInterval() {
 			// writer for a diff; only membership's recoverPage replays
 			// them, so only a run with membership on keeps them.
 			for _, pg := range pages {
-				delete(tp.myDiffs, diffKey{page: pg, ts: ts})
+				tp.dropDiff(diffKey{page: pg, ts: ts})
 			}
 		}
 	}
@@ -343,6 +350,18 @@ func (tp *Proc) closeInterval() {
 type diffKey struct {
 	page int32
 	ts   int32
+}
+
+// keepDiff and dropDiff are the only writers of myDiffs, so that diffBytes
+// (the metadata gauge's retained-diff share) is the payload bytes in it.
+func (tp *Proc) keepDiff(k diffKey, d []byte) {
+	tp.myDiffs[k] = d
+	tp.diffBytes += int64(len(d))
+}
+
+func (tp *Proc) dropDiff(k diffKey) {
+	tp.diffBytes -= int64(len(tp.myDiffs[k]))
+	delete(tp.myDiffs, k)
 }
 
 // applyIntervals merges received intervals: log them, deliver write

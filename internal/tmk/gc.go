@@ -41,22 +41,12 @@ func intervalRecBytes(rec *intervalRec) int64 {
 	return int64(16 + 4*len(rec.vc) + 4*len(rec.pages))
 }
 
-// metaGauge measures this rank's protocol metadata in bytes: retained
-// diff payloads, interval records, and write notices.
+// metaGauge is this rank's protocol metadata in bytes: retained diff
+// payloads, interval records, and write notices — each a counter kept by
+// the code that adds to and prunes its structure (keepDiff and dropDiff,
+// intervalStore, noticePool), so a barrier reads it for free.
 func (tp *Proc) metaGauge() int64 {
-	var total int64
-	for _, d := range tp.myDiffs {
-		total += int64(len(d))
-	}
-	tp.store.all(func(rec *intervalRec) {
-		total += intervalRecBytes(rec)
-	})
-	for _, pm := range tp.pages {
-		for _, lst := range pm.notices {
-			total += int64(4 * len(lst))
-		}
-	}
-	return total
+	return tp.diffBytes + tp.store.bytes + 4*tp.notices.live
 }
 
 // runMetaGC executes one GC epoch; called at the tail of a barrier whose
@@ -100,7 +90,7 @@ func (tp *Proc) runMetaGC() {
 	v := tp.lastBarrierVC
 	for k := range tp.myDiffs {
 		if k.ts <= v[tp.rank] {
-			delete(tp.myDiffs, k)
+			tp.dropDiff(k)
 			tp.stats.GCDiffsPruned++
 		}
 	}

@@ -363,9 +363,11 @@ func TestBarrierVCAgreesOnEveryRank(t *testing.T) {
 					hi := 1 + (tp.Rank()+1)*(grid-2)/n
 					tp.Barrier(1)
 					vcs[0][tp.Rank()] = tp.lastBarrierVC.Clone()
+					up, down := make([]float64, grid), make([]float64, grid)
 					for s := 1; s <= sweeps; s++ {
 						for i := lo; i < hi; i++ {
-							up, down := tp.ReadF64Span(a, (i-1)*grid, grid), tp.ReadF64Span(a, (i+1)*grid, grid)
+							tp.ReadF64Span(a, (i-1)*grid, up)
+							tp.ReadF64Span(a, (i+1)*grid, down)
 							row := make([]float64, grid-2)
 							for j := range row {
 								row[j] = (up[j+1] + down[j+1]) / 2

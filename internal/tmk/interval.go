@@ -23,6 +23,7 @@ type intervalRec struct {
 type intervalStore struct {
 	byProc [][]*intervalRec // per proc, sorted by ts ascending
 	index  []map[int32]*intervalRec
+	bytes  int64 // Σ intervalRecBytes over the records held (metadata gauge)
 }
 
 func newIntervalStore(n int) *intervalStore {
@@ -42,6 +43,7 @@ func (s *intervalStore) add(rec *intervalRec) bool {
 		return false
 	}
 	s.index[rec.proc][rec.ts] = rec
+	s.bytes += intervalRecBytes(rec)
 	lst := s.byProc[rec.proc]
 	// Fast path: records usually arrive in ts order.
 	if n := len(lst); n == 0 || lst[n-1].ts < rec.ts {
@@ -102,6 +104,7 @@ func (s *intervalStore) pruneThrough(v VC) int {
 		}
 		for _, rec := range lst[:cut] {
 			delete(s.index[q], rec.ts)
+			s.bytes -= intervalRecBytes(rec)
 		}
 		pruned += cut
 		s.byProc[q] = append([]*intervalRec(nil), lst[cut:]...)

@@ -32,16 +32,50 @@ type pageMeta struct {
 	// notices[q] = sorted timestamps of q's intervals that dirtied this
 	// page (including our own, which are always covered).
 	notices [][]int32
+	pool    *noticePool // the owning process's: backs and counts the lists
 }
 
-func newPageMeta(id int32, region *Region, data []byte, n int) *pageMeta {
-	return &pageMeta{
-		id:      id,
-		region:  region,
-		data:    data,
-		cover:   NewVC(n),
-		notices: make([][]int32, n),
+// noticePool backs every notice list of one process. A list that must
+// grow takes its new capacity from the current chunk, not the heap, and
+// live counts the entries of all lists where they are added and dropped:
+// the write-notice share of the metadata gauge.
+type noticePool struct {
+	chunk []int32 // unused tail of the current chunk
+	live  int64
+}
+
+// grow returns lst with room for at least one more entry.
+func (np *noticePool) grow(lst []int32) []int32 {
+	n := max(2, 2*cap(lst))
+	if len(np.chunk) < n {
+		np.chunk = make([]int32, max(n, PageSize/4)) // a chunk is a page of entries
 	}
+	out := np.chunk[:len(lst):n]
+	np.chunk = np.chunk[n:]
+	copy(out, lst)
+	return out
+}
+
+// mapPages enters the metadata of all of region's pages, over its local
+// storage mem, into tp.pages: one slab each for the pageMetas, their cover
+// vectors and their notice-list headers.
+func (tp *Proc) mapPages(region *Region, mem []byte) []pageMeta {
+	n := tp.n
+	metas := make([]pageMeta, region.NPages)
+	covers := make(VC, len(metas)*n)
+	heads := make([][]int32, len(metas)*n)
+	for i := range metas {
+		metas[i] = pageMeta{
+			id:      region.StartPage + int32(i),
+			region:  region,
+			data:    mem[i*PageSize : (i+1)*PageSize],
+			cover:   covers[i*n : (i+1)*n : (i+1)*n],
+			notices: heads[i*n : (i+1)*n : (i+1)*n],
+			pool:    &tp.notices,
+		}
+		tp.pages[metas[i].id] = &metas[i]
+	}
+	return metas
 }
 
 // addNotice records that proc q dirtied this page in its interval ts and
@@ -52,10 +86,14 @@ func (pm *pageMeta) addNotice(q int, ts int32) bool {
 	if i < len(lst) && lst[i] == ts {
 		return ts > pm.cover[q]
 	}
-	lst = append(lst, 0)
+	if len(lst) == cap(lst) {
+		lst = pm.pool.grow(lst)
+	}
+	lst = lst[:len(lst)+1]
 	copy(lst[i+1:], lst[i:])
 	lst[i] = ts
 	pm.notices[q] = lst
+	pm.pool.live++
 	return ts > pm.cover[q]
 }
 
@@ -91,6 +129,7 @@ func (pm *pageMeta) keepNewest(v VC) {
 		}
 		if cut > 1 {
 			pm.notices[q] = append(lst[:0], lst[cut-1:]...)
+			pm.pool.live -= int64(cut - 1)
 		}
 	}
 }
@@ -129,8 +168,9 @@ func (pm *pageMeta) pruneNotices(v VC) (int, error) {
 			continue
 		}
 		pruned += keep
-		pm.notices[q] = append([]int32(nil), lst[keep:]...)
+		pm.notices[q] = append(lst[:0], lst[keep:]...)
 	}
+	pm.pool.live -= int64(pruned)
 	return pruned, nil
 }
 

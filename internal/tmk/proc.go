@@ -30,8 +30,12 @@ type Proc struct {
 	lastBarrierVC VC
 	store         *intervalStore
 	pages         map[int32]*pageMeta
+	notices       noticePool // backs and counts every page's notice lists
 	dirty         []int32
 	myDiffs       map[diffKey][]byte
+	diffBytes     int64    // payload bytes in myDiffs (keepDiff, dropDiff)
+	freeTwins     [][]byte // twins handed back at interval close, reused by the next write fault
+	diffScratch   []byte   // closeInterval encodes here, then retains an exact-size copy
 
 	locks   map[int32]*lockState
 	barrier barrierState
@@ -92,6 +96,7 @@ func newProc(c *Cluster, rank int, sp *sim.Proc, tr substrate.Transport, cpu CPU
 		store:         newIntervalStore(c.n),
 		pages:         make(map[int32]*pageMeta),
 		myDiffs:       make(map[diffKey][]byte),
+		diffScratch:   make([]byte, 0, PageSize+4),
 		locks:         make(map[int32]*lockState),
 		regions:       make(map[int32]*Region),
 		regionMem:     make(map[int32][]byte),

@@ -113,7 +113,8 @@ func runRandomProgram(t *testing.T, seed int64, kind tmk.TransportKind) {
 			tp.Barrier(int32(100 + p))
 		}
 		if tp.Rank() == 0 {
-			vals := tp.ReadF64Span(data, 0, slots)
+			vals := make([]float64, slots)
+			tp.ReadF64Span(data, 0, vals)
 			got = make([]int64, slots)
 			for i, v := range vals {
 				got[i] = int64(v)

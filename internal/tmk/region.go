@@ -117,17 +117,16 @@ func (tp *Proc) mapRegion(r *Region, owned bool) {
 		// peers address page pg at byte offset (pg−StartPage)·PageSize.
 		tp.os.RegisterWindow(tp.sp, r.ID, mem)
 	}
-	for i := int32(0); i < r.NPages; i++ {
-		pg := r.StartPage + i
-		pm := newPageMeta(pg, r, mem[int(i)*PageSize:int(i+1)*PageSize], tp.n)
-		if owned || (tp.homeBased && tp.HomeOf(pg) == tp.rank) {
+	metas := tp.mapPages(r, mem)
+	for i := range metas {
+		pm := &metas[i]
+		if owned || (tp.homeBased && tp.HomeOf(pm.id) == tp.rank) {
 			// The home's copy IS the window: incoming flushes keep it
 			// current from the moment the region exists, so it starts (and
 			// stays) valid here.
 			pm.haveCopy = true
 			pm.state = pageReadOnly
 		}
-		tp.pages[pg] = pm
 	}
 	if tp.rank == 0 && !owned {
 		// Rank 0 learned a region distributed by someone else.
@@ -178,24 +177,32 @@ func (tp *Proc) ReadBytes(r *Region, off, n int) []byte {
 	return tp.regionMem[r.ID][off : off+n : off+n]
 }
 
-// WriteAt copies data into the region at off. The store is performed
-// with asynchronous request delivery masked, after re-verifying that
-// every touched page is still writable: a request handler that runs
-// during the fault (a lock grant closing our interval) can revert pages
-// to read-only, and a raw store then would bypass the twin — the exact
-// hazard mprotect re-trapping closes in real TreadMarks.
+// WriteAt copies data into the region at off.
 func (tp *Proc) WriteAt(r *Region, off int, data []byte) {
-	tp.checkRange(r, off, len(data))
-	if len(data) == 0 {
-		return
+	if b := tp.writeWindow(r, off, len(data)); b != nil {
+		copy(b, data)
+		tp.tr.EnableAsync(tp.sp)
+	}
+}
+
+// writeWindow faults [off, off+n) writable and returns it to store into —
+// with asynchronous request delivery masked, which the caller lifts
+// (EnableAsync) after the store; an empty range returns nil, unmasked. The
+// window is handed out only after re-verifying, under the mask, that every
+// touched page is still writable: a request handler that runs during the
+// fault (a lock grant closing our interval) can revert pages to read-only,
+// and a raw store then would bypass the twin — the exact hazard mprotect
+// re-trapping closes in real TreadMarks.
+func (tp *Proc) writeWindow(r *Region, off, n int) []byte {
+	tp.checkRange(r, off, n)
+	if n == 0 {
+		return nil
 	}
 	for {
-		tp.faultRange(r, off, len(data), true)
+		tp.faultRange(r, off, n, true)
 		tp.tr.DisableAsync(tp.sp)
-		if tp.rangeWritable(r, off, len(data)) {
-			copy(tp.regionMem[r.ID][off:], data)
-			tp.tr.EnableAsync(tp.sp)
-			return
+		if tp.rangeWritable(r, off, n) {
+			return tp.regionMem[r.ID][off : off+n]
 		}
 		tp.tr.EnableAsync(tp.sp)
 	}
@@ -278,24 +285,24 @@ func (tp *Proc) WriteI32(r *Region, i int, v int32) {
 // it has not been mapped on this process yet.
 func (tp *Proc) RegionByID(id int32) *Region { return tp.regions[id] }
 
-// ReadF64Span decodes n float64 slots starting at slot idx into a fresh
-// slice (one fault check per touched page, not per element).
-func (tp *Proc) ReadF64Span(r *Region, idx, n int) []float64 {
-	b := tp.ReadBytes(r, idx*8, n*8)
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = f64FromBits(b[i*8:])
+// ReadF64Span decodes the len(dst) float64 slots starting at slot idx into
+// the caller's dst (one fault check per touched page, no allocation).
+func (tp *Proc) ReadF64Span(r *Region, idx int, dst []float64) {
+	b := tp.ReadBytes(r, idx*8, len(dst)*8)
+	for i := range dst {
+		dst[i] = f64FromBits(b[i*8:])
 	}
-	return out
 }
 
-// WriteF64Span writes vals into consecutive slots starting at idx.
+// WriteF64Span writes vals into consecutive slots starting at idx,
+// encoding straight into the page.
 func (tp *Proc) WriteF64Span(r *Region, idx int, vals []float64) {
-	b := make([]byte, len(vals)*8)
-	for i, v := range vals {
-		f64ToBits(b[i*8:], v)
+	if b := tp.writeWindow(r, idx*8, len(vals)*8); b != nil {
+		for i, v := range vals {
+			f64ToBits(b[i*8:], v)
+		}
+		tp.tr.EnableAsync(tp.sp)
 	}
-	tp.WriteAt(r, idx*8, b)
 }
 
 // Compute charges d of application computation to the process's virtual

@@ -65,7 +65,8 @@ func TestTypedAccessors(t *testing.T) {
 		}
 		vals := []float64{1.5, -2.5, 3.5}
 		tp.WriteF64Span(r, 10, vals)
-		got := tp.ReadF64Span(r, 10, 3)
+		got := make([]float64, 3)
+		tp.ReadF64Span(r, 10, got)
 		for i := range vals {
 			if got[i] != vals[i] {
 				t.Errorf("span[%d] = %v", i, got[i])
@@ -83,7 +84,8 @@ func TestSpanAcrossPages(t *testing.T) {
 			vals[i] = float64(i) * 0.5
 		}
 		tp.WriteF64Span(r, 0, vals)
-		got := tp.ReadF64Span(r, 0, n)
+		got := make([]float64, n)
+		tp.ReadF64Span(r, 0, got)
 		for i := range vals {
 			if got[i] != vals[i] {
 				t.Fatalf("cross-page span slot %d = %v", i, got[i])

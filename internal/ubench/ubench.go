@@ -148,6 +148,7 @@ func Diff(cfg tmk.Config, pages int, large bool) (Result, error) {
 	err := run(cfg, func(tp *tmk.Proc) {
 		r := tp.AllocShared(pages * tmk.PageSize)
 		wordsPerPage := tmk.PageSize / 8
+		row := make([]float64, wordsPerPage)
 		// Both processes touch the pages first so the timed phase
 		// measures diffs, not initial page fetches.
 		if tp.Rank() <= 1 {
@@ -159,7 +160,6 @@ func Diff(cfg tmk.Config, pages int, large bool) (Result, error) {
 		if tp.Rank() == 1 {
 			for pg := 0; pg < pages; pg++ {
 				if large {
-					row := make([]float64, wordsPerPage)
 					for w := range row {
 						row[w] = float64(pg*wordsPerPage + w)
 					}
@@ -174,7 +174,7 @@ func Diff(cfg tmk.Config, pages int, large bool) (Result, error) {
 			start := tp.Now()
 			for pg := 0; pg < pages; pg++ {
 				if large {
-					tp.ReadF64Span(r, pg*wordsPerPage, wordsPerPage)
+					tp.ReadF64Span(r, pg*wordsPerPage, row)
 				} else {
 					tp.ReadF64(r, pg*wordsPerPage)
 				}
