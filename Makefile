@@ -6,7 +6,7 @@ GO       ?= go
 FUZZTIME ?= 5s
 BENCHDIR ?= .
 
-.PHONY: all check fmt vet build test race loc fuzz-smoke bench bench-identical bench-gate prof-smoke chaos-smoke crash-smoke churn-smoke rdma-smoke critical-smoke flow-smoke cli-smoke
+.PHONY: all check fmt vet build test race loc uncovered fuzz-smoke bench bench-identical bench-gate prof-smoke chaos-smoke crash-smoke churn-smoke rdma-smoke critical-smoke flow-smoke cli-smoke
 
 all: check
 
@@ -40,6 +40,19 @@ loc:
 	@for d in $$($(GO) list -f '{{.Dir}}' ./... | sed "s|^$$PWD|.|"); do \
 		printf '%6d  %s\n' "$$(cat $$(ls $$d/*.go | grep -v _test) 2>/dev/null | wc -l)" "$$d"; \
 	done
+
+# Functions of the protocol engine and the substrates that no tier-1 test
+# executes: merged statement coverage of every test binary, filtered to 0.0%
+# under internal/tmk and internal/substrate (stest is itself test support).
+# The instrument that finds dead code; it prints, it never gates, and it is
+# not part of `check`. What it lists is either an untested path or a
+# candidate for deletion — today a few one-line accessors and Error methods.
+uncovered:
+	@tmp=$$(mktemp); \
+	$(GO) test -count=1 -short -coverpkg=./internal/... -coverprofile=$$tmp ./... > /dev/null; \
+	$(GO) tool cover -func=$$tmp | \
+		awk '$$NF == "0.0%" && $$1 ~ /internal\/(tmk|substrate)\// && $$1 !~ /\/stest\//'; \
+	rm -f $$tmp
 
 # Short fuzz runs of every fuzz target (seeds are checked in under each
 # package's testdata/fuzz/). A finding is written there as a new case.

@@ -194,42 +194,15 @@ func main() {
 		fmt.Println("  verification: OK (matches sequential reference)")
 	}
 	if pf != nil {
-		pr := pf.Snapshot()
-		pr.App = app.Name()
-		pr.Size = app.Size()
-		pr.Transport = string(kind)
-		pr.Nodes = *nodes
-		pr.ExecNs = int64(res.ExecTime)
-		fmt.Println()
-		if err := pr.WriteTables(os.Stdout, 10, 5, 5); err != nil {
+		pr := harness.LabelProfile(pf, app.Name(), app.Size(), kind, *nodes, res)
+		if err := harness.WriteProfileReport(os.Stdout, pr, *profJSON, "  "); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
-		}
-		if err := pr.WriteHeatmap(os.Stdout, 10); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if *profJSON != "" {
-			f, err := os.Create(*profJSON)
-			if err == nil {
-				err = pr.WriteJSON(f)
-			}
-			if err == nil {
-				err = f.Close()
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Printf("  wrote entity profile to %s\n", *profJSON)
 		}
 	}
 	if tracer != nil {
 		fmt.Println()
-		if n := tracer.Overwrote(); n > 0 {
-			fmt.Printf("warning: ring dropped %d oldest events; rerun with -trace-cap %d for full coverage\n",
-				n, tracer.Len()+int(n))
-		}
+		harness.WarnRingOverflow(os.Stdout, "", tracer.Overwrote(), tracer.Len())
 		if err := trace.WriteBreakdown(os.Stdout, "per-layer breakdown", tracer.Breakdown()); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/harness"
 	"repro/internal/prof"
 	"repro/internal/tmk"
 	"repro/internal/trace"
@@ -135,10 +136,7 @@ func main() {
 		}
 		fmt.Printf("--- wrote %d events to %s (load in https://ui.perfetto.dev)\n",
 			tracer.Len(), *out)
-		if n := tracer.Overwrote(); n > 0 {
-			fmt.Printf("--- warning: ring dropped %d oldest events; rerun with -trace-cap %d for full coverage\n",
-				n, tracer.Len()+int(n))
-		}
+		harness.WarnRingOverflow(os.Stdout, "--- ", tracer.Overwrote(), tracer.Len())
 		trace.WriteBreakdown(os.Stdout, "per-layer breakdown", tracer.Breakdown())
 	}
 
@@ -153,33 +151,10 @@ func main() {
 	}
 
 	if pf != nil {
-		pr := pf.Snapshot()
-		pr.App = *scenario
-		pr.Transport = *transport
-		pr.Nodes = *nodes
-		pr.ExecNs = int64(res.ExecTime)
-		fmt.Println()
-		if err := pr.WriteTables(os.Stdout, 10, 5, 5); err != nil {
+		pr := harness.LabelProfile(pf, *scenario, "", tmk.TransportKind(*transport), *nodes, res)
+		if err := harness.WriteProfileReport(os.Stdout, pr, *profJSON, "--- "); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
-		}
-		if err := pr.WriteHeatmap(os.Stdout, 10); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if *profJSON != "" {
-			f, err := os.Create(*profJSON)
-			if err == nil {
-				err = pr.WriteJSON(f)
-			}
-			if err == nil {
-				err = f.Close()
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Printf("--- wrote entity profile to %s\n", *profJSON)
 		}
 	}
 }

@@ -18,14 +18,15 @@ import (
 // virtual time goes, layer by layer. Tracing is observation only, so the
 // headline numbers match the untraced tables exactly.
 
-// LayerBreakdown is one traced run's per-layer aggregation. Overwrote
-// is the number of events lost to ring wrap-around: nonzero means the
-// table under-counts the run's early history.
+// LayerBreakdown is one traced run's per-layer aggregation. Overwrote is
+// the number of events lost to ring wrap-around — nonzero means the table
+// under-counts the run's early history — and Held the number it kept.
 type LayerBreakdown struct {
 	Name      string
 	Transport tmk.TransportKind
 	Rows      []trace.BreakdownRow
 	Overwrote int64
+	Held      int
 }
 
 // BreakdownE1 reruns three E1 microbenchmarks (Barrier, Lock indirect,
@@ -51,7 +52,7 @@ func BreakdownE1(traceCap int) ([]LayerBreakdown, error) {
 				return nil, fmt.Errorf("breakdown %s %s: %w", b.name, kind, err)
 			}
 			out = append(out, LayerBreakdown{Name: b.name, Transport: kind,
-				Rows: tracer.Breakdown(), Overwrote: tracer.Overwrote()})
+				Rows: tracer.Breakdown(), Overwrote: tracer.Overwrote(), Held: tracer.Len()})
 		}
 	}
 	return out, nil
@@ -78,6 +79,7 @@ func BreakdownE4(traceCap int) ([]LayerBreakdown, error) {
 			Transport: tmk.TransportFastGM,
 			Rows:      tracer.Breakdown(),
 			Overwrote: tracer.Overwrote(),
+			Held:      tracer.Len(),
 		})
 	}
 	return out, nil
@@ -89,9 +91,16 @@ func PrintBreakdowns(w io.Writer, header string, bds []LayerBreakdown) {
 	for _, bd := range bds {
 		fprintf(w, "\n")
 		trace.WriteBreakdown(w, fmt.Sprintf("%s — %s", bd.Name, bd.Transport), bd.Rows)
-		if bd.Overwrote > 0 {
-			fprintf(w, "  warning: ring dropped %d oldest events (raise -trace-cap for full coverage)\n",
-				bd.Overwrote)
-		}
+		WarnRingOverflow(w, "  ", bd.Overwrote, bd.Held)
+	}
+}
+
+// WarnRingOverflow prints, on a line that starts with prefix, the warning a
+// trace ring that dropped events gets, naming the capacity that would have
+// held the whole run (dropped + held); nothing if it dropped none.
+func WarnRingOverflow(w io.Writer, prefix string, dropped int64, held int) {
+	if dropped > 0 {
+		fprintf(w, "%swarning: ring dropped %d oldest events; rerun with -trace-cap %d for full coverage\n",
+			prefix, dropped, held+int(dropped))
 	}
 }

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"io"
+	"os"
 
 	"repro/internal/apps"
 	"repro/internal/prof"
@@ -41,19 +42,46 @@ func ProfEntities(nodes int, small bool) ([]ProfRun, error) {
 			if err != nil {
 				return nil, fmt.Errorf("prof %s %s: %w", name, kind, err)
 			}
-			pr := pf.Snapshot()
-			pr.App = app.Name()
-			pr.Size = app.Size()
-			pr.Transport = string(kind)
-			pr.Nodes = nodes
-			pr.ExecNs = int64(res.ExecTime)
 			out = append(out, ProfRun{
 				App: app.Name(), Size: app.Size(), Transport: kind, Nodes: nodes,
-				Profile: pr,
+				Profile: LabelProfile(pf, app.Name(), app.Size(), kind, nodes, res),
 			})
 		}
 	}
 	return out, nil
+}
+
+// LabelProfile snapshots pf and labels the profile with the run it watched.
+func LabelProfile(pf *prof.Profiler, app, size string, kind tmk.TransportKind, nodes int, res *tmk.Result) *prof.Profile {
+	pr := pf.Snapshot()
+	pr.App, pr.Size, pr.Transport, pr.Nodes, pr.ExecNs = app, size, string(kind), nodes, int64(res.ExecTime)
+	return pr
+}
+
+// WriteProfileReport is tmkrun's and tmktrace's -prof report: a blank line,
+// the entity tables (top 10 pages, 5 locks, 5 barriers), the heatmap and, if
+// jsonPath is set, the tmk-prof/1 JSON written there, announced after prefix.
+func WriteProfileReport(w io.Writer, pr *prof.Profile, jsonPath, prefix string) error {
+	fprintf(w, "\n")
+	if err := pr.WriteTables(w, 10, 5, 5); err != nil {
+		return err
+	}
+	if err := pr.WriteHeatmap(w, 10); err != nil || jsonPath == "" {
+		return err
+	}
+	f, err := os.Create(jsonPath)
+	if err != nil {
+		return err
+	}
+	if err := pr.WriteJSON(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fprintf(w, "%swrote entity profile to %s\n", prefix, jsonPath)
+	return nil
 }
 
 // PrintProfEntities renders the per-entity tables and page×epoch

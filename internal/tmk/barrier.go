@@ -265,7 +265,9 @@ func (tp *Proc) endEpoch() {
 	tp.moveHomes(tp.store.since(prev))
 	tp.store.pruneThrough(prev)
 	for _, pm := range tp.pages {
-		pm.keepNewest(prev)
+		if pm != nil {
+			pm.keepNewest(prev)
+		}
 	}
 }
 

@@ -15,11 +15,11 @@ import (
 // the second fence holds every rank until all n snapshots are stored, so
 // a crash can never observe a half-written checkpoint generation.
 //
-// The encoding is byte-deterministic: every map is iterated in sorted key
-// order and all integers are fixed-width little-endian, so identical runs
-// produce identical checkpoint bytes (the harness's regression asserts
-// this), and a restarted generation replays identically to an uncrashed
-// checkpointing run.
+// The encoding is byte-deterministic: maps are iterated in sorted key order
+// (the region and page tables are slices, in id order) and all integers are
+// fixed-width little-endian, so identical runs produce identical checkpoint
+// bytes (the harness's regression asserts this), and a restarted generation
+// replays identically to an uncrashed checkpointing run.
 
 // ckptBarrierBase namespaces the fence barrier ids away from application
 // barriers (apps own the small id space; finalBarrier is 1<<31-1).
@@ -118,13 +118,7 @@ func (w *ckptWriter) bytes(p []byte) {
 	w.i32(int32(len(p)))
 	w.b = append(w.b, p...)
 }
-func (w *ckptWriter) vc(v VC) {
-	w.i32(int32(len(v)))
-	for _, x := range v {
-		w.i32(x)
-	}
-}
-func (w *ckptWriter) tsList(l []int32) {
+func (w *ckptWriter) i32s(l []int32) {
 	w.i32(int32(len(l)))
 	for _, x := range l {
 		w.i32(x)
@@ -173,15 +167,7 @@ func (r *ckptReader) bytes() []byte {
 	r.off += n
 	return v
 }
-func (r *ckptReader) vc() VC {
-	n := int(r.i32())
-	v := make(VC, n)
-	for i := range v {
-		v[i] = r.i32()
-	}
-	return v
-}
-func (r *ckptReader) tsList() []int32 {
+func (r *ckptReader) i32s() []int32 {
 	n := int(r.i32())
 	if n == 0 {
 		return nil
@@ -210,8 +196,8 @@ func (tp *Proc) encodeSnapshot(epoch int) []byte {
 	w.i32(int32(epoch))
 	w.i32(int32(tp.rank))
 	w.i32(int32(tp.n))
-	w.vc(tp.vc)
-	w.vc(tp.lastBarrierVC)
+	w.i32s(tp.vc)
+	w.i32s(tp.lastBarrierVC)
 	w.i32(tp.barrier.episode)
 	w.i32(tp.expectRegion)
 
@@ -223,46 +209,47 @@ func (tp *Proc) encodeSnapshot(epoch int) []byte {
 	tp.store.all(func(rec *intervalRec) {
 		w.i32(rec.proc)
 		w.i32(rec.ts)
-		w.vc(rec.vc)
-		w.tsList(rec.pages)
+		w.i32s(rec.vc)
+		w.i32s(rec.pages)
 	})
 
-	// Regions in id order.
-	regionIDs := make([]int32, 0, len(tp.regions))
-	for id := range tp.regions {
-		regionIDs = append(regionIDs, id)
+	// Regions, then pages, each in id order: the tables' own. A region's
+	// pages are mapped, and so snapshotted, all together.
+	var nRegions, nPages int32
+	for _, r := range tp.regions {
+		if r != nil {
+			nRegions++
+			nPages += r.NPages
+		}
 	}
-	sort.Slice(regionIDs, func(i, j int) bool { return regionIDs[i] < regionIDs[j] })
-	w.i32(int32(len(regionIDs)))
-	for _, id := range regionIDs {
-		r := tp.regions[id]
+	w.i32(nRegions)
+	for _, r := range tp.regions {
+		if r == nil {
+			continue
+		}
 		w.i32(r.ID)
 		w.i32(r.StartPage)
 		w.i32(r.NPages)
 		w.i64(r.Bytes)
 		w.i32(int32(r.Owner))
 	}
-
-	// Pages in id order; a page with a copy carries its full contents.
-	pageIDs := make([]int32, 0, len(tp.pages))
-	for id := range tp.pages {
-		pageIDs = append(pageIDs, id)
-	}
-	sort.Slice(pageIDs, func(i, j int) bool { return pageIDs[i] < pageIDs[j] })
-	w.i32(int32(len(pageIDs)))
-	for _, id := range pageIDs {
-		pm := tp.pages[id]
+	// A page with a copy carries its full contents.
+	w.i32(nPages)
+	for _, pm := range tp.pages {
+		if pm == nil {
+			continue
+		}
 		if pm.twin != nil {
-			panic(fmt.Sprintf("tmk: rank %d: checkpoint of twinned page %d", tp.rank, id))
+			panic(fmt.Sprintf("tmk: rank %d: checkpoint of twinned page %d", tp.rank, pm.id))
 		}
 		w.i32(pm.id)
 		w.i32(pm.region.ID)
 		w.u8(byte(pm.state))
 		w.bool(pm.haveCopy)
-		w.vc(pm.cover)
+		w.i32s(pm.cover)
 		w.i32(int32(len(pm.notices)))
 		for _, l := range pm.notices {
-			w.tsList(l)
+			w.i32s(l)
 		}
 		if pm.haveCopy {
 			w.bytes(pm.data)
@@ -335,46 +322,37 @@ func (tp *Proc) restoreSnapshot(epoch int) {
 	if n := int(r.i32()); n != tp.n {
 		panic(fmt.Sprintf("tmk: checkpoint for %d procs, want %d", n, tp.n))
 	}
-	tp.vc = r.vc()
-	tp.lastBarrierVC = r.vc()
+	tp.vc = r.i32s()
+	tp.lastBarrierVC = r.i32s()
 	tp.barrier.episode = r.i32()
 	tp.expectRegion = r.i32()
 
 	nIvs := int(r.i32())
 	for i := 0; i < nIvs; i++ {
-		rec := &intervalRec{proc: r.i32(), ts: r.i32(), vc: r.vc(), pages: r.tsList()}
+		rec := &intervalRec{proc: r.i32(), ts: r.i32(), vc: r.i32s(), pages: r.i32s()}
 		tp.store.add(rec)
 	}
 
 	nRegions := int(r.i32())
 	for i := 0; i < nRegions; i++ {
-		reg := &Region{ID: r.i32(), StartPage: r.i32(), NPages: r.i32(), Bytes: r.i64(), Owner: int(r.i32())}
-		// A checkpointed region was fully distributed (the snapshot fence
-		// is a barrier every rank crossed after mapping it).
-		reg.committed = true
-		tp.regions[reg.ID] = reg
-		mem := make([]byte, int(reg.NPages)*PageSize)
-		tp.regionMem[reg.ID] = mem
-		if tp.homeBased {
-			// Re-register the restored memory as the region's RDMA window;
-			// peers of the new generation flush into it as before.
-			tp.os.RegisterWindow(tp.sp, reg.ID, mem)
-		}
-		tp.mapPages(reg, mem)
+		// A checkpointed region was fully distributed — committed — since the
+		// snapshot fence is a barrier every rank crossed after mapping it;
+		// peers of the new generation flush into the restored window as before.
+		tp.materialize(&Region{ID: r.i32(), StartPage: r.i32(), NPages: r.i32(), Bytes: r.i64(),
+			Owner: int(r.i32()), committed: true})
 	}
 
-	// A region's pages are mapped, and so snapshotted, all together: each
-	// record fills a pageMeta built above.
+	// Each page record fills a pageMeta built above.
 	nPages := int(r.i32())
 	for i := 0; i < nPages; i++ {
-		pm := tp.pages[r.i32()]
+		pm := tp.page(r.i32())
 		r.i32() // the region id, which the page id implies
 		pm.state = pageState(r.u8())
 		pm.haveCopy = r.bool()
-		copy(pm.cover, r.vc())
+		copy(pm.cover, r.i32s())
 		nNotices := int(r.i32())
 		for q := 0; q < nNotices; q++ {
-			pm.notices[q] = r.tsList()
+			pm.notices[q] = r.i32s()
 			tp.notices.live += int64(len(pm.notices[q]))
 		}
 		if pm.haveCopy {

@@ -212,8 +212,7 @@ type Result struct {
 	// blocked on, and whether recovery restarted or aborted the run.
 	Crash *CrashReport
 	// PeerFailure is the first typed transport give-up recorded across
-	// all generations, or nil — the surfaced form of what used to be a
-	// silent forever-pending send.
+	// all generations, or nil.
 	PeerFailure *substrate.PeerUnreachableError
 	// Member summarizes the elastic-membership layer's end state (nil
 	// with Config.Membership off): final fence epoch, live/ring bitmaps
@@ -378,7 +377,7 @@ func (c *Cluster) Run(app func(tp *Proc)) (*Result, error) {
 		})
 	}
 	if err := c.sim.Run(); err != nil {
-		return nil, c.wrapRunError(err)
+		return nil, err
 	}
 	res := &Result{PerProc: make([]sim.Time, n)}
 	for i, tp := range c.procs {
@@ -426,22 +425,6 @@ func (c *Cluster) Run(app func(tp *Proc)) (*Result, error) {
 		return res, &CrashAbortError{Report: res.Crash}
 	}
 	return res, nil
-}
-
-// wrapRunError attaches any typed transport give-ups to a simulation
-// error (normally a DeadlockError), so a stalled run names the
-// unreachable peer instead of only listing blocked processes.
-func (c *Cluster) wrapRunError(err error) error {
-	var fails []*substrate.PeerUnreachableError
-	for _, tp := range c.allProcs {
-		if f := tp.tr.PeerFailure(); f != nil {
-			fails = append(fails, f)
-		}
-	}
-	if len(fails) == 0 {
-		return err
-	}
-	return &StallError{Sim: err, Failures: fails}
 }
 
 // Run is the one-call entry point: assemble a cluster and execute app.

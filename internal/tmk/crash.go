@@ -81,8 +81,9 @@ func (r *CrashReport) String() string {
 }
 
 // CrashAbortError is returned by Run alongside the partial Result when a
-// detected crash could not be recovered by restart: the post-mortem names
-// the dead rank and what every survivor was blocked on.
+// rank declared dead — crashed, or unreachable past a transport's retry
+// budget, crash model or none — could not be recovered by restart: the
+// post-mortem names it and what every survivor was blocked on.
 type CrashAbortError struct {
 	Report *CrashReport
 }
@@ -90,25 +91,6 @@ type CrashAbortError struct {
 func (e *CrashAbortError) Error() string {
 	return "tmk: run aborted after crash: " + e.Report.String()
 }
-
-// StallError wraps a simulation that went quiescent after a transport
-// recorded a typed give-up (the retry-exhaustion path with no liveness
-// detector to unblock the waiters).
-type StallError struct {
-	Sim      error
-	Failures []*substrate.PeerUnreachableError
-}
-
-func (e *StallError) Error() string {
-	parts := make([]string, len(e.Failures))
-	for i, f := range e.Failures {
-		parts[i] = f.Error()
-	}
-	return fmt.Sprintf("tmk: run stalled: %s; %v", strings.Join(parts, "; "), e.Sim)
-}
-
-// Unwrap exposes the first typed transport failure to errors.As/Is.
-func (e *StallError) Unwrap() error { return e.Failures[0] }
 
 // crashState is the cluster-side watchdog state.
 type crashState struct {

@@ -3,9 +3,11 @@ package tmk_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/myrinet"
 	"repro/internal/substrate"
 	"repro/internal/tmk"
 )
@@ -265,5 +267,94 @@ func TestLivenessStatsFlow(t *testing.T) {
 	}
 	if res.Transport.PeersDeclaredDead != 0 {
 		t.Errorf("false-positive death declarations: %d", res.Transport.PeersDeclaredDead)
+	}
+}
+
+// TestRetryExhaustionAbortsWithPostMortem pins what a run with no crash
+// model does when a peer stays unreachable: the transport that spends its
+// retry budget declares the peer dead, which always calls the watchdog, so
+// Run returns a CrashAbortError — there is no separate "stalled" outcome —
+// whose report names the unreachable rank, the give-up and what every
+// survivor was blocked on. Nothing reaches rank 1, the first peer rank 0
+// distributes the region to; nobody else has a request outstanding, so the
+// small budget (on udpgm also the patience for a slow reply) condemns
+// nobody else.
+func TestRetryExhaustionAbortsWithPostMortem(t *testing.T) {
+	for _, kind := range allTransports {
+		t.Run(string(kind), func(t *testing.T) {
+			cfg := tmk.DefaultConfig(3, kind)
+			cfg.Fast.MaxSendRetries = 2
+			cfg.UDP.MaxRetries = 2
+			cfg.Net.Faults.Blackouts = []myrinet.Blackout{{Src: -1, Dst: 1, From: 0, To: 1 << 62}}
+			app, _ := lockWorkload(3)
+			res, err := tmk.Run(cfg, app)
+			var abort *tmk.CrashAbortError
+			if !errors.As(err, &abort) {
+				t.Fatalf("err = %v, want CrashAbortError", err)
+			}
+			rep := abort.Report
+			if res == nil || res.Crash != rep || rep.Action != "abort" || rep.DeadRank != 1 {
+				t.Fatalf("report: %s", rep)
+			}
+			if !strings.Contains(rep.Cause, "retry-exhausted") {
+				t.Errorf("cause = %q, want retry-exhausted", rep.Cause)
+			}
+			for _, rank := range []int{0, 2} {
+				if !strings.HasPrefix(rep.Entities[rank], "blocked on region 0") {
+					t.Errorf("survivor %d: %q, want blocked on region 0", rank, rep.Entities[rank])
+				}
+			}
+			if res.PeerFailure == nil || res.PeerFailure.Peer != 1 || res.PeerFailure.Kind != "retry-exhausted" {
+				t.Errorf("PeerFailure = %+v, want retry-exhausted toward peer 1", res.PeerFailure)
+			}
+		})
+	}
+}
+
+// TestLockTokensSurviveRestart covers the lock half of a checkpoint: every
+// rank increments two counters under two locks in every epoch, so by the
+// time rank 1 dies the tokens have left their managers and the chain tails
+// point around the cluster — the state encodeSnapshot's lock loop saves and
+// restoreSnapshot's rebuilds. A restarted generation that lost a token
+// deadlocks; one that forgot or replayed an epoch gets the sums wrong.
+func TestLockTokensSurviveRestart(t *testing.T) {
+	const procs, epochs = 4, 8
+	for _, kind := range allTransports {
+		for _, at := range []int{6, 9, 12} { // the closing checkpoint fence of epochs 1, 2 and 3
+			t.Run(fmt.Sprintf("%s/barrier%d", kind, at), func(t *testing.T) {
+				cfg := tmk.DefaultConfig(procs, kind)
+				cfg.Crash = tmk.CrashConfig{Rank: 1, AtBarrier: at, Checkpoint: true}
+				res, err := tmk.Run(cfg, func(tp *tmk.Proc) {
+					tp.EpochLoop(epochs+1, func(e int) {
+						if e == 0 {
+							tp.AllocShared(2 * tmk.PageSize)
+							tp.Barrier(1)
+							return
+						}
+						r := tp.RegionByID(0)
+						for lock := 0; lock < 2; lock++ {
+							slot := lock * tmk.PageSize / 8 // a page per counter
+							tp.LockAcquire(int32(lock))
+							tp.WriteF64(r, slot, tp.ReadF64(r, slot)+1)
+							tp.LockRelease(int32(lock))
+						}
+						tp.Barrier(int32(10 + e))
+					})
+					if r := tp.RegionByID(0); tp.Rank() == 0 {
+						for lock := 0; lock < 2; lock++ {
+							if got := tp.ReadF64(r, lock*tmk.PageSize/8); got != procs*epochs {
+								t.Errorf("counter %d = %v, want %d", lock, got, procs*epochs)
+							}
+						}
+					}
+				})
+				if err != nil {
+					t.Fatalf("run: %v", err)
+				}
+				if res.Crash == nil || res.Crash.Action != "restart" || res.Crash.DeadRank != 1 {
+					t.Fatalf("report: %v", res.Crash)
+				}
+			})
+		}
 	}
 }

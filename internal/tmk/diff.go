@@ -91,6 +91,3 @@ func ApplyDiff(page, diff []byte) error {
 	}
 	return nil
 }
-
-// DiffSize returns the encoded size without building the encoding twice.
-func DiffSize(diff []byte) int { return len(diff) }

@@ -226,8 +226,10 @@ func TestIntervalStore(t *testing.T) {
 }
 
 func TestPageMetaNotices(t *testing.T) {
-	tp := &Proc{n: 3, pages: map[int32]*pageMeta{}}
-	pm := &tp.mapPages(&Region{StartPage: 7, NPages: 1}, make([]byte, PageSize))[0]
+	tp := &Proc{n: 3}
+	r := &Region{StartPage: 7, NPages: 1}
+	tp.materialize(r)
+	pm := r.page(7)
 	if !pm.addNotice(1, 3) {
 		t.Error("uncovered notice not flagged")
 	}

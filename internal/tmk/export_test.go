@@ -1,6 +1,7 @@
 package tmk
 
 import (
+	"repro/internal/msg"
 	"repro/internal/sim"
 	"repro/internal/substrate"
 )
@@ -19,6 +20,9 @@ func (tp *Proc) scanMetaGauge() int64 {
 		total += intervalRecBytes(rec)
 	})
 	for _, pm := range tp.pages {
+		if pm == nil {
+			continue
+		}
 		for _, lst := range pm.notices {
 			total += int64(4 * len(lst))
 		}
@@ -49,6 +53,33 @@ func (g gaugeChecked) DisableAsync(p *sim.Proc) {
 			g.tp.rank, g.tp.gen, p.Now(), got, want, g.tp.diffBytes, g.tp.store.bytes, g.tp.notices.live)
 	}
 	g.Transport.DisableAsync(p)
+}
+
+// NoticeMidGet arms a one-shot injection on a home-based tp: the next time
+// it waits for one-sided verbs — its home Gets posted, none complete — a
+// write notice for page pg, from writer's next interval, is delivered
+// first: what a lock grant or barrier arrival handled mid-fault does.
+// writer must be a rank that closes no interval of its own afterwards.
+func (tp *Proc) NoticeMidGet(pg int32, writer int) {
+	tp.os = &noticeMidGet{OneSided: tp.os, tp: tp, pg: pg, writer: writer}
+}
+
+type noticeMidGet struct {
+	substrate.OneSided
+	tp     *Proc
+	pg     int32
+	writer int
+	done   bool
+}
+
+func (n *noticeMidGet) WaitVerbs(p *sim.Proc, verbs []substrate.PendingVerb) error {
+	if !n.done {
+		n.done = true
+		vc := n.tp.vc.Clone()
+		vc[n.writer]++
+		n.tp.applyIntervals([]msg.Interval{{Proc: int32(n.writer), TS: vc[n.writer], VC: vc.Ints(), Pages: []int32{n.pg}}})
+	}
+	return n.OneSided.WaitVerbs(p, verbs)
 }
 
 // Generation is 0 for an original process, ≥ 1 for one restored from a

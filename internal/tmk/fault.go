@@ -9,41 +9,22 @@ import (
 	"repro/internal/substrate"
 )
 
-// readFault makes an invalid page valid: fetch a full copy if we never
-// had one, then fetch and apply every missing diff in happens-before
-// order. New write notices can arrive concurrently (we service requests
-// while awaiting replies), so the loop re-checks until nothing is
-// missing.
+// readFault makes an invalid page valid. Home-based, that is the one-page
+// case of homeFaultRange. Homeless: fetch a full copy if we never had one,
+// then fetch and apply every missing diff in happens-before order.
 func (tp *Proc) readFault(pm *pageMeta) {
+	if tp.homeBased {
+		tp.homeFaultRange(pm.region, pm.id, pm.id)
+		return
+	}
 	start := tp.sp.Now()
 	tp.observe(event{kind: evReadFaultBegin, page: pm})
 	tp.stats.ReadFaults++
 	tp.sp.Advance(tp.cpu.FaultOverhead)
-
-	if tp.homeBased {
-		// Home-based LRC: one whole-page RDMA read from the home replaces
-		// the page fetch + per-writer diff chase (home.go).
-		tp.homeReadFault(pm)
-	} else {
-		for {
-			if !pm.haveCopy {
-				if w := tp.cluster.cfg.DiffFetchWidth; w > 0 && len(tp.missingRanges(pm)) >= w {
-					// A fault at least DiffFetchWidth wide skips the combined
-					// page+diff scatter: the page fetch goes alone and the
-					// diff chase below runs in width-capped waves.
-					tp.fetchPage(pm)
-				} else {
-					tp.fetchPageAndDiffs(pm)
-				}
-				continue
-			}
-			missing := tp.missingRanges(pm)
-			if len(missing) == 0 {
-				break
-			}
-			tp.fetchDiffs(pm, missing)
-		}
+	if !pm.haveCopy {
+		tp.fetchPageAndDiffs(pm)
 	}
+	tp.chaseDiffs(pm)
 	tp.promoteValid(pm)
 	tp.stats.FaultTime += tp.sp.Now() - start
 	tp.observe(event{kind: evReadFault, start: start, dur: tp.sp.Now() - start, page: pm, peer: -1, bytes: PageSize})
@@ -125,15 +106,6 @@ func (tp *Proc) pageHolder(pm *pageMeta) int {
 	return target
 }
 
-// fetchPage pulls a full copy from the page's holder, alone.
-func (tp *Proc) fetchPage(pm *pageMeta) {
-	target := tp.pageHolder(pm)
-	start := tp.sp.Now()
-	rep := tp.call(target, blocked("page %d (fetch from %d)", int(pm.id), target),
-		&msg.Message{Kind: msg.KPageReq, Page: pm.id})
-	tp.installPage(pm, target, start, tp.sp.Now()-start, rep)
-}
-
 // installPage adopts the full copy fetched from target over [start,
 // start+dur], together with the holder's coverage vector for the page,
 // which the reply also carries.
@@ -150,6 +122,20 @@ func (tp *Proc) installPage(pm *pageMeta, target int, start, dur sim.Time, rep *
 		}
 	}
 	pm.haveCopy = true
+}
+
+// chaseDiffs fetches and applies pm's missing diffs until none is missing —
+// new write notices can arrive while replies are awaited — and reports
+// whether there were any.
+func (tp *Proc) chaseDiffs(pm *pageMeta) (fetched bool) {
+	for {
+		missing := tp.missingRanges(pm)
+		if len(missing) == 0 {
+			return fetched
+		}
+		fetched = true
+		tp.fetchDiffs(pm, missing)
+	}
 }
 
 // fetchDiffs requests the missing diffs and applies everything received
@@ -174,26 +160,18 @@ func (tp *Proc) fetchDiffs(pm *pageMeta, ranges []msg.DiffRange) {
 	tp.applyDiffs(pm, all)
 }
 
-// beginDiffFetches scatters the diff requests: one batched KDiffReq per
-// writer carrying every DiffRange that writer owes us, each transmitted
-// without waiting for the previous reply.
+// beginDiffFetches scatters the diff requests: one KDiffReq per range —
+// per writer, that is — each transmitted without waiting for the previous
+// reply.
 func (tp *Proc) beginDiffFetches(pm *pageMeta, ranges []msg.DiffRange) []substrate.Pending {
-	var reqs []*msg.Message
-	byWriter := make(map[int32]*msg.Message)
 	for _, dr := range ranges {
 		tp.observe(event{kind: evDiffRequest, page: pm, peer: int(dr.Proc), a: int(dr.FromTS), b: int(dr.ToTS)})
-		m := byWriter[dr.Proc]
-		if m == nil {
-			m = &msg.Message{Kind: msg.KDiffReq}
-			byWriter[dr.Proc] = m
-			reqs = append(reqs, m)
-		}
-		m.DiffReqs = append(m.DiffReqs, dr)
 	}
-	pending := make([]substrate.Pending, 0, len(reqs))
-	for _, req := range reqs {
+	pending := make([]substrate.Pending, 0, len(ranges))
+	for _, dr := range ranges {
 		tp.stats.DiffRequestsSent++
-		pending = append(pending, tp.tr.CallBegin(tp.sp, int(req.DiffReqs[0].Proc), req))
+		pending = append(pending, tp.tr.CallBegin(tp.sp, int(dr.Proc),
+			&msg.Message{Kind: msg.KDiffReq, DiffReqs: []msg.DiffRange{dr}}))
 	}
 	return pending
 }
@@ -267,12 +245,18 @@ func (tp *Proc) applyDiffs(pm *pageMeta, all []msg.Diff) {
 // to the writers other than the page holder. The holder's own missing
 // intervals are never requested — its copy covers everything it has
 // closed — and any other requested diff the fetched copy turns out to
-// subsume is discarded by applyDiffs' coverage filter.
+// subsume is discarded by applyDiffs' coverage filter. A fault at least
+// Config.DiffFetchWidth wide scatters nothing: the page fetch goes alone
+// and readFault's diff chase follows in width-capped waves.
 func (tp *Proc) fetchPageAndDiffs(pm *pageMeta) {
 	target := tp.pageHolder(pm)
 	pagePend := tp.tr.CallBegin(tp.sp, target, &msg.Message{Kind: msg.KPageReq, Page: pm.id})
+	missing := tp.missingRanges(pm)
+	if w := tp.cluster.cfg.DiffFetchWidth; w > 0 && len(missing) >= w {
+		missing = nil
+	}
 	var ranges []msg.DiffRange
-	for _, dr := range tp.missingRanges(pm) {
+	for _, dr := range missing {
 		if int(dr.Proc) != target {
 			ranges = append(ranges, dr)
 		}
@@ -380,28 +364,31 @@ func (tp *Proc) applyIntervals(ivs []msg.Interval) {
 			continue // our own interval echoed back
 		}
 		for _, pg := range rec.pages {
-			pm := tp.pages[pg]
-			if pm == nil {
-				continue // region not mapped here (never accessed)
+			if pm := tp.mapped(pg); pm != nil { // else its region is not mapped here yet: mapRegion replays
+				tp.deliverNotice(pm, rec)
 			}
-			invalidated := false
-			if pm.addNotice(int(rec.proc), rec.ts) {
-				if tp.homeBased && tp.HomeOf(pg) == tp.rank {
-					// We are the page's home: the writer's flush completed
-					// before this interval became visible (HLRC rule 1), so
-					// our copy already holds the data — cover the notice
-					// instead of invalidating.
-					if pm.cover[rec.proc] < rec.ts {
-						pm.cover[rec.proc] = rec.ts
-					}
-				} else if pm.state != pageInvalid {
-					pm.state = pageInvalid
-					tp.stats.Invalidations++
-					invalidated = true
-				}
-			}
-			tp.observe(event{kind: evNotice, page: pm, peer: int(rec.proc), invalidated: invalidated,
-				wroteHere: pm.twin != nil || pm.state == pageWritable || len(pm.notices[tp.rank]) > 0})
 		}
 	}
+}
+
+// deliverNotice files the write notice another rank's interval rec carries
+// for pm, and invalidates the page if its copy does not cover it — unless
+// we are the page's home: the writer's flush completed before its interval
+// became visible (HLRC rule 1), so our copy already holds the data, and the
+// notice is covered instead (rule 2).
+func (tp *Proc) deliverNotice(pm *pageMeta, rec *intervalRec) {
+	invalidated := false
+	if pm.addNotice(int(rec.proc), rec.ts) {
+		if tp.homeBased && tp.HomeOf(pm.id) == tp.rank {
+			if pm.cover[rec.proc] < rec.ts {
+				pm.cover[rec.proc] = rec.ts
+			}
+		} else if pm.state != pageInvalid {
+			pm.state = pageInvalid
+			tp.stats.Invalidations++
+			invalidated = true
+		}
+	}
+	tp.observe(event{kind: evNotice, page: pm, peer: int(rec.proc), invalidated: invalidated,
+		wroteHere: pm.twin != nil || pm.state == pageWritable || len(pm.notices[tp.rank]) > 0})
 }

@@ -1,9 +1,6 @@
 package tmk
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Metadata garbage collection (DESIGN.md §15.4). TreadMarks' protocol
 // metadata — retained diffs, interval records, and write notices — grows
@@ -58,27 +55,9 @@ func (tp *Proc) runMetaGC() {
 	start := tp.sp.Now()
 	tp.stats.GCEpochs++
 
-	// Step 3: validate every held copy in page-id order (determinism).
-	ids := make([]int32, 0, len(tp.pages))
-	for id := range tp.pages {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		pm := tp.pages[id]
-		if !pm.haveCopy {
-			continue
-		}
-		validated := false
-		for {
-			missing := tp.missingRanges(pm)
-			if len(missing) == 0 {
-				break
-			}
-			validated = true
-			tp.fetchDiffs(pm, missing)
-		}
-		if validated {
+	// Step 3: validate every held copy, in page-id order.
+	for _, pm := range tp.pages {
+		if pm != nil && pm.haveCopy && tp.chaseDiffs(pm) {
 			tp.stats.GCValidations++
 		}
 	}
@@ -95,11 +74,13 @@ func (tp *Proc) runMetaGC() {
 		}
 	}
 	tp.stats.GCIntervalsPruned += int64(tp.store.pruneThrough(v))
-	for _, id := range ids {
-		pm := tp.pages[id]
+	for _, pm := range tp.pages {
+		if pm == nil {
+			continue
+		}
 		pruned, err := pm.pruneNotices(v)
 		if err != nil {
-			panic(fmt.Sprintf("tmk: rank %d: GC page %d: %v", tp.rank, id, err))
+			panic(fmt.Sprintf("tmk: rank %d: GC page %d: %v", tp.rank, pm.id, err))
 		}
 		tp.stats.GCNoticesPruned += int64(pruned)
 	}

@@ -136,18 +136,6 @@ func (tp *Proc) noticeSnap(pm *pageMeta) VC {
 	return snap
 }
 
-// coverSelfHome validates a self-homed page without any communication:
-// the window is the page, incoming flushes have maintained it, so every
-// known notice is already incorporated.
-func (tp *Proc) coverSelfHome(pm *pageMeta) {
-	for q := 0; q < tp.n; q++ {
-		if l := pm.notices[q]; len(l) > 0 && pm.cover[q] < l[len(l)-1] {
-			pm.cover[q] = l[len(l)-1]
-		}
-	}
-	pm.haveCopy = true
-}
-
 // homeApply merges a fetched home page into the local copy and credits
 // the pre-fetch notice snapshot. With a twin present (a writable page
 // re-fetching after a concurrent notice), the local interval's own words
@@ -183,85 +171,68 @@ func (tp *Proc) homeApply(pm *pageMeta, data []byte, snap VC) {
 	}
 }
 
-// homeReadFault is readFault's home-based body: RDMA-read the whole page
-// from its home, merge, and re-check — a notice can land while the verb
-// is in flight, in which case the home already has the flushed data and
-// one more Get covers it. The caller (readFault) owns the state
-// promotion and fault accounting.
-func (tp *Proc) homeReadFault(pm *pageMeta) {
-	home := tp.HomeOf(pm.id)
-	if home == tp.rank {
-		tp.coverSelfHome(pm)
-		return
-	}
-	for {
-		snap := tp.noticeSnap(pm)
-		tp.stats.PageFetches++
-		tp.stats.HomeFetches++
-		tp.stats.HomeFetchBytes += PageSize
-		fetchStart := tp.sp.Now()
-		pv := tp.os.PostGet(tp.sp, home, pm.region.ID, windowOff(pm), PageSize)
-		tp.waitVerbs(blocked("page %d (home get from %d)", int(pm.id), home),
-			[]substrate.PendingVerb{pv})
-		tp.homeApply(pm, pv.Data(), snap)
-		tp.observe(event{kind: evHomeFetch, start: fetchStart, dur: tp.sp.Now() - fetchStart, page: pm, peer: home, bytes: PageSize})
-		if !pm.isMissingAny(tp.rank) {
-			return
-		}
-	}
+// homeGet is one page of a home-based read fault in flight: the notice
+// snapshot its Get was posted under, and when the fault and that Get began.
+type homeGet struct {
+	pm            *pageMeta
+	snap          VC
+	began, posted sim.Time
 }
 
-// homeFaultRange is faultRange's home-based body for a multi-page span:
-// one Get per invalid page, all posted before any is awaited.
-func (tp *Proc) homeFaultRange(first, last int32, write bool) {
-	for {
-		start := tp.sp.Now()
-		var pms []*pageMeta
-		var snaps []VC
-		var verbs []substrate.PendingVerb
-		for pg := first; pg <= last; pg++ {
-			pm := tp.page(pg)
-			if pm.state != pageInvalid {
+// postHomeGet posts the whole-page read of pm from its home.
+func (tp *Proc) postHomeGet(pm *pageMeta, began sim.Time) (homeGet, substrate.PendingVerb) {
+	home := tp.HomeOf(pm.id)
+	if home == tp.rank {
+		// Rule 2: deliverNotice covers a notice for a page homed here, never
+		// invalidates it, so it cannot fault (and there is no Get to self).
+		panic(fmt.Sprintf("tmk: rank %d: read fault on page %d, which is homed here", tp.rank, pm.id))
+	}
+	tp.stats.PageFetches++
+	tp.stats.HomeFetches++
+	tp.stats.HomeFetchBytes += PageSize
+	g := homeGet{pm: pm, snap: tp.noticeSnap(pm), began: began, posted: tp.sp.Now()}
+	return g, tp.os.PostGet(tp.sp, home, pm.region.ID, windowOff(pm), PageSize)
+}
+
+// homeFaultRange is the home-based read fault, over the span [first, last]
+// of region r's pages: every invalid one is RDMA-read whole from its home
+// and merged. All the Gets are posted before any is awaited, so a span
+// costs max-RTT instead of sum-of-RTTs (the one-sided analogue of the
+// homeless scatter-gather diff fetch). A notice can land while a Get is in
+// flight; the home already has the flushed data (rule 1), so the page goes
+// round again: one more Get, the same fault.
+func (tp *Proc) homeFaultRange(r *Region, first, last int32) {
+	start := tp.sp.Now()
+	for pg := first; pg <= last; pg++ {
+		pm := r.page(pg)
+		if pm.state != pageInvalid {
+			continue
+		}
+		began := tp.sp.Now()
+		tp.observe(event{kind: evReadFaultBegin, page: pm})
+		tp.stats.ReadFaults++
+		tp.sp.Advance(tp.cpu.FaultOverhead)
+		g, pv := tp.postHomeGet(pm, began)
+		tp.homeGets, tp.homeVerbs = append(tp.homeGets, g), append(tp.homeVerbs, pv)
+	}
+	for len(tp.homeGets) > 0 {
+		tp.waitVerbs(blocked("pages %d..%d (%d home gets)", int(first), int(last), len(tp.homeVerbs)), tp.homeVerbs)
+		again := 0
+		for i, g := range tp.homeGets {
+			pv := tp.homeVerbs[i]
+			tp.homeApply(g.pm, pv.Data(), g.snap)
+			tp.observe(event{kind: evHomeFetch, start: g.posted, dur: tp.sp.Now() - g.posted, page: g.pm, peer: pv.Dst(), bytes: PageSize})
+			if g.pm.isMissingAny(tp.rank) {
+				tp.homeGets[again], tp.homeVerbs[again] = tp.postHomeGet(g.pm, g.began)
+				again++
 				continue
 			}
-			tp.stats.ReadFaults++
-			tp.sp.Advance(tp.cpu.FaultOverhead)
-			if tp.HomeOf(pg) == tp.rank {
-				tp.coverSelfHome(pm)
-				tp.promoteValid(pm)
-				continue
-			}
-			tp.stats.PageFetches++
-			tp.stats.HomeFetches++
-			tp.stats.HomeFetchBytes += PageSize
-			pms = append(pms, pm)
-			snaps = append(snaps, tp.noticeSnap(pm))
-			verbs = append(verbs, tp.os.PostGet(tp.sp, tp.HomeOf(pg), pm.region.ID, windowOff(pm), PageSize))
+			tp.promoteValid(g.pm)
+			tp.observe(event{kind: evReadFault, start: g.began, dur: tp.sp.Now() - g.began, page: g.pm, peer: -1, bytes: PageSize})
 		}
-		if len(verbs) == 0 {
-			break
-		}
-		tp.waitVerbs(blocked("pages %d..%d (batched home gets, %d pages)", int(first), int(last), len(verbs)), verbs)
-		for i, pm := range pms {
-			pv := verbs[i]
-			tp.homeApply(pm, pv.Data(), snaps[i])
-			if !pm.isMissingAny(tp.rank) {
-				tp.promoteValid(pm)
-			}
-			tp.observe(event{kind: evHomeRangeFetch, start: pv.Issued(), dur: pv.Completed() - pv.Issued(),
-				page: pm, peer: pv.Dst(), bytes: PageSize})
-		}
-		tp.stats.FaultTime += tp.sp.Now() - start
-		// Loop: a page that picked up a fresh notice mid-batch stays
-		// invalid and re-fetches.
+		tp.homeGets, tp.homeVerbs = tp.homeGets[:again], tp.homeVerbs[:again]
 	}
-	if write {
-		for pg := first; pg <= last; pg++ {
-			if pm := tp.page(pg); pm.state != pageWritable {
-				tp.writeFault(pm)
-			}
-		}
-	}
+	tp.stats.FaultTime += tp.sp.Now() - start
 }
 
 // promoteValid moves a just-validated invalid page to its resting state.

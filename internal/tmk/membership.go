@@ -484,7 +484,7 @@ func (c *Cluster) installLock(leader *Proc, id int32, to, tail int) {
 // a joined extra).
 func (c *Cluster) handoffPage(leader *Proc, pg int32, from, to int) {
 	fp := c.procs[from]
-	pm := fp.pages[pg]
+	pm := fp.mapped(pg)
 	if pm == nil || !pm.haveCopy {
 		panic(fmt.Sprintf("tmk: page %d handoff: old home %d has no copy", pg, from))
 	}
@@ -538,10 +538,7 @@ func (c *Cluster) recoverPage(leader *Proc, pg int32, to int) {
 // discipline.
 func (c *Cluster) installPage(leader *Proc, pg int32, to int, image []byte) {
 	np := c.procs[to]
-	pm := np.pages[pg]
-	if pm == nil {
-		panic(fmt.Sprintf("tmk: page %d handoff: new home %d has not mapped the region", pg, to))
-	}
+	pm := np.page(pg)
 	copy(pm.data, image)
 	pm.haveCopy = true
 	if pm.state == pageInvalid {

@@ -20,9 +20,9 @@ import (
 // reads them, so they stay inline at the protocol sites.
 //
 // The views grew as separate hand-fed channels and disagree in places.
-// The vocabulary keeps every disagreement — TestObserverViewsGolden in
-// internal/harness pins what each view receives — and marks it DRIFT, so
-// a fix is a change to one row.
+// The vocabulary keeps each disagreement not yet fixed — what every view
+// receives is pinned by TestObserverViewsGolden in internal/harness — and
+// marks it DRIFT, so a fix is a change to one row.
 
 // evKind is one vocabulary row: what the ring, the protocol trace and the
 // profiler each make of a kind of event; an empty column means that view
@@ -52,16 +52,13 @@ var (
 	// DRIFT: write-notice arrival exists for the profiler only.
 	evNotice = &evKind{prof: []prof.Kind{prof.Notice}}
 
-	// Home-based LRC; peer = the home. DRIFT: a single-page home fault is
-	// a read fault (evReadFault, the whole fault) plus a home fetch; a page
-	// of a batched range fault is only the latter, which therefore also
-	// counts the read fault for the profiler — with the Get's round trip
-	// as its duration — and the ring never sees one. A flush is per page
-	// for the profiler, per interval for the ring.
-	evHomeFetch      = &evKind{ring: "home-fetch", prof: []prof.Kind{prof.Fetch, prof.HomeFetch}}
-	evHomeRangeFetch = &evKind{ring: "home-fetch", prof: []prof.Kind{prof.ReadFault, prof.Fetch, prof.HomeFetch}}
-	evHomeFlushPage  = &evKind{prof: []prof.Kind{prof.HomeFlush}}
-	evHomeFlush      = &evKind{ring: "home-flush"}
+	// Home-based LRC; peer = the home. A home fetch is one Get of a read
+	// fault (evReadFault), posted to merged; a fault has more than one only
+	// if a notice landed mid-Get. DRIFT: a flush is per page for the
+	// profiler, per interval for the ring.
+	evHomeFetch     = &evKind{ring: "home-fetch", prof: []prof.Kind{prof.Fetch, prof.HomeFetch}}
+	evHomeFlushPage = &evKind{prof: []prof.Kind{prof.HomeFlush}}
+	evHomeFlush     = &evKind{ring: "home-flush"}
 	// A migration, observed once, by the rank that becomes home; peer = the
 	// home it leaves.
 	evHomeMove = &evKind{ring: "home-move", prof: []prof.Kind{prof.HomeMove},

@@ -56,28 +56,6 @@ func (np *noticePool) grow(lst []int32) []int32 {
 	return out
 }
 
-// mapPages enters the metadata of all of region's pages, over its local
-// storage mem, into tp.pages: one slab each for the pageMetas, their cover
-// vectors and their notice-list headers.
-func (tp *Proc) mapPages(region *Region, mem []byte) []pageMeta {
-	n := tp.n
-	metas := make([]pageMeta, region.NPages)
-	covers := make(VC, len(metas)*n)
-	heads := make([][]int32, len(metas)*n)
-	for i := range metas {
-		metas[i] = pageMeta{
-			id:      region.StartPage + int32(i),
-			region:  region,
-			data:    mem[i*PageSize : (i+1)*PageSize],
-			cover:   covers[i*n : (i+1)*n : (i+1)*n],
-			notices: heads[i*n : (i+1)*n : (i+1)*n],
-			pool:    &tp.notices,
-		}
-		tp.pages[metas[i].id] = &metas[i]
-	}
-	return metas
-}
-
 // addNotice records that proc q dirtied this page in its interval ts and
 // reports whether the page must be invalidated (an uncovered notice).
 func (pm *pageMeta) addNotice(q int, ts int32) bool {

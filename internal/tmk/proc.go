@@ -25,12 +25,16 @@ type Proc struct {
 	homeBased bool
 	os        substrate.OneSided
 	homes     *homeTable // migrating placement; nil unless homeBased without membership
+	// homeFaultRange's scratch (a handler never faults: one user at a time):
+	// the pages still to validate and their Gets, index for index.
+	homeGets  []homeGet
+	homeVerbs []substrate.PendingVerb
 
 	vc            VC
 	lastBarrierVC VC
 	store         *intervalStore
-	pages         map[int32]*pageMeta
-	notices       noticePool // backs and counts every page's notice lists
+	pages         []*pageMeta // by global page id, into the regions' slabs; nil = not mapped here
+	notices       noticePool  // backs and counts every page's notice lists
 	dirty         []int32
 	myDiffs       map[diffKey][]byte
 	diffBytes     int64    // payload bytes in myDiffs (keepDiff, dropDiff)
@@ -40,8 +44,7 @@ type Proc struct {
 	locks   map[int32]*lockState
 	barrier barrierState
 
-	regions      map[int32]*Region
-	regionMem    map[int32][]byte
+	regions      []*Region // by region id; nil = not mapped here
 	regionCond   *sim.Cond
 	expectRegion int32
 
@@ -94,12 +97,9 @@ func newProc(c *Cluster, rank int, sp *sim.Proc, tr substrate.Transport, cpu CPU
 		vc:            NewVC(c.n),
 		lastBarrierVC: NewVC(c.n),
 		store:         newIntervalStore(c.n),
-		pages:         make(map[int32]*pageMeta),
 		myDiffs:       make(map[diffKey][]byte),
 		diffScratch:   make([]byte, 0, PageSize+4),
 		locks:         make(map[int32]*lockState),
-		regions:       make(map[int32]*Region),
-		regionMem:     make(map[int32][]byte),
 		regionCond:    sim.NewCond(fmt.Sprintf("tmk:%d:region", rank)),
 		barrier:       barrierState{cond: sim.NewCond(fmt.Sprintf("tmk:%d:barrier", rank))},
 	}
@@ -132,7 +132,7 @@ func (tp *Proc) handleRequest(p *sim.Proc, m *msg.Message) {
 		tp.mapRegion(regionFromWire(m.Region, int(m.From)), false)
 		tp.tr.Reply(p, m, &msg.Message{Kind: msg.KAck})
 	case msg.KDistributeCommit:
-		r := tp.regions[m.Region.ID]
+		r := tp.RegionByID(m.Region.ID)
 		if r == nil {
 			panic(fmt.Sprintf("tmk: rank %d: commit for unknown region %d", tp.rank, m.Region.ID))
 		}
@@ -156,11 +156,7 @@ func (tp *Proc) handleDiffReq(m *msg.Message) {
 		if int(dr.Proc) != tp.rank {
 			panic(fmt.Sprintf("tmk: rank %d asked for rank %d's diffs", tp.rank, dr.Proc))
 		}
-		pm := tp.pages[dr.Page]
-		if pm == nil {
-			panic(fmt.Sprintf("tmk: diff request for unmapped page %d", dr.Page))
-		}
-		own := pm.notices[tp.rank]
+		own := tp.page(dr.Page).notices[tp.rank]
 		i := sort.Search(len(own), func(i int) bool { return own[i] > dr.FromTS })
 		for ; i < len(own) && own[i] <= dr.ToTS; i++ {
 			ts := own[i]
@@ -178,7 +174,7 @@ func (tp *Proc) handleDiffReq(m *msg.Message) {
 // coverage vector; the contents are whatever our copy incorporates — the
 // requester tops it up with diffs.
 func (tp *Proc) handlePageReq(m *msg.Message) {
-	pm := tp.pages[m.Page]
+	pm := tp.mapped(m.Page)
 	if pm == nil || !pm.haveCopy {
 		panic(fmt.Sprintf("tmk: rank %d: page request for %d but no copy here", tp.rank, m.Page))
 	}

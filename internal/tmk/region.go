@@ -21,7 +21,15 @@ type Region struct {
 	// region and registered its memory window, so home flushes can no
 	// longer race an unregistered window. Set by KDistributeCommit.
 	committed bool
+
+	// This process's copy (materialize): the storage — home-based, also the
+	// region's RDMA window — and the pages' metadata, by offset from StartPage.
+	mem   []byte
+	pages []pageMeta
 }
+
+// page returns this process's metadata for global page pg of the region.
+func (r *Region) page(pg int32) *pageMeta { return &r.pages[pg-r.StartPage] }
 
 func (r *Region) wire() msg.RegionInfo {
 	return msg.RegionInfo{ID: r.ID, StartPage: r.StartPage, Pages: r.NPages, Bytes: r.Bytes}
@@ -46,10 +54,10 @@ func (tp *Proc) Alloc(nbytes int) *Region {
 		NPages:    npages,
 		Bytes:     int64(nbytes),
 		Owner:     tp.rank,
+		committed: true, // the owner's own window exists from mapRegion on
 	}
 	tp.cluster.nextRegionID++
 	tp.cluster.nextPage += npages
-	r.committed = true // the owner's own window exists from mapRegion on
 	tp.mapRegion(r, true)
 	return r
 }
@@ -60,26 +68,22 @@ func (tp *Proc) Alloc(nbytes int) *Region {
 // window) are the AllocShared waiters released, so no rank can write —
 // and therefore flush to a home window — before every window exists.
 func (tp *Proc) Distribute(r *Region) {
+	tp.tellPeers(r, msg.KDistribute, "region %d (distribute to %d)")
+	if tp.homeBased {
+		tp.tellPeers(r, msg.KDistributeCommit, "region %d (commit to %d)")
+	}
+}
+
+// tellPeers is one round of Distribute: every other process in turn is
+// sent the region's descriptor and acknowledges it.
+func (tp *Proc) tellPeers(r *Region, kind msg.Kind, blockedOn string) {
 	for peer := 0; peer < tp.n; peer++ {
 		if peer == tp.rank {
 			continue
 		}
-		rep := tp.call(peer, blocked("region %d (distribute to %d)", int(r.ID), peer),
-			&msg.Message{Kind: msg.KDistribute, Region: r.wire()})
+		rep := tp.call(peer, blocked(blockedOn, int(r.ID), peer), &msg.Message{Kind: kind, Region: r.wire()})
 		if rep.Kind != msg.KAck {
-			panic(fmt.Sprintf("tmk: distribute: unexpected %v", rep.Kind))
-		}
-	}
-	if tp.homeBased {
-		for peer := 0; peer < tp.n; peer++ {
-			if peer == tp.rank {
-				continue
-			}
-			rep := tp.call(peer, blocked("region %d (commit to %d)", int(r.ID), peer),
-				&msg.Message{Kind: msg.KDistributeCommit, Region: r.wire()})
-			if rep.Kind != msg.KAck {
-				panic(fmt.Sprintf("tmk: distribute commit: unexpected %v", rep.Kind))
-			}
+			panic(fmt.Sprintf("tmk: %v: unexpected %v", kind, rep.Kind))
 		}
 	}
 }
@@ -96,30 +100,23 @@ func (tp *Proc) AllocShared(nbytes int) *Region {
 	want := tp.expectRegion
 	tp.expectRegion++
 	tp.blockedOn = blocked("region %d (awaiting distribute from rank 0)", int(want))
-	for tp.regions[want] == nil || (tp.homeBased && !tp.regions[want].committed) {
+	r := tp.RegionByID(want)
+	for ; r == nil || (tp.homeBased && !r.committed); r = tp.RegionByID(want) {
 		tp.sp.WaitOn(tp.regionCond)
 	}
 	tp.blockedOn = entity{}
-	return tp.regions[want]
+	return r
 }
 
 // mapRegion materializes local storage for a region. The owner starts
 // with every page valid (zeroed); others start invalid with no copy.
 func (tp *Proc) mapRegion(r *Region, owned bool) {
-	if tp.regions[r.ID] != nil {
+	if tp.RegionByID(r.ID) != nil {
 		return
 	}
-	tp.regions[r.ID] = r
-	mem := make([]byte, int(r.NPages)*PageSize)
-	tp.regionMem[r.ID] = mem
-	if tp.homeBased {
-		// The whole region backs one RDMA window (window id = region id);
-		// peers address page pg at byte offset (pg−StartPage)·PageSize.
-		tp.os.RegisterWindow(tp.sp, r.ID, mem)
-	}
-	metas := tp.mapPages(r, mem)
-	for i := range metas {
-		pm := &metas[i]
+	tp.materialize(r)
+	for i := range r.pages {
+		pm := &r.pages[i]
 		if owned || (tp.homeBased && tp.HomeOf(pm.id) == tp.rank) {
 			// The home's copy IS the window: incoming flushes keep it
 			// current from the moment the region exists, so it starts (and
@@ -140,28 +137,58 @@ func (tp *Proc) mapRegion(r *Region, owned bool) {
 		}
 		for _, pg := range rec.pages {
 			if pg >= r.StartPage && pg < r.StartPage+r.NPages {
-				pm := tp.pages[pg]
-				if pm.addNotice(int(rec.proc), rec.ts) {
-					if tp.homeBased && tp.HomeOf(pg) == tp.rank {
-						// Home copy already holds the flushed data (cannot
-						// actually occur before the commit round completes,
-						// but mirror applyIntervals defensively).
-						if pm.cover[rec.proc] < rec.ts {
-							pm.cover[rec.proc] = rec.ts
-						}
-					} else if pm.state != pageInvalid {
-						pm.state = pageInvalid
-					}
-				}
+				tp.deliverNotice(r.page(pg), rec)
 			}
 		}
 	})
 	tp.regionCond.Broadcast()
 }
 
-// page returns the metadata for a global page id.
+// materialize gives region its copy on this process and enters it in the
+// region and page tables: storage, the RDMA window over it (home-based:
+// window id = region id, page pg at byte (pg−StartPage)·PageSize) and one
+// slab each of pageMetas, their cover vectors and their notice-list headers.
+func (tp *Proc) materialize(region *Region) {
+	n := tp.n
+	region.mem = make([]byte, int(region.NPages)*PageSize)
+	if tp.homeBased {
+		tp.os.RegisterWindow(tp.sp, region.ID, region.mem)
+	}
+	region.pages = make([]pageMeta, region.NPages)
+	covers := make(VC, len(region.pages)*n)
+	heads := make([][]int32, len(region.pages)*n)
+	if grow := int(region.ID) + 1 - len(tp.regions); grow > 0 {
+		tp.regions = append(tp.regions, make([]*Region, grow)...)
+	}
+	tp.regions[region.ID] = region
+	if grow := int(region.StartPage+region.NPages) - len(tp.pages); grow > 0 {
+		tp.pages = append(tp.pages, make([]*pageMeta, grow)...)
+	}
+	for i := range region.pages {
+		region.pages[i] = pageMeta{
+			id:      region.StartPage + int32(i),
+			region:  region,
+			data:    region.mem[i*PageSize : (i+1)*PageSize],
+			cover:   covers[i*n : (i+1)*n : (i+1)*n],
+			notices: heads[i*n : (i+1)*n : (i+1)*n],
+			pool:    &tp.notices,
+		}
+		tp.pages[region.pages[i].id] = &region.pages[i]
+	}
+}
+
+// mapped returns the metadata for a global page id, nil if the page's
+// region is not mapped on this process.
+func (tp *Proc) mapped(pg int32) *pageMeta {
+	if int(pg) >= len(tp.pages) {
+		return nil
+	}
+	return tp.pages[pg]
+}
+
+// page is mapped for a page that must be.
 func (tp *Proc) page(pg int32) *pageMeta {
-	pm := tp.pages[pg]
+	pm := tp.mapped(pg)
 	if pm == nil {
 		panic(fmt.Sprintf("tmk: rank %d: access to unmapped page %d", tp.rank, pg))
 	}
@@ -174,7 +201,7 @@ func (tp *Proc) page(pg int32) *pageMeta {
 func (tp *Proc) ReadBytes(r *Region, off, n int) []byte {
 	tp.checkRange(r, off, n)
 	tp.faultRange(r, off, n, false)
-	return tp.regionMem[r.ID][off : off+n : off+n]
+	return r.mem[off : off+n : off+n]
 }
 
 // WriteAt copies data into the region at off.
@@ -202,7 +229,7 @@ func (tp *Proc) writeWindow(r *Region, off, n int) []byte {
 		tp.faultRange(r, off, n, true)
 		tp.tr.DisableAsync(tp.sp)
 		if tp.rangeWritable(r, off, n) {
-			return tp.regionMem[r.ID][off : off+n]
+			return r.mem[off : off+n]
 		}
 		tp.tr.EnableAsync(tp.sp)
 	}
@@ -214,7 +241,7 @@ func (tp *Proc) rangeWritable(r *Region, off, n int) bool {
 	first := r.StartPage + int32(off/PageSize)
 	last := r.StartPage + int32((off+n-1)/PageSize)
 	for pg := first; pg <= last; pg++ {
-		if tp.page(pg).state != pageWritable {
+		if r.page(pg).state != pageWritable {
 			return false
 		}
 	}
@@ -228,28 +255,24 @@ func (tp *Proc) checkRange(r *Region, off, n int) {
 }
 
 // faultRange runs the fault path over every page the byte range touches.
-// In home-based mode a multi-page range batches its home reads: every
-// invalid page's Get is posted before any completion is awaited, so the
-// span costs max-RTT instead of sum-of-RTTs (the one-sided analogue of
-// the homeless scatter-gather diff fetch).
+// Home-based, the span's invalid pages are validated together first (their
+// Gets overlap); the loop then meets only one invalidated again since.
 func (tp *Proc) faultRange(r *Region, off, n int, write bool) {
 	if n == 0 {
 		return
 	}
 	first := r.StartPage + int32(off/PageSize)
 	last := r.StartPage + int32((off+n-1)/PageSize)
-	if tp.homeBased && last > first {
-		tp.homeFaultRange(first, last, write)
-		return
+	if tp.homeBased {
+		tp.homeFaultRange(r, first, last)
 	}
 	for pg := first; pg <= last; pg++ {
-		pm := tp.page(pg)
-		if write {
-			if pm.state != pageWritable {
-				tp.writeFault(pm)
-			}
-		} else if pm.state == pageInvalid {
+		pm := r.page(pg)
+		if pm.state == pageInvalid {
 			tp.readFault(pm)
+		}
+		if write && pm.state != pageWritable {
+			tp.writeFault(pm)
 		}
 	}
 }
@@ -283,7 +306,12 @@ func (tp *Proc) WriteI32(r *Region, i int, v int32) {
 
 // RegionByID returns the region with the given allocation id, or nil if
 // it has not been mapped on this process yet.
-func (tp *Proc) RegionByID(id int32) *Region { return tp.regions[id] }
+func (tp *Proc) RegionByID(id int32) *Region {
+	if int(id) >= len(tp.regions) {
+		return nil
+	}
+	return tp.regions[id]
+}
 
 // ReadF64Span decodes the len(dst) float64 slots starting at slot idx into
 // the caller's dst (one fault check per touched page, no allocation).

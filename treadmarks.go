@@ -62,12 +62,10 @@ type (
 	// who detected it, what every survivor was blocked on, and whether
 	// the run restarted from a checkpoint or aborted.
 	CrashReport = tmk.CrashReport
-	// CrashAbortError is returned by Run when a rank death could not be
-	// recovered; it carries the CrashReport.
+	// CrashAbortError is returned by Run when a rank death — or, with no
+	// crash model armed, a peer a transport spent its retry budget on —
+	// could not be recovered; it carries the CrashReport.
 	CrashAbortError = tmk.CrashAbortError
-	// StallError is returned when a run stalls on unreachable peers
-	// without an armed crash model (e.g. transport retry exhaustion).
-	StallError = tmk.StallError
 	// InvalidConfigError is what Config.Validate — and so Run, before
 	// anything is spawned — returns for an illegal configuration: every
 	// violated rule at once, each a ConfigError naming its rule.
