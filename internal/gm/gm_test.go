@@ -460,6 +460,86 @@ func TestRegistrationCostScalesWithPages(t *testing.T) {
 	}
 }
 
+// TestHostBackingFollowsTheFirstByte: registration charges its virtual time
+// and counts its pinned bytes at once, for the whole size, and makes no host
+// storage — not for Register, RegisterAtBoot or AllocBuffer, not when a slab
+// is carved into buffers and preposted. The bytes appear when something reads
+// Bytes or a message lands; Pin is the same accounting over memory the caller
+// brought.
+func TestHostBackingFollowsTheFirstByte(t *testing.T) {
+	s, sys := newTestSystem(t, 2)
+	pa, pb := openPair(t, sys, 2)
+	n, params := sys.Node(1), sys.Params()
+	regCost := func(size int) sim.Time {
+		return params.RegisterBase + sim.Time((size+PageSize-1)/PageSize)*params.RegisterPerPage
+	}
+	var slab, boot *Memory
+	s.Spawn("recv", 0, func(p *sim.Proc) {
+		var pinned int64
+		charged := func(what string, size int, cost, took sim.Time) {
+			t.Helper()
+			pinned += int64(size)
+			if took != cost {
+				t.Errorf("%s charged %v, want %v", what, took, cost)
+			}
+			if n.PinnedBytes() != pinned || n.MaxPinnedBytes() != pinned {
+				t.Errorf("%s: pinned %d (peak %d), want %d", what, n.PinnedBytes(), n.MaxPinnedBytes(), pinned)
+			}
+		}
+		t0 := p.Now()
+		slab = n.Register(p, 64*PageSize)
+		charged("Register", 64*PageSize, regCost(64*PageSize), p.Now()-t0)
+		t0 = p.Now()
+		boot = n.RegisterAtBoot(2 * PageSize)
+		charged("RegisterAtBoot", 2*PageSize, 0, p.Now()-t0)
+		t0 = p.Now()
+		own := n.AllocBuffer(p, 6)
+		charged("AllocBuffer", 64, regCost(64), p.Now()-t0)
+		window := make([]byte, 3*PageSize)
+		t0 = p.Now()
+		win := n.Pin(p, window)
+		charged("Pin", len(window), regCost(len(window)), p.Now()-t0)
+		if &win.Bytes()[0] != &window[0] || win.Size() != len(window) {
+			t.Error("Pin did not pin the caller's memory")
+		}
+
+		pb.ProvideReceiveBuffer(own)
+		for i := 0; i < 4; i++ {
+			b := slab.SubBuffer(i*1024, 10)
+			if b.Len() != 1024 || b.Offset() != i*1024 {
+				t.Errorf("SubBuffer %d: len %d at %d", i, b.Len(), b.Offset())
+			}
+			pb.ProvideReceiveBuffer(b)
+		}
+		if slab.buf != nil || boot.buf != nil || own.mem.buf != nil {
+			t.Error("registering, carving or preposting made host storage")
+		}
+		rv := pb.WaitRecv(p)
+		if slab.buf == nil || len(rv.Data) != 600 || rv.Data[599] != 0x5A || &rv.Data[0] != &slab.Bytes()[0] {
+			t.Error("the message did not land in the slab's first buffer")
+		}
+		if boot.buf != nil || own.mem.buf != nil {
+			t.Error("a message in one region backed another")
+		}
+		if len(boot.Bytes()) != 2*PageSize || len(own.Bytes()) != 64 {
+			t.Error("Bytes is not the whole region")
+		}
+	})
+	s.Spawn("send", 0, func(p *sim.Proc) {
+		b := sys.Node(0).AllocBuffer(p, 10)
+		p.Advance(sim.Millisecond) // after the receiver has preposted
+		for i := range b.Bytes()[:600] {
+			b.Bytes()[i] = 0x5A
+		}
+		if err := pa.Send(p, 1, 2, b, 600, nil); err != nil {
+			t.Errorf("Send: %v", err)
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSubBuffer(t *testing.T) {
 	s, sys := newTestSystem(t, 1)
 	n := sys.Node(0)

@@ -12,15 +12,28 @@ const PageSize = 4096
 // Memory is a registered (pinned) memory region. GM can only send from
 // and receive into registered memory; registration costs virtual time and
 // counts against the node's pinned-byte budget, the resource the paper's
-// rendezvous option conserves.
+// rendezvous option conserves. Both are charged for the region's size when
+// it is registered. The host bytes behind it are another matter: the
+// simulator makes them at the first Bytes, so a preposted slab, send arena
+// or kernel ring that never carries a message costs the host nothing while
+// it counts, pinned, against the node.
 type Memory struct {
 	node       *Node
-	buf        []byte
+	size       int
+	buf        []byte // nil until the first Bytes, unless pinned over the caller's memory
 	registered bool
 }
 
+// Size returns the region's length in bytes without touching its storage.
+func (m *Memory) Size() int { return m.size }
+
 // Bytes exposes the region's storage.
-func (m *Memory) Bytes() []byte { return m.buf }
+func (m *Memory) Bytes() []byte {
+	if m.buf == nil && m.size > 0 {
+		m.buf = make([]byte, m.size)
+	}
+	return m.buf
+}
 
 // Registered reports whether the region is currently pinned.
 func (m *Memory) Registered() bool { return m.registered }
@@ -31,8 +44,8 @@ func (m *Memory) Deregister(p *sim.Proc) {
 		return
 	}
 	m.registered = false
-	m.node.pinnedBytes -= int64(len(m.buf))
-	pages := (len(m.buf) + PageSize - 1) / PageSize
+	m.node.pinnedBytes -= int64(m.size)
+	pages := (m.size + PageSize - 1) / PageSize
 	p.Advance(m.node.sys.params.RegisterBase + sim.Time(pages)*m.node.sys.params.RegisterPerPage/2)
 }
 
@@ -42,21 +55,30 @@ func (n *Node) Register(p *sim.Proc, size int) *Memory {
 	if size < 0 {
 		panic(fmt.Sprintf("gm: Register(%d)", size))
 	}
-	pages := (size + PageSize - 1) / PageSize
-	p.Advance(n.sys.params.RegisterBase + sim.Time(pages)*n.sys.params.RegisterPerPage)
-	m := &Memory{node: n, buf: make([]byte, size), registered: true}
-	n.pinnedBytes += int64(size)
-	if n.pinnedBytes > n.maxPinnedBytes {
-		n.maxPinnedBytes = n.pinnedBytes
-	}
-	return m
+	return n.pin(p, &Memory{node: n, size: size})
+}
+
+// Pin registers memory the caller already owns — an RDMA window over an
+// application's region — at Register's cost for its length.
+func (n *Node) Pin(p *sim.Proc, mem []byte) *Memory {
+	return n.pin(p, &Memory{node: n, size: len(mem), buf: mem})
 }
 
 // RegisterAtBoot pins a region without charging any process — used for
 // memory the kernel pins once at boot (the Sockets-GM kernel pools).
 func (n *Node) RegisterAtBoot(size int) *Memory {
-	m := &Memory{node: n, buf: make([]byte, size), registered: true}
-	n.pinnedBytes += int64(size)
+	return n.pin(nil, &Memory{node: n, size: size})
+}
+
+// pin registers m: the calling process, if there is one, pays for its pages,
+// and the node counts its bytes as pinned.
+func (n *Node) pin(p *sim.Proc, m *Memory) *Memory {
+	if p != nil {
+		pages := (m.size + PageSize - 1) / PageSize
+		p.Advance(n.sys.params.RegisterBase + sim.Time(pages)*n.sys.params.RegisterPerPage)
+	}
+	m.registered = true
+	n.pinnedBytes += int64(m.size)
 	if n.pinnedBytes > n.maxPinnedBytes {
 		n.maxPinnedBytes = n.pinnedBytes
 	}
@@ -70,14 +92,15 @@ func (n *Node) PinnedBytes() int64 { return n.pinnedBytes }
 // used by the rendezvous ablation (E5) to compare memory footprints.
 func (n *Node) MaxPinnedBytes() int64 { return n.maxPinnedBytes }
 
-// Buffer is a send or receive buffer carved from registered memory. A
-// receive buffer is tagged with the size class it is preposted under; a
-// send buffer needs none (see Span).
+// Buffer is a send or receive buffer carved from registered memory: n bytes
+// at off of its region, resolved when they are read, so carving one does not
+// back the region. A receive buffer is tagged with the size class it is
+// preposted under; a send buffer needs none (see Span).
 type Buffer struct {
 	mem   *Memory
 	class int
 	off   int
-	data  []byte
+	n     int
 }
 
 // Class returns the buffer's size class (0 for a Span, which has none).
@@ -86,8 +109,14 @@ func (b *Buffer) Class() int { return b.class }
 // Offset returns where in its region the buffer starts.
 func (b *Buffer) Offset() int { return b.off }
 
-// Bytes exposes the buffer's storage (capacity 2^class, or a Span's length).
-func (b *Buffer) Bytes() []byte { return b.data }
+// Len returns the buffer's capacity in bytes (2^class, or a Span's length).
+func (b *Buffer) Len() int { return b.n }
+
+// Bytes exposes the buffer's storage, all Len bytes of it.
+func (b *Buffer) Bytes() []byte {
+	end := b.off + b.n
+	return b.mem.Bytes()[b.off:end:end]
+}
 
 // AllocBuffer registers and returns a buffer of the given size class.
 func (n *Node) AllocBuffer(p *sim.Proc, class int) *Buffer {
@@ -95,7 +124,7 @@ func (n *Node) AllocBuffer(p *sim.Proc, class int) *Buffer {
 		panic(fmt.Sprintf("gm: AllocBuffer class %d out of range", class))
 	}
 	mem := n.Register(p, ClassCapacity(class))
-	return &Buffer{mem: mem, class: class, data: mem.Bytes()}
+	return &Buffer{mem: mem, class: class, n: mem.size}
 }
 
 // SubBuffer carves a buffer of the given class out of an existing
@@ -103,13 +132,13 @@ func (n *Node) AllocBuffer(p *sim.Proc, class int) *Buffer {
 // cost. Used to slice one large registered pool into many buffers.
 func (m *Memory) SubBuffer(off, class int) *Buffer {
 	end := off + ClassCapacity(class)
-	if off < 0 || end > len(m.buf) {
+	if off < 0 || end > m.size {
 		panic("gm: SubBuffer out of range")
 	}
 	if !m.registered {
 		panic("gm: SubBuffer of deregistered memory")
 	}
-	return &Buffer{mem: m, class: class, off: off, data: m.buf[off:end:end]}
+	return &Buffer{mem: m, class: class, off: off, n: end - off}
 }
 
 // Span points b (a fresh header when nil; a pool recycles them so a send
@@ -118,12 +147,12 @@ func (m *Memory) SubBuffer(off, class int) *Buffer {
 // message lands in and a send derives it from the message length, so
 // registered send memory can be carved to any length.
 func (m *Memory) Span(b *Buffer, off, n int) *Buffer {
-	if off < 0 || n < 0 || off+n > len(m.buf) {
+	if off < 0 || n < 0 || off+n > m.size {
 		panic("gm: Span out of range")
 	}
 	if b == nil {
 		b = new(Buffer)
 	}
-	*b = Buffer{mem: m, off: off, data: m.buf[off : off+n : off+n]}
+	*b = Buffer{mem: m, off: off, n: n}
 	return b
 }

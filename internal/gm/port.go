@@ -241,8 +241,8 @@ func (p *Port) send(proc *sim.Proc, dst myrinet.NodeID, dstPort int, b *Buffer, 
 	if b == nil || !b.mem.registered {
 		return ErrNotPinned
 	}
-	if n < 0 || n > len(b.data) {
-		return fmt.Errorf("gm: send length %d outside buffer capacity %d", n, len(b.data))
+	if n < 0 || n > b.n {
+		return fmt.Errorf("gm: send length %d outside buffer capacity %d", n, b.n)
 	}
 	if p.tokens <= 0 {
 		p.stats.TokenStalls++
@@ -274,6 +274,7 @@ func (p *Port) send(proc *sim.Proc, dst myrinet.NodeID, dstPort int, b *Buffer, 
 	meta := msgMeta{class: class, srcPort: p.id, sendRec: rec, aux: aux}
 
 	frags := p.node.sys.fabric.FragmentSizes(n)
+	data := b.Bytes()
 	off := 0
 	for i, fl := range frags {
 		p.node.nic.SendPacket(&myrinet.Packet{
@@ -284,7 +285,7 @@ func (p *Port) send(proc *sim.Proc, dst myrinet.NodeID, dstPort int, b *Buffer, 
 			Frag:     i,
 			NumFrags: len(frags),
 			MsgLen:   n,
-			Payload:  b.data[off : off+fl],
+			Payload:  data[off : off+fl],
 			Meta:     meta,
 		})
 		off += fl
@@ -404,12 +405,13 @@ func (p *Port) unpark(park *parkedMsg) {
 // accept copies the message into a buffer, queues the receive event, and
 // acknowledges the sender.
 func (p *Port) accept(src myrinet.NodeID, pm *partialMsg, b *Buffer) {
-	copy(b.data, pm.data)
+	data := b.Bytes()[:len(pm.data)]
+	copy(data, pm.data)
 	rv := &Recv{
 		From:     src,
 		FromPort: pm.meta.srcPort,
 		Class:    pm.meta.class,
-		Data:     b.data[:len(pm.data)],
+		Data:     data,
 		Buffer:   b,
 		Aux:      pm.meta.aux,
 	}

@@ -13,7 +13,9 @@ import (
 // jacobi_fastgm_16 row as a tier-1 test: one untraced run of that
 // configuration stays under 200,000 heap allocations (637,477 before the
 // simulator's switch, tmk's page metadata and the span accessors stopped
-// allocating). The count repeats to within a few between runs.
+// allocating) and 125 MB allocated (220 MB while every rank backed every
+// page of every region and GM every registered byte). The count repeats to
+// within a few between runs, the bytes to the kilobyte.
 func TestJacobi16AllocationBudget(t *testing.T) {
 	app := &apps.Jacobi{N: 640, Iters: 10, CostPerPoint: 120 * sim.Nanosecond}
 	var before, after runtime.MemStats
@@ -22,10 +24,13 @@ func TestJacobi16AllocationBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	const budget = 200_000
-	if n := after.Mallocs - before.Mallocs; n > budget {
+	const budget, bytesBudget = 200_000, 125_000_000
+	n, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+	t.Logf("%d allocations, %.1f MB", n, float64(bytes)/1e6)
+	if n > budget {
 		t.Errorf("jacobi 640×10 on 16 fastgm nodes: %d allocations, budget %d", n, budget)
-	} else {
-		t.Logf("%d allocations, %d MB", n, (after.TotalAlloc-before.TotalAlloc)/1e6)
+	}
+	if bytes > bytesBudget {
+		t.Errorf("jacobi 640×10 on 16 fastgm nodes: %d bytes allocated, budget %d", bytes, bytesBudget)
 	}
 }

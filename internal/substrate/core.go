@@ -293,7 +293,8 @@ func (c *Core) edge(p *sim.Proc, prefix string, kind msg.Kind, dst int, parent u
 
 // Reply implements Transport: the reply goes to the request's originator
 // and its encoded form is cached in the duplicate filter, so a
-// redelivered request is answered without re-executing it.
+// redelivered request is answered without re-executing it. Encode copies:
+// nothing rep referenced is read after this returns.
 func (c *Core) Reply(p *sim.Proc, req *msg.Message, rep *msg.Message) {
 	origin := int(req.ReplyTo)
 	rep.Seq = req.Seq

@@ -1,6 +1,7 @@
 package substrate
 
 import (
+	"bytes"
 	"errors"
 	"slices"
 	"testing"
@@ -14,6 +15,7 @@ import (
 // condition variable. It lets the core be driven sim-only.
 type fakeWire struct {
 	sent    []Lane
+	bodies  [][]byte // the frames themselves, held as a binding holds them: not copied
 	replies []*msg.Message
 	cond    *sim.Cond
 	probes  []int
@@ -22,6 +24,7 @@ type fakeWire struct {
 
 func (w *fakeWire) Transmit(p *sim.Proc, dst int, lane Lane, kind msg.Kind, body, aux []byte) {
 	w.sent = append(w.sent, lane)
+	w.bodies = append(w.bodies, body)
 }
 
 func (w *fakeWire) AwaitReply(p *sim.Proc, deadline sim.Time) *msg.Message {
@@ -237,6 +240,42 @@ func TestForgetPeerResolvesCallsTowardPeer(t *testing.T) {
 	if c.PeerFailure() != nil || !slices.Equal(w.gone, []int{1}) {
 		t.Errorf("departure: failure=%+v cleanup=%v", c.PeerFailure(), w.gone)
 	}
+}
+
+// TestReplyBodyIsItsOwnSnapshot pins Reply's contract, the one that lets
+// tmk serve a page straight out of live shared memory: the reply is encoded
+// before Reply returns and the encoding copies, so a store into the source
+// afterwards reaches neither the frame the binding holds for retransmission
+// nor the duplicate filter's cached answer.
+func TestReplyBodyIsItsOwnSnapshot(t *testing.T) {
+	runCore(t, coreArgs{}, func(p *sim.Proc, c *Core, w *fakeWire) {
+		page := bytes.Repeat([]byte{0xAB}, 4096)
+		want := bytes.Clone(page)
+		req := &msg.Message{Kind: msg.KPageReq, Seq: 7, From: 1, ReplyTo: 1, Page: 3}
+		if c.Admit(p, req, nil, 0) != nil {
+			t.Fatal("fresh request taken for a duplicate")
+		}
+		c.Reply(p, req, &msg.Message{Kind: msg.KPageReply, Page: 3, PageData: page})
+		clear(page) // the application writes the page after it was served
+
+		e := c.Admit(p, req, nil, 0)
+		if e == nil {
+			t.Fatal("redelivered request not recognised")
+		}
+		c.AnswerDup(p, req, e)
+		if len(w.bodies) != 2 {
+			t.Fatalf("%d frames transmitted, want the reply and its cached resend", len(w.bodies))
+		}
+		for i, body := range w.bodies {
+			m, err := msg.Decode(body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(m.PageData, want) {
+				t.Errorf("frame %d carries the page as written after Reply, not as served", i)
+			}
+		}
+	})
 }
 
 func TestStaleReplyCountedOnce(t *testing.T) {

@@ -465,7 +465,7 @@ type span struct{ off, n int }
 
 // NewSendPool returns a pool over all of mem.
 func NewSendPool(name string, mem *gm.Memory) *SendPool {
-	return &SendPool{mem: mem, free: []span{{0, len(mem.Bytes()) &^ 7}}, cond: sim.NewCond(name)}
+	return &SendPool{mem: mem, free: []span{{0, mem.Size() &^ 7}}, cond: sim.NewCond(name)}
 }
 
 // SendPoolBytes sizes a send pool: room for four frames of each small
@@ -507,7 +507,7 @@ func (sp *SendPool) TryTake(n int) *gm.Buffer {
 // Put returns a taken buffer's span, merging it with the free spans it
 // touches, and wakes senders waiting for space.
 func (sp *SendPool) Put(b *gm.Buffer) {
-	s := span{b.Offset(), len(b.Bytes())}
+	s := span{b.Offset(), b.Len()}
 	i, _ := slices.BinarySearchFunc(sp.free, s.off, func(f span, off int) int { return f.off - off })
 	if i < len(sp.free) && s.off+s.n == sp.free[i].off {
 		s.n += sp.free[i].n

@@ -225,7 +225,7 @@ func (t *Transport) Halt() {
 // table maps the id to the live host memory verbs DMA against.
 func (t *Transport) RegisterWindow(p *sim.Proc, id int32, mem []byte) {
 	if len(mem) > 0 {
-		t.node.Register(p, len(mem))
+		t.node.Pin(p, mem)
 	}
 	t.windows[id] = mem
 }

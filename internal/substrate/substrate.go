@@ -107,7 +107,11 @@ type Transport interface {
 	Collect(p *sim.Proc, pending []Pending) []*msg.Message
 
 	// Reply answers a previously received request; the reply is routed to
-	// req's originator and matched to its sequence number.
+	// req's originator and matched to its sequence number. rep is encoded
+	// before Reply returns, and the encoded body — a copy of every byte
+	// slice rep points at — is what is transmitted, retransmitted and kept
+	// to answer a duplicate: the caller may hand over live memory and
+	// change it afterwards.
 	Reply(p *sim.Proc, req *msg.Message, rep *msg.Message)
 
 	// Forward relays a received request to another node, preserving the

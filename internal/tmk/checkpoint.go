@@ -252,7 +252,7 @@ func (tp *Proc) encodeSnapshot(epoch int) []byte {
 			w.i32s(l)
 		}
 		if pm.haveCopy {
-			w.bytes(pm.data)
+			w.bytes(pm.bytes())
 		}
 	}
 
@@ -356,7 +356,7 @@ func (tp *Proc) restoreSnapshot(epoch int) {
 			tp.notices.live += int64(len(pm.notices[q]))
 		}
 		if pm.haveCopy {
-			copy(pm.data, r.bytes())
+			copy(pm.store(), r.bytes())
 		}
 	}
 

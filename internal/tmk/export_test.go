@@ -85,3 +85,53 @@ func (n *noticeMidGet) WaitVerbs(p *sim.Proc, verbs []substrate.PendingVerb) err
 // Generation is 0 for an original process, ≥ 1 for one restored from a
 // checkpoint.
 func (tp *Proc) Generation() int { return tp.gen }
+
+// FrameCensus counts, over every region mapped on tp, the pages, the frames
+// their stores have carved, the frames the region's chunks hold (carved or
+// not yet), and the pages tp touched: wrote (an own write notice, or writable
+// now), was sent a copy of (a copy of a region it does not own) or applied a
+// diff to (another writer's interval covered). ChunkBound is Touched rounded
+// up to whole chunks, region by region.
+type FrameCensus struct{ Pages, Frames, Chunked, Touched, ChunkBound int }
+
+func (tp *Proc) FrameCensus() (fc FrameCensus) {
+	for _, r := range tp.regions {
+		if r == nil {
+			continue
+		}
+		touched := 0
+		for i := range r.pages {
+			pm := &r.pages[i]
+			hit := pm.state == pageWritable || len(pm.notices[tp.rank]) > 0 || (pm.haveCopy && r.Owner != tp.rank)
+			for q, ts := range pm.cover {
+				hit = hit || (q != tp.rank && ts > 0)
+			}
+			if hit {
+				touched++
+			}
+		}
+		frames := int(r.NPages - r.unbacked)
+		fc.Pages += int(r.NPages)
+		fc.Frames += frames
+		fc.Chunked += frames + len(r.chunk)/PageSize
+		fc.Touched += touched
+		fc.ChunkBound += min((touched+frameChunk-1)/frameChunk*frameChunk, int(r.NPages))
+	}
+	return fc
+}
+
+// HasFrame reports whether page pg of r (by offset) has storage of its own
+// on tp, and HasCopy whether tp holds a copy of it at all.
+func (tp *Proc) HasFrame(r *Region, pg int) bool { return r.pages[pg].frame != nil }
+func (tp *Proc) HasCopy(r *Region, pg int) bool  { return r.pages[pg].haveCopy }
+
+// TwinOnly write-faults page pg of r and stores nothing: it returns the twin
+// the fault took.
+func (tp *Proc) TwinOnly(r *Region, pg int) []byte {
+	tp.writeFault(&r.pages[pg])
+	return r.pages[pg].twin
+}
+
+// ZeroPageIsZero reports whether the page every frame-less copy reads as is
+// still all zeros.
+func ZeroPageIsZero() bool { return zeroPage == [PageSize]byte{} }

@@ -52,7 +52,7 @@ func (tp *Proc) writeFault(pm *pageMeta) {
 			if n := len(tp.freeTwins); n > 0 {
 				twin, tp.freeTwins = tp.freeTwins[n-1], tp.freeTwins[:n-1]
 			}
-			pm.twin = append(twin[:0], pm.data...)
+			pm.twin = append(twin[:0], pm.bytes()...)
 			tp.sp.Advance(sim.BytesTime(PageSize, tp.cpu.MemcpyBandwidth))
 			tp.stats.TwinsCreated++
 		}
@@ -114,7 +114,7 @@ func (tp *Proc) installPage(pm *pageMeta, target int, start, dur sim.Time, rep *
 	if rep.Kind != msg.KPageReply || len(rep.PageData) != PageSize {
 		panic(fmt.Sprintf("tmk: bad page reply %v (%d bytes)", rep.Kind, len(rep.PageData)))
 	}
-	copy(pm.data, rep.PageData)
+	copy(pm.store(), rep.PageData)
 	tp.sp.Advance(sim.BytesTime(PageSize, tp.cpu.MemcpyBandwidth))
 	for _, c := range rep.Covered {
 		if pm.cover[c.Proc] < c.TS {
@@ -220,7 +220,7 @@ func (tp *Proc) applyDiffs(pm *pageMeta, all []msg.Diff) {
 		if d.TS <= pm.cover[d.Proc] {
 			continue
 		}
-		if err := ApplyDiff(pm.data, d.Data); err != nil {
+		if err := ApplyDiff(pm.store(), d.Data); err != nil {
 			panic(err)
 		}
 		cost := sim.BytesTime(len(d.Data), tp.cpu.MemcpyBandwidth)
@@ -289,7 +289,7 @@ func (tp *Proc) closeInterval() {
 		pm := tp.page(pg)
 		if pm.twin != nil {
 			// Diff creation: scan twin vs page (two pages of memory traffic).
-			diff := append([]byte(nil), appendDiff(tp.diffScratch, pm.twin, pm.data)...)
+			diff := append([]byte(nil), appendDiff(tp.diffScratch, pm.twin, pm.bytes())...)
 			tp.sp.Advance(sim.BytesTime(2*PageSize, tp.cpu.DiffScanBandwidth) +
 				sim.BytesTime(len(diff), tp.cpu.MemcpyBandwidth))
 			tp.keepDiff(diffKey{page: pg, ts: ts}, diff)

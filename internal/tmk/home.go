@@ -147,20 +147,21 @@ func (tp *Proc) homeApply(pm *pageMeta, data []byte, snap VC) {
 	if len(data) != PageSize {
 		panic(fmt.Sprintf("tmk: rank %d: home get of page %d returned %d bytes", tp.rank, pm.id, len(data)))
 	}
+	frame := pm.store()
 	if pm.twin != nil {
 		for w := 0; w < wordsPerPage; w++ {
 			i := w * 4
-			local := !wordEq(pm.data, pm.twin, w)
+			local := !wordEq(frame, pm.twin, w)
 			copy(pm.twin[i:i+4], data[i:i+4])
 			if !local {
-				copy(pm.data[i:i+4], data[i:i+4])
+				copy(frame[i:i+4], data[i:i+4])
 			}
 		}
 		// Word-compare scan over twin+data, then up to two page copies.
 		tp.sp.Advance(sim.BytesTime(2*PageSize, tp.cpu.DiffScanBandwidth) +
 			sim.BytesTime(2*PageSize, tp.cpu.MemcpyBandwidth))
 	} else {
-		copy(pm.data, data)
+		copy(frame, data)
 		tp.sp.Advance(sim.BytesTime(PageSize, tp.cpu.MemcpyBandwidth))
 	}
 	pm.haveCopy = true

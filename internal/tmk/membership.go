@@ -488,7 +488,7 @@ func (c *Cluster) handoffPage(leader *Proc, pg int32, from, to int) {
 	if pm == nil || !pm.haveCopy {
 		panic(fmt.Sprintf("tmk: page %d handoff: old home %d has no copy", pg, from))
 	}
-	c.installPage(leader, pg, to, pm.data)
+	c.installPage(leader, pg, to, pm.bytes())
 	leader.observe(event{kind: evPageHandoff, id: pg, peer: to, a: from})
 }
 
@@ -539,7 +539,7 @@ func (c *Cluster) recoverPage(leader *Proc, pg int32, to int) {
 func (c *Cluster) installPage(leader *Proc, pg int32, to int, image []byte) {
 	np := c.procs[to]
 	pm := np.page(pg)
-	copy(pm.data, image)
+	copy(pm.store(), image)
 	pm.haveCopy = true
 	if pm.state == pageInvalid {
 		pm.state = pageReadOnly

@@ -23,10 +23,10 @@ type pageMeta struct {
 	id     int32
 	region *Region
 	state  pageState
-	data   []byte // slice into the region's local storage
+	frame  []byte // the page's storage, nil until the first store (bytes, store)
 	twin   []byte // snapshot at write-fault time, nil unless writable
 
-	haveCopy bool // data has ever been initialized (fetched or owned)
+	haveCopy bool // the contents have ever been initialized (fetched or owned)
 	cover    VC   // per-writer timestamp whose diffs are incorporated
 
 	// notices[q] = sorted timestamps of q's intervals that dirtied this

@@ -184,14 +184,14 @@ func (tp *Proc) handlePageReq(m *msg.Message) {
 			covered = append(covered, msg.ProcTS{Proc: int32(q), TS: ts})
 		}
 	}
-	// Snapshot the page: pm.data is the live copy, and both transports
-	// (and the rendezvous path) hold the encoded reply across simulated
-	// time for retransmission — a write landing after Reply must not leak
-	// into an in-flight page image.
+	// The live copy goes out as it is: Reply encodes before it returns, and
+	// the encoded body is the snapshot the transports hold across simulated
+	// time for retransmission — a write landing after Reply cannot leak into
+	// an in-flight page image.
 	tp.tr.Reply(tp.sp, m, &msg.Message{
 		Kind:     msg.KPageReply,
 		Page:     m.Page,
-		PageData: append([]byte(nil), pm.data...),
+		PageData: pm.bytes(),
 		Covered:  covered,
 	})
 }

@@ -9,7 +9,13 @@ import (
 
 // Region is a shared-memory region in the global page-aligned address
 // space (the product of Tmk_malloc + Tmk_distribute). The descriptor is
-// global; each process lazily materializes local page copies.
+// global; each process lazily materializes local page copies: mapping the
+// region gives a process the pages' metadata, and a page's frame appears at
+// the first byte stored into it (an application write, a fetched copy, an
+// applied diff, a restored checkpoint). Until then a page this process holds
+// a copy of reads as zeros — what an untouched mmap'ed page costs the DSM the
+// paper ports. Home-based, every frame is backed when the region is mapped:
+// the region is the RDMA window, and pinned memory is physically backed.
 type Region struct {
 	ID        int32
 	StartPage int32
@@ -22,10 +28,43 @@ type Region struct {
 	// longer race an unregistered window. Set by KDistributeCommit.
 	committed bool
 
-	// This process's copy (materialize): the storage — home-based, also the
-	// region's RDMA window — and the pages' metadata, by offset from StartPage.
-	mem   []byte
-	pages []pageMeta
+	// This process's copy (materialize): the pages' metadata, by offset from
+	// StartPage, and the storage their frames are carved from — chunk is the
+	// unused tail of the current run of frames, unbacked the pages without one.
+	pages    []pageMeta
+	chunk    []byte
+	unbacked int32
+}
+
+// frameChunk is how many page frames a region's storage grows by (fewer when
+// fewer pages are left unbacked: a one-page region costs one page).
+const frameChunk = 16
+
+// zeroPage is what every page with a copy and no frame yet reads as. It is
+// shared by all processes and never written.
+var zeroPage [PageSize]byte
+
+// bytes returns the page's contents to read: its frame, or zeros before the
+// first store.
+func (pm *pageMeta) bytes() []byte {
+	if pm.frame == nil {
+		return zeroPage[:]
+	}
+	return pm.frame
+}
+
+// store returns the page's frame to write into, carving it out of the
+// region's current chunk at the first call.
+func (pm *pageMeta) store() []byte {
+	if pm.frame == nil {
+		r := pm.region
+		if len(r.chunk) == 0 {
+			r.chunk = make([]byte, int(min(frameChunk, r.unbacked))*PageSize)
+		}
+		pm.frame, r.chunk = r.chunk[:PageSize:PageSize], r.chunk[PageSize:]
+		r.unbacked--
+	}
+	return pm.frame
 }
 
 // page returns this process's metadata for global page pg of the region.
@@ -145,16 +184,19 @@ func (tp *Proc) mapRegion(r *Region, owned bool) {
 }
 
 // materialize gives region its copy on this process and enters it in the
-// region and page tables: storage, the RDMA window over it (home-based:
-// window id = region id, page pg at byte (pg−StartPage)·PageSize) and one
-// slab each of pageMetas, their cover vectors and their notice-list headers.
+// region and page tables: one slab each of pageMetas, their cover vectors and
+// their notice-list headers, and no storage — except home-based, where the
+// first chunk is the whole region, the RDMA window is registered over it
+// (window id = region id, page pg at byte (pg−StartPage)·PageSize) and every
+// page takes its frame from it now.
 func (tp *Proc) materialize(region *Region) {
 	n := tp.n
-	region.mem = make([]byte, int(region.NPages)*PageSize)
-	if tp.homeBased {
-		tp.os.RegisterWindow(tp.sp, region.ID, region.mem)
-	}
 	region.pages = make([]pageMeta, region.NPages)
+	region.unbacked = region.NPages
+	if tp.homeBased {
+		region.chunk = make([]byte, int(region.NPages)*PageSize)
+		tp.os.RegisterWindow(tp.sp, region.ID, region.chunk)
+	}
 	covers := make(VC, len(region.pages)*n)
 	heads := make([][]int32, len(region.pages)*n)
 	if grow := int(region.ID) + 1 - len(tp.regions); grow > 0 {
@@ -168,12 +210,14 @@ func (tp *Proc) materialize(region *Region) {
 		region.pages[i] = pageMeta{
 			id:      region.StartPage + int32(i),
 			region:  region,
-			data:    region.mem[i*PageSize : (i+1)*PageSize],
 			cover:   covers[i*n : (i+1)*n : (i+1)*n],
 			notices: heads[i*n : (i+1)*n : (i+1)*n],
 			pool:    &tp.notices,
 		}
 		tp.pages[region.pages[i].id] = &region.pages[i]
+		if tp.homeBased {
+			region.pages[i].store()
+		}
 	}
 }
 
@@ -195,41 +239,63 @@ func (tp *Proc) page(pg int32) *pageMeta {
 	return pm
 }
 
+// within returns the part of [off, off+n) that lies in its first page: the
+// page, the byte offset into it and the length.
+func (r *Region) within(off, n int) (pm *pageMeta, po, k int) {
+	po = off % PageSize
+	return &r.pages[off/PageSize], po, min(n, PageSize-po)
+}
+
 // ReadBytes returns a read-only view of [off, off+n) in the region,
-// faulting pages valid as needed. The returned slice aliases the local
-// copy; callers must not write through it.
+// faulting pages valid as needed. Within one page the returned slice aliases
+// the local copy (or the shared zero page); across pages it is a copy.
+// Callers must not write through it.
 func (tp *Proc) ReadBytes(r *Region, off, n int) []byte {
 	tp.checkRange(r, off, n)
 	tp.faultRange(r, off, n, false)
-	return r.mem[off : off+n : off+n]
+	pm, po, k := r.within(off, n)
+	if k == n {
+		return pm.bytes()[po : po+n : po+n]
+	}
+	out := make([]byte, 0, n)
+	for len(out) < n {
+		pm, po, k = r.within(off+len(out), n-len(out))
+		out = append(out, pm.bytes()[po:po+k]...)
+	}
+	return out
 }
 
 // WriteAt copies data into the region at off.
 func (tp *Proc) WriteAt(r *Region, off int, data []byte) {
-	if b := tp.writeWindow(r, off, len(data)); b != nil {
-		copy(b, data)
-		tp.tr.EnableAsync(tp.sp)
+	if !tp.writeWindow(r, off, len(data)) {
+		return
 	}
+	for len(data) > 0 {
+		pm, po, k := r.within(off, len(data))
+		copy(pm.store()[po:], data[:k])
+		off, data = off+k, data[k:]
+	}
+	tp.tr.EnableAsync(tp.sp)
 }
 
-// writeWindow faults [off, off+n) writable and returns it to store into —
-// with asynchronous request delivery masked, which the caller lifts
-// (EnableAsync) after the store; an empty range returns nil, unmasked. The
-// window is handed out only after re-verifying, under the mask, that every
-// touched page is still writable: a request handler that runs during the
-// fault (a lock grant closing our interval) can revert pages to read-only,
-// and a raw store then would bypass the twin — the exact hazard mprotect
-// re-trapping closes in real TreadMarks.
-func (tp *Proc) writeWindow(r *Region, off, n int) []byte {
+// writeWindow faults [off, off+n) writable and reports whether there is
+// anything to store — with asynchronous request delivery masked, which the
+// caller lifts (EnableAsync) after storing into the pages' frames; an empty
+// range reports false, unmasked. The window opens only after re-verifying,
+// under the mask, that every touched page is still writable: a request
+// handler that runs during the fault (a lock grant closing our interval) can
+// revert pages to read-only, and a raw store then would bypass the twin —
+// the exact hazard mprotect re-trapping closes in real TreadMarks.
+func (tp *Proc) writeWindow(r *Region, off, n int) bool {
 	tp.checkRange(r, off, n)
 	if n == 0 {
-		return nil
+		return false
 	}
 	for {
 		tp.faultRange(r, off, n, true)
 		tp.tr.DisableAsync(tp.sp)
 		if tp.rangeWritable(r, off, n) {
-			return r.mem[off : off+n]
+			return true
 		}
 		tp.tr.EnableAsync(tp.sp)
 	}
@@ -314,23 +380,38 @@ func (tp *Proc) RegionByID(id int32) *Region {
 }
 
 // ReadF64Span decodes the len(dst) float64 slots starting at slot idx into
-// the caller's dst (one fault check per touched page, no allocation).
+// the caller's dst (one fault check per touched page, no allocation), page
+// by page: a slot never straddles two.
 func (tp *Proc) ReadF64Span(r *Region, idx int, dst []float64) {
-	b := tp.ReadBytes(r, idx*8, len(dst)*8)
-	for i := range dst {
-		dst[i] = f64FromBits(b[i*8:])
+	off := idx * 8
+	tp.checkRange(r, off, len(dst)*8)
+	tp.faultRange(r, off, len(dst)*8, false)
+	for len(dst) > 0 {
+		pm, po, k := r.within(off, len(dst)*8)
+		b := pm.bytes()[po : po+k]
+		for i := range dst[:k/8] {
+			dst[i] = f64FromBits(b[i*8:])
+		}
+		off, dst = off+k, dst[k/8:]
 	}
 }
 
 // WriteF64Span writes vals into consecutive slots starting at idx,
-// encoding straight into the page.
+// encoding straight into the pages.
 func (tp *Proc) WriteF64Span(r *Region, idx int, vals []float64) {
-	if b := tp.writeWindow(r, idx*8, len(vals)*8); b != nil {
-		for i, v := range vals {
+	off := idx * 8
+	if !tp.writeWindow(r, off, len(vals)*8) {
+		return
+	}
+	for len(vals) > 0 {
+		pm, po, k := r.within(off, len(vals)*8)
+		b := pm.store()[po : po+k]
+		for i, v := range vals[:k/8] {
 			f64ToBits(b[i*8:], v)
 		}
-		tp.tr.EnableAsync(tp.sp)
+		off, vals = off+k, vals[k/8:]
 	}
+	tp.tr.EnableAsync(tp.sp)
 }
 
 // Compute charges d of application computation to the process's virtual

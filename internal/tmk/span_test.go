@@ -7,18 +7,20 @@ import (
 	"repro/internal/tmk"
 )
 
-// Home-based read faults on rdmagm, three ranks: rank 0 writes every slot
-// of a region, rank 1 reads it back after a barrier, rank 2 only crosses
-// the barriers. Static placement homes page pg at rank pg%3, so rank 1
-// faults on the two pages in three it is not home of.
+// Read faults over a span, three ranks: rank 0 writes every slot of a
+// region, rank 1 reads it back after a barrier, rank 2 only crosses the
+// barriers. On rdmagm (home-based) static placement homes page pg at rank
+// pg%3, so rank 1 faults on the two pages in three it is not home of; on
+// fastgm (homeless) it faults on every page, and the region — more pages than
+// a chunk of frames — lies in several allocations on both ranks.
 const (
-	spanPages    = 12
+	spanPages    = 24
 	slotsPerPage = tmk.PageSize / 8
 )
 
-func spanRun(t *testing.T, read func(tp *tmk.Proc, r *tmk.Region)) *tmk.Result {
+func spanRun(t *testing.T, kind tmk.TransportKind, read func(tp *tmk.Proc, r *tmk.Region)) *tmk.Result {
 	t.Helper()
-	res, err := tmk.Run(tmk.DefaultConfig(3, tmk.TransportRDMAGM), func(tp *tmk.Proc) {
+	res, err := tmk.Run(tmk.DefaultConfig(3, kind), func(tp *tmk.Proc) {
 		r := tp.AllocShared(spanPages * tmk.PageSize)
 		if tp.Rank() == 0 {
 			for i := 0; i < spanPages*slotsPerPage; i++ {
@@ -38,8 +40,15 @@ func spanRun(t *testing.T, read func(tp *tmk.Proc, r *tmk.Region)) *tmk.Result {
 
 // TestSpanFaultsEqualPageFaults: validating k invalid pages with one span
 // read and with one read per page are the same faults — the same counts
-// and bytes, the same contents — and differ only in how the Gets overlap.
+// and bytes, the same contents — and differ only in how the Gets overlap
+// (home-based; homeless, a span faults its pages one after the other, so
+// not even in that).
 func TestSpanFaultsEqualPageFaults(t *testing.T) {
+	t.Run("rdmagm", func(t *testing.T) { spanFaultsEqualPageFaults(t, tmk.TransportRDMAGM, spanPages*2/3) })
+	t.Run("fastgm", func(t *testing.T) { spanFaultsEqualPageFaults(t, tmk.TransportFastGM, spanPages) })
+}
+
+func spanFaultsEqualPageFaults(t *testing.T, kind tmk.TransportKind, faults int64) {
 	contents := func(tp *tmk.Proc, r *tmk.Region) []float64 {
 		got := make([]float64, spanPages*slotsPerPage)
 		tp.ReadF64Span(r, 0, got)
@@ -50,8 +59,8 @@ func TestSpanFaultsEqualPageFaults(t *testing.T) {
 		}
 		return got
 	}
-	span := spanRun(t, func(tp *tmk.Proc, r *tmk.Region) { contents(tp, r) })
-	pages := spanRun(t, func(tp *tmk.Proc, r *tmk.Region) {
+	span := spanRun(t, kind, func(tp *tmk.Proc, r *tmk.Region) { contents(tp, r) })
+	pages := spanRun(t, kind, func(tp *tmk.Proc, r *tmk.Region) {
 		for pg := 0; pg < spanPages; pg++ {
 			tp.ReadF64(r, pg*slotsPerPage)
 		}
@@ -61,15 +70,15 @@ func TestSpanFaultsEqualPageFaults(t *testing.T) {
 			t.Error("a page read one slot at a time faulted again under the span")
 		}
 	})
-	if span.Stats.ReadFaults != spanPages*2/3 {
-		t.Errorf("span read: %d read faults, want %d", span.Stats.ReadFaults, spanPages*2/3)
+	if span.Stats.ReadFaults != faults {
+		t.Errorf("span read: %d read faults, want %d", span.Stats.ReadFaults, faults)
 	}
 	s, p := span.Stats, pages.Stats
-	if s.ReadFaults != p.ReadFaults || s.HomeFetches != p.HomeFetches || s.HomeFetchBytes != p.HomeFetchBytes {
-		t.Errorf("span: %d faults, %d home fetches, %d bytes; page by page: %d, %d, %d",
-			s.ReadFaults, s.HomeFetches, s.HomeFetchBytes, p.ReadFaults, p.HomeFetches, p.HomeFetchBytes)
+	if s.ReadFaults != p.ReadFaults || s.PageFetches != p.PageFetches || s.HomeFetches != p.HomeFetches || s.HomeFetchBytes != p.HomeFetchBytes {
+		t.Errorf("span: %d faults, %d page fetches, %d home fetches, %d bytes; page by page: %d, %d, %d, %d",
+			s.ReadFaults, s.PageFetches, s.HomeFetches, s.HomeFetchBytes, p.ReadFaults, p.PageFetches, p.HomeFetches, p.HomeFetchBytes)
 	}
-	if span.ExecTime >= pages.ExecTime {
+	if kind == tmk.TransportRDMAGM && span.ExecTime >= pages.ExecTime {
 		t.Errorf("overlapped Gets took %v, one at a time %v", span.ExecTime, pages.ExecTime)
 	}
 }
@@ -80,7 +89,7 @@ func TestSpanFaultsEqualPageFaults(t *testing.T) {
 // call and on a span alike (the span used to count and charge it twice).
 func TestNoticeMidGetIsOneFault(t *testing.T) {
 	overhead := tmk.DefaultCPUParams().FaultOverhead
-	spanRun(t, func(tp *tmk.Proc, r *tmk.Region) {
+	spanRun(t, tmk.TransportRDMAGM, func(tp *tmk.Proc, r *tmk.Region) {
 		// read faults in pages [first, last] and reports what that cost.
 		read := func(first, last int) (faults, fetches int64, took sim.Time) {
 			f0, h0, t0 := tp.Stats().ReadFaults, tp.Stats().HomeFetches, tp.Now()
