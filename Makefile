@@ -88,19 +88,19 @@ fuzz-smoke:
 chaos-smoke:
 	$(GO) run ./cmd/tmkrun -chaos
 
-# Crash-tolerance sweep: a rank death injected into a checkpointing
-# barrier app (must restart bit-correct) and a lock app (must abort with
-# a post-mortem naming the dead rank and blocking entity), on udpgm and
-# fastgm, plus determinism. (rdmagm's
-# loss and dead-peer coverage is the stest conformance table and
-# internal/substrate/rdmagm's own tests.)
+# Crash-tolerance sweep on all three substrates: a rank death injected
+# into a barrier app and a lock app with restart on (each must run again
+# from the top, verify bit-correct and replay deterministically) and into
+# the lock app without it (must abort with a post-mortem naming the dead
+# rank and blocking entity).
 crash-smoke:
 	$(GO) run ./cmd/tmkrun -crash
 
 # Membership churn sweep: a seeded schedule of join/leave/crash events at
 # barrier fences, all four applications on all three substrates,
-# asserting bit-correct results, bounded partial recovery (no generation
-# restart), every scheduled fence executed, and determinism.
+# asserting bit-correct results, bounded partial recovery (a scheduled
+# crash of an extra re-places its entities and never restarts the run),
+# every scheduled fence executed, and determinism.
 churn-smoke:
 	$(GO) run ./cmd/tmkrun -churn
 

@@ -28,11 +28,12 @@
 // results, active recovery, and no residual disabled ports. -seed varies
 // the fault schedule; -nodes sets the sweep's cluster size.
 //
-// -crash likewise runs the crash-tolerance sweep: a rank death injected
-// into a barrier-structured app (checkpoint/restart must finish the run
-// bit-correct) and a lock-structured app (coordinated abort whose
-// post-mortem names the dead rank and the blocking protocol entity), on
-// both transports, plus a determinism check.
+// -crash likewise runs the crash-tolerance sweep on all three substrates:
+// a rank death injected into a barrier-structured and a lock-structured
+// app with restart on (the run started again must finish bit-correct, and
+// replay identically), and into the lock-structured app without it (a
+// coordinated abort whose post-mortem names the dead rank and the
+// blocking protocol entity).
 //
 // -churn runs the elastic-membership sweep: a seeded schedule of
 // join/leave/crash events (standby extras entering the ring at barrier
@@ -83,7 +84,7 @@ func main() {
 	homeless := flag.Bool("homeless", false, "run the homeless protocol on rdmagm (default there is home-based LRC)")
 	seed := flag.Int64("seed", 1, "simulation RNG seed (fault schedules, tie-breaking)")
 	chaos := flag.Bool("chaos", false, "run the chaos sweep (all apps × transports on a lossy fabric)")
-	crash := flag.Bool("crash", false, "run the crash-tolerance sweep (rank death: checkpoint/restart + coordinated abort)")
+	crash := flag.Bool("crash", false, "run the crash-tolerance sweep (rank death: restart of a barrier and a lock app + coordinated abort, all 3 substrates)")
 	churn := flag.Bool("churn", false, "run the membership churn sweep (join/leave/crash at barrier fences, all apps × substrates)")
 	incast := flag.Bool("incast", false, "run the incast overload storm (N-1 senders blast rank 0, credit flow control on)")
 	flow := flag.Bool("flow", false, "enable end-to-end credit flow control on the run")

@@ -38,51 +38,40 @@ func jacobiBoundary(i, jj int) float64 {
 	return float64((i*31+jj*17)%97) / 97.0
 }
 
-// Run implements App. The execution is structured as barrier-delimited
-// epochs through EpochLoop: epoch 0 is allocation + boundary setup, epoch
-// e ≥ 1 is relaxation sweep e−1. Without checkpointing EpochLoop is a
-// plain loop, so the call sequence (and thus every virtual-time result)
-// is identical to the pre-epoch formulation; with CrashConfig.Checkpoint
-// the run snapshots at every epoch boundary and survives a rank crash by
-// restarting from the last complete checkpoint.
+// Run implements App.
 func (j *Jacobi) Run(tp *tmk.Proc) {
 	n := j.N
 	lo, hi := blockRange(1, n-1, tp.Rank(), tp.NProcs())
 	out := make([]float64, n-2)
 	up, mid, down := make([]float64, n), make([]float64, n), make([]float64, n)
-	tp.EpochLoop(j.Iters+1, func(e int) {
-		if e == 0 {
-			a := tp.AllocShared(n * n * 8)
-			b := tp.AllocShared(n * n * 8)
-			if tp.Rank() == 0 {
-				edge := make([]float64, n)
-				for jj := 0; jj < n; jj++ {
-					edge[jj] = jacobiBoundary(0, jj)
-				}
-				tp.WriteF64Span(a, 0, edge)
-				tp.WriteF64Span(b, 0, edge)
-				for jj := 0; jj < n; jj++ {
-					edge[jj] = jacobiBoundary(n-1, jj)
-				}
-				tp.WriteF64Span(a, (n-1)*n, edge)
-				tp.WriteF64Span(b, (n-1)*n, edge)
-				for i := 1; i < n-1; i++ {
-					row := []float64{jacobiBoundary(i, 0), jacobiBoundary(i, n-1)}
-					tp.WriteF64Span(a, i*n, row[:1])
-					tp.WriteF64Span(a, i*n+n-1, row[1:])
-					tp.WriteF64Span(b, i*n, row[:1])
-					tp.WriteF64Span(b, i*n+n-1, row[1:])
-				}
-			}
-			tp.Barrier(1)
-			return
+	a := tp.AllocShared(n * n * 8)
+	b := tp.AllocShared(n * n * 8)
+	if tp.Rank() == 0 {
+		edge := make([]float64, n)
+		for jj := 0; jj < n; jj++ {
+			edge[jj] = jacobiBoundary(0, jj)
 		}
-		it := e - 1
-		// Grids ping-pong: even sweeps read region 0 (A) and write region
-		// 1 (B), odd sweeps the reverse — derived from the epoch number so
-		// a restarted generation picks up the right orientation.
-		src := tp.RegionByID(int32(it % 2))
-		dst := tp.RegionByID(int32((it + 1) % 2))
+		tp.WriteF64Span(a, 0, edge)
+		tp.WriteF64Span(b, 0, edge)
+		for jj := 0; jj < n; jj++ {
+			edge[jj] = jacobiBoundary(n-1, jj)
+		}
+		tp.WriteF64Span(a, (n-1)*n, edge)
+		tp.WriteF64Span(b, (n-1)*n, edge)
+		for i := 1; i < n-1; i++ {
+			row := []float64{jacobiBoundary(i, 0), jacobiBoundary(i, n-1)}
+			tp.WriteF64Span(a, i*n, row[:1])
+			tp.WriteF64Span(a, i*n+n-1, row[1:])
+			tp.WriteF64Span(b, i*n, row[:1])
+			tp.WriteF64Span(b, i*n+n-1, row[1:])
+		}
+	}
+	tp.Barrier(1)
+
+	// Grids ping-pong: even sweeps read region 0 (A) and write region 1
+	// (B), odd sweeps the reverse.
+	src, dst := a, b
+	for it := 0; it < j.Iters; it++ {
 		for i := lo; i < hi; i++ {
 			tp.ReadF64Span(src, (i-1)*n, up)
 			tp.ReadF64Span(src, i*n, mid)
@@ -94,7 +83,8 @@ func (j *Jacobi) Run(tp *tmk.Proc) {
 		}
 		chargePoints(tp, (hi-lo)*(n-2), j.CostPerPoint)
 		tp.Barrier(int32(10 + it))
-	})
+		src, dst = dst, src
+	}
 }
 
 // Sequential computes the reference grid.

@@ -25,8 +25,8 @@ func TestFeatureMatrix(t *testing.T) {
 		set  func(*tmk.Config)
 	}{
 		{"tree-barrier", func(c *tmk.Config) { c.BarrierFanout = 2 }},
-		{"crash-restart", func(c *tmk.Config) { c.Crash.Rank, c.Crash.AtBarrier, c.Crash.Checkpoint = 1, 3, true }},
-		{"checkpoint", func(c *tmk.Config) { c.Crash.Checkpoint = true }},
+		{"crash-restart", func(c *tmk.Config) { c.Crash.Rank, c.Crash.AtBarrier, c.Crash.Restart = 1, 3, true }},
+		{"restart", func(c *tmk.Config) { c.Crash.Restart = true }},
 		{"liveness", func(c *tmk.Config) { c.Crash.Liveness.Enabled = true }},
 		{"flow", func(c *tmk.Config) { c.Flow.Enabled = true }},
 		{"hedge", func(c *tmk.Config) { c.Hedge = substrate.HedgeConfig{Enabled: true} }},

@@ -170,8 +170,7 @@ type OneSided interface {
 	// window id. Window ids are chosen by the caller and must be
 	// registered before any peer posts a verb against them; verbs
 	// against an unknown id or outside [0, len(mem)) complete with a
-	// *WindowBoundsError. Re-registering an id replaces the mapping
-	// (the checkpoint/restart path re-registers restored memory).
+	// *WindowBoundsError. Re-registering an id replaces the mapping.
 	RegisterWindow(p *sim.Proc, id int32, mem []byte)
 
 	// PostPut starts a one-sided scatter write — each segment's Data lands

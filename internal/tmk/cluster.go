@@ -74,9 +74,9 @@ type Config struct {
 
 	// Crash configures the crash-failure model: the seeded injector, the
 	// substrate liveness detector, and the recovery policy (abort with a
-	// post-mortem, or barrier-epoch checkpoint/restart). Each part is on
-	// when it is configured — a trigger, Liveness.Enabled, Checkpoint —
-	// and the zero value is a run without a crash model.
+	// post-mortem, or restart of the whole run). Each part is on when it
+	// is configured — a trigger, Liveness.Enabled, Restart — and the zero
+	// value is a run without a crash model.
 	Crash CrashConfig
 
 	// Flow, when enabled, arms end-to-end credit flow control in whichever
@@ -275,12 +275,10 @@ func (c *Cluster) GM() *gm.System { return c.gmsys }
 // Proc returns the rank's DSM engine (valid after Run starts it).
 func (c *Cluster) Proc(rank int) *Proc { return c.procs[rank] }
 
-// spawnGeneration launches one process per rank for generation gen.
-// Generation 0 runs the application from the top; a restarted generation
-// (gen ≥ 1) restores every rank from the epoch resumeEpoch−1 checkpoint
-// before the application body runs, so EpochLoop skips straight to
-// resumeEpoch.
-func (c *Cluster) spawnGeneration(gen, resumeEpoch int) {
+// spawnGeneration launches one process per rank for generation gen, each
+// running the application from its first line: Run launches generation 0,
+// and a restart (afterCrash) launches generation 1 the same way.
+func (c *Cluster) spawnGeneration(gen int) {
 	n := c.n
 	if c.procs == nil {
 		c.procs = make([]*Proc, n)
@@ -307,10 +305,6 @@ func (c *Cluster) spawnGeneration(gen, resumeEpoch int) {
 			}
 			tp := newProc(c, rank, sp, tr, c.cfg.CPU)
 			tp.gen = gen
-			if gen > 0 {
-				tp.resumeEpoch = resumeEpoch
-				tp.restoreSnapshot(resumeEpoch - 1)
-			}
 			c.procs[rank] = tp
 			c.allProcs = append(c.allProcs, tp)
 			tr.Start(sp, tp.handleRequest)
@@ -368,7 +362,7 @@ func (c *Cluster) Run(app func(tp *Proc)) (*Result, error) {
 	}
 	n := c.n
 	c.appFn = app
-	c.spawnGeneration(0, 0)
+	c.spawnGeneration(0)
 	if cc := c.cfg.Crash; cc.AtTime > 0 {
 		c.sim.At(cc.AtTime, func() {
 			if tp := c.procs[cc.Rank]; tp != nil && tp.gen == 0 {

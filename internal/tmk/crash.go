@@ -13,23 +13,21 @@ import (
 // protocol point; the substrate's liveness layer detects the resulting
 // silence; and the stall watchdog below turns the detection into either a
 // coordinated abort with a post-mortem naming the blocking protocol
-// entity on every survivor, or — for barrier-structured applications
-// checkpointing through EpochLoop — a restart of the epoch with a
-// replacement generation of processes restored from the last complete
-// barrier checkpoint.
+// entity on every survivor, or a restart: the run started again, from the
+// application's first line, on a replacement generation of processes.
 
 // CrashConfig configures the injector and the recovery policy. There is
 // no master switch: the injector is armed by a trigger, the detector by
-// Liveness.Enabled (or a trigger), checkpointing by Checkpoint. The zero
-// value — and a Rank with no trigger — changes nothing: runs are
-// bit-identical to a config without a crash model.
+// Liveness.Enabled (or a trigger), restart by Restart. The zero value —
+// and a Rank with no trigger — changes nothing: runs are bit-identical to
+// a config without a crash model.
 type CrashConfig struct {
 	// Rank is the process the injector kills once a trigger is armed.
 	Rank int
 	// AtTime kills Rank at this virtual time (0 disables this trigger).
 	AtTime sim.Time
 	// AtBarrier kills Rank on entry to its n-th Barrier call, counting
-	// from 1 and including checkpoint fences (0 disables).
+	// from 1 (0 disables).
 	AtBarrier int
 	// AtLock kills Rank on entry to its n-th LockAcquire call, counting
 	// from 1 (0 disables).
@@ -38,10 +36,10 @@ type CrashConfig struct {
 	// is forced on whenever a trigger is armed (or membership is on) —
 	// without detection the survivors would block forever on the dead rank.
 	Liveness substrate.LivenessConfig
-	// Checkpoint enables barrier-epoch checkpoint/restart for apps that
-	// structure themselves with EpochLoop; without it (or without a
-	// complete checkpoint) a detected crash ends in a coordinated abort.
-	Checkpoint bool
+	// Restart runs the application again from its first line on a fresh
+	// generation of processes after the first detected death; without it
+	// a detected death ends in a coordinated abort.
+	Restart bool
 }
 
 func (cc CrashConfig) hasTrigger() bool {
@@ -57,9 +55,6 @@ type CrashReport struct {
 	Cause      string   // the transport's typed failure
 	Entities   []string // per-rank blocking entity at detection
 	Action     string   // "abort" or "restart"
-	// RestartEpoch is the epoch execution resumed from (restart only):
-	// the first epoch after the last complete checkpoint.
-	RestartEpoch int
 	// Generations counts process generations spawned (1 = no restart).
 	Generations int
 }
@@ -68,9 +63,6 @@ func (r *CrashReport) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "rank %d crashed; detected by rank %d at %v (%s); action=%s",
 		r.DeadRank, r.DetectedBy, r.DetectedAt, r.Cause, r.Action)
-	if r.Action == "restart" {
-		fmt.Fprintf(&b, " from epoch %d", r.RestartEpoch)
-	}
 	for rank, e := range r.Entities {
 		if rank == r.DeadRank || e == "" {
 			continue
@@ -94,10 +86,9 @@ func (e *CrashAbortError) Error() string {
 
 // crashState is the cluster-side watchdog state.
 type crashState struct {
-	handled   bool
-	report    *CrashReport
-	gen       int                    // current process generation
-	snapshots map[int]map[int][]byte // epoch → rank → encoded checkpoint
+	handled bool
+	report  *CrashReport
+	gen     int // current process generation
 }
 
 // handleCrash is the stall watchdog: invoked (once; later detections are
@@ -137,7 +128,7 @@ func (c *Cluster) handleCrash(detector, peer int, err error) {
 	c.crash.report = rep
 	c.procs[detector].observe(event{kind: evCrashDetected, peer: peer, a: c.crash.gen})
 
-	// Kill the whole generation (survivors' partial epoch state is not
+	// Kill the whole generation (survivors' partial state is not
 	// recoverable piecemeal) and halt its transports so their timers and
 	// retransmissions go quiescent and ports/sockets free up for a
 	// replacement generation.
@@ -157,22 +148,26 @@ func (c *Cluster) handleCrash(detector, peer int, err error) {
 }
 
 // afterCrash runs in scheduler context once the crashed generation has
-// fully unwound: restart from the last complete checkpoint if the
-// configuration and the checkpoint store allow it, otherwise leave the
-// abort post-mortem as the run's outcome.
+// fully unwound. Without Restart the abort post-mortem is the run's
+// outcome. With it the run starts again: what lives on the Cluster rather
+// than on a Proc — the region and page allocators and the membership
+// state — goes back to where generation 0 found it, and the launch path
+// that started generation 0 starts generation 1.
 func (c *Cluster) afterCrash() {
 	rep := c.crash.report
-	epoch, ok := c.latestCompleteCheckpoint()
-	if c.cfg.Crash.Checkpoint && c.crash.gen == 0 && ok {
-		rep.Action = "restart"
-		rep.RestartEpoch = epoch + 1
-		c.crash.gen++
-		rep.Generations = c.crash.gen + 1
-		c.procs[rep.DetectedBy].observe(event{kind: evRestart, a: c.crash.gen, b: rep.RestartEpoch})
-		c.spawnGeneration(c.crash.gen, rep.RestartEpoch)
+	if !c.cfg.Crash.Restart {
+		rep.Action = "abort"
 		return
 	}
-	rep.Action = "abort"
+	rep.Action = "restart"
+	c.crash.gen++
+	rep.Generations = c.crash.gen + 1
+	c.procs[rep.DetectedBy].observe(event{kind: evRestart, a: c.crash.gen})
+	c.nextRegionID, c.nextPage = 0, 0
+	if c.member != nil {
+		c.member = newMemberState(c.w, c.n)
+	}
+	c.spawnGeneration(c.crash.gen)
 }
 
 // maybeCrashAt implements the counting triggers (AtBarrier/AtLock): the

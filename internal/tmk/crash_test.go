@@ -1,7 +1,6 @@
 package tmk_test
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -13,34 +12,30 @@ import (
 )
 
 // epochApp is a small barrier-structured workload shaped like Jacobi:
-// epoch 0 allocates and seeds a shared vector, each later epoch has every
+// rank 0 allocates and seeds a shared vector, then each epoch has every
 // rank rewrite its stripe as a function of the epoch number, with a
 // barrier per epoch. The final contents depend on every epoch having run
-// exactly once — a restarted generation that lost or replayed an epoch
-// produces wrong values.
+// exactly once on a clean start — a restart that kept any of the dead
+// generation's state, or skipped an epoch, produces wrong values.
 const epochSlots = 600 // spans two pages
 
 func epochApp(epochs int) func(tp *tmk.Proc) {
 	return func(tp *tmk.Proc) {
 		n := tp.NProcs()
-		tp.EpochLoop(epochs+1, func(e int) {
-			if e == 0 {
-				r := tp.AllocShared(8 * epochSlots)
-				if tp.Rank() == 0 {
-					for i := 0; i < epochSlots; i++ {
-						tp.WriteF64(r, i, 1)
-					}
-				}
-				tp.Barrier(1)
-				return
+		r := tp.AllocShared(8 * epochSlots)
+		if tp.Rank() == 0 {
+			for i := 0; i < epochSlots; i++ {
+				tp.WriteF64(r, i, 1)
 			}
-			r := tp.RegionByID(0)
+		}
+		tp.Barrier(1)
+		for e := 1; e <= epochs; e++ {
 			for i := tp.Rank(); i < epochSlots; i += n {
 				v := tp.ReadF64(r, i)
 				tp.WriteF64(r, i, v*2+float64(e))
 			}
 			tp.Barrier(int32(10 + e))
-		})
+		}
 	}
 }
 
@@ -64,21 +59,19 @@ func verifyEpochApp(t *testing.T, tp *tmk.Proc, epochs int) {
 	}
 }
 
-// TestCrashRestartFromCheckpoint kills rank 1 mid-run on both transports
-// and requires the checkpoint/restart path to finish the computation
-// bit-correct: survivors detect the death, the watchdog respawns a
-// generation from the last complete epoch checkpoint, and the final
-// shared state equals the crash-free reference.
-func TestCrashRestartFromCheckpoint(t *testing.T) {
+// TestCrashRestart kills rank 1 mid-run on every transport and requires
+// the restart to finish the computation bit-correct: survivors detect the
+// death, the watchdog runs the application again on a second generation,
+// and the final shared state equals the crash-free reference.
+func TestCrashRestart(t *testing.T) {
 	const epochs = 4
-	for _, kind := range bothTransports {
-		kind := kind
+	for _, kind := range allTransports {
 		t.Run(string(kind), func(t *testing.T) {
 			cfg := tmk.DefaultConfig(4, kind)
 			cfg.Crash = tmk.CrashConfig{
-				Rank:       1,
-				AtBarrier:  6, // app barrier 1, fences(0), then dies entering epoch-1's work barrier wave
-				Checkpoint: true,
+				Rank:      1,
+				AtBarrier: 3, // the setup barrier and epoch 1's, then dies entering epoch 2's
+				Restart:   true,
 			}
 			app := epochApp(epochs)
 			res, err := tmk.Run(cfg, func(tp *tmk.Proc) {
@@ -100,9 +93,6 @@ func TestCrashRestartFromCheckpoint(t *testing.T) {
 			if res.Crash.DeadRank != 1 || res.Crash.Generations != 2 {
 				t.Errorf("report: dead=%d generations=%d", res.Crash.DeadRank, res.Crash.Generations)
 			}
-			if res.Stats.Checkpoints == 0 {
-				t.Error("no checkpoints recorded")
-			}
 			if res.Transport.PeersDeclaredDead == 0 {
 				t.Error("no liveness detection recorded")
 			}
@@ -111,9 +101,9 @@ func TestCrashRestartFromCheckpoint(t *testing.T) {
 }
 
 // TestCrashAbortNamesBlockingEntity kills the lock-holding rank of a
-// lock-structured (non-checkpointable) workload and requires a
-// coordinated abort whose post-mortem names the dead rank and the
-// protocol entity each survivor was blocked on.
+// lock-structured workload with no Restart and requires a coordinated
+// abort whose post-mortem names the dead rank and the protocol entity
+// each survivor was blocked on.
 func TestCrashAbortNamesBlockingEntity(t *testing.T) {
 	for _, kind := range bothTransports {
 		kind := kind
@@ -157,69 +147,39 @@ func TestCrashAbortNamesBlockingEntity(t *testing.T) {
 }
 
 // TestCrashAtTime exercises the virtual-time trigger: the victim dies at
-// an arbitrary instant (not a protocol point) and the run still
-// terminates with a report instead of hanging.
+// an arbitrary instant (not a protocol point), mid-epoch, and the restart
+// still finishes the run with the right answer on every transport.
 func TestCrashAtTime(t *testing.T) {
-	for _, kind := range bothTransports {
-		kind := kind
+	const epochs = 5
+	for _, kind := range allTransports {
 		t.Run(string(kind), func(t *testing.T) {
 			cfg := tmk.DefaultConfig(3, kind)
 			cfg.Crash = tmk.CrashConfig{
-				Rank:       2,
-				AtTime:     2_000_000, // 2ms: mid-epoch
-				Checkpoint: true,
+				Rank:    2,
+				AtTime:  2_000_000, // 2ms: mid-epoch
+				Restart: true,
 			}
-			res, err := tmk.Run(cfg, epochApp(5))
-			if res == nil && err == nil {
-				t.Fatal("no result and no error")
+			app := epochApp(epochs)
+			res, err := tmk.Run(cfg, func(tp *tmk.Proc) {
+				app(tp)
+				tp.Barrier(1_000_000)
+				if tp.Rank() == 0 {
+					verifyEpochApp(t, tp, epochs)
+				}
+			})
+			if err != nil {
+				t.Fatalf("run: %v", err)
 			}
-			if res != nil && res.Crash == nil {
-				t.Fatalf("run completed without a crash report (err=%v)", err)
+			if rep := res.Crash; rep == nil || rep.Action != "restart" || rep.DeadRank != 2 || rep.Generations != 2 {
+				t.Fatalf("report: %v, want a restart after rank 2's death", rep)
 			}
 		})
 	}
 }
 
-// TestCheckpointBytesDeterministic runs the same crashing configuration
-// twice and requires both the recovery outcome and every stored
-// checkpoint to be byte-identical — the format's determinism guarantee.
-func TestCheckpointBytesDeterministic(t *testing.T) {
-	const epochs = 3
-	run := func() (*tmk.Cluster, *tmk.Result) {
-		cfg := tmk.DefaultConfig(4, tmk.TransportFastGM)
-		cfg.Crash = tmk.CrashConfig{Rank: 1, AtBarrier: 6, Checkpoint: true}
-		c := tmk.NewCluster(cfg)
-		res, err := c.Run(epochApp(epochs))
-		if err != nil {
-			t.Fatalf("run: %v", err)
-		}
-		return c, res
-	}
-	c1, r1 := run()
-	c2, r2 := run()
-	if r1.ExecTime != r2.ExecTime || r1.Stats != r2.Stats || r1.Transport != r2.Transport {
-		t.Fatalf("crash recovery not deterministic:\n%+v\n%+v", r1.Stats, r2.Stats)
-	}
-	found := 0
-	for e := 0; e <= epochs; e++ {
-		for rank := 0; rank < 4; rank++ {
-			s1, s2 := c1.Snapshot(e, rank), c2.Snapshot(e, rank)
-			if !bytes.Equal(s1, s2) {
-				t.Fatalf("checkpoint (epoch %d, rank %d) differs between identical runs", e, rank)
-			}
-			if s1 != nil {
-				found++
-			}
-		}
-	}
-	if found == 0 {
-		t.Fatal("no checkpoints stored")
-	}
-}
-
 // TestZeroCrashConfigBitIdentical pins what arms the crash model: a
-// victim rank and detector tunables with no trigger, Liveness.Enabled
-// false and no Checkpoint arm nothing — results bit-identical to a run
+// victim rank, detector tunables and Restart with no trigger and
+// Liveness.Enabled false arm nothing — results bit-identical to a run
 // with no crash model at all, and no heartbeat flows.
 func TestZeroCrashConfigBitIdentical(t *testing.T) {
 	for _, kind := range bothTransports {
@@ -231,7 +191,7 @@ func TestZeroCrashConfigBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg := tmk.DefaultConfig(4, kind)
-			cfg.Crash = tmk.CrashConfig{Rank: 1,
+			cfg.Crash = tmk.CrashConfig{Rank: 1, Restart: true,
 				Liveness: substrate.LivenessConfig{Interval: 100_000, Threshold: 3}}
 			inert, err := tmk.Run(cfg, app)
 			if err != nil {
@@ -311,27 +271,23 @@ func TestRetryExhaustionAbortsWithPostMortem(t *testing.T) {
 	}
 }
 
-// TestLockTokensSurviveRestart covers the lock half of a checkpoint: every
-// rank increments two counters under two locks in every epoch, so by the
-// time rank 1 dies the tokens have left their managers and the chain tails
-// point around the cluster — the state encodeSnapshot's lock loop saves and
-// restoreSnapshot's rebuilds. A restarted generation that lost a token
-// deadlocks; one that forgot or replayed an epoch gets the sums wrong.
+// TestLockTokensSurviveRestart restarts a lock-structured run: every rank
+// increments two counters under two locks in every epoch, so by the time
+// rank 1 dies the tokens have left their managers and the chain tails
+// point around the cluster. The restarted generation starts its lock state
+// over with the run — one that inherited a token or a tail from the dead
+// generation deadlocks; one that kept a count gets the sums wrong.
 func TestLockTokensSurviveRestart(t *testing.T) {
-	const procs, epochs = 4, 8
+	const procs, epochs = 4, 12
 	for _, kind := range allTransports {
-		for _, at := range []int{6, 9, 12} { // the closing checkpoint fence of epochs 1, 2 and 3
+		for _, at := range []int{6, 9, 12} { // entering the barriers of epochs 5, 8 and 11
 			t.Run(fmt.Sprintf("%s/barrier%d", kind, at), func(t *testing.T) {
 				cfg := tmk.DefaultConfig(procs, kind)
-				cfg.Crash = tmk.CrashConfig{Rank: 1, AtBarrier: at, Checkpoint: true}
+				cfg.Crash = tmk.CrashConfig{Rank: 1, AtBarrier: at, Restart: true}
 				res, err := tmk.Run(cfg, func(tp *tmk.Proc) {
-					tp.EpochLoop(epochs+1, func(e int) {
-						if e == 0 {
-							tp.AllocShared(2 * tmk.PageSize)
-							tp.Barrier(1)
-							return
-						}
-						r := tp.RegionByID(0)
+					r := tp.AllocShared(2 * tmk.PageSize)
+					tp.Barrier(1)
+					for e := 1; e <= epochs; e++ {
 						for lock := 0; lock < 2; lock++ {
 							slot := lock * tmk.PageSize / 8 // a page per counter
 							tp.LockAcquire(int32(lock))
@@ -339,8 +295,8 @@ func TestLockTokensSurviveRestart(t *testing.T) {
 							tp.LockRelease(int32(lock))
 						}
 						tp.Barrier(int32(10 + e))
-					})
-					if r := tp.RegionByID(0); tp.Rank() == 0 {
+					}
+					if tp.Rank() == 0 {
 						for lock := 0; lock < 2; lock++ {
 							if got := tp.ReadF64(r, lock*tmk.PageSize/8); got != procs*epochs {
 								t.Errorf("counter %d = %v, want %d", lock, got, procs*epochs)

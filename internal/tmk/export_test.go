@@ -82,8 +82,7 @@ func (n *noticeMidGet) WaitVerbs(p *sim.Proc, verbs []substrate.PendingVerb) err
 	return n.OneSided.WaitVerbs(p, verbs)
 }
 
-// Generation is 0 for an original process, ≥ 1 for one restored from a
-// checkpoint.
+// Generation is 0 for an original process, 1 for one a restart launched.
 func (tp *Proc) Generation() int { return tp.gen }
 
 // FrameCensus counts, over every region mapped on tp, the pages, the frames

@@ -2,7 +2,6 @@ package tmk_test
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -17,8 +16,8 @@ import (
 // TestMain fails the package if any test's run stored into the page every
 // frame-less copy reads as. The tests here reach each storing path — an
 // application write, a fetched copy, an applied diff, a merged home page, a
-// restored checkpoint, a membership hand-off — so a path that writes through
-// the read view instead of a private frame turns the whole run red.
+// membership hand-off — so a path that writes through the read view instead
+// of a private frame turns the whole run red.
 func TestMain(m *testing.M) {
 	code := m.Run()
 	if !tmk.ZeroPageIsZero() {
@@ -178,48 +177,4 @@ func TestAccessorsWalkFrames(t *testing.T) {
 			t.Error("ReadBytes within one page is not a view of it")
 		}
 	})
-}
-
-// TestCheckpointBytesMatchEagerStorage: a copy with no frame is still a copy,
-// and a checkpoint carries it as 4,096 zeros. The snapshots of a
-// crash-restart Jacobi whose rows are longer than a page — rank 0 owns both
-// grids and has stored into only some of their pages — hash to what they
-// hashed to when every page of every region was backed at mapping.
-func TestCheckpointBytesMatchEagerStorage(t *testing.T) {
-	const iters = 3
-	app := &apps.Jacobi{N: 530, Iters: iters, CostPerPoint: 30 * sim.Nanosecond}
-	cfg := tmk.DefaultConfig(4, tmk.TransportFastGM)
-	cfg.Crash = tmk.CrashConfig{Checkpoint: true}
-	if _, err := tmk.Run(cfg, func(tp *tmk.Proc) {
-		app.Run(tp)
-		if fc := tp.FrameCensus(); tp.Rank() == 0 && fc.Frames == fc.Pages {
-			t.Error("the owner stored into every page: no frame-less copy is checkpointed")
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	cfg.Crash = tmk.CrashConfig{Rank: 1, AtBarrier: 6, Checkpoint: true}
-	c := tmk.NewCluster(cfg)
-	res, err := c.Run(app.Run)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Crash == nil || res.Crash.Action != "restart" {
-		t.Fatalf("no restart from a checkpoint: %v", res.Crash)
-	}
-	h, found := sha256.New(), 0
-	for e := 0; e <= iters; e++ {
-		for rank := 0; rank < 4; rank++ {
-			snap := c.Snapshot(e, rank)
-			if snap != nil {
-				found++
-			}
-			binary.Write(h, binary.LittleEndian, int64(len(snap)))
-			h.Write(snap)
-		}
-	}
-	const want = "cb6194789667fd2960828a1a33db112ecabc96b223e7e7dd9374e068991b5d62"
-	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
-		t.Errorf("%d snapshots hash to %s, want %s", found, got, want)
-	}
 }

@@ -61,25 +61,25 @@ func TestIncrementalGaugeEqualsFullScan(t *testing.T) {
 	}
 }
 
-// TestGaugeSurvivesRestore: a generation restored from a checkpoint
-// rebuilds its pages, notices, intervals and diffs through the same
-// counted paths, so its gauge starts equal to the scan and stays so.
+// TestGaugeSurvivesRestore: the generation a restart launches builds its
+// pages, notices, intervals and diffs through the same counted paths as
+// the first, so its gauge equals the scan from its first barrier on.
 func TestGaugeSurvivesRestore(t *testing.T) {
 	cfg := tmk.DefaultConfig(4, tmk.TransportFastGM)
-	cfg.Crash = tmk.CrashConfig{Rank: 1, AtBarrier: 6, Checkpoint: true}
-	checks, restored := 0, 0
+	cfg.Crash = tmk.CrashConfig{Rank: 1, AtBarrier: 6, Restart: true}
+	checks, restarted := 0, 0
 	res, err := tmk.Run(cfg, func(tp *tmk.Proc) {
 		tp.CheckMetaGauge(t.Errorf, &checks)
 		if tp.Generation() > 0 {
-			restored++
+			restarted++
 		}
 		(&apps.Jacobi{N: 64, Iters: 6, CostPerPoint: 30 * sim.Nanosecond}).Run(tp)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Crash == nil || res.Crash.Action != "restart" || restored != 4 {
-		t.Fatalf("no restart from a checkpoint (report %v, %d restored ranks): nothing was tested", res.Crash, restored)
+	if res.Crash == nil || res.Crash.Action != "restart" || restarted != 4 {
+		t.Fatalf("no restart (report %v, %d restarted ranks): nothing was tested", res.Crash, restarted)
 	}
 }
 

@@ -177,7 +177,7 @@ func TestLeaveWhileHoldingLockToken(t *testing.T) {
 
 // TestCrashOfJoinedExtra joins two extras, then crashes one of them at a
 // later fence, on every transport. The run must continue (partial
-// recovery, no generation restart, no checkpoints), re-placing only the
+// recovery, no generation restart), re-placing only the
 // dead rank's entities; under HLRC (rdmagm) the dead rank is a page home
 // and its pages are rebuilt from surviving writers' diffs.
 func TestCrashOfJoinedExtra(t *testing.T) {
@@ -207,9 +207,6 @@ func TestCrashOfJoinedExtra(t *testing.T) {
 			if res.Crash != nil {
 				t.Fatalf("partial recovery escalated to generation recovery: %s", res.Crash)
 			}
-			if res.Stats.Checkpoints != 0 {
-				t.Errorf("membership recovery took %d checkpoints, want 0", res.Stats.Checkpoints)
-			}
 			st := &res.Stats
 			if st.MemberJoins != 2 || st.MemberCrashes != 1 || st.MemberPartialRecoveries != 1 {
 				t.Errorf("joins=%d crashes=%d recoveries=%d, want 2/1/1",
@@ -235,6 +232,50 @@ func TestCrashOfJoinedExtra(t *testing.T) {
 				if st.MemberDiffsReplayed == 0 {
 					t.Error("crash rebuilt no pages from surviving diffs")
 				}
+			}
+		})
+	}
+}
+
+// TestRestartReplaysChurn: a compute rank dies after every scheduled fence
+// has run — two extras joined, one of them crashed — and the run restarts.
+// The restarted generation replays the schedule from its first fence on
+// membership state reset with the rest of the run, so it verifies and ends
+// with exactly the membership an uncrashed run ends with.
+func TestRestartReplaysChurn(t *testing.T) {
+	const phases = 5
+	for _, kind := range allTransports {
+		t.Run(string(kind), func(t *testing.T) {
+			run := func(cc tmk.CrashConfig) *tmk.Result {
+				cfg := tmk.DefaultConfig(4, kind)
+				cfg.Crash = cc
+				cfg.Membership = tmk.MemberConfig{
+					Extra: 2,
+					Schedule: []tmk.ChurnEvent{
+						{AtBarrier: 2, Kind: "join", Rank: 4},
+						{AtBarrier: 3, Kind: "join", Rank: 5},
+						{AtBarrier: 4, Kind: "crash", Rank: 4},
+					},
+				}
+				app := churnApp(phases)
+				res, err := tmk.Run(cfg, func(tp *tmk.Proc) {
+					app(tp)
+					if tp.Rank() == 0 {
+						verifyChurnApp(t, tp, 4, phases)
+					}
+				})
+				if err != nil {
+					t.Fatalf("run: %v", err)
+				}
+				return res
+			}
+			clean := run(tmk.CrashConfig{})
+			restarted := run(tmk.CrashConfig{Rank: 1, AtBarrier: 5, Restart: true})
+			if rep := restarted.Crash; rep == nil || rep.Action != "restart" {
+				t.Fatalf("report: %v, want a restart", rep)
+			}
+			if *restarted.Member != *clean.Member {
+				t.Errorf("restarted run ends with membership %+v, the uncrashed run with %+v", *restarted.Member, *clean.Member)
 			}
 		})
 	}

@@ -81,9 +81,8 @@ var (
 	evBarrierArrive = &evKind{prof: []prof.Kind{prof.BarrierArrive}}
 	evBarrier       = &evKind{ring: "barrier", prof: []prof.Kind{prof.BarrierDepart}}
 
-	// DRIFT: metadata GC and checkpoints are ring-only.
-	evMetaGC     = &evKind{ring: "meta-gc"}
-	evCheckpoint = &evKind{ring: "checkpoint"}
+	// DRIFT: metadata GC is ring-only.
+	evMetaGC = &evKind{ring: "meta-gc"}
 
 	// Membership and crash handling, observed by the fence leader or the
 	// detecting rank; peer = the rank the event is about or the new owner,
@@ -98,7 +97,7 @@ var (
 	evPageRebuild   = &evKind{text: "membership: page %[2]d rebuilt at %[3]d from %[5]d surviving diffs"}
 	evCrashDetected = &evKind{ring: "crash-detected",
 		text: "watchdog: rank %[3]d dead (detected by %[1]d): tearing down generation %[5]d"}
-	evRestart     = &evKind{text: "watchdog: restarting generation %[5]d from epoch %[6]d"}
+	evRestart     = &evKind{text: "watchdog: restarting the run as generation %[5]d"}
 	evCrashInject = &evKind{text: "crash injector: rank %[1]d dies (trigger %[5]d)"}
 )
 

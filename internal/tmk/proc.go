@@ -58,9 +58,8 @@ type Proc struct {
 	metaGC MetaGCConfig
 	inGC   bool
 
-	// Crash model (see crash.go / checkpoint.go).
-	gen           int    // process generation (0 = original, ≥1 = restarted)
-	resumeEpoch   int    // EpochLoop skips epochs below this after restore
+	// Crash model (see crash.go).
+	gen           int    // process generation (0 = original, 1 = restarted)
 	blockedOn     entity // protocol entity currently awaited (watchdog)
 	crashBarriers int    // injector counters: Barrier / LockAcquire entries
 	crashLocks    int

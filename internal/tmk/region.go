@@ -12,7 +12,7 @@ import (
 // global; each process lazily materializes local page copies: mapping the
 // region gives a process the pages' metadata, and a page's frame appears at
 // the first byte stored into it (an application write, a fetched copy, an
-// applied diff, a restored checkpoint). Until then a page this process holds
+// applied diff, a membership hand-off). Until then a page this process holds
 // a copy of reads as zeros — what an untouched mmap'ed page costs the DSM the
 // paper ports. Home-based, every frame is backed when the region is mapped:
 // the region is the RDMA window, and pinned memory is physically backed.

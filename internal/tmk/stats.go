@@ -44,8 +44,6 @@ type Stats struct {
 	IntervalsCreated   int64
 	IntervalsLearned   int64
 	Invalidations      int64
-	Checkpoints        int64
-	CheckpointBytes    int64
 
 	// Home-based LRC counters (zero unless Config.HomeBased).
 	HomeFlushes    int64 // dirty pages whose diffs were Put to a remote home

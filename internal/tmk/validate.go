@@ -21,7 +21,6 @@ const (
 	RuleCrashRank        ConfigRule = "crash-rank"        // an armed trigger names a compute rank
 	RuleLivenessFaults   ConfigRule = "liveness-faults"   // the detector presumes a fault-free fabric
 	RuleMemberSize       ConfigRule = "member-size"       // 0 ≤ extras, ≤ 64 ranks in all
-	RuleMemberCheckpoint ConfigRule = "member-checkpoint" // two recovery models, pick one
 	RuleChurnSchedule    ConfigRule = "churn-schedule"    // every event executable at its fence
 )
 
@@ -112,9 +111,6 @@ func (cfg *Config) Validate() error {
 		if err := mc.replay(cfg.Procs, cfg.HomeBased); err != nil {
 			bad(RuleChurnSchedule, "%v", err)
 		}
-	}
-	if mc.on() && cfg.Crash.Checkpoint {
-		bad(RuleMemberCheckpoint, "membership and checkpoint/restart are mutually exclusive recovery models")
 	}
 	if errs == nil {
 		return nil

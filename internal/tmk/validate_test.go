@@ -67,9 +67,6 @@ func TestValidateRules(t *testing.T) {
 			[]tmk.ConfigRule{tmk.RuleLivenessFaults}},
 		{"negative extras", 4, tmk.TransportFastGM, churn(-1), []tmk.ConfigRule{tmk.RuleMemberSize}},
 		{"more than 64 ranks", 60, tmk.TransportFastGM, churn(5), []tmk.ConfigRule{tmk.RuleMemberSize}},
-		{"membership with checkpointing", 4, tmk.TransportFastGM,
-			func(c *tmk.Config) { c.Membership.Extra = 1; c.Crash.Checkpoint = true },
-			[]tmk.ConfigRule{tmk.RuleMemberCheckpoint}},
 
 		// The schedule, replayed in execution order against the ring.
 		{"compute rank leaves twice", 4, tmk.TransportFastGM,
@@ -100,6 +97,8 @@ func TestValidateRules(t *testing.T) {
 			churn(1, ev(3, "leave", 4), ev(2, "join", 4)), nil},
 		{"the same departure on the homeless protocol", 4, tmk.TransportFastGM,
 			churn(1, ev(2, "join", 4), ev(3, "crash", 4)), nil},
+		{"restart with membership", 4, tmk.TransportFastGM,
+			func(c *tmk.Config) { c.Membership.Extra = 1; c.Crash.Restart = true }, nil},
 	}
 	for _, row := range rows {
 		cfg := tmk.DefaultConfig(row.n, row.kind)

@@ -56,11 +56,12 @@ type (
 	Time = sim.Time
 	// CrashConfig configures the crash-failure model: a seeded rank death
 	// (armed by its trigger), liveness detection, stall diagnosis, and
-	// (for barrier-structured apps using Proc.EpochLoop) checkpoint/restart.
+	// restart — the application run again from its first line on a fresh
+	// generation of processes.
 	CrashConfig = tmk.CrashConfig
 	// CrashReport is the post-mortem of a detected rank death: who died,
 	// who detected it, what every survivor was blocked on, and whether
-	// the run restarted from a checkpoint or aborted.
+	// the run restarted or aborted.
 	CrashReport = tmk.CrashReport
 	// CrashAbortError is returned by Run when a rank death — or, with no
 	// crash model armed, a peer a transport spent its retry budget on —
@@ -75,7 +76,7 @@ type (
 	// names extras or a schedule): protocol entities placed on a
 	// consistent-hashed ring of live ranks, standby extras joining/leaving
 	// at barrier fences with bounded handoff, and partial recovery of a
-	// crashed rank's entities with no generation restart.
+	// crashed extra's entities with no generation restart.
 	MemberConfig = tmk.MemberConfig
 	// ChurnEvent is one scheduled membership transition ("join", "leave",
 	// or "crash" of a rank at a barrier crossing).
