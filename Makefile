@@ -166,8 +166,8 @@ cli-smoke:
 	@for t in udpgm fastgm rdmagm; do \
 		$(GO) run ./cmd/tmkrun -app jacobi -nodes 2 -size 0 -transport $$t -verify > /dev/null || exit 1; \
 	done
-	@$(GO) run ./cmd/tmkrun -churn -nodes 8 > /dev/null
-	@echo "cli-smoke: illegal configs rejected in one line, verified runs pass on all three substrates, churn sweep passes at 8 nodes"
+	@$(GO) run ./cmd/tmkrun -churn -nodes 16 > /dev/null
+	@echo "cli-smoke: illegal configs rejected in one line, verified runs pass on all three substrates, churn sweep passes at 16 nodes"
 
 # Quick end-to-end run of the protocol-entity profiler (small sizes).
 prof-smoke:

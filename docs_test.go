@@ -310,6 +310,45 @@ func TestDocIdentifiersResolve(t *testing.T) {
 	}
 }
 
+// TestDocCountsAreTheSource: every "N rules" in README and DESIGN is the
+// number of ConfigRule constants validate.go declares, and every "N
+// settable feature values" is the length of harness.ConfigSurface — the
+// walk TestConfigSurface pins.
+func TestDocCountsAreTheSource(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "internal/tmk/validate.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rules := 0
+	ast.Inspect(f, func(n ast.Node) bool {
+		if s, ok := n.(*ast.ValueSpec); ok && typeName(s.Type) == "ConfigRule" {
+			rules += len(s.Names)
+		}
+		return true
+	})
+	want := map[string]int{"rules": rules, "settable feature values": len(harness.ConfigSurface())}
+	count := regexp.MustCompile(`(\d+) (rules|settable feature values)\b`)
+	seen := map[string]bool{}
+	for _, doc := range []string{"README.md", "DESIGN.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flat := strings.Join(strings.Fields(string(text)), " ")
+		for _, m := range count.FindAllStringSubmatch(flat, -1) {
+			seen[m[2]] = true
+			if n, _ := strconv.Atoi(m[1]); n != want[m[2]] {
+				t.Errorf("%s says %q, the source has %d", doc, m[0], want[m[2]])
+			}
+		}
+	}
+	for what := range want {
+		if !seen[what] {
+			t.Errorf("no document states how many %s there are", what)
+		}
+	}
+}
+
 // TestDesignSizeTableIsTheLadder: DESIGN §5's size table and its default
 // sizes are what harness.SizeLadder and the apps' Default constructors run.
 // A size is the leading number of the app's Size string (Z for the grids

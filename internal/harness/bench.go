@@ -164,23 +164,17 @@ func BenchE3() (*BenchSuite, error) {
 // leave) applied to one application on every substrate, next to the
 // zero-churn run — the same configuration without the membership layer,
 // so the checked-in zero-churn rows are the numbers the e-suites see and
-// the gate holds both sides.
+// the gate holds both sides. The pairs are ProfChurn's.
 func BenchChurn() (*BenchSuite, error) {
-	spec := DefaultChurnSpec(4)
-	app := chaosApps()[0]
+	runs, err := ProfChurn()
+	if err != nil {
+		return nil, err
+	}
 	s := &BenchSuite{Schema: BenchSchema, Suite: "churn"}
-	for _, kind := range AllTransports {
-		churned, err := VerifiedRun(app, spec.Nodes, kind, spec.Mutate)
-		if err != nil {
-			return nil, fmt.Errorf("churn bench (%s): %w", kind, err)
-		}
-		plain, err := RunApp(app, spec.Nodes, kind, func(cfg *tmk.Config) { cfg.Seed = spec.Seed })
-		if err != nil {
-			return nil, err
-		}
+	for _, r := range runs {
 		s.Entries = append(s.Entries,
-			BenchEntry{Name: "Churn/" + app.Name(), Transport: string(kind), Nodes: spec.Nodes, Value: int64(churned.ExecTime), Unit: "ns"},
-			BenchEntry{Name: "ZeroChurn/" + app.Name(), Transport: string(kind), Nodes: spec.Nodes, Value: int64(plain.ExecTime), Unit: "ns"},
+			BenchEntry{Name: "Churn/" + r.App, Transport: string(r.Transport), Nodes: r.Nodes, Value: r.ExecNs, Unit: "ns"},
+			BenchEntry{Name: "ZeroChurn/" + r.App, Transport: string(r.Transport), Nodes: r.Nodes, Value: r.BaseNs, Unit: "ns"},
 		)
 	}
 	return s, nil

@@ -67,7 +67,7 @@ func runIncast(family string, spec IncastSpec) (*incastRow, error) {
 	s := sim.New(spec.Seed)
 	fab := myrinet.NewFabric(s, myrinet.DefaultParams(), n)
 	g := gm.NewSystem(s, fab, gm.DefaultParams())
-	pol := substrate.Policy{Flow: substrate.FlowConfig{Enabled: true}}
+	pol := substrate.Policy{Flow: true}
 	trs := make([]substrate.Transport, n)
 	var stacks []*sockets.Stack
 	switch family {
@@ -206,8 +206,8 @@ func Incast(w io.Writer, spec IncastSpec) error {
 // armed, next to the stock baseline (the same numbers the e-suites see,
 // so the gate holds both sides), plus the metadata-GC run on the
 // two-sided substrates (home-based rdmagm retains no diffs to collect).
-// That every knob present but disabled is bit-identical to no knobs at
-// all is TestFlowOffBitIdentity's to assert, for every app and size.
+// Both sides are plain runs, so a row's on-cost is the mechanism's alone;
+// TestFeatureMatrix verifies the armed configurations.
 func BenchFlow() (*BenchSuite, error) {
 	app := chaosApps()[0]
 	const nodes = 4
@@ -218,10 +218,10 @@ func BenchFlow() (*BenchSuite, error) {
 		if err != nil {
 			return nil, err
 		}
-		armed, err := VerifiedRun(app, nodes, kind, func(cfg *tmk.Config) {
+		armed, err := RunApp(app, nodes, kind, func(cfg *tmk.Config) {
 			cfg.Seed = seed
-			cfg.Flow.Enabled = true
-			cfg.Hedge.Enabled = true
+			cfg.Flow = true
+			cfg.Hedge = true
 		})
 		if err != nil {
 			return nil, fmt.Errorf("flow bench (%s): %w", kind, err)
@@ -232,15 +232,15 @@ func BenchFlow() (*BenchSuite, error) {
 		)
 	}
 	for _, kind := range []tmk.TransportKind{tmk.TransportUDPGM, tmk.TransportFastGM} {
-		gc, err := VerifiedRun(app, nodes, kind, func(cfg *tmk.Config) {
+		gc, err := RunApp(app, nodes, kind, func(cfg *tmk.Config) {
 			cfg.Seed = seed
-			cfg.MetaGC = tmk.MetaGCConfig{Enabled: true, HighWater: 8 << 10}
+			cfg.MetaGC = 8 << 10
 		})
 		if err != nil {
 			return nil, fmt.Errorf("flow bench metaGC (%s): %w", kind, err)
 		}
 		if gc.Stats.GCEpochs == 0 {
-			return nil, fmt.Errorf("flow bench metaGC (%s): no GC epoch fired (raise the ladder or lower HighWater)", kind)
+			return nil, fmt.Errorf("flow bench metaGC (%s): no GC epoch fired (raise the ladder or lower the high water)", kind)
 		}
 		s.Entries = append(s.Entries,
 			BenchEntry{Name: "MetaGC/" + app.Name(), Transport: string(kind), Nodes: nodes, Value: int64(gc.ExecTime), Unit: "ns"})

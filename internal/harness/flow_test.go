@@ -6,40 +6,8 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/sim"
-	"repro/internal/substrate"
 	"repro/internal/tmk"
 )
-
-// TestFlowOffBitIdentity holds the overload machinery to its inertness
-// contract, the one place it is asserted: a configuration that carries the
-// full flow / hedge / metadata-GC structure with every tunable set and
-// every Enabled flag false is bit-identical to a configuration without the
-// knobs at all, for every application, substrate, and cluster size.
-func TestFlowOffBitIdentity(t *testing.T) {
-	for _, app := range chaosApps() {
-		for _, kind := range AllTransports {
-			for _, n := range []int{2, 4, 8} {
-				base, err := RunApp(app, n, kind, func(cfg *tmk.Config) { cfg.Seed = 1 })
-				if err != nil {
-					t.Fatalf("%s/%s/n=%d base: %v", app.Name(), kind, n, err)
-				}
-				off, err := RunApp(app, n, kind, func(cfg *tmk.Config) {
-					cfg.Seed = 1
-					cfg.Flow = substrate.FlowConfig{CreditTimeout: 100 * sim.Millisecond}
-					cfg.Hedge = substrate.HedgeConfig{MinDeadline: sim.Millisecond}
-					cfg.MetaGC = tmk.MetaGCConfig{HighWater: 1}
-				})
-				if err != nil {
-					t.Fatalf("%s/%s/n=%d off: %v", app.Name(), kind, n, err)
-				}
-				if err := sameResult(base, off); err != nil {
-					t.Errorf("%s/%s/n=%d: disabled overload knobs perturbed the run: %v",
-						app.Name(), kind, n, err)
-				}
-			}
-		}
-	}
-}
 
 // TestHedgeUnderChaosDeterminism: flow control and hedging armed
 // together on a lossy fabric. Hedged duplicates ride the (origin, seq)
@@ -51,8 +19,8 @@ func TestHedgeUnderChaosDeterminism(t *testing.T) {
 	spec := DefaultChaosSpec()
 	mutate := func(cfg *tmk.Config) {
 		spec.Mutate(cfg)
-		cfg.Flow.Enabled = true
-		cfg.Hedge.Enabled = true
+		cfg.Flow = true
+		cfg.Hedge = true
 	}
 	var hedged, stalls, rdmaPuts, rdmaRetx int64
 	for _, app := range chaosApps() {
@@ -125,7 +93,7 @@ func TestMetaGCBoundsMetadata(t *testing.T) {
 		for _, iters := range onLadder {
 			gc, err := VerifiedRun(jacobi(iters), 4, kind, func(cfg *tmk.Config) {
 				cfg.Seed = 1
-				cfg.MetaGC = tmk.MetaGCConfig{Enabled: true, HighWater: 8 << 10}
+				cfg.MetaGC = 8 << 10
 			})
 			if err != nil {
 				t.Fatalf("%s iters=%d gc: %v", kind, iters, err)

@@ -9,9 +9,11 @@ package harness
 import (
 	"fmt"
 	"io"
+	"reflect"
 
 	"repro/internal/apps"
 	"repro/internal/sim"
+	"repro/internal/substrate"
 	"repro/internal/tmk"
 )
 
@@ -86,6 +88,36 @@ func SizeLadder(name string) []apps.App {
 	default:
 		return nil
 	}
+}
+
+// ConfigSurface lists, by path, every feature value a caller can set on a
+// tmk.Config: each leaf under its feature fields, plus any copy of the
+// cluster-uniform substrate.Policy hiding in a per-substrate config.
+// Adding a knob means arguing with its length, which TestConfigSurface
+// pins and the documents quote (DESIGN.md §17).
+func ConfigSurface() []string {
+	features := map[string]bool{"Crash": true, "Flow": true, "Hedge": true,
+		"DiffFetchWidth": true, "MetaGC": true, "Membership": true}
+	policy := reflect.TypeOf(substrate.Policy{})
+	var leaves []string
+	var walk func(path string, ty reflect.Type, counted bool)
+	walk = func(path string, ty reflect.Type, counted bool) {
+		counted = counted || ty == policy
+		if ty.Kind() != reflect.Struct {
+			if counted {
+				leaves = append(leaves, path)
+			}
+			return
+		}
+		for i := 0; i < ty.NumField(); i++ {
+			walk(path+"."+ty.Field(i).Name, ty.Field(i).Type, counted)
+		}
+	}
+	cfg := reflect.TypeOf(tmk.Config{})
+	for i := 0; i < cfg.NumField(); i++ {
+		walk(cfg.Field(i).Name, cfg.Field(i).Type, features[cfg.Field(i).Name])
+	}
+	return leaves
 }
 
 // AppNames lists the paper's applications in its order.

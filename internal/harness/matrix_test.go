@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/sim"
-	"repro/internal/substrate"
 	"repro/internal/tmk"
 )
 
@@ -27,11 +26,13 @@ func TestFeatureMatrix(t *testing.T) {
 		{"tree-barrier", func(c *tmk.Config) { c.BarrierFanout = 2 }},
 		{"crash-restart", func(c *tmk.Config) { c.Crash.Rank, c.Crash.AtBarrier, c.Crash.Restart = 1, 3, true }},
 		{"restart", func(c *tmk.Config) { c.Crash.Restart = true }},
-		{"liveness", func(c *tmk.Config) { c.Crash.Liveness.Enabled = true }},
-		{"flow", func(c *tmk.Config) { c.Flow.Enabled = true }},
-		{"hedge", func(c *tmk.Config) { c.Hedge = substrate.HedgeConfig{Enabled: true} }},
+		// A trigger that never fires (Jacobi takes no lock) arms the failure
+		// detector alone.
+		{"detector", func(c *tmk.Config) { c.Crash.Rank, c.Crash.AtLock = 1, 1 }},
+		{"flow", func(c *tmk.Config) { c.Flow = true }},
+		{"hedge", func(c *tmk.Config) { c.Hedge = true }},
 		{"serial-diff-fetch", func(c *tmk.Config) { c.DiffFetchWidth = 1 }},
-		{"meta-gc", func(c *tmk.Config) { c.MetaGC = tmk.MetaGCConfig{Enabled: true, HighWater: 8 << 10} }},
+		{"meta-gc", func(c *tmk.Config) { c.MetaGC = 8 << 10 }},
 		{"churn", DefaultChurnSpec(4).Mutate},
 		{"homeless", func(c *tmk.Config) { c.HomeBased = false }},
 		{"rendezvous", func(c *tmk.Config) { c.Fast.Rendezvous = true }},
@@ -80,7 +81,7 @@ func TestHedgeChaosSeedSweepRDMA(t *testing.T) {
 			spec := DefaultChaosSpec()
 			spec.Seed = seed
 			spec.Mutate(c)
-			c.Hedge = substrate.HedgeConfig{Enabled: true}
+			c.Hedge = true
 		})
 		if err != nil {
 			t.Errorf("seed %d: %v", seed, err)

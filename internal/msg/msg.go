@@ -65,7 +65,7 @@ const (
 	// freed byte count. Like KHeartbeat it is intercepted below the request
 	// dispatcher (it only replenishes the sender's per-peer credit window),
 	// so it never enters the duplicate cache or the handler. Emitted only
-	// when FlowConfig.Enabled — a flow-off wire trace never contains one.
+	// under substrate.Policy.Flow — a flow-off wire trace never contains one.
 	KCredit
 )
 

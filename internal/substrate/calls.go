@@ -25,7 +25,8 @@ type Exchange struct {
 	MaxRetries int
 	// Grace, when set, makes silence corroborate exhaustion: a spent budget
 	// against a peer heard within Grace is congestion, not death, and is
-	// extended at the maximum backoff until the peer falls silent.
+	// extended at the maximum backoff until the peer falls silent. An armed
+	// failure detector caps it at its own deadline (Liveness.HeardWithin).
 	Grace sim.Time
 }
 
@@ -115,7 +116,7 @@ func (c *Core) CallBegin(p *sim.Proc, dst int, req *msg.Message) Pending {
 	c.stats.RequestsSent++
 	c.wire.Transmit(p, dst, LaneRequest, req.Kind, body, aux)
 	pc.Arm(p.Now())
-	if c.pol.Hedge.Enabled {
+	if c.pol.Hedge {
 		// Hedge only when the latency-derived deadline undercuts the
 		// retransmission clock; otherwise the RTO is already the faster
 		// recovery.
@@ -127,10 +128,10 @@ func (c *Core) CallBegin(p *sim.Proc, dst int, req *msg.Message) Pending {
 }
 
 // hedgeDelay derives the hedge deadline from the EWMA of observed reply
-// latencies — what a healthy call costs — floored by the configured
-// minimum so cold starts don't hedge spuriously.
+// latencies — what a healthy call costs — floored at hedgeMinDeadline so
+// cold starts don't hedge spuriously.
 func (c *Core) hedgeDelay() sim.Time {
-	return max(hedgeLatencyScale*c.hedgeEWMA, c.pol.Hedge.MinDeadline)
+	return max(hedgeLatencyScale*c.hedgeEWMA, hedgeMinDeadline)
 }
 
 // Collect implements Transport: wait on the binding's reply channel until
@@ -211,7 +212,7 @@ func (c *Core) match(p *sim.Proc, m *msg.Message) {
 	rtt := pc.completed - pc.issued
 	c.stats.RepliesRecvd++
 	c.stats.ReplyWaitTime += rtt
-	if c.pol.Hedge.Enabled {
+	if c.pol.Hedge {
 		if c.hedgeEWMA == 0 {
 			c.hedgeEWMA = rtt
 		} else {

@@ -63,39 +63,29 @@ type Core struct {
 	seq       uint32
 	pending   map[uint32]*Call
 	calls     Exchange // the two-sided request/reply family
-	pol       Policy   // defaults filled in; each Enabled as configured
+	pol       Policy
 	hedgeEWMA sim.Time
 }
 
-// Policy is the protocol policy every process of a run must share: the
-// failure detector, credit flow control and hedged re-issues. A receiver
-// only returns credits, answers probes or absorbs a hedged duplicate on
-// the assumption that its peers run the same policy, so there is one
-// value per run — resolved by whoever assembles the cluster, handed to
-// each binding's New beside the binding's own config, and owned by the
-// Core from then on. The zero value is inert: no probes, no credit
-// state, no hedges, wire traffic bit-identical to a run without it.
+// Policy is the protocol policy every process of a run must share: which
+// of the failure detector, credit flow control and hedged re-issues are
+// armed. A receiver only returns credits, answers probes or absorbs a
+// hedged duplicate on the assumption that its peers run the same policy,
+// so there is one value per run — resolved by whoever assembles the
+// cluster, handed to each binding's New beside the binding's own config,
+// and owned by the Core from then on. How each mechanism is tuned is a
+// constant of this package, not a setting. The zero value is inert: no
+// probes, no credit state, no hedges, wire traffic bit-identical to a
+// run without it.
 type Policy struct {
-	Liveness LivenessConfig
-	Flow     FlowConfig
-	Hedge    HedgeConfig
-}
-
-// norm fills in the policy's defaults (the zero tunables).
-func (pol Policy) norm() Policy {
-	if pol.Liveness.Interval <= 0 {
-		pol.Liveness.Interval = DefaultLivenessInterval
-	}
-	if pol.Liveness.Threshold <= 0 {
-		pol.Liveness.Threshold = DefaultLivenessThreshold
-	}
-	if pol.Flow.CreditTimeout <= 0 {
-		pol.Flow.CreditTimeout = DefaultCreditTimeout
-	}
-	if pol.Hedge.MinDeadline <= 0 {
-		pol.Hedge.MinDeadline = DefaultHedgeMinDeadline
-	}
-	return pol
+	// Liveness arms heartbeat probes and the silence rule (Liveness).
+	Liveness bool
+	// Flow arms credit-based flow control (Credits): a sender parks
+	// locally instead of launching into an exhausted receive ring.
+	Flow bool
+	// Hedge arms one re-issue of a call whose reply is late against the
+	// observed reply latency (hedgeDelay).
+	Hedge bool
 }
 
 // Init prepares the core of process rank of size for the binding w under
@@ -105,7 +95,7 @@ func (pol Policy) norm() Policy {
 // clock.
 func (c *Core) Init(w Wire, rank, size int, pol Policy, dupCacheSize int, rto Backoff, maxRetries int) {
 	c.wire, c.rank, c.size = w, rank, size
-	c.pol = pol.norm()
+	c.pol = pol
 	c.dup = NewDupCache(dupCacheSize)
 	c.pending = make(map[uint32]*Call)
 	c.calls = Exchange{RTO: rto, MaxRetries: maxRetries,
@@ -124,7 +114,7 @@ func (c *Core) Init(w Wire, rank, size int, pol Policy, dupCacheSize int, rto Ba
 	c.Live.init(c)
 }
 
-// Policy returns the run's policy with defaults filled in.
+// Policy returns the run's policy.
 func (c *Core) Policy() Policy { return c.pol }
 
 // SetWire re-points the core at w: a binding layered on another (rdmagm on

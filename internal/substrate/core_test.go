@@ -77,10 +77,9 @@ func runCore(t *testing.T, cfg coreArgs, body func(p *sim.Proc, c *Core, w *fake
 }
 
 func TestLivenessSilenceDeclaresExactlyOnce(t *testing.T) {
-	lc := LivenessConfig{Enabled: true, Interval: sim.Millisecond, Threshold: 3}
 	var deaths []int
 	var at sim.Time
-	c, w := runCore(t, coreArgs{Policy: Policy{Liveness: lc}}, func(p *sim.Proc, c *Core, w *fakeWire) {
+	c, w := runCore(t, coreArgs{Policy: Policy{Liveness: true}}, func(p *sim.Proc, c *Core, w *fakeWire) {
 		c.SetOnPeerDead(func(peer int, err error) { deaths, at = append(deaths, peer), p.Sim().Now() })
 		c.Live.Start()
 		for i := 1; i <= 20; i++ { // peer 1 stays audible, peer 2 never speaks
@@ -92,9 +91,10 @@ func TestLivenessSilenceDeclaresExactlyOnce(t *testing.T) {
 	if !slices.Equal(deaths, []int{2}) || c.Stats().PeersDeclaredDead != 1 {
 		t.Fatalf("deaths = %v, PeersDeclaredDead = %d; want peer 2 exactly once", deaths, c.Stats().PeersDeclaredDead)
 	}
-	// Silent since Start at 0: 3ms is not past the 3ms deadline, 4ms is.
-	if at != 4*sim.Millisecond {
-		t.Errorf("declared at %v, want the first tick past Deadline() (4ms)", at)
+	// Silent since Start at 0 under the 500µs × 8 schedule: the tick at 4ms
+	// is not past the 4ms deadline, the next one (4.5ms) is.
+	if at != 4500*sim.Microsecond {
+		t.Errorf("declared at %v, want the first tick past the deadline (4.5ms)", at)
 	}
 	if pf := c.PeerFailure(); pf == nil || pf.Peer != 2 || pf.Kind != "heartbeat-miss" || pf.Rank != 0 {
 		t.Errorf("failure = %+v, want heartbeat-miss toward peer 2", pf)
@@ -102,7 +102,8 @@ func TestLivenessSilenceDeclaresExactlyOnce(t *testing.T) {
 	if !slices.Equal(w.gone, []int{2}) {
 		t.Errorf("binding cleanup ran for %v, want [2] once", w.gone)
 	}
-	if n := int64(len(w.probes)); n != c.Stats().HeartbeatsSent || w.probes[n-1] != 1 || slices.Contains(w.probes[8:], 2) {
+	// Eight ticks probed both peers before the declaration.
+	if n := int64(len(w.probes)); n != c.Stats().HeartbeatsSent || w.probes[n-1] != 1 || slices.Contains(w.probes[16:], 2) {
 		t.Errorf("probes %v (HeartbeatsSent %d): want every probe counted and none toward the dead peer", w.probes, c.Stats().HeartbeatsSent)
 	}
 }
@@ -140,9 +141,8 @@ func TestLivenessHeardWithinBoundary(t *testing.T) {
 }
 
 func TestCreditsClampRefreshReset(t *testing.T) {
-	fc := FlowConfig{Enabled: true, CreditTimeout: 10 * sim.Millisecond}
 	var acquired []sim.Time
-	c, _ := runCore(t, coreArgs{Policy: Policy{Flow: fc}}, func(p *sim.Proc, c *Core, w *fakeWire) {
+	c, _ := runCore(t, coreArgs{Policy: Policy{Flow: true}}, func(p *sim.Proc, c *Core, w *fakeWire) {
 		cr := c.NewCredits("test:credits", []int{2, 8}, []int{1, 4})
 		cr.Acquire(p, 1, 0, 1, 0)
 		for i := 0; i < 3; i++ { // duplicate returns must not oversubscribe
@@ -169,11 +169,11 @@ func TestCreditsClampRefreshReset(t *testing.T) {
 			t.Errorf("after reset: dead=%v credits=%d, want a full budget taken once", c.Live.Dead(1), cr.Have(1, 1))
 		}
 	})
-	if want := []sim.Time{10 * sim.Millisecond, 11 * sim.Millisecond}; !slices.Equal(acquired, want) {
-		t.Errorf("parked sends resumed at %v, want %v (refresh, then reset)", acquired, want)
+	if want := []sim.Time{500 * sim.Millisecond, 501 * sim.Millisecond}; !slices.Equal(acquired, want) {
+		t.Errorf("parked sends resumed at %v, want %v (the 500ms refresh, then reset)", acquired, want)
 	}
-	if st := c.Stats(); st.CreditStalls != 2 || st.CreditWaitTime != 11*sim.Millisecond {
-		t.Errorf("stalls=%d wait=%v, want 2 stalls over 11ms", st.CreditStalls, st.CreditWaitTime)
+	if st := c.Stats(); st.CreditStalls != 2 || st.CreditWaitTime != 501*sim.Millisecond {
+		t.Errorf("stalls=%d wait=%v, want 2 stalls over 501ms", st.CreditStalls, st.CreditWaitTime)
 	}
 	var off *Credits // flow control off: the nil ledger is inert
 	off.Acquire(nil, 1, 0, 1, 0)
@@ -181,7 +181,7 @@ func TestCreditsClampRefreshReset(t *testing.T) {
 }
 
 func TestCreditsHaltReleasesParkedSender(t *testing.T) {
-	c, _ := runCore(t, coreArgs{Policy: Policy{Flow: FlowConfig{Enabled: true}}}, func(p *sim.Proc, c *Core, w *fakeWire) {
+	c, _ := runCore(t, coreArgs{Policy: Policy{Flow: true}}, func(p *sim.Proc, c *Core, w *fakeWire) {
 		cr := c.NewCredits("test:credits", []int{1}, []int{1})
 		cr.Acquire(p, 2, 0, 1, 0)
 		p.Sim().After(sim.Millisecond, func() { c.Quiesce() })
@@ -298,11 +298,11 @@ func TestStaleReplyCountedOnce(t *testing.T) {
 }
 
 func TestHedgeFiresAtMostOncePerCall(t *testing.T) {
-	hc := HedgeConfig{Enabled: true, MinDeadline: sim.Millisecond}
-	c, w := runCore(t, coreArgs{Policy: Policy{Hedge: hc}}, func(p *sim.Proc, c *Core, w *fakeWire) {
+	c, w := runCore(t, coreArgs{Policy: Policy{Hedge: true}}, func(p *sim.Proc, c *Core, w *fakeWire) {
+		// Both calls hedge at the 500µs floor unless answered first.
 		slow := c.CallBegin(p, 1, &msg.Message{Kind: msg.KPing})
 		fast := c.CallBegin(p, 2, &msg.Message{Kind: msg.KPing})
-		w.deliver(p.Sim(), sim.Millisecond/2, fast.Seq())
+		w.deliver(p.Sim(), hedgeMinDeadline/2, fast.Seq())
 		w.deliver(p.Sim(), 50*sim.Millisecond, slow.Seq())
 		reps := c.Collect(p, []Pending{slow, fast})
 		if reps[0] == nil || reps[1] == nil || p.Now() != 50*sim.Millisecond {
@@ -389,7 +389,7 @@ func waitAll(c *Core, p *sim.Proc, hs []*Call) {
 func TestExchangeLostCompletionReissuedResolvesOnce(t *testing.T) {
 	rto := Backoff{Initial: 10 * sim.Millisecond, Max: 40 * sim.Millisecond}
 	var v *fakeVerbs
-	c, w := runCore(t, coreArgs{Policy: Policy{Hedge: HedgeConfig{Enabled: true, MinDeadline: sim.Millisecond}}},
+	c, w := runCore(t, coreArgs{Policy: Policy{Hedge: true}},
 		func(p *sim.Proc, c *Core, w *fakeWire) {
 			v = newFakeVerbs(c, rto, 3)
 			pc := v.post(p, 1)
@@ -413,7 +413,7 @@ func TestExchangeLostCompletionReissuedResolvesOnce(t *testing.T) {
 	if !slices.Equal(v.resent, []uint32{1}) || st.Retransmits != 1 || st.StaleReplies != 1 {
 		t.Errorf("resent=%v Retransmits=%d StaleReplies=%d, want one re-issue and one stale answer", v.resent, st.Retransmits, st.StaleReplies)
 	}
-	// A verb is not a request: never hedged (the hedge deadline of 1ms passed
+	// A verb is not a request: never hedged (the 500µs hedge floor passed
 	// untouched), never on the two-sided wire, never in the call counters.
 	if st.HedgedRequests != 0 || st.RequestsSent != 0 || st.RepliesRecvd != 0 || st.ReplyWaitTime != 0 || len(w.sent) != 0 {
 		t.Errorf("verb leaked into two-sided accounting: %+v frames=%v", st, w.sent)

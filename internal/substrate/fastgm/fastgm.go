@@ -31,7 +31,7 @@ const (
 	// frameCredit: flow-control credit return (flow.go). Body is a run of
 	// (class, count16) entries. Consumed at the NIC filter like
 	// heartbeats — it never occupies a host receive buffer — and emitted
-	// only with FlowConfig.Enabled, so a flow-off wire never carries one.
+	// only under Policy.Flow, so a flow-off wire never carries one.
 	frameCredit byte = 6
 )
 

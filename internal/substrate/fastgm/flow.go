@@ -43,7 +43,7 @@ type flowState struct {
 // prepost share at any peer, refresh quantum one buffer.
 func (fl *flowState) init(t *Transport) {
 	fl.t = t
-	if !t.Policy().Flow.Enabled {
+	if !t.Policy().Flow {
 		return
 	}
 	params := t.node.System().Params()

@@ -100,7 +100,7 @@ func FuzzCreditFrame(f *testing.F) {
 		s := sim.New(1)
 		fabric := myrinet.NewFabric(s, myrinet.DefaultParams(), 2)
 		sys := gm.NewSystem(s, fabric, params)
-		pol := substrate.Policy{Flow: substrate.FlowConfig{Enabled: true}}
+		pol := substrate.Policy{Flow: true}
 		tr0 := New(sys.Node(0), 0, 2, pol, DefaultConfig())
 		tr1 := New(sys.Node(1), 1, 2, pol, DefaultConfig())
 		noop := func(p *sim.Proc, m *msg.Message) {}

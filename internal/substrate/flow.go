@@ -5,76 +5,42 @@ import (
 	"repro/internal/trace"
 )
 
-// FlowConfig enables proactive, credit-based flow control. Each sender
-// tracks per-peer, per-size-class send credits that mirror the
-// receiver's receive-buffer preposting schedule (fastgm/rdmagm) or
-// kernel socket buffering (udpgm). A send with no credit parks locally
-// on a condition variable — counted in Stats.CreditStalls — instead of
-// launching into an exhausted prepost ring and starting GM's 3 s
-// resend-timeout → port-disable countdown. Credits are replenished by
-// explicit credit-return frames from the receiver once it has recycled
-// the buffer the frame occupied.
-//
-// The config must be uniform across the cluster — a receiver only emits
-// credit returns when its own FlowConfig is enabled, so a mixed cluster
-// would wedge flow-controlled senders — which is why it travels in the
-// run's one Policy. The zero value is inert — with
-// Enabled false no credit state is kept, no frames are emitted, and the
-// wire traffic is bit-identical to a build without this file.
-type FlowConfig struct {
-	Enabled bool
-	// CreditTimeout is the optimistic-refresh interval: a sender that has
-	// been parked on an exhausted credit for this long restores one credit
-	// on its own (Stats.CreditRefills), so a lost credit-return frame can
-	// degrade throughput but can never wedge the cluster. Zero selects
-	// DefaultCreditTimeout.
-	CreditTimeout sim.Time
-}
+// creditTimeout is the optimistic-refresh interval: a sender parked on an
+// exhausted credit this long restores one quantum on its own
+// (Stats.CreditRefills), so a lost credit-return frame can degrade
+// throughput but never wedge the cluster. 500 ms sits well under GM's 3 s
+// resend timeout (a refresh-trickled frame that parks at a stalled
+// receiver is serviced long before the sender's port would be disabled)
+// but far above a healthy round trip, so refills only fire when a return
+// was genuinely lost or the receiver is wedged — refilling faster would
+// just re-create the incast storm the credits exist to prevent.
+const creditTimeout = 500 * sim.Millisecond
 
-// HedgeConfig enables hedged straggler requests: a pending call whose
-// reply has not arrived by a deadline derived from observed reply
-// latency is re-issued once to the same destination
-// (Stats.HedgedRequests). The duplicate is safe end to end: receivers
-// deduplicate on (origin,seq) and answer idempotently from the reply
-// cache, and a late first reply is absorbed as a StaleReply. The zero
-// value is inert.
-type HedgeConfig struct {
-	Enabled bool
-	// MinDeadline floors the hedge deadline so cold starts (no latency
-	// history yet) and ultra-fast replies don't hedge spuriously. Zero
-	// selects DefaultHedgeMinDeadline.
-	MinDeadline sim.Time
-}
-
-// Default flow/hedge parameters. The 500 ms credit refresh sits well
-// under GM's 3 s resend timeout (a refresh-trickled frame that parks at
-// a stalled receiver is serviced long before the sender's port would be
-// disabled) but far above a healthy round trip, so refills only fire
-// when a credit return was genuinely lost or the receiver is wedged —
-// refilling faster would just re-create the incast storm the credits
-// exist to prevent.
+// The hedge deadline is hedgeLatencyScale times the EWMA of observed reply
+// latencies, floored at hedgeMinDeadline so cold starts (no latency
+// history yet) and ultra-fast replies don't hedge spuriously.
 const (
-	DefaultCreditTimeout    = 500 * sim.Millisecond
-	DefaultHedgeMinDeadline = 500 * sim.Microsecond
+	hedgeLatencyScale = 4
+	hedgeMinDeadline  = 500 * sim.Microsecond
 )
 
-// hedgeLatencyScale multiplies the EWMA of observed reply latencies to
-// form the hedge deadline.
-const hedgeLatencyScale = 4
-
-// Credits is the sender-side credit ledger, indexed (peer, lane): each
-// lane has a budget mirroring the receiver resource it meters (fastgm:
-// one lane per size class, in prepost buffers; udpgm: one lane, in socket
-// buffer bytes; rdmagm: one lane, in outstanding verbs). A send with too
-// little credit parks — counted, never silent — until the receiver's
-// return arrives through Release; how a return is carried is the
-// binding's business. A lost return is repaired by the optimistic
-// refresh: a sender parked longer than CreditTimeout restores one
-// quantum on its own, so loss degrades throughput instead of wedging the
-// cluster. A nil ledger (flow control off) is inert.
+// Credits is the sender-side credit ledger of proactive flow control,
+// indexed (peer, lane): each lane has a budget mirroring the receiver
+// resource it meters (fastgm: one lane per size class, in prepost
+// buffers; udpgm: one lane, in socket buffer bytes; rdmagm: one lane, in
+// outstanding verbs). A send with too little credit parks locally —
+// counted in Stats.CreditStalls, never silent — instead of launching into
+// an exhausted prepost ring and starting GM's 3 s resend-timeout →
+// port-disable countdown, until the receiver's return arrives through
+// Release; how a return is carried is the binding's business. A lost
+// return is repaired by the optimistic refresh (creditTimeout). A
+// receiver only returns credits under Policy.Flow, so a mixed cluster
+// would wedge its flow-controlled senders — the reason flow control
+// travels in the run's one Policy. A nil ledger (flow control off) is
+// inert: no credit state, no frames, wire traffic bit-identical to a run
+// without it.
 type Credits struct {
 	c       *Core
-	timeout sim.Time
 	cond    *sim.Cond
 	budget  []int // per lane
 	quantum []int // per lane: what one refresh restores
@@ -91,11 +57,10 @@ type Credits struct {
 // returns nil — the inert ledger — when the run's policy has flow
 // control off.
 func (c *Core) NewCredits(name string, budget, quantum []int) *Credits {
-	if !c.pol.Flow.Enabled {
+	if !c.pol.Flow {
 		return nil
 	}
-	cr := &Credits{c: c, timeout: c.pol.Flow.CreditTimeout, cond: sim.NewCond(name),
-		budget: budget, quantum: quantum}
+	cr := &Credits{c: c, cond: sim.NewCond(name), budget: budget, quantum: quantum}
 	for i := 0; i < c.size; i++ {
 		cr.have = append(cr.have, append([]int(nil), budget...))
 		cr.armed = append(cr.armed, make([]bool, len(budget)))
@@ -148,7 +113,7 @@ func (cr *Credits) armRefresh(dst, lane int) {
 		return
 	}
 	cr.armed[dst][lane] = true
-	cr.c.proc.Sim().After(cr.timeout, func() {
+	cr.c.proc.Sim().After(creditTimeout, func() {
 		cr.armed[dst][lane] = false
 		if cr.c.halted {
 			cr.cond.Broadcast() // let waiters observe the halt and bail

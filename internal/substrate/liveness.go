@@ -7,56 +7,35 @@ import (
 	"repro/internal/trace"
 )
 
-// LivenessConfig enables the substrate's peer-liveness layer: lightweight
-// heartbeats multiplexed over the existing asynchronous path plus a
-// phi-style miss threshold. Every frame from a peer (data or heartbeat)
-// refreshes that peer's last-heard clock; a peer whose silence exceeds
-// Threshold heartbeat intervals is declared dead. Detection is local and
-// independent per process — there is no group membership protocol, which
-// matches the crash model: survivors only need to stop waiting.
-//
-// Disabled (the zero value), the transports behave bit-identically to the
-// pre-liveness code: no heartbeats, no deadline polling, and retry
-// exhaustion keeps its original semantics.
-type LivenessConfig struct {
-	Enabled bool
-	// Interval between heartbeat probes to each peer. Zero selects
-	// DefaultLivenessInterval.
-	Interval sim.Time
-	// Threshold is the phi-style miss bound: a peer is declared dead once
-	// elapsed-since-last-heard exceeds Threshold × Interval. Zero selects
-	// DefaultLivenessThreshold.
-	Threshold int
-}
-
-// Default liveness parameters: with a 500 µs probe interval and an
-// 8-interval miss bound, detection latency is ~4 ms of virtual time —
-// comfortably above the fabric's fault-injected delay spikes (≤ 2 ms) and
-// the transports' retry backoff steps, so a live-but-slow peer is never
-// declared dead by the chaos scenarios.
+// The detector's schedule: every peer is probed each livenessInterval, and
+// one silent for longer than livenessDeadline (8 intervals, ~4 ms of
+// virtual time) is dead — far above a healthy round trip and the
+// transports' retry backoff steps. Recovering an injected fault can
+// silence a live peer for longer, which is why tmk keeps the detector off
+// a lossy fabric.
 const (
-	DefaultLivenessInterval  = 500 * sim.Microsecond
-	DefaultLivenessThreshold = 8
+	livenessInterval = 500 * sim.Microsecond
+	livenessDeadline = 8 * livenessInterval
 )
-
-// Deadline returns the silence bound of a config with its defaults filled
-// in (Core.Policy): a peer unheard for longer than this is dead.
-func (lc LivenessConfig) Deadline() sim.Time { return lc.Interval * sim.Time(lc.Threshold) }
 
 // Liveness is the peer-liveness state of one process, owned by the Core:
 // per-peer last-heard clocks, the silence rule, declared-dead flags, and
-// the typed give-up. Every frame from a peer (data or probe) refreshes
-// its clock via Heard; a peer silent past the policy's Deadline() is declared dead
-// on the next tick: pending and future sends toward it are abandoned
-// instead of retransmitted into the void, blocked calls resolve nil, and
-// the OnPeerDead callback hands the event to the DSM's stall watchdog.
+// the typed give-up. Armed (Policy.Liveness), lightweight heartbeats ride
+// the existing asynchronous path; every frame from a peer (data or probe)
+// refreshes its clock via Heard, and a peer silent past livenessDeadline
+// is declared dead on the next tick: pending and future sends toward it
+// are abandoned instead of retransmitted into the void, blocked calls
+// resolve nil, and the OnPeerDead callback hands the event to the DSM's
+// stall watchdog.
 //
-// Detection is by silence, not delivery failure: a dead process's tick
+// Detection is by silence, not delivery failure, and local to each
+// process — there is no group membership protocol, which matches the
+// crash model: survivors only need to stop waiting. A dead process's tick
 // stops (it checks the owning process), so every survivor notices within
-// Deadline() on its own. The binding supplies only Wire.Probe — probes
+// the deadline on its own. The binding supplies only Wire.Probe — probes
 // are fire-and-forget, never retransmitted — and Wire.PeerGone.
 //
-// The dead flags exist even with liveness disabled: retry exhaustion also
+// The dead flags exist even with the detector off: retry exhaustion also
 // declares peers dead, and every give-up path consults them.
 type Liveness struct {
 	c         *Core
@@ -73,20 +52,21 @@ func (lv *Liveness) init(c *Core) {
 	lv.dead = make([]bool, c.size)
 }
 
-// Enabled reports whether probing and silence detection are configured.
-func (lv *Liveness) Enabled() bool { return lv.c.pol.Liveness.Enabled }
+// Enabled reports whether the run armed probing and silence detection
+// (Policy.Liveness).
+func (lv *Liveness) Enabled() bool { return lv.c.pol.Liveness }
 
 // Start arms the probe clock (no-op with liveness disabled); a binding's
 // Start calls it once its probe resources exist.
 func (lv *Liveness) Start() {
-	if !lv.c.pol.Liveness.Enabled {
+	if !lv.Enabled() {
 		return
 	}
 	s := lv.c.proc.Sim()
 	for i := range lv.lastHeard {
 		lv.lastHeard[i] = s.Now()
 	}
-	s.After(lv.c.pol.Liveness.Interval, lv.tick)
+	s.After(livenessInterval, lv.tick)
 }
 
 // Stop halts the probe clock — which is exactly what peers detect.
@@ -101,18 +81,18 @@ func (lv *Liveness) tick() {
 		return
 	}
 	s := c.proc.Sim()
-	now, deadline := s.Now(), lv.c.pol.Liveness.Deadline()
+	now := s.Now()
 	for peer := range lv.dead {
 		if peer == c.rank || lv.dead[peer] {
 			continue
 		}
-		if now-lv.lastHeard[peer] > deadline {
+		if now-lv.lastHeard[peer] > livenessDeadline {
 			lv.DeclareDead(peer, "heartbeat-miss", 0)
 		} else if c.wire.Probe(peer) {
 			c.stats.HeartbeatsSent++
 		}
 	}
-	s.After(lv.c.pol.Liveness.Interval, lv.tick)
+	s.After(livenessInterval, lv.tick)
 }
 
 // Heard refreshes a peer's last-heard clock (any frame counts).
@@ -122,10 +102,15 @@ func (lv *Liveness) Heard(peer int) {
 	}
 }
 
-// HeardWithin reports whether any frame from peer arrived in the last d:
-// retry exhaustion against a peer that is still audibly alive is
+// HeardWithin reports whether any frame from peer arrived in the last d —
+// with the detector armed, in the last livenessDeadline if that is
+// shorter, since a peer silent that long is dead by the detector's own
+// rule: retry exhaustion against a peer that is still audibly alive is
 // congestion, not death.
 func (lv *Liveness) HeardWithin(peer int, d sim.Time) bool {
+	if lv.Enabled() {
+		d = min(d, livenessDeadline)
+	}
 	return peer >= 0 && peer < len(lv.lastHeard) && lv.c.proc.Sim().Now()-lv.lastHeard[peer] <= d
 }
 

@@ -121,15 +121,12 @@ func New(node *gm.Node, rank, size int, pol substrate.Policy, fast fastgm.Config
 	t.SetWire(t)
 	// Under loss the target's completion channel can starve for seconds — a
 	// few lost frames pin its send buffers for GM's full resend timeout —
-	// while its two-sided traffic keeps arriving here: only silence for the
-	// grace window corroborates an exhausted verb budget.
-	grace := node.System().Params().ResendTimeout
-	if live := t.Policy().Liveness; live.Enabled {
-		grace = live.Deadline()
-	}
+	// while its two-sided traffic keeps arriving here: only silence for that
+	// long (or the failure detector's deadline, when armed) corroborates an
+	// exhausted verb budget.
 	t.verbs = substrate.Exchange{Await: t.reapOne,
 		RTO:        substrate.Backoff{Initial: cfg.VerbTimeout, Max: cfg.VerbTimeoutMax},
-		MaxRetries: cfg.MaxVerbRetries, Grace: grace,
+		MaxRetries: cfg.MaxVerbRetries, Grace: node.System().Params().ResendTimeout,
 		Resend: func(p *sim.Proc, pc *substrate.Call) bool { return t.sendVerb(p, pc, false) }}
 	if t.credits = t.NewCredits(fmt.Sprintf("rdmagm:%d:credits", rank),
 		[]int{verbFlowWindow}, []int{1}); t.credits != nil {

@@ -280,7 +280,7 @@ func TestVerbBlackoutRecovery(t *testing.T) {
 // PeerUnreachableError instead of hanging, and the failure must feed the
 // shared liveness state.
 func TestVerbsAbandonedOnDeadPeer(t *testing.T) {
-	pol := substrate.Policy{Liveness: substrate.LivenessConfig{Enabled: true}}
+	pol := substrate.Policy{Liveness: true}
 	c := stest.NewRDMA(2, 1, pol, fastgm.DefaultConfig(), rdmagm.DefaultConfig())
 	win := make([]byte, 4096)
 	var verr error

@@ -242,7 +242,7 @@ func policyCluster(build Builder, n int, pol substrate.Policy, outstanding int) 
 
 // livenessCluster is policyCluster with heartbeat liveness enabled.
 func livenessCluster(build Builder, n int) *Cluster {
-	return policyCluster(build, n, substrate.Policy{Liveness: substrate.LivenessConfig{Enabled: true}}, 0)
+	return policyCluster(build, n, substrate.Policy{Liveness: true}, 0)
 }
 
 // ConformanceSilentPeerMidRendezvous: the peer of a large transfer goes
@@ -1067,7 +1067,7 @@ func ConformanceOverflowRetransmission(t *testing.T, build Builder) {
 
 // flowCluster is policyCluster with credit flow control enabled.
 func flowCluster(build Builder, n, outstanding int) *Cluster {
-	return policyCluster(build, n, substrate.Policy{Flow: substrate.FlowConfig{Enabled: true}}, outstanding)
+	return policyCluster(build, n, substrate.Policy{Flow: true}, outstanding)
 }
 
 // sumPortStats totals GM port counters (parked frames, send timeouts)
@@ -1158,7 +1158,7 @@ func ConformanceIncastStorm(t *testing.T, build Builder) {
 
 // ConformanceCreditStarvationParkResume: a sender starved of credits by
 // a receiver masked for ~5 refresh periods. The sender parks locally;
-// the optimistic CreditTimeout refresh trickles one frame per period
+// the optimistic 500 ms credit refresh trickles one frame per period
 // into the exhausted receiver — each parks at GM well under the 3 s
 // resend timeout — and when the receiver unmasks, everything drains and
 // every call completes. This is the lost-credit degradation path: worse
@@ -1178,7 +1178,7 @@ func ConformanceCreditStarvationParkResume(t *testing.T, build Builder) {
 		func(rank int, p *sim.Proc, tr substrate.Transport) {
 			switch rank {
 			case 0:
-				// Starve the sender well past CreditTimeout: refresh-trickled
+				// Starve the sender well past the credit refresh: refresh-trickled
 				// frames park at most ~1.9 s, under GM's 3 s resend timeout.
 				tr.DisableAsync(p)
 				p.Advance(2400 * sim.Millisecond)

@@ -25,8 +25,9 @@
 //   - Credits (flow.go): the sender-side credit ledger indexed (peer,
 //     lane) with park, optimistic refresh, clamped release, reset;
 //   - Backoff (backoff.go): the shared retransmission schedule;
-//   - Policy (core.go): the run's one value of the three cluster-uniform
-//     policies (liveness, flow, hedge), handed to every binding's New.
+//   - Policy (core.go): which of the three cluster-uniform mechanisms
+//     (liveness, flow, hedge) the run arms, handed to every binding's New;
+//     their tuning is constants here, not settings.
 //
 // The give-up rule is one rule: a peer is declared dead by silence
 // (Liveness) or by an exhausted retry budget (any layer), and from then
@@ -291,15 +292,15 @@ type Stats struct {
 	PortResumes    int64 // disabled GM ports re-enabled by the transport
 	CorruptFrames  int64 // frames rejected as truncated/corrupt/unknown
 
-	// Liveness-layer counters (all zero unless LivenessConfig.Enabled or a
-	// send actually exhausts its retry budget).
+	// Liveness-layer counters (all zero unless Policy.Liveness or a send
+	// actually exhausts its retry budget).
 	SendsAbandoned    int64 // sends, calls and verbs given up after retry exhaustion or peer death
 	RetryExtensions   int64 // spent retry budgets extended because the peer is audibly alive
 	HeartbeatsSent    int64 // liveness probes transmitted
 	PeersDeclaredDead int64 // peers this process declared dead
 
-	// Flow-control / hedging counters (all zero unless FlowConfig.Enabled
-	// or HedgeConfig.Enabled).
+	// Flow-control / hedging counters (all zero unless Policy.Flow or
+	// Policy.Hedge).
 	CreditStalls       int64 // sends parked locally waiting for a peer credit
 	CreditReturnsSent  int64 // explicit credit-return frames shipped
 	CreditReturnsRecvd int64 // credit-return frames consumed

@@ -37,7 +37,7 @@ type barrierState struct {
 
 	// gcArmed is the root's metadata-GC trigger hysteresis (DESIGN.md
 	// §15.4): a GC epoch fires when armed and the cluster's gauge maximum
-	// crosses HighWater, and re-arms once the gauge decays below half of it.
+	// crosses Config.MetaGC, and re-arms once the gauge decays below half of it.
 	gcArmed bool
 }
 
@@ -87,7 +87,8 @@ func (tp *Proc) Barrier(id int32) {
 	// arrival carries this subtree's gauge maximum in the message's fixed
 	// Page field and the release carries back the root's epoch decision —
 	// zero extra wire bytes either way, and Page stays 0 with GC off.
-	gcOn := tp.metaGC.Enabled && !tp.inGC && id != finalBarrier
+	highWater := tp.cluster.cfg.MetaGC
+	gcOn := highWater > 0 && !tp.inGC && id != finalBarrier
 	var gauge int32
 	gcNow := false
 	if !tp.inGC && id != finalBarrier {
@@ -176,14 +177,14 @@ func (tp *Proc) Barrier(id int32) {
 		tp.endEpoch()
 		tp.tr.EnableAsync(tp.sp)
 	} else if gcOn {
-		// Root: armed/HighWater trigger with re-arm hysteresis at half of it,
-		// so a collection that cannot reclaim below HighWater does not
-		// re-fire at every subsequent barrier.
+		// Root: armed/high-water trigger with re-arm hysteresis at half of
+		// it, so a collection that cannot reclaim below the high water does
+		// not re-fire at every subsequent barrier.
 		switch {
-		case tp.barrier.gcArmed && int64(gauge) >= tp.metaGC.HighWater:
+		case tp.barrier.gcArmed && int64(gauge) >= highWater:
 			gcNow = true
 			tp.barrier.gcArmed = false
-		case !tp.barrier.gcArmed && int64(gauge) <= tp.metaGC.HighWater/2:
+		case !tp.barrier.gcArmed && int64(gauge) <= highWater/2:
 			tp.barrier.gcArmed = true
 		}
 	}

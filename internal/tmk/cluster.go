@@ -72,20 +72,19 @@ type Config struct {
 	// bit-identical to causal-off ones.
 	Causal *trace.Causal
 
-	// Crash configures the crash-failure model: the seeded injector, the
-	// substrate liveness detector, and the recovery policy (abort with a
-	// post-mortem, or restart of the whole run). Each part is on when it
-	// is configured — a trigger, Liveness.Enabled, Restart — and the zero
-	// value is a run without a crash model.
+	// Crash configures the crash-failure model: the seeded injector and
+	// the recovery policy (abort with a post-mortem, or restart of the
+	// whole run). A trigger arms the injector and the substrate's failure
+	// detector with it, Restart the restart; the zero value is a run
+	// without a crash model.
 	Crash CrashConfig
 
-	// Flow, when enabled, arms end-to-end credit flow control in whichever
-	// substrate the run uses; Hedge likewise arms hedged re-issues of
-	// straggling calls. With Crash.Liveness they are the run's one
-	// substrate.Policy. Both zero values are inert — the run is
-	// bit-identical to one without them (DESIGN.md §15).
-	Flow  substrate.FlowConfig
-	Hedge substrate.HedgeConfig
+	// Flow arms end-to-end credit flow control in whichever substrate the
+	// run uses; Hedge likewise arms hedged re-issues of straggling calls.
+	// With the failure detector they are the run's one substrate.Policy.
+	// Off, the run is bit-identical to one without them (DESIGN.md §15).
+	Flow  bool
+	Hedge bool
 
 	// DiffFetchWidth caps how many writers a read fault asks for diffs at
 	// once (DESIGN.md §15.2): 0 scatters to every writer in one wave
@@ -95,10 +94,16 @@ type Config struct {
 	// with the default scatter.
 	DiffFetchWidth int
 
-	// MetaGC bounds protocol metadata (write notices, retained diffs,
-	// interval records) with TreadMarks-style garbage collection at
-	// full-barrier epochs (DESIGN.md §15.4). Zero value: inert.
-	MetaGC MetaGCConfig
+	// MetaGC, when positive, bounds protocol metadata (write notices,
+	// retained diffs, interval records) with TreadMarks-style garbage
+	// collection at full-barrier epochs (DESIGN.md §15.4); 0 is off. It is
+	// the high water in bytes: every barrier arrival piggybacks the rank's
+	// metadata gauge, and when the cluster maximum crosses MetaGC the root
+	// orders a GC epoch in the releases — each rank validates its page
+	// copies, a nested fence confirms everyone is covered, and all metadata
+	// up to the barrier vector clock is pruned. The trigger re-arms once
+	// the gauge decays below half of it.
+	MetaGC int64
 
 	// Membership configures the elastic-membership layer (DESIGN.md §14):
 	// protocol entities are placed on a consistent-hashed ring of live
@@ -107,28 +112,6 @@ type Config struct {
 	// restored while the run continues. The layer is on when there are
 	// extras or a schedule; the zero value is a run without it.
 	Membership MemberConfig
-}
-
-// MetaGCConfig tunes barrier-epoch metadata garbage collection: every
-// barrier arrival piggybacks the rank's metadata gauge (bytes of retained
-// diffs, interval records, and write notices); when the cluster maximum
-// crosses HighWater the root orders a GC epoch in the releases — each
-// rank validates its page copies, a nested fence confirms everyone is
-// covered, and all metadata up to the barrier vector clock is pruned. The
-// trigger then re-arms once the gauge decays below half of HighWater.
-type MetaGCConfig struct {
-	Enabled bool
-	// HighWater is the per-rank metadata-bytes gauge that triggers a GC
-	// epoch at the next barrier (0 = 1 MiB).
-	HighWater int64
-}
-
-// norm fills defaults.
-func (mc MetaGCConfig) norm() MetaGCConfig {
-	if mc.HighWater <= 0 {
-		mc.HighWater = 1 << 20
-	}
-	return mc
 }
 
 // DefaultConfig returns a calibrated n-process configuration. The
@@ -234,7 +217,11 @@ func NewCluster(cfg Config) *Cluster {
 	if cfg.Membership.on() {
 		c.member = newMemberState(c.w, c.n)
 	}
-	c.pol = cfg.policy()
+	// The failure detector runs exactly when something can die: a crash
+	// trigger without it would leave survivors blocked on the dead rank
+	// forever. Membership needs none — a scheduled departure or crash is
+	// administrative (departRank has every survivor ForgetPeer).
+	c.pol = substrate.Policy{Liveness: cfg.Crash.hasTrigger(), Flow: cfg.Flow, Hedge: cfg.Hedge}
 	c.sim = sim.New(cfg.Seed)
 	if cfg.Trace != nil {
 		c.sim.SetTracer(cfg.Trace)
@@ -251,19 +238,6 @@ func NewCluster(cfg Config) *Cluster {
 		}
 	}
 	return c
-}
-
-// policy resolves the run's one cluster-uniform substrate policy. A crash
-// trigger without a detector would leave survivors blocked on the dead
-// rank forever, and churn needs one too: departed and dead extras go
-// silent, and survivors must notice (and find membership already
-// converged) instead of retrying forever.
-func (cfg *Config) policy() substrate.Policy {
-	pol := substrate.Policy{Liveness: cfg.Crash.Liveness, Flow: cfg.Flow, Hedge: cfg.Hedge}
-	if cfg.Crash.hasTrigger() || cfg.Membership.on() {
-		pol.Liveness.Enabled = true
-	}
-	return pol
 }
 
 // Sim exposes the simulator (tests and harness).
@@ -335,9 +309,9 @@ func (c *Cluster) spawnGeneration(gen int) {
 				}
 			}
 			// Standby extras (rank ≥ w) run no application body and cross
-			// no barrier: they serve protocol requests and heartbeats from
-			// the handler until the compute ranks finish (or a churn event
-			// departs them), parked right here on the finish rendezvous.
+			// no barrier: they serve protocol requests from the handler
+			// until the compute ranks finish (or a churn event departs
+			// them), parked right here on the finish rendezvous.
 
 			// Shutdown rendezvous (out of band, like the launcher's): on a
 			// lossy fabric a peer may still be retrying a request whose

@@ -17,10 +17,12 @@ import (
 // application's first line, on a replacement generation of processes.
 
 // CrashConfig configures the injector and the recovery policy. There is
-// no master switch: the injector is armed by a trigger, the detector by
-// Liveness.Enabled (or a trigger), restart by Restart. The zero value —
-// and a Rank with no trigger — changes nothing: runs are bit-identical to
-// a config without a crash model.
+// no master switch: a trigger arms the injector and, with it, the
+// substrate's failure detector — without detection the survivors would
+// block forever on the dead rank, and without a trigger there is nothing
+// to detect — and Restart arms the restart. The zero value — and a Rank
+// with no trigger — changes nothing: runs are bit-identical to a config
+// without a crash model.
 type CrashConfig struct {
 	// Rank is the process the injector kills once a trigger is armed.
 	Rank int
@@ -32,10 +34,6 @@ type CrashConfig struct {
 	// AtLock kills Rank on entry to its n-th LockAcquire call, counting
 	// from 1 (0 disables).
 	AtLock int
-	// Liveness configures the substrate's heartbeat/failure detector. It
-	// is forced on whenever a trigger is armed (or membership is on) —
-	// without detection the survivors would block forever on the dead rank.
-	Liveness substrate.LivenessConfig
 	// Restart runs the application again from its first line on a fresh
 	// generation of processes after the first detected death; without it
 	// a detected death ends in a coordinated abort.

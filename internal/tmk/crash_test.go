@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/myrinet"
-	"repro/internal/substrate"
 	"repro/internal/tmk"
 )
 
@@ -178,9 +177,9 @@ func TestCrashAtTime(t *testing.T) {
 }
 
 // TestZeroCrashConfigBitIdentical pins what arms the crash model: a
-// victim rank, detector tunables and Restart with no trigger and
-// Liveness.Enabled false arm nothing — results bit-identical to a run
-// with no crash model at all, and no heartbeat flows.
+// victim rank and Restart with no trigger arm nothing — results
+// bit-identical to a run with no crash model at all, and no heartbeat
+// flows.
 func TestZeroCrashConfigBitIdentical(t *testing.T) {
 	for _, kind := range bothTransports {
 		kind := kind
@@ -191,8 +190,7 @@ func TestZeroCrashConfigBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg := tmk.DefaultConfig(4, kind)
-			cfg.Crash = tmk.CrashConfig{Rank: 1, Restart: true,
-				Liveness: substrate.LivenessConfig{Interval: 100_000, Threshold: 3}}
+			cfg.Crash = tmk.CrashConfig{Rank: 1, Restart: true}
 			inert, err := tmk.Run(cfg, app)
 			if err != nil {
 				t.Fatal(err)
@@ -213,17 +211,18 @@ func TestZeroCrashConfigBitIdentical(t *testing.T) {
 	}
 }
 
-// TestLivenessStatsFlow sanity-checks that Crash.Liveness alone reaches
-// the substrate's policy: heartbeats actually flow.
+// TestLivenessStatsFlow sanity-checks that a crash trigger reaches the
+// substrate's policy even when it never fires (the app takes no lock):
+// heartbeats actually flow, and nobody is declared dead.
 func TestLivenessStatsFlow(t *testing.T) {
 	cfg := tmk.DefaultConfig(2, tmk.TransportFastGM)
-	cfg.Crash = tmk.CrashConfig{Liveness: substrate.LivenessConfig{Enabled: true}}
+	cfg.Crash = tmk.CrashConfig{Rank: 1, AtLock: 1}
 	res, err := tmk.Run(cfg, epochApp(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Transport.HeartbeatsSent == 0 {
-		t.Error("liveness enabled but no heartbeats sent")
+		t.Error("detector armed but no heartbeats sent")
 	}
 	if res.Transport.PeersDeclaredDead != 0 {
 		t.Errorf("false-positive death declarations: %d", res.Transport.PeersDeclaredDead)

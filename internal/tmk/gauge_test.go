@@ -31,7 +31,7 @@ func TestIncrementalGaugeEqualsFullScan(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/%s/gc=%v", app.Name(), kind, gc), func(t *testing.T) {
 					cfg := tmk.DefaultConfig(4, kind)
 					if gc {
-						cfg.MetaGC = tmk.MetaGCConfig{Enabled: true, HighWater: 2 << 10}
+						cfg.MetaGC = 2 << 10
 					}
 					checks := 0
 					res, err := tmk.Run(cfg, func(tp *tmk.Proc) {

@@ -11,7 +11,7 @@ import "fmt"
 //
 //  1. Every barrier arrival piggybacks the rank's metadata gauge in the
 //     message's fixed Page field (zero wire bytes; zero with GC off).
-//  2. The root — armed/HighWater hysteresis in barrierState —
+//  2. The root — armed/high-water (Config.MetaGC) hysteresis in barrierState —
 //     orders a GC epoch by piggybacking the decision on the releases, so
 //     the cluster decides uniformly at a full barrier.
 //  3. Each rank validates every page copy it holds: all missing diffs

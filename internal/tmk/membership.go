@@ -39,8 +39,9 @@ import (
 //
 // The layer is a cluster-side service: every decision reads memberState,
 // which only a fence leader writes, and nothing about it travels on the
-// wire — its one cost on a run that never churns is the liveness
-// heartbeat it forces on.
+// wire. It arms no failure detector either: every departure it schedules,
+// a crash included, is administrative (departRank), so a run that never
+// churns costs nothing beyond its standby ranks.
 
 // ChurnEvent is one scheduled membership transition, executed at the
 // fence following the AtBarrier-th barrier crossing (counting every
@@ -58,8 +59,8 @@ type ChurnEvent struct {
 type MemberConfig struct {
 	// Extra spawns this many standby ranks beyond Config.Procs. Extras
 	// run no application code and arrive at no barrier; they serve
-	// protocol requests, heartbeat, and become eligible ring members
-	// when a "join" event admits them.
+	// protocol requests and become eligible ring members when a "join"
+	// event admits them.
 	Extra int
 	// Schedule is the seeded churn schedule: each event executes at its
 	// barrier fence, events sharing a fence in list order.

@@ -358,9 +358,10 @@ func TestChurnDeterministic(t *testing.T) {
 	}
 }
 
-// TestStandbyExtrasInert spawns extras that never join: they must serve
-// heartbeats without perturbing correctness, and the final report must
-// show them live but outside the ring at epoch 0.
+// TestStandbyExtrasInert spawns extras that never join: they must not
+// perturb correctness, the final report must show them live but outside
+// the ring at epoch 0, and membership arms no failure detector — nothing
+// can die here, so no heartbeat flows.
 func TestStandbyExtrasInert(t *testing.T) {
 	const phases = 3
 	cfg := tmk.DefaultConfig(4, tmk.TransportFastGM)
@@ -382,8 +383,8 @@ func TestStandbyExtrasInert(t *testing.T) {
 	if m.Live != 0b111111 || m.InRing != 0b001111 {
 		t.Errorf("live=%b ring=%b, want 111111/001111", m.Live, m.InRing)
 	}
-	if res.Transport.HeartbeatsSent == 0 {
-		t.Error("liveness armed but no heartbeats flowed")
+	if res.Transport.HeartbeatsSent != 0 {
+		t.Errorf("membership sent %d heartbeats, want none (no crash trigger)", res.Transport.HeartbeatsSent)
 	}
 }
 

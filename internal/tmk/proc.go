@@ -53,10 +53,9 @@ type Proc struct {
 	appStart sim.Time
 	appEnd   sim.Time
 
-	// Metadata GC (see gc.go): the normalized config and the in-progress
-	// guard that keeps the nested GC fence from recursing.
-	metaGC MetaGCConfig
-	inGC   bool
+	// Metadata GC (see gc.go): the in-progress guard that keeps the nested
+	// GC fence from recursing.
+	inGC bool
 
 	// Crash model (see crash.go).
 	gen           int    // process generation (0 = original, 1 = restarted)
@@ -102,7 +101,6 @@ func newProc(c *Cluster, rank int, sp *sim.Proc, tr substrate.Transport, cpu CPU
 		regionCond:    sim.NewCond(fmt.Sprintf("tmk:%d:region", rank)),
 		barrier:       barrierState{cond: sim.NewCond(fmt.Sprintf("tmk:%d:barrier", rank))},
 	}
-	tp.metaGC = c.cfg.MetaGC.norm()
 	tp.barrier.gcArmed = true
 	if c.cfg.HomeBased {
 		tp.homeBased = true

@@ -64,7 +64,7 @@ type Stats struct {
 	MemberDiffsReplayed     int64 // surviving diffs replayed into rebuilt home pages
 
 	// Metadata counters (DESIGN.md §15.4; the GC ones zero unless
-	// Config.MetaGC is enabled).
+	// Config.MetaGC is set).
 	GCEpochs          int64 // metadata GC epochs executed
 	GCValidations     int64 // pages brought current during GC validation
 	GCDiffsPruned     int64 // retained diffs discarded by GC

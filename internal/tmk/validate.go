@@ -15,7 +15,7 @@ const (
 	RuleProcs            ConfigRule = "procs"             // at least one process
 	RuleTransport        ConfigRule = "transport"         // a substrate that exists
 	RuleHomeBased        ConfigRule = "home-based"        // HLRC needs one-sided verbs
-	RuleRange            ConfigRule = "range"             // BarrierFanout, DiffFetchWidth ≥ 0
+	RuleRange            ConfigRule = "range"             // BarrierFanout, DiffFetchWidth, MetaGC ≥ 0
 	RuleMetaGCHomeBased  ConfigRule = "metagc-home-based" // HLRC retains no diffs to collect
 	RuleMetaGCMembership ConfigRule = "metagc-membership" // extras cross no GC fence
 	RuleCrashRank        ConfigRule = "crash-rank"        // an armed trigger names a compute rank
@@ -80,13 +80,16 @@ func (cfg *Config) Validate() error {
 	if cfg.DiffFetchWidth < 0 {
 		bad(RuleRange, "negative DiffFetchWidth %d", cfg.DiffFetchWidth)
 	}
+	if cfg.MetaGC < 0 {
+		bad(RuleRange, "negative MetaGC %d", cfg.MetaGC)
+	}
 	mc := cfg.Membership
-	if cfg.MetaGC.Enabled && cfg.HomeBased {
+	if cfg.MetaGC > 0 && cfg.HomeBased {
 		// HLRC bounds metadata its own way: an interval's diffs are flushed
 		// to their homes at its close and not kept (closeInterval).
 		bad(RuleMetaGCHomeBased, "MetaGC is incompatible with HomeBased (no retained diffs to collect)")
 	}
-	if cfg.MetaGC.Enabled && mc.on() {
+	if cfg.MetaGC > 0 && mc.on() {
 		// GC prunes on the assumption that every rank holding metadata
 		// crosses the fence; standby extras never do.
 		bad(RuleMetaGCMembership, "MetaGC is incompatible with Membership (standby extras cross no barriers)")
@@ -94,12 +97,13 @@ func (cfg *Config) Validate() error {
 	if cc := cfg.Crash; cc.hasTrigger() && (cc.Rank < 0 || cc.Rank >= cfg.Procs) {
 		bad(RuleCrashRank, "crash rank %d is not one of the %d processes", cc.Rank, cfg.Procs)
 	}
-	if cfg.Net.Faults.Enabled() && cfg.policy().Liveness.Enabled {
-		// Recovering an injected fault — GM's port disable and resume,
-		// udpgm's 20 ms retransmission clock — silences a live peer for
-		// longer than the detector's deadline, so it is declared dead; and
-		// a second death after the one restart is nobody's to handle.
-		bad(RuleLivenessFaults, "the failure detector (a crash trigger, Crash.Liveness or Membership arms it) "+
+	if cfg.Net.Faults.Enabled() && cfg.Crash.hasTrigger() {
+		// A trigger arms the failure detector. Recovering an injected
+		// fault — GM's port disable and resume, udpgm's 20 ms
+		// retransmission clock — silences a live peer for longer than the
+		// detector's deadline, so it is declared dead; and a second death
+		// after the one restart is nobody's to handle.
+		bad(RuleLivenessFaults, "the failure detector (a crash trigger arms it) "+
 			"presumes a fault-free fabric, but Net.Faults injects faults")
 	}
 	switch total := cfg.Procs + mc.Extra; {

@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/substrate"
+	"repro/internal/harness"
 	"repro/internal/tmk"
 )
 
@@ -54,16 +54,18 @@ func TestValidateRules(t *testing.T) {
 			func(c *tmk.Config) { c.BarrierFanout = -1 }, []tmk.ConfigRule{tmk.RuleRange}},
 		{"negative diff-fetch width", 4, tmk.TransportFastGM,
 			func(c *tmk.Config) { c.DiffFetchWidth = -1 }, []tmk.ConfigRule{tmk.RuleRange}},
+		{"negative meta-gc high water", 4, tmk.TransportFastGM,
+			func(c *tmk.Config) { c.MetaGC = -1 }, []tmk.ConfigRule{tmk.RuleRange}},
 		{"meta-gc under HLRC", 4, tmk.TransportRDMAGM,
-			func(c *tmk.Config) { c.MetaGC.Enabled = true }, []tmk.ConfigRule{tmk.RuleMetaGCHomeBased}},
+			func(c *tmk.Config) { c.MetaGC = 8 << 10 }, []tmk.ConfigRule{tmk.RuleMetaGCHomeBased}},
 		{"meta-gc with standby extras", 4, tmk.TransportFastGM,
-			func(c *tmk.Config) { c.MetaGC.Enabled = true; c.Membership.Extra = 1 },
+			func(c *tmk.Config) { c.MetaGC = 8 << 10; c.Membership.Extra = 1 },
 			[]tmk.ConfigRule{tmk.RuleMetaGCMembership}},
 		{"armed trigger names no process", 4, tmk.TransportFastGM,
 			func(c *tmk.Config) { c.Crash = tmk.CrashConfig{Rank: 4, AtBarrier: 3} },
 			[]tmk.ConfigRule{tmk.RuleCrashRank}},
 		{"failure detector on a lossy fabric", 4, tmk.TransportFastGM,
-			func(c *tmk.Config) { c.Crash.Liveness.Enabled = true; c.Net.Faults.Drop = 0.01 },
+			func(c *tmk.Config) { c.Crash = tmk.CrashConfig{Rank: 1, AtLock: 1}; c.Net.Faults.Drop = 0.01 },
 			[]tmk.ConfigRule{tmk.RuleLivenessFaults}},
 		{"negative extras", 4, tmk.TransportFastGM, churn(-1), []tmk.ConfigRule{tmk.RuleMemberSize}},
 		{"more than 64 ranks", 60, tmk.TransportFastGM, churn(5), []tmk.ConfigRule{tmk.RuleMemberSize}},
@@ -99,6 +101,8 @@ func TestValidateRules(t *testing.T) {
 			churn(1, ev(2, "join", 4), ev(3, "crash", 4)), nil},
 		{"restart with membership", 4, tmk.TransportFastGM,
 			func(c *tmk.Config) { c.Membership.Extra = 1; c.Crash.Restart = true }, nil},
+		{"membership on a lossy fabric: no detector armed", 4, tmk.TransportFastGM,
+			func(c *tmk.Config) { c.Membership.Extra = 1; c.Net.Faults.Drop = 0.01 }, nil},
 	}
 	for _, row := range rows {
 		cfg := tmk.DefaultConfig(row.n, row.kind)
@@ -129,40 +133,13 @@ func TestValidateRules(t *testing.T) {
 	}
 }
 
-// TestConfigSurface pins how many feature values a caller can set: every
-// leaf under Config's feature fields, plus any copy of a cluster-uniform
-// policy hiding in a per-substrate config. Adding a knob means arguing
-// with this number (DESIGN.md §17).
+// TestConfigSurface pins how many feature values a caller can set
+// (harness.ConfigSurface: every leaf under Config's feature fields, plus any
+// copy of the cluster-uniform policy hiding in a per-substrate config).
+// Adding a knob means arguing with this number (DESIGN.md §17).
 func TestConfigSurface(t *testing.T) {
-	features := map[string]bool{"Crash": true, "Flow": true, "Hedge": true,
-		"DiffFetchWidth": true, "MetaGC": true, "Membership": true}
-	uniform := map[reflect.Type]bool{
-		reflect.TypeOf(substrate.LivenessConfig{}): true,
-		reflect.TypeOf(substrate.FlowConfig{}):     true,
-		reflect.TypeOf(substrate.HedgeConfig{}):    true,
-	}
-	var leaves []string
-	var walk func(path string, ty reflect.Type, counted bool)
-	walk = func(path string, ty reflect.Type, counted bool) {
-		counted = counted || uniform[ty]
-		if ty.Kind() != reflect.Struct {
-			if counted {
-				leaves = append(leaves, path)
-			}
-			return
-		}
-		for i := 0; i < ty.NumField(); i++ {
-			f := ty.Field(i)
-			walk(path+"."+f.Name, f.Type, counted)
-		}
-	}
-	cfg := reflect.TypeOf(tmk.Config{})
-	for i := 0; i < cfg.NumField(); i++ {
-		f := cfg.Field(i)
-		walk(f.Name, f.Type, features[f.Name])
-	}
-	if len(leaves) != 17 {
-		t.Errorf("tmk.Config exposes %d settable feature values, want 17:\n  %s",
+	if leaves := harness.ConfigSurface(); len(leaves) != 11 {
+		t.Errorf("tmk.Config exposes %d settable feature values, want 11:\n  %s",
 			len(leaves), strings.Join(leaves, "\n  "))
 	}
 }

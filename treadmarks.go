@@ -29,14 +29,15 @@ package treadmarks
 
 import (
 	"repro/internal/sim"
-	"repro/internal/substrate"
 	"repro/internal/tmk"
 )
 
 // Core types, re-exported from the implementation.
 type (
-	// Config assembles a DSM run: process count, transport, and the
-	// fabric/GM/kernel/CPU cost models.
+	// Config assembles a DSM run: process count, transport, the
+	// fabric/GM/kernel/CPU cost models, and the opt-in features — each on
+	// when it is set: Crash (a trigger), Flow and Hedge (bools), MetaGC (a
+	// high water in bytes), Membership (extras or a schedule).
 	Config = tmk.Config
 	// Cluster is an assembled run on which Run executes an application.
 	Cluster = tmk.Cluster
@@ -55,8 +56,8 @@ type (
 	// Time is a virtual-time instant or duration in nanoseconds.
 	Time = sim.Time
 	// CrashConfig configures the crash-failure model: a seeded rank death
-	// (armed by its trigger), liveness detection, stall diagnosis, and
-	// restart — the application run again from its first line on a fresh
+	// (armed by its trigger, which also arms liveness detection), stall
+	// diagnosis, and restart — the application run again from its first line on a fresh
 	// generation of processes.
 	CrashConfig = tmk.CrashConfig
 	// CrashReport is the post-mortem of a detected rank death: who died,
@@ -84,16 +85,6 @@ type (
 	// MemberReport summarizes a run's membership outcome: final fence
 	// epoch, live/ring bitmaps, placement moves.
 	MemberReport = tmk.MemberReport
-	// FlowConfig arms end-to-end credit flow control on the substrate:
-	// senders park locally on exhausted per-peer credits instead of
-	// launching into GM's resend-timeout → port-disable countdown.
-	FlowConfig = substrate.FlowConfig
-	// HedgeConfig arms hedged re-issues of straggling remote requests
-	// (deduplicated end to end, so determinism is preserved).
-	HedgeConfig = substrate.HedgeConfig
-	// MetaGCConfig arms barrier-epoch garbage collection of protocol
-	// metadata (retained diffs, interval records, write notices).
-	MetaGCConfig = tmk.MetaGCConfig
 )
 
 // The two substrates the paper evaluates.
