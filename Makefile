@@ -5,6 +5,7 @@
 GO       ?= go
 FUZZTIME ?= 5s
 BENCHDIR ?= .
+WORKLOAD ?= jacobi_fastgm_16
 
 .PHONY: all check fmt vet build test race loc uncovered host-allocs fuzz-smoke bench bench-identical bench-gate prof-smoke chaos-smoke crash-smoke churn-smoke rdma-smoke critical-smoke flow-smoke cli-smoke
 
@@ -54,14 +55,15 @@ uncovered:
 		awk '$$NF == "0.0%" && $$1 ~ /internal\/(tmk|substrate)\// && $$1 !~ /\/stest\//'; \
 	rm -f $$tmp
 
-# Where the host bytes of one jacobi_fastgm_16 run go: an exact allocation
-# profile (-memprofilerate 1) of TestJacobi16AllocationBudget, top ten by
-# bytes and by objects. The table a host-memory PR quotes before and after;
-# it prints, it never gates, and it is not part of `check`. The profile also
-# holds what the test binary allocates before and after the run.
+# Where the host bytes of one run of a benchmark workload go (WORKLOAD, one
+# of the six rows of TestWorkloadAllocationBudgets; jacobi_fastgm_16 by
+# default): an exact allocation profile (-memprofilerate 1) of that row, top
+# ten by bytes and by objects. The table a host-memory PR quotes before and
+# after; it prints, it never gates, and it is not part of `check`. The
+# profile also holds what the test binary allocates before and after the run.
 host-allocs:
 	@tmp=$$(mktemp -d); \
-	$(GO) test -count=1 -run '^TestJacobi16AllocationBudget$$' -v -o $$tmp/harness.test \
+	$(GO) test -count=1 -run '^TestWorkloadAllocationBudgets$$/^$(WORKLOAD)$$' -v -o $$tmp/harness.test \
 		-memprofile $$tmp/mem.prof -memprofilerate 1 ./internal/harness/ | grep -v '^=== ' && \
 	for idx in alloc_space alloc_objects; do \
 		$(GO) tool pprof -sample_index=$$idx -top -nodecount=10 $$tmp/harness.test $$tmp/mem.prof 2>/dev/null | tail -n +4; \

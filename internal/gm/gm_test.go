@@ -862,3 +862,185 @@ func TestPortInterruptDisable(t *testing.T) {
 		t.Errorf("interrupts = %d, want 1", interrupts)
 	}
 }
+
+// fragmentsRoundTrip sends an n-byte message between two ports and reports
+// whether it left the sender as ⌈n/MTU⌉ packets (one for an empty
+// message), every one MTU bytes but the last, and arrived whole.
+func fragmentsRoundTrip(t *testing.T, n int) bool {
+	mtu := myrinet.DefaultParams().MTU
+	s := sim.New(1)
+	f := myrinet.NewFabric(s, myrinet.DefaultParams(), 2)
+	sys := NewSystem(s, f, DefaultParams())
+	pa, pb := openPair(t, sys, 2)
+	var frags []int
+	handle := sys.Node(1).handlePacket
+	f.NIC(1).SetHandler(func(pkt *myrinet.Packet) {
+		frags = append(frags, len(pkt.Payload))
+		handle(pkt)
+	})
+	ok := true
+	s.Spawn("recv", 0, func(p *sim.Proc) {
+		pb.ProvideReceiveBuffer(sys.Node(1).AllocBuffer(p, sys.Params().ClassFor(n)))
+		rv := pb.WaitRecv(p)
+		for i, c := range rv.Data {
+			ok = ok && c == byte(i*7)
+		}
+		ok = ok && len(rv.Data) == n
+	})
+	s.Spawn("send", 0, func(p *sim.Proc) {
+		b := sys.Node(0).AllocBuffer(p, sys.Params().ClassFor(n))
+		for i := range b.Bytes() {
+			b.Bytes()[i] = byte(i * 7)
+		}
+		p.Advance(sim.Millisecond)
+		ok = ok && pa.Send(p, 1, 2, b, n, nil) == nil
+	})
+	if err := s.Run(); err != nil || !ok {
+		return false
+	}
+	if want := max(1, (n+mtu-1)/mtu); len(frags) != want {
+		return false
+	}
+	sum := 0
+	for i, fl := range frags {
+		if fl > mtu || (i < len(frags)-1 && fl != mtu) {
+			return false
+		}
+		sum += fl
+	}
+	return sum == n
+}
+
+// TestFragmentCount: the edges of the fragment arithmetic — empty, one
+// byte, exactly one MTU, one byte over, and several MTUs plus a tail.
+func TestFragmentCount(t *testing.T) {
+	mtu := myrinet.DefaultParams().MTU
+	for _, n := range []int{0, 1, mtu, mtu + 1, 3*mtu + 7} {
+		if !fragmentsRoundTrip(t, n) {
+			t.Errorf("message of %d bytes fragmented or reassembled wrong", n)
+		}
+	}
+}
+
+// TestFragmentCountProperty: the same holds for a message of any length up
+// to the largest GM accepts.
+func TestFragmentCountProperty(t *testing.T) {
+	prop := func(raw uint16) bool {
+		return fragmentsRoundTrip(t, int(raw)%(DefaultParams().MaxMessage()+1))
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestMessageAllocatesNothing: once the free lists hold what one round
+// trip needs — an event per delivery, a packet per fragment, a send
+// record, a reassembly record — a send→accept→poll→re-post ping-pong costs
+// the host no allocation, for a one- and a three-fragment message.
+func TestMessageAllocatesNothing(t *testing.T) {
+	mtu := myrinet.DefaultParams().MTU
+	for _, n := range []int{64, 3*mtu - 100} {
+		s, sys := newTestSystem(t, 2)
+		pa, pb := openPair(t, sys, 2)
+		class := sys.Params().ClassFor(n)
+		var allocs float64
+		s.Spawn("measured", 0, func(p *sim.Proc) {
+			pa.ProvideReceiveBuffer(sys.Node(0).AllocBuffer(p, class))
+			out := sys.Node(0).AllocBuffer(p, class)
+			p.Advance(sim.Millisecond) // the partner has posted
+			roundTrip := func() {
+				if err := pa.Send(p, 1, 2, out, n, nil); err != nil {
+					t.Fatal(err)
+				}
+				pa.ProvideReceiveBuffer(pa.WaitRecv(p).Buffer)
+			}
+			for i := 0; i < 10; i++ {
+				roundTrip()
+			}
+			allocs = testing.AllocsPerRun(100, roundTrip)
+			pb.Kick()
+		})
+		s.Spawn("partner", 0, func(p *sim.Proc) {
+			pb.ProvideReceiveBuffer(sys.Node(1).AllocBuffer(p, class))
+			out := sys.Node(1).AllocBuffer(p, class)
+			for rv := pb.WaitRecv(p); rv != nil; rv = pb.WaitRecv(p) {
+				pb.ProvideReceiveBuffer(rv.Buffer)
+				if err := pb.Send(p, 0, 2, out, n, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if allocs != 0 {
+			t.Errorf("%d-byte message (%d fragments): %v allocations per round trip, want 0",
+				n, max(1, (n+mtu-1)/mtu), allocs)
+		}
+	}
+}
+
+// TestLateAcceptCannotCompleteReusedRecord: a message parked past its
+// sender's resend timeout is accepted after the sender's record was
+// reused for a newer send. The accept delivers the old message — GM's
+// duplicate-delivery hazard, which transports absorb — but its
+// acknowledgement must not complete the newer send, which completes when
+// its own message is accepted.
+func TestLateAcceptCannotCompleteReusedRecord(t *testing.T) {
+	s, sys := newTestSystem(t, 2)
+	pa, pb := openPair(t, sys, 2)
+	pc, err := sys.Node(1).OpenPort(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out, late, own *Buffer
+	var first, second *sendRecord
+	var newerStatus []SendStatus
+	var newerAt, postedAt sim.Time
+	newer := func(st SendStatus) {
+		newerStatus = append(newerStatus, st)
+		newerAt = s.Now()
+	}
+	reuse := func() {
+		pa.ForceResume()
+		if err := pa.SendFromKernel(1, 3, out, 8, newer); err != nil {
+			t.Fatal(err)
+		}
+		second = pa.inflight[0]
+	}
+	older := func(st SendStatus) {
+		if st != SendTimedOut {
+			t.Errorf("parked send reported %v, want timed out", st)
+		}
+		now := s.Now()
+		s.At(now, reuse)
+		s.At(now+sim.Microsecond, func() { pb.ProvideReceiveBuffer(late) }) // before the park expires
+		postedAt = now + sim.Millisecond
+		s.At(postedAt, func() { pc.ProvideReceiveBuffer(own) })
+	}
+	s.Spawn("recv", 0, func(p *sim.Proc) {
+		late, own = sys.Node(1).AllocBuffer(p, 4), sys.Node(1).AllocBuffer(p, 4)
+	})
+	s.Spawn("send", 0, func(p *sim.Proc) {
+		out = sys.Node(0).AllocBuffer(p, 4)
+		copy(out.Bytes(), "parked!!")
+		if err := pa.Send(p, 1, 2, out, 8, older); err != nil {
+			t.Fatal(err)
+		}
+		first = pa.inflight[0]
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if first == nil || second != first {
+		t.Fatal("the timed-out send's record was not reused by the next send")
+	}
+	if len(pb.rxQ) != 1 || string(pb.rxQ[0].Data) != "parked!!" {
+		t.Error("the late accept did not deliver the parked message")
+	}
+	want := postedAt + sys.Params().AckLatency
+	if len(newerStatus) != 1 || newerStatus[0] != SendOK || newerAt != want {
+		t.Errorf("newer send completed %v at %v, want [ok] at %v (its own accept plus AckLatency)",
+			newerStatus, newerAt, want)
+	}
+}

@@ -95,12 +95,14 @@ func (n *Node) MaxPinnedBytes() int64 { return n.maxPinnedBytes }
 // Buffer is a send or receive buffer carved from registered memory: n bytes
 // at off of its region, resolved when they are read, so carving one does not
 // back the region. A receive buffer is tagged with the size class it is
-// preposted under; a send buffer needs none (see Span).
+// preposted under, and carries the Recv of the message that lands in it;
+// a send buffer needs neither (see Span).
 type Buffer struct {
 	mem   *Memory
 	class int
 	off   int
 	n     int
+	recv  Recv
 }
 
 // Class returns the buffer's size class (0 for a Span, which has none).
@@ -139,6 +141,24 @@ func (m *Memory) SubBuffer(off, class int) *Buffer {
 		panic("gm: SubBuffer of deregistered memory")
 	}
 	return &Buffer{mem: m, class: class, off: off, n: end - off}
+}
+
+// Carve cuts count receive buffers of the given class out of the region,
+// back to back from its start, as one slab: a prepost ring costs the host
+// one allocation, not one per buffer, and like SubBuffer no registration.
+func (m *Memory) Carve(class, count int) []Buffer {
+	size := ClassCapacity(class)
+	if count < 0 || count*size > m.size {
+		panic("gm: Carve out of range")
+	}
+	if !m.registered {
+		panic("gm: Carve of deregistered memory")
+	}
+	bufs := make([]Buffer, count)
+	for i := range bufs {
+		bufs[i] = Buffer{mem: m, class: class, off: i * size, n: size}
+	}
+	return bufs
 }
 
 // Span points b (a fresh header when nil; a pool recycles them so a send

@@ -3,6 +3,7 @@ package gm
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/myrinet"
 	"repro/internal/sim"
@@ -48,7 +49,10 @@ var (
 	ErrNotPinned    = errors.New("gm: send buffer not in registered memory")
 )
 
-// Recv is one received message as surfaced by a poll.
+// Recv is one received message as surfaced by a poll. It is the receive
+// buffer's own record, valid until that buffer is posted again: a re-post
+// may accept a parked message into the same buffer at once, so whoever
+// re-posts reads what it needs of the Recv first.
 type Recv struct {
 	From     myrinet.NodeID
 	FromPort int
@@ -56,12 +60,6 @@ type Recv struct {
 	Data     []byte  // length = message length; aliases Buffer storage
 	Buffer   *Buffer // the preposted buffer the message landed in
 	Aux      []byte  // uncharged envelope metadata (causal trace context), or nil
-}
-
-type parkedMsg struct {
-	src     myrinet.NodeID
-	pm      *partialMsg
-	timeout *sim.Event
 }
 
 // PortStats counts port-level activity.
@@ -90,12 +88,14 @@ type Port struct {
 	rxCond *sim.Cond
 	kicked bool // a blocking receive must return empty-handed (Kick)
 
-	posted map[int][]*Buffer    // class → preposted receive buffers
-	parked map[int][]*parkedMsg // class → arrivals awaiting a buffer
+	posted map[int][]*Buffer     // class → preposted receive buffers
+	parked map[int][]*partialMsg // class → arrivals awaiting a buffer
 
 	// inflight are the unresolved sends, in send order (a slice, not a
-	// map, so the disable-time abort cascade is deterministic).
+	// map, so the disable-time abort cascade is deterministic); free are
+	// the records no one can reach any more, reused by the next sends.
 	inflight []*sendRecord
+	free     []*sendRecord
 
 	intrProc    *sim.Proc
 	intrEnabled bool
@@ -183,17 +183,18 @@ func (p *Port) dropInflight(rec *sendRecord) {
 
 // ProvideReceiveBuffer preposts b for messages of b's size class. If a
 // message of that class is already parked waiting, it is accepted
-// immediately (and its sender's pending timeout cancelled).
+// immediately (and its park expiry released).
 func (p *Port) ProvideReceiveBuffer(b *Buffer) {
 	if !b.mem.registered {
 		panic("gm: receive buffer not in registered memory")
 	}
 	p.stats.BuffersPosted++
 	if waiting := p.parked[b.class]; len(waiting) > 0 {
-		w := waiting[0]
+		pm := waiting[0]
 		p.parked[b.class] = waiting[:copy(waiting, waiting[1:])]
-		w.timeout.Cancel()
-		p.accept(w.src, w.pm, b)
+		p.node.sys.s.Release(pm.timeout)
+		pm.timeout = nil
+		p.accept(pm, b)
 		return
 	}
 	p.posted[b.class] = append(p.posted[b.class], b)
@@ -267,68 +268,91 @@ func (p *Port) send(proc *sim.Proc, dst myrinet.NodeID, dstPort int, b *Buffer, 
 		tr.Metrics().Counter(trace.LayerGM, fmt.Sprintf("send.class%d", class)).Inc(int64(n))
 	}
 
-	rec := &sendRecord{port: p, cb: cb}
+	rec := p.record()
+	rec.cb, rec.class, rec.aux = cb, class, aux
 	p.inflight = append(p.inflight, rec)
 	p.node.nextMsgID++
-	msgID := p.node.nextMsgID
-	meta := msgMeta{class: class, srcPort: p.id, sendRec: rec, aux: aux}
+	rec.msgID = p.node.nextMsgID
 
-	frags := p.node.sys.fabric.FragmentSizes(n)
+	// Fragments of MTU bytes, the last one short; an empty message is
+	// still one (empty) packet. The fabric copies each one out of b.
+	mtu := p.node.sys.fabric.Params().MTU
+	frags := max(1, (n+mtu-1)/mtu)
+	rec.wire = frags
 	data := b.Bytes()
-	off := 0
-	for i, fl := range frags {
-		p.node.nic.SendPacket(&myrinet.Packet{
+	for i, off := 0, 0; i < frags; i++ {
+		end := min(off+mtu, n)
+		pkt := myrinet.Packet{
 			Src:      p.node.id,
 			Dst:      dst,
 			DstPort:  dstPort,
-			MsgID:    msgID,
+			MsgID:    rec.msgID,
 			Frag:     i,
-			NumFrags: len(frags),
+			NumFrags: frags,
 			MsgLen:   n,
-			Payload:  data[off : off+fl],
-			Meta:     meta,
-		})
-		off += fl
+			Payload:  data[off:end],
+			Meta:     rec,
+		}
+		p.node.nic.SendPacket(&pkt)
+		off = end
 	}
 	// The resend timeout is armed at the sender: if the receiver never
 	// accepts (closed port or no buffer), this fires.
-	rec.timeout = p.node.sys.s.After(params.ResendTimeout, func() {
-		rec.fail(SendTimedOut)
-	})
+	s := p.node.sys.s
+	rec.timeout = s.Timer(s.Now()+params.ResendTimeout, rec.onTimeout)
 	return nil
 }
 
-// complete finishes a send successfully: token returned, callback fired.
-func (r *sendRecord) complete() {
-	if r.completed {
-		return
+// record takes a free send record, or makes one with its callbacks bound.
+func (p *Port) record() *sendRecord {
+	if n := len(p.free); n > 0 {
+		r := p.free[n-1]
+		p.free = p.free[:n-1]
+		r.done = false
+		return r
 	}
-	r.completed = true
-	if r.timeout != nil {
-		r.timeout.Cancel()
-	}
+	r := &sendRecord{port: p}
+	r.onTimeout, r.onAck = r.timedOut, r.acked
+	return r
+}
+
+// resolve ends a send: its timeout released, its token returned. The
+// caller fires the callback and then offers the record for reuse.
+func (r *sendRecord) resolve() SendCallback {
+	r.done = true
+	r.port.node.sys.s.Release(r.timeout)
+	r.timeout = nil
 	r.port.dropInflight(r)
 	r.port.tokens++
-	if r.cb != nil {
-		r.cb(SendOK)
-	}
+	return r.cb
 }
+
+// acked is the receiver's acknowledgement arriving, AckLatency after the
+// accept; an accept schedules it only for the send the record still holds.
+func (r *sendRecord) acked() {
+	r.ackDue = false
+	if !r.done {
+		if cb := r.resolve(); cb != nil {
+			cb(SendOK)
+		}
+	}
+	r.recycle()
+}
+
+// timedOut is the resend timeout firing.
+func (r *sendRecord) timedOut() { r.fail(SendTimedOut) }
 
 // fail finishes a send unsuccessfully. A resend timeout (SendTimedOut)
 // disables the sending port — real GM's drastic reaction — and then
 // aborts every other in-flight send on the port with SendPortDisabled
 // rather than letting each time out serially.
 func (r *sendRecord) fail(st SendStatus) {
-	if r.completed {
+	if r.done {
 		return
 	}
-	r.completed = true
-	if r.timeout != nil {
-		r.timeout.Cancel()
-	}
 	p := r.port
-	p.dropInflight(r)
-	p.tokens++
+	cb := r.resolve()
+	defer r.recycle()
 	if st != SendTimedOut {
 		p.stats.Aborted++
 		if tr := p.tracer(); tr != nil {
@@ -336,8 +360,8 @@ func (r *sendRecord) fail(st SendStatus) {
 				Kind: "send-aborted", Proc: -1, Peer: int(p.node.id)})
 			tr.Metrics().Counter(trace.LayerGM, "send.aborted").Inc(1)
 		}
-		if r.cb != nil {
-			r.cb(st)
+		if cb != nil {
+			cb(st)
 		}
 		return
 	}
@@ -349,8 +373,8 @@ func (r *sendRecord) fail(st SendStatus) {
 			Kind: "send-timeout", Proc: -1, Peer: int(p.node.id)})
 		tr.Metrics().Counter(trace.LayerGM, "send.timeouts").Inc(0)
 	}
-	if r.cb != nil {
-		r.cb(st)
+	if cb != nil {
+		cb(st)
 	}
 	if wasEnabled {
 		doomed := append([]*sendRecord(nil), p.inflight...)
@@ -362,8 +386,8 @@ func (r *sendRecord) fail(st SendStatus) {
 
 // arrive is called in scheduler context when a complete message reaches
 // this port. It matches a preposted buffer of the exact class or parks.
-func (p *Port) arrive(src myrinet.NodeID, pm *partialMsg) {
-	class := pm.meta.class
+func (p *Port) arrive(pm *partialMsg) {
+	class := pm.class
 	if tr := p.tracer(); tr != nil {
 		// Occupancy of this class's prepost pool at arrival: 0 means the
 		// message is about to park — the paper's feared failure mode.
@@ -373,58 +397,63 @@ func (p *Port) arrive(src myrinet.NodeID, pm *partialMsg) {
 	if bufs := p.posted[class]; len(bufs) > 0 {
 		b := bufs[0]
 		p.posted[class] = bufs[:copy(bufs, bufs[1:])]
-		p.accept(src, pm, b)
+		p.accept(pm, b)
 		return
 	}
 	p.stats.Parked++
 	if tr := p.tracer(); tr != nil {
 		tr.Emit(trace.Event{T: int64(p.node.sys.s.Now()), Layer: trace.LayerGM,
-			Kind: "parked", Proc: -1, Peer: int(src), Bytes: len(pm.data)})
+			Kind: "parked", Proc: -1, Peer: int(pm.src), Bytes: len(pm.data)})
 		tr.Metrics().Counter(trace.LayerGM, "parked").Inc(int64(len(pm.data)))
 	}
-	park := &parkedMsg{src: src, pm: pm}
-	// The receiver-side park expires with the sender's timeout; keep a
-	// local event so the parked entry is reclaimed.
-	park.timeout = p.node.sys.s.After(p.node.sys.params.ResendTimeout, func() {
-		p.unpark(park)
-	})
-	p.parked[class] = append(p.parked[class], park)
+	// The receiver-side park expires with the sender's timeout, so the
+	// parked entry is reclaimed.
+	s := p.node.sys.s
+	pm.port = p
+	pm.timeout = s.Timer(s.Now()+p.node.sys.params.ResendTimeout, pm.expire)
+	p.parked[class] = append(p.parked[class], pm)
 }
 
-func (p *Port) unpark(park *parkedMsg) {
-	class := park.pm.meta.class
-	q := p.parked[class]
-	for i, w := range q {
-		if w == park {
-			p.parked[class] = append(q[:i], q[i+1:]...)
-			return
-		}
+// expired is a park's timeout firing: the message leaves its queue unread.
+func (pm *partialMsg) expired() {
+	p := pm.port
+	q := p.parked[pm.class]
+	if i := slices.Index(q, pm); i >= 0 {
+		p.parked[pm.class] = slices.Delete(q, i, i+1)
 	}
+	p.node.sys.s.Release(pm.timeout)
+	pm.timeout = nil
+	p.node.recycle(pm)
 }
 
-// accept copies the message into a buffer, queues the receive event, and
-// acknowledges the sender.
-func (p *Port) accept(src myrinet.NodeID, pm *partialMsg, b *Buffer) {
+// accept copies the message into a buffer, fills the buffer's Recv,
+// queues it, and acknowledges the sender — if the sender's record still
+// holds this message. A record that moved on (its send timed out or was
+// aborted, and it was reused) is not this message's any more.
+func (p *Port) accept(pm *partialMsg, b *Buffer) {
 	data := b.Bytes()[:len(pm.data)]
 	copy(data, pm.data)
-	rv := &Recv{
-		From:     src,
-		FromPort: pm.meta.srcPort,
-		Class:    pm.meta.class,
+	rv := &b.recv
+	*rv = Recv{
+		From:     pm.src,
+		FromPort: pm.srcPort,
+		Class:    pm.class,
 		Data:     data,
 		Buffer:   b,
-		Aux:      pm.meta.aux,
+		Aux:      pm.aux,
 	}
 	p.stats.Received++
-	p.stats.RecvBytes += int64(len(pm.data))
+	p.stats.RecvBytes += int64(len(data))
 	if tr := p.tracer(); tr != nil {
-		tr.Metrics().Counter(trace.LayerGM, "recv").Inc(int64(len(pm.data)))
+		tr.Metrics().Counter(trace.LayerGM, "recv").Inc(int64(len(data)))
 	}
 
 	// Ack the sender after the NIC-level ack latency.
-	if rec := pm.meta.sendRec; rec != nil {
-		p.node.sys.s.After(p.node.sys.params.AckLatency, rec.complete)
+	if rec := pm.rec; rec != nil && rec.msgID == pm.msgID && !rec.done {
+		rec.ackDue = true
+		p.node.sys.s.After(p.node.sys.params.AckLatency, rec.onAck)
 	}
+	p.node.recycle(pm)
 
 	if p.filter != nil && p.filter(rv) {
 		p.ProvideReceiveBuffer(b)

@@ -2,6 +2,7 @@ package gm
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/myrinet"
 	"repro/internal/sim"
@@ -56,6 +57,7 @@ type Node struct {
 	maxPinnedBytes    int64
 	reassembly        map[reassemblyKey]*partialMsg
 	reassemblyExpired int64
+	free              []*partialMsg // reassembly records, reused with their buffers
 }
 
 type reassemblyKey struct {
@@ -63,11 +65,28 @@ type reassemblyKey struct {
 	msgID uint64
 }
 
+// partialMsg is one message at the receiving node: its fragments being
+// reassembled (a multi-fragment one in the node's reassembly map), then,
+// complete, parked on its port until a buffer of its class is posted. What
+// the receiver needs of the sender's record — class, source port, aux — is
+// copied here at the first fragment, while the record is certainly the
+// sender's still; the record itself is kept only to acknowledge it, and
+// only if it still holds msgID. The node reuses it, data buffer and all,
+// once the message is accepted, expires or has no port to go to.
 type partialMsg struct {
-	data     []byte
+	src      myrinet.NodeID
+	msgID    uint64
+	data     []byte // the message, in a buffer grown to the largest one carried
 	received int
 	dstPort  int
-	meta     msgMeta
+	class    int
+	srcPort  int
+	aux      []byte
+	rec      *sendRecord
+
+	port    *Port      // where it is parked
+	timeout *sim.Event // the park's expiry (a Timer), while parked
+	expire  func()     // pm.expired, bound once
 }
 
 // ID returns the node's GM node ID (as assigned by the mapper).
@@ -97,7 +116,7 @@ func (n *Node) OpenPort(id int) (*Port, error) {
 		enabled: true,
 		rxCond:  sim.NewCond(fmt.Sprintf("gm:n%d:p%d:rx", n.id, id)),
 		posted:  make(map[int][]*Buffer),
-		parked:  make(map[int][]*parkedMsg),
+		parked:  make(map[int][]*partialMsg),
 	}
 	n.ports[id] = p
 	return p, nil
@@ -123,20 +142,18 @@ func (n *Node) Port(id int) *Port {
 }
 
 // handlePacket reassembles fragments and hands complete messages to the
-// destination port. Runs in scheduler context at packet delivery time.
+// destination port. Runs in scheduler context at packet delivery time; the
+// packet is the fabric's and is read here only.
 func (n *Node) handlePacket(pkt *myrinet.Packet) {
+	rec, _ := pkt.Meta.(*sendRecord)
+	var pm *partialMsg
 	key := reassemblyKey{src: pkt.Src, msgID: pkt.MsgID}
-	pm := n.reassembly[key]
-	if pm == nil {
-		pm = &partialMsg{
-			data:    make([]byte, pkt.MsgLen),
-			dstPort: pkt.DstPort,
-		}
-		if meta, ok := pkt.Meta.(msgMeta); ok {
-			pm.meta = meta
-		}
+	if pkt.NumFrags == 1 {
+		pm = n.partial(pkt, rec)
+	} else if pm = n.reassembly[key]; pm == nil {
+		pm = n.partial(pkt, rec)
 		n.reassembly[key] = pm
-		if pkt.NumFrags > 1 && n.sys.fabric.FaultsEnabled() {
+		if n.sys.fabric.FaultsEnabled() {
 			// On a lossy fabric a sibling fragment may never arrive; reclaim
 			// the entry once the sender has certainly given up (its resend
 			// timer fired), so partial messages cannot accumulate forever.
@@ -144,51 +161,91 @@ func (n *Node) handlePacket(pkt *myrinet.Packet) {
 				if n.reassembly[key] == pm {
 					delete(n.reassembly, key)
 					n.reassemblyExpired++
+					n.recycle(pm)
 				}
 			})
 		}
 	}
-	off := pkt.Frag * n.sys.fabric.Params().MTU
-	copy(pm.data[off:], pkt.Payload)
+	if rec != nil {
+		rec.landed()
+	}
+	copy(pm.data[pkt.Frag*n.sys.fabric.Params().MTU:], pkt.Payload)
 	pm.received++
 	if pm.received < pkt.NumFrags {
 		return
 	}
-	delete(n.reassembly, key)
-	n.deliverMessage(pkt.Src, pm)
-}
-
-// deliverMessage routes a reassembled message to its port's buffer pool.
-func (n *Node) deliverMessage(src myrinet.NodeID, pm *partialMsg) {
+	if pkt.NumFrags > 1 {
+		delete(n.reassembly, key)
+	}
 	port := n.Port(pm.dstPort)
 	if port == nil {
-		// No such port open: behaves like a never-satisfied buffer wait;
-		// the sender's resend timer will eventually fire.
-		n.sys.parkUnroutable(src, pm)
+		// No such port open: nothing will ever accept the message, and the
+		// sender's resend timer (armed at send time) notices.
+		n.recycle(pm)
 		return
 	}
-	port.arrive(src, pm)
+	port.arrive(pm)
 }
 
-// parkUnroutable handles messages to closed ports: nothing will ever
-// accept them, so the sender's timeout logic (armed at send time) handles
-// notification. The message is simply dropped here.
-func (sys *System) parkUnroutable(src myrinet.NodeID, pm *partialMsg) {}
-
-type msgMeta struct {
-	class   int
-	srcPort int
-	// sendRec links the receiver's accept/timeout back to the sender's
-	// callback and token accounting.
-	sendRec *sendRecord
-	// aux is uncharged observation metadata riding the message envelope
-	// (causal trace context); it is not payload and costs no wire time.
-	aux []byte
+// partial takes a free reassembly record for the message pkt starts,
+// copying out of the sender's record what the receiver will need.
+func (n *Node) partial(pkt *myrinet.Packet, rec *sendRecord) *partialMsg {
+	var pm *partialMsg
+	if k := len(n.free); k > 0 {
+		pm, n.free = n.free[k-1], n.free[:k-1]
+	} else {
+		pm = new(partialMsg)
+		pm.expire = pm.expired
+	}
+	pm.src, pm.msgID, pm.dstPort, pm.received = pkt.Src, pkt.MsgID, pkt.DstPort, 0
+	pm.data = slices.Grow(pm.data[:0], pkt.MsgLen)[:pkt.MsgLen]
+	pm.class, pm.srcPort, pm.aux, pm.rec = 0, 0, nil, rec
+	if rec != nil {
+		pm.class, pm.srcPort, pm.aux = rec.class, rec.port.id, rec.aux
+	}
+	return pm
 }
 
+// recycle returns a reassembly record no one holds any more.
+func (n *Node) recycle(pm *partialMsg) {
+	pm.aux, pm.rec, pm.port = nil, nil, nil
+	n.free = append(n.free, pm)
+}
+
+// sendRecord is one GM send, from Send until it is resolved — acknowledged,
+// timed out or aborted — and no longer referenced: a port reuses it only
+// when it is resolved, every fragment it put on the wire has landed at the
+// receiver, and no acknowledgement is on its way. A fragment the fabric
+// lost never lands, so its record is never reused; the garbage collector
+// takes it. Anything that finds the record later — a parked message
+// accepted after the sender gave up — checks that it still holds the
+// message's msgID before acting on it.
 type sendRecord struct {
-	port      *Port // sending port
-	cb        SendCallback
-	timeout   *sim.Event
-	completed bool
+	port  *Port // sending port
+	cb    SendCallback
+	msgID uint64
+	class int    // receive size class, derived from the length
+	aux   []byte // uncharged observation metadata (causal trace context)
+
+	timeout *sim.Event // the resend timeout (a Timer), until resolved
+	wire    int        // fragments sent and not yet landed at the receiver
+	ackDue  bool       // an accept scheduled onAck
+	done    bool       // resolved: acknowledged, timed out or aborted
+
+	onTimeout func() // r.timedOut, bound once
+	onAck     func() // r.acked, bound once
+}
+
+// landed notes that one of the record's fragments reached the receiver.
+func (r *sendRecord) landed() {
+	r.wire--
+	r.recycle()
+}
+
+// recycle returns the record to its port once nothing can reach it.
+func (r *sendRecord) recycle() {
+	if r.done && r.wire == 0 && !r.ackDue {
+		r.cb, r.aux = nil, nil
+		r.port.free = append(r.port.free, r)
+	}
 }

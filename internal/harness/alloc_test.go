@@ -9,28 +9,58 @@ import (
 	"repro/internal/tmk"
 )
 
-// TestJacobi16AllocationBudget is the host-clock claim of the benchmark's
-// jacobi_fastgm_16 row as a tier-1 test: one untraced run of that
-// configuration stays under 200,000 heap allocations (637,477 before the
-// simulator's switch, tmk's page metadata and the span accessors stopped
-// allocating) and 125 MB allocated (220 MB while every rank backed every
-// page of every region and GM every registered byte). The count repeats to
-// within a few between runs, the bytes to the kilobyte.
-func TestJacobi16AllocationBudget(t *testing.T) {
-	app := &apps.Jacobi{N: 640, Iters: 10, CostPerPoint: 120 * sim.Nanosecond}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	if _, err := RunApp(app, 16, tmk.TransportFastGM, nil); err != nil {
-		t.Fatal(err)
-	}
-	runtime.ReadMemStats(&after)
-	const budget, bytesBudget = 200_000, 125_000_000
-	n, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
-	t.Logf("%d allocations, %.1f MB", n, float64(bytes)/1e6)
-	if n > budget {
-		t.Errorf("jacobi 640×10 on 16 fastgm nodes: %d allocations, budget %d", n, budget)
-	}
-	if bytes > bytesBudget {
-		t.Errorf("jacobi 640×10 on 16 fastgm nodes: %d bytes allocated, budget %d", bytes, bytesBudget)
+// allocWorkloads mirrors the benchmark's six workloads (benchmark/
+// workloads.go, package main): the same application, size, node count,
+// substrate and seed, with the host budget each untraced run must stay
+// under — about 10 % above its measured count and bytes, which repeat run
+// to run.
+var allocWorkloads = []struct {
+	name   string
+	app    func() apps.App
+	nodes  int
+	kind   tmk.TransportKind
+	allocs uint64
+	bytes  uint64
+}{
+	{"jacobi_fastgm_16", func() apps.App { return &apps.Jacobi{N: 640, Iters: 10, CostPerPoint: 120 * sim.Nanosecond} },
+		16, tmk.TransportFastGM, 78_000, 78_000_000},
+	{"fft3d_udpgm_8", fft64, 8, tmk.TransportUDPGM, 115_000, 184_000_000},
+	{"fft3d_fastgm_8", fft64, 8, tmk.TransportFastGM, 114_000, 184_000_000},
+	{"tsp_fastgm_8", func() apps.App { return &apps.TSP{Cities: 13, PrefixDepth: 3, CostPerNode: 40 * sim.Nanosecond} },
+		8, tmk.TransportFastGM, 28_000, 4_400_000},
+	{"sor_rdmagm_4", sor256, 4, tmk.TransportRDMAGM, 10_500, 10_100_000},
+	{"sor_fastgm_4", sor256, 4, tmk.TransportFastGM, 8_400, 5_500_000},
+}
+
+func fft64() apps.App { return &apps.FFT3D{Z: 64, Iters: 3, CostPerButterfly: 180 * sim.Nanosecond} }
+
+func sor256() apps.App {
+	return &apps.SOR{M: 256, N: 128, Iters: 5, Omega: 1.25, CostPerPoint: 140 * sim.Nanosecond}
+}
+
+// TestWorkloadAllocationBudgets is the host-clock claim of every benchmark
+// row as a tier-1 test: one untraced run of each configuration stays under
+// its allocation count and byte budget. Nothing below tmk allocates per
+// message (recycled events, packets, send and receive records, datagrams),
+// so what is left is tmk's own and the applications'; jacobi_fastgm_16
+// made 174,172 allocations while every message allocated ~18 objects.
+func TestWorkloadAllocationBudgets(t *testing.T) {
+	for _, w := range allocWorkloads {
+		t.Run(w.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := RunApp(w.app(), w.nodes, w.kind, nil); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			n, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+			t.Logf("%d allocations, %.1f MB", n, float64(bytes)/1e6)
+			if n > w.allocs {
+				t.Errorf("%d allocations, budget %d", n, w.allocs)
+			}
+			if bytes > w.bytes {
+				t.Errorf("%d bytes allocated, budget %d", bytes, w.bytes)
+			}
+		})
 	}
 }

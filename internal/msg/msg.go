@@ -271,9 +271,9 @@ func (r *reader) bytes() []byte {
 	return v
 }
 
-// Encode serializes m.
+// Encode serializes m into one buffer of exactly EncodedSize bytes.
 func (m *Message) Encode() []byte {
-	w := &writer{b: make([]byte, 0, 64)}
+	w := &writer{b: make([]byte, 0, m.EncodedSize())}
 	w.u8(uint8(m.Kind))
 	var flags uint8
 	if len(m.VC) > 0 {
@@ -449,5 +449,50 @@ func Decode(b []byte) (*Message, error) {
 	return m, nil
 }
 
-// EncodedSize returns the wire size without building the buffer twice.
-func (m *Message) EncodedSize() int { return len(m.Encode()) }
+// Wire sizes of Encode's fixed parts: the header (kind, flags, seq, from,
+// reply-to, lock, barrier, episode, page), the region, every count prefix
+// and one element of each fixed-size list.
+const (
+	headerSize   = 1 + 1 + 4 + 2 + 2 + 4*4
+	regionSize   = 3*4 + 8
+	countSize    = 2 // u16 list counts
+	lenSize      = 4 // u32 byte and page counts
+	intervalSize = 2 + 4 + countSize + lenSize
+	diffReqSize  = 4 + 2 + 4 + 4
+	diffSize     = 4 + 2 + 4 + lenSize
+	procTSSize   = 2 + 4
+)
+
+// EncodedSize returns the wire size Encode produces, computed from the
+// message without building it.
+func (m *Message) EncodedSize() int {
+	n := headerSize
+	if m.Region != (RegionInfo{}) {
+		n += regionSize
+	}
+	if len(m.VC) > 0 {
+		n += countSize + 4*len(m.VC)
+	}
+	if len(m.Intervals) > 0 {
+		n += countSize
+		for _, iv := range m.Intervals {
+			n += intervalSize + 4*len(iv.VC) + 4*len(iv.Pages)
+		}
+	}
+	if len(m.DiffReqs) > 0 {
+		n += countSize + diffReqSize*len(m.DiffReqs)
+	}
+	if len(m.Diffs) > 0 {
+		n += countSize
+		for _, d := range m.Diffs {
+			n += diffSize + len(d.Data)
+		}
+	}
+	if len(m.PageData) > 0 {
+		n += lenSize + len(m.PageData)
+	}
+	if len(m.Covered) > 0 {
+		n += countSize + procTSSize*len(m.Covered)
+	}
+	return n
+}

@@ -260,8 +260,17 @@ func TestEncodedSizeMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 50; i++ {
 		m := randMessage(rng)
-		if m.EncodedSize() != len(m.Encode()) {
+		enc := m.Encode()
+		if m.EncodedSize() != len(enc) {
 			t.Fatal("EncodedSize disagrees with Encode")
+		}
+		if cap(enc) != len(enc) {
+			t.Fatalf("Encode's buffer has capacity %d for %d bytes, want exactly the size", cap(enc), len(enc))
+		}
+		if i == 0 {
+			if n := testing.AllocsPerRun(10, func() { m.Encode() }); n != 1 {
+				t.Errorf("Encode allocates %v times, want once", n)
+			}
 		}
 	}
 }

@@ -70,6 +70,9 @@ func DefaultParams() Params {
 
 // Packet is one wire packet (a message fragment). Fragmentation and
 // reassembly are the responsibility of the layer above (GM).
+//
+// The packet a handler receives is the fabric's: it and its Payload are
+// valid only while the handler runs, and then carry the next packet.
 type Packet struct {
 	Src      NodeID
 	Dst      NodeID
@@ -79,7 +82,15 @@ type Packet struct {
 	NumFrags int    // total fragments in the message
 	MsgLen   int    // total message payload length
 	Payload  []byte // this fragment's payload
-	Meta     any    // opaque upper-layer tag (e.g. GM size class)
+	Meta     any    // opaque upper-layer tag (GM: the sender's send record)
+
+	// In flight (the fabric's own packets only): the two NICs, the frame
+	// check sequence when faults were on at injection, and arrive bound
+	// once, the delivery event's callback.
+	from, to *NIC
+	crc      uint32
+	crcOn    bool
+	deliver  func()
 }
 
 // resource is a single-server queue: an occupancy horizon in virtual time.
@@ -140,6 +151,7 @@ type Fabric struct {
 	s    *sim.Simulator
 	p    Params
 	nics []*NIC
+	free []*Packet // delivered and dropped packets, reused by SendPacket
 
 	faults   FaultConfig
 	faultsOn bool
@@ -171,37 +183,40 @@ func (f *Fabric) NIC(id NodeID) *NIC {
 }
 
 // SendPacket injects one packet at the current virtual time and schedules
-// its delivery at the receiver. The payload slice is copied, so callers
-// may reuse their buffers immediately (GM send buffers are recycled on the
-// send-complete callback, which fires when the tx link drains).
+// its delivery at the receiver. The packet is copied, payload and all, into
+// one of the fabric's own, so callers may reuse theirs immediately (GM send
+// buffers are recycled on the send-complete callback, which fires when the
+// tx link drains).
 //
 // It returns the time at which the sending NIC is done with the packet
 // (send-complete from the host's point of view: DMA + LANai + link
 // drained), which the GM layer uses to fire send callbacks.
 func (n *NIC) SendPacket(pkt *Packet) (txDone sim.Time) {
-	if pkt.Dst < 0 || int(pkt.Dst) >= len(n.fabric.nics) {
+	f := n.fabric
+	if pkt.Dst < 0 || int(pkt.Dst) >= len(f.nics) {
 		panic(fmt.Sprintf("myrinet: packet to unknown node %d", pkt.Dst))
 	}
-	if len(pkt.Payload) > n.fabric.p.MTU {
-		panic(fmt.Sprintf("myrinet: packet payload %d exceeds MTU %d", len(pkt.Payload), n.fabric.p.MTU))
+	if len(pkt.Payload) > f.p.MTU {
+		panic(fmt.Sprintf("myrinet: packet payload %d exceeds MTU %d", len(pkt.Payload), f.p.MTU))
 	}
-	p := n.fabric.p
-	dst := n.fabric.nics[pkt.Dst]
-	now := n.fabric.s.Now()
+	p := f.p
+	dst := f.nics[pkt.Dst]
+	now := f.s.Now()
 
-	cp := *pkt
-	cp.Payload = append([]byte(nil), pkt.Payload...)
+	cp := f.packet()
+	payload, deliver := cp.Payload, cp.deliver
+	*cp = *pkt
+	cp.Payload = append(payload[:0], pkt.Payload...)
+	cp.from, cp.to, cp.deliver = n, dst, deliver
 
 	// Fault injection (faults.go). The decision is made at injection time
 	// with deterministic RNG draws; a perfect fabric never reaches this
 	// code's RNG or CRC paths, so fault-free runs are bit-identical to a
 	// fabric without fault support.
 	var inj injection
-	var crc uint32
-	faults := n.fabric.faultsOn
-	if faults {
-		crc = packetCRC(cp.Payload)
-		inj = n.fabric.inject(now, n.id, cp.Dst, cp.Payload, &crc)
+	if cp.crcOn = f.faultsOn; cp.crcOn {
+		cp.crc = packetCRC(cp.Payload)
+		inj = f.inject(now, n.id, cp.Dst, cp.Payload, &cp.crc)
 	}
 
 	wireBytes := len(cp.Payload) + p.PacketHeader
@@ -221,6 +236,7 @@ func (n *NIC) SendPacket(pkt *Packet) (txDone sim.Time) {
 		// The sender pays the full tx pipeline, but the packet vanishes in
 		// the fabric: no rx-side resources, no delivery. The layer above
 		// only learns via its own timeout machinery (GM resend timeout).
+		f.recycle(cp)
 		return e3
 	}
 
@@ -233,7 +249,7 @@ func (n *NIC) SendPacket(pkt *Packet) (txDone sim.Time) {
 	_, e5 := dst.lanaiRx.acquire(e4, p.LanaiRx)
 	_, e6 := dst.rxDMA.acquire(e5, p.RxDMASetup+sim.BytesTime(wireBytes, p.RxDMABandwidth))
 
-	if tr := n.fabric.s.Tracer(); tr != nil {
+	if tr := f.s.Tracer(); tr != nil {
 		// One span per packet covering injection to host-memory delivery
 		// (the full pipeline occupancy, including any contention stalls).
 		tr.Emit(trace.Event{T: int64(now), Dur: int64(e6 - now),
@@ -244,39 +260,44 @@ func (n *NIC) SendPacket(pkt *Packet) (txDone sim.Time) {
 		reg.Histogram(trace.LayerMyrinet, "txlink.occupancy.ns").Observe(int64(e3 - s3))
 	}
 
-	n.fabric.s.At(e6, func() {
-		if faults && packetCRC(cp.Payload) != crc {
-			// The NIC's frame check sequence catches in-flight corruption;
-			// the packet is discarded before GM ever sees it.
-			n.fabric.fstats.CRCDrops++
-			n.fabric.traceFault("crc-drop", n.id, dst.id, len(cp.Payload))
-			return
-		}
-		dst.stats.PacketsRecvd++
-		dst.stats.BytesRecvd += int64(len(cp.Payload))
-		if dst.handler == nil {
-			panic(fmt.Sprintf("myrinet: node %d has no packet handler", dst.id))
-		}
-		dst.handler(&cp)
-	})
+	f.s.At(e6, cp.deliver)
 	return e3
 }
 
-// FragmentSizes splits a message of length msgLen into MTU-sized
-// fragments, returning each fragment's length. A zero-length message
-// still occupies one (empty) packet.
-func (f *Fabric) FragmentSizes(msgLen int) []int {
-	if msgLen <= 0 {
-		return []int{0}
+// packet takes a free packet, or makes one with its delivery bound.
+func (f *Fabric) packet() *Packet {
+	if n := len(f.free); n > 0 {
+		pkt := f.free[n-1]
+		f.free = f.free[:n-1]
+		return pkt
 	}
-	var out []int
-	for msgLen > 0 {
-		n := msgLen
-		if n > f.p.MTU {
-			n = f.p.MTU
-		}
-		out = append(out, n)
-		msgLen -= n
+	pkt := new(Packet)
+	pkt.deliver = pkt.arrive
+	return pkt
+}
+
+// recycle returns a packet the fabric is done with; its payload buffer
+// stays with it, grown to the largest fragment it has carried.
+func (f *Fabric) recycle(pkt *Packet) {
+	pkt.Meta = nil
+	f.free = append(f.free, pkt)
+}
+
+// arrive is a packet's delivery at the receiving host, in scheduler context.
+func (pkt *Packet) arrive() {
+	f, src, dst := pkt.from.fabric, pkt.from, pkt.to
+	defer f.recycle(pkt)
+	if pkt.crcOn && packetCRC(pkt.Payload) != pkt.crc {
+		// The NIC's frame check sequence catches in-flight corruption;
+		// the packet is discarded before GM ever sees it.
+		f.fstats.CRCDrops++
+		f.traceFault("crc-drop", src.id, dst.id, len(pkt.Payload))
+		return
 	}
-	return out
+	dst.stats.PacketsRecvd++
+	dst.stats.BytesRecvd += int64(len(pkt.Payload))
+	if dst.handler == nil {
+		panic(fmt.Sprintf("myrinet: node %d has no packet handler", dst.id))
+	}
+	dst.handler(pkt)
 }

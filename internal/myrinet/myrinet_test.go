@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/sim"
 )
@@ -32,11 +31,19 @@ func TestSmallPacketLatency(t *testing.T) {
 }
 
 func TestPayloadIntegrityAndMetadata(t *testing.T) {
+	// What a handler reads it reads while it runs: the packet and its
+	// payload are the fabric's, and carry the next delivery afterwards.
 	s, f := newTestFabric(t, 4)
 	payload := make([]byte, 2048)
 	rand.New(rand.NewSource(7)).Read(payload)
-	var got *Packet
-	f.NIC(3).SetHandler(func(pkt *Packet) { got = pkt })
+	var got Packet
+	var gotPayload []byte
+	var delivered []*Packet
+	f.NIC(3).SetHandler(func(pkt *Packet) {
+		got = *pkt
+		gotPayload = append([]byte(nil), pkt.Payload...)
+		delivered = append(delivered, pkt)
+	})
 	sent := &Packet{Src: 0, Dst: 3, DstPort: 5, MsgID: 99, Frag: 2, NumFrags: 3, MsgLen: 9000, Payload: payload, Meta: "class-11"}
 	f.NIC(0).SendPacket(sent)
 	// Mutating the sender's buffer after SendPacket must not corrupt the
@@ -45,15 +52,49 @@ func TestPayloadIntegrityAndMetadata(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got == nil {
+	if len(delivered) != 1 {
 		t.Fatal("packet not delivered")
 	}
 	payload[0] ^= 0xFF
-	if !bytes.Equal(got.Payload, payload) {
+	if !bytes.Equal(gotPayload, payload) {
 		t.Error("payload corrupted in flight")
 	}
 	if got.DstPort != 5 || got.MsgID != 99 || got.Frag != 2 || got.NumFrags != 3 || got.MsgLen != 9000 || got.Meta != "class-11" {
 		t.Errorf("metadata mangled: %+v", got)
+	}
+	// The next packet is the same one, its payload buffer reused in place.
+	f.NIC(1).SendPacket(&Packet{Src: 1, Dst: 3, MsgID: 100, Payload: []byte("next")})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(delivered) != 2 || delivered[1] != delivered[0] || &got.Payload[0] != &delivered[1].Payload[0] {
+		t.Fatal("the fabric did not reuse its packet and payload buffer")
+	}
+	if delivered[0].MsgID != 100 || delivered[0].Meta != nil || string(delivered[0].Payload) != "next" {
+		t.Errorf("the reused packet still carries the first delivery: %+v", *delivered[0])
+	}
+}
+
+// TestSendDeliverAllocatesNothing: once the fabric holds a packet whose
+// payload buffer has grown to the fragment size, a send and its delivery
+// cost the host no allocation.
+func TestSendDeliverAllocatesNothing(t *testing.T) {
+	s, f := newTestFabric(t, 2)
+	pkt := &Packet{Src: 0, Dst: 1, NumFrags: 1, MsgLen: 4096, Payload: make([]byte, 4096)}
+	delivered := 0
+	f.NIC(1).SetHandler(func(*Packet) { delivered++ })
+	var allocs float64
+	s.Spawn("measured", 0, func(p *sim.Proc) {
+		allocs = testing.AllocsPerRun(100, func() {
+			f.NIC(0).SendPacket(pkt)
+			p.Advance(100 * sim.Microsecond) // past the delivery
+		})
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 || delivered != 101 {
+		t.Errorf("allocations per send→deliver = %v over %d deliveries, want 0 over 101", allocs, delivered)
 	}
 }
 
@@ -178,61 +219,6 @@ func TestOversizePacketPanics(t *testing.T) {
 		}
 	}()
 	f.NIC(0).SendPacket(&Packet{Src: 0, Dst: 1, Payload: make([]byte, f.Params().MTU+1)})
-}
-
-func TestFragmentSizes(t *testing.T) {
-	_, f := newTestFabric(t, 2)
-	mtu := f.Params().MTU
-	cases := []struct {
-		len  int
-		want []int
-	}{
-		{0, []int{0}},
-		{1, []int{1}},
-		{mtu, []int{mtu}},
-		{mtu + 1, []int{mtu, 1}},
-		{3*mtu + 7, []int{mtu, mtu, mtu, 7}},
-	}
-	for _, c := range cases {
-		got := f.FragmentSizes(c.len)
-		if len(got) != len(c.want) {
-			t.Errorf("FragmentSizes(%d) = %v, want %v", c.len, got, c.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Errorf("FragmentSizes(%d) = %v, want %v", c.len, got, c.want)
-				break
-			}
-		}
-	}
-}
-
-func TestFragmentSizesProperty(t *testing.T) {
-	_, f := newTestFabric(t, 2)
-	mtu := f.Params().MTU
-	prop := func(raw uint32) bool {
-		msgLen := int(raw % (1 << 20))
-		frags := f.FragmentSizes(msgLen)
-		sum := 0
-		for i, fl := range frags {
-			if fl > mtu || fl < 0 {
-				return false
-			}
-			if fl == 0 && msgLen != 0 {
-				return false
-			}
-			// Only the last fragment may be short (for nonzero lengths).
-			if i < len(frags)-1 && fl != mtu {
-				return false
-			}
-			sum += fl
-		}
-		return sum == msgLen || (msgLen == 0 && sum == 0)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
 }
 
 func TestTxDoneBeforeDelivery(t *testing.T) {

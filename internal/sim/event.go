@@ -4,30 +4,18 @@ import "container/heap"
 
 // Event is a scheduled callback. Events fire in (time, sequence) order;
 // the sequence number makes ties deterministic (FIFO among equal times).
+//
+// The simulator owns every Event. At hands out none: the Event returns to
+// the free list the moment it fires. A Timer's Event belongs to whoever
+// armed it until that holder hands it back with Release, exactly once,
+// fired or not — so a reused Event never has a second holder.
 type Event struct {
-	t         Time
-	seq       uint64
-	fn        func()
-	cancelled bool
-	index     int // heap index, -1 once popped
+	t      Time
+	seq    uint64
+	fn     func()
+	index  int  // heap index, -1 once popped
+	pooled bool // an At event: the simulator recycles it when it fires
 }
-
-// Time returns the virtual time at which the event fires (or was to fire).
-func (e *Event) Time() Time { return e.t }
-
-// Cancel prevents the event from firing. Cancelling an already-fired or
-// already-cancelled event is a no-op. Cancel reports whether the event was
-// still pending.
-func (e *Event) Cancel() bool {
-	if e.cancelled || e.index == -2 {
-		return false
-	}
-	e.cancelled = true
-	return true
-}
-
-// Cancelled reports whether Cancel was called before the event fired.
-func (e *Event) Cancelled() bool { return e.cancelled }
 
 // eventQueue is a min-heap of events ordered by (t, seq).
 type eventQueue []*Event
@@ -58,7 +46,7 @@ func (q *eventQueue) Pop() any {
 	n := len(old)
 	e := old[n-1]
 	old[n-1] = nil
-	e.index = -2 // popped
+	e.index = -1 // popped
 	*q = old[:n-1]
 	return e
 }
@@ -67,15 +55,10 @@ func (q *eventQueue) push(e *Event) { heap.Push(q, e) }
 
 func (q *eventQueue) pop() *Event { return heap.Pop(q).(*Event) }
 
-// peek returns the earliest pending (non-cancelled) event without removing
-// it, discarding cancelled entries along the way.
-func (q *eventQueue) peek() *Event {
-	for q.Len() > 0 {
-		e := (*q)[0]
-		if !e.cancelled {
-			return e
-		}
-		q.pop()
+// peek returns the earliest pending event without removing it.
+func (q eventQueue) peek() *Event {
+	if len(q) == 0 {
+		return nil
 	}
-	return nil
+	return q[0]
 }

@@ -110,29 +110,31 @@ func TestForeignGoexitEndsRunsGoroutine(t *testing.T) {
 }
 
 func TestRecycledTimerHasNoStaleHolder(t *testing.T) {
-	// Advance arms a timer for 50; an interrupt at 10 cancels it (it must
+	// Advance arms a timer for 50; an interrupt at 10 releases it (it must
 	// leave the heap) and the handler's nested Advance re-arms the same
 	// recycled Event for 15. A stale entry would wake the outer Advance at
-	// 50 instead of 55, or let its release cancel the handler's timer.
+	// 50 instead of 55, or let its release cancel the handler's timer. The
+	// At events share the one free list: the run needs one Event per
+	// holder alive at once, and every one of them is free again at the end.
 	s := New(1)
 	var handlerEnd, end Time
 	var events int
+	var outer *Event
 	p := s.Spawn("p", 0, func(p *Proc) {
 		p.SetInterruptHandler(func(p *Proc, _ any) {
-			if n := len(s.timers); n != 1 {
-				t.Errorf("free timers in handler = %d, want the one the outer Advance released", n)
+			if n := len(s.free); n != 1 || s.free[0] != outer {
+				t.Errorf("free Events in handler = %d, want the one the outer Advance released", n)
 			}
 			p.Advance(5)
 			handlerEnd = p.Now()
 		})
+		outer = s.free[len(s.free)-1] // the spawn's fired dispatch, Advance's timer next
 		p.Advance(50)
 		end = p.Now()
 	})
 	s.At(10, func() {
 		p.Interrupt(nil)
-		if e := s.At(10, func() { events = s.queue.Len() }); len(s.timers) > 0 && e == s.timers[0] {
-			t.Error("At handed out a recycled timer event")
-		}
+		s.At(10, func() { events = s.queue.Len() })
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -140,13 +142,36 @@ func TestRecycledTimerHasNoStaleHolder(t *testing.T) {
 	if handlerEnd != 15 || end != 55 {
 		t.Errorf("handler ended at %v, Advance at %v; want 15 and 55", handlerEnd, end)
 	}
-	// Queued right after the interrupt: p's dispatch only. The cancelled
-	// 50 timer is gone, not waiting to be skipped.
+	// Queued once the handler blocked: its own timer only. The released 50
+	// timer is gone, not waiting to be skipped.
 	if events != 1 {
-		t.Errorf("%d events queued after the cancel, want 1", events)
+		t.Errorf("%d events queued after the release, want 1", events)
 	}
-	if len(s.timers) != 1 {
-		t.Errorf("%d Events allocated for timers, want 1 reused throughout", len(s.timers))
+	if len(s.free) != 2 || s.queue.Len() != 0 {
+		t.Errorf("%d Events free and %d queued at the end, want 2 and 0: one per concurrent holder, all returned",
+			len(s.free), s.queue.Len())
+	}
+}
+
+// TestAtAllocatesNothing: a scheduler event costs the host no allocation
+// once the free list holds one — the fired Event is the next one handed
+// out — when its callback is a func value built once.
+func TestAtAllocatesNothing(t *testing.T) {
+	s := New(1)
+	fired := 0
+	tick := func() { fired++ }
+	var allocs float64
+	s.Spawn("measured", 0, func(p *Proc) {
+		allocs = testing.AllocsPerRun(100, func() {
+			s.After(5, tick)
+			p.Advance(10)
+		})
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 || fired != 101 {
+		t.Errorf("allocations per At = %v over %d firings, want 0 over 101", allocs, fired)
 	}
 }
 

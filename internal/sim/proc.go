@@ -129,7 +129,8 @@ func (p *Proc) wake() {
 	p.state = stateWaking
 	// Only a blocked proc gets here and it stays stateWaking until the
 	// event fires, so dispatchEv is never pushed while still queued.
-	p.s.push(&p.dispatchEv, p.s.now)
+	p.dispatchEv.t = p.s.now
+	p.s.push(&p.dispatchEv)
 }
 
 // Advance charges d of computation to the process's clock. If interrupts
@@ -150,9 +151,9 @@ func (p *Proc) Advance(d Time) {
 	p.serviceInterrupts()
 	for d > 0 {
 		start := p.clock
-		ev := p.s.timer(start+d, p.wakeFn)
+		ev := p.s.Timer(start+d, p.wakeFn)
 		p.block("advance")
-		p.s.release(ev)
+		p.s.Release(ev)
 		elapsed := p.clock - start
 		if elapsed > d {
 			elapsed = d
@@ -173,9 +174,9 @@ func (p *Proc) Advance(d Time) {
 // processes) execute before continuing. Equivalent to Advance(0) except it
 // always round-trips through the scheduler once.
 func (p *Proc) Yield() {
-	ev := p.s.timer(p.clock, p.wakeFn)
+	ev := p.s.Timer(p.clock, p.wakeFn)
 	p.block("yield")
-	p.s.release(ev)
+	p.s.Release(ev)
 	p.serviceInterrupts()
 }
 
@@ -286,8 +287,8 @@ func (p *Proc) WaitOnUntil(c *Cond, deadline Time) bool {
 	if deadline <= p.clock {
 		return false
 	}
-	ev := p.s.timer(deadline, p.wakeFn)
-	defer p.s.release(ev) // stays armed while handlers run below, as ever
+	ev := p.s.Timer(deadline, p.wakeFn)
+	defer p.s.Release(ev) // stays armed while handlers run below, as ever
 	c.waiters = append(c.waiters, p)
 	p.waitingOn = c
 	p.waitWoken = false

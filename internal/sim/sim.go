@@ -22,7 +22,7 @@ type Simulator struct {
 	queue   eventQueue
 	seq     uint64
 	procs   []*Proc
-	timers  []*Event // released timer events, reused by timer()
+	free    []*Event // fired At events and released timers, reused by both
 	rng     *rand.Rand
 	running bool
 
@@ -83,54 +83,63 @@ func (s *Simulator) SetCausal(c *trace.Causal) { s.causal = c }
 // Causal returns the attached causal collector, or nil.
 func (s *Simulator) Causal() *trace.Causal { return s.causal }
 
-// At schedules fn to run in scheduler context at virtual time t.
-// Scheduling in the past is an error in the model; it panics.
-func (s *Simulator) At(t Time, fn func()) *Event {
-	e := &Event{fn: fn}
-	s.push(e, t)
-	return e
-}
-
-// push queues e, which must not be queued already, to fire at t.
-func (s *Simulator) push(e *Event, t Time) {
-	if t < s.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
-	}
-	s.seq++
-	e.t, e.seq = t, s.seq
-	s.queue.push(e)
-}
-
-// timer is At for a process arming its own wake-up. Only the process holds
-// the Event, and hands it back with release exactly once, fired or not —
-// so a reused Event has no other holder.
-func (s *Simulator) timer(t Time, fn func()) *Event {
-	var e *Event
-	if n := len(s.timers); n > 0 {
-		e, s.timers = s.timers[n-1], s.timers[:n-1]
-		e.fn = fn
-	} else {
-		e = &Event{fn: fn}
-	}
-	s.push(e, t)
-	return e
-}
-
-// release disarms a timer and returns it for reuse. A pending event
-// leaves the heap at once, so nothing queued ever points at a free Event.
-func (s *Simulator) release(e *Event) {
-	if e.index >= 0 {
-		heap.Remove(&s.queue, e.index)
-	}
-	s.timers = append(s.timers, e)
+// At schedules fn to run in scheduler context at virtual time t. It hands
+// out no handle: the Event is the simulator's, recycled as it fires, so a
+// callback that may have to be called off is a Timer instead. A func value
+// built once (a method value kept in a field) makes the call allocate
+// nothing. Scheduling in the past is an error in the model; it panics.
+func (s *Simulator) At(t Time, fn func()) {
+	s.push(s.event(t, fn, true))
 }
 
 // After schedules fn to run d from now.
-func (s *Simulator) After(d Time, fn func()) *Event {
+func (s *Simulator) After(d Time, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	return s.At(s.now+d, fn)
+	s.At(s.now+d, fn)
+}
+
+// Timer is At for a holder that may call the callback off: the returned
+// Event is the caller's until it hands it back with Release, exactly once,
+// whether or not it fired — so a reused Event has no other holder.
+func (s *Simulator) Timer(t Time, fn func()) *Event {
+	e := s.event(t, fn, false)
+	s.push(e)
+	return e
+}
+
+// Release disarms a Timer's Event and returns it for reuse. A pending
+// event leaves the heap at once, so nothing queued ever points at a free
+// Event and a called-off timeout costs the queue nothing.
+func (s *Simulator) Release(e *Event) {
+	if e.index >= 0 {
+		heap.Remove(&s.queue, e.index)
+	}
+	e.fn = nil
+	s.free = append(s.free, e)
+}
+
+// event takes a free Event (or makes one) set to fire fn at t.
+func (s *Simulator) event(t Time, fn func(), pooled bool) *Event {
+	if t < s.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
+	}
+	var e *Event
+	if n := len(s.free); n > 0 {
+		e, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		e = new(Event)
+	}
+	e.t, e.fn, e.pooled = t, fn, pooled
+	return e
+}
+
+// push queues e, which must not be queued already, at its time.
+func (s *Simulator) push(e *Event) {
+	s.seq++
+	e.seq = s.seq
+	s.queue.push(e)
 }
 
 // Spawn creates a process that will begin executing fn at time start.
@@ -235,7 +244,13 @@ func (s *Simulator) RunUntil(limit Time) error {
 		if s.tc.events != nil {
 			s.tc.events.Add(1, 0)
 		}
-		e.fn()
+		fn := e.fn
+		if e.pooled {
+			// Free before the call, which may schedule into it.
+			e.fn = nil
+			s.free = append(s.free, e)
+		}
+		fn()
 	}
 	var blocked []string
 	for _, p := range s.procs {

@@ -94,25 +94,28 @@ func TestEventTieBreakFIFO(t *testing.T) {
 }
 
 func TestEventCancel(t *testing.T) {
+	// Calling a callback off is releasing its Timer: it never fires, it
+	// leaves the queue at once, and its Event is the next one handed out.
 	s := New(1)
 	fired := false
-	e := s.At(10, func() { fired = true })
+	e := s.Timer(10, func() { fired = true })
 	s.At(5, func() {
-		if !e.Cancel() {
-			t.Error("Cancel returned false for pending event")
+		s.Release(e)
+		if s.queue.Len() != 0 {
+			t.Errorf("%d events queued after the release, want 0", s.queue.Len())
 		}
-		if e.Cancel() {
-			t.Error("second Cancel returned true")
+		if s.Timer(20, func() {}) != e {
+			t.Error("a released Event was not reused")
 		}
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if fired {
-		t.Error("cancelled event fired")
+		t.Error("released timer fired")
 	}
-	if !e.Cancelled() {
-		t.Error("Cancelled() = false")
+	if s.Now() != 20 {
+		t.Errorf("Now() = %v, want 20 (the reused timer fired)", s.Now())
 	}
 }
 

@@ -84,14 +84,6 @@ var (
 	ErrNoSuchSocket = errors.New("sockets: operation on closed socket")
 )
 
-// Datagram is one queued UDP datagram.
-type Datagram struct {
-	Data    []byte
-	Src     myrinet.NodeID
-	SrcPort int
-	Aux     []byte // uncharged envelope metadata (causal trace context), or nil
-}
-
 // StackStats aggregates node-level socket statistics.
 type StackStats struct {
 	DatagramsSent     int64
@@ -115,16 +107,44 @@ type Stack struct {
 	nextEph int
 	stats   StackStats
 
-	sendBufs map[int][]*gm.Buffer // free kernel tx buffers per class
-	txQueue  []pendingTx          // waiting for a tx buffer/token
-	selCond  *sim.Cond            // wakes Select callers on any arrival
+	sendBufs [][]*txBuf    // [class] free kernel tx buffers
+	txQueue  []pendingTx   // waiting for a tx buffer/token
+	rxFree   []*rxDatagram // arrival records, reused with their bytes
+	resume   func()        // st.resumeAndDrain, bound once
+	selCond  *sim.Cond     // wakes Select callers on any arrival
 }
 
+// pendingTx is a datagram waiting for a tx buffer, a token or the port:
+// the one send that owns a copy of its bytes (header and payload).
 type pendingTx struct {
 	dst     myrinet.NodeID
 	payload []byte
 	aux     []byte
 }
+
+// txBuf is one registered kernel tx buffer with its GM completion bound
+// once.
+type txBuf struct {
+	st   *Stack
+	b    *gm.Buffer
+	done gm.SendCallback // tb.sent
+}
+
+// rxDatagram is one arrival on the kernel port: its bytes, copied out of
+// the GM receive buffer, then — after the interrupt delay — a datagram
+// queued on its socket until a receive copies it out. The stack reuses it,
+// byte buffer and all, once it is read or dropped.
+type rxDatagram struct {
+	st      *Stack
+	data    []byte // header and payload, in a buffer grown to need
+	src     myrinet.NodeID
+	srcPort int
+	aux     []byte // uncharged envelope metadata (causal trace context), or nil
+	deliver func() // d.arrive, bound once
+}
+
+// payload is the datagram less its socket-port header.
+func (d *rxDatagram) payload() []byte { return d.data[headerBytes:] }
 
 // NewStack boots the kernel network stack on a GM node. It opens kernel
 // port 1 and preposts recycled receive buffers for every size class.
@@ -134,28 +154,33 @@ func NewStack(s *sim.Simulator, node *gm.Node, params Params) *Stack {
 		panic(fmt.Sprintf("sockets: kernel port: %v", err))
 	}
 	st := &Stack{
-		s:        s,
-		node:     node,
-		port:     port,
-		params:   params,
-		sockets:  make(map[int]*Socket),
-		nextEph:  49152,
-		sendBufs: make(map[int][]*gm.Buffer),
+		s:       s,
+		node:    node,
+		port:    port,
+		params:  params,
+		sockets: make(map[int]*Socket),
+		nextEph: 49152,
 	}
+	st.resume = st.resumeAndDrain
 	gmp := node.System().Params()
+	st.sendBufs = make([][]*txBuf, gmp.MaxClass+1)
 	for c := gmp.MinClass; c <= gmp.MaxClass; c++ {
 		ring := params.KernelClassRing
 		if c >= 13 {
 			ring = 2 // few large buffers, like real kernels
 		}
-		mem := node.RegisterAtBoot(ring * gm.ClassCapacity(c))
-		for i := 0; i < ring; i++ {
-			port.ProvideReceiveBuffer(mem.SubBuffer(i*gm.ClassCapacity(c), c))
+		rx := node.RegisterAtBoot(ring*gm.ClassCapacity(c)).Carve(c, ring)
+		for i := range rx {
+			port.ProvideReceiveBuffer(&rx[i])
 		}
-		txMem := node.RegisterAtBoot(ring * gm.ClassCapacity(c))
-		for i := 0; i < ring; i++ {
-			st.sendBufs[c] = append(st.sendBufs[c], txMem.SubBuffer(i*gm.ClassCapacity(c), c))
+		tx := node.RegisterAtBoot(ring*gm.ClassCapacity(c)).Carve(c, ring)
+		tbs, free := make([]txBuf, ring), make([]*txBuf, ring)
+		for i := range tbs {
+			tb := &tbs[i]
+			tb.st, tb.b, tb.done = st, &tx[i], tb.sent
+			free[i] = tb
 		}
+		st.sendBufs[c] = free
 	}
 	port.SetSink(st.kernelRx)
 	return st
@@ -171,62 +196,84 @@ func (st *Stack) Stats() StackStats { return st.stats }
 func (st *Stack) Node() *gm.Node { return st.node }
 
 // kernelRx runs in scheduler context when a UDP-bearing GM message
-// arrives at the kernel port. After the modelled interrupt/softirq delay
-// the datagram is appended to the bound socket's receive buffer (or
-// dropped on overflow), waiters are woken, and SIGIO is raised if armed.
+// arrives at the kernel port. The kernel copies the bytes out and recycles
+// the GM buffer at once; after the modelled interrupt/softirq delay the
+// datagram is appended to the bound socket's receive buffer (or dropped
+// on overflow), waiters are woken, and SIGIO is raised if armed.
 func (st *Stack) kernelRx(rv *gm.Recv) {
-	data := append([]byte(nil), rv.Data...)
-	aux := rv.Aux
-	src := rv.From
+	var d *rxDatagram
+	if n := len(st.rxFree); n > 0 {
+		d, st.rxFree = st.rxFree[n-1], st.rxFree[:n-1]
+	} else {
+		d = &rxDatagram{st: st}
+		d.deliver = d.arrive
+	}
+	d.data = append(d.data[:0], rv.Data...)
+	d.aux, d.src = rv.Aux, rv.From
 	st.port.ProvideReceiveBuffer(rv.Buffer) // kernel recycles immediately
-	st.s.After(st.params.RxInterrupt, func() {
-		if len(data) < headerBytes {
-			return
-		}
-		srcPort := int(data[0])<<8 | int(data[1])
-		dstPort := int(data[2])<<8 | int(data[3])
-		payload := data[headerBytes:]
-		sk := st.sockets[dstPort]
-		if sk == nil {
-			st.stats.DatagramsNoSock++
-			st.traceDrop("drop-nosock", src, len(payload))
-			return
-		}
-		if st.params.DropProbability > 0 && st.s.Rand().Float64() < st.params.DropProbability {
-			st.stats.DatagramsDrop++
-			sk.drops++
-			st.traceDrop("drop-injected", src, len(payload))
-			return
-		}
-		if sk.queuedBytes+len(payload) > sk.recvBuf {
-			st.stats.DatagramsDrop++
-			sk.drops++
-			st.traceDrop("drop-overflow", src, len(payload))
-			return
-		}
-		sk.queue = append(sk.queue, Datagram{Data: payload, Src: src, SrcPort: srcPort, Aux: aux})
-		sk.queuedBytes += len(payload)
-		st.stats.DatagramsRecvd++
-		st.stats.BytesRecvd += int64(len(payload))
+	st.s.After(st.params.RxInterrupt, d.deliver)
+}
+
+// arrive is the datagram reaching the socket layer, RxInterrupt after the
+// GM receive.
+func (d *rxDatagram) arrive() {
+	st := d.st
+	if len(d.data) < headerBytes {
+		st.recycleRx(d)
+		return
+	}
+	d.srcPort = int(d.data[0])<<8 | int(d.data[1])
+	dstPort := int(d.data[2])<<8 | int(d.data[3])
+	n := len(d.payload())
+	sk := st.sockets[dstPort]
+	if sk == nil {
+		st.stats.DatagramsNoSock++
+		st.traceDrop("drop-nosock", d.src, n)
+		st.recycleRx(d)
+		return
+	}
+	if st.params.DropProbability > 0 && st.s.Rand().Float64() < st.params.DropProbability {
+		st.stats.DatagramsDrop++
+		sk.drops++
+		st.traceDrop("drop-injected", d.src, n)
+		st.recycleRx(d)
+		return
+	}
+	if sk.queuedBytes+n > sk.recvBuf {
+		st.stats.DatagramsDrop++
+		sk.drops++
+		st.traceDrop("drop-overflow", d.src, n)
+		st.recycleRx(d)
+		return
+	}
+	sk.queue = append(sk.queue, d)
+	sk.queuedBytes += n
+	st.stats.DatagramsRecvd++
+	st.stats.BytesRecvd += int64(n)
+	if tr := st.s.Tracer(); tr != nil {
+		reg := tr.Metrics()
+		reg.Counter(trace.LayerSockets, "datagrams.recvd").Inc(int64(n))
+		reg.Histogram(trace.LayerSockets, "recvbuf.occupancy").Observe(int64(sk.queuedBytes))
+	}
+	sk.cond.Broadcast()
+	if st.selCond != nil {
+		st.selCond.Broadcast()
+	}
+	if sk.sigioProc != nil {
+		st.stats.SigiosRaised++
 		if tr := st.s.Tracer(); tr != nil {
-			reg := tr.Metrics()
-			reg.Counter(trace.LayerSockets, "datagrams.recvd").Inc(int64(len(payload)))
-			reg.Histogram(trace.LayerSockets, "recvbuf.occupancy").Observe(int64(sk.queuedBytes))
+			tr.Emit(trace.Event{T: int64(st.s.Now()), Layer: trace.LayerSockets,
+				Kind: "sigio", Proc: sk.sigioProc.ID(), Peer: int(d.src)})
+			tr.Metrics().Counter(trace.LayerSockets, "sigio").Inc(0)
 		}
-		sk.cond.Broadcast()
-		if st.selCond != nil {
-			st.selCond.Broadcast()
-		}
-		if sk.sigioProc != nil {
-			st.stats.SigiosRaised++
-			if tr := st.s.Tracer(); tr != nil {
-				tr.Emit(trace.Event{T: int64(st.s.Now()), Layer: trace.LayerSockets,
-					Kind: "sigio", Proc: sk.sigioProc.ID(), Peer: int(src)})
-				tr.Metrics().Counter(trace.LayerSockets, "sigio").Inc(0)
-			}
-			sk.sigioProc.Interrupt(sk)
-		}
-	})
+		sk.sigioProc.Interrupt(sk)
+	}
+}
+
+// recycleRx returns an arrival record that was read or dropped.
+func (st *Stack) recycleRx(d *rxDatagram) {
+	d.aux = nil
+	st.rxFree = append(st.rxFree, d)
 }
 
 // traceDrop emits a structured event for a datagram lost on the receive
@@ -255,7 +302,7 @@ type Socket struct {
 	stack       *Stack
 	port        int
 	recvBuf     int
-	queue       []Datagram
+	queue       []*rxDatagram
 	queuedBytes int
 	cond        *sim.Cond
 	sigioProc   *sim.Proc
@@ -343,9 +390,8 @@ func (sk *Socket) SendTo(p *sim.Proc, dst myrinet.NodeID, dstPort int, data []by
 
 // SendToAux is SendTo with uncharged envelope metadata: aux rides the
 // datagram outside the billed bytes (it never changes any charge or any
-// wire size) and surfaces as Datagram.Aux / TryRecvFromAux at the
-// receiver. Retransmissions of the same logical datagram must resend
-// the same aux.
+// wire size) and surfaces through TryRecvFromAux at the receiver.
+// Retransmissions of the same logical datagram must resend the same aux.
 func (sk *Socket) SendToAux(p *sim.Proc, dst myrinet.NodeID, dstPort int, data, aux []byte) error {
 	st := sk.stack
 	if sk.closed {
@@ -360,13 +406,6 @@ func (sk *Socket) SendToAux(p *sim.Proc, dst myrinet.NodeID, dstPort int, data, 
 	p.Advance(st.params.SyscallEntry +
 		sim.BytesTime(len(data), st.params.CopyBandwidth) +
 		st.params.UDPSendProcessing)
-
-	payload := make([]byte, headerBytes+len(data))
-	payload[0] = byte(sk.port >> 8)
-	payload[1] = byte(sk.port)
-	payload[2] = byte(dstPort >> 8)
-	payload[3] = byte(dstPort)
-	copy(payload[headerBytes:], data)
 
 	st.stats.DatagramsSent++
 	st.stats.BytesSent += int64(len(data))
@@ -386,7 +425,7 @@ func (sk *Socket) SendToAux(p *sim.Proc, dst myrinet.NodeID, dstPort int, data, 
 		st.traceDrop("drop-corrupt", dst, len(data))
 		return nil
 	}
-	st.transmit(p, dst, payload, aux)
+	st.transmit(p, dst, sk.port, dstPort, data, aux)
 	return nil
 }
 
@@ -400,11 +439,6 @@ func (st *Stack) SendFromKernel(dst myrinet.NodeID, dstPort int, data []byte) er
 	if len(data) > st.params.MaxDatagram {
 		return ErrTooLarge
 	}
-	payload := make([]byte, headerBytes+len(data))
-	payload[2] = byte(dstPort >> 8)
-	payload[3] = byte(dstPort)
-	copy(payload[headerBytes:], data)
-
 	st.stats.DatagramsSent++
 	st.stats.BytesSent += int64(len(data))
 	if tr := st.s.Tracer(); tr != nil {
@@ -422,55 +456,61 @@ func (st *Stack) SendFromKernel(dst myrinet.NodeID, dstPort int, data []byte) er
 	}
 	// Queue-then-drain reuses the deferred kernel tx path, which sends via
 	// SendFromKernel on the GM port (no process charge).
-	st.txQueue = append(st.txQueue, pendingTx{dst: dst, payload: payload})
+	st.txQueue = append(st.txQueue, pendingTx{dst: dst, payload: datagram(nil, 0, dstPort, data)})
 	st.drainTxQueue()
 	return nil
 }
 
-// transmit pushes a kernel datagram out through GM, queueing if the
-// kernel is out of tx buffers for the class.
-func (st *Stack) transmit(p *sim.Proc, dst myrinet.NodeID, payload, aux []byte) {
-	class := st.node.System().Params().ClassFor(len(payload))
-	bufs := st.sendBufs[class]
-	if len(bufs) == 0 {
-		st.txQueue = append(st.txQueue, pendingTx{dst: dst, payload: payload, aux: aux})
-		return
-	}
-	b := bufs[len(bufs)-1]
-	st.sendBufs[class] = bufs[:len(bufs)-1]
-	copy(b.Bytes(), payload)
-	err := st.port.SendAux(p, dst, KernelPort, b, len(payload), aux, st.kernelSendDone(class, b))
-	if err != nil {
-		// Token exhaustion or disabled port: queue and let completions or
-		// recovery drain it. The buffer goes back to the pool.
-		st.sendBufs[class] = append(st.sendBufs[class], b)
-		st.txQueue = append(st.txQueue, pendingTx{dst: dst, payload: payload, aux: aux})
-	}
+// datagram appends the wire form of a datagram — the socket ports, then
+// the payload — to b.
+func datagram(b []byte, srcPort, dstPort int, data []byte) []byte {
+	b = append(b, byte(srcPort>>8), byte(srcPort), byte(dstPort>>8), byte(dstPort))
+	return append(b, data...)
 }
 
-// kernelSendDone builds the completion for one kernel GM send: the tx
-// buffer returns to the pool, and if the send failed with the port
-// disabled (GM's resend timeout fired, or the disable cascaded into this
-// in-flight send) the kernel transparently recovers the port after the
-// probe delay. The datagram itself is not retried — UDP loss semantics —
-// but queued traffic drains after the resume.
-func (st *Stack) kernelSendDone(class int, b *gm.Buffer) gm.SendCallback {
-	return func(status gm.SendStatus) {
-		st.sendBufs[class] = append(st.sendBufs[class], b)
-		if status != gm.SendOK && !st.port.Enabled() {
-			st.s.After(st.node.System().Params().ResumeCost, func() {
-				st.forceResume()
-				st.drainTxQueue()
-			})
+// transmit pushes a kernel datagram out through GM, staged straight into a
+// free tx buffer of its class; if the kernel has none, or GM refuses the
+// send, the datagram queues with a copy of its own.
+func (st *Stack) transmit(p *sim.Proc, dst myrinet.NodeID, srcPort, dstPort int, data, aux []byte) {
+	n := headerBytes + len(data)
+	class := st.node.System().Params().ClassFor(n)
+	if bufs := st.sendBufs[class]; len(bufs) > 0 {
+		tb := bufs[len(bufs)-1]
+		st.sendBufs[class] = bufs[:len(bufs)-1]
+		datagram(tb.b.Bytes()[:0], srcPort, dstPort, data)
+		if st.port.SendAux(p, dst, KernelPort, tb.b, n, aux, tb.done) == nil {
 			return
 		}
-		st.drainTxQueue()
+		// Token exhaustion or disabled port: the buffer goes back to the
+		// pool and the datagram queues for completions or recovery to drain.
+		st.sendBufs[class] = append(st.sendBufs[class], tb)
 	}
+	st.txQueue = append(st.txQueue, pendingTx{dst: dst, payload: datagram(nil, srcPort, dstPort, data), aux: aux})
 }
 
-// forceResume re-enables the kernel GM port without charging a process
-// (the kernel's probe delay has already elapsed on the event clock).
-func (st *Stack) forceResume() { st.port.ForceResume() }
+// sent is one kernel GM send's completion: the tx buffer returns to the
+// pool, and if the send failed with the port disabled (GM's resend
+// timeout fired, or the disable cascaded into this in-flight send) the
+// kernel transparently recovers the port after the probe delay. The
+// datagram itself is not retried — UDP loss semantics — but queued
+// traffic drains after the resume.
+func (tb *txBuf) sent(status gm.SendStatus) {
+	st, class := tb.st, tb.b.Class()
+	st.sendBufs[class] = append(st.sendBufs[class], tb)
+	if status != gm.SendOK && !st.port.Enabled() {
+		st.s.After(st.node.System().Params().ResumeCost, st.resume)
+		return
+	}
+	st.drainTxQueue()
+}
+
+// resumeAndDrain re-enables the kernel GM port without charging a process
+// (the kernel's probe delay has already elapsed on the event clock) and
+// sends what queued meanwhile.
+func (st *Stack) resumeAndDrain() {
+	st.port.ForceResume()
+	st.drainTxQueue()
+}
 
 // drainTxQueue retries queued kernel transmissions. Runs in scheduler or
 // proc context; GM costs for these deferred sends are charged to no
@@ -484,10 +524,10 @@ func (st *Stack) drainTxQueue() {
 			return
 		}
 		st.txQueue = st.txQueue[:copy(st.txQueue, st.txQueue[1:])]
-		b := bufs[len(bufs)-1]
+		tb := bufs[len(bufs)-1]
 		st.sendBufs[class] = bufs[:len(bufs)-1]
-		copy(b.Bytes(), tx.payload)
-		st.port.SendFromKernelAux(tx.dst, KernelPort, b, len(tx.payload), tx.aux, st.kernelSendDone(class, b))
+		copy(tb.b.Bytes(), tx.payload)
+		st.port.SendFromKernelAux(tx.dst, KernelPort, tb.b, len(tx.payload), tx.aux, tb.done)
 	}
 }
 
@@ -509,12 +549,9 @@ func (sk *Socket) RecvFrom(p *sim.Proc, buf []byte) (n int, src myrinet.NodeID, 
 			return 0, 0, 0, ErrNoSuchSocket
 		}
 	}
-	dg := sk.queue[0]
-	sk.queue = sk.queue[:copy(sk.queue, sk.queue[1:])]
-	sk.queuedBytes -= len(dg.Data)
-	n = copy(buf, dg.Data)
+	n, src, srcPort, _ = sk.dequeue(buf)
 	p.Advance(st.params.UDPRecvProcessing + sim.BytesTime(n, st.params.CopyBandwidth))
-	return n, dg.Src, dg.SrcPort, nil
+	return n, src, srcPort, nil
 }
 
 // TryRecvFrom is RecvFrom without blocking; ok reports whether a datagram
@@ -532,12 +569,21 @@ func (sk *Socket) TryRecvFromAux(p *sim.Proc, buf []byte) (n int, src myrinet.No
 	if len(sk.queue) == 0 {
 		return 0, 0, 0, nil, false
 	}
-	dg := sk.queue[0]
-	sk.queue = sk.queue[:copy(sk.queue, sk.queue[1:])]
-	sk.queuedBytes -= len(dg.Data)
-	n = copy(buf, dg.Data)
+	n, src, srcPort, aux = sk.dequeue(buf)
 	p.Advance(st.params.UDPRecvProcessing + sim.BytesTime(n, st.params.CopyBandwidth))
-	return n, dg.Src, dg.SrcPort, dg.Aux, true
+	return n, src, srcPort, aux, true
+}
+
+// dequeue copies the oldest queued datagram into buf, truncating it to
+// buf's length, and recycles its record.
+func (sk *Socket) dequeue(buf []byte) (n int, src myrinet.NodeID, srcPort int, aux []byte) {
+	d := sk.queue[0]
+	sk.queue = sk.queue[:copy(sk.queue, sk.queue[1:])]
+	sk.queuedBytes -= len(d.payload())
+	n = copy(buf, d.payload())
+	src, srcPort, aux = d.src, d.srcPort, d.aux
+	sk.stack.recycleRx(d)
+	return n, src, srcPort, aux
 }
 
 // Select blocks until one of the sockets has a pending datagram or the

@@ -510,3 +510,61 @@ func TestDropProbabilityInjectsLoss(t *testing.T) {
 		t.Errorf("drops = %d of 100 at p=0.5", drops)
 	}
 }
+
+// TestDatagramAllocatesNothing: a SendTo→RecvFrom ping-pong costs the host
+// no allocation once the stack's records are warm — the datagram is staged
+// straight into a kernel tx buffer, the arrival record and its bytes are
+// recycled, and every completion is bound once.
+func TestDatagramAllocatesNothing(t *testing.T) {
+	s, st := testNet(t, 2)
+	const size = 1000
+	var allocs float64
+	s.Spawn("measured", 0, func(p *sim.Proc) {
+		sk := st[0].Socket(p)
+		if err := sk.Bind(p, 6000); err != nil {
+			t.Fatal(err)
+		}
+		data, buf := make([]byte, size), make([]byte, size)
+		p.Advance(sim.Millisecond) // the partner has bound
+		roundTrip := func() {
+			if err := sk.SendTo(p, 1, 7000, data); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, _, err := sk.RecvFrom(p, buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 10; i++ {
+			roundTrip()
+		}
+		allocs = testing.AllocsPerRun(100, roundTrip)
+		if err := sk.SendTo(p, 1, 7000, data[:1]); err != nil { // stop
+			t.Fatal(err)
+		}
+	})
+	s.Spawn("partner", 0, func(p *sim.Proc) {
+		sk := st[1].Socket(p)
+		if err := sk.Bind(p, 7000); err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, size)
+		for {
+			n, _, _, err := sk.RecvFrom(p, buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n == 1 {
+				return
+			}
+			if err := sk.SendTo(p, 0, 6000, buf[:n]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Errorf("allocations per SendTo→RecvFrom round trip = %v, want 0", allocs)
+	}
+}

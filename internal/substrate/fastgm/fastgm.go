@@ -46,7 +46,8 @@ type Transport struct {
 	asyncPort *gm.Port
 	syncPort  *gm.Port
 
-	sendPool  *SendPool // registered send buffers
+	sendPool  *SendPool      // registered send buffers
+	freeSends []*pendingSend // send records no callback can reach, reused
 	tokenCond *sim.Cond
 
 	rv rendezvousState
@@ -123,9 +124,9 @@ func (t *Transport) Start(p *sim.Proc, h substrate.Handler) {
 		if c <= t.cfg.SmallClassMax {
 			count = t.cfg.SmallPerPeer * peers
 		}
-		mem := t.node.Register(p, count*gm.ClassCapacity(c))
-		for i := 0; i < count; i++ {
-			t.asyncPort.ProvideReceiveBuffer(mem.SubBuffer(i*gm.ClassCapacity(c), c))
+		bufs := t.node.Register(p, count*gm.ClassCapacity(c)).Carve(c, count)
+		for i := range bufs {
+			t.asyncPort.ProvideReceiveBuffer(&bufs[i])
 		}
 	}
 	// Synchronous port: the scatter-gather fault path keeps up to
@@ -134,9 +135,9 @@ func (t *Transport) Start(p *sim.Proc, h substrate.Handler) {
 	// recycling latency can never stall an ack.
 	syncCount := t.outstandingCalls() + 1
 	for c := params.MinClass; c <= t.maxPrepostClass(); c++ {
-		mem := t.node.Register(p, syncCount*gm.ClassCapacity(c))
-		for i := 0; i < syncCount; i++ {
-			t.syncPort.ProvideReceiveBuffer(mem.SubBuffer(i*gm.ClassCapacity(c), c))
+		bufs := t.node.Register(p, syncCount*gm.ClassCapacity(c)).Carve(c, syncCount)
+		for i := range bufs {
+			t.syncPort.ProvideReceiveBuffer(&bufs[i])
 		}
 	}
 	// Registered send memory: one arena, room for one frame of each large
@@ -244,12 +245,17 @@ func (t *Transport) drainAsync(p *sim.Proc) {
 // rendezvous RTS, or rendezvous bulk data for a large request. Malformed
 // frames are rejected (counted, buffer recycled), never fail-stop: on a
 // faulty fabric the layer below may hand us anything.
+//
+// rv is its buffer's Recv, and a re-post may accept a parked message into
+// that buffer and overwrite it: every field used after a re-post is read
+// up front.
 func (t *Transport) handleAsyncFrame(p *sim.Proc, rv *gm.Recv) {
 	if len(rv.Data) == 0 {
 		t.rejectFrame(p, rv, "empty")
 		return
 	}
-	t.Live.Heard(int(rv.From))
+	from, class, n := int(rv.From), rv.Class, len(rv.Data)
+	t.Live.Heard(from)
 	tag, body := rv.Data[0], rv.Data[1:]
 	switch tag {
 	case frameHB:
@@ -262,11 +268,11 @@ func (t *Transport) handleAsyncFrame(p *sim.Proc, rv *gm.Recv) {
 		if err != nil {
 			t.rejectFrame(p, rv, "decode")
 			if tag == frameMsg {
-				t.flow.noteConsumed(int(rv.From), rv.Class)
+				t.flow.noteConsumed(from, class)
 			}
 			return
 		}
-		if e := t.Admit(p, m, rv.Aux, len(rv.Data)); e != nil {
+		if e := t.Admit(p, m, rv.Aux, n); e != nil {
 			// Recycle to the prepost ring, then answer idempotently. For a
 			// duplicate rendezvous data frame the buffer stays in rv.pinned:
 			// the duplicate may have consumed a buffer pinned for another
@@ -275,7 +281,7 @@ func (t *Transport) handleAsyncFrame(p *sim.Proc, rv *gm.Recv) {
 			t.asyncPort.ProvideReceiveBuffer(rv.Buffer)
 			t.AnswerDup(p, m, e)
 			if tag == frameMsg {
-				t.flow.noteConsumed(int(rv.From), rv.Class)
+				t.flow.noteConsumed(from, class)
 			}
 			return
 		}
@@ -289,10 +295,10 @@ func (t *Transport) handleAsyncFrame(p *sim.Proc, rv *gm.Recv) {
 			// meter — so a masked or slow host holds its senders back
 			// exactly as long as its ring stays occupied.
 			t.asyncPort.ProvideReceiveBuffer(rv.Buffer)
-			t.flow.noteConsumed(int(rv.From), rv.Class)
+			t.flow.noteConsumed(from, class)
 		}
 		start := p.Now()
-		t.Serve(p, m, len(rv.Data))
+		t.Serve(p, m, n)
 		t.Stats().RequestService += p.Now() - start
 	case frameRTS:
 		t.rv.onRTS(p, rv)
@@ -421,9 +427,9 @@ func (t *Transport) portFor(dstPort int) *gm.Port {
 // (recovery.go) — resume the port, retransmit with backoff, let the
 // receiver's duplicate filter absorb redeliveries.
 func (t *Transport) gmSend(p *sim.Proc, port *gm.Port, dst, dstPort int, buf *gm.Buffer, n int, aux []byte) {
-	ps := &pendingSend{port: port, dst: dst, dstPort: dstPort, buf: buf, n: n, aux: aux}
+	ps := t.pendingSend(port, dst, dstPort, buf, n, aux)
 	for {
-		err := port.SendAux(p, myrinet.NodeID(dst), dstPort, buf, n, aux, t.completion(ps))
+		err := port.SendAux(p, myrinet.NodeID(dst), dstPort, buf, n, aux, ps.done)
 		if err == nil {
 			return
 		}

@@ -75,10 +75,9 @@ func (fl *flowState) start() {
 	}
 	t := fl.t
 	class := t.node.System().Params().ClassFor(1 + 3*len(fl.owed[0]))
-	slot := gm.ClassCapacity(class)
-	mem := t.node.Register(t.Proc(), t.Size()*slot)
-	for i := 0; i < t.Size(); i++ {
-		fl.bufs = append(fl.bufs, mem.SubBuffer(i*slot, class))
+	bufs := t.node.Register(t.Proc(), t.Size()*gm.ClassCapacity(class)).Carve(class, t.Size())
+	for i := range bufs {
+		fl.bufs = append(fl.bufs, &bufs[i])
 	}
 }
 

@@ -23,10 +23,9 @@ func (t *Transport) startLiveness() {
 		return
 	}
 	class := t.node.System().Params().ClassFor(1)
-	slot := gm.ClassCapacity(class)
-	mem := t.node.Register(t.Proc(), t.Size()*slot)
-	for i := 0; i < t.Size(); i++ {
-		t.hbBufs = append(t.hbBufs, mem.SubBuffer(i*slot, class))
+	bufs := t.node.Register(t.Proc(), t.Size()*gm.ClassCapacity(class)).Carve(class, t.Size())
+	for i := range bufs {
+		t.hbBufs = append(t.hbBufs, &bufs[i])
 	}
 	// The async-port classifier (asyncNICFilter) is shared with the flow
 	// layer's credit frames; the sync port only needs the clock refresh.

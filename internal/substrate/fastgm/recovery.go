@@ -28,8 +28,11 @@ import (
 // The send buffer stays checked out across retries and returns to the
 // pool only on SendOK, so retransmission needs no re-copy.
 
-// pendingSend tracks one framed GM send until it completes.
+// pendingSend tracks one framed GM send until it completes. The transport
+// reuses it, callbacks and all, for a later frame once nothing can call it
+// any more: its last GM send reported and no retransmission is armed.
 type pendingSend struct {
+	t        *Transport
 	port     *gm.Port
 	dst      int
 	dstPort  int
@@ -37,18 +40,31 @@ type pendingSend struct {
 	n        int
 	aux      []byte // causal-context metadata, resent with every retransmit
 	attempts int
+
+	done       gm.SendCallback // ps.completed, bound once
+	retransmit func()          // ps.resend, bound once
 }
 
-// completion builds the send callback for ps: recycle on success,
-// recover on failure.
-func (t *Transport) completion(ps *pendingSend) gm.SendCallback {
-	return func(st gm.SendStatus) {
-		if st == gm.SendOK {
-			t.recycleSend(ps)
-			return
-		}
-		t.onSendFailure(ps, st)
+// pendingSend takes a free send record for one frame, or makes one.
+func (t *Transport) pendingSend(port *gm.Port, dst, dstPort int, buf *gm.Buffer, n int, aux []byte) *pendingSend {
+	var ps *pendingSend
+	if k := len(t.freeSends); k > 0 {
+		ps, t.freeSends = t.freeSends[k-1], t.freeSends[:k-1]
+	} else {
+		ps = &pendingSend{t: t}
+		ps.done, ps.retransmit = ps.completed, ps.resend
 	}
+	ps.port, ps.dst, ps.dstPort, ps.buf, ps.n, ps.aux = port, dst, dstPort, buf, n, aux
+	return ps
+}
+
+// completed is the send callback: recycle on success, recover on failure.
+func (ps *pendingSend) completed(st gm.SendStatus) {
+	if st == gm.SendOK {
+		ps.t.recycleSend(ps)
+		return
+	}
+	ps.t.onSendFailure(ps, st)
 }
 
 // onSendFailure runs in scheduler context when GM reports a failed send.
@@ -81,46 +97,51 @@ func (t *Transport) retryBackoff(attempts int) sim.Time {
 	return substrate.Backoff{Initial: t.cfg.RetryBackoff, Max: t.cfg.RetryBackoffMax}.Delay(attempts)
 }
 
-// scheduleRetransmit re-sends ps's frame after the backoff, deferring
-// further (same attempt) while the port is still disabled or out of
-// tokens.
+// scheduleRetransmit re-sends ps's frame after the backoff.
 func (t *Transport) scheduleRetransmit(ps *pendingSend) {
-	s := t.Proc().Sim()
-	s.After(t.retryBackoff(ps.attempts), func() {
-		if t.Halted() {
-			t.recycleSend(ps)
-			return
-		}
-		if t.Live.Dead(ps.dst) {
-			// The peer was declared dead while this frame sat in backoff;
-			// retrying would only re-disable our port.
-			t.abandonSend(ps, "peer-dead")
-			return
-		}
-		if !ps.port.Enabled() {
-			t.EnsureResume(ps.port)
-			t.scheduleRetransmit(ps)
-			return
-		}
-		err := ps.port.SendFromKernelAux(myrinet.NodeID(ps.dst), ps.dstPort, ps.buf, ps.n, ps.aux, t.completion(ps))
-		if err != nil {
-			t.scheduleRetransmit(ps)
-			return
-		}
-		t.Stats().GMRetransmits++
-		if tr := s.Tracer(); tr != nil {
-			tr.Emit(trace.Event{T: int64(s.Now()), Layer: trace.LayerSubstrate,
-				Kind: "gm-retransmit", Proc: -1, Peer: ps.dst, Bytes: ps.n})
-			tr.Metrics().Counter(trace.LayerSubstrate, "gm.retransmits").Inc(1)
-		}
-	})
+	t.Proc().Sim().After(t.retryBackoff(ps.attempts), ps.retransmit)
 }
 
-// recycleSend returns an abandoned frame's buffer to the pool and wakes
-// anything waiting on pool space or tokens.
+// resend is a retransmission coming due, deferred further (same attempt)
+// while the port is still disabled or out of tokens.
+func (ps *pendingSend) resend() {
+	t := ps.t
+	if t.Halted() {
+		t.recycleSend(ps)
+		return
+	}
+	if t.Live.Dead(ps.dst) {
+		// The peer was declared dead while this frame sat in backoff;
+		// retrying would only re-disable our port.
+		t.abandonSend(ps, "peer-dead")
+		return
+	}
+	if !ps.port.Enabled() {
+		t.EnsureResume(ps.port)
+		t.scheduleRetransmit(ps)
+		return
+	}
+	err := ps.port.SendFromKernelAux(myrinet.NodeID(ps.dst), ps.dstPort, ps.buf, ps.n, ps.aux, ps.done)
+	if err != nil {
+		t.scheduleRetransmit(ps)
+		return
+	}
+	t.Stats().GMRetransmits++
+	if tr := t.Proc().Sim().Tracer(); tr != nil {
+		tr.Emit(trace.Event{T: int64(t.Proc().Sim().Now()), Layer: trace.LayerSubstrate,
+			Kind: "gm-retransmit", Proc: -1, Peer: ps.dst, Bytes: ps.n})
+		tr.Metrics().Counter(trace.LayerSubstrate, "gm.retransmits").Inc(1)
+	}
+}
+
+// recycleSend returns a finished frame's buffer to the pool, wakes
+// anything waiting on pool space or tokens, and frees the record. Nothing
+// reads ps afterwards: it may carry the next frame at once.
 func (t *Transport) recycleSend(ps *pendingSend) {
 	t.sendPool.Put(ps.buf)
 	t.tokenCond.Broadcast()
+	*ps = pendingSend{t: t, done: ps.done, retransmit: ps.retransmit}
+	t.freeSends = append(t.freeSends, ps)
 }
 
 // abandonSend gives up on a frame permanently: the buffer is recycled,
@@ -128,15 +149,16 @@ func (t *Transport) recycleSend(ps *pendingSend) {
 // destination is declared dead (idempotently) so everything else queued
 // toward it gives up too.
 func (t *Transport) abandonSend(ps *pendingSend, kind string) {
+	dst, n, attempts := ps.dst, ps.n, ps.attempts
 	t.Stats().SendsAbandoned++
 	t.recycleSend(ps)
 	s := t.Proc().Sim()
 	if tr := s.Tracer(); tr != nil {
 		tr.Emit(trace.Event{T: int64(s.Now()), Layer: trace.LayerSubstrate,
-			Kind: "send-abandoned:" + kind, Proc: -1, Peer: ps.dst, Bytes: ps.n})
+			Kind: "send-abandoned:" + kind, Proc: -1, Peer: dst, Bytes: n})
 		tr.Metrics().Counter(trace.LayerSubstrate, "sends.abandoned").Inc(1)
 	}
-	t.Live.DeclareDead(ps.dst, kind, ps.attempts)
+	t.Live.DeclareDead(dst, kind, attempts)
 }
 
 // EnsureResume schedules exactly one pending gm_resume_sending for a

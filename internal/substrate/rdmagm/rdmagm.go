@@ -79,6 +79,7 @@ type Transport struct {
 
 	sendPool  *fastgm.SendPool // registered verb-descriptor send buffers
 	compPool  *fastgm.SendPool // firmware completion staging buffers
+	freeSends []*stagedSend    // completion records of finished sends, reused
 	tokenCond *sim.Cond
 
 	vdup *substrate.DupCache // target-side duplicate-verb filter
@@ -153,9 +154,9 @@ func (t *Transport) Start(p *sim.Proc, h substrate.Handler) {
 	params := t.node.System().Params()
 	prepost := func(port *gm.Port, count int) {
 		for c := params.MinClass; c <= params.MaxClass; c++ {
-			mem := t.node.Register(p, count*gm.ClassCapacity(c))
-			for i := 0; i < count; i++ {
-				port.ProvideReceiveBuffer(mem.SubBuffer(i*gm.ClassCapacity(c), c))
+			bufs := t.node.Register(p, count*gm.ClassCapacity(c)).Carve(c, count)
+			for i := range bufs {
+				port.ProvideReceiveBuffer(&bufs[i])
 			}
 		}
 	}
@@ -326,12 +327,14 @@ func (t *Transport) sendVerb(p *sim.Proc, pc *substrate.Call, wait bool) bool {
 	}
 	copy(buf.Bytes(), frame)
 	for {
-		err := t.verbPort.SendAux(p, myrinet.NodeID(pc.Dst()), VerbPort, buf, len(frame),
-			aux, t.sendDone(t.sendPool, t.verbPort, buf))
-		switch {
-		case err == nil:
+		ss := t.staged(t.sendPool, t.verbPort, buf)
+		err := t.verbPort.SendAux(p, myrinet.NodeID(pc.Dst()), VerbPort, buf, len(frame), aux, ss.done)
+		if err == nil {
 			t.Stats().BytesSent += int64(len(frame))
 			return true
+		}
+		t.freeSends = append(t.freeSends, ss) // GM did not take it
+		switch {
 		case err == gm.ErrNoSendTokens && wait:
 			p.WaitOn(t.tokenCond)
 		case err == gm.ErrPortDisabled && wait:
@@ -346,18 +349,43 @@ func (t *Transport) sendVerb(p *sim.Proc, pc *substrate.Call, wait bool) bool {
 	}
 }
 
-// sendDone is the GM send callback of both directions: the staging buffer
+// stagedSend is one GM send of a staged frame, either direction: the
+// staging buffer, where it returns, and the callback bound once. The
+// transport reuses it once GM has called it.
+type stagedSend struct {
+	t    *Transport
+	pool *fastgm.SendPool
+	port *gm.Port
+	buf  *gm.Buffer
+	done gm.SendCallback // ss.sent, bound once
+}
+
+// staged takes a free send record for buf, or makes one.
+func (t *Transport) staged(pool *fastgm.SendPool, port *gm.Port, buf *gm.Buffer) *stagedSend {
+	var ss *stagedSend
+	if k := len(t.freeSends); k > 0 {
+		ss, t.freeSends = t.freeSends[k-1], t.freeSends[:k-1]
+	} else {
+		ss = &stagedSend{t: t}
+		ss.done = ss.sent
+	}
+	ss.pool, ss.port, ss.buf = pool, port, buf
+	return ss
+}
+
+// sent is the GM send callback of both directions: the staging buffer
 // returns to its pool, and a failed send only resumes the port — recovery
 // is the verb's clock in the core re-staging the kept descriptor (the
 // target resends a redelivered verb's cached completion).
-func (t *Transport) sendDone(pool *fastgm.SendPool, port *gm.Port, buf *gm.Buffer) gm.SendCallback {
-	return func(st gm.SendStatus) {
-		pool.Put(buf)
-		t.tokenCond.Broadcast()
-		if st != gm.SendOK && !t.Halted() {
-			t.Stats().GMSendFailures++
-			t.EnsureResume(port)
-		}
+func (ss *stagedSend) sent(st gm.SendStatus) {
+	t, pool, port, buf := ss.t, ss.pool, ss.port, ss.buf
+	ss.pool, ss.port, ss.buf = nil, nil, nil
+	t.freeSends = append(t.freeSends, ss)
+	pool.Put(buf)
+	t.tokenCond.Broadcast()
+	if st != gm.SendOK && !t.Halted() {
+		t.Stats().GMSendFailures++
+		t.EnsureResume(port)
 	}
 }
 
@@ -533,12 +561,13 @@ func (t *Transport) sendCompletion(key substrate.DupKey, dst int, comp, aux []by
 	}
 	if buf := t.compPool.TryTake(len(comp)); buf != nil {
 		copy(buf.Bytes(), comp)
-		err := t.cqPort.SendFromKernelAux(myrinet.NodeID(dst), CQPort, buf, len(comp), aux,
-			t.sendDone(t.compPool, t.cqPort, buf))
+		ss := t.staged(t.compPool, t.cqPort, buf)
+		err := t.cqPort.SendFromKernelAux(myrinet.NodeID(dst), CQPort, buf, len(comp), aux, ss.done)
 		if err == nil {
 			t.Stats().BytesSent += int64(len(comp))
 			return
 		}
+		t.freeSends = append(t.freeSends, ss)
 		t.compPool.Put(buf)
 		t.EnsureResume(t.cqPort)
 	}

@@ -58,8 +58,9 @@ type Transport struct {
 	stack *sockets.Stack
 	cfg   Config
 
-	reqIn []*sockets.Socket // [peer] requests from peer (SIGIO)
-	repIn []*sockets.Socket // [peer] replies from peer
+	reqIn   []*sockets.Socket // [peer] requests from peer (SIGIO)
+	repIn   []*sockets.Socket // [peer] replies from peer
+	replies []*sockets.Socket // the bound reply sockets, what AwaitReply selects on
 
 	// Separate scratch buffers: the SIGIO handler can interrupt the
 	// reply path mid-receive, so they must not share memory.
@@ -126,6 +127,7 @@ func (t *Transport) Start(p *sim.Proc, h substrate.Handler) {
 			panic(fmt.Sprintf("udpgm: bind rep %d/%d: %v", t.Rank(), j, err))
 		}
 		t.repIn[j] = rp
+		t.replies = append(t.replies, rp)
 	}
 	if t.Live.Enabled() {
 		hb := &msg.Message{Kind: msg.KHeartbeat, From: int32(t.Rank()), ReplyTo: int32(t.Rank())}
@@ -262,20 +264,14 @@ func (t *Transport) sendCredit(p *sim.Proc, peer, n int) {
 // AwaitReply implements substrate.Wire: select on the reply sockets until
 // a reply datagram arrives or the earliest per-call deadline passes.
 func (t *Transport) AwaitReply(p *sim.Proc, deadline sim.Time) *msg.Message {
-	socks := make([]*sockets.Socket, 0, t.Size()-1)
-	for _, sk := range t.repIn {
-		if sk != nil {
-			socks = append(socks, sk)
-		}
-	}
 	if deadline == 0 {
 		deadline = sim.Infinity
 	}
-	idx := sockets.Select(p, socks, deadline)
+	idx := sockets.Select(p, t.replies, deadline)
 	if idx < 0 {
 		return nil
 	}
-	n, _, _, aux, ok := socks[idx].TryRecvFromAux(p, t.repBuf)
+	n, _, _, aux, ok := t.replies[idx].TryRecvFromAux(p, t.repBuf)
 	if !ok {
 		return nil
 	}
