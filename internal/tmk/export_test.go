@@ -88,9 +88,9 @@ func (tp *Proc) Generation() int { return tp.gen }
 // FrameCensus counts, over every region mapped on tp, the pages, the frames
 // their stores have carved, the frames the region's chunks hold (carved or
 // not yet), and the pages tp touched: wrote (an own write notice, or writable
-// now), was sent a copy of (a copy of a region it does not own) or applied a
-// diff to (another writer's interval covered). ChunkBound is Touched rounded
-// up to whole chunks, region by region.
+// now), or applied a diff or a fetched copy to (another writer's interval
+// covered). ChunkBound is Touched rounded up to whole chunks, region by
+// region.
 type FrameCensus struct{ Pages, Frames, Chunked, Touched, ChunkBound int }
 
 func (tp *Proc) FrameCensus() (fc FrameCensus) {
@@ -101,7 +101,7 @@ func (tp *Proc) FrameCensus() (fc FrameCensus) {
 		touched := 0
 		for i := range r.pages {
 			pm := &r.pages[i]
-			hit := pm.state == pageWritable || len(pm.notices[tp.rank]) > 0 || (pm.haveCopy && r.Owner != tp.rank)
+			hit := pm.state == pageWritable || len(pm.notices[tp.rank]) > 0
 			for q, ts := range pm.cover {
 				hit = hit || (q != tp.rank && ts > 0)
 			}

@@ -2,6 +2,7 @@ package tmk
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/msg"
@@ -10,8 +11,12 @@ import (
 )
 
 // readFault makes an invalid page valid. Home-based, that is the one-page
-// case of homeFaultRange. Homeless: fetch a full copy if we never had one,
-// then fetch and apply every missing diff in happens-before order.
+// case of homeFaultRange. Homeless: a page we never had a copy of starts
+// as zeros — every region starts zeroed, and every store since is a diff
+// this rank holds the write notice of — unless a prune reached one of its
+// notices first (pm.pruned), when only a full copy fetched from a writer
+// can stand in for the discarded history. Then every missing diff is
+// fetched and applied in happens-before order.
 func (tp *Proc) readFault(pm *pageMeta) {
 	if tp.homeBased {
 		tp.homeFaultRange(pm.region, pm.id, pm.id)
@@ -21,8 +26,13 @@ func (tp *Proc) readFault(pm *pageMeta) {
 	tp.observe(event{kind: evReadFaultBegin, page: pm})
 	tp.stats.ReadFaults++
 	tp.sp.Advance(tp.cpu.FaultOverhead)
-	if !pm.haveCopy {
-		tp.fetchPageAndDiffs(pm)
+	switch {
+	case pm.haveCopy:
+	case pm.pruned:
+		tp.fetchPage(pm)
+	default:
+		pm.haveCopy = true
+		tp.stats.ZeroFills++
 	}
 	tp.chaseDiffs(pm)
 	tp.promoteValid(pm)
@@ -70,9 +80,10 @@ func (tp *Proc) writeFault(pm *pageMeta) {
 	}
 }
 
-// missingRanges groups the page's uncovered write notices by writer.
+// missingRanges groups the page's uncovered write notices by writer, into
+// the fault path's scratch.
 func (tp *Proc) missingRanges(pm *pageMeta) []msg.DiffRange {
-	var out []msg.DiffRange
+	out := tp.diffBufs.ranges[:0]
 	for q := 0; q < tp.n; q++ {
 		if q == tp.rank {
 			continue
@@ -88,40 +99,8 @@ func (tp *Proc) missingRanges(pm *pageMeta) []msg.DiffRange {
 			ToTS:   miss[len(miss)-1],
 		})
 	}
+	tp.diffBufs.ranges = out
 	return out
-}
-
-// pageHolder picks the rank a full copy is fetched from: the most recent
-// known writer (who certainly has one) or, lacking notices, the region's
-// owner.
-func (tp *Proc) pageHolder(pm *pageMeta) int {
-	target := pm.lastWriterHint(tp.rank)
-	if target < 0 {
-		target = pm.region.Owner
-	}
-	if target == tp.rank {
-		panic(fmt.Sprintf("tmk: rank %d: page %d fetch targets self", tp.rank, pm.id))
-	}
-	tp.stats.PageFetches++
-	return target
-}
-
-// installPage adopts the full copy fetched from target over [start,
-// start+dur], together with the holder's coverage vector for the page,
-// which the reply also carries.
-func (tp *Proc) installPage(pm *pageMeta, target int, start, dur sim.Time, rep *msg.Message) {
-	tp.observe(event{kind: evPageFetch, start: start, dur: dur, page: pm, peer: target, bytes: PageSize})
-	if rep.Kind != msg.KPageReply || len(rep.PageData) != PageSize {
-		panic(fmt.Sprintf("tmk: bad page reply %v (%d bytes)", rep.Kind, len(rep.PageData)))
-	}
-	copy(pm.store(), rep.PageData)
-	tp.sp.Advance(sim.BytesTime(PageSize, tp.cpu.MemcpyBandwidth))
-	for _, c := range rep.Covered {
-		if pm.cover[c.Proc] < c.TS {
-			pm.cover[c.Proc] = c.TS
-		}
-	}
-	pm.haveCopy = true
 }
 
 // chaseDiffs fetches and applies pm's missing diffs until none is missing —
@@ -151,27 +130,37 @@ func (tp *Proc) fetchDiffs(pm *pageMeta, ranges []msg.DiffRange) {
 	if width := tp.cluster.cfg.DiffFetchWidth; width > 0 {
 		w = min(w, width)
 	}
-	var all []msg.Diff
+	all := tp.diffBufs.diffs[:0]
 	for i := 0; i < len(ranges); i += w {
-		pending := tp.beginDiffFetches(pm, ranges[i:min(i+w, len(ranges))])
+		pending := tp.beginDiffFetches(tp.diffBufs.pends[:0], pm, ranges[i:min(i+w, len(ranges))])
+		tp.diffBufs.pends = pending
 		reps := tp.scatter(blocked("page %d (diffs from %d writers)", int(pm.id), len(pending)), pending)
 		all = tp.diffsFromReplies(all, pm, pending, reps)
 	}
+	tp.diffBufs.diffs = all
 	tp.applyDiffs(pm, all)
+	for _, dr := range ranges {
+		// A writer's reply ends at the newest interval asked for; short of
+		// it, chaseDiffs would ask again forever.
+		if pm.cover[dr.Proc] < dr.ToTS {
+			panic(fmt.Sprintf("tmk: rank %d: page %d: rank %d's diffs end before ts %d", tp.rank, pm.id, dr.Proc, dr.ToTS))
+		}
+	}
 }
 
 // beginDiffFetches scatters the diff requests: one KDiffReq per range —
 // per writer, that is — each transmitted without waiting for the previous
-// reply.
-func (tp *Proc) beginDiffFetches(pm *pageMeta, ranges []msg.DiffRange) []substrate.Pending {
+// reply, and appends their calls to pending. The request is scratch:
+// CallBegin encodes it before it returns.
+func (tp *Proc) beginDiffFetches(pending []substrate.Pending, pm *pageMeta, ranges []msg.DiffRange) []substrate.Pending {
 	for _, dr := range ranges {
 		tp.observe(event{kind: evDiffRequest, page: pm, peer: int(dr.Proc), a: int(dr.FromTS), b: int(dr.ToTS)})
 	}
-	pending := make([]substrate.Pending, 0, len(ranges))
 	for _, dr := range ranges {
 		tp.stats.DiffRequestsSent++
-		pending = append(pending, tp.tr.CallBegin(tp.sp, int(dr.Proc),
-			&msg.Message{Kind: msg.KDiffReq, DiffReqs: []msg.DiffRange{dr}}))
+		tp.diffBufs.reqRange[0] = dr
+		tp.diffBufs.req = msg.Message{Kind: msg.KDiffReq, DiffReqs: tp.diffBufs.reqRange[:]}
+		pending = append(pending, tp.tr.CallBegin(tp.sp, int(dr.Proc), &tp.diffBufs.req))
 	}
 	return pending
 }
@@ -198,19 +187,22 @@ func (tp *Proc) diffsFromReplies(all []msg.Diff, pm *pageMeta, pending []substra
 }
 
 // applyDiffs applies received diffs in a happens-before linear
-// extension (vector-clock sum order). A diff the copy already covers is
-// skipped: when the page fetch overlaps the diff scatter, the fetched
-// copy may have incorporated a requested diff already, and — because
-// coverage vectors are happens-before closed — re-applying it could
-// clobber newer writes the copy subsumes.
+// extension (vector-clock sum order). Every diff was requested past the
+// copy's coverage; one the copy already covers would clobber newer writes
+// the copy subsumes, so it is a protocol error.
 func (tp *Proc) applyDiffs(pm *pageMeta, all []msg.Diff) {
-	sort.SliceStable(all, func(i, j int) bool {
-		a, b := all[i], all[j]
+	slices.SortStableFunc(all, func(a, b msg.Diff) int {
 		ra, rb := tp.store.get(a.Proc, a.TS), tp.store.get(b.Proc, b.TS)
 		if ra == nil || rb == nil {
 			panic("tmk: diff for unknown interval")
 		}
-		return hbBefore(ra, rb)
+		switch {
+		case hbBefore(ra, rb):
+			return -1
+		case hbBefore(rb, ra):
+			return 1
+		}
+		return 0
 	})
 	tp.tr.DisableAsync(tp.sp)
 	for _, d := range all {
@@ -218,7 +210,7 @@ func (tp *Proc) applyDiffs(pm *pageMeta, all []msg.Diff) {
 			panic("tmk: diff for wrong page")
 		}
 		if d.TS <= pm.cover[d.Proc] {
-			continue
+			panic(fmt.Sprintf("tmk: rank %d: page %d: diff %d/%d already covered", tp.rank, pm.id, d.Proc, d.TS))
 		}
 		if err := ApplyDiff(pm.store(), d.Data); err != nil {
 			panic(err)
@@ -241,32 +233,33 @@ func (tp *Proc) applyDiffs(pm *pageMeta, all []msg.Diff) {
 	tp.tr.EnableAsync(tp.sp)
 }
 
-// fetchPageAndDiffs overlaps the initial page fetch with diff requests
-// to the writers other than the page holder. The holder's own missing
-// intervals are never requested — its copy covers everything it has
-// closed — and any other requested diff the fetched copy turns out to
-// subsume is discarded by applyDiffs' coverage filter. A fault at least
-// Config.DiffFetchWidth wide scatters nothing: the page fetch goes alone
-// and readFault's diff chase follows in width-capped waves.
-func (tp *Proc) fetchPageAndDiffs(pm *pageMeta) {
-	target := tp.pageHolder(pm)
-	pagePend := tp.tr.CallBegin(tp.sp, target, &msg.Message{Kind: msg.KPageReq, Page: pm.id})
-	missing := tp.missingRanges(pm)
-	if w := tp.cluster.cfg.DiffFetchWidth; w > 0 && len(missing) >= w {
-		missing = nil
+// fetchPage is a pruned page's first fault: one full copy from the most
+// recent known writer, who certainly holds one — the prune kept that
+// writer's newest notice as the hint, and a page that never had a notice
+// here was never pruned, so it is zero-filled instead. The reply carries
+// the holder's coverage vector, so readFault's diff chase then requests
+// only the diffs the copy lacks.
+func (tp *Proc) fetchPage(pm *pageMeta) {
+	target := pm.lastWriterHint(tp.rank)
+	if target < 0 {
+		panic(fmt.Sprintf("tmk: rank %d: pruned page %d names no writer to fetch from", tp.rank, pm.id))
 	}
-	var ranges []msg.DiffRange
-	for _, dr := range missing {
-		if int(dr.Proc) != target {
-			ranges = append(ranges, dr)
+	tp.stats.PageFetches++
+	start := tp.sp.Now()
+	rep := tp.call(target, blocked("page %d (fetch from %d)", int(pm.id), target),
+		&msg.Message{Kind: msg.KPageReq, Page: pm.id})
+	tp.observe(event{kind: evPageFetch, start: start, dur: tp.sp.Now() - start, page: pm, peer: target, bytes: PageSize})
+	if rep.Kind != msg.KPageReply || len(rep.PageData) != PageSize {
+		panic(fmt.Sprintf("tmk: bad page reply %v (%d bytes)", rep.Kind, len(rep.PageData)))
+	}
+	copy(pm.store(), rep.PageData)
+	tp.sp.Advance(sim.BytesTime(PageSize, tp.cpu.MemcpyBandwidth))
+	for _, c := range rep.Covered {
+		if pm.cover[c.Proc] < c.TS {
+			pm.cover[c.Proc] = c.TS
 		}
 	}
-	diffPends := tp.beginDiffFetches(pm, ranges)
-	pending := append([]substrate.Pending{pagePend}, diffPends...)
-	reps := tp.scatter(blocked("page %d (fetch from %d, diffs from %d writers)",
-		int(pm.id), target, len(diffPends)), pending)
-	tp.installPage(pm, target, pagePend.Issued(), pagePend.Completed()-pagePend.Issued(), reps[0])
-	tp.applyDiffs(pm, tp.diffsFromReplies(nil, pm, diffPends, reps[1:]))
+	pm.haveCopy = true
 }
 
 // closeInterval ends the current interval if any pages were written:

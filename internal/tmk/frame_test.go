@@ -62,11 +62,12 @@ func TestFramesFollowTheTouch(t *testing.T) {
 }
 
 // TestUntouchedPagesStayFrameless follows four pages of one region through
-// three ranks. The owner's copy of a page nobody has stored into is the zero
-// page: it reads as zeros, is served to a fetching rank and twinned by a
-// write fault without gaining a frame. The frame appears at the store, by
-// whichever path brings it: the application's write, a fetched copy, or a
-// diff applied to a copy that until then had no frame at all.
+// three ranks. A copy of a page nobody has stored into is the zero page,
+// whether it is the owner's or one a cold read fault zero-filled: it reads
+// as zeros and is twinned by a write fault without gaining a frame. The
+// frame appears at the store, by whichever path brings it: the
+// application's write, or a diff applied to a copy that until then had no
+// frame at all.
 func TestUntouchedPagesStayFrameless(t *testing.T) {
 	const slots = tmk.PageSize / 8
 	frames := func(tp *tmk.Proc, r *tmk.Region, want ...bool) {
@@ -93,21 +94,18 @@ func TestUntouchedPagesStayFrameless(t *testing.T) {
 			tp.WriteF64(r, 1*slots, 1.5) // the application's write
 			frames(tp, r, false, true, false, false)
 		case 1:
-			tp.WriteF64(r, 5, 7.5) // fetched from the owner's zero page, then written
+			tp.WriteF64(r, 5, 7.5) // zero-filled, then written
 			frames(tp, r, true, false, false, false)
 		case 2:
-			if v := tp.ReadF64(r, 2*slots+3); v != 0 { // fetched, as zeros
-				t.Errorf("page served from the zero page reads %v", v)
+			if v := tp.ReadF64(r, 2*slots+3); v != 0 { // zero-filled
+				t.Errorf("zero-filled page reads %v", v)
 			}
-			frames(tp, r, false, false, true, false)
+			frames(tp, r, false, false, false, false)
 		}
 		tp.Barrier(2)
-		if tp.Rank() == 0 {
-			frames(tp, r, false, true, false, false) // serving pages 0 and 2 stored nothing
-		}
 		if tp.Rank() != 1 {
 			// Rank 0 patches its frame-less copy with rank 1's diff; rank 2
-			// fetches the page from rank 1.
+			// applies the same diff to the zeros of its first copy.
 			if a, b := tp.ReadF64(r, 5), tp.ReadF64(r, 6); a != 7.5 || b != 0 {
 				t.Errorf("rank %d: page 0 reads %v, %v; want 7.5, 0", tp.Rank(), a, b)
 			}
@@ -121,7 +119,7 @@ func TestUntouchedPagesStayFrameless(t *testing.T) {
 		if a, b := tp.ReadF64(r, 5), tp.ReadF64(r, 6); a != 7.5 || b != 8.5 { // a diff onto a framed copy
 			t.Errorf("rank %d: page 0 reads %v, %v; want 7.5, 8.5", tp.Rank(), a, b)
 		}
-		frames(tp, r, true, tp.Rank() == 0, tp.Rank() == 2, false)
+		frames(tp, r, true, tp.Rank() == 0, false, false)
 		if fc := tp.FrameCensus(); fc.Frames > fc.Touched || fc.Chunked != 4 {
 			t.Errorf("rank %d: %+v", tp.Rank(), fc)
 		}

@@ -20,10 +20,13 @@ import "fmt"
 //     confirms every rank is covered before anyone prunes.
 //  5. Everything up to the barrier vector clock V is pruned: own diffs
 //     with ts ≤ V[self], interval records with ts ≤ V[proc], and write
-//     notices ≤ V — except that a page this rank holds no copy of keeps
-//     its latest writer's newest notice as the fetch hint. That hinted
-//     fetch is safe post-GC: every copy-holding rank validated in step 3,
-//     so any full-page reply covers everything pruned.
+//     notices ≤ V. A page this rank holds no copy of, once the prune
+//     reaches one of its notices, can no longer be rebuilt from zeros and
+//     its noticed diffs: it is marked pruned, its first fault fetches a
+//     full copy instead (the only path that still does), and it keeps its
+//     latest writer's newest notice as that fetch's hint. The hinted fetch
+//     is safe post-GC: every copy-holding rank validated in step 3, so any
+//     full-page reply covers everything pruned.
 //
 // The nested fence is what makes step 5 sound: without it a fast rank
 // could prune diffs a slow rank's step-3 validation still needs.

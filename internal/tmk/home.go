@@ -310,11 +310,11 @@ func (hp *homePacker) add(home int, window int32, base int, diff []byte) int {
 // legal: completions arrive on the dedicated CQ port, not the async
 // request port.
 //
-// No coverage filtering is needed on this path (contrast the homeless
-// applyDiffs): the home is a single ordered application point — Puts
-// from one interval complete before the interval is visible, and a
-// reader always takes the whole current home page — so there is no
-// "diff subsumed by a concurrently fetched copy" hazard to filter.
+// No coverage filtering is needed on this path: the home is a single
+// ordered application point — Puts from one interval complete before
+// the interval is visible, and a reader always takes the whole current
+// home page — so there is no "diff subsumed by a concurrently fetched
+// copy" hazard to filter.
 func (tp *Proc) flushHomeDiffs(ts int32, pages []int32) {
 	hp := homePacker{size: tp.os.PutSize, open: map[int]int{},
 		limit: gm.ClassCapacity(tp.cluster.cfg.GM.ClassFor(tp.os.PutSize(1, PageSize)))}

@@ -26,8 +26,12 @@ type pageMeta struct {
 	frame  []byte // the page's storage, nil until the first store (bytes, store)
 	twin   []byte // snapshot at write-fault time, nil unless writable
 
-	haveCopy bool // the contents have ever been initialized (fetched or owned)
+	haveCopy bool // the contents have ever been initialized (owned, zero-filled or fetched)
 	cover    VC   // per-writer timestamp whose diffs are incorporated
+	// pruned: a prune reached a notice of this page while this rank held no
+	// copy (pruneNotices, its only writer), so zeros plus the notices here
+	// are no longer the page and its first fault fetches a copy instead.
+	pruned bool
 
 	// notices[q] = sorted timestamps of q's intervals that dirtied this
 	// page (including our own, which are always covered).
@@ -115,8 +119,10 @@ func (pm *pageMeta) keepNewest(v VC) {
 // pruneNotices discards write notices with ts ≤ v[q] (metadata GC). On
 // a page this rank holds a copy of, validation has already covered them
 // all — pruning an uncovered notice is a protocol error. On a page with
-// no copy here, the latest writer's newest pre-v notice survives as the
-// fetch hint: a later fault still finds a rank that certainly holds a
+// no copy here, reaching any notice marks the page pruned: its writers
+// drop the diffs, so the first fault can no longer rebuild it from zeros
+// and falls back to fetching a copy. The latest writer's newest pre-v
+// notice survives as that fetch's hint: a rank that certainly holds a
 // copy, and that copy — validated before anyone pruned — covers every
 // pruned notice, so the hint never turns into a diff request for a
 // discarded diff.
@@ -134,6 +140,7 @@ func (pm *pageMeta) pruneNotices(v VC) (int, error) {
 		if cut == 0 {
 			continue
 		}
+		pm.pruned = pm.pruned || !pm.haveCopy
 		if pm.haveCopy && lst[cut-1] > pm.cover[q] {
 			return pruned, fmt.Errorf("pruning uncovered notice from %d ts %d (cover %d)",
 				q, lst[cut-1], pm.cover[q])

@@ -30,6 +30,10 @@ type Proc struct {
 	homeGets  []homeGet
 	homeVerbs []substrate.PendingVerb
 
+	// Homeless LRC's diff-path buffers; nil home-based, which never fetches
+	// or serves a diff.
+	diffBufs *diffBuffers
+
 	vc            VC
 	lastBarrierVC VC
 	store         *intervalStore
@@ -48,14 +52,14 @@ type Proc struct {
 	regionCond   *sim.Cond
 	expectRegion int32
 
+	// Metadata GC (see gc.go): the in-progress guard that keeps the nested
+	// GC fence from recursing.
+	inGC bool
+
 	stats Stats
 
 	appStart sim.Time
 	appEnd   sim.Time
-
-	// Metadata GC (see gc.go): the in-progress guard that keeps the nested
-	// GC fence from recursing.
-	inGC bool
 
 	// Crash model (see crash.go).
 	gen           int    // process generation (0 = original, 1 = restarted)
@@ -108,8 +112,27 @@ func newProc(c *Cluster, rank int, sp *sim.Proc, tr substrate.Transport, cpu CPU
 		if c.member == nil {
 			tp.homes = &homeTable{home: map[int32]int32{}, cand: map[int32]int32{}, sole: map[int32]int32{}}
 		}
+	} else {
+		tp.diffBufs = new(diffBuffers)
 	}
 	return tp
+}
+
+// diffBuffers is the homeless diff path's reusable storage. The fault path
+// (one user at a time, like homeGets) keeps its missing ranges, calls in
+// flight, diffs gathered and the request each CallBegin encodes before it
+// returns; handleDiffReq, which can run in the middle of a fault, keeps its
+// reply and the reply's diffs apart, and Reply encodes them before it
+// returns.
+type diffBuffers struct {
+	ranges   []msg.DiffRange
+	pends    []substrate.Pending
+	diffs    []msg.Diff
+	req      msg.Message
+	reqRange [1]msg.DiffRange
+
+	rep msg.Message
+	out []msg.Diff
 }
 
 // handleRequest dispatches one asynchronous request (handler context:
@@ -126,7 +149,7 @@ func (tp *Proc) handleRequest(p *sim.Proc, m *msg.Message) {
 	case msg.KPageReq:
 		tp.handlePageReq(m)
 	case msg.KDistribute:
-		tp.mapRegion(regionFromWire(m.Region, int(m.From)), false)
+		tp.mapRegion(regionFromWire(m.Region), false)
 		tp.tr.Reply(p, m, &msg.Message{Kind: msg.KAck})
 	case msg.KDistributeCommit:
 		r := tp.RegionByID(m.Region.ID)
@@ -148,7 +171,7 @@ func (tp *Proc) handleRequest(p *sim.Proc, m *msg.Message) {
 // handleDiffReq serves our own diffs for the requested page/timestamp
 // ranges.
 func (tp *Proc) handleDiffReq(m *msg.Message) {
-	var out []msg.Diff
+	out := tp.diffBufs.out[:0]
 	for _, dr := range m.DiffReqs {
 		if int(dr.Proc) != tp.rank {
 			panic(fmt.Sprintf("tmk: rank %d asked for rank %d's diffs", tp.rank, dr.Proc))
@@ -164,7 +187,9 @@ func (tp *Proc) handleDiffReq(m *msg.Message) {
 			out = append(out, msg.Diff{Page: dr.Page, Proc: int32(tp.rank), TS: ts, Data: d})
 		}
 	}
-	tp.tr.Reply(tp.sp, m, &msg.Message{Kind: msg.KDiffReply, Diffs: out})
+	tp.diffBufs.out = out
+	tp.diffBufs.rep = msg.Message{Kind: msg.KDiffReply, Diffs: out}
+	tp.tr.Reply(tp.sp, m, &tp.diffBufs.rep)
 }
 
 // handlePageReq serves a full copy of our page together with its

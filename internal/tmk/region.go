@@ -21,12 +21,15 @@ type Region struct {
 	StartPage int32
 	NPages    int32
 	Bytes     int64
-	Owner     int // the distributing process; holds the initial copy
 
 	// committed (home-based mode, local flag): every rank has mapped the
 	// region and registered its memory window, so home flushes can no
 	// longer race an unregistered window. Set by KDistributeCommit.
 	committed bool
+
+	// allocEpoch (the owner's, local): its Stats.GCEpochs when it called
+	// Alloc, for Distribute's check.
+	allocEpoch int64
 
 	// This process's copy (materialize): the pages' metadata, by offset from
 	// StartPage, and the storage their frames are carved from — chunk is the
@@ -74,8 +77,8 @@ func (r *Region) wire() msg.RegionInfo {
 	return msg.RegionInfo{ID: r.ID, StartPage: r.StartPage, Pages: r.NPages, Bytes: r.Bytes}
 }
 
-func regionFromWire(ri msg.RegionInfo, owner int) *Region {
-	return &Region{ID: ri.ID, StartPage: ri.StartPage, NPages: ri.Pages, Bytes: ri.Bytes, Owner: owner}
+func regionFromWire(ri msg.RegionInfo) *Region {
+	return &Region{ID: ri.ID, StartPage: ri.StartPage, NPages: ri.Pages, Bytes: ri.Bytes}
 }
 
 // Alloc reserves a shared region of nbytes (page-rounded) in the global
@@ -88,12 +91,12 @@ func (tp *Proc) Alloc(nbytes int) *Region {
 	}
 	npages := int32((nbytes + PageSize - 1) / PageSize)
 	r := &Region{
-		ID:        tp.cluster.nextRegionID,
-		StartPage: tp.cluster.nextPage,
-		NPages:    npages,
-		Bytes:     int64(nbytes),
-		Owner:     tp.rank,
-		committed: true, // the owner's own window exists from mapRegion on
+		ID:         tp.cluster.nextRegionID,
+		StartPage:  tp.cluster.nextPage,
+		NPages:     npages,
+		Bytes:      int64(nbytes),
+		committed:  true, // the owner's own window exists from mapRegion on
+		allocEpoch: tp.stats.GCEpochs,
 	}
 	tp.cluster.nextRegionID++
 	tp.cluster.nextPage += npages
@@ -106,7 +109,15 @@ func (tp *Proc) Alloc(nbytes int) *Region {
 // has acked the announcement (mapping the region and registering its
 // window) are the AllocShared waiters released, so no rank can write —
 // and therefore flush to a home window — before every window exists.
+//
+// A region written before a metadata-GC epoch must not be distributed
+// after it: the epoch pruned the notices of those writes from every
+// interval log, so a peer mapping the region would rebuild its pages as
+// zeros (DESIGN.md §4.3). Distribute panics instead.
 func (tp *Proc) Distribute(r *Region) {
+	if tp.stats.GCEpochs != r.allocEpoch && r.unbacked < r.NPages {
+		panic(fmt.Sprintf("tmk: rank %d: region %d written before a metadata-GC epoch and distributed after it", tp.rank, r.ID))
+	}
 	tp.tellPeers(r, msg.KDistribute, "region %d (distribute to %d)")
 	if tp.homeBased {
 		tp.tellPeers(r, msg.KDistributeCommit, "region %d (commit to %d)")

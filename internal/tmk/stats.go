@@ -34,7 +34,8 @@ type Stats struct {
 	Barriers           int64
 	ReadFaults         int64
 	WriteFaults        int64
-	PageFetches        int64
+	PageFetches        int64 // full copies fetched: a home's page, or a pruned page's first fault homeless
+	ZeroFills          int64 // homeless cold read faults that took no copy: zeros plus the noticed diffs
 	DiffRequestsSent   int64
 	DiffsCreated       int64
 	DiffsApplied       int64
@@ -82,7 +83,7 @@ type Stats struct {
 func (s *Stats) Add(other *Stats) { statsutil.AddInto(s, other) }
 
 func (s *Stats) String() string {
-	return fmt.Sprintf("locks=%d/%d barriers=%d faults=%d/%d fetches=%d diffs=%d/%d",
+	return fmt.Sprintf("locks=%d/%d barriers=%d faults=%d/%d fetches=%d zero-fills=%d diffs=%d/%d",
 		s.LockAcquiresLocal, s.LockAcquiresRemote, s.Barriers,
-		s.ReadFaults, s.WriteFaults, s.PageFetches, s.DiffsCreated, s.DiffsApplied)
+		s.ReadFaults, s.WriteFaults, s.PageFetches, s.ZeroFills, s.DiffsCreated, s.DiffsApplied)
 }

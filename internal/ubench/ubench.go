@@ -105,9 +105,11 @@ func LockIndirect(cfg tmk.Config, reps int) (Result, error) {
 }
 
 // Page measures fetching whole pages: process 0 creates and initializes
-// a multi-page region (Tmk_malloc + Tmk_distribute), reads a word from
-// each page, then process 1 reads the same words — each read faults in a
-// full page from process 0.
+// a multi-page region (Tmk_malloc + Tmk_distribute), writing every word of
+// every page, then process 1 reads one word from each page — each read
+// faults in a full page of process 0's data. Homeless, that page arrives as
+// one dense 4 KB diff applied to zeros (process 1 holds the page's whole
+// write-notice history); home-based, as the home's copy.
 func Page(cfg tmk.Config, pages int) (Result, error) {
 	if cfg.Procs < 2 {
 		return Result{}, fmt.Errorf("ubench: page needs ≥ 2 procs")
@@ -116,8 +118,12 @@ func Page(cfg tmk.Config, pages int) (Result, error) {
 	err := run(cfg, func(tp *tmk.Proc) {
 		r := tp.AllocShared(pages * tmk.PageSize)
 		if tp.Rank() == 0 {
+			row := make([]float64, tmk.PageSize/8)
 			for pg := 0; pg < pages; pg++ {
-				tp.ReadF64(r, pg*tmk.PageSize/8)
+				for w := range row {
+					row[w] = float64(pg*len(row) + w + 1)
+				}
+				tp.WriteF64Span(r, pg*len(row), row)
 			}
 		}
 		tp.Barrier(1)
