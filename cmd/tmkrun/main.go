@@ -54,8 +54,8 @@
 //
 // -flow and -hedge arm the overload-resilience machinery on a normal
 // application run: -flow enables end-to-end credit flow control and
-// nothing else (barrier-epoch metadata GC and the diff-fetch width stay
-// library-only settings), -hedge enables hedged re-issues of straggling
+// nothing else (the diff-fetch width stays a library-only setting),
+// -hedge enables hedged re-issues of straggling
 // remote requests. Both default off; an armed run's statistics show the
 // credit/hedge counters.
 //

@@ -23,8 +23,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%-7s exec=%v page-fetches=%d diffs-applied=%d bytes=%0.1fMB\n",
-			kind, res.ExecTime, res.Stats.PageFetches, res.Stats.DiffsApplied,
+		fmt.Printf("%-7s exec=%v zero-fills=%d diff-requests=%d diffs-applied=%d bytes=%0.1fMB\n",
+			kind, res.ExecTime, res.Stats.ZeroFills, res.Stats.DiffRequestsSent, res.Stats.DiffsApplied,
 			float64(res.Transport.BytesSent)/1e6)
 	}
 

@@ -204,10 +204,9 @@ func Incast(w io.Writer, spec IncastSpec) error {
 // BenchFlow captures the overload-resilience machinery's cost on a clean
 // fabric: one application per substrate with flow control + hedging
 // armed, next to the stock baseline (the same numbers the e-suites see,
-// so the gate holds both sides), plus the metadata-GC run on the
-// two-sided substrates (home-based rdmagm retains no diffs to collect).
-// Both sides are plain runs, so a row's on-cost is the mechanism's alone;
-// TestFeatureMatrix verifies the armed configurations.
+// so the gate holds both sides). Both sides are plain runs, so a row's
+// on-cost is the mechanism's alone; TestFeatureMatrix verifies the armed
+// configurations.
 func BenchFlow() (*BenchSuite, error) {
 	app := chaosApps()[0]
 	const nodes = 4
@@ -230,20 +229,6 @@ func BenchFlow() (*BenchSuite, error) {
 			BenchEntry{Name: "Baseline/" + app.Name(), Transport: string(kind), Nodes: nodes, Value: int64(plain.ExecTime), Unit: "ns"},
 			BenchEntry{Name: "FlowHedge/" + app.Name(), Transport: string(kind), Nodes: nodes, Value: int64(armed.ExecTime), Unit: "ns"},
 		)
-	}
-	for _, kind := range []tmk.TransportKind{tmk.TransportUDPGM, tmk.TransportFastGM} {
-		gc, err := RunApp(app, nodes, kind, func(cfg *tmk.Config) {
-			cfg.Seed = seed
-			cfg.MetaGC = 8 << 10
-		})
-		if err != nil {
-			return nil, fmt.Errorf("flow bench metaGC (%s): %w", kind, err)
-		}
-		if gc.Stats.GCEpochs == 0 {
-			return nil, fmt.Errorf("flow bench metaGC (%s): no GC epoch fired (raise the ladder or lower the high water)", kind)
-		}
-		s.Entries = append(s.Entries,
-			BenchEntry{Name: "MetaGC/" + app.Name(), Transport: string(kind), Nodes: nodes, Value: int64(gc.ExecTime), Unit: "ns"})
 	}
 	return s, nil
 }

@@ -97,7 +97,7 @@ func SizeLadder(name string) []apps.App {
 // pins and the documents quote (DESIGN.md §17).
 func ConfigSurface() []string {
 	features := map[string]bool{"Crash": true, "Flow": true, "Hedge": true,
-		"DiffFetchWidth": true, "MetaGC": true, "Membership": true}
+		"DiffFetchWidth": true, "Membership": true}
 	policy := reflect.TypeOf(substrate.Policy{})
 	var leaves []string
 	var walk func(path string, ty reflect.Type, counted bool)

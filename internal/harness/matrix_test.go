@@ -17,7 +17,9 @@ import (
 // sequential reference, or Validate rejects it and Run returns that same
 // verdict without spawning anything. A panic or a hang takes the test
 // binary down; any other error is the third outcome that fails here. A
-// pair that misbehaves gets a Validate rule, not a special case.
+// pair that misbehaves gets a Validate rule, not a special case. A verified
+// homeless cell fetches no page: a cold homeless page is its diffs, and only
+// home-based LRC's Get counts a page fetch.
 func TestFeatureMatrix(t *testing.T) {
 	settings := []struct {
 		name string
@@ -32,7 +34,6 @@ func TestFeatureMatrix(t *testing.T) {
 		{"flow", func(c *tmk.Config) { c.Flow = true }},
 		{"hedge", func(c *tmk.Config) { c.Hedge = true }},
 		{"serial-diff-fetch", func(c *tmk.Config) { c.DiffFetchWidth = 1 }},
-		{"meta-gc", func(c *tmk.Config) { c.MetaGC = 8 << 10 }},
 		{"churn", DefaultChurnSpec(4).Mutate},
 		{"homeless", func(c *tmk.Config) { c.HomeBased = false }},
 		{"rendezvous", func(c *tmk.Config) { c.Fast.Rendezvous = true }},
@@ -48,10 +49,13 @@ func TestFeatureMatrix(t *testing.T) {
 				cfg := tmk.DefaultConfig(4, kind)
 				mutate(&cfg)
 				verdict := cfg.Validate()
-				_, err := VerifiedRun(app, 4, kind, mutate)
+				res, err := VerifiedRun(app, 4, kind, mutate)
 				switch {
 				case verdict == nil && err == nil:
 					ran++
+					if !cfg.HomeBased && res.Stats.PageFetches != 0 {
+						t.Errorf("%s: a homeless run fetched %d pages", name, res.Stats.PageFetches)
+					}
 				case verdict != nil && reflect.DeepEqual(err, verdict):
 					rejected++
 				default:

@@ -644,7 +644,7 @@ func ConformanceScatterGatherFaultStorm(t *testing.T, build Builder) {
 // different peer to the same server, made while the lost frame is still
 // pending, completes at wire speed. With one send buffer per size class it
 // parked the server's handler behind the lost frame for the whole timeout
-// (DESIGN.md §15.5); a send arena pins only the lost frame's own bytes.
+// (DESIGN.md §15.4); a send arena pins only the lost frame's own bytes.
 func ConformanceLostReplyPinsOnlyItself(t *testing.T, build Builder) {
 	c := build(3, 1)
 	page := bytes.Repeat([]byte{0x5A}, 4096)

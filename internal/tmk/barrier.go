@@ -34,11 +34,6 @@ type barrierState struct {
 	// their enabling cause. Costs no virtual time.
 	lastArrive  trace.Ctx
 	lastArriveT sim.Time
-
-	// gcArmed is the root's metadata-GC trigger hysteresis (DESIGN.md
-	// §15.4): a GC epoch fires when armed and the cluster's gauge maximum
-	// crosses Config.MetaGC, and re-arms once the gauge decays below half of it.
-	gcArmed bool
 }
 
 // barrierParent returns the rank this process reports to, or -1 for the
@@ -75,36 +70,14 @@ func (tp *Proc) barrierChildren() int {
 // Crossing it makes all processes' modifications visible everywhere
 // (lazily: pages are invalidated; data moves on demand).
 func (tp *Proc) Barrier(id int32) {
-	if !tp.inGC {
-		// The nested GC fence is protocol machinery, not an application
-		// crossing: it must not advance the crash injector's barrier count.
-		tp.maybeCrashAt(&tp.crashBarriers, tp.cluster.cfg.Crash.AtBarrier)
-	}
+	tp.maybeCrashAt(&tp.crashBarriers, tp.cluster.cfg.Crash.AtBarrier)
 	start := tp.sp.Now()
 	tp.stats.Barriers++
 
-	// Metadata-GC piggyback (gc.go): with GC live for this crossing, the
-	// arrival carries this subtree's gauge maximum in the message's fixed
-	// Page field and the release carries back the root's epoch decision —
-	// zero extra wire bytes either way, and Page stays 0 with GC off.
-	highWater := tp.cluster.cfg.MetaGC
-	gcOn := highWater > 0 && !tp.inGC && id != finalBarrier
-	var gauge int32
-	gcNow := false
-	if !tp.inGC && id != finalBarrier {
-		// The gauge is observed at every crossing regardless of GC so that
-		// GC-off runs report the unbounded-growth baseline it is judged
-		// against; measuring costs no virtual time and touches no wire.
-		g := tp.metaGauge()
-		if g > tp.stats.MetaBytesPeak {
-			tp.stats.MetaBytesPeak = g
-		}
-		if gcOn {
-			if g > int64(1<<31-1) {
-				g = 1<<31 - 1
-			}
-			gauge = int32(g)
-		}
+	// The metadata gauge is observed at every crossing but the shutdown
+	// one; measuring costs no virtual time and touches no wire.
+	if id != finalBarrier {
+		tp.stats.MetaBytesPeak = max(tp.stats.MetaBytesPeak, tp.metaGauge())
 	}
 
 	// The episode counter at entry identifies this crossing cluster-wide
@@ -140,16 +113,6 @@ func (tp *Proc) Barrier(id int32) {
 	// release coming back down.
 	var pIvs, pPgs int
 	var releaseCtx trace.Ctx
-	if gcOn {
-		// Fold the children's gauges in: with a combining tree each
-		// internal node reports its subtree maximum upward, so the root
-		// sees the cluster maximum either way.
-		for _, req := range arrivals {
-			if req.Page > gauge {
-				gauge = req.Page
-			}
-		}
-	}
 	if parent >= 0 {
 		tp.tr.DisableAsync(tp.sp)
 		recs := tp.store.since(tp.lastBarrierVC)
@@ -165,28 +128,15 @@ func (tp *Proc) Barrier(id int32) {
 				Episode:   ep,
 				VC:        tp.vc.Ints(),
 				Intervals: toWire(recs),
-				Page:      gauge,
 			})
 		if rep.Kind != msg.KBarrierRelease {
 			panic(fmt.Sprintf("tmk: bad barrier release %v", rep.Kind))
 		}
 		releaseCtx = rep.Ctx
-		gcNow = gcOn && rep.Page != 0
 		tp.tr.DisableAsync(tp.sp)
 		tp.applyIntervals(rep.Intervals)
 		tp.endEpoch()
 		tp.tr.EnableAsync(tp.sp)
-	} else if gcOn {
-		// Root: armed/high-water trigger with re-arm hysteresis at half of
-		// it, so a collection that cannot reclaim below the high water does
-		// not re-fire at every subsequent barrier.
-		switch {
-		case tp.barrier.gcArmed && int64(gauge) >= highWater:
-			gcNow = true
-			tp.barrier.gcArmed = false
-		case !tp.barrier.gcArmed && int64(gauge) <= highWater/2:
-			tp.barrier.gcArmed = true
-		}
 	}
 
 	// Phase 3: release our children with exactly what each lacks. With
@@ -212,10 +162,6 @@ func (tp *Proc) Barrier(id int32) {
 			cz.SetCur(tp.rank, enabling)
 		}
 	}
-	var gcFlag int32
-	if gcNow {
-		gcFlag = 1
-	}
 	tp.tr.DisableAsync(tp.sp)
 	if parent < 0 {
 		tp.endEpoch()
@@ -228,7 +174,6 @@ func (tp *Proc) Barrier(id int32) {
 			Episode:   req.Episode,
 			Intervals: toWire(recs),
 			Ctx:       enabling,
-			Page:      gcFlag,
 		})
 	}
 	tp.barrier.episode++
@@ -241,12 +186,6 @@ func (tp *Proc) Barrier(id int32) {
 	// Membership fence: churn events scheduled at this crossing execute
 	// here, after every compute rank is through the barrier (membership.go).
 	tp.maybeChurn()
-
-	// GC epoch (gc.go): every compute rank got the same order for this
-	// crossing, so the validation and the nested prune fence line up.
-	if gcNow {
-		tp.runMetaGC()
-	}
 }
 
 // endEpoch fixes the barrier's vector clock. It runs under the mask that

@@ -87,23 +87,11 @@ type Config struct {
 	Hedge bool
 
 	// DiffFetchWidth caps how many writers a read fault asks for diffs at
-	// once (DESIGN.md §15.2): 0 scatters to every writer in one wave
-	// (max-RTT), w ≥ 1 fetches in waves of at most w, and a fault at least
-	// that wide fetches its page alone first. 1 is the serial,
-	// sum-of-RTTs baseline the DiffMultiWriter bench rows run side by side
-	// with the default scatter.
+	// once (DESIGN.md §15.2): fetchDiffs sends its requests in waves of at
+	// most w writers, and 0 makes every writer one wave (max-RTT). 1 is the
+	// serial, sum-of-RTTs baseline the DiffMultiWriter bench rows run side
+	// by side with the default scatter.
 	DiffFetchWidth int
-
-	// MetaGC, when positive, bounds protocol metadata (write notices,
-	// retained diffs, interval records) with TreadMarks-style garbage
-	// collection at full-barrier epochs (DESIGN.md §15.4); 0 is off. It is
-	// the high water in bytes: every barrier arrival piggybacks the rank's
-	// metadata gauge, and when the cluster maximum crosses MetaGC the root
-	// orders a GC epoch in the releases — each rank validates its page
-	// copies, a nested fence confirms everyone is covered, and all metadata
-	// up to the barrier vector clock is pruned. The trigger re-arms once
-	// the gauge decays below half of it.
-	MetaGC int64
 
 	// Membership configures the elastic-membership layer (DESIGN.md §14):
 	// protocol entities are placed on a consistent-hashed ring of live

@@ -9,8 +9,7 @@ import (
 // A homeless cold read fault — the first touch of a page this rank holds
 // no copy of — starts from zeros and fetches only the diffs its write
 // notices name: every region starts zeroed, and every store since is a
-// diff. Only a page whose notices a metadata-GC prune reached while the
-// rank held no copy fetches a full copy instead.
+// diff. No homeless fault fetches a full page.
 
 const coldSlots = tmk.PageSize / 8
 
@@ -109,85 +108,5 @@ func TestColdReadFetchesOneDiffRequestPerWriter(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-	}
-}
-
-// TestColdReadAfterPruneFetchesTheCopy: a metadata-GC epoch — due at the
-// first barrier whose entry gauge sees rank 1's closed interval, the second
-// at the latest — prunes rank 1's notice of page 0 on rank 2, which holds
-// no copy, and rank 1 drops the diff. Zeros plus rank 2's notices are no longer the page: its first fault
-// must fetch rank 1's copy. Page 1, which nobody wrote, lost no notice and
-// still zero-fills.
-func TestColdReadAfterPruneFetchesTheCopy(t *testing.T) {
-	for _, kind := range bothTransports {
-		t.Run(string(kind), func(t *testing.T) {
-			cfg := tmk.DefaultConfig(3, kind)
-			cfg.MetaGC = 1
-			_, err := tmk.Run(cfg, func(tp *tmk.Proc) {
-				r := tp.AllocShared(2 * tmk.PageSize)
-				if tp.Rank() == 1 {
-					tp.WriteF64(r, 5, 7.5)
-				}
-				tp.Barrier(1)
-				tp.Barrier(2)
-				if tp.Stats().GCEpochs == 0 {
-					t.Errorf("rank %d: no GC epoch at the barriers", tp.Rank())
-				}
-				if tp.Rank() != 2 {
-					return
-				}
-				st := *tp.Stats()
-				if v := tp.ReadF64(r, 5); v != 7.5 {
-					t.Errorf("pruned page reads %v, want 7.5", v)
-				}
-				if v := tp.ReadF64(r, coldSlots); v != 0 {
-					t.Errorf("unwritten page reads %v", v)
-				}
-				after := tp.Stats()
-				if after.PageFetches != st.PageFetches+1 || after.ZeroFills != st.ZeroFills+1 {
-					t.Errorf("page fetches %d→%d, zero fills %d→%d; want one of each",
-						st.PageFetches, after.PageFetches, st.ZeroFills, after.ZeroFills)
-				}
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
-// TestDistributeAfterPruneOfItsWritesPanics: rank 1 writes a region it has
-// not distributed yet, and a metadata-GC epoch prunes the notices of that
-// write from every interval log. A peer mapping the region afterwards would
-// zero-fill the page, so Distribute refuses. A region Alloc'ed before the
-// epoch but first written after Distribute is fine.
-func TestDistributeAfterPruneOfItsWritesPanics(t *testing.T) {
-	cfg := tmk.DefaultConfig(3, tmk.TransportFastGM)
-	cfg.MetaGC = 1
-	_, err := tmk.Run(cfg, func(tp *tmk.Proc) {
-		var written, fresh *tmk.Region
-		if tp.Rank() == 1 {
-			written, fresh = tp.Alloc(tmk.PageSize), tp.Alloc(tmk.PageSize)
-			tp.WriteF64(written, 5, 7.5)
-		}
-		tp.Barrier(1)
-		tp.Barrier(2)
-		if tp.Stats().GCEpochs == 0 {
-			t.Errorf("rank %d: no GC epoch at the barriers", tp.Rank())
-		}
-		if tp.Rank() == 1 {
-			mustPanic(t, "distributing a region written before a GC epoch", func() { tp.Distribute(written) })
-			tp.Distribute(fresh)
-			tp.WriteF64(fresh, 5, 2.5)
-		}
-		tp.Barrier(3)
-		if tp.Rank() == 2 {
-			if v := tp.ReadF64(tp.RegionByID(1), 5); v != 2.5 {
-				t.Errorf("region distributed before its first write reads %v, want 2.5", v)
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }

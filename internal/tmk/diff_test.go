@@ -247,9 +247,6 @@ func TestPageMetaNotices(t *testing.T) {
 	if got := pm.missingFrom(2); len(got) != 1 || got[0] != 5 {
 		t.Errorf("missingFrom(2) = %v", got)
 	}
-	if pm.lastWriterHint(0) != 2 {
-		t.Errorf("lastWriterHint = %d", pm.lastWriterHint(0))
-	}
 	if !pm.isMissingAny(0) {
 		t.Error("isMissingAny = false")
 	}

@@ -35,23 +35,34 @@ func (tp *Proc) scanMetaGauge() int64 {
 // crossing does before it closes its interval, as do lock grants, diff
 // application and every store into shared memory. It reports a mismatch
 // through fail and counts the comparisons in *checks.
-func (tp *Proc) CheckMetaGauge(fail func(format string, args ...any), checks *int) {
-	tp.tr = gaugeChecked{tp.tr, tp, fail, checks}
+func (tp *Proc) CheckMetaGauge(fail func(format string, args ...any), checks *GaugeChecks) {
+	tp.tr = &gaugeChecked{Transport: tp.tr, tp: tp, fail: fail, checks: checks}
 }
+
+// GaugeChecks counts CheckMetaGauge's comparisons, and among them the
+// Falls: a maintained gauge reading below the same rank's previous one,
+// which only the decrementing side of the counters can cause.
+type GaugeChecks struct{ Comparisons, Falls int }
 
 type gaugeChecked struct {
 	substrate.Transport
 	tp     *Proc
 	fail   func(format string, args ...any)
-	checks *int
+	checks *GaugeChecks
+	last   int64 // the previous reading
 }
 
-func (g gaugeChecked) DisableAsync(p *sim.Proc) {
-	*g.checks++
-	if got, want := g.tp.metaGauge(), g.tp.scanMetaGauge(); got != want {
+func (g *gaugeChecked) DisableAsync(p *sim.Proc) {
+	g.checks.Comparisons++
+	got, want := g.tp.metaGauge(), g.tp.scanMetaGauge()
+	if got != want {
 		g.fail("rank %d gen %d at %v: maintained gauge %d, full scan %d (diffs %d, intervals %d, notices %d)",
 			g.tp.rank, g.tp.gen, p.Now(), got, want, g.tp.diffBytes, g.tp.store.bytes, g.tp.notices.live)
 	}
+	if got < g.last {
+		g.checks.Falls++
+	}
+	g.last = got
 	g.Transport.DisableAsync(p)
 }
 

@@ -13,10 +13,8 @@ import (
 // readFault makes an invalid page valid. Home-based, that is the one-page
 // case of homeFaultRange. Homeless: a page we never had a copy of starts
 // as zeros — every region starts zeroed, and every store since is a diff
-// this rank holds the write notice of — unless a prune reached one of its
-// notices first (pm.pruned), when only a full copy fetched from a writer
-// can stand in for the discarded history. Then every missing diff is
-// fetched and applied in happens-before order.
+// this rank holds the write notice of. Then every missing diff is fetched
+// and applied in happens-before order.
 func (tp *Proc) readFault(pm *pageMeta) {
 	if tp.homeBased {
 		tp.homeFaultRange(pm.region, pm.id, pm.id)
@@ -26,11 +24,7 @@ func (tp *Proc) readFault(pm *pageMeta) {
 	tp.observe(event{kind: evReadFaultBegin, page: pm})
 	tp.stats.ReadFaults++
 	tp.sp.Advance(tp.cpu.FaultOverhead)
-	switch {
-	case pm.haveCopy:
-	case pm.pruned:
-		tp.fetchPage(pm)
-	default:
+	if !pm.haveCopy {
 		pm.haveCopy = true
 		tp.stats.ZeroFills++
 	}
@@ -231,35 +225,6 @@ func (tp *Proc) applyDiffs(pm *pageMeta, all []msg.Diff) {
 		pm.cover[d.Proc] = d.TS
 	}
 	tp.tr.EnableAsync(tp.sp)
-}
-
-// fetchPage is a pruned page's first fault: one full copy from the most
-// recent known writer, who certainly holds one — the prune kept that
-// writer's newest notice as the hint, and a page that never had a notice
-// here was never pruned, so it is zero-filled instead. The reply carries
-// the holder's coverage vector, so readFault's diff chase then requests
-// only the diffs the copy lacks.
-func (tp *Proc) fetchPage(pm *pageMeta) {
-	target := pm.lastWriterHint(tp.rank)
-	if target < 0 {
-		panic(fmt.Sprintf("tmk: rank %d: pruned page %d names no writer to fetch from", tp.rank, pm.id))
-	}
-	tp.stats.PageFetches++
-	start := tp.sp.Now()
-	rep := tp.call(target, blocked("page %d (fetch from %d)", int(pm.id), target),
-		&msg.Message{Kind: msg.KPageReq, Page: pm.id})
-	tp.observe(event{kind: evPageFetch, start: start, dur: tp.sp.Now() - start, page: pm, peer: target, bytes: PageSize})
-	if rep.Kind != msg.KPageReply || len(rep.PageData) != PageSize {
-		panic(fmt.Sprintf("tmk: bad page reply %v (%d bytes)", rep.Kind, len(rep.PageData)))
-	}
-	copy(pm.store(), rep.PageData)
-	tp.sp.Advance(sim.BytesTime(PageSize, tp.cpu.MemcpyBandwidth))
-	for _, c := range rep.Covered {
-		if pm.cover[c.Proc] < c.TS {
-			pm.cover[c.Proc] = c.TS
-		}
-	}
-	pm.haveCopy = true
 }
 
 // closeInterval ends the current interval if any pages were written:

@@ -342,7 +342,7 @@ func TestHomeWritesAreTwinFree(t *testing.T) {
 }
 
 // TestBarrierVCAgreesOnEveryRank: the vector clock a barrier is remembered
-// by (lastBarrierVC — what the next arrival, the metadata GC and the
+// by (lastBarrierVC — what the next arrival, the metadata prune and the
 // placement rule all count from) must be the same on every rank after
 // every crossing. It used to be read after delivery was re-enabled, where
 // a root or tree-internal node may already have merged a released child's

@@ -26,6 +26,12 @@ type intervalStore struct {
 	bytes  int64 // Σ intervalRecBytes over the records held (metadata gauge)
 }
 
+// intervalRecBytes approximates one interval record's footprint for the
+// metadata gauge: fixed header plus the vector clock and page list.
+func intervalRecBytes(rec *intervalRec) int64 {
+	return int64(16 + 4*len(rec.vc) + 4*len(rec.pages))
+}
+
 func newIntervalStore(n int) *intervalStore {
 	s := &intervalStore{
 		byProc: make([][]*intervalRec, n),
@@ -89,11 +95,10 @@ func (s *intervalStore) since(v VC) []*intervalRec {
 	return out
 }
 
-// pruneThrough discards every record with ts ≤ v[proc] (metadata GC:
-// after a full barrier at vector clock v, no rank can ever request
-// intervals that old again) and returns how many were dropped.
-func (s *intervalStore) pruneThrough(v VC) int {
-	pruned := 0
+// pruneThrough discards every record with ts ≤ v[proc] (endEpoch: once
+// every rank is past the barrier at vector clock v, none can ever request
+// intervals that old again).
+func (s *intervalStore) pruneThrough(v VC) {
 	for q, lst := range s.byProc {
 		if q >= len(v) {
 			continue
@@ -106,10 +111,8 @@ func (s *intervalStore) pruneThrough(v VC) int {
 			delete(s.index[q], rec.ts)
 			s.bytes -= intervalRecBytes(rec)
 		}
-		pruned += cut
 		s.byProc[q] = append([]*intervalRec(nil), lst[cut:]...)
 	}
-	return pruned
 }
 
 // hbBefore is the linear extension of happens-before that every replay of

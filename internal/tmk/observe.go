@@ -40,7 +40,6 @@ var (
 	evReadFaultBegin = &evKind{text: "rank %[1]d read fault page %[2]d"}
 	evReadFault      = &evKind{ring: "read-fault", prof: []prof.Kind{prof.ReadFault}}
 	evWriteFault     = &evKind{ring: "write-fault", prof: []prof.Kind{prof.WriteFault}}
-	evPageFetch      = &evKind{ring: "page-fetch", prof: []prof.Kind{prof.Fetch}}
 	// DRIFT: a diff request is printed per range when it is issued (a, b =
 	// the timestamp range), recorded and profiled per writer when the
 	// reply is in. a = the interval timestamp of an applied or created diff.
@@ -80,9 +79,6 @@ var (
 	// exists for the profiler only, and no barrier event is printed.
 	evBarrierArrive = &evKind{prof: []prof.Kind{prof.BarrierArrive}}
 	evBarrier       = &evKind{ring: "barrier", prof: []prof.Kind{prof.BarrierDepart}}
-
-	// DRIFT: metadata GC is ring-only.
-	evMetaGC = &evKind{ring: "meta-gc"}
 
 	// Membership and crash handling, observed by the fence leader or the
 	// detecting rank; peer = the rank the event is about or the new owner,

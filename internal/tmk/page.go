@@ -1,9 +1,6 @@
 package tmk
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 type pageState uint8
 
@@ -28,10 +25,6 @@ type pageMeta struct {
 
 	haveCopy bool // the contents have ever been initialized (owned, zero-filled or fetched)
 	cover    VC   // per-writer timestamp whose diffs are incorporated
-	// pruned: a prune reached a notice of this page while this rank held no
-	// copy (pruneNotices, its only writer), so zeros plus the notices here
-	// are no longer the page and its first fault fetches a copy instead.
-	pruned bool
 
 	// notices[q] = sorted timestamps of q's intervals that dirtied this
 	// page (including our own, which are always covered).
@@ -114,62 +107,4 @@ func (pm *pageMeta) keepNewest(v VC) {
 			pm.pool.live -= int64(cut - 1)
 		}
 	}
-}
-
-// pruneNotices discards write notices with ts ≤ v[q] (metadata GC). On
-// a page this rank holds a copy of, validation has already covered them
-// all — pruning an uncovered notice is a protocol error. On a page with
-// no copy here, reaching any notice marks the page pruned: its writers
-// drop the diffs, so the first fault can no longer rebuild it from zeros
-// and falls back to fetching a copy. The latest writer's newest pre-v
-// notice survives as that fetch's hint: a rank that certainly holds a
-// copy, and that copy — validated before anyone pruned — covers every
-// pruned notice, so the hint never turns into a diff request for a
-// discarded diff.
-func (pm *pageMeta) pruneNotices(v VC) (int, error) {
-	hint := -1
-	if !pm.haveCopy {
-		hint = pm.lastWriterHint(-1)
-	}
-	pruned := 0
-	for q, lst := range pm.notices {
-		if q >= len(v) {
-			continue
-		}
-		cut := sort.Search(len(lst), func(i int) bool { return lst[i] > v[q] })
-		if cut == 0 {
-			continue
-		}
-		pm.pruned = pm.pruned || !pm.haveCopy
-		if pm.haveCopy && lst[cut-1] > pm.cover[q] {
-			return pruned, fmt.Errorf("pruning uncovered notice from %d ts %d (cover %d)",
-				q, lst[cut-1], pm.cover[q])
-		}
-		keep := cut
-		if q == hint {
-			keep = cut - 1
-		}
-		if keep == 0 {
-			continue
-		}
-		pruned += keep
-		pm.notices[q] = append(lst[:0], lst[keep:]...)
-	}
-	pm.pool.live -= int64(pruned)
-	return pruned, nil
-}
-
-// lastWriterHint returns the process with the most recent known write
-// notice (highest ts; ties to the lower rank), or -1 if none.
-func (pm *pageMeta) lastWriterHint(self int) int {
-	best, bestTS := -1, int32(-1)
-	for q, lst := range pm.notices {
-		if q == self || len(lst) == 0 {
-			continue
-		}
-		if ts := lst[len(lst)-1]; ts > bestTS {
-			best, bestTS = q, ts
-		}
-	}
-	return best
 }

@@ -52,10 +52,6 @@ type Proc struct {
 	regionCond   *sim.Cond
 	expectRegion int32
 
-	// Metadata GC (see gc.go): the in-progress guard that keeps the nested
-	// GC fence from recursing.
-	inGC bool
-
 	stats Stats
 
 	appStart sim.Time
@@ -87,6 +83,14 @@ func (tp *Proc) Transport() substrate.Transport { return tp.tr }
 // Stats returns the DSM counters.
 func (tp *Proc) Stats() *Stats { return &tp.stats }
 
+// metaGauge is this rank's protocol metadata in bytes (DESIGN.md §4.3):
+// retained diff payloads, interval records, and write notices — each a
+// counter kept by the code that adds to and prunes its structure (keepDiff
+// and dropDiff, intervalStore, noticePool), so a barrier reads it for free.
+func (tp *Proc) metaGauge() int64 {
+	return tp.diffBytes + tp.store.bytes + 4*tp.notices.live
+}
+
 func newProc(c *Cluster, rank int, sp *sim.Proc, tr substrate.Transport, cpu CPUParams) *Proc {
 	tp := &Proc{
 		cluster:       c,
@@ -105,7 +109,6 @@ func newProc(c *Cluster, rank int, sp *sim.Proc, tr substrate.Transport, cpu CPU
 		regionCond:    sim.NewCond(fmt.Sprintf("tmk:%d:region", rank)),
 		barrier:       barrierState{cond: sim.NewCond(fmt.Sprintf("tmk:%d:barrier", rank))},
 	}
-	tp.barrier.gcArmed = true
 	if c.cfg.HomeBased {
 		tp.homeBased = true
 		tp.os = tr.(substrate.OneSided)
@@ -146,8 +149,6 @@ func (tp *Proc) handleRequest(p *sim.Proc, m *msg.Message) {
 		tp.handleBarrierArrive(m)
 	case msg.KDiffReq:
 		tp.handleDiffReq(m)
-	case msg.KPageReq:
-		tp.handlePageReq(m)
 	case msg.KDistribute:
 		tp.mapRegion(regionFromWire(m.Region), false)
 		tp.tr.Reply(p, m, &msg.Message{Kind: msg.KAck})
@@ -190,30 +191,4 @@ func (tp *Proc) handleDiffReq(m *msg.Message) {
 	tp.diffBufs.out = out
 	tp.diffBufs.rep = msg.Message{Kind: msg.KDiffReply, Diffs: out}
 	tp.tr.Reply(tp.sp, m, &tp.diffBufs.rep)
-}
-
-// handlePageReq serves a full copy of our page together with its
-// coverage vector; the contents are whatever our copy incorporates — the
-// requester tops it up with diffs.
-func (tp *Proc) handlePageReq(m *msg.Message) {
-	pm := tp.mapped(m.Page)
-	if pm == nil || !pm.haveCopy {
-		panic(fmt.Sprintf("tmk: rank %d: page request for %d but no copy here", tp.rank, m.Page))
-	}
-	covered := make([]msg.ProcTS, 0, tp.n)
-	for q, ts := range pm.cover {
-		if ts > 0 {
-			covered = append(covered, msg.ProcTS{Proc: int32(q), TS: ts})
-		}
-	}
-	// The live copy goes out as it is: Reply encodes before it returns, and
-	// the encoded body is the snapshot the transports hold across simulated
-	// time for retransmission — a write landing after Reply cannot leak into
-	// an in-flight page image.
-	tp.tr.Reply(tp.sp, m, &msg.Message{
-		Kind:     msg.KPageReply,
-		Page:     m.Page,
-		PageData: pm.bytes(),
-		Covered:  covered,
-	})
 }

@@ -11,8 +11,8 @@ import (
 // space (the product of Tmk_malloc + Tmk_distribute). The descriptor is
 // global; each process lazily materializes local page copies: mapping the
 // region gives a process the pages' metadata, and a page's frame appears at
-// the first byte stored into it (an application write, a fetched copy, an
-// applied diff, a membership hand-off). Until then a page this process holds
+// the first byte stored into it (an application write, an applied diff, a
+// membership hand-off). Until then a page this process holds
 // a copy of reads as zeros — what an untouched mmap'ed page costs the DSM the
 // paper ports. Home-based, every frame is backed when the region is mapped:
 // the region is the RDMA window, and pinned memory is physically backed.
@@ -26,10 +26,6 @@ type Region struct {
 	// region and registered its memory window, so home flushes can no
 	// longer race an unregistered window. Set by KDistributeCommit.
 	committed bool
-
-	// allocEpoch (the owner's, local): its Stats.GCEpochs when it called
-	// Alloc, for Distribute's check.
-	allocEpoch int64
 
 	// This process's copy (materialize): the pages' metadata, by offset from
 	// StartPage, and the storage their frames are carved from — chunk is the
@@ -91,12 +87,11 @@ func (tp *Proc) Alloc(nbytes int) *Region {
 	}
 	npages := int32((nbytes + PageSize - 1) / PageSize)
 	r := &Region{
-		ID:         tp.cluster.nextRegionID,
-		StartPage:  tp.cluster.nextPage,
-		NPages:     npages,
-		Bytes:      int64(nbytes),
-		committed:  true, // the owner's own window exists from mapRegion on
-		allocEpoch: tp.stats.GCEpochs,
+		ID:        tp.cluster.nextRegionID,
+		StartPage: tp.cluster.nextPage,
+		NPages:    npages,
+		Bytes:     int64(nbytes),
+		committed: true, // the owner's own window exists from mapRegion on
 	}
 	tp.cluster.nextRegionID++
 	tp.cluster.nextPage += npages
@@ -109,15 +104,7 @@ func (tp *Proc) Alloc(nbytes int) *Region {
 // has acked the announcement (mapping the region and registering its
 // window) are the AllocShared waiters released, so no rank can write —
 // and therefore flush to a home window — before every window exists.
-//
-// A region written before a metadata-GC epoch must not be distributed
-// after it: the epoch pruned the notices of those writes from every
-// interval log, so a peer mapping the region would rebuild its pages as
-// zeros (DESIGN.md §4.3). Distribute panics instead.
 func (tp *Proc) Distribute(r *Region) {
-	if tp.stats.GCEpochs != r.allocEpoch && r.unbacked < r.NPages {
-		panic(fmt.Sprintf("tmk: rank %d: region %d written before a metadata-GC epoch and distributed after it", tp.rank, r.ID))
-	}
 	tp.tellPeers(r, msg.KDistribute, "region %d (distribute to %d)")
 	if tp.homeBased {
 		tp.tellPeers(r, msg.KDistributeCommit, "region %d (commit to %d)")

@@ -34,7 +34,7 @@ type Stats struct {
 	Barriers           int64
 	ReadFaults         int64
 	WriteFaults        int64
-	PageFetches        int64 // full copies fetched: a home's page, or a pruned page's first fault homeless
+	PageFetches        int64 // full copies fetched: only a home-based read fault's Get of the home's page
 	ZeroFills          int64 // homeless cold read faults that took no copy: zeros plus the noticed diffs
 	DiffRequestsSent   int64
 	DiffsCreated       int64
@@ -64,14 +64,7 @@ type Stats struct {
 	MemberHandoffBytes      int64 // handoff bytes copied (lockHandoffBytes / pageHandoffBytes each)
 	MemberDiffsReplayed     int64 // surviving diffs replayed into rebuilt home pages
 
-	// Metadata counters (DESIGN.md §15.4; the GC ones zero unless
-	// Config.MetaGC is set).
-	GCEpochs          int64 // metadata GC epochs executed
-	GCValidations     int64 // pages brought current during GC validation
-	GCDiffsPruned     int64 // retained diffs discarded by GC
-	GCIntervalsPruned int64 // interval records discarded by GC
-	GCNoticesPruned   int64 // write notices discarded by GC
-	MetaBytesPeak     int64 // per-rank metadata gauge high-water (summed across ranks by Add)
+	MetaBytesPeak int64 // per-rank metadata gauge high-water (DESIGN.md §4.3; summed across ranks by Add)
 
 	LockWait    sim.Time
 	BarrierWait sim.Time

@@ -12,16 +12,14 @@ type ConfigRule string
 
 // The rules of a legal run.
 const (
-	RuleProcs            ConfigRule = "procs"             // at least one process
-	RuleTransport        ConfigRule = "transport"         // a substrate that exists
-	RuleHomeBased        ConfigRule = "home-based"        // HLRC needs one-sided verbs
-	RuleRange            ConfigRule = "range"             // BarrierFanout, DiffFetchWidth, MetaGC ≥ 0
-	RuleMetaGCHomeBased  ConfigRule = "metagc-home-based" // HLRC retains no diffs to collect
-	RuleMetaGCMembership ConfigRule = "metagc-membership" // extras cross no GC fence
-	RuleCrashRank        ConfigRule = "crash-rank"        // an armed trigger names a compute rank
-	RuleLivenessFaults   ConfigRule = "liveness-faults"   // the detector presumes a fault-free fabric
-	RuleMemberSize       ConfigRule = "member-size"       // 0 ≤ extras, ≤ 64 ranks in all
-	RuleChurnSchedule    ConfigRule = "churn-schedule"    // every event executable at its fence
+	RuleProcs          ConfigRule = "procs"           // at least one process
+	RuleTransport      ConfigRule = "transport"       // a substrate that exists
+	RuleHomeBased      ConfigRule = "home-based"      // HLRC needs one-sided verbs
+	RuleRange          ConfigRule = "range"           // BarrierFanout, DiffFetchWidth ≥ 0
+	RuleCrashRank      ConfigRule = "crash-rank"      // an armed trigger names a compute rank
+	RuleLivenessFaults ConfigRule = "liveness-faults" // the detector presumes a fault-free fabric
+	RuleMemberSize     ConfigRule = "member-size"     // 0 ≤ extras, ≤ 64 ranks in all
+	RuleChurnSchedule  ConfigRule = "churn-schedule"  // every event executable at its fence
 )
 
 // ConfigError is one violated rule.
@@ -80,20 +78,7 @@ func (cfg *Config) Validate() error {
 	if cfg.DiffFetchWidth < 0 {
 		bad(RuleRange, "negative DiffFetchWidth %d", cfg.DiffFetchWidth)
 	}
-	if cfg.MetaGC < 0 {
-		bad(RuleRange, "negative MetaGC %d", cfg.MetaGC)
-	}
 	mc := cfg.Membership
-	if cfg.MetaGC > 0 && cfg.HomeBased {
-		// HLRC bounds metadata its own way: an interval's diffs are flushed
-		// to their homes at its close and not kept (closeInterval).
-		bad(RuleMetaGCHomeBased, "MetaGC is incompatible with HomeBased (no retained diffs to collect)")
-	}
-	if cfg.MetaGC > 0 && mc.on() {
-		// GC prunes on the assumption that every rank holding metadata
-		// crosses the fence; standby extras never do.
-		bad(RuleMetaGCMembership, "MetaGC is incompatible with Membership (standby extras cross no barriers)")
-	}
 	if cc := cfg.Crash; cc.hasTrigger() && (cc.Rank < 0 || cc.Rank >= cfg.Procs) {
 		bad(RuleCrashRank, "crash rank %d is not one of the %d processes", cc.Rank, cfg.Procs)
 	}

@@ -54,13 +54,6 @@ func TestValidateRules(t *testing.T) {
 			func(c *tmk.Config) { c.BarrierFanout = -1 }, []tmk.ConfigRule{tmk.RuleRange}},
 		{"negative diff-fetch width", 4, tmk.TransportFastGM,
 			func(c *tmk.Config) { c.DiffFetchWidth = -1 }, []tmk.ConfigRule{tmk.RuleRange}},
-		{"negative meta-gc high water", 4, tmk.TransportFastGM,
-			func(c *tmk.Config) { c.MetaGC = -1 }, []tmk.ConfigRule{tmk.RuleRange}},
-		{"meta-gc under HLRC", 4, tmk.TransportRDMAGM,
-			func(c *tmk.Config) { c.MetaGC = 8 << 10 }, []tmk.ConfigRule{tmk.RuleMetaGCHomeBased}},
-		{"meta-gc with standby extras", 4, tmk.TransportFastGM,
-			func(c *tmk.Config) { c.MetaGC = 8 << 10; c.Membership.Extra = 1 },
-			[]tmk.ConfigRule{tmk.RuleMetaGCMembership}},
 		{"armed trigger names no process", 4, tmk.TransportFastGM,
 			func(c *tmk.Config) { c.Crash = tmk.CrashConfig{Rank: 4, AtBarrier: 3} },
 			[]tmk.ConfigRule{tmk.RuleCrashRank}},
@@ -116,6 +109,10 @@ func TestValidateRules(t *testing.T) {
 		if verdict == nil {
 			continue
 		}
+		var ce *tmk.ConfigError
+		if !errors.As(verdict, &ce) || ce.Rule != row.want[0] {
+			t.Errorf("%s: errors.As reaches %v, want the first violation (%s)", row.name, ce, row.want[0])
+		}
 		if strings.Contains(verdict.Error(), "\n") {
 			t.Errorf("%s: verdict is not one line: %q", row.name, verdict.Error())
 		}
@@ -138,8 +135,8 @@ func TestValidateRules(t *testing.T) {
 // copy of the cluster-uniform policy hiding in a per-substrate config).
 // Adding a knob means arguing with this number (DESIGN.md §17).
 func TestConfigSurface(t *testing.T) {
-	if leaves := harness.ConfigSurface(); len(leaves) != 11 {
-		t.Errorf("tmk.Config exposes %d settable feature values, want 11:\n  %s",
+	if leaves := harness.ConfigSurface(); len(leaves) != 10 {
+		t.Errorf("tmk.Config exposes %d settable feature values, want 10:\n  %s",
 			len(leaves), strings.Join(leaves, "\n  "))
 	}
 }

@@ -36,8 +36,8 @@ import (
 type (
 	// Config assembles a DSM run: process count, transport, the
 	// fabric/GM/kernel/CPU cost models, and the opt-in features — each on
-	// when it is set: Crash (a trigger), Flow and Hedge (bools), MetaGC (a
-	// high water in bytes), Membership (extras or a schedule).
+	// when it is set: Crash (a trigger), Flow and Hedge (bools), Membership
+	// (extras or a schedule).
 	Config = tmk.Config
 	// Cluster is an assembled run on which Run executes an application.
 	Cluster = tmk.Cluster
