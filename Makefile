@@ -7,11 +7,11 @@ FUZZTIME ?= 5s
 BENCHDIR ?= .
 WORKLOAD ?= jacobi_fastgm_16
 
-.PHONY: all check fmt vet build test race loc uncovered host-allocs fuzz-smoke bench bench-identical bench-gate prof-smoke chaos-smoke crash-smoke churn-smoke rdma-smoke critical-smoke flow-smoke cli-smoke
+.PHONY: all check fmt vet build test race loc uncovered host-allocs fuzz-smoke bench bench-identical bench-gate prof-smoke chaos-smoke crash-smoke rdma-smoke critical-smoke flow-smoke cli-smoke
 
 all: check
 
-check: fmt vet build test race fuzz-smoke prof-smoke chaos-smoke crash-smoke churn-smoke rdma-smoke critical-smoke flow-smoke cli-smoke
+check: fmt vet build test race fuzz-smoke prof-smoke chaos-smoke crash-smoke rdma-smoke critical-smoke flow-smoke cli-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -98,15 +98,7 @@ chaos-smoke:
 crash-smoke:
 	$(GO) run ./cmd/tmkrun -crash
 
-# Membership churn sweep: a seeded schedule of join/leave/crash events at
-# barrier fences, all four applications on all three substrates,
-# asserting bit-correct results, bounded partial recovery (a scheduled
-# crash of an extra re-places its entities and never restarts the run),
-# every scheduled fence executed, and determinism.
-churn-smoke:
-	$(GO) run ./cmd/tmkrun -churn
-
-# Strict refactor proof: regenerate all six suites, once, and require every
+# Strict refactor proof: regenerate all five suites, once, and require every
 # file byte-identical to the checked-in BENCH_*.json; on failure it names
 # each row that moved. The target that fails when virtual time moved — and
 # part of `test`, so `check` needs no step of its own for it. A PR that
@@ -115,7 +107,7 @@ churn-smoke:
 bench-identical:
 	$(GO) test -count=1 -run '^TestBenchReproducibleByteIdentical$$' ./internal/harness/
 
-# The writer: BENCH_e0/e1/e2/e3/churn/flow.json into BENCHDIR. Not part of
+# The writer: BENCH_e0/e1/e2/e3/flow.json into BENCHDIR. Not part of
 # `check` — CI reads the checked-in files, it does not rewrite them.
 # Deterministic, so `git diff BENCH_*.json` across commits shows real perf
 # movement.
@@ -146,15 +138,13 @@ bench-gate:
 # Overload-resilience smoke: the 64-node incast storm on all three
 # substrates with credit flow control on — every frame delivered, the
 # pressure absorbed as sender-side credit stalls, zero parked frames /
-# socket drops / GM send timeouts / disabled ports (DESIGN.md §15).
+# socket drops / GM send timeouts / disabled ports (DESIGN.md §14).
 flow-smoke:
 	$(GO) run ./cmd/tmkrun -incast
 
 # Every command that builds a Config from flags reports an illegal one as
 # tmk.Config.Validate's one-line verdict and a non-zero exit — never a
 # goroutine dump — and the smallest verified run passes on each substrate.
-# The churn sweep away from its default size rides along: its schedule is
-# derived from -nodes, so no size may come back as an invalid config.
 cli-smoke:
 	@for args in "tmkrun -nodes 0" "tmkrun -transport bogus" "tmktrace -transport bogus" \
 			"ubench -barrier-nodes 0" "figures -fig 4 -nodes 0"; do \
@@ -168,8 +158,7 @@ cli-smoke:
 	@for t in udpgm fastgm rdmagm; do \
 		$(GO) run ./cmd/tmkrun -app jacobi -nodes 2 -size 0 -transport $$t -verify > /dev/null || exit 1; \
 	done
-	@$(GO) run ./cmd/tmkrun -churn -nodes 16 > /dev/null
-	@echo "cli-smoke: illegal configs rejected in one line, verified runs pass on all three substrates, churn sweep passes at 16 nodes"
+	@echo "cli-smoke: illegal configs rejected in one line, verified runs pass on all three substrates"
 
 # Quick end-to-end run of the protocol-entity profiler (small sizes).
 prof-smoke:

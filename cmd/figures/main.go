@@ -123,10 +123,6 @@ func main() {
 		runs, err := harness.ProfEntities(*profNodes, *profSmall)
 		exitOn(err)
 		harness.PrintProfEntities(os.Stdout, runs)
-		churn, err := harness.ProfChurn()
-		exitOn(err)
-		fmt.Println()
-		harness.PrintProfChurn(os.Stdout, churn)
 	}
 	// Critical paths are likewise opt-in: they rerun every application on
 	// all three transports.

@@ -10,7 +10,6 @@
 //	       [-prof-json profile.json] [-trace-cap N]
 //	tmkrun -chaos [-seed N] [-nodes 4]
 //	tmkrun -crash [-seed N] [-nodes 4]
-//	tmkrun -churn [-seed N] [-nodes 2..16, default 4]
 //	tmkrun -incast [-seed N] [-nodes 64]
 //
 // -prof attaches the protocol-entity profiler and prints the per-page /
@@ -33,17 +32,9 @@
 // app with restart on (the run started again must finish bit-correct, and
 // replay identically), and into the lock-structured app without it (a
 // coordinated abort whose post-mortem names the dead rank and the
-// blocking protocol entity).
-//
-// -churn runs the elastic-membership sweep: a seeded schedule of
-// join/leave/crash events (standby extras entering the ring at barrier
-// fences, one crashed mid-run, a compute rank departing the ring) on all
-// four applications over all three substrates, verifying bit-correct
-// results, bounded partial recovery (no generation restart), every
-// scheduled fence executed, and determinism. -nodes sets the number of
-// compute ranks (the two standby extras are the ranks after them); it
-// runs from 2 to 16 nodes (membership arms no failure detector: every
-// scheduled departure is administrative).
+// blocking protocol entity). Known defect: on udpgm the armed failure
+// detector livelocks from 12 nodes up, so -crash -nodes 12 or more never
+// finishes (ROADMAP.md item 4).
 //
 // -incast runs the overload-resilience storm: every peer blasts a burst
 // of largest-class frames at rank 0 while it is briefly masked, on all
@@ -86,7 +77,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "simulation RNG seed (fault schedules, tie-breaking)")
 	chaos := flag.Bool("chaos", false, "run the chaos sweep (all apps × transports on a lossy fabric)")
 	crash := flag.Bool("crash", false, "run the crash-tolerance sweep (rank death: restart of a barrier and a lock app + coordinated abort, all 3 substrates)")
-	churn := flag.Bool("churn", false, "run the membership churn sweep (join/leave/crash at barrier fences, all apps × substrates)")
 	incast := flag.Bool("incast", false, "run the incast overload storm (N-1 senders blast rank 0, credit flow control on)")
 	flow := flag.Bool("flow", false, "enable end-to-end credit flow control on the run")
 	hedge := flag.Bool("hedge", false, "enable hedged re-issues of straggling remote requests")
@@ -118,11 +108,6 @@ func main() {
 			spec := harness.DefaultCrashSpec()
 			spec.Seed, spec.Nodes = *seed, sized(spec.Nodes)
 			return harness.CrashSweep(os.Stdout, spec)
-		}},
-		{*churn, func() error {
-			spec := harness.DefaultChurnSpec(sized(4))
-			spec.Seed = *seed
-			return harness.Churn(os.Stdout, spec)
 		}},
 		{*incast, func() error {
 			spec := harness.DefaultIncastSpec()

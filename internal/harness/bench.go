@@ -18,7 +18,7 @@ import (
 	"repro/internal/ubench"
 )
 
-// Machine-readable bench trajectory: the headline numbers of six suites
+// Machine-readable bench trajectory: the headline numbers of five suites
 // serialized as BENCH_<suite>.json so successive commits can be compared
 // mechanically. Runs are deterministic simulations, so regenerating a
 // suite on the same tree reproduces the file byte-identically — any diff
@@ -155,27 +155,6 @@ func BenchE3() (*BenchSuite, error) {
 			s.Entries = append(s.Entries, BenchEntry{Name: "App/" + name,
 				Transport: string(tmk.TransportRDMAGM), Nodes: n, Value: int64(res.ExecTime), Unit: "ns"})
 		}
-	}
-	return s, nil
-}
-
-// BenchChurn captures the elastic-membership cost: the default churn
-// schedule (two joins, a crash absorbed by partial recovery, a ring
-// leave) applied to one application on every substrate, next to the
-// zero-churn run — the same configuration without the membership layer,
-// so the checked-in zero-churn rows are the numbers the e-suites see and
-// the gate holds both sides. The pairs are ProfChurn's.
-func BenchChurn() (*BenchSuite, error) {
-	runs, err := ProfChurn()
-	if err != nil {
-		return nil, err
-	}
-	s := &BenchSuite{Schema: BenchSchema, Suite: "churn"}
-	for _, r := range runs {
-		s.Entries = append(s.Entries,
-			BenchEntry{Name: "Churn/" + r.App, Transport: string(r.Transport), Nodes: r.Nodes, Value: r.ExecNs, Unit: "ns"},
-			BenchEntry{Name: "ZeroChurn/" + r.App, Transport: string(r.Transport), Nodes: r.Nodes, Value: r.BaseNs, Unit: "ns"},
-		)
 	}
 	return s, nil
 }
@@ -425,7 +404,6 @@ func generate(suite string) ([]*BenchSuite, error) {
 		{"e1", BenchE1},
 		{"e2", func() (*BenchSuite, error) { return BenchE2([]int{2, 4, 8}) }},
 		{"e3", BenchE3},
-		{"churn", BenchChurn},
 		{"flow", BenchFlow},
 	}
 	if suite != "all" {

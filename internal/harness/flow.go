@@ -17,7 +17,7 @@ import (
 	"repro/internal/tmk"
 )
 
-// Incast sweep (DESIGN.md §15): the barrier-arrival fan-in at cluster
+// Incast sweep (DESIGN.md §14): the barrier-arrival fan-in at cluster
 // scale — every peer blasts a burst of largest-class one-way frames at
 // rank 0 while it is briefly masked — run on all three substrates with
 // credit flow control on, and held to the overload invariants:

@@ -94,10 +94,10 @@ func SizeLadder(name string) []apps.App {
 // tmk.Config: each leaf under its feature fields, plus any copy of the
 // cluster-uniform substrate.Policy hiding in a per-substrate config.
 // Adding a knob means arguing with its length, which TestConfigSurface
-// pins and the documents quote (DESIGN.md §17).
+// pins and the documents quote (DESIGN.md §16).
 func ConfigSurface() []string {
 	features := map[string]bool{"Crash": true, "Flow": true, "Hedge": true,
-		"DiffFetchWidth": true, "Membership": true}
+		"DiffFetchWidth": true}
 	policy := reflect.TypeOf(substrate.Policy{})
 	var leaves []string
 	var walk func(path string, ty reflect.Type, counted bool)

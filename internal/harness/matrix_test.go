@@ -10,7 +10,7 @@ import (
 	"repro/internal/tmk"
 )
 
-// TestFeatureMatrix is the compose-or-reject contract (DESIGN.md §17):
+// TestFeatureMatrix is the compose-or-reject contract (DESIGN.md §16):
 // every unordered pair of feature settings — a setting with itself
 // included — on every substrate has exactly two legal outcomes. Either
 // Config.Validate accepts the pair and the run verifies against the
@@ -34,7 +34,6 @@ func TestFeatureMatrix(t *testing.T) {
 		{"flow", func(c *tmk.Config) { c.Flow = true }},
 		{"hedge", func(c *tmk.Config) { c.Hedge = true }},
 		{"serial-diff-fetch", func(c *tmk.Config) { c.DiffFetchWidth = 1 }},
-		{"churn", DefaultChurnSpec(4).Mutate},
 		{"homeless", func(c *tmk.Config) { c.HomeBased = false }},
 		{"rendezvous", func(c *tmk.Config) { c.Fast.Rendezvous = true }},
 		{"chaos", DefaultChaosSpec().Mutate},
@@ -64,9 +63,12 @@ func TestFeatureMatrix(t *testing.T) {
 			}
 		}
 	}
+	// 10 settings make 55 pairs on each of 3 substrates. The rejected ones
+	// are the two trigger settings (crash-restart, detector) with chaos on
+	// every substrate, all by liveness-faults.
 	t.Logf("%d pairs verified, %d rejected by Validate", ran, rejected)
-	if want := 3 * len(settings) * (len(settings) + 1) / 2; ran+rejected != want || rejected == 0 {
-		t.Errorf("covered %d+%d pairs, want %d with some rejections", ran, rejected, want)
+	if ran != 159 || rejected != 6 {
+		t.Errorf("%d pairs verified and %d rejected, want 159 and 6", ran, rejected)
 	}
 }
 

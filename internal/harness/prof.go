@@ -94,62 +94,3 @@ func PrintProfEntities(w io.Writer, runs []ProfRun) {
 		r.Profile.WriteHeatmap(w, 5)
 	}
 }
-
-// ProfChurnRun is one churned run's membership cost on one substrate.
-type ProfChurnRun struct {
-	App       string
-	Transport tmk.TransportKind
-	Nodes     int
-	ExecNs    int64 // churned execution time
-	BaseNs    int64 // zero-churn execution time, same seed
-	Stats     tmk.Stats
-}
-
-// ProfChurn runs the default churn schedule on every substrate and
-// captures the membership counters next to the zero-churn baseline, so
-// handoff and re-placement cost shows up in the prof tables; BenchChurn
-// pins the same pairs. Both sides are plain runs, so the difference is
-// membership's alone — the churn sweep and TestFeatureMatrix verify the
-// churned configuration.
-func ProfChurn() ([]ProfChurnRun, error) {
-	spec := DefaultChurnSpec(4)
-	app := chaosApps()[0]
-	var out []ProfChurnRun
-	for _, kind := range AllTransports {
-		churned, err := RunApp(app, spec.Nodes, kind, spec.Mutate)
-		if err != nil {
-			return nil, fmt.Errorf("churn %s: %w", kind, err)
-		}
-		base, err := RunApp(app, spec.Nodes, kind, func(cfg *tmk.Config) { cfg.Seed = spec.Seed })
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ProfChurnRun{
-			App: app.Name(), Transport: kind, Nodes: spec.Nodes,
-			ExecNs: int64(churned.ExecTime), BaseNs: int64(base.ExecTime),
-			Stats: churned.Stats,
-		})
-	}
-	return out, nil
-}
-
-// PrintProfChurn renders the membership-churn counter table: events
-// executed, handoffs by entity kind, handoff bytes copied, diffs
-// replayed into rebuilt homes, and the runtime cost over the zero-churn
-// baseline.
-func PrintProfChurn(w io.Writer, runs []ProfChurnRun) {
-	fprintf(w, "Membership churn — handoff/re-placement counters (default schedule)\n")
-	fprintf(w, "%-8s %-7s %12s %8s %6s %6s %6s %6s %6s %6s %8s %7s\n",
-		"app", "tport", "time", "vs base", "joins", "leaves", "crash", "recov", "hlock", "hpage", "hbytes", "replay")
-	for _, r := range runs {
-		over := "-"
-		if r.BaseNs > 0 {
-			over = fmt.Sprintf("%+.1f%%", 100*float64(r.ExecNs-r.BaseNs)/float64(r.BaseNs))
-		}
-		st := r.Stats
-		fprintf(w, "%-8s %-7s %12d %8s %6d %6d %6d %6d %6d %6d %8d %7d\n",
-			r.App, r.Transport, r.ExecNs, over,
-			st.MemberJoins, st.MemberLeaves, st.MemberCrashes, st.MemberPartialRecoveries,
-			st.MemberHandoffLocks, st.MemberHandoffPages, st.MemberHandoffBytes, st.MemberDiffsReplayed)
-	}
-}

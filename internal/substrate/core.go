@@ -34,9 +34,9 @@ type Wire interface {
 	// Probe sends one best-effort liveness probe from scheduler context
 	// and reports whether it left.
 	Probe(peer int) bool
-	// PeerGone releases the binding's per-peer state for a dead or
-	// departed peer and wakes a collector blocked without a deadline.
-	// Scheduler or process context.
+	// PeerGone releases the binding's per-peer state for a dead peer and
+	// wakes a collector blocked without a deadline. Scheduler or process
+	// context.
 	PeerGone(peer int)
 }
 
@@ -44,8 +44,8 @@ type Wire interface {
 // numbers and the table of outstanding calls (requests, and any other
 // acknowledged exchange a binding declares), the hedge/retransmission
 // clock, the (origin, seq) duplicate filter with its cached replies,
-// causal edge stamping, peer liveness, and the membership purge. A binding
-// embeds it, implements Wire, and keeps only what its interconnect is.
+// causal edge stamping and peer liveness. A binding embeds it, implements
+// Wire, and keeps only what its interconnect is.
 type Core struct {
 	wire    Wire
 	rank    int
@@ -168,22 +168,10 @@ func (c *Core) SetOnPeerDead(fn func(peer int, err error)) { c.Live.onDead = fn 
 // PeerFailure implements Transport.
 func (c *Core) PeerFailure() *PeerUnreachableError { return c.Live.failure }
 
-// ForgetPeer implements Transport: the departed rank is marked dead
-// administratively (no recorded failure, no callback — probes toward its
-// closed endpoint stop), its credits are restored, duplicate-cache
-// entries keyed by its origin are dropped (a re-joining rank restarts its
-// sequence numbers), and calls still open toward it resolve as
-// abandoned, exactly as if the liveness layer had declared it dead.
-func (c *Core) ForgetPeer(peer int) {
-	c.Live.MarkDeparted(peer)
-	c.dup.PurgeOrigin(int32(peer))
-	c.peerGone(&PeerUnreachableError{Rank: c.rank, Peer: peer, Kind: "member-departed"})
-}
-
-// peerGone is the cleanup shared by death and departure: every call of
-// every family still open toward the peer resolves with err, ascending
-// by seq, before credits are restored and the binding releases its own
-// state (which wakes whoever was waiting on those calls).
+// peerGone is the cleanup after a death: every call of every family still
+// open toward the peer resolves with err, ascending by seq, before credits
+// are restored and the binding releases its own state (which wakes whoever
+// was waiting on those calls).
 func (c *Core) peerGone(err *PeerUnreachableError) {
 	peer := err.Peer
 	for _, seq := range KeysWhere(c.pending, func(pc *Call) bool { return pc.dst == peer }) {

@@ -108,21 +108,6 @@ func TestLivenessSilenceDeclaresExactlyOnce(t *testing.T) {
 	}
 }
 
-func TestLivenessMarkDepartedIsSilent(t *testing.T) {
-	fired := false
-	c, _ := runCore(t, coreArgs{}, func(p *sim.Proc, c *Core, w *fakeWire) {
-		c.SetOnPeerDead(func(int, error) { fired = true })
-		c.Live.MarkDeparted(1)
-		c.Live.MarkDeparted(0) // self: ignored
-	})
-	if !c.Live.Dead(1) || c.Live.Dead(0) || c.Live.Dead(2) {
-		t.Errorf("dead flags wrong: %v", c.Live.dead)
-	}
-	if fired || c.PeerFailure() != nil || c.Stats().PeersDeclaredDead != 0 {
-		t.Errorf("departure recorded as a failure: fired=%v failure=%+v", fired, c.PeerFailure())
-	}
-}
-
 func TestLivenessHeardWithinBoundary(t *testing.T) {
 	runCore(t, coreArgs{}, func(p *sim.Proc, c *Core, w *fakeWire) {
 		p.Advance(sim.Millisecond)
@@ -203,42 +188,6 @@ func TestKeysWhereAscending(t *testing.T) {
 	keys := KeysWhere(m, func(v int) bool { return v == 1 })
 	if len(keys) != 100 || !slices.IsSorted(keys) {
 		t.Errorf("KeysWhere returned %d keys, sorted=%v", len(keys), slices.IsSorted(keys))
-	}
-}
-
-func TestForgetPeerResolvesCallsTowardPeer(t *testing.T) {
-	c, w := runCore(t, coreArgs{}, func(p *sim.Proc, c *Core, w *fakeWire) {
-		var calls []Pending
-		for i := 0; i < 6; i++ {
-			calls = append(calls, c.CallBegin(p, 1+i%2, &msg.Message{Kind: msg.KPing}))
-		}
-		p.Advance(sim.Millisecond)
-		c.ForgetPeer(1)
-		for i, pd := range calls {
-			if gone := pd.Dst() == 1; pd.Done() != gone || (gone && (pd.Reply() != nil || pd.Completed() != sim.Millisecond)) {
-				t.Errorf("call %d toward %d: done=%v reply=%v", i, pd.Dst(), pd.Done(), pd.Reply())
-			}
-		}
-		if len(c.pending) != 3 {
-			t.Errorf("%d calls left pending, want the 3 toward peer 2", len(c.pending))
-		}
-		// The survivors still resolve normally; a later call toward the
-		// departed rank gives up at once without touching the wire.
-		for _, pd := range calls {
-			if pd.Dst() == 2 {
-				w.deliver(p.Sim(), p.Now(), pd.Seq())
-			}
-		}
-		c.Collect(p, calls)
-		if rep := c.Call(p, 1, &msg.Message{Kind: msg.KPing}); rep != nil {
-			t.Errorf("call toward a departed peer returned %+v", rep)
-		}
-	})
-	if st := c.Stats(); st.SendsAbandoned != 4 || st.RepliesRecvd != 3 || st.RequestsSent != 6 || len(w.sent) != 6 {
-		t.Errorf("abandoned=%d replies=%d requests=%d frames=%d", st.SendsAbandoned, st.RepliesRecvd, st.RequestsSent, len(w.sent))
-	}
-	if c.PeerFailure() != nil || !slices.Equal(w.gone, []int{1}) {
-		t.Errorf("departure: failure=%+v cleanup=%v", c.PeerFailure(), w.gone)
 	}
 }
 
@@ -426,55 +375,49 @@ func TestExchangeLostCompletionReissuedResolvesOnce(t *testing.T) {
 }
 
 func TestExchangePeerGoneResolvesEveryFamily(t *testing.T) {
-	for _, forget := range []bool{false, true} {
-		var order []uint32
-		c, _ := runCore(t, coreArgs{}, func(p *sim.Proc, c *Core, w *fakeWire) {
-			v := newFakeVerbs(c, Backoff{Initial: sim.Second, Max: sim.Second}, 3)
-			w.cond = v.cond // PeerGone wakes the verb wait
-			var hs []*Call
-			for i := 0; i < 8; i++ { // verbs and two-sided calls interleaved, peers 1 and 2
-				hs = append(hs, v.post(p, 1+i%2))
-				c.CallBegin(p, 1+i%2, &msg.Message{Kind: msg.KPing})
-			}
-			p.Sim().After(sim.Millisecond, func() {
-				if forget {
-					c.ForgetPeer(1)
-				} else {
-					c.Live.DeclareDead(1, "heartbeat-miss", 0)
-				}
-				for _, seq := range KeysWhere(c.pending, func(*Call) bool { return true }) {
-					order = append(order, seq)
-				}
-			})
-			var toward1 []*Call
-			for _, pc := range hs {
-				if pc.Dst() == 1 {
-					toward1 = append(toward1, pc)
-				}
-			}
-			waitAll(c, p, toward1)
-			if p.Now() != sim.Millisecond {
-				t.Errorf("forget=%v: waiter woke at %v, want the declaration at 1ms", forget, p.Now())
-			}
-			var pue *PeerUnreachableError
-			for _, pc := range toward1 {
-				if !errors.As(pc.Err(), &pue) || pue.Peer != 1 || pc.Data() != nil {
-					t.Errorf("forget=%v: verb %d resolved with %v", forget, pc.Seq(), pc.Err())
-				}
-			}
-			for _, pc := range hs {
-				if pc.Dst() == 2 && pc.Done() {
-					t.Errorf("forget=%v: verb %d toward the live peer resolved", forget, pc.Seq())
-				}
+	var order []uint32
+	c, _ := runCore(t, coreArgs{}, func(p *sim.Proc, c *Core, w *fakeWire) {
+		v := newFakeVerbs(c, Backoff{Initial: sim.Second, Max: sim.Second}, 3)
+		w.cond = v.cond // PeerGone wakes the verb wait
+		var hs []*Call
+		for i := 0; i < 8; i++ { // verbs and two-sided calls interleaved, peers 1 and 2
+			hs = append(hs, v.post(p, 1+i%2))
+			c.CallBegin(p, 1+i%2, &msg.Message{Kind: msg.KPing})
+		}
+		p.Sim().After(sim.Millisecond, func() {
+			c.Live.DeclareDead(1, "heartbeat-miss", 0)
+			for _, seq := range KeysWhere(c.pending, func(*Call) bool { return true }) {
+				order = append(order, seq)
 			}
 		})
-		// Everything toward peer 1 — four verbs, four calls — left the table
-		// in the one sweep; what is left is exactly peer 2's.
-		if want := []uint32{3, 4, 7, 8, 11, 12, 15, 16}; !slices.Equal(order, want) {
-			t.Errorf("forget=%v: still pending %v, want %v", forget, order, want)
+		var toward1 []*Call
+		for _, pc := range hs {
+			if pc.Dst() == 1 {
+				toward1 = append(toward1, pc)
+			}
 		}
-		if st := c.Stats(); st.SendsAbandoned != 8 || (c.PeerFailure() == nil) != forget {
-			t.Errorf("forget=%v: abandoned=%d failure=%+v", forget, st.SendsAbandoned, c.PeerFailure())
+		waitAll(c, p, toward1)
+		if p.Now() != sim.Millisecond {
+			t.Errorf("waiter woke at %v, want the declaration at 1ms", p.Now())
 		}
+		var pue *PeerUnreachableError
+		for _, pc := range toward1 {
+			if !errors.As(pc.Err(), &pue) || pue.Peer != 1 || pc.Data() != nil {
+				t.Errorf("verb %d resolved with %v", pc.Seq(), pc.Err())
+			}
+		}
+		for _, pc := range hs {
+			if pc.Dst() == 2 && pc.Done() {
+				t.Errorf("verb %d toward the live peer resolved", pc.Seq())
+			}
+		}
+	})
+	// Everything toward peer 1 — four verbs, four calls — left the table
+	// in the one sweep; what is left is exactly peer 2's.
+	if want := []uint32{3, 4, 7, 8, 11, 12, 15, 16}; !slices.Equal(order, want) {
+		t.Errorf("still pending %v, want %v", order, want)
+	}
+	if st := c.Stats(); st.SendsAbandoned != 8 || c.PeerFailure() == nil {
+		t.Errorf("abandoned=%d failure=%+v", st.SendsAbandoned, c.PeerFailure())
 	}
 }

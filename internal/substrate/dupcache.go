@@ -59,26 +59,3 @@ func (c *DupCache) Insert(k DupKey) *DupEntry {
 	c.order = append(c.order, k)
 	return e
 }
-
-// Len returns the number of retained entries.
-func (c *DupCache) Len() int { return len(c.order) }
-
-// PurgeOrigin removes every entry originated by the given rank and
-// returns how many were dropped. Called when a member departs the
-// cluster: a later joiner reusing the rank id restarts its sequence
-// numbers, and a stale (origin, seq) hit would replay the old member's
-// cached reply for a brand-new request.
-func (c *DupCache) PurgeOrigin(origin int32) int {
-	removed := 0
-	kept := c.order[:0]
-	for _, k := range c.order {
-		if k.Origin == origin {
-			delete(c.m, k)
-			removed++
-			continue
-		}
-		kept = append(kept, k)
-	}
-	c.order = kept
-	return removed
-}

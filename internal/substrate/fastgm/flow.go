@@ -163,8 +163,8 @@ func (fl *flowState) onCreditFrame(rv *gm.Recv) {
 	}
 }
 
-// forget drops the returns owed to a departed or dead peer (the peer is
-// gone); pending flush timers become no-ops.
+// forget drops the returns owed to a dead peer; pending flush timers
+// become no-ops.
 func (fl *flowState) forget(peer int) {
 	if fl.credits != nil && peer >= 0 && peer < len(fl.owed) {
 		clear(fl.owed[peer])

@@ -71,9 +71,9 @@ func (t *Transport) kernelSend(peer int, buf *gm.Buffer, n int, pool *[]*gm.Buff
 }
 
 // PeerGone implements substrate.Wire: drop every staged rendezvous send
-// addressed to the dead or departed peer (its CTS will never come) and
-// the credit returns owed to it, then wake a collector blocked on the
-// synchronous port so it observes the dead flag.
+// addressed to the dead peer (its CTS will never come) and the credit
+// returns owed to it, then wake a collector blocked on the synchronous
+// port so it observes the dead flag.
 func (t *Transport) PeerGone(peer int) {
 	staged := t.rv.staged
 	for _, id := range substrate.KeysWhere(staged, func(st *stagedSend) bool { return st.dst == peer }) {

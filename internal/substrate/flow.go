@@ -134,8 +134,8 @@ func (cr *Credits) Release(peer, lane, n int) {
 	cr.cond.Broadcast()
 }
 
-// Reset restores the full budget toward a departed or dead peer and
-// wakes any sender parked on it, which then observes the dead flag.
+// Reset restores the full budget toward a dead peer and wakes any sender
+// parked on it, which then observes the dead flag.
 func (cr *Credits) Reset(peer int) {
 	if peer >= 0 && peer < len(cr.have) {
 		copy(cr.have[peer], cr.budget)

@@ -114,18 +114,9 @@ func (lv *Liveness) HeardWithin(peer int, d sim.Time) bool {
 	return peer >= 0 && peer < len(lv.lastHeard) && lv.c.proc.Sim().Now()-lv.lastHeard[peer] <= d
 }
 
-// Dead reports whether peer has been declared dead or has departed.
+// Dead reports whether peer has been declared dead.
 func (lv *Liveness) Dead(peer int) bool {
 	return peer >= 0 && peer < len(lv.dead) && lv.dead[peer]
-}
-
-// MarkDeparted records an administratively departed peer as dead — ticks
-// stop probing its closed endpoint and the silence detector never fires
-// on it — without recording a failure or invoking the callback.
-func (lv *Liveness) MarkDeparted(peer int) {
-	if peer >= 0 && peer < len(lv.dead) && peer != lv.c.rank {
-		lv.dead[peer] = true
-	}
 }
 
 // DeclareDead marks a peer dead (idempotently) by silence or by an

@@ -200,13 +200,6 @@ func (t *Transport) PeerGone(peer int) {
 	}
 }
 
-// ForgetPeer implements substrate.Transport: the embedded purge plus
-// the target-side verb duplicate filter keyed by the departed origin.
-func (t *Transport) ForgetPeer(peer int) {
-	t.vdup.PurgeOrigin(int32(peer))
-	t.Transport.ForgetPeer(peer)
-}
-
 // Halt implements substrate.Transport: the embedded teardown plus the
 // one-sided ports.
 func (t *Transport) Halt() {

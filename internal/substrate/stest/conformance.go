@@ -34,7 +34,6 @@ func RunConformance(t *testing.T, build Builder) {
 	t.Run("PortDisabledMidBurstResumed", func(t *testing.T) { ConformancePortDisabledMidBurstResumed(t, build) })
 	t.Run("SilentPeerMidRendezvous", func(t *testing.T) { ConformanceSilentPeerMidRendezvous(t, build) })
 	t.Run("RetryExhaustionLivenessOff", func(t *testing.T) { ConformanceRetryExhaustionLivenessOff(t, build) })
-	t.Run("MemberTeardown", func(t *testing.T) { ConformanceMemberTeardown(t, build) })
 	t.Run("ScatterGather", func(t *testing.T) { ConformanceScatterGather(t, build) })
 	t.Run("ScatterGatherFaultStorm", func(t *testing.T) { ConformanceScatterGatherFaultStorm(t, build) })
 	t.Run("LostReplyPinsOnlyItself", func(t *testing.T) { ConformanceLostReplyPinsOnlyItself(t, build) })
@@ -644,7 +643,7 @@ func ConformanceScatterGatherFaultStorm(t *testing.T, build Builder) {
 // different peer to the same server, made while the lost frame is still
 // pending, completes at wire speed. With one send buffer per size class it
 // parked the server's handler behind the lost frame for the whole timeout
-// (DESIGN.md §15.4); a send arena pins only the lost frame's own bytes.
+// (DESIGN.md §14.4); a send arena pins only the lost frame's own bytes.
 func ConformanceLostReplyPinsOnlyItself(t *testing.T, build Builder) {
 	c := build(3, 1)
 	page := bytes.Repeat([]byte{0x5A}, 4096)
@@ -1222,51 +1221,4 @@ func ConformanceCreditStarvationParkResume(t *testing.T, build Builder) {
 		t.Error("refresh never trickled a frame into the exhausted ring (Parked = 0); weak test")
 	}
 	requireAllPortsEnabled(t, c)
-}
-
-// ConformanceMemberTeardown: ForgetPeer — the membership layer's
-// per-peer teardown for a departed rank — makes subsequent calls toward
-// that peer resolve promptly with a nil reply instead of hanging or
-// retransmitting into the void, leaves traffic toward every other peer
-// untouched, and records no failure (departure is administrative, not a
-// fault the watchdog should surface).
-func ConformanceMemberTeardown(t *testing.T, build Builder) {
-	c := livenessCluster(build, 3)
-	var before, gone, after *msg.Message
-	done := false
-	c.Spawn(
-		func(rank int) substrate.Handler {
-			return func(p *sim.Proc, m *msg.Message) {
-				c.Transports[rank].Reply(p, m, &msg.Message{Kind: msg.KPong, Page: m.Page * 10})
-			}
-		},
-		func(rank int, p *sim.Proc, tr substrate.Transport) {
-			if rank != 0 {
-				for !done { // stay alive to serve (and to heartbeat)
-					p.Advance(sim.Millisecond)
-				}
-				return
-			}
-			before = tr.Call(p, 1, &msg.Message{Kind: msg.KPing, Page: 1})
-			tr.ForgetPeer(1)
-			gone = tr.Call(p, 1, &msg.Message{Kind: msg.KPing, Page: 2})
-			after = tr.Call(p, 2, &msg.Message{Kind: msg.KPing, Page: 3})
-			done = true
-		},
-	)
-	if err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if before == nil || before.Page != 10 {
-		t.Errorf("call before teardown: %+v, want Page 10", before)
-	}
-	if gone != nil {
-		t.Errorf("call to a forgotten peer returned a reply: %+v", gone)
-	}
-	if after == nil || after.Page != 30 {
-		t.Errorf("call to an unaffected peer after teardown: %+v, want Page 30", after)
-	}
-	if pf := c.Transports[0].PeerFailure(); pf != nil {
-		t.Errorf("administrative teardown recorded a failure: %v", pf)
-	}
 }

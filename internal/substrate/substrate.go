@@ -19,7 +19,7 @@
 //     the once-only hedge, and the one wait loop (Step);
 //   - request service (core.go): the (origin, seq) duplicate filter with
 //     cached replies and re-forwarding (DupCache), Reply/Forward/Send
-//     bookkeeping, causal edge stamping, the membership purge;
+//     bookkeeping, causal edge stamping;
 //   - Liveness (liveness.go): last-heard clocks, the silence rule,
 //     declared-dead flags, the typed PeerUnreachableError;
 //   - Credits (flow.go): the sender-side credit ledger indexed (peer,
@@ -152,12 +152,6 @@ type Transport interface {
 	// recovery: timers stop, pending retransmissions are abandoned, and
 	// ports/sockets are released so a replacement process can rebind them.
 	Halt()
-
-	// ForgetPeer drops every per-peer entry for a departed member:
-	// duplicate-cache entries keyed by its origin (a later joiner reusing
-	// the rank id can never match a stale (origin, seq)), and any pending
-	// calls toward it (resolved as abandoned, like a declared-dead peer).
-	ForgetPeer(peer int)
 }
 
 // OneSided is the optional capability interface for transports whose

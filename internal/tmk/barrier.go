@@ -8,9 +8,7 @@ import (
 	"repro/internal/trace"
 )
 
-// Barriers (paper Section 1.1): centralized at the manager, rank 0 —
-// under membership too: rank 0 is the collective allocator and may
-// neither leave nor crash (Config.Validate), so the root never moves.
+// Barriers (paper Section 1.1): centralized at the manager, rank 0.
 // Clients close their interval and send a barrier-arrive message carrying
 // their vector clock and the intervals created since the last barrier;
 // the manager merges everything and, when the last arrival lands,
@@ -49,18 +47,17 @@ func (tp *Proc) barrierParent() int {
 	return (tp.rank - 1) / k
 }
 
-// barrierChildren returns how many ranks report to this process. Only
-// the w compute ranks cross barriers — standby extras never arrive.
+// barrierChildren returns how many ranks report to this process.
 func (tp *Proc) barrierChildren() int {
 	k := tp.cluster.cfg.BarrierFanout
 	if k < 2 {
 		if tp.rank == 0 {
-			return tp.w - 1
+			return tp.n - 1
 		}
 		return 0
 	}
 	count := 0
-	for c := k*tp.rank + 1; c <= k*tp.rank+k && c < tp.w; c++ {
+	for c := k*tp.rank + 1; c <= k*tp.rank+k && c < tp.n; c++ {
 		count++
 	}
 	return count
@@ -182,20 +179,16 @@ func (tp *Proc) Barrier(id int32) {
 	tp.stats.BarrierWait += tp.sp.Now() - start
 	tp.observe(event{kind: evBarrier, start: start, dur: tp.sp.Now() - start, id: id, peer: parent,
 		a: int(ep), b: pIvs, c: pPgs})
-
-	// Membership fence: churn events scheduled at this crossing execute
-	// here, after every compute rank is through the barrier (membership.go).
-	tp.maybeChurn()
 }
 
 // endEpoch fixes the barrier's vector clock. It runs under the mask that
 // applied the release (the root: before it builds any), where tp.vc is the
 // same on every rank; once a child is released and delivery is on, its next
-// arrival can be merged before Barrier returns. A home-based run that owns
-// its placement also moves homes on the epoch just closed and drops what
-// nobody can ask for again: every rank is past the previous barrier, so
-// its interval records go, and all but the newest notice per writer up to
-// it (only the newest is ever read).
+// arrival can be merged before Barrier returns. A home-based run also moves
+// homes on the epoch just closed and drops what nobody can ask for again:
+// every rank is past the previous barrier, so its interval records go, and
+// all but the newest notice per writer up to it (only the newest is ever
+// read).
 func (tp *Proc) endEpoch() {
 	prev := tp.lastBarrierVC
 	tp.lastBarrierVC = tp.vc.Clone()

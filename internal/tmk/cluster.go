@@ -82,24 +82,16 @@ type Config struct {
 	// Flow arms end-to-end credit flow control in whichever substrate the
 	// run uses; Hedge likewise arms hedged re-issues of straggling calls.
 	// With the failure detector they are the run's one substrate.Policy.
-	// Off, the run is bit-identical to one without them (DESIGN.md §15).
+	// Off, the run is bit-identical to one without them (DESIGN.md §14).
 	Flow  bool
 	Hedge bool
 
 	// DiffFetchWidth caps how many writers a read fault asks for diffs at
-	// once (DESIGN.md §15.2): fetchDiffs sends its requests in waves of at
+	// once (DESIGN.md §14.2): fetchDiffs sends its requests in waves of at
 	// most w writers, and 0 makes every writer one wave (max-RTT). 1 is the
 	// serial, sum-of-RTTs baseline the DiffMultiWriter bench rows run side
 	// by side with the default scatter.
 	DiffFetchWidth int
-
-	// Membership configures the elastic-membership layer (DESIGN.md §14):
-	// protocol entities are placed on a consistent-hashed ring of live
-	// ranks, standby extras can join/leave at barrier fences with bounded
-	// role handoff, and a crashed extra's entities are re-placed and
-	// restored while the run continues. The layer is on when there are
-	// extras or a schedule; the zero value is a run without it.
-	Membership MemberConfig
 }
 
 // DefaultConfig returns a calibrated n-process configuration. The
@@ -127,9 +119,7 @@ type Cluster struct {
 	cfg    Config
 	err    error            // Config.Validate's verdict; Run reports it
 	pol    substrate.Policy // the run's one cluster-uniform substrate policy
-	n      int              // total ranks: w compute processes plus standby extras
-	w      int              // compute ranks (= Config.Procs): app partitioning, barriers
-	member *memberState
+	n      int              // ranks (= Config.Procs)
 	sim    *sim.Simulator
 	fabric *myrinet.Fabric
 	gmsys  *gm.System
@@ -185,10 +175,6 @@ type Result struct {
 	// PeerFailure is the first typed transport give-up recorded across
 	// all generations, or nil.
 	PeerFailure *substrate.PeerUnreachableError
-	// Member summarizes the elastic-membership layer's end state (nil
-	// with Config.Membership off): final fence epoch, live/ring bitmaps
-	// and moved-entity count.
-	Member *MemberReport
 }
 
 // finalBarrier is the implicit shutdown barrier id.
@@ -196,19 +182,15 @@ const finalBarrier int32 = 1<<31 - 1
 
 // NewCluster assembles the simulator, fabric, GM, kernels, and per-rank
 // transports; Run then executes the application. A Config that fails
-// Validate assembles nothing: Run returns the verdict (and Sim/GM are nil).
+// Validate assembles nothing: Run returns the verdict (and GM is nil).
 func NewCluster(cfg Config) *Cluster {
-	c := &Cluster{cfg: cfg, w: cfg.Procs, n: cfg.Procs + cfg.Membership.Extra}
+	c := &Cluster{cfg: cfg, n: cfg.Procs}
 	if c.err = cfg.Validate(); c.err != nil {
 		return c
 	}
-	if cfg.Membership.on() {
-		c.member = newMemberState(c.w, c.n)
-	}
 	// The failure detector runs exactly when something can die: a crash
 	// trigger without it would leave survivors blocked on the dead rank
-	// forever. Membership needs none — a scheduled departure or crash is
-	// administrative (departRank has every survivor ForgetPeer).
+	// forever.
 	c.pol = substrate.Policy{Liveness: cfg.Crash.hasTrigger(), Flow: cfg.Flow, Hedge: cfg.Hedge}
 	c.sim = sim.New(cfg.Seed)
 	if cfg.Trace != nil {
@@ -227,9 +209,6 @@ func NewCluster(cfg Config) *Cluster {
 	}
 	return c
 }
-
-// Sim exposes the simulator (tests and harness).
-func (c *Cluster) Sim() *sim.Simulator { return c.sim }
 
 // GM exposes the GM system (pinned-memory accounting).
 func (c *Cluster) GM() *gm.System { return c.gmsys }
@@ -287,19 +266,13 @@ func (c *Cluster) spawnGeneration(gen int) {
 				sp.WaitOn(startCond)
 			}
 
-			if rank < c.w {
-				tp.appStart = sp.Now()
-				c.appFn(tp)
-				tp.Barrier(finalBarrier)
-				tp.appEnd = sp.Now()
-				if cz := c.sim.Causal(); cz != nil {
-					cz.End(rank, int64(tp.appEnd))
-				}
+			tp.appStart = sp.Now()
+			c.appFn(tp)
+			tp.Barrier(finalBarrier)
+			tp.appEnd = sp.Now()
+			if cz := c.sim.Causal(); cz != nil {
+				cz.End(rank, int64(tp.appEnd))
 			}
-			// Standby extras (rank ≥ w) run no application body and cross
-			// no barrier: they serve protocol requests from the handler
-			// until the compute ranks finish (or a churn event departs
-			// them), parked right here on the finish rendezvous.
 
 			// Shutdown rendezvous (out of band, like the launcher's): on a
 			// lossy fabric a peer may still be retrying a request whose
@@ -374,9 +347,6 @@ func (c *Cluster) Run(app func(tp *Proc)) (*Result, error) {
 	}
 	res.NetFaults = c.fabric.FaultStats()
 	res.Crash = c.crash.report
-	if m := c.member; m != nil {
-		res.Member = &MemberReport{Epoch: m.epoch, Live: m.live, InRing: m.inRing, Moves: len(m.owner)}
-	}
 	if res.Crash != nil && res.Crash.Action == "abort" {
 		return res, &CrashAbortError{Report: res.Crash}
 	}

@@ -148,9 +148,9 @@ func (c *Cluster) handleCrash(detector, peer int, err error) {
 // afterCrash runs in scheduler context once the crashed generation has
 // fully unwound. Without Restart the abort post-mortem is the run's
 // outcome. With it the run starts again: what lives on the Cluster rather
-// than on a Proc — the region and page allocators and the membership
-// state — goes back to where generation 0 found it, and the launch path
-// that started generation 0 starts generation 1.
+// than on a Proc — the region and page allocators — goes back to where
+// generation 0 found it, and the launch path that started generation 0
+// starts generation 1.
 func (c *Cluster) afterCrash() {
 	rep := c.crash.report
 	if !c.cfg.Crash.Restart {
@@ -160,11 +160,8 @@ func (c *Cluster) afterCrash() {
 	rep.Action = "restart"
 	c.crash.gen++
 	rep.Generations = c.crash.gen + 1
-	c.procs[rep.DetectedBy].observe(event{kind: evRestart, a: c.crash.gen})
+	c.procs[rep.DetectedBy].observe(event{kind: evRestart, peer: -1, a: c.crash.gen})
 	c.nextRegionID, c.nextPage = 0, 0
-	if c.member != nil {
-		c.member = newMemberState(c.w, c.n)
-	}
 	c.spawnGeneration(c.crash.gen)
 }
 
@@ -177,7 +174,7 @@ func (tp *Proc) maybeCrashAt(counter *int, at int) {
 	}
 	*counter++
 	if *counter == at {
-		tp.observe(event{kind: evCrashInject, a: at})
+		tp.observe(event{kind: evCrashInject, peer: -1, a: at})
 		tp.sp.Exit()
 	}
 }

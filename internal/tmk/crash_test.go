@@ -10,6 +10,8 @@ import (
 	"repro/internal/tmk"
 )
 
+var allTransports = []tmk.TransportKind{tmk.TransportFastGM, tmk.TransportUDPGM, tmk.TransportRDMAGM}
+
 // epochApp is a small barrier-structured workload shaped like Jacobi:
 // rank 0 allocates and seeds a shared vector, then each epoch has every
 // rank rewrite its stripe as a function of the epoch number, with a

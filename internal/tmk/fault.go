@@ -116,7 +116,7 @@ func (tp *Proc) chaseDiffs(pm *pageMeta) (fetched bool) {
 // batched message per writer, a wave of them transmitted before any reply
 // is awaited — so a k-writer fault costs max-RTT instead of sum-of-RTTs.
 // A wave is every range, unless Config.DiffFetchWidth caps it (DESIGN.md
-// §15.2; 1 is the serial sum-of-RTTs baseline). Each range targets a
+// §14.2; 1 is the serial sum-of-RTTs baseline). Each range targets a
 // distinct writer (missingRanges emits one per writer), so chunking ranges
 // chunks outstanding calls.
 func (tp *Proc) fetchDiffs(pm *pageMeta, ranges []msg.DiffRange) {
@@ -277,13 +277,10 @@ func (tp *Proc) closeInterval() {
 		// returns — and the messages that make the interval visible
 		// elsewhere (barrier arrive, lock grant) are sent strictly after.
 		tp.flushHomeDiffs(ts, pages)
-		if tp.cluster.member == nil {
-			// The homes hold the data now, and no one asks a home-based
-			// writer for a diff; only membership's recoverPage replays
-			// them, so only a run with membership on keeps them.
-			for _, pg := range pages {
-				tp.dropDiff(diffKey{page: pg, ts: ts})
-			}
+		// The homes hold the data now, and no one asks a home-based
+		// writer for a diff.
+		for _, pg := range pages {
+			tp.dropDiff(diffKey{page: pg, ts: ts})
 		}
 	}
 	tp.dirty = tp.dirty[:0]

@@ -15,8 +15,8 @@ import (
 
 // TestMain fails the package if any test's run stored into the page every
 // frame-less copy reads as. The tests here reach each storing path — an
-// application write, a fetched copy, an applied diff, a merged home page, a
-// membership hand-off — so a path that writes through the read view instead
+// application write, a fetched copy, an applied diff, a merged home page —
+// so a path that writes through the read view instead
 // of a private frame turns the whole run red.
 func TestMain(m *testing.M) {
 	code := m.Run()

@@ -37,22 +37,19 @@ import (
 // notice has arrived anyway.
 
 // HomeOf returns the rank serving as page pg's home: where moveHomes last
-// put it, else static round-robin over the compute ranks (consecutive
-// pages of a region spread across the cluster without any directory
-// state), overridden by the membership ring when the home has moved to a
-// joined extra (DESIGN.md §14).
+// put it, else static round-robin over the ranks (consecutive pages of a
+// region spread across the cluster without any directory state).
 func (tp *Proc) HomeOf(pg int32) int {
 	if tp.homes != nil {
 		if h, ok := tp.homes.home[pg]; ok {
 			return int(h)
 		}
 	}
-	return tp.cluster.placePage(pg)
+	return int(pg % int32(tp.n))
 }
 
 // selfHomed reports whether this rank's copy of pg is a master copy it may
-// write in place: homed here, under migrating placement (with membership
-// on, recoverPage replays writers' diffs, so every writer keeps twinning).
+// write in place: homed here.
 func (tp *Proc) selfHomed(pg int32) bool { return tp.homes != nil && tp.HomeOf(pg) == tp.rank }
 
 // homeTable is one rank's copy of the migrating placement (DESIGN.md

@@ -225,7 +225,6 @@ func TestHomesFollowTheSoleWriter(t *testing.T) {
 		name    string
 		writers []epoch
 		homes   []int // after each epoch's barrier, on every rank
-		member  bool  // membership configured: the ring owns placement
 		locked  bool  // writers take lock 0 around the write (tsp's shape)
 	}{
 		{name: "same sole writer twice moves at the second barrier",
@@ -240,16 +239,11 @@ func TestHomesFollowTheSoleWriter(t *testing.T) {
 			writers: []epoch{{0}, {0}, {0}}, homes: []int{0, 0, 0}},
 		{name: "lock-only sharing never moves",
 			writers: []epoch{{0, 1, 2, 3}, {1, 2, 3}, {1, 2, 3}}, homes: []int{0, 0, 0}, locked: true},
-		{name: "membership configured never moves",
-			writers: []epoch{{1}, {1}, {1}}, homes: []int{0, 0, 0}, member: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			const n = 4
 			cfg := DefaultConfig(n, TransportRDMAGM)
-			if tc.member {
-				cfg.Membership = MemberConfig{Extra: 1}
-			}
 			got := make([][n]int, len(tc.writers))
 			res, err := Run(cfg, func(tp *Proc) {
 				r := tp.AllocShared(n * PageSize) // page 0 of the region is homed at rank 0

@@ -7,8 +7,7 @@ import (
 )
 
 // Lock management (paper Section 1.1 / TreadMarks): every lock has an
-// assigned manager — lock id mod n statically, overridden by the
-// membership ring when the manager role has moved (DESIGN.md §14).
+// assigned manager — lock id mod n.
 // Acquires go to the manager, which either grants directly (when it was
 // itself the last releaser — the microbenchmark's "direct" case) or
 // forwards the request to the last holder it handed the lock to (the
@@ -31,7 +30,7 @@ type lockState struct {
 	tail int
 }
 
-func (tp *Proc) lockManager(id int32) int { return tp.cluster.placeLock(id) }
+func (tp *Proc) lockManager(id int32) int { return int(id) % tp.n }
 
 func (tp *Proc) lock(id int32) *lockState {
 	ls := tp.locks[id]

@@ -80,21 +80,13 @@ var (
 	evBarrierArrive = &evKind{prof: []prof.Kind{prof.BarrierArrive}}
 	evBarrier       = &evKind{ring: "barrier", prof: []prof.Kind{prof.BarrierDepart}}
 
-	// Membership and crash handling, observed by the fence leader or the
-	// detecting rank; peer = the rank the event is about or the new owner,
-	// a = the previous owner. DRIFT: only the churn events and the crash
-	// detection reach the ring.
-	evMemberJoin    = &evKind{ring: "member-join", text: "membership: join rank %[3]d at crossing %[5]d (epoch %[6]d)"}
-	evMemberLeave   = &evKind{ring: "member-leave", text: "membership: leave rank %[3]d at crossing %[5]d (epoch %[6]d)"}
-	evMemberCrash   = &evKind{ring: "member-crash", text: "membership: crash rank %[3]d at crossing %[5]d (epoch %[6]d)"}
-	evLockHandoff   = &evKind{text: "membership: lock %[2]d manager %[5]d -> %[3]d (tail %[6]d)"}
-	evLockRecover   = &evKind{text: "membership: lock %[2]d recovered from dead manager %[5]d -> %[3]d (token at %[6]d)"}
-	evPageHandoff   = &evKind{text: "membership: page %[2]d home %[5]d -> %[3]d"}
-	evPageRebuild   = &evKind{text: "membership: page %[2]d rebuilt at %[3]d from %[5]d surviving diffs"}
+	// Crash handling, observed by the dying rank (the injection) or the
+	// detecting rank; peer = the dead rank (-1 if none), a = the trigger
+	// count or the generation.
+	evCrashInject   = &evKind{ring: "crash-inject", text: "crash injector: rank %[1]d dies (trigger %[5]d)"}
 	evCrashDetected = &evKind{ring: "crash-detected",
 		text: "watchdog: rank %[3]d dead (detected by %[1]d): tearing down generation %[5]d"}
-	evRestart     = &evKind{text: "watchdog: restarting the run as generation %[5]d"}
-	evCrashInject = &evKind{text: "crash injector: rank %[1]d dies (trigger %[5]d)"}
+	evRestart = &evKind{ring: "restart", text: "watchdog: restarting the run as generation %[5]d"}
 )
 
 // event is one protocol occurrence at the observing rank. A span gives

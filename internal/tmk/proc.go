@@ -14,8 +14,7 @@ import (
 type Proc struct {
 	cluster *Cluster
 	rank    int
-	n       int // total ranks (compute + standby extras): VC width, peers
-	w       int // compute ranks: app partitioning, barriers, static placement
+	n       int // ranks: VC width, peers, app partitioning, static placement
 	sp      *sim.Proc
 	tr      substrate.Transport
 	cpu     CPUParams
@@ -24,7 +23,7 @@ type Proc struct {
 	// case os is the transport's one-sided capability.
 	homeBased bool
 	os        substrate.OneSided
-	homes     *homeTable // migrating placement; nil unless homeBased without membership
+	homes     *homeTable // migrating placement; nil unless homeBased
 	// homeFaultRange's scratch (a handler never faults: one user at a time):
 	// the pages still to validate and their Gets, index for index.
 	homeGets  []homeGet
@@ -67,9 +66,9 @@ type Proc struct {
 // Rank returns this process's rank.
 func (tp *Proc) Rank() int { return tp.rank }
 
-// NProcs returns the number of compute processes the application is
-// partitioned over (standby extras from the membership layer excluded).
-func (tp *Proc) NProcs() int { return tp.w }
+// NProcs returns the number of processes the application is partitioned
+// over.
+func (tp *Proc) NProcs() int { return tp.n }
 
 // Sim returns the underlying simulated process (for Compute/Now).
 func (tp *Proc) Sim() *sim.Proc { return tp.sp }
@@ -96,7 +95,6 @@ func newProc(c *Cluster, rank int, sp *sim.Proc, tr substrate.Transport, cpu CPU
 		cluster:       c,
 		rank:          rank,
 		n:             c.n,
-		w:             c.w,
 		sp:            sp,
 		tr:            tr,
 		cpu:           cpu,
@@ -112,9 +110,7 @@ func newProc(c *Cluster, rank int, sp *sim.Proc, tr substrate.Transport, cpu CPU
 	if c.cfg.HomeBased {
 		tp.homeBased = true
 		tp.os = tr.(substrate.OneSided)
-		if c.member == nil {
-			tp.homes = &homeTable{home: map[int32]int32{}, cand: map[int32]int32{}, sole: map[int32]int32{}}
-		}
+		tp.homes = &homeTable{home: map[int32]int32{}, cand: map[int32]int32{}, sole: map[int32]int32{}}
 	} else {
 		tp.diffBufs = new(diffBuffers)
 	}

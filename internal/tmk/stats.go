@@ -53,17 +53,6 @@ type Stats struct {
 	HomeFetchBytes int64 // page bytes RDMA-read from homes
 	HomeMoves      int64 // pages whose home migrated to their sole writer (counted there)
 
-	// Elastic-membership counters (zero with Config.Membership off;
-	// DESIGN.md §14). Handoff counters are charged to the fence leader.
-	MemberJoins             int64 // ring admissions executed
-	MemberLeaves            int64 // ring departures executed
-	MemberCrashes           int64 // scheduled rank deaths executed
-	MemberPartialRecoveries int64 // crash recoveries that re-placed only the dead rank's entities
-	MemberHandoffLocks      int64 // lock managers shipped to a new owner
-	MemberHandoffPages      int64 // page homes shipped or rebuilt at a new owner
-	MemberHandoffBytes      int64 // handoff bytes copied (lockHandoffBytes / pageHandoffBytes each)
-	MemberDiffsReplayed     int64 // surviving diffs replayed into rebuilt home pages
-
 	MetaBytesPeak int64 // per-rank metadata gauge high-water (DESIGN.md §4.3; summed across ranks by Add)
 
 	LockWait    sim.Time

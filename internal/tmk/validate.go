@@ -2,11 +2,10 @@ package tmk
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
-// ConfigRule names one constraint on a Config (DESIGN.md §17 is the
+// ConfigRule names one constraint on a Config (DESIGN.md §16 is the
 // table; Validate below is the only code that knows it).
 type ConfigRule string
 
@@ -16,10 +15,8 @@ const (
 	RuleTransport      ConfigRule = "transport"       // a substrate that exists
 	RuleHomeBased      ConfigRule = "home-based"      // HLRC needs one-sided verbs
 	RuleRange          ConfigRule = "range"           // BarrierFanout, DiffFetchWidth ≥ 0
-	RuleCrashRank      ConfigRule = "crash-rank"      // an armed trigger names a compute rank
+	RuleCrashRank      ConfigRule = "crash-rank"      // an armed trigger names a process
 	RuleLivenessFaults ConfigRule = "liveness-faults" // the detector presumes a fault-free fabric
-	RuleMemberSize     ConfigRule = "member-size"     // 0 ≤ extras, ≤ 64 ranks in all
-	RuleChurnSchedule  ConfigRule = "churn-schedule"  // every event executable at its fence
 )
 
 // ConfigError is one violated rule.
@@ -78,7 +75,6 @@ func (cfg *Config) Validate() error {
 	if cfg.DiffFetchWidth < 0 {
 		bad(RuleRange, "negative DiffFetchWidth %d", cfg.DiffFetchWidth)
 	}
-	mc := cfg.Membership
 	if cc := cfg.Crash; cc.hasTrigger() && (cc.Rank < 0 || cc.Rank >= cfg.Procs) {
 		bad(RuleCrashRank, "crash rank %d is not one of the %d processes", cc.Rank, cfg.Procs)
 	}
@@ -91,76 +87,8 @@ func (cfg *Config) Validate() error {
 		bad(RuleLivenessFaults, "the failure detector (a crash trigger arms it) "+
 			"presumes a fault-free fabric, but Net.Faults injects faults")
 	}
-	switch total := cfg.Procs + mc.Extra; {
-	case mc.Extra < 0:
-		bad(RuleMemberSize, "negative Membership.Extra %d", mc.Extra)
-	case mc.on() && total > 64:
-		bad(RuleMemberSize, "membership supports at most 64 ranks, got %d", total)
-	case mc.on():
-		if err := mc.replay(cfg.Procs, cfg.HomeBased); err != nil {
-			bad(RuleChurnSchedule, "%v", err)
-		}
-	}
 	if errs == nil {
 		return nil
 	}
 	return errs
-}
-
-// replay executes the schedule against the ring bitmap exactly as the
-// fences will — by crossing, in list order within one — and returns the
-// first event its fence could not execute. The bitmaps are a pure function
-// of the schedule, so everything churnJoin/Leave/Crash rely on is decided
-// here: who is a standby extra, who is in the ring, who is gone. Rank 0
-// never leaves and only extras crash, so it stays the barrier root and a
-// live compute ring member always remains to take a departing rank's
-// locks; page homes move only onto joined extras, so under HLRC an extra
-// may depart only while another one stays in the ring.
-func (mc MemberConfig) replay(w int, homeBased bool) error {
-	order := append([]ChurnEvent(nil), mc.Schedule...)
-	sort.SliceStable(order, func(i, j int) bool { return order[i].AtBarrier < order[j].AtBarrier })
-	ring := uint64(1)<<uint(w) - 1 // compute ranks start in the ring, extras outside it
-	var gone uint64                // extras that left or died
-	for _, ev := range order {
-		bit := uint64(1) << uint(ev.Rank)
-		extra := ev.Rank >= w && ev.Rank < w+mc.Extra
-		fail := func(why string) error {
-			return fmt.Errorf("churn event {%s rank %d at barrier %d}: %s", ev.Kind, ev.Rank, ev.AtBarrier, why)
-		}
-		switch {
-		case ev.AtBarrier < 1:
-			return fail("AtBarrier must be ≥ 1")
-		case ev.Rank < 0 || ev.Rank >= w+mc.Extra:
-			return fail("no such rank")
-		}
-		switch ev.Kind {
-		case "join":
-			if !extra || ring&bit != 0 || gone&bit != 0 {
-				return fail("only a standby extra outside the ring can join")
-			}
-			ring |= bit
-			continue
-		case "leave":
-			if ev.Rank == 0 {
-				return fail("rank 0 cannot leave (it is the collective allocator)")
-			}
-			if ring&bit == 0 {
-				return fail("not a ring member at that fence")
-			}
-		case "crash":
-			if !extra || ring&bit == 0 {
-				return fail("only a joined standby extra crashes under membership")
-			}
-		default:
-			return fail("unknown kind (want join, leave or crash)")
-		}
-		ring &^= bit
-		if extra {
-			gone |= bit
-			if homeBased && ring>>uint(w) == 0 {
-				return fail("no joined extra left in the ring to take its page homes")
-			}
-		}
-	}
-	return nil
 }

@@ -33,12 +33,6 @@ func rulesOf(t *testing.T, err error) []tmk.ConfigRule {
 // inputs that used to die in a goroutine dump. Every rejected row must
 // come back from Run as the same typed verdict — never a panic.
 func TestValidateRules(t *testing.T) {
-	churn := func(extra int, evs ...tmk.ChurnEvent) func(*tmk.Config) {
-		return func(c *tmk.Config) { c.Membership = tmk.MemberConfig{Extra: extra, Schedule: evs} }
-	}
-	ev := func(at int, kind string, rank int) tmk.ChurnEvent {
-		return tmk.ChurnEvent{AtBarrier: at, Kind: kind, Rank: rank}
-	}
 	rows := []struct {
 		name string
 		n    int
@@ -60,26 +54,6 @@ func TestValidateRules(t *testing.T) {
 		{"failure detector on a lossy fabric", 4, tmk.TransportFastGM,
 			func(c *tmk.Config) { c.Crash = tmk.CrashConfig{Rank: 1, AtLock: 1}; c.Net.Faults.Drop = 0.01 },
 			[]tmk.ConfigRule{tmk.RuleLivenessFaults}},
-		{"negative extras", 4, tmk.TransportFastGM, churn(-1), []tmk.ConfigRule{tmk.RuleMemberSize}},
-		{"more than 64 ranks", 60, tmk.TransportFastGM, churn(5), []tmk.ConfigRule{tmk.RuleMemberSize}},
-
-		// The schedule, replayed in execution order against the ring.
-		{"compute rank leaves twice", 4, tmk.TransportFastGM,
-			churn(0, ev(2, "leave", 1), ev(3, "leave", 1)), []tmk.ConfigRule{tmk.RuleChurnSchedule}},
-		{"legal in list order, not in crossing order", 4, tmk.TransportFastGM,
-			churn(1, ev(3, "join", 4), ev(2, "leave", 4)), []tmk.ConfigRule{tmk.RuleChurnSchedule}},
-		{"rank 0 leaves", 4, tmk.TransportFastGM, churn(0, ev(2, "leave", 0)), []tmk.ConfigRule{tmk.RuleChurnSchedule}},
-		{"compute rank joins", 4, tmk.TransportFastGM, churn(1, ev(2, "join", 1)), []tmk.ConfigRule{tmk.RuleChurnSchedule}},
-		{"extra joins twice", 4, tmk.TransportFastGM,
-			churn(1, ev(2, "join", 4), ev(3, "join", 4)), []tmk.ConfigRule{tmk.RuleChurnSchedule}},
-		{"extra crashes before joining", 4, tmk.TransportFastGM,
-			churn(1, ev(2, "crash", 4)), []tmk.ConfigRule{tmk.RuleChurnSchedule}},
-		{"compute rank crashes", 4, tmk.TransportFastGM, churn(1, ev(2, "crash", 1)), []tmk.ConfigRule{tmk.RuleChurnSchedule}},
-		{"crossing zero", 4, tmk.TransportFastGM, churn(1, ev(0, "join", 4)), []tmk.ConfigRule{tmk.RuleChurnSchedule}},
-		{"no such rank", 4, tmk.TransportFastGM, churn(1, ev(2, "join", 5)), []tmk.ConfigRule{tmk.RuleChurnSchedule}},
-		{"unknown kind", 4, tmk.TransportFastGM, churn(1, ev(2, "evict", 4)), []tmk.ConfigRule{tmk.RuleChurnSchedule}},
-		{"last joined extra departs under HLRC", 4, tmk.TransportRDMAGM,
-			churn(1, ev(2, "join", 4), ev(3, "crash", 4)), []tmk.ConfigRule{tmk.RuleChurnSchedule}},
 
 		{"four rules at once", 0, "bogus",
 			func(c *tmk.Config) { c.HomeBased = true; c.BarrierFanout = -1 },
@@ -88,14 +62,6 @@ func TestValidateRules(t *testing.T) {
 		// Legal: what arms a feature is its own fields, nothing else.
 		{"a victim rank with no trigger is unarmed", 4, tmk.TransportFastGM,
 			func(c *tmk.Config) { c.Crash.Rank = 9 }, nil},
-		{"legal in crossing order, not in list order", 4, tmk.TransportFastGM,
-			churn(1, ev(3, "leave", 4), ev(2, "join", 4)), nil},
-		{"the same departure on the homeless protocol", 4, tmk.TransportFastGM,
-			churn(1, ev(2, "join", 4), ev(3, "crash", 4)), nil},
-		{"restart with membership", 4, tmk.TransportFastGM,
-			func(c *tmk.Config) { c.Membership.Extra = 1; c.Crash.Restart = true }, nil},
-		{"membership on a lossy fabric: no detector armed", 4, tmk.TransportFastGM,
-			func(c *tmk.Config) { c.Membership.Extra = 1; c.Net.Faults.Drop = 0.01 }, nil},
 	}
 	for _, row := range rows {
 		cfg := tmk.DefaultConfig(row.n, row.kind)
@@ -133,10 +99,10 @@ func TestValidateRules(t *testing.T) {
 // TestConfigSurface pins how many feature values a caller can set
 // (harness.ConfigSurface: every leaf under Config's feature fields, plus any
 // copy of the cluster-uniform policy hiding in a per-substrate config).
-// Adding a knob means arguing with this number (DESIGN.md §17).
+// Adding a knob means arguing with this number (DESIGN.md §16).
 func TestConfigSurface(t *testing.T) {
-	if leaves := harness.ConfigSurface(); len(leaves) != 10 {
-		t.Errorf("tmk.Config exposes %d settable feature values, want 10:\n  %s",
+	if leaves := harness.ConfigSurface(); len(leaves) != 8 {
+		t.Errorf("tmk.Config exposes %d settable feature values, want 8:\n  %s",
 			len(leaves), strings.Join(leaves, "\n  "))
 	}
 }

@@ -36,8 +36,7 @@ import (
 type (
 	// Config assembles a DSM run: process count, transport, the
 	// fabric/GM/kernel/CPU cost models, and the opt-in features — each on
-	// when it is set: Crash (a trigger), Flow and Hedge (bools), Membership
-	// (extras or a schedule).
+	// when it is set: Crash (a trigger), Flow and Hedge (bools).
 	Config = tmk.Config
 	// Cluster is an assembled run on which Run executes an application.
 	Cluster = tmk.Cluster
@@ -73,18 +72,6 @@ type (
 	// violated rule at once, each a ConfigError naming its rule.
 	InvalidConfigError = tmk.InvalidConfigError
 	ConfigError        = tmk.ConfigError
-	// MemberConfig configures the elastic-membership layer (on when it
-	// names extras or a schedule): protocol entities placed on a
-	// consistent-hashed ring of live ranks, standby extras joining/leaving
-	// at barrier fences with bounded handoff, and partial recovery of a
-	// crashed extra's entities with no generation restart.
-	MemberConfig = tmk.MemberConfig
-	// ChurnEvent is one scheduled membership transition ("join", "leave",
-	// or "crash" of a rank at a barrier crossing).
-	ChurnEvent = tmk.ChurnEvent
-	// MemberReport summarizes a run's membership outcome: final fence
-	// epoch, live/ring bitmaps, placement moves.
-	MemberReport = tmk.MemberReport
 )
 
 // The two substrates the paper evaluates.

@@ -55,52 +55,6 @@ func TestFacadeConstants(t *testing.T) {
 	}
 }
 
-// TestFacadeMembership runs the README's churn snippet through the
-// public facade: a standby extra joins the ring at a barrier fence and
-// is crashed at a later one, and the run continues bit-correct with a
-// membership report and no generation restart.
-func TestFacadeMembership(t *testing.T) {
-	cfg := treadmarks.DefaultConfig(4, treadmarks.FastGM)
-	cfg.Membership = treadmarks.MemberConfig{
-		Extra: 2,
-		Schedule: []treadmarks.ChurnEvent{
-			{AtBarrier: 2, Kind: "join", Rank: 4},
-			{AtBarrier: 4, Kind: "crash", Rank: 4},
-		},
-	}
-	var final float64
-	res, err := treadmarks.Run(cfg, func(tp *treadmarks.Proc) {
-		counter := tp.AllocShared(8)
-		tp.Barrier(1)
-		for round := 0; round < 3; round++ {
-			tp.LockAcquire(0)
-			tp.WriteF64(counter, 0, tp.ReadF64(counter, 0)+1)
-			tp.LockRelease(0)
-			tp.Barrier(int32(2 + round))
-		}
-		if tp.Rank() == 0 {
-			final = tp.ReadF64(counter, 0)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final != 12 {
-		t.Errorf("counter = %v, want 12", final)
-	}
-	var m *treadmarks.MemberReport = res.Member
-	if m == nil || m.Epoch != 2 {
-		t.Fatalf("membership report %+v, want epoch 2", m)
-	}
-	if res.Stats.MemberJoins != 1 || res.Stats.MemberCrashes != 1 || res.Stats.MemberPartialRecoveries != 1 {
-		t.Errorf("joins=%d crashes=%d recoveries=%d, want 1/1/1",
-			res.Stats.MemberJoins, res.Stats.MemberCrashes, res.Stats.MemberPartialRecoveries)
-	}
-	if res.Crash != nil {
-		t.Errorf("crash machinery fired: %s", res.Crash)
-	}
-}
-
 // TestFacadeDeterminism: the public entry point inherits the simulator's
 // bit-reproducibility.
 func TestFacadeDeterminism(t *testing.T) {
