@@ -463,6 +463,14 @@ const (
 	procTSSize   = 2 + 4
 )
 
+// DiffRangesWithin returns how many ranges a KDiffReq can name and still
+// encode to at most limit bytes.
+func DiffRangesWithin(limit int) int { return (limit - headerSize - countSize) / diffReqSize }
+
+// DiffReplySize returns the encoded size of a KDiffReply carrying n ≥ 1
+// diffs whose Data total data bytes.
+func DiffReplySize(n, data int) int { return headerSize + countSize + n*diffSize + data }
+
 // EncodedSize returns the wire size Encode produces, computed from the
 // message without building it.
 func (m *Message) EncodedSize() int {

@@ -314,3 +314,21 @@ func TestDecodeFlippedBitsNeverPanic(t *testing.T) {
 		}()
 	}
 }
+
+// TestDiffSizesMatchEncode: the budget helpers a diff exchange is cut by
+// agree with Encode at and around the cap.
+func TestDiffSizesMatchEncode(t *testing.T) {
+	for _, limit := range []int{64, 1000, 32 * 1024} {
+		k := DiffRangesWithin(limit)
+		fits := &Message{Kind: KDiffReq, Seq: 1, DiffReqs: make([]DiffRange, k)}
+		over := &Message{Kind: KDiffReq, Seq: 1, DiffReqs: make([]DiffRange, k+1)}
+		if len(fits.Encode()) > limit || len(over.Encode()) <= limit {
+			t.Errorf("limit %d: %d ranges encode to %d bytes, %d to %d", limit, k, len(fits.Encode()), k+1, len(over.Encode()))
+		}
+	}
+	diffs := []Diff{{Page: 3, Proc: 1, TS: 2, Data: make([]byte, 12)}, {Page: 4, Proc: 1, TS: 5, Data: make([]byte, 40)}}
+	rep := &Message{Kind: KDiffReply, Seq: 9, Diffs: diffs}
+	if got, want := DiffReplySize(2, 52), len(rep.Encode()); got != want {
+		t.Errorf("DiffReplySize(2, 52) = %d, Encode = %d", got, want)
+	}
+}

@@ -95,6 +95,9 @@ func (c *Core) NextSeq() uint32 {
 func (c *Core) Open(p *sim.Proc, x *Exchange, dst int, seq uint32, body, aux []byte) *Call {
 	pc := &Call{x: x, dst: dst, seq: seq, body: body, aux: aux, issued: p.Now()}
 	c.pending[seq] = pc
+	if x == &c.calls {
+		c.open++
+	}
 	if c.Live.Dead(dst) {
 		c.giveUp(p, pc, "peer-dead", 0)
 	}
@@ -229,6 +232,9 @@ func (c *Core) match(p *sim.Proc, m *msg.Message) {
 // binding's own payload, or the typed failure.
 func (c *Core) Complete(pc *Call, data []byte, err error) {
 	delete(c.pending, pc.seq)
+	if pc.x == &c.calls {
+		c.open--
+	}
 	pc.data, pc.err, pc.done, pc.completed = data, err, true, c.proc.Sim().Now()
 }
 

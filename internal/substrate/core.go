@@ -63,6 +63,7 @@ type Core struct {
 	seq       uint32
 	pending   map[uint32]*Call
 	calls     Exchange // the two-sided request/reply family
+	open      int      // calls of that family in pending (OpenCalls)
 	pol       Policy
 	hedgeEWMA sim.Time
 }
@@ -113,6 +114,9 @@ func (c *Core) Init(w Wire, rank, size int, pol Policy, dupCacheSize int, rto Ba
 		}}
 	c.Live.init(c)
 }
+
+// OpenCalls returns how many two-sided calls await their replies.
+func (c *Core) OpenCalls() int { return c.open }
 
 // Policy returns the run's policy.
 func (c *Core) Policy() Policy { return c.pol }

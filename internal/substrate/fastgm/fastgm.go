@@ -376,6 +376,12 @@ func (t *Transport) Transmit(p *sim.Proc, dst int, lane substrate.Lane, kind msg
 	if lane == substrate.LaneReply {
 		dstPort = SyncPort
 	}
+	if lane == substrate.LaneRequest && t.OpenCalls() > t.outstandingCalls() {
+		// One more reply than the sync port has buffers for would wait on a
+		// missing buffer, then die as an unreachable peer.
+		panic(fmt.Sprintf("fastgm: rank %d: %d calls in flight exceed the sync port's %d reply slots "+
+			"(Config.OutstandingCalls)", t.Rank(), t.OpenCalls(), t.outstandingCalls()))
+	}
 	n := len(body) + 1
 	params := t.node.System().Params()
 	if n > params.MaxMessage() {

@@ -3,6 +3,8 @@ package stest
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/gm"
@@ -40,6 +42,7 @@ func RunConformance(t *testing.T, build Builder) {
 	t.Run("IncastStorm", func(t *testing.T) { ConformanceIncastStorm(t, build) })
 	t.Run("CreditStarvationParkResume", func(t *testing.T) { ConformanceCreditStarvationParkResume(t, build) })
 	t.Run("VectorPut", func(t *testing.T) { ConformanceVectorPut(t, build) })
+	t.Run("ReplySlotsCap", func(t *testing.T) { ConformanceReplySlotsCap(t, build) })
 }
 
 // requireAllPortsEnabled asserts the residual-damage invariant after a
@@ -554,6 +557,56 @@ func ConformanceScatterGather(t *testing.T, build Builder) {
 	}
 	if st := c.Transports[0].Stats(); st.RepliesRecvd != 2 || st.StaleReplies != 0 {
 		t.Errorf("caller stats: %+v", st)
+	}
+}
+
+// ConformanceReplySlotsCap: a GM binding's sync port preposts one reply
+// buffer per outstanding-call slot (n−1 by default) plus a margin, so a
+// process keeps at most that many calls in flight. That many complete;
+// one more is refused at once, naming the cap and the count, instead of
+// overrunning the buffers and surfacing far later as an unreachable peer.
+// UDP/GM's replies share a socket buffer and have no slots.
+func ConformanceReplySlotsCap(t *testing.T, build Builder) {
+	c := build(3, 1)
+	if c.Stacks != nil {
+		t.Skip("UDP/GM has no per-call reply slots")
+	}
+	const slots = 2
+	var reps []*msg.Message
+	var refused any
+	c.Spawn(
+		func(rank int) substrate.Handler {
+			return func(p *sim.Proc, m *msg.Message) {
+				c.Transports[rank].Reply(p, m, &msg.Message{Kind: msg.KPong, Page: m.Page})
+			}
+		},
+		func(rank int, p *sim.Proc, tr substrate.Transport) {
+			if rank != 0 {
+				return
+			}
+			var pend []substrate.Pending
+			for i := 0; i < slots; i++ {
+				pend = append(pend, tr.CallBegin(p, 1+i%2, &msg.Message{Kind: msg.KPing, Page: int32(i)}))
+			}
+			func() {
+				defer func() { refused = recover() }()
+				tr.CallBegin(p, 1, &msg.Message{Kind: msg.KPing, Page: slots})
+			}()
+			reps = tr.Collect(p, pend)
+		},
+	)
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i, rep := range reps {
+		if rep == nil || rep.Kind != msg.KPong || rep.Page != int32(i) {
+			t.Errorf("call %d of %d in flight: reply %+v", i, slots, rep)
+		}
+	}
+	verdict := fmt.Sprint(refused)
+	if refused == nil || !strings.Contains(verdict, "3 calls in flight exceed the sync port's 2 reply slots") ||
+		strings.Contains(verdict, "unreachable") {
+		t.Errorf("call %d of %d slots: refused with %q, want the cap and the count", slots+1, slots, verdict)
 	}
 }
 

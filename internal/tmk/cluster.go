@@ -87,8 +87,8 @@ type Config struct {
 	Hedge bool
 
 	// DiffFetchWidth caps how many writers a read fault asks for diffs at
-	// once (DESIGN.md §14.2): fetchDiffs sends its requests in waves of at
-	// most w writers, and 0 makes every writer one wave (max-RTT). 1 is the
+	// once (DESIGN.md §14.2): diffFaultRange scatters its requests, one
+	// per writer, at most w at a time, and 0 scatters them all (max-RTT). 1 is the
 	// serial, sum-of-RTTs baseline the DiffMultiWriter bench rows run side
 	// by side with the default scatter.
 	DiffFetchWidth int

@@ -1,6 +1,7 @@
 package tmk
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -10,28 +11,14 @@ import (
 	"repro/internal/substrate"
 )
 
-// readFault makes an invalid page valid. Home-based, that is the one-page
-// case of homeFaultRange. Homeless: a page we never had a copy of starts
-// as zeros — every region starts zeroed, and every store since is a diff
-// this rank holds the write notice of. Then every missing diff is fetched
-// and applied in happens-before order.
-func (tp *Proc) readFault(pm *pageMeta) {
+// readFault makes the invalid pages of region r's span [first, last] valid,
+// all in flight at once: whole from their homes, or as their noticed diffs.
+func (tp *Proc) readFault(r *Region, first, last int32) {
 	if tp.homeBased {
-		tp.homeFaultRange(pm.region, pm.id, pm.id)
-		return
+		tp.homeFaultRange(r, first, last)
+	} else {
+		tp.diffFaultRange(r, first, last)
 	}
-	start := tp.sp.Now()
-	tp.observe(event{kind: evReadFaultBegin, page: pm})
-	tp.stats.ReadFaults++
-	tp.sp.Advance(tp.cpu.FaultOverhead)
-	if !pm.haveCopy {
-		pm.haveCopy = true
-		tp.stats.ZeroFills++
-	}
-	tp.chaseDiffs(pm)
-	tp.promoteValid(pm)
-	tp.stats.FaultTime += tp.sp.Now() - start
-	tp.observe(event{kind: evReadFault, start: start, dur: tp.sp.Now() - start, page: pm, peer: -1, bytes: PageSize})
 }
 
 // writeFault makes a page writable: valid first, then twinned. A write
@@ -43,7 +30,7 @@ func (tp *Proc) readFault(pm *pageMeta) {
 func (tp *Proc) writeFault(pm *pageMeta) {
 	for {
 		if pm.state == pageInvalid {
-			tp.readFault(pm)
+			tp.readFault(pm.region, pm.id, pm.id)
 		}
 		if pm.state == pageWritable {
 			return
@@ -74,110 +61,156 @@ func (tp *Proc) writeFault(pm *pageMeta) {
 	}
 }
 
-// missingRanges groups the page's uncovered write notices by writer, into
-// the fault path's scratch.
-func (tp *Proc) missingRanges(pm *pageMeta) []msg.DiffRange {
-	out := tp.diffBufs.ranges[:0]
-	for q := 0; q < tp.n; q++ {
-		if q == tp.rank {
+// diffFault is one page of a homeless read fault in flight: when its fault
+// began, and whether a writer left it out of the current wave.
+type diffFault struct {
+	pm    *pageMeta
+	began sim.Time
+	short bool
+}
+
+// diffFaultRange is the homeless read fault over the span [first, last] of
+// region r's pages (DESIGN.md §4.3). A page never held starts as zeros:
+// every store since is a diff this rank holds the notice of. The missing
+// diffs come in waves, each at most one request frame of pages, until no
+// faulted page misses a notice — one landed mid-fault included.
+func (tp *Proc) diffFaultRange(r *Region, first, last int32) {
+	start := tp.sp.Now()
+	faults := tp.diffBufs.faults[:0]
+	for pg := first; pg <= last; pg++ {
+		pm := r.page(pg)
+		if pm.state != pageInvalid {
 			continue
 		}
-		miss := pm.missingFrom(q)
-		if len(miss) == 0 {
+		faults = append(faults, diffFault{pm: pm, began: tp.sp.Now()})
+		tp.observe(event{kind: evReadFaultBegin, page: pm})
+		tp.stats.ReadFaults++
+		tp.sp.Advance(tp.cpu.FaultOverhead)
+		if !pm.haveCopy {
+			pm.haveCopy = true
+			tp.stats.ZeroFills++
+		}
+	}
+	most := msg.DiffRangesWithin(tp.tr.MaxData())
+	for len(faults) > 0 {
+		tp.diffWave(first, last, faults[:min(len(faults), most)])
+		again := 0
+		for _, f := range faults {
+			if f.pm.isMissingAny(tp.rank) {
+				faults[again], again = f, again+1
+				continue
+			}
+			tp.promoteValid(f.pm)
+			tp.observe(event{kind: evReadFault, start: f.began, dur: tp.sp.Now() - f.began, page: f.pm, peer: -1, bytes: PageSize})
+		}
+		faults = faults[:again]
+	}
+	tp.diffBufs.faults = faults
+	tp.stats.FaultTime += tp.sp.Now() - start
+}
+
+// diffWave asks each writer once, in one KDiffReq, for its missing diffs of
+// the faulted pages, DiffFetchWidth writers at a time (0: all; DESIGN.md
+// §14.2), and applies each page's diffs from all its writers together —
+// or, if a capped reply left it out, none: one writer's diff without
+// another's could break happens-before order. A reply answers a prefix of
+// its request, so the lowest page is always answered and a wave completes.
+func (tp *Proc) diffWave(first, last int32, faults []diffFault) {
+	db := tp.diffBufs
+	ranges := db.ranges[:0]
+	for i := range faults {
+		f := &faults[i]
+		f.short = false
+		for q := 0; q < tp.n; q++ {
+			if miss := f.pm.missingFrom(q); q != tp.rank && len(miss) > 0 {
+				ranges = append(ranges, msg.DiffRange{Page: f.pm.id, Proc: int32(q), FromTS: f.pm.cover[q], ToTS: miss[len(miss)-1]})
+			}
+		}
+	}
+	// Writer-major: each writer's request is a sub-slice, its pages ascending.
+	slices.SortStableFunc(ranges, func(a, b msg.DiffRange) int { return cmp.Compare(a.Proc, b.Proc) })
+	db.ranges = ranges
+	width := len(ranges)
+	if w := tp.cluster.cfg.DiffFetchWidth; w > 0 {
+		width = w
+	}
+	all := db.diffs[:0]
+	for i := 0; i < len(ranges); {
+		end := i // one scatter: the requests of up to width writers
+		for k := 0; k < width && end < len(ranges); k++ {
+			end = nextWriter(ranges, end)
+		}
+		for _, dr := range ranges[i:end] {
+			tp.observe(event{kind: evDiffRequest, page: tp.page(dr.Page), peer: int(dr.Proc), a: int(dr.FromTS), b: int(dr.ToTS)})
+		}
+		pending := db.pends[:0]
+		for j := i; j < end; j = nextWriter(ranges, j) {
+			ask := ranges[j:nextWriter(ranges, j)]
+			tp.stats.DiffRequestsSent += int64(len(ask))
+			db.req = msg.Message{Kind: msg.KDiffReq, DiffReqs: ask}
+			pending = append(pending, tp.tr.CallBegin(tp.sp, int(ask[0].Proc), &db.req))
+		}
+		db.pends = pending
+		reps := tp.scatter(blocked("pages %d..%d (diffs from %d writers)", int(first), int(last), len(pending)), pending)
+		for k, j := 0, i; j < end; k, j = k+1, nextWriter(ranges, j) {
+			all = tp.takeDiffs(all, faults, ranges[j:nextWriter(ranges, j)], pending[k], reps[k])
+		}
+		i = end
+	}
+	slices.SortStableFunc(all, func(a, b msg.Diff) int { return cmp.Compare(a.Page, b.Page) })
+	db.diffs = all
+	for i, k := 0, 0; k < len(all); i++ { // every diff's page is a fault (takeDiffs)
+		j := k
+		for j < len(all) && all[j].Page == faults[i].pm.id {
+			j++
+		}
+		if j > k && !faults[i].short {
+			tp.applyDiffs(faults[i].pm, all[k:j])
+		}
+		k = j
+	}
+}
+
+// takeDiffs appends one writer's reply to all, marks short each page of
+// its request (ask) the reply left out, and observes one fetch per page
+// answered: the page's bytes, the call's issue and completion times.
+func (tp *Proc) takeDiffs(all []msg.Diff, faults []diffFault, ask []msg.DiffRange, pend substrate.Pending, rep *msg.Message) []msg.Diff {
+	if rep.Kind != msg.KDiffReply {
+		panic(fmt.Sprintf("tmk: bad diff reply %v", rep.Kind))
+	}
+	ds := rep.Diffs
+	for _, dr := range ask {
+		n, nbytes := 0, 0
+		for ; n < len(ds) && ds[n].Page == dr.Page; n++ {
+			nbytes += len(ds[n].Data)
+		}
+		switch {
+		case n == 0 && len(ds) > 0: // a reply answers a prefix of the pages asked, in order
+			panic("tmk: diff for wrong page")
+		case n == 0:
+			i, _ := slices.BinarySearchFunc(faults, dr.Page, func(f diffFault, pg int32) int { return cmp.Compare(f.pm.id, pg) })
+			faults[i].short = true
 			continue
+		case ds[n-1].TS != dr.ToTS: // short of the newest interval asked, the fault would ask forever
+			panic(fmt.Sprintf("tmk: rank %d: page %d: rank %d's diffs end before ts %d", tp.rank, dr.Page, dr.Proc, dr.ToTS))
 		}
-		out = append(out, msg.DiffRange{
-			Page:   pm.id,
-			Proc:   int32(q),
-			FromTS: pm.cover[q],
-			ToTS:   miss[len(miss)-1],
-		})
-	}
-	tp.diffBufs.ranges = out
-	return out
-}
-
-// chaseDiffs fetches and applies pm's missing diffs until none is missing —
-// new write notices can arrive while replies are awaited — and reports
-// whether there were any.
-func (tp *Proc) chaseDiffs(pm *pageMeta) (fetched bool) {
-	for {
-		missing := tp.missingRanges(pm)
-		if len(missing) == 0 {
-			return fetched
-		}
-		fetched = true
-		tp.fetchDiffs(pm, missing)
-	}
-}
-
-// fetchDiffs requests the missing diffs and applies everything received
-// in a happens-before linear extension. The requests are scattered — one
-// batched message per writer, a wave of them transmitted before any reply
-// is awaited — so a k-writer fault costs max-RTT instead of sum-of-RTTs.
-// A wave is every range, unless Config.DiffFetchWidth caps it (DESIGN.md
-// §14.2; 1 is the serial sum-of-RTTs baseline). Each range targets a
-// distinct writer (missingRanges emits one per writer), so chunking ranges
-// chunks outstanding calls.
-func (tp *Proc) fetchDiffs(pm *pageMeta, ranges []msg.DiffRange) {
-	w := len(ranges)
-	if width := tp.cluster.cfg.DiffFetchWidth; width > 0 {
-		w = min(w, width)
-	}
-	all := tp.diffBufs.diffs[:0]
-	for i := 0; i < len(ranges); i += w {
-		pending := tp.beginDiffFetches(tp.diffBufs.pends[:0], pm, ranges[i:min(i+w, len(ranges))])
-		tp.diffBufs.pends = pending
-		reps := tp.scatter(blocked("page %d (diffs from %d writers)", int(pm.id), len(pending)), pending)
-		all = tp.diffsFromReplies(all, pm, pending, reps)
-	}
-	tp.diffBufs.diffs = all
-	tp.applyDiffs(pm, all)
-	for _, dr := range ranges {
-		// A writer's reply ends at the newest interval asked for; short of
-		// it, chaseDiffs would ask again forever.
-		if pm.cover[dr.Proc] < dr.ToTS {
-			panic(fmt.Sprintf("tmk: rank %d: page %d: rank %d's diffs end before ts %d", tp.rank, pm.id, dr.Proc, dr.ToTS))
-		}
-	}
-}
-
-// beginDiffFetches scatters the diff requests: one KDiffReq per range —
-// per writer, that is — each transmitted without waiting for the previous
-// reply, and appends their calls to pending. The request is scratch:
-// CallBegin encodes it before it returns.
-func (tp *Proc) beginDiffFetches(pending []substrate.Pending, pm *pageMeta, ranges []msg.DiffRange) []substrate.Pending {
-	for _, dr := range ranges {
-		tp.observe(event{kind: evDiffRequest, page: pm, peer: int(dr.Proc), a: int(dr.FromTS), b: int(dr.ToTS)})
-	}
-	for _, dr := range ranges {
-		tp.stats.DiffRequestsSent++
-		tp.diffBufs.reqRange[0] = dr
-		tp.diffBufs.req = msg.Message{Kind: msg.KDiffReq, DiffReqs: tp.diffBufs.reqRange[:]}
-		pending = append(pending, tp.tr.CallBegin(tp.sp, int(dr.Proc), &tp.diffBufs.req))
-	}
-	return pending
-}
-
-// diffsFromReplies validates the replies gathered for scattered diff
-// requests (accepted in any arrival order), appends their diffs to all
-// and observes one fetch per pending, attributed to its writer and
-// bounded by the issue and completion times the transport recorded.
-func (tp *Proc) diffsFromReplies(all []msg.Diff, pm *pageMeta, pending []substrate.Pending, reps []*msg.Message) []msg.Diff {
-	for i, rep := range reps {
-		if rep.Kind != msg.KDiffReply {
-			panic(fmt.Sprintf("tmk: bad diff reply %v", rep.Kind))
-		}
-		nbytes := 0
-		for _, d := range rep.Diffs {
-			nbytes += len(d.Data)
-		}
-		pend := pending[i]
 		tp.observe(event{kind: evDiffFetch, start: pend.Issued(), dur: pend.Completed() - pend.Issued(),
-			page: pm, peer: pend.Dst(), bytes: nbytes})
-		all = append(all, rep.Diffs...)
+			page: tp.page(dr.Page), peer: pend.Dst(), bytes: nbytes})
+		all, ds = append(all, ds[:n]...), ds[n:]
+	}
+	if len(ds) > 0 {
+		panic("tmk: diff for wrong page")
 	}
 	return all
+}
+
+// nextWriter returns the index of the first range past ranges[i]'s writer.
+func nextWriter(ranges []msg.DiffRange, i int) int {
+	j := i + 1
+	for j < len(ranges) && ranges[j].Proc == ranges[i].Proc {
+		j++
+	}
+	return j
 }
 
 // applyDiffs applies received diffs in a happens-before linear

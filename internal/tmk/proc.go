@@ -113,22 +113,24 @@ func newProc(c *Cluster, rank int, sp *sim.Proc, tr substrate.Transport, cpu CPU
 		tp.homes = &homeTable{home: map[int32]int32{}, cand: map[int32]int32{}, sole: map[int32]int32{}}
 	} else {
 		tp.diffBufs = new(diffBuffers)
+		tp.diffBufs.faults = tp.diffBufs.one[:0]
 	}
 	return tp
 }
 
 // diffBuffers is the homeless diff path's reusable storage. The fault path
-// (one user at a time, like homeGets) keeps its missing ranges, calls in
-// flight, diffs gathered and the request each CallBegin encodes before it
-// returns; handleDiffReq, which can run in the middle of a fault, keeps its
-// reply and the reply's diffs apart, and Reply encodes them before it
-// returns.
+// (one user at a time, like homeGets) keeps its faulted pages, the missing
+// ranges (writer-sorted: a writer's request is a sub-slice), calls in
+// flight, diffs gathered and the request CallBegin encodes before it
+// returns; handleDiffReq, which can run mid-fault, keeps its reply and the
+// reply's diffs apart, and Reply encodes them before it returns.
 type diffBuffers struct {
-	ranges   []msg.DiffRange
-	pends    []substrate.Pending
-	diffs    []msg.Diff
-	req      msg.Message
-	reqRange [1]msg.DiffRange
+	faults []diffFault
+	one    [1]diffFault // faults' first backing: a one-page fault allocates nothing
+	ranges []msg.DiffRange
+	pends  []substrate.Pending
+	diffs  []msg.Diff
+	req    msg.Message
 
 	rep msg.Message
 	out []msg.Diff
@@ -166,22 +168,30 @@ func (tp *Proc) handleRequest(p *sim.Proc, m *msg.Message) {
 }
 
 // handleDiffReq serves our own diffs for the requested page/timestamp
-// ranges.
+// ranges: whole pages, in request order, while the reply fits one message
+// — and always the first, so every request makes progress. The requester
+// asks again for the pages left out.
 func (tp *Proc) handleDiffReq(m *msg.Message) {
-	out := tp.diffBufs.out[:0]
-	for _, dr := range m.DiffReqs {
+	out, data, limit := tp.diffBufs.out[:0], 0, tp.tr.MaxData()
+	for i, dr := range m.DiffReqs {
 		if int(dr.Proc) != tp.rank {
 			panic(fmt.Sprintf("tmk: rank %d asked for rank %d's diffs", tp.rank, dr.Proc))
 		}
+		mark := len(out)
 		own := tp.page(dr.Page).notices[tp.rank]
-		i := sort.Search(len(own), func(i int) bool { return own[i] > dr.FromTS })
-		for ; i < len(own) && own[i] <= dr.ToTS; i++ {
-			ts := own[i]
+		j := sort.Search(len(own), func(j int) bool { return own[j] > dr.FromTS })
+		for ; j < len(own) && own[j] <= dr.ToTS; j++ {
+			ts := own[j]
 			d, ok := tp.myDiffs[diffKey{page: dr.Page, ts: ts}]
 			if !ok {
 				panic(fmt.Sprintf("tmk: rank %d missing own diff page %d ts %d", tp.rank, dr.Page, ts))
 			}
 			out = append(out, msg.Diff{Page: dr.Page, Proc: int32(tp.rank), TS: ts, Data: d})
+			data += len(d)
+		}
+		if i > 0 && msg.DiffReplySize(len(out), data) > limit {
+			out = out[:mark]
+			break
 		}
 	}
 	tp.diffBufs.out = out

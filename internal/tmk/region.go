@@ -319,21 +319,19 @@ func (tp *Proc) checkRange(r *Region, off, n int) {
 }
 
 // faultRange runs the fault path over every page the byte range touches.
-// Home-based, the span's invalid pages are validated together first (their
-// Gets overlap); the loop then meets only one invalidated again since.
+// The span's invalid pages are validated together first (readFault); the
+// loop then meets only one invalidated again since.
 func (tp *Proc) faultRange(r *Region, off, n int, write bool) {
 	if n == 0 {
 		return
 	}
 	first := r.StartPage + int32(off/PageSize)
 	last := r.StartPage + int32((off+n-1)/PageSize)
-	if tp.homeBased {
-		tp.homeFaultRange(r, first, last)
-	}
+	tp.readFault(r, first, last)
 	for pg := first; pg <= last; pg++ {
 		pm := r.page(pg)
 		if pm.state == pageInvalid {
-			tp.readFault(pm)
+			tp.readFault(r, pg, pg)
 		}
 		if write && pm.state != pageWritable {
 			tp.writeFault(pm)

@@ -40,9 +40,10 @@ func spanRun(t *testing.T, kind tmk.TransportKind, read func(tp *tmk.Proc, r *tm
 
 // TestSpanFaultsEqualPageFaults: validating k invalid pages with one span
 // read and with one read per page are the same faults — the same counts
-// and bytes, the same contents — and differ only in how the Gets overlap
-// (home-based; homeless, a span faults its pages one after the other, so
-// not even in that).
+// and bytes, the same contents — and differ only in how the fetches
+// overlap: home-based, the span's Gets are all in flight at once;
+// homeless, its pages' diffs come in a few replies per writer instead of
+// one round trip per page.
 func TestSpanFaultsEqualPageFaults(t *testing.T) {
 	t.Run("rdmagm", func(t *testing.T) { spanFaultsEqualPageFaults(t, tmk.TransportRDMAGM, spanPages*2/3) })
 	t.Run("fastgm", func(t *testing.T) { spanFaultsEqualPageFaults(t, tmk.TransportFastGM, spanPages) })
@@ -78,8 +79,8 @@ func spanFaultsEqualPageFaults(t *testing.T, kind tmk.TransportKind, faults int6
 		t.Errorf("span: %d faults, %d page fetches, %d home fetches, %d bytes; page by page: %d, %d, %d, %d",
 			s.ReadFaults, s.PageFetches, s.HomeFetches, s.HomeFetchBytes, p.ReadFaults, p.PageFetches, p.HomeFetches, p.HomeFetchBytes)
 	}
-	if kind == tmk.TransportRDMAGM && span.ExecTime >= pages.ExecTime {
-		t.Errorf("overlapped Gets took %v, one at a time %v", span.ExecTime, pages.ExecTime)
+	if span.ExecTime >= pages.ExecTime {
+		t.Errorf("the span's fetches took %v, one page at a time %v", span.ExecTime, pages.ExecTime)
 	}
 }
 
@@ -107,6 +108,127 @@ func TestNoticeMidGetIsOneFault(t *testing.T) {
 		if faults, fetches, took := read(8, 9); faults != 2 || fetches != 3 || took != span+page-overhead {
 			t.Errorf("two pages, notice mid-Get: %d faults, %d home fetches, %v; want 2, 3, %v",
 				faults, fetches, took, span+page-overhead)
+		}
+	})
+}
+
+// spanRead runs app on n homeless ranks over both two-sided substrates.
+// Rank 0 then reads the region's pages [first, last] in one span, and
+// check judges the words and what the read cost: requests sent and diff
+// ranges asked.
+func spanRead(t *testing.T, n, pages, first, last int, write func(tp *tmk.Proc, r *tmk.Region),
+	check func(t *testing.T, words []int32, requests, ranges int64)) {
+	t.Helper()
+	for _, kind := range bothTransports {
+		t.Run(string(kind), func(t *testing.T) {
+			_, err := tmk.Run(tmk.DefaultConfig(n, kind), func(tp *tmk.Proc) {
+				r := tp.AllocShared(pages * tmk.PageSize)
+				write(tp, r)
+				tp.Barrier(9)
+				if tp.Rank() != 0 {
+					return
+				}
+				req, dr := sent(tp), tp.Stats().DiffRequestsSent
+				b := tp.ReadBytes(r, first*tmk.PageSize, (last-first+1)*tmk.PageSize)
+				words := make([]int32, len(b)/4)
+				for i := range words {
+					words[i] = int32(uint32(b[4*i]) | uint32(b[4*i+1])<<8 | uint32(b[4*i+2])<<16 | uint32(b[4*i+3])<<24)
+				}
+				check(t, words, sent(tp)-req, tp.Stats().DiffRequestsSent-dr)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+const wordsPerPage = tmk.PageSize / 4
+
+// TestSpanFaultAsksEachWriterOnce: three writers each write one word of
+// every page of a six-page span. One read of the span is one wave — one
+// request per writer, naming all six pages — and every word reads back.
+func TestSpanFaultAsksEachWriterOnce(t *testing.T) {
+	const pages, writers = 6, 3
+	spanRead(t, writers+1, pages, 0, pages-1, func(tp *tmk.Proc, r *tmk.Region) {
+		if w := tp.Rank(); w > 0 {
+			for pg := 0; pg < pages; pg++ {
+				tp.WriteI32(r, pg*wordsPerPage+w, int32(100*pg+w))
+			}
+		}
+	}, func(t *testing.T, words []int32, requests, ranges int64) {
+		if requests != writers || ranges != pages*writers {
+			t.Errorf("%d requests naming %d page ranges; want %d naming %d", requests, ranges, writers, pages*writers)
+		}
+		for pg := 0; pg < pages; pg++ {
+			for w := 0; w <= writers; w++ {
+				want := int32(0)
+				if w > 0 {
+					want = int32(100*pg + w)
+				}
+				if got := words[pg*wordsPerPage+w]; got != want {
+					t.Errorf("page %d word %d = %d, want %d", pg, w, got, want)
+				}
+			}
+		}
+	})
+}
+
+// TestCappedReplyDefersTwoWriterPage: rank 1 writes every word of pages
+// 1–9 and word 0 of page 10; then rank 2, ordered after it by a barrier,
+// writes word 0 of page 10. Rank 1's diffs of the span do not fit one
+// reply, so it answers a prefix and leaves page 10 out, while rank 2
+// answers page 10. Applying rank 2's diff alone, and rank 1's in a later
+// wave, would let the older write win: the page must wait whole.
+func TestCappedReplyDefersTwoWriterPage(t *testing.T) {
+	const pages = 11
+	spanRead(t, 3, pages, 1, 10, func(tp *tmk.Proc, r *tmk.Region) {
+		if tp.Rank() == 1 {
+			for i := wordsPerPage; i < 10*wordsPerPage; i++ {
+				tp.WriteI32(r, i, int32(i))
+			}
+			tp.WriteI32(r, 10*wordsPerPage, 1)
+		}
+		tp.Barrier(1)
+		if tp.Rank() == 2 {
+			tp.WriteI32(r, 10*wordsPerPage, 2)
+		}
+	}, func(t *testing.T, words []int32, requests, ranges int64) {
+		if requests <= 2 {
+			t.Errorf("%d requests: rank 1's reply was not capped, the test proves nothing", requests)
+		}
+		for i := 0; i < 9*wordsPerPage; i++ {
+			if words[i] != int32(i+wordsPerPage) {
+				t.Fatalf("page %d word %d = %d", 1+i/wordsPerPage, i%wordsPerPage, words[i])
+			}
+		}
+		if got := words[9*wordsPerPage]; got != 2 {
+			t.Errorf("page 10 word 0 = %d, want rank 2's 2 (its write happens after rank 1's)", got)
+		}
+	})
+}
+
+// TestSpanPastOneRequestFrameIsSplit: one writer's diffs of 2,400 pages,
+// one word each — more ranges than one 32 KB request frame names, and
+// more diffs than one reply carries. The span still reads in one call:
+// each wave asks for what one frame holds and takes what one reply
+// carries.
+func TestSpanPastOneRequestFrameIsSplit(t *testing.T) {
+	const pages = 2400
+	spanRead(t, 2, pages, 0, pages-1, func(tp *tmk.Proc, r *tmk.Region) {
+		if tp.Rank() == 1 {
+			for pg := 0; pg < pages; pg++ {
+				tp.WriteI32(r, pg*wordsPerPage+pg%wordsPerPage, int32(pg+1))
+			}
+		}
+	}, func(t *testing.T, words []int32, requests, ranges int64) {
+		if requests < 2 || ranges <= pages {
+			t.Errorf("%d requests naming %d ranges for %d pages; want several waves", requests, ranges, pages)
+		}
+		for pg := 0; pg < pages; pg++ {
+			if got := words[pg*wordsPerPage+pg%wordsPerPage]; got != int32(pg+1) {
+				t.Fatalf("page %d = %d, want %d", pg, got, pg+1)
+			}
 		}
 	})
 }
