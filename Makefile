@@ -34,13 +34,13 @@ test:
 race:
 	$(GO) test -race -short $$($(GO) list ./... | grep -v '/benchmark$$')
 
-# Non-test line counts per package, the one number simplicity PRs quote
-# (comments and blank lines included; nothing moved into _test files counts
-# as removed).
+# Non-test line counts per package and their total, the one number
+# simplicity PRs quote (comments and blank lines included; nothing moved
+# into _test files counts as removed).
 loc:
 	@for d in $$($(GO) list -f '{{.Dir}}' ./... | sed "s|^$$PWD|.|"); do \
 		printf '%6d  %s\n' "$$(cat $$(ls $$d/*.go | grep -v _test) 2>/dev/null | wc -l)" "$$d"; \
-	done
+	done | awk '{ print; total += $$1 } END { printf "%6d  total\n", total }'
 
 # Functions of the protocol engine and the substrates that no tier-1 test
 # executes: merged statement coverage of every test binary, filtered to 0.0%

@@ -45,9 +45,8 @@
 //
 // -flow and -hedge arm the overload-resilience machinery on a normal
 // application run: -flow enables end-to-end credit flow control and
-// nothing else (the diff-fetch width stays a library-only setting),
-// -hedge enables hedged re-issues of straggling
-// remote requests. Both default off; an armed run's statistics show the
+// nothing else, -hedge enables hedged re-issues of straggling remote
+// requests. Both default off; an armed run's statistics show the
 // credit/hedge counters.
 //
 // An illegal configuration (-nodes 0, an unknown -transport, ...) is

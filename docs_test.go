@@ -326,7 +326,8 @@ func TestDocCountsAreTheSource(t *testing.T) {
 		}
 		return true
 	})
-	want := map[string]int{"rules": rules, "settable feature values": len(harness.ConfigSurface())}
+	features, _ := harness.ConfigSurface()
+	want := map[string]int{"rules": rules, "settable feature values": len(features)}
 	count := regexp.MustCompile(`(\d+) (rules|settable feature values)\b`)
 	seen := map[string]bool{}
 	for _, doc := range []string{"README.md", "DESIGN.md"} {

@@ -134,10 +134,11 @@ func Chaos(w io.Writer, spec ChaosSpec) error {
 		}
 	}
 
-	// Invariant 4: a zero-probability fault layer is invisible. The Links
-	// rule makes the fault plumbing active (CRC stamping, per-packet
-	// gating) while every probability stays zero — results must still be
-	// bit-identical to a config with no fault layer at all.
+	// Invariant 4: a zero-probability fault layer is invisible. A
+	// zero-width blackout window makes the fault plumbing active (CRC
+	// stamping, per-packet gating) while it drops nothing and every
+	// probability stays zero — results must still be bit-identical to a
+	// config with no fault layer at all.
 	app := chaosApps()[0]
 	for _, kind := range Transports {
 		base, err := RunApp(app, spec.Nodes, kind, func(cfg *tmk.Config) { cfg.Seed = spec.Seed })
@@ -146,7 +147,7 @@ func Chaos(w io.Writer, spec ChaosSpec) error {
 		}
 		zeroed, err := RunApp(app, spec.Nodes, kind, func(cfg *tmk.Config) {
 			cfg.Seed = spec.Seed
-			cfg.Net.Faults = myrinet.FaultConfig{Links: []myrinet.LinkFault{{Src: -1, Dst: -1}}}
+			cfg.Net.Faults = myrinet.FaultConfig{Blackouts: []myrinet.Blackout{{Src: -1, Dst: -1}}}
 		})
 		if err != nil {
 			return err

@@ -64,8 +64,8 @@ func TestTracingDoesNotPerturbResults(t *testing.T) {
 // TestZeroFaultConfigIsBitIdentical is the fault-injection layer's
 // central invariant: a fault configuration whose every probability is
 // zero must be pure plumbing. Two variants are checked against a plain
-// run — the empty config (the injector is never consulted at all) and an
-// all-zero per-link rule (the injector IS consulted per packet, stamps
+// run — the empty config (the injector is never consulted at all) and a
+// zero-width blackout window (the injector IS consulted per packet, stamps
 // CRCs, but draws no randomness and changes no event) — both must be
 // bit-identical in timings and every counter.
 func TestZeroFaultConfigIsBitIdentical(t *testing.T) {
@@ -74,7 +74,7 @@ func TestZeroFaultConfigIsBitIdentical(t *testing.T) {
 		faults myrinet.FaultConfig
 	}{
 		{"empty-config", myrinet.FaultConfig{}},
-		{"zero-prob-link-rule", myrinet.FaultConfig{Links: []myrinet.LinkFault{{Src: -1, Dst: -1}}}},
+		{"zero-width-blackout", myrinet.FaultConfig{Blackouts: []myrinet.Blackout{{Src: -1, Dst: -1}}}},
 	}
 	app := &apps.SOR{M: 64, N: 32, Iters: 3, Omega: 1.25, CostPerPoint: 35 * sim.Nanosecond}
 	for _, kind := range Transports {

@@ -207,8 +207,8 @@ func Figure3(barrierNodes []int) ([]Fig3Row, error) {
 		runner{"Diff small", func(cfg tmk.Config) (ubench.Result, error) { return ubench.Diff(cfg, 32, false) }},
 		runner{"Diff large", func(cfg tmk.Config) (ubench.Result, error) { return ubench.Diff(cfg, 32, true) }},
 	)
-	// The k-writer false-sharing fault, the scatter-gather fast path;
-	// the serial row pins the pre-overlap baseline next to it.
+	// The k-writer false-sharing fault, the scatter-gather fast path: its
+	// slope over k is what the overlapped fetches cost.
 	for _, k := range []int{2, 4, 8} {
 		k := k
 		rs = append(rs, runner{fmt.Sprintf("DiffMultiWriter (%d writers)", k),
@@ -217,12 +217,6 @@ func Figure3(barrierNodes []int) ([]Fig3Row, error) {
 				return ubench.DiffMultiWriter(cfg, 16, k)
 			}})
 	}
-	rs = append(rs, runner{"DiffMultiWriter (4 writers, serial)",
-		func(cfg tmk.Config) (ubench.Result, error) {
-			cfg.Procs = 5
-			cfg.DiffFetchWidth = 1
-			return ubench.DiffMultiWriter(cfg, 16, 4)
-		}})
 	var rows []Fig3Row
 	for _, r := range rs {
 		udp, err := r.fn(tmk.DefaultConfig(4, tmk.TransportUDPGM))

@@ -90,22 +90,23 @@ func SizeLadder(name string) []apps.App {
 	}
 }
 
-// ConfigSurface lists, by path, every feature value a caller can set on a
-// tmk.Config: each leaf under its feature fields, plus any copy of the
-// cluster-uniform substrate.Policy hiding in a per-substrate config.
-// Adding a knob means arguing with its length, which TestConfigSurface
-// pins and the documents quote (DESIGN.md §16).
-func ConfigSurface() []string {
-	features := map[string]bool{"Crash": true, "Flow": true, "Hedge": true,
-		"DiffFetchWidth": true}
+// ConfigSurface walks tmk.Config once and returns, by path, every leaf a
+// caller can set on it (all) and the feature values among them (features):
+// each leaf under its feature fields, plus any copy of the cluster-uniform
+// substrate.Policy hiding in a per-substrate config. Adding a setting means
+// arguing with these lengths, which TestConfigSurface pins and the
+// documents quote (DESIGN.md §16). A feature name that is no Config field
+// panics: a deleted field's name cannot linger here uncounted.
+func ConfigSurface() (features, all []string) {
+	isFeature := map[string]bool{"Crash": true, "Flow": true, "Hedge": true}
 	policy := reflect.TypeOf(substrate.Policy{})
-	var leaves []string
 	var walk func(path string, ty reflect.Type, counted bool)
 	walk = func(path string, ty reflect.Type, counted bool) {
 		counted = counted || ty == policy
 		if ty.Kind() != reflect.Struct {
+			all = append(all, path)
 			if counted {
-				leaves = append(leaves, path)
+				features = append(features, path)
 			}
 			return
 		}
@@ -114,10 +115,15 @@ func ConfigSurface() []string {
 		}
 	}
 	cfg := reflect.TypeOf(tmk.Config{})
-	for i := 0; i < cfg.NumField(); i++ {
-		walk(cfg.Field(i).Name, cfg.Field(i).Type, features[cfg.Field(i).Name])
+	for name := range isFeature {
+		if _, ok := cfg.FieldByName(name); !ok {
+			panic(fmt.Sprintf("harness: ConfigSurface: feature %q is no tmk.Config field", name))
+		}
 	}
-	return leaves
+	for i := 0; i < cfg.NumField(); i++ {
+		walk(cfg.Field(i).Name, cfg.Field(i).Type, isFeature[cfg.Field(i).Name])
+	}
+	return features, all
 }
 
 // AppNames lists the paper's applications in its order.

@@ -150,8 +150,8 @@ func TestFigure3SmallSubset(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 2 barrier rows + lock direct/indirect + page + diff small/large +
-	// multi-writer diff for k ∈ {2,4,8} + the serial 4-writer baseline.
-	if len(rows) != 11 {
+	// multi-writer diff for k ∈ {2,4,8}.
+	if len(rows) != 10 {
 		t.Fatalf("%d rows", len(rows))
 	}
 	for _, r := range rows {

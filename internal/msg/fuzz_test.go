@@ -29,9 +29,8 @@ func fuzzSeeds() [][]byte {
 			{Page: 4, Proc: 1, TS: 2, Data: []byte{1, 0, 2, 0, 0xde, 0xad, 0xbe, 0xef, 1, 2, 3, 4}},
 			{Page: 4, Proc: 1, TS: 3, Data: nil},
 		}},
-		{Kind: KPageReply, Seq: 12, From: 2, ReplyTo: 0, Page: 7,
-			PageData: bytes.Repeat([]byte{0xab}, 256),
-			Covered:  []ProcTS{{Proc: 0, TS: 1}, {Proc: 2, TS: 6}}},
+		{Kind: KPong, Seq: 12, From: 2, ReplyTo: 0, Page: 7,
+			PageData: bytes.Repeat([]byte{0xab}, 256)},
 		{Kind: KDistribute, Seq: 13, From: 0, ReplyTo: 0,
 			Region: RegionInfo{ID: 1, StartPage: 0, Pages: 16, Bytes: 65536}},
 	}

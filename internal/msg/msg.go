@@ -24,8 +24,6 @@ const (
 	// KLockAcquire: requester → lock manager. Carries the requester's
 	// vector clock so the eventual granter can compute missing intervals.
 	KLockAcquire
-	// KLockForward: manager → last holder, passing the original requester.
-	KLockForward
 	// KLockGrant: granter → requester, carrying consistency intervals.
 	KLockGrant
 	// KBarrierArrive: client → barrier manager with the client's new
@@ -37,16 +35,10 @@ const (
 	KDiffReq
 	// KDiffReply: writer → faulting process with encoded diffs.
 	KDiffReply
-	// KPageReq: faulting process → page owner for a full page copy.
-	KPageReq
-	// KPageReply: owner → faulting process, page contents + coverage.
-	KPageReply
 	// KDistribute: proc 0 → all, announcing a shared region (Tmk_distribute).
 	KDistribute
 	// KAck: generic empty acknowledgement.
 	KAck
-	// KExit: orderly shutdown notification.
-	KExit
 	// KPing/KPong: micro-benchmark round-trip probes (netperf, E0).
 	KPing
 	KPong
@@ -70,9 +62,9 @@ const (
 )
 
 var kindNames = [...]string{
-	"invalid", "lock-acquire", "lock-forward", "lock-grant",
+	"invalid", "lock-acquire", "lock-grant",
 	"barrier-arrive", "barrier-release", "diff-req", "diff-reply",
-	"page-req", "page-reply", "distribute", "ack", "exit",
+	"distribute", "ack",
 	"ping", "pong", "heartbeat", "distribute-commit", "credit",
 }
 
@@ -87,7 +79,7 @@ func (k Kind) String() string {
 // path (true) or the synchronous reply path (false).
 func (k Kind) IsRequest() bool {
 	switch k {
-	case KLockAcquire, KLockForward, KBarrierArrive, KDiffReq, KPageReq, KDistribute, KDistributeCommit, KExit, KPing:
+	case KLockAcquire, KBarrierArrive, KDiffReq, KDistribute, KDistributeCommit, KPing:
 		return true
 	default:
 		return false
@@ -121,12 +113,6 @@ type Diff struct {
 	Proc int32
 	TS   int32
 	Data []byte // run-length word encoding (see tmk/diff.go)
-}
-
-// ProcTS is a (process, timestamp) pair; a page reply's coverage vector.
-type ProcTS struct {
-	Proc int32
-	TS   int32
 }
 
 // RegionInfo describes a shared region announced by Tmk_distribute.
@@ -164,7 +150,6 @@ type Message struct {
 	DiffReqs  []DiffRange
 	Diffs     []Diff
 	PageData  []byte
-	Covered   []ProcTS
 }
 
 // ErrTruncated reports a decode of a short or corrupt buffer.
@@ -177,7 +162,6 @@ const (
 	fDiffReqs
 	fDiffs
 	fPageData
-	fCovered
 	fRegion
 )
 
@@ -291,9 +275,6 @@ func (m *Message) Encode() []byte {
 	if len(m.PageData) > 0 {
 		flags |= fPageData
 	}
-	if len(m.Covered) > 0 {
-		flags |= fCovered
-	}
 	if m.Region != (RegionInfo{}) {
 		flags |= fRegion
 	}
@@ -353,13 +334,6 @@ func (m *Message) Encode() []byte {
 	}
 	if flags&fPageData != 0 {
 		w.bytes(m.PageData)
-	}
-	if flags&fCovered != 0 {
-		w.u16(uint16(len(m.Covered)))
-		for _, c := range m.Covered {
-			w.u16(uint16(c.Proc))
-			w.i32(c.TS)
-		}
 	}
 	return w.b
 }
@@ -436,13 +410,6 @@ func Decode(b []byte) (*Message, error) {
 	if flags&fPageData != 0 {
 		m.PageData = r.bytes()
 	}
-	if flags&fCovered != 0 {
-		n := int(r.u16())
-		m.Covered = make([]ProcTS, 0, r.capHint(n, 6))
-		for i := 0; i < n && !r.err; i++ {
-			m.Covered = append(m.Covered, ProcTS{Proc: int32(int16(r.u16())), TS: r.i32()})
-		}
-	}
 	if r.err {
 		return nil, ErrTruncated
 	}
@@ -460,7 +427,6 @@ const (
 	intervalSize = 2 + 4 + countSize + lenSize
 	diffReqSize  = 4 + 2 + 4 + 4
 	diffSize     = 4 + 2 + 4 + lenSize
-	procTSSize   = 2 + 4
 )
 
 // DiffRangesWithin returns how many ranges a KDiffReq can name and still
@@ -498,9 +464,6 @@ func (m *Message) EncodedSize() int {
 	}
 	if len(m.PageData) > 0 {
 		n += lenSize + len(m.PageData)
-	}
-	if len(m.Covered) > 0 {
-		n += countSize + procTSSize*len(m.Covered)
 	}
 	return n
 }

@@ -18,8 +18,8 @@ func TestKindString(t *testing.T) {
 }
 
 func TestIsRequest(t *testing.T) {
-	reqs := []Kind{KLockAcquire, KLockForward, KBarrierArrive, KDiffReq, KPageReq, KDistribute, KExit}
-	reps := []Kind{KLockGrant, KBarrierRelease, KDiffReply, KPageReply, KAck}
+	reqs := []Kind{KLockAcquire, KBarrierArrive, KDiffReq, KDistribute, KDistributeCommit, KPing}
+	reps := []Kind{KLockGrant, KBarrierRelease, KDiffReply, KAck, KPong, KHeartbeat, KCredit}
 	for _, k := range reqs {
 		if !k.IsRequest() {
 			t.Errorf("%v should be a request", k)
@@ -73,9 +73,6 @@ func msgsEqual(a, b *Message) bool {
 		if len(c.PageData) == 0 {
 			c.PageData = nil
 		}
-		if len(c.Covered) == 0 {
-			c.Covered = nil
-		}
 		return c
 	}
 	na, nb := norm(a), norm(b)
@@ -112,7 +109,6 @@ func TestRoundTripAllFields(t *testing.T) {
 			{Page: 11, Proc: 1, TS: 4, Data: nil},
 		},
 		PageData: bytes.Repeat([]byte{0xAA}, 4096),
-		Covered:  []ProcTS{{Proc: 0, TS: 1}, {Proc: 3, TS: 12}},
 	}
 	got := roundTrip(t, m)
 	if !msgsEqual(m, got) {
@@ -124,17 +120,17 @@ func TestSmallRequestIsSmall(t *testing.T) {
 	// The paper preposts many small buffers because "most asynchronous
 	// requests are small, typically of the order of eight bytes". Our
 	// encoded bare requests must stay tiny (≤ 32 bytes → GM class ≤ 5).
-	m := &Message{Kind: KPageReq, Seq: 1, From: 2, ReplyTo: 2, Page: 77, Lock: -1}
+	m := &Message{Kind: KPing, Seq: 1, From: 2, ReplyTo: 2, Page: 77, Lock: -1}
 	if n := m.EncodedSize(); n > 32 {
-		t.Errorf("bare page request encodes to %d bytes, want ≤ 32", n)
+		t.Errorf("bare request encodes to %d bytes, want ≤ 32", n)
 	}
 }
 
 func TestPageReplySizeDominatedByPage(t *testing.T) {
-	m := &Message{Kind: KPageReply, Seq: 1, From: 2, PageData: make([]byte, 4096)}
+	m := &Message{Kind: KPong, Seq: 1, From: 2, PageData: make([]byte, 4096)}
 	n := m.EncodedSize()
 	if n < 4096 || n > 4096+64 {
-		t.Errorf("page reply = %d bytes, want 4096 + small header", n)
+		t.Errorf("page-sized reply = %d bytes, want 4096 + small header", n)
 	}
 }
 
@@ -164,7 +160,7 @@ func TestDecodeCorruptCountRejected(t *testing.T) {
 
 func randMessage(rng *rand.Rand) *Message {
 	m := &Message{
-		Kind:    Kind(rng.Intn(int(KExit)) + 1),
+		Kind:    Kind(rng.Intn(int(KCredit)) + 1),
 		Seq:     rng.Uint32(),
 		From:    int32(rng.Intn(256)),
 		ReplyTo: int32(rng.Intn(256)),
@@ -215,12 +211,6 @@ func randMessage(rng *rand.Rand) *Message {
 	if rng.Intn(3) == 0 {
 		m.PageData = make([]byte, rng.Intn(5000))
 		rng.Read(m.PageData)
-	}
-	if rng.Intn(2) == 0 {
-		m.Covered = make([]ProcTS, rng.Intn(8))
-		for i := range m.Covered {
-			m.Covered[i] = ProcTS{Proc: int32(rng.Intn(64)), TS: rng.Int31()}
-		}
 	}
 	if rng.Intn(4) == 0 {
 		m.Region = RegionInfo{ID: rng.Int31n(100), StartPage: rng.Int31n(1 << 20),

@@ -20,17 +20,6 @@ import (
 // never consulted: no RNG draws, no CRC work, no extra events — runs are
 // bit-identical to a fabric built without a FaultConfig at all.
 
-// LinkFault overrides the global fault probabilities for one directed
-// link. Src or Dst may be -1 to match any node; the first matching rule
-// wins.
-type LinkFault struct {
-	Src, Dst  NodeID // -1 = wildcard
-	Drop      float64
-	Corrupt   float64
-	DelayProb float64
-	DelayMax  sim.Time
-}
-
 // Blackout is a window of virtual time during which every packet injected
 // on a matching directed link is lost (a cable pull / switch port flap).
 // Src or Dst may be -1 to match any node. The window is half-open:
@@ -58,9 +47,8 @@ type FaultConfig struct {
 	DelayProb float64  // per-packet latency-spike probability
 	DelayMax  sim.Time // spike size: uniform in (0, DelayMax]
 
-	Blackouts []Blackout  // timed link outages
-	Links     []LinkFault // per-link probability overrides
-	DropNexts []DropNext  // deterministic one-shot drops
+	Blackouts []Blackout // timed link outages
+	DropNexts []DropNext // deterministic one-shot drops
 }
 
 // Enabled reports whether the configuration can ever inject a fault (or
@@ -68,18 +56,7 @@ type FaultConfig struct {
 // cost nothing: SendPacket never consults the RNG.
 func (fc *FaultConfig) Enabled() bool {
 	return fc.Drop > 0 || fc.Corrupt > 0 || fc.DelayProb > 0 ||
-		len(fc.Blackouts) > 0 || len(fc.Links) > 0 || len(fc.DropNexts) > 0
-}
-
-// probsFor resolves the effective probabilities for a directed link.
-func (fc *FaultConfig) probsFor(src, dst NodeID) (drop, corrupt, delayProb float64, delayMax sim.Time) {
-	for i := range fc.Links {
-		l := &fc.Links[i]
-		if (l.Src == -1 || l.Src == src) && (l.Dst == -1 || l.Dst == dst) {
-			return l.Drop, l.Corrupt, l.DelayProb, l.DelayMax
-		}
-	}
-	return fc.Drop, fc.Corrupt, fc.DelayProb, fc.DelayMax
+		len(fc.Blackouts) > 0 || len(fc.DropNexts) > 0
 }
 
 // inBlackout reports whether the directed link is blacked out at t.
@@ -135,15 +112,14 @@ func (f *Fabric) inject(now sim.Time, src, dst NodeID, payload []byte, crc *uint
 		in.drop = true
 		return in
 	}
-	drop, corrupt, delayProb, delayMax := fc.probsFor(src, dst)
 	rng := f.s.Rand()
-	if drop > 0 && rng.Float64() < drop {
+	if fc.Drop > 0 && rng.Float64() < fc.Drop {
 		f.fstats.Dropped++
 		f.traceFault("fault-drop", src, dst, len(payload))
 		in.drop = true
 		return in
 	}
-	if corrupt > 0 && rng.Float64() < corrupt {
+	if fc.Corrupt > 0 && rng.Float64() < fc.Corrupt {
 		f.fstats.Corrupted++
 		f.traceFault("fault-corrupt", src, dst, len(payload))
 		in.corrupt = true
@@ -153,8 +129,8 @@ func (f *Fabric) inject(now sim.Time, src, dst NodeID, payload []byte, crc *uint
 			*crc ^= 1 // empty payload: corrupt the frame check sequence
 		}
 	}
-	if delayProb > 0 && rng.Float64() < delayProb {
-		in.delay = sim.Time(rng.Float64() * float64(delayMax))
+	if fc.DelayProb > 0 && rng.Float64() < fc.DelayProb {
+		in.delay = sim.Time(rng.Float64() * float64(fc.DelayMax))
 		f.fstats.Delayed++
 		f.traceFault("fault-delay", src, dst, len(payload))
 	}

@@ -46,13 +46,6 @@ type Params struct {
 	// DropProbability injects random datagram loss on the receive path
 	// (fault injection for the user-level retransmission machinery).
 	DropProbability float64
-	// SendDropProbability injects loss symmetrically on the send path:
-	// the datagram leaves the socket layer but never reaches the wire.
-	SendDropProbability float64
-	// CorruptProbability injects payload corruption on the send path; the
-	// receiver's UDP checksum discards such datagrams, so corruption is
-	// observed as loss (plus a distinct counter).
-	CorruptProbability float64
 }
 
 // DefaultParams returns constants calibrated to give UDP/GM a one-way
@@ -86,15 +79,13 @@ var (
 
 // StackStats aggregates node-level socket statistics.
 type StackStats struct {
-	DatagramsSent     int64
-	DatagramsRecvd    int64
-	DatagramsDrop     int64 // dropped: receive buffer overflow
-	DatagramsNoSock   int64 // dropped: no socket bound to the port
-	DatagramsSendDrop int64 // dropped: injected send-path loss
-	DatagramsCorrupt  int64 // dropped: injected corruption (UDP checksum)
-	BytesSent         int64
-	BytesRecvd        int64
-	SigiosRaised      int64
+	DatagramsSent   int64
+	DatagramsRecvd  int64
+	DatagramsDrop   int64 // dropped: receive buffer overflow
+	DatagramsNoSock int64 // dropped: no socket bound to the port
+	BytesSent       int64
+	BytesRecvd      int64
+	SigiosRaised    int64
 }
 
 // Stack is one node's kernel UDP implementation.
@@ -412,19 +403,6 @@ func (sk *Socket) SendToAux(p *sim.Proc, dst myrinet.NodeID, dstPort int, data, 
 	if tr := st.s.Tracer(); tr != nil {
 		tr.Metrics().Counter(trace.LayerSockets, "datagrams.sent").Inc(int64(len(data)))
 	}
-	// Injected send-path faults (deterministic: simulator RNG, drawn only
-	// when the corresponding probability is configured). Both present as
-	// silent loss to the caller — UDP semantics.
-	if st.params.SendDropProbability > 0 && st.s.Rand().Float64() < st.params.SendDropProbability {
-		st.stats.DatagramsSendDrop++
-		st.traceDrop("drop-send", dst, len(data))
-		return nil
-	}
-	if st.params.CorruptProbability > 0 && st.s.Rand().Float64() < st.params.CorruptProbability {
-		st.stats.DatagramsCorrupt++
-		st.traceDrop("drop-corrupt", dst, len(data))
-		return nil
-	}
 	st.transmit(p, dst, sk.port, dstPort, data, aux)
 	return nil
 }
@@ -433,8 +411,7 @@ func (sk *Socket) SendToAux(p *sim.Proc, dst myrinet.NodeID, dstPort int, data, 
 // process charged (the liveness layer's heartbeat probes ride this path:
 // they originate from a timer, not a syscall). Source port 0 marks the
 // datagram as kernel-originated; receivers that care only about the
-// payload ignore it. Injected send-path faults apply exactly as for
-// SendTo.
+// payload ignore it.
 func (st *Stack) SendFromKernel(dst myrinet.NodeID, dstPort int, data []byte) error {
 	if len(data) > st.params.MaxDatagram {
 		return ErrTooLarge
@@ -443,16 +420,6 @@ func (st *Stack) SendFromKernel(dst myrinet.NodeID, dstPort int, data []byte) er
 	st.stats.BytesSent += int64(len(data))
 	if tr := st.s.Tracer(); tr != nil {
 		tr.Metrics().Counter(trace.LayerSockets, "datagrams.sent").Inc(int64(len(data)))
-	}
-	if st.params.SendDropProbability > 0 && st.s.Rand().Float64() < st.params.SendDropProbability {
-		st.stats.DatagramsSendDrop++
-		st.traceDrop("drop-send", dst, len(data))
-		return nil
-	}
-	if st.params.CorruptProbability > 0 && st.s.Rand().Float64() < st.params.CorruptProbability {
-		st.stats.DatagramsCorrupt++
-		st.traceDrop("drop-corrupt", dst, len(data))
-		return nil
 	}
 	// Queue-then-drain reuses the deferred kernel tx path, which sends via
 	// SendFromKernel on the GM port (no process charge).

@@ -94,10 +94,10 @@ type Policy struct {
 // and maxRetries its budget; the zero Backoff means the wire recovers
 // losses below the core (GM-level retransmission) and calls carry no
 // clock.
-func (c *Core) Init(w Wire, rank, size int, pol Policy, dupCacheSize int, rto Backoff, maxRetries int) {
+func (c *Core) Init(w Wire, rank, size int, pol Policy, rto Backoff, maxRetries int) {
 	c.wire, c.rank, c.size = w, rank, size
 	c.pol = pol
-	c.dup = NewDupCache(dupCacheSize)
+	c.dup = NewDupCache()
 	c.pending = make(map[uint32]*Call)
 	c.calls = Exchange{RTO: rto, MaxRetries: maxRetries,
 		Await: func(p *sim.Proc, deadline sim.Time) bool {

@@ -65,7 +65,7 @@ func runCore(t *testing.T, cfg coreArgs, body func(p *sim.Proc, c *Core, w *fake
 	s := sim.New(1)
 	w := &fakeWire{cond: sim.NewCond("fake:replies")}
 	c := &Core{}
-	c.Init(w, 0, 3, cfg.Policy, 0, cfg.RTO, cfg.MaxRetries)
+	c.Init(w, 0, 3, cfg.Policy, cfg.RTO, cfg.MaxRetries)
 	s.Spawn("rank0", 0, func(p *sim.Proc) {
 		c.Attach(p, func(*sim.Proc, *msg.Message) {})
 		body(p, c, w)
@@ -200,11 +200,11 @@ func TestReplyBodyIsItsOwnSnapshot(t *testing.T) {
 	runCore(t, coreArgs{}, func(p *sim.Proc, c *Core, w *fakeWire) {
 		page := bytes.Repeat([]byte{0xAB}, 4096)
 		want := bytes.Clone(page)
-		req := &msg.Message{Kind: msg.KPageReq, Seq: 7, From: 1, ReplyTo: 1, Page: 3}
+		req := &msg.Message{Kind: msg.KPing, Seq: 7, From: 1, ReplyTo: 1, Page: 3}
 		if c.Admit(p, req, nil, 0) != nil {
 			t.Fatal("fresh request taken for a duplicate")
 		}
-		c.Reply(p, req, &msg.Message{Kind: msg.KPageReply, Page: 3, PageData: page})
+		c.Reply(p, req, &msg.Message{Kind: msg.KPong, Page: 3, PageData: page})
 		clear(page) // the application writes the page after it was served
 
 		e := c.Admit(p, req, nil, 0)

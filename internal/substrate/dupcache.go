@@ -27,17 +27,20 @@ type DupEntry struct {
 	FwdAux      []byte // the forward's causal-context metadata (resent with it)
 }
 
+// DupCacheSize bounds every duplicate filter — the core's per-process
+// request filter and rdmagm's target-side verb filter: each retains at most
+// this many entries.
+const DupCacheSize = 1024
+
 // DupCache is a fixed-capacity FIFO duplicate-request filter.
 type DupCache struct {
-	max   int
 	m     map[DupKey]*DupEntry
 	order []DupKey
 }
 
-// NewDupCache returns a cache retaining at most max entries (0 or
-// negative: unbounded).
-func NewDupCache(max int) *DupCache {
-	return &DupCache{max: max, m: make(map[DupKey]*DupEntry)}
+// NewDupCache returns a cache retaining at most DupCacheSize entries.
+func NewDupCache() *DupCache {
+	return &DupCache{m: make(map[DupKey]*DupEntry)}
 }
 
 // Lookup returns the entry for k, if the request was seen before.
@@ -49,7 +52,7 @@ func (c *DupCache) Lookup(k DupKey) (*DupEntry, bool) {
 // Insert records a fresh request and returns its (mutable) entry,
 // evicting the oldest entry when at capacity.
 func (c *DupCache) Insert(k DupKey) *DupEntry {
-	if c.max > 0 && len(c.order) >= c.max {
+	if len(c.order) >= DupCacheSize {
 		oldest := c.order[0]
 		c.order = c.order[:copy(c.order, c.order[1:])]
 		delete(c.m, oldest)

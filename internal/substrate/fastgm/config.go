@@ -58,6 +58,16 @@ func (s AsyncScheme) String() string {
 	}
 }
 
+// RendezvousClass is the smallest size class the rendezvous protocol
+// carries when Config.Rendezvous is on; classes from it up are then never
+// preposted.
+const RendezvousClass = 13
+
+// SmallClassMax: classes ≤ this are considered "small requests" and
+// preposted Config.SmallPerPeer × (n−1) deep on the async port; classes
+// above get (n−1) buffers each (the paper's barrier-response case).
+const SmallClassMax = 7
+
 // Config tunes the substrate.
 type Config struct {
 	Scheme AsyncScheme
@@ -74,14 +84,11 @@ type Config struct {
 
 	// Rendezvous enables the RTS/CTS large-message protocol; classes ≥
 	// RendezvousClass are then never preposted.
-	Rendezvous      bool
-	RendezvousClass int
+	Rendezvous bool
 
-	// SmallClassMax: classes ≤ this are considered "small requests" and
-	// preposted SmallPerPeer × (n−1) deep on the async port; classes
-	// above get (n−1) buffers each (the paper's barrier-response case).
-	SmallClassMax int
-	SmallPerPeer  int
+	// SmallPerPeer is how deep each small class (≤ SmallClassMax) is
+	// preposted per peer on the async port.
+	SmallPerPeer int
 
 	// OutstandingCalls caps how many calls one process keeps in flight at
 	// once (the scatter width); the sync port preposts one reply buffer
@@ -110,8 +117,6 @@ type Config struct {
 	// per attempt up to RetryBackoffMax.
 	RetryBackoff    sim.Time
 	RetryBackoffMax sim.Time
-	// DupCacheSize bounds the receiver-side duplicate-request filter.
-	DupCacheSize int
 }
 
 // DefaultConfig returns the paper's adopted design: interrupt-driven
@@ -123,14 +128,11 @@ func DefaultConfig() Config {
 		PollDispatch:     sim.Micro(2.0),
 		PollComputeScale: 1.15,
 		Rendezvous:       false,
-		RendezvousClass:  13,
-		SmallClassMax:    7,
 		SmallPerPeer:     4,
 		CopyBandwidth:    800e6,
 		DispatchCost:     sim.Micro(0.5),
 		MaxSendRetries:   16,
 		RetryBackoff:     5 * sim.Millisecond,
 		RetryBackoffMax:  200 * sim.Millisecond,
-		DupCacheSize:     1024,
 	}
 }

@@ -69,7 +69,7 @@ func New(node *gm.Node, rank, size int, pol substrate.Policy, cfg Config) *Trans
 	t := &Transport{node: node, cfg: cfg, resuming: make(map[*gm.Port]bool)}
 	// No user-level call clock: GM-level retransmission (recovery.go)
 	// recovers lost frames below the core.
-	t.Core.Init(t, rank, size, pol, cfg.DupCacheSize, substrate.Backoff{}, 0)
+	t.Core.Init(t, rank, size, pol, substrate.Backoff{}, 0)
 	t.flow.init(t)
 	return t
 }
@@ -92,8 +92,8 @@ func (t *Transport) outstandingCalls() int {
 // rendezvous when enabled).
 func (t *Transport) maxPrepostClass() int {
 	max := t.node.System().Params().MaxClass
-	if t.cfg.Rendezvous && t.cfg.RendezvousClass-1 < max {
-		return t.cfg.RendezvousClass - 1
+	if t.cfg.Rendezvous && RendezvousClass-1 < max {
+		return RendezvousClass - 1
 	}
 	return max
 }
@@ -121,7 +121,7 @@ func (t *Transport) Start(p *sim.Proc, h substrate.Handler) {
 	// of each larger class (the barrier-response sizes).
 	for c := params.MinClass; c <= t.maxPrepostClass(); c++ {
 		count := peers
-		if c <= t.cfg.SmallClassMax {
+		if c <= SmallClassMax {
 			count = t.cfg.SmallPerPeer * peers
 		}
 		bufs := t.node.Register(p, count*gm.ClassCapacity(c)).Carve(c, count)
@@ -390,7 +390,7 @@ func (t *Transport) Transmit(p *sim.Proc, dst int, lane substrate.Lane, kind msg
 			"synchronization grain)", kind, n, params.MaxMessage()))
 	}
 	class := params.ClassFor(n)
-	if t.cfg.Rendezvous && class >= t.cfg.RendezvousClass {
+	if t.cfg.Rendezvous && class >= RendezvousClass {
 		t.rv.sendLarge(p, dst, dstPort, body, aux)
 		return
 	}
@@ -486,7 +486,7 @@ func (t *Transport) SendPoolBytes(large int) (n int) {
 	params := t.node.System().Params()
 	for c := params.MinClass; c <= params.MaxClass; c++ {
 		count := large
-		if c <= t.cfg.SmallClassMax {
+		if c <= SmallClassMax {
 			count = 4
 		}
 		n += count * gm.ClassCapacity(c)

@@ -123,13 +123,13 @@ func TestRendezvousReducesPinnedMemory(t *testing.T) {
 			func(rank int) substrate.Handler {
 				return func(p *sim.Proc, m *msg.Message) {
 					c.Transports[rank].Reply(p, m,
-						&msg.Message{Kind: msg.KPageReply, PageData: make([]byte, 16000)})
+						&msg.Message{Kind: msg.KPong, PageData: make([]byte, 16000)})
 				}
 			},
 			func(rank int, p *sim.Proc, tr substrate.Transport) {
 				if rank == 0 {
 					for peer := 1; peer < 4; peer++ {
-						tr.Call(p, peer, &msg.Message{Kind: msg.KPageReq})
+						tr.Call(p, peer, &msg.Message{Kind: msg.KPing})
 					}
 				}
 			},
@@ -167,16 +167,16 @@ func TestRendezvousSlowerForLargeMessages(t *testing.T) {
 			func(rank int) substrate.Handler {
 				return func(p *sim.Proc, m *msg.Message) {
 					c.Transports[rank].Reply(p, m,
-						&msg.Message{Kind: msg.KPageReply, PageData: make([]byte, 16000)})
+						&msg.Message{Kind: msg.KPong, PageData: make([]byte, 16000)})
 				}
 			},
 			func(rank int, p *sim.Proc, tr substrate.Transport) {
 				if rank != 0 {
 					return
 				}
-				tr.Call(p, 1, &msg.Message{Kind: msg.KPageReq})
+				tr.Call(p, 1, &msg.Message{Kind: msg.KPing})
 				start := p.Now()
-				tr.Call(p, 1, &msg.Message{Kind: msg.KPageReq})
+				tr.Call(p, 1, &msg.Message{Kind: msg.KPing})
 				d = p.Now() - start
 			},
 		)

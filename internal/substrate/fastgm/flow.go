@@ -52,7 +52,7 @@ func (fl *flowState) init(t *Transport) {
 	budget, quantum := make([]int, n), make([]int, n)
 	for lane := range budget {
 		budget[lane], quantum[lane] = 1, 1
-		if fl.minClass+lane <= t.cfg.SmallClassMax {
+		if fl.minClass+lane <= SmallClassMax {
 			budget[lane] = t.cfg.SmallPerPeer
 		}
 	}

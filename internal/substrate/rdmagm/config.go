@@ -16,26 +16,31 @@ type Config struct {
 	// CompletionCost is the initiator-side CPU cost to reap one
 	// completion-queue entry.
 	CompletionCost sim.Time
-
-	// SendQueueDepth caps outstanding verbs per destination QP; posting
-	// past the cap reaps completions until a slot frees (real send
-	// queues are rings — posting to a full one blocks the same way).
-	SendQueueDepth int
-
-	// MaxVerbRetries bounds initiator-side retransmission of an
-	// uncompleted verb; past it the target is declared dead through the
-	// shared liveness state.
-	MaxVerbRetries int
-	// VerbTimeout is the delay before the first retransmission of a verb
-	// whose completion has not arrived, doubling per attempt up to
-	// VerbTimeoutMax. The target-side duplicate filter makes redelivered
-	// verbs idempotent (a stale Put is never re-executed: the cached
-	// completion is resent).
-	VerbTimeout    sim.Time
-	VerbTimeoutMax sim.Time
-	// DupCacheSize bounds the target-side duplicate-verb filter.
-	DupCacheSize int
 }
+
+// SendQueueDepth caps outstanding verbs per destination QP; posting past
+// the cap reaps completions until a slot frees (real send queues are rings
+// — posting to a full one blocks the same way).
+const SendQueueDepth = 16
+
+// The verb retransmission schedule. MaxVerbRetries bounds initiator-side
+// retransmission of an uncompleted verb; past it the target is declared
+// dead through the shared liveness state. VerbTimeout is the delay before
+// the first retransmission of a verb whose completion has not arrived,
+// doubling per attempt up to VerbTimeoutMax. The target-side duplicate
+// filter makes redelivered verbs idempotent (a stale Put is never
+// re-executed: the cached completion is resent).
+//
+// The full backoff schedule must outlast GM's 3 s resend timeout: a frame
+// lost on a faulty fabric pins its send buffer (and, past the prepost ring,
+// its receiver slot) until that timeout frees them, so a retry budget
+// shorter than the pinning horizon turns one bad stall into a false peer
+// death. 16 attempts at 5 ms doubling to 500 ms total ≈ 5.1 s.
+const (
+	MaxVerbRetries = 16
+	VerbTimeout    = 5 * sim.Millisecond
+	VerbTimeoutMax = 500 * sim.Millisecond
+)
 
 // DefaultConfig returns the RDMA/GM design point: firmware verb service.
 func DefaultConfig() Config {
@@ -43,16 +48,5 @@ func DefaultConfig() Config {
 		NICServiceCost: sim.Micro(1.2),
 		DMABandwidth:   900e6,
 		CompletionCost: sim.Micro(0.6),
-		SendQueueDepth: 16,
-		MaxVerbRetries: 16,
-		VerbTimeout:    5 * sim.Millisecond,
-		// The full backoff schedule must outlast GM's 3 s resend timeout:
-		// a frame lost on a faulty fabric pins its send buffer (and, past
-		// the prepost ring, its receiver slot) until that timeout frees
-		// them, so a retry budget shorter than the pinning horizon turns
-		// one bad stall into a false peer death. 16 attempts at 5 ms
-		// doubling to 500 ms total ≈ 5.1 s.
-		VerbTimeoutMax: 500 * sim.Millisecond,
-		DupCacheSize:   1024,
 	}
 }

@@ -115,7 +115,7 @@ func New(node *gm.Node, rank, size int, pol substrate.Policy, fast fastgm.Config
 		fast:       fast,
 		rcfg:       cfg,
 		windows:    make(map[int32][]byte),
-		vdup:       substrate.NewDupCache(cfg.DupCacheSize),
+		vdup:       substrate.NewDupCache(),
 		compQueued: make(map[substrate.DupKey]bool),
 		sq:         make([][]*substrate.Call, size),
 	}
@@ -126,8 +126,8 @@ func New(node *gm.Node, rank, size int, pol substrate.Policy, fast fastgm.Config
 	// long (or the failure detector's deadline, when armed) corroborates an
 	// exhausted verb budget.
 	t.verbs = substrate.Exchange{Await: t.reapOne,
-		RTO:        substrate.Backoff{Initial: cfg.VerbTimeout, Max: cfg.VerbTimeoutMax},
-		MaxRetries: cfg.MaxVerbRetries, Grace: node.System().Params().ResendTimeout,
+		RTO:        substrate.Backoff{Initial: VerbTimeout, Max: VerbTimeoutMax},
+		MaxRetries: MaxVerbRetries, Grace: node.System().Params().ResendTimeout,
 		Resend: func(p *sim.Proc, pc *substrate.Call) bool { return t.sendVerb(p, pc, false) }}
 	if t.credits = t.NewCredits(fmt.Sprintf("rdmagm:%d:credits", rank),
 		[]int{verbFlowWindow}, []int{1}); t.credits != nil {
@@ -165,7 +165,7 @@ func (t *Transport) Start(p *sim.Proc, h substrate.Handler) {
 	prepost(t.verbPort, 4)
 	// CQ port: one entry per send-queue slot plus margin; completions
 	// beyond that park briefly until WaitVerbs reaps.
-	prepost(t.cqPort, t.rcfg.SendQueueDepth+2)
+	prepost(t.cqPort, SendQueueDepth+2)
 	// A registered send arena for verb descriptors (room for two frames of
 	// each large class), and for completion entries the firmware's own
 	// staging arena, pinned at boot like the kernel pools — never the verb
@@ -265,7 +265,7 @@ func (t *Transport) post(p *sim.Proc, dst int, vf *verbFrame) substrate.PendingV
 	// a full send queue waits on its own verbs until a slot frees.
 	t.retire(dst)
 	t.credits.Acquire(p, dst, 0, 1, verbFrameLen(vf))
-	for len(t.sq[dst]) >= t.rcfg.SendQueueDepth {
+	for len(t.sq[dst]) >= SendQueueDepth {
 		t.awaitSlot(p, dst)
 	}
 	vf.origin = int32(t.Rank())

@@ -80,7 +80,7 @@ func ConformanceDropStormPageFetch(t *testing.T, build Builder) {
 	c.Spawn(
 		func(rank int) substrate.Handler {
 			return func(p *sim.Proc, m *msg.Message) {
-				c.Transports[rank].Reply(p, m, &msg.Message{Kind: msg.KPageReply, Page: m.Page, PageData: page})
+				c.Transports[rank].Reply(p, m, &msg.Message{Kind: msg.KPong, Page: m.Page, PageData: page})
 			}
 		},
 		func(rank int, p *sim.Proc, tr substrate.Transport) {
@@ -88,8 +88,8 @@ func ConformanceDropStormPageFetch(t *testing.T, build Builder) {
 				return
 			}
 			for k := 0; k < fetches; k++ {
-				rep := tr.Call(p, 1, &msg.Message{Kind: msg.KPageReq, Page: int32(k)})
-				if rep.Kind != msg.KPageReply || rep.Page != int32(k) || !bytes.Equal(rep.PageData, page) {
+				rep := tr.Call(p, 1, &msg.Message{Kind: msg.KPing, Page: int32(k)})
+				if rep.Kind != msg.KPong || rep.Page != int32(k) || !bytes.Equal(rep.PageData, page) {
 					bad++
 				}
 			}
@@ -137,7 +137,7 @@ func ConformanceCorruptedReplyCRC(t *testing.T, build Builder) {
 	c.Spawn(
 		func(rank int) substrate.Handler {
 			return func(p *sim.Proc, m *msg.Message) {
-				c.Transports[rank].Reply(p, m, &msg.Message{Kind: msg.KPageReply, Page: m.Page, PageData: page})
+				c.Transports[rank].Reply(p, m, &msg.Message{Kind: msg.KPong, Page: m.Page, PageData: page})
 			}
 		},
 		func(rank int, p *sim.Proc, tr substrate.Transport) {
@@ -145,7 +145,7 @@ func ConformanceCorruptedReplyCRC(t *testing.T, build Builder) {
 				return
 			}
 			for k := 0; k < calls; k++ {
-				rep := tr.Call(p, 1, &msg.Message{Kind: msg.KPageReq, Page: int32(k)})
+				rep := tr.Call(p, 1, &msg.Message{Kind: msg.KPing, Page: int32(k)})
 				if rep.Page != int32(k) || !bytes.Equal(rep.PageData, page) {
 					bad++
 				}
@@ -279,7 +279,7 @@ func ConformanceSilentPeerMidRendezvous(t *testing.T, build Builder) {
 		rendezvous(p)
 		p.Advance(sim.Millisecond) // rank 1 is dead by now
 		rep = c.Transports[0].Call(p, 1, &msg.Message{
-			Kind: msg.KPageReq, Page: 7,
+			Kind: msg.KPing, Page: 7,
 			PageData: bytes.Repeat([]byte{0x5A}, 16000), // rendezvous-class on FAST/GM
 		})
 		completed = true
@@ -696,7 +696,7 @@ func ConformanceScatterGatherFaultStorm(t *testing.T, build Builder) {
 // different peer to the same server, made while the lost frame is still
 // pending, completes at wire speed. With one send buffer per size class it
 // parked the server's handler behind the lost frame for the whole timeout
-// (DESIGN.md §14.4); a send arena pins only the lost frame's own bytes.
+// (DESIGN.md §14.3); a send arena pins only the lost frame's own bytes.
 func ConformanceLostReplyPinsOnlyItself(t *testing.T, build Builder) {
 	c := build(3, 1)
 	page := bytes.Repeat([]byte{0x5A}, 4096)
@@ -704,7 +704,7 @@ func ConformanceLostReplyPinsOnlyItself(t *testing.T, build Builder) {
 	c.Spawn(
 		func(rank int) substrate.Handler {
 			return func(p *sim.Proc, m *msg.Message) {
-				c.Transports[rank].Reply(p, m, &msg.Message{Kind: msg.KPageReply, Page: m.Page, PageData: page})
+				c.Transports[rank].Reply(p, m, &msg.Message{Kind: msg.KPong, Page: m.Page, PageData: page})
 			}
 		},
 		func(rank int, p *sim.Proc, tr substrate.Transport) {
@@ -719,9 +719,9 @@ func ConformanceLostReplyPinsOnlyItself(t *testing.T, build Builder) {
 				p.Advance(sim.Millisecond) // the victim's reply is lost and pending by now
 			}
 			start := p.Now()
-			rep := tr.Call(p, 0, &msg.Message{Kind: msg.KPageReq, Page: int32(rank)})
+			rep := tr.Call(p, 0, &msg.Message{Kind: msg.KPing, Page: int32(rank)})
 			took[rank] = p.Now() - start
-			if rep.Kind != msg.KPageReply || rep.Page != int32(rank) || !bytes.Equal(rep.PageData, page) {
+			if rep.Kind != msg.KPong || rep.Page != int32(rank) || !bytes.Equal(rep.PageData, page) {
 				t.Errorf("rank %d: wrong page reply %v/%d", rank, rep.Kind, rep.Page)
 			}
 		},
@@ -863,14 +863,14 @@ func ConformanceLargeMessages(t *testing.T, build Builder) {
 	c.Spawn(
 		func(rank int) substrate.Handler {
 			return func(p *sim.Proc, m *msg.Message) {
-				c.Transports[rank].Reply(p, m, &msg.Message{Kind: msg.KPageReply, PageData: payload})
+				c.Transports[rank].Reply(p, m, &msg.Message{Kind: msg.KPong, PageData: payload})
 			}
 		},
 		func(rank int, p *sim.Proc, tr substrate.Transport) {
 			if rank != 0 {
 				return
 			}
-			got = tr.Call(p, 1, &msg.Message{Kind: msg.KPageReq, Page: 3})
+			got = tr.Call(p, 1, &msg.Message{Kind: msg.KPing, Page: 3})
 		},
 	)
 	if err := c.Run(); err != nil {
@@ -1008,7 +1008,7 @@ func ConformancePrepostExhaustionRecovery(t *testing.T, build Builder) {
 					t.Errorf("rank %d received unexpected %v", rank, m.Kind)
 					return
 				}
-				if m.Kind != msg.KExit {
+				if m.Kind != msg.KPing {
 					t.Errorf("unexpected kind %v", m.Kind)
 				}
 				received++
@@ -1028,7 +1028,7 @@ func ConformancePrepostExhaustionRecovery(t *testing.T, build Builder) {
 			}
 			p.Advance(sim.Millisecond)
 			for k := 0; k < perPeer; k++ {
-				tr.Send(p, 0, &msg.Message{Kind: msg.KExit})
+				tr.Send(p, 0, &msg.Message{Kind: msg.KPing})
 			}
 		},
 	)

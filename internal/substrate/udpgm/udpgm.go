@@ -30,23 +30,23 @@ const (
 	repPortBase = 20000
 )
 
+// RetransmitMax caps the retransmission backoff, which doubles from
+// Config.RetransmitInitial.
+const RetransmitMax = 500 * sim.Millisecond
+
 // Config tunes the user-level reliability layer.
 type Config struct {
 	RetransmitInitial sim.Time // first retransmit timeout
-	RetransmitMax     sim.Time // backoff cap
 	MaxRetries        int      // give up (fail-stop) after this many
 	DispatchCost      sim.Time // per-request decode/dispatch CPU
-	DupCacheSize      int      // cached replies per process
 }
 
 // DefaultConfig mirrors TreadMarks' retransmission behaviour.
 func DefaultConfig() Config {
 	return Config{
 		RetransmitInitial: 20 * sim.Millisecond,
-		RetransmitMax:     500 * sim.Millisecond,
 		MaxRetries:        12,
 		DispatchCost:      sim.Micro(0.5),
-		DupCacheSize:      1024,
 	}
 }
 
@@ -91,8 +91,8 @@ func New(stack *sockets.Stack, rank, size int, pol substrate.Policy, cfg Config)
 		reqBuf: make([]byte, stack.Params().MaxDatagram),
 		repBuf: make([]byte, stack.Params().MaxDatagram),
 	}
-	t.Core.Init(t, rank, size, pol, cfg.DupCacheSize,
-		substrate.Backoff{Initial: cfg.RetransmitInitial, Max: cfg.RetransmitMax}, cfg.MaxRetries)
+	t.Core.Init(t, rank, size, pol,
+		substrate.Backoff{Initial: cfg.RetransmitInitial, Max: RetransmitMax}, cfg.MaxRetries)
 	t.credits = t.NewCredits(fmt.Sprintf("udpgm:%d:credits", rank),
 		[]int{stack.Params().RecvBufDefault}, []int{stack.Params().MaxDatagram})
 	return t

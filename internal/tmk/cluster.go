@@ -85,13 +85,6 @@ type Config struct {
 	// Off, the run is bit-identical to one without them (DESIGN.md §14).
 	Flow  bool
 	Hedge bool
-
-	// DiffFetchWidth caps how many writers a read fault asks for diffs at
-	// once (DESIGN.md §14.2): diffFaultRange scatters its requests, one
-	// per writer, at most w at a time, and 0 scatters them all (max-RTT). 1 is the
-	// serial, sum-of-RTTs baseline the DiffMultiWriter bench rows run side
-	// by side with the default scatter.
-	DiffFetchWidth int
 }
 
 // DefaultConfig returns a calibrated n-process configuration. The

@@ -114,19 +114,20 @@ func TestFaultRecoveryTable(t *testing.T) {
 			},
 		},
 		{
-			// Symmetric send-path loss (the new sockets knob): datagrams
-			// vanish before the wire; recovery is identical.
+			// Heavier datagram loss on fewer ranks: whichever side of the
+			// wire a datagram vanishes on, recovery is the same user-level
+			// retransmission.
 			name:  "udp-socket-send-drop",
 			procs: 4,
 			kind:  tmk.TransportUDPGM,
 			mutate: func(cfg *tmk.Config) {
-				cfg.Sockets.SendDropProbability = 0.03
+				cfg.Sockets.DropProbability = 0.03
 				cfg.UDP.RetransmitInitial = 5 * sim.Millisecond
 			},
 			workload: func() (func(tp *tmk.Proc), func(t *testing.T)) { return stripeWorkload(1024, 2) },
 			assert: func(t *testing.T, res *tmk.Result) {
 				if res.Transport.Retransmits == 0 {
-					t.Error("no retransmits despite send-path loss")
+					t.Error("no retransmits despite 3% injected loss")
 				}
 			},
 		},

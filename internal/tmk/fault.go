@@ -110,11 +110,11 @@ func (tp *Proc) diffFaultRange(r *Region, first, last int32) {
 }
 
 // diffWave asks each writer once, in one KDiffReq, for its missing diffs of
-// the faulted pages, DiffFetchWidth writers at a time (0: all; DESIGN.md
-// §14.2), and applies each page's diffs from all its writers together —
-// or, if a capped reply left it out, none: one writer's diff without
-// another's could break happens-before order. A reply answers a prefix of
-// its request, so the lowest page is always answered and a wave completes.
+// the faulted pages, all writers in one scatter (DESIGN.md §14), and applies
+// each page's diffs from all its writers together — or, if a capped reply
+// left it out, none: one writer's diff without another's could break
+// happens-before order. A reply answers a prefix of its request, so the
+// lowest page is always answered and a wave completes.
 func (tp *Proc) diffWave(first, last int32, faults []diffFault) {
 	db := tp.diffBufs
 	ranges := db.ranges[:0]
@@ -130,32 +130,24 @@ func (tp *Proc) diffWave(first, last int32, faults []diffFault) {
 	// Writer-major: each writer's request is a sub-slice, its pages ascending.
 	slices.SortStableFunc(ranges, func(a, b msg.DiffRange) int { return cmp.Compare(a.Proc, b.Proc) })
 	db.ranges = ranges
-	width := len(ranges)
-	if w := tp.cluster.cfg.DiffFetchWidth; w > 0 {
-		width = w
+	if len(ranges) == 0 { // pages nobody wrote: zeros, and no writer to ask
+		return
 	}
+	for _, dr := range ranges {
+		tp.observe(event{kind: evDiffRequest, page: tp.page(dr.Page), peer: int(dr.Proc), a: int(dr.FromTS), b: int(dr.ToTS)})
+	}
+	pending := db.pends[:0]
+	for j := 0; j < len(ranges); j = nextWriter(ranges, j) {
+		ask := ranges[j:nextWriter(ranges, j)]
+		tp.stats.DiffRequestsSent += int64(len(ask))
+		db.req = msg.Message{Kind: msg.KDiffReq, DiffReqs: ask}
+		pending = append(pending, tp.tr.CallBegin(tp.sp, int(ask[0].Proc), &db.req))
+	}
+	db.pends = pending
+	reps := tp.scatter(blocked("pages %d..%d (diffs from %d writers)", int(first), int(last), len(pending)), pending)
 	all := db.diffs[:0]
-	for i := 0; i < len(ranges); {
-		end := i // one scatter: the requests of up to width writers
-		for k := 0; k < width && end < len(ranges); k++ {
-			end = nextWriter(ranges, end)
-		}
-		for _, dr := range ranges[i:end] {
-			tp.observe(event{kind: evDiffRequest, page: tp.page(dr.Page), peer: int(dr.Proc), a: int(dr.FromTS), b: int(dr.ToTS)})
-		}
-		pending := db.pends[:0]
-		for j := i; j < end; j = nextWriter(ranges, j) {
-			ask := ranges[j:nextWriter(ranges, j)]
-			tp.stats.DiffRequestsSent += int64(len(ask))
-			db.req = msg.Message{Kind: msg.KDiffReq, DiffReqs: ask}
-			pending = append(pending, tp.tr.CallBegin(tp.sp, int(ask[0].Proc), &db.req))
-		}
-		db.pends = pending
-		reps := tp.scatter(blocked("pages %d..%d (diffs from %d writers)", int(first), int(last), len(pending)), pending)
-		for k, j := 0, i; j < end; k, j = k+1, nextWriter(ranges, j) {
-			all = tp.takeDiffs(all, faults, ranges[j:nextWriter(ranges, j)], pending[k], reps[k])
-		}
-		i = end
+	for k, j := 0, 0; j < len(ranges); k, j = k+1, nextWriter(ranges, j) {
+		all = tp.takeDiffs(all, faults, ranges[j:nextWriter(ranges, j)], pending[k], reps[k])
 	}
 	slices.SortStableFunc(all, func(a, b msg.Diff) int { return cmp.Compare(a.Page, b.Page) })
 	db.diffs = all

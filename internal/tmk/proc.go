@@ -160,8 +160,6 @@ func (tp *Proc) handleRequest(p *sim.Proc, m *msg.Message) {
 		tp.tr.Reply(p, m, &msg.Message{Kind: msg.KAck})
 	case msg.KPing:
 		tp.tr.Reply(p, m, &msg.Message{Kind: msg.KPong, PageData: m.PageData})
-	case msg.KExit:
-		// Orderly shutdown notice; nothing to do in the simulator.
 	default:
 		panic(fmt.Sprintf("tmk: rank %d: unexpected request %v", tp.rank, m.Kind))
 	}

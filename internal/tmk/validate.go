@@ -14,7 +14,7 @@ const (
 	RuleProcs          ConfigRule = "procs"           // at least one process
 	RuleTransport      ConfigRule = "transport"       // a substrate that exists
 	RuleHomeBased      ConfigRule = "home-based"      // HLRC needs one-sided verbs
-	RuleRange          ConfigRule = "range"           // BarrierFanout, DiffFetchWidth ≥ 0
+	RuleRange          ConfigRule = "range"           // BarrierFanout ≥ 0
 	RuleCrashRank      ConfigRule = "crash-rank"      // an armed trigger names a process
 	RuleLivenessFaults ConfigRule = "liveness-faults" // the detector presumes a fault-free fabric
 )
@@ -71,9 +71,6 @@ func (cfg *Config) Validate() error {
 	}
 	if cfg.BarrierFanout < 0 {
 		bad(RuleRange, "negative BarrierFanout %d", cfg.BarrierFanout)
-	}
-	if cfg.DiffFetchWidth < 0 {
-		bad(RuleRange, "negative DiffFetchWidth %d", cfg.DiffFetchWidth)
 	}
 	if cc := cfg.Crash; cc.hasTrigger() && (cc.Rank < 0 || cc.Rank >= cfg.Procs) {
 		bad(RuleCrashRank, "crash rank %d is not one of the %d processes", cc.Rank, cfg.Procs)

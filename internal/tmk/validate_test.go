@@ -46,8 +46,6 @@ func TestValidateRules(t *testing.T) {
 			func(c *tmk.Config) { c.HomeBased = true }, []tmk.ConfigRule{tmk.RuleHomeBased}},
 		{"negative fan-out", 4, tmk.TransportFastGM,
 			func(c *tmk.Config) { c.BarrierFanout = -1 }, []tmk.ConfigRule{tmk.RuleRange}},
-		{"negative diff-fetch width", 4, tmk.TransportFastGM,
-			func(c *tmk.Config) { c.DiffFetchWidth = -1 }, []tmk.ConfigRule{tmk.RuleRange}},
 		{"armed trigger names no process", 4, tmk.TransportFastGM,
 			func(c *tmk.Config) { c.Crash = tmk.CrashConfig{Rank: 4, AtBarrier: 3} },
 			[]tmk.ConfigRule{tmk.RuleCrashRank}},
@@ -96,13 +94,19 @@ func TestValidateRules(t *testing.T) {
 	}
 }
 
-// TestConfigSurface pins how many feature values a caller can set
-// (harness.ConfigSurface: every leaf under Config's feature fields, plus any
-// copy of the cluster-uniform policy hiding in a per-substrate config).
-// Adding a knob means arguing with this number (DESIGN.md §16).
+// TestConfigSurface pins how many values a caller can set on a Config
+// (harness.ConfigSurface): every settable leaf, and the feature values among
+// them — every leaf under Config's feature fields, plus any copy of the
+// cluster-uniform policy hiding in a per-substrate config. Adding a setting
+// means arguing with these numbers (DESIGN.md §16).
 func TestConfigSurface(t *testing.T) {
-	if leaves := harness.ConfigSurface(); len(leaves) != 8 {
-		t.Errorf("tmk.Config exposes %d settable feature values, want 8:\n  %s",
-			len(leaves), strings.Join(leaves, "\n  "))
+	features, all := harness.ConfigSurface()
+	if len(features) != 7 {
+		t.Errorf("tmk.Config exposes %d settable feature values, want 7:\n  %s",
+			len(features), strings.Join(features, "\n  "))
+	}
+	if len(all) != 78 {
+		t.Errorf("tmk.Config has %d settable leaves, want 78:\n  %s",
+			len(all), strings.Join(all, "\n  "))
 	}
 }

@@ -197,8 +197,7 @@ func Diff(cfg tmk.Config, pages int, large bool) (Result, error) {
 // barrier the reader's fault must gather one diff from every writer —
 // the multiple-writer protocol's worst case, and the path the
 // scatter-gather substrate API overlaps (max-RTT instead of
-// sum-of-RTTs). The serial baseline is the same fault under
-// cfg.DiffFetchWidth = 1: waves of one.
+// sum-of-RTTs).
 func DiffMultiWriter(cfg tmk.Config, pages, writers int) (Result, error) {
 	if writers < 1 || cfg.Procs < writers+1 {
 		return Result{}, fmt.Errorf("ubench: diff-multiwriter with %d writers needs ≥ %d procs",
