@@ -7,7 +7,7 @@ FUZZTIME ?= 5s
 BENCHDIR ?= .
 WORKLOAD ?= jacobi_fastgm_16
 
-.PHONY: all check fmt vet build test race loc uncovered host-allocs fuzz-smoke bench bench-identical bench-gate prof-smoke chaos-smoke crash-smoke rdma-smoke critical-smoke flow-smoke cli-smoke
+.PHONY: all check fmt vet build test race loc uncovered host-allocs fuzz-smoke bench bench-identical bench-gate prof-smoke chaos-smoke crash-smoke rdma-smoke critical-smoke flow-smoke cli-smoke cli-sweep
 
 all: check
 
@@ -165,6 +165,37 @@ cli-smoke:
 		$(GO) run ./cmd/tmkrun -app 3dfft -nodes 4 -transport $$t -verify > /dev/null || exit 1; \
 	done
 	@echo "cli-smoke: illegal configs rejected in one line, verified runs pass on all three substrates"
+
+# The CLI verification matrix: `tmkrun -app A -nodes N -transport T -verify`
+# at default sizes over 4 apps × 3 substrates × {2, 4, 8, 16} nodes, one
+# verdict line per cell and a count. CLI_SWEEP_KNOWN names the cells known
+# to fail (ROADMAP item 2: SOR's verification gather sends a diff reply
+# over the 32 KB message cap on udpgm and fastgm); they run and print like
+# every other cell. The target fails on any other failure, and on a known
+# failure that verifies, so the list can only shrink. About 15 s on two
+# cores; not part of `check`.
+CLI_SWEEP_KNOWN := sor/udpgm/2 sor/udpgm/4 sor/udpgm/8 sor/udpgm/16 \
+	sor/fastgm/2 sor/fastgm/4 sor/fastgm/8 sor/fastgm/16
+
+cli-sweep:
+	@tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
+	$(GO) build -o $$tmp/tmkrun ./cmd/tmkrun || exit 1; \
+	ok=0; known=0; bad=0; \
+	for app in jacobi sor 3dfft tsp; do for t in udpgm fastgm rdmagm; do for n in 2 4 8 16; do \
+		cell=$$app/$$t/$$n; \
+		case " $(CLI_SWEEP_KNOWN) " in *" $$cell "*) listed=1;; *) listed=0;; esac; \
+		if out="$$($$tmp/tmkrun -app $$app -nodes $$n -transport $$t -verify 2>&1)"; then \
+			if [ $$listed = 0 ]; then verdict=verified; ok=$$((ok+1)); \
+			else verdict="verified, but listed in CLI_SWEEP_KNOWN: remove it"; bad=$$((bad+1)); fi; \
+		else \
+			why="$$(printf '%s\n' "$$out" | head -n 1 | sed -e 's/^panic: //' -e 's/^sim: proc "[^"]*" panicked: //' | cut -c1-100)"; \
+			if [ $$listed = 1 ]; then verdict="FAIL (known, ROADMAP item 2): $$why"; known=$$((known+1)); \
+			else verdict="FAIL: $$why"; bad=$$((bad+1)); fi; \
+		fi; \
+		printf '%-18s %s\n' "$$cell" "$$verdict"; \
+	done; done; done; \
+	echo "cli-sweep: $$ok/48 verified, $$known known failures, $$bad unexpected"; \
+	[ $$bad = 0 ]
 
 # Quick end-to-end run of the protocol-entity profiler (small sizes).
 prof-smoke:

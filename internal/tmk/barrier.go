@@ -9,10 +9,11 @@ import (
 )
 
 // Barriers (paper Section 1.1): centralized at the manager, rank 0.
-// Clients close their interval and send a barrier-arrive message carrying
-// their vector clock and the intervals created since the last barrier;
-// the manager merges everything and, when the last arrival lands,
-// releases each client with exactly the intervals that client lacks.
+// Every process, the manager included, closes its interval on arrival, as
+// in TreadMarks. Clients then send a barrier-arrive message carrying their
+// vector clock and the intervals created since the last barrier; the
+// manager merges everything and, when the last arrival lands, releases
+// each client with exactly the intervals that client lacks.
 //
 // As the paper's §5 future-work direction ("scaling a DSM system to a
 // cluster having 256 nodes ... further optimization to communication and
@@ -86,6 +87,12 @@ func (tp *Proc) Barrier(id int32) {
 	children := tp.barrierChildren()
 	parent := tp.barrierParent()
 
+	// A parent's diff encoding overlaps its wait for the stragglers instead
+	// of following the last of them.
+	tp.tr.DisableAsync(tp.sp)
+	tp.closeInterval()
+	tp.tr.EnableAsync(tp.sp)
+
 	// Phase 1: wait for all our children to arrive (their intervals are
 	// applied on receipt by the handler).
 	tp.blockedOn = blocked("barrier %d episode %d (awaiting %d arrivals)", int(id), int(ep), children)
@@ -95,7 +102,6 @@ func (tp *Proc) Barrier(id int32) {
 	tp.blockedOn = entity{}
 
 	tp.tr.DisableAsync(tp.sp)
-	tp.closeInterval()
 	arrivals := tp.barrier.arrivals
 	tp.barrier.arrivals = nil
 	for _, req := range arrivals {

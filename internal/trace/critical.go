@@ -21,7 +21,7 @@ const (
 	CatWire      = "wire"                // request/reply frames in flight
 	CatGM        = "gm"                  // one-sided verb + completion frames
 	CatManager   = "manager-indirection" // forwarded requests (e.g. lock chase via the manager)
-	CatStraggler = "straggler-wait"      // the last barrier arrival's lagging local segment
+	CatStraggler = "straggler-wait"      // the barrier root's own work between the last arrival and the release it enables
 )
 
 // Categories lists every attribution category in report order.
@@ -123,12 +123,12 @@ func (c *Causal) CriticalPath() *CriticalPath {
 
 	rank, t := endRank, endT
 	var parent uint64 // explicit jump stamped on the edge just crossed
-	viaParent := false
 	prevKind := ""
 	// Each crossed edge strictly decreases t (frames always take >0
 	// virtual time), so the walk terminates; the cap is a hard backstop.
 	for iter := 0; ; iter++ {
 		var e *CausalEdge
+		viaParent := false
 		if parent != 0 {
 			if pe := c.edge(parent); pe != nil && pe.Arrived() && pe.To == rank && pe.RecvT <= t {
 				e = pe
@@ -139,9 +139,13 @@ func (c *Causal) CriticalPath() *CriticalPath {
 			e = latestIn(rank, t)
 			viaParent = parent != 0 && e != nil && e.ID == parent
 		}
-		// The local segment feeding a barrier arrival that the release's
-		// enabling-cause pointer singled out is the straggler's lag: the
-		// time the rest of the cluster spent waiting on this rank.
+		// The local segment at the barrier root between receiving the
+		// arrival the release's enabling-cause pointer singled out and
+		// sending that release is the root's own post-arrival work (applying
+		// the last intervals, building the releases; before the root closed
+		// its interval on arrival, also encoding its diffs: 31.53 of
+		// fft3d_fastgm_8's 280.01 ms). The straggler's lag itself, the local
+		// segment that fed its arrive frame, is compute.
 		localCat := CatCompute
 		if viaParent && prevKind == "rep:barrier-release" && e != nil && e.Kind == "req:barrier-arrive" {
 			localCat = CatStraggler
@@ -156,11 +160,6 @@ func (c *Causal) CriticalPath() *CriticalPath {
 		parent = e.Parent
 		prevKind = e.Kind
 		rank, t = e.From, e.SendT
-		// Apply the straggler label to the segment feeding the arrive
-		// edge we just crossed, not to segments further back.
-		if e.Kind != "req:barrier-arrive" {
-			viaParent = false
-		}
 	}
 	// Built backward; present forward.
 	for i, j := 0, len(cp.Segs)-1; i < j; i, j = i+1, j-1 {
