@@ -56,19 +56,27 @@ uncovered:
 	rm -f $$tmp
 
 # Where the host bytes of one run of a benchmark workload go (WORKLOAD, one
-# of the six rows of TestWorkloadAllocationBudgets; jacobi_fastgm_16 by
-# default): an exact allocation profile (-memprofilerate 1) of that row, top
-# ten by bytes and by objects. The table a host-memory PR quotes before and
-# after; it prints, it never gates, and it is not part of `check`. The
-# profile also holds what the test binary allocates before and after the run.
+# of the six rows of TestWorkloadAllocationBudgets, or all of them with
+# WORKLOAD=all; jacobi_fastgm_16 by default): first one `name allocations MB`
+# line per row run, as the test measured it, then an exact allocation
+# profile (-memprofilerate 1) of the run, top ten by bytes and by objects.
+# The table a host-memory PR quotes before and after; it prints, it never
+# gates, and it is not part of `check`. The profile also holds what the test
+# binary allocates before and after the run.
 host-allocs:
-	@tmp=$$(mktemp -d); \
-	$(GO) test -count=1 -run '^TestWorkloadAllocationBudgets$$/^$(WORKLOAD)$$' -v -o $$tmp/harness.test \
-		-memprofile $$tmp/mem.prof -memprofilerate 1 ./internal/harness/ | grep -v '^=== ' && \
-	for idx in alloc_space alloc_objects; do \
-		$(GO) tool pprof -sample_index=$$idx -top -nodecount=10 $$tmp/harness.test $$tmp/mem.prof 2>/dev/null | tail -n +4; \
-	done; \
-	rm -rf $$tmp
+	@tmp=$$(mktemp -d); run='^TestWorkloadAllocationBudgets$$'; \
+	if [ "$(WORKLOAD)" != all ]; then run="$$run/^$(WORKLOAD)$$"; fi; \
+	$(GO) test -count=1 -run "$$run" -v -o $$tmp/harness.test \
+		-memprofile $$tmp/mem.prof -memprofilerate 1 ./internal/harness/ > $$tmp/out; \
+	status=$$?; \
+	awk '/^=== RUN/ { n = split($$3, p, "/"); row = p[n] } / allocations, / { print row, $$2, $$4 }' $$tmp/out; \
+	grep -E 'budget|^(FAIL|ok)' $$tmp/out; \
+	if [ $$status -eq 0 ]; then \
+		for idx in alloc_space alloc_objects; do \
+			$(GO) tool pprof -sample_index=$$idx -top -nodecount=10 $$tmp/harness.test $$tmp/mem.prof 2>/dev/null | tail -n +4; \
+		done; \
+	fi; \
+	rm -rf $$tmp; exit $$status
 
 # Short fuzz runs of every fuzz target (seeds are checked in under each
 # package's testdata/fuzz/). A finding is written there as a new case.

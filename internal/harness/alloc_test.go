@@ -23,13 +23,13 @@ var allocWorkloads = []struct {
 	bytes  uint64
 }{
 	{"jacobi_fastgm_16", func() apps.App { return &apps.Jacobi{N: 640, Iters: 10, CostPerPoint: 120 * sim.Nanosecond} },
-		16, tmk.TransportFastGM, 61_500, 61_500_000},
-	{"fft3d_udpgm_8", fft64, 8, tmk.TransportUDPGM, 35_000, 153_000_000},
-	{"fft3d_fastgm_8", fft64, 8, tmk.TransportFastGM, 34_500, 153_000_000},
+		16, tmk.TransportFastGM, 34_600, 42_400_000},
+	{"fft3d_udpgm_8", fft64, 8, tmk.TransportUDPGM, 15_600, 139_600_000},
+	{"fft3d_fastgm_8", fft64, 8, tmk.TransportFastGM, 15_000, 141_000_000},
 	{"tsp_fastgm_8", func() apps.App { return &apps.TSP{Cities: 13, PrefixDepth: 3, CostPerNode: 40 * sim.Nanosecond} },
-		8, tmk.TransportFastGM, 24_000, 3_300_000},
-	{"sor_rdmagm_4", sor256, 4, tmk.TransportRDMAGM, 10_500, 10_100_000},
-	{"sor_fastgm_4", sor256, 4, tmk.TransportFastGM, 7_300, 5_400_000},
+		8, tmk.TransportFastGM, 13_650, 3_100_000},
+	{"sor_rdmagm_4", sor256, 4, tmk.TransportRDMAGM, 9_300, 10_100_000},
+	{"sor_fastgm_4", sor256, 4, tmk.TransportFastGM, 5_200, 5_150_000},
 }
 
 func fft64() apps.App { return &apps.FFT3D{Z: 64, Iters: 3, CostPerButterfly: 180 * sim.Nanosecond} }
@@ -44,8 +44,11 @@ func sor256() apps.App {
 // message (recycled events, packets, send and receive records, datagrams),
 // so what is left is tmk's own and the applications'; jacobi_fastgm_16
 // made 174,172 allocations while every message allocated ~18 objects,
-// 70,708 while every cold read fault fetched a whole page, and ~60,000
-// (fft3d_*_8 ~53,000) while a homeless span faulted one page at a time.
+// 70,708 while every cold read fault fetched a whole page, ~60,000
+// (fft3d_*_8 ~53,000) while a homeless span faulted one page at a time, and
+// 55,877 (fft3d_*_8 ~31,500, 139 MB) while every kept diff, decoded list and
+// interval record was an object of its own, every never-stored page's twin
+// a copy of zeros and every page's metadata n ranks wide.
 func TestWorkloadAllocationBudgets(t *testing.T) {
 	for _, w := range allocWorkloads {
 		t.Run(w.name, func(t *testing.T) {

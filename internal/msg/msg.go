@@ -240,19 +240,81 @@ func (r *reader) capHint(n, elemSize int) int {
 	return n
 }
 
-func (r *reader) bytes() []byte {
+// skip advances past n bytes.
+func (r *reader) skip(n int) {
+	if n < 0 || !r.need(n) {
+		r.err = true
+		return
+	}
+	r.off += n
+}
+
+// sizes pre-scans the lists ahead of r, without consuming them, for the
+// backings Decode copies them into: the int32s of the VC and of every
+// interval's VC and page list, and the bytes of every diff's data. Each
+// total is bounded by the bytes remaining (capHint's rule), so a corrupt
+// count cannot amplify the allocation made from it.
+func (r reader) sizes(flags uint8) (ints, data int) {
+	rem := len(r.b) - r.off
+	if flags&fVC != 0 {
+		n := int(r.u16())
+		r.skip(4 * n)
+		ints += n
+	}
+	if flags&fIntervals != 0 {
+		for i, n := 0, int(r.u16()); i < n && !r.err; i++ {
+			r.skip(2 + 4)
+			nv := int(r.u16())
+			r.skip(4 * nv)
+			np := int(r.u32())
+			r.skip(4 * np)
+			ints += nv + np
+		}
+	}
+	if flags&fDiffReqs != 0 {
+		r.skip(diffReqSize * int(r.u16()))
+	}
+	if flags&fDiffs != 0 {
+		for i, n := 0, int(r.u16()); i < n && !r.err; i++ {
+			r.skip(4 + 2 + 4)
+			k := int(r.u32())
+			r.skip(k)
+			data += k
+		}
+	}
+	return min(ints, rem/4), min(data, rem)
+}
+
+// i32s reads n int32s onto the end of *back and returns them as a list of
+// their own (capacity n: an append to it cannot reach a neighbour's).
+func (r *reader) i32s(n int, back *[]int32) []int32 {
+	from := len(*back)
+	for j := 0; j < n && !r.err; j++ {
+		*back = append(*back, r.i32())
+	}
+	return (*back)[from:len(*back):len(*back)]
+}
+
+// bytes reads a count-prefixed byte string onto the end of *back and
+// returns it (nil if empty). It is a copy: decoded messages must own their
+// memory, because callers (the transports) recycle the receive buffer
+// immediately after decoding — aliasing it would let the next arrival
+// corrupt this message's diffs or page contents. The copies of one message
+// share *back, so the message costs one allocation per backing, not one
+// per diff.
+func (r *reader) bytes(back *[]byte) []byte {
 	n := int(r.u32())
 	if n < 0 || !r.need(n) {
 		r.err = true
 		return nil
 	}
-	// Copy out: decoded messages must own their memory, because callers
-	// (the transports) recycle the receive buffer immediately after
-	// decoding — aliasing it would let the next arrival corrupt this
-	// message's diffs or page contents.
-	v := append([]byte(nil), r.b[r.off:r.off+n]...)
+	if n == 0 {
+		return nil
+	}
+	from := len(*back)
+	*back = append(*back, r.b[r.off:r.off+n]...)
 	r.off += n
-	return v
+	return (*back)[from:len(*back):len(*back)]
 }
 
 // Encode serializes m into one buffer of exactly EncodedSize bytes.
@@ -358,40 +420,33 @@ func Decode(b []byte) (*Message, error) {
 		m.Region.Pages = r.i32()
 		m.Region.Bytes = int64(r.u64())
 	}
+	// One backing per list kind: every VC and page list shares ints, every
+	// diff's data shares data.
+	ni, nd := r.sizes(flags)
+	ints, data := make([]int32, 0, ni), make([]byte, 0, nd)
 	if flags&fVC != 0 {
-		n := int(r.u16())
-		m.VC = make([]int32, 0, r.capHint(n, 4))
-		for i := 0; i < n && !r.err; i++ {
-			m.VC = append(m.VC, r.i32())
-		}
+		m.VC = r.i32s(int(r.u16()), &ints)
 	}
 	if flags&fIntervals != 0 {
 		n := int(r.u16())
-		m.Intervals = make([]Interval, 0, r.capHint(n, 12))
+		m.Intervals = make([]Interval, 0, r.capHint(n, intervalSize))
 		for i := 0; i < n && !r.err; i++ {
 			iv := Interval{Proc: int32(int16(r.u16())), TS: r.i32()}
-			nv := int(r.u16())
-			if nv > 0 {
-				iv.VC = make([]int32, 0, r.capHint(nv, 4))
-				for j := 0; j < nv && !r.err; j++ {
-					iv.VC = append(iv.VC, r.i32())
-				}
+			if nv := int(r.u16()); nv > 0 {
+				iv.VC = r.i32s(nv, &ints)
 			}
 			np := int(r.u32())
 			if np > len(b) { // sanity bound against corrupt counts
 				r.err = true
 				break
 			}
-			iv.Pages = make([]int32, 0, r.capHint(np, 4))
-			for j := 0; j < np && !r.err; j++ {
-				iv.Pages = append(iv.Pages, r.i32())
-			}
+			iv.Pages = r.i32s(np, &ints)
 			m.Intervals = append(m.Intervals, iv)
 		}
 	}
 	if flags&fDiffReqs != 0 {
 		n := int(r.u16())
-		m.DiffReqs = make([]DiffRange, 0, r.capHint(n, 14))
+		m.DiffReqs = make([]DiffRange, 0, r.capHint(n, diffReqSize))
 		for i := 0; i < n && !r.err; i++ {
 			m.DiffReqs = append(m.DiffReqs, DiffRange{
 				Page: r.i32(), Proc: int32(int16(r.u16())), FromTS: r.i32(), ToTS: r.i32(),
@@ -400,15 +455,16 @@ func Decode(b []byte) (*Message, error) {
 	}
 	if flags&fDiffs != 0 {
 		n := int(r.u16())
-		m.Diffs = make([]Diff, 0, r.capHint(n, 14))
+		m.Diffs = make([]Diff, 0, r.capHint(n, diffSize))
 		for i := 0; i < n && !r.err; i++ {
 			d := Diff{Page: r.i32(), Proc: int32(int16(r.u16())), TS: r.i32()}
-			d.Data = r.bytes()
+			d.Data = r.bytes(&data)
 			m.Diffs = append(m.Diffs, d)
 		}
 	}
 	if flags&fPageData != 0 {
-		m.PageData = r.bytes()
+		var page []byte
+		m.PageData = r.bytes(&page)
 	}
 	if r.err {
 		return nil, ErrTruncated

@@ -322,3 +322,55 @@ func TestDiffSizesMatchEncode(t *testing.T) {
 		t.Errorf("DiffReplySize(2, 52) = %d, Encode = %d", got, want)
 	}
 }
+
+// TestDecodeOwnsItsMemory: a decoded message keeps nothing of the buffer it
+// came from — the transports re-post that buffer at once — and costs the
+// same few allocations however many intervals or diffs it carries: one
+// backing holds every VC and page list, one every diff's data.
+func TestDecodeOwnsItsMemory(t *testing.T) {
+	release := func(k int) *Message {
+		m := &Message{Kind: KBarrierRelease, Seq: 3, From: 0, ReplyTo: 2, Barrier: 1, Episode: 4}
+		for i := 0; i < k; i++ {
+			vc := make([]int32, 16)
+			for j := range vc {
+				vc[j] = int32(i*16 + j)
+			}
+			m.Intervals = append(m.Intervals, Interval{Proc: int32(i % 16), TS: int32(i + 1), VC: vc,
+				Pages: []int32{int32(3 * i), int32(3*i + 1), int32(3*i + 2)}})
+		}
+		return m
+	}
+	reply := func(k int) *Message {
+		m := &Message{Kind: KDiffReply, Seq: 5, From: 1, ReplyTo: 1}
+		for i := 0; i < k; i++ {
+			m.Diffs = append(m.Diffs, Diff{Page: int32(i), Proc: 1, TS: int32(i + 2),
+				Data: bytes.Repeat([]byte{byte(i + 1)}, 4+8*(i+1))})
+		}
+		return m
+	}
+	for _, c := range []struct {
+		name string
+		make func(k int) *Message
+	}{{"barrier-release", release}, {"diff-reply", reply}} {
+		allocs := map[int]float64{}
+		for _, k := range []int{1, 16} {
+			want := c.make(k)
+			wire := want.Encode()
+			got, err := Decode(wire)
+			if err != nil {
+				t.Fatalf("%s k=%d: %v", c.name, k, err)
+			}
+			for i := range wire {
+				wire[i] = 0xA5 // the transport re-posts the receive buffer
+			}
+			if !msgsEqual(want, got) {
+				t.Errorf("%s k=%d: the decoded message changed with its input buffer:\n want %+v\n  got %+v", c.name, k, want, got)
+			}
+			wire = want.Encode()
+			allocs[k] = testing.AllocsPerRun(20, func() { Decode(wire) })
+		}
+		if allocs[1] != allocs[16] {
+			t.Errorf("%s: Decode allocates %v objects for 1 element, %v for 16", c.name, allocs[1], allocs[16])
+		}
+	}
+}

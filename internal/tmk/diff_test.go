@@ -193,13 +193,13 @@ func TestVCSumMonotoneInHappensBefore(t *testing.T) {
 
 func TestIntervalStore(t *testing.T) {
 	s := newIntervalStore(3)
-	r1 := &intervalRec{proc: 1, ts: 1, vc: VC{0, 1, 0}, pages: []int32{5}}
-	r2 := &intervalRec{proc: 1, ts: 2, vc: VC{0, 2, 0}, pages: []int32{6}}
-	r3 := &intervalRec{proc: 2, ts: 1, vc: VC{0, 2, 1}, pages: []int32{5}}
-	if !s.add(r2) || !s.add(r1) || !s.add(r3) {
+	r2 := s.add(1, 2, VC{0, 2, 0}, []int32{6})
+	r1 := s.add(1, 1, VC{0, 1, 0}, []int32{5})
+	r3 := s.add(2, 1, VC{0, 2, 1}, []int32{5})
+	if r1 == nil || r2 == nil || r3 == nil {
 		t.Fatal("adds failed")
 	}
-	if s.add(r1) {
+	if s.add(1, 1, VC{0, 1, 0}, []int32{5}) != nil {
 		t.Error("duplicate add succeeded")
 	}
 	if s.get(1, 2) != r2 || s.get(0, 1) != nil {
@@ -236,21 +236,21 @@ func TestPageMetaNotices(t *testing.T) {
 	if pm.addNotice(1, 3) != true {
 		t.Error("duplicate notice should still report uncovered")
 	}
-	pm.cover[1] = 3
+	pm.coverTo(1, 3)
 	if pm.addNotice(1, 2) {
 		t.Error("covered notice flagged")
 	}
 	pm.addNotice(2, 5)
-	if got := pm.missingFrom(1); len(got) != 0 {
-		t.Errorf("missingFrom(1) = %v", got)
+	if got := pm.writer(1).missing(); len(got) != 0 {
+		t.Errorf("writer 1 missing %v", got)
 	}
-	if got := pm.missingFrom(2); len(got) != 1 || got[0] != 5 {
-		t.Errorf("missingFrom(2) = %v", got)
+	if got := pm.writer(2).missing(); len(got) != 1 || got[0] != 5 {
+		t.Errorf("writer 2 missing %v", got)
 	}
 	if !pm.isMissingAny(0) {
 		t.Error("isMissingAny = false")
 	}
-	pm.cover[2] = 5
+	pm.coverTo(2, 5)
 	if pm.isMissingAny(0) {
 		t.Error("isMissingAny = true after covering")
 	}

@@ -23,8 +23,8 @@ func (tp *Proc) scanMetaGauge() int64 {
 		if pm == nil {
 			continue
 		}
-		for _, lst := range pm.notices {
-			total += int64(4 * len(lst))
+		for _, w := range pm.writers {
+			total += int64(4 * len(w.notices))
 		}
 	}
 	return total
@@ -112,9 +112,9 @@ func (tp *Proc) FrameCensus() (fc FrameCensus) {
 		touched := 0
 		for i := range r.pages {
 			pm := &r.pages[i]
-			hit := pm.state == pageWritable || len(pm.notices[tp.rank]) > 0
-			for q, ts := range pm.cover {
-				hit = hit || (q != tp.rank && ts > 0)
+			hit := pm.state == pageWritable || pm.writer(tp.rank) != nil
+			for _, w := range pm.writers {
+				hit = hit || (int(w.proc) != tp.rank && w.cover > 0)
 			}
 			if hit {
 				touched++
@@ -141,6 +141,10 @@ func (tp *Proc) TwinOnly(r *Region, pg int) []byte {
 	tp.writeFault(&r.pages[pg])
 	return r.pages[pg].twin
 }
+
+// DropFreeTwins empties tp's free list of twins, so that the next write
+// faults find none to reuse.
+func (tp *Proc) DropFreeTwins() { tp.freeTwins = nil }
 
 // ZeroPageIsZero reports whether the page every frame-less copy reads as is
 // still all zeros.

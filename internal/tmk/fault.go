@@ -26,7 +26,8 @@ func (tp *Proc) readFault(r *Region, first, last int32) {
 // handlers run mid-Advance); the loop re-validates until the page is
 // simultaneously covered and twinned. A page homed here under migrating
 // placement takes no twin: the window is the master copy, and nobody is
-// owed a diff against it.
+// owed a diff against it. A page never stored into is twinned by the zero
+// page itself, which ownTwin replaces before anything writes into the twin.
 func (tp *Proc) writeFault(pm *pageMeta) {
 	for {
 		if pm.state == pageInvalid {
@@ -39,11 +40,11 @@ func (tp *Proc) writeFault(pm *pageMeta) {
 		tp.stats.WriteFaults++
 		tp.sp.Advance(tp.cpu.FaultOverhead)
 		if !tp.selfHomed(pm.id) {
-			var twin []byte // nil: the free list is empty, append allocates
-			if n := len(tp.freeTwins); n > 0 {
-				twin, tp.freeTwins = tp.freeTwins[n-1], tp.freeTwins[:n-1]
+			if pm.frame == nil {
+				pm.twin = zeroPage[:]
+			} else {
+				pm.twin = append(tp.takeTwin(), pm.frame...)
 			}
-			pm.twin = append(twin[:0], pm.bytes()...)
 			tp.sp.Advance(sim.BytesTime(PageSize, tp.cpu.MemcpyBandwidth))
 			tp.stats.TwinsCreated++
 		}
@@ -58,6 +59,26 @@ func (tp *Proc) writeFault(pm *pageMeta) {
 			continue
 		}
 		return
+	}
+}
+
+// takeTwin returns an empty twin buffer: one handed back at an interval
+// close if there is any, else nil (the append that fills it allocates).
+func (tp *Proc) takeTwin() []byte {
+	n := len(tp.freeTwins)
+	if n == 0 {
+		return nil
+	}
+	twin := tp.freeTwins[n-1]
+	tp.freeTwins = tp.freeTwins[:n-1]
+	return twin[:0]
+}
+
+// ownTwin gives a page twinned by the shared zero page a twin of its own,
+// before anything writes into it: the one copy-on-write point.
+func (tp *Proc) ownTwin(pm *pageMeta) {
+	if pm.zeroTwin() {
+		pm.twin = append(tp.takeTwin(), zeroPage[:]...)
 	}
 }
 
@@ -121,9 +142,9 @@ func (tp *Proc) diffWave(first, last int32, faults []diffFault) {
 	for i := range faults {
 		f := &faults[i]
 		f.short = false
-		for q := 0; q < tp.n; q++ {
-			if miss := f.pm.missingFrom(q); q != tp.rank && len(miss) > 0 {
-				ranges = append(ranges, msg.DiffRange{Page: f.pm.id, Proc: int32(q), FromTS: f.pm.cover[q], ToTS: miss[len(miss)-1]})
+		for _, w := range f.pm.writers {
+			if miss := w.missing(); int(w.proc) != tp.rank && len(miss) > 0 {
+				ranges = append(ranges, msg.DiffRange{Page: f.pm.id, Proc: w.proc, FromTS: w.cover, ToTS: miss[len(miss)-1]})
 			}
 		}
 	}
@@ -224,11 +245,12 @@ func (tp *Proc) applyDiffs(pm *pageMeta, all []msg.Diff) {
 		return 0
 	})
 	tp.tr.DisableAsync(tp.sp)
+	tp.ownTwin(pm)
 	for _, d := range all {
 		if d.Page != pm.id {
 			panic("tmk: diff for wrong page")
 		}
-		if d.TS <= pm.cover[d.Proc] {
+		if d.TS <= pm.coverOf(int(d.Proc)) {
 			panic(fmt.Sprintf("tmk: rank %d: page %d: diff %d/%d already covered", tp.rank, pm.id, d.Proc, d.TS))
 		}
 		if err := ApplyDiff(pm.store(), d.Data); err != nil {
@@ -247,7 +269,7 @@ func (tp *Proc) applyDiffs(pm *pageMeta, all []msg.Diff) {
 		tp.observe(event{kind: evDiffApply, page: pm, peer: int(d.Proc), a: int(d.TS), bytes: len(d.Data)})
 		tp.stats.DiffsApplied++
 		tp.stats.DiffBytesApplied += int64(len(d.Data))
-		pm.cover[d.Proc] = d.TS
+		pm.coverTo(int(d.Proc), d.TS)
 	}
 	tp.tr.EnableAsync(tp.sp)
 }
@@ -264,15 +286,14 @@ func (tp *Proc) closeInterval() {
 	pages := make([]int32, len(tp.dirty))
 	copy(pages, tp.dirty)
 	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
-	rec := &intervalRec{proc: int32(tp.rank), ts: ts, vc: tp.vc.Clone(), pages: pages}
-	tp.store.add(rec)
+	tp.store.add(int32(tp.rank), ts, tp.vc.Clone(), pages)
 	tp.stats.IntervalsCreated++
 
 	for _, pg := range tp.dirty {
 		pm := tp.page(pg)
 		if pm.twin != nil {
 			// Diff creation: scan twin vs page (two pages of memory traffic).
-			diff := append([]byte(nil), appendDiff(tp.diffScratch, pm.twin, pm.bytes())...)
+			diff := tp.retain(appendDiff(tp.diffScratch, pm.twin, pm.bytes()))
 			tp.sp.Advance(sim.BytesTime(2*PageSize, tp.cpu.DiffScanBandwidth) +
 				sim.BytesTime(len(diff), tp.cpu.MemcpyBandwidth))
 			tp.keepDiff(diffKey{page: pg, ts: ts}, diff)
@@ -280,14 +301,16 @@ func (tp *Proc) closeInterval() {
 			tp.stats.DiffBytesCreated += int64(len(diff))
 			tp.observe(event{kind: evDiffCreate, page: pm, peer: -1, a: int(ts), bytes: len(diff)})
 			if pm.twin != nil { // else a handler's own close, run inside the Advance above, took it
-				tp.freeTwins = append(tp.freeTwins, pm.twin)
+				if !pm.zeroTwin() {
+					tp.freeTwins = append(tp.freeTwins, pm.twin)
+				}
 				pm.twin = nil
 			}
 		} else if !tp.selfHomed(pg) {
 			panic("tmk: dirty page without twin, and not self-homed")
 		}
-		pm.cover[tp.rank] = ts
 		pm.addNotice(tp.rank, ts)
+		pm.coverTo(tp.rank, ts)
 		// Write notices may have arrived while the page was dirty (it
 		// stays writable under the multiple-writer protocol); if any are
 		// still uncovered, the page must remain invalid, not readable.
@@ -311,6 +334,46 @@ func (tp *Proc) closeInterval() {
 	tp.dirty = tp.dirty[:0]
 }
 
+// retain copies a diff just encoded in diffScratch to where it lives as
+// long as it must: homeless, into the arena, for the run (any later fault
+// may ask for it); home-based, into a copy of its own, which the
+// interval's flush drops — it must not pin an arena chunk for the run.
+func (tp *Proc) retain(d []byte) []byte {
+	if tp.homeBased {
+		return append([]byte(nil), d...)
+	}
+	return tp.diffArena.keep(d)
+}
+
+// diffArena holds a homeless process's diffs, each kept for the run: a diff
+// is copied into the unused tail of the current chunk, and a chunk too
+// short for the next is left to the diffs in it and followed by one twice
+// its size, from minDiffChunk up to maxDiffChunk (or the diff's size).
+type diffArena struct {
+	chunk []byte // unused tail of the current chunk
+	size  int    // the current chunk's size
+}
+
+const (
+	minDiffChunk = 512
+	maxDiffChunk = 64 << 10
+)
+
+// keep returns a copy of d in the arena (nil if d is empty).
+func (a *diffArena) keep(d []byte) []byte {
+	if len(d) == 0 {
+		return nil
+	}
+	if len(d) > len(a.chunk) {
+		a.size = min(max(2*a.size, minDiffChunk), maxDiffChunk)
+		a.chunk = make([]byte, max(a.size, len(d)))
+	}
+	out := a.chunk[:len(d):len(d)]
+	copy(out, d)
+	a.chunk = a.chunk[len(d):]
+	return out
+}
+
 type diffKey struct {
 	page int32
 	ts   int32
@@ -332,8 +395,8 @@ func (tp *Proc) dropDiff(k diffKey) {
 // notices (invalidating uncovered pages), and advance our vector clock.
 func (tp *Proc) applyIntervals(ivs []msg.Interval) {
 	for _, iv := range ivs {
-		rec := fromWire(iv)
-		if !tp.store.add(rec) {
+		rec := tp.store.add(iv.Proc, iv.TS, VC(iv.VC), iv.Pages) // the record adopts the decoded lists
+		if rec == nil {
 			continue
 		}
 		tp.stats.IntervalsLearned++
@@ -360,9 +423,7 @@ func (tp *Proc) deliverNotice(pm *pageMeta, rec *intervalRec) {
 	invalidated := false
 	if pm.addNotice(int(rec.proc), rec.ts) {
 		if tp.homeBased && tp.HomeOf(pm.id) == tp.rank {
-			if pm.cover[rec.proc] < rec.ts {
-				pm.cover[rec.proc] = rec.ts
-			}
+			pm.coverTo(int(rec.proc), rec.ts)
 		} else if pm.state != pageInvalid {
 			pm.state = pageInvalid
 			tp.stats.Invalidations++
@@ -370,5 +431,5 @@ func (tp *Proc) deliverNotice(pm *pageMeta, rec *intervalRec) {
 		}
 	}
 	tp.observe(event{kind: evNotice, page: pm, peer: int(rec.proc), invalidated: invalidated,
-		wroteHere: pm.twin != nil || pm.state == pageWritable || len(pm.notices[tp.rank]) > 0})
+		wroteHere: pm.twin != nil || pm.state == pageWritable || pm.writer(tp.rank) != nil})
 }

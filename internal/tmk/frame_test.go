@@ -176,3 +176,74 @@ func TestAccessorsWalkFrames(t *testing.T) {
 		}
 	})
 }
+
+// TestZeroTwinStaysZero: a write fault on a page never stored into twins it
+// with the shared zero page, allocating nothing, and the first write into
+// that twin — another writer's data merged mid-interval — gives the page a
+// twin of its own. Rank 1 writes a word of page pg under a lock; rank 0,
+// which has never stored into pg, writes another word of it and then takes
+// the lock, whose grant invalidates the writable page: the re-read applies
+// rank 1's diff (homeless) or merges the home's copy (home-based) into page
+// and twin alike. Both words must survive, and the zero page stay zeros.
+func TestZeroTwinStaysZero(t *testing.T) {
+	for _, kind := range []tmk.TransportKind{tmk.TransportFastGM, tmk.TransportRDMAGM} {
+		t.Run(string(kind), func(t *testing.T) {
+			_, err := tmk.Run(tmk.DefaultConfig(2, kind), func(tp *tmk.Proc) {
+				r := tp.AllocShared(2 * tmk.PageSize)
+				pg := 0
+				if tp.HomeOf(r.StartPage) == 0 { // a page rank 0 fetches, not one it is home of
+					pg = 1
+				}
+				base := pg * tmk.PageSize / 8
+				tp.Barrier(1)
+				if tp.Rank() == 1 {
+					tp.LockAcquire(1) // rank 1 manages lock 1: a local acquire
+					tp.WriteF64(r, base+5, 7.5)
+					tp.LockRelease(1)
+					tp.Compute(2 * sim.Millisecond) // its interval leaves with the grant, not a barrier arrival
+				} else {
+					tp.Compute(sim.Millisecond) // after rank 1's release
+					tp.WriteF64(r, base, 1.5)
+					tp.LockAcquire(1)
+					if v := tp.ReadF64(r, base+5); v != 7.5 {
+						t.Errorf("%s: rank 0 reads %v under the lock, want 7.5", kind, v)
+					}
+					tp.LockRelease(1)
+				}
+				tp.Barrier(2)
+				if a, b := tp.ReadF64(r, base), tp.ReadF64(r, base+5); a != 1.5 || b != 7.5 {
+					t.Errorf("%s: rank %d reads %v, %v; want 1.5, 7.5", kind, tp.Rank(), a, b)
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !tmk.ZeroPageIsZero() {
+				t.Fatal("a write into a zero twin landed in the shared zero page")
+			}
+		})
+	}
+
+	// The write fault of a never-stored page: a twin, and no allocation,
+	// with no twin to reuse.
+	run1(t, func(tp *tmk.Proc) {
+		const pages = 32
+		r := tp.Alloc(pages * tmk.PageSize)
+		for pg := 0; pg < pages; pg++ {
+			tp.TwinOnly(r, pg) // grows the dirty list once
+		}
+		tp.Barrier(1)
+		tp.DropFreeTwins()
+		pg := 0
+		allocs := testing.AllocsPerRun(pages-1, func() {
+			tp.TwinOnly(r, pg)
+			pg++
+		})
+		if allocs != 0 {
+			t.Errorf("a write fault of a never-stored page allocates %v objects", allocs)
+		}
+		if tp.Stats().TwinsCreated != 2*pages || tp.HasFrame(r, 0) {
+			t.Errorf("%d twins created, page 0 framed %v; want %d twins and no frame", tp.Stats().TwinsCreated, tp.HasFrame(r, 0), 2*pages)
+		}
+	})
+}

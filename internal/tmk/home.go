@@ -125,10 +125,8 @@ func (tp *Proc) waitVerbs(on entity, verbs []substrate.PendingVerb) {
 // the coverage vector.
 func (tp *Proc) noticeSnap(pm *pageMeta) VC {
 	snap := make(VC, tp.n)
-	for q := 0; q < tp.n; q++ {
-		if l := pm.notices[q]; len(l) > 0 {
-			snap[q] = l[len(l)-1]
-		}
+	for _, w := range pm.writers {
+		snap[w.proc] = w.notices[len(w.notices)-1]
 	}
 	return snap
 }
@@ -146,6 +144,7 @@ func (tp *Proc) homeApply(pm *pageMeta, data []byte, snap VC) {
 	}
 	frame := pm.store()
 	if pm.twin != nil {
+		tp.ownTwin(pm)
 		for w := 0; w < wordsPerPage; w++ {
 			i := w * 4
 			local := !wordEq(frame, pm.twin, w)
@@ -163,8 +162,8 @@ func (tp *Proc) homeApply(pm *pageMeta, data []byte, snap VC) {
 	}
 	pm.haveCopy = true
 	for q, ts := range snap {
-		if pm.cover[q] < ts {
-			pm.cover[q] = ts
+		if ts > 0 {
+			pm.coverTo(q, ts)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package tmk
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/msg"
@@ -22,9 +24,12 @@ type intervalRec struct {
 // naturally convergent.
 type intervalStore struct {
 	byProc [][]*intervalRec // per proc, sorted by ts ascending
-	index  []map[int32]*intervalRec
-	bytes  int64 // Σ intervalRecBytes over the records held (metadata gauge)
+	slab   []intervalRec    // unused tail of the current run of records
+	bytes  int64            // Σ intervalRecBytes over the records held (metadata gauge)
 }
+
+// recSlab is how many interval records the store allocates at a time.
+const recSlab = 64
 
 // intervalRecBytes approximates one interval record's footprint for the
 // metadata gauge: fixed header plus the vector clock and page list.
@@ -33,35 +38,36 @@ func intervalRecBytes(rec *intervalRec) int64 {
 }
 
 func newIntervalStore(n int) *intervalStore {
-	s := &intervalStore{
-		byProc: make([][]*intervalRec, n),
-		index:  make([]map[int32]*intervalRec, n),
-	}
-	for i := 0; i < n; i++ {
-		s.index[i] = make(map[int32]*intervalRec)
-	}
-	return s
+	return &intervalStore{byProc: make([][]*intervalRec, n)}
 }
 
-// add inserts rec if unknown; reports whether it was new.
-func (s *intervalStore) add(rec *intervalRec) bool {
-	if _, ok := s.index[rec.proc][rec.ts]; ok {
-		return false
+// find returns where (proc, ts) is or would be in byProc[proc], and
+// whether it is there.
+func (s *intervalStore) find(proc, ts int32) (int, bool) {
+	return slices.BinarySearchFunc(s.byProc[proc], ts, func(r *intervalRec, ts int32) int { return cmp.Compare(r.ts, ts) })
+}
+
+// add logs interval (proc, ts) with its closing clock and write notices,
+// adopting both slices, unless it is known already; it returns the new
+// record, or nil.
+func (s *intervalStore) add(proc, ts int32, vc VC, pages []int32) *intervalRec {
+	lst := s.byProc[proc]
+	i := len(lst)
+	if i > 0 && lst[i-1].ts >= ts { // records usually arrive in ts order
+		var known bool
+		if i, known = s.find(proc, ts); known {
+			return nil
+		}
 	}
-	s.index[rec.proc][rec.ts] = rec
+	if len(s.slab) == 0 {
+		s.slab = make([]intervalRec, recSlab)
+	}
+	rec := &s.slab[0]
+	s.slab = s.slab[1:]
+	*rec = intervalRec{proc: proc, ts: ts, vc: vc, pages: pages}
 	s.bytes += intervalRecBytes(rec)
-	lst := s.byProc[rec.proc]
-	// Fast path: records usually arrive in ts order.
-	if n := len(lst); n == 0 || lst[n-1].ts < rec.ts {
-		s.byProc[rec.proc] = append(lst, rec)
-		return true
-	}
-	i := sort.Search(len(lst), func(i int) bool { return lst[i].ts > rec.ts })
-	lst = append(lst, nil)
-	copy(lst[i+1:], lst[i:])
-	lst[i] = rec
-	s.byProc[rec.proc] = lst
-	return true
+	s.byProc[proc] = slices.Insert(lst, i, rec)
+	return rec
 }
 
 // all calls fn for every known interval.
@@ -75,7 +81,10 @@ func (s *intervalStore) all(fn func(*intervalRec)) {
 
 // get returns the record for (proc, ts), or nil.
 func (s *intervalStore) get(proc, ts int32) *intervalRec {
-	return s.index[proc][ts]
+	if i, ok := s.find(proc, ts); ok {
+		return s.byProc[proc][i]
+	}
+	return nil
 }
 
 // since returns every known interval with ts > v[proc], sorted by
@@ -108,7 +117,6 @@ func (s *intervalStore) pruneThrough(v VC) {
 			continue
 		}
 		for _, rec := range lst[:cut] {
-			delete(s.index[q], rec.ts)
 			s.bytes -= intervalRecBytes(rec)
 		}
 		s.byProc[q] = append([]*intervalRec(nil), lst[cut:]...)
@@ -139,14 +147,4 @@ func toWire(recs []*intervalRec) []msg.Interval {
 		out[i] = msg.Interval{Proc: r.proc, TS: r.ts, VC: r.vc.Ints(), Pages: r.pages}
 	}
 	return out
-}
-
-// fromWire converts one wire interval to a record.
-func fromWire(iv msg.Interval) *intervalRec {
-	return &intervalRec{
-		proc:  iv.Proc,
-		ts:    iv.TS,
-		vc:    VC(iv.VC).Clone(),
-		pages: append([]int32(nil), iv.Pages...),
-	}
 }

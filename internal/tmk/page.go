@@ -1,6 +1,10 @@
 package tmk
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+)
 
 type pageState uint8
 
@@ -21,72 +25,124 @@ type pageMeta struct {
 	region *Region
 	state  pageState
 	frame  []byte // the page's storage, nil until the first store (bytes, store)
-	twin   []byte // snapshot at write-fault time, nil unless writable
+	twin   []byte // snapshot at write-fault time, nil unless writable; zeroPage itself if there was no frame (ownTwin)
 
 	haveCopy bool // the contents have ever been initialized (owned, zero-filled or fetched)
-	cover    VC   // per-writer timestamp whose diffs are incorporated
 
-	// notices[q] = sorted timestamps of q's intervals that dirtied this
-	// page (including our own, which are always covered).
-	notices [][]int32
+	// writers holds, sorted by proc, every process this page has a write
+	// notice from (our own included): the copy's coverage and notices are
+	// kept per writer, not per rank, because a coverage above zero implies
+	// a notice.
+	writers []pageWriter
 	pool    *noticePool // the owning process's: backs and counts the lists
 }
 
-// noticePool backs every notice list of one process. A list that must
-// grow takes its new capacity from the current chunk, not the heap, and
-// live counts the entries of all lists where they are added and dropped:
-// the write-notice share of the metadata gauge.
-type noticePool struct {
-	chunk []int32 // unused tail of the current chunk
-	live  int64
+// pageWriter is one writer of a page: the timestamp up to which its diffs
+// are incorporated in the copy, and the sorted timestamps of its intervals
+// that dirtied the page.
+type pageWriter struct {
+	proc    int32
+	cover   int32
+	notices []int32
 }
 
-// grow returns lst with room for at least one more entry.
-func (np *noticePool) grow(lst []int32) []int32 {
-	n := max(2, 2*cap(lst))
-	if len(np.chunk) < n {
-		np.chunk = make([]int32, max(n, PageSize/4)) // a chunk is a page of entries
+// noticePool backs every writer list and notice list of one process. A
+// list that must grow takes its new capacity from the current chunk, not
+// the heap, and live counts the notices of all lists where they are added
+// and dropped: the write-notice share of the metadata gauge.
+type noticePool struct {
+	notices []int32      // unused tail of the current chunk of notices
+	writers []pageWriter // unused tail of the current chunk of writer entries
+	live    int64
+}
+
+// carve returns lst with room for at least one more entry: double its
+// capacity (at least least), taken from the unused tail *chunk, which is a
+// page of entries (perChunk) when refilled.
+func carve[T any](chunk *[]T, lst []T, least, perChunk int) []T {
+	n := max(least, 2*cap(lst))
+	if len(*chunk) < n {
+		*chunk = make([]T, max(n, perChunk))
 	}
-	out := np.chunk[:len(lst):n]
-	np.chunk = np.chunk[n:]
+	out := (*chunk)[:len(lst):n]
+	*chunk = (*chunk)[n:]
 	copy(out, lst)
 	return out
+}
+
+// writer returns q's entry, or nil if q never wrote the page.
+func (pm *pageMeta) writer(q int) *pageWriter {
+	if i, ok := pm.find(q); ok {
+		return &pm.writers[i]
+	}
+	return nil
+}
+
+func (pm *pageMeta) find(q int) (int, bool) {
+	return slices.BinarySearchFunc(pm.writers, int32(q), func(w pageWriter, q int32) int { return cmp.Compare(w.proc, q) })
+}
+
+// coverOf returns the timestamp up to which q's diffs are in the copy.
+func (pm *pageMeta) coverOf(q int) int32 {
+	if w := pm.writer(q); w != nil {
+		return w.cover
+	}
+	return 0
+}
+
+// coverTo raises q's coverage to ts; q must hold a notice for the page.
+func (pm *pageMeta) coverTo(q int, ts int32) {
+	if w := pm.writer(q); ts > w.cover {
+		w.cover = ts
+	}
+}
+
+// noticesOf returns q's notices for the page, oldest first.
+func (pm *pageMeta) noticesOf(q int) []int32 {
+	if w := pm.writer(q); w != nil {
+		return w.notices
+	}
+	return nil
 }
 
 // addNotice records that proc q dirtied this page in its interval ts and
 // reports whether the page must be invalidated (an uncovered notice).
 func (pm *pageMeta) addNotice(q int, ts int32) bool {
-	lst := pm.notices[q]
-	i := sort.Search(len(lst), func(i int) bool { return lst[i] >= ts })
-	if i < len(lst) && lst[i] == ts {
-		return ts > pm.cover[q]
+	i, ok := pm.find(q)
+	if !ok {
+		if len(pm.writers) == cap(pm.writers) {
+			pm.writers = carve(&pm.pool.writers, pm.writers, 1, PageSize/32)
+		}
+		pm.writers = slices.Insert(pm.writers, i, pageWriter{proc: int32(q)})
+	}
+	w := &pm.writers[i]
+	lst := w.notices
+	j := sort.Search(len(lst), func(j int) bool { return lst[j] >= ts })
+	if j < len(lst) && lst[j] == ts {
+		return ts > w.cover
 	}
 	if len(lst) == cap(lst) {
-		lst = pm.pool.grow(lst)
+		lst = carve(&pm.pool.notices, lst, 2, PageSize/4)
 	}
 	lst = lst[:len(lst)+1]
-	copy(lst[i+1:], lst[i:])
-	lst[i] = ts
-	pm.notices[q] = lst
+	copy(lst[j+1:], lst[j:])
+	lst[j] = ts
+	w.notices = lst
 	pm.pool.live++
-	return ts > pm.cover[q]
+	return ts > w.cover
 }
 
-// missingFrom returns, for writer q, the timestamps of q's intervals
-// whose diffs this copy lacks (ts > cover[q]).
-func (pm *pageMeta) missingFrom(q int) []int32 {
-	lst := pm.notices[q]
-	i := sort.Search(len(lst), func(i int) bool { return lst[i] > pm.cover[q] })
-	return lst[i:]
+// missing returns the timestamps of w's intervals whose diffs this copy
+// lacks (ts > w.cover).
+func (w *pageWriter) missing() []int32 {
+	i := sort.Search(len(w.notices), func(i int) bool { return w.notices[i] > w.cover })
+	return w.notices[i:]
 }
 
 // isMissingAny reports whether any writer's diffs are missing.
 func (pm *pageMeta) isMissingAny(self int) bool {
-	for q := range pm.notices {
-		if q == self {
-			continue
-		}
-		if len(pm.missingFrom(q)) > 0 {
+	for i := range pm.writers {
+		if w := &pm.writers[i]; int(w.proc) != self && len(w.missing()) > 0 {
 			return true
 		}
 	}
@@ -97,13 +153,15 @@ func (pm *pageMeta) isMissingAny(self int) bool {
 // with ts ≤ v[q]. It runs on every page at every barrier, and a list holds
 // a few entries past v at most: count those from the end.
 func (pm *pageMeta) keepNewest(v VC) {
-	for q, lst := range pm.notices {
+	for i := range pm.writers {
+		w := &pm.writers[i]
+		lst := w.notices
 		cut := len(lst)
-		for cut > 0 && lst[cut-1] > v[q] {
+		for cut > 0 && lst[cut-1] > v[w.proc] {
 			cut--
 		}
 		if cut > 1 {
-			pm.notices[q] = append(lst[:0], lst[cut-1:]...)
+			w.notices = append(lst[:0], lst[cut-1:]...)
 			pm.pool.live -= int64(cut - 1)
 		}
 	}

@@ -40,9 +40,10 @@ type Proc struct {
 	notices       noticePool  // backs and counts every page's notice lists
 	dirty         []int32
 	myDiffs       map[diffKey][]byte
-	diffBytes     int64    // payload bytes in myDiffs (keepDiff, dropDiff)
-	freeTwins     [][]byte // twins handed back at interval close, reused by the next write fault
-	diffScratch   []byte   // closeInterval encodes here, then retains an exact-size copy
+	diffBytes     int64     // payload bytes in myDiffs (keepDiff, dropDiff)
+	freeTwins     [][]byte  // twins handed back at interval close, reused by the next write fault
+	diffScratch   []byte    // closeInterval encodes here, then retains the diff's bytes (retain)
+	diffArena     diffArena // homeless: every diff kept, for the run
 
 	locks   map[int32]*lockState
 	barrier barrierState
@@ -176,7 +177,7 @@ func (tp *Proc) handleDiffReq(m *msg.Message) {
 			panic(fmt.Sprintf("tmk: rank %d asked for rank %d's diffs", tp.rank, dr.Proc))
 		}
 		mark := len(out)
-		own := tp.page(dr.Page).notices[tp.rank]
+		own := tp.page(dr.Page).noticesOf(tp.rank)
 		j := sort.Search(len(own), func(j int) bool { return own[j] > dr.FromTS })
 		for ; j < len(own) && own[j] <= dr.ToTS; j++ {
 			ts := own[j]

@@ -52,6 +52,10 @@ func (pm *pageMeta) bytes() []byte {
 	return pm.frame
 }
 
+// zeroTwin reports whether the page's twin is the shared zero page: the
+// page had no frame when its write fault twinned it.
+func (pm *pageMeta) zeroTwin() bool { return pm.twin != nil && &pm.twin[0] == &zeroPage[0] }
+
 // store returns the page's frame to write into, carving it out of the
 // region's current chunk at the first call.
 func (pm *pageMeta) store() []byte {
@@ -182,21 +186,18 @@ func (tp *Proc) mapRegion(r *Region, owned bool) {
 }
 
 // materialize gives region its copy on this process and enters it in the
-// region and page tables: one slab each of pageMetas, their cover vectors and
-// their notice-list headers, and no storage — except home-based, where the
+// region and page tables: one slab of pageMetas, whose writer lists start
+// empty, and no storage — except home-based, where the
 // first chunk is the whole region, the RDMA window is registered over it
 // (window id = region id, page pg at byte (pg−StartPage)·PageSize) and every
 // page takes its frame from it now.
 func (tp *Proc) materialize(region *Region) {
-	n := tp.n
 	region.pages = make([]pageMeta, region.NPages)
 	region.unbacked = region.NPages
 	if tp.homeBased {
 		region.chunk = make([]byte, int(region.NPages)*PageSize)
 		tp.os.RegisterWindow(tp.sp, region.ID, region.chunk)
 	}
-	covers := make(VC, len(region.pages)*n)
-	heads := make([][]int32, len(region.pages)*n)
 	if grow := int(region.ID) + 1 - len(tp.regions); grow > 0 {
 		tp.regions = append(tp.regions, make([]*Region, grow)...)
 	}
@@ -205,13 +206,7 @@ func (tp *Proc) materialize(region *Region) {
 		tp.pages = append(tp.pages, make([]*pageMeta, grow)...)
 	}
 	for i := range region.pages {
-		region.pages[i] = pageMeta{
-			id:      region.StartPage + int32(i),
-			region:  region,
-			cover:   covers[i*n : (i+1)*n : (i+1)*n],
-			notices: heads[i*n : (i+1)*n : (i+1)*n],
-			pool:    &tp.notices,
-		}
+		region.pages[i] = pageMeta{id: region.StartPage + int32(i), region: region, pool: &tp.notices}
 		tp.pages[region.pages[i].id] = &region.pages[i]
 		if tp.homeBased {
 			region.pages[i].store()

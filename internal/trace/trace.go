@@ -64,15 +64,19 @@ type Event struct {
 	Bytes int    // payload size, 0 if not applicable
 }
 
-// DefaultCapacity is the ring size New(0) allocates: large enough to
+// DefaultCapacity is the ring size New(0) selects: large enough to
 // hold every event of the microbenchmarks and the tail of app runs.
 const DefaultCapacity = 1 << 17
+
+// minRing is the ring's first allocation, in events.
+const minRing = 1 << 10
 
 // Tracer records events into a fixed-capacity ring buffer and owns the
 // metrics registry. It is single-threaded by construction, like the
 // simulator it observes.
 type Tracer struct {
 	ring      []Event
+	capacity  int   // the most events ring grows to hold
 	head      int   // next write position
 	n         int   // valid events, ≤ len(ring)
 	overwrote int64 // events lost to ring wrap-around
@@ -82,20 +86,28 @@ type Tracer struct {
 }
 
 // New creates a tracer whose ring holds capacity events; capacity ≤ 0
-// selects DefaultCapacity.
+// selects DefaultCapacity. The ring's storage follows the events recorded:
+// a short run does not pay for the ring a long one needs.
 func New(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
 	return &Tracer{
-		ring:  make([]Event, capacity),
-		names: make(map[int]string),
-		reg:   newRegistry(),
+		capacity: capacity,
+		names:    make(map[int]string),
+		reg:      newRegistry(),
 	}
 }
 
 // Emit records e, overwriting the oldest event if the ring is full.
 func (t *Tracer) Emit(e Event) {
+	if t.n == len(t.ring) && t.n < t.capacity {
+		// Full below capacity: nothing is overwritten yet, so the events
+		// lie in order from 0. Double the storage and write after them.
+		grown := make([]Event, min(max(2*t.n, minRing), t.capacity))
+		copy(grown, t.ring)
+		t.ring, t.head = grown, t.n
+	}
 	if t.n == len(t.ring) {
 		t.overwrote++
 	} else {
