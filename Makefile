@@ -155,7 +155,8 @@ flow-smoke:
 # goroutine dump — and the smallest verified run passes on each substrate,
 # as does a verified 3dfft on the homeless ones: at 4 nodes each source's
 # transpose block is 8 dense pages, more than one 32 KB reply, so every run
-# exercises capped, multi-wave span faults (DESIGN.md §4.3).
+# exercises capped, multi-wave span faults (DESIGN.md §4.3) — and again
+# with -rendezvous, which carries those large replies by RTS/CTS.
 cli-smoke:
 	@for args in "tmkrun -nodes 0" "tmkrun -transport bogus" "tmktrace -transport bogus" \
 			"ubench -barrier-nodes 0" "figures -fig 4 -nodes 0"; do \
@@ -169,7 +170,7 @@ cli-smoke:
 	@for t in udpgm fastgm rdmagm; do \
 		$(GO) run ./cmd/tmkrun -app jacobi -nodes 2 -size 0 -transport $$t -verify > /dev/null || exit 1; \
 	done
-	@for t in udpgm fastgm "rdmagm -homeless"; do \
+	@for t in udpgm fastgm "rdmagm -homeless" "fastgm -rendezvous" "rdmagm -homeless -rendezvous"; do \
 		$(GO) run ./cmd/tmkrun -app 3dfft -nodes 4 -transport $$t -verify > /dev/null || exit 1; \
 	done
 	@echo "cli-smoke: illegal configs rejected in one line, verified runs pass on all three substrates"

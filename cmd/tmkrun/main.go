@@ -6,7 +6,7 @@
 // Usage:
 //
 //	tmkrun -app jacobi -nodes 16 -transport fastgm [-size 2] [-verify]
-//	       [-flow] [-hedge] [-seed N] [-homeless] [-prof]
+//	       [-rendezvous] [-flow] [-hedge] [-seed N] [-homeless] [-prof]
 //	       [-prof-json profile.json] [-trace-cap N]
 //	tmkrun -chaos [-seed N] [-nodes 4]
 //	tmkrun -crash [-seed N] [-nodes 4]
@@ -42,6 +42,10 @@
 // frame is delivered and the pressure is absorbed as sender-side credit
 // stalls — zero parked frames, zero socket drops, zero GM send timeouts,
 // zero disabled ports. -nodes sets the storm's cluster size.
+//
+// -rendezvous carries FAST/GM's large messages (and rdmagm's two-sided
+// ones) by RTS/CTS instead of preposted buffers (tmk.Config.Rendezvous,
+// the paper's §2.2.2 design; experiment E5).
 //
 // -flow and -hedge arm the overload-resilience machinery on a normal
 // application run: -flow enables end-to-end credit flow control and
@@ -149,7 +153,7 @@ func main() {
 	}
 	mutate := func(cfg *tmk.Config) {
 		cfg.Seed = *seed
-		cfg.Fast.Rendezvous = *rendezvous
+		cfg.Rendezvous = *rendezvous
 		cfg.Prof = pf
 		cfg.Trace = tracer
 		if *homeless {

@@ -312,8 +312,8 @@ func TestDocIdentifiersResolve(t *testing.T) {
 
 // TestDocCountsAreTheSource: every "N rules" in README and DESIGN is the
 // number of ConfigRule constants validate.go declares, and every "N
-// settable feature values" is the length of harness.ConfigSurface — the
-// walk TestConfigSurface pins.
+// settable feature values" and "N settable leaves" is a length
+// harness.ConfigSurface returns — the walk TestConfigSurface pins.
 func TestDocCountsAreTheSource(t *testing.T) {
 	f, err := parser.ParseFile(token.NewFileSet(), "internal/tmk/validate.go", nil, 0)
 	if err != nil {
@@ -326,9 +326,9 @@ func TestDocCountsAreTheSource(t *testing.T) {
 		}
 		return true
 	})
-	features, _ := harness.ConfigSurface()
-	want := map[string]int{"rules": rules, "settable feature values": len(features)}
-	count := regexp.MustCompile(`(\d+) (rules|settable feature values)\b`)
+	features, all := harness.ConfigSurface()
+	want := map[string]int{"rules": rules, "settable feature values": len(features), "settable leaves": len(all)}
+	count := regexp.MustCompile(`(\d+) (rules|settable feature values|settable leaves)\b`)
 	seen := map[string]bool{}
 	for _, doc := range []string{"README.md", "DESIGN.md"} {
 		text, err := os.ReadFile(doc)

@@ -31,7 +31,7 @@ func main() {
 	// Rendezvous trades an extra control round trip for pinned memory.
 	for _, rv := range []bool{false, true} {
 		cfg := treadmarks.DefaultConfig(8, treadmarks.FastGM)
-		cfg.Fast.Rendezvous = rv
+		cfg.Rendezvous = rv
 		res, err := treadmarks.Run(cfg, app.Run)
 		if err != nil {
 			log.Fatal(err)

@@ -82,7 +82,7 @@ func TestAppsEightProcs(t *testing.T) {
 
 func TestAppsWithRendezvous(t *testing.T) {
 	cfg := tmk.DefaultConfig(4, tmk.TransportFastGM)
-	cfg.Fast.Rendezvous = true
+	cfg.Rendezvous = true
 	app := smallJacobi()
 	cluster := tmk.NewCluster(cfg)
 	var verr error

@@ -867,7 +867,7 @@ func TestPortInterruptDisable(t *testing.T) {
 // whether it left the sender as ⌈n/MTU⌉ packets (one for an empty
 // message), every one MTU bytes but the last, and arrived whole.
 func fragmentsRoundTrip(t *testing.T, n int) bool {
-	mtu := myrinet.DefaultParams().MTU
+	mtu := myrinet.MTU
 	s := sim.New(1)
 	f := myrinet.NewFabric(s, myrinet.DefaultParams(), 2)
 	sys := NewSystem(s, f, DefaultParams())
@@ -914,7 +914,7 @@ func fragmentsRoundTrip(t *testing.T, n int) bool {
 // TestFragmentCount: the edges of the fragment arithmetic — empty, one
 // byte, exactly one MTU, one byte over, and several MTUs plus a tail.
 func TestFragmentCount(t *testing.T) {
-	mtu := myrinet.DefaultParams().MTU
+	mtu := myrinet.MTU
 	for _, n := range []int{0, 1, mtu, mtu + 1, 3*mtu + 7} {
 		if !fragmentsRoundTrip(t, n) {
 			t.Errorf("message of %d bytes fragmented or reassembled wrong", n)
@@ -938,7 +938,7 @@ func TestFragmentCountProperty(t *testing.T) {
 // record, a reassembly record — a send→accept→poll→re-post ping-pong costs
 // the host no allocation, for a one- and a three-fragment message.
 func TestMessageAllocatesNothing(t *testing.T) {
-	mtu := myrinet.DefaultParams().MTU
+	mtu := myrinet.MTU
 	for _, n := range []int{64, 3*mtu - 100} {
 		s, sys := newTestSystem(t, 2)
 		pa, pb := openPair(t, sys, 2)

@@ -276,12 +276,11 @@ func (p *Port) send(proc *sim.Proc, dst myrinet.NodeID, dstPort int, b *Buffer, 
 
 	// Fragments of MTU bytes, the last one short; an empty message is
 	// still one (empty) packet. The fabric copies each one out of b.
-	mtu := p.node.sys.fabric.Params().MTU
-	frags := max(1, (n+mtu-1)/mtu)
+	frags := max(1, (n+myrinet.MTU-1)/myrinet.MTU)
 	rec.wire = frags
 	data := b.Bytes()
 	for i, off := 0, 0; i < frags; i++ {
-		end := min(off+mtu, n)
+		end := min(off+myrinet.MTU, n)
 		pkt := myrinet.Packet{
 			Src:      p.node.id,
 			Dst:      dst,

@@ -169,7 +169,7 @@ func (n *Node) handlePacket(pkt *myrinet.Packet) {
 	if rec != nil {
 		rec.landed()
 	}
-	copy(pm.data[pkt.Frag*n.sys.fabric.Params().MTU:], pkt.Payload)
+	copy(pm.data[pkt.Frag*myrinet.MTU:], pkt.Payload)
 	pm.received++
 	if pm.received < pkt.NumFrags {
 		return

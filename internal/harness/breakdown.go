@@ -68,7 +68,7 @@ func BreakdownE4(traceCap int) ([]LayerBreakdown, error) {
 	for _, scheme := range []fastgm.AsyncScheme{fastgm.AsyncInterrupt, fastgm.AsyncPollingThread, fastgm.AsyncTimer} {
 		tracer := trace.New(traceCap)
 		_, err := RunApp(app, 8, tmk.TransportFastGM, func(cfg *tmk.Config) {
-			cfg.Fast.Scheme = scheme
+			cfg.Scheme = scheme
 			cfg.Trace = tracer
 		})
 		if err != nil {

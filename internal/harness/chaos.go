@@ -75,7 +75,7 @@ func (cs ChaosSpec) Faults() myrinet.FaultConfig {
 // Mutate applies the spec to a run configuration.
 func (cs ChaosSpec) Mutate(cfg *tmk.Config) {
 	cfg.Seed = cs.Seed
-	cfg.Net.Faults = cs.Faults()
+	cfg.Faults = cs.Faults()
 }
 
 // chaosApps returns small-but-communication-heavy instances of the four
@@ -147,7 +147,7 @@ func Chaos(w io.Writer, spec ChaosSpec) error {
 		}
 		zeroed, err := RunApp(app, spec.Nodes, kind, func(cfg *tmk.Config) {
 			cfg.Seed = spec.Seed
-			cfg.Net.Faults = myrinet.FaultConfig{Blackouts: []myrinet.Blackout{{Src: -1, Dst: -1}}}
+			cfg.Faults = myrinet.FaultConfig{Blackouts: []myrinet.Blackout{{Src: -1, Dst: -1}}}
 		})
 		if err != nil {
 			return err

@@ -85,7 +85,7 @@ func TestZeroFaultConfigIsBitIdentical(t *testing.T) {
 		for _, v := range variants {
 			t.Run(fmt.Sprintf("%s/%s", kind, v.name), func(t *testing.T) {
 				faulted, err := RunApp(app, 4, kind, func(cfg *tmk.Config) {
-					cfg.Net.Faults = v.faults
+					cfg.Faults = v.faults
 				})
 				if err != nil {
 					t.Fatal(err)

@@ -380,7 +380,7 @@ type E4Row struct {
 func AsyncSchemes() ([]E4Row, error) {
 	var rows []E4Row
 	for _, scheme := range []fastgm.AsyncScheme{fastgm.AsyncInterrupt, fastgm.AsyncPollingThread, fastgm.AsyncTimer} {
-		mutate := func(cfg *tmk.Config) { cfg.Fast.Scheme = scheme }
+		mutate := func(cfg *tmk.Config) { cfg.Scheme = scheme }
 		cfgOf := func(n int) tmk.Config {
 			cfg := tmk.DefaultConfig(n, tmk.TransportFastGM)
 			mutate(&cfg)
@@ -435,7 +435,7 @@ func RendezvousAblation(nodes int) ([]E5Row, error) {
 			mode = "rendezvous"
 		}
 		res, err := RunApp(app, nodes, tmk.TransportFastGM, func(cfg *tmk.Config) {
-			cfg.Fast.Rendezvous = rv
+			cfg.Rendezvous = rv
 		})
 		if err != nil {
 			return nil, err

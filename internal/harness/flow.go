@@ -83,7 +83,7 @@ func runIncast(family string, spec IncastSpec) (*incastRow, error) {
 		}
 	case "rdmagm":
 		for i := 0; i < n; i++ {
-			trs[i] = rdmagm.New(g.Node(myrinet.NodeID(i)), i, n, pol, fastgm.DefaultConfig(), rdmagm.DefaultConfig())
+			trs[i] = rdmagm.New(g.Node(myrinet.NodeID(i)), i, n, pol, fastgm.DefaultConfig())
 		}
 	default:
 		return nil, fmt.Errorf("incast: unknown substrate family %q", family)

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/sim"
-	"repro/internal/substrate"
 	"repro/internal/tmk"
 )
 
@@ -92,17 +91,15 @@ func SizeLadder(name string) []apps.App {
 
 // ConfigSurface walks tmk.Config once and returns, by path, every leaf a
 // caller can set on it (all) and the feature values among them (features):
-// each leaf under its feature fields, plus any copy of the cluster-uniform
-// substrate.Policy hiding in a per-substrate config. Adding a setting means
-// arguing with these lengths, which TestConfigSurface pins and the
-// documents quote (DESIGN.md §16). A feature name that is no Config field
-// panics: a deleted field's name cannot linger here uncounted.
+// each leaf under its feature fields. Adding a setting means arguing with
+// these lengths, which TestConfigSurface pins and the documents quote
+// (DESIGN.md §16). A feature name that is no Config field panics: a
+// deleted field's name cannot linger here uncounted.
 func ConfigSurface() (features, all []string) {
-	isFeature := map[string]bool{"Crash": true, "Flow": true, "Hedge": true}
-	policy := reflect.TypeOf(substrate.Policy{})
+	isFeature := map[string]bool{"Scheme": true, "Rendezvous": true, "Faults": true,
+		"Crash": true, "Flow": true, "Hedge": true}
 	var walk func(path string, ty reflect.Type, counted bool)
 	walk = func(path string, ty reflect.Type, counted bool) {
-		counted = counted || ty == policy
 		if ty.Kind() != reflect.Struct {
 			all = append(all, path)
 			if counted {

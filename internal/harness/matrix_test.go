@@ -34,7 +34,7 @@ func TestFeatureMatrix(t *testing.T) {
 		{"flow", func(c *tmk.Config) { c.Flow = true }},
 		{"hedge", func(c *tmk.Config) { c.Hedge = true }},
 		{"homeless", func(c *tmk.Config) { c.HomeBased = false }},
-		{"rendezvous", func(c *tmk.Config) { c.Fast.Rendezvous = true }},
+		{"rendezvous", func(c *tmk.Config) { c.Rendezvous = true }},
 		{"chaos", DefaultChaosSpec().Mutate},
 	}
 	app := &apps.Jacobi{N: 64, Iters: 6, CostPerPoint: 30 * sim.Nanosecond}

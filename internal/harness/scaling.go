@@ -50,7 +50,7 @@ func Scaling(sizes []int) ([]E6Row, error) {
 
 		for _, rendezvous := range []bool{false, true} {
 			cfg := tmk.DefaultConfig(n, tmk.TransportFastGM)
-			cfg.Fast.Rendezvous = rendezvous
+			cfg.Rendezvous = rendezvous
 			cluster := tmk.NewCluster(cfg)
 			if _, err := cluster.Run(func(tp *tmk.Proc) {
 				// Touch the transport only; the pinned footprint of the

@@ -31,42 +31,31 @@ import (
 // assigned by the mapper).
 type NodeID int
 
-// Params are the fabric cost-model constants. Defaults are calibrated so
-// that the GM layer above reproduces the paper's measured 8.99 µs one-way
-// 1-byte latency and ≈235 MB/s peak bandwidth (Section 3.1).
-type Params struct {
-	LinkBandwidth  float64  // bytes/s per link direction (2 Gb/s = 250e6)
-	WireLatency    sim.Time // propagation + cut-through switch crossing
-	MTU            int      // max packet payload bytes
-	PacketHeader   int      // wire header bytes per packet
-	LanaiTx        sim.Time // LANai per-packet processing, send side
-	LanaiRx        sim.Time // LANai per-packet processing, receive side
-	TxDMABandwidth float64  // host→NIC DMA bytes/s (PCI 64-bit/66 MHz)
-	RxDMABandwidth float64  // NIC→host DMA bytes/s
-	TxDMASetup     sim.Time // DMA descriptor setup per packet, send side
-	RxDMASetup     sim.Time // DMA descriptor setup per packet, receive side
-	SwitchArb      sim.Time // per-packet arbitration gap on the tx link
+// The fabric cost model: the testbed's calibrated constants. They are
+// set so that the GM layer above reproduces the paper's measured 8.99 µs
+// one-way 1-byte latency and ≈235 MB/s peak bandwidth (Section 3.1).
+const (
+	LinkBandwidth  = 250e6                 // bytes/s per link direction (2 Gb/s)
+	WireLatency    = 500 * sim.Nanosecond  // propagation + cut-through switch crossing
+	MTU            = 4096                  // max packet payload bytes
+	PacketHeader   = 16                    // wire header bytes per packet
+	LanaiTx        = 2400 * sim.Nanosecond // LANai per-packet processing, send side
+	LanaiRx        = 2400 * sim.Nanosecond // LANai per-packet processing, receive side
+	TxDMABandwidth = 450e6                 // host→NIC DMA bytes/s (PCI 528 MB/s raw, ~85% efficiency)
+	RxDMABandwidth = 450e6                 // NIC→host DMA bytes/s
+	TxDMASetup     = 600 * sim.Nanosecond  // DMA descriptor setup per packet, send side
+	RxDMASetup     = 600 * sim.Nanosecond  // DMA descriptor setup per packet, receive side
+	SwitchArb      = sim.Microsecond       // per-packet arbitration gap on the tx link
+)
 
+// Params configure a fabric: what a run may change about the testbed.
+type Params struct {
 	// Faults is the fault-injection schedule (zero value: perfect fabric).
 	Faults FaultConfig
 }
 
-// DefaultParams returns the calibrated testbed constants.
-func DefaultParams() Params {
-	return Params{
-		LinkBandwidth:  250e6, // 2 Gb/s
-		WireLatency:    500 * sim.Nanosecond,
-		MTU:            4096,
-		PacketHeader:   16,
-		LanaiTx:        sim.Micro(2.4),
-		LanaiRx:        sim.Micro(2.4),
-		TxDMABandwidth: 450e6, // PCI 528 MB/s raw, ~85% efficiency
-		RxDMABandwidth: 450e6,
-		TxDMASetup:     sim.Micro(0.6),
-		RxDMASetup:     sim.Micro(0.6),
-		SwitchArb:      sim.Micro(1.0),
-	}
-}
+// DefaultParams returns a perfect fabric.
+func DefaultParams() Params { return Params{} }
 
 // Packet is one wire packet (a message fragment). Fragmentation and
 // reassembly are the responsibility of the layer above (GM).
@@ -149,7 +138,6 @@ func (n *NIC) SetHandler(h func(*Packet)) { n.handler = h }
 // Fabric is the switch plus all NICs.
 type Fabric struct {
 	s    *sim.Simulator
-	p    Params
 	nics []*NIC
 	free []*Packet // delivered and dropped packets, reused by SendPacket
 
@@ -160,10 +148,7 @@ type Fabric struct {
 
 // NewFabric builds a fabric of n nodes attached to one crossbar switch.
 func NewFabric(s *sim.Simulator, p Params, n int) *Fabric {
-	if p.MTU <= 0 {
-		panic("myrinet: MTU must be positive")
-	}
-	f := &Fabric{s: s, p: p}
+	f := &Fabric{s: s}
 	f.SetFaults(p.Faults)
 	for i := 0; i < n; i++ {
 		f.nics = append(f.nics, &NIC{fabric: f, id: NodeID(i)})
@@ -173,9 +158,6 @@ func NewFabric(s *sim.Simulator, p Params, n int) *Fabric {
 
 // Nodes returns the number of hosts on the fabric.
 func (f *Fabric) Nodes() int { return len(f.nics) }
-
-// Params returns the fabric's cost model.
-func (f *Fabric) Params() Params { return f.p }
 
 // NIC returns node id's interface.
 func (f *Fabric) NIC(id NodeID) *NIC {
@@ -196,10 +178,9 @@ func (n *NIC) SendPacket(pkt *Packet) (txDone sim.Time) {
 	if pkt.Dst < 0 || int(pkt.Dst) >= len(f.nics) {
 		panic(fmt.Sprintf("myrinet: packet to unknown node %d", pkt.Dst))
 	}
-	if len(pkt.Payload) > f.p.MTU {
-		panic(fmt.Sprintf("myrinet: packet payload %d exceeds MTU %d", len(pkt.Payload), f.p.MTU))
+	if len(pkt.Payload) > MTU {
+		panic(fmt.Sprintf("myrinet: packet payload %d exceeds MTU %d", len(pkt.Payload), MTU))
 	}
-	p := f.p
 	dst := f.nics[pkt.Dst]
 	now := f.s.Now()
 
@@ -219,14 +200,14 @@ func (n *NIC) SendPacket(pkt *Packet) (txDone sim.Time) {
 		inj = f.inject(now, n.id, cp.Dst, cp.Payload, &cp.crc)
 	}
 
-	wireBytes := len(cp.Payload) + p.PacketHeader
+	wireBytes := len(cp.Payload) + PacketHeader
 
 	// Host memory → NIC SRAM.
-	_, e1 := n.txDMA.acquire(now, p.TxDMASetup+sim.BytesTime(wireBytes, p.TxDMABandwidth))
+	_, e1 := n.txDMA.acquire(now, TxDMASetup+sim.BytesTime(wireBytes, TxDMABandwidth))
 	// LANai builds and launches the packet.
-	_, e2 := n.lanaiTx.acquire(e1, p.LanaiTx)
+	_, e2 := n.lanaiTx.acquire(e1, LanaiTx)
 	// Serialize onto our link (plus switch arbitration overhead).
-	s3, e3 := n.txLink.acquire(e2, sim.BytesTime(wireBytes, p.LinkBandwidth)+p.SwitchArb)
+	s3, e3 := n.txLink.acquire(e2, sim.BytesTime(wireBytes, LinkBandwidth)+SwitchArb)
 
 	n.stats.PacketsSent++
 	n.stats.BytesSent += int64(len(cp.Payload))
@@ -243,11 +224,11 @@ func (n *NIC) SendPacket(pkt *Packet) (txDone sim.Time) {
 	// Cut-through: the head flit reaches the destination link after the
 	// wire+switch latency (plus any injected latency spike); the
 	// destination link then serializes the body.
-	headAt := s3 + p.WireLatency + inj.delay
-	_, e4 := dst.rxLink.acquire(headAt, sim.BytesTime(wireBytes, p.LinkBandwidth))
+	headAt := s3 + WireLatency + inj.delay
+	_, e4 := dst.rxLink.acquire(headAt, sim.BytesTime(wireBytes, LinkBandwidth))
 	// Receive-side LANai processing, then DMA into a host buffer.
-	_, e5 := dst.lanaiRx.acquire(e4, p.LanaiRx)
-	_, e6 := dst.rxDMA.acquire(e5, p.RxDMASetup+sim.BytesTime(wireBytes, p.RxDMABandwidth))
+	_, e5 := dst.lanaiRx.acquire(e4, LanaiRx)
+	_, e6 := dst.rxDMA.acquire(e5, RxDMASetup+sim.BytesTime(wireBytes, RxDMABandwidth))
 
 	if tr := f.s.Tracer(); tr != nil {
 		// One span per packet covering injection to host-memory delivery

@@ -100,12 +100,11 @@ func TestSendDeliverAllocatesNothing(t *testing.T) {
 
 func TestStreamingBandwidth(t *testing.T) {
 	s, f := newTestFabric(t, 2)
-	p := f.Params()
 	const packets = 256
 	var lastAt sim.Time
 	var rcvd int
 	f.NIC(1).SetHandler(func(pkt *Packet) { rcvd++; lastAt = s.Now() })
-	buf := make([]byte, p.MTU)
+	buf := make([]byte, MTU)
 	for i := 0; i < packets; i++ {
 		f.NIC(0).SendPacket(&Packet{Src: 0, Dst: 1, Payload: buf, Frag: i, NumFrags: packets})
 	}
@@ -115,7 +114,7 @@ func TestStreamingBandwidth(t *testing.T) {
 	if rcvd != packets {
 		t.Fatalf("received %d packets, want %d", rcvd, packets)
 	}
-	bw := float64(packets*p.MTU) / lastAt.Seconds()
+	bw := float64(packets*MTU) / lastAt.Seconds()
 	// Paper: raw GM ≈ 235 MB/s on the 2 Gb/s fabric.
 	if bw < 220e6 || bw > 250e6 {
 		t.Errorf("streaming bandwidth = %.1f MB/s, want ≈235 MB/s", bw/1e6)
@@ -143,12 +142,11 @@ func TestOutputPortContention(t *testing.T) {
 	// Two senders streaming to one receiver must each see roughly half
 	// the single-stream bandwidth (the receiver's link serializes).
 	s, f := newTestFabric(t, 3)
-	p := f.Params()
 	const packets = 128
 	var lastAt sim.Time
 	rcvd := 0
 	f.NIC(2).SetHandler(func(pkt *Packet) { rcvd++; lastAt = s.Now() })
-	buf := make([]byte, p.MTU)
+	buf := make([]byte, MTU)
 	for i := 0; i < packets; i++ {
 		f.NIC(0).SendPacket(&Packet{Src: 0, Dst: 2, Payload: buf})
 		f.NIC(1).SendPacket(&Packet{Src: 1, Dst: 2, Payload: buf})
@@ -159,14 +157,14 @@ func TestOutputPortContention(t *testing.T) {
 	if rcvd != 2*packets {
 		t.Fatalf("received %d, want %d", rcvd, 2*packets)
 	}
-	aggregate := float64(2*packets*p.MTU) / lastAt.Seconds()
+	aggregate := float64(2*packets*MTU) / lastAt.Seconds()
 	// Aggregate through one rx link can't exceed the link rate, and the
 	// rx link (no arbitration gap) should saturate near it.
-	if aggregate > p.LinkBandwidth*1.02 {
-		t.Errorf("aggregate %.1f MB/s exceeds link rate %.1f MB/s", aggregate/1e6, p.LinkBandwidth/1e6)
+	if aggregate > LinkBandwidth*1.02 {
+		t.Errorf("aggregate %.1f MB/s exceeds link rate %.1f MB/s", aggregate/1e6, LinkBandwidth/1e6)
 	}
-	if aggregate < p.LinkBandwidth*0.85 {
-		t.Errorf("aggregate %.1f MB/s did not approach link rate %.1f MB/s", aggregate/1e6, p.LinkBandwidth/1e6)
+	if aggregate < LinkBandwidth*0.85 {
+		t.Errorf("aggregate %.1f MB/s did not approach link rate %.1f MB/s", aggregate/1e6, LinkBandwidth/1e6)
 	}
 }
 
@@ -180,7 +178,7 @@ func TestDisjointPairsDoNotContend(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			f.NIC(NodeID(i)).SetHandler(func(pkt *Packet) { last = s.Now() })
 		}
-		buf := make([]byte, f.Params().MTU)
+		buf := make([]byte, MTU)
 		for i := 0; i < 64; i++ {
 			for _, pr := range pairs {
 				f.NIC(pr[0]).SendPacket(&Packet{Src: pr[0], Dst: pr[1], Payload: buf})
@@ -218,7 +216,7 @@ func TestOversizePacketPanics(t *testing.T) {
 			t.Error("no panic for oversize payload")
 		}
 	}()
-	f.NIC(0).SendPacket(&Packet{Src: 0, Dst: 1, Payload: make([]byte, f.Params().MTU+1)})
+	f.NIC(0).SendPacket(&Packet{Src: 0, Dst: 1, Payload: make([]byte, MTU+1)})
 }
 
 func TestTxDoneBeforeDelivery(t *testing.T) {
@@ -246,7 +244,7 @@ func TestNICStats(t *testing.T) {
 	if st0.PacketsSent != 2 || st0.BytesSent != 300 {
 		t.Errorf("sender stats = %+v", st0)
 	}
-	if st0.WireBytes != 300+2*int64(f.Params().PacketHeader) {
+	if st0.WireBytes != 300+2*int64(PacketHeader) {
 		t.Errorf("wire bytes = %d", st0.WireBytes)
 	}
 	if st1.PacketsRecvd != 2 || st1.BytesRecvd != 300 {

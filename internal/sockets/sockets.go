@@ -25,46 +25,38 @@ import (
 // KernelPort is the GM port number the kernel network stack owns.
 const KernelPort = 1
 
-// Params model the kernel networking costs (Linux 2.4 on a 700 MHz PIII).
-type Params struct {
-	SyscallEntry      sim.Time // trap + return per socket call
-	UDPSendProcessing sim.Time // UDP/IP encapsulation, routing, driver (tx)
-	UDPRecvProcessing sim.Time // protocol processing on the receive path
+// The kernel networking cost model (Linux 2.4 on a 700 MHz PIII): the
+// testbed's calibrated constants. They give UDP/GM a one-way
+// small-datagram latency of ≈35 µs (vs GM's 8.99 µs), with SIGIO delivery
+// adding ≈12 µs more for asynchronous requests.
+const (
+	SyscallEntry      = 2 * sim.Microsecond // trap + return per socket call
+	UDPSendProcessing = 8 * sim.Microsecond // UDP/IP encapsulation, routing, driver (tx)
+	UDPRecvProcessing = 9 * sim.Microsecond // protocol processing on the receive path
 	// CopyBandwidth is the effective per-side kernel payload bandwidth:
 	// user↔kernel copy, UDP checksum pass, the Sockets-GM internal
 	// re-copy into registered memory, and per-fragment IP processing,
 	// folded into one term calibrated against period Sockets-GM
 	// measurements (≈30 MB/s effective end-to-end for bulk payloads,
 	// which is what made UDP/GM bandwidth "not measurable" in the paper).
-	CopyBandwidth   float64
-	RxInterrupt     sim.Time // NIC interrupt + softirq before data is visible
-	SignalDelivery  sim.Time // SIGIO dispatch to the user handler
-	SelectOverhead  sim.Time // select() syscall cost
-	RecvBufDefault  int      // default socket receive buffer (bytes)
-	MaxDatagram     int      // largest UDP datagram we model
-	KernelClassRing int      // kernel receive buffers preposted per class
+	CopyBandwidth   = 35e6
+	RxInterrupt     = 6 * sim.Microsecond   // NIC interrupt + softirq before data is visible
+	SignalDelivery  = 12 * sim.Microsecond  // SIGIO dispatch to the user handler
+	SelectOverhead  = 4 * sim.Microsecond   // select() syscall cost
+	RecvBufDefault  = 64 * 1024             // default socket receive buffer (bytes)
+	MaxDatagram     = 32*1024 - headerBytes // largest UDP datagram we model
+	KernelClassRing = 8                     // kernel receive buffers preposted per class
+)
+
+// Params configure a node's stack: what a run may change about the kernel.
+type Params struct {
 	// DropProbability injects random datagram loss on the receive path
 	// (fault injection for the user-level retransmission machinery).
 	DropProbability float64
 }
 
-// DefaultParams returns constants calibrated to give UDP/GM a one-way
-// small-datagram latency of ≈35 µs (vs GM's 8.99 µs), with SIGIO delivery
-// adding ≈12 µs more for asynchronous requests.
-func DefaultParams() Params {
-	return Params{
-		SyscallEntry:      sim.Micro(2.0),
-		UDPSendProcessing: sim.Micro(8.0),
-		UDPRecvProcessing: sim.Micro(9.0),
-		CopyBandwidth:     35e6,
-		RxInterrupt:       sim.Micro(6.0),
-		SignalDelivery:    sim.Micro(12.0),
-		SelectOverhead:    sim.Micro(4.0),
-		RecvBufDefault:    64 * 1024,
-		MaxDatagram:       32*1024 - headerBytes,
-		KernelClassRing:   8,
-	}
-}
+// DefaultParams returns a lossless stack.
+func DefaultParams() Params { return Params{} }
 
 const headerBytes = 4 // [2B src socket port][2B dst socket port]
 
@@ -156,7 +148,7 @@ func NewStack(s *sim.Simulator, node *gm.Node, params Params) *Stack {
 	gmp := node.System().Params()
 	st.sendBufs = make([][]*txBuf, gmp.MaxClass+1)
 	for c := gmp.MinClass; c <= gmp.MaxClass; c++ {
-		ring := params.KernelClassRing
+		ring := KernelClassRing
 		if c >= 13 {
 			ring = 2 // few large buffers, like real kernels
 		}
@@ -176,9 +168,6 @@ func NewStack(s *sim.Simulator, node *gm.Node, params Params) *Stack {
 	port.SetSink(st.kernelRx)
 	return st
 }
-
-// Params returns the stack's cost model.
-func (st *Stack) Params() Params { return st.params }
 
 // Stats returns a copy of the node's socket statistics.
 func (st *Stack) Stats() StackStats { return st.stats }
@@ -202,7 +191,7 @@ func (st *Stack) kernelRx(rv *gm.Recv) {
 	d.data = append(d.data[:0], rv.Data...)
 	d.aux, d.src = rv.Aux, rv.From
 	st.port.ProvideReceiveBuffer(rv.Buffer) // kernel recycles immediately
-	st.s.After(st.params.RxInterrupt, d.deliver)
+	st.s.After(RxInterrupt, d.deliver)
 }
 
 // arrive is the datagram reaching the socket layer, RxInterrupt after the
@@ -279,11 +268,11 @@ func (st *Stack) traceDrop(kind string, src myrinet.NodeID, n int) {
 
 // Socket creates an unbound UDP socket.
 func (st *Stack) Socket(p *sim.Proc) *Socket {
-	p.Advance(st.params.SyscallEntry)
+	p.Advance(SyscallEntry)
 	return &Socket{
 		stack:   st,
 		port:    -1,
-		recvBuf: st.params.RecvBufDefault,
+		recvBuf: RecvBufDefault,
 		cond:    sim.NewCond(fmt.Sprintf("udp:n%d:sock", st.node.ID())),
 	}
 }
@@ -312,13 +301,13 @@ func (sk *Socket) Pending() int { return len(sk.queue) }
 
 // SetRecvBuffer adjusts the receive buffer size (setsockopt SO_RCVBUF).
 func (sk *Socket) SetRecvBuffer(p *sim.Proc, n int) {
-	p.Advance(sk.stack.params.SyscallEntry)
+	p.Advance(SyscallEntry)
 	sk.recvBuf = n
 }
 
 // Bind attaches the socket to a UDP port on its node.
 func (sk *Socket) Bind(p *sim.Proc, port int) error {
-	p.Advance(sk.stack.params.SyscallEntry)
+	p.Advance(SyscallEntry)
 	if sk.closed {
 		return ErrNoSuchSocket
 	}
@@ -355,7 +344,7 @@ func (sk *Socket) SetSIGIO(proc *sim.Proc) { sk.sigioProc = proc }
 
 // Close unbinds and closes the socket.
 func (sk *Socket) Close(p *sim.Proc) {
-	p.Advance(sk.stack.params.SyscallEntry)
+	p.Advance(SyscallEntry)
 	sk.ForceClose()
 }
 
@@ -388,15 +377,15 @@ func (sk *Socket) SendToAux(p *sim.Proc, dst myrinet.NodeID, dstPort int, data, 
 	if sk.closed {
 		return ErrNoSuchSocket
 	}
-	if len(data) > st.params.MaxDatagram {
+	if len(data) > MaxDatagram {
 		return ErrTooLarge
 	}
 	if sk.port < 0 {
 		sk.BindEphemeral(p)
 	}
-	p.Advance(st.params.SyscallEntry +
-		sim.BytesTime(len(data), st.params.CopyBandwidth) +
-		st.params.UDPSendProcessing)
+	p.Advance(SyscallEntry +
+		sim.BytesTime(len(data), CopyBandwidth) +
+		UDPSendProcessing)
 
 	st.stats.DatagramsSent++
 	st.stats.BytesSent += int64(len(data))
@@ -413,7 +402,7 @@ func (sk *Socket) SendToAux(p *sim.Proc, dst myrinet.NodeID, dstPort int, data, 
 // datagram as kernel-originated; receivers that care only about the
 // payload ignore it.
 func (st *Stack) SendFromKernel(dst myrinet.NodeID, dstPort int, data []byte) error {
-	if len(data) > st.params.MaxDatagram {
+	if len(data) > MaxDatagram {
 		return ErrTooLarge
 	}
 	st.stats.DatagramsSent++
@@ -502,14 +491,13 @@ func (st *Stack) drainTxQueue() {
 // caller pays syscall + protocol + copy costs. If buf is smaller than the
 // datagram the datagram is truncated (UDP semantics).
 func (sk *Socket) RecvFrom(p *sim.Proc, buf []byte) (n int, src myrinet.NodeID, srcPort int, err error) {
-	st := sk.stack
 	if sk.closed {
 		return 0, 0, 0, ErrNoSuchSocket
 	}
 	if sk.port < 0 {
 		return 0, 0, 0, ErrNotBound
 	}
-	p.Advance(st.params.SyscallEntry)
+	p.Advance(SyscallEntry)
 	for len(sk.queue) == 0 {
 		p.WaitOn(sk.cond)
 		if sk.closed {
@@ -517,7 +505,7 @@ func (sk *Socket) RecvFrom(p *sim.Proc, buf []byte) (n int, src myrinet.NodeID, 
 		}
 	}
 	n, src, srcPort, _ = sk.dequeue(buf)
-	p.Advance(st.params.UDPRecvProcessing + sim.BytesTime(n, st.params.CopyBandwidth))
+	p.Advance(UDPRecvProcessing + sim.BytesTime(n, CopyBandwidth))
 	return n, src, srcPort, nil
 }
 
@@ -531,13 +519,12 @@ func (sk *Socket) TryRecvFrom(p *sim.Proc, buf []byte) (n int, src myrinet.NodeI
 // TryRecvFromAux is TryRecvFrom surfacing the datagram's uncharged
 // envelope metadata (nil when the sender attached none).
 func (sk *Socket) TryRecvFromAux(p *sim.Proc, buf []byte) (n int, src myrinet.NodeID, srcPort int, aux []byte, ok bool) {
-	st := sk.stack
-	p.Advance(st.params.SyscallEntry)
+	p.Advance(SyscallEntry)
 	if len(sk.queue) == 0 {
 		return 0, 0, 0, nil, false
 	}
 	n, src, srcPort, aux = sk.dequeue(buf)
-	p.Advance(st.params.UDPRecvProcessing + sim.BytesTime(n, st.params.CopyBandwidth))
+	p.Advance(UDPRecvProcessing + sim.BytesTime(n, CopyBandwidth))
 	return n, src, srcPort, aux, true
 }
 
@@ -561,7 +548,7 @@ func Select(p *sim.Proc, socks []*Socket, deadline sim.Time) int {
 		return -1
 	}
 	st := socks[0].stack
-	p.Advance(st.params.SelectOverhead)
+	p.Advance(SelectOverhead)
 	for {
 		for i, sk := range socks {
 			if len(sk.queue) > 0 {

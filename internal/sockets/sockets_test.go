@@ -159,7 +159,7 @@ func TestSIGIODelivery(t *testing.T) {
 			t.Fatal(err)
 		}
 		p.SetInterruptHandler(func(p *sim.Proc, payload any) {
-			p.Advance(st[1].Params().SignalDelivery)
+			p.Advance(SignalDelivery)
 			sock := payload.(*Socket)
 			buf := make([]byte, 256)
 			for {
@@ -262,7 +262,7 @@ func TestOversizeDatagramRejected(t *testing.T) {
 	s, st := testNet(t, 1)
 	s.Spawn("p", 0, func(p *sim.Proc) {
 		sk := st[0].Socket(p)
-		big := make([]byte, st[0].Params().MaxDatagram+1)
+		big := make([]byte, MaxDatagram+1)
 		if err := sk.SendTo(p, 0, 5000, big); err != ErrTooLarge {
 			t.Errorf("err = %v, want ErrTooLarge", err)
 		}
@@ -274,7 +274,7 @@ func TestOversizeDatagramRejected(t *testing.T) {
 
 func TestLargeDatagramRoundTrip(t *testing.T) {
 	s, st := testNet(t, 2)
-	size := st[0].Params().MaxDatagram
+	size := MaxDatagram
 	var got int
 	s.Spawn("recv", 0, func(p *sim.Proc) {
 		sk := st[1].Socket(p)
@@ -315,7 +315,7 @@ func TestLargeTransferSlowerThanGM(t *testing.T) {
 	// The kernel copies make 32 KB UDP transfers markedly slower than raw
 	// GM; this is the root of the paper's Page microbenchmark gap.
 	s, st := testNet(t, 2)
-	size := st[0].Params().MaxDatagram
+	size := MaxDatagram
 	var sentAt, gotAt sim.Time
 	s.Spawn("recv", 0, func(p *sim.Proc) {
 		sk := st[1].Socket(p)

@@ -74,9 +74,6 @@ type Config struct {
 
 	// TimerInterval is the AsyncTimer tick.
 	TimerInterval sim.Time
-	// PollDispatch is the detection+dispatch cost per request under
-	// AsyncPollingThread (no NIC interrupt, just a cache-line watch).
-	PollDispatch sim.Time
 	// PollComputeScale is the application slowdown imposed by the
 	// spinning thread competing for memory bandwidth and (on busy nodes)
 	// cycles. 1.0 = free.
@@ -97,27 +94,37 @@ type Config struct {
 	// request per peer.
 	OutstandingCalls int
 
+	// MaxSendRetries bounds per-frame retransmission attempts of the
+	// recovery protocol (below); past it the fault is considered
+	// permanent and the transport fail-stops.
+	MaxSendRetries int
+}
+
+// The host-side costs of the substrate on the testbed's 700 MHz PIII: its
+// calibrated constants, the substrate bookkeeping that turns GM's 8.99 µs
+// into the paper's 9.4 µs FAST/GM latency (EXPERIMENTS.md E0).
+const (
+	// PollDispatch is the detection+dispatch cost per request under
+	// AsyncPollingThread (no NIC interrupt, just a cache-line watch).
+	PollDispatch = 2 * sim.Microsecond
 	// CopyBandwidth is host memcpy speed for the send-side copy into
 	// registered buffers and the receive-side reply copy-out.
-	CopyBandwidth float64
+	CopyBandwidth = 800e6
 	// DispatchCost is the per-request decode/dispatch CPU.
-	DispatchCost sim.Time
+	DispatchCost = 500 * sim.Nanosecond
+)
 
-	// Recovery protocol (only exercised on a faulty fabric; with the
-	// preposting invariant intact on a perfect network none of these paths
-	// run). A GM send failure — the resend timeout fired and disabled the
-	// port — triggers a port resume after GM's probe delay plus an
-	// idempotent retransmission of the frame with exponential backoff;
-	// receivers filter the resulting duplicates by (origin, seq).
-
-	// MaxSendRetries bounds per-frame retransmission attempts; past it the
-	// fault is considered permanent and the transport fail-stops.
-	MaxSendRetries int
-	// RetryBackoff is the delay before the first retransmission, doubling
-	// per attempt up to RetryBackoffMax.
-	RetryBackoff    sim.Time
-	RetryBackoffMax sim.Time
-}
+// The recovery protocol's retransmission schedule (only exercised on a
+// faulty fabric; with the preposting invariant intact on a perfect network
+// none of these paths run). A GM send failure — the resend timeout fired
+// and disabled the port — triggers a port resume after GM's probe delay
+// plus an idempotent retransmission of the frame; receivers filter the
+// resulting duplicates by (origin, seq). RetryBackoff is the delay before
+// the first retransmission, doubling per attempt up to RetryBackoffMax.
+const (
+	RetryBackoff    = 5 * sim.Millisecond
+	RetryBackoffMax = 200 * sim.Millisecond
+)
 
 // DefaultConfig returns the paper's adopted design: interrupt-driven
 // async port, full preposting (no rendezvous).
@@ -125,14 +132,9 @@ func DefaultConfig() Config {
 	return Config{
 		Scheme:           AsyncInterrupt,
 		TimerInterval:    sim.Millisecond,
-		PollDispatch:     sim.Micro(2.0),
 		PollComputeScale: 1.15,
 		Rendezvous:       false,
 		SmallPerPeer:     4,
-		CopyBandwidth:    800e6,
-		DispatchCost:     sim.Micro(0.5),
 		MaxSendRetries:   16,
-		RetryBackoff:     5 * sim.Millisecond,
-		RetryBackoffMax:  200 * sim.Millisecond,
 	}
 }

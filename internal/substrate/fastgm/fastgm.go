@@ -229,7 +229,7 @@ func (t *Transport) onAsyncInterrupt(p *sim.Proc, payload any) {
 // dispatch, no interrupt cost.
 func (t *Transport) onPollDetect(p *sim.Proc, payload any) {
 	t.Stats().AsyncWakeups++
-	p.Advance(t.cfg.PollDispatch)
+	p.Advance(PollDispatch)
 	t.drainAsync(p)
 }
 
@@ -263,7 +263,7 @@ func (t *Transport) handleAsyncFrame(p *sim.Proc, rv *gm.Recv) {
 		// clock above; it carries nothing else.
 		t.asyncPort.ProvideReceiveBuffer(rv.Buffer)
 	case frameMsg, frameData:
-		p.Advance(t.cfg.DispatchCost)
+		p.Advance(DispatchCost)
 		m, err := msg.Decode(body)
 		if err != nil {
 			t.rejectFrame(p, rv, "decode")
@@ -346,7 +346,7 @@ func (t *Transport) recvSyncFrame(p *sim.Proc, rv *gm.Recv) *msg.Message {
 		// Replies are copied out of the receive buffer into TreadMarks
 		// structures (the paper's extra-copy design).
 		body := rv.Data[1:]
-		p.Advance(t.cfg.DispatchCost + sim.BytesTime(len(body), t.cfg.CopyBandwidth))
+		p.Advance(DispatchCost + sim.BytesTime(len(body), CopyBandwidth))
 		m, _ = msg.Decode(body)
 	}
 	if m == nil {
@@ -410,7 +410,7 @@ func (t *Transport) Transmit(p *sim.Proc, dst int, lane substrate.Lane, kind msg
 func (t *Transport) stage(p *sim.Proc, dst, dstPort int, tag byte, body, aux []byte) {
 	buf := t.TakeSendBuffer(p, t.sendPool, len(body)+1)
 	buf.Bytes()[0] = tag
-	p.Advance(sim.BytesTime(len(body), t.cfg.CopyBandwidth))
+	p.Advance(sim.BytesTime(len(body), CopyBandwidth))
 	copy(buf.Bytes()[1:], body)
 	t.Stats().BytesSent += int64(len(body) + 1)
 	t.gmSend(p, t.portFor(dstPort), dst, dstPort, buf, len(body)+1, aux)

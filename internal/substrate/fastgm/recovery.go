@@ -92,14 +92,12 @@ func (t *Transport) onSendFailure(ps *pendingSend, st gm.SendStatus) {
 	t.scheduleRetransmit(ps)
 }
 
-// retryBackoff returns the delay before the attempts-th retransmission.
-func (t *Transport) retryBackoff(attempts int) sim.Time {
-	return substrate.Backoff{Initial: t.cfg.RetryBackoff, Max: t.cfg.RetryBackoffMax}.Delay(attempts)
-}
+// retryBackoff is the delay before each retransmission.
+var retryBackoff = substrate.Backoff{Initial: RetryBackoff, Max: RetryBackoffMax}
 
 // scheduleRetransmit re-sends ps's frame after the backoff.
 func (t *Transport) scheduleRetransmit(ps *pendingSend) {
-	t.Proc().Sim().After(t.retryBackoff(ps.attempts), ps.retransmit)
+	t.Proc().Sim().After(retryBackoff.Delay(ps.attempts), ps.retransmit)
 }
 
 // resend is a retransmission coming due, deferred further (same attempt)

@@ -10,7 +10,6 @@ import (
 // doubling from RetryBackoff, saturating at RetryBackoffMax, and staying
 // saturated for every later attempt.
 func TestRetryBackoffSchedule(t *testing.T) {
-	tr := &Transport{cfg: DefaultConfig()} // 5ms initial, 200ms cap
 	want := []sim.Time{
 		1:  5 * sim.Millisecond,
 		2:  10 * sim.Millisecond,
@@ -26,31 +25,8 @@ func TestRetryBackoffSchedule(t *testing.T) {
 		if d == 0 {
 			continue
 		}
-		if got := tr.retryBackoff(attempts); got != d {
+		if got := retryBackoff.Delay(attempts); got != d {
 			t.Errorf("retryBackoff(%d) = %v, want %v", attempts, got, d)
-		}
-	}
-}
-
-// TestRetryBackoffCapBoundaries exercises the exact-hit and degenerate
-// cap configurations.
-func TestRetryBackoffCapBoundaries(t *testing.T) {
-	// Doubling lands exactly on the cap: 25 → 50 → 100 → 200.
-	tr := &Transport{cfg: Config{RetryBackoff: 25 * sim.Millisecond, RetryBackoffMax: 200 * sim.Millisecond}}
-	for attempts, d := range map[int]sim.Time{
-		3: 100 * sim.Millisecond,
-		4: 200 * sim.Millisecond,
-		5: 200 * sim.Millisecond,
-	} {
-		if got := tr.retryBackoff(attempts); got != d {
-			t.Errorf("exact-cap: retryBackoff(%d) = %v, want %v", attempts, got, d)
-		}
-	}
-	// Initial equals cap: every attempt is the cap.
-	tr = &Transport{cfg: Config{RetryBackoff: 200 * sim.Millisecond, RetryBackoffMax: 200 * sim.Millisecond}}
-	for _, attempts := range []int{1, 2, 9} {
-		if got := tr.retryBackoff(attempts); got != 200*sim.Millisecond {
-			t.Errorf("flat-cap: retryBackoff(%d) = %v, want 200ms", attempts, got)
 		}
 	}
 }

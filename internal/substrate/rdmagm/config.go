@@ -2,21 +2,22 @@ package rdmagm
 
 import "repro/internal/sim"
 
-// Config tunes the one-sided half of the substrate; the two-sided half
-// runs on the fastgm.Config passed to New beside it.
-type Config struct {
+// The one-sided half's cost model, the RDMA/GM design point of firmware
+// verb service on the LANai-9; the two-sided half runs on the
+// fastgm.Config passed to New.
+const (
 	// NICServiceCost is the target-NIC firmware time to parse one verb
 	// descriptor, run the window bounds check, and stage the DMA. It is
 	// the whole remote-side cost of a verb: no interrupt, no dispatch,
 	// no handler, no host copy.
-	NICServiceCost sim.Time
+	NICServiceCost = 1200 * sim.Nanosecond
 	// DMABandwidth is the target-side NIC↔host-memory DMA rate for verb
 	// payloads (the bytes a Put deposits or a Get collects).
-	DMABandwidth float64
+	DMABandwidth = 900e6
 	// CompletionCost is the initiator-side CPU cost to reap one
 	// completion-queue entry.
-	CompletionCost sim.Time
-}
+	CompletionCost = 600 * sim.Nanosecond
+)
 
 // SendQueueDepth caps outstanding verbs per destination QP; posting past
 // the cap reaps completions until a slot frees (real send queues are rings
@@ -41,12 +42,3 @@ const (
 	VerbTimeout    = 5 * sim.Millisecond
 	VerbTimeoutMax = 500 * sim.Millisecond
 )
-
-// DefaultConfig returns the RDMA/GM design point: firmware verb service.
-func DefaultConfig() Config {
-	return Config{
-		NICServiceCost: sim.Micro(1.2),
-		DMABandwidth:   900e6,
-		CompletionCost: sim.Micro(0.6),
-	}
-}

@@ -53,12 +53,11 @@ const compRetry = 50 * sim.Microsecond
 
 // segDMACost is the target NIC's cost per Put segment on top of the
 // frame's NICServiceCost: each segment is one more host DMA to set up,
-// priced like every other host DMA in the model (myrinet.Params'
-// Tx/RxDMASetup; DESIGN.md §12.1).
-const segDMACost = 600 * sim.Nanosecond
+// priced like every other host DMA in the model (DESIGN.md §12.1).
+const segDMACost = myrinet.RxDMASetup
 
 // verbFlowWindow is the per-QP verb credit budget when end-to-end flow
-// control (the fastgm config's Flow) is enabled: small enough that n−1 initiators
+// control (the run's Policy.Flow) is enabled: small enough that n−1 initiators
 // incasting at one target cannot overrun its verb ring, large enough to
 // keep the wire pipelined for a single initiator.
 const verbFlowWindow = 4
@@ -67,8 +66,6 @@ const verbFlowWindow = 4
 type Transport struct {
 	*fastgm.Transport
 	node *gm.Node
-	fast fastgm.Config // the two-sided half's config, as the embedded transport runs it
-	rcfg Config
 
 	verbPort *gm.Port
 	cqPort   *gm.Port
@@ -107,13 +104,11 @@ type Transport struct {
 // New creates the substrate for process rank of size on a GM node under
 // the run's policy: fast governs the two-sided request/reply half
 // (startup, locks, barriers, liveness heartbeats — everything the verbs
-// do not cover), cfg the verbs.
-func New(node *gm.Node, rank, size int, pol substrate.Policy, fast fastgm.Config, cfg Config) *Transport {
+// do not cover).
+func New(node *gm.Node, rank, size int, pol substrate.Policy, fast fastgm.Config) *Transport {
 	t := &Transport{
 		Transport:  fastgm.New(node, rank, size, pol, fast),
 		node:       node,
-		fast:       fast,
-		rcfg:       cfg,
 		windows:    make(map[int32][]byte),
 		vdup:       substrate.NewDupCache(),
 		compQueued: make(map[substrate.DupKey]bool),
@@ -231,7 +226,7 @@ func (t *Transport) PostPut(p *sim.Proc, dst int, window int32, segs ...substrat
 	// The gather into the registered descriptor: every segment header and
 	// payload byte is a host copy (the payload rides the frame; windows on
 	// the initiator side need no registration).
-	p.Advance(sim.BytesTime(n, t.fast.CopyBandwidth))
+	p.Advance(sim.BytesTime(n, fastgm.CopyBandwidth))
 	return t.post(p, dst, vf)
 }
 
@@ -256,7 +251,7 @@ func (t *Transport) post(p *sim.Proc, dst int, vf *verbFrame) substrate.PendingV
 		panic(fmt.Sprintf("rdmagm: %d-byte verb exceeds the %d-byte frame cap",
 			n, t.node.System().Params().MaxMessage()))
 	}
-	// Flow control, end to end then per QP. With the fastgm config's Flow on, the
+	// Flow control, end to end then per QP. With the run's Policy.Flow on, the
 	// verb first takes a credit from a window well under the ring depth —
 	// the one-sided analogue of the two-sided credit ledger: an incast of
 	// Puts self-paces at the initiators instead of flooding the target's
@@ -415,7 +410,7 @@ func (t *Transport) handleCompletion(p *sim.Proc, rv *gm.Recv) {
 		st.CorruptFrames++
 		return
 	}
-	p.Advance(t.rcfg.CompletionCost)
+	p.Advance(CompletionCost)
 	cf, err := decodeCompletion(rv.Data)
 	if err != nil {
 		st.CorruptFrames++
@@ -526,8 +521,8 @@ func (t *Transport) onVerbFrame(rv *gm.Recv) {
 	}
 	// Firmware service (once per frame), one DMA descriptor per Put
 	// segment, the DMA itself, then the completion entry.
-	delay := t.rcfg.NICServiceCost + sim.Time(len(vf.segs))*segDMACost +
-		sim.BytesTime(dmaBytes, t.rcfg.DMABandwidth)
+	delay := NICServiceCost + sim.Time(len(vf.segs))*segDMACost +
+		sim.BytesTime(dmaBytes, DMABandwidth)
 	dst := int(vf.origin)
 	var compAux []byte
 	if cz != nil {

@@ -11,7 +11,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/substrate"
 	"repro/internal/substrate/fastgm"
-	"repro/internal/substrate/rdmagm"
 	"repro/internal/substrate/stest"
 )
 
@@ -20,7 +19,7 @@ import (
 // one-sided half of the contract.
 
 func build(n int, seed int64) *stest.Cluster {
-	return stest.NewRDMA(n, seed, substrate.Policy{}, fastgm.DefaultConfig(), rdmagm.DefaultConfig())
+	return stest.NewRDMA(n, seed, substrate.Policy{}, fastgm.DefaultConfig())
 }
 
 func oneSided(t *testing.T, tr substrate.Transport) substrate.OneSided {
@@ -281,7 +280,7 @@ func TestVerbBlackoutRecovery(t *testing.T) {
 // shared liveness state.
 func TestVerbsAbandonedOnDeadPeer(t *testing.T) {
 	pol := substrate.Policy{Liveness: true}
-	c := stest.NewRDMA(2, 1, pol, fastgm.DefaultConfig(), rdmagm.DefaultConfig())
+	c := stest.NewRDMA(2, 1, pol, fastgm.DefaultConfig())
 	win := make([]byte, 4096)
 	var verr error
 	c.Sim.Spawn("rank1", 0, func(p *sim.Proc) {

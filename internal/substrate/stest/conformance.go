@@ -13,7 +13,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/substrate"
 	"repro/internal/substrate/fastgm"
-	"repro/internal/substrate/rdmagm"
 	"repro/internal/substrate/udpgm"
 )
 
@@ -236,7 +235,7 @@ func policyCluster(build Builder, n int, pol substrate.Policy, outstanding int) 
 	case probe.Stacks != nil:
 		return NewUDPConfig(n, 1, pol, udpgm.DefaultConfig())
 	case oneSided:
-		return NewRDMA(n, 1, pol, fast, rdmagm.DefaultConfig())
+		return NewRDMA(n, 1, pol, fast)
 	default:
 		return NewFast(n, 1, pol, fast)
 	}

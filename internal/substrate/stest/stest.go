@@ -55,10 +55,10 @@ func NewFast(n int, seed int64, pol substrate.Policy, cfg fastgm.Config) *Cluste
 
 // NewRDMA builds an n-rank cluster on the RDMA/GM one-sided transport,
 // its two-sided half configured by fast.
-func NewRDMA(n int, seed int64, pol substrate.Policy, fast fastgm.Config, cfg rdmagm.Config) *Cluster {
+func NewRDMA(n int, seed int64, pol substrate.Policy, fast fastgm.Config) *Cluster {
 	c := newBase(n, seed)
 	for i := 0; i < n; i++ {
-		c.Transports[i] = rdmagm.New(c.GM.Node(myrinet.NodeID(i)), i, n, pol, fast, cfg)
+		c.Transports[i] = rdmagm.New(c.GM.Node(myrinet.NodeID(i)), i, n, pol, fast)
 	}
 	return c
 }

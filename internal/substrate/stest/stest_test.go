@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/substrate"
 	"repro/internal/substrate/fastgm"
-	"repro/internal/substrate/rdmagm"
 	"repro/internal/substrate/stest"
 	"repro/internal/substrate/udpgm"
 )
@@ -28,7 +27,7 @@ func TestConformanceAllSubstrates(t *testing.T) {
 			return stest.NewFast(n, seed, substrate.Policy{}, fastgm.DefaultConfig())
 		}},
 		{"rdmagm", func(n int, seed int64) *stest.Cluster {
-			return stest.NewRDMA(n, seed, substrate.Policy{}, fastgm.DefaultConfig(), rdmagm.DefaultConfig())
+			return stest.NewRDMA(n, seed, substrate.Policy{}, fastgm.DefaultConfig())
 		}},
 	}
 	for _, b := range builders {

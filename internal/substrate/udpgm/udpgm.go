@@ -34,11 +34,15 @@ const (
 // Config.RetransmitInitial.
 const RetransmitMax = 500 * sim.Millisecond
 
+// DispatchCost is the per-request decode/dispatch CPU on the testbed's
+// 700 MHz PIII, calibrated with package sockets' kernel costs to the
+// paper's ≈35 µs UDP/GM one-way latency.
+const DispatchCost = 500 * sim.Nanosecond
+
 // Config tunes the user-level reliability layer.
 type Config struct {
 	RetransmitInitial sim.Time // first retransmit timeout
 	MaxRetries        int      // give up (fail-stop) after this many
-	DispatchCost      sim.Time // per-request decode/dispatch CPU
 }
 
 // DefaultConfig mirrors TreadMarks' retransmission behaviour.
@@ -46,7 +50,6 @@ func DefaultConfig() Config {
 	return Config{
 		RetransmitInitial: 20 * sim.Millisecond,
 		MaxRetries:        12,
-		DispatchCost:      sim.Micro(0.5),
 	}
 }
 
@@ -56,7 +59,6 @@ func DefaultConfig() Config {
 type Transport struct {
 	substrate.Core
 	stack *sockets.Stack
-	cfg   Config
 
 	reqIn   []*sockets.Socket // [peer] requests from peer (SIGIO)
 	repIn   []*sockets.Socket // [peer] replies from peer
@@ -87,19 +89,18 @@ type Transport struct {
 func New(stack *sockets.Stack, rank, size int, pol substrate.Policy, cfg Config) *Transport {
 	t := &Transport{
 		stack:  stack,
-		cfg:    cfg,
-		reqBuf: make([]byte, stack.Params().MaxDatagram),
-		repBuf: make([]byte, stack.Params().MaxDatagram),
+		reqBuf: make([]byte, sockets.MaxDatagram),
+		repBuf: make([]byte, sockets.MaxDatagram),
 	}
 	t.Core.Init(t, rank, size, pol,
 		substrate.Backoff{Initial: cfg.RetransmitInitial, Max: RetransmitMax}, cfg.MaxRetries)
 	t.credits = t.NewCredits(fmt.Sprintf("udpgm:%d:credits", rank),
-		[]int{stack.Params().RecvBufDefault}, []int{stack.Params().MaxDatagram})
+		[]int{sockets.RecvBufDefault}, []int{sockets.MaxDatagram})
 	return t
 }
 
 // MaxData returns the largest encodable message.
-func (t *Transport) MaxData() int { return t.stack.Params().MaxDatagram }
+func (t *Transport) MaxData() int { return sockets.MaxDatagram }
 
 // Start binds the 2(size-1) sockets, arms SIGIO on the request side, and
 // starts the heartbeat clock.
@@ -187,7 +188,7 @@ func (t *Transport) Halt() {
 func (t *Transport) onSIGIO(p *sim.Proc, payload any) {
 	t.Stats().AsyncWakeups++
 	sigStart := p.Now()
-	p.Advance(t.stack.Params().SignalDelivery)
+	p.Advance(sockets.SignalDelivery)
 	start := p.Now()
 	// The signal tells us only "a request socket is readable"; TreadMarks
 	// scans them all (select + recvfrom loop).
@@ -214,7 +215,7 @@ func (t *Transport) onSIGIO(p *sim.Proc, payload any) {
 // transport-internal kinds, and runs the rest through the core's
 // duplicate filter and the DSM handler.
 func (t *Transport) dispatchRequest(p *sim.Proc, raw, aux []byte) {
-	p.Advance(t.cfg.DispatchCost)
+	p.Advance(DispatchCost)
 	m, err := msg.Decode(raw)
 	if err != nil {
 		panic(fmt.Sprintf("udpgm: corrupt request on node %d: %v", t.Rank(), err))

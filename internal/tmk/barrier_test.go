@@ -54,7 +54,7 @@ func TestBarrierManagerEncodesWhileWaiting(t *testing.T) {
 				}
 				return out
 			}
-			scan := sim.BytesTime(2*tmk.PageSize, tmk.DefaultCPUParams().DiffScanBandwidth)
+			scan := sim.BytesTime(2*tmk.PageSize, tmk.DiffScanBandwidth)
 			one, many := exit(1), exit(pages)
 			if many-one >= scan {
 				t.Errorf("rank 3 leaves the barrier at %v with 1 dirty page at rank %d, at %v with %d "+

@@ -32,13 +32,16 @@ type Config struct {
 	Transport TransportKind
 	Seed      int64
 
-	Net     myrinet.Params
-	GM      gm.Params
-	Sockets sockets.Params
-	UDP     udpgm.Config
-	Fast    fastgm.Config
-	RDMA    rdmagm.Config
-	CPU     CPUParams
+	// Scheme selects how FAST/GM — and rdmagm's two-sided half — detects
+	// an asynchronous request (paper §2.2.4, experiment E4); the zero
+	// value is the paper's NIC interrupt.
+	Scheme fastgm.AsyncScheme
+	// Rendezvous carries FAST/GM's large messages by RTS/CTS instead of
+	// preposted buffers (paper §2.2.2, experiment E5).
+	Rendezvous bool
+	// Faults is the fabric's fault-injection schedule (the chaos sweep);
+	// the zero value is a perfect fabric.
+	Faults myrinet.FaultConfig
 
 	// HomeBased selects the home-based lazy-release-consistency protocol:
 	// every page gets a statically assigned home rank, diffs are
@@ -96,15 +99,17 @@ func DefaultConfig(n int, kind TransportKind) Config {
 		Procs:     n,
 		Transport: kind,
 		Seed:      1,
-		Net:       myrinet.DefaultParams(),
-		GM:        gm.DefaultParams(),
-		Sockets:   sockets.DefaultParams(),
-		UDP:       udpgm.DefaultConfig(),
-		Fast:      fastgm.DefaultConfig(),
-		RDMA:      rdmagm.DefaultConfig(),
-		CPU:       DefaultCPUParams(),
 		HomeBased: kind == TransportRDMAGM,
 	}
+}
+
+// testbed is what a cluster builds the layers above the fabric from: each
+// package's defaults plus the Config features they take. Only tests change
+// it (export_test.go).
+type testbed struct {
+	Sockets sockets.Params
+	UDP     udpgm.Config
+	Fast    fastgm.Config
 }
 
 // Cluster is one assembled DSM run.
@@ -112,6 +117,7 @@ type Cluster struct {
 	cfg    Config
 	err    error            // Config.Validate's verdict; Run reports it
 	pol    substrate.Policy // the run's one cluster-uniform substrate policy
+	tb     testbed          // what the sockets and substrates are built from
 	n      int              // ranks (= Config.Procs)
 	sim    *sim.Simulator
 	fabric *myrinet.Fabric
@@ -176,10 +182,19 @@ const finalBarrier int32 = 1<<31 - 1
 // NewCluster assembles the simulator, fabric, GM, kernels, and per-rank
 // transports; Run then executes the application. A Config that fails
 // Validate assembles nothing: Run returns the verdict (and GM is nil).
-func NewCluster(cfg Config) *Cluster {
+func NewCluster(cfg Config) *Cluster { return newCluster(cfg, nil) }
+
+// newCluster is NewCluster with tune, when non-nil, applied to the
+// testbed before anything is built.
+func newCluster(cfg Config, tune func(*testbed)) *Cluster {
 	c := &Cluster{cfg: cfg, n: cfg.Procs}
 	if c.err = cfg.Validate(); c.err != nil {
 		return c
+	}
+	c.tb = testbed{Sockets: sockets.DefaultParams(), UDP: udpgm.DefaultConfig(), Fast: fastgm.DefaultConfig()}
+	c.tb.Fast.Scheme, c.tb.Fast.Rendezvous = cfg.Scheme, cfg.Rendezvous
+	if tune != nil {
+		tune(&c.tb)
 	}
 	// The failure detector runs exactly when something can die: a crash
 	// trigger without it would leave survivors blocked on the dead rank
@@ -192,12 +207,12 @@ func NewCluster(cfg Config) *Cluster {
 	if cfg.Causal != nil {
 		c.sim.SetCausal(cfg.Causal)
 	}
-	c.fabric = myrinet.NewFabric(c.sim, cfg.Net, c.n)
-	c.gmsys = gm.NewSystem(c.sim, c.fabric, cfg.GM)
+	c.fabric = myrinet.NewFabric(c.sim, myrinet.Params{Faults: cfg.Faults}, c.n)
+	c.gmsys = gm.NewSystem(c.sim, c.fabric, gm.DefaultParams())
 	if cfg.Transport == TransportUDPGM {
 		c.stacks = make([]*sockets.Stack, c.n)
 		for i := 0; i < c.n; i++ {
-			c.stacks[i] = sockets.NewStack(c.sim, c.gmsys.Node(myrinet.NodeID(i)), cfg.Sockets)
+			c.stacks[i] = sockets.NewStack(c.sim, c.gmsys.Node(myrinet.NodeID(i)), c.tb.Sockets)
 		}
 	}
 	return c
@@ -231,13 +246,13 @@ func (c *Cluster) spawnGeneration(gen int) {
 			var tr substrate.Transport
 			switch node := c.gmsys.Node(myrinet.NodeID(rank)); c.cfg.Transport {
 			case TransportUDPGM:
-				tr = udpgm.New(c.stacks[rank], rank, n, c.pol, c.cfg.UDP)
+				tr = udpgm.New(c.stacks[rank], rank, n, c.pol, c.tb.UDP)
 			case TransportFastGM:
-				tr = fastgm.New(node, rank, n, c.pol, c.cfg.Fast)
+				tr = fastgm.New(node, rank, n, c.pol, c.tb.Fast)
 			case TransportRDMAGM:
-				tr = rdmagm.New(node, rank, n, c.pol, c.cfg.Fast, c.cfg.RDMA)
+				tr = rdmagm.New(node, rank, n, c.pol, c.tb.Fast)
 			}
-			tp := newProc(c, rank, sp, tr, c.cfg.CPU)
+			tp := newProc(c, rank, sp, tr)
 			tp.gen = gen
 			c.procs[rank] = tp
 			c.allProcs = append(c.allProcs, tp)

@@ -244,11 +244,12 @@ func TestRetryExhaustionAbortsWithPostMortem(t *testing.T) {
 	for _, kind := range allTransports {
 		t.Run(string(kind), func(t *testing.T) {
 			cfg := tmk.DefaultConfig(3, kind)
-			cfg.Fast.MaxSendRetries = 2
-			cfg.UDP.MaxRetries = 2
-			cfg.Net.Faults.Blackouts = []myrinet.Blackout{{Src: -1, Dst: 1, From: 0, To: 1 << 62}}
+			cfg.Faults.Blackouts = []myrinet.Blackout{{Src: -1, Dst: 1, From: 0, To: 1 << 62}}
 			app, _ := lockWorkload(3)
-			res, err := tmk.Run(cfg, app)
+			res, err := tmk.NewTunedCluster(cfg, func(tb tmk.Testbed) {
+				tb.Fast.MaxSendRetries = 2
+				tb.UDP.MaxRetries = 2
+			}).Run(app)
 			var abort *tmk.CrashAbortError
 			if !errors.As(err, &abort) {
 				t.Fatalf("err = %v, want CrashAbortError", err)

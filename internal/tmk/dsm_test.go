@@ -319,7 +319,7 @@ func TestNoUDPDropsInDSMWorkloads(t *testing.T) {
 
 func TestRendezvousModeRunsDSM(t *testing.T) {
 	cfg := tmk.DefaultConfig(4, tmk.TransportFastGM)
-	cfg.Fast.Rendezvous = true
+	cfg.Rendezvous = true
 	res, err := tmk.Run(cfg, func(tp *tmk.Proc) {
 		r := tp.AllocShared(4 * tmk.PageSize)
 		slots := 4 * tmk.PageSize / 8

@@ -149,3 +149,13 @@ func (tp *Proc) DropFreeTwins() { tp.freeTwins = nil }
 // ZeroPageIsZero reports whether the page every frame-less copy reads as is
 // still all zeros.
 func ZeroPageIsZero() bool { return zeroPage == [PageSize]byte{} }
+
+// Testbed is the per-layer configuration a cluster builds its sockets and
+// substrates from; a test tunes it through NewTunedCluster — a shorter
+// retransmission timer, a smaller retry budget, socket loss, a scarcer
+// prepost ring.
+type Testbed = *testbed
+
+// NewTunedCluster is NewCluster with tune (nil: none) applied to the
+// testbed before anything is built.
+func NewTunedCluster(cfg Config, tune func(Testbed)) *Cluster { return newCluster(cfg, tune) }

@@ -91,7 +91,8 @@ func TestFaultRecoveryTable(t *testing.T) {
 		name     string
 		procs    int
 		kind     tmk.TransportKind
-		mutate   func(cfg *tmk.Config)
+		faults   myrinet.FaultConfig // the run's Config.Faults
+		tune     func(tb tmk.Testbed)
 		workload func() (func(tp *tmk.Proc), func(t *testing.T))
 		assert   func(t *testing.T, res *tmk.Result)
 	}
@@ -102,9 +103,9 @@ func TestFaultRecoveryTable(t *testing.T) {
 			name:  "udp-socket-drop",
 			procs: 8,
 			kind:  tmk.TransportUDPGM,
-			mutate: func(cfg *tmk.Config) {
-				cfg.Sockets.DropProbability = 0.02
-				cfg.UDP.RetransmitInitial = 5 * sim.Millisecond
+			tune: func(tb tmk.Testbed) {
+				tb.Sockets.DropProbability = 0.02
+				tb.UDP.RetransmitInitial = 5 * sim.Millisecond
 			},
 			workload: func() (func(tp *tmk.Proc), func(t *testing.T)) { return stripeWorkload(1024, 2) },
 			assert: func(t *testing.T, res *tmk.Result) {
@@ -120,9 +121,9 @@ func TestFaultRecoveryTable(t *testing.T) {
 			name:  "udp-socket-send-drop",
 			procs: 4,
 			kind:  tmk.TransportUDPGM,
-			mutate: func(cfg *tmk.Config) {
-				cfg.Sockets.DropProbability = 0.03
-				cfg.UDP.RetransmitInitial = 5 * sim.Millisecond
+			tune: func(tb tmk.Testbed) {
+				tb.Sockets.DropProbability = 0.03
+				tb.UDP.RetransmitInitial = 5 * sim.Millisecond
 			},
 			workload: func() (func(tp *tmk.Proc), func(t *testing.T)) { return stripeWorkload(1024, 2) },
 			assert: func(t *testing.T, res *tmk.Result) {
@@ -136,9 +137,9 @@ func TestFaultRecoveryTable(t *testing.T) {
 			name:  "udp-socket-drop-locks",
 			procs: 4,
 			kind:  tmk.TransportUDPGM,
-			mutate: func(cfg *tmk.Config) {
-				cfg.Sockets.DropProbability = 0.05
-				cfg.UDP.RetransmitInitial = 5 * sim.Millisecond
+			tune: func(tb tmk.Testbed) {
+				tb.Sockets.DropProbability = 0.05
+				tb.UDP.RetransmitInitial = 5 * sim.Millisecond
 			},
 			workload: func() (func(tp *tmk.Proc), func(t *testing.T)) { return lockWorkload(8) },
 			assert:   func(t *testing.T, res *tmk.Result) {},
@@ -149,8 +150,8 @@ func TestFaultRecoveryTable(t *testing.T) {
 			name:  "udp-slow-retransmit-clean",
 			procs: 4,
 			kind:  tmk.TransportUDPGM,
-			mutate: func(cfg *tmk.Config) {
-				cfg.UDP.RetransmitInitial = 200 * sim.Millisecond
+			tune: func(tb tmk.Testbed) {
+				tb.UDP.RetransmitInitial = 200 * sim.Millisecond
 			},
 			workload: func() (func(tp *tmk.Proc), func(t *testing.T)) { return stripeWorkload(64, 1) },
 			assert: func(t *testing.T, res *tmk.Result) {
@@ -163,12 +164,12 @@ func TestFaultRecoveryTable(t *testing.T) {
 			// Fabric-level packet loss under UDP/GM: the kernel GM port is
 			// disabled and resumed transparently; UDP's retry budget covers
 			// the lost datagrams.
-			name:  "udp-fabric-loss",
-			procs: 4,
-			kind:  tmk.TransportUDPGM,
-			mutate: func(cfg *tmk.Config) {
-				cfg.Net.Faults.Drop = 0.05
-				cfg.UDP.RetransmitInitial = 20 * sim.Millisecond
+			name:   "udp-fabric-loss",
+			procs:  4,
+			kind:   tmk.TransportUDPGM,
+			faults: myrinet.FaultConfig{Drop: 0.05},
+			tune: func(tb tmk.Testbed) {
+				tb.UDP.RetransmitInitial = 20 * sim.Millisecond
 			},
 			workload: func() (func(tp *tmk.Proc), func(t *testing.T)) { return stripeWorkload(1024, 2) },
 			assert: func(t *testing.T, res *tmk.Result) {
@@ -184,12 +185,10 @@ func TestFaultRecoveryTable(t *testing.T) {
 			// Fabric-level packet loss under FAST/GM: the tentpole. GM send
 			// timeouts disable ports; the transport resumes them and
 			// retransmits idempotently.
-			name:  "fastgm-fabric-loss",
-			procs: 4,
-			kind:  tmk.TransportFastGM,
-			mutate: func(cfg *tmk.Config) {
-				cfg.Net.Faults.Drop = 0.05
-			},
+			name:     "fastgm-fabric-loss",
+			procs:    4,
+			kind:     tmk.TransportFastGM,
+			faults:   myrinet.FaultConfig{Drop: 0.05},
 			workload: func() (func(tp *tmk.Proc), func(t *testing.T)) { return stripeWorkload(1024, 2) },
 			assert: func(t *testing.T, res *tmk.Result) {
 				if res.NetFaults.Dropped == 0 {
@@ -208,12 +207,10 @@ func TestFaultRecoveryTable(t *testing.T) {
 			// Payload corruption under FAST/GM: the CRC check at the GM/NIC
 			// boundary discards the frame, which then behaves exactly like a
 			// loss.
-			name:  "fastgm-fabric-corrupt",
-			procs: 4,
-			kind:  tmk.TransportFastGM,
-			mutate: func(cfg *tmk.Config) {
-				cfg.Net.Faults.Corrupt = 0.05
-			},
+			name:     "fastgm-fabric-corrupt",
+			procs:    4,
+			kind:     tmk.TransportFastGM,
+			faults:   myrinet.FaultConfig{Corrupt: 0.05},
 			workload: func() (func(tp *tmk.Proc), func(t *testing.T)) { return stripeWorkload(1024, 2) },
 			assert: func(t *testing.T, res *tmk.Result) {
 				if res.NetFaults.Corrupted == 0 || res.NetFaults.CRCDrops == 0 {
@@ -232,11 +229,9 @@ func TestFaultRecoveryTable(t *testing.T) {
 			name:  "fastgm-blackout",
 			procs: 4,
 			kind:  tmk.TransportFastGM,
-			mutate: func(cfg *tmk.Config) {
-				cfg.Net.Faults.Blackouts = []myrinet.Blackout{
-					{Src: -1, Dst: 0, From: 0, To: 20 * sim.Millisecond},
-				}
-			},
+			faults: myrinet.FaultConfig{Blackouts: []myrinet.Blackout{
+				{Src: -1, Dst: 0, From: 0, To: 20 * sim.Millisecond},
+			}},
 			workload: func() (func(tp *tmk.Proc), func(t *testing.T)) { return stripeWorkload(256, 1) },
 			assert: func(t *testing.T, res *tmk.Result) {
 				if res.NetFaults.Blackout == 0 {
@@ -253,9 +248,9 @@ func TestFaultRecoveryTable(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tmk.DefaultConfig(tc.procs, tc.kind)
-			tc.mutate(&cfg)
+			cfg.Faults = tc.faults
 			app, check := tc.workload()
-			res, err := tmk.Run(cfg, app)
+			res, err := tmk.NewTunedCluster(cfg, tc.tune).Run(app)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -274,9 +269,8 @@ func TestFaultRecoveryTable(t *testing.T) {
 // but nothing may time out and results stay correct. (Kept separate from
 // the fault table: it injects no faults, it shrinks a resource.)
 func TestFastGMScarcePreposting(t *testing.T) {
-	cfg := tmk.DefaultConfig(8, tmk.TransportFastGM)
-	cfg.Fast.SmallPerPeer = 1
-	cluster := tmk.NewCluster(cfg)
+	cluster := tmk.NewTunedCluster(tmk.DefaultConfig(8, tmk.TransportFastGM),
+		func(tb tmk.Testbed) { tb.Fast.SmallPerPeer = 1 })
 	const slots = 512
 	_, err := cluster.Run(func(tp *tmk.Proc) {
 		r := tp.AllocShared(slots * 8)

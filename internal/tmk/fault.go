@@ -38,14 +38,14 @@ func (tp *Proc) writeFault(pm *pageMeta) {
 		}
 		start := tp.sp.Now()
 		tp.stats.WriteFaults++
-		tp.sp.Advance(tp.cpu.FaultOverhead)
+		tp.sp.Advance(FaultOverhead)
 		if !tp.selfHomed(pm.id) {
 			if pm.frame == nil {
 				pm.twin = zeroPage[:]
 			} else {
 				pm.twin = append(tp.takeTwin(), pm.frame...)
 			}
-			tp.sp.Advance(sim.BytesTime(PageSize, tp.cpu.MemcpyBandwidth))
+			tp.sp.Advance(sim.BytesTime(PageSize, MemcpyBandwidth))
 			tp.stats.TwinsCreated++
 		}
 		pm.state = pageWritable
@@ -106,7 +106,7 @@ func (tp *Proc) diffFaultRange(r *Region, first, last int32) {
 		faults = append(faults, diffFault{pm: pm, began: tp.sp.Now()})
 		tp.observe(event{kind: evReadFaultBegin, page: pm})
 		tp.stats.ReadFaults++
-		tp.sp.Advance(tp.cpu.FaultOverhead)
+		tp.sp.Advance(FaultOverhead)
 		if !pm.haveCopy {
 			pm.haveCopy = true
 			tp.stats.ZeroFills++
@@ -256,7 +256,7 @@ func (tp *Proc) applyDiffs(pm *pageMeta, all []msg.Diff) {
 		if err := ApplyDiff(pm.store(), d.Data); err != nil {
 			panic(err)
 		}
-		cost := sim.BytesTime(len(d.Data), tp.cpu.MemcpyBandwidth)
+		cost := sim.BytesTime(len(d.Data), MemcpyBandwidth)
 		if pm.twin != nil {
 			// Keep the twin in sync so our eventual diff contains only
 			// our own writes (multiple-writer protocol).
@@ -294,8 +294,8 @@ func (tp *Proc) closeInterval() {
 		if pm.twin != nil {
 			// Diff creation: scan twin vs page (two pages of memory traffic).
 			diff := tp.retain(appendDiff(tp.diffScratch, pm.twin, pm.bytes()))
-			tp.sp.Advance(sim.BytesTime(2*PageSize, tp.cpu.DiffScanBandwidth) +
-				sim.BytesTime(len(diff), tp.cpu.MemcpyBandwidth))
+			tp.sp.Advance(sim.BytesTime(2*PageSize, DiffScanBandwidth) +
+				sim.BytesTime(len(diff), MemcpyBandwidth))
 			tp.keepDiff(diffKey{page: pg, ts: ts}, diff)
 			tp.stats.DiffsCreated++
 			tp.stats.DiffBytesCreated += int64(len(diff))

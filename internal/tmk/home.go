@@ -154,11 +154,11 @@ func (tp *Proc) homeApply(pm *pageMeta, data []byte, snap VC) {
 			}
 		}
 		// Word-compare scan over twin+data, then up to two page copies.
-		tp.sp.Advance(sim.BytesTime(2*PageSize, tp.cpu.DiffScanBandwidth) +
-			sim.BytesTime(2*PageSize, tp.cpu.MemcpyBandwidth))
+		tp.sp.Advance(sim.BytesTime(2*PageSize, DiffScanBandwidth) +
+			sim.BytesTime(2*PageSize, MemcpyBandwidth))
 	} else {
 		copy(frame, data)
-		tp.sp.Advance(sim.BytesTime(PageSize, tp.cpu.MemcpyBandwidth))
+		tp.sp.Advance(sim.BytesTime(PageSize, MemcpyBandwidth))
 	}
 	pm.haveCopy = true
 	for q, ts := range snap {
@@ -208,7 +208,7 @@ func (tp *Proc) homeFaultRange(r *Region, first, last int32) {
 		began := tp.sp.Now()
 		tp.observe(event{kind: evReadFaultBegin, page: pm})
 		tp.stats.ReadFaults++
-		tp.sp.Advance(tp.cpu.FaultOverhead)
+		tp.sp.Advance(FaultOverhead)
 		g, pv := tp.postHomeGet(pm, began)
 		tp.homeGets, tp.homeVerbs = append(tp.homeGets, g), append(tp.homeVerbs, pv)
 	}
@@ -313,7 +313,7 @@ func (hp *homePacker) add(home int, window int32, base int, diff []byte) int {
 // copy" hazard to filter.
 func (tp *Proc) flushHomeDiffs(ts int32, pages []int32) {
 	hp := homePacker{size: tp.os.PutSize, open: map[int]int{},
-		limit: gm.ClassCapacity(tp.cluster.cfg.GM.ClassFor(tp.os.PutSize(1, PageSize)))}
+		limit: gm.ClassCapacity(tp.cluster.gmsys.Params().ClassFor(tp.os.PutSize(1, PageSize)))}
 	total := 0
 	for _, pg := range pages {
 		pm := tp.page(pg)

@@ -17,7 +17,6 @@ type Proc struct {
 	n       int // ranks: VC width, peers, app partitioning, static placement
 	sp      *sim.Proc
 	tr      substrate.Transport
-	cpu     CPUParams
 
 	// Home-based LRC (see home.go): set iff Config.HomeBased, in which
 	// case os is the transport's one-sided capability.
@@ -91,14 +90,13 @@ func (tp *Proc) metaGauge() int64 {
 	return tp.diffBytes + tp.store.bytes + 4*tp.notices.live
 }
 
-func newProc(c *Cluster, rank int, sp *sim.Proc, tr substrate.Transport, cpu CPUParams) *Proc {
+func newProc(c *Cluster, rank int, sp *sim.Proc, tr substrate.Transport) *Proc {
 	tp := &Proc{
 		cluster:       c,
 		rank:          rank,
 		n:             c.n,
 		sp:            sp,
 		tr:            tr,
-		cpu:           cpu,
 		vc:            NewVC(c.n),
 		lastBarrierVC: NewVC(c.n),
 		store:         newIntervalStore(c.n),
@@ -140,7 +138,7 @@ type diffBuffers struct {
 // handleRequest dispatches one asynchronous request (handler context:
 // interrupts masked by the kernel for the duration).
 func (tp *Proc) handleRequest(p *sim.Proc, m *msg.Message) {
-	p.Advance(tp.cpu.HandlerOverhead)
+	p.Advance(HandlerOverhead)
 	switch m.Kind {
 	case msg.KLockAcquire:
 		tp.handleLockAcquire(m)

@@ -89,7 +89,7 @@ func spanFaultsEqualPageFaults(t *testing.T, kind tmk.TransportKind, faults int6
 // same fault: counted once, charged FaultOverhead once, on the one-page
 // call and on a span alike (the span used to count and charge it twice).
 func TestNoticeMidGetIsOneFault(t *testing.T) {
-	overhead := tmk.DefaultCPUParams().FaultOverhead
+	overhead := tmk.FaultOverhead
 	spanRun(t, tmk.TransportRDMAGM, func(tp *tmk.Proc, r *tmk.Region) {
 		// read faults in pages [first, last] and reports what that cost.
 		read := func(first, last int) (faults, fetches int64, took sim.Time) {

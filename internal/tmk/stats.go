@@ -7,24 +7,14 @@ import (
 	"repro/internal/statsutil"
 )
 
-// CPUParams model the host-side consistency costs on the testbed CPUs
-// (700 MHz Pentium III).
-type CPUParams struct {
-	MemcpyBandwidth   float64  // page/twin copies, diff apply, bytes/s
-	DiffScanBandwidth float64  // twin-vs-page word compare scan, bytes/s
-	FaultOverhead     sim.Time // mprotect + SIGSEGV dispatch equivalent
-	HandlerOverhead   sim.Time // per-request protocol CPU in handlers
-}
-
-// DefaultCPUParams returns calibrated testbed constants.
-func DefaultCPUParams() CPUParams {
-	return CPUParams{
-		MemcpyBandwidth:   600e6,
-		DiffScanBandwidth: 800e6,
-		FaultOverhead:     sim.Micro(10),
-		HandlerOverhead:   sim.Micro(0.5),
-	}
-}
+// The host-side consistency costs on the testbed CPUs (700 MHz Pentium
+// III): the testbed's calibrated constants.
+const (
+	MemcpyBandwidth   = 600e6                // page/twin copies, diff apply, bytes/s
+	DiffScanBandwidth = 800e6                // twin-vs-page word compare scan, bytes/s
+	FaultOverhead     = 10 * sim.Microsecond // mprotect + SIGSEGV dispatch equivalent
+	HandlerOverhead   = 500 * sim.Nanosecond // per-request protocol CPU in handlers
+)
 
 // Stats counts one process's DSM activity.
 type Stats struct {

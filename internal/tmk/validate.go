@@ -3,6 +3,8 @@ package tmk
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/substrate/fastgm"
 )
 
 // ConfigRule names one constraint on a Config (DESIGN.md §16 is the
@@ -14,7 +16,7 @@ const (
 	RuleProcs          ConfigRule = "procs"           // at least one process
 	RuleTransport      ConfigRule = "transport"       // a substrate that exists
 	RuleHomeBased      ConfigRule = "home-based"      // HLRC needs one-sided verbs
-	RuleRange          ConfigRule = "range"           // BarrierFanout ≥ 0
+	RuleRange          ConfigRule = "range"           // a value its field can hold: BarrierFanout, Scheme, Faults
 	RuleCrashRank      ConfigRule = "crash-rank"      // an armed trigger names a process
 	RuleLivenessFaults ConfigRule = "liveness-faults" // the detector presumes a fault-free fabric
 )
@@ -72,17 +74,33 @@ func (cfg *Config) Validate() error {
 	if cfg.BarrierFanout < 0 {
 		bad(RuleRange, "negative BarrierFanout %d", cfg.BarrierFanout)
 	}
+	switch cfg.Scheme {
+	case fastgm.AsyncInterrupt, fastgm.AsyncPollingThread, fastgm.AsyncTimer:
+	default:
+		bad(RuleRange, "unknown Scheme %d (want interrupt, polling-thread or timer)", cfg.Scheme)
+	}
+	for _, p := range []struct {
+		name string
+		v    float64
+	}{{"Drop", cfg.Faults.Drop}, {"Corrupt", cfg.Faults.Corrupt}, {"DelayProb", cfg.Faults.DelayProb}} {
+		if !(p.v >= 0 && p.v <= 1) {
+			bad(RuleRange, "Faults.%s %v is not a probability", p.name, p.v)
+		}
+	}
+	if cfg.Faults.DelayMax < 0 {
+		bad(RuleRange, "negative Faults.DelayMax %v", cfg.Faults.DelayMax)
+	}
 	if cc := cfg.Crash; cc.hasTrigger() && (cc.Rank < 0 || cc.Rank >= cfg.Procs) {
 		bad(RuleCrashRank, "crash rank %d is not one of the %d processes", cc.Rank, cfg.Procs)
 	}
-	if cfg.Net.Faults.Enabled() && cfg.Crash.hasTrigger() {
+	if cfg.Faults.Enabled() && cfg.Crash.hasTrigger() {
 		// A trigger arms the failure detector. Recovering an injected
 		// fault — GM's port disable and resume, udpgm's 20 ms
 		// retransmission clock — silences a live peer for longer than the
 		// detector's deadline, so it is declared dead; and a second death
 		// after the one restart is nobody's to handle.
 		bad(RuleLivenessFaults, "the failure detector (a crash trigger arms it) "+
-			"presumes a fault-free fabric, but Net.Faults injects faults")
+			"presumes a fault-free fabric, but Faults injects faults")
 	}
 	if errs == nil {
 		return nil

@@ -2,12 +2,14 @@ package tmk_test
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/harness"
+	"repro/internal/sim"
 	"repro/internal/tmk"
 )
 
@@ -46,11 +48,22 @@ func TestValidateRules(t *testing.T) {
 			func(c *tmk.Config) { c.HomeBased = true }, []tmk.ConfigRule{tmk.RuleHomeBased}},
 		{"negative fan-out", 4, tmk.TransportFastGM,
 			func(c *tmk.Config) { c.BarrierFanout = -1 }, []tmk.ConfigRule{tmk.RuleRange}},
+		{"no such async scheme", 4, tmk.TransportFastGM,
+			func(c *tmk.Config) { c.Scheme = 7 }, []tmk.ConfigRule{tmk.RuleRange}},
+		{"drop probability above one", 4, tmk.TransportFastGM,
+			func(c *tmk.Config) { c.Faults.Drop = 1.5 }, []tmk.ConfigRule{tmk.RuleRange}},
+		{"negative corruption probability", 4, tmk.TransportFastGM,
+			func(c *tmk.Config) { c.Faults.Corrupt = -0.1 }, []tmk.ConfigRule{tmk.RuleRange}},
+		{"delay probability is no number", 4, tmk.TransportFastGM,
+			func(c *tmk.Config) { c.Faults.DelayProb = math.NaN() }, []tmk.ConfigRule{tmk.RuleRange}},
+		{"negative delay spike", 4, tmk.TransportFastGM,
+			func(c *tmk.Config) { c.Faults.DelayProb = 0.5; c.Faults.DelayMax = -sim.Millisecond },
+			[]tmk.ConfigRule{tmk.RuleRange}},
 		{"armed trigger names no process", 4, tmk.TransportFastGM,
 			func(c *tmk.Config) { c.Crash = tmk.CrashConfig{Rank: 4, AtBarrier: 3} },
 			[]tmk.ConfigRule{tmk.RuleCrashRank}},
 		{"failure detector on a lossy fabric", 4, tmk.TransportFastGM,
-			func(c *tmk.Config) { c.Crash = tmk.CrashConfig{Rank: 1, AtLock: 1}; c.Net.Faults.Drop = 0.01 },
+			func(c *tmk.Config) { c.Crash = tmk.CrashConfig{Rank: 1, AtLock: 1}; c.Faults.Drop = 0.01 },
 			[]tmk.ConfigRule{tmk.RuleLivenessFaults}},
 
 		{"four rules at once", 0, "bogus",
@@ -96,17 +109,16 @@ func TestValidateRules(t *testing.T) {
 
 // TestConfigSurface pins how many values a caller can set on a Config
 // (harness.ConfigSurface): every settable leaf, and the feature values among
-// them — every leaf under Config's feature fields, plus any copy of the
-// cluster-uniform policy hiding in a per-substrate config. Adding a setting
-// means arguing with these numbers (DESIGN.md §16).
+// them — every leaf under Config's feature fields. Adding a setting means
+// arguing with these numbers (DESIGN.md §16).
 func TestConfigSurface(t *testing.T) {
 	features, all := harness.ConfigSurface()
-	if len(features) != 7 {
-		t.Errorf("tmk.Config exposes %d settable feature values, want 7:\n  %s",
+	if len(features) != 15 {
+		t.Errorf("tmk.Config exposes %d settable feature values, want 15:\n  %s",
 			len(features), strings.Join(features, "\n  "))
 	}
-	if len(all) != 78 {
-		t.Errorf("tmk.Config has %d settable leaves, want 78:\n  %s",
+	if len(all) != 23 {
+		t.Errorf("tmk.Config has %d settable leaves, want 23:\n  %s",
 			len(all), strings.Join(all, "\n  "))
 	}
 }

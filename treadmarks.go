@@ -34,9 +34,10 @@ import (
 
 // Core types, re-exported from the implementation.
 type (
-	// Config assembles a DSM run: process count, transport, the
-	// fabric/GM/kernel/CPU cost models, and the opt-in features — each on
-	// when it is set: Crash (a trigger), Flow and Hedge (bools).
+	// Config assembles a DSM run: process count, transport, protocol,
+	// and the features — each on when it is set: Scheme, Rendezvous,
+	// Faults, Crash (a trigger), Flow and Hedge. The testbed's cost
+	// models (fabric, GM, kernel, CPU) are constants, not settings.
 	Config = tmk.Config
 	// Cluster is an assembled run on which Run executes an application.
 	Cluster = tmk.Cluster
