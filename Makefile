@@ -129,10 +129,12 @@ bench:
 # one-sided path must still win the E3 rows and applications it is pinned
 # to win, or stay under the ceiling its exception names. The placement
 # rule's own tests ride along: homes follow the sole writer and nothing
-# else, and every rank remembers a barrier by the same vector clock.
+# else, and every rank remembers a barrier by the same vector clock — as do
+# the pipeline's: a new region costs one round trip per Distribute round,
+# not one per peer, and a flush posts each Put while the next page encodes.
 rdma-smoke:
 	$(GO) test -short -run 'TestHomeBased|TestBenchE3RDMAWinsHeadlineRows' ./internal/harness/
-	$(GO) test -run 'TestHomesFollowTheSoleWriter|TestHomeWritesAreTwinFree|TestBarrierVCAgreesOnEveryRank' ./internal/tmk/
+	$(GO) test -run 'TestHomesFollowTheSoleWriter|TestHomeWritesAreTwinFree|TestBarrierVCAgreesOnEveryRank|TestDistributeIsOneRoundTrip|TestHomeFlushStreams' ./internal/tmk/
 
 # The one comparison: every regenerated row that differs from the
 # checked-in BENCH_*.json is printed with its old and new value, and none

@@ -181,10 +181,13 @@ func (tp *Proc) maybeCrashAt(counter *int, at int) {
 
 // entity names the protocol entity a process is blocked on, for the
 // watchdog's post-mortem: a format over up to three ids, rendered only
-// when a report or a panic needs the text — never per remote call.
+// when a report or a panic needs the text — never per remote call. A
+// scatter's entity also holds its calls, and its format's last verb
+// renders the ranks whose reply is still owed.
 type entity struct {
 	format string
 	ids    [3]int
+	owed   []substrate.Pending
 }
 
 func blocked(format string, ids ...int) (e entity) {
@@ -193,9 +196,27 @@ func blocked(format string, ids ...int) (e entity) {
 	return e
 }
 
+// owedBy is blocked for a scatter over pending.
+func owedBy(pending []substrate.Pending, format string, ids ...int) entity {
+	e := blocked(format, ids...)
+	e.owed = pending
+	return e
+}
+
 func (e entity) String() string {
 	args := make([]any, strings.Count(e.format, "%"))
-	for i := range args {
+	n := len(args)
+	if e.owed != nil {
+		n--
+		var ranks []int
+		for _, pd := range e.owed {
+			if pd.Reply() == nil {
+				ranks = append(ranks, pd.Dst())
+			}
+		}
+		args[n] = ranks
+	}
+	for i := range n {
 		args[i] = e.ids[i]
 	}
 	return fmt.Sprintf(e.format, args...)

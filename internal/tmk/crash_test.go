@@ -236,10 +236,10 @@ func TestLivenessStatsFlow(t *testing.T) {
 // retry budget declares the peer dead, which always calls the watchdog, so
 // Run returns a CrashAbortError — there is no separate "stalled" outcome —
 // whose report names the unreachable rank, the give-up and what every
-// survivor was blocked on. Nothing reaches rank 1, the first peer rank 0
-// distributes the region to; nobody else has a request outstanding, so the
-// small budget (on udpgm also the patience for a slow reply) condemns
-// nobody else.
+// survivor was blocked on. Nothing reaches rank 1: rank 0's distribute
+// scatter is left owing rank 1's ack alone, and nobody else has a request
+// outstanding, so the small budget (on udpgm also the patience for a slow
+// reply) condemns nobody else.
 func TestRetryExhaustionAbortsWithPostMortem(t *testing.T) {
 	for _, kind := range allTransports {
 		t.Run(string(kind), func(t *testing.T) {
@@ -261,9 +261,15 @@ func TestRetryExhaustionAbortsWithPostMortem(t *testing.T) {
 			if !strings.Contains(rep.Cause, "retry-exhausted") {
 				t.Errorf("cause = %q, want retry-exhausted", rep.Cause)
 			}
-			for _, rank := range []int{0, 2} {
-				if !strings.HasPrefix(rep.Entities[rank], "blocked on region 0") {
-					t.Errorf("survivor %d: %q, want blocked on region 0", rank, rep.Entities[rank])
+			// Rank 2 has the region at once; home-based, it waits for the
+			// commit round rank 0 never reaches.
+			want2 := "blocked on barrier 1 episode 0 (arrive at parent 0)"
+			if kind == tmk.TransportRDMAGM {
+				want2 = "blocked on region 0 (awaiting distribute from rank 0)"
+			}
+			for rank, want := range map[int]string{0: "blocked on region 0 (distribute; acks owed by [1])", 2: want2} {
+				if rep.Entities[rank] != want {
+					t.Errorf("survivor %d: %q, want %q", rank, rep.Entities[rank], want)
 				}
 			}
 			if res.PeerFailure == nil || res.PeerFailure.Peer != 1 || res.PeerFailure.Kind != "retry-exhausted" {

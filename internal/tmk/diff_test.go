@@ -228,7 +228,7 @@ func TestIntervalStore(t *testing.T) {
 func TestPageMetaNotices(t *testing.T) {
 	tp := &Proc{n: 3}
 	r := &Region{StartPage: 7, NPages: 1}
-	tp.materialize(r)
+	tp.materialize(r, true)
 	pm := r.page(7)
 	if !pm.addNotice(1, 3) {
 		t.Error("uncovered notice not flagged")

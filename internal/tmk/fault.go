@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/msg"
 	"repro/internal/sim"
@@ -275,8 +274,10 @@ func (tp *Proc) applyDiffs(pm *pageMeta, all []msg.Diff) {
 }
 
 // closeInterval ends the current interval if any pages were written:
-// create write notices and (eagerly) the diffs, bump our clock, and log
-// the interval. Runs masked where required by callers.
+// create write notices and (eagerly) the diffs, in page order, bump our
+// clock, and log the interval. Homeless, each diff is kept for the run;
+// home-based, it is shipped to the page's home as it is encoded
+// (flushPage). Runs masked where required by callers — home-based, always.
 func (tp *Proc) closeInterval() {
 	if len(tp.dirty) == 0 {
 		return
@@ -285,18 +286,29 @@ func (tp *Proc) closeInterval() {
 	tp.vc[tp.rank] = ts
 	pages := make([]int32, len(tp.dirty))
 	copy(pages, tp.dirty)
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
+	slices.Sort(pages)
 	tp.store.add(int32(tp.rank), ts, tp.vc.Clone(), pages)
 	tp.stats.IntervalsCreated++
 
-	for _, pg := range tp.dirty {
+	for _, pg := range pages {
 		pm := tp.page(pg)
 		if pm.twin != nil {
+			diff := appendDiff(tp.diffScratch, pm.twin, pm.bytes())
+			if !tp.homeBased {
+				// Kept before the Advance below, in which a handler's own
+				// close can reuse the scratch.
+				diff = tp.diffArena.keep(diff)
+			}
 			// Diff creation: scan twin vs page (two pages of memory traffic).
-			diff := tp.retain(appendDiff(tp.diffScratch, pm.twin, pm.bytes()))
 			tp.sp.Advance(sim.BytesTime(2*PageSize, DiffScanBandwidth) +
 				sim.BytesTime(len(diff), MemcpyBandwidth))
-			tp.keepDiff(diffKey{page: pg, ts: ts}, diff)
+			if tp.homeBased {
+				if home := tp.HomeOf(pg); home != tp.rank { // else our copy is the home window
+					tp.flushPage(pm, home, diff)
+				}
+			} else {
+				tp.keepDiff(diffKey{page: pg, ts: ts}, diff)
+			}
 			tp.stats.DiffsCreated++
 			tp.stats.DiffBytesCreated += int64(len(diff))
 			tp.observe(event{kind: evDiffCreate, page: pm, peer: -1, a: int(ts), bytes: len(diff)})
@@ -321,28 +333,13 @@ func (tp *Proc) closeInterval() {
 		}
 	}
 	if tp.homeBased {
-		// HLRC flush: every diff reaches its home before this function
-		// returns — and the messages that make the interval visible
-		// elsewhere (barrier arrive, lock grant) are sent strictly after.
-		tp.flushHomeDiffs(ts, pages)
-		// The homes hold the data now, and no one asks a home-based
-		// writer for a diff.
-		for _, pg := range pages {
-			tp.dropDiff(diffKey{page: pg, ts: ts})
-		}
+		// Every diff reaches its home before this function returns — and
+		// the messages that make the interval visible elsewhere (barrier
+		// arrive, lock grant) are sent strictly after. The homes hold the
+		// data then, and no one asks a home-based writer for a diff.
+		tp.finishFlush(ts)
 	}
 	tp.dirty = tp.dirty[:0]
-}
-
-// retain copies a diff just encoded in diffScratch to where it lives as
-// long as it must: homeless, into the arena, for the run (any later fault
-// may ask for it); home-based, into a copy of its own, which the
-// interval's flush drops — it must not pin an arena chunk for the run.
-func (tp *Proc) retain(d []byte) []byte {
-	if tp.homeBased {
-		return append([]byte(nil), d...)
-	}
-	return tp.diffArena.keep(d)
 }
 
 // diffArena holds a homeless process's diffs, each kept for the run: a diff
@@ -379,16 +376,11 @@ type diffKey struct {
 	ts   int32
 }
 
-// keepDiff and dropDiff are the only writers of myDiffs, so that diffBytes
-// (the metadata gauge's retained-diff share) is the payload bytes in it.
+// keepDiff is the only writer of myDiffs, so that diffBytes (the metadata
+// gauge's retained-diff share) is the payload bytes in it.
 func (tp *Proc) keepDiff(k diffKey, d []byte) {
 	tp.myDiffs[k] = d
 	tp.diffBytes += int64(len(d))
-}
-
-func (tp *Proc) dropDiff(k diffKey) {
-	tp.diffBytes -= int64(len(tp.myDiffs[k]))
-	delete(tp.myDiffs, k)
 }
 
 // applyIntervals merges received intervals: log them, deliver write

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/gm"
 	"repro/internal/sim"
 	"repro/internal/substrate"
 )
@@ -250,13 +249,15 @@ type homePut struct {
 	window  int32
 	segs    []substrate.PutSeg
 	payload int
+	posted  bool
 }
 
 // homePacker packs an interval's diffs into as few Puts as the frame
 // limit allows: one open frame per home, closed when the next page
 // belongs to another region or its segments would push the frame (sized
 // by the transport's PutSize) past limit. No single page can: 512 runs
-// is the most a page encodes, ≈6 KB of segments.
+// is the most a page encodes, ≈6 KB of segments. A process keeps one and
+// reuses its frames, map and scratch interval to interval (reset).
 type homePacker struct {
 	limit int
 	size  func(nseg, payload int) int
@@ -265,76 +266,119 @@ type homePacker struct {
 	page  []substrate.PutSeg // scratch: the current page's segments
 }
 
-// add appends one page's diff, as segments offset by the page's window
-// offset base, to home's open frame and returns the payload bytes (an
-// empty diff adds nothing).
-func (hp *homePacker) add(home int, window int32, base int, diff []byte) int {
+// add appends one page's diff to home's open frame: each run a segment of
+// data, the page's bytes the diff was taken from, at the run's offset from
+// base, the page's offset in the window. It returns the payload bytes (an
+// empty diff adds nothing) and the index of the frame the page closed to
+// make room — complete now, ready to post — or -1.
+func (hp *homePacker) add(home int, window int32, base int, diff, data []byte) (payload, closed int) {
 	hp.page = hp.page[:0]
-	payload := 0
 	for off := 0; off < len(diff); {
-		start := int(binary.LittleEndian.Uint16(diff[off:]))
+		start := 4 * int(binary.LittleEndian.Uint16(diff[off:]))
 		n := 4 * int(binary.LittleEndian.Uint16(diff[off+2:]))
-		off += 4
-		hp.page = append(hp.page, substrate.PutSeg{Off: base + start*4, Data: diff[off : off+n]})
-		off += n
+		off += 4 + n
+		hp.page = append(hp.page, substrate.PutSeg{Off: base + start, Data: data[start : start+n]})
 		payload += n
 	}
+	closed = -1
 	if len(hp.page) == 0 {
-		return 0
+		return 0, closed
 	}
 	i, ok := hp.open[home]
 	if !ok || hp.puts[i].window != window ||
 		hp.size(len(hp.puts[i].segs)+len(hp.page), hp.puts[i].payload+payload) > hp.limit {
+		if ok {
+			closed = i
+		}
 		i = len(hp.puts)
 		hp.open[home] = i
-		hp.puts = append(hp.puts, homePut{home: home, window: window})
+		var segs []substrate.PutSeg
+		if i < cap(hp.puts) { // reuse the segment slice an earlier interval left there
+			segs = hp.puts[:i+1][i].segs[:0]
+		}
+		hp.puts = append(hp.puts, homePut{home: home, window: window, segs: segs})
 	}
 	hp.puts[i].segs = append(hp.puts[i].segs, hp.page...)
 	hp.puts[i].payload += payload
-	return payload
+	return payload, closed
 }
 
-// flushHomeDiffs ships the interval's diffs into each dirty page's home
-// window and waits for every completion — the flush-before-synchronize
-// half of HLRC. The wire carries only changed words, and carries them in
+// reset empties the packer for the next interval, keeping its storage.
+func (hp *homePacker) reset() {
+	hp.puts = hp.puts[:0]
+	clear(hp.open)
+}
+
+// homeFlush is one interval's flush in progress (home-based): the packer,
+// the Puts posted and the pages handed to it, kept on the process and
+// reused interval to interval.
+type homeFlush struct {
+	packer homePacker
+	verbs  []substrate.PendingVerb
+	pages  []flushedPage
+}
+
+// flushedPage is one page of a flush: its home, payload bytes and when its
+// diff was handed over.
+type flushedPage struct {
+	pm    *pageMeta
+	home  int
+	bytes int
+	start sim.Time
+}
+
+// flushPage ships one dirty page's diff toward its home window — the
+// flush-before-synchronize half of HLRC, page by page as closeInterval
+// encodes them. The wire carries only changed words, taken straight out
+// of the page (a Put copies its segments as it is posted, and closeInterval
+// runs masked, so nothing writes the page before then), and carries them in
 // few frames: every diff run is one segment of a scatter Put, and a Put
 // holds as many pages' segments as fit the GM size class a dense
-// single-page Put occupies anyway — so a dense page is still one frame
-// (and its staging still overlaps the previous frame's send), while
-// sparse pages, whose runs would each have been a verb, share one. Runs
-// masked (callers of closeInterval hold delivery disabled), which is
-// legal: completions arrive on the dedicated CQ port, not the async
-// request port.
+// single-page Put occupies anyway. A frame is posted the moment a page
+// closes it, so it travels while the next pages encode. Runs masked,
+// which is legal: completions arrive on the dedicated CQ port, not the
+// async request port.
 //
 // No coverage filtering is needed on this path: the home is a single
 // ordered application point — Puts from one interval complete before
 // the interval is visible, and a reader always takes the whole current
 // home page — so there is no "diff subsumed by a concurrently fetched
 // copy" hazard to filter.
-func (tp *Proc) flushHomeDiffs(ts int32, pages []int32) {
-	hp := homePacker{size: tp.os.PutSize, open: map[int]int{},
-		limit: gm.ClassCapacity(tp.cluster.gmsys.Params().ClassFor(tp.os.PutSize(1, PageSize)))}
-	total := 0
-	for _, pg := range pages {
-		pm := tp.page(pg)
-		home := tp.HomeOf(pg)
-		if home == tp.rank {
-			continue // our copy is the home window; nothing to ship
+func (tp *Proc) flushPage(pm *pageMeta, home int, diff []byte) {
+	hf := &tp.flush
+	nbytes, closed := hf.packer.add(home, pm.region.ID, windowOff(pm), diff, pm.bytes())
+	if closed >= 0 {
+		tp.postPut(closed)
+	}
+	hf.pages = append(hf.pages, flushedPage{pm: pm, home: home, bytes: nbytes, start: tp.sp.Now()})
+	tp.stats.HomeFlushes++
+	tp.stats.HomeFlushBytes += int64(nbytes)
+}
+
+// postPut posts the flush's packed frame i.
+func (tp *Proc) postPut(i int) {
+	hf := &tp.flush
+	put := &hf.packer.puts[i]
+	put.posted = true
+	hf.verbs = append(hf.verbs, tp.os.PostPut(tp.sp, put.home, put.window, put.segs...))
+}
+
+// finishFlush posts the frames interval ts left open and waits for every
+// Put of the interval to complete: the homes hold its data when it returns,
+// which is when each page's flush is observed to end.
+func (tp *Proc) finishFlush(ts int32) {
+	hf := &tp.flush
+	for i := range hf.packer.puts {
+		if !hf.packer.puts[i].posted {
+			tp.postPut(i)
 		}
-		nbytes := hp.add(home, pm.region.ID, windowOff(pm), tp.myDiffs[diffKey{page: pg, ts: ts}])
-		total += nbytes
-		tp.stats.HomeFlushes++
-		tp.stats.HomeFlushBytes += int64(nbytes)
-		tp.observe(event{kind: evHomeFlushPage, page: pm, peer: home, bytes: nbytes})
 	}
-	if len(hp.puts) == 0 {
-		return
+	if len(hf.verbs) > 0 {
+		tp.waitVerbs(blocked("interval %d (home flush, %d puts)", int(ts), len(hf.verbs)), hf.verbs)
 	}
-	verbs := make([]substrate.PendingVerb, len(hp.puts))
-	for i, put := range hp.puts {
-		verbs[i] = tp.os.PostPut(tp.sp, put.home, put.window, put.segs...)
+	for _, f := range hf.pages {
+		tp.observe(event{kind: evHomeFlush, start: f.start, dur: tp.sp.Now() - f.start, page: f.pm, peer: f.home, bytes: f.bytes})
 	}
-	start := tp.sp.Now()
-	tp.waitVerbs(blocked("interval %d (home flush, %d puts)", int(ts), len(verbs)), verbs)
-	tp.observe(event{kind: evHomeFlush, start: start, dur: tp.sp.Now() - start, peer: -1, bytes: total})
+	hf.packer.reset()
+	hf.verbs, hf.pages = hf.verbs[:0], hf.pages[:0]
 }

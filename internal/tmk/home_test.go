@@ -19,14 +19,14 @@ func newTestPacker() *homePacker {
 		limit: gm.ClassCapacity(gm.DefaultParams().ClassFor(testPutSize(1, PageSize)))}
 }
 
-// pageDiff encodes the diff of a zero page against one whose every
-// stride-th word (from word 0) is set to fill.
-func pageDiff(fill byte, stride int) []byte {
-	cur := make([]byte, PageSize)
+// pageDiff returns a page whose every stride-th word (from word 0) is set
+// to fill, and its diff against a zero page.
+func pageDiff(fill byte, stride int) (diff, cur []byte) {
+	cur = make([]byte, PageSize)
 	for w := 0; w < wordsPerPage; w += stride {
 		copy(cur[w*4:], []byte{fill, fill, fill, fill})
 	}
-	return EncodeDiff(make([]byte, PageSize), cur)
+	return EncodeDiff(make([]byte, PageSize), cur), cur
 }
 
 // applyPuts deposits every packed segment into the (home, window) memory
@@ -65,11 +65,12 @@ func TestHomePackerDensePagesSplit(t *testing.T) {
 		if pg >= 10 {
 			stride = 4 // two-word runs every four words, as red-black SOR leaves a row
 		}
-		diff := pageDiff(byte(pg+1), stride)
+		diff, cur := pageDiff(byte(pg+1), stride)
 		if err := ApplyDiff(want[pg*PageSize:(pg+1)*PageSize], diff); err != nil {
 			t.Fatal(err)
 		}
-		total += hp.add(0, 3, pg*PageSize, diff)
+		n, _ := hp.add(0, 3, pg*PageSize, diff, cur)
+		total += n
 	}
 	if len(hp.puts) != 11 {
 		t.Errorf("packed %d frames, want 11 (ten dense pages alone, two sparse pages together)", len(hp.puts))
@@ -101,7 +102,8 @@ func TestHomePackerDensePagesSplit(t *testing.T) {
 func TestHomePackerWorstCasePageFits(t *testing.T) {
 	hp := newTestPacker()
 	for pg := 0; pg < 64; pg++ {
-		hp.add(1, 0, pg*PageSize, pageDiff(0xEE, 2))
+		diff, cur := pageDiff(0xEE, 2)
+		hp.add(1, 0, pg*PageSize, diff, cur)
 	}
 	if len(hp.puts) != 64 {
 		t.Errorf("packed %d frames for 64 worst-case pages, want one each", len(hp.puts))
@@ -117,11 +119,13 @@ func TestHomePackerWorstCasePageFits(t *testing.T) {
 // empty diff, contributes no segment and opens no frame.
 func TestHomePackerEmptyDiffs(t *testing.T) {
 	hp := newTestPacker()
-	if n := hp.add(2, 0, 0, nil); n != 0 || len(hp.puts) != 0 {
-		t.Errorf("an empty diff added %d bytes and %d frames", n, len(hp.puts))
+	if n, closed := hp.add(2, 0, 0, nil, nil); n != 0 || closed != -1 || len(hp.puts) != 0 {
+		t.Errorf("an empty diff added %d bytes and %d frames, closed frame %d", n, len(hp.puts), closed)
 	}
-	hp.add(2, 0, PageSize, pageDiff(5, 64))
-	hp.add(2, 0, 2*PageSize, EncodeDiff(make([]byte, PageSize), make([]byte, PageSize)))
+	diff, cur := pageDiff(5, 64)
+	hp.add(2, 0, PageSize, diff, cur)
+	zero := make([]byte, PageSize)
+	hp.add(2, 0, 2*PageSize, EncodeDiff(zero, zero), zero)
 	if len(hp.puts) != 1 || len(hp.puts[0].segs) != wordsPerPage/64 {
 		t.Errorf("frames %+v, want one frame holding only the changed page's segments", hp.puts)
 	}
@@ -132,12 +136,23 @@ func TestHomePackerEmptyDiffs(t *testing.T) {
 // window) — a page of the first region after the second opens a new one.
 func TestHomePackerKeepsHomesAndRegionsApart(t *testing.T) {
 	hp := newTestPacker()
-	sparse := pageDiff(9, 128)
-	hp.add(1, 0, 0, sparse)          // home 1, region 0
-	hp.add(2, 0, PageSize, sparse)   // home 2, region 0
-	hp.add(1, 0, 2*PageSize, sparse) // joins home 1's open frame
-	hp.add(1, 1, 0, sparse)          // same home, other region: new frame
-	hp.add(1, 0, 3*PageSize, sparse) // back to region 0: new frame again
+	sparse, cur := pageDiff(9, 128)
+	for _, c := range []struct {
+		home   int
+		window int32
+		base   int
+		closed int
+	}{
+		{1, 0, 0, -1},            // home 1, region 0
+		{2, 0, PageSize, -1},     // home 2, region 0
+		{1, 0, 2 * PageSize, -1}, // joins home 1's open frame
+		{1, 1, 0, 0},             // same home, other region: closes home 1's frame, opens a new one
+		{1, 0, 3 * PageSize, 2},  // back to region 0: closes that one, opens a new one again
+	} {
+		if _, closed := hp.add(c.home, c.window, c.base, sparse, cur); closed != c.closed {
+			t.Errorf("page at %d of home %d window %d closed frame %d, want %d", c.base, c.home, c.window, closed, c.closed)
+		}
+	}
 	type key struct {
 		home   int
 		window int32
@@ -386,5 +401,48 @@ func TestBarrierVCAgreesOnEveryRank(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestHomeFlushStreams: an interval that dirties k dense pages homed on
+// one remote rank posts each page's Put as soon as it is encoded, so the
+// wire carries the first pages while the last ones encode: the flush
+// finishes sooner than encoding all k pages and then transferring all of
+// them — k Puts of a page each, posted and awaited on the same path.
+func TestHomeFlushStreams(t *testing.T) {
+	const k = 8
+	var flush, transfer sim.Time
+	_, err := Run(DefaultConfig(2, TransportRDMAGM), func(tp *Proc) {
+		r := tp.AllocShared(2 * k * PageSize) // odd pages are homed at rank 1
+		tp.Barrier(1)
+		if tp.Rank() == 0 {
+			for i := 0; i < k; i++ {
+				tp.WriteAt(r, (2*i+1)*PageSize, bytes.Repeat([]byte{byte(i + 1)}, PageSize))
+			}
+			tp.tr.DisableAsync(tp.sp)
+			start := tp.Now()
+			tp.closeInterval()
+			flush = tp.Now() - start
+
+			start = tp.Now()
+			verbs := make([]substrate.PendingVerb, k)
+			for i := range verbs {
+				pm := r.page(r.StartPage + int32(2*i+1))
+				verbs[i] = tp.os.PostPut(tp.sp, 1, r.ID, substrate.PutSeg{Off: windowOff(pm), Data: pm.bytes()})
+			}
+			tp.waitVerbs(blocked("transfer"), verbs)
+			transfer = tp.Now() - start
+			tp.tr.EnableAsync(tp.sp)
+		}
+		tp.Barrier(2)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	encode := k * (sim.BytesTime(2*PageSize, DiffScanBandwidth) + sim.BytesTime(PageSize+4, MemcpyBandwidth))
+	t.Logf("flush of %d dense pages %v; encoding them %v, transferring them %v", k, flush, encode, transfer)
+	if flush >= encode+transfer {
+		t.Errorf("flush of %d dense pages took %v, no sooner than encoding them (%v) and then transferring them (%v)",
+			k, flush, encode, transfer)
 	}
 }

@@ -53,11 +53,10 @@ var (
 
 	// Home-based LRC; peer = the home. A home fetch is one Get of a read
 	// fault (evReadFault), posted to merged; a fault has more than one only
-	// if a notice landed mid-Get. DRIFT: a flush is per page for the
-	// profiler, per interval for the ring.
-	evHomeFetch     = &evKind{ring: "home-fetch", prof: []prof.Kind{prof.Fetch, prof.HomeFetch}}
-	evHomeFlushPage = &evKind{prof: []prof.Kind{prof.HomeFlush}}
-	evHomeFlush     = &evKind{ring: "home-flush"}
+	// if a notice landed mid-Get. A home flush is one page of an interval's
+	// flush, from its diff's hand-off to the end of the interval's flush.
+	evHomeFetch = &evKind{ring: "home-fetch", prof: []prof.Kind{prof.Fetch, prof.HomeFetch}}
+	evHomeFlush = &evKind{ring: "home-flush", prof: []prof.Kind{prof.HomeFlush}}
 	// A migration, observed once, by the rank that becomes home; peer = the
 	// home it leaves.
 	evHomeMove = &evKind{ring: "home-move", prof: []prof.Kind{prof.HomeMove},

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/gm"
 	"repro/internal/msg"
 	"repro/internal/sim"
 	"repro/internal/substrate"
@@ -27,6 +28,7 @@ type Proc struct {
 	// the pages still to validate and their Gets, index for index.
 	homeGets  []homeGet
 	homeVerbs []substrate.PendingVerb
+	flush     homeFlush // closeInterval's flush, reused interval to interval
 
 	// Homeless LRC's diff-path buffers; nil home-based, which never fetches
 	// or serves a diff.
@@ -38,11 +40,11 @@ type Proc struct {
 	pages         []*pageMeta // by global page id, into the regions' slabs; nil = not mapped here
 	notices       noticePool  // backs and counts every page's notice lists
 	dirty         []int32
-	myDiffs       map[diffKey][]byte
-	diffBytes     int64     // payload bytes in myDiffs (keepDiff, dropDiff)
-	freeTwins     [][]byte  // twins handed back at interval close, reused by the next write fault
-	diffScratch   []byte    // closeInterval encodes here, then retains the diff's bytes (retain)
-	diffArena     diffArena // homeless: every diff kept, for the run
+	myDiffs       map[diffKey][]byte // homeless: every diff this rank created
+	diffBytes     int64              // payload bytes in myDiffs (keepDiff)
+	freeTwins     [][]byte           // twins handed back at interval close, reused by the next write fault
+	diffScratch   []byte             // closeInterval encodes here; homeless, the diff is then kept in diffArena
+	diffArena     diffArena          // homeless: every diff kept, for the run
 
 	locks   map[int32]*lockState
 	barrier barrierState
@@ -84,8 +86,8 @@ func (tp *Proc) Stats() *Stats { return &tp.stats }
 
 // metaGauge is this rank's protocol metadata in bytes (DESIGN.md §4.3):
 // retained diff payloads, interval records, and write notices — each a
-// counter kept by the code that adds to and prunes its structure (keepDiff
-// and dropDiff, intervalStore, noticePool), so a barrier reads it for free.
+// counter kept by the code that adds to and prunes its structure (keepDiff,
+// intervalStore, noticePool), so a barrier reads it for free.
 func (tp *Proc) metaGauge() int64 {
 	return tp.diffBytes + tp.store.bytes + 4*tp.notices.live
 }
@@ -110,6 +112,8 @@ func newProc(c *Cluster, rank int, sp *sim.Proc, tr substrate.Transport) *Proc {
 		tp.homeBased = true
 		tp.os = tr.(substrate.OneSided)
 		tp.homes = &homeTable{home: map[int32]int32{}, cand: map[int32]int32{}, sole: map[int32]int32{}}
+		tp.flush.packer = homePacker{size: tp.os.PutSize, open: map[int]int{},
+			limit: gm.ClassCapacity(c.gmsys.Params().ClassFor(tp.os.PutSize(1, PageSize)))}
 	} else {
 		tp.diffBufs = new(diffBuffers)
 		tp.diffBufs.faults = tp.diffBufs.one[:0]

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/msg"
 	"repro/internal/sim"
+	"repro/internal/substrate"
 )
 
 // Region is a shared-memory region in the global page-aligned address
@@ -23,16 +24,19 @@ type Region struct {
 	Bytes     int64
 
 	// committed (home-based mode, local flag): every rank has mapped the
-	// region and registered its memory window, so home flushes can no
-	// longer race an unregistered window. Set by KDistributeCommit.
+	// region and pinned its memory window, so this rank's home flushes can
+	// no longer race an unpinned one. Set on a peer by KDistributeCommit,
+	// on the owner when Distribute's commit round ends.
 	committed bool
 
 	// This process's copy (materialize): the pages' metadata, by offset from
 	// StartPage, and the storage their frames are carved from — chunk is the
-	// unused tail of the current run of frames, unbacked the pages without one.
+	// unused tail of the current run of frames, unbacked the pages without one;
+	// home-based, window is the whole region's storage, its RDMA window.
 	pages    []pageMeta
 	chunk    []byte
 	unbacked int32
+	window   []byte
 }
 
 // frameChunk is how many page frames a region's storage grows by (fewer when
@@ -84,7 +88,7 @@ func regionFromWire(ri msg.RegionInfo) *Region {
 // Alloc reserves a shared region of nbytes (page-rounded) in the global
 // address space and initializes the caller as its owner with a zeroed,
 // valid copy — Tmk_malloc. The region is unknown to other processes
-// until Distribute.
+// until Distribute, which also pins a home-based owner's window.
 func (tp *Proc) Alloc(nbytes int) *Region {
 	if nbytes <= 0 {
 		panic("tmk: Alloc of non-positive size")
@@ -95,7 +99,6 @@ func (tp *Proc) Alloc(nbytes int) *Region {
 		StartPage: tp.cluster.nextPage,
 		NPages:    npages,
 		Bytes:     int64(nbytes),
-		committed: true, // the owner's own window exists from mapRegion on
 	}
 	tp.cluster.nextRegionID++
 	tp.cluster.nextPage += npages
@@ -103,26 +106,43 @@ func (tp *Proc) Alloc(nbytes int) *Region {
 	return r
 }
 
-// Distribute announces the region to every other process — Tmk_distribute.
-// In home-based mode a second commit round follows: only after every rank
-// has acked the announcement (mapping the region and registering its
-// window) are the AllocShared waiters released, so no rank can write —
-// and therefore flush to a home window — before every window exists.
+// Distribute announces the region to every other process — Tmk_distribute —
+// in one scatter: every peer maps the region and acks at once. Home-based,
+// each peer pins its window before it acks, and the owner pins its own
+// meanwhile, between posting the announcements and collecting the acks:
+// nothing can Put into the owner's window before the commit round ends.
+// That second scatter releases the AllocShared waiters only after every
+// rank has acked the announcement, so no rank can write — and therefore
+// flush to a home window — before every window is pinned.
 func (tp *Proc) Distribute(r *Region) {
-	tp.tellPeers(r, msg.KDistribute, "region %d (distribute to %d)")
+	pending := tp.announce(r, msg.KDistribute)
 	if tp.homeBased {
-		tp.tellPeers(r, msg.KDistributeCommit, "region %d (commit to %d)")
+		tp.os.RegisterWindow(tp.sp, r.ID, r.window)
+	}
+	tp.collectAcks(r, msg.KDistribute, "region %d (distribute; acks owed by %v)", pending)
+	if tp.homeBased {
+		tp.collectAcks(r, msg.KDistributeCommit, "region %d (commit; acks owed by %v)",
+			tp.announce(r, msg.KDistributeCommit))
+		r.committed = true
 	}
 }
 
-// tellPeers is one round of Distribute: every other process in turn is
-// sent the region's descriptor and acknowledges it.
-func (tp *Proc) tellPeers(r *Region, kind msg.Kind, blockedOn string) {
+// announce posts one round of Distribute, the region's descriptor, to every
+// other process at once.
+func (tp *Proc) announce(r *Region, kind msg.Kind) []substrate.Pending {
+	pending := make([]substrate.Pending, 0, tp.n-1)
 	for peer := 0; peer < tp.n; peer++ {
-		if peer == tp.rank {
-			continue
+		if peer != tp.rank {
+			pending = append(pending, tp.tr.CallBegin(tp.sp, peer, &msg.Message{Kind: kind, Region: r.wire()}))
 		}
-		rep := tp.call(peer, blocked(blockedOn, int(r.ID), peer), &msg.Message{Kind: kind, Region: r.wire()})
+	}
+	return pending
+}
+
+// collectAcks waits for every ack of one announce round, naming the peers
+// whose ack is still owed while it does.
+func (tp *Proc) collectAcks(r *Region, kind msg.Kind, blockedOn string, pending []substrate.Pending) {
+	for _, rep := range tp.scatter(owedBy(pending, blockedOn, int(r.ID)), pending) {
 		if rep.Kind != msg.KAck {
 			panic(fmt.Sprintf("tmk: %v: unexpected %v", kind, rep.Kind))
 		}
@@ -155,7 +175,7 @@ func (tp *Proc) mapRegion(r *Region, owned bool) {
 	if tp.RegionByID(r.ID) != nil {
 		return
 	}
-	tp.materialize(r)
+	tp.materialize(r, owned)
 	for i := range r.pages {
 		pm := &r.pages[i]
 		if owned || (tp.homeBased && tp.HomeOf(pm.id) == tp.rank) {
@@ -187,16 +207,19 @@ func (tp *Proc) mapRegion(r *Region, owned bool) {
 
 // materialize gives region its copy on this process and enters it in the
 // region and page tables: one slab of pageMetas, whose writer lists start
-// empty, and no storage — except home-based, where the
-// first chunk is the whole region, the RDMA window is registered over it
-// (window id = region id, page pg at byte (pg−StartPage)·PageSize) and every
-// page takes its frame from it now.
-func (tp *Proc) materialize(region *Region) {
+// empty, and no storage — except home-based, where the first chunk is the
+// whole region, its window (window id = region id, page pg at byte
+// (pg−StartPage)·PageSize), and every page takes its frame from it now. A
+// peer pins the window here; the owner pins it in Distribute.
+func (tp *Proc) materialize(region *Region, owned bool) {
 	region.pages = make([]pageMeta, region.NPages)
 	region.unbacked = region.NPages
 	if tp.homeBased {
-		region.chunk = make([]byte, int(region.NPages)*PageSize)
-		tp.os.RegisterWindow(tp.sp, region.ID, region.chunk)
+		region.window = make([]byte, int(region.NPages)*PageSize)
+		region.chunk = region.window
+		if !owned {
+			tp.os.RegisterWindow(tp.sp, region.ID, region.window)
+		}
 	}
 	if grow := int(region.ID) + 1 - len(tp.regions); grow > 0 {
 		tp.regions = append(tp.regions, make([]*Region, grow)...)
