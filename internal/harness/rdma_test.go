@@ -182,11 +182,18 @@ func TestBenchE3RDMAWinsHeadlineRows(t *testing.T) {
 			"critical path, and the homeless root encodes %d diffs where the home-based root, whose self-homed "+
 			"pages take no twin, encodes %d", homeless, homeBased)
 	}
+	// jacobi/8 began to lose when read faults gained readahead: the homeless
+	// first sweep asked rank 0, which wrote every page's boundary words, for
+	// one diff per page, and now asks for a run of pages per request
+	// (fastgm requests 1,143 → 384), while HLRC's Gets never queued at one
+	// host: they spread over the round-robin homes, and their NICs serve them.
+	const firstSweepIncast = "readahead removed the homeless first sweep's incast of one diff request per page at rank 0; HLRC never had it, its Gets spread over the round-robin homes"
 	exceptions := map[cell]struct {
 		ceiling float64
 		why     string
 	}{
 		{"tsp", 4}:     {1.05, lockBound},
+		{"jacobi", 8}:  {1.05, firstSweepIncast},
 		{"3dfft", 8}:   {1.15, spanWaves + "; and " + rootEncodes(240, 84)},
 		{"tsp", 8}:     {1.05, lockBound},
 		{"jacobi", 16}: {0, noFastGMRow},

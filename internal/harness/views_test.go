@@ -40,12 +40,12 @@ type viewHashes struct{ ring, prof, text string }
 // both see one home-flush event per page, where the ring saw one per
 // interval.
 var goldenViews = map[string]viewHashes{
-	"jacobi/udpgm":  {"9549d92236d5fe2ccf4e6c54044db9ff101349de7105bdcc587b708295b9fe05", "9f60c1c8036edd4167e528103d6b03791144bdbdd193d3c25fefd9701d724d97", "94235b9780fba674f1a792dce7fd777f64d62feb89a4af62c9e4b5dfb409add5"},
-	"jacobi/fastgm": {"b71e5c7a42b97b6dd5c26a6d6d7d422f7b72af20a111efe8e03c4c8d32bdaeeb", "d3301f79df23bdeac08d11729c67e4bde758eb9b1fad1a484a695cab397f9bd1", "f55cdbb1b1babcf57cf77b7ec70109a8f5ca400a1c784207e97549ad8a9208dc"},
-	"jacobi/rdmagm": {"a8acedf8169b15f3c524b9d3fc5ebf850be64864c7b376aa35dff6e592f648cb", "ecd8cd085745867b145066a456b93c16b7b5ef0d477179fef6a054158fdd9a38", "4dcaa662084f2a0ac82712afc417c0e6e4343f5bad0169824a7f438d85339324"},
+	"jacobi/udpgm":  {"546746a5ab46d35477642063a59bad494f7e68af00ed36d947d71e3f29007749", "229a7d3b024679decd07e49c88b648ae53012c01e5bf3435c8d8d138550a3b51", "cd4c6a0e6f27857f7d38dbce178021d828ac2547c80c89556b0b7cba7884dd68"},
+	"jacobi/fastgm": {"605145ad761259d286ddbdb392498de3d2ebe2d118228bfb5121d462aa3e0cc8", "fdabe7c59a17feabc3a470df3b336613b640f330f72589c0a89032a90d70d934", "bd57cd3e3a70f31badfb3321bc37a773db96d32e01ced4404122e007d52f3003"},
+	"jacobi/rdmagm": {"abc3e8fd23f753ebb242549bd773d278f79f49809e0cae0e24db5924bb96ecb9", "c4883ff6e8b87ee650e42cabe5a028b2cc0d17036fe4f043b1a5fdbf217c6de0", "263a0e2e354e7b217552f436b31e279bf3ec4bbb2dd68ddf40ccfadc4a912bcc"},
 	"sor/udpgm":     {"807203ffd3ac87542c625e25ccf84946a5dc77ecc3d46090fd2df34e12a12809", "21f5c88123e0656f1dd3cdc295159abffc6bdf5cf9321c6a4fd97f4bc4d17220", "cb097cde13cc7ded494266524f0e1f8867072aa28c8405903977cc685f8d3c94"},
 	"sor/fastgm":    {"2e52e3f8b0b2c40d435b8f2f13049f35634aa054b99317665438ada595767e2d", "e444c1c4be2d5dd05a0600d833cc60f674a87d6a0199dfcb124715327eb272c8", "313492aabc2558d055c32bd35247e0e403cceba4c58cd5a6076be01ed42ae278"},
-	"sor/rdmagm":    {"015a66460e11d1b9f9030f9da14597bd5513f5aaf1f9bf5915902d1c1f2dd8f5", "09186d499c7a6dc762f4bcec719e8ff3def23b5a072ff3cc05aacc706444f5a9", "f51dd9ccc4a3c6870b0912bddab00e17ca69d45fa4453355499328c79ae8b4f0"},
+	"sor/rdmagm":    {"804d582e3eb63b97e36c97eb46251e875a7e55e748b381339d04ae22ef5443e7", "47828ed079b81f2eb08479246d2a233ad1c2e1ca9060012f1c2458158a937a66", "7af245f8017ca52e25f76cd7933dfb403dcfaeec1d9969f2d976d3cf129870f1"},
 	"3dfft/udpgm":   {"fc626f4a12c8fbeedefbb7b74b83e672c1e2a71545c207065238bf13849dca0b", "34656207ee9b1a6716acc983f466bf51a89f6172d5ea19270914489a6d1f2491", "1c8e48a04ec1489709f75d85b52289d8a5f6f7107949dc560ebbe51014b6b3b7"},
 	"3dfft/fastgm":  {"e779925ae3b31629d9cdac09a0735739c3faeb92819371e88e30ff57bed2e697", "732dca6fe58369ffd17d282820be2752acd2cefa3f2d56bbcd00fd54e242e466", "cbcddc955ac37b236e0321caf3574a2cf1b3ad14e09931b5236f8b8931995902"},
 	"3dfft/rdmagm":  {"6008f182d254d0cda8dba8c8d045914dc804aba19e603bb01916521d4eaf751b", "d31c7b9dee21111fbca4a669a1aeadfb77bc0d5f92f376c102822f7dffdf9306", "e8634c82859f7d9fb4f6b2028ccb6e7b50c5001373d4a1b3355d10bdcaf0bdc1"},

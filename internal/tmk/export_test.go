@@ -135,6 +135,9 @@ func (tp *Proc) FrameCensus() (fc FrameCensus) {
 func (tp *Proc) HasFrame(r *Region, pg int) bool { return r.pages[pg].frame != nil }
 func (tp *Proc) HasCopy(r *Region, pg int) bool  { return r.pages[pg].haveCopy }
 
+// Valid reports whether page pg of r (by offset) reads on tp without a fault.
+func (tp *Proc) Valid(r *Region, pg int) bool { return r.pages[pg].state != pageInvalid }
+
 // TwinOnly write-faults page pg of r and stores nothing: it returns the twin
 // the fault took.
 func (tp *Proc) TwinOnly(r *Region, pg int) []byte {

@@ -12,12 +12,51 @@ import (
 
 // readFault makes the invalid pages of region r's span [first, last] valid,
 // all in flight at once: whole from their homes, or as their noticed diffs.
+// A fault whose first invalid page is the one after the previous fault's
+// last continues a sequential run, and the k-th such fault in a row also
+// validates up to k pages past the span, in the same request or Get wave
+// (readahead, DESIGN.md §4.3); any other fault starts a new run.
 func (tp *Proc) readFault(r *Region, first, last int32) {
-	if tp.homeBased {
-		tp.homeFaultRange(r, first, last)
-	} else {
-		tp.diffFaultRange(r, first, last)
+	lead := first
+	for lead <= last && r.page(lead).state != pageInvalid {
+		lead++
 	}
+	if lead > last {
+		return
+	}
+	if lead == r.next {
+		r.run++
+	} else {
+		r.run = 0
+	}
+	ahead := tp.readahead(r, last)
+	if tp.homeBased {
+		tp.homeFaultRange(r, first, last, ahead)
+	} else {
+		tp.diffFaultRange(r, first, last, ahead)
+	}
+	r.next = last + ahead + 1
+}
+
+// readahead returns how many pages past last a fault also validates: up to
+// the run's length, ending at the region's end and at the first page that
+// is valid or that no writer owes a diff for. Homeless, the writer copies
+// each diff into its reply in its request handler, so the window also
+// carries at most half a page of diff bytes at the previous fault's bytes
+// per page; a home's NIC serves a Get without its host, and only the run
+// bounds a home-based window.
+func (tp *Proc) readahead(r *Region, last int32) int32 {
+	most := r.run
+	if !tp.homeBased && r.perPage > 0 {
+		most = min(most, int32(PageSize/2/r.perPage))
+	}
+	ahead := int32(0)
+	for end := r.StartPage + r.NPages; ahead < most && last+ahead+1 < end; ahead++ {
+		if pm := r.page(last + ahead + 1); pm.state != pageInvalid || !pm.isMissingAny(tp.rank) {
+			break
+		}
+	}
+	return ahead
 }
 
 // writeFault makes a page writable: valid first, then twinned. A write
@@ -82,50 +121,65 @@ func (tp *Proc) ownTwin(pm *pageMeta) {
 }
 
 // diffFault is one page of a homeless read fault in flight: when its fault
-// began, and whether a writer left it out of the current wave.
+// began, whether it is a readahead page, and whether a writer left it out
+// of the current wave.
 type diffFault struct {
 	pm    *pageMeta
 	began sim.Time
+	ahead bool
 	short bool
 }
 
 // diffFaultRange is the homeless read fault over the span [first, last] of
-// region r's pages (DESIGN.md §4.3). A page never held starts as zeros:
-// every store since is a diff this rank holds the notice of. The missing
-// diffs come in waves, each at most one request frame of pages, until no
-// faulted page misses a notice — one landed mid-fault included.
-func (tp *Proc) diffFaultRange(r *Region, first, last int32) {
-	start := tp.sp.Now()
+// region r's pages (DESIGN.md §4.3), and the ahead pages after it. A page
+// never held starts as zeros: every store since is a diff this rank holds
+// the notice of. The missing diffs come in waves, each at most one request
+// frame of pages, until no faulted page misses a notice — one landed
+// mid-fault included. The readahead pages follow the span's in the first
+// wave only: one that wave leaves invalid stays so, for its own fault.
+func (tp *Proc) diffFaultRange(r *Region, first, last, ahead int32) {
+	start, applied := tp.sp.Now(), tp.stats.DiffBytesApplied
 	faults := tp.diffBufs.faults[:0]
-	for pg := first; pg <= last; pg++ {
+	for pg := first; pg <= last+ahead; pg++ {
 		pm := r.page(pg)
 		if pm.state != pageInvalid {
 			continue
 		}
-		faults = append(faults, diffFault{pm: pm, began: tp.sp.Now()})
-		tp.observe(event{kind: evReadFaultBegin, page: pm})
-		tp.stats.ReadFaults++
+		f := diffFault{pm: pm, began: tp.sp.Now(), ahead: pg > last}
+		faults = append(faults, f)
+		if !f.ahead {
+			tp.observe(event{kind: evReadFaultBegin, page: pm})
+			tp.stats.ReadFaults++
+		}
 		tp.sp.Advance(FaultOverhead)
 		if !pm.haveCopy {
 			pm.haveCopy = true
 			tp.stats.ZeroFills++
 		}
 	}
+	pages := len(faults)
 	most := msg.DiffRangesWithin(tp.tr.MaxData())
 	for len(faults) > 0 {
-		tp.diffWave(first, last, faults[:min(len(faults), most)])
+		tp.diffWave(first, last+ahead, faults[:min(len(faults), most)])
 		again := 0
 		for _, f := range faults {
 			if f.pm.isMissingAny(tp.rank) {
-				faults[again], again = f, again+1
+				if !f.ahead {
+					faults[again], again = f, again+1
+				}
 				continue
 			}
 			tp.promoteValid(f.pm)
-			tp.observe(event{kind: evReadFault, start: f.began, dur: tp.sp.Now() - f.began, page: f.pm, peer: -1, bytes: PageSize})
+			if f.ahead {
+				tp.stats.Prefetched++
+			} else {
+				tp.observe(event{kind: evReadFault, start: f.began, dur: tp.sp.Now() - f.began, page: f.pm, peer: -1, bytes: PageSize})
+			}
 		}
 		faults = faults[:again]
 	}
 	tp.diffBufs.faults = faults
+	r.perPage = int(tp.stats.DiffBytesApplied-applied) / pages
 	tp.stats.FaultTime += tp.sp.Now() - start
 }
 

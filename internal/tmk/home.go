@@ -168,11 +168,13 @@ func (tp *Proc) homeApply(pm *pageMeta, data []byte, snap VC) {
 }
 
 // homeGet is one page of a home-based read fault in flight: the notice
-// snapshot its Get was posted under, and when the fault and that Get began.
+// snapshot its Get was posted under, when the fault and that Get began, and
+// whether it is a readahead page.
 type homeGet struct {
 	pm            *pageMeta
 	snap          VC
 	began, posted sim.Time
+	ahead         bool
 }
 
 // postHomeGet posts the whole-page read of pm from its home.
@@ -191,40 +193,50 @@ func (tp *Proc) postHomeGet(pm *pageMeta, began sim.Time) (homeGet, substrate.Pe
 }
 
 // homeFaultRange is the home-based read fault, over the span [first, last]
-// of region r's pages: every invalid one is RDMA-read whole from its home
-// and merged. All the Gets are posted before any is awaited, so a span
-// costs max-RTT instead of sum-of-RTTs (the one-sided analogue of the
-// homeless scatter-gather diff fetch). A notice can land while a Get is in
-// flight; the home already has the flushed data (rule 1), so the page goes
-// round again: one more Get, the same fault.
-func (tp *Proc) homeFaultRange(r *Region, first, last int32) {
+// of region r's pages and the ahead pages after it: every invalid one is
+// RDMA-read whole from its home and merged. All the Gets are posted before
+// any is awaited, so a span costs max-RTT instead of sum-of-RTTs (the
+// one-sided analogue of the homeless scatter-gather diff fetch). A notice
+// can land while a Get is in flight; the home already has the flushed data
+// (rule 1), so the page goes round again: one more Get, the same fault — a
+// readahead page instead stays invalid, for its own fault.
+func (tp *Proc) homeFaultRange(r *Region, first, last, ahead int32) {
 	start := tp.sp.Now()
-	for pg := first; pg <= last; pg++ {
+	for pg := first; pg <= last+ahead; pg++ {
 		pm := r.page(pg)
 		if pm.state != pageInvalid {
 			continue
 		}
 		began := tp.sp.Now()
-		tp.observe(event{kind: evReadFaultBegin, page: pm})
-		tp.stats.ReadFaults++
+		if pg <= last {
+			tp.observe(event{kind: evReadFaultBegin, page: pm})
+			tp.stats.ReadFaults++
+		}
 		tp.sp.Advance(FaultOverhead)
 		g, pv := tp.postHomeGet(pm, began)
+		g.ahead = pg > last
 		tp.homeGets, tp.homeVerbs = append(tp.homeGets, g), append(tp.homeVerbs, pv)
 	}
 	for len(tp.homeGets) > 0 {
-		tp.waitVerbs(blocked("pages %d..%d (%d home gets)", int(first), int(last), len(tp.homeVerbs)), tp.homeVerbs)
+		tp.waitVerbs(blocked("pages %d..%d (%d home gets)", int(first), int(last+ahead), len(tp.homeVerbs)), tp.homeVerbs)
 		again := 0
 		for i, g := range tp.homeGets {
 			pv := tp.homeVerbs[i]
 			tp.homeApply(g.pm, pv.Data(), g.snap)
 			tp.observe(event{kind: evHomeFetch, start: g.posted, dur: tp.sp.Now() - g.posted, page: g.pm, peer: pv.Dst(), bytes: PageSize})
 			if g.pm.isMissingAny(tp.rank) {
-				tp.homeGets[again], tp.homeVerbs[again] = tp.postHomeGet(g.pm, g.began)
-				again++
+				if !g.ahead {
+					tp.homeGets[again], tp.homeVerbs[again] = tp.postHomeGet(g.pm, g.began)
+					again++
+				}
 				continue
 			}
 			tp.promoteValid(g.pm)
-			tp.observe(event{kind: evReadFault, start: g.began, dur: tp.sp.Now() - g.began, page: g.pm, peer: -1, bytes: PageSize})
+			if g.ahead {
+				tp.stats.Prefetched++
+			} else {
+				tp.observe(event{kind: evReadFault, start: g.began, dur: tp.sp.Now() - g.began, page: g.pm, peer: -1, bytes: PageSize})
+			}
 		}
 		tp.homeGets, tp.homeVerbs = tp.homeGets[:again], tp.homeVerbs[:again]
 	}

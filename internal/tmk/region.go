@@ -37,6 +37,14 @@ type Region struct {
 	chunk    []byte
 	unbacked int32
 	window   []byte
+
+	// This process's sequential read-fault run in the region (readFault):
+	// the page after the last one the previous fault validated, prefetched
+	// pages included; how many faults in a row began there; and the diff
+	// bytes per page the previous fault applied (homeless).
+	next    int32
+	run     int32
+	perPage int
 }
 
 // frameChunk is how many page frames a region's storage grows by (fewer when
@@ -214,6 +222,7 @@ func (tp *Proc) mapRegion(r *Region, owned bool) {
 func (tp *Proc) materialize(region *Region, owned bool) {
 	region.pages = make([]pageMeta, region.NPages)
 	region.unbacked = region.NPages
+	region.next = -1 // no page: a region's first fault starts a run
 	if tp.homeBased {
 		region.window = make([]byte, int(region.NPages)*PageSize)
 		region.chunk = region.window

@@ -23,9 +23,10 @@ type Stats struct {
 	LockReleases       int64
 	Barriers           int64
 	ReadFaults         int64
+	Prefetched         int64 // pages a read fault's readahead validated past its span (not read faults)
 	WriteFaults        int64
 	PageFetches        int64 // full copies fetched: only a home-based read fault's Get of the home's page
-	ZeroFills          int64 // homeless cold read faults that took no copy: zeros plus the noticed diffs
+	ZeroFills          int64 // homeless cold pages a read fault or its readahead took without a copy: zeros plus the noticed diffs
 	DiffRequestsSent   int64
 	DiffsCreated       int64
 	DiffsApplied       int64
@@ -55,7 +56,7 @@ type Stats struct {
 func (s *Stats) Add(other *Stats) { statsutil.AddInto(s, other) }
 
 func (s *Stats) String() string {
-	return fmt.Sprintf("locks=%d/%d barriers=%d faults=%d/%d fetches=%d zero-fills=%d diffs=%d/%d",
+	return fmt.Sprintf("locks=%d/%d barriers=%d faults=%d/%d prefetched=%d fetches=%d zero-fills=%d diffs=%d/%d",
 		s.LockAcquiresLocal, s.LockAcquiresRemote, s.Barriers,
-		s.ReadFaults, s.WriteFaults, s.PageFetches, s.ZeroFills, s.DiffsCreated, s.DiffsApplied)
+		s.ReadFaults, s.WriteFaults, s.Prefetched, s.PageFetches, s.ZeroFills, s.DiffsCreated, s.DiffsApplied)
 }

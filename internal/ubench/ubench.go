@@ -28,9 +28,15 @@ func (r Result) String() string {
 	return fmt.Sprintf("%s%s x%d: %v/op", r.Name, c, r.Nodes, r.Per)
 }
 
-// run executes body on a fresh cluster and returns it.
+// run executes body on a fresh cluster. A microbenchmark times demand
+// faults, one page each, as the paper's do: its timed reads run in
+// descending page order, which readahead (it looks forward only) never
+// follows, and a run that prefetched a page is an error, not a measurement.
 func run(cfg tmk.Config, body func(tp *tmk.Proc)) error {
-	_, err := tmk.Run(cfg, body)
+	res, err := tmk.Run(cfg, body)
+	if err == nil && res.Stats.Prefetched > 0 {
+		err = fmt.Errorf("ubench: %d pages prefetched; a microbenchmark times demand faults", res.Stats.Prefetched)
+	}
 	return err
 }
 
@@ -106,10 +112,11 @@ func LockIndirect(cfg tmk.Config, reps int) (Result, error) {
 
 // Page measures fetching whole pages: process 0 creates and initializes
 // a multi-page region (Tmk_malloc + Tmk_distribute), writing every word of
-// every page, then process 1 reads one word from each page — each read
-// faults in a full page of process 0's data. Homeless, that page arrives as
-// one dense 4 KB diff applied to zeros (process 1 holds the page's whole
-// write-notice history); home-based, as the home's copy.
+// every page, then process 1 reads one word from each page, last page
+// first — each read faults in a full page of process 0's data. Homeless,
+// that page arrives as one dense 4 KB diff applied to zeros (process 1
+// holds the page's whole write-notice history); home-based, as the home's
+// copy.
 func Page(cfg tmk.Config, pages int) (Result, error) {
 	if cfg.Procs < 2 {
 		return Result{}, fmt.Errorf("ubench: page needs ≥ 2 procs")
@@ -129,7 +136,7 @@ func Page(cfg tmk.Config, pages int) (Result, error) {
 		tp.Barrier(1)
 		if tp.Rank() == 1 {
 			start := tp.Now()
-			for pg := 0; pg < pages; pg++ {
+			for pg := pages - 1; pg >= 0; pg-- {
 				tp.ReadF64(r, pg*tmk.PageSize/8)
 			}
 			total = tp.Now() - start
@@ -140,8 +147,8 @@ func Page(cfg tmk.Config, pages int) (Result, error) {
 }
 
 // Diff measures diff fetch and application. Small: one word per page is
-// written by process 1 and read by process 0. Large: every word of each
-// page is written and read.
+// written by process 1 and read by process 0, last page first. Large:
+// every word of each page is written and read.
 func Diff(cfg tmk.Config, pages int, large bool) (Result, error) {
 	if cfg.Procs < 2 {
 		return Result{}, fmt.Errorf("ubench: diff needs ≥ 2 procs")
@@ -178,7 +185,7 @@ func Diff(cfg tmk.Config, pages int, large bool) (Result, error) {
 		tp.Barrier(2)
 		if tp.Rank() == 0 {
 			start := tp.Now()
-			for pg := 0; pg < pages; pg++ {
+			for pg := pages - 1; pg >= 0; pg-- {
 				if large {
 					tp.ReadF64Span(r, pg*wordsPerPage, row)
 				} else {
@@ -223,7 +230,7 @@ func DiffMultiWriter(cfg tmk.Config, pages, writers int) (Result, error) {
 		tp.Barrier(2)
 		if tp.Rank() == 0 {
 			start := tp.Now()
-			for pg := 0; pg < pages; pg++ {
+			for pg := pages - 1; pg >= 0; pg-- {
 				tp.ReadF64(r, pg*wordsPerPage)
 			}
 			total = tp.Now() - start

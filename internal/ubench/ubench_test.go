@@ -132,3 +132,30 @@ func TestResultString(t *testing.T) {
 		t.Errorf("String() = %q", r2.String())
 	}
 }
+
+// TestMicrobenchmarksPrefetchNothing: every page-moving microbenchmark, on
+// every substrate, times demand faults only — run fails a run whose
+// readahead validated a page (tmk.Stats.Prefetched). The timed reads go
+// last page first; ascending, readahead would fetch most of the pages of
+// Diff small and DiffMultiWriter ahead of their faults, and the rows would
+// measure prefetch, not the paper's one-page fetch.
+func TestMicrobenchmarksPrefetchNothing(t *testing.T) {
+	benches := []struct {
+		name string
+		run  func(cfg tmk.Config) (ubench.Result, error)
+	}{
+		{"page", func(cfg tmk.Config) (ubench.Result, error) { return ubench.Page(cfg, 64) }},
+		{"diff-small", func(cfg tmk.Config) (ubench.Result, error) { return ubench.Diff(cfg, 32, false) }},
+		{"diff-large", func(cfg tmk.Config) (ubench.Result, error) { return ubench.Diff(cfg, 32, true) }},
+		{"diff-4writers", func(cfg tmk.Config) (ubench.Result, error) { return ubench.DiffMultiWriter(cfg, 16, 4) }},
+	}
+	for _, kind := range []tmk.TransportKind{tmk.TransportFastGM, tmk.TransportUDPGM, tmk.TransportRDMAGM} {
+		for _, b := range benches {
+			t.Run(string(kind)+"/"+b.name, func(t *testing.T) {
+				if _, err := b.run(tmk.DefaultConfig(5, kind)); err != nil {
+					t.Error(err)
+				}
+			})
+		}
+	}
+}
