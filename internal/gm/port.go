@@ -200,6 +200,22 @@ func (p *Port) ProvideReceiveBuffer(b *Buffer) {
 	p.posted[b.class] = append(p.posted[b.class], b)
 }
 
+// ProvideReceiveBuffers posts every buffer of bufs — a carved ring, all of
+// one class — in order, as ProvideReceiveBuffer would one at a time; the
+// class's queue grows once for all of them.
+func (p *Port) ProvideReceiveBuffers(bufs []Buffer) {
+	if len(bufs) == 0 {
+		return
+	}
+	c := bufs[0].class
+	if q := p.posted[c]; cap(q)-len(q) < len(bufs) {
+		p.posted[c] = append(make([]*Buffer, 0, len(q)+len(bufs)), q...)
+	}
+	for i := range bufs {
+		p.ProvideReceiveBuffer(&bufs[i])
+	}
+}
+
 // PostedBuffers reports how many buffers of the given class are preposted.
 func (p *Port) PostedBuffers(class int) int { return len(p.posted[class]) }
 

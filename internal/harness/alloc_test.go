@@ -23,13 +23,13 @@ var allocWorkloads = []struct {
 	bytes  uint64
 }{
 	{"jacobi_fastgm_16", func() apps.App { return &apps.Jacobi{N: 640, Iters: 10, CostPerPoint: 120 * sim.Nanosecond} },
-		16, tmk.TransportFastGM, 24_100, 41_700_000},
-	{"fft3d_udpgm_8", fft64, 8, tmk.TransportUDPGM, 15_600, 139_600_000},
-	{"fft3d_fastgm_8", fft64, 8, tmk.TransportFastGM, 15_000, 141_000_000},
+		16, tmk.TransportFastGM, 10_800, 41_000_000},
+	{"fft3d_udpgm_8", fft64, 8, tmk.TransportUDPGM, 8_800, 135_300_000},
+	{"fft3d_fastgm_8", fft64, 8, tmk.TransportFastGM, 8_350, 136_600_000},
 	{"tsp_fastgm_8", func() apps.App { return &apps.TSP{Cities: 13, PrefixDepth: 3, CostPerNode: 40 * sim.Nanosecond} },
-		8, tmk.TransportFastGM, 13_650, 3_100_000},
-	{"sor_rdmagm_4", sor256, 4, tmk.TransportRDMAGM, 9_300, 10_100_000},
-	{"sor_fastgm_4", sor256, 4, tmk.TransportFastGM, 5_200, 5_150_000},
+		8, tmk.TransportFastGM, 5_150, 2_600_000},
+	{"sor_rdmagm_4", sor256, 4, tmk.TransportRDMAGM, 3_950, 6_800_000},
+	{"sor_fastgm_4", sor256, 4, tmk.TransportFastGM, 2_100, 4_750_000},
 }
 
 func fft64() apps.App { return &apps.FFT3D{Z: 64, Iters: 3, CostPerButterfly: 180 * sim.Nanosecond} }
@@ -40,16 +40,25 @@ func sor256() apps.App {
 
 // TestWorkloadAllocationBudgets is the host-clock claim of every benchmark
 // row as a tier-1 test: one untraced run of each configuration stays under
-// its allocation count and byte budget. Nothing below tmk allocates per
-// message (recycled events, packets, send and receive records, datagrams),
-// so what is left is tmk's own and the applications'; jacobi_fastgm_16
-// made 174,172 allocations while every message allocated ~18 objects,
-// 70,708 while every cold read fault fetched a whole page, ~60,000
-// (fft3d_*_8 ~53,000) while a homeless span faulted one page at a time, and
-// 55,877 (fft3d_*_8 ~31,500, 139 MB) while every kept diff, decoded list and
-// interval record was an object of its own, every never-stored page's twin
-// a copy of zeros and every page's metadata n ranks wide, and 31,170 while
-// its first sweep asked rank 0 for one page's diffs per request.
+// its allocation count and byte budget. A message allocates nothing once
+// its endpoint's storage is warm, below tmk (recycled events, packets,
+// send and receive records, datagrams) and in the codec and the substrate
+// core (recycled calls and decoders, a duplicate filter whose slots own
+// their cached replies). What is left per message is the first lap of each
+// filter's ring, where every slot grows its reply storage, and reused
+// storage growing to the largest message it has held; the rest is set-up
+// (registered slabs, ports, conditions) and tmk's own — frames, twins,
+// kept diffs, page metadata and the interval log's chunks — and the
+// applications'. jacobi_fastgm_16 made 174,172 allocations while every
+// message allocated ~18 objects, 70,708 while every cold read fault
+// fetched a whole page, ~60,000 (fft3d_*_8 ~53,000) while a homeless span
+// faulted one page at a time, 55,877 (fft3d_*_8 ~31,500, 139 MB) while
+// every kept diff, decoded list and interval record was an object of its
+// own, every never-stored page's twin a copy of zeros and every page's
+// metadata n ranks wide, 31,170 while its first sweep asked rank 0 for one
+// page's diffs per request, and 21,907 (fft3d_*_8 ~13,700, sor_rdmagm_4
+// 7,722) while every message was decoded into memory of its own, encoded
+// into a new buffer and recorded in a call and a filter entry of its own.
 func TestWorkloadAllocationBudgets(t *testing.T) {
 	for _, w := range allocWorkloads {
 		t.Run(w.name, func(t *testing.T) {

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -47,19 +49,25 @@ func fuzzSeeds() [][]byte {
 	return out
 }
 
-// corpusEntry renders one seed in the `go test fuzz v1` corpus format.
-func corpusEntry(b []byte) string {
-	return "go test fuzz v1\n[]byte(" + strconv.Quote(string(b)) + ")\n"
+// corpusEntry renders one seed — the fuzz target's arguments — in the
+// `go test fuzz v1` corpus format.
+func corpusEntry(args ...[]byte) string {
+	var sb strings.Builder
+	sb.WriteString("go test fuzz v1\n")
+	for _, b := range args {
+		sb.WriteString("[]byte(" + strconv.Quote(string(b)) + ")\n")
+	}
+	return sb.String()
 }
 
 // verifyFuzzCorpus checks that every seed is checked in under
 // testdata/fuzz/<target>; UPDATE_FUZZ_CORPUS=1 regenerates the files.
-func verifyFuzzCorpus(t *testing.T, target string, seeds [][]byte) {
+func verifyFuzzCorpus(t *testing.T, target string, seeds [][][]byte) {
 	t.Helper()
 	dir := filepath.Join("testdata", "fuzz", target)
-	for i, b := range seeds {
+	for i, args := range seeds {
 		path := filepath.Join(dir, fmt.Sprintf("seed-%02d", i))
-		want := corpusEntry(b)
+		want := corpusEntry(args...)
 		got, err := os.ReadFile(path)
 		if err == nil && string(got) == want {
 			continue
@@ -78,7 +86,12 @@ func verifyFuzzCorpus(t *testing.T, target string, seeds [][]byte) {
 }
 
 func TestFuzzCorpusCheckedIn(t *testing.T) {
-	verifyFuzzCorpus(t, "FuzzDecode", fuzzSeeds())
+	var decode [][][]byte
+	for _, b := range fuzzSeeds() {
+		decode = append(decode, [][]byte{b})
+	}
+	verifyFuzzCorpus(t, "FuzzDecode", decode)
+	verifyFuzzCorpus(t, "FuzzDecodeReuse", reuseSeeds())
 }
 
 // FuzzDecode drives Decode with arbitrary bytes: it must never panic, and
@@ -101,6 +114,103 @@ func FuzzDecode(f *testing.F) {
 		enc2 := m2.Encode()
 		if !bytes.Equal(enc, enc2) {
 			t.Fatalf("encoding not canonical:\n first %x\nsecond %x", enc, enc2)
+		}
+	})
+}
+
+// flagMessage returns a message carrying exactly the optional fields whose
+// presence bits are set in flags, each list k elements long (data k bytes
+// per element) and every value offset by k, so two such messages differ in
+// every field they share.
+func flagMessage(flags uint8, k int) *Message {
+	m := &Message{Kind: KBarrierRelease, Seq: uint32(k), From: int32(k), ReplyTo: int32(k + 1),
+		Lock: int32(k), Barrier: int32(k), Episode: int32(k), Page: int32(k)}
+	ints := func(n, base int) []int32 {
+		out := make([]int32, n)
+		for i := range out {
+			out[i] = int32(base + i)
+		}
+		return out
+	}
+	if flags&fVC != 0 {
+		m.VC = ints(k, 100*k)
+	}
+	if flags&fIntervals != 0 {
+		for i := 0; i < k; i++ {
+			m.Intervals = append(m.Intervals, Interval{Proc: int32(i), TS: int32(k + i), VC: ints(k, 10*k), Pages: ints(k, 1000*k)})
+		}
+	}
+	if flags&fDiffReqs != 0 {
+		for i := 0; i < k; i++ {
+			m.DiffReqs = append(m.DiffReqs, DiffRange{Page: int32(k + i), Proc: int32(i), FromTS: int32(k), ToTS: int32(2 * k)})
+		}
+	}
+	if flags&fDiffs != 0 {
+		for i := 0; i < k; i++ {
+			m.Diffs = append(m.Diffs, Diff{Page: int32(k + i), Proc: int32(i), TS: int32(k), Data: bytes.Repeat([]byte{byte(k + i)}, k)})
+		}
+	}
+	if flags&fPageData != 0 {
+		m.PageData = bytes.Repeat([]byte{byte(k)}, 64*k)
+	}
+	if flags&fRegion != 0 {
+		m.Region = RegionInfo{ID: int32(k), StartPage: int32(k), Pages: int32(k), Bytes: int64(k)}
+	}
+	return m
+}
+
+// reuseSeeds returns FuzzDecodeReuse's checked-in seeds: a message with
+// every optional field and long lists, then one of each of the 64
+// combinations of optional fields with short lists — the case where
+// anything the first leaves behind would show — and a truncated second.
+func reuseSeeds() [][][]byte {
+	const all = fVC | fIntervals | fDiffReqs | fDiffs | fPageData | fRegion
+	first := flagMessage(all, 5).Encode()
+	var out [][][]byte
+	for flags := uint8(0); flags <= all; flags++ {
+		out = append(out, [][]byte{first, flagMessage(flags, 2).Encode()})
+	}
+	return append(out, [][]byte{first, first[:len(first)/2]})
+}
+
+// FuzzDecodeReuse drives a Decoder with two arbitrary messages: decoding b
+// into storage that last held a must equal a fresh Decode(b) — no list,
+// optional field or backing byte of a survives — every list's capacity must
+// be its length, so nothing of a is reachable past it, and the result must
+// own its memory: rewriting b's buffer changes nothing.
+func FuzzDecodeReuse(f *testing.F) {
+	for _, args := range reuseSeeds() {
+		f.Add(args[0], args[1])
+	}
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		want, wantErr := Decode(b)
+		var d Decoder
+		d.Decode(a) // a may be anything: only what it leaves behind matters
+		wire := bytes.Clone(b)
+		got, err := d.Decode(wire)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("reused decode error %v, fresh %v", err, wantErr)
+		}
+		if err != nil {
+			return
+		}
+		for i := range wire {
+			wire[i] ^= 0xA5
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("decoded into used storage:\n got %+v\nwant %+v", got, want)
+		}
+		tight := cap(got.VC) == len(got.VC) && cap(got.Intervals) == len(got.Intervals) &&
+			cap(got.DiffReqs) == len(got.DiffReqs) && cap(got.Diffs) == len(got.Diffs) &&
+			cap(got.PageData) == len(got.PageData)
+		for _, iv := range got.Intervals {
+			tight = tight && cap(iv.VC) == len(iv.VC) && cap(iv.Pages) == len(iv.Pages)
+		}
+		for _, df := range got.Diffs {
+			tight = tight && cap(df.Data) == len(df.Data)
+		}
+		if !tight {
+			t.Fatalf("a list's capacity exceeds its length: %+v", got)
 		}
 	})
 }

@@ -286,40 +286,62 @@ func (r reader) sizes(flags uint8) (ints, data int) {
 }
 
 // i32s reads n int32s onto the end of *back and returns them as a list of
-// their own (capacity n: an append to it cannot reach a neighbour's).
+// their own (capacity n: an append to it cannot reach a neighbour's), nil
+// if n is 0.
 func (r *reader) i32s(n int, back *[]int32) []int32 {
 	from := len(*back)
 	for j := 0; j < n && !r.err; j++ {
 		*back = append(*back, r.i32())
 	}
-	return (*back)[from:len(*back):len(*back)]
+	return capped((*back)[from:])
 }
 
 // bytes reads a count-prefixed byte string onto the end of *back and
-// returns it (nil if empty). It is a copy: decoded messages must own their
-// memory, because callers (the transports) recycle the receive buffer
-// immediately after decoding — aliasing it would let the next arrival
-// corrupt this message's diffs or page contents. The copies of one message
-// share *back, so the message costs one allocation per backing, not one
-// per diff.
+// returns it (nil if empty). It is a copy: the transports re-post the
+// receive buffer as soon as a message is decoded, so aliasing it would let
+// the next arrival corrupt this message's diffs or page contents. The
+// copies of one message share *back, so the message costs one backing,
+// not one per diff.
 func (r *reader) bytes(back *[]byte) []byte {
 	n := int(r.u32())
 	if n < 0 || !r.need(n) {
 		r.err = true
 		return nil
 	}
-	if n == 0 {
-		return nil
-	}
 	from := len(*back)
 	*back = append(*back, r.b[r.off:r.off+n]...)
 	r.off += n
-	return (*back)[from:len(*back):len(*back)]
+	return capped((*back)[from:])
 }
 
-// Encode serializes m into one buffer of exactly EncodedSize bytes.
-func (m *Message) Encode() []byte {
-	w := &writer{b: make([]byte, 0, m.EncodedSize())}
+// capped returns s with its capacity cut to its length — nothing past it,
+// a neighbour's list or what an earlier message left in a reused backing,
+// is reachable through it — or nil if it is empty.
+func capped[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return s[:len(s):len(s)]
+}
+
+// reuse returns s emptied, or a new empty slice of capacity n if s has
+// less: a reused backing grows to the largest message seen, exactly, never
+// to the wire cap.
+func reuse[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
+}
+
+// Encode serializes m into one new buffer of exactly EncodedSize bytes.
+func (m *Message) Encode() []byte { return m.EncodeTo(nil) }
+
+// EncodeTo serializes m into buf's storage — or, if buf is too short, new
+// storage (reuse) — and returns the encoding. Nothing of m is referenced by
+// the result: the bytes are copies.
+func (m *Message) EncodeTo(buf []byte) []byte {
+	w := &writer{b: reuse(buf, m.EncodedSize())}
 	w.u8(uint8(m.Kind))
 	var flags uint8
 	if len(m.VC) > 0 {
@@ -400,10 +422,31 @@ func (m *Message) Encode() []byte {
 	return w.b
 }
 
-// Decode parses a message previously produced by Encode.
-func Decode(b []byte) (*Message, error) {
+// Decode parses a message previously produced by Encode into memory of its
+// own: the message and its lists belong to the caller for good.
+func Decode(b []byte) (*Message, error) { return new(Decoder).Decode(b) }
+
+// Decoder decodes messages into storage it keeps and reuses: the Message,
+// every list and every byte backing. The message a Decode returns is valid
+// until the Decoder's next Decode — whoever keeps any of it longer copies
+// it. Empty lists decode as nil and every list's capacity is its length, so
+// nothing an earlier message left in the storage is reachable from a later
+// one.
+type Decoder struct {
+	m     Message
+	ivs   []Interval
+	reqs  []DiffRange
+	diffs []Diff
+	ints  []int32 // every VC and page list
+	data  []byte  // every diff's data
+	page  []byte  // PageData
+}
+
+// Decode parses b into the decoder's storage (see Decoder).
+func (d *Decoder) Decode(b []byte) (*Message, error) {
 	r := &reader{b: b}
-	m := &Message{}
+	m := &d.m
+	*m = Message{}
 	m.Kind = Kind(r.u8())
 	flags := r.u8()
 	m.Seq = r.u32()
@@ -423,48 +466,49 @@ func Decode(b []byte) (*Message, error) {
 	// One backing per list kind: every VC and page list shares ints, every
 	// diff's data shares data.
 	ni, nd := r.sizes(flags)
-	ints, data := make([]int32, 0, ni), make([]byte, 0, nd)
+	d.ints, d.data = reuse(d.ints, ni), reuse(d.data, nd)
 	if flags&fVC != 0 {
-		m.VC = r.i32s(int(r.u16()), &ints)
+		m.VC = r.i32s(int(r.u16()), &d.ints)
 	}
 	if flags&fIntervals != 0 {
 		n := int(r.u16())
-		m.Intervals = make([]Interval, 0, r.capHint(n, intervalSize))
+		ivs := reuse(d.ivs, r.capHint(n, intervalSize))
 		for i := 0; i < n && !r.err; i++ {
 			iv := Interval{Proc: int32(int16(r.u16())), TS: r.i32()}
-			if nv := int(r.u16()); nv > 0 {
-				iv.VC = r.i32s(nv, &ints)
-			}
+			iv.VC = r.i32s(int(r.u16()), &d.ints)
 			np := int(r.u32())
 			if np > len(b) { // sanity bound against corrupt counts
 				r.err = true
 				break
 			}
-			iv.Pages = r.i32s(np, &ints)
-			m.Intervals = append(m.Intervals, iv)
+			iv.Pages = r.i32s(np, &d.ints)
+			ivs = append(ivs, iv)
 		}
+		d.ivs, m.Intervals = ivs, capped(ivs)
 	}
 	if flags&fDiffReqs != 0 {
 		n := int(r.u16())
-		m.DiffReqs = make([]DiffRange, 0, r.capHint(n, diffReqSize))
+		reqs := reuse(d.reqs, r.capHint(n, diffReqSize))
 		for i := 0; i < n && !r.err; i++ {
-			m.DiffReqs = append(m.DiffReqs, DiffRange{
+			reqs = append(reqs, DiffRange{
 				Page: r.i32(), Proc: int32(int16(r.u16())), FromTS: r.i32(), ToTS: r.i32(),
 			})
 		}
+		d.reqs, m.DiffReqs = reqs, capped(reqs)
 	}
 	if flags&fDiffs != 0 {
 		n := int(r.u16())
-		m.Diffs = make([]Diff, 0, r.capHint(n, diffSize))
+		diffs := reuse(d.diffs, r.capHint(n, diffSize))
 		for i := 0; i < n && !r.err; i++ {
-			d := Diff{Page: r.i32(), Proc: int32(int16(r.u16())), TS: r.i32()}
-			d.Data = r.bytes(&data)
-			m.Diffs = append(m.Diffs, d)
+			df := Diff{Page: r.i32(), Proc: int32(int16(r.u16())), TS: r.i32()}
+			df.Data = r.bytes(&d.data)
+			diffs = append(diffs, df)
 		}
+		d.diffs, m.Diffs = diffs, capped(diffs)
 	}
 	if flags&fPageData != 0 {
-		var page []byte
-		m.PageData = r.bytes(&page)
+		d.page = reuse(d.page, len(b)-r.off-lenSize) // the page is the last field
+		m.PageData = r.bytes(&d.page)
 	}
 	if r.err {
 		return nil, ErrTruncated

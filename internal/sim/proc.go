@@ -217,6 +217,12 @@ func (p *Proc) EnableInterrupts() {
 // InterruptsEnabled reports whether interrupts are currently deliverable.
 func (p *Proc) InterruptsEnabled() bool { return !p.irqMasked }
 
+// InHandler reports whether the process is running its interrupt handler.
+// Handlers do not nest, so a process has two contexts — its mainline and
+// its handler — and storage one context lends out can be kept apart from
+// the other's by this bit.
+func (p *Proc) InHandler() bool { return p.inHandler }
+
 // Interrupt delivers payload to the process's interrupt handler. It may be
 // called from scheduler context (device events) or from another process's
 // context. If the target is blocked and unmasked it wakes immediately; if

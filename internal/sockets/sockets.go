@@ -106,11 +106,19 @@ type pendingTx struct {
 }
 
 // txBuf is one registered kernel tx buffer with its GM completion bound
-// once.
+// once, at its first send (most of a ring never carries one).
 type txBuf struct {
 	st   *Stack
 	b    *gm.Buffer
-	done gm.SendCallback // tb.sent
+	done gm.SendCallback // tb.sent, once bound (callback)
+}
+
+// callback returns the buffer's GM completion, binding it the first time.
+func (tb *txBuf) callback() gm.SendCallback {
+	if tb.done == nil {
+		tb.done = tb.sent
+	}
+	return tb.done
 }
 
 // rxDatagram is one arrival on the kernel port: its bytes, copied out of
@@ -152,15 +160,12 @@ func NewStack(s *sim.Simulator, node *gm.Node, params Params) *Stack {
 		if c >= 13 {
 			ring = 2 // few large buffers, like real kernels
 		}
-		rx := node.RegisterAtBoot(ring*gm.ClassCapacity(c)).Carve(c, ring)
-		for i := range rx {
-			port.ProvideReceiveBuffer(&rx[i])
-		}
+		port.ProvideReceiveBuffers(node.RegisterAtBoot(ring*gm.ClassCapacity(c)).Carve(c, ring))
 		tx := node.RegisterAtBoot(ring*gm.ClassCapacity(c)).Carve(c, ring)
 		tbs, free := make([]txBuf, ring), make([]*txBuf, ring)
 		for i := range tbs {
 			tb := &tbs[i]
-			tb.st, tb.b, tb.done = st, &tx[i], tb.sent
+			tb.st, tb.b = st, &tx[i]
 			free[i] = tb
 		}
 		st.sendBufs[c] = free
@@ -434,7 +439,7 @@ func (st *Stack) transmit(p *sim.Proc, dst myrinet.NodeID, srcPort, dstPort int,
 		tb := bufs[len(bufs)-1]
 		st.sendBufs[class] = bufs[:len(bufs)-1]
 		datagram(tb.b.Bytes()[:0], srcPort, dstPort, data)
-		if st.port.SendAux(p, dst, KernelPort, tb.b, n, aux, tb.done) == nil {
+		if st.port.SendAux(p, dst, KernelPort, tb.b, n, aux, tb.callback()) == nil {
 			return
 		}
 		// Token exhaustion or disabled port: the buffer goes back to the
@@ -483,7 +488,7 @@ func (st *Stack) drainTxQueue() {
 		tb := bufs[len(bufs)-1]
 		st.sendBufs[class] = bufs[:len(bufs)-1]
 		copy(tb.b.Bytes(), tx.payload)
-		st.port.SendFromKernelAux(tx.dst, KernelPort, tb.b, len(tx.payload), tx.aux, tb.done)
+		st.port.SendFromKernelAux(tx.dst, KernelPort, tb.b, len(tx.payload), tx.aux, tb.callback())
 	}
 }
 

@@ -28,6 +28,11 @@ type Exchange struct {
 	// extended at the maximum backoff until the peer falls silent. An armed
 	// failure detector caps it at its own deadline (Liveness.HeardWithin).
 	Grace sim.Time
+
+	// lent holds, per context of the owning process (mainline, handler),
+	// the calls of this family the last wait there handed to its caller
+	// (Lend), until the next wait there reclaims them (Reclaim).
+	lent [2][]*Call
 }
 
 // Call is one outstanding exchange awaiting its answer (Pending,
@@ -35,6 +40,14 @@ type Exchange struct {
 // unique per sender, and must identify the call by themselves because a
 // forwarded request is answered by a third node, not the rank it was sent
 // to.
+//
+// A Call is a record the core recycles, with the storage it owns: its
+// frame, from Open until it resolves (what a re-issue sends), and its
+// answer — the decoded reply, a Get's bytes. A wait that returns its
+// calls lends them to its caller (Lend), and the record, its reply and
+// its data stay valid until the next wait of the same family in the same
+// context of the process begins (Reclaim); the record is reused after
+// that.
 type Call struct {
 	x         *Exchange
 	dst       int
@@ -55,6 +68,10 @@ type Call struct {
 	aux      []byte
 	deadline sim.Time
 	attempts int // retransmissions so far
+
+	dec  *msg.Decoder // holds reply once matched
+	keep []byte       // storage data is copied into
+	lent bool         // in its family's lent list
 }
 
 func (pc *Call) Dst() int            { return pc.dst }
@@ -69,6 +86,24 @@ func (pc *Call) Completed() sim.Time { return pc.completed }
 // Frame returns the kept encoded frame and its causal metadata.
 func (pc *Call) Frame() (body, aux []byte) { return pc.body, pc.aux }
 
+// FrameBuf returns the call's frame storage resized to n bytes and keeps
+// it as the frame: a binding encodes its frame into it before the first
+// transmission. The storage grows to the largest frame the record has
+// carried, exactly.
+func (pc *Call) FrameBuf(n int) []byte {
+	pc.body = sized(pc.body, n)
+	return pc.body
+}
+
+// sized returns b resized to n bytes, or new storage of exactly n bytes if
+// b has less.
+func sized(b []byte, n int) []byte {
+	if cap(b) < n {
+		return make([]byte, n)
+	}
+	return b[:n]
+}
+
 // Arm starts the retransmission clock; call it once the first copy has
 // actually been staged (the transmit may have parked on credits).
 func (pc *Call) Arm(now sim.Time) {
@@ -79,7 +114,9 @@ func (pc *Call) Arm(now sim.Time) {
 
 // Call implements Transport.
 func (c *Core) Call(p *sim.Proc, dst int, req *msg.Message) *msg.Message {
-	return c.Collect(p, []Pending{c.CallBegin(p, dst, req)})[0]
+	cx := c.ctx(p)
+	cx.one[0] = c.CallBegin(p, dst, req)
+	return c.Collect(p, cx.one[:])[0]
 }
 
 // NextSeq allocates the sequence number of the next outbound exchange.
@@ -88,12 +125,19 @@ func (c *Core) NextSeq() uint32 {
 	return c.seq
 }
 
-// Open registers one outstanding call of family x under seq, keeping
-// body/aux for re-issue; the caller transmits the first copy and Arms
-// it. A call toward a peer already declared dead resolves at once and
-// must not be transmitted.
-func (c *Core) Open(p *sim.Proc, x *Exchange, dst int, seq uint32, body, aux []byte) *Call {
-	pc := &Call{x: x, dst: dst, seq: seq, body: body, aux: aux, issued: p.Now()}
+// Open registers one outstanding call of family x under seq in a recycled
+// record, keeping aux for re-issue; the caller writes the frame into the
+// call's storage (FrameBuf), transmits the first copy and Arms it. A call
+// toward a peer already declared dead resolves at once and must not be
+// transmitted.
+func (c *Core) Open(p *sim.Proc, x *Exchange, dst int, seq uint32, aux []byte) *Call {
+	var pc *Call
+	if k := len(c.free); k > 0 {
+		pc, c.free = c.free[k-1], c.free[:k-1]
+	} else {
+		pc = new(Call)
+	}
+	*pc = Call{x: x, dst: dst, seq: seq, aux: aux, issued: p.Now(), body: pc.body[:0], dec: pc.dec, keep: pc.keep}
 	c.pending[seq] = pc
 	if x == &c.calls {
 		c.open++
@@ -110,14 +154,15 @@ func (c *Core) CallBegin(p *sim.Proc, dst int, req *msg.Message) Pending {
 	if dst == c.rank {
 		panic("substrate: Call to self")
 	}
-	body, aux := c.stamp(p, dst, req)
-	pc := c.Open(p, &c.calls, dst, req.Seq, body, aux)
+	aux := c.stamp(p, dst, req)
+	pc := c.Open(p, &c.calls, dst, req.Seq, aux)
 	pc.kind = req.Kind
 	if pc.done {
 		return pc
 	}
+	pc.body = req.EncodeTo(pc.body)
 	c.stats.RequestsSent++
-	c.wire.Transmit(p, dst, LaneRequest, req.Kind, body, aux)
+	c.wire.Transmit(p, dst, LaneRequest, req.Kind, pc.body, aux)
 	pc.Arm(p.Now())
 	if c.pol.Hedge {
 		// Hedge only when the latency-derived deadline undercuts the
@@ -138,15 +183,54 @@ func (c *Core) hedgeDelay() sim.Time {
 }
 
 // Collect implements Transport: wait on the binding's reply channel until
-// every pending call resolves, matching replies in arrival order.
+// every pending call resolves, matching replies in arrival order. The
+// calls of the previous Collect in this context are reclaimed first; the
+// result slice is the context's, refilled by its next Collect.
 func (c *Core) Collect(p *sim.Proc, pending []Pending) []*msg.Message {
+	c.Reclaim(p, &c.calls, nil)
 	for Step(c, p, pending) > 0 {
 	}
-	out := make([]*msg.Message, len(pending))
-	for i, pd := range pending {
-		out[i] = pd.(*Call).reply
+	cx := c.ctx(p)
+	out := cx.replies[:0]
+	for _, pd := range pending {
+		out = append(out, pd.(*Call).reply)
 	}
+	cx.replies = out
+	Lend(c, p, pending)
 	return out
+}
+
+// Lend records that a wait in p's context hands the calls hs to its
+// caller: they stay valid until the next wait of their family in the same
+// context reclaims them.
+func Lend[H any](c *Core, p *sim.Proc, hs []H) {
+	lvl := level(p)
+	for _, h := range hs {
+		if pc := any(h).(*Call); !pc.lent {
+			pc.lent = true
+			pc.x.lent[lvl] = append(pc.x.lent[lvl], pc)
+		}
+	}
+}
+
+// Reclaim recycles the calls of family x that the previous wait in p's
+// context lent, except those busy (if not nil) reports the binding still
+// uses. A wait calls it before it waits: from then on nobody in that
+// context holds a handle from the previous one, and a handler, which may
+// interrupt its mainline anywhere, has lent lists of its own.
+func (c *Core) Reclaim(p *sim.Proc, x *Exchange, busy func(*Call) bool) {
+	lvl := level(p)
+	kept := x.lent[lvl][:0]
+	for _, pc := range x.lent[lvl] {
+		if busy != nil && busy(pc) {
+			kept = append(kept, pc)
+			continue
+		}
+		pc.lent, pc.reply, pc.data, pc.err = false, nil, nil, nil
+		c.free = append(c.free, pc)
+	}
+	clear(x.lent[lvl][len(kept):])
+	x.lent[lvl] = kept
 }
 
 // Step is one turn of the one wait loop, over the calls hs of one family:
@@ -205,7 +289,12 @@ func (c *Core) match(p *sim.Proc, m *msg.Message) {
 	if pc == nil {
 		return
 	}
+	// m was decoded into the context's spare decoder: the call takes it,
+	// and gives the decoder of its record's previous use, whose reply
+	// nobody holds any more, in exchange.
+	cx := c.ctx(p)
 	pc.reply = m
+	pc.dec, cx.spare = cx.spare, pc.dec
 	c.Complete(pc, nil, nil)
 	if cz := p.Sim().Causal(); cz != nil && !m.Ctx.Zero() {
 		// The matched reply is what unblocks the mainline: requests the
@@ -229,11 +318,19 @@ func (c *Core) match(p *sim.Proc, m *msg.Message) {
 }
 
 // Complete retires a call with its outcome: the reply already attached, a
-// binding's own payload, or the typed failure.
+// binding's own payload — copied into storage the call owns, so data may
+// alias a receive buffer — or the typed failure.
 func (c *Core) Complete(pc *Call, data []byte, err error) {
 	delete(c.pending, pc.seq)
 	if pc.x == &c.calls {
 		c.open--
+	}
+	if len(data) > 0 {
+		pc.keep = sized(pc.keep, len(data))
+		copy(pc.keep, data)
+		data = pc.keep
+	} else {
+		data = nil
 	}
 	pc.data, pc.err, pc.done, pc.completed = data, err, true, c.proc.Sim().Now()
 }

@@ -24,13 +24,14 @@ const (
 // for the binding's own resources.
 type Wire interface {
 	// Transmit ships one already-encoded message toward dst. It may block
-	// (send buffers, tokens, credits) and owns the BytesSent count.
+	// (send buffers, tokens, credits) and owns the BytesSent count. It reads
+	// body and aux only until it returns: the core reuses their storage.
 	Transmit(p *sim.Proc, dst int, lane Lane, kind msg.Kind, body, aux []byte)
-	// AwaitReply blocks for the next reply and returns it decoded, with
-	// arrival already recorded (Heard, causal Arrive, BytesRecvd). It
-	// returns nil when deadline (0 = none) passes first, when PeerGone
-	// woke the wait, or when the arrival was unusable.
-	AwaitReply(p *sim.Proc, deadline sim.Time) *msg.Message
+	// AwaitReply blocks for the next reply and returns it decoded into
+	// into's storage, with arrival already recorded (Heard, causal Arrive,
+	// BytesRecvd). It returns nil when deadline (0 = none) passes first,
+	// when PeerGone woke the wait, or when the arrival was unusable.
+	AwaitReply(p *sim.Proc, deadline sim.Time, into *msg.Decoder) *msg.Message
 	// Probe sends one best-effort liveness probe from scheduler context
 	// and reports whether it left.
 	Probe(peer int) bool
@@ -66,7 +67,40 @@ type Core struct {
 	open      int      // calls of that family in pending (OpenCalls)
 	pol       Policy
 	hedgeEWMA sim.Time
+
+	free []*Call    // call records no one holds (Reclaim), reused by Open
+	cx   [2]context // the mainline's and the handler's storage (ctx)
 }
+
+// context is the storage one context of the owning process — its mainline
+// or its interrupt handler — encodes and decodes in. Handlers do not nest
+// and a mainline never runs inside its handler, so one of each suffices:
+// whatever a context holds while it parks (a transmit waiting for a send
+// buffer, a Collect) is out of the other's reach.
+type context struct {
+	frame   []byte         // relays and one-way requests, valid until Transmit returns
+	req     msg.Decoder    // arriving requests (RequestDecoder)
+	spare   *msg.Decoder   // where the next awaited reply is decoded (match)
+	replies []*msg.Message // Collect's result
+	one     [1]Pending     // Call's pending list
+}
+
+// level is p's context: 1 in its interrupt handler, 0 on its mainline.
+func level(p *sim.Proc) int {
+	if p.InHandler() {
+		return 1
+	}
+	return 0
+}
+
+// ctx returns the storage of p's current context.
+func (c *Core) ctx(p *sim.Proc) *context { return &c.cx[level(p)] }
+
+// RequestDecoder returns the decoder a binding decodes an arriving request
+// into, in p's current context. The request is valid until its service
+// ends — Serve or AnswerDup returns — and whoever keeps any of it longer
+// (the handler) copies it.
+func (c *Core) RequestDecoder(p *sim.Proc) *msg.Decoder { return &c.ctx(p).req }
 
 // Policy is the protocol policy every process of a run must share: which
 // of the failure detector, credit flow control and hedged re-issues are
@@ -101,7 +135,11 @@ func (c *Core) Init(w Wire, rank, size int, pol Policy, rto Backoff, maxRetries 
 	c.pending = make(map[uint32]*Call)
 	c.calls = Exchange{RTO: rto, MaxRetries: maxRetries,
 		Await: func(p *sim.Proc, deadline sim.Time) bool {
-			m := c.wire.AwaitReply(p, deadline)
+			cx := c.ctx(p)
+			if cx.spare == nil {
+				cx.spare = new(msg.Decoder)
+			}
+			m := c.wire.AwaitReply(p, deadline, cx.spare)
 			if m != nil {
 				c.match(p, m)
 			}
@@ -245,12 +283,28 @@ func (c *Core) Admit(p *sim.Proc, m *msg.Message, aux []byte, n int) *DupEntry {
 // eventual reply covers both copies.
 func (c *Core) AnswerDup(p *sim.Proc, m *msg.Message, e *DupEntry) {
 	if e.Done {
-		c.wire.Transmit(p, e.To, LaneReply, m.Kind, e.Reply, e.ReplyAux)
+		c.sendReply(p, e, m.Kind)
 	} else if e.ForwardedTo >= 0 {
 		m.From = int32(c.rank)
 		c.stats.ForwardsSent++
-		c.wire.Transmit(p, e.ForwardedTo, LaneRelay, m.Kind, m.Encode(), e.FwdAux)
+		c.wire.Transmit(p, e.ForwardedTo, LaneRelay, m.Kind, c.encode(p, m), e.FwdAux)
 	}
+}
+
+// sendReply transmits e's cached reply, holding the slot's storage for as
+// long as the wire reads it (DupEntry.sending).
+func (c *Core) sendReply(p *sim.Proc, e *DupEntry, kind msg.Kind) {
+	e.sending++
+	c.wire.Transmit(p, e.To, LaneReply, kind, e.Reply, e.ReplyAux)
+	e.sending--
+}
+
+// encode encodes m into p's context's frame storage: a frame no call and
+// no filter slot keeps, valid until the Transmit it is handed to returns.
+func (c *Core) encode(p *sim.Proc, m *msg.Message) []byte {
+	cx := c.ctx(p)
+	cx.frame = m.EncodeTo(cx.frame)
+	return cx.frame
 }
 
 // Serve runs the handler on a fresh request and records its serve span.
@@ -274,15 +328,16 @@ func (c *Core) edge(p *sim.Proc, prefix string, kind msg.Kind, dst int, parent u
 }
 
 // Reply implements Transport: the reply goes to the request's originator
-// and its encoded form is cached in the duplicate filter, so a
-// redelivered request is answered without re-executing it. Encode copies:
-// nothing rep referenced is read after this returns.
+// and its encoded form is cached in the duplicate filter — in the storage
+// of the request's slot — so a redelivered request is answered without
+// re-executing it. The encoding copies: nothing rep referenced is read
+// after this returns.
 func (c *Core) Reply(p *sim.Proc, req *msg.Message, rep *msg.Message) {
 	origin := int(req.ReplyTo)
 	rep.Seq = req.Seq
 	rep.From = int32(c.rank)
 	rep.ReplyTo = int32(c.rank)
-	body := rep.Encode()
+	n := rep.EncodedSize()
 	// A reply is caused by the request it answers, unless the handler set
 	// an explicit enabling cause (barrier releases: the true cause is the
 	// last arrival, not this rank's own early arrival).
@@ -290,15 +345,15 @@ func (c *Core) Reply(p *sim.Proc, req *msg.Message, rep *msg.Message) {
 	if !rep.Ctx.Zero() {
 		parent = rep.Ctx.Span
 	}
-	aux := c.edge(p, "rep:", rep.Kind, origin, parent, len(body))
+	aux := c.edge(p, "rep:", rep.Kind, origin, parent, n)
 	key := DupKey{Origin: req.ReplyTo, Seq: req.Seq}
 	e, ok := c.dup.Lookup(key)
 	if !ok {
 		e = c.dup.Insert(key)
 	}
-	e.Done, e.Reply, e.ReplyAux, e.To = true, body, aux, origin
+	e.Done, e.Reply, e.ReplyAux, e.To = true, rep.EncodeTo(e.Reply), aux, origin
 	c.stats.RepliesSent++
-	c.wire.Transmit(p, origin, LaneReply, rep.Kind, body, aux)
+	c.sendReply(p, e, rep.Kind)
 }
 
 // Forward implements Transport: relay a request, preserving the
@@ -306,7 +361,7 @@ func (c *Core) Reply(p *sim.Proc, req *msg.Message, rep *msg.Message) {
 // re-triggers the forward if the first relay chain was lost.
 func (c *Core) Forward(p *sim.Proc, dst int, req *msg.Message) {
 	req.From = int32(c.rank)
-	body := req.Encode()
+	body := c.encode(p, req)
 	aux := c.edge(p, "fwd:", req.Kind, dst, req.Ctx.Span, len(body))
 	if e, ok := c.dup.Lookup(DupKey{Origin: req.ReplyTo, Seq: req.Seq}); ok {
 		e.ForwardedTo, e.FwdAux = dst, aux
@@ -317,25 +372,24 @@ func (c *Core) Forward(p *sim.Proc, dst int, req *msg.Message) {
 
 // Send implements Transport: a one-shot request, no reply expected.
 func (c *Core) Send(p *sim.Proc, dst int, req *msg.Message) {
-	body, aux := c.stamp(p, dst, req)
+	aux := c.stamp(p, dst, req)
 	c.stats.RequestsSent++
-	c.wire.Transmit(p, dst, LaneRequest, req.Kind, body, aux)
+	c.wire.Transmit(p, dst, LaneRequest, req.Kind, c.encode(p, req), aux)
 }
 
-// stamp assigns an outbound request its identity, encodes it, and records
-// its causal send edge. The parent is the request's explicit context when
-// the caller set one, otherwise the rank's mainline context.
-func (c *Core) stamp(p *sim.Proc, dst int, req *msg.Message) (body, aux []byte) {
+// stamp assigns an outbound request its identity and records its causal
+// send edge. The parent is the request's explicit context when the caller
+// set one, otherwise the rank's mainline context.
+func (c *Core) stamp(p *sim.Proc, dst int, req *msg.Message) (aux []byte) {
 	req.Seq = c.NextSeq()
 	req.From = int32(c.rank)
 	req.ReplyTo = int32(c.rank)
-	body = req.Encode()
 	if cz := p.Sim().Causal(); cz != nil {
 		parent := req.Ctx.Span
 		if req.Ctx.Zero() {
 			parent = cz.Cur(c.rank).Span
 		}
-		aux = c.edge(p, "req:", req.Kind, dst, parent, len(body))
+		aux = c.edge(p, "req:", req.Kind, dst, parent, req.EncodedSize())
 	}
-	return body, aux
+	return aux
 }

@@ -27,7 +27,7 @@ func (w *fakeWire) Transmit(p *sim.Proc, dst int, lane Lane, kind msg.Kind, body
 	w.bodies = append(w.bodies, body)
 }
 
-func (w *fakeWire) AwaitReply(p *sim.Proc, deadline sim.Time) *msg.Message {
+func (w *fakeWire) AwaitReply(p *sim.Proc, deadline sim.Time, _ *msg.Decoder) *msg.Message {
 	for len(w.replies) == 0 {
 		if deadline == 0 {
 			p.WaitOn(w.cond)
@@ -317,7 +317,8 @@ func newFakeVerbs(c *Core, rto Backoff, maxRetries int) *fakeVerbs {
 }
 
 func (v *fakeVerbs) post(p *sim.Proc, dst int) *Call {
-	pc := v.c.Open(p, &v.x, dst, v.c.NextSeq(), []byte{0x11}, nil)
+	pc := v.c.Open(p, &v.x, dst, v.c.NextSeq(), nil)
+	pc.FrameBuf(1)[0] = 0x11
 	if !pc.Done() {
 		pc.Arm(p.Now())
 	}

@@ -17,14 +17,24 @@ type DupKey struct {
 }
 
 // DupEntry records what this process did with a request, so a duplicate
-// can be answered idempotently instead of re-executed.
+// can be answered idempotently instead of re-executed. An entry is a slot
+// of its cache's ring: it owns the storage Reply sits in — a reply is
+// encoded into what Reply holds when the entry is inserted — which the
+// request that takes the slot next writes its own reply into.
 type DupEntry struct {
 	Done        bool   // a reply was sent
-	Reply       []byte // the encoded cached reply (resent on duplicates)
+	Reply       []byte // the encoded cached reply (resent on duplicates), in the slot's storage
 	ReplyAux    []byte // the reply's causal-context metadata (resent with it)
 	To          int    // reply destination rank
 	ForwardedTo int    // where the request was relayed, or -1
 	FwdAux      []byte // the forward's causal-context metadata (resent with it)
+
+	key DupKey
+	// sending counts the transmits reading Reply right now (Core.sendReply).
+	// It is the slot's, not the entry's: a transmit can park, and if the
+	// ring comes round to the slot meanwhile, its storage goes with the
+	// reply being read and the next entry grows storage of its own.
+	sending int
 }
 
 // DupCacheSize bounds every duplicate filter — the core's per-process
@@ -32,10 +42,17 @@ type DupEntry struct {
 // this many entries.
 const DupCacheSize = 1024
 
-// DupCache is a fixed-capacity FIFO duplicate-request filter.
+// dupChunk is how many slots the ring adds at a time while it fills.
+const dupChunk = 64
+
+// DupCache is a fixed-capacity FIFO duplicate-request filter: a ring of
+// DupCacheSize slots, made dupChunk at a time as it first fills, in which
+// each insert at capacity takes over the oldest slot.
 type DupCache struct {
-	m     map[DupKey]*DupEntry
-	order []DupKey
+	m      map[DupKey]*DupEntry
+	chunks [][]DupEntry
+	n      int // slots in use: DupCacheSize once the ring is full
+	oldest int // the slot the next insert at capacity takes over
 }
 
 // NewDupCache returns a cache retaining at most DupCacheSize entries.
@@ -49,16 +66,32 @@ func (c *DupCache) Lookup(k DupKey) (*DupEntry, bool) {
 	return e, ok
 }
 
-// Insert records a fresh request and returns its (mutable) entry,
-// evicting the oldest entry when at capacity.
-func (c *DupCache) Insert(k DupKey) *DupEntry {
-	if len(c.order) >= DupCacheSize {
-		oldest := c.order[0]
-		c.order = c.order[:copy(c.order, c.order[1:])]
-		delete(c.m, oldest)
+// slot returns ring slot i, making its chunk the first time it is reached.
+func (c *DupCache) slot(i int) *DupEntry {
+	if i/dupChunk == len(c.chunks) {
+		c.chunks = append(c.chunks, make([]DupEntry, dupChunk))
 	}
-	e := &DupEntry{ForwardedTo: -1}
+	return &c.chunks[i/dupChunk][i%dupChunk]
+}
+
+// Insert records a fresh request and returns its (mutable) entry, taking
+// over the oldest entry's slot when at capacity. The slot keeps its reply
+// storage; everything else starts over.
+func (c *DupCache) Insert(k DupKey) *DupEntry {
+	var e *DupEntry
+	if c.n < DupCacheSize {
+		e = c.slot(c.n)
+		c.n++
+	} else {
+		e = c.slot(c.oldest)
+		c.oldest = (c.oldest + 1) % DupCacheSize
+		delete(c.m, e.key)
+	}
+	keep := e.Reply[:0]
+	if e.sending > 0 {
+		keep = nil
+	}
+	*e = DupEntry{Reply: keep, ForwardedTo: -1, key: k, sending: e.sending}
 	c.m[k] = e
-	c.order = append(c.order, k)
 	return e
 }

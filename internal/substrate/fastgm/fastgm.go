@@ -124,10 +124,7 @@ func (t *Transport) Start(p *sim.Proc, h substrate.Handler) {
 		if c <= SmallClassMax {
 			count = t.cfg.SmallPerPeer * peers
 		}
-		bufs := t.node.Register(p, count*gm.ClassCapacity(c)).Carve(c, count)
-		for i := range bufs {
-			t.asyncPort.ProvideReceiveBuffer(&bufs[i])
-		}
+		t.asyncPort.ProvideReceiveBuffers(t.node.Register(p, count*gm.ClassCapacity(c)).Carve(c, count))
 	}
 	// Synchronous port: the scatter-gather fault path keeps up to
 	// outstandingCalls() replies in flight at once, so each class preposts
@@ -135,10 +132,7 @@ func (t *Transport) Start(p *sim.Proc, h substrate.Handler) {
 	// recycling latency can never stall an ack.
 	syncCount := t.outstandingCalls() + 1
 	for c := params.MinClass; c <= t.maxPrepostClass(); c++ {
-		bufs := t.node.Register(p, syncCount*gm.ClassCapacity(c)).Carve(c, syncCount)
-		for i := range bufs {
-			t.syncPort.ProvideReceiveBuffer(&bufs[i])
-		}
+		t.syncPort.ProvideReceiveBuffers(t.node.Register(p, syncCount*gm.ClassCapacity(c)).Carve(c, syncCount))
 	}
 	// Registered send memory: one arena, room for one frame of each large
 	// class and a few of each small. Senders copy outgoing messages in
@@ -264,7 +258,7 @@ func (t *Transport) handleAsyncFrame(p *sim.Proc, rv *gm.Recv) {
 		t.asyncPort.ProvideReceiveBuffer(rv.Buffer)
 	case frameMsg, frameData:
 		p.Advance(DispatchCost)
-		m, err := msg.Decode(body)
+		m, err := t.RequestDecoder(p).Decode(body)
 		if err != nil {
 			t.rejectFrame(p, rv, "decode")
 			if tag == frameMsg {
@@ -316,7 +310,7 @@ func (t *Transport) handleAsyncFrame(p *sim.Proc, rv *gm.Recv) {
 // frames below the core, so calls carry no user-level clock here: the
 // wait is bounded only by a hedge deadline, and a peer's death wakes it
 // through PeerGone.
-func (t *Transport) AwaitReply(p *sim.Proc, deadline sim.Time) *msg.Message {
+func (t *Transport) AwaitReply(p *sim.Proc, deadline sim.Time, into *msg.Decoder) *msg.Message {
 	if !p.InterruptsEnabled() {
 		// The DSM must not await a reply while asynchronous delivery is
 		// masked: the peer may need to serve our request via its own
@@ -333,13 +327,13 @@ func (t *Transport) AwaitReply(p *sim.Proc, deadline sim.Time) *msg.Message {
 	if rv == nil {
 		return nil
 	}
-	return t.recvSyncFrame(p, rv)
+	return t.recvSyncFrame(p, rv, into)
 }
 
-// recvSyncFrame decodes one synchronous-port arrival into a reply
-// message, or returns nil for a frame that must be skipped (malformed or
-// corrupt), with the receive buffer recycled either way.
-func (t *Transport) recvSyncFrame(p *sim.Proc, rv *gm.Recv) *msg.Message {
+// recvSyncFrame decodes one synchronous-port arrival into a reply message
+// in into's storage, or returns nil for a frame that must be skipped
+// (malformed or corrupt), with the receive buffer recycled either way.
+func (t *Transport) recvSyncFrame(p *sim.Proc, rv *gm.Recv, into *msg.Decoder) *msg.Message {
 	t.Live.Heard(int(rv.From))
 	var m *msg.Message
 	if len(rv.Data) > 0 && (rv.Data[0] == frameMsg || rv.Data[0] == frameData) {
@@ -347,7 +341,7 @@ func (t *Transport) recvSyncFrame(p *sim.Proc, rv *gm.Recv) *msg.Message {
 		// structures (the paper's extra-copy design).
 		body := rv.Data[1:]
 		p.Advance(DispatchCost + sim.BytesTime(len(body), CopyBandwidth))
-		m, _ = msg.Decode(body)
+		m, _ = into.Decode(body)
 	}
 	if m == nil {
 		t.Stats().CorruptFrames++

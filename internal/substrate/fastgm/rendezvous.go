@@ -1,6 +1,7 @@
 package fastgm
 
 import (
+	"bytes"
 	"encoding/binary"
 
 	"repro/internal/gm"
@@ -52,8 +53,9 @@ func (rv *rendezvousState) init(t *Transport) {
 	rv.seenRTS = make(map[uint64]bool)
 }
 
-// sendLarge stages body and sends the RTS. The bulk transfer completes
-// asynchronously when the CTS arrives.
+// sendLarge stages a copy of body — the transfer outlives Transmit, and
+// the caller's frame does not — and sends the RTS. The bulk transfer
+// completes asynchronously when the CTS arrives.
 func (rv *rendezvousState) sendLarge(p *sim.Proc, dst, dstPort int, body, aux []byte) {
 	t := rv.t
 	t.Stats().RendezvousRTS++
@@ -64,14 +66,14 @@ func (rv *rendezvousState) sendLarge(p *sim.Proc, dst, dstPort int, body, aux []
 	}
 	id := rv.nextID
 	rv.nextID++
-	rv.staged[id] = &stagedSend{dst: dst, dstPort: dstPort, body: body, aux: aux}
+	rv.staged[id] = &stagedSend{dst: dst, dstPort: dstPort, body: bytes.Clone(body), aux: aux}
 
 	class := t.node.System().Params().ClassFor(len(body) + 1)
-	ctrl := make([]byte, 6)
-	binary.LittleEndian.PutUint32(ctrl, id)
+	var ctrl [6]byte
+	binary.LittleEndian.PutUint32(ctrl[:], id)
 	ctrl[4] = byte(class)
 	ctrl[5] = byte(dstPort)
-	t.rawSend(p, dst, AsyncPort, frameRTS, ctrl)
+	t.rawSend(p, dst, AsyncPort, frameRTS, ctrl[:])
 }
 
 // onRTS runs in the receiver's interrupt context: pin a buffer of the
@@ -112,9 +114,9 @@ func (rv *rendezvousState) onRTS(p *sim.Proc, recv *gm.Recv) {
 	rv.pinned[buf] = mem
 	t.portFor(dstPort).ProvideReceiveBuffer(buf)
 
-	ctrl := make([]byte, 4)
-	binary.LittleEndian.PutUint32(ctrl, id)
-	t.rawSend(p, int(recv.From), AsyncPort, frameCTS, ctrl)
+	var ctrl [4]byte
+	binary.LittleEndian.PutUint32(ctrl[:], id)
+	t.rawSend(p, int(recv.From), AsyncPort, frameCTS, ctrl[:])
 }
 
 // onCTS runs in the original sender's interrupt context: ship the staged

@@ -20,7 +20,7 @@ func TestCompletionRetryChainsDoNotMultiply(t *testing.T) {
 		get := &verbFrame{op: frameVerbGet, origin: 1, seq: 7, window: 1, length: 4096}
 		frame := make([]byte, verbFrameLen(get))
 		encodeVerb(frame, get)
-		compLen := int64(len(encodeCompletion(0, get, compOK, make([]byte, get.length), 0)))
+		compLen := int64(len(encodeCompletion(nil, 0, get, compOK, make([]byte, get.length), 0)))
 		sends := func() int64 { return target.Stats().BytesSent / compLen }
 
 		var held []*gm.Buffer

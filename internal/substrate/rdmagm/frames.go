@@ -100,44 +100,46 @@ func encodeVerb(dst []byte, vf *verbFrame) int {
 	return n
 }
 
-// decodeVerb parses one verb frame. Segment data aliases data. Every
-// length is checked against the bytes actually present before it is
-// used, and the segment list grows only as real segments are parsed.
-func decodeVerb(data []byte) (*verbFrame, error) {
+// decode parses one verb frame into vf, reusing its segment list. Segment
+// data aliases data. Every length is checked against the bytes actually
+// present before it is used, and the segment list grows only as real
+// segments are parsed.
+func (vf *verbFrame) decode(data []byte) error {
 	if len(data) < verbHeaderLen {
-		return nil, fmt.Errorf("rdmagm: verb frame truncated (%d bytes)", len(data))
+		return fmt.Errorf("rdmagm: verb frame truncated (%d bytes)", len(data))
 	}
-	vf := &verbFrame{
+	*vf = verbFrame{
 		op:     data[0],
 		origin: int32(binary.LittleEndian.Uint32(data[1:])),
 		seq:    binary.LittleEndian.Uint32(data[5:]),
 		window: int32(binary.LittleEndian.Uint32(data[9:])),
+		segs:   vf.segs[:0],
 	}
 	body := data[verbHeaderLen:]
 	switch vf.op {
 	case frameVerbPut:
 		for len(body) > 0 {
 			if len(body) < rangeLen {
-				return nil, fmt.Errorf("rdmagm: put frame ends inside a segment header (%d stray bytes)", len(body))
+				return fmt.Errorf("rdmagm: put frame ends inside a segment header (%d stray bytes)", len(body))
 			}
 			off, n := getRange(body)
 			if n < 0 || n > len(body)-rangeLen {
-				return nil, fmt.Errorf("rdmagm: put segment claims %d bytes, frame holds %d", n, len(body)-rangeLen)
+				return fmt.Errorf("rdmagm: put segment claims %d bytes, frame holds %d", n, len(body)-rangeLen)
 			}
 			vf.segs = append(vf.segs, substrate.PutSeg{Off: off, Data: body[rangeLen : rangeLen+n]})
 			body = body[rangeLen+n:]
 		}
 	case frameVerbGet:
 		if len(body) != rangeLen {
-			return nil, fmt.Errorf("rdmagm: get frame is %d bytes, want %d", len(data), verbHeaderLen+rangeLen)
+			return fmt.Errorf("rdmagm: get frame is %d bytes, want %d", len(data), verbHeaderLen+rangeLen)
 		}
 		if vf.off, vf.length = getRange(body); vf.length < 0 {
-			return nil, fmt.Errorf("rdmagm: get with negative length %d", vf.length)
+			return fmt.Errorf("rdmagm: get with negative length %d", vf.length)
 		}
 	default:
-		return nil, fmt.Errorf("rdmagm: unknown verb op %#x", vf.op)
+		return fmt.Errorf("rdmagm: unknown verb op %#x", vf.op)
 	}
-	return vf, nil
+	return nil
 }
 
 // outside returns the first byte range of vf that does not lie inside a
@@ -168,10 +170,12 @@ type compFrame struct {
 	size   int64
 }
 
-// encodeCompletion builds the CQ entry answering vf with the given
-// status. For compOK, get carries a Get's snapshot payload; for faults,
-// size is the registered window size (-1 for an unknown window id).
-func encodeCompletion(from int32, vf *verbFrame, status byte, get []byte, size int64) []byte {
+// encodeCompletion builds the CQ entry answering vf with the given status
+// in buf's storage — or, if buf is too short, new storage of exactly the
+// entry's size. For compOK, get carries a Get's snapshot payload; for
+// faults, size is the registered window size (-1 for an unknown window
+// id).
+func encodeCompletion(buf []byte, from int32, vf *verbFrame, status byte, get []byte, size int64) []byte {
 	n := compHeaderLen
 	switch {
 	case status != compOK:
@@ -179,7 +183,11 @@ func encodeCompletion(from int32, vf *verbFrame, status byte, get []byte, size i
 	case vf.op == frameVerbGet:
 		n += len(get)
 	}
-	b := make([]byte, n)
+	b := buf[:0]
+	if cap(b) < n {
+		b = make([]byte, n)
+	}
+	b = b[:n]
 	b[0] = frameCompletion
 	binary.LittleEndian.PutUint32(b[1:], uint32(from))
 	binary.LittleEndian.PutUint32(b[5:], vf.seq)
@@ -198,11 +206,11 @@ func encodeCompletion(from int32, vf *verbFrame, status byte, get []byte, size i
 }
 
 // decodeCompletion parses one CQ entry. The returned payload aliases data.
-func decodeCompletion(data []byte) (*compFrame, error) {
+func decodeCompletion(data []byte) (compFrame, error) {
 	if len(data) < compHeaderLen {
-		return nil, fmt.Errorf("rdmagm: completion truncated (%d bytes)", len(data))
+		return compFrame{}, fmt.Errorf("rdmagm: completion truncated (%d bytes)", len(data))
 	}
-	cf := &compFrame{
+	cf := compFrame{
 		from:   int32(binary.LittleEndian.Uint32(data[1:])),
 		seq:    binary.LittleEndian.Uint32(data[5:]),
 		op:     data[9],
@@ -212,22 +220,22 @@ func decodeCompletion(data []byte) (*compFrame, error) {
 	switch {
 	case cf.status == compBadWindow || cf.status == compOOB:
 		if len(body) != 4+4+4+8 {
-			return nil, fmt.Errorf("rdmagm: fault completion malformed")
+			return compFrame{}, fmt.Errorf("rdmagm: fault completion malformed")
 		}
 		cf.window = int32(binary.LittleEndian.Uint32(body))
 		cf.off = int(int32(binary.LittleEndian.Uint32(body[4:])))
 		cf.length = int(int32(binary.LittleEndian.Uint32(body[8:])))
 		cf.size = int64(binary.LittleEndian.Uint64(body[12:]))
 	case cf.status != compOK:
-		return nil, fmt.Errorf("rdmagm: unknown completion status %#x", cf.status)
+		return compFrame{}, fmt.Errorf("rdmagm: unknown completion status %#x", cf.status)
 	case cf.op == frameVerbGet:
 		cf.payload = body
 	case cf.op == frameVerbPut:
 		if len(body) != 0 {
-			return nil, fmt.Errorf("rdmagm: put completion with trailing bytes")
+			return compFrame{}, fmt.Errorf("rdmagm: put completion with trailing bytes")
 		}
 	default:
-		return nil, fmt.Errorf("rdmagm: completion for unknown op %#x", cf.op)
+		return compFrame{}, fmt.Errorf("rdmagm: completion for unknown op %#x", cf.op)
 	}
 	return cf, nil
 }

@@ -106,7 +106,8 @@ func FuzzHandleVerbFrame(f *testing.F) {
 			// All or nothing: a Put with any segment outside the window
 			// must not have deposited its in-bounds segments either.
 			win := target.windows[1]
-			if vf, err := decodeVerb(data); err == nil && vf.op == frameVerbPut && vf.window == 1 {
+			var vf verbFrame
+			if err := vf.decode(data); err == nil && vf.op == frameVerbPut && vf.window == 1 {
 				if _, _, bad := vf.outside(len(win)); bad && !bytes.Equal(win, make([]byte, len(win))) {
 					t.Fatal("a faulting Put wrote part of its segments")
 				}
@@ -126,14 +127,14 @@ func FuzzHandleVerbFrame(f *testing.F) {
 func FuzzHandleCompletion(f *testing.F) {
 	// Completions answering the outstanding put (seq 1): matched op,
 	// mismatched op, fault statuses, trailing garbage.
-	okPut := encodeCompletion(0, &verbFrame{op: frameVerbPut, seq: 1}, compOK, nil, 0)
+	okPut := encodeCompletion(nil, 0, &verbFrame{op: frameVerbPut, seq: 1}, compOK, nil, 0)
 	f.Add(okPut)
-	f.Add(append(okPut, 0xEE))                                                             // put completion with trailing bytes
-	f.Add(encodeCompletion(0, &verbFrame{op: frameVerbGet, seq: 1}, compOK, []byte{9}, 0)) // wrong op for seq 1
-	f.Add(encodeCompletion(0, &verbFrame{op: 0x13, seq: 1}, compOK, nil, 0))               // unknown op for seq 1
-	f.Add(encodeCompletion(0, &verbFrame{op: frameVerbPut, seq: 1, window: 1, off: 4, length: 8},
+	f.Add(append(okPut, 0xEE))                                                                  // put completion with trailing bytes
+	f.Add(encodeCompletion(nil, 0, &verbFrame{op: frameVerbGet, seq: 1}, compOK, []byte{9}, 0)) // wrong op for seq 1
+	f.Add(encodeCompletion(nil, 0, &verbFrame{op: 0x13, seq: 1}, compOK, nil, 0))               // unknown op for seq 1
+	f.Add(encodeCompletion(nil, 0, &verbFrame{op: frameVerbPut, seq: 1, window: 1, off: 4, length: 8},
 		compOOB, nil, 4096)) // bounds fault for the live verb
-	f.Add(encodeCompletion(0, &verbFrame{op: frameVerbPut, seq: 900}, compOK, nil, 0)) // stale seq
+	f.Add(encodeCompletion(nil, 0, &verbFrame{op: frameVerbPut, seq: 900}, compOK, nil, 0)) // stale seq
 	badStatus := append([]byte(nil), okPut...)
 	badStatus[10] = 9 // unknown status
 	f.Add(badStatus)

@@ -80,6 +80,10 @@ type Transport struct {
 	tokenCond *sim.Cond
 
 	vdup *substrate.DupCache // target-side duplicate-verb filter
+	vin  verbFrame           // the verb the sink is serving (onVerbFrame)
+	// freeComps holds the completion sends no scheduled event holds any
+	// more (compSend), reused.
+	freeComps []*compSend
 	// compQueued marks the cached completions whose send is re-arming on
 	// compRetry. A redelivery must not start a second chain beside it: every
 	// chain sends when a buffer frees, and the copies — to an initiator that
@@ -149,10 +153,7 @@ func (t *Transport) Start(p *sim.Proc, h substrate.Handler) {
 	params := t.node.System().Params()
 	prepost := func(port *gm.Port, count int) {
 		for c := params.MinClass; c <= params.MaxClass; c++ {
-			bufs := t.node.Register(p, count*gm.ClassCapacity(c)).Carve(c, count)
-			for i := range bufs {
-				port.ProvideReceiveBuffer(&bufs[i])
-			}
+			port.ProvideReceiveBuffers(t.node.Register(p, count*gm.ClassCapacity(c)).Carve(c, count))
 		}
 	}
 	// Verb port: the sink recycles each buffer synchronously at arrival,
@@ -218,8 +219,8 @@ func (t *Transport) RegisterWindow(p *sim.Proc, id int32, mem []byte) {
 
 // PostPut implements substrate.OneSided.
 func (t *Transport) PostPut(p *sim.Proc, dst int, window int32, segs ...substrate.PutSeg) substrate.PendingVerb {
-	vf := &verbFrame{op: frameVerbPut, window: window, segs: segs}
-	n := verbFrameLen(vf)
+	vf := verbFrame{op: frameVerbPut, window: window, segs: segs}
+	n := verbFrameLen(&vf)
 	st := t.Stats()
 	st.OneSidedPuts++
 	st.OneSidedBytesPut += int64(n - putFrameLen(len(segs), 0)) // payload: the frame less its headers
@@ -227,7 +228,7 @@ func (t *Transport) PostPut(p *sim.Proc, dst int, window int32, segs ...substrat
 	// payload byte is a host copy (the payload rides the frame; windows on
 	// the initiator side need no registration).
 	p.Advance(sim.BytesTime(n, fastgm.CopyBandwidth))
-	return t.post(p, dst, vf)
+	return t.post(p, dst, &vf)
 }
 
 // PutSize implements substrate.OneSided.
@@ -238,11 +239,13 @@ func (t *Transport) PostGet(p *sim.Proc, dst int, window int32, off, n int) subs
 	st := t.Stats()
 	st.OneSidedGets++
 	st.OneSidedBytesGot += int64(n)
-	return t.post(p, dst, &verbFrame{op: frameVerbGet, window: window, off: off, length: n})
+	vf := verbFrame{op: frameVerbGet, window: window, off: off, length: n}
+	return t.post(p, dst, &vf)
 }
 
 // post applies flow control, opens the verb in the core's call table under
-// a fresh sequence number, transmits the descriptor and starts its clock.
+// a fresh sequence number, encodes the descriptor into the call's frame,
+// transmits it and starts its clock.
 func (t *Transport) post(p *sim.Proc, dst int, vf *verbFrame) substrate.PendingVerb {
 	if dst == t.Rank() {
 		panic("rdmagm: one-sided verb to self")
@@ -265,16 +268,16 @@ func (t *Transport) post(p *sim.Proc, dst int, vf *verbFrame) substrate.PendingV
 	}
 	vf.origin = int32(t.Rank())
 	vf.seq = t.NextSeq()
-	frame := make([]byte, verbFrameLen(vf))
-	encodeVerb(frame, vf)
+	n := verbFrameLen(vf)
 	var aux []byte
 	if cz := p.Sim().Causal(); cz != nil {
 		// A verb is always posted from the initiator's mainline (there is
 		// no handler-context posting path).
 		aux = trace.EncodeCtx(cz.Edge("verb:"+verbName(vf.op), t.Rank(), dst, p.ID(),
-			cz.Cur(t.Rank()).Span, len(frame), int64(p.Now())))
+			cz.Cur(t.Rank()).Span, n, int64(p.Now())))
 	}
-	pc := t.Open(p, &t.verbs, dst, vf.seq, frame, aux)
+	pc := t.Open(p, &t.verbs, dst, vf.seq, aux)
+	encodeVerb(pc.FrameBuf(n), vf)
 	t.sq[dst] = append(t.sq[dst], pc)
 	if !pc.Done() {
 		t.sendVerb(p, pc, true)
@@ -290,6 +293,10 @@ func (t *Transport) awaitSlot(p *sim.Proc, dst int) {
 	substrate.Step(&t.Core, p, t.sq[dst])
 	t.retire(dst)
 }
+
+// inQueue reports whether verb pc is still in its target's send queue:
+// retire has not returned its credit yet, so its record is not free.
+func (t *Transport) inQueue(pc *substrate.Call) bool { return slices.Contains(t.sq[pc.Dst()], pc) }
 
 // retire drops resolved verbs from dst's send queue and returns their
 // credits.
@@ -380,10 +387,14 @@ func (ss *stagedSend) sent(st gm.SendStatus) {
 // WaitVerbs implements substrate.OneSided: the core's wait loop over the
 // completion queue until every verb resolves. Legal with asynchronous
 // delivery masked — completion arrival never involves the async request
-// port, and the target never needs our handler.
+// port, and the target never needs our handler. The verbs the previous
+// WaitVerbs in this context returned are reclaimed first (a Get's data is
+// valid until then); these are lent to the caller.
 func (t *Transport) WaitVerbs(p *sim.Proc, verbs []substrate.PendingVerb) error {
+	t.Reclaim(p, &t.verbs, t.inQueue)
 	for substrate.Step(&t.Core, p, verbs) > 0 {
 	}
+	substrate.Lend(&t.Core, p, verbs)
 	for _, v := range verbs {
 		if err := v.Err(); err != nil {
 			return err
@@ -438,10 +449,11 @@ func (t *Transport) handleCompletion(p *sim.Proc, rv *gm.Recv) {
 		verr = &substrate.WindowBoundsError{Peer: pc.Dst(), Window: cf.window,
 			Off: cf.off, Len: cf.length, Size: int(cf.size)}
 	case cf.op == frameVerbGet:
-		// The payload was DMA'd into initiator memory; copy it out of
-		// the receive ring before recycling (no host-copy charge — the
-		// consumer's own memcpy is the host cost).
-		data = append([]byte(nil), cf.payload...)
+		// The payload was DMA'd into initiator memory; Complete copies it
+		// out of the receive ring, into the call's storage, before the
+		// deferred recycle (no host-copy charge — the consumer's own
+		// memcpy is the host cost).
+		data = cf.payload
 	}
 	t.Complete(pc, data, verr)
 	if cz != nil && !ctx.Zero() {
@@ -468,8 +480,8 @@ func verbName(op byte) string {
 func (t *Transport) onVerbFrame(rv *gm.Recv) {
 	st := t.Stats()
 	t.Live.Heard(int(rv.From))
-	vf, err := decodeVerb(rv.Data)
-	if err != nil {
+	vf := &t.vin
+	if err := vf.decode(rv.Data); err != nil {
 		st.CorruptFrames++
 		t.verbPort.ProvideReceiveBuffer(rv.Buffer)
 		return
@@ -490,7 +502,7 @@ func (t *Transport) onVerbFrame(rv *gm.Recv) {
 		st.DupRequests++
 		t.verbPort.ProvideReceiveBuffer(rv.Buffer)
 		if e.Done && !t.compQueued[key] {
-			t.sendCompletion(key, e.To, e.Reply, e.ReplyAux)
+			t.sendCompletion(key)
 		}
 		return
 	}
@@ -498,6 +510,8 @@ func (t *Transport) onVerbFrame(rv *gm.Recv) {
 
 	// Every range is checked against the window before any byte moves: a
 	// faulting Put writes nothing, whichever of its segments is at fault.
+	// The completion is encoded into the filter slot's storage, where it is
+	// cached: a Get's payload is the window as it is now, a snapshot.
 	var comp []byte
 	var dmaBytes int
 	win, ok := t.windows[vf.window]
@@ -508,16 +522,15 @@ func (t *Transport) onVerbFrame(rv *gm.Recv) {
 	if off, length, bad := vf.outside(int(size)); !ok || bad {
 		st.WindowFaults++
 		vf.off, vf.length = off, length
-		comp = encodeCompletion(int32(t.Rank()), vf, status, nil, size)
+		comp = encodeCompletion(e.Reply, int32(t.Rank()), vf, status, nil, size)
 	} else if vf.op == frameVerbPut {
 		for _, s := range vf.segs {
 			dmaBytes += copy(win[s.Off:], s.Data)
 		}
-		comp = encodeCompletion(int32(t.Rank()), vf, compOK, nil, 0)
+		comp = encodeCompletion(e.Reply, int32(t.Rank()), vf, compOK, nil, 0)
 	} else {
-		snap := append([]byte(nil), win[vf.off:vf.off+vf.length]...)
 		dmaBytes = vf.length
-		comp = encodeCompletion(int32(t.Rank()), vf, compOK, snap, 0)
+		comp = encodeCompletion(e.Reply, int32(t.Rank()), vf, compOK, win[vf.off:vf.off+vf.length], 0)
 	}
 	// Firmware service (once per frame), one DMA descriptor per Put
 	// segment, the DMA itself, then the completion entry.
@@ -536,15 +549,52 @@ func (t *Transport) onVerbFrame(rv *gm.Recv) {
 	e.Done, e.Reply, e.ReplyAux, e.To = true, comp, compAux, dst
 	t.verbPort.ProvideReceiveBuffer(rv.Buffer)
 
-	t.Proc().Sim().After(delay, func() { t.sendCompletion(key, dst, comp, compAux) })
+	t.Proc().Sim().After(delay, t.compSend(key))
 }
 
-// sendCompletion ships one CQ entry from kernel/event context,
-// best-effort with a short retry when buffers or tokens are dry: a lost
-// completion is recovered by the initiator's verb retransmission.
-func (t *Transport) sendCompletion(key substrate.DupKey, dst int, comp, aux []byte) {
+// compSend is one completion send scheduled for later — after the verb's
+// service time, or compRetry after a dry buffer pool: the key of the
+// filter entry caching it and the event callback, bound once. The
+// transport reuses the record once its event has fired.
+type compSend struct {
+	t    *Transport
+	key  substrate.DupKey
+	fire func() // cs.send, bound once
+}
+
+// compSend returns the callback of a free completion-send record for key.
+func (t *Transport) compSend(key substrate.DupKey) func() {
+	var cs *compSend
+	if k := len(t.freeComps); k > 0 {
+		cs, t.freeComps = t.freeComps[k-1], t.freeComps[:k-1]
+	} else {
+		cs = &compSend{t: t}
+		cs.fire = cs.send
+	}
+	cs.key = key
+	return cs.fire
+}
+
+func (cs *compSend) send() {
+	t, key := cs.t, cs.key
+	t.freeComps = append(t.freeComps, cs)
+	t.sendCompletion(key)
+}
+
+// sendCompletion ships the CQ entry cached under key from kernel/event
+// context, best-effort with a short retry when buffers or tokens are dry:
+// a lost completion is recovered by the initiator's verb retransmission.
+// An entry the filter has dropped meanwhile is not sent — its slot's
+// storage holds another verb's completion now — and is recovered the
+// same way.
+func (t *Transport) sendCompletion(key substrate.DupKey) {
 	delete(t.compQueued, key)
-	if t.Halted() || dst < 0 || dst >= t.Size() || dst == t.Rank() {
+	e, ok := t.vdup.Lookup(key)
+	if !ok || t.Halted() {
+		return
+	}
+	dst, comp, aux := e.To, e.Reply, e.ReplyAux
+	if dst < 0 || dst >= t.Size() || dst == t.Rank() {
 		return
 	}
 	if buf := t.compPool.TryTake(len(comp)); buf != nil {
@@ -560,5 +610,5 @@ func (t *Transport) sendCompletion(key substrate.DupKey, dst int, comp, aux []by
 		t.EnsureResume(t.cqPort)
 	}
 	t.compQueued[key] = true
-	t.Proc().Sim().After(compRetry, func() { t.sendCompletion(key, dst, comp, aux) })
+	t.Proc().Sim().After(compRetry, t.compSend(key))
 }

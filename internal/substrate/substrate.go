@@ -76,8 +76,9 @@ import (
 
 // Handler processes one incoming asynchronous request in the receiving
 // process's context (interrupt/SIGIO context; interrupts are masked for
-// the duration). The handler owns the message and typically ends by
-// calling Reply or Forward.
+// the duration) and typically ends by calling Reply or Forward. The
+// message is decoded into the transport's storage and is valid until the
+// handler returns: a handler that keeps any of it longer copies it.
 type Handler func(p *sim.Proc, m *msg.Message)
 
 // Transport is the communication substrate interface used by the DSM.
@@ -91,20 +92,26 @@ type Transport interface {
 	// arrives (possibly from a third node, for forwarded requests).
 	// Asynchronous requests from other nodes are still serviced while
 	// blocked. The transport fills in Seq/From/ReplyTo. Equivalent to
-	// CallBegin followed by a single-element Collect.
+	// CallBegin followed by a single-element Collect, and its reply is
+	// valid for as long.
 	Call(p *sim.Proc, dst int, req *msg.Message) *msg.Message
 
 	// CallBegin transmits a request to dst without waiting for the reply,
 	// returning a handle for Collect. Multiple calls may be outstanding at
 	// once (scatter); each transmits immediately, so the round trips
-	// overlap and the gather cost is max-RTT, not sum-of-RTTs.
+	// overlap and the gather cost is max-RTT, not sum-of-RTTs. req is
+	// encoded before CallBegin returns; nothing of it is read after.
 	CallBegin(p *sim.Proc, dst int, req *msg.Message) Pending
 
 	// Collect blocks until every pending call has resolved, servicing
 	// asynchronous requests meanwhile and accepting replies in any arrival
 	// order. The result is indexed like pending; an entry is nil iff the
 	// transport gave up on that peer (declared dead, by silence or by an
-	// exhausted retry budget), mirroring Call's nil return.
+	// exhausted retry budget), mirroring Call's nil return. The handles,
+	// the result slice and the replies are the transport's storage, valid
+	// until the next Call or Collect in the same context of the process
+	// (its mainline, or its handler) begins; whoever keeps any of it
+	// longer copies it.
 	Collect(p *sim.Proc, pending []Pending) []*msg.Message
 
 	// Reply answers a previously received request; the reply is routed to
@@ -198,7 +205,9 @@ type OneSided interface {
 	// does not ride the async request port). It returns the first
 	// verb-level error (*WindowBoundsError, or a *PeerUnreachableError
 	// if the target was declared dead mid-verb, by silence or by a spent
-	// retry budget), or nil if all verbs completed.
+	// retry budget), or nil if all verbs completed. Like Collect's, the
+	// handles and a Get's Data are valid until the next WaitVerbs in the
+	// same context of the process begins.
 	WaitVerbs(p *sim.Proc, verbs []PendingVerb) error
 }
 

@@ -69,7 +69,8 @@ type Transport struct {
 	reqBuf []byte
 	repBuf []byte
 
-	hbData []byte // the pre-encoded heartbeat datagram
+	hbData    []byte // the pre-encoded heartbeat datagram
+	creditBuf []byte // the credit return being sent (sendCredit, handler context only)
 
 	// credits is the per-peer send window (nil with flow control off).
 	// The unbounded resource here is not a prepost ring but the receiver's
@@ -216,7 +217,7 @@ func (t *Transport) onSIGIO(p *sim.Proc, payload any) {
 // duplicate filter and the DSM handler.
 func (t *Transport) dispatchRequest(p *sim.Proc, raw, aux []byte) {
 	p.Advance(DispatchCost)
-	m, err := msg.Decode(raw)
+	m, err := t.RequestDecoder(p).Decode(raw)
 	if err != nil {
 		panic(fmt.Sprintf("udpgm: corrupt request on node %d: %v", t.Rank(), err))
 	}
@@ -256,15 +257,16 @@ func (t *Transport) sendCredit(p *sim.Proc, peer, n int) {
 	if peer < 0 || peer >= t.Size() || peer == t.Rank() || t.Live.Dead(peer) {
 		return
 	}
-	cr := &msg.Message{Kind: msg.KCredit, From: int32(t.Rank()),
+	cr := msg.Message{Kind: msg.KCredit, From: int32(t.Rank()),
 		ReplyTo: int32(t.Rank()), Page: int32(n)}
-	t.send(p, peer, reqPortBase+t.Rank(), cr.Encode(), nil)
+	t.creditBuf = cr.EncodeTo(t.creditBuf)
+	t.send(p, peer, reqPortBase+t.Rank(), t.creditBuf, nil)
 	t.Stats().CreditReturnsSent++
 }
 
 // AwaitReply implements substrate.Wire: select on the reply sockets until
 // a reply datagram arrives or the earliest per-call deadline passes.
-func (t *Transport) AwaitReply(p *sim.Proc, deadline sim.Time) *msg.Message {
+func (t *Transport) AwaitReply(p *sim.Proc, deadline sim.Time, into *msg.Decoder) *msg.Message {
 	if deadline == 0 {
 		deadline = sim.Infinity
 	}
@@ -277,7 +279,7 @@ func (t *Transport) AwaitReply(p *sim.Proc, deadline sim.Time) *msg.Message {
 		return nil
 	}
 	t.Stats().BytesRecvd += int64(n)
-	m, err := msg.Decode(t.repBuf[:n])
+	m, err := into.Decode(t.repBuf[:n])
 	if err != nil {
 		panic(fmt.Sprintf("udpgm: corrupt reply on node %d: %v", t.Rank(), err))
 	}

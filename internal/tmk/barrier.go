@@ -24,8 +24,12 @@ import (
 // root serving n−1 messages. Fanout 0 (default) is the paper's flat
 // centralized barrier.
 type barrierState struct {
-	episode  int32
-	arrivals []*msg.Message // children's arrive requests, this episode
+	episode int32
+	// arrivals holds copies of this episode's children's arrive requests
+	// (keepRequest); spare is the last episode's storage, which the next
+	// one fills while Barrier still answers from this one's.
+	arrivals []msg.Message
+	spare    []msg.Message
 	cond     *sim.Cond
 
 	// Causal-tracing observation (DESIGN.md §13): the context and time of
@@ -103,8 +107,9 @@ func (tp *Proc) Barrier(id int32) {
 
 	tp.tr.DisableAsync(tp.sp)
 	arrivals := tp.barrier.arrivals
-	tp.barrier.arrivals = nil
-	for _, req := range arrivals {
+	tp.barrier.arrivals = tp.barrier.spare[:0]
+	for i := range arrivals {
+		req := &arrivals[i]
 		if req.Barrier != id {
 			panic(fmt.Sprintf("tmk: barrier mismatch: rank %d at %d, child %d at %d",
 				tp.rank, id, req.ReplyTo, req.Barrier))
@@ -118,20 +123,20 @@ func (tp *Proc) Barrier(id int32) {
 	var releaseCtx trace.Ctx
 	if parent >= 0 {
 		tp.tr.DisableAsync(tp.sp)
-		recs := tp.store.since(tp.lastBarrierVC)
+		recs := tp.since(tp.lastBarrierVC)
 		tp.tr.EnableAsync(tp.sp)
 		pIvs = len(recs)
 		for _, r := range recs {
 			pPgs += len(r.pages)
 		}
 		rep := tp.call(parent, blocked("barrier %d episode %d (arrive at parent %d)", int(id), int(ep), parent),
-			&msg.Message{
+			tp.outgoing(msg.Message{
 				Kind:      msg.KBarrierArrive,
 				Barrier:   id,
 				Episode:   ep,
 				VC:        tp.vc.Ints(),
-				Intervals: toWire(recs),
-			})
+				Intervals: tp.toWire(recs),
+			}))
 		if rep.Kind != msg.KBarrierRelease {
 			panic(fmt.Sprintf("tmk: bad barrier release %v", rep.Kind))
 		}
@@ -169,17 +174,19 @@ func (tp *Proc) Barrier(id int32) {
 	if parent < 0 {
 		tp.endEpoch()
 	}
-	for _, req := range arrivals {
-		recs := tp.store.since(VC(req.VC))
-		tp.tr.Reply(tp.sp, req, &msg.Message{
+	for i := range arrivals {
+		req := &arrivals[i]
+		recs := tp.since(VC(req.VC))
+		tp.tr.Reply(tp.sp, req, tp.outgoing(msg.Message{
 			Kind:      msg.KBarrierRelease,
 			Barrier:   id,
 			Episode:   req.Episode,
-			Intervals: toWire(recs),
+			Intervals: tp.toWire(recs),
 			Ctx:       enabling,
-		})
+		}))
 	}
 	tp.barrier.episode++
+	tp.barrier.spare = arrivals
 	tp.tr.EnableAsync(tp.sp)
 
 	tp.stats.BarrierWait += tp.sp.Now() - start
@@ -201,7 +208,7 @@ func (tp *Proc) endEpoch() {
 	if tp.homes == nil {
 		return
 	}
-	tp.moveHomes(tp.store.since(prev))
+	tp.moveHomes(tp.since(prev))
 	tp.store.pruneThrough(prev)
 	for _, pm := range tp.pages {
 		if pm != nil {
@@ -221,6 +228,6 @@ func (tp *Proc) handleBarrierArrive(req *msg.Message) {
 		tp.barrier.lastArrive = req.Ctx
 		tp.barrier.lastArriveT = tp.sp.Now()
 	}
-	tp.barrier.arrivals = append(tp.barrier.arrivals, req)
+	tp.barrier.arrivals = keepRequest(tp.barrier.arrivals, req)
 	tp.barrier.cond.Broadcast()
 }

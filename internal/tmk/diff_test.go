@@ -206,7 +206,7 @@ func TestIntervalStore(t *testing.T) {
 		t.Error("get wrong")
 	}
 	// since(zero) must return all three in happens-before-sum order.
-	got := s.since(NewVC(3))
+	got := s.since(NewVC(3), nil)
 	if len(got) != 3 {
 		t.Fatalf("since(0) = %d records", len(got))
 	}
@@ -214,7 +214,7 @@ func TestIntervalStore(t *testing.T) {
 		t.Errorf("order: %v %v %v", got[0], got[1], got[2])
 	}
 	// since({0,1,0}) skips r1.
-	got = s.since(VC{0, 1, 0})
+	got = s.since(VC{0, 1, 0}, nil)
 	if len(got) != 2 || got[0] != r2 {
 		t.Errorf("since filter wrong: %d recs", len(got))
 	}

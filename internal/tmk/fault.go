@@ -338,10 +338,11 @@ func (tp *Proc) closeInterval() {
 	}
 	ts := tp.vc[tp.rank] + 1
 	tp.vc[tp.rank] = ts
-	pages := make([]int32, len(tp.dirty))
-	copy(pages, tp.dirty)
+	// The record's copy of the dirty list, sorted, is what the loop walks:
+	// a handler's own close, run inside an Advance below, starts over from
+	// tp.dirty.
+	pages := tp.store.add(int32(tp.rank), ts, tp.vc, tp.dirty).pages
 	slices.Sort(pages)
-	tp.store.add(int32(tp.rank), ts, tp.vc.Clone(), pages)
 	tp.stats.IntervalsCreated++
 
 	for _, pg := range pages {
@@ -441,7 +442,7 @@ func (tp *Proc) keepDiff(k diffKey, d []byte) {
 // notices (invalidating uncovered pages), and advance our vector clock.
 func (tp *Proc) applyIntervals(ivs []msg.Interval) {
 	for _, iv := range ivs {
-		rec := tp.store.add(iv.Proc, iv.TS, VC(iv.VC), iv.Pages) // the record adopts the decoded lists
+		rec := tp.store.add(iv.Proc, iv.TS, VC(iv.VC), iv.Pages) // copies: the decoded lists are the transport's
 		if rec == nil {
 			continue
 		}

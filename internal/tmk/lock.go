@@ -22,8 +22,10 @@ type lockState struct {
 	haveToken bool
 	held      bool
 
-	// Queued forwarded acquires to grant at our next release.
-	waiters []*msg.Message
+	// Queued forwarded acquires to grant at our next release, copied
+	// (keepRequest); spare is the storage the last release served from.
+	waiters []msg.Message
+	spare   []msg.Message
 
 	// Manager only: the process at the tail of the forwarding chain (the
 	// last requester we pointed the lock at).
@@ -68,10 +70,10 @@ func (tp *Proc) LockAcquire(id int32) {
 		tail := ls.tail
 		ls.tail = tp.rank
 		rep = tp.call(tail, blocked("lock %d (acquire from chain tail %d)", int(id), tail),
-			&msg.Message{Kind: msg.KLockAcquire, Lock: id, VC: tp.vc.Ints()})
+			tp.outgoing(msg.Message{Kind: msg.KLockAcquire, Lock: id, VC: tp.vc.Ints()}))
 	} else {
 		rep = tp.call(mgr, blocked("lock %d (acquire via manager %d)", int(id), mgr),
-			&msg.Message{Kind: msg.KLockAcquire, Lock: id, VC: tp.vc.Ints()})
+			tp.outgoing(msg.Message{Kind: msg.KLockAcquire, Lock: id, VC: tp.vc.Ints()}))
 	}
 	if rep.Kind != msg.KLockGrant {
 		panic(fmt.Sprintf("tmk: bad lock grant %v", rep.Kind))
@@ -108,13 +110,33 @@ func (tp *Proc) serveLockWaiters(ls *lockState) {
 	if ls.held || !ls.haveToken || len(ls.waiters) == 0 {
 		return
 	}
-	req := ls.waiters[0]
-	rest := ls.waiters[1:]
-	ls.waiters = nil
+	waiters := ls.waiters
+	ls.waiters = ls.spare[:0]
+	req := &waiters[0]
 	tp.grantLock(ls, req)
-	for _, w := range rest {
-		tp.tr.Forward(tp.sp, int(req.ReplyTo), w)
+	for i := range waiters[1:] {
+		tp.tr.Forward(tp.sp, int(req.ReplyTo), &waiters[1+i])
 	}
+	ls.spare = waiters
+}
+
+// keepRequest appends to list a copy of what tmk reads of a request after
+// its handler has returned — the header and the vector clock; a barrier
+// arrival's intervals were applied in the handler — reusing the storage a
+// previous use left past list's end. The decoded request itself is the
+// transport's, valid only while the handler runs.
+func keepRequest(list []msg.Message, req *msg.Message) []msg.Message {
+	n := len(list)
+	if n < cap(list) {
+		list = list[:n+1]
+	} else {
+		list = append(list, msg.Message{})
+	}
+	kept := &list[n]
+	vc := append(kept.VC[:0], req.VC...)
+	*kept = *req
+	kept.VC, kept.Intervals, kept.DiffReqs, kept.Diffs, kept.PageData = vc, nil, nil, nil, nil
+	return list
 }
 
 // grantLock closes our interval and ships the grant with the intervals
@@ -129,12 +151,12 @@ func (tp *Proc) grantLock(ls *lockState, req *msg.Message) {
 	}
 	tp.observe(event{kind: evLockGrant, id: ls.id, peer: int(req.ReplyTo)})
 	tp.closeInterval()
-	recs := tp.store.since(VC(req.VC))
-	tp.tr.Reply(tp.sp, req, &msg.Message{
+	recs := tp.since(VC(req.VC))
+	tp.tr.Reply(tp.sp, req, tp.outgoing(msg.Message{
 		Kind:      msg.KLockGrant,
 		Lock:      ls.id,
-		Intervals: toWire(recs),
-	})
+		Intervals: tp.toWire(recs),
+	}))
 	ls.haveToken = false
 }
 
@@ -159,5 +181,5 @@ func (tp *Proc) handleLockAcquire(req *msg.Message) {
 		tp.grantLock(ls, req)
 		return
 	}
-	ls.waiters = append(ls.waiters, req)
+	ls.waiters = keepRequest(ls.waiters, req)
 }

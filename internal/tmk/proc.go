@@ -37,6 +37,7 @@ type Proc struct {
 	vc            VC
 	lastBarrierVC VC
 	store         *intervalStore
+	bufs          [2]ctxBufs  // outgoing messages, mainline's and handler's (ctxBufs)
 	pages         []*pageMeta // by global page id, into the regions' slabs; nil = not mapped here
 	notices       noticePool  // backs and counts every page's notice lists
 	dirty         []int32
@@ -152,7 +153,7 @@ func (tp *Proc) handleRequest(p *sim.Proc, m *msg.Message) {
 		tp.handleDiffReq(m)
 	case msg.KDistribute:
 		tp.mapRegion(regionFromWire(m.Region), false)
-		tp.tr.Reply(p, m, &msg.Message{Kind: msg.KAck})
+		tp.tr.Reply(p, m, tp.outgoing(msg.Message{Kind: msg.KAck}))
 	case msg.KDistributeCommit:
 		r := tp.RegionByID(m.Region.ID)
 		if r == nil {
@@ -160,9 +161,9 @@ func (tp *Proc) handleRequest(p *sim.Proc, m *msg.Message) {
 		}
 		r.committed = true
 		tp.regionCond.Broadcast()
-		tp.tr.Reply(p, m, &msg.Message{Kind: msg.KAck})
+		tp.tr.Reply(p, m, tp.outgoing(msg.Message{Kind: msg.KAck}))
 	case msg.KPing:
-		tp.tr.Reply(p, m, &msg.Message{Kind: msg.KPong, PageData: m.PageData})
+		tp.tr.Reply(p, m, tp.outgoing(msg.Message{Kind: msg.KPong, PageData: m.PageData}))
 	default:
 		panic(fmt.Sprintf("tmk: rank %d: unexpected request %v", tp.rank, m.Kind))
 	}

@@ -141,7 +141,7 @@ func (tp *Proc) announce(r *Region, kind msg.Kind) []substrate.Pending {
 	pending := make([]substrate.Pending, 0, tp.n-1)
 	for peer := 0; peer < tp.n; peer++ {
 		if peer != tp.rank {
-			pending = append(pending, tp.tr.CallBegin(tp.sp, peer, &msg.Message{Kind: kind, Region: r.wire()}))
+			pending = append(pending, tp.tr.CallBegin(tp.sp, peer, tp.outgoing(msg.Message{Kind: kind, Region: r.wire()})))
 		}
 	}
 	return pending
