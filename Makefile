@@ -7,7 +7,7 @@ FUZZTIME ?= 5s
 BENCHDIR ?= .
 WORKLOAD ?= jacobi_fastgm_16
 
-.PHONY: all check fmt vet build test race loc uncovered host-allocs fuzz-smoke bench bench-identical bench-gate prof-smoke chaos-smoke crash-smoke rdma-smoke critical-smoke flow-smoke cli-smoke cli-sweep
+.PHONY: all check fmt vet build test race loc uncovered host-allocs host-cpu fuzz-smoke bench bench-identical bench-gate prof-smoke chaos-smoke crash-smoke rdma-smoke critical-smoke flow-smoke cli-smoke cli-sweep
 
 all: check
 
@@ -75,6 +75,23 @@ host-allocs:
 		for idx in alloc_space alloc_objects; do \
 			$(GO) tool pprof -sample_index=$$idx -top -nodecount=10 $$tmp/harness.test $$tmp/mem.prof 2>/dev/null | tail -n +4; \
 		done; \
+	fi; \
+	rm -rf $$tmp; exit $$status
+
+# Where the host CPU of a benchmark workload goes, the CPU twin of
+# host-allocs (same WORKLOAD choices and default): BenchmarkWorkloads runs
+# the row for about a second under -cpuprofile, then the benchmark's line
+# and the profile's top 15 functions by flat time are printed. It prints,
+# it never gates, and it is not part of `check`.
+host-cpu:
+	@tmp=$$(mktemp -d); run='^BenchmarkWorkloads$$'; \
+	if [ "$(WORKLOAD)" != all ]; then run="$$run/^$(WORKLOAD)$$"; fi; \
+	$(GO) test -count=1 -run '^$$' -bench "$$run" -o $$tmp/harness.test \
+		-cpuprofile $$tmp/cpu.prof ./internal/harness/ > $$tmp/out; \
+	status=$$?; \
+	grep -E '^(Benchmark|FAIL|ok)' $$tmp/out; \
+	if [ $$status -eq 0 ]; then \
+		$(GO) tool pprof -top -nodecount=15 $$tmp/harness.test $$tmp/cpu.prof 2>/dev/null | tail -n +5; \
 	fi; \
 	rm -rf $$tmp; exit $$status
 

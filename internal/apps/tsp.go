@@ -3,6 +3,7 @@ package apps
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/sim"
 	"repro/internal/tmk"
@@ -15,7 +16,7 @@ import (
 // synchronization"). Workers prune against a possibly stale bound —
 // stale bounds are conservative, so the optimum is unaffected.
 type TSP struct {
-	Cities      int
+	Cities      int      // at most 64: the search keeps its unvisited cities in a uint64
 	PrefixDepth int      // cities fixed per work unit (including city 0)
 	CostPerNode sim.Time // CPU per search-tree node visited
 }
@@ -33,25 +34,32 @@ func (t *TSP) Name() string { return "tsp" }
 // Size implements App (Table 1 notation: city count).
 func (t *TSP) Size() string { return fmt.Sprintf("%d cities", t.Cities) }
 
-// dist builds the deterministic symmetric distance matrix: cities on a
+// distances is TSP's flat distance table: d[i*n+j] is the length of the
+// edge from city i to city j.
+type distances struct {
+	n int
+	d []int32
+}
+
+// distances builds the deterministic symmetric table: cities on a
 // synthetic plane, Euclidean distances scaled to integers.
-func (t *TSP) dist() [][]int32 {
+func (t *TSP) distances() distances {
 	n := t.Cities
-	xs := make([]int64, n)
-	ys := make([]int64, n)
+	d := make([]int32, n*n)
 	for i := 0; i < n; i++ {
-		xs[i] = int64((i*613 + 127) % 503)
-		ys[i] = int64((i*797 + 281) % 499)
-	}
-	d := make([][]int32, n)
-	for i := range d {
-		d[i] = make([]int32, n)
+		xi, yi := tspCoord(i)
 		for j := 0; j < n; j++ {
-			dx, dy := float64(xs[i]-xs[j]), float64(ys[i]-ys[j])
-			d[i][j] = int32(math.Sqrt(dx*dx+dy*dy) + 0.5)
+			xj, yj := tspCoord(j)
+			dx, dy := float64(xi-xj), float64(yi-yj)
+			d[i*n+j] = int32(math.Sqrt(dx*dx+dy*dy) + 0.5)
 		}
 	}
-	return d
+	return distances{n: n, d: d}
+}
+
+// tspCoord places city i on the synthetic plane.
+func tspCoord(i int) (x, y int64) {
+	return int64((i*613 + 127) % 503), int64((i*797 + 281) % 499)
 }
 
 // shared layout (int32 slots): 0 = best bound, 1 = next work unit.
@@ -68,7 +76,7 @@ const (
 
 // Run implements App.
 func (t *TSP) Run(tp *tmk.Proc) {
-	d := t.dist()
+	d := t.distances()
 	shared := tp.AllocShared(16)
 	if tp.Rank() == 0 {
 		tp.WriteI32(shared, tspSlotBest, math.MaxInt32)
@@ -88,23 +96,14 @@ func (t *TSP) Run(tp *tmk.Proc) {
 			break
 		}
 
-		prefix, plen, ok := t.prefixByIndex(d, idx)
-		if !ok {
-			continue
-		}
+		last, unvisited, plen := t.prefixByIndex(d, idx)
 		// Prune whole prefixes against the (possibly stale) bound.
 		bound := tp.ReadI32(shared, tspSlotBest)
 		if plen >= bound {
 			chargePoints(tp, 1, t.CostPerNode)
 			continue
 		}
-		visited := 0
-		for _, c := range prefix {
-			visited |= 1 << c
-		}
-		best := bound
-		nodes := 0
-		tourBest := t.solve(d, prefix, visited, plen, best, &nodes)
+		tourBest, nodes := d.search(last, unvisited, plen, bound)
 		chargePoints(tp, nodes, t.CostPerNode)
 		if tourBest < bound {
 			tp.LockAcquire(tspLockBest)
@@ -127,77 +126,67 @@ func (t *TSP) prefixCount() int {
 	return count
 }
 
-// prefixByIndex decodes work unit idx into a concrete tour prefix
-// (starting at city 0) and its path length. ok is false if the prefix
-// revisits a city (indices enumerate ordered selections, all valid).
-func (t *TSP) prefixByIndex(d [][]int32, idx int) ([]int, int32, bool) {
-	n := t.Cities
-	// Room for the whole tour: solve extends the prefix in place.
-	prefix := make([]int, 1, n)
-	used := 1 // bitmask
-	var plen int32
-	radix := n - 1
+// prefixByIndex decodes work unit idx into the tour prefix it names,
+// starting at city 0: the prefix's last city, the mask of cities it has
+// not visited yet, and its path length. Each mixed-radix digit sel <
+// radix picks the sel-th city still unvisited, and exactly radix remain.
+func (t *TSP) prefixByIndex(d distances, idx int) (last int, unvisited uint64, plen int32) {
+	unvisited = allCitiesBut0(t.Cities)
+	radix := t.Cities - 1
 	for k := 0; k < t.PrefixDepth-1; k++ {
 		sel := idx % radix
 		idx /= radix
-		// sel-th unused city (excluding 0).
-		city := -1
-		cnt := 0
-		for c := 1; c < n; c++ {
-			if used&(1<<c) != 0 {
-				continue
-			}
-			if cnt == sel {
-				city = c
-				break
-			}
-			cnt++
+		m := unvisited
+		for ; sel > 0; sel-- {
+			m &= m - 1
 		}
-		if city < 0 {
-			return nil, 0, false
-		}
-		plen += d[prefix[len(prefix)-1]][city]
-		prefix = append(prefix, city)
-		used |= 1 << city
+		city := bits.TrailingZeros64(m)
+		plen += d.d[last*d.n+city]
+		last = city
+		unvisited &^= 1 << city
 		radix--
 	}
-	return prefix, plen, true
+	return last, unvisited, plen
 }
 
-// solve runs depth-first branch and bound from the prefix, returning the
-// best complete-tour length found under the given bound. path has capacity
-// for Cities entries, so every append below lands in its one backing array,
-// siblings overwriting the same tail — a child's slice is dead on return.
-func (t *TSP) solve(d [][]int32, path []int, visited int, plen, bound int32, nodes *int) int32 {
-	*nodes++
-	n := t.Cities
-	if len(path) == n {
-		total := plen + d[path[len(path)-1]][0]
-		if total < bound {
-			return total
+// allCitiesBut0 is the unvisited mask of a tour that has only left city 0.
+func allCitiesBut0(n int) uint64 { return (1<<n - 1) &^ 1 }
+
+// search runs depth-first branch and bound from a partial tour that ends
+// at city last, has length plen and has still to visit the cities in
+// unvisited, then return to city 0. It returns the best complete-tour
+// length found under bound (bound itself if none is shorter) and the
+// number of search-tree nodes it visited, which is what a work unit is
+// charged: this node, each child pruned because its partial length
+// reaches the bound, and every node below the children it descends into,
+// taken in ascending city order, each under the best bound found so far.
+func (d distances) search(last int, unvisited uint64, plen, bound int32) (int32, int) {
+	row := d.d[last*d.n : last*d.n+d.n]
+	if unvisited == 0 {
+		if total := plen + row[0]; total < bound {
+			return total, 1
 		}
-		return bound
+		return bound, 1
 	}
-	last := path[len(path)-1]
-	for c := 1; c < n; c++ {
-		if visited&(1<<c) != 0 {
-			continue
-		}
-		nl := plen + d[last][c]
+	nodes := 1
+	for m := unvisited; m != 0; m &= m - 1 {
+		c := bits.TrailingZeros64(m)
+		nl := plen + row[c]
 		if nl >= bound {
-			*nodes++
+			nodes++
 			continue
 		}
-		bound = t.solve(d, append(path, c), visited|1<<c, nl, bound, nodes)
+		var below int
+		bound, below = d.search(c, unvisited&^(1<<c), nl, bound)
+		nodes += below
 	}
-	return bound
+	return bound, nodes
 }
 
 // Sequential returns the optimal tour length.
 func (t *TSP) Sequential() int32 {
-	d := t.dist()
-	nodes := 0
-	return t.solve(d, make([]int, 1, t.Cities), 1, 0, math.MaxInt32, &nodes)
+	best, _ := t.distances().search(0, allCitiesBut0(t.Cities), 0, math.MaxInt32)
+	return best
 }
 
 // Verify implements App.
