@@ -6,8 +6,10 @@ GO       ?= go
 FUZZTIME ?= 5s
 BENCHDIR ?= .
 WORKLOAD ?= jacobi_fastgm_16
+BASE     ?= HEAD
+PAIRS    ?= 10
 
-.PHONY: all check fmt vet build test race loc uncovered host-allocs host-cpu fuzz-smoke bench bench-identical bench-gate prof-smoke chaos-smoke crash-smoke rdma-smoke critical-smoke flow-smoke cli-smoke cli-sweep
+.PHONY: all check fmt vet build test race loc uncovered host-allocs host-cpu pairs fuzz-smoke bench bench-identical bench-gate prof-smoke chaos-smoke crash-smoke rdma-smoke critical-smoke flow-smoke cli-smoke cli-sweep
 
 all: check
 
@@ -94,6 +96,74 @@ host-cpu:
 		$(GO) tool pprof -top -nodecount=15 $$tmp/harness.test $$tmp/cpu.prof 2>/dev/null | tail -n +5; \
 	fi; \
 	rm -rf $$tmp; exit $$status
+
+# The measurement rule of every host-clock claim: ./benchmark built at the
+# commit BASE (exported with git archive into a temporary directory) and at
+# the working tree, then PAIRS pairs of `-workload WORKLOAD -trace 0
+# -seconds 1` runs from the repo root, the two sides in alternating order.
+# For each end-to-end metric it prints each side's median and quartiles,
+# how many pairs the change won, and a verdict: unresolved when the
+# medians differ by no more than the base's interquartile range. It
+# prints, it never gates, and it is not part of `check`; `make pairs
+# WORKLOAD=fft3d_fastgm_8 BASE=HEAD~1` takes about a minute.
+define PAIRS_AWK
+function sorted(side, m,   n, i, j, t) {
+	n = 0
+	for (i = 1; i <= pairs; i++) if ((side, m, i) in val) s[++n] = val[side, m, i]
+	for (i = 2; i <= n; i++) for (j = i; j > 1 && s[j-1] > s[j]; j--) { t = s[j]; s[j] = s[j-1]; s[j-1] = t }
+	return n
+}
+function q(n, f,   pos, lo) {
+	pos = f * (n - 1); lo = int(pos)
+	return lo + 1 >= n ? s[n] : s[lo+1] + (pos - lo) * (s[lo+2] - s[lo+1])
+}
+{
+	if ($$1 > pairs) pairs = $$1
+	line = $$0
+	while (match(line, /"[a-z0-9_.]+":{"value":[-+0-9.eE]+/)) {
+		kv = substr(line, RSTART + 1, RLENGTH - 1); line = substr(line, RSTART + RLENGTH)
+		m = substr(kv, 1, index(kv, "\"") - 1); v = substr(kv, index(kv, "value\":") + 7) + 0
+		if (!(m in seen)) { seen[m] = 1; names[++nm] = m }
+		val[$$2, m, $$1] = v
+	}
+}
+END {
+	printf "%-24s %35s %35s %6s %5s  %s\n", "metric", "base median [q1, q3]", "change median [q1, q3]", "wins", "ties", "verdict"
+	for (k = 1; k <= nm; k++) {
+		m = names[k]; higher = m == "virt_speedup_vs_1node"
+		n = sorted("base", m); b1 = q(n, .25); b2 = q(n, .5); b3 = q(n, .75)
+		n = sorted("change", m); c1 = q(n, .25); c2 = q(n, .5); c3 = q(n, .75)
+		wins = ties = played = 0
+		for (i = 1; i <= pairs; i++) {
+			if (!(("base", m, i) in val) || !(("change", m, i) in val)) continue
+			played++; d = val["change", m, i] - val["base", m, i]
+			if (d == 0) ties++; else if (higher ? d > 0 : d < 0) wins++
+		}
+		d = c2 - b2
+		if (ties == played) verdict = "equal"
+		else if ((d < 0 ? -d : d) <= b3 - b1) verdict = "unresolved"
+		else verdict = (higher ? d > 0 : d < 0) ? "better" : "worse"
+		printf "%-24s %12.6g [%9.6g, %9.6g] %12.6g [%9.6g, %9.6g] %3d/%-2d %5d  %s\n", m, b2, b1, b3, c2, c1, c3, wins, played, ties, verdict
+	}
+}
+endef
+export PAIRS_AWK
+
+pairs:
+	@tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
+	mkdir $$tmp/src && git archive $(BASE) | tar -x -C $$tmp/src || exit 1; \
+	(cd $$tmp/src && $(GO) build -o $$tmp/base ./benchmark) || exit 1; \
+	$(GO) build -o $$tmp/change ./benchmark || exit 1; \
+	echo "pairs: $(WORKLOAD), $(BASE) ($$(git rev-parse --short $(BASE))) against the working tree, $(PAIRS) pairs"; \
+	for i in $$(seq $(PAIRS)); do \
+		if [ $$((i % 2)) = 1 ]; then order="base change"; else order="change base"; fi; \
+		for side in $$order; do \
+			$$tmp/$$side -workload $(WORKLOAD) -trace 0 -seconds 1 > $$tmp/out 2>&1 || \
+				{ echo "pairs: pair $$i, $$side failed:"; cat $$tmp/out; exit 1; }; \
+			echo "$$i $$side $$(tail -n 1 $$tmp/out)" >> $$tmp/runs; \
+		done; \
+	done; \
+	awk "$$PAIRS_AWK" $$tmp/runs
 
 # Short fuzz runs of every fuzz target (seeds are checked in under each
 # package's testdata/fuzz/). A finding is written there as a new case.

@@ -43,14 +43,23 @@ func fftInit(x, y, z int) complex128 {
 	return complex(re, im)
 }
 
-// fft1d is an in-place iterative radix-2 Cooley-Tukey FFT. It returns
-// the number of butterflies performed (for compute charging).
-func fft1d(a []complex128) int {
-	n := len(a)
+// fftPlan is the precomputed work of one transform length: the
+// bit-reversal swaps and, stage by stage, the twiddle factors of an
+// iterative radix-2 Cooley-Tukey FFT. The twiddles come from the
+// recurrence the transform was first written with (w *= wl from 1 in
+// every stage), so a planned transform produces the same bits.
+type fftPlan struct {
+	n           int
+	swaps       []int     // (i, j) pairs, i < j, in bit-reversal order
+	twiddles    []float64 // interleaved (re, im); stage length 2 first, length/2 each
+	butterflies int       // per transform, for compute charging
+}
+
+func newFFTPlan(n int) *fftPlan {
 	if n&(n-1) != 0 {
-		panic("fft1d: length not a power of two")
+		panic("fft: length not a power of two")
 	}
-	// Bit reversal.
+	p := &fftPlan{n: n}
 	for i, j := 1, 0; i < n; i++ {
 		bit := n >> 1
 		for ; j&bit != 0; bit >>= 1 {
@@ -58,66 +67,80 @@ func fft1d(a []complex128) int {
 		}
 		j ^= bit
 		if i < j {
-			a[i], a[j] = a[j], a[i]
+			p.swaps = append(p.swaps, i, j)
 		}
 	}
-	butterflies := 0
+	p.twiddles = make([]float64, 0, 2*max(n-1, 0))
 	for length := 2; length <= n; length <<= 1 {
-		ang := -2 * math.Pi / float64(length)
-		wl := cmplx.Rect(1, ang)
-		for i := 0; i < n; i += length {
-			w := complex(1, 0)
-			for k := 0; k < length/2; k++ {
-				u := a[i+k]
-				v := a[i+k+length/2] * w
-				a[i+k] = u + v
-				a[i+k+length/2] = u - v
-				w *= wl
-				butterflies++
+		wl := cmplx.Rect(1, -2*math.Pi/float64(length))
+		w := complex(1, 0)
+		for k := 0; k < length/2; k++ {
+			p.twiddles = append(p.twiddles, real(w), imag(w))
+			w *= wl
+		}
+		p.butterflies += n / 2
+	}
+	return p
+}
+
+// transform is the in-place forward FFT of one row of n complex values
+// stored as interleaved (re, im) float64 pairs. Each butterfly spells out
+// complex multiplication's real arithmetic.
+func (p *fftPlan) transform(a []float64) {
+	a = a[:2*p.n]
+	for k := 0; k < len(p.swaps); k += 2 {
+		i, j := 2*p.swaps[k], 2*p.swaps[k+1]
+		a[i], a[j] = a[j], a[i]
+		a[i+1], a[j+1] = a[j+1], a[i+1]
+	}
+	tw := p.twiddles
+	for half := 1; half < p.n; half <<= 1 {
+		w := tw[:2*half]
+		tw = tw[2*half:]
+		for i := 0; i < 2*p.n; i += 4 * half {
+			lo, hi := a[i:i+2*half], a[i+2*half:i+4*half]
+			for k := 0; k < 2*half; k += 2 {
+				wr, wi := w[k], w[k+1]
+				vr, vi := hi[k], hi[k+1]
+				tr, ti := vr*wr-vi*wi, vr*wi+vi*wr
+				ur, ui := lo[k], lo[k+1]
+				lo[k], lo[k+1] = ur+tr, ui+ti
+				hi[k], hi[k+1] = ur-tr, ui-ti
 			}
 		}
 	}
-	return butterflies
 }
 
 // Layout: slot index of point (x, y, z) in a [z][y][x] row-major array,
 // two float64 slots per complex point.
 func (f *FFT3D) idx(x, y, z int) int { return (z*f.Z+y)*f.Z + x }
 
-// rowIO moves rows of complex values between a region and the caller's
-// storage through one float64 scratch buffer, grown to the longest row.
-type rowIO struct {
-	tp  *tmk.Proc
-	raw []float64
-}
-
-func (io *rowIO) scratch(n int) []float64 {
-	if cap(io.raw) < 2*n {
-		io.raw = make([]float64, 2*n)
-	}
-	return io.raw[:2*n]
-}
-
-// read fills row with the complex values laid out from slot base on.
-func (io *rowIO) read(r *tmk.Region, base int, row []complex128) {
-	raw := io.scratch(len(row))
-	io.tp.ReadF64Span(r, 2*base, raw)
-	for i := range row {
-		row[i] = complex(raw[2*i], raw[2*i+1])
+// initRow fills row with the input field's x-row at (y, z).
+func initRow(row []float64, y, z int) {
+	for x := 0; 2*x < len(row); x++ {
+		c := fftInit(x, y, z)
+		row[2*x], row[2*x+1] = real(c), imag(c)
 	}
 }
 
-// write stores a contiguous row of complex values at slot base.
-func (io *rowIO) write(r *tmk.Region, base int, row []complex128) {
-	raw := io.scratch(len(row))
-	for i, c := range row {
-		raw[2*i] = real(c)
-		raw[2*i+1] = imag(c)
+// transformColumns transforms every column x of a [y][x] plane of
+// interleaved rows, through the column buffer col.
+func (p *fftPlan) transformColumns(plane, col []float64) {
+	rw := 2 * p.n
+	for x := 0; x < rw; x += 2 {
+		for y := 0; y < p.n; y++ {
+			col[2*y], col[2*y+1] = plane[y*rw+x], plane[y*rw+x+1]
+		}
+		p.transform(col)
+		for y := 0; y < p.n; y++ {
+			plane[y*rw+x], plane[y*rw+x+1] = col[2*y], col[2*y+1]
+		}
 	}
-	io.tp.WriteF64Span(r, 2*base, raw)
 }
 
-// Run implements App.
+// Run implements App. Its DSM accesses — which region, range and values,
+// in which order — and its butterfly counts are the application's cost;
+// the host work around them is free to change (DESIGN §5).
 func (f *FFT3D) Run(tp *tmk.Proc) {
 	z := f.Z
 	bytes := z * z * z * 16
@@ -129,14 +152,17 @@ func (f *FFT3D) Run(tp *tmk.Proc) {
 	// faulting every page of the array during the all-to-all.
 	xch := tp.AllocShared(bytes)
 
-	n := tp.NProcs()
-	zlo, zhi := blockRange(0, z, tp.Rank(), tp.NProcs())
-	io := &rowIO{tp: tp}
-	row, col := make([]complex128, z), make([]complex128, z)
-	plane := make([][]complex128, z) // [y][x], one z-plane of A
-	for y := range plane {
-		plane[y] = make([]complex128, z)
-	}
+	n, me := tp.NProcs(), tp.Rank()
+	zlo, zhi := blockRange(0, z, me, n)
+	mine := zhi - zlo // owned z-planes of A, and x-planes of B
+	plan := newFFTPlan(z)
+	rw := 2 * z // float64 slots per row
+	row, col := make([]float64, rw), make([]float64, rw)
+	plane := make([]float64, z*rw) // [y][x], one z-plane of A
+	// blocks stages both halves of the transpose: this rank's n outgoing
+	// blocks back to back, as they lie in the exchange region, and later
+	// its n incoming ones, which together are [z'][y][x−zlo].
+	blocks := make([]float64, mine*z*rw)
 
 	// Block offsets in the exchange region: block (s, d) holds the
 	// elements moving from rank s's z-planes to rank d's x-planes,
@@ -158,54 +184,48 @@ func (f *FFT3D) Run(tp *tmk.Proc) {
 		// forward transform of the same input field.
 		for zz := zlo; zz < zhi; zz++ {
 			for y := 0; y < z; y++ {
-				for x := 0; x < z; x++ {
-					row[x] = fftInit(x, y, zz)
-				}
-				io.write(a, f.idx(0, y, zz), row)
+				initRow(row, y, zz)
+				tp.WriteF64Span(a, 2*f.idx(0, y, zz), row)
 			}
 		}
 		tp.Barrier(int32(10 + it*5))
 		// Phase 1: FFT along x then y for each owned z-plane (local).
-		butterflies := 0
 		for zz := zlo; zz < zhi; zz++ {
 			for y := 0; y < z; y++ {
-				io.read(a, f.idx(0, y, zz), plane[y])
-				butterflies += fft1d(plane[y])
+				r := plane[y*rw : (y+1)*rw]
+				tp.ReadF64Span(a, 2*f.idx(0, y, zz), r)
+				plan.transform(r)
 			}
-			for x := 0; x < z; x++ {
-				for y := 0; y < z; y++ {
-					col[y] = plane[y][x]
-				}
-				butterflies += fft1d(col)
-				for y := 0; y < z; y++ {
-					plane[y][x] = col[y]
-				}
-			}
+			plan.transformColumns(plane, col)
 			for y := 0; y < z; y++ {
-				io.write(a, f.idx(0, y, zz), plane[y])
+				tp.WriteF64Span(a, 2*f.idx(0, y, zz), plane[y*rw:(y+1)*rw])
 			}
 		}
-		chargePoints(tp, butterflies, f.CostPerButterfly)
+		chargePoints(tp, mine*2*z*plan.butterflies, f.CostPerButterfly)
 		tp.Barrier(int32(11 + it*5))
 
 		// Phase 2a: scatter — each process reads its LOCAL z-planes of A
 		// and writes, for every destination, the (myZ × Y × dstX)
-		// sub-block into the exchange region, contiguously.
-		for d := 0; d < n; d++ {
-			dxlo, dxhi := blockRange(0, z, d, n)
-			xw := dxhi - dxlo
-			if xw == 0 {
-				continue
-			}
-			base := blockOff[tp.Rank()][d]
-			blk := make([]complex128, (zhi-zlo)*z*xw)
-			for zz := zlo; zz < zhi; zz++ {
-				for y := 0; y < z; y++ {
-					at := ((zz-zlo)*z + y) * xw
-					io.read(a, f.idx(dxlo, y, zz), blk[at:at+xw])
+		// sub-block into the exchange region, contiguously. Each row of A
+		// is read once; the planes are this rank's own since phase 1, so
+		// only a page some other rank also wrote (Z < 16) can fault, and
+		// it faults at the same row as when every destination re-read it.
+		base := blockOff[me][0]
+		for zz := zlo; zz < zhi; zz++ {
+			for y := 0; y < z; y++ {
+				tp.ReadF64Span(a, 2*f.idx(0, y, zz), row)
+				for d := 0; d < n; d++ {
+					dxlo, dxhi := blockRange(0, z, d, n)
+					xw := dxhi - dxlo
+					at := 2 * (blockOff[me][d] - base + ((zz-zlo)*z+y)*xw)
+					copy(blocks[at:at+2*xw], row[2*dxlo:2*dxhi])
 				}
 			}
-			io.write(xch, base, blk)
+		}
+		for d := 0; d < n; d++ { // an empty block's write is no access at all
+			dxlo, dxhi := blockRange(0, z, d, n)
+			at := 2 * (blockOff[me][d] - base)
+			tp.WriteF64Span(xch, 2*blockOff[me][d], blocks[at:at+2*mine*z*(dxhi-dxlo)])
 		}
 		tp.Barrier(int32(12 + it*5))
 
@@ -213,92 +233,68 @@ func (f *FFT3D) Run(tp *tmk.Proc) {
 		// (volume/n of contiguous remote data) and assembles its x-planes
 		// of B: B[x][y][z'] = A[z'][y][x] (element (x,y,z') of B lives at
 		// slot idx(z', y, x), i.e. z' runs contiguously).
-		if zhi > zlo {
-			xw := zhi - zlo
-			blks := make([][]complex128, n)
-			starts := make([]int, n)
+		if mine > 0 {
 			for s := 0; s < n; s++ {
 				szlo, szhi := blockRange(0, z, s, n)
-				starts[s] = szlo
 				if szhi > szlo {
-					blks[s] = make([]complex128, (szhi-szlo)*z*xw)
-					io.read(xch, blockOff[s][tp.Rank()], blks[s])
+					tp.ReadF64Span(xch, 2*blockOff[s][me], blocks[2*szlo*z*mine:2*szhi*z*mine])
 				}
 			}
 			for x := zlo; x < zhi; x++ {
 				for y := 0; y < z; y++ {
-					for s := 0; s < n; s++ {
-						blk := blks[s]
-						if blk == nil {
-							continue
-						}
-						szlo := starts[s]
-						cnt := len(blk) / (z * xw)
-						for k := 0; k < cnt; k++ {
-							row[szlo+k] = blk[(k*z+y)*xw+(x-zlo)]
-						}
+					for zz := 0; zz < z; zz++ {
+						at := 2 * ((zz*z+y)*mine + x - zlo)
+						row[2*zz], row[2*zz+1] = blocks[at], blocks[at+1]
 					}
-					io.write(b, f.idx(0, y, x), row)
+					tp.WriteF64Span(b, 2*f.idx(0, y, x), row)
 				}
 			}
 		}
 		tp.Barrier(int32(13 + it*5))
 
 		// Phase 3: FFT along the now-local original-z dimension.
-		butterflies = 0
 		for p := zlo; p < zhi; p++ {
 			for y := 0; y < z; y++ {
-				io.read(b, f.idx(0, y, p), row)
-				butterflies += fft1d(row)
-				io.write(b, f.idx(0, y, p), row)
+				tp.ReadF64Span(b, 2*f.idx(0, y, p), row)
+				plan.transform(row)
+				tp.WriteF64Span(b, 2*f.idx(0, y, p), row)
 			}
 		}
-		chargePoints(tp, butterflies, f.CostPerButterfly)
+		chargePoints(tp, mine*z*plan.butterflies, f.CostPerButterfly)
 		tp.Barrier(int32(14 + it*5))
 	}
 }
 
-// Sequential computes the reference transform: B[x][y][z] layout as in
-// Run's output.
-func (f *FFT3D) Sequential() []complex128 {
+// Sequential computes the reference transform as interleaved (re, im)
+// slots in Run's output layout, B[x][y][z]. Every iteration transforms the
+// same input field, so any number of them leaves one transform's result.
+func (f *FFT3D) Sequential() []float64 {
 	z := f.Z
-	a := make([]complex128, z*z*z)
-	b := make([]complex128, z*z*z)
-	for it := 0; it < f.Iters; it++ {
-		for zz := 0; zz < z; zz++ {
-			for y := 0; y < z; y++ {
-				for x := 0; x < z; x++ {
-					a[f.idx(x, y, zz)] = fftInit(x, y, zz)
-				}
-			}
+	rw := 2 * z
+	b := make([]float64, z*z*rw)
+	if f.Iters == 0 {
+		return b
+	}
+	plan := newFFTPlan(z)
+	a := make([]float64, z*z*rw)
+	col := make([]float64, rw)
+	for zz := 0; zz < z; zz++ {
+		plane := a[zz*z*rw : (zz+1)*z*rw]
+		for y := 0; y < z; y++ {
+			r := plane[y*rw : (y+1)*rw]
+			initRow(r, y, zz)
+			plan.transform(r)
 		}
-		for zz := 0; zz < z; zz++ {
-			row := make([]complex128, z)
-			for y := 0; y < z; y++ {
-				copy(row, a[f.idx(0, y, zz):f.idx(0, y, zz)+z])
-				fft1d(row)
-				copy(a[f.idx(0, y, zz):], row)
+		plan.transformColumns(plane, col)
+	}
+	for x := 0; x < z; x++ {
+		for y := 0; y < z; y++ {
+			r := b[2*f.idx(0, y, x) : 2*f.idx(0, y, x)+rw]
+			for zz := 0; zz < z; zz++ {
+				at := 2 * f.idx(x, y, zz)
+				r[2*zz], r[2*zz+1] = a[at], a[at+1]
 			}
-			col := make([]complex128, z)
-			for x := 0; x < z; x++ {
-				for y := 0; y < z; y++ {
-					col[y] = a[f.idx(x, y, zz)]
-				}
-				fft1d(col)
-				for y := 0; y < z; y++ {
-					a[f.idx(x, y, zz)] = col[y]
-				}
-			}
-		}
-		for xNew := 0; xNew < z; xNew++ {
-			for y := 0; y < z; y++ {
-				row := make([]complex128, z)
-				for zz := 0; zz < z; zz++ {
-					row[zz] = a[f.idx(xNew, y, zz)]
-				}
-				fft1d(row)
-				copy(b[f.idx(0, y, xNew):], row)
-			}
+			plan.transform(r)
 		}
 	}
 	return b
@@ -310,9 +306,9 @@ func (f *FFT3D) Verify(tp *tmk.Proc) error {
 	z := f.Z
 	got := make([]float64, 2*z*z*z)
 	tp.ReadF64Span(tp.RegionByID(1), 0, got)
-	for i := range want {
-		if got[2*i] != real(want[i]) || got[2*i+1] != imag(want[i]) {
-			return fmt.Errorf("3dfft: point %d = (%v,%v), want %v", i, got[2*i], got[2*i+1], want[i])
+	for i := 0; i < len(want); i += 2 {
+		if got[i] != want[i] || got[i+1] != want[i+1] {
+			return fmt.Errorf("3dfft: point %d = (%v,%v), want (%v,%v)", i/2, got[i], got[i+1], want[i], want[i+1])
 		}
 	}
 	return nil

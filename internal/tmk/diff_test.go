@@ -2,6 +2,7 @@ package tmk
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -304,6 +305,59 @@ func TestEncodeDiffMatchesReference(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("trial %d: fast diff differs from reference (%d vs %d bytes)",
 				trial, len(got), len(want))
+		}
+	}
+
+	// The patterns writers make: nothing, a word, a sprinkle, every other
+	// word, every other pair (red-black SOR), nearly all and all of the
+	// page, and runs of one to six words that start at odd and even words
+	// and touch the page's first and last words. Each pattern changes the
+	// low byte of its words, then the high byte, so a difference shows in
+	// either half of an 8-byte compare; appendDiff must also leave what
+	// the buffer already holds in front of the encoding.
+	type pattern struct {
+		name  string
+		dirty func(w int) bool
+	}
+	patterns := []pattern{
+		{"no change", func(int) bool { return false }},
+		{"one word", func(w int) bool { return w == 517 }},
+		{"1%", func(int) bool { return rng.Intn(100) == 0 }},
+		{"alternating words from 0", func(w int) bool { return w%2 == 0 }},
+		{"alternating words from 1", func(w int) bool { return w%2 == 1 }},
+		{"alternating pairs from 0", func(w int) bool { return w%4 < 2 }},
+		{"alternating pairs from 1", func(w int) bool { return (w+3)%4 < 2 }},
+		{"90%", func(int) bool { return rng.Intn(10) != 0 }},
+		{"every word", func(int) bool { return true }},
+	}
+	for _, start := range []int{0, 1, 2, 3, 510, 511, 1017, 1018, 1019, 1020, 1021, 1022, 1023} {
+		for n := 1; n <= 6 && start+n <= wordsPerPage; n++ {
+			lo, hi := start, start+n
+			patterns = append(patterns, pattern{fmt.Sprintf("run [%d,%d)", lo, hi),
+				func(w int) bool { return w >= lo && w < hi }})
+			patterns = append(patterns, pattern{fmt.Sprintf("runs [0,%d) and [%d,%d)", n, lo, hi),
+				func(w int) bool { return w < n || w >= lo && w < hi }})
+		}
+	}
+	prefix := []byte("kept")
+	for _, p := range patterns {
+		for _, b := range []int{0, 3} {
+			twin := make([]byte, PageSize)
+			rng.Read(twin)
+			cur := append([]byte(nil), twin...)
+			for w := 0; w < wordsPerPage; w++ {
+				if p.dirty(w) {
+					cur[w*4+b] ^= byte(1 + rng.Intn(255))
+				}
+			}
+			want := refEncodeDiff(twin, cur)
+			if got := EncodeDiff(twin, cur); !bytes.Equal(got, want) {
+				t.Errorf("%s, byte %d: EncodeDiff gives %d bytes, reference %d", p.name, b, len(got), len(want))
+			}
+			got := appendDiff(append([]byte(nil), prefix...), twin, cur)
+			if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
+				t.Errorf("%s, byte %d: appendDiff after %d bytes differs from the reference", p.name, b, len(prefix))
+			}
 		}
 	}
 }

@@ -53,7 +53,8 @@ func FuzzApplyDiff(f *testing.F) {
 }
 
 // FuzzDiffRoundTrip derives a (twin, current) page pair from the fuzz
-// input, encodes the diff, and checks that applying it to the twin
+// input, encodes the diff, and checks that the encoding is the
+// word-at-a-time scan's byte for byte and that applying it to the twin
 // reproduces the current page exactly. The input is split: the first
 // half seeds the twin's contents, the rest is read as (offset, value)
 // mutations to the current page.
@@ -71,6 +72,9 @@ func FuzzDiffRoundTrip(f *testing.F) {
 			cur[off] = mut[2]
 		}
 		diff := EncodeDiff(twin, cur)
+		if want := refEncodeDiff(twin, cur); !bytes.Equal(diff, want) {
+			t.Fatalf("encoding differs from the word-at-a-time scan (%d vs %d bytes)", len(diff), len(want))
+		}
 		got := MakeTwin(twin)
 		if err := ApplyDiff(got, diff); err != nil {
 			t.Fatalf("ApplyDiff of own encoding: %v", err)
