@@ -9,7 +9,7 @@ WORKLOAD ?= jacobi_fastgm_16
 BASE     ?= HEAD
 PAIRS    ?= 10
 
-.PHONY: all check fmt vet build test race loc uncovered host-allocs host-cpu pairs fuzz-smoke bench bench-identical bench-gate prof-smoke chaos-smoke crash-smoke rdma-smoke critical-smoke flow-smoke cli-smoke cli-sweep
+.PHONY: all check fmt vet build test race loc uncovered host-allocs host-cpu wire-bytes pairs fuzz-smoke bench bench-identical bench-gate prof-smoke chaos-smoke crash-smoke rdma-smoke critical-smoke flow-smoke cli-smoke cli-sweep
 
 all: check
 
@@ -96,6 +96,21 @@ host-cpu:
 		$(GO) tool pprof -top -nodecount=15 $$tmp/harness.test $$tmp/cpu.prof 2>/dev/null | tail -n +5; \
 	fi; \
 	rm -rf $$tmp; exit $$status
+
+# What a benchmark workload sends (same WORKLOAD choices and default as
+# host-allocs): BenchmarkWireBytes runs the row once with the tracer on and
+# prints, per request kind, the requests served and their bytes, then the
+# replies that answered them and theirs (a barrier release is listed under
+# barrier-arrive), read from the substrate's serve and call spans. The
+# table every message-size change starts from; it prints, it never gates,
+# and it is not part of `check`.
+wire-bytes:
+	@tmp=$$(mktemp); run='^BenchmarkWireBytes$$'; \
+	if [ "$(WORKLOAD)" != all ]; then run="$$run/^$(WORKLOAD)$$"; fi; \
+	$(GO) test -count=1 -run '^$$' -bench "$$run" -benchtime 1x ./internal/harness/ > $$tmp; \
+	status=$$?; \
+	grep -vE '^(goos|goarch|pkg|cpu|Benchmark|PASS|ok)' $$tmp; \
+	rm -f $$tmp; exit $$status
 
 # The measurement rule of every host-clock claim: ./benchmark built at the
 # commit BASE (exported with git archive into a temporary directory) and at

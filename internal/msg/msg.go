@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/trace"
 )
@@ -177,6 +178,48 @@ func (w *writer) bytes(v []byte) {
 	w.b = append(w.b, v...)
 }
 
+// pages writes a write-notice list in the shorter of its two forms (see
+// runForm): each page, or each run of consecutive pages as its first page
+// and its length. A tie keeps the list.
+func (w *writer) pages(pgs []int32) {
+	if 2*pageRuns(pgs) >= len(pgs) {
+		w.u32(uint32(len(pgs)))
+		for _, pg := range pgs {
+			w.i32(pg)
+		}
+		return
+	}
+	w.u32(runForm | uint32(len(pgs)))
+	for i := 0; i < len(pgs); {
+		j := i + 1
+		for j < len(pgs) && follows(pgs[j-1], pgs[j]) {
+			j++
+		}
+		w.i32(pgs[i])
+		w.i32(int32(j - i))
+		i = j
+	}
+}
+
+// pageRuns returns how many runs of consecutive pages pgs falls into.
+func pageRuns(pgs []int32) int {
+	n := 0
+	for i, pg := range pgs {
+		if i == 0 || !follows(pgs[i-1], pg) {
+			n++
+		}
+	}
+	return n
+}
+
+// follows reports whether page b comes right after page a (never across
+// the int32 wrap).
+func follows(a, b int32) bool { return a != math.MaxInt32 && b == a+1 }
+
+// pagesSize returns the wire size of a write-notice list: its count and the
+// shorter of its two forms.
+func pagesSize(pgs []int32) int { return lenSize + 4*min(len(pgs), 2*pageRuns(pgs)) }
+
 type reader struct {
 	b   []byte
 	off int
@@ -252,10 +295,13 @@ func (r *reader) skip(n int) {
 // sizes pre-scans the lists ahead of r, without consuming them, for the
 // backings Decode copies them into: the int32s of the VC and of every
 // interval's VC and page list, and the bytes of every diff's data. Each
-// total is bounded by the bytes remaining (capHint's rule), so a corrupt
-// count cannot amplify the allocation made from it.
-func (r reader) sizes(flags uint8) (ints, data int) {
+// total is bounded by the bytes remaining (capHint's rule), and the pages
+// the runs expand to by maxNoticePages, so a corrupt count cannot amplify
+// the allocation made from it; a message the pre-scan finds corrupt costs
+// none (ok false).
+func (r reader) sizes(flags uint8) (ints, data int, ok bool) {
 	rem := len(r.b) - r.off
+	pages := 0 // expanded from runs
 	if flags&fVC != 0 {
 		n := int(r.u16())
 		r.skip(4 * n)
@@ -266,9 +312,14 @@ func (r reader) sizes(flags uint8) (ints, data int) {
 			r.skip(2 + 4)
 			nv := int(r.u16())
 			r.skip(4 * nv)
-			np := int(r.u32())
-			r.skip(4 * np)
-			ints += nv + np
+			ints += nv
+			if np := r.u32(); np&runForm != 0 {
+				r.runs(int(np&^runForm), nil)
+				pages += int(np &^ runForm)
+			} else {
+				r.skip(4 * int(np))
+				ints += int(np)
+			}
 		}
 	}
 	if flags&fDiffReqs != 0 {
@@ -282,7 +333,10 @@ func (r reader) sizes(flags uint8) (ints, data int) {
 			data += k
 		}
 	}
-	return min(ints, rem/4), min(data, rem)
+	if r.err || pages > maxNoticePages {
+		return 0, 0, false
+	}
+	return min(ints, rem/4) + pages, min(data, rem), true
 }
 
 // i32s reads n int32s onto the end of *back and returns them as a list of
@@ -294,6 +348,26 @@ func (r *reader) i32s(n int, back *[]int32) []int32 {
 		*back = append(*back, r.i32())
 	}
 	return capped((*back)[from:])
+}
+
+// runs reads the runs of an n-page run-form page list (see runForm),
+// appending their pages to *back unless back is nil. A run must be
+// non-empty, end at or below math.MaxInt32 and stay within the n pages the
+// list declares.
+func (r *reader) runs(n int, back *[]int32) {
+	for left := n; left > 0 && !r.err; {
+		first, count := r.i32(), r.i32()
+		if r.err || count <= 0 || int(count) > left || int64(first)+int64(count)-1 > math.MaxInt32 {
+			r.err = true
+			return
+		}
+		if back != nil {
+			for pg := range count {
+				*back = append(*back, first+pg)
+			}
+		}
+		left -= int(count)
+	}
 }
 
 // bytes reads a count-prefixed byte string onto the end of *back and
@@ -330,6 +404,18 @@ func capped[T any](s []T) []T {
 func reuse[T any](s []T, n int) []T {
 	if cap(s) < n {
 		return make([]T, 0, n)
+	}
+	return s[:0]
+}
+
+// reuseList is reuse for a decoder's lists of intervals, ranges and
+// diffs: a list that must grow takes at least four elements and at least
+// doubles, as append's would, so a decoder meeting one diff and then two
+// allocates once. Its elements are a few dozen bytes; the int and byte
+// backings, which a diff reply makes page-sized, grow exactly (reuse).
+func reuseList[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, max(n, 2*cap(s), 4))
 	}
 	return s[:0]
 }
@@ -392,10 +478,7 @@ func (m *Message) EncodeTo(buf []byte) []byte {
 			for _, v := range iv.VC {
 				w.i32(v)
 			}
-			w.u32(uint32(len(iv.Pages)))
-			for _, pg := range iv.Pages {
-				w.i32(pg)
-			}
+			w.pages(iv.Pages)
 		}
 	}
 	if flags&fDiffReqs != 0 {
@@ -465,30 +548,38 @@ func (d *Decoder) Decode(b []byte) (*Message, error) {
 	}
 	// One backing per list kind: every VC and page list shares ints, every
 	// diff's data shares data.
-	ni, nd := r.sizes(flags)
+	ni, nd, ok := r.sizes(flags)
+	if !ok {
+		return nil, ErrTruncated
+	}
 	d.ints, d.data = reuse(d.ints, ni), reuse(d.data, nd)
 	if flags&fVC != 0 {
 		m.VC = r.i32s(int(r.u16()), &d.ints)
 	}
 	if flags&fIntervals != 0 {
 		n := int(r.u16())
-		ivs := reuse(d.ivs, r.capHint(n, intervalSize))
+		ivs := reuseList(d.ivs, r.capHint(n, intervalSize))
 		for i := 0; i < n && !r.err; i++ {
 			iv := Interval{Proc: int32(int16(r.u16())), TS: r.i32()}
 			iv.VC = r.i32s(int(r.u16()), &d.ints)
 			np := int(r.u32())
-			if np > len(b) { // sanity bound against corrupt counts
+			switch {
+			case np&runForm != 0: // sizes has bounded their pages
+				from := len(d.ints)
+				r.runs(np&^runForm, &d.ints)
+				iv.Pages = capped(d.ints[from:])
+			case np > len(b): // sanity bound against corrupt counts
 				r.err = true
-				break
+			default:
+				iv.Pages = r.i32s(np, &d.ints)
 			}
-			iv.Pages = r.i32s(np, &d.ints)
 			ivs = append(ivs, iv)
 		}
 		d.ivs, m.Intervals = ivs, capped(ivs)
 	}
 	if flags&fDiffReqs != 0 {
 		n := int(r.u16())
-		reqs := reuse(d.reqs, r.capHint(n, diffReqSize))
+		reqs := reuseList(d.reqs, r.capHint(n, diffReqSize))
 		for i := 0; i < n && !r.err; i++ {
 			reqs = append(reqs, DiffRange{
 				Page: r.i32(), Proc: int32(int16(r.u16())), FromTS: r.i32(), ToTS: r.i32(),
@@ -498,7 +589,7 @@ func (d *Decoder) Decode(b []byte) (*Message, error) {
 	}
 	if flags&fDiffs != 0 {
 		n := int(r.u16())
-		diffs := reuse(d.diffs, r.capHint(n, diffSize))
+		diffs := reuseList(d.diffs, r.capHint(n, diffSize))
 		for i := 0; i < n && !r.err; i++ {
 			df := Diff{Page: r.i32(), Proc: int32(int16(r.u16())), TS: r.i32()}
 			df.Data = r.bytes(&d.data)
@@ -515,6 +606,21 @@ func (d *Decoder) Decode(b []byte) (*Message, error) {
 	}
 	return m, nil
 }
+
+// An interval's write notices travel in the shorter of two forms, chosen
+// per list by size: the pages one int32 each, or — with runForm set in the
+// count — the runs of consecutive pages, each an int32 first page and an
+// int32 length, together covering the count's pages in list order. A
+// barrier release carries a rank's band of pages as one run, and no list is
+// ever longer on the wire than its pages one int32 each.
+const runForm = 1 << 31
+
+// maxNoticePages bounds the pages a message's run-form write notices
+// expand to when decoded: 8 bytes of wire can name 2³¹ pages, so Decode
+// refuses a message past it before expanding anything. It is eight times
+// the 8,192 pages a 32 KB frame holds in list form, so no message that
+// could travel before runs existed is refused.
+const maxNoticePages = 1 << 16
 
 // Wire sizes of Encode's fixed parts: the header (kind, flags, seq, from,
 // reply-to, lock, barrier, episode, page), the region, every count prefix
@@ -550,7 +656,7 @@ func (m *Message) EncodedSize() int {
 	if len(m.Intervals) > 0 {
 		n += countSize
 		for _, iv := range m.Intervals {
-			n += intervalSize + 4*len(iv.VC) + 4*len(iv.Pages)
+			n += intervalSize - lenSize + 4*len(iv.VC) + pagesSize(iv.Pages)
 		}
 	}
 	if len(m.DiffReqs) > 0 {

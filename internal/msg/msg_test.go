@@ -2,8 +2,10 @@ package msg
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -156,6 +158,141 @@ func TestDecodeCorruptCountRejected(t *testing.T) {
 	if _, err := Decode(b); err == nil {
 		t.Error("corrupt length accepted")
 	}
+
+	// A run-form page list ends the message, its count word and runs
+	// last: rewrite them. Each corrupt list is refused, and refused
+	// before any allocation its declared pages would ask for.
+	release := func(pages ...int32) []byte {
+		return (&Message{Kind: KBarrierRelease, Seq: 6, Intervals: []Interval{{Proc: 1, TS: 2, Pages: pages}}}).Encode()
+	}
+	band := func(first, n int32) []int32 {
+		out := make([]int32, n)
+		for i := range out {
+			out[i] = first + int32(i)
+		}
+		return out
+	}
+	// runs rewrites the tail of b: the count word, then the runs.
+	runs := func(b []byte, declared uint32, rs ...int32) []byte {
+		tail := b[len(b)-4-4*len(rs):]
+		put := func(off int, v uint32) {
+			tail[off], tail[off+1], tail[off+2], tail[off+3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
+		}
+		put(0, runForm|declared)
+		for i, v := range rs {
+			put(4+4*i, uint32(v))
+		}
+		return b
+	}
+	twoBands := append(band(0, 5), band(100, 5)...)
+	for _, c := range []struct {
+		name string
+		wire []byte
+	}{
+		{"zero-length run", runs(release(twoBands...), 10, 0, 0, 100, 10)},
+		{"negative run", runs(release(twoBands...), 10, 0, -1, 100, 11)},
+		{"run past MaxInt32", runs(release(band(10, 10)...), 10, math.MaxInt32-5, 10)},
+		{"runs past the declared count", runs(release(twoBands...), 10, 0, 5, 100, 6)},
+		{"one run past the declared count", runs(release(band(10, 10)...), 10, 10, 11)},
+		{"runs short of the declared count", runs(release(band(10, 10)...), 11, 10, 10)},
+		{"one run past maxNoticePages", runs(release(band(10, 10)...), maxNoticePages+1, 0, maxNoticePages+1)},
+		{"a declared count of 2³¹−1", runs(release(band(10, 10)...), math.MaxInt32, 0, math.MaxInt32)},
+		{"runs past maxNoticePages in all", (&Message{Kind: KBarrierRelease, Seq: 6, Intervals: []Interval{
+			{Proc: 1, TS: 2, Pages: band(0, maxNoticePages/2+1)}, {Proc: 2, TS: 2, Pages: band(0, maxNoticePages/2)}}}).Encode()},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Decode(c.wire)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 16<<10 {
+			t.Fatalf("%s: refusing it allocated %d bytes", c.name, n) // before a larger case asks for more
+		}
+	}
+	// At the limit a message still decodes.
+	at := &Message{Kind: KBarrierRelease, Seq: 6, Intervals: []Interval{
+		{Proc: 1, TS: 2, Pages: band(0, maxNoticePages/2)}, {Proc: 2, TS: 2, Pages: band(0, maxNoticePages/2)}}}
+	if got, err := Decode(at.Encode()); err != nil || !msgsEqual(at, got) {
+		t.Errorf("a release of maxNoticePages pages in runs does not round-trip: %v", err)
+	}
+}
+
+// randPages returns a write-notice list of one of the shapes the codec
+// must carry exactly: unsorted, sorted bands, duplicates, a single page,
+// jacobi's 1,600-page setup run, and runs at the int32 edges.
+func randPages(rng *rand.Rand) []int32 {
+	var out []int32
+	switch rng.Intn(6) {
+	case 0: // unsorted, rarely consecutive
+		for i := rng.Intn(10); i > 0; i-- {
+			out = append(out, rng.Int31n(1<<20))
+		}
+	case 1: // sorted bands with gaps
+		pg := rng.Int31n(1 << 20)
+		for i := rng.Intn(5); i > 0; i-- {
+			pg += rng.Int31n(4)
+			for j := 1 + rng.Intn(40); j > 0; j-- {
+				out = append(out, pg)
+				pg++
+			}
+		}
+	case 2: // duplicates and near-runs
+		for i := rng.Intn(20); i > 0; i-- {
+			out = append(out, rng.Int31n(6))
+		}
+	case 3:
+		out = []int32{rng.Int31()}
+	case 4:
+		first := rng.Int31n(1 << 20)
+		for i := int32(0); i < 1600; i++ {
+			out = append(out, first+i)
+		}
+	case 5: // a run ending at MaxInt32, then the wrap, then a run from MinInt32
+		for pg := int32(math.MaxInt32 - rng.Int31n(4)); ; pg++ {
+			out = append(out, pg)
+			if pg == math.MaxInt32 {
+				break
+			}
+		}
+		for i := int32(0); i < 1+rng.Int31n(4); i++ {
+			out = append(out, math.MinInt32+i)
+		}
+	}
+	return out
+}
+
+// TestPageListsNeverGrow: whatever its shape, an interval's page list
+// encodes to at most its count word and one int32 per page, so no message
+// is longer than it was when every page travelled as an int32 of its own,
+// and a list of runs wider than two pages is shorter than that.
+func TestPageListsNeverGrow(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	bare := len((&Message{Kind: KBarrierRelease, Intervals: []Interval{{Proc: 1, TS: 2}}}).Encode())
+	for i := 0; i < 2000; i++ {
+		pages := randPages(rng)
+		m := &Message{Kind: KBarrierRelease, Intervals: []Interval{{Proc: 1, TS: 2, Pages: pages}}}
+		n := len(m.Encode()) - bare
+		if n > 4*len(pages) {
+			t.Fatalf("%d pages encode to %d bytes, more than %d: %v", len(pages), n, 4*len(pages), pages)
+		}
+		if runs := pageRuns(pages); 2*runs < len(pages) && n != 8*runs {
+			t.Fatalf("%d pages in %d runs encode to %d bytes, want %d", len(pages), runs, n, 8*runs)
+		}
+	}
+	band := make([]int32, 1600)
+	for i := range band {
+		band[i] = int32(640 + i)
+	}
+	m := &Message{Kind: KBarrierRelease, Intervals: []Interval{{Proc: 0, TS: 1, Pages: band}}}
+	if n := len(m.Encode()) - bare; n != 8 {
+		t.Errorf("a 1,600-page band encodes to %d bytes, want one 8-byte run", n)
+	}
+	one := &Message{Kind: KBarrierRelease, Intervals: []Interval{{Proc: 0, TS: 1, Pages: []int32{7}}}}
+	if n := len(one.Encode()) - bare; n != 4 {
+		t.Errorf("a one-page notice encodes to %d bytes, want 4", n)
+	}
 }
 
 func randMessage(rng *rand.Rand) *Message {
@@ -185,10 +322,7 @@ func randMessage(rng *rand.Rand) *Message {
 					iv.VC[j] = rng.Int31()
 				}
 			}
-			iv.Pages = make([]int32, rng.Intn(10))
-			for j := range iv.Pages {
-				iv.Pages[j] = rng.Int31n(1 << 20)
-			}
+			iv.Pages = randPages(rng)
 			m.Intervals[i] = iv
 		}
 	}
@@ -261,6 +395,14 @@ func TestEncodedSizeMatches(t *testing.T) {
 			if n := testing.AllocsPerRun(10, func() { m.Encode() }); n != 1 {
 				t.Errorf("Encode allocates %v times, want once", n)
 			}
+		}
+	}
+	// Both forms of a page list, side by side in one message.
+	for i := 0; i < 200; i++ {
+		m := &Message{Kind: KLockGrant, Intervals: []Interval{
+			{Proc: 1, TS: 3, VC: []int32{1, 3}, Pages: randPages(rng)}, {Proc: 2, TS: 1, Pages: randPages(rng)}}}
+		if n, enc := m.EncodedSize(), m.Encode(); n != len(enc) {
+			t.Fatalf("EncodedSize %d, Encode %d bytes, for pages %v and %v", n, len(enc), m.Intervals[0].Pages, m.Intervals[1].Pages)
 		}
 	}
 }

@@ -312,8 +312,9 @@ func (c *Core) match(p *sim.Proc, m *msg.Message) {
 		}
 	}
 	if tr := p.Sim().Tracer(); tr != nil {
+		// The span carries its reply's bytes, as a serve span its request's.
 		emit(tr, trace.Event{T: int64(pc.issued), Dur: int64(rtt),
-			Kind: "call:" + pc.kind.String(), Proc: p.ID(), Peer: pc.dst}, "", 0)
+			Kind: "call:" + pc.kind.String(), Proc: p.ID(), Peer: pc.dst, Bytes: m.EncodedSize()}, "", 0)
 	}
 }
 
