@@ -12,12 +12,12 @@
 //	tmkrun -crash [-seed N] [-nodes 4]
 //	tmkrun -incast [-seed N] [-nodes 64]
 //
-// -prof attaches the protocol-entity profiler and prints the per-page /
-// per-lock / per-barrier attribution tables and the page×epoch heatmap,
-// plus a per-layer time breakdown from a structured-event ring whose
-// capacity -trace-cap sets; if the ring wrapped, the breakdown is
-// prefixed with a warning and the drop count so a truncated trace can't
-// silently skew it. -prof-json additionally writes the full profile as
+// -prof attaches a tracer with the protocol-entity profiler subscribed and
+// prints the per-page / per-lock / per-barrier attribution tables and the
+// page×epoch heatmap, plus a per-layer time breakdown from the tracer's
+// event ring, whose capacity -trace-cap sets; if the ring wrapped, the
+// breakdown is prefixed with a warning and the drop count so a truncated
+// trace can't silently skew it. -prof-json additionally writes the full profile as
 // JSON (schema tmk-prof/1). Profiling is observation only: the
 // execution time and statistics are identical with and without it.
 //
@@ -148,13 +148,12 @@ func main() {
 	var pf *prof.Profiler
 	var tracer *trace.Tracer
 	if *profFlag || *profJSON != "" {
-		pf = prof.New()
-		tracer = trace.New(*traceCap)
+		pf, tracer = prof.New(), trace.New(*traceCap)
+		tracer.Subscribe(pf.Observe)
 	}
 	mutate := func(cfg *tmk.Config) {
 		cfg.Seed = *seed
 		cfg.Rendezvous = *rendezvous
-		cfg.Prof = pf
 		cfg.Trace = tracer
 		if *homeless {
 			cfg.HomeBased = false

@@ -1,7 +1,9 @@
 // Command tmktrace runs a small DSM scenario with protocol tracing
-// enabled, printing every consistency action (faults, diff requests,
-// interval closes, lock grants/forwards) with virtual timestamps — a
-// debugging lens onto the lazy-release-consistency machinery.
+// enabled, printing every consistency action (faults, diff fetches,
+// write notices, interval closes, lock and barrier steps) with virtual
+// timestamps — a debugging lens onto the lazy-release-consistency
+// machinery. The printed trace is tmk.TextTrace subscribed to the run's
+// tracer.
 //
 // Usage:
 //
@@ -9,8 +11,8 @@
 //	         [-seed N] [-out trace.json] [-trace-cap N] [-critical]
 //	         [-prof] [-prof-json profile.json]
 //
-// With -out, the run also records structured events from every layer and
-// writes a Chrome trace_event JSON file loadable in Perfetto
+// With -out, the run also writes the structured events it recorded from
+// every layer as a Chrome trace_event JSON file loadable in Perfetto
 // (https://ui.perfetto.dev) or chrome://tracing; a per-layer time
 // breakdown is printed after the run, with a warning if the event ring
 // overflowed (-trace-cap raises its capacity). -critical attaches the
@@ -18,10 +20,10 @@
 // path — end-to-end virtual time attributed to compute / wire / gm /
 // manager-indirection / straggler-wait — after the run; combined with
 // -out, the exported Chrome trace additionally carries one flow arrow
-// per causal edge between the process tracks. -prof attaches the
-// protocol-entity profiler and prints per-page/lock/barrier attribution;
-// -prof-json writes the profile as JSON. The printed protocol trace is
-// unchanged either way.
+// per causal edge between the process tracks. -prof subscribes the
+// protocol-entity profiler to the same tracer and prints per-page/lock/
+// barrier attribution; -prof-json writes the profile as JSON. The printed
+// protocol trace is unchanged either way.
 package main
 
 import (
@@ -49,26 +51,21 @@ func main() {
 
 	cfg := tmk.DefaultConfig(*nodes, tmk.TransportKind(*transport))
 	cfg.Seed = *seed
-	var tracer *trace.Tracer
-	if *out != "" {
-		tracer = trace.New(*traceCap)
-		cfg.Trace = tracer
-	}
+	tracer := trace.New(*traceCap)
+	tracer.Subscribe(tmk.TextTrace(os.Stdout))
+	cfg.Trace = tracer
 	var causal *trace.Causal
 	if *critical {
 		causal = trace.NewCausal()
 		cfg.Causal = causal
-		if tracer != nil {
-			tracer.AttachCausal(causal)
-		}
+		tracer.AttachCausal(causal)
 	}
 	var pf *prof.Profiler
 	if *profFlag || *profJSON != "" {
 		pf = prof.New()
-		cfg.Prof = pf
+		tracer.Subscribe(pf.Observe)
 	}
 	cluster := tmk.NewCluster(cfg)
-	cluster.TraceTo(os.Stdout)
 
 	var body func(tp *tmk.Proc)
 	switch *scenario {
@@ -120,7 +117,7 @@ func main() {
 	}
 	fmt.Printf("--- done in %v; %v\n", res.ExecTime, &res.Stats)
 
-	if tracer != nil {
+	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/prof"
 	"repro/internal/tmk"
+	"repro/internal/trace"
 )
 
 // Protocol-entity profiles (tentpole of the profiling subsystem): rerun
@@ -27,8 +28,8 @@ type ProfRun struct {
 }
 
 // ProfEntities runs every paper application on both transports with the
-// profiler attached. small selects the smallest Table 1 rung instead of
-// the default sizes (fast smoke-test mode).
+// profiler subscribed to the run's tracer. small selects the smallest
+// Table 1 rung instead of the default sizes (fast smoke-test mode).
 func ProfEntities(nodes int, small bool) ([]ProfRun, error) {
 	var out []ProfRun
 	for _, name := range AppNames {
@@ -38,7 +39,7 @@ func ProfEntities(nodes int, small bool) ([]ProfRun, error) {
 		}
 		for _, kind := range Transports {
 			pf := prof.New()
-			res, err := RunApp(app, nodes, kind, func(cfg *tmk.Config) { cfg.Prof = pf })
+			res, err := RunApp(app, nodes, kind, func(cfg *tmk.Config) { cfg.Trace = profTracer(pf) })
 			if err != nil {
 				return nil, fmt.Errorf("prof %s %s: %w", name, kind, err)
 			}
@@ -49,6 +50,13 @@ func ProfEntities(nodes int, small bool) ([]ProfRun, error) {
 		}
 	}
 	return out, nil
+}
+
+// profTracer returns a tracer with pf subscribed: how a run is profiled.
+func profTracer(pf *prof.Profiler) *trace.Tracer {
+	tr := trace.New(0)
+	tr.Subscribe(pf.Observe)
+	return tr
 }
 
 // LabelProfile snapshots pf and labels the profile with the run it watched.

@@ -16,7 +16,7 @@ func profRun(t *testing.T, n int, body func(tp *tmk.Proc)) *prof.Profile {
 	t.Helper()
 	cfg := tmk.DefaultConfig(n, tmk.TransportFastGM)
 	pf := prof.New()
-	cfg.Prof = pf
+	cfg.Trace = profTracer(pf)
 	if _, err := tmk.Run(cfg, body); err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestProfilingDoesNotPerturbResults(t *testing.T) {
 					}
 					pf := prof.New()
 					profiled, err := RunApp(app, n, kind, func(cfg *tmk.Config) {
-						cfg.Prof = pf
+						cfg.Trace = profTracer(pf)
 					})
 					if err != nil {
 						t.Fatal(err)

@@ -261,7 +261,7 @@ func TestProfilingDoesNotPerturbHomeBased(t *testing.T) {
 				}
 				pf := prof.New()
 				profiled, err := RunApp(app, n, tmk.TransportRDMAGM, func(cfg *tmk.Config) {
-					cfg.Prof = pf
+					cfg.Trace = profTracer(pf)
 				})
 				if err != nil {
 					t.Fatal(err)

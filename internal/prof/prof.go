@@ -8,17 +8,20 @@
 // score from multi-writer notices, per-lock wait-vs-hold and
 // manager-indirection rates, per-barrier arrival skew per episode.
 //
-// Like internal/trace, the package is standard-library-only and knows
-// nothing about the simulator: times are raw virtual nanoseconds
-// (int64), tmk hands it events through the one Observe entry point, and
-// recording never charges virtual time — a profiled run is
-// bit-identical to an unprofiled one (enforced by
-// TestProfilingDoesNotPerturbResults in internal/harness).
+// The profiler reduces trace.Event: it is one subscriber of a run's
+// tracer (Tracer.Subscribe(p.Observe)), reading the protocol identity
+// layer tmk puts on each event, and knows nothing about the simulator or
+// the protocol's code. Times are raw virtual nanoseconds (int64), and
+// recording never charges virtual time — a profiled run is bit-identical
+// to an unprofiled one (enforced by TestProfilingDoesNotPerturbResults in
+// internal/harness).
 package prof
+
+import "repro/internal/trace"
 
 // Profiler accumulates per-entity attribution for one DSM run. It is
 // single-threaded by construction, like the simulator it observes;
-// attach one per run via tmk.Config.Prof.
+// subscribe one per run to the run's tracer.
 type Profiler struct {
 	epochs []int32 // per-rank epoch = barriers crossed so far
 
@@ -202,59 +205,21 @@ func (p *Profiler) lockCell(id int32, rank int) *Cell {
 	return c
 }
 
-// Kind says what happened to the entity an Event is about.
-type Kind uint8
-
-const (
-	ReadFault     Kind = iota // a read fault on page ID completed after Dur
-	WriteFault                // a write fault on page ID (twin creation, but for a page homed at Rank) completed after Dur
-	Fetch                     // a full-page fetch of page ID moved Bytes
-	DiffFetch                 // one diff request for page ID returned Bytes of payload
-	DiffCreated               // an interval close emitted a Bytes-long diff of page ID
-	HomeFlush                 // Bytes of page ID's diff runs were Put into home Peer's window at interval close
-	HomeFetch                 // a whole-page Get of Bytes read page ID out of home Peer's window
-	HomeMove                  // page ID's home migrated from Peer to Rank, its sole writer
-	Notice                    // a write notice for page ID from writer Peer arrived at Rank
-	LockLocal                 // Rank re-acquired lock ID (manager Peer) at At for free: the token was already there
-	LockRemote                // Rank was granted lock ID (manager Peer) at At after waiting Dur
-	LockForward               // manager Rank forwarded an acquire of lock ID down the holder chain
-	LockRelease               // Rank released lock ID at At, closing the hold its acquire began
-	BarrierArrive             // Rank reached barrier ID in episode Episode at At
-	BarrierDepart             // Rank crossed it after Dur, having carried Intervals and NoticePages upward
-)
-
-// Event is one protocol occurrence as the profiler sees it: the single
-// entry point Observe takes it from tmk's event stream. Times are raw
-// virtual nanoseconds; a field the Kind's comment does not name is
-// ignored.
-type Event struct {
-	Kind   Kind
-	Rank   int   // the observing rank
-	ID     int32 // page, lock or barrier id
-	Region int32 // a page's region
-	Peer   int   // home, writer or manager rank
-	Bytes  int
-	At     int64 // when it happened (a span's end)
-	Dur    int64 // how long the fault, acquire or crossing took
-
-	// Notice: whether it flipped a valid copy to invalid, and whether the
-	// receiving rank has itself written the page (the false-sharing signal
-	// under the multiple-writer protocol).
-	Invalidated, WroteHere bool
-
-	// Barriers: the episode identifies the crossing cluster-wide (skew per
-	// episode is max−min of its arrival times); a departure reports the
-	// interval records and write-notice page entries of its arrive payload.
-	Episode                int32
-	Intervals, NoticePages int
-}
-
-// Observe records one event against its entity.
-func (p *Profiler) Observe(e Event) {
+// Observe reduces one event of the trace stream into its entity's
+// attribution; subscribe it to a run's tracer (Tracer.Subscribe). Times
+// are raw virtual nanoseconds and a span ends at T+Dur. Only layer tmk's
+// events name entities; of those the profiler ignores diff-apply and
+// lock-grant (the fetch and the acquire they serve carry the cost) and the
+// crash kinds (a restarted run is profiled as the one run it completes).
+func (p *Profiler) Observe(e trace.Event) {
+	if e.Layer != trace.LayerTMK {
+		return
+	}
+	at := e.T + e.Dur
 	switch e.Kind {
-	case ReadFault, WriteFault:
+	case trace.KindReadFault, trace.KindWriteFault:
 		ps := p.page(e.ID, e.Region)
-		if e.Kind == ReadFault {
+		if e.Kind == trace.KindReadFault {
 			ps.ReadFaults++
 		} else {
 			ps.WriteFaults++
@@ -264,50 +229,50 @@ func (p *Profiler) Observe(e Event) {
 		c := p.pageCell(e.ID, e.Rank)
 		c.Events++
 		c.Ns += e.Dur
-	case Fetch:
-		ps := p.page(e.ID, e.Region)
-		ps.Fetches++
-		ps.FetchBytes += int64(e.Bytes)
-		p.pageCell(e.ID, e.Rank).Bytes += int64(e.Bytes)
-	case DiffFetch:
+	case trace.KindDiffFetch:
 		ps := p.page(e.ID, e.Region)
 		ps.DiffFetches++
 		ps.DiffBytesFetched += int64(e.Bytes)
 		p.pageCell(e.ID, e.Rank).Bytes += int64(e.Bytes)
-	case DiffCreated:
+	case trace.KindDiffCreate:
 		ps := p.page(e.ID, e.Region)
 		ps.DiffsCreated++
 		ps.DiffBytesCreated += int64(e.Bytes)
 		ps.writers[e.Rank] = true
-	case HomeFlush:
+	case trace.KindHomeFlush:
 		ps := p.page(e.ID, e.Region)
 		ps.Home = e.Peer
 		ps.HomeFlushes++
 		ps.HomeFlushBytes += int64(e.Bytes)
 		ps.writers[e.Rank] = true
 		p.pageCell(e.ID, e.Rank).Bytes += int64(e.Bytes)
-	case HomeFetch:
+	case trace.KindHomeFetch: // a full-page fetch, from the home
 		ps := p.page(e.ID, e.Region)
+		ps.Fetches++
+		ps.FetchBytes += int64(e.Bytes)
+		p.pageCell(e.ID, e.Rank).Bytes += int64(e.Bytes)
 		ps.Home = e.Peer
 		ps.HomeFetches++
 		ps.HomeFetchBytes += int64(e.Bytes)
-	case HomeMove:
+	case trace.KindHomeMove:
 		ps := p.page(e.ID, e.Region)
 		ps.Home = e.Rank
 		ps.HomeMoves++
-	case Notice:
+	case trace.KindNotice:
+		// A: the notice invalidated a valid copy; B: the receiving rank has
+		// itself written the page, the multiple-writer false-sharing signal.
 		ps := p.page(e.ID, e.Region)
 		ps.Notices++
 		ps.writers[e.Peer] = true
-		if e.Invalidated {
+		if e.A != 0 {
 			ps.Invalidations++
 		}
-		if e.WroteHere && e.Peer != e.Rank {
+		if e.B != 0 && e.Peer != e.Rank {
 			ps.FalseShareNotices++
 		}
-	case LockLocal, LockRemote:
+	case trace.KindLockLocal, trace.KindLockAcquire:
 		ls := p.lockStats(e.ID, e.Peer)
-		if e.Kind == LockLocal {
+		if e.Kind == trace.KindLockLocal {
 			ls.AcquiresLocal++
 		} else {
 			ls.AcquiresRemote++
@@ -320,36 +285,40 @@ func (p *Profiler) Observe(e Event) {
 			ls.Handoffs++
 		}
 		p.lastHolder[e.ID] = e.Rank
-		p.heldSince[holderKey{rank: e.Rank, lock: e.ID}] = e.At
-	case LockForward:
+		p.heldSince[holderKey{rank: e.Rank, lock: e.ID}] = at
+	case trace.KindLockForward:
 		p.lockStats(e.ID, e.Rank).Forwards++
-	case LockRelease:
+	case trace.KindLockRelease:
 		k := holderKey{rank: e.Rank, lock: e.ID}
 		if since, ok := p.heldSince[k]; ok {
 			ls := p.lockStats(e.ID, -1)
 			ls.Holds++
-			ls.HoldNs += e.At - since
+			ls.HoldNs += at - since
 			delete(p.heldSince, k)
 		}
-	case BarrierArrive:
-		k := episodeKey{barrier: e.ID, episode: e.Episode}
+	case trace.KindBarrierArrive:
+		// A, the episode, identifies the crossing cluster-wide: its skew
+		// is max−min of its arrival times.
+		k := episodeKey{barrier: e.ID, episode: int32(e.A)}
 		ea := p.episodes[k]
 		if ea == nil {
-			ea = &episodeAgg{barrier: e.ID, episode: e.Episode, minArrive: e.At, maxArrive: e.At}
+			ea = &episodeAgg{barrier: e.ID, episode: int32(e.A), minArrive: at, maxArrive: at}
 			p.episodes[k] = ea
 		}
 		ea.arrivals++
-		ea.minArrive = min(ea.minArrive, e.At)
-		ea.maxArrive = max(ea.maxArrive, e.At)
-	case BarrierDepart:
+		ea.minArrive = min(ea.minArrive, at)
+		ea.maxArrive = max(ea.maxArrive, at)
+	case trace.KindBarrier:
+		// B and C: the interval records and write-notice page entries the
+		// rank's arrival carried upward.
 		ba := p.barriers[e.ID]
 		if ba == nil {
 			ba = &barrierAgg{id: e.ID}
 			p.barriers[e.ID] = ba
 		}
 		ba.waitNs += e.Dur
-		ba.intervals += int64(e.Intervals)
-		ba.noticePages += int64(e.NoticePages)
+		ba.intervals += int64(e.B)
+		ba.noticePages += int64(e.C)
 		// Crossing a barrier advances the rank's epoch.
 		p.epochOf(e.Rank) // ensure the table covers rank
 		p.epochs[e.Rank]++

@@ -4,22 +4,26 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/trace"
 )
+
+const tmkLayer = trace.LayerTMK
 
 func TestPageAttributionAndFalseSharing(t *testing.T) {
 	p := New()
 	// Rank 0 and rank 1 both write page 7; rank 0 receives 4 notices from
 	// rank 1 while twinned (false sharing), plus one covered duplicate.
-	p.Observe(Event{Kind: WriteFault, Rank: 0, ID: 7, Region: 1, Dur: 100})
-	p.Observe(Event{Kind: WriteFault, Rank: 1, ID: 7, Region: 1, Dur: 150})
-	p.Observe(Event{Kind: ReadFault, Rank: 0, ID: 7, Region: 1, Dur: 50})
+	p.Observe(trace.Event{Layer: tmkLayer, Kind: trace.KindWriteFault, Rank: 0, ID: 7, Region: 1, Dur: 100})
+	p.Observe(trace.Event{Layer: tmkLayer, Kind: trace.KindWriteFault, Rank: 1, ID: 7, Region: 1, Dur: 150})
+	p.Observe(trace.Event{Layer: tmkLayer, Kind: trace.KindReadFault, Rank: 0, ID: 7, Region: 1, Dur: 50})
 	for i := 0; i < 4; i++ {
-		p.Observe(Event{Kind: Notice, Rank: 0, ID: 7, Region: 1, Peer: 1, Invalidated: true, WroteHere: true})
+		p.Observe(trace.Event{Layer: tmkLayer, Kind: trace.KindNotice, Rank: 0, ID: 7, Region: 1, Peer: 1, A: 1, B: 1})
 	}
-	p.Observe(Event{Kind: Notice, Rank: 0, ID: 7, Region: 1, Peer: 1, Invalidated: false, WroteHere: false})
+	p.Observe(trace.Event{Layer: tmkLayer, Kind: trace.KindNotice, Rank: 0, ID: 7, Region: 1, Peer: 1})
 	// Page 8 has a single writer: score must stay 0 regardless of notices.
-	p.Observe(Event{Kind: WriteFault, Rank: 0, ID: 8, Region: 1, Dur: 10})
-	p.Observe(Event{Kind: Notice, Rank: 1, ID: 8, Region: 1, Peer: 0, Invalidated: true, WroteHere: false})
+	p.Observe(trace.Event{Layer: tmkLayer, Kind: trace.KindWriteFault, Rank: 0, ID: 8, Region: 1, Dur: 10})
+	p.Observe(trace.Event{Layer: tmkLayer, Kind: trace.KindNotice, Rank: 1, ID: 8, Region: 1, Peer: 0, A: 1})
 
 	ps := p.pages[7]
 	if ps.Writers() != 2 {
@@ -42,15 +46,15 @@ func TestPageAttributionAndFalseSharing(t *testing.T) {
 func TestLockWaitHoldHandoffs(t *testing.T) {
 	p := New()
 	// Rank 1 (manager) acquires locally at t=100, holds 400ns.
-	p.Observe(Event{Kind: LockLocal, Rank: 1, ID: 5, Peer: 1, At: 100})
-	p.Observe(Event{Kind: LockRelease, Rank: 1, ID: 5, At: 500})
+	p.Observe(trace.Event{Layer: tmkLayer, Kind: trace.KindLockLocal, Rank: 1, ID: 5, Peer: 1, T: 100})
+	p.Observe(trace.Event{Layer: tmkLayer, Kind: trace.KindLockRelease, Rank: 1, ID: 5, T: 500})
 	// Rank 0 acquires remotely after waiting 300ns, holds 200ns.
-	p.Observe(Event{Kind: LockRemote, Rank: 0, ID: 5, Peer: 1, Dur: 300, At: 600})
-	p.Observe(Event{Kind: LockForward, Rank: 1, ID: 5})
-	p.Observe(Event{Kind: LockRelease, Rank: 0, ID: 5, At: 800})
+	p.Observe(trace.Event{Layer: tmkLayer, Kind: trace.KindLockAcquire, Rank: 0, ID: 5, Peer: 1, Dur: 300, T: 300})
+	p.Observe(trace.Event{Layer: tmkLayer, Kind: trace.KindLockForward, Rank: 1, ID: 5})
+	p.Observe(trace.Event{Layer: tmkLayer, Kind: trace.KindLockRelease, Rank: 0, ID: 5, T: 800})
 	// Rank 0 re-acquires: no handoff.
-	p.Observe(Event{Kind: LockLocal, Rank: 0, ID: 5, Peer: 1, At: 900})
-	p.Observe(Event{Kind: LockRelease, Rank: 0, ID: 5, At: 950})
+	p.Observe(trace.Event{Layer: tmkLayer, Kind: trace.KindLockLocal, Rank: 0, ID: 5, Peer: 1, T: 900})
+	p.Observe(trace.Event{Layer: tmkLayer, Kind: trace.KindLockRelease, Rank: 0, ID: 5, T: 950})
 
 	ls := p.locks[5]
 	if ls.Manager != 1 {
@@ -73,14 +77,14 @@ func TestLockWaitHoldHandoffs(t *testing.T) {
 func TestBarrierEpisodesAndEpochs(t *testing.T) {
 	p := New()
 	// Episode 0 of barrier 3: rank 0 arrives at 1000, rank 1 at 1700.
-	p.Observe(Event{Kind: BarrierArrive, Rank: 0, ID: 3, Episode: 0, At: 1000})
-	p.Observe(Event{Kind: BarrierArrive, Rank: 1, ID: 3, Episode: 0, At: 1700})
+	p.Observe(trace.Event{Layer: tmkLayer, Kind: trace.KindBarrierArrive, Rank: 0, ID: 3, A: 0, T: 1000})
+	p.Observe(trace.Event{Layer: tmkLayer, Kind: trace.KindBarrierArrive, Rank: 1, ID: 3, A: 0, T: 1700})
 	// Page activity before the departs lands in epoch 0.
-	p.Observe(Event{Kind: ReadFault, Rank: 0, ID: 9, Region: 1, Dur: 10})
-	p.Observe(Event{Kind: BarrierDepart, Rank: 0, ID: 3, Episode: 0, Dur: 900, Intervals: 2, NoticePages: 5})
-	p.Observe(Event{Kind: BarrierDepart, Rank: 1, ID: 3, Episode: 0, Dur: 200, Intervals: 1, NoticePages: 3})
+	p.Observe(trace.Event{Layer: tmkLayer, Kind: trace.KindReadFault, Rank: 0, ID: 9, Region: 1, Dur: 10})
+	p.Observe(trace.Event{Layer: tmkLayer, Kind: trace.KindBarrier, Rank: 0, ID: 3, A: 0, Dur: 900, B: 2, C: 5})
+	p.Observe(trace.Event{Layer: tmkLayer, Kind: trace.KindBarrier, Rank: 1, ID: 3, A: 0, Dur: 200, B: 1, C: 3})
 	// After crossing, activity lands in epoch 1.
-	p.Observe(Event{Kind: ReadFault, Rank: 0, ID: 9, Region: 1, Dur: 20})
+	p.Observe(trace.Event{Layer: tmkLayer, Kind: trace.KindReadFault, Rank: 0, ID: 9, Region: 1, Dur: 20})
 
 	pr := p.Snapshot()
 	if pr.MaxEpoch != 1 {
@@ -111,11 +115,11 @@ func TestBarrierEpisodesAndEpochs(t *testing.T) {
 
 func TestTopNOrdering(t *testing.T) {
 	p := New()
-	p.Observe(Event{Kind: ReadFault, Rank: 0, ID: 1, Region: 0, Dur: 100})
-	p.Observe(Event{Kind: ReadFault, Rank: 0, ID: 2, Region: 0, Dur: 300})
-	p.Observe(Event{Kind: ReadFault, Rank: 0, ID: 3, Region: 0, Dur: 200})
-	p.Observe(Event{Kind: LockRemote, Rank: 0, ID: 10, Peer: 0, Dur: 50, At: 1000})
-	p.Observe(Event{Kind: LockRemote, Rank: 0, ID: 11, Peer: 1, Dur: 500, At: 1000})
+	p.Observe(trace.Event{Layer: tmkLayer, Kind: trace.KindReadFault, Rank: 0, ID: 1, Region: 0, Dur: 100})
+	p.Observe(trace.Event{Layer: tmkLayer, Kind: trace.KindReadFault, Rank: 0, ID: 2, Region: 0, Dur: 300})
+	p.Observe(trace.Event{Layer: tmkLayer, Kind: trace.KindReadFault, Rank: 0, ID: 3, Region: 0, Dur: 200})
+	p.Observe(trace.Event{Layer: tmkLayer, Kind: trace.KindLockAcquire, Rank: 0, ID: 10, Peer: 0, Dur: 50, T: 950})
+	p.Observe(trace.Event{Layer: tmkLayer, Kind: trace.KindLockAcquire, Rank: 0, ID: 11, Peer: 1, Dur: 500, T: 500})
 	pr := p.Snapshot()
 	top := pr.TopPages(2)
 	if len(top) != 2 || top[0].ID != 2 || top[1].ID != 3 {
@@ -130,13 +134,13 @@ func TestTopNOrdering(t *testing.T) {
 func TestSnapshotJSONDeterministic(t *testing.T) {
 	build := func() []byte {
 		p := New()
-		p.Observe(Event{Kind: WriteFault, Rank: 1, ID: 4, Region: 0, Dur: 70})
-		p.Observe(Event{Kind: WriteFault, Rank: 0, ID: 3, Region: 0, Dur: 80})
-		p.Observe(Event{Kind: Notice, Rank: 0, ID: 4, Region: 0, Peer: 1, Invalidated: true, WroteHere: true})
-		p.Observe(Event{Kind: LockRemote, Rank: 0, ID: 2, Peer: 0, Dur: 10, At: 100})
-		p.Observe(Event{Kind: LockRelease, Rank: 0, ID: 2, At: 150})
-		p.Observe(Event{Kind: BarrierArrive, Rank: 0, ID: 1, Episode: 0, At: 500})
-		p.Observe(Event{Kind: BarrierDepart, Rank: 0, ID: 1, Episode: 0, Dur: 40, Intervals: 1, NoticePages: 2})
+		p.Observe(trace.Event{Layer: tmkLayer, Kind: trace.KindWriteFault, Rank: 1, ID: 4, Region: 0, Dur: 70})
+		p.Observe(trace.Event{Layer: tmkLayer, Kind: trace.KindWriteFault, Rank: 0, ID: 3, Region: 0, Dur: 80})
+		p.Observe(trace.Event{Layer: tmkLayer, Kind: trace.KindNotice, Rank: 0, ID: 4, Region: 0, Peer: 1, A: 1, B: 1})
+		p.Observe(trace.Event{Layer: tmkLayer, Kind: trace.KindLockAcquire, Rank: 0, ID: 2, Peer: 0, Dur: 10, T: 90})
+		p.Observe(trace.Event{Layer: tmkLayer, Kind: trace.KindLockRelease, Rank: 0, ID: 2, T: 150})
+		p.Observe(trace.Event{Layer: tmkLayer, Kind: trace.KindBarrierArrive, Rank: 0, ID: 1, A: 0, T: 500})
+		p.Observe(trace.Event{Layer: tmkLayer, Kind: trace.KindBarrier, Rank: 0, ID: 1, A: 0, Dur: 40, B: 1, C: 2})
 		var buf bytes.Buffer
 		if err := p.Snapshot().WriteJSON(&buf); err != nil {
 			t.Fatal(err)
@@ -158,10 +162,10 @@ func TestSnapshotJSONDeterministic(t *testing.T) {
 
 func TestWriteTablesAndHeatmap(t *testing.T) {
 	p := New()
-	p.Observe(Event{Kind: ReadFault, Rank: 0, ID: 12, Region: 0, Dur: 1000})
-	p.Observe(Event{Kind: BarrierArrive, Rank: 0, ID: 1, Episode: 0, At: 10})
-	p.Observe(Event{Kind: BarrierDepart, Rank: 0, ID: 1, Episode: 0, Dur: 5, Intervals: 0, NoticePages: 0})
-	p.Observe(Event{Kind: ReadFault, Rank: 0, ID: 12, Region: 0, Dur: 9000})
+	p.Observe(trace.Event{Layer: tmkLayer, Kind: trace.KindReadFault, Rank: 0, ID: 12, Region: 0, Dur: 1000})
+	p.Observe(trace.Event{Layer: tmkLayer, Kind: trace.KindBarrierArrive, Rank: 0, ID: 1, A: 0, T: 10})
+	p.Observe(trace.Event{Layer: tmkLayer, Kind: trace.KindBarrier, Rank: 0, ID: 1, A: 0, Dur: 5})
+	p.Observe(trace.Event{Layer: tmkLayer, Kind: trace.KindReadFault, Rank: 0, ID: 12, Region: 0, Dur: 9000})
 	pr := p.Snapshot()
 	pr.App = "demo"
 	pr.Size = "s"
@@ -198,9 +202,9 @@ func TestWriteTablesAndHeatmap(t *testing.T) {
 func TestHeatmapBucketsWideRuns(t *testing.T) {
 	p := New()
 	for e := 0; e < 200; e++ {
-		p.Observe(Event{Kind: ReadFault, Rank: 0, ID: 1, Region: 0, Dur: 100})
-		p.Observe(Event{Kind: BarrierArrive, Rank: 0, ID: 1, Episode: int32(e), At: int64(e)})
-		p.Observe(Event{Kind: BarrierDepart, Rank: 0, ID: 1, Episode: int32(e), Dur: 1, Intervals: 0, NoticePages: 0})
+		p.Observe(trace.Event{Layer: tmkLayer, Kind: trace.KindReadFault, Rank: 0, ID: 1, Region: 0, Dur: 100})
+		p.Observe(trace.Event{Layer: tmkLayer, Kind: trace.KindBarrierArrive, Rank: 0, ID: 1, A: e, T: int64(e)})
+		p.Observe(trace.Event{Layer: tmkLayer, Kind: trace.KindBarrier, Rank: 0, ID: 1, A: e, Dur: 1})
 	}
 	var buf bytes.Buffer
 	if err := p.Snapshot().WriteHeatmap(&buf, 3); err != nil {
@@ -217,5 +221,18 @@ func TestHeatmapBucketsWideRuns(t *testing.T) {
 				t.Fatalf("heatmap row wider than %d cols: %q", maxHeatCols, row)
 			}
 		}
+	}
+}
+
+// TestObserveSkipsWhatItDoesNotReduce: another layer's event and the tmk
+// kinds the profiler names as ignored leave no entity behind.
+func TestObserveSkipsWhatItDoesNotReduce(t *testing.T) {
+	p := New()
+	p.Observe(trace.Event{Layer: trace.LayerSubstrate, Kind: trace.KindReadFault, ID: 1, Dur: 10})
+	for _, k := range []string{trace.KindDiffApply, trace.KindLockGrant, trace.KindCrashInject, trace.KindCrashDetected, trace.KindRestart} {
+		p.Observe(trace.Event{Layer: tmkLayer, Kind: k, ID: 1, Peer: 2, Bytes: 8, A: 1})
+	}
+	if pr := p.Snapshot(); len(pr.Pages)+len(pr.Locks)+len(pr.Barriers) != 0 {
+		t.Fatalf("ignored events made entities: %+v", pr)
 	}
 }

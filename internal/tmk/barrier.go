@@ -86,7 +86,7 @@ func (tp *Proc) Barrier(id int32) {
 	// (handleBarrierArrive asserts every arrival matches it); it is only
 	// incremented in phase 3 below.
 	ep := tp.barrier.episode
-	tp.observe(event{kind: evBarrierArrive, id: id, a: int(ep)})
+	tp.observe(event{kind: trace.KindBarrierArrive, id: id, peer: -1, a: int(ep)})
 
 	children := tp.barrierChildren()
 	parent := tp.barrierParent()
@@ -190,7 +190,7 @@ func (tp *Proc) Barrier(id int32) {
 	tp.tr.EnableAsync(tp.sp)
 
 	tp.stats.BarrierWait += tp.sp.Now() - start
-	tp.observe(event{kind: evBarrier, start: start, dur: tp.sp.Now() - start, id: id, peer: parent,
+	tp.observe(event{kind: trace.KindBarrier, start: start, dur: tp.sp.Now() - start, id: id, peer: parent,
 		a: int(ep), b: pIvs, c: pPgs})
 }
 

@@ -2,11 +2,9 @@ package tmk
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/gm"
 	"repro/internal/myrinet"
-	"repro/internal/prof"
 	"repro/internal/sim"
 	"repro/internal/sockets"
 	"repro/internal/substrate"
@@ -57,22 +55,18 @@ type Config struct {
 	BarrierFanout int
 
 	// Trace, when non-nil, attaches a structured tracer to the run's
-	// simulator: every layer records typed events and metrics into it.
-	// Tracing is observation only — virtual-time results are identical
-	// with and without it.
+	// simulator: every layer records typed events and metrics into it,
+	// tmk one event per protocol occurrence. The protocol trace
+	// (TextTrace) and the entity profiler subscribe to it. Tracing is
+	// observation only — virtual-time results are identical with and
+	// without it.
 	Trace *trace.Tracer
-
-	// Prof, when non-nil, attaches the protocol-entity profiler: per-page,
-	// per-lock, and per-barrier attribution segmented into inter-barrier
-	// epochs. Like Trace it is observation only — profiled runs are
-	// bit-identical to unprofiled ones.
-	Prof *prof.Profiler
 
 	// Causal, when non-nil, attaches the causal-DAG collector (DESIGN.md
 	// §13): every substrate frame carries a compact trace context as
 	// uncharged envelope metadata and is recorded as a typed edge. Like
-	// Trace and Prof it is observation only — causal-on runs are
-	// bit-identical to causal-off ones.
+	// Trace it is observation only — causal-on runs are bit-identical to
+	// causal-off ones.
 	Causal *trace.Causal
 
 	// Crash configures the crash-failure model: the seeded injector and
@@ -133,8 +127,6 @@ type Cluster struct {
 
 	nextRegionID int32
 	nextPage     int32
-
-	text io.Writer // protocol-trace sink (TraceTo), nil = off
 }
 
 // Result summarizes a completed run.

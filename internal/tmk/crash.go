@@ -7,6 +7,7 @@ import (
 	"repro/internal/msg"
 	"repro/internal/sim"
 	"repro/internal/substrate"
+	"repro/internal/trace"
 )
 
 // Crash-failure model. A seeded injector kills one rank at a chosen
@@ -124,7 +125,7 @@ func (c *Cluster) handleCrash(detector, peer int, err error) {
 		}
 	}
 	c.crash.report = rep
-	c.procs[detector].observe(event{kind: evCrashDetected, peer: peer, a: c.crash.gen})
+	c.procs[detector].observe(event{kind: trace.KindCrashDetected, peer: peer, a: c.crash.gen})
 
 	// Kill the whole generation (survivors' partial state is not
 	// recoverable piecemeal) and halt its transports so their timers and
@@ -160,7 +161,7 @@ func (c *Cluster) afterCrash() {
 	rep.Action = "restart"
 	c.crash.gen++
 	rep.Generations = c.crash.gen + 1
-	c.procs[rep.DetectedBy].observe(event{kind: evRestart, peer: -1, a: c.crash.gen})
+	c.procs[rep.DetectedBy].observe(event{kind: trace.KindRestart, peer: -1, a: c.crash.gen})
 	c.nextRegionID, c.nextPage = 0, 0
 	c.spawnGeneration(c.crash.gen)
 }
@@ -174,7 +175,7 @@ func (tp *Proc) maybeCrashAt(counter *int, at int) {
 	}
 	*counter++
 	if *counter == at {
-		tp.observe(event{kind: evCrashInject, peer: -1, a: at})
+		tp.observe(event{kind: trace.KindCrashInject, peer: -1, a: at})
 		tp.sp.Exit()
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/myrinet"
 	"repro/internal/tmk"
+	"repro/internal/trace"
 )
 
 var allTransports = []tmk.TransportKind{tmk.TransportFastGM, tmk.TransportUDPGM, tmk.TransportRDMAGM}
@@ -63,7 +64,8 @@ func verifyEpochApp(t *testing.T, tp *tmk.Proc, epochs int) {
 // TestCrashRestart kills rank 1 mid-run on every transport and requires
 // the restart to finish the computation bit-correct: survivors detect the
 // death, the watchdog runs the application again on a second generation,
-// and the final shared state equals the crash-free reference.
+// and the final shared state equals the crash-free reference. The three
+// crash kinds reach the ring and the protocol trace.
 func TestCrashRestart(t *testing.T) {
 	const epochs = 4
 	for _, kind := range allTransports {
@@ -74,6 +76,10 @@ func TestCrashRestart(t *testing.T) {
 				AtBarrier: 3, // the setup barrier and epoch 1's, then dies entering epoch 2's
 				Restart:   true,
 			}
+			tr := trace.New(1 << 20)
+			var text strings.Builder
+			tr.Subscribe(tmk.TextTrace(&text))
+			cfg.Trace = tr
 			app := epochApp(epochs)
 			res, err := tmk.Run(cfg, func(tp *tmk.Proc) {
 				app(tp)
@@ -97,6 +103,7 @@ func TestCrashRestart(t *testing.T) {
 			if res.Transport.PeersDeclaredDead == 0 {
 				t.Error("no liveness detection recorded")
 			}
+			tmk.CheckViews(t, tr, text.String(), trace.KindCrashInject, trace.KindCrashDetected, trace.KindRestart)
 		})
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/msg"
 	"repro/internal/sim"
 	"repro/internal/substrate"
+	"repro/internal/trace"
 )
 
 // readFault makes the invalid pages of region r's span [first, last] valid,
@@ -89,7 +90,7 @@ func (tp *Proc) writeFault(pm *pageMeta) {
 		pm.state = pageWritable
 		tp.dirty = append(tp.dirty, pm.id)
 		tp.stats.FaultTime += tp.sp.Now() - start
-		tp.observe(event{kind: evWriteFault, start: start, dur: tp.sp.Now() - start, page: pm, peer: -1, bytes: PageSize})
+		tp.observe(event{kind: trace.KindWriteFault, start: start, dur: tp.sp.Now() - start, page: pm, peer: -1, bytes: PageSize})
 		if pm.isMissingAny(tp.rank) {
 			// A notice arrived mid-fault; fetch its diffs (they will be
 			// applied to both data and twin) before writing proceeds.
@@ -148,7 +149,6 @@ func (tp *Proc) diffFaultRange(r *Region, first, last, ahead int32) {
 		f := diffFault{pm: pm, began: tp.sp.Now(), ahead: pg > last}
 		faults = append(faults, f)
 		if !f.ahead {
-			tp.observe(event{kind: evReadFaultBegin, page: pm})
 			tp.stats.ReadFaults++
 		}
 		tp.sp.Advance(FaultOverhead)
@@ -173,7 +173,7 @@ func (tp *Proc) diffFaultRange(r *Region, first, last, ahead int32) {
 			if f.ahead {
 				tp.stats.Prefetched++
 			} else {
-				tp.observe(event{kind: evReadFault, start: f.began, dur: tp.sp.Now() - f.began, page: f.pm, peer: -1, bytes: PageSize})
+				tp.observe(event{kind: trace.KindReadFault, start: f.began, dur: tp.sp.Now() - f.began, page: f.pm, peer: -1, bytes: PageSize})
 			}
 		}
 		faults = faults[:again]
@@ -206,9 +206,6 @@ func (tp *Proc) diffWave(first, last int32, faults []diffFault) {
 	db.ranges = ranges
 	if len(ranges) == 0 { // pages nobody wrote: zeros, and no writer to ask
 		return
-	}
-	for _, dr := range ranges {
-		tp.observe(event{kind: evDiffRequest, page: tp.page(dr.Page), peer: int(dr.Proc), a: int(dr.FromTS), b: int(dr.ToTS)})
 	}
 	pending := db.pends[:0]
 	for j := 0; j < len(ranges); j = nextWriter(ranges, j) {
@@ -260,8 +257,8 @@ func (tp *Proc) takeDiffs(all []msg.Diff, faults []diffFault, ask []msg.DiffRang
 		case ds[n-1].TS != dr.ToTS: // short of the newest interval asked, the fault would ask forever
 			panic(fmt.Sprintf("tmk: rank %d: page %d: rank %d's diffs end before ts %d", tp.rank, dr.Page, dr.Proc, dr.ToTS))
 		}
-		tp.observe(event{kind: evDiffFetch, start: pend.Issued(), dur: pend.Completed() - pend.Issued(),
-			page: tp.page(dr.Page), peer: pend.Dst(), bytes: nbytes})
+		tp.observe(event{kind: trace.KindDiffFetch, start: pend.Issued(), dur: pend.Completed() - pend.Issued(),
+			page: tp.page(dr.Page), peer: pend.Dst(), bytes: nbytes, a: int(dr.FromTS), b: int(dr.ToTS)})
 		all, ds = append(all, ds[:n]...), ds[n:]
 	}
 	if len(ds) > 0 {
@@ -319,7 +316,7 @@ func (tp *Proc) applyDiffs(pm *pageMeta, all []msg.Diff) {
 			cost *= 2
 		}
 		tp.sp.Advance(cost)
-		tp.observe(event{kind: evDiffApply, page: pm, peer: int(d.Proc), a: int(d.TS), bytes: len(d.Data)})
+		tp.observe(event{kind: trace.KindDiffApply, page: pm, peer: int(d.Proc), a: int(d.TS), bytes: len(d.Data)})
 		tp.stats.DiffsApplied++
 		tp.stats.DiffBytesApplied += int64(len(d.Data))
 		pm.coverTo(int(d.Proc), d.TS)
@@ -366,7 +363,7 @@ func (tp *Proc) closeInterval() {
 			}
 			tp.stats.DiffsCreated++
 			tp.stats.DiffBytesCreated += int64(len(diff))
-			tp.observe(event{kind: evDiffCreate, page: pm, peer: -1, a: int(ts), bytes: len(diff)})
+			tp.observe(event{kind: trace.KindDiffCreate, page: pm, peer: -1, a: int(ts), bytes: len(diff)})
 			if pm.twin != nil { // else a handler's own close, run inside the Advance above, took it
 				if !pm.zeroTwin() {
 					tp.freeTwins = append(tp.freeTwins, pm.twin)
@@ -467,16 +464,18 @@ func (tp *Proc) applyIntervals(ivs []msg.Interval) {
 // became visible (HLRC rule 1), so our copy already holds the data, and the
 // notice is covered instead (rule 2).
 func (tp *Proc) deliverNotice(pm *pageMeta, rec *intervalRec) {
-	invalidated := false
+	invalidated, wroteHere := 0, 0
 	if pm.addNotice(int(rec.proc), rec.ts) {
 		if tp.homeBased && tp.HomeOf(pm.id) == tp.rank {
 			pm.coverTo(int(rec.proc), rec.ts)
 		} else if pm.state != pageInvalid {
 			pm.state = pageInvalid
 			tp.stats.Invalidations++
-			invalidated = true
+			invalidated = 1
 		}
 	}
-	tp.observe(event{kind: evNotice, page: pm, peer: int(rec.proc), invalidated: invalidated,
-		wroteHere: pm.twin != nil || pm.state == pageWritable || pm.writer(tp.rank) != nil})
+	if pm.twin != nil || pm.state == pageWritable || pm.writer(tp.rank) != nil {
+		wroteHere = 1
+	}
+	tp.observe(event{kind: trace.KindNotice, page: pm, peer: int(rec.proc), a: invalidated, b: wroteHere, c: int(rec.ts)})
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/sim"
 	"repro/internal/substrate"
+	"repro/internal/trace"
 )
 
 // Home-based lazy release consistency (HLRC) over a one-sided substrate.
@@ -92,7 +93,7 @@ func (tp *Proc) moveHomes(epoch []*intervalRec) {
 			ht.home[pg] = w
 			if int(w) == tp.rank {
 				tp.stats.HomeMoves++
-				tp.observe(event{kind: evHomeMove, page: tp.page(pg), peer: old})
+				tp.observe(event{kind: trace.KindHomeMove, page: tp.page(pg), peer: old})
 			}
 		}
 	}
@@ -209,7 +210,6 @@ func (tp *Proc) homeFaultRange(r *Region, first, last, ahead int32) {
 		}
 		began := tp.sp.Now()
 		if pg <= last {
-			tp.observe(event{kind: evReadFaultBegin, page: pm})
 			tp.stats.ReadFaults++
 		}
 		tp.sp.Advance(FaultOverhead)
@@ -223,7 +223,7 @@ func (tp *Proc) homeFaultRange(r *Region, first, last, ahead int32) {
 		for i, g := range tp.homeGets {
 			pv := tp.homeVerbs[i]
 			tp.homeApply(g.pm, pv.Data(), g.snap)
-			tp.observe(event{kind: evHomeFetch, start: g.posted, dur: tp.sp.Now() - g.posted, page: g.pm, peer: pv.Dst(), bytes: PageSize})
+			tp.observe(event{kind: trace.KindHomeFetch, start: g.posted, dur: tp.sp.Now() - g.posted, page: g.pm, peer: pv.Dst(), bytes: PageSize})
 			if g.pm.isMissingAny(tp.rank) {
 				if !g.ahead {
 					tp.homeGets[again], tp.homeVerbs[again] = tp.postHomeGet(g.pm, g.began)
@@ -235,7 +235,7 @@ func (tp *Proc) homeFaultRange(r *Region, first, last, ahead int32) {
 			if g.ahead {
 				tp.stats.Prefetched++
 			} else {
-				tp.observe(event{kind: evReadFault, start: g.began, dur: tp.sp.Now() - g.began, page: g.pm, peer: -1, bytes: PageSize})
+				tp.observe(event{kind: trace.KindReadFault, start: g.began, dur: tp.sp.Now() - g.began, page: g.pm, peer: -1, bytes: PageSize})
 			}
 		}
 		tp.homeGets, tp.homeVerbs = tp.homeGets[:again], tp.homeVerbs[:again]
@@ -389,7 +389,7 @@ func (tp *Proc) finishFlush(ts int32) {
 		tp.waitVerbs(blocked("interval %d (home flush, %d puts)", int(ts), len(hf.verbs)), hf.verbs)
 	}
 	for _, f := range hf.pages {
-		tp.observe(event{kind: evHomeFlush, start: f.start, dur: tp.sp.Now() - f.start, page: f.pm, peer: f.home, bytes: f.bytes})
+		tp.observe(event{kind: trace.KindHomeFlush, start: f.start, dur: tp.sp.Now() - f.start, page: f.pm, peer: f.home, bytes: f.bytes})
 	}
 	hf.packer.reset()
 	hf.verbs, hf.pages = hf.verbs[:0], hf.pages[:0]

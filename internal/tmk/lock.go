@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/msg"
+	"repro/internal/trace"
 )
 
 // Lock management (paper Section 1.1 / TreadMarks): every lock has an
@@ -59,7 +60,7 @@ func (tp *Proc) LockAcquire(id int32) {
 		// lock since: purely local re-acquire.
 		ls.held = true
 		tp.stats.LockAcquiresLocal++
-		tp.observe(event{kind: evLockAcquireLocal, id: id, peer: tp.lockManager(id)})
+		tp.observe(event{kind: trace.KindLockLocal, id: id, peer: tp.lockManager(id)})
 		return
 	}
 	mgr := tp.lockManager(id)
@@ -85,7 +86,7 @@ func (tp *Proc) LockAcquire(id int32) {
 	tp.tr.EnableAsync(tp.sp)
 	tp.stats.LockAcquiresRemote++
 	tp.stats.LockWait += tp.sp.Now() - start
-	tp.observe(event{kind: evLockAcquire, start: start, dur: tp.sp.Now() - start, id: id, peer: mgr})
+	tp.observe(event{kind: trace.KindLockAcquire, start: start, dur: tp.sp.Now() - start, id: id, peer: mgr})
 }
 
 // LockRelease releases the lock. The release itself is local; if a
@@ -98,7 +99,7 @@ func (tp *Proc) LockRelease(id int32) {
 	}
 	ls.held = false
 	tp.stats.LockReleases++
-	tp.observe(event{kind: evLockRelease, id: id})
+	tp.observe(event{kind: trace.KindLockRelease, id: id, peer: -1})
 	tp.serveLockWaiters(ls)
 }
 
@@ -149,7 +150,7 @@ func (tp *Proc) grantLock(ls *lockState, req *msg.Message) {
 		tp.tr.DisableAsync(tp.sp)
 		defer tp.tr.EnableAsync(tp.sp)
 	}
-	tp.observe(event{kind: evLockGrant, id: ls.id, peer: int(req.ReplyTo)})
+	tp.observe(event{kind: trace.KindLockGrant, id: ls.id, peer: int(req.ReplyTo)})
 	tp.closeInterval()
 	recs := tp.since(VC(req.VC))
 	tp.tr.Reply(tp.sp, req, tp.outgoing(msg.Message{
@@ -170,7 +171,7 @@ func (tp *Proc) handleLockAcquire(req *msg.Message) {
 			// Forward down the chain; the requester becomes the new tail.
 			tail := ls.tail
 			ls.tail = int(req.ReplyTo)
-			tp.observe(event{kind: evLockForward, id: id, peer: tail, a: int(req.ReplyTo)})
+			tp.observe(event{kind: trace.KindLockForward, id: id, peer: tail, a: int(req.ReplyTo)})
 			tp.tr.Forward(tp.sp, tail, req)
 			return
 		}

@@ -117,8 +117,8 @@ func TestConfigSurface(t *testing.T) {
 		t.Errorf("tmk.Config exposes %d settable feature values, want 15:\n  %s",
 			len(features), strings.Join(features, "\n  "))
 	}
-	if len(all) != 23 {
-		t.Errorf("tmk.Config has %d settable leaves, want 23:\n  %s",
+	if len(all) != 22 {
+		t.Errorf("tmk.Config has %d settable leaves, want 22:\n  %s",
 			len(all), strings.Join(all, "\n  "))
 	}
 }

@@ -123,7 +123,7 @@ func (c *Causal) CriticalPath() *CriticalPath {
 
 	rank, t := endRank, endT
 	var parent uint64 // explicit jump stamped on the edge just crossed
-	prevKind := ""
+	lastKind := ""
 	// Each crossed edge strictly decreases t (frames always take >0
 	// virtual time), so the walk terminates; the cap is a hard backstop.
 	for iter := 0; ; iter++ {
@@ -147,7 +147,7 @@ func (c *Causal) CriticalPath() *CriticalPath {
 		// fft3d_fastgm_8's 280.01 ms). The straggler's lag itself, the local
 		// segment that fed its arrive frame, is compute.
 		localCat := CatCompute
-		if viaParent && prevKind == "rep:barrier-release" && e != nil && e.Kind == "req:barrier-arrive" {
+		if viaParent && lastKind == "rep:barrier-release" && e != nil && e.Kind == "req:barrier-arrive" {
 			localCat = CatStraggler
 		}
 		if e == nil || iter > len(c.edges)+1 {
@@ -158,7 +158,7 @@ func (c *Causal) CriticalPath() *CriticalPath {
 		add(PathSeg{Cat: EdgeCategory(e.Kind), Kind: e.Kind, From: e.From, To: e.To,
 			Start: e.SendT, End: e.RecvT})
 		parent = e.Parent
-		prevKind = e.Kind
+		lastKind = e.Kind
 		rank, t = e.From, e.SendT
 	}
 	// Built backward; present forward.

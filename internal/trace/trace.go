@@ -10,6 +10,12 @@
 // attached the instrumentation is a pointer comparison and costs no
 // virtual time either way, so tracing cannot perturb simulated results.
 //
+// The ring is one consumer of the event stream; Subscribe adds others.
+// Every view of the DSM protocol is such a reduction of one record per
+// protocol event: tmk's protocol trace renders the tmk-layer events as
+// text, and the entity profiler (internal/prof) reduces trace.Event into
+// per-page, per-lock and per-barrier attribution.
+//
 // Two exporters turn a Tracer into something readable: WriteChromeTrace
 // produces Chrome trace_event JSON (one "thread" per simulated process,
 // loadable in Perfetto), and Breakdown/WriteBreakdown aggregate events
@@ -33,6 +39,30 @@ const (
 	LayerTMK       = "tmk"       // TreadMarks: faults, diffs, locks, barriers
 )
 
+// Layer tmk's kinds, one per protocol occurrence (DESIGN.md §8 gives each
+// one's Rank, ID, Region, A, B and C). A span is emitted when it completes.
+const (
+	KindReadFault     = "read-fault"     // span: a read fault on page ID
+	KindWriteFault    = "write-fault"    // span: a write fault on page ID
+	KindDiffFetch     = "diff-fetch"     // span: page ID's diffs (A, B] from writer Peer
+	KindDiffApply     = "diff-apply"     // page ID's diff of interval A from writer Peer applied
+	KindDiffCreate    = "diff-create"    // page ID's diff created at interval close A
+	KindNotice        = "notice"         // a write notice for page ID from writer Peer
+	KindHomeFetch     = "home-fetch"     // span: page ID read out of home Peer's window
+	KindHomeFlush     = "home-flush"     // span: page ID's diff Put into home Peer's window
+	KindHomeMove      = "home-move"      // page ID's home moved from Peer to Rank
+	KindLockLocal     = "lock-local"     // lock ID re-acquired at Rank, token already there
+	KindLockAcquire   = "lock-acquire"   // span: lock ID granted to Rank via Peer
+	KindLockForward   = "lock-forward"   // manager Rank forwarded A's acquire of lock ID to Peer
+	KindLockGrant     = "lock-grant"     // Rank granted lock ID to Peer
+	KindLockRelease   = "lock-release"   // Rank released lock ID
+	KindBarrierArrive = "barrier-arrive" // Rank reached barrier ID in episode A
+	KindBarrier       = "barrier"        // span: Rank crossed barrier ID in episode A
+	KindCrashInject   = "crash-inject"   // Rank dies on its A-th trigger
+	KindCrashDetected = "crash-detected" // Rank found Peer dead; generation A torn down
+	KindRestart       = "restart"        // the run restarts as generation A
+)
+
 // layerRank orders layers bottom-up in reports; unknown layers sort last.
 func layerRank(layer string) int {
 	switch layer {
@@ -53,7 +83,8 @@ func layerRank(layer string) int {
 }
 
 // Event is one traced occurrence. A zero Dur makes it an instant; a
-// positive Dur makes it a span covering [T, T+Dur] of virtual time.
+// positive Dur makes it a span covering [T, T+Dur] of virtual time. It is
+// flat — no pointer, no slice — so recording one allocates nothing.
 type Event struct {
 	T     int64  // virtual start time, ns
 	Dur   int64  // virtual duration, ns (0 = instant)
@@ -62,6 +93,12 @@ type Event struct {
 	Proc  int    // simulated process id (sim.Proc.ID), -1 if none
 	Peer  int    // remote rank or node involved, -1 if none
 	Bytes int    // payload size, 0 if not applicable
+
+	// Protocol identity, set by layer tmk only. Rank is the observing DSM
+	// rank: a restarted rank runs as a new Proc under the same Rank.
+	Rank       int
+	ID, Region int32 // the page, lock or barrier; a page's region
+	A, B, C    int   // small values the Kind's comment names
 }
 
 // DefaultCapacity is the ring size New(0) selects: large enough to
@@ -83,6 +120,7 @@ type Tracer struct {
 	names     map[int]string
 	reg       *Registry
 	causal    *Causal
+	subs      []func(Event)
 }
 
 // New creates a tracer whose ring holds capacity events; capacity ≤ 0
@@ -99,7 +137,8 @@ func New(capacity int) *Tracer {
 	}
 }
 
-// Emit records e, overwriting the oldest event if the ring is full.
+// Emit records e, overwriting the oldest event if the ring is full, and
+// then hands it to every subscriber.
 func (t *Tracer) Emit(e Event) {
 	if t.n == len(t.ring) && t.n < t.capacity {
 		// Full below capacity: nothing is overwritten yet, so the events
@@ -118,7 +157,15 @@ func (t *Tracer) Emit(e Event) {
 	if t.head == len(t.ring) {
 		t.head = 0
 	}
+	for _, fn := range t.subs {
+		fn(e)
+	}
 }
+
+// Subscribe hands fn every event recorded from now on, after the ring has
+// it. A view that reduces the stream (the entity profiler, tmk's protocol
+// trace) sees every event, even one the ring later overwrites.
+func (t *Tracer) Subscribe(fn func(Event)) { t.subs = append(t.subs, fn) }
 
 // Events returns the recorded events oldest-first. The slice is a copy.
 func (t *Tracer) Events() []Event {
