@@ -230,14 +230,16 @@ bench:
 # homeless LRC on fastgm (short matrix; `go test ./internal/harness -run
 # TestHomeBased` runs the full seeds × node-counts sweep) — and the
 # one-sided path must still win the E3 rows and applications it is pinned
-# to win, or stay under the ceiling its exception names. The placement
-# rule's own tests ride along: homes follow the sole writer and nothing
-# else, and every rank remembers a barrier by the same vector clock — as do
-# the pipeline's: a new region costs one round trip per Distribute round,
-# not one per peer, and a flush posts each Put while the next page encodes.
+# to win, or stay under the ceiling its exception names. The placement's
+# own tests ride along: every rank homes every page at its block of its
+# region, a band writer takes no twin from the first epoch, 3D-FFT's bands
+# are homed at their writers (no twin, no flush), and every rank remembers
+# a barrier by the same vector clock — as do the pipeline's: a new region
+# costs one round trip per Distribute round, not one per peer, and a flush
+# posts each Put while the next page encodes.
 rdma-smoke:
 	$(GO) test -short -run 'TestHomeBased|TestBenchE3RDMAWinsHeadlineRows' ./internal/harness/
-	$(GO) test -run 'TestHomesFollowTheSoleWriter|TestHomeWritesAreTwinFree|TestBarrierVCAgreesOnEveryRank|TestDistributeIsOneRoundTrip|TestHomeFlushStreams' ./internal/tmk/
+	$(GO) test -run 'TestHomeOfIsTheBlockOnEveryRank|TestBandWritesAreTwinFree|TestFFT3DBandsAreHomedAtTheirWriters|TestBarrierVCAgreesOnEveryRank|TestDistributeIsOneRoundTrip|TestHomeFlushStreams' ./internal/tmk/
 
 # The one comparison: every regenerated row that differs from the
 # checked-in BENCH_*.json is printed with its old and new value, and none

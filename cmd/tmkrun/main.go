@@ -174,8 +174,8 @@ func main() {
 	fmt.Printf("  execution time: %v\n", res.ExecTime)
 	fmt.Printf("  dsm:       %v\n", &res.Stats)
 	if kind == tmk.TransportRDMAGM && !*homeless {
-		fmt.Printf("  home moves: %d (pages flushed to a home %d, fetched from one %d)\n",
-			res.Stats.HomeMoves, res.Stats.HomeFlushes, res.Stats.HomeFetches)
+		fmt.Printf("  homes:     pages flushed to a home %d, fetched from one %d\n",
+			res.Stats.HomeFlushes, res.Stats.HomeFetches)
 	}
 	fmt.Printf("  transport: %v\n", &res.Transport)
 	fmt.Printf("  max pinned: %.2f MB\n", float64(res.MaxPinnedBytes)/1e6)

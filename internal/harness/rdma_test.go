@@ -46,8 +46,8 @@ func captureFinalState(t *testing.T, app apps.App, n int, kind tmk.TransportKind
 	if verr != nil {
 		t.Fatalf("%s n=%d %s home=%v: verify: %v", app.Name(), n, kind, homeBased, verr)
 	}
-	// Homes migrate by a rule every rank evaluates on its own: all n must
-	// have arrived at the same table.
+	// Every rank computes a page's home on its own, from its region's
+	// geometry: all n must place every page alike.
 	for pg := int32(0); homeBased && pg < pages; pg++ {
 		for rank := 1; rank < n; rank++ {
 			if h, h0 := c.Proc(rank).HomeOf(pg), c.Proc(0).HomeOf(pg); h != h0 {
@@ -66,7 +66,7 @@ func captureFinalState(t *testing.T, app apps.App, n int, kind tmk.TransportKind
 // differently — diff Puts into home windows and whole-page Gets versus
 // page fetches and per-writer diff chases — so agreement here pins down
 // the consistency semantics, not the plumbing. Every home-based run must
-// also end with one home table, identical on all ranks.
+// also end with every page homed alike on all ranks.
 //
 // Short mode (the Makefile's rdma-smoke) trims the matrix to one seed
 // and two node counts.
@@ -169,40 +169,13 @@ func TestBenchE3RDMAWinsHeadlineRows(t *testing.T) {
 	}
 	const (
 		lockBound   = "lock-bound: every release waits for its flush to complete at the home before the lock can move on"
-		thinBands   = "a rank's band is a few pages deep at 8 nodes: its boundary pages have two writers, never get a single home, and are flushed before every release, while FAST/GM's replies no longer queue for a send buffer and its cold faults fetch only a page's noticed diffs"
-		spanWaves   = thinBands + "; and a homeless span fault asks each writer once per wave, as HLRC already posted a span's Gets at once"
 		noFastGMRow = "no comparator row (ROADMAP 5a)"
 	)
-	// 3dfft/8's ratio grew when the barrier manager began closing its
-	// interval on arrival: the encode that left the critical path is larger
-	// at the homeless root, which twins every page it writes, than at the
-	// home-based one (tmk.Stats.DiffsCreated at rank 0, counted below).
-	rootEncodes := func(homeless, homeBased int) string {
-		return fmt.Sprintf("the barrier manager closes its interval on arrival, so its diff encoding left the "+
-			"critical path, and the homeless root encodes %d diffs where the home-based root, whose self-homed "+
-			"pages take no twin, encodes %d", homeless, homeBased)
-	}
-	// 3dfft/8's ratio grew again when write notices began to travel as page
-	// runs: both sides gained, but the home-based side's span faults lost
-	// what the shorter releases bought (tmkrun -prof: the same 602 home
-	// fetches took 72.0 → 77.7 ms, p95 214 → 235 µs, while Myrinet carried
-	// fewer bytes). The cell is chaotic at this grain: before the notices
-	// became runs, delaying every barrier release by 0.5 µs moved it
-	// 1.143 → 1.158.
-	const shorterReleases = "write notices travel as page runs, so releases leave sooner and a home-based span's Gets start closer together and queue longer at the homes, a shift inside the cell's own spread (a 0.5 µs delay per release moved it as far)"
-	// jacobi/8 began to lose when read faults gained readahead: the homeless
-	// first sweep asked rank 0, which wrote every page's boundary words, for
-	// one diff per page, and now asks for a run of pages per request
-	// (fastgm requests 1,143 → 384), while HLRC's Gets never queued at one
-	// host: they spread over the round-robin homes, and their NICs serve them.
-	const firstSweepIncast = "readahead removed the homeless first sweep's incast of one diff request per page at rank 0; HLRC never had it, its Gets spread over the round-robin homes"
 	exceptions := map[cell]struct {
 		ceiling float64
 		why     string
 	}{
 		{"tsp", 4}:     {1.05, lockBound},
-		{"jacobi", 8}:  {1.05, firstSweepIncast},
-		{"3dfft", 8}:   {1.20, spanWaves + "; and " + rootEncodes(240, 84) + "; and " + shorterReleases},
 		{"tsp", 8}:     {1.05, lockBound},
 		{"jacobi", 16}: {0, noFastGMRow},
 		{"sor", 16}:    {0, noFastGMRow},

@@ -59,16 +59,24 @@ type viewHashes struct{ ring, prof, text string }
 // request per range at issue was; the rdmagm rows the home fetches and
 // flushes; sor and tsp the remote acquires and releases, and grants
 // without their vector clock.
+// The jacobi, sor and 3dfft */rdmagm rows were regenerated when a page's
+// home became its block of its region and homes stopped migrating: no
+// home-move event exists any more, a rank writes most of its band twin-free
+// from the first epoch, so there are fewer diff-create, home-flush and
+// home-fetch events (jacobi 550 → 212 flushes and 189 → 40 fetches, sor 218
+// → 118 and 153 → 100, 3dfft 45 → 30 and 59 → 46), and everything after
+// them moves earlier. tsp's one-page region is homed at rank 0 under both
+// placements, and no migration ever moved it: its rows did not move.
 var goldenViews = map[string]viewHashes{
 	"jacobi/udpgm":  {"2646948a534be81e2eb2b595c6eb92bc028a71a5c942f9bac383fd85deba16f9", "55ac37551c7e3c3f259d4710bac29f1cfde85b3dfa23d741f327b70403d07823", "50f92d22195e218dc27996a188a6afdf85ddb0e4e458d815a8601e7cab2dbdec"},
 	"jacobi/fastgm": {"9bf550b5a2129774552bfc0bb95cfabad36158c0d19fce86ac2141fc58b06747", "84766b8c8d622b661776451c9d6a4930dbd96f84fd605323410708abb8423ebd", "7e78e06a5efd213287e036e913147132dd79c9d9af63d5604417fc387f638404"},
-	"jacobi/rdmagm": {"46991766357e7182d16786de20a23ebbce94e4087e2f50c7a9c76b28f2095cc8", "cac9db44aa4d5a08fae25ed49b17aa126afa74358ff2872891ecfc363f057397", "556592f9f24d2314922f6f2e11a864f1fba383ff6166ca976a1babea4cdc7a82"},
+	"jacobi/rdmagm": {"5a6a906f8900ff6c4eccdb8e79bb5006dc6969ee1c4e3561a251fe9955d70401", "bdebd3b17df60a0e7e05b996bcd01a7a8caeb665da6ac2a31e41ea2d7d12413d", "87cc02547f7cc0feb3bffea2ee73bde94176596e3d17d183ac6b21738b03df98"},
 	"sor/udpgm":     {"5723a1073a0d97b7f9bf9e6f6b3cdccf461925d3caeee9f1265d2a24a54bfa52", "d46af62d23686491f855eee607fbe6a58a39cb5a44ded4acc6c263724c291f71", "19639bb5a2febb59a4a957dcb6b6004d615cde7d402ad8dda9a6162d752deab7"},
 	"sor/fastgm":    {"aa019b090e789cd9b171f3d82760457f2943ae3f105599264226a944a72115a0", "db9f8e44374b9148642110e63b86bb1c1c4629cef0a4089c76095788b356c0e6", "005af59a4c93c2654c74f9112f406344468e63e65142f6584854461bb761a1e1"},
-	"sor/rdmagm":    {"ad8c927552314aa6bf68a0216b4ca6b0936e1d3b0ca36097525d79ec7d23933b", "d1e00c1e52443528c5aafe62cf24dfb37df746253569c291ceef549bd78e4ef4", "c8be3fdeeba7ac5b08072d7e47bbc967a498c3cd0c810b6cb0c89b4af013e215"},
+	"sor/rdmagm":    {"1e459d82470e8eae6110f6a275b54ac57983f41a6f1efdde3ef9c7bf52212973", "ae2649951c486a56acbd6b9693bc55fc725ac5be07e4312e68d95b0c773030a4", "a72b5bb6a0b140f811cfbdb264ebcaf8c507b8971b50d1bd2ea33bc3ae9b31ed"},
 	"3dfft/udpgm":   {"0bfc96523f78d47dd2c438bedf0539b9e05a2d84b05a08f6391689d07d31815e", "34656207ee9b1a6716acc983f466bf51a89f6172d5ea19270914489a6d1f2491", "cefb1db39e7a8c31c78ca7c5f5a60afd9c13b788abb99b1434ae4a738fa388b0"},
 	"3dfft/fastgm":  {"9a58361905769e41319f2c44518c7e1151b7492733288cb402fbbe0ce67e5fd8", "732dca6fe58369ffd17d282820be2752acd2cefa3f2d56bbcd00fd54e242e466", "e0340ee0a8c443ae9d3e8f2cd65a21f7f8cfd206ccb5d8f1922119bf55b2ee79"},
-	"3dfft/rdmagm":  {"95acab4003c9810d304f6882d828547c89a0ed0c288e234c64eff2a4577918d0", "d31c7b9dee21111fbca4a669a1aeadfb77bc0d5f92f376c102822f7dffdf9306", "7bd498acdf61b5ad1316234fb108b25fa64075ff6529bf540de221cb1a8c781b"},
+	"3dfft/rdmagm":  {"5f6277bba157867535641169e993f80ef3913c09e015c0c8e39e68e98e7b9c05", "87565e9fd686e8d0ce58dd33a223349173a1585bfa5b8d51dd8c5c2d48c88b37", "978a65e1181e7bafaef190a4ae92001c7a5dade40d677bed1db0bd3daa8d0262"},
 	"tsp/udpgm":     {"856b22c5b1fb1f49dfeffc3557103364e6ccb7d0db97d46ff785169df13098e0", "83ee91129f389a303b94ed650055bed4cbc53077016d634871a9ddea179c0348", "fe7d7e5489df2643a9393b82fec5afcaf7a049046706f5d9fac6f7e33dd7ac2e"},
 	"tsp/fastgm":    {"e736b1101952d0a66fe9840c997f4cdb934cc29888935323a576c8cf1cafd3ed", "437b0c7c1255b72185e1cbeffedfaa4b41b8e5032a70c00cdb36a767e7d671ae", "1515925bb10c8d84f1e44d8789825c42d1f748bd9cbfa9af8ec84fa62ba5f43b"},
 	"tsp/rdmagm":    {"4e8db3dc1f15925a64740cdf8bdf2ca1521a0863721db28fcac8c06fa47e1a0d", "acbce338c363560539acb319751b40ab8282ef468f2dd6a6071d1e06781c0c3b", "3db25a17a50b4a9a70de4dc48608170f7e9b8f30ad1088ab06fbf5257c7b514e"},

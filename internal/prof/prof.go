@@ -66,7 +66,6 @@ type PageStats struct {
 	HomeFlushBytes int64
 	HomeFetches    int64
 	HomeFetchBytes int64
-	HomeMoves      int64 // times the home migrated to the page's sole writer
 
 	ReadFaults  int64
 	WriteFaults int64
@@ -254,10 +253,6 @@ func (p *Profiler) Observe(e trace.Event) {
 		ps.Home = e.Peer
 		ps.HomeFetches++
 		ps.HomeFetchBytes += int64(e.Bytes)
-	case trace.KindHomeMove:
-		ps := p.page(e.ID, e.Region)
-		ps.Home = e.Rank
-		ps.HomeMoves++
 	case trace.KindNotice:
 		// A: the notice invalidated a valid copy; B: the receiving rank has
 		// itself written the page, the multiple-writer false-sharing signal.

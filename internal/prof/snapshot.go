@@ -57,7 +57,6 @@ type PageRow struct {
 	HomeFlushBytes int64 `json:"home_flush_bytes,omitempty"`
 	HomeFetches    int64 `json:"home_fetches,omitempty"`
 	HomeFetchBytes int64 `json:"home_fetch_bytes,omitempty"`
-	HomeMoves      int64 `json:"home_moves,omitempty"`
 }
 
 // LockRow is one lock's attribution in a Profile.
@@ -131,7 +130,6 @@ func (p *Profiler) Snapshot() *Profile {
 			HomeFlushBytes: ps.HomeFlushBytes,
 			HomeFetches:    ps.HomeFetches,
 			HomeFetchBytes: ps.HomeFetchBytes,
-			HomeMoves:      ps.HomeMoves,
 		})
 	}
 	sort.Slice(pr.Pages, func(i, j int) bool { return pr.Pages[i].ID < pr.Pages[j].ID })

@@ -197,18 +197,16 @@ func (tp *Proc) Barrier(id int32) {
 // endEpoch fixes the barrier's vector clock. It runs under the mask that
 // applied the release (the root: before it builds any), where tp.vc is the
 // same on every rank; once a child is released and delivery is on, its next
-// arrival can be merged before Barrier returns. A home-based run also moves
-// homes on the epoch just closed and drops what nobody can ask for again:
-// every rank is past the previous barrier, so its interval records go, and
-// all but the newest notice per writer up to it (only the newest is ever
-// read).
+// arrival can be merged before Barrier returns. A home-based run also drops
+// what nobody can ask for again: every rank is past the previous barrier, so
+// its interval records go, and all but the newest notice per writer up to it
+// (only the newest is ever read).
 func (tp *Proc) endEpoch() {
 	prev := tp.lastBarrierVC
 	tp.lastBarrierVC = tp.vc.Clone()
-	if tp.homes == nil {
+	if !tp.homeBased {
 		return
 	}
-	tp.moveHomes(tp.since(prev))
 	tp.store.pruneThrough(prev)
 	for _, pm := range tp.pages {
 		if pm != nil {

@@ -63,9 +63,8 @@ func (tp *Proc) readahead(r *Region, last int32) int32 {
 // writeFault makes a page writable: valid first, then twinned. A write
 // notice can land during the fault's own cost charges (interrupt
 // handlers run mid-Advance); the loop re-validates until the page is
-// simultaneously covered and twinned. A page homed here under migrating
-// placement takes no twin: the window is the master copy, and nobody is
-// owed a diff against it. A page never stored into is twinned by the zero
+// simultaneously covered and twinned. A page homed here takes no twin:
+// the window is the master copy, and nobody is owed a diff against it. A page never stored into is twinned by the zero
 // page itself, which ownTwin replaces before anything writes into the twin.
 func (tp *Proc) writeFault(pm *pageMeta) {
 	for {
@@ -466,7 +465,7 @@ func (tp *Proc) applyIntervals(ivs []msg.Interval) {
 func (tp *Proc) deliverNotice(pm *pageMeta, rec *intervalRec) {
 	invalidated, wroteHere := 0, 0
 	if pm.addNotice(int(rec.proc), rec.ts) {
-		if tp.homeBased && tp.HomeOf(pm.id) == tp.rank {
+		if tp.selfHomed(pm.id) {
 			pm.coverTo(int(rec.proc), rec.ts)
 		} else if pm.state != pageInvalid {
 			pm.state = pageInvalid

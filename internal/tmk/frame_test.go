@@ -190,9 +190,9 @@ func TestZeroTwinStaysZero(t *testing.T) {
 		t.Run(string(kind), func(t *testing.T) {
 			_, err := tmk.Run(tmk.DefaultConfig(2, kind), func(tp *tmk.Proc) {
 				r := tp.AllocShared(2 * tmk.PageSize)
-				pg := 0
-				if tp.HomeOf(r.StartPage) == 0 { // a page rank 0 fetches, not one it is home of
-					pg = 1
+				const pg = 1 // rank 1's block: a page rank 0 fetches, not one it is home of
+				if kind == tmk.TransportRDMAGM && tp.HomeOf(r.StartPage+pg) != 1 {
+					t.Fatalf("page %d of a two-page region over two ranks is homed at %d", pg, tp.HomeOf(r.StartPage+pg))
 				}
 				base := pg * tmk.PageSize / 8
 				tp.Barrier(1)

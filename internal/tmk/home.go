@@ -36,70 +36,19 @@ import (
 // writer's release by some synchronization chain, by which time the
 // notice has arrived anyway.
 
-// HomeOf returns the rank serving as page pg's home: where moveHomes last
-// put it, else static round-robin over the ranks (consecutive pages of a
-// region spread across the cluster without any directory state).
+// HomeOf returns the rank serving as page pg's home: its block of its
+// region, the region's pages cut into n equal runs in rank order, so a rank
+// that writes its own band of an array is the home of that band from the
+// first epoch. Every rank knows each region's geometry from Distribute, so
+// all ranks agree without a message (DESIGN.md §12.3).
 func (tp *Proc) HomeOf(pg int32) int {
-	if tp.homes != nil {
-		if h, ok := tp.homes.home[pg]; ok {
-			return int(h)
-		}
-	}
-	return int(pg % int32(tp.n))
+	r := tp.page(pg).region
+	return int(pg-r.StartPage) * tp.n / int(r.NPages)
 }
 
 // selfHomed reports whether this rank's copy of pg is a master copy it may
 // write in place: homed here.
-func (tp *Proc) selfHomed(pg int32) bool { return tp.homes != nil && tp.HomeOf(pg) == tp.rank }
-
-// homeTable is one rank's copy of the migrating placement (DESIGN.md
-// §12.3): home holds the pages that left their static home, cand each
-// page's sole writer in the last epoch that wrote it. Every rank derives
-// both from the same interval records at the same barrier, so all copies
-// are equal without a message.
-type homeTable struct {
-	home, cand map[int32]int32
-	sole       map[int32]int32 // scratch: this epoch's only writer per page, -1 for several
-	order      []int32         // scratch: this epoch's pages, first write first
-}
-
-// moveHomes applies the placement rule to one barrier epoch's interval
-// records: a page whose only writer was the same rank w in two consecutive
-// epochs that wrote it is homed at w from this barrier on. No data moves:
-// w validated the page before writing it and nobody else has written it
-// since, so w's copy is complete, and every flush of the epoch completed
-// at the old home before its notice got here. An epoch that did not write
-// the page neither counts nor resets; one with several writers clears the
-// candidate.
-func (tp *Proc) moveHomes(epoch []*intervalRec) {
-	ht := tp.homes
-	for _, rec := range epoch {
-		for _, pg := range rec.pages {
-			if w, seen := ht.sole[pg]; !seen {
-				ht.sole[pg] = rec.proc
-				ht.order = append(ht.order, pg)
-			} else if w != rec.proc {
-				ht.sole[pg] = -1
-			}
-		}
-	}
-	for _, pg := range ht.order {
-		w := ht.sole[pg]
-		if c, ok := ht.cand[pg]; w < 0 {
-			delete(ht.cand, pg)
-		} else if !ok || c != w {
-			ht.cand[pg] = w
-		} else if old := tp.HomeOf(pg); old != int(w) {
-			ht.home[pg] = w
-			if int(w) == tp.rank {
-				tp.stats.HomeMoves++
-				tp.observe(event{kind: trace.KindHomeMove, page: tp.page(pg), peer: old})
-			}
-		}
-	}
-	clear(ht.sole)
-	ht.order = ht.order[:0]
-}
+func (tp *Proc) selfHomed(pg int32) bool { return tp.homeBased && tp.HomeOf(pg) == tp.rank }
 
 // windowOff maps a page to its byte offset inside its region's window.
 func windowOff(pm *pageMeta) int { return int(pm.id-pm.region.StartPage) * PageSize }

@@ -67,7 +67,6 @@ var textFormats = map[string]string{
 	trace.KindNotice:        "rank %[1]d write notice page %[2]d from %[3]d ts %[7]d (invalidated %[5]d, wrote here %[6]d)",
 	trace.KindHomeFetch:     "rank %[1]d fetched page %[2]d from home %[3]d",
 	trace.KindHomeFlush:     "rank %[1]d flushed %[4]d bytes of page %[2]d to home %[3]d",
-	trace.KindHomeMove:      "rank %[1]d becomes home of page %[2]d (was %[3]d)",
 	trace.KindLockLocal:     "rank %[1]d acquire lock %[2]d locally",
 	trace.KindLockAcquire:   "rank %[1]d acquired lock %[2]d via %[3]d",
 	trace.KindLockForward:   "mgr %[1]d forwards lock %[2]d acquire of %[5]d to %[3]d",

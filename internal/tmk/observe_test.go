@@ -50,8 +50,8 @@ func CheckViews(t *testing.T, tr *trace.Tracer, text string, kinds ...string) {
 // every tmk kind but the crash kinds (TestCrashRestart has those): a sole
 // writer for two epochs (write fault, diff create, notice, barrier arrive
 // and cross, then the others' read faults; homeless the diffs are fetched
-// and applied, home-based they are flushed, and the page's home moves to
-// the writer, where the readers fetch it), then lock 0 (managed by rank 0)
+// and applied, home-based they are flushed to the page's home, rank 0, and
+// rank 2 fetches it from there), then lock 0 (managed by rank 0)
 // taken remotely by rank 1, forwarded to it for rank 2, and re-taken
 // locally by rank 2. Each kind must be in the ring and the protocol trace,
 // whose lines carry the virtual time the event happened.
@@ -61,7 +61,7 @@ func TestEveryKindReachesEveryView(t *testing.T) {
 		trace.KindBarrierArrive, trace.KindBarrier}
 	for kind, own := range map[TransportKind][]string{
 		TransportFastGM: {trace.KindDiffFetch, trace.KindDiffApply},
-		TransportRDMAGM: {trace.KindHomeFetch, trace.KindHomeFlush, trace.KindHomeMove},
+		TransportRDMAGM: {trace.KindHomeFetch, trace.KindHomeFlush},
 	} {
 		t.Run(string(kind), func(t *testing.T) {
 			cfg := DefaultConfig(3, kind)
@@ -114,7 +114,7 @@ func TestObserveUnattachedAllocatesNothing(t *testing.T) {
 	pm := &pageMeta{id: 3, region: &Region{ID: 1}}
 	if n := testing.AllocsPerRun(100, func() {
 		tp.observe(event{kind: trace.KindReadFault, start: 5, dur: 7, page: pm, peer: -1, bytes: PageSize})
-		tp.observe(event{kind: trace.KindHomeMove, page: pm, peer: 2})
+		tp.observe(event{kind: trace.KindHomeFlush, start: 5, dur: 7, page: pm, peer: 2, bytes: 4})
 		tp.blockedOn = blocked("page %d (fetch from %d)", int(pm.id), 1)
 	}); n != 0 {
 		t.Errorf("unattached observe allocates %v times per call", n)

@@ -23,7 +23,6 @@ type Proc struct {
 	// case os is the transport's one-sided capability.
 	homeBased bool
 	os        substrate.OneSided
-	homes     *homeTable // migrating placement; nil unless homeBased
 	// homeFaultRange's scratch (a handler never faults: one user at a time):
 	// the pages still to validate and their Gets, index for index.
 	homeGets  []homeGet
@@ -112,7 +111,6 @@ func newProc(c *Cluster, rank int, sp *sim.Proc, tr substrate.Transport) *Proc {
 	if c.cfg.HomeBased {
 		tp.homeBased = true
 		tp.os = tr.(substrate.OneSided)
-		tp.homes = &homeTable{home: map[int32]int32{}, cand: map[int32]int32{}, sole: map[int32]int32{}}
 		tp.flush.packer = homePacker{size: tp.os.PutSize, open: map[int]int{},
 			limit: gm.ClassCapacity(c.gmsys.Params().ClassFor(tp.os.PutSize(1, PageSize)))}
 	} else {

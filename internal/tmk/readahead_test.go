@@ -128,8 +128,8 @@ func TestSequentialReadahead(t *testing.T) {
 	}
 	t.Run("rdmagm/notice-mid-get", noticeMidReadahead)
 	t.Run("rdmagm/ascending", func(t *testing.T) {
-		// Four ranks: rank 0 is the home of every fourth page, and reads the
-		// other 48 from their homes.
+		// Four ranks: rank 0 is the home of its block, the first 16 pages,
+		// and reads the other 48 from their homes.
 		const remote = aheadPages * 3 / 4
 		_, faults, prefetched := aheadRead(t, 4, tmk.TransportRDMAGM, ascending(), oneWord, pagePlusOne)
 		if faults >= remote || faults+prefetched != remote {
@@ -189,11 +189,11 @@ func cappedReadahead(t *testing.T, kind tmk.TransportKind) {
 }
 
 // noticeMidReadahead: on four home-based ranks rank 1 writes one word of
-// every page, and rank 0 reads page 1, then page 2. The second fault
-// continues the run, so page 3 (homed at rank 3) rides along in its Get
-// wave — and a write notice for page 3 lands while the Gets are in
-// flight. A demand page would go round again; the readahead page stays
-// invalid, and its own fault fetches it.
+// every page, and rank 0 reads page b+1, then page b+2, where b starts rank
+// 3's block, so every page read is homed there. The second fault continues
+// the run, so page b+3 rides along in its Get wave — and a write notice for
+// page b+3 lands while the Gets are in flight. A demand page would go round
+// again; the readahead page stays invalid, and its own fault fetches it.
 func noticeMidReadahead(t *testing.T) {
 	_, err := tmk.Run(tmk.DefaultConfig(4, tmk.TransportRDMAGM), func(tp *tmk.Proc) {
 		r := tp.AllocShared(aheadPages * tmk.PageSize)
@@ -202,25 +202,31 @@ func noticeMidReadahead(t *testing.T) {
 		if tp.Rank() != 0 {
 			return
 		}
-		tp.ReadI32(r, wordsPerPage)
+		const b = aheadPages * 3 / 4
+		for pg := b + 1; pg <= b+3; pg++ {
+			if h := tp.HomeOf(r.StartPage + int32(pg)); h != 3 {
+				t.Fatalf("page %d is homed at %d, want 3", pg, h)
+			}
+		}
+		tp.ReadI32(r, (b+1)*wordsPerPage)
 		st := *tp.Stats()
-		tp.NoticeMidGet(r.StartPage+3, 2) // rank 2 closes no interval after barrier 1
-		if got := tp.ReadI32(r, 2*wordsPerPage); got != 3 {
-			t.Errorf("page 2 reads %d, want 3", got)
+		tp.NoticeMidGet(r.StartPage+b+3, 2) // rank 2 closes no interval after barrier 1
+		if got := tp.ReadI32(r, (b+2)*wordsPerPage); got != b+3 {
+			t.Errorf("page %d reads %d, want %d", b+2, got, b+3)
 		}
 		if f, g := tp.Stats().ReadFaults-st.ReadFaults, tp.Stats().HomeFetches-st.HomeFetches; f != 1 || g != 2 {
-			t.Errorf("page 2: %d faults, %d home fetches; want one fault whose wave also fetched page 3", f, g)
+			t.Errorf("page %d: %d faults, %d home fetches; want one fault whose wave also fetched page %d", b+2, f, g, b+3)
 		}
-		if tp.Valid(r, 3) || tp.Stats().Prefetched != st.Prefetched {
-			t.Errorf("page 3 valid %v, %d pages prefetched; want it left invalid by the notice", tp.Valid(r, 3),
+		if tp.Valid(r, b+3) || tp.Stats().Prefetched != st.Prefetched {
+			t.Errorf("page %d valid %v, %d pages prefetched; want it left invalid by the notice", b+3, tp.Valid(r, b+3),
 				tp.Stats().Prefetched-st.Prefetched)
 		}
 		faults := tp.Stats().ReadFaults
-		if got := tp.ReadI32(r, 3*wordsPerPage); got != 4 {
-			t.Errorf("page 3 reads %d, want 4", got)
+		if got := tp.ReadI32(r, (b+3)*wordsPerPage); got != b+4 {
+			t.Errorf("page %d reads %d, want %d", b+3, got, b+4)
 		}
 		if f := tp.Stats().ReadFaults - faults; f != 1 {
-			t.Errorf("page 3 took %d faults; want its own", f)
+			t.Errorf("page %d took %d faults; want its own", b+3, f)
 		}
 	})
 	if err != nil {

@@ -186,7 +186,7 @@ func (tp *Proc) mapRegion(r *Region, owned bool) {
 	tp.materialize(r, owned)
 	for i := range r.pages {
 		pm := &r.pages[i]
-		if owned || (tp.homeBased && tp.HomeOf(pm.id) == tp.rank) {
+		if owned || tp.selfHomed(pm.id) {
 			// The home's copy IS the window: incoming flushes keep it
 			// current from the moment the region exists, so it starts (and
 			// stays) valid here.

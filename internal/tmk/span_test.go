@@ -9,10 +9,11 @@ import (
 
 // Read faults over a span, three ranks: rank 0 writes every slot of a
 // region, rank 1 reads it back after a barrier, rank 2 only crosses the
-// barriers. On rdmagm (home-based) static placement homes page pg at rank
-// pg%3, so rank 1 faults on the two pages in three it is not home of; on
-// fastgm (homeless) it faults on every page, and the region — more pages than
-// a chunk of frames — lies in several allocations on both ranks.
+// barriers. On rdmagm (home-based) block placement homes pages 0–7 at rank
+// 0, 8–15 at rank 1 and 16–23 at rank 2, so rank 1 faults on the 16 pages
+// outside its own block; on fastgm (homeless) it faults on every page, and
+// the region — more pages than a chunk of frames — lies in several
+// allocations on both ranks.
 const (
 	spanPages    = 24
 	slotsPerPage = tmk.PageSize / 8
@@ -43,7 +44,8 @@ func spanRun(t *testing.T, kind tmk.TransportKind, read func(tp *tmk.Proc, r *tm
 // and bytes, the same contents — and differ only in how the fetches
 // overlap: home-based, the span's Gets are all in flight at once;
 // homeless, its pages' diffs come in a few replies per writer instead of
-// one round trip per page.
+// one round trip per page. The pages are read last to first, so no read
+// continues a sequential run and none reads ahead.
 func TestSpanFaultsEqualPageFaults(t *testing.T) {
 	t.Run("rdmagm", func(t *testing.T) { spanFaultsEqualPageFaults(t, tmk.TransportRDMAGM, spanPages*2/3) })
 	t.Run("fastgm", func(t *testing.T) { spanFaultsEqualPageFaults(t, tmk.TransportFastGM, spanPages) })
@@ -62,7 +64,7 @@ func spanFaultsEqualPageFaults(t *testing.T, kind tmk.TransportKind, faults int6
 	}
 	span := spanRun(t, kind, func(tp *tmk.Proc, r *tmk.Region) { contents(tp, r) })
 	pages := spanRun(t, kind, func(tp *tmk.Proc, r *tmk.Region) {
-		for pg := 0; pg < spanPages; pg++ {
+		for pg := spanPages - 1; pg >= 0; pg-- {
 			tp.ReadF64(r, pg*slotsPerPage)
 		}
 		faults := tp.Stats().ReadFaults
@@ -88,6 +90,8 @@ func spanFaultsEqualPageFaults(t *testing.T, kind tmk.TransportKind, faults int6
 // its completion. The page goes round again — a second Get — inside the
 // same fault: counted once, charged FaultOverhead once, on the one-page
 // call and on a span alike (the span used to count and charge it twice).
+// Every page read is in rank 0's block, and no read starts where the one
+// before it ended, so none reads ahead.
 func TestNoticeMidGetIsOneFault(t *testing.T) {
 	overhead := tmk.FaultOverhead
 	spanRun(t, tmk.TransportRDMAGM, func(tp *tmk.Proc, r *tmk.Region) {
@@ -103,9 +107,9 @@ func TestNoticeMidGetIsOneFault(t *testing.T) {
 			t.Errorf("one page, notice mid-Get: %d faults, %d home fetches, %v; want 1, 2, %v",
 				faults, fetches, took, 2*page-overhead)
 		}
-		_, _, span := read(5, 6) // homes 2 and 0, undisturbed
-		tp.NoticeMidGet(r.StartPage+9, 2)
-		if faults, fetches, took := read(8, 9); faults != 2 || fetches != 3 || took != span+page-overhead {
+		_, _, span := read(5, 6) // undisturbed
+		tp.NoticeMidGet(r.StartPage+2, 2)
+		if faults, fetches, took := read(1, 2); faults != 2 || fetches != 3 || took != span+page-overhead {
 			t.Errorf("two pages, notice mid-Get: %d faults, %d home fetches, %v; want 2, 3, %v",
 				faults, fetches, took, span+page-overhead)
 		}

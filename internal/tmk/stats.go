@@ -42,7 +42,6 @@ type Stats struct {
 	HomeFlushBytes int64 // diff-run payload bytes RDMA-written to homes
 	HomeFetches    int64 // read faults served by a one-sided home page read
 	HomeFetchBytes int64 // page bytes RDMA-read from homes
-	HomeMoves      int64 // pages whose home migrated to their sole writer (counted there)
 
 	MetaBytesPeak int64 // per-rank metadata gauge high-water (DESIGN.md §4.3; summed across ranks by Add)
 

@@ -50,7 +50,6 @@ const (
 	KindNotice        = "notice"         // a write notice for page ID from writer Peer
 	KindHomeFetch     = "home-fetch"     // span: page ID read out of home Peer's window
 	KindHomeFlush     = "home-flush"     // span: page ID's diff Put into home Peer's window
-	KindHomeMove      = "home-move"      // page ID's home moved from Peer to Rank
 	KindLockLocal     = "lock-local"     // lock ID re-acquired at Rank, token already there
 	KindLockAcquire   = "lock-acquire"   // span: lock ID granted to Rank via Peer
 	KindLockForward   = "lock-forward"   // manager Rank forwarded A's acquire of lock ID to Peer
