@@ -263,12 +263,14 @@ flow-smoke:
 # as does a verified 3dfft on the homeless ones: at 4 nodes each source's
 # transpose block is 8 dense pages, more than one 32 KB reply, so every run
 # exercises capped, multi-wave span faults (DESIGN.md §4.3) — and again
-# with -rendezvous, which carries those large replies by RTS/CTS. Both
-# commands' -prof (the profiler subscribed to the run's tracer) must exit
-# 0 and print a profile with at least one page.
+# with -rendezvous, which carries those large replies by RTS/CTS. -prof
+# (the profiler subscribed to the run's tracer), on a scenario and on an
+# app, must exit 0 and print a profile with at least one page, and a
+# scenario's -critical -out must print a critical path and write a
+# non-empty Chrome trace.
 cli-smoke:
-	@for args in "tmkrun -nodes 0" "tmkrun -transport bogus" "tmktrace -transport bogus" \
-			"ubench -barrier-nodes 0" "figures -fig 4 -nodes 0"; do \
+	@for args in "tmkrun -nodes 0" "tmkrun -transport bogus" "tmkrun -scenario lockchain -transport bogus" \
+			"figures -fig 3 -barrier-nodes 0" "figures -fig 4 -nodes 0"; do \
 		if out="$$($(GO) run ./cmd/$$args 2>&1)"; then echo "cli-smoke: $$args: exited 0"; exit 1; fi; \
 		case "$$out" in \
 			*"goroutine "*) echo "cli-smoke: $$args: goroutine dump"; exit 1;; \
@@ -282,14 +284,22 @@ cli-smoke:
 	@for t in udpgm fastgm "rdmagm -homeless" "fastgm -rendezvous" "rdmagm -homeless -rendezvous"; do \
 		$(GO) run ./cmd/tmkrun -app 3dfft -nodes 4 -transport $$t -verify > /dev/null || exit 1; \
 	done
-	@for args in "tmktrace -scenario lockchain -prof" "tmkrun -app tsp -nodes 4 -size 0 -prof"; do \
+	@for args in "tmkrun -scenario lockchain -prof" "tmkrun -app tsp -nodes 4 -size 0 -prof"; do \
 		out="$$($(GO) run ./cmd/$$args 2>&1)" || { echo "cli-smoke: $$args: exited non-zero"; exit 1; }; \
 		case "$$out" in \
 			*"top pages by fault time ("[1-9]*) ;; \
 			*) echo "cli-smoke: $$args: empty profile"; exit 1;; \
 		esac; \
 	done
-	@echo "cli-smoke: illegal configs rejected in one line, verified runs pass on all three substrates, -prof profiles"
+	@tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
+	out="$$($(GO) run ./cmd/tmkrun -scenario counter -critical -out $$tmp/t.json 2>&1)" || \
+		{ echo "cli-smoke: tmkrun -scenario counter -critical -out: exited non-zero"; exit 1; }; \
+	case "$$out" in \
+		*"critical path ("[1-9]*"total"*) ;; \
+		*) echo "cli-smoke: tmkrun -scenario counter -critical: no critical-path table"; exit 1;; \
+	esac; \
+	[ -s $$tmp/t.json ] || { echo "cli-smoke: tmkrun -scenario counter -out: empty trace JSON"; exit 1; }
+	@echo "cli-smoke: illegal configs rejected in one line, verified runs pass on all three substrates, -prof profiles, -critical -out"
 
 # The CLI verification matrix: `tmkrun -app A -nodes N -transport T -verify`
 # at default sizes over 4 apps × 3 substrates × {2, 4, 8, 16} nodes, one

@@ -1,9 +1,9 @@
-// Command bench runs the deterministic performance suites (E0 netperf,
-// E1 microbenchmarks, E2 application sweep, E3 one-sided vs two-sided
-// substrate comparison, flow overload-resilience cost). The simulations
-// are deterministic, so rerunning on the same tree reproduces every number
-// exactly — any difference between commits is a real performance change,
-// not noise. It does one of two things:
+// Command bench runs the deterministic performance suites (E0 latency and
+// bandwidth, E1 microbenchmarks, E2 application sweep, E3 one-sided vs
+// two-sided substrate comparison, flow overload-resilience cost). The
+// simulations are deterministic, so rerunning on the same tree reproduces
+// every number exactly — any difference between commits is a real
+// performance change, not noise. It does one of two things:
 //
 // Write (the default): each selected suite is written as a
 // machine-readable BENCH_<suite>.json (schema tmk-bench/1) into -out. A PR

@@ -4,9 +4,12 @@
 // Usage:
 //
 //	figures [-fig 0|3|4|5|e4|e5|e6|breakdown|prof|critical|all] [-nodes 4,8,16]
-//	        [-big16] [-e6-sizes 4,...,256] [-prof-nodes 8] [-prof-small]
-//	        [-critical-nodes 4] [-trace-cap N]
+//	        [-barrier-nodes 2,4,8,16] [-big16] [-e6-sizes 4,...,256]
+//	        [-prof-nodes 8] [-prof-small] [-critical-nodes 4] [-trace-cap N]
 //
+// -fig 0 prints the Section 3.1 latency and bandwidth of raw GM, FAST/GM
+// and UDP/GM; -fig 3 the Figure 3 microbenchmarks, whose Barrier rows run
+// on the -barrier-nodes cluster sizes.
 // -big16 runs the Figure 5 sweep on 16 nodes (the paper's size); without
 // it the sweep runs on 8 nodes, which regenerates the same shapes faster.
 // -e6-sizes sets the scalability sweep's cluster sizes; the default ends
@@ -37,6 +40,7 @@ import (
 func main() {
 	fig := flag.String("fig", "all", "which figure to regenerate: 0, 3, 4, 5, e4, e5, e6, breakdown, prof, critical, all")
 	nodesFlag := flag.String("nodes", "4,8,16", "node counts for the Figure 4 sweep")
+	barrierFlag := flag.String("barrier-nodes", "2,4,8,16", "node counts for the Figure 3 Barrier microbenchmark")
 	e6Flag := flag.String("e6-sizes", "4,8,16,32,64,128,256", "cluster sizes for the E6 scalability sweep")
 	big16 := flag.Bool("big16", true, "run the Figure 5 sweep on 16 nodes (paper size)")
 	profNodes := flag.Int("prof-nodes", 8, "node count for the -fig prof runs")
@@ -58,6 +62,7 @@ func main() {
 		return out
 	}
 	nodes := parseSizes("-nodes", *nodesFlag)
+	barrierNodes := parseSizes("-barrier-nodes", *barrierFlag)
 	e6Sizes := parseSizes("-e6-sizes", *e6Flag)
 	fig5Nodes := 8
 	if *big16 {
@@ -73,7 +78,7 @@ func main() {
 		fmt.Println()
 	}
 	if want("3") {
-		rows, err := harness.Figure3([]int{2, 4, 8, 16})
+		rows, err := harness.Figure3(barrierNodes)
 		exitOn(err)
 		harness.PrintFigure3(os.Stdout, rows)
 		fmt.Println()

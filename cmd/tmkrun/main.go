@@ -1,57 +1,59 @@
-// Command tmkrun executes one of the paper's applications on a chosen
-// transport and node count, printing the virtual execution time and the
-// DSM/transport statistics; with -verify the result is checked against
-// the sequential reference first.
+// Command tmkrun executes one of the paper's applications, or a small
+// protocol-trace scenario, on a chosen transport and node count, printing
+// the virtual execution time and the DSM/transport statistics; with
+// -verify an application's result is checked against the sequential
+// reference first.
 //
 // Usage:
 //
 //	tmkrun -app jacobi -nodes 16 -transport fastgm [-size 2] [-verify]
 //	       [-rendezvous] [-flow] [-hedge] [-seed N] [-homeless] [-prof]
-//	       [-prof-json profile.json] [-trace-cap N]
+//	       [-prof-json profile.json] [-critical] [-out trace.json] [-trace-cap N]
+//	tmkrun -scenario counter|sharing|lockchain [-nodes 4] [per-run flags]
 //	tmkrun -chaos [-seed N] [-nodes 4]
 //	tmkrun -crash [-seed N] [-nodes 4]
 //	tmkrun -incast [-seed N] [-nodes 64]
 //
-// -prof attaches a tracer with the protocol-entity profiler subscribed and
-// prints the per-page / per-lock / per-barrier attribution tables and the
-// page×epoch heatmap, plus a per-layer time breakdown from the tracer's
-// event ring, whose capacity -trace-cap sets; if the ring wrapped, the
-// breakdown is prefixed with a warning and the drop count so a truncated
-// trace can't silently skew it. -prof-json additionally writes the full profile as
-// JSON (schema tmk-prof/1). Profiling is observation only: the
-// execution time and statistics are identical with and without it.
+// -scenario runs a small DSM program in place of -app (and -size) and
+// prints its protocol trace: every fault, diff fetch, write notice,
+// interval close, lock and barrier step with its virtual time
+// (tmk.TextTrace subscribed to the run's tracer). A scenario has no
+// sequential reference, so -verify with it is a usage error.
 //
-// -chaos ignores -app/-size/-verify and instead runs the chaos sweep: all
-// four applications on both transports over a seeded lossy fabric (drop,
-// corruption, latency spikes, a timed blackout), verifying bit-correct
-// results, active recovery, and no residual disabled ports. -seed varies
-// the fault schedule; -nodes sets the sweep's cluster size.
+// Every other view is one more subscriber of the same tracer. -prof prints
+// the protocol-entity profiler's per-page / per-lock / per-barrier tables
+// and page×epoch heatmap; -prof-json also writes them as JSON (schema
+// tmk-prof/1). -out writes the events every layer recorded as Chrome
+// trace_event JSON, loadable in Perfetto (https://ui.perfetto.dev). Either
+// prints a per-layer time breakdown of the event ring, whose capacity
+// -trace-cap sets, after a warning with the drop count if it wrapped.
+// -critical attaches the causal-DAG collector (DESIGN.md §13) and prints
+// the critical path, end-to-end virtual time attributed to compute / wire
+// / gm / manager-indirection / straggler-wait; with -out, the Chrome
+// export draws one flow arrow per causal edge. Observation only: the
+// execution time, statistics and protocol trace are the same without it.
 //
-// -crash likewise runs the crash-tolerance sweep on all three substrates:
-// a rank death injected into a barrier-structured and a lock-structured
-// app with restart on (the run started again must finish bit-correct, and
-// replay identically), and into the lock-structured app without it (a
-// coordinated abort whose post-mortem names the dead rank and the
-// blocking protocol entity). Known defect: on udpgm the armed failure
-// detector livelocks from 12 nodes up, so -crash -nodes 12 or more never
-// finishes (ROADMAP.md item 4).
-//
-// -incast runs the overload-resilience storm: every peer blasts a burst
-// of largest-class frames at rank 0 while it is briefly masked, on all
-// three substrates with credit flow control on, asserting that every
-// frame is delivered and the pressure is absorbed as sender-side credit
-// stalls — zero parked frames, zero socket drops, zero GM send timeouts,
-// zero disabled ports. -nodes sets the storm's cluster size.
+// The sweeps ignore the per-run flags and take -seed; they and the
+// scenarios take -nodes only when it is given. -chaos runs all four
+// applications on both two-sided transports over a seeded lossy fabric
+// (drop, corruption, latency spikes, a timed blackout), verifying
+// bit-correct results, active recovery and no residual disabled ports.
+// -crash injects a rank death, on all three substrates, into a barrier
+// and a lock application with restart on (the run started again must
+// verify and replay identically) and into the lock application without
+// it (a coordinated abort whose post-mortem names the dead rank and the
+// blocking entity); on udpgm the armed failure detector livelocks from 12
+// nodes up, so -crash -nodes 12 or more never finishes (ROADMAP.md item
+// 4). -incast has every peer blast largest-class frames at a briefly
+// masked rank 0 with credit flow control on, on all three substrates:
+// every frame must arrive, absorbed as sender-side credit stalls, with
+// zero parked frames, socket drops, GM send timeouts and disabled ports.
 //
 // -rendezvous carries FAST/GM's large messages (and rdmagm's two-sided
-// ones) by RTS/CTS instead of preposted buffers (tmk.Config.Rendezvous,
-// the paper's §2.2.2 design; experiment E5).
-//
-// -flow and -hedge arm the overload-resilience machinery on a normal
-// application run: -flow enables end-to-end credit flow control and
-// nothing else, -hedge enables hedged re-issues of straggling remote
-// requests. Both default off; an armed run's statistics show the
-// credit/hedge counters.
+// ones) by RTS/CTS instead of preposted buffers (the paper's §2.2.2
+// design; experiment E5). -flow enables end-to-end credit flow control,
+// -hedge hedged re-issues of straggling remote requests; an armed run's
+// statistics show their counters.
 //
 // An illegal configuration (-nodes 0, an unknown -transport, ...) is
 // reported as tmk.Config.Validate's one-line verdict on stderr, exit 1.
@@ -61,6 +63,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/apps"
 	"repro/internal/harness"
@@ -71,6 +74,7 @@ import (
 
 func main() {
 	appName := flag.String("app", "jacobi", "application: jacobi, sor, tsp, 3dfft")
+	scenario := flag.String("scenario", "", "run a protocol-trace scenario in place of -app: counter, sharing, or lockchain")
 	nodes := flag.Int("nodes", 8, "number of DSM processes (= nodes)")
 	transport := flag.String("transport", "fastgm", "substrate: fastgm, udpgm, or rdmagm")
 	sizeIdx := flag.Int("size", -1, "size ladder index 0..3 (-1 = default size)")
@@ -85,11 +89,11 @@ func main() {
 	hedge := flag.Bool("hedge", false, "enable hedged re-issues of straggling remote requests")
 	profFlag := flag.Bool("prof", false, "attach the protocol-entity profiler and print its tables")
 	profJSON := flag.String("prof-json", "", "write the entity profile as JSON (implies -prof)")
-	traceCap := flag.Int("trace-cap", 0, "event ring capacity for the -prof breakdown (0 = default)")
+	critical := flag.Bool("critical", false, "collect the causal DAG and print the run's critical path")
+	out := flag.String("out", "", "write a Chrome trace_event JSON file (Perfetto-loadable)")
+	traceCap := flag.Int("trace-cap", 0, "event ring capacity (0 = default)")
 	flag.Parse()
 
-	// The sweeps: each ignores the per-run flags, takes -seed, and takes
-	// -nodes only when given (its default spec carries its own size).
 	nodesSet := false
 	flag.Visit(func(f *flag.Flag) { nodesSet = nodesSet || f.Name == "nodes" })
 	sized := func(def int) int {
@@ -120,57 +124,78 @@ func main() {
 	}
 	for _, sw := range sweeps {
 		if sw.on {
-			if err := sw.run(); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
+			exitOn(sw.run())
 			return
 		}
 	}
 
-	var app apps.App
-	if *sizeIdx >= 0 {
-		ladder := harness.SizeLadder(*appName)
-		if ladder == nil || *sizeIdx >= len(ladder) {
-			fmt.Fprintf(os.Stderr, "no size %d for app %q\n", *sizeIdx, *appName)
-			os.Exit(2)
-		}
-		app = ladder[*sizeIdx]
-	} else {
-		app = apps.ByName(*appName)
-	}
-	if app == nil {
-		fmt.Fprintf(os.Stderr, "unknown app %q\n", *appName)
-		os.Exit(2)
-	}
-	kind := tmk.TransportKind(*transport)
-
-	var pf *prof.Profiler
+	// The run's views, all of one tracer: the scenario's protocol trace, the
+	// profiler, the causal collector and (after the run) the Chrome export.
+	profiling := *profFlag || *profJSON != ""
 	var tracer *trace.Tracer
-	if *profFlag || *profJSON != "" {
-		pf, tracer = prof.New(), trace.New(*traceCap)
+	if *scenario != "" || profiling || *out != "" {
+		tracer = trace.New(*traceCap)
+	}
+	if *scenario != "" {
+		tracer.Subscribe(tmk.TextTrace(os.Stdout))
+	}
+	var causal *trace.Causal
+	if *critical {
+		causal = trace.NewCausal()
+		if tracer != nil {
+			tracer.AttachCausal(causal)
+		}
+	}
+	var pf *prof.Profiler
+	if profiling {
+		pf = prof.New()
 		tracer.Subscribe(pf.Observe)
 	}
 	mutate := func(cfg *tmk.Config) {
 		cfg.Seed = *seed
 		cfg.Rendezvous = *rendezvous
-		cfg.Trace = tracer
+		cfg.Trace, cfg.Causal = tracer, causal
 		if *homeless {
 			cfg.HomeBased = false
 		}
 		cfg.Flow = *flow
 		cfg.Hedge = *hedge
 	}
-	run := harness.RunApp
-	if *verify {
-		run = harness.VerifiedRun
+
+	kind := tmk.TransportKind(*transport)
+	n, name, size := *nodes, *scenario, ""
+	var res *tmk.Result
+	var err error
+	if *scenario != "" {
+		if *verify {
+			fmt.Fprintln(os.Stderr, "tmkrun: -verify checks an application against its sequential reference; a scenario has none")
+			os.Exit(2)
+		}
+		n = sized(harness.ScenarioNodes)
+		res, err = harness.RunScenario(name, n, kind, mutate)
+	} else {
+		app := apps.ByName(*appName)
+		if *sizeIdx >= 0 {
+			ladder := harness.SizeLadder(*appName)
+			if ladder == nil || *sizeIdx >= len(ladder) {
+				fmt.Fprintf(os.Stderr, "no size %d for app %q\n", *sizeIdx, *appName)
+				os.Exit(2)
+			}
+			app = ladder[*sizeIdx]
+		}
+		if app == nil {
+			fmt.Fprintf(os.Stderr, "unknown app %q\n", *appName)
+			os.Exit(2)
+		}
+		name, size = app.Name(), app.Size()
+		run := harness.RunApp
+		if *verify {
+			run = harness.VerifiedRun
+		}
+		res, err = run(app, n, kind, mutate)
 	}
-	res, err := run(app, *nodes, kind, mutate)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	fmt.Printf("%s %s on %d nodes over %s\n", app.Name(), app.Size(), *nodes, kind)
+	exitOn(err)
+	fmt.Printf("%s on %d nodes over %s\n", strings.TrimSpace(name+" "+size), n, kind)
 	fmt.Printf("  execution time: %v\n", res.ExecTime)
 	fmt.Printf("  dsm:       %v\n", &res.Stats)
 	if kind == tmk.TransportRDMAGM && !*homeless {
@@ -182,19 +207,30 @@ func main() {
 	if *verify {
 		fmt.Println("  verification: OK (matches sequential reference)")
 	}
-	if pf != nil {
-		pr := harness.LabelProfile(pf, app.Name(), app.Size(), kind, *nodes, res)
-		if err := harness.WriteProfileReport(os.Stdout, pr, *profJSON, "  "); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+	if *out != "" {
+		exitOn(harness.WriteFile(*out, tracer.WriteChromeTrace))
+		fmt.Printf("  wrote %d events to %s (load in https://ui.perfetto.dev)\n", tracer.Len(), *out)
 	}
-	if tracer != nil {
+	if causal != nil {
+		fmt.Println()
+		header := fmt.Sprintf("critical path (%d causal edges, %d duplicate arrivals suppressed)",
+			causal.Len(), causal.DupArrivals())
+		exitOn(trace.WriteCriticalPath(os.Stdout, header, causal.CriticalPath(), 8))
+	}
+	if pf != nil {
+		pr := harness.LabelProfile(pf, name, size, kind, n, res)
+		exitOn(harness.WriteProfileReport(os.Stdout, pr, *profJSON))
+	}
+	if pf != nil || *out != "" {
 		fmt.Println()
 		harness.WarnRingOverflow(os.Stdout, "", tracer.Overwrote(), tracer.Len())
-		if err := trace.WriteBreakdown(os.Stdout, "per-layer breakdown", tracer.Breakdown()); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		exitOn(trace.WriteBreakdown(os.Stdout, "per-layer breakdown", tracer.Breakdown()))
+	}
+}
+
+func exitOn(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 }

@@ -39,14 +39,14 @@ func TestCrashSweepDeterministic(t *testing.T) {
 	}
 }
 
-// TestRestartRemigratesHomes: rank 1 of a home-based Jacobi dies entering
-// the sixth sweep's barrier and the run restarts. A restart is the run
-// started again, so the new generation's ranks are the homes of their own
-// blocks again, and every home's window starts from zeros: a rank that took
-// a stale copy for the master copy of a page it homes (a home never
-// fetches) would fail the verification, which Jacobi, rewriting whole
-// rows, could otherwise paper over.
-func TestRestartRemigratesHomes(t *testing.T) {
+// TestHomeBasedRestartVerifies: rank 1 of a home-based Jacobi dies
+// entering the sixth sweep's barrier and the run restarts. A restart is the
+// run started again, so the new generation's ranks home their own blocks
+// again, and every home's window starts from zeros: a rank that took a
+// stale copy for the master copy of a page it homes (a home never fetches)
+// would fail the verification, which Jacobi, rewriting whole rows, could
+// otherwise paper over.
+func TestHomeBasedRestartVerifies(t *testing.T) {
 	app := &apps.Jacobi{N: 64, Iters: 8, CostPerPoint: 30 * sim.Nanosecond}
 	crashed, err := VerifiedRun(app, 4, tmk.TransportRDMAGM, func(cfg *tmk.Config) {
 		cfg.Crash = tmk.CrashConfig{Rank: 1, AtBarrier: 7, Restart: true}

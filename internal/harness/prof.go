@@ -66,10 +66,10 @@ func LabelProfile(pf *prof.Profiler, app, size string, kind tmk.TransportKind, n
 	return pr
 }
 
-// WriteProfileReport is tmkrun's and tmktrace's -prof report: a blank line,
-// the entity tables (top 10 pages, 5 locks, 5 barriers), the heatmap and, if
-// jsonPath is set, the tmk-prof/1 JSON written there, announced after prefix.
-func WriteProfileReport(w io.Writer, pr *prof.Profile, jsonPath, prefix string) error {
+// WriteProfileReport is tmkrun's -prof report: a blank line, the entity
+// tables (top 10 pages, 5 locks, 5 barriers), the heatmap and, if jsonPath
+// is set, the tmk-prof/1 JSON written there and announced on one line.
+func WriteProfileReport(w io.Writer, pr *prof.Profile, jsonPath string) error {
 	fprintf(w, "\n")
 	if err := pr.WriteTables(w, 10, 5, 5); err != nil {
 		return err
@@ -77,19 +77,24 @@ func WriteProfileReport(w io.Writer, pr *prof.Profile, jsonPath, prefix string) 
 	if err := pr.WriteHeatmap(w, 10); err != nil || jsonPath == "" {
 		return err
 	}
-	f, err := os.Create(jsonPath)
+	if err := WriteFile(jsonPath, pr.WriteJSON); err != nil {
+		return err
+	}
+	fprintf(w, "  wrote entity profile to %s\n", jsonPath)
+	return nil
+}
+
+// WriteFile creates path and fills it with write.
+func WriteFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := pr.WriteJSON(f); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fprintf(w, "%swrote entity profile to %s\n", prefix, jsonPath)
-	return nil
+	return f.Close()
 }
 
 // PrintProfEntities renders the per-entity tables and page×epoch

@@ -40,7 +40,7 @@ const (
 	KDistribute
 	// KAck: generic empty acknowledgement.
 	KAck
-	// KPing/KPong: micro-benchmark round-trip probes (netperf, E0).
+	// KPing/KPong: micro-benchmark round-trip probes (harness.Netperf, E0).
 	KPing
 	KPong
 	// KHeartbeat: liveness probe between UDP/GM kernels. Intercepted below

@@ -43,7 +43,7 @@ func TestValidateRules(t *testing.T) {
 		want []tmk.ConfigRule
 	}{
 		{"tmkrun -nodes 0", 0, tmk.TransportFastGM, nil, []tmk.ConfigRule{tmk.RuleProcs}},
-		{"tmktrace -transport bogus", 4, "bogus", nil, []tmk.ConfigRule{tmk.RuleTransport}},
+		{"tmkrun -scenario lockchain -transport bogus", 4, "bogus", nil, []tmk.ConfigRule{tmk.RuleTransport}},
 		{"home-based on a two-sided transport", 4, tmk.TransportFastGM,
 			func(c *tmk.Config) { c.HomeBased = true }, []tmk.ConfigRule{tmk.RuleHomeBased}},
 		{"negative fan-out", 4, tmk.TransportFastGM,
