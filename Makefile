@@ -9,7 +9,7 @@ WORKLOAD ?= jacobi_fastgm_16
 BASE     ?= HEAD
 PAIRS    ?= 10
 
-.PHONY: all check fmt vet build test race loc uncovered host-allocs host-cpu wire-bytes pairs fuzz-smoke bench bench-identical bench-gate prof-smoke chaos-smoke crash-smoke rdma-smoke critical-smoke flow-smoke cli-smoke cli-sweep
+.PHONY: all check fmt vet build test race loc uncovered host-allocs host-cpu wire-bytes pairs fuzz-smoke bench bench-identical bench-gate prof-smoke chaos-smoke crash-smoke rdma-smoke critical-smoke flow-smoke cli-smoke
 
 all: check
 
@@ -259,15 +259,20 @@ flow-smoke:
 
 # Every command that builds a Config from flags reports an illegal one as
 # tmk.Config.Validate's one-line verdict and a non-zero exit — never a
-# goroutine dump — and the smallest verified run passes on each substrate,
-# as does a verified 3dfft on the homeless ones: at 4 nodes each source's
-# transpose block is 8 dense pages, more than one 32 KB reply, so every run
-# exercises capped, multi-wave span faults (DESIGN.md §4.3) — and again
-# with -rendezvous, which carries those large replies by RTS/CTS. -prof
-# (the profiler subscribed to the run's tracer), on a scenario and on an
-# app, must exit 0 and print a profile with at least one page, and a
-# scenario's -critical -out must print a critical path and write a
-# non-empty Chrome trace.
+# goroutine dump — the smallest verified run passes on each substrate, and
+# so does the whole `tmkrun -verify` matrix: 4 apps × 3 substrates × {2,
+# 4, 8, 16} nodes at default sizes, one verdict line per cell, each cell
+# either verified or a one-line invalid config (about 10 s on two cores).
+# SOR's verification gather there asks for pages whose diffs fill more
+# than one 32 KB frame, and the 3dfft cells at 2 and 4 nodes read source
+# blocks of 32 and 8 dense pages, so on the homeless substrates they
+# exercise continued replies and multi-wave span faults (DESIGN.md §4.3);
+# so do the homeless rdmagm 3dfft runs after it, and again with
+# -rendezvous, which carries the large frames by RTS/CTS. -prof (the
+# profiler subscribed to the run's tracer), on a scenario and on an app,
+# must exit 0 and print a profile with at least one page, and a scenario's
+# -critical -out must print a critical path and write a non-empty Chrome
+# trace.
 cli-smoke:
 	@for args in "tmkrun -nodes 0" "tmkrun -transport bogus" "tmkrun -scenario lockchain -transport bogus" \
 			"figures -fig 3 -barrier-nodes 0" "figures -fig 4 -nodes 0"; do \
@@ -281,7 +286,26 @@ cli-smoke:
 	@for t in udpgm fastgm rdmagm; do \
 		$(GO) run ./cmd/tmkrun -app jacobi -nodes 2 -size 0 -transport $$t -verify > /dev/null || exit 1; \
 	done
-	@for t in udpgm fastgm "rdmagm -homeless" "fastgm -rendezvous" "rdmagm -homeless -rendezvous"; do \
+	@tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
+	$(GO) build -o $$tmp/tmkrun ./cmd/tmkrun || exit 1; \
+	ok=0; invalid=0; bad=0; \
+	for app in jacobi sor 3dfft tsp; do for t in udpgm fastgm rdmagm; do for n in 2 4 8 16; do \
+		cell=$$app/$$t/$$n; \
+		if out="$$($$tmp/tmkrun -app $$app -nodes $$n -transport $$t -verify 2>&1)"; then \
+			verdict=verified; ok=$$((ok+1)); \
+		else \
+			case "$$out" in \
+				*"invalid config"*) if [ "$$(printf '%s\n' "$$out" | wc -l)" = 1 ]; then \
+						verdict="$$out"; invalid=$$((invalid+1)); else verdict="FAIL: not one line: $$out"; bad=$$((bad+1)); fi;; \
+				*) verdict="FAIL: $$(printf '%s\n' "$$out" | head -n 1 | sed -e 's/^panic: //' -e 's/^sim: proc "[^"]*" panicked: //' | cut -c1-100)"; \
+					bad=$$((bad+1));; \
+			esac; \
+		fi; \
+		printf '%-18s %s\n' "$$cell" "$$verdict"; \
+	done; done; done; \
+	echo "cli-smoke: $$ok/48 verified, $$invalid invalid configs, $$bad failures"; \
+	[ $$bad = 0 ]
+	@for t in "rdmagm -homeless" "fastgm -rendezvous" "rdmagm -homeless -rendezvous"; do \
 		$(GO) run ./cmd/tmkrun -app 3dfft -nodes 4 -transport $$t -verify > /dev/null || exit 1; \
 	done
 	@for args in "tmkrun -scenario lockchain -prof" "tmkrun -app tsp -nodes 4 -size 0 -prof"; do \
@@ -299,38 +323,7 @@ cli-smoke:
 		*) echo "cli-smoke: tmkrun -scenario counter -critical: no critical-path table"; exit 1;; \
 	esac; \
 	[ -s $$tmp/t.json ] || { echo "cli-smoke: tmkrun -scenario counter -out: empty trace JSON"; exit 1; }
-	@echo "cli-smoke: illegal configs rejected in one line, verified runs pass on all three substrates, -prof profiles, -critical -out"
-
-# The CLI verification matrix: `tmkrun -app A -nodes N -transport T -verify`
-# at default sizes over 4 apps × 3 substrates × {2, 4, 8, 16} nodes, one
-# verdict line per cell and a count. CLI_SWEEP_KNOWN names the cells known
-# to fail (ROADMAP item 2: SOR's verification gather sends a diff reply
-# over the 32 KB message cap on udpgm and fastgm); they run and print like
-# every other cell. The target fails on any other failure, and on a known
-# failure that verifies, so the list can only shrink. About 15 s on two
-# cores; not part of `check`.
-CLI_SWEEP_KNOWN := sor/udpgm/2 sor/udpgm/4 sor/udpgm/8 sor/udpgm/16 \
-	sor/fastgm/2 sor/fastgm/4 sor/fastgm/8 sor/fastgm/16
-
-cli-sweep:
-	@tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
-	$(GO) build -o $$tmp/tmkrun ./cmd/tmkrun || exit 1; \
-	ok=0; known=0; bad=0; \
-	for app in jacobi sor 3dfft tsp; do for t in udpgm fastgm rdmagm; do for n in 2 4 8 16; do \
-		cell=$$app/$$t/$$n; \
-		case " $(CLI_SWEEP_KNOWN) " in *" $$cell "*) listed=1;; *) listed=0;; esac; \
-		if out="$$($$tmp/tmkrun -app $$app -nodes $$n -transport $$t -verify 2>&1)"; then \
-			if [ $$listed = 0 ]; then verdict=verified; ok=$$((ok+1)); \
-			else verdict="verified, but listed in CLI_SWEEP_KNOWN: remove it"; bad=$$((bad+1)); fi; \
-		else \
-			why="$$(printf '%s\n' "$$out" | head -n 1 | sed -e 's/^panic: //' -e 's/^sim: proc "[^"]*" panicked: //' | cut -c1-100)"; \
-			if [ $$listed = 1 ]; then verdict="FAIL (known, ROADMAP item 2): $$why"; known=$$((known+1)); \
-			else verdict="FAIL: $$why"; bad=$$((bad+1)); fi; \
-		fi; \
-		printf '%-18s %s\n' "$$cell" "$$verdict"; \
-	done; done; done; \
-	echo "cli-sweep: $$ok/48 verified, $$known known failures, $$bad unexpected"; \
-	[ $$bad = 0 ]
+	@echo "cli-smoke: illegal configs rejected in one line, the -verify matrix and the homeless rdmagm and rendezvous runs pass, -prof profiles, -critical -out"
 
 # Quick end-to-end run of the protocol-entity profiler (small sizes).
 prof-smoke:

@@ -87,6 +87,26 @@ func TestVerifiedRunCatchesApps(t *testing.T) {
 	}
 }
 
+// TestSORVerifiesPastOneFrame: the ladder's smallest SOR, at its full ten
+// iterations, verifies on both homeless substrates at two and four ranks.
+// Its verification gather reads pages whose diffs alone — twenty
+// half-sweeps of every other word — fill more than one 32 KB frame, and
+// each is answered in continuation frames (DESIGN.md §4.3): one reply of
+// it used to overrun TreadMarks' message cap.
+func TestSORVerifiesPastOneFrame(t *testing.T) {
+	for _, kind := range []tmk.TransportKind{tmk.TransportUDPGM, tmk.TransportFastGM} {
+		for _, n := range []int{2, 4} {
+			res, err := harness.VerifiedRun(harness.SizeLadder("sor")[0], n, kind, nil)
+			if err != nil {
+				t.Fatalf("%s at %d ranks: %v", kind, n, err)
+			}
+			if res.Transport.ContinuedFrames == 0 {
+				t.Errorf("%s at %d ranks: no reply continued across frames, the test proves nothing", kind, n)
+			}
+		}
+	}
+}
+
 func TestRendezvousAblationShape(t *testing.T) {
 	rows, err := harness.RendezvousAblation(4)
 	if err != nil {

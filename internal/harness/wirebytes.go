@@ -57,8 +57,11 @@ func WireBytes(events []trace.Event) []WireKind {
 	return out
 }
 
-// PrintWireBytes writes rows as a table under title, with a total line.
-func PrintWireBytes(w io.Writer, title string, rows []WireKind) {
+// PrintWireBytes writes rows as a table under title, with a total line
+// and the run's continued reply frames (substrate.Stats.ContinuedFrames):
+// frames a reply carried past its first, which a reply capped at one frame
+// would have left to another request.
+func PrintWireBytes(w io.Writer, title string, rows []WireKind, continued int64) {
 	fprintf(w, "%s\n", title)
 	fprintf(w, "  %-18s %9s %12s %9s %12s\n", "request kind", "requests", "bytes", "replies", "bytes")
 	var total WireKind
@@ -70,5 +73,6 @@ func PrintWireBytes(w io.Writer, title string, rows []WireKind) {
 		total.ReplyBytes += r.ReplyBytes
 	}
 	fprintf(w, "  %-18s %9d %12d %9d %12d\n", "total", total.Requests, total.RequestBytes, total.Replies, total.ReplyBytes)
-	fprintf(w, "  %d messages, %d bytes\n", total.Requests+total.Replies, total.RequestBytes+total.ReplyBytes)
+	fprintf(w, "  %d messages, %d bytes; %d continued reply frames\n",
+		total.Requests+total.Replies, total.RequestBytes+total.ReplyBytes, continued)
 }

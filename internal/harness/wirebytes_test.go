@@ -62,8 +62,8 @@ func BenchmarkWireBytes(b *testing.B) {
 	for _, w := range allocWorkloads {
 		b.Run(w.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_, events := tracedRun(b, w.app(), w.nodes, w.kind)
-				PrintWireBytes(os.Stdout, w.name, WireBytes(events))
+				res, events := tracedRun(b, w.app(), w.nodes, w.kind)
+				PrintWireBytes(os.Stdout, w.name, WireBytes(events), res.Transport.ContinuedFrames)
 			}
 		})
 	}

@@ -153,6 +153,32 @@ type Message struct {
 	PageData  []byte
 }
 
+// A diff reply may continue across frames (DESIGN.md §4.3): its requester
+// grants a frame budget, and each frame of the reply is a KDiffReply of its
+// own, carrying the next diffs in order. The words that say so ride in
+// header words the diff kinds leave unused, Lock and Barrier, so a
+// one-frame exchange encodes as a plain one: a KDiffReq's Lock word is the
+// budget (0 grants one frame), and a KDiffReply's Lock and Barrier words
+// are the frame's index and the index of the reply's last frame.
+
+// Budget returns how many frames a KDiffReq lets its reply span.
+func (m *Message) Budget() int { return max(int(m.Lock), 1) }
+
+// SetBudget grants a KDiffReq's reply n frames.
+func (m *Message) SetBudget(n int) { m.Lock = int32(n) }
+
+// Frame returns the index of a reply frame and how many frames its reply
+// spans: 0 of 1 for every message but a continued KDiffReply.
+func (m *Message) Frame() (i, n int) {
+	if m.Kind != KDiffReply {
+		return 0, 1
+	}
+	return int(m.Lock), int(m.Barrier) + 1
+}
+
+// SetFrame marks a KDiffReply as frame i of a reply spanning n frames.
+func (m *Message) SetFrame(i, n int) { m.Lock, m.Barrier = int32(i), int32(n-1) }
+
 // ErrTruncated reports a decode of a short or corrupt buffer.
 var ErrTruncated = errors.New("msg: truncated or corrupt message")
 

@@ -1,6 +1,9 @@
 package substrate
 
 import (
+	"math/bits"
+	"slices"
+
 	"repro/internal/msg"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -72,6 +75,24 @@ type Call struct {
 	dec  *msg.Decoder // holds reply once matched
 	keep []byte       // storage data is copied into
 	lent bool         // in its family's lent list
+
+	cont *continued // a continued reply's frames, made when the record first carries one
+}
+
+// continued is a call's reply continued across frames as it comes in
+// (takeFrame): how many frames it spans, those matched so far (one bit per
+// index), the diffs each carried, their bytes, every frame's diffs in
+// frame order — the reply's Diffs — and the decoders holding the data of
+// the frames matched after the first. A record keeps it, and its storage,
+// for the calls it carries next.
+type continued struct {
+	frames int
+	got    uint32
+	parts  [MaxFrames]uint16
+	size   int
+	diffs  []msg.Diff
+	more   [MaxFrames - 1]*msg.Decoder
+	nmore  int
 }
 
 func (pc *Call) Dst() int            { return pc.dst }
@@ -137,7 +158,7 @@ func (c *Core) Open(p *sim.Proc, x *Exchange, dst int, seq uint32, aux []byte) *
 	} else {
 		pc = new(Call)
 	}
-	*pc = Call{x: x, dst: dst, seq: seq, aux: aux, issued: p.Now(), body: pc.body[:0], dec: pc.dec, keep: pc.keep}
+	*pc = Call{x: x, dst: dst, seq: seq, aux: aux, issued: p.Now(), body: pc.body[:0], dec: pc.dec, keep: pc.keep, cont: pc.cont}
 	c.pending[seq] = pc
 	if x == &c.calls {
 		c.open++
@@ -227,6 +248,10 @@ func (c *Core) Reclaim(p *sim.Proc, x *Exchange, busy func(*Call) bool) {
 			continue
 		}
 		pc.lent, pc.reply, pc.data, pc.err = false, nil, nil, nil
+		if ct := pc.cont; ct != nil {
+			c.decs = append(c.decs, ct.more[:ct.nmore]...)
+			*ct = continued{diffs: ct.diffs[:0]}
+		}
 		c.free = append(c.free, pc)
 	}
 	clear(x.lent[lvl][len(kept):])
@@ -275,26 +300,33 @@ func (c *Core) Lookup(p *sim.Proc, x *Exchange, seq uint32, from int) *Call {
 	if pc := c.pending[seq]; pc != nil && pc.x == x {
 		return pc
 	}
+	c.stale(p, from)
+	return nil
+}
+
+// stale counts an answer no open call is waiting for.
+func (c *Core) stale(p *sim.Proc, from int) {
 	c.stats.StaleReplies++
 	if tr := p.Sim().Tracer(); tr != nil {
 		emit(tr, trace.Event{T: int64(p.Now()), Kind: "stale-reply",
 			Proc: p.ID(), Peer: from}, "stale.replies", 1)
 	}
-	return nil
 }
 
-// match resolves the call a reply answers.
+// match resolves the call a reply answers — for a reply continued across
+// frames, once its last frame is in.
 func (c *Core) match(p *sim.Proc, m *msg.Message) {
 	pc := c.Lookup(p, &c.calls, m.Seq, int(m.From))
 	if pc == nil {
 		return
 	}
-	// m was decoded into the context's spare decoder: the call takes it,
-	// and gives the decoder of its record's previous use, whose reply
-	// nobody holds any more, in exchange.
-	cx := c.ctx(p)
-	pc.reply = m
-	pc.dec, cx.spare = cx.spare, pc.dec
+	if i, n := m.Frame(); n > 1 {
+		if !c.takeFrame(p, pc, m, i, n) {
+			return
+		}
+	} else {
+		c.take(p, pc, m)
+	}
 	c.Complete(pc, nil, nil)
 	if cz := p.Sim().Causal(); cz != nil && !m.Ctx.Zero() {
 		// The matched reply is what unblocks the mainline: requests the
@@ -312,10 +344,69 @@ func (c *Core) match(p *sim.Proc, m *msg.Message) {
 		}
 	}
 	if tr := p.Sim().Tracer(); tr != nil {
-		// The span carries its reply's bytes, as a serve span its request's.
+		// The span carries its reply's bytes, every frame's, as a serve span
+		// its request's.
+		bytes := 0
+		if pc.cont != nil {
+			bytes = pc.cont.size
+		}
+		if bytes == 0 {
+			bytes = m.EncodedSize()
+		}
 		emit(tr, trace.Event{T: int64(pc.issued), Dur: int64(rtt),
-			Kind: "call:" + pc.kind.String(), Proc: p.ID(), Peer: pc.dst, Bytes: m.EncodedSize()}, "", 0)
+			Kind: "call:" + pc.kind.String(), Proc: p.ID(), Peer: pc.dst, Bytes: bytes}, "", 0)
 	}
+}
+
+// take makes m the call's reply. m was decoded into the context's spare
+// decoder: the call takes it, and gives the decoder of its record's
+// previous use, whose reply nobody holds any more, in exchange.
+func (c *Core) take(p *sim.Proc, pc *Call, m *msg.Message) {
+	cx := c.ctx(p)
+	pc.reply = m
+	pc.dec, cx.spare = cx.spare, pc.dec
+}
+
+// takeFrame files frame i of a reply continued across n frames into its
+// call and reports whether it was the last one missing. The first frame to
+// arrive becomes the call's reply, as a one-frame reply does, its diffs
+// copied into the call's own list; each later one's diffs are spliced
+// into the list at their place in frame order, so frames may arrive in any
+// order, and the call keeps the decoder holding their data, the context
+// taking a free one as its spare. The reply's Diffs is the list. A frame
+// the call already holds — a duplicate request is answered with every
+// frame — or one that disagrees with the reply's frame count is stale.
+func (c *Core) takeFrame(p *sim.Proc, pc *Call, m *msg.Message, i, n int) bool {
+	if pc.cont == nil {
+		pc.cont = new(continued)
+	}
+	ct := pc.cont
+	if n > MaxFrames || i < 0 || i >= n || ct.got&(1<<i) != 0 || (ct.got != 0 && ct.frames != n) {
+		c.stale(p, int(m.From))
+		return false
+	}
+	if ct.got == 0 {
+		c.take(p, pc, m)
+		ct.frames = n
+		// Room for every frame at this one's size: the list grows once.
+		ct.diffs = append(slices.Grow(ct.diffs[:0], n*len(m.Diffs)), m.Diffs...)
+	} else {
+		at := 0
+		for _, k := range ct.parts[:i] {
+			at += int(k)
+		}
+		ct.diffs = slices.Insert(ct.diffs, at, m.Diffs...)
+		cx := c.ctx(p)
+		ct.more[ct.nmore], ct.nmore, cx.spare = cx.spare, ct.nmore+1, nil
+		if k := len(c.decs); k > 0 {
+			cx.spare, c.decs = c.decs[k-1], c.decs[:k-1]
+		}
+	}
+	pc.reply.Diffs = ct.diffs
+	ct.parts[i] = uint16(len(m.Diffs))
+	ct.got |= 1 << i
+	ct.size += m.EncodedSize()
+	return bits.OnesCount32(ct.got) == n
 }
 
 // Complete retires a call with its outcome: the reply already attached, a
@@ -332,6 +423,9 @@ func (c *Core) Complete(pc *Call, data []byte, err error) {
 		data = pc.keep
 	} else {
 		data = nil
+	}
+	if err != nil {
+		pc.reply = nil // a reply continued across frames may be partly in
 	}
 	pc.data, pc.err, pc.done, pc.completed = data, err, true, c.proc.Sim().Now()
 }

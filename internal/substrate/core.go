@@ -1,6 +1,7 @@
 package substrate
 
 import (
+	"fmt"
 	"slices"
 
 	"repro/internal/msg"
@@ -68,8 +69,9 @@ type Core struct {
 	pol       Policy
 	hedgeEWMA sim.Time
 
-	free []*Call    // call records no one holds (Reclaim), reused by Open
-	cx   [2]context // the mainline's and the handler's storage (ctx)
+	free []*Call        // call records no one holds (Reclaim), reused by Open
+	decs []*msg.Decoder // decoders of continued replies' frames no call holds (Reclaim)
+	cx   [2]context     // the mainline's and the handler's storage (ctx)
 }
 
 // context is the storage one context of the owning process — its mainline
@@ -291,11 +293,16 @@ func (c *Core) AnswerDup(p *sim.Proc, m *msg.Message, e *DupEntry) {
 	}
 }
 
-// sendReply transmits e's cached reply, holding the slot's storage for as
-// long as the wire reads it (DupEntry.sending).
+// sendReply transmits e's cached reply, every frame of it, holding the
+// slot's storage for as long as the wire reads it (DupEntry.sending).
 func (c *Core) sendReply(p *sim.Proc, e *DupEntry, kind msg.Kind) {
 	e.sending++
 	c.wire.Transmit(p, e.To, LaneReply, kind, e.Reply, e.ReplyAux)
+	if mf := e.more; mf != nil {
+		for k, body := range mf.bodies {
+			c.wire.Transmit(p, e.To, LaneReply, kind, body, mf.auxes[k])
+		}
+	}
 	e.sending--
 }
 
@@ -331,7 +338,11 @@ func (c *Core) edge(p *sim.Proc, prefix string, kind msg.Kind, dst int, parent u
 // and its encoded form is cached in the duplicate filter — in the storage
 // of the request's slot — so a redelivered request is answered without
 // re-executing it. The encoding copies: nothing rep referenced is read
-// after this returns.
+// after this returns. A reply continued across frames is one Reply per
+// frame, in frame order (msg.Message.SetFrame): each frame is sent as it
+// is encoded and cached after the ones before it, and the request counts
+// as answered — a duplicate is answered with every frame — once the last
+// is.
 func (c *Core) Reply(p *sim.Proc, req *msg.Message, rep *msg.Message) {
 	origin := int(req.ReplyTo)
 	rep.Seq = req.Seq
@@ -351,9 +362,35 @@ func (c *Core) Reply(p *sim.Proc, req *msg.Message, rep *msg.Message) {
 	if !ok {
 		e = c.dup.Insert(key)
 	}
-	e.Done, e.Reply, e.ReplyAux, e.To = true, rep.EncodeTo(e.Reply), aux, origin
-	c.stats.RepliesSent++
-	c.sendReply(p, e, rep.Kind)
+	i, frames := rep.Frame()
+	if frames > MaxFrames {
+		panic(fmt.Sprintf("substrate: rank %d: %v reply of %d frames exceeds the %d a call holds",
+			c.rank, rep.Kind, frames, MaxFrames))
+	}
+	e.Done, e.To = i == frames-1, origin
+	if i == 0 {
+		e.Reply, e.ReplyAux = rep.EncodeTo(e.Reply), aux
+		if e.more != nil {
+			e.more.reset()
+		}
+		c.stats.RepliesSent++
+		c.sendReply(p, e, rep.Kind)
+		return
+	}
+	if e.more == nil {
+		e.more = new(moreFrames)
+	}
+	mf := e.more
+	var storage []byte // the slot's from an earlier reply, if it had this frame
+	if k := len(mf.bodies); k < cap(mf.bodies) {
+		storage = mf.bodies[:k+1][k]
+	}
+	body := rep.EncodeTo(storage)
+	mf.bodies, mf.auxes = append(mf.bodies, body), append(mf.auxes, aux)
+	c.stats.ContinuedFrames++
+	e.sending++
+	c.wire.Transmit(p, origin, LaneReply, rep.Kind, body, aux)
+	e.sending--
 }
 
 // Forward implements Transport: relay a request, preserving the

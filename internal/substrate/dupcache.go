@@ -22,19 +22,38 @@ type DupKey struct {
 // encoded into what Reply holds when the entry is inserted — which the
 // request that takes the slot next writes its own reply into.
 type DupEntry struct {
-	Done        bool   // a reply was sent
 	Reply       []byte // the encoded cached reply (resent on duplicates), in the slot's storage
 	ReplyAux    []byte // the reply's causal-context metadata (resent with it)
 	To          int    // reply destination rank
 	ForwardedTo int    // where the request was relayed, or -1
 	FwdAux      []byte // the forward's causal-context metadata (resent with it)
 
+	// more holds the frames after the first of a reply continued across
+	// frames (Reply is the first): nil until the slot first caches one,
+	// empty for a one-frame reply.
+	more *moreFrames
+
 	key DupKey
 	// sending counts the transmits reading Reply right now (Core.sendReply).
 	// It is the slot's, not the entry's: a transmit can park, and if the
 	// ring comes round to the slot meanwhile, its storage goes with the
 	// reply being read and the next entry grows storage of its own.
-	sending int
+	sending int32
+	Done    bool // a reply was sent, every frame of it
+}
+
+// moreFrames is the storage of a continued reply's frames after its
+// first, in frame order: each frame's encoding and causal-context
+// metadata. A slot keeps it, and each frame's storage, for the replies it
+// caches next.
+type moreFrames struct {
+	bodies, auxes [][]byte
+}
+
+// reset empties the list, keeping every frame's storage.
+func (mf *moreFrames) reset() {
+	clear(mf.auxes)
+	mf.bodies, mf.auxes = mf.bodies[:0], mf.auxes[:0]
 }
 
 // DupCacheSize bounds every duplicate filter — the core's per-process
@@ -76,7 +95,7 @@ func (c *DupCache) slot(i int) *DupEntry {
 
 // Insert records a fresh request and returns its (mutable) entry, taking
 // over the oldest entry's slot when at capacity. The slot keeps its reply
-// storage; everything else starts over.
+// storage, every frame's; everything else starts over.
 func (c *DupCache) Insert(k DupKey) *DupEntry {
 	var e *DupEntry
 	if c.n < DupCacheSize {
@@ -87,11 +106,14 @@ func (c *DupCache) Insert(k DupKey) *DupEntry {
 		c.oldest = (c.oldest + 1) % DupCacheSize
 		delete(c.m, e.key)
 	}
-	keep := e.Reply[:0]
-	if e.sending > 0 {
-		keep = nil
+	fresh := DupEntry{ForwardedTo: -1, key: k, sending: e.sending}
+	if e.sending == 0 {
+		fresh.Reply, fresh.more = e.Reply[:0], e.more
+		if fresh.more != nil {
+			fresh.more.reset()
+		}
 	}
-	*e = DupEntry{Reply: keep, ForwardedTo: -1, key: k, sending: e.sending}
+	*e = fresh
 	c.m[k] = e
 	return e
 }

@@ -88,6 +88,18 @@ func (t *Transport) outstandingCalls() int {
 	return max(t.Size()-1, 1)
 }
 
+// ReplyFrames implements substrate.Transport: the sync port's free reply
+// slots shared among the calls, ⌊(n−1)/calls⌋ at the default width. A lone
+// call also takes the margin buffer — no other reply is in flight to need
+// it — so at two nodes, one slot wide, a reply may still span two frames.
+func (t *Transport) ReplyFrames(calls int) int {
+	free := t.outstandingCalls() - t.OpenCalls()
+	if calls == 1 && t.OpenCalls() == 0 {
+		free++
+	}
+	return min(max(free/max(calls, 1), 1), substrate.MaxFrames)
+}
+
 // maxPrepostClass returns the largest class preposted (classes above use
 // rendezvous when enabled).
 func (t *Transport) maxPrepostClass() int {

@@ -42,6 +42,7 @@ func RunConformance(t *testing.T, build Builder) {
 	t.Run("CreditStarvationParkResume", func(t *testing.T) { ConformanceCreditStarvationParkResume(t, build) })
 	t.Run("VectorPut", func(t *testing.T) { ConformanceVectorPut(t, build) })
 	t.Run("ReplySlotsCap", func(t *testing.T) { ConformanceReplySlotsCap(t, build) })
+	t.Run("ContinuedReply", func(t *testing.T) { ConformanceContinuedReply(t, build) })
 }
 
 // requireAllPortsEnabled asserts the residual-damage invariant after a
@@ -1273,4 +1274,51 @@ func ConformanceCreditStarvationParkResume(t *testing.T, build Builder) {
 		t.Error("refresh never trickled a frame into the exhausted ring (Parked = 0); weak test")
 	}
 	requireAllPortsEnabled(t, c)
+}
+
+// ConformanceContinuedReply: rank 0 of seven scatters one call to each of
+// two writers, granting each reply the frame budget the transport gives a
+// call issued beside one other, and each writer answers with a reply
+// continued across that many frames. Each reply resolves as one Collect
+// entry holding every frame's diffs in frame order; each writer counts the
+// frames after its first as continued, and no frame is stale.
+func ConformanceContinuedReply(t *testing.T, build Builder) {
+	c := build(7, 1)
+	writers := []*ContinuedReply{nil, NewContinuedReply(1, substrate.MaxFrames, 3000), NewContinuedReply(2, substrate.MaxFrames, 3000)}
+	frames := 0
+	c.Spawn(
+		func(rank int) substrate.Handler {
+			return func(p *sim.Proc, m *msg.Message) {
+				writers[rank].Serve(p, c.Transports[rank], m, m.Budget())
+			}
+		},
+		func(rank int, p *sim.Proc, tr substrate.Transport) {
+			if rank != 0 {
+				return
+			}
+			frames = tr.ReplyFrames(2)
+			req := msg.Message{Kind: msg.KDiffReq}
+			req.SetBudget(frames)
+			pend := []substrate.Pending{tr.CallBegin(p, 1, &req), tr.CallBegin(p, 2, &req)}
+			for i, rep := range tr.Collect(p, pend) {
+				if err := writers[i+1].Check(rep, frames); err != nil {
+					t.Errorf("writer %d: %v", i+1, err)
+				}
+			}
+		},
+	)
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if frames < 2 || frames > substrate.MaxFrames {
+		t.Fatalf("a call beside one other is granted %d frames, want 2 to %d", frames, substrate.MaxFrames)
+	}
+	if st := c.Transports[0].Stats(); st.RepliesRecvd != 2 || st.StaleReplies != 0 {
+		t.Errorf("requester matched %d replies with %d stale frames, want 2 and 0", st.RepliesRecvd, st.StaleReplies)
+	}
+	for w := 1; w <= 2; w++ {
+		if st := c.Transports[w].Stats(); st.RepliesSent != 1 || st.ContinuedFrames != int64(frames-1) {
+			t.Errorf("writer %d sent %d replies and %d continued frames, want 1 and %d", w, st.RepliesSent, st.ContinuedFrames, frames-1)
+		}
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/msg"
+	"repro/internal/myrinet"
 	"repro/internal/sim"
 	"repro/internal/substrate"
 	"repro/internal/substrate/fastgm"
@@ -38,13 +39,116 @@ func TestConformanceAllSubstrates(t *testing.T) {
 	}
 }
 
+// TestDuplicateGetsEveryFrame: a reply continued across two frames loses
+// the first packet of its first frame, and the call's hedge re-issues the
+// request. The writer has answered it, every frame, so the duplicate is
+// answered from its filter slot with every frame again: the lost frame
+// arrives in the resend, the one already held is stale, and the call
+// resolves whole, on every binding.
+func TestDuplicateGetsEveryFrame(t *testing.T) {
+	hedge := substrate.Policy{Hedge: true}
+	for _, b := range []struct {
+		name  string
+		build func() *stest.Cluster
+	}{
+		{"udpgm", func() *stest.Cluster { return stest.NewUDPConfig(2, 1, hedge, udpgm.DefaultConfig()) }},
+		{"fastgm", func() *stest.Cluster { return stest.NewFast(2, 1, hedge, fastgm.DefaultConfig()) }},
+		{"rdmagm", func() *stest.Cluster { return stest.NewRDMA(2, 1, hedge, fastgm.DefaultConfig()) }},
+	} {
+		t.Run(b.name, func(t *testing.T) {
+			c := b.build()
+			const frames = 2
+			cr := stest.NewContinuedReply(1, frames, 3000)
+			c.Spawn(
+				func(rank int) substrate.Handler {
+					return func(p *sim.Proc, m *msg.Message) { cr.Serve(p, c.Transports[rank], m, frames) }
+				},
+				func(rank int, p *sim.Proc, tr substrate.Transport) {
+					if rank != 0 {
+						return
+					}
+					// Armed after startup, so the next packet on 1→0 is the
+					// first of the reply's first frame.
+					c.Fabric.SetFaults(myrinet.FaultConfig{DropNexts: []myrinet.DropNext{{Src: 1, Dst: 0, Count: 1}}})
+					req := msg.Message{Kind: msg.KDiffReq}
+					req.SetBudget(frames)
+					if err := cr.Check(tr.Call(p, 1, &req), frames); err != nil {
+						t.Error(err)
+					}
+					// A second call drains what the resend left on the reply path.
+					if err := cr.Check(tr.Call(p, 1, &req), frames); err != nil {
+						t.Error(err)
+					}
+				},
+			)
+			if err := c.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if fs := c.Fabric.FaultStats(); fs.Dropped != 1 {
+				t.Errorf("dropped %d packets, want the one armed", fs.Dropped)
+			}
+			req, wr := c.Transports[0].Stats(), c.Transports[1].Stats()
+			if req.HedgedRequests != 1 || wr.DupRequests != 1 {
+				t.Errorf("%d hedges, %d duplicates served; want 1 and 1", req.HedgedRequests, wr.DupRequests)
+			}
+			if req.StaleReplies < frames-1 {
+				t.Errorf("%d stale frames, want the resend's copy of every frame already held", req.StaleReplies)
+			}
+		})
+	}
+}
+
+// TestLostFrameRecoveredByRTO: udpgm's kernels drop one arriving datagram
+// in ten. Every call is answered with a reply continued across the two
+// frames udpgm grants; a lost frame (or request) is recovered by the
+// request's retransmission clock, the writer answering the duplicate with
+// every frame, and every reply reads whole.
+func TestLostFrameRecoveredByRTO(t *testing.T) {
+	c := stest.NewUDPLossy(2, 3, 0.1)
+	const calls = 40
+	frames := 0
+	cr := stest.NewContinuedReply(1, substrate.MaxFrames, 6000)
+	c.Spawn(
+		func(rank int) substrate.Handler {
+			return func(p *sim.Proc, m *msg.Message) { cr.Serve(p, c.Transports[rank], m, m.Budget()) }
+		},
+		func(rank int, p *sim.Proc, tr substrate.Transport) {
+			if rank != 0 {
+				return
+			}
+			frames = tr.ReplyFrames(1)
+			req := msg.Message{Kind: msg.KDiffReq}
+			req.SetBudget(frames)
+			for i := 0; i < calls; i++ {
+				if err := cr.Check(tr.Call(p, 1, &req), frames); err != nil {
+					t.Errorf("call %d: %v", i, err)
+				}
+			}
+		},
+	)
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if frames != 2 {
+		t.Errorf("udpgm grants %d frames, want 2", frames)
+	}
+	if c.Stacks[0].Stats().DatagramsDrop == 0 {
+		t.Fatal("no reply frame was dropped; weak test")
+	}
+	if req, wr := c.Transports[0].Stats(), c.Transports[1].Stats(); req.Retransmits == 0 || wr.DupRequests == 0 {
+		t.Errorf("%d retransmits, %d duplicates served; want the RTO to recover the lost frames", req.Retransmits, wr.DupRequests)
+	}
+}
+
 // TestCallAllocatesNothing: once warm, a request/reply costs the host no
 // allocation on any binding — the request is encoded into its call's
 // record and decoded into the server's request decoder, the reply encoded
 // into its duplicate-filter slot and decoded into a recycled decoder, and
-// the slot itself reused — and neither does a one-sided Put or Get, whose
-// descriptor and completion take the same route. The warm-up laps every
-// duplicate filter once, so every slot holds storage.
+// the slot itself reused — and neither does a reply continued across
+// three frames, spliced into the call's decoder and cached frame after
+// frame in its slot, nor a one-sided Put or Get, whose descriptor and
+// completion take the same route. The warm-up laps every duplicate filter
+// once, so every slot holds storage.
 func TestCallAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
@@ -61,11 +165,18 @@ func TestCallAllocatesNothing(t *testing.T) {
 			c := b.build()
 			payload := bytes.Repeat([]byte{0x5A}, 200)
 			req, reps := msg.Message{Kind: msg.KPing, PageData: payload}, make([]msg.Message, 2)
+			const frames = 3
+			dreq, cr := msg.Message{Kind: msg.KDiffReq}, stest.NewContinuedReply(1, frames, 200)
+			dreq.SetBudget(frames)
 			window := make([]byte, 4096)
 			allocs := map[string]float64{}
 			c.Spawn(
 				func(rank int) substrate.Handler {
 					return func(p *sim.Proc, m *msg.Message) {
+						if m.Kind == msg.KDiffReq {
+							cr.Serve(p, c.Transports[rank], m, frames)
+							return
+						}
 						reps[rank] = msg.Message{Kind: msg.KPong, PageData: m.PageData}
 						c.Transports[rank].Reply(p, m, &reps[rank])
 					}
@@ -84,7 +195,11 @@ func TestCallAllocatesNothing(t *testing.T) {
 							t.Fatalf("bad reply %+v", rep)
 						}
 					}
-					ops := map[string]func(){"call": call}
+					ops := map[string]func(){"call": call, "3-frame call": func() {
+						if err := cr.Check(tr.Call(p, 1, &dreq), frames); err != nil {
+							t.Fatal(err)
+						}
+					}}
 					if oneSided {
 						segs, verbs := []substrate.PutSeg{{Off: 64, Data: payload}}, make([]substrate.PendingVerb, 1)
 						ops["put"] = func() {
@@ -100,7 +215,7 @@ func TestCallAllocatesNothing(t *testing.T) {
 							}
 						}
 					}
-					for _, name := range []string{"call", "put", "get"} {
+					for _, name := range []string{"call", "3-frame call", "put", "get"} {
 						op := ops[name]
 						if op == nil {
 							continue

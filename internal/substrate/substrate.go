@@ -141,6 +141,14 @@ type Transport interface {
 	// MaxData returns the largest encoded message the transport carries.
 	MaxData() int
 
+	// ReplyFrames returns the frame budget a request may grant its reply
+	// (msg.Message.SetBudget) when it is one of calls calls issued
+	// together: how many frames this process's receive side holds for each
+	// of their replies without a drop or a park, at most MaxFrames. A reply
+	// continued across frames (msg.Message.Frame) resolves its call on its
+	// last frame, as one reply.
+	ReplyFrames(calls int) int
+
 	// Stats exposes transport counters for the experiment harness.
 	Stats() *Stats
 
@@ -275,25 +283,30 @@ type Pending interface {
 	Completed() sim.Time
 }
 
+// MaxFrames bounds the frames one reply may span (a call keeps a slot for
+// each): half a megabyte of diffs, more than any page span asks for.
+const MaxFrames = 16
+
 // Stats counts transport-level activity for one process.
 type Stats struct {
-	RequestsSent   int64
-	RepliesSent    int64
-	ForwardsSent   int64
-	RequestsRecvd  int64
-	RepliesRecvd   int64
-	BytesSent      int64
-	BytesRecvd     int64
-	Retransmits    int64
-	DupRequests    int64
-	StaleReplies   int64
-	AsyncWakeups   int64 // SIGIO deliveries / NIC interrupts taken
-	RendezvousRTS  int64 // large sends that used the rendezvous protocol
-	SendBufStalls  int64 // waits for a free registered send buffer
-	GMSendFailures int64 // GM send callbacks reporting non-SendOK
-	GMRetransmits  int64 // frames retransmitted after a GM send failure
-	PortResumes    int64 // disabled GM ports re-enabled by the transport
-	CorruptFrames  int64 // frames rejected as truncated/corrupt/unknown
+	RequestsSent    int64
+	RepliesSent     int64
+	ForwardsSent    int64
+	RequestsRecvd   int64
+	RepliesRecvd    int64
+	BytesSent       int64
+	BytesRecvd      int64
+	Retransmits     int64
+	DupRequests     int64
+	StaleReplies    int64
+	AsyncWakeups    int64 // SIGIO deliveries / NIC interrupts taken
+	ContinuedFrames int64 // reply frames sent after a reply's first (continued replies)
+	RendezvousRTS   int64 // large sends that used the rendezvous protocol
+	SendBufStalls   int64 // waits for a free registered send buffer
+	GMSendFailures  int64 // GM send callbacks reporting non-SendOK
+	GMRetransmits   int64 // frames retransmitted after a GM send failure
+	PortResumes     int64 // disabled GM ports re-enabled by the transport
+	CorruptFrames   int64 // frames rejected as truncated/corrupt/unknown
 
 	// Liveness-layer counters (all zero unless Policy.Liveness or a send
 	// actually exhausts its retry budget).
@@ -332,6 +345,9 @@ func (s *Stats) String() string {
 	out := fmt.Sprintf("req=%d rep=%d fwd=%d retx=%d dup=%d async=%d bytes=%d/%d",
 		s.RequestsSent, s.RepliesSent, s.ForwardsSent, s.Retransmits,
 		s.DupRequests, s.AsyncWakeups, s.BytesSent, s.BytesRecvd)
+	if s.ContinuedFrames > 0 {
+		out += fmt.Sprintf(" continued=%d", s.ContinuedFrames)
+	}
 	if s.SendBufStalls > 0 {
 		out += fmt.Sprintf(" sendbuf=%d/%v", s.SendBufStalls, s.SendBufWait)
 	}

@@ -103,6 +103,11 @@ func New(stack *sockets.Stack, rank, size int, pol substrate.Policy, cfg Config)
 // MaxData returns the largest encodable message.
 func (t *Transport) MaxData() int { return sockets.MaxDatagram }
 
+// ReplyFrames implements substrate.Transport: each peer's replies land in
+// a reply socket of their own, whose buffer holds this many full
+// datagrams whatever the calls issued with it.
+func (t *Transport) ReplyFrames(int) int { return sockets.RecvBufDefault / sockets.MaxDatagram }
+
 // Start binds the 2(size-1) sockets, arms SIGIO on the request side, and
 // starts the heartbeat clock.
 func (t *Transport) Start(p *sim.Proc, h substrate.Handler) {

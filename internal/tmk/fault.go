@@ -101,16 +101,36 @@ func (tp *Proc) writeFault(pm *pageMeta) {
 }
 
 // takeTwin returns an empty twin buffer: one handed back at an interval
-// close if there is any, else nil (the append that fills it allocates).
+// close if there is any. Else a rank's first twinSingles twins are nil
+// (the append that fills each allocates it) and every later one is carved,
+// with the twinChunk−1 after it, out of one allocation: a rank that twins
+// a few dozen pages an interval allocates as before, and one that twins
+// hundreds makes an eighth of the allocations past its first 64.
 func (tp *Proc) takeTwin() []byte {
 	n := len(tp.freeTwins)
 	if n == 0 {
-		return nil
+		if tp.twins < twinSingles {
+			tp.twins++
+			return nil
+		}
+		chunk := make([]byte, twinChunk*PageSize)
+		for i := twinChunk - 1; i > 0; i-- {
+			tp.freeTwins = append(tp.freeTwins, chunk[i*PageSize:i*PageSize:(i+1)*PageSize])
+		}
+		tp.twins += twinChunk
+		return chunk[:0:PageSize]
 	}
 	twin := tp.freeTwins[n-1]
 	tp.freeTwins = tp.freeTwins[:n-1]
 	return twin[:0]
 }
+
+// A rank's first twinSingles twins are allocated one at a time, and every
+// later one in a chunk of twinChunk (takeTwin).
+const (
+	twinSingles = 64
+	twinChunk   = 8
+)
 
 // ownTwin gives a page twinned by the shared zero page a twin of its own,
 // before anything writes into it: the one copy-on-write point.
@@ -183,11 +203,13 @@ func (tp *Proc) diffFaultRange(r *Region, first, last, ahead int32) {
 }
 
 // diffWave asks each writer once, in one KDiffReq, for its missing diffs of
-// the faulted pages, all writers in one scatter (DESIGN.md §14), and applies
-// each page's diffs from all its writers together — or, if a capped reply
-// left it out, none: one writer's diff without another's could break
-// happens-before order. A reply answers a prefix of its request, so the
-// lowest page is always answered and a wave completes.
+// the faulted pages, all writers in one scatter (DESIGN.md §14), each
+// request granting its reply the frame budget the wave's width leaves it
+// (Transport.ReplyFrames), and applies each page's diffs from all its
+// writers together — or, if a capped reply left it out, none: one writer's
+// diff without another's could break happens-before order. A reply answers
+// a prefix of its request, so the lowest page is always answered and a
+// wave completes.
 func (tp *Proc) diffWave(first, last int32, faults []diffFault) {
 	db := tp.diffBufs
 	ranges := db.ranges[:0]
@@ -206,11 +228,17 @@ func (tp *Proc) diffWave(first, last int32, faults []diffFault) {
 	if len(ranges) == 0 { // pages nobody wrote: zeros, and no writer to ask
 		return
 	}
+	writers := 0
+	for j := 0; j < len(ranges); j = nextWriter(ranges, j) {
+		writers++
+	}
+	budget := tp.tr.ReplyFrames(writers)
 	pending := db.pends[:0]
 	for j := 0; j < len(ranges); j = nextWriter(ranges, j) {
 		ask := ranges[j:nextWriter(ranges, j)]
 		tp.stats.DiffRequestsSent += int64(len(ask))
 		db.req = msg.Message{Kind: msg.KDiffReq, DiffReqs: ask}
+		db.req.SetBudget(budget)
 		pending = append(pending, tp.tr.CallBegin(tp.sp, int(ask[0].Proc), &db.req))
 	}
 	db.pends = pending

@@ -43,6 +43,7 @@ type Proc struct {
 	myDiffs       map[diffKey][]byte // homeless: every diff this rank created
 	diffBytes     int64              // payload bytes in myDiffs (keepDiff)
 	freeTwins     [][]byte           // twins handed back at interval close, reused by the next write fault
+	twins         int                // twin buffers made so far (takeTwin)
 	diffScratch   []byte             // closeInterval encodes here; homeless, the diff is then kept in diffArena
 	diffArena     diffArena          // homeless: every diff kept, for the run
 
@@ -168,11 +169,15 @@ func (tp *Proc) handleRequest(p *sim.Proc, m *msg.Message) {
 }
 
 // handleDiffReq serves our own diffs for the requested page/timestamp
-// ranges: whole pages, in request order, while the reply fits one message
-// — and always the first, so every request makes progress. The requester
-// asks again for the pages left out.
+// ranges, in request order, under the frame budget the request grants
+// (DESIGN.md §4.3): if the budget holds every diff asked for, all of them,
+// in as many frames as they take; if not, one frame's prefix of whole
+// pages — and always the first page, in the frames it alone takes, so
+// every request makes progress. The requester asks again for the pages
+// left out.
 func (tp *Proc) handleDiffReq(m *msg.Message) {
-	out, data, limit := tp.diffBufs.out[:0], 0, tp.tr.MaxData()
+	db, limit := tp.diffBufs, tp.tr.MaxData()
+	out, data, prefix := db.out[:0], 0, 0
 	for i, dr := range m.DiffReqs {
 		if int(dr.Proc) != tp.rank {
 			panic(fmt.Sprintf("tmk: rank %d asked for rank %d's diffs", tp.rank, dr.Proc))
@@ -189,12 +194,45 @@ func (tp *Proc) handleDiffReq(m *msg.Message) {
 			out = append(out, msg.Diff{Page: dr.Page, Proc: int32(tp.rank), TS: ts, Data: d})
 			data += len(d)
 		}
-		if i > 0 && msg.DiffReplySize(len(out), data) > limit {
-			out = out[:mark]
-			break
+		if i == 0 || prefix == mark && msg.DiffReplySize(len(out), data) <= limit {
+			prefix = len(out)
 		}
 	}
-	tp.diffBufs.out = out
-	tp.diffBufs.rep = msg.Message{Kind: msg.KDiffReply, Diffs: out}
-	tp.tr.Reply(tp.sp, m, &tp.diffBufs.rep)
+	frames := replyFrames(out, limit)
+	if frames > m.Budget() {
+		out = out[:prefix]
+		frames = replyFrames(out, limit)
+	}
+	db.out = out
+	for f, from := 0, 0; f < frames; f++ {
+		end := frameEnd(out, from, limit)
+		db.rep = msg.Message{Kind: msg.KDiffReply, Diffs: out[from:end]}
+		if frames > 1 {
+			db.rep.SetFrame(f, frames)
+		}
+		tp.tr.Reply(tp.sp, m, &db.rep)
+		from = end
+	}
+}
+
+// replyFrames returns how many frames a reply carrying diffs takes: at
+// least one, each cut where frameEnd cuts it.
+func replyFrames(diffs []msg.Diff, limit int) int {
+	n := 1
+	for end := frameEnd(diffs, 0, limit); end < len(diffs); end = frameEnd(diffs, end, limit) {
+		n++
+	}
+	return n
+}
+
+// frameEnd returns where the reply frame carrying diffs from from on ends:
+// after as many diffs as encode to at most limit bytes — only between
+// diffs — and at least one.
+func frameEnd(diffs []msg.Diff, from, limit int) int {
+	end, data := from, 0
+	for end < len(diffs) && (end == from || msg.DiffReplySize(end-from+1, data+len(diffs[end].Data)) <= limit) {
+		data += len(diffs[end].Data)
+		end++
+	}
+	return end
 }

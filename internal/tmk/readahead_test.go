@@ -140,20 +140,23 @@ func TestSequentialReadahead(t *testing.T) {
 }
 
 // cappedReadahead: rank 1 writes one word of page 0, every word of pages
-// 1–9 and one word of page 10. Rank 0 reads page 0, then pages 1–9 in one
-// span: that fault continues the run, so page 10 rides along, after the
-// span's pages — whose diffs overfill one reply. The capped reply leaves
-// page 10 out, and the span's next wave does not ask for it again: it
-// stays invalid, and its own fault fetches it later.
+// 1–cappedDense and one word of the page after them. Rank 0 reads page 0,
+// then pages 1–cappedDense in one span: that fault continues the run, so
+// the last page rides along, after the span's pages — whose diffs overfill
+// the frames the reply's budget grants, so the reply is capped at one
+// frame's prefix. The capped reply leaves the last page out, and the
+// span's next wave does not ask for it again: it stays invalid, and its
+// own fault fetches it later.
 func cappedReadahead(t *testing.T, kind tmk.TransportKind) {
+	last := cappedDense + 1
 	_, err := tmk.Run(tmk.DefaultConfig(2, kind), func(tp *tmk.Proc) {
-		r := tp.AllocShared(11 * tmk.PageSize)
+		r := tp.AllocShared((last + 1) * tmk.PageSize)
 		if tp.Rank() == 1 {
 			tp.WriteI32(r, 0, 1)
-			for i := wordsPerPage; i < 10*wordsPerPage; i++ {
+			for i := wordsPerPage; i < last*wordsPerPage; i++ {
 				tp.WriteI32(r, i, int32(i))
 			}
-			tp.WriteI32(r, 10*wordsPerPage, 10)
+			tp.WriteI32(r, last*wordsPerPage, 10)
 		}
 		tp.Barrier(1)
 		if tp.Rank() != 0 {
@@ -161,8 +164,8 @@ func cappedReadahead(t *testing.T, kind tmk.TransportKind) {
 		}
 		tp.ReadI32(r, 0)
 		req, st := sent(tp), *tp.Stats()
-		span := tp.ReadBytes(r, tmk.PageSize, 9*tmk.PageSize)
-		for i := 0; i < 9*wordsPerPage; i++ {
+		span := tp.ReadBytes(r, tmk.PageSize, cappedDense*tmk.PageSize)
+		for i := 0; i < cappedDense*wordsPerPage; i++ {
 			w := int32(uint32(span[4*i]) | uint32(span[4*i+1])<<8 | uint32(span[4*i+2])<<16 | uint32(span[4*i+3])<<24)
 			if w != int32(i+wordsPerPage) {
 				t.Fatalf("page %d word %d = %d", 1+i/wordsPerPage, i%wordsPerPage, w)
@@ -171,16 +174,16 @@ func cappedReadahead(t *testing.T, kind tmk.TransportKind) {
 		if n := sent(tp) - req; n < 2 {
 			t.Errorf("%d requests for the span: its reply was not capped, the test proves nothing", n)
 		}
-		if tp.Valid(r, 10) || tp.Stats().Prefetched != st.Prefetched {
-			t.Errorf("page 10 valid %v, %d pages prefetched; want it left invalid by the capped reply",
-				tp.Valid(r, 10), tp.Stats().Prefetched-st.Prefetched)
+		if tp.Valid(r, last) || tp.Stats().Prefetched != st.Prefetched {
+			t.Errorf("page %d valid %v, %d pages prefetched; want it left invalid by the capped reply",
+				last, tp.Valid(r, last), tp.Stats().Prefetched-st.Prefetched)
 		}
 		faults, req := tp.Stats().ReadFaults, sent(tp)
-		if got := tp.ReadI32(r, 10*wordsPerPage); got != 10 {
-			t.Errorf("page 10 reads %d, want 10", got)
+		if got := tp.ReadI32(r, last*wordsPerPage); got != 10 {
+			t.Errorf("page %d reads %d, want 10", last, got)
 		}
 		if f, n := tp.Stats().ReadFaults-faults, sent(tp)-req; f != 1 || n != 1 {
-			t.Errorf("page 10 took %d faults and %d requests; want its own fault and one request", f, n)
+			t.Errorf("page %d took %d faults and %d requests; want its own fault and one request", last, f, n)
 		}
 	})
 	if err != nil {

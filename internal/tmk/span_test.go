@@ -178,45 +178,52 @@ func TestSpanFaultAsksEachWriterOnce(t *testing.T) {
 	})
 }
 
+// cappedDense is how many dense pages one writer's reply must carry to be
+// capped on every two-sided substrate at two and three ranks: their diffs
+// (about 4.1 KB a page, seven pages to a 32 KB frame) fill more frames than
+// the largest budget granted there, udpgm's two.
+const cappedDense = 19
+
 // TestCappedReplyDefersTwoWriterPage: rank 1 writes every word of pages
-// 1–9 and word 0 of page 10; then rank 2, ordered after it by a barrier,
-// writes word 0 of page 10. Rank 1's diffs of the span do not fit one
-// reply, so it answers a prefix and leaves page 10 out, while rank 2
-// answers page 10. Applying rank 2's diff alone, and rank 1's in a later
-// wave, would let the older write win: the page must wait whole.
+// 1–cappedDense and word 0 of the page after them; then rank 2, ordered
+// after it by a barrier, writes word 0 of that last page. Rank 1's diffs of
+// the span overfill its reply's frame budget, so it answers one frame's
+// prefix and leaves the last page out, while rank 2 answers it. Applying
+// rank 2's diff alone, and rank 1's in a later wave, would let the older
+// write win: the page must wait whole.
 func TestCappedReplyDefersTwoWriterPage(t *testing.T) {
-	const pages = 11
-	spanRead(t, 3, pages, 1, 10, func(tp *tmk.Proc, r *tmk.Region) {
+	const last = cappedDense + 1
+	spanRead(t, 3, last+1, 1, last, func(tp *tmk.Proc, r *tmk.Region) {
 		if tp.Rank() == 1 {
-			for i := wordsPerPage; i < 10*wordsPerPage; i++ {
+			for i := wordsPerPage; i < last*wordsPerPage; i++ {
 				tp.WriteI32(r, i, int32(i))
 			}
-			tp.WriteI32(r, 10*wordsPerPage, 1)
+			tp.WriteI32(r, last*wordsPerPage, 1)
 		}
 		tp.Barrier(1)
 		if tp.Rank() == 2 {
-			tp.WriteI32(r, 10*wordsPerPage, 2)
+			tp.WriteI32(r, last*wordsPerPage, 2)
 		}
 	}, func(t *testing.T, words []int32, requests, ranges int64) {
 		if requests <= 2 {
 			t.Errorf("%d requests: rank 1's reply was not capped, the test proves nothing", requests)
 		}
-		for i := 0; i < 9*wordsPerPage; i++ {
+		for i := 0; i < cappedDense*wordsPerPage; i++ {
 			if words[i] != int32(i+wordsPerPage) {
 				t.Fatalf("page %d word %d = %d", 1+i/wordsPerPage, i%wordsPerPage, words[i])
 			}
 		}
-		if got := words[9*wordsPerPage]; got != 2 {
-			t.Errorf("page 10 word 0 = %d, want rank 2's 2 (its write happens after rank 1's)", got)
+		if got := words[cappedDense*wordsPerPage]; got != 2 {
+			t.Errorf("page %d word 0 = %d, want rank 2's 2 (its write happens after rank 1's)", last, got)
 		}
 	})
 }
 
 // TestSpanPastOneRequestFrameIsSplit: one writer's diffs of 2,400 pages,
-// one word each — more ranges than one 32 KB request frame names, and
-// more diffs than one reply carries. The span still reads in one call:
-// each wave asks for what one frame holds and takes what one reply
-// carries.
+// one word each — more ranges than one 32 KB request frame names, and more
+// diffs than one reply frame carries. The span still reads in one call:
+// each wave asks for what one request frame holds, and its reply continues
+// across the two frames the budget grants, so no page is asked for twice.
 func TestSpanPastOneRequestFrameIsSplit(t *testing.T) {
 	const pages = 2400
 	spanRead(t, 2, pages, 0, pages-1, func(tp *tmk.Proc, r *tmk.Region) {
@@ -226,8 +233,8 @@ func TestSpanPastOneRequestFrameIsSplit(t *testing.T) {
 			}
 		}
 	}, func(t *testing.T, words []int32, requests, ranges int64) {
-		if requests < 2 || ranges <= pages {
-			t.Errorf("%d requests naming %d ranges for %d pages; want several waves", requests, ranges, pages)
+		if requests != 2 || ranges != pages {
+			t.Errorf("%d requests naming %d ranges for %d pages; want 2 waves, each page asked once", requests, ranges, pages)
 		}
 		for pg := 0; pg < pages; pg++ {
 			if got := words[pg*wordsPerPage+pg%wordsPerPage]; got != int32(pg+1) {
@@ -235,4 +242,45 @@ func TestSpanPastOneRequestFrameIsSplit(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestDenseGatherTakesOneRequestPerBudget: rank 1 of four writes every word
+// of 16 pages — a 3D-FFT transpose block at 8 ranks, about 65.7 KB of diffs,
+// three reply frames — and rank 0 reads them in one span. fastgm grants a
+// lone call every reply buffer of its sync port, four, so one request
+// brings all 16 pages in three frames. udpgm grants two, what the reply
+// socket's buffer holds: the budget cannot hold all 16 pages, so the first
+// request is answered with one frame's prefix, seven pages, and the second
+// brings the other nine in two frames — 25 ranges asked. Answering as far
+// as the budget allows (14 pages, then 2) would ask 18.
+func TestDenseGatherTakesOneRequestPerBudget(t *testing.T) {
+	const pages = 16
+	want := map[tmk.TransportKind][2]int64{tmk.TransportFastGM: {1, pages}, tmk.TransportUDPGM: {2, pages + 9}}
+	for _, kind := range bothTransports {
+		_, err := tmk.Run(tmk.DefaultConfig(4, kind), func(tp *tmk.Proc) {
+			r := tp.AllocShared(pages * tmk.PageSize)
+			if tp.Rank() == 1 {
+				for i := 0; i < pages*wordsPerPage; i++ {
+					tp.WriteI32(r, i, int32(i+1))
+				}
+			}
+			tp.Barrier(1)
+			if tp.Rank() != 0 {
+				return
+			}
+			req, dr := sent(tp), tp.Stats().DiffRequestsSent
+			b := tp.ReadBytes(r, 0, pages*tmk.PageSize)
+			if n, ranges := sent(tp)-req, tp.Stats().DiffRequestsSent-dr; n != want[kind][0] || ranges != want[kind][1] {
+				t.Errorf("%s: %d requests naming %d ranges; want %d naming %d", kind, n, ranges, want[kind][0], want[kind][1])
+			}
+			for i := 0; i < pages*wordsPerPage; i++ {
+				if w := int32(uint32(b[4*i]) | uint32(b[4*i+1])<<8 | uint32(b[4*i+2])<<16 | uint32(b[4*i+3])<<24); w != int32(i+1) {
+					t.Fatalf("%s: page %d word %d = %d", kind, i/wordsPerPage, i%wordsPerPage, w)
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
 }
