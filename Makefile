@@ -9,11 +9,11 @@ WORKLOAD ?= jacobi_fastgm_16
 BASE     ?= HEAD
 PAIRS    ?= 10
 
-.PHONY: all check fmt vet build test race loc uncovered host-allocs host-cpu wire-bytes pairs fuzz-smoke bench bench-identical bench-gate prof-smoke chaos-smoke crash-smoke rdma-smoke critical-smoke flow-smoke cli-smoke
+.PHONY: all check fmt vet build test race loc uncovered host-allocs host-cpu wire-bytes pairs fuzz-smoke bench bench-identical bench-gate prof-smoke chaos-smoke crash-smoke rdma-smoke critical-smoke cli-smoke
 
 all: check
 
-check: fmt vet build test race fuzz-smoke prof-smoke chaos-smoke crash-smoke rdma-smoke critical-smoke flow-smoke cli-smoke
+check: fmt vet build test race fuzz-smoke prof-smoke chaos-smoke crash-smoke rdma-smoke critical-smoke cli-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -188,7 +188,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzApplyDiff$$' -fuzztime $(FUZZTIME) ./internal/tmk/
 	$(GO) test -run '^$$' -fuzz '^FuzzDiffRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/tmk/
 	$(GO) test -run '^$$' -fuzz '^FuzzHandleAsyncFrame$$' -fuzztime $(FUZZTIME) ./internal/substrate/fastgm/
-	$(GO) test -run '^$$' -fuzz '^FuzzCreditFrame$$' -fuzztime $(FUZZTIME) ./internal/substrate/fastgm/
 	$(GO) test -run '^$$' -fuzz '^FuzzSendArena$$' -fuzztime $(FUZZTIME) ./internal/substrate/fastgm/
 	$(GO) test -run '^$$' -fuzz '^FuzzHandleVerbFrame$$' -fuzztime $(FUZZTIME) ./internal/substrate/rdmagm/
 	$(GO) test -run '^$$' -fuzz '^FuzzHandleCompletion$$' -fuzztime $(FUZZTIME) ./internal/substrate/rdmagm/
@@ -218,7 +217,7 @@ crash-smoke:
 bench-identical:
 	$(GO) test -count=1 -run '^TestBenchReproducibleByteIdentical$$' ./internal/harness/
 
-# The writer: BENCH_e0/e1/e2/e3/flow.json into BENCHDIR. Not part of
+# The writer: BENCH_e0/e1/e2/e3/hedge.json into BENCHDIR. Not part of
 # `check` — CI reads the checked-in files, it does not rewrite them.
 # Deterministic, so `git diff BENCH_*.json` across commits shows real perf
 # movement.
@@ -249,13 +248,6 @@ rdma-smoke:
 # Writes nothing. Callable on its own and not part of `check`.
 bench-gate:
 	$(GO) run ./cmd/bench -gate -out $(BENCHDIR)
-
-# Overload-resilience smoke: the 64-node incast storm on all three
-# substrates with credit flow control on — every frame delivered, the
-# pressure absorbed as sender-side credit stalls, zero parked frames /
-# socket drops / GM send timeouts / disabled ports (DESIGN.md §14).
-flow-smoke:
-	$(GO) run ./cmd/tmkrun -incast
 
 # Every command that builds a Config from flags reports an illegal one as
 # tmk.Config.Validate's one-line verdict and a non-zero exit — never a

@@ -1,6 +1,6 @@
 // Command bench runs the deterministic performance suites (E0 latency and
 // bandwidth, E1 microbenchmarks, E2 application sweep, E3 one-sided vs
-// two-sided substrate comparison, flow overload-resilience cost). The
+// two-sided substrate comparison, hedged re-issues' cost). The
 // simulations are deterministic, so rerunning on the same tree reproduces
 // every number exactly — any difference between commits is a real
 // performance change, not noise. It does one of two things:
@@ -22,7 +22,7 @@
 //
 // Usage:
 //
-//	bench [-suite all|e0|e1|e2|e3|flow] [-out DIR]
+//	bench [-suite all|e0|e1|e2|e3|hedge] [-out DIR]
 //	      [-gate [-gate-rel 0.02] [-gate-abs-ns 500]]
 package main
 
@@ -35,7 +35,7 @@ import (
 )
 
 func main() {
-	suite := flag.String("suite", "all", "which suite to run: e0, e1, e2, e3, flow, all")
+	suite := flag.String("suite", "all", "which suite to run: e0, e1, e2, e3, hedge, all")
 	out := flag.String("out", ".", "directory to write BENCH_<suite>.json into (with -gate: to read the checked-in files from)")
 	gate := flag.Bool("gate", false, "write nothing: print every regenerated row that differs from the checked-in files in -out, and fail if one is worse by more than the tolerance")
 	gateRel := flag.Float64("gate-rel", harness.GateRelTol, "gate relative tolerance (fraction of the checked-in value)")

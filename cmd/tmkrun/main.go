@@ -7,12 +7,11 @@
 // Usage:
 //
 //	tmkrun -app jacobi -nodes 16 -transport fastgm [-size 2] [-verify]
-//	       [-rendezvous] [-flow] [-hedge] [-seed N] [-homeless] [-prof]
+//	       [-rendezvous] [-hedge] [-seed N] [-homeless] [-prof]
 //	       [-prof-json profile.json] [-critical] [-out trace.json] [-trace-cap N]
 //	tmkrun -scenario counter|sharing|lockchain [-nodes 4] [per-run flags]
 //	tmkrun -chaos [-seed N] [-nodes 4]
 //	tmkrun -crash [-seed N] [-nodes 4]
-//	tmkrun -incast [-seed N] [-nodes 64]
 //
 // -scenario runs a small DSM program in place of -app (and -size) and
 // prints its protocol trace: every fault, diff fetch, write notice,
@@ -44,16 +43,12 @@
 // it (a coordinated abort whose post-mortem names the dead rank and the
 // blocking entity); on udpgm the armed failure detector livelocks from 12
 // nodes up, so -crash -nodes 12 or more never finishes (ROADMAP.md item
-// 4). -incast has every peer blast largest-class frames at a briefly
-// masked rank 0 with credit flow control on, on all three substrates:
-// every frame must arrive, absorbed as sender-side credit stalls, with
-// zero parked frames, socket drops, GM send timeouts and disabled ports.
+// 4).
 //
 // -rendezvous carries FAST/GM's large messages (and rdmagm's two-sided
 // ones) by RTS/CTS instead of preposted buffers (the paper's §2.2.2
-// design; experiment E5). -flow enables end-to-end credit flow control,
-// -hedge hedged re-issues of straggling remote requests; an armed run's
-// statistics show their counters.
+// design; experiment E5). -hedge enables hedged re-issues of straggling
+// remote requests.
 //
 // An illegal configuration (-nodes 0, an unknown -transport, ...) is
 // reported as tmk.Config.Validate's one-line verdict on stderr, exit 1.
@@ -84,8 +79,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "simulation RNG seed (fault schedules, tie-breaking)")
 	chaos := flag.Bool("chaos", false, "run the chaos sweep (all apps × transports on a lossy fabric)")
 	crash := flag.Bool("crash", false, "run the crash-tolerance sweep (rank death: restart of a barrier and a lock app + coordinated abort, all 3 substrates)")
-	incast := flag.Bool("incast", false, "run the incast overload storm (N-1 senders blast rank 0, credit flow control on)")
-	flow := flag.Bool("flow", false, "enable end-to-end credit flow control on the run")
 	hedge := flag.Bool("hedge", false, "enable hedged re-issues of straggling remote requests")
 	profFlag := flag.Bool("prof", false, "attach the protocol-entity profiler and print its tables")
 	profJSON := flag.String("prof-json", "", "write the entity profile as JSON (implies -prof)")
@@ -115,11 +108,6 @@ func main() {
 			spec := harness.DefaultCrashSpec()
 			spec.Seed, spec.Nodes = *seed, sized(spec.Nodes)
 			return harness.CrashSweep(os.Stdout, spec)
-		}},
-		{*incast, func() error {
-			spec := harness.DefaultIncastSpec()
-			spec.Seed, spec.Nodes = *seed, sized(spec.Nodes)
-			return harness.Incast(os.Stdout, spec)
 		}},
 	}
 	for _, sw := range sweeps {
@@ -158,7 +146,6 @@ func main() {
 		if *homeless {
 			cfg.HomeBased = false
 		}
-		cfg.Flow = *flow
 		cfg.Hedge = *hedge
 	}
 

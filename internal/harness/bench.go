@@ -159,6 +159,36 @@ func BenchE3() (*BenchSuite, error) {
 	return s, nil
 }
 
+// BenchHedge captures what hedged re-issues cost on a clean fabric: one
+// application per substrate with hedging armed, next to the stock baseline
+// (the same numbers the e-suites see, so the gate holds both sides). Both
+// sides are plain runs, so a row's on-cost is hedging's alone;
+// TestFeatureMatrix verifies the armed configurations.
+func BenchHedge() (*BenchSuite, error) {
+	app := chaosApps()[0]
+	const nodes = 4
+	const seed = 1
+	s := &BenchSuite{Schema: BenchSchema, Suite: "hedge"}
+	for _, kind := range AllTransports {
+		plain, err := RunApp(app, nodes, kind, func(cfg *tmk.Config) { cfg.Seed = seed })
+		if err != nil {
+			return nil, err
+		}
+		armed, err := RunApp(app, nodes, kind, func(cfg *tmk.Config) {
+			cfg.Seed = seed
+			cfg.Hedge = true
+		})
+		if err != nil {
+			return nil, fmt.Errorf("hedge bench (%s): %w", kind, err)
+		}
+		s.Entries = append(s.Entries,
+			BenchEntry{Name: "Baseline/" + app.Name(), Transport: string(kind), Nodes: nodes, Value: int64(plain.ExecTime), Unit: "ns"},
+			BenchEntry{Name: "Hedge/" + app.Name(), Transport: string(kind), Nodes: nodes, Value: int64(armed.ExecTime), Unit: "ns"},
+		)
+	}
+	return s, nil
+}
+
 // WriteBench writes the suite as dir/BENCH_<suite>.json and returns the
 // path. Output is byte-deterministic.
 func WriteBench(dir string, s *BenchSuite) (string, error) {
@@ -404,7 +434,7 @@ func generate(suite string) ([]*BenchSuite, error) {
 		{"e1", BenchE1},
 		{"e2", func() (*BenchSuite, error) { return BenchE2([]int{2, 4, 8}) }},
 		{"e3", BenchE3},
-		{"flow", BenchFlow},
+		{"hedge", BenchHedge},
 	}
 	if suite != "all" {
 		gens = slices.DeleteFunc(gens, func(g gen) bool { return g.name != suite })

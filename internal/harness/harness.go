@@ -97,7 +97,7 @@ func SizeLadder(name string) []apps.App {
 // deleted field's name cannot linger here uncounted.
 func ConfigSurface() (features, all []string) {
 	isFeature := map[string]bool{"Scheme": true, "Rendezvous": true, "Faults": true,
-		"Crash": true, "Flow": true, "Hedge": true}
+		"Crash": true, "Hedge": true}
 	var walk func(path string, ty reflect.Type, counted bool)
 	walk = func(path string, ty reflect.Type, counted bool) {
 		if ty.Kind() != reflect.Struct {

@@ -53,20 +53,13 @@ const (
 	// AllocShared: no rank writes shared data — and therefore no rank
 	// flushes diffs to a home window — before every window exists.
 	KDistributeCommit
-	// KCredit: UDP/GM flow-control credit return. Sent by a receiver after
-	// draining a request datagram from its socket buffer; Page carries the
-	// freed byte count. Like KHeartbeat it is intercepted below the request
-	// dispatcher (it only replenishes the sender's per-peer credit window),
-	// so it never enters the duplicate cache or the handler. Emitted only
-	// under substrate.Policy.Flow — a flow-off wire trace never contains one.
-	KCredit
 )
 
 var kindNames = [...]string{
 	"invalid", "lock-acquire", "lock-grant",
 	"barrier-arrive", "barrier-release", "diff-req", "diff-reply",
 	"distribute", "ack",
-	"ping", "pong", "heartbeat", "distribute-commit", "credit",
+	"ping", "pong", "heartbeat", "distribute-commit",
 }
 
 func (k Kind) String() string {

@@ -21,7 +21,7 @@ func TestKindString(t *testing.T) {
 
 func TestIsRequest(t *testing.T) {
 	reqs := []Kind{KLockAcquire, KBarrierArrive, KDiffReq, KDistribute, KDistributeCommit, KPing}
-	reps := []Kind{KLockGrant, KBarrierRelease, KDiffReply, KAck, KPong, KHeartbeat, KCredit}
+	reps := []Kind{KLockGrant, KBarrierRelease, KDiffReply, KAck, KPong, KHeartbeat}
 	for _, k := range reqs {
 		if !k.IsRequest() {
 			t.Errorf("%v should be a request", k)
@@ -297,7 +297,7 @@ func TestPageListsNeverGrow(t *testing.T) {
 
 func randMessage(rng *rand.Rand) *Message {
 	m := &Message{
-		Kind:    Kind(rng.Intn(int(KCredit)) + 1),
+		Kind:    Kind(rng.Intn(int(KDistributeCommit)) + 1),
 		Seq:     rng.Uint32(),
 		From:    int32(rng.Intn(256)),
 		ReplyTo: int32(rng.Intn(256)),

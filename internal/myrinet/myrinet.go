@@ -140,6 +140,7 @@ type Fabric struct {
 	s    *sim.Simulator
 	nics []*NIC
 	free []*Packet // delivered and dropped packets, reused by SendPacket
+	made int       // packets made, free or not: what the next slab doubles
 
 	faults   FaultConfig
 	faultsOn bool
@@ -245,15 +246,22 @@ func (n *NIC) SendPacket(pkt *Packet) (txDone sim.Time) {
 	return e3
 }
 
-// packet takes a free packet, or makes one with its delivery bound.
+// packet takes a free packet. A dry free list first grows by as many
+// packets as the fabric has made, in one allocation, each with its
+// delivery bound, so a burst's peak in flight costs a logarithmic number
+// of slabs.
 func (f *Fabric) packet() *Packet {
-	if n := len(f.free); n > 0 {
-		pkt := f.free[n-1]
-		f.free = f.free[:n-1]
-		return pkt
+	if len(f.free) == 0 {
+		slab := make([]Packet, max(f.made, 1))
+		f.made += len(slab)
+		for i := range slab {
+			slab[i].deliver = slab[i].arrive
+			f.free = append(f.free, &slab[i])
+		}
 	}
-	pkt := new(Packet)
-	pkt.deliver = pkt.arrive
+	n := len(f.free)
+	pkt := f.free[n-1]
+	f.free = f.free[:n-1]
 	return pkt
 }
 

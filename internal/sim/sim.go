@@ -23,6 +23,7 @@ type Simulator struct {
 	seq     uint64
 	procs   []*Proc
 	free    []*Event // fired At events and released timers, reused by both
+	made    int      // Events made, free or not: what the next slab doubles
 	rng     *rand.Rand
 	running bool
 
@@ -120,17 +121,24 @@ func (s *Simulator) Release(e *Event) {
 	s.free = append(s.free, e)
 }
 
-// event takes a free Event (or makes one) set to fire fn at t.
+// event takes a free Event set to fire fn at t. A dry free list first
+// grows by as many Events as the simulator has made, in one allocation, so
+// a run's peak of Events alive at once costs a logarithmic number of
+// allocations, not one each.
 func (s *Simulator) event(t Time, fn func(), pooled bool) *Event {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 	}
-	var e *Event
-	if n := len(s.free); n > 0 {
-		e, s.free = s.free[n-1], s.free[:n-1]
-	} else {
-		e = new(Event)
+	if len(s.free) == 0 {
+		slab := make([]Event, max(s.made, 1))
+		s.made += len(slab)
+		for i := range slab {
+			s.free = append(s.free, &slab[i])
+		}
 	}
+	n := len(s.free)
+	e := s.free[n-1]
+	s.free = s.free[:n-1]
 	e.t, e.fn, e.pooled = t, fn, pooled
 	return e
 }

@@ -126,7 +126,7 @@ func sized(b []byte, n int) []byte {
 }
 
 // Arm starts the retransmission clock; call it once the first copy has
-// actually been staged (the transmit may have parked on credits).
+// actually been staged (the transmit may have waited for a send slot).
 func (pc *Call) Arm(now sim.Time) {
 	if rto := pc.x.RTO.Initial; rto > 0 {
 		pc.deadline = now + rto
@@ -195,6 +195,14 @@ func (c *Core) CallBegin(p *sim.Proc, dst int, req *msg.Message) Pending {
 	}
 	return pc
 }
+
+// The hedge deadline is hedgeLatencyScale times the EWMA of observed reply
+// latencies, floored at hedgeMinDeadline so cold starts (no latency
+// history yet) and ultra-fast replies don't hedge spuriously.
+const (
+	hedgeLatencyScale = 4
+	hedgeMinDeadline  = 500 * sim.Microsecond
+)
 
 // hedgeDelay derives the hedge deadline from the EWMA of observed reply
 // latencies — what a healthy call costs — floored at hedgeMinDeadline so

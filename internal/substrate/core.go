@@ -11,7 +11,7 @@ import (
 
 // Lane names the channel a frame rides and whether it is a first copy;
 // a binding maps it to its own addressing (fastgm: async vs sync port,
-// udpgm: request vs reply socket) and credit policy.
+// udpgm: request vs reply socket) and checks (fastgm's reply slots).
 type Lane uint8
 
 const (
@@ -25,8 +25,8 @@ const (
 // for the binding's own resources.
 type Wire interface {
 	// Transmit ships one already-encoded message toward dst. It may block
-	// (send buffers, tokens, credits) and owns the BytesSent count. It reads
-	// body and aux only until it returns: the core reuses their storage.
+	// (send buffers, tokens) and owns the BytesSent count. It reads body
+	// and aux only until it returns: the core reuses their storage.
 	Transmit(p *sim.Proc, dst int, lane Lane, kind msg.Kind, body, aux []byte)
 	// AwaitReply blocks for the next reply and returns it decoded into
 	// into's storage, with arrival already recorded (Heard, causal Arrive,
@@ -59,8 +59,7 @@ type Core struct {
 
 	Live Liveness
 
-	dup     *DupCache
-	credits []*Credits
+	dup *DupCache
 
 	seq       uint32
 	pending   map[uint32]*Call
@@ -105,21 +104,16 @@ func (c *Core) ctx(p *sim.Proc) *context { return &c.cx[level(p)] }
 func (c *Core) RequestDecoder(p *sim.Proc) *msg.Decoder { return &c.ctx(p).req }
 
 // Policy is the protocol policy every process of a run must share: which
-// of the failure detector, credit flow control and hedged re-issues are
-// armed. A receiver only returns credits, answers probes or absorbs a
-// hedged duplicate on the assumption that its peers run the same policy,
-// so there is one value per run — resolved by whoever assembles the
-// cluster, handed to each binding's New beside the binding's own config,
-// and owned by the Core from then on. How each mechanism is tuned is a
+// of the failure detector and hedged re-issues are armed. A receiver only
+// answers probes or absorbs a hedged duplicate on the assumption that its
+// peers run the same policy, so there is one value per run — resolved by
+// whoever assembles the cluster, handed to each binding's New beside the
+// binding's own config, and owned by the Core from then on. How each mechanism is tuned is a
 // constant of this package, not a setting. The zero value is inert: no
-// probes, no credit state, no hedges, wire traffic bit-identical to a
-// run without it.
+// probes, no hedges, wire traffic bit-identical to a run without it.
 type Policy struct {
 	// Liveness arms heartbeat probes and the silence rule (Liveness).
 	Liveness bool
-	// Flow arms credit-based flow control (Credits): a sender parks
-	// locally instead of launching into an exhausted receive ring.
-	Flow bool
 	// Hedge arms one re-issue of a call whose reply is late against the
 	// observed reply latency (hedgeDelay).
 	Hedge bool
@@ -185,17 +179,13 @@ func (c *Core) Stats() *Stats { return &c.stats }
 func (c *Core) Halted() bool { return c.halted }
 
 // Quiesce is the shared half of Transport.Halt: the liveness clock
-// stops and senders parked on credits are released to observe the halt.
-// It reports false if the transport was already halted.
+// stops. It reports false if the transport was already halted.
 func (c *Core) Quiesce() bool {
 	if c.halted {
 		return false
 	}
 	c.halted = true
 	c.Live.Stop()
-	for _, cr := range c.credits {
-		cr.cond.Broadcast()
-	}
 	return true
 }
 
@@ -213,17 +203,14 @@ func (c *Core) SetOnPeerDead(fn func(peer int, err error)) { c.Live.onDead = fn 
 func (c *Core) PeerFailure() *PeerUnreachableError { return c.Live.failure }
 
 // peerGone is the cleanup after a death: every call of every family still
-// open toward the peer resolves with err, ascending by seq, before credits
-// are restored and the binding releases its own state (which wakes whoever
-// was waiting on those calls).
+// open toward the peer resolves with err, ascending by seq, before the
+// binding releases its own state (which wakes whoever was waiting on those
+// calls).
 func (c *Core) peerGone(err *PeerUnreachableError) {
 	peer := err.Peer
 	for _, seq := range KeysWhere(c.pending, func(pc *Call) bool { return pc.dst == peer }) {
 		c.Complete(c.pending[seq], nil, err)
 		c.stats.SendsAbandoned++
-	}
-	for _, cr := range c.credits {
-		cr.Reset(peer)
 	}
 	c.wire.PeerGone(peer)
 }

@@ -86,7 +86,10 @@ func TestLivenessSilenceDeclaresExactlyOnce(t *testing.T) {
 			p.Sim().At(sim.Time(i)*sim.Millisecond/2, func() { c.Live.Heard(1) })
 		}
 		p.Advance(12 * sim.Millisecond)
-		c.Live.Stop()
+		// Quiesce stops the clock, once: a second halt is not a fresh one.
+		if !c.Quiesce() || !c.Halted() || c.Quiesce() {
+			t.Error("Quiesce did not halt exactly once")
+		}
 	})
 	if !slices.Equal(deaths, []int{2}) || c.Stats().PeersDeclaredDead != 1 {
 		t.Fatalf("deaths = %v, PeersDeclaredDead = %d; want peer 2 exactly once", deaths, c.Stats().PeersDeclaredDead)
@@ -123,61 +126,6 @@ func TestLivenessHeardWithinBoundary(t *testing.T) {
 			t.Error("out-of-range rank reported as heard")
 		}
 	})
-}
-
-func TestCreditsClampRefreshReset(t *testing.T) {
-	var acquired []sim.Time
-	c, _ := runCore(t, coreArgs{Policy: Policy{Flow: true}}, func(p *sim.Proc, c *Core, w *fakeWire) {
-		cr := c.NewCredits("test:credits", []int{2, 8}, []int{1, 4})
-		cr.Acquire(p, 1, 0, 1, 0)
-		for i := 0; i < 3; i++ { // duplicate returns must not oversubscribe
-			cr.Release(1, 0, 2)
-		}
-		cr.Release(1, 9, 1) // unknown lane: ignored
-		if cr.Have(1, 0) != 2 || cr.Have(2, 0) != 2 {
-			t.Errorf("lane 0 credits %d/%d after duplicate releases, want budget 2", cr.Have(1, 0), cr.Have(2, 0))
-		}
-		// Exhaust lane 1, then park: only the refresh can help.
-		cr.Acquire(p, 1, 1, 8, 0)
-		cr.Acquire(p, 1, 1, 3, 0)
-		acquired = append(acquired, p.Now())
-		if cr.Have(1, 1) != 1 || c.Stats().CreditRefills != 1 {
-			t.Errorf("after refresh: %d credits, %d refills; want one 4-credit quantum minus 3", cr.Have(1, 1), c.Stats().CreditRefills)
-		}
-		// Park again; the peer's death resets the ledger and the sender
-		// proceeds undebited, observing the dead flag.
-		p.Sim().After(sim.Millisecond, func() { c.Live.DeclareDead(1, "retry-exhausted", 3) })
-		cr.Acquire(p, 1, 1, 8, 0)
-		cr.Acquire(p, 1, 1, 8, 0)
-		acquired = append(acquired, p.Now())
-		if !c.Live.Dead(1) || cr.Have(1, 1) != 0 {
-			t.Errorf("after reset: dead=%v credits=%d, want a full budget taken once", c.Live.Dead(1), cr.Have(1, 1))
-		}
-	})
-	if want := []sim.Time{500 * sim.Millisecond, 501 * sim.Millisecond}; !slices.Equal(acquired, want) {
-		t.Errorf("parked sends resumed at %v, want %v (the 500ms refresh, then reset)", acquired, want)
-	}
-	if st := c.Stats(); st.CreditStalls != 2 || st.CreditWaitTime != 501*sim.Millisecond {
-		t.Errorf("stalls=%d wait=%v, want 2 stalls over 501ms", st.CreditStalls, st.CreditWaitTime)
-	}
-	var off *Credits // flow control off: the nil ledger is inert
-	off.Acquire(nil, 1, 0, 1, 0)
-	off.Release(1, 0, 1)
-}
-
-func TestCreditsHaltReleasesParkedSender(t *testing.T) {
-	c, _ := runCore(t, coreArgs{Policy: Policy{Flow: true}}, func(p *sim.Proc, c *Core, w *fakeWire) {
-		cr := c.NewCredits("test:credits", []int{1}, []int{1})
-		cr.Acquire(p, 2, 0, 1, 0)
-		p.Sim().After(sim.Millisecond, func() { c.Quiesce() })
-		cr.Acquire(p, 2, 0, 1, 0)
-		if p.Now() != sim.Millisecond || !c.Halted() || cr.Have(2, 0) != 0 {
-			t.Errorf("parked sender resumed at %v halted=%v credits=%d", p.Now(), c.Halted(), cr.Have(2, 0))
-		}
-	})
-	if c.Quiesce() {
-		t.Error("second Quiesce reported a fresh halt")
-	}
 }
 
 func TestKeysWhereAscending(t *testing.T) {

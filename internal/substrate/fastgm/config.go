@@ -8,8 +8,8 @@
 //  2. Receive-buffer preposting — the async port preposts many small
 //     request buffers plus (n−1) buffers of each larger class; the sync
 //     port preposts one buffer per class per outstanding-call slot (the
-//     scatter-gather fault path keeps up to OutstandingCalls replies in
-//     flight). Buffers are recycled immediately after the message is
+//     scatter-gather fault path keeps up to n−1 replies in flight, one
+//     per peer). Buffers are recycled immediately after the message is
 //     consumed, so GM's no-buffer send timeout can never fire.
 //  3. Buffer management — outgoing messages are copied into registered
 //     send memory (one extra copy, zero TreadMarks changes): one arena
@@ -86,13 +86,6 @@ type Config struct {
 	// SmallPerPeer is how deep each small class (≤ SmallClassMax) is
 	// preposted per peer on the async port.
 	SmallPerPeer int
-
-	// OutstandingCalls caps how many calls one process keeps in flight at
-	// once (the scatter width); the sync port preposts one reply buffer
-	// per class per slot, plus one margin buffer. 0 sizes it
-	// automatically to (n−1) — a read fault scatters at most one diff
-	// request per peer.
-	OutstandingCalls int
 
 	// MaxSendRetries bounds per-frame retransmission attempts of the
 	// recovery protocol (below); past it the fault is considered

@@ -28,16 +28,11 @@ const (
 	frameCTS  byte = 3 // rendezvous clear-to-send
 	frameData byte = 4 // rendezvous bulk data (body = encoded msg.Message)
 	frameHB   byte = 5 // liveness heartbeat (no body, never retransmitted)
-	// frameCredit: flow-control credit return (flow.go). Body is a run of
-	// (class, count16) entries. Consumed at the NIC filter like
-	// heartbeats — it never occupies a host receive buffer — and emitted
-	// only under Policy.Flow, so a flow-off wire never carries one.
-	frameCredit byte = 6
 )
 
 // Transport is the FAST/GM substrate for one process: the shared protocol
-// core (call table, duplicate filter, liveness, credits — package
-// substrate) over the GM wire this package implements.
+// core (call table, duplicate filter, liveness — package substrate) over
+// the GM wire this package implements.
 type Transport struct {
 	substrate.Core
 	node *gm.Node
@@ -58,19 +53,16 @@ type Transport struct {
 	portCond *sim.Cond
 
 	hbBufs []*gm.Buffer // free registered heartbeat send buffers (liveness.go)
-	flow   flowState    // credit ledger + return machinery (flow.go)
 }
 
 // New creates the substrate for process rank of size on a GM node, under
 // the run's policy: heartbeat frames multiplexed over the async port
-// (liveness.go), credits mirroring its preposting schedule (flow.go), and
-// the core's hedged calls.
+// (liveness.go) and the core's hedged calls.
 func New(node *gm.Node, rank, size int, pol substrate.Policy, cfg Config) *Transport {
 	t := &Transport{node: node, cfg: cfg, resuming: make(map[*gm.Port]bool)}
 	// No user-level call clock: GM-level retransmission (recovery.go)
 	// recovers lost frames below the core.
 	t.Core.Init(t, rank, size, pol, substrate.Backoff{}, 0)
-	t.flow.init(t)
 	return t
 }
 
@@ -78,15 +70,10 @@ func New(node *gm.Node, rank, size int, pol substrate.Policy, cfg Config) *Trans
 // GM message is the frame tag).
 func (t *Transport) MaxData() int { return t.node.System().Params().MaxMessage() - 1 }
 
-// outstandingCalls returns the number of reply slots the sync port is
-// provisioned for: the configured cap, or (n−1) when unset — a read
-// fault scatters at most one diff request per peer.
-func (t *Transport) outstandingCalls() int {
-	if t.cfg.OutstandingCalls > 0 {
-		return t.cfg.OutstandingCalls
-	}
-	return max(t.Size()-1, 1)
-}
+// outstandingCalls returns the number of calls one process keeps in
+// flight at once, the reply slots the sync port is provisioned for: n−1,
+// since a read fault scatters at most one diff request per peer.
+func (t *Transport) outstandingCalls() int { return max(t.Size()-1, 1) }
 
 // ReplyFrames implements substrate.Transport: the sync port's free reply
 // slots shared among the calls, ⌊(n−1)/calls⌋ at the default width. A lone
@@ -153,8 +140,7 @@ func (t *Transport) Start(p *sim.Proc, h substrate.Handler) {
 		t.node.Register(p, t.SendPoolBytes(1)))
 
 	t.startLiveness()
-	t.flow.start()
-	if t.Live.Enabled() || t.flow.credits != nil {
+	if t.Live.Enabled() {
 		t.asyncPort.SetFilter(t.asyncNICFilter)
 	}
 
@@ -196,32 +182,14 @@ func (t *Transport) armTimer() {
 }
 
 // asyncNICFilter classifies async-port arrivals in NIC (scheduler)
-// context, shared by the liveness and flow layers: any frame refreshes
-// the peer's last-heard clock; heartbeat and credit frames are consumed
-// here — they never occupy a host receive buffer and are serviced even
-// while the host computes with asynchronous delivery masked. Everything
-// else flows to the host unchanged.
+// context, installed only with the liveness layer armed: any frame
+// refreshes the peer's last-heard clock; a heartbeat is consumed here — it
+// never occupies a host receive buffer and is heard even while the host
+// computes with asynchronous delivery masked. Everything else flows to the
+// host unchanged.
 func (t *Transport) asyncNICFilter(rv *gm.Recv) bool {
-	if t.Live.Enabled() {
-		t.Live.Heard(int(rv.From))
-	}
-	if len(rv.Data) == 0 {
-		return false
-	}
-	switch rv.Data[0] {
-	case frameHB:
-		if !t.Live.Enabled() {
-			return false
-		}
-		return true
-	case frameCredit:
-		if t.flow.credits == nil {
-			return false
-		}
-		t.flow.onCreditFrame(rv)
-		return true
-	}
-	return false
+	t.Live.Heard(int(rv.From))
+	return len(rv.Data) > 0 && rv.Data[0] == frameHB
 }
 
 // onAsyncInterrupt services the NIC interrupt (paper's firmware mod).
@@ -260,7 +228,7 @@ func (t *Transport) handleAsyncFrame(p *sim.Proc, rv *gm.Recv) {
 		t.rejectFrame(p, rv, "empty")
 		return
 	}
-	from, class, n := int(rv.From), rv.Class, len(rv.Data)
+	from, n := int(rv.From), len(rv.Data)
 	t.Live.Heard(from)
 	tag, body := rv.Data[0], rv.Data[1:]
 	switch tag {
@@ -273,9 +241,6 @@ func (t *Transport) handleAsyncFrame(p *sim.Proc, rv *gm.Recv) {
 		m, err := t.RequestDecoder(p).Decode(body)
 		if err != nil {
 			t.rejectFrame(p, rv, "decode")
-			if tag == frameMsg {
-				t.flow.noteConsumed(from, class)
-			}
 			return
 		}
 		if e := t.Admit(p, m, rv.Aux, n); e != nil {
@@ -286,22 +251,14 @@ func (t *Transport) handleAsyncFrame(p *sim.Proc, rv *gm.Recv) {
 			// than deregistering) lets that transfer's retransmission land.
 			t.asyncPort.ProvideReceiveBuffer(rv.Buffer)
 			t.AnswerDup(p, m, e)
-			if tag == frameMsg {
-				t.flow.noteConsumed(from, class)
-			}
 			return
 		}
 		if tag == frameData {
 			t.rv.finishReceive(p, t.asyncPort, rv.Buffer)
 		} else {
 			// Requests are processed in place (no copy); recycle the
-			// buffer after the handler consumed the decoded form. The
-			// credit owed to the sender returns at recycle time — the
-			// prepost slot, not handler completion, is what credits
-			// meter — so a masked or slow host holds its senders back
-			// exactly as long as its ring stays occupied.
+			// buffer after the handler consumed the decoded form.
 			t.asyncPort.ProvideReceiveBuffer(rv.Buffer)
-			t.flow.noteConsumed(from, class)
 		}
 		start := p.Now()
 		t.Serve(p, m, n)
@@ -386,7 +343,7 @@ func (t *Transport) Transmit(p *sim.Proc, dst int, lane substrate.Lane, kind msg
 		// One more reply than the sync port has buffers for would wait on a
 		// missing buffer, then die as an unreachable peer.
 		panic(fmt.Sprintf("fastgm: rank %d: %d calls in flight exceed the sync port's %d reply slots "+
-			"(Config.OutstandingCalls)", t.Rank(), t.OpenCalls(), t.outstandingCalls()))
+			"(one per peer)", t.Rank(), t.OpenCalls(), t.outstandingCalls()))
 	}
 	n := len(body) + 1
 	params := t.node.System().Params()
@@ -399,14 +356,6 @@ func (t *Transport) Transmit(p *sim.Proc, dst int, lane substrate.Lane, kind msg
 	if t.cfg.Rendezvous && class >= RendezvousClass {
 		t.rv.sendLarge(p, dst, dstPort, body, aux)
 		return
-	}
-	// Credited sends: request frames on the async port (replies ride the
-	// sync port's outstanding-calls provisioning; rendezvous large sends
-	// are flow-controlled by RTS/CTS above; heartbeats and credit frames
-	// never pass through here). Acquire before taking a send buffer so a
-	// parked sender holds no pool resources.
-	if dstPort == AsyncPort {
-		t.flow.credits.Acquire(p, dst, class-params.MinClass, 1, gm.ClassCapacity(class))
 	}
 	t.stage(p, dst, dstPort, frameMsg, body, aux)
 }

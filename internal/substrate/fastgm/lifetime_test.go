@@ -14,26 +14,24 @@ import (
 // and re-posting that buffer can accept a parked request into it at once.
 // Two buffers of a large class, three requests of it, the host masked
 // until all three are in: the third parks and lands in the first's buffer
-// while the first is being handled. The credit the first one owes must go
-// to its own sender, not to the parked request's.
+// while the first is being handled. The first must still be served as
+// its own request, not as the parked one.
 func TestRepostReadsNothingOfTheRecv(t *testing.T) {
 	s := sim.New(1)
 	sys := gm.NewSystem(s, myrinet.NewFabric(s, myrinet.DefaultParams(), 3), gm.DefaultParams())
-	tr := New(sys.Node(0), 0, 3, substrate.Policy{Flow: true}, DefaultConfig())
+	tr := New(sys.Node(0), 0, 3, substrate.Policy{}, DefaultConfig())
 	var served []int
 	var recvs []*gm.Recv
 	s.Spawn("target", 0, func(p *sim.Proc) {
 		tr.Start(p, func(p *sim.Proc, m *msg.Message) { served = append(served, len(m.PageData)) })
 		tr.asyncPort.SetFilter(func(rv *gm.Recv) bool {
 			recvs = append(recvs, rv)
-			return tr.asyncNICFilter(rv)
+			return false
 		})
 		p.DisableInterrupts()
 		p.Advance(2 * sim.Millisecond) // all three arrive; the third parks
 		p.EnableInterrupts()
-		p.Advance(5 * sim.Millisecond) // the credit returns travel
 	})
-	credits := make([]int, 3) // class-10 credits returned to each sender
 	for _, sender := range []struct {
 		node  myrinet.NodeID
 		sizes []int
@@ -59,14 +57,6 @@ func TestRepostReadsNothingOfTheRecv(t *testing.T) {
 				}
 				p.Advance(10 * sim.Microsecond)
 			}
-			for rv := port.WaitRecvUntil(p, 10*sim.Millisecond); rv != nil; rv = port.WaitRecvUntil(p, 10*sim.Millisecond) {
-				for body := rv.Data[1:]; len(body) >= 3; body = body[3:] {
-					if body[0] == 10 {
-						credits[node] += int(body[1]) | int(body[2])<<8
-					}
-				}
-				port.ProvideReceiveBuffer(rv.Buffer)
-			}
 		})
 	}
 	if err := s.Run(); err != nil {
@@ -77,9 +67,6 @@ func TestRepostReadsNothingOfTheRecv(t *testing.T) {
 	}
 	if len(served) != 3 || served[0] != 600 {
 		t.Errorf("served %v, want the 600-byte request first of three", served)
-	}
-	if credits[1] != 1 || credits[2] != 2 {
-		t.Errorf("class-10 credits returned: node 1 %d, node 2 %d; want 1 and 2", credits[1], credits[2])
 	}
 }
 

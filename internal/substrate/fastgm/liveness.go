@@ -27,8 +27,8 @@ func (t *Transport) startLiveness() {
 	for i := range bufs {
 		t.hbBufs = append(t.hbBufs, &bufs[i])
 	}
-	// The async-port classifier (asyncNICFilter) is shared with the flow
-	// layer's credit frames; the sync port only needs the clock refresh.
+	// The async port's classifier (asyncNICFilter) also consumes the
+	// heartbeats; the sync port only needs the clock refresh.
 	t.syncPort.SetFilter(func(rv *gm.Recv) bool {
 		t.Live.Heard(int(rv.From))
 		return false
@@ -47,22 +47,17 @@ func (t *Transport) Probe(peer int) bool {
 	buf := t.hbBufs[len(t.hbBufs)-1]
 	t.hbBufs = t.hbBufs[:len(t.hbBufs)-1]
 	buf.Bytes()[0] = frameHB
-	return t.kernelSend(peer, buf, 1, &t.hbBufs)
-}
-
-// kernelSend ships a transport-internal frame (heartbeat, credit return)
-// to peer's async port from kernel context, returning buf to its pool
-// when the send completes or cannot start.
-func (t *Transport) kernelSend(peer int, buf *gm.Buffer, n int, pool *[]*gm.Buffer) bool {
-	err := t.asyncPort.SendFromKernel(myrinet.NodeID(peer), AsyncPort, buf, n,
+	// Shipped from kernel context; the buffer returns to the pool when the
+	// send completes or cannot start.
+	err := t.asyncPort.SendFromKernel(myrinet.NodeID(peer), AsyncPort, buf, 1,
 		func(st gm.SendStatus) {
-			*pool = append(*pool, buf)
+			t.hbBufs = append(t.hbBufs, buf)
 			if st != gm.SendOK && !t.Halted() {
 				t.EnsureResume(t.asyncPort)
 			}
 		})
 	if err != nil {
-		*pool = append(*pool, buf)
+		t.hbBufs = append(t.hbBufs, buf)
 		if err == gm.ErrPortDisabled {
 			t.EnsureResume(t.asyncPort)
 		}
@@ -71,16 +66,14 @@ func (t *Transport) kernelSend(peer int, buf *gm.Buffer, n int, pool *[]*gm.Buff
 }
 
 // PeerGone implements substrate.Wire: drop every staged rendezvous send
-// addressed to the dead peer (its CTS will never come) and the credit
-// returns owed to it, then wake a collector blocked on the synchronous
-// port so it observes the dead flag.
+// addressed to the dead peer (its CTS will never come), then wake a
+// collector blocked on the synchronous port so it observes the dead flag.
 func (t *Transport) PeerGone(peer int) {
 	staged := t.rv.staged
 	for _, id := range substrate.KeysWhere(staged, func(st *stagedSend) bool { return st.dst == peer }) {
 		delete(staged, id)
 		t.Stats().SendsAbandoned++
 	}
-	t.flow.forget(peer)
 	if t.syncPort != nil {
 		t.syncPort.Kick()
 	}

@@ -120,10 +120,9 @@ func (lv *Liveness) Dead(peer int) bool {
 }
 
 // DeclareDead marks a peer dead (idempotently) by silence or by an
-// exhausted retry budget: the typed failure is recorded, credits toward
-// the peer are restored and the binding's per-peer state released (which
-// wakes a blocked collector), and the watchdog callback runs. Scheduler
-// or process context.
+// exhausted retry budget: the typed failure is recorded, the binding's
+// per-peer state released (which wakes a blocked collector), and the
+// watchdog callback runs. Scheduler or process context.
 func (lv *Liveness) DeclareDead(peer int, kind string, attempts int) {
 	c := lv.c
 	if peer < 0 || peer >= len(lv.dead) || peer == c.rank || lv.dead[peer] {

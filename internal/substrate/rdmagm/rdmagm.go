@@ -26,7 +26,7 @@
 // adds is the interconnect: the frame codec, the firmware sink with its
 // target-side (origin, seq) duplicate filter — a redelivered stale Put
 // must not overwrite a newer one; its cached completion is resent — the
-// CQ wait, the QP send queues and the verb credit lane.
+// CQ wait and the QP send queues.
 package rdmagm
 
 import (
@@ -55,12 +55,6 @@ const compRetry = 50 * sim.Microsecond
 // frame's NICServiceCost: each segment is one more host DMA to set up,
 // priced like every other host DMA in the model (DESIGN.md §12.1).
 const segDMACost = myrinet.RxDMASetup
-
-// verbFlowWindow is the per-QP verb credit budget when end-to-end flow
-// control (the run's Policy.Flow) is enabled: small enough that n−1 initiators
-// incasting at one target cannot overrun its verb ring, large enough to
-// keep the wire pipelined for a single initiator.
-const verbFlowWindow = 4
 
 // Transport is the RDMA/GM substrate for one process.
 type Transport struct {
@@ -97,12 +91,6 @@ type Transport struct {
 	// verbs posted and not yet retired, in post order.
 	verbs substrate.Exchange
 	sq    [][]*substrate.Call
-
-	// credits is the verb flow window (nil with flow control off): one
-	// lane metered in outstanding verbs. A verb is only "done" once the
-	// target NIC serviced it, so the CQ completion carries the credit back
-	// and the wait for one is waiting on the verbs themselves.
-	credits *substrate.Credits
 }
 
 // New creates the substrate for process rank of size on a GM node under
@@ -128,10 +116,6 @@ func New(node *gm.Node, rank, size int, pol substrate.Policy, fast fastgm.Config
 		RTO:        substrate.Backoff{Initial: VerbTimeout, Max: VerbTimeoutMax},
 		MaxRetries: MaxVerbRetries, Grace: node.System().Params().ResendTimeout,
 		Resend: func(p *sim.Proc, pc *substrate.Call) bool { return t.sendVerb(p, pc, false) }}
-	if t.credits = t.NewCredits(fmt.Sprintf("rdmagm:%d:credits", rank),
-		[]int{verbFlowWindow}, []int{1}); t.credits != nil {
-		t.credits.Park = t.awaitSlot
-	}
 	return t
 }
 
@@ -243,7 +227,7 @@ func (t *Transport) PostGet(p *sim.Proc, dst int, window int32, off, n int) subs
 	return t.post(p, dst, &vf)
 }
 
-// post applies flow control, opens the verb in the core's call table under
+// post waits for a QP slot, opens the verb in the core's call table under
 // a fresh sequence number, encodes the descriptor into the call's frame,
 // transmits it and starts its clock.
 func (t *Transport) post(p *sim.Proc, dst int, vf *verbFrame) substrate.PendingVerb {
@@ -254,15 +238,8 @@ func (t *Transport) post(p *sim.Proc, dst int, vf *verbFrame) substrate.PendingV
 		panic(fmt.Sprintf("rdmagm: %d-byte verb exceeds the %d-byte frame cap",
 			n, t.node.System().Params().MaxMessage()))
 	}
-	// Flow control, end to end then per QP. With the run's Policy.Flow on, the
-	// verb first takes a credit from a window well under the ring depth —
-	// the one-sided analogue of the two-sided credit ledger: an incast of
-	// Puts self-paces at the initiators instead of flooding the target's
-	// verb ring, and the stalls are counted as credit stalls so overload
-	// shows up in the same place on every substrate. Then the QP itself:
-	// a full send queue waits on its own verbs until a slot frees.
+	// A full QP send queue waits on its own verbs until a slot frees.
 	t.retire(dst)
-	t.credits.Acquire(p, dst, 0, 1, verbFrameLen(vf))
 	for len(t.sq[dst]) >= SendQueueDepth {
 		t.awaitSlot(p, dst)
 	}
@@ -286,8 +263,8 @@ func (t *Transport) post(p *sim.Proc, dst int, vf *verbFrame) substrate.PendingV
 	return pc
 }
 
-// awaitSlot waits for what only a completion gives back — a verb credit or
-// a QP slot toward dst: one turn of the core's wait loop over dst's send
+// awaitSlot waits for what only a completion gives back — a QP slot
+// toward dst: one turn of the core's wait loop over dst's send
 // queue, then retirement of whatever resolved.
 func (t *Transport) awaitSlot(p *sim.Proc, dst int) {
 	substrate.Step(&t.Core, p, t.sq[dst])
@@ -295,15 +272,12 @@ func (t *Transport) awaitSlot(p *sim.Proc, dst int) {
 }
 
 // inQueue reports whether verb pc is still in its target's send queue:
-// retire has not returned its credit yet, so its record is not free.
+// retire has not dropped it yet, so its record is not free.
 func (t *Transport) inQueue(pc *substrate.Call) bool { return slices.Contains(t.sq[pc.Dst()], pc) }
 
-// retire drops resolved verbs from dst's send queue and returns their
-// credits.
+// retire drops resolved verbs from dst's send queue.
 func (t *Transport) retire(dst int) {
-	q := t.sq[dst]
-	t.sq[dst] = slices.DeleteFunc(q, (*substrate.Call).Done)
-	t.credits.Release(dst, 0, len(q)-len(t.sq[dst]))
+	t.sq[dst] = slices.DeleteFunc(t.sq[dst], (*substrate.Call).Done)
 }
 
 // sendVerb stages the kept descriptor into a registered buffer and sends

@@ -38,8 +38,6 @@ func RunConformance(t *testing.T, build Builder) {
 	t.Run("ScatterGather", func(t *testing.T) { ConformanceScatterGather(t, build) })
 	t.Run("ScatterGatherFaultStorm", func(t *testing.T) { ConformanceScatterGatherFaultStorm(t, build) })
 	t.Run("LostReplyPinsOnlyItself", func(t *testing.T) { ConformanceLostReplyPinsOnlyItself(t, build) })
-	t.Run("IncastStorm", func(t *testing.T) { ConformanceIncastStorm(t, build) })
-	t.Run("CreditStarvationParkResume", func(t *testing.T) { ConformanceCreditStarvationParkResume(t, build) })
 	t.Run("VectorPut", func(t *testing.T) { ConformanceVectorPut(t, build) })
 	t.Run("ReplySlotsCap", func(t *testing.T) { ConformanceReplySlotsCap(t, build) })
 	t.Run("ContinuedReply", func(t *testing.T) { ConformanceContinuedReply(t, build) })
@@ -222,29 +220,21 @@ func ConformancePortDisabledMidBurstResumed(t *testing.T, build Builder) {
 	requireAllPortsEnabled(t, c)
 }
 
-// policyCluster probes the builder to learn which transport family is
+// livenessCluster probes the builder to learn which transport family is
 // under test, then constructs a fresh n-rank cluster of the same family
-// under pol. outstanding widens the scatter-call slots on the GM
-// substrates so a sender can keep several flow-controlled calls pending at
-// once (0 keeps the automatic n−1 sizing).
-func policyCluster(build Builder, n int, pol substrate.Policy, outstanding int) *Cluster {
+// with heartbeat liveness enabled.
+func livenessCluster(build Builder, n int) *Cluster {
 	probe := build(2, 1)
 	_, oneSided := probe.Transports[0].(substrate.OneSided)
-	fast := fastgm.DefaultConfig()
-	fast.OutstandingCalls = outstanding
+	pol := substrate.Policy{Liveness: true}
 	switch {
 	case probe.Stacks != nil:
 		return NewUDPConfig(n, 1, pol, udpgm.DefaultConfig())
 	case oneSided:
-		return NewRDMA(n, 1, pol, fast)
+		return NewRDMA(n, 1, pol, fastgm.DefaultConfig())
 	default:
-		return NewFast(n, 1, pol, fast)
+		return NewFast(n, 1, pol, fastgm.DefaultConfig())
 	}
-}
-
-// livenessCluster is policyCluster with heartbeat liveness enabled.
-func livenessCluster(build Builder, n int) *Cluster {
-	return policyCluster(build, n, substrate.Policy{Liveness: true}, 0)
 }
 
 // ConformanceSilentPeerMidRendezvous: the peer of a large transfer goes
@@ -1115,165 +1105,6 @@ func ConformanceOverflowRetransmission(t *testing.T, build Builder) {
 			t.Errorf("%d GM send timeouts (fail-stop condition)", st.Timeouts)
 		}
 	}
-}
-
-// flowCluster is policyCluster with credit flow control enabled.
-func flowCluster(build Builder, n, outstanding int) *Cluster {
-	return policyCluster(build, n, substrate.Policy{Flow: true}, outstanding)
-}
-
-// sumPortStats totals GM port counters (parked frames, send timeouts)
-// across every open non-mapper port in the cluster.
-func sumPortStats(c *Cluster) (parked, timeouts int64) {
-	for i := range c.Transports {
-		for id := gm.MapperPort + 1; id < gm.NumPorts; id++ {
-			if p := c.GM.Node(myrinet.NodeID(i)).Port(id); p != nil {
-				st := p.Stats()
-				parked += st.Parked
-				timeouts += st.Timeouts
-			}
-		}
-	}
-	return parked, timeouts
-}
-
-// ConformanceIncastStorm: the barrier-arrival incast at its worst —
-// every peer blasts a burst of largest-class one-way frames at rank 0
-// while it is briefly masked. With credit flow control on, each sender's
-// window mirrors its share of the receiver's resources exactly, so the
-// storm is absorbed by parking the senders locally: on the GM substrates
-// no frame ever lands on an exhausted prepost ring (Parked stays 0), on
-// UDP/GM the receiver's socket never drops a datagram, no GM send
-// timeout fires anywhere, and every frame is delivered.
-func ConformanceIncastStorm(t *testing.T, build Builder) {
-	const n = 6
-	const perPeer = 8
-	const payload = 16000 // largest preposted class on the GM substrates
-	c := flowCluster(build, n, 0)
-	received := 0
-	c.Spawn(
-		func(rank int) substrate.Handler {
-			return func(p *sim.Proc, m *msg.Message) {
-				if rank != 0 || m.Kind != msg.KPing {
-					t.Errorf("rank %d: unexpected %v", rank, m.Kind)
-					return
-				}
-				received++
-			}
-		},
-		func(rank int, p *sim.Proc, tr substrate.Transport) {
-			if rank == 0 {
-				// Masked while the storm lands: nothing is recycled, so no
-				// credits flow back and every sender must park on its window.
-				tr.DisableAsync(p)
-				p.Advance(20 * sim.Millisecond)
-				tr.EnableAsync(p)
-				for received < (n-1)*perPeer {
-					p.Advance(sim.Millisecond)
-				}
-				return
-			}
-			p.Advance(sim.Millisecond)
-			body := bytes.Repeat([]byte{byte(rank)}, payload)
-			for k := 0; k < perPeer; k++ {
-				tr.Send(p, 0, &msg.Message{Kind: msg.KPing, PageData: body})
-			}
-		},
-	)
-	if err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if received != (n-1)*perPeer {
-		t.Fatalf("received %d of %d storm frames", received, (n-1)*perPeer)
-	}
-	agg := sumTransportStats(c)
-	if agg.CreditStalls == 0 {
-		t.Error("storm never exhausted a credit window (CreditStalls = 0); weak test")
-	}
-	if agg.CreditReturnsSent == 0 || agg.CreditReturnsRecvd == 0 {
-		t.Errorf("no credit returns flowed (sent=%d recvd=%d)",
-			agg.CreditReturnsSent, agg.CreditReturnsRecvd)
-	}
-	parked, timeouts := sumPortStats(c)
-	if timeouts != 0 {
-		t.Errorf("%d GM send timeouts under flow control (fail-stop condition)", timeouts)
-	}
-	if c.Stacks != nil {
-		if drops := c.Stacks[0].Stats().DatagramsDrop; drops != 0 {
-			t.Errorf("receiver socket dropped %d datagrams despite the credit window", drops)
-		}
-	} else if parked != 0 {
-		t.Errorf("%d frames parked on an exhausted prepost ring despite credits", parked)
-	}
-	requireAllPortsEnabled(t, c)
-}
-
-// ConformanceCreditStarvationParkResume: a sender starved of credits by
-// a receiver masked for ~5 refresh periods. The sender parks locally;
-// the optimistic 500 ms credit refresh trickles one frame per period
-// into the exhausted receiver — each parks at GM well under the 3 s
-// resend timeout — and when the receiver unmasks, everything drains and
-// every call completes. This is the lost-credit degradation path: worse
-// throughput, never a wedge, never a disabled port.
-func ConformanceCreditStarvationParkResume(t *testing.T, build Builder) {
-	const n = 3
-	const calls = 5
-	const payload = 16000
-	c := flowCluster(build, n, calls+1)
-	var reps []*msg.Message
-	c.Spawn(
-		func(rank int) substrate.Handler {
-			return func(p *sim.Proc, m *msg.Message) {
-				c.Transports[rank].Reply(p, m, &msg.Message{Kind: msg.KPong, Page: m.Page})
-			}
-		},
-		func(rank int, p *sim.Proc, tr substrate.Transport) {
-			switch rank {
-			case 0:
-				// Starve the sender well past the credit refresh: refresh-trickled
-				// frames park at most ~1.9 s, under GM's 3 s resend timeout.
-				tr.DisableAsync(p)
-				p.Advance(2400 * sim.Millisecond)
-				tr.EnableAsync(p)
-			case 1:
-				p.Advance(sim.Millisecond)
-				body := bytes.Repeat([]byte{0x3C}, payload)
-				pend := make([]substrate.Pending, calls)
-				for k := range pend {
-					pend[k] = tr.CallBegin(p, 0, &msg.Message{
-						Kind: msg.KPing, Page: int32(k), PageData: body})
-				}
-				reps = tr.Collect(p, pend)
-			}
-		},
-	)
-	if err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(reps) != calls {
-		t.Fatalf("collected %d of %d replies", len(reps), calls)
-	}
-	for k, rep := range reps {
-		if rep == nil || rep.Kind != msg.KPong || rep.Page != int32(k) {
-			t.Errorf("call %d: bad reply %+v", k, rep)
-		}
-	}
-	agg := sumTransportStats(c)
-	if agg.CreditStalls == 0 {
-		t.Error("sender never parked on an exhausted window (CreditStalls = 0); weak test")
-	}
-	if agg.CreditRefills == 0 {
-		t.Errorf("no optimistic refresh across a %v starvation: %+v",
-			2400*sim.Millisecond, agg)
-	}
-	parked, timeouts := sumPortStats(c)
-	if timeouts != 0 {
-		t.Errorf("%d GM send timeouts during starvation (fail-stop condition)", timeouts)
-	}
-	if c.Stacks == nil && parked == 0 {
-		t.Error("refresh never trickled a frame into the exhausted ring (Parked = 0); weak test")
-	}
-	requireAllPortsEnabled(t, c)
 }
 
 // ConformanceContinuedReply: rank 0 of seven scatters one call to each of

@@ -22,12 +22,15 @@
 //     bookkeeping, causal edge stamping;
 //   - Liveness (liveness.go): last-heard clocks, the silence rule,
 //     declared-dead flags, the typed PeerUnreachableError;
-//   - Credits (flow.go): the sender-side credit ledger indexed (peer,
-//     lane) with park, optimistic refresh, clamped release, reset;
 //   - Backoff (backoff.go): the shared retransmission schedule;
-//   - Policy (core.go): which of the three cluster-uniform mechanisms
-//     (liveness, flow, hedge) the run arms, handed to every binding's New;
+//   - Policy (core.go): which of the two cluster-uniform mechanisms
+//     (liveness, hedge) the run arms, handed to every binding's New;
 //     their tuning is constants here, not settings.
+//
+// There is no end-to-end credit flow control. A TreadMarks request is a
+// call awaiting its reply, not an eager send (a forward relays one such
+// call), so the requests in flight are bounded by the calls open, which
+// the receivers prepost for (DESIGN.md §14).
 //
 // The give-up rule is one rule: a peer is declared dead by silence
 // (Liveness) or by an exhausted retry budget (any layer), and from then
@@ -40,30 +43,27 @@
 // A binding implements the four methods of Wire — Transmit one encoded
 // frame on a Lane, AwaitReply until a deadline, Probe a peer, release
 // per-peer state in PeerGone — plus Start/Shutdown/Halt/MaxData, and
-// feeds arrivals to Core.Admit/Serve/AnswerDup and Liveness.Heard. How a
-// credit return is carried is also the binding's business.
+// feeds arrivals to Core.Admit/Serve/AnswerDup and Liveness.Heard.
 //
 // # The three bindings
 //
 //   - udpgm — the baseline: TreadMarks' stock transport over UDP sockets
 //     (Sockets-GM). Per-peer request sockets armed with SIGIO and reply
 //     sockets read synchronously; every send and receive pays the kernel
-//     path; UDP is unreliable, so the core's per-call RTO runs; credits
-//     are socket-buffer bytes returned by KCredit datagrams.
+//     path; UDP is unreliable, so the core's per-call RTO runs.
 //   - fastgm — the paper's contribution (§2.2): all peers multiplexed
 //     over two GM ports (an asynchronous request port with the
 //     NIC-interrupt firmware mod, a synchronous reply port that is
 //     polled), size-class receive-buffer preposting, a registered
 //     send-buffer pool, three asynchronous-delivery schemes, and an
 //     optional rendezvous protocol for large messages. Losses are
-//     recovered below the core by GM-level retransmission; credits are
-//     prepost buffers per size class returned by NIC-filtered frames.
+//     recovered below the core by GM-level retransmission.
 //   - rdmagm — fastgm plus one-sided verbs (OneSided): registered memory
 //     windows, Put/Get descriptors serviced by the target NIC without
 //     host involvement, a completion queue reaped by the initiator. A
 //     posted verb is a Call in the core's table (awaited on the CQ,
-//     re-issued by re-staging its descriptor); verb credits are returned
-//     by the completions themselves.
+//     re-issued by re-staging its descriptor); a full QP send queue
+//     waits on its own verbs' completions.
 package substrate
 
 import (
@@ -193,7 +193,7 @@ type OneSided interface {
 	// segment) has written nothing; otherwise segments apply in order
 	// (they may abut or overlap, and may be empty). The segments are
 	// staged before PostPut returns and not retained. The whole verb is
-	// one frame, one credit and one completion, so it must fit one: a Put
+	// one frame and one completion, so it must fit one: a Put
 	// whose PutSize exceeds the fabric's largest message is a caller bug.
 	PostPut(p *sim.Proc, dst int, window int32, segs ...PutSeg) PendingVerb
 
@@ -315,13 +315,7 @@ type Stats struct {
 	HeartbeatsSent    int64 // liveness probes transmitted
 	PeersDeclaredDead int64 // peers this process declared dead
 
-	// Flow-control / hedging counters (all zero unless Policy.Flow or
-	// Policy.Hedge).
-	CreditStalls       int64 // sends parked locally waiting for a peer credit
-	CreditReturnsSent  int64 // explicit credit-return frames shipped
-	CreditReturnsRecvd int64 // credit-return frames consumed
-	CreditRefills      int64 // credits restored by the optimistic refresh timer
-	HedgedRequests     int64 // straggler requests re-issued past the hedge deadline
+	HedgedRequests int64 // straggler requests re-issued past the hedge deadline (Policy.Hedge)
 
 	// One-sided verb counters (all zero unless the transport implements
 	// OneSided and the protocol posts verbs).
@@ -333,7 +327,10 @@ type Stats struct {
 
 	ReplyWaitTime  sim.Time
 	RequestService sim.Time
-	CreditWaitTime sim.Time // virtual time spent parked on exhausted credits
+	// CreditWaitTime is always zero: no sender parks on a credit. It stays
+	// because the benchmark's report still prints it
+	// (substrate.credit_wait_virt_ms), and goes when that metric does.
+	CreditWaitTime sim.Time
 	SendBufWait    sim.Time // virtual time spent parked in SendBufStalls
 }
 

@@ -55,7 +55,7 @@ func DefaultConfig() Config {
 
 // Transport is the UDP/GM substrate for one process: the shared protocol
 // core (call table with its retransmission clock, duplicate filter,
-// liveness, credits — package substrate) over kernel datagram sockets.
+// liveness — package substrate) over kernel datagram sockets.
 type Transport struct {
 	substrate.Core
 	stack *sockets.Stack
@@ -69,22 +69,12 @@ type Transport struct {
 	reqBuf []byte
 	repBuf []byte
 
-	hbData    []byte // the pre-encoded heartbeat datagram
-	creditBuf []byte // the credit return being sent (sendCredit, handler context only)
-
-	// credits is the per-peer send window (nil with flow control off).
-	// The unbounded resource here is not a prepost ring but the receiver's
-	// per-sender request socket buffer (SO_RCVBUF): an incast of request
-	// datagrams overflows it and the kernel silently drops, costing a full
-	// retransmission timeout per loss. So the one lane is metered in
-	// bytes, budgeted at that buffer, and refreshed a datagram at a time.
-	credits *substrate.Credits
+	hbData []byte // the pre-encoded heartbeat datagram
 }
 
 // New creates the transport for process rank of size over the node's
 // socket stack, under the run's policy: heartbeat datagrams on the request
-// path, a byte window mirroring the receiver's request socket buffer, and
-// the core's hedged calls. UDP is unreliable, so the core runs its
+// path and the core's hedged calls. UDP is unreliable, so the core runs its
 // user-level per-call retransmission clock with this config's backoff and
 // budget.
 func New(stack *sockets.Stack, rank, size int, pol substrate.Policy, cfg Config) *Transport {
@@ -95,8 +85,6 @@ func New(stack *sockets.Stack, rank, size int, pol substrate.Policy, cfg Config)
 	}
 	t.Core.Init(t, rank, size, pol,
 		substrate.Backoff{Initial: cfg.RetransmitInitial, Max: RetransmitMax}, cfg.MaxRetries)
-	t.credits = t.NewCredits(fmt.Sprintf("udpgm:%d:credits", rank),
-		[]int{sockets.RecvBufDefault}, []int{sockets.MaxDatagram})
 	return t
 }
 
@@ -227,46 +215,17 @@ func (t *Transport) dispatchRequest(p *sim.Proc, raw, aux []byte) {
 		panic(fmt.Sprintf("udpgm: corrupt request on node %d: %v", t.Rank(), err))
 	}
 	t.Live.Heard(int(m.From))
-	switch m.Kind {
-	case msg.KHeartbeat:
+	if m.Kind == msg.KHeartbeat {
 		// Liveness probe: the arrival already refreshed the sender's
 		// last-heard clock. Intercepted before the duplicate filter (all
 		// heartbeats share Seq 0) and never handed to the DSM handler.
 		return
-	case msg.KCredit:
-		// Credit return: the peer drained Page bytes of requests we sent it.
-		// Intercepted like heartbeats (credits share Seq 0); without flow
-		// control enabled no peer emits these, so the branch is dead on the
-		// stock wire.
-		t.Stats().CreditReturnsRecvd++
-		t.credits.Release(int(m.From), 0, int(m.Page))
-		return
-	}
-	if t.credits != nil {
-		// Every drained request datagram freed its bytes in our socket
-		// buffer; return them to the sender's window.
-		t.sendCredit(p, int(m.From), len(raw))
 	}
 	if e := t.Admit(p, m, aux, len(raw)); e != nil {
 		t.AnswerDup(p, m, e)
 	} else {
 		t.Serve(p, m, len(raw))
 	}
-}
-
-// sendCredit ships the credit return for a drained request datagram of n
-// bytes back to its sender — a msg.KCredit whose Page carries the freed
-// byte count — on the request path, so the peer's SIGIO dispatcher
-// intercepts it even while parked.
-func (t *Transport) sendCredit(p *sim.Proc, peer, n int) {
-	if peer < 0 || peer >= t.Size() || peer == t.Rank() || t.Live.Dead(peer) {
-		return
-	}
-	cr := msg.Message{Kind: msg.KCredit, From: int32(t.Rank()),
-		ReplyTo: int32(t.Rank()), Page: int32(n)}
-	t.creditBuf = cr.EncodeTo(t.creditBuf)
-	t.send(p, peer, reqPortBase+t.Rank(), t.creditBuf, nil)
-	t.Stats().CreditReturnsSent++
 }
 
 // AwaitReply implements substrate.Wire: select on the reply sockets until
@@ -297,36 +256,20 @@ func (t *Transport) AwaitReply(p *sim.Proc, deadline sim.Time, into *msg.Decoder
 }
 
 // Transmit implements substrate.Wire: requests go to the peer's request
-// socket for this rank, replies to its reply socket. Only a request's
-// first copy (a call or one-way send from the mainline) debits the credit
-// window, parking while the receiver drains earlier datagrams: one-way
-// datagrams share the buffer and an uncredited storm of them would be
-// lost with no retransmission clock to recover it, while retransmissions,
-// hedges and forwards ride debt-free — their copies are credited by the
-// receiver anyway (the window is clamped at the budget), and a forward is
-// sent from inside the SIGIO handler, where a credit return could not be
-// serviced.
+// socket for this rank, replies to its reply socket. Any of our bound
+// sockets sends (addressing is by node + port; the sending socket only
+// determines the source port, which receivers ignore).
 func (t *Transport) Transmit(p *sim.Proc, dst int, lane substrate.Lane, kind msg.Kind, body, aux []byte) {
 	port := reqPortBase + t.Rank()
-	switch lane {
-	case substrate.LaneRequest:
-		t.credits.Acquire(p, dst, 0, len(body), len(body))
-	case substrate.LaneReply:
+	if lane == substrate.LaneReply {
 		port = repPortBase + t.Rank()
 	}
-	t.Stats().BytesSent += int64(len(body))
-	t.send(p, dst, port, body, aux)
-}
-
-// send transmits raw bytes to (dst rank, dstPort) over any of our bound
-// sockets (addressing is by node + port; the sending socket only
-// determines the source port, which receivers ignore).
-func (t *Transport) send(p *sim.Proc, dst, dstPort int, data, aux []byte) {
-	if len(data) > t.MaxData() {
+	if len(body) > t.MaxData() {
 		panic(fmt.Sprintf("udpgm: %d-byte message exceeds TreadMarks' %d-byte cap "+
 			"(too many consistency intervals in one exchange; coarsen the application's "+
-			"synchronization grain)", len(data), t.MaxData()))
+			"synchronization grain)", len(body), t.MaxData()))
 	}
+	t.Stats().BytesSent += int64(len(body))
 	sk := t.repIn[dst]
 	if sk == nil {
 		sk = t.reqIn[dst]
@@ -336,7 +279,7 @@ func (t *Transport) send(p *sim.Proc, dst, dstPort int, data, aux []byte) {
 	}
 	// Rank maps to fabric node identically: one DSM process per node, as
 	// in the paper's runs.
-	if err := sk.SendToAux(p, myrinet.NodeID(dst), dstPort, data, aux); err != nil {
+	if err := sk.SendToAux(p, myrinet.NodeID(dst), port, body, aux); err != nil {
 		panic(fmt.Sprintf("udpgm: sendto rank %d: %v", dst, err))
 	}
 }

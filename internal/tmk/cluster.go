@@ -76,11 +76,10 @@ type Config struct {
 	// without a crash model.
 	Crash CrashConfig
 
-	// Flow arms end-to-end credit flow control in whichever substrate the
-	// run uses; Hedge likewise arms hedged re-issues of straggling calls.
-	// With the failure detector they are the run's one substrate.Policy.
-	// Off, the run is bit-identical to one without them (DESIGN.md §14).
-	Flow  bool
+	// Hedge arms hedged re-issues of straggling calls in whichever
+	// substrate the run uses. With the failure detector it is the run's one
+	// substrate.Policy. Off, the run is bit-identical to one without it
+	// (DESIGN.md §14).
 	Hedge bool
 }
 
@@ -148,8 +147,8 @@ type Result struct {
 	// answered by a resume (the chaos harness's residual-damage invariant).
 	DisabledPorts int
 	// ParkedFrames sums GM frames that arrived with no prepost buffer
-	// across all ports — the countdown toward a port disable that credit
-	// flow control exists to prevent.
+	// across all ports — the countdown toward a port disable that the
+	// preposting discipline exists to prevent.
 	ParkedFrames int64
 	// PortTimeouts sums parked frames that expired into a sender-visible
 	// send timeout (each one disabled a port until resumed).
@@ -191,7 +190,7 @@ func newCluster(cfg Config, tune func(*testbed)) *Cluster {
 	// The failure detector runs exactly when something can die: a crash
 	// trigger without it would leave survivors blocked on the dead rank
 	// forever.
-	c.pol = substrate.Policy{Liveness: cfg.Crash.hasTrigger(), Flow: cfg.Flow, Hedge: cfg.Hedge}
+	c.pol = substrate.Policy{Liveness: cfg.Crash.hasTrigger(), Hedge: cfg.Hedge}
 	c.sim = sim.New(cfg.Seed)
 	if cfg.Trace != nil {
 		c.sim.SetTracer(cfg.Trace)

@@ -113,12 +113,12 @@ func TestValidateRules(t *testing.T) {
 // arguing with these numbers (DESIGN.md §16).
 func TestConfigSurface(t *testing.T) {
 	features, all := harness.ConfigSurface()
-	if len(features) != 15 {
-		t.Errorf("tmk.Config exposes %d settable feature values, want 15:\n  %s",
+	if len(features) != 14 {
+		t.Errorf("tmk.Config exposes %d settable feature values, want 14:\n  %s",
 			len(features), strings.Join(features, "\n  "))
 	}
-	if len(all) != 22 {
-		t.Errorf("tmk.Config has %d settable leaves, want 22:\n  %s",
+	if len(all) != 21 {
+		t.Errorf("tmk.Config has %d settable leaves, want 21:\n  %s",
 			len(all), strings.Join(all, "\n  "))
 	}
 }

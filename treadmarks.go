@@ -36,7 +36,7 @@ import (
 type (
 	// Config assembles a DSM run: process count, transport, protocol,
 	// and the features — each on when it is set: Scheme, Rendezvous,
-	// Faults, Crash (a trigger), Flow and Hedge. The testbed's cost
+	// Faults, Crash (a trigger) and Hedge. The testbed's cost
 	// models (fabric, GM, kernel, CPU) are constants, not settings.
 	Config = tmk.Config
 	// Cluster is an assembled run on which Run executes an application.
