@@ -9,11 +9,11 @@ WORKLOAD ?= jacobi_fastgm_16
 BASE     ?= HEAD
 PAIRS    ?= 10
 
-.PHONY: all check fmt vet build test race loc uncovered host-allocs host-cpu wire-bytes pairs fuzz-smoke bench bench-identical bench-gate prof-smoke chaos-smoke crash-smoke rdma-smoke critical-smoke cli-smoke
+.PHONY: all check fmt vet build test race loc uncovered host-allocs host-cpu wire-bytes pairs fuzz-smoke bench bench-identical bench-gate prof-smoke chaos-smoke rdma-smoke critical-smoke cli-smoke
 
 all: check
 
-check: fmt vet build test race fuzz-smoke prof-smoke chaos-smoke crash-smoke rdma-smoke critical-smoke cli-smoke
+check: fmt vet build test race fuzz-smoke prof-smoke chaos-smoke rdma-smoke critical-smoke cli-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -199,14 +199,6 @@ fuzz-smoke:
 # ports, and zero-probability fault-config identity.
 chaos-smoke:
 	$(GO) run ./cmd/tmkrun -chaos
-
-# Crash-tolerance sweep on all three substrates: a rank death injected
-# into a barrier app and a lock app with restart on (each must run again
-# from the top, verify bit-correct and replay deterministically) and into
-# the lock app without it (must abort with a post-mortem naming the dead
-# rank and blocking entity).
-crash-smoke:
-	$(GO) run ./cmd/tmkrun -crash
 
 # Strict refactor proof: regenerate all five suites, once, and require every
 # file byte-identical to the checked-in BENCH_*.json; on failure it names

@@ -11,7 +11,6 @@
 //	       [-prof-json profile.json] [-critical] [-out trace.json] [-trace-cap N]
 //	tmkrun -scenario counter|sharing|lockchain [-nodes 4] [per-run flags]
 //	tmkrun -chaos [-seed N] [-nodes 4]
-//	tmkrun -crash [-seed N] [-nodes 4]
 //
 // -scenario runs a small DSM program in place of -app (and -size) and
 // prints its protocol trace: every fault, diff fetch, write notice,
@@ -32,18 +31,11 @@
 // export draws one flow arrow per causal edge. Observation only: the
 // execution time, statistics and protocol trace are the same without it.
 //
-// The sweeps ignore the per-run flags and take -seed; they and the
+// The chaos sweep ignores the per-run flags and takes -seed; it and the
 // scenarios take -nodes only when it is given. -chaos runs all four
 // applications on both two-sided transports over a seeded lossy fabric
 // (drop, corruption, latency spikes, a timed blackout), verifying
 // bit-correct results, active recovery and no residual disabled ports.
-// -crash injects a rank death, on all three substrates, into a barrier
-// and a lock application with restart on (the run started again must
-// verify and replay identically) and into the lock application without
-// it (a coordinated abort whose post-mortem names the dead rank and the
-// blocking entity); on udpgm the armed failure detector livelocks from 12
-// nodes up, so -crash -nodes 12 or more never finishes (ROADMAP.md item
-// 4).
 //
 // -rendezvous carries FAST/GM's large messages (and rdmagm's two-sided
 // ones) by RTS/CTS instead of preposted buffers (the paper's §2.2.2
@@ -78,7 +70,6 @@ func main() {
 	homeless := flag.Bool("homeless", false, "run the homeless protocol on rdmagm (default there is home-based LRC)")
 	seed := flag.Int64("seed", 1, "simulation RNG seed (fault schedules, tie-breaking)")
 	chaos := flag.Bool("chaos", false, "run the chaos sweep (all apps × transports on a lossy fabric)")
-	crash := flag.Bool("crash", false, "run the crash-tolerance sweep (rank death: restart of a barrier and a lock app + coordinated abort, all 3 substrates)")
 	hedge := flag.Bool("hedge", false, "enable hedged re-issues of straggling remote requests")
 	profFlag := flag.Bool("prof", false, "attach the protocol-entity profiler and print its tables")
 	profJSON := flag.String("prof-json", "", "write the entity profile as JSON (implies -prof)")
@@ -95,26 +86,11 @@ func main() {
 		}
 		return def
 	}
-	sweeps := []struct {
-		on  bool
-		run func() error
-	}{
-		{*chaos, func() error {
-			spec := harness.DefaultChaosSpec()
-			spec.Seed, spec.Nodes = *seed, sized(spec.Nodes)
-			return harness.Chaos(os.Stdout, spec)
-		}},
-		{*crash, func() error {
-			spec := harness.DefaultCrashSpec()
-			spec.Seed, spec.Nodes = *seed, sized(spec.Nodes)
-			return harness.CrashSweep(os.Stdout, spec)
-		}},
-	}
-	for _, sw := range sweeps {
-		if sw.on {
-			exitOn(sw.run())
-			return
-		}
+	if *chaos {
+		spec := harness.DefaultChaosSpec()
+		spec.Seed, spec.Nodes = *seed, sized(spec.Nodes)
+		exitOn(harness.Chaos(os.Stdout, spec))
+		return
 	}
 
 	// The run's views, all of one tracer: the scenario's protocol trace, the

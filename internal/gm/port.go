@@ -119,9 +119,8 @@ func (p *Port) SetSink(fn func(*Recv)) { p.sink = fn }
 // this port accepts, before queueing or sinking. Returning true consumes
 // the frame: the receive buffer is re-posted immediately and the host
 // never sees it. This models firmware-level protocol handling (in the
-// spirit of the paper's firmware modification): a liveness probe is
-// observed at arrival even while the host computes or masks interrupts,
-// and it never occupies a host receive buffer.
+// spirit of the paper's firmware modification): a frame is observed at
+// arrival even while the host computes or masks interrupts.
 func (p *Port) SetFilter(fn func(*Recv) bool) { p.filter = fn }
 
 // ID returns the port number.

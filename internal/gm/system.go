@@ -122,17 +122,6 @@ func (n *Node) OpenPort(id int) (*Port, error) {
 	return p, nil
 }
 
-// ClosePort tears a port down (crash recovery: a replacement rank reopens
-// the dead rank's ports). Traffic arriving afterwards is unroutable and
-// silently dropped — the sender's resend timer notices, exactly as with a
-// genuinely dead endpoint. Closing an unopened port is a no-op.
-func (n *Node) ClosePort(id int) {
-	if id <= MapperPort || id >= NumPorts {
-		return
-	}
-	n.ports[id] = nil
-}
-
 // Port returns the open port with the given id, or nil.
 func (n *Node) Port(id int) *Port {
 	if id < 0 || id >= NumPorts {

@@ -32,7 +32,7 @@ func RunApp(app apps.App, n int, kind tmk.TransportKind, mutate func(*tmk.Config
 // VerifiedRun is RunApp plus a rank-0 check against the sequential
 // reference; it fails loudly rather than report timings for wrong answers.
 // Whatever Result the run produced comes back beside the error: an aborted
-// run's post-mortem is what the crash sweep inspects.
+// run's carries its post-mortem.
 func VerifiedRun(app apps.App, n int, kind tmk.TransportKind, mutate func(*tmk.Config)) (*tmk.Result, error) {
 	cfg := tmk.DefaultConfig(n, kind)
 	if mutate != nil {
@@ -96,8 +96,7 @@ func SizeLadder(name string) []apps.App {
 // (DESIGN.md §16). A feature name that is no Config field panics: a
 // deleted field's name cannot linger here uncounted.
 func ConfigSurface() (features, all []string) {
-	isFeature := map[string]bool{"Scheme": true, "Rendezvous": true, "Faults": true,
-		"Crash": true, "Hedge": true}
+	isFeature := map[string]bool{"Scheme": true, "Rendezvous": true, "Faults": true, "Hedge": true}
 	var walk func(path string, ty reflect.Type, counted bool)
 	walk = func(path string, ty reflect.Type, counted bool) {
 		if ty.Kind() != reflect.Struct {

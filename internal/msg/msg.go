@@ -43,10 +43,10 @@ const (
 	// KPing/KPong: micro-benchmark round-trip probes (harness.Netperf, E0).
 	KPing
 	KPong
-	// KHeartbeat: liveness probe between UDP/GM kernels. Intercepted below
-	// the request dispatcher (it only refreshes the peer's last-heard
-	// clock), so it never enters the duplicate cache or the handler.
-	KHeartbeat
+	// Kind 11 is retired (it was a liveness probe) and stays unassigned, so
+	// the kinds after it keep their values on the wire and in the fuzz
+	// corpus.
+	_
 	// KDistributeCommit: proc 0 → all, second round of a home-based
 	// distribute. Sent only after every rank acked KDistribute (and so
 	// registered its memory window), it releases the waiters in
@@ -59,7 +59,7 @@ var kindNames = [...]string{
 	"invalid", "lock-acquire", "lock-grant",
 	"barrier-arrive", "barrier-release", "diff-req", "diff-reply",
 	"distribute", "ack",
-	"ping", "pong", "heartbeat", "distribute-commit",
+	"ping", "pong", "retired", "distribute-commit",
 }
 
 func (k Kind) String() string {

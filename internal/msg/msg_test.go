@@ -21,7 +21,7 @@ func TestKindString(t *testing.T) {
 
 func TestIsRequest(t *testing.T) {
 	reqs := []Kind{KLockAcquire, KBarrierArrive, KDiffReq, KDistribute, KDistributeCommit, KPing}
-	reps := []Kind{KLockGrant, KBarrierRelease, KDiffReply, KAck, KPong, KHeartbeat}
+	reps := []Kind{KLockGrant, KBarrierRelease, KDiffReply, KAck, KPong}
 	for _, k := range reqs {
 		if !k.IsRequest() {
 			t.Errorf("%v should be a request", k)

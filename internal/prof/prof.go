@@ -209,7 +209,7 @@ func (p *Profiler) lockCell(id int32, rank int) *Cell {
 // are raw virtual nanoseconds and a span ends at T+Dur. Only layer tmk's
 // events name entities; of those the profiler ignores diff-apply and
 // lock-grant (the fetch and the acquire they serve carry the cost) and the
-// crash kinds (a restarted run is profiled as the one run it completes).
+// watchdog's crash-detected.
 func (p *Profiler) Observe(e trace.Event) {
 	if e.Layer != trace.LayerTMK {
 		return

@@ -229,7 +229,7 @@ func TestHeatmapBucketsWideRuns(t *testing.T) {
 func TestObserveSkipsWhatItDoesNotReduce(t *testing.T) {
 	p := New()
 	p.Observe(trace.Event{Layer: trace.LayerSubstrate, Kind: trace.KindReadFault, ID: 1, Dur: 10})
-	for _, k := range []string{trace.KindDiffApply, trace.KindLockGrant, trace.KindCrashInject, trace.KindCrashDetected, trace.KindRestart} {
+	for _, k := range []string{trace.KindDiffApply, trace.KindLockGrant, trace.KindCrashDetected} {
 		p.Observe(trace.Event{Layer: tmkLayer, Kind: k, ID: 1, Peer: 2, Bytes: 8, A: 1})
 	}
 	if pr := p.Snapshot(); len(pr.Pages)+len(pr.Locks)+len(pr.Barriers) != 0 {

@@ -26,7 +26,7 @@ type Proc struct {
 	clock  Time
 	state  procState
 	where  string // what the proc is blocked on, for deadlock reports
-	killed bool   // crash injected: next resume unwinds instead of returning
+	killed bool   // Kill or Exit ended it: next resume unwinds instead of returning
 
 	// The handoff is a direct coroutine switch (iter.Pull): dispatch calls
 	// next, block calls yield; neither allocates nor queues a goroutine.
@@ -78,7 +78,7 @@ func (p *Proc) block(where string) {
 	p.yield(struct{}{})
 	// dispatch set state/clock already.
 	if p.killed {
-		// A crash was injected while we were blocked. Unwind the coroutine;
+		// Killed while we were blocked. Unwind the coroutine;
 		// Spawn's wrapper recovers the sentinel and marks the proc done.
 		// Deferred cleanups (e.g. WaitOnUntil's timer release) still run;
 		// skipped non-deferred cleanup is harmless: a dead proc left on a
@@ -91,12 +91,11 @@ func (p *Proc) block(where string) {
 // killed is the panic value Kill and Exit unwind a process with.
 type killed struct{}
 
-// Kill injects a crash: the process never executes another instruction.
-// If it is blocked (the common case — a crashed rank is parked in some
-// wait), it is scheduled to unwind at the current virtual time. Safe to
-// call from scheduler context or another process's context; killing a
-// finished process is a no-op. A process crashing in its own context
-// should call Exit instead.
+// Kill ends the process: it never executes another instruction. If it is
+// blocked (the common case — a killed rank is parked in some wait), it is
+// scheduled to unwind at the current virtual time. Safe to call from
+// scheduler context or another process's context; killing a finished
+// process is a no-op. A process ending itself should call Exit instead.
 func (p *Proc) Kill() {
 	if p.state == stateDone || p.killed {
 		return
@@ -105,18 +104,17 @@ func (p *Proc) Kill() {
 	p.wake()
 }
 
-// Exit terminates the calling process immediately (crash model: the
-// process dies mid-protocol without any cleanup). Must be called from the
-// process's own context.
+// Exit terminates the calling process immediately, mid-protocol and
+// without any cleanup. Must be called from the process's own context.
 func (p *Proc) Exit() {
 	p.killed = true
 	panic(killed{})
 }
 
-// Done reports whether the process has finished (normally or by crash).
+// Done reports whether the process has finished (normally or killed).
 func (p *Proc) Done() bool { return p.state == stateDone }
 
-// Killed reports whether a crash was injected into this process.
+// Killed reports whether Kill or Exit ended this process.
 func (p *Proc) Killed() bool { return p.killed }
 
 // wake arranges for a blocked process to resume at the current simulator

@@ -185,7 +185,7 @@ func (s *Simulator) Spawn(name string, start Time, fn func(*Proc)) *Proc {
 				panic(fmt.Errorf("sim: proc %q panicked: %v\n%s", name, r, debug.Stack()))
 			}
 		}()
-		if !p.killed { // else crashed before first dispatch
+		if !p.killed { // else killed before first dispatch
 			fn(p)
 		}
 	})

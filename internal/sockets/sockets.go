@@ -347,17 +347,10 @@ func (sk *Socket) BindEphemeral(p *sim.Proc) int {
 // transport does).
 func (sk *Socket) SetSIGIO(proc *sim.Proc) { sk.sigioProc = proc }
 
-// Close unbinds and closes the socket.
+// Close unbinds and closes the socket. Blocked receivers are woken and
+// observe ErrNoSuchSocket.
 func (sk *Socket) Close(p *sim.Proc) {
 	p.Advance(SyscallEntry)
-	sk.ForceClose()
-}
-
-// ForceClose closes the socket from kernel/scheduler context: crash
-// teardown has no process context to charge the syscall to (the owning
-// process is already dead). Blocked receivers are woken and observe
-// ErrNoSuchSocket.
-func (sk *Socket) ForceClose() {
 	if sk.port >= 0 {
 		delete(sk.stack.sockets, sk.port)
 		sk.port = -1
@@ -398,27 +391,6 @@ func (sk *Socket) SendToAux(p *sim.Proc, dst myrinet.NodeID, dstPort int, data, 
 		tr.Metrics().Counter(trace.LayerSockets, "datagrams.sent").Inc(int64(len(data)))
 	}
 	st.transmit(p, dst, sk.port, dstPort, data, aux)
-	return nil
-}
-
-// SendFromKernel transmits one datagram from kernel/event context with no
-// process charged (the liveness layer's heartbeat probes ride this path:
-// they originate from a timer, not a syscall). Source port 0 marks the
-// datagram as kernel-originated; receivers that care only about the
-// payload ignore it.
-func (st *Stack) SendFromKernel(dst myrinet.NodeID, dstPort int, data []byte) error {
-	if len(data) > MaxDatagram {
-		return ErrTooLarge
-	}
-	st.stats.DatagramsSent++
-	st.stats.BytesSent += int64(len(data))
-	if tr := st.s.Tracer(); tr != nil {
-		tr.Metrics().Counter(trace.LayerSockets, "datagrams.sent").Inc(int64(len(data)))
-	}
-	// Queue-then-drain reuses the deferred kernel tx path, which sends via
-	// SendFromKernel on the GM port (no process charge).
-	st.txQueue = append(st.txQueue, pendingTx{dst: dst, payload: datagram(nil, 0, dstPort, data)})
-	st.drainTxQueue()
 	return nil
 }
 

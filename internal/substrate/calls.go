@@ -28,8 +28,8 @@ type Exchange struct {
 	MaxRetries int
 	// Grace, when set, makes silence corroborate exhaustion: a spent budget
 	// against a peer heard within Grace is congestion, not death, and is
-	// extended at the maximum backoff until the peer falls silent. An armed
-	// failure detector caps it at its own deadline (Liveness.HeardWithin).
+	// extended at the maximum backoff until the peer falls silent
+	// (Liveness.HeardWithin).
 	Grace sim.Time
 
 	// lent holds, per context of the owning process (mainline, handler),

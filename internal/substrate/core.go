@@ -33,9 +33,6 @@ type Wire interface {
 	// BytesRecvd). It returns nil when deadline (0 = none) passes first,
 	// when PeerGone woke the wait, or when the arrival was unusable.
 	AwaitReply(p *sim.Proc, deadline sim.Time, into *msg.Decoder) *msg.Message
-	// Probe sends one best-effort liveness probe from scheduler context
-	// and reports whether it left.
-	Probe(peer int) bool
 	// PeerGone releases the binding's per-peer state for a dead peer and
 	// wakes a collector blocked without a deadline. Scheduler or process
 	// context.
@@ -55,7 +52,6 @@ type Core struct {
 	proc    *sim.Proc
 	handler Handler
 	stats   Stats
-	halted  bool
 
 	Live Liveness
 
@@ -103,17 +99,15 @@ func (c *Core) ctx(p *sim.Proc) *context { return &c.cx[level(p)] }
 // (the handler) copies it.
 func (c *Core) RequestDecoder(p *sim.Proc) *msg.Decoder { return &c.ctx(p).req }
 
-// Policy is the protocol policy every process of a run must share: which
-// of the failure detector and hedged re-issues are armed. A receiver only
-// answers probes or absorbs a hedged duplicate on the assumption that its
-// peers run the same policy, so there is one value per run — resolved by
-// whoever assembles the cluster, handed to each binding's New beside the
-// binding's own config, and owned by the Core from then on. How each mechanism is tuned is a
-// constant of this package, not a setting. The zero value is inert: no
-// probes, no hedges, wire traffic bit-identical to a run without it.
+// Policy is the protocol policy every process of a run must share: whether
+// hedged re-issues are armed. A receiver only absorbs a hedged duplicate on
+// the assumption that its peers run the same policy, so there is one value
+// per run — resolved by whoever assembles the cluster, handed to each
+// binding's New beside the binding's own config, and owned by the Core from
+// then on. How hedging is tuned is a constant of this package, not a
+// setting. The zero value is inert: no hedges, wire traffic bit-identical
+// to a run without it.
 type Policy struct {
-	// Liveness arms heartbeat probes and the silence rule (Liveness).
-	Liveness bool
 	// Hedge arms one re-issue of a call whose reply is late against the
 	// observed reply latency (hedgeDelay).
 	Hedge bool
@@ -174,20 +168,6 @@ func (c *Core) Proc() *sim.Proc { return c.proc }
 
 // Stats returns the transport counters.
 func (c *Core) Stats() *Stats { return &c.stats }
-
-// Halted reports whether crash teardown has quiesced the transport.
-func (c *Core) Halted() bool { return c.halted }
-
-// Quiesce is the shared half of Transport.Halt: the liveness clock
-// stops. It reports false if the transport was already halted.
-func (c *Core) Quiesce() bool {
-	if c.halted {
-		return false
-	}
-	c.halted = true
-	c.Live.Stop()
-	return true
-}
 
 // DisableAsync masks asynchronous request delivery (TreadMarks'
 // sigprocmask around consistency-critical sections).

@@ -18,7 +18,6 @@ type fakeWire struct {
 	bodies  [][]byte // the frames themselves, held as a binding holds them: not copied
 	replies []*msg.Message
 	cond    *sim.Cond
-	probes  []int
 	gone    []int
 }
 
@@ -40,8 +39,7 @@ func (w *fakeWire) AwaitReply(p *sim.Proc, deadline sim.Time, _ *msg.Decoder) *m
 	return m
 }
 
-func (w *fakeWire) Probe(peer int) bool { w.probes = append(w.probes, peer); return true }
-func (w *fakeWire) PeerGone(peer int)   { w.gone = append(w.gone, peer); w.cond.Broadcast() }
+func (w *fakeWire) PeerGone(peer int) { w.gone = append(w.gone, peer); w.cond.Broadcast() }
 
 // deliver queues a reply for seq, as the wire would at time at.
 func (w *fakeWire) deliver(s *sim.Simulator, at sim.Time, seq uint32) {
@@ -74,41 +72,6 @@ func runCore(t *testing.T, cfg coreArgs, body func(p *sim.Proc, c *Core, w *fake
 		t.Fatal(err)
 	}
 	return c, w
-}
-
-func TestLivenessSilenceDeclaresExactlyOnce(t *testing.T) {
-	var deaths []int
-	var at sim.Time
-	c, w := runCore(t, coreArgs{Policy: Policy{Liveness: true}}, func(p *sim.Proc, c *Core, w *fakeWire) {
-		c.SetOnPeerDead(func(peer int, err error) { deaths, at = append(deaths, peer), p.Sim().Now() })
-		c.Live.Start()
-		for i := 1; i <= 20; i++ { // peer 1 stays audible, peer 2 never speaks
-			p.Sim().At(sim.Time(i)*sim.Millisecond/2, func() { c.Live.Heard(1) })
-		}
-		p.Advance(12 * sim.Millisecond)
-		// Quiesce stops the clock, once: a second halt is not a fresh one.
-		if !c.Quiesce() || !c.Halted() || c.Quiesce() {
-			t.Error("Quiesce did not halt exactly once")
-		}
-	})
-	if !slices.Equal(deaths, []int{2}) || c.Stats().PeersDeclaredDead != 1 {
-		t.Fatalf("deaths = %v, PeersDeclaredDead = %d; want peer 2 exactly once", deaths, c.Stats().PeersDeclaredDead)
-	}
-	// Silent since Start at 0 under the 500µs × 8 schedule: the tick at 4ms
-	// is not past the 4ms deadline, the next one (4.5ms) is.
-	if at != 4500*sim.Microsecond {
-		t.Errorf("declared at %v, want the first tick past the deadline (4.5ms)", at)
-	}
-	if pf := c.PeerFailure(); pf == nil || pf.Peer != 2 || pf.Kind != "heartbeat-miss" || pf.Rank != 0 {
-		t.Errorf("failure = %+v, want heartbeat-miss toward peer 2", pf)
-	}
-	if !slices.Equal(w.gone, []int{2}) {
-		t.Errorf("binding cleanup ran for %v, want [2] once", w.gone)
-	}
-	// Eight ticks probed both peers before the declaration.
-	if n := int64(len(w.probes)); n != c.Stats().HeartbeatsSent || w.probes[n-1] != 1 || slices.Contains(w.probes[16:], 2) {
-		t.Errorf("probes %v (HeartbeatsSent %d): want every probe counted and none toward the dead peer", w.probes, c.Stats().HeartbeatsSent)
-	}
 }
 
 func TestLivenessHeardWithinBoundary(t *testing.T) {
@@ -334,7 +297,7 @@ func TestExchangePeerGoneResolvesEveryFamily(t *testing.T) {
 			c.CallBegin(p, 1+i%2, &msg.Message{Kind: msg.KPing})
 		}
 		p.Sim().After(sim.Millisecond, func() {
-			c.Live.DeclareDead(1, "heartbeat-miss", 0)
+			c.Live.DeclareDead(1, "retry-exhausted", 0)
 			for _, seq := range KeysWhere(c.pending, func(*Call) bool { return true }) {
 				order = append(order, seq)
 			}

@@ -27,7 +27,6 @@ const (
 	frameRTS  byte = 2 // rendezvous request-to-send
 	frameCTS  byte = 3 // rendezvous clear-to-send
 	frameData byte = 4 // rendezvous bulk data (body = encoded msg.Message)
-	frameHB   byte = 5 // liveness heartbeat (no body, never retransmitted)
 )
 
 // Transport is the FAST/GM substrate for one process: the shared protocol
@@ -51,13 +50,10 @@ type Transport struct {
 	// cond senders park on while their port is disabled.
 	resuming map[*gm.Port]bool
 	portCond *sim.Cond
-
-	hbBufs []*gm.Buffer // free registered heartbeat send buffers (liveness.go)
 }
 
 // New creates the substrate for process rank of size on a GM node, under
-// the run's policy: heartbeat frames multiplexed over the async port
-// (liveness.go) and the core's hedged calls.
+// the run's policy (the core's hedged calls).
 func New(node *gm.Node, rank, size int, pol substrate.Policy, cfg Config) *Transport {
 	t := &Transport{node: node, cfg: cfg, resuming: make(map[*gm.Port]bool)}
 	// No user-level call clock: GM-level retransmission (recovery.go)
@@ -139,11 +135,6 @@ func (t *Transport) Start(p *sim.Proc, h substrate.Handler) {
 	t.sendPool = NewSendPool(fmt.Sprintf("fastgm:%d:sendpool", t.Rank()),
 		t.node.Register(p, t.SendPoolBytes(1)))
 
-	t.startLiveness()
-	if t.Live.Enabled() {
-		t.asyncPort.SetFilter(t.asyncNICFilter)
-	}
-
 	switch t.cfg.Scheme {
 	case AsyncInterrupt:
 		p.SetInterruptHandler(t.onAsyncInterrupt)
@@ -159,18 +150,18 @@ func (t *Transport) Start(p *sim.Proc, h substrate.Handler) {
 }
 
 // Shutdown deregisters nothing explicitly (regions die with the run) but
-// stops the timer scheme and the heartbeat clock.
+// stops the timer scheme.
 func (t *Transport) Shutdown(p *sim.Proc) {
 	t.rv.shutdown = true
-	t.Live.Stop()
 }
 
-// armTimer schedules the periodic async-port check for AsyncTimer.
+// armTimer schedules the periodic async-port check for AsyncTimer, until
+// Shutdown or, on an aborted run, the owning process's end.
 func (t *Transport) armTimer() {
 	s := t.Proc().Sim()
 	var tick func()
 	tick = func() {
-		if t.rv.shutdown {
+		if t.rv.shutdown || t.Proc().Done() {
 			return
 		}
 		if t.asyncPort.TryPeek() {
@@ -179,17 +170,6 @@ func (t *Transport) armTimer() {
 		s.After(t.cfg.TimerInterval, tick)
 	}
 	s.After(t.cfg.TimerInterval, tick)
-}
-
-// asyncNICFilter classifies async-port arrivals in NIC (scheduler)
-// context, installed only with the liveness layer armed: any frame
-// refreshes the peer's last-heard clock; a heartbeat is consumed here — it
-// never occupies a host receive buffer and is heard even while the host
-// computes with asynchronous delivery masked. Everything else flows to the
-// host unchanged.
-func (t *Transport) asyncNICFilter(rv *gm.Recv) bool {
-	t.Live.Heard(int(rv.From))
-	return len(rv.Data) > 0 && rv.Data[0] == frameHB
 }
 
 // onAsyncInterrupt services the NIC interrupt (paper's firmware mod).
@@ -232,10 +212,6 @@ func (t *Transport) handleAsyncFrame(p *sim.Proc, rv *gm.Recv) {
 	t.Live.Heard(from)
 	tag, body := rv.Data[0], rv.Data[1:]
 	switch tag {
-	case frameHB:
-		// A heartbeat's arrival already refreshed the peer's last-heard
-		// clock above; it carries nothing else.
-		t.asyncPort.ProvideReceiveBuffer(rv.Buffer)
 	case frameMsg, frameData:
 		p.Advance(DispatchCost)
 		m, err := t.RequestDecoder(p).Decode(body)

@@ -37,6 +37,7 @@ func FuzzHandleAsyncFrame(f *testing.F) {
 	f.Add([]byte{frameCTS})                     // truncated CTS
 	f.Add([]byte{})                             // empty frame
 	f.Add([]byte{250, 1, 2, 3})                 // unknown tag
+	f.Add([]byte{5})                            // the retired heartbeat tag
 	f.Add([]byte{6, 10, 1, 0})                  // the retired credit-return tag: a class-10 entry
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -70,7 +71,7 @@ func FuzzHandleAsyncFrame(f *testing.F) {
 		if err := s.Run(); err != nil {
 			t.Fatalf("sim failed to drain after frame %x: %v", data, err)
 		}
-		if len(data) > 0 && (data[0] == 0 || data[0] > frameHB) && tr0.Stats().CorruptFrames != 2 {
+		if len(data) > 0 && (data[0] == 0 || data[0] > frameData) && tr0.Stats().CorruptFrames != 2 {
 			t.Errorf("frame %x under unknown tag %d: %d corrupt frames, want 2", data, data[0], tr0.Stats().CorruptFrames)
 		}
 	})

@@ -69,10 +69,6 @@ func (ps *pendingSend) completed(st gm.SendStatus) {
 
 // onSendFailure runs in scheduler context when GM reports a failed send.
 func (t *Transport) onSendFailure(ps *pendingSend, st gm.SendStatus) {
-	if t.Halted() {
-		t.recycleSend(ps)
-		return
-	}
 	t.Stats().GMSendFailures++
 	ps.attempts++
 	if ps.attempts > t.cfg.MaxSendRetries {
@@ -104,10 +100,6 @@ func (t *Transport) scheduleRetransmit(ps *pendingSend) {
 // while the port is still disabled or out of tokens.
 func (ps *pendingSend) resend() {
 	t := ps.t
-	if t.Halted() {
-		t.recycleSend(ps)
-		return
-	}
 	if t.Live.Dead(ps.dst) {
 		// The peer was declared dead while this frame sat in backoff;
 		// retrying would only re-disable our port.
@@ -157,6 +149,20 @@ func (t *Transport) abandonSend(ps *pendingSend, kind string) {
 		tr.Metrics().Counter(trace.LayerSubstrate, "sends.abandoned").Inc(1)
 	}
 	t.Live.DeclareDead(dst, kind, attempts)
+}
+
+// PeerGone implements substrate.Wire: drop every staged rendezvous send
+// addressed to the dead peer (its CTS will never come), then wake a
+// collector blocked on the synchronous port so it observes the dead flag.
+func (t *Transport) PeerGone(peer int) {
+	staged := t.rv.staged
+	for _, id := range substrate.KeysWhere(staged, func(st *stagedSend) bool { return st.dst == peer }) {
+		delete(staged, id)
+		t.Stats().SendsAbandoned++
+	}
+	if t.syncPort != nil {
+		t.syncPort.Kick()
+	}
 }
 
 // EnsureResume schedules exactly one pending gm_resume_sending for a

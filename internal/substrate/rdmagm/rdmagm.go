@@ -1,8 +1,8 @@
 // Package rdmagm implements the one-sided substrate: TreadMarks bound to
 // RDMA-style verbs over the simulated Myrinet fabric ("RDMA/GM"). It
 // layers on fastgm — the two-sided request/reply half (startup, locks,
-// barriers, heartbeats) is the embedded fastgm transport, unchanged on
-// ports 2/3 — and adds two ports of its own:
+// barriers) is the embedded fastgm transport, unchanged on ports 2/3 — and
+// adds two ports of its own:
 //
 //   - VerbPort (4) receives verb descriptors (Put/Get against registered
 //     memory windows). It is serviced by a port sink — the model of
@@ -95,8 +95,7 @@ type Transport struct {
 
 // New creates the substrate for process rank of size on a GM node under
 // the run's policy: fast governs the two-sided request/reply half
-// (startup, locks, barriers, liveness heartbeats — everything the verbs
-// do not cover).
+// (startup, locks, barriers — everything the verbs do not cover).
 func New(node *gm.Node, rank, size int, pol substrate.Policy, fast fastgm.Config) *Transport {
 	t := &Transport{
 		Transport:  fastgm.New(node, rank, size, pol, fast),
@@ -160,14 +159,6 @@ func (t *Transport) Start(p *sim.Proc, h substrate.Handler) {
 		t.node.RegisterAtBoot(t.SendPoolBytes(2)))
 
 	t.verbPort.SetSink(t.onVerbFrame)
-	if t.Live.Enabled() {
-		// One-sided traffic proves the initiator alive at NIC level, even
-		// while this host computes with asynchronous delivery masked.
-		t.cqPort.SetFilter(func(rv *gm.Recv) bool {
-			t.Live.Heard(int(rv.From))
-			return false
-		})
-	}
 }
 
 // PeerGone implements substrate.Wire on top of the embedded binding's: the
@@ -178,17 +169,6 @@ func (t *Transport) PeerGone(peer int) {
 	if t.cqPort != nil {
 		t.cqPort.Kick()
 	}
-}
-
-// Halt implements substrate.Transport: the embedded teardown plus the
-// one-sided ports.
-func (t *Transport) Halt() {
-	if t.Halted() {
-		return
-	}
-	t.Transport.Halt()
-	t.node.ClosePort(VerbPort)
-	t.node.ClosePort(CQPort)
 }
 
 // RegisterWindow implements substrate.OneSided. Registration is charged
@@ -352,7 +332,7 @@ func (ss *stagedSend) sent(st gm.SendStatus) {
 	t.freeSends = append(t.freeSends, ss)
 	pool.Put(buf)
 	t.tokenCond.Broadcast()
-	if st != gm.SendOK && !t.Halted() {
+	if st != gm.SendOK {
 		t.Stats().GMSendFailures++
 		t.EnsureResume(port)
 	}
@@ -564,7 +544,7 @@ func (cs *compSend) send() {
 func (t *Transport) sendCompletion(key substrate.DupKey) {
 	delete(t.compQueued, key)
 	e, ok := t.vdup.Lookup(key)
-	if !ok || t.Halted() {
+	if !ok {
 		return
 	}
 	dst, comp, aux := e.To, e.Reply, e.ReplyAux

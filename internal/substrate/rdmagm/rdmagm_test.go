@@ -274,27 +274,26 @@ func TestVerbBlackoutRecovery(t *testing.T) {
 	requirePortsEnabled(t, c)
 }
 
-// TestVerbsAbandonedOnDeadPeer: the target fail-stops (transport halted,
-// ports closed) with verbs outstanding. WaitVerbs must return a typed
-// PeerUnreachableError instead of hanging, and the failure must feed the
-// shared liveness state.
+// TestVerbsAbandonedOnDeadPeer: the target becomes unreachable (every
+// frame toward it lost for good) with a verb outstanding. WaitVerbs must
+// spend the verb retry budget and return a typed PeerUnreachableError
+// instead of hanging, and the failure must feed the shared liveness state.
 func TestVerbsAbandonedOnDeadPeer(t *testing.T) {
-	pol := substrate.Policy{Liveness: true}
-	c := stest.NewRDMA(2, 1, pol, fastgm.DefaultConfig())
+	c := stest.NewRDMA(2, 1, substrate.Policy{}, fastgm.DefaultConfig())
+	c.Fabric.SetFaults(myrinet.FaultConfig{Blackouts: []myrinet.Blackout{
+		{Src: -1, Dst: 1, From: 2 * sim.Millisecond, To: 100000 * sim.Second},
+	}})
 	win := make([]byte, 4096)
 	var verr error
 	c.Sim.Spawn("rank1", 0, func(p *sim.Proc) {
 		c.Transports[1].Start(p, func(p *sim.Proc, m *msg.Message) {})
 		oneSided(t, c.Transports[1]).RegisterWindow(p, 4, win)
-		p.Advance(2 * sim.Millisecond)
-		// Fail-stop: close the ports and stop heartbeating, no shutdown.
-		c.Transports[1].Halt()
 	})
 	c.Sim.Spawn("rank0", 0, func(p *sim.Proc) {
 		tr := c.Transports[0]
 		tr.Start(p, func(p *sim.Proc, m *msg.Message) {})
 		os := oneSided(t, tr)
-		p.Advance(5 * sim.Millisecond) // rank 1 is dead by now
+		p.Advance(5 * sim.Millisecond) // rank 1 is unreachable by now
 		pv := os.PostPut(p, 0+1, 4, substrate.PutSeg{Data: []byte{1, 2, 3, 4}})
 		verr = os.WaitVerbs(p, []substrate.PendingVerb{pv})
 		tr.Shutdown(p)
@@ -306,8 +305,8 @@ func TestVerbsAbandonedOnDeadPeer(t *testing.T) {
 	if !errors.As(verr, &pue) {
 		t.Fatalf("got %v, want PeerUnreachableError", verr)
 	}
-	if pue.Peer != 1 || pue.Kind == "" {
-		t.Errorf("diagnosis names peer %d kind %q, want peer 1 with a kind", pue.Peer, pue.Kind)
+	if pue.Peer != 1 || pue.Kind != "retry-exhausted" {
+		t.Errorf("diagnosis names peer %d kind %q, want retry-exhausted toward peer 1", pue.Peer, pue.Kind)
 	}
 	st := c.Transports[0].Stats()
 	if st.SendsAbandoned == 0 {

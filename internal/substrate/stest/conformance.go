@@ -34,7 +34,7 @@ func RunConformance(t *testing.T, build Builder) {
 	t.Run("CorruptedReplyCRC", func(t *testing.T) { ConformanceCorruptedReplyCRC(t, build) })
 	t.Run("PortDisabledMidBurstResumed", func(t *testing.T) { ConformancePortDisabledMidBurstResumed(t, build) })
 	t.Run("SilentPeerMidRendezvous", func(t *testing.T) { ConformanceSilentPeerMidRendezvous(t, build) })
-	t.Run("RetryExhaustionLivenessOff", func(t *testing.T) { ConformanceRetryExhaustionLivenessOff(t, build) })
+	t.Run("RetryExhaustion", func(t *testing.T) { ConformanceRetryExhaustion(t, build) })
 	t.Run("ScatterGather", func(t *testing.T) { ConformanceScatterGather(t, build) })
 	t.Run("ScatterGatherFaultStorm", func(t *testing.T) { ConformanceScatterGatherFaultStorm(t, build) })
 	t.Run("LostReplyPinsOnlyItself", func(t *testing.T) { ConformanceLostReplyPinsOnlyItself(t, build) })
@@ -220,31 +220,40 @@ func ConformancePortDisabledMidBurstResumed(t *testing.T, build Builder) {
 	requireAllPortsEnabled(t, c)
 }
 
-// livenessCluster probes the builder to learn which transport family is
-// under test, then constructs a fresh n-rank cluster of the same family
-// with heartbeat liveness enabled.
-func livenessCluster(build Builder, n int) *Cluster {
+// unreachableCluster probes the builder to learn which transport family
+// is under test, then constructs a fresh two-rank cluster of the same
+// family with a two-attempt retry budget, FAST/GM's large messages carried
+// by rendezvous, and every frame toward rank 1 lost from 1 ms on.
+func unreachableCluster(build Builder) *Cluster {
 	probe := build(2, 1)
 	_, oneSided := probe.Transports[0].(substrate.OneSided)
-	pol := substrate.Policy{Liveness: true}
+	udp := udpgm.DefaultConfig()
+	udp.MaxRetries = 2
+	fast := fastgm.DefaultConfig()
+	fast.MaxSendRetries, fast.Rendezvous = 2, true
+	var c *Cluster
 	switch {
 	case probe.Stacks != nil:
-		return NewUDPConfig(n, 1, pol, udpgm.DefaultConfig())
+		c = NewUDPConfig(2, 1, substrate.Policy{}, udp)
 	case oneSided:
-		return NewRDMA(n, 1, pol, fastgm.DefaultConfig())
+		c = NewRDMA(2, 1, substrate.Policy{}, fast)
 	default:
-		return NewFast(n, 1, pol, fastgm.DefaultConfig())
+		c = NewFast(2, 1, substrate.Policy{}, fast)
 	}
+	c.Fabric.SetFaults(myrinet.FaultConfig{Blackouts: []myrinet.Blackout{
+		{Src: -1, Dst: 1, From: sim.Millisecond, To: 100000 * sim.Second},
+	}})
+	return c
 }
 
-// ConformanceSilentPeerMidRendezvous: the peer of a large transfer goes
-// silent after startup — for FAST/GM the sender's RTS is staged but the
-// CTS never arrives; for UDP/GM every retransmitted datagram vanishes
-// into a dead process. With liveness enabled both substrates must time
-// the peer out and fail the Call with a diagnostic naming it, instead of
-// hanging the simulation.
+// ConformanceSilentPeerMidRendezvous: the peer of a large transfer becomes
+// unreachable after startup — for FAST/GM the sender's data is staged
+// behind an RTS that never arrives; for UDP/GM every retransmitted
+// datagram vanishes. Both substrates must spend the retry budget, fail the
+// Call with a diagnostic naming the peer instead of hanging the
+// simulation, and drop what they staged toward it.
 func ConformanceSilentPeerMidRendezvous(t *testing.T, build Builder) {
-	c := livenessCluster(build, 2)
+	c := unreachableCluster(build)
 	started := 0
 	startCond := sim.NewCond("stest:silent-start")
 	rendezvous := func(p *sim.Proc) {
@@ -258,8 +267,7 @@ func ConformanceSilentPeerMidRendezvous(t *testing.T, build Builder) {
 	completed := false
 	var rep *msg.Message
 	// Rank 1 starts its transport (so preposting completes and the GM
-	// session looks healthy), then dies without shutting down: heartbeats
-	// stop and no protocol message is ever answered again.
+	// session looks healthy), then nothing reaches it any more.
 	c.Sim.Spawn("rank1", 0, func(p *sim.Proc) {
 		c.Transports[1].Start(p, noHandler)
 		rendezvous(p)
@@ -267,7 +275,7 @@ func ConformanceSilentPeerMidRendezvous(t *testing.T, build Builder) {
 	c.Sim.Spawn("rank0", 0, func(p *sim.Proc) {
 		c.Transports[0].Start(p, noHandler)
 		rendezvous(p)
-		p.Advance(sim.Millisecond) // rank 1 is dead by now
+		p.Advance(sim.Millisecond) // rank 1 is unreachable by now
 		rep = c.Transports[0].Call(p, 1, &msg.Message{
 			Kind: msg.KPing, Page: 7,
 			PageData: bytes.Repeat([]byte{0x5A}, 16000), // rendezvous-class on FAST/GM
@@ -288,25 +296,29 @@ func ConformanceSilentPeerMidRendezvous(t *testing.T, build Builder) {
 	if pf == nil {
 		t.Fatal("no PeerUnreachableError recorded")
 	}
-	if pf.Peer != 1 || pf.Kind == "" {
-		t.Errorf("diagnostic names peer %d kind %q, want peer 1 with a kind", pf.Peer, pf.Kind)
+	if pf.Peer != 1 || pf.Kind != "retry-exhausted" {
+		t.Errorf("diagnostic names peer %d kind %q, want retry-exhausted toward peer 1", pf.Peer, pf.Kind)
 	}
-	if st := c.Transports[0].Stats(); st.PeersDeclaredDead == 0 {
-		t.Errorf("peer never declared dead: %+v", st)
+	// Abandoned: the call, and on FAST/GM the RTS frame and the staged
+	// data behind it.
+	abandoned := int64(3)
+	if c.Stacks != nil {
+		abandoned = 1
+	}
+	if st := c.Transports[0].Stats(); st.PeersDeclaredDead != 1 || st.SendsAbandoned != abandoned {
+		t.Errorf("declared %d dead, abandoned %d sends; want 1 and %d", st.PeersDeclaredDead, st.SendsAbandoned, abandoned)
 	}
 }
 
-// ConformanceRetryExhaustionLivenessOff: the give-up rule is the same on
-// every substrate and does not depend on the liveness layer. Rank 0's
-// path to rank 1 blacks out for good with liveness off (the stock
-// configuration), so nothing but the retry budget — GM-level frame
-// retransmission on FAST/GM and RDMA/GM, the per-call RTO on UDP/GM — can
-// notice. Once it is spent the peer is declared dead exactly once, the
+// ConformanceRetryExhaustion: the give-up rule is the same on every
+// substrate. Rank 0's path to rank 1 blacks out for good, so nothing but
+// the retry budget — GM-level frame retransmission on FAST/GM and
+// RDMA/GM, the per-call RTO on UDP/GM — can notice. Once it is spent the peer is declared dead exactly once, the
 // blocked Call resolves nil (woken even though the declaration happens in
 // scheduler context and the collector waits without a deadline), and the
 // typed failure names the peer. Bindings that implement OneSided run the
 // same blackout against their verbs (retryExhaustionOneSided).
-func ConformanceRetryExhaustionLivenessOff(t *testing.T, build Builder) {
+func ConformanceRetryExhaustion(t *testing.T, build Builder) {
 	c := build(2, 1)
 	c.Fabric.SetFaults(myrinet.FaultConfig{Blackouts: []myrinet.Blackout{
 		{Src: 0, Dst: 1, From: sim.Millisecond, To: 100000 * sim.Second},

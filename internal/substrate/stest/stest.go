@@ -35,7 +35,7 @@ func NewUDP(n int, seed int64) *Cluster {
 }
 
 // NewUDPConfig builds an n-rank UDP/GM cluster under an explicit policy
-// (liveness, flow, hedging) and transport configuration (retry budget, ...).
+// (hedging) and transport configuration (retry budget, ...).
 func NewUDPConfig(n int, seed int64, pol substrate.Policy, cfg udpgm.Config) *Cluster {
 	return newUDP(n, seed, pol, cfg, sockets.DefaultParams())
 }

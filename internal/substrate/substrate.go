@@ -20,30 +20,29 @@
 //   - request service (core.go): the (origin, seq) duplicate filter with
 //     cached replies and re-forwarding (DupCache), Reply/Forward/Send
 //     bookkeeping, causal edge stamping;
-//   - Liveness (liveness.go): last-heard clocks, the silence rule,
-//     declared-dead flags, the typed PeerUnreachableError;
+//   - Liveness (liveness.go): last-heard clocks, declared-dead flags,
+//     the typed PeerUnreachableError;
 //   - Backoff (backoff.go): the shared retransmission schedule;
-//   - Policy (core.go): which of the two cluster-uniform mechanisms
-//     (liveness, hedge) the run arms, handed to every binding's New;
-//     their tuning is constants here, not settings.
+//   - Policy (core.go): whether the run arms the one cluster-uniform
+//     mechanism, hedging, handed to every binding's New; its tuning is
+//     constants here, not settings.
 //
 // There is no end-to-end credit flow control. A TreadMarks request is a
 // call awaiting its reply, not an eager send (a forward relays one such
 // call), so the requests in flight are bounded by the calls open, which
 // the receivers prepost for (DESIGN.md §14).
 //
-// The give-up rule is one rule: a peer is declared dead by silence
-// (Liveness) or by an exhausted retry budget (any layer), and from then
-// on every call toward it — request or verb, pending or future, on every
-// substrate, with or without the liveness layer — resolves to no answer
-// and a *PeerUnreachableError, with PeerFailure() set.
+// The give-up rule is one rule: a peer is declared dead by an exhausted
+// retry budget (any layer), and from then on every call toward it —
+// request or verb, pending or future, on every substrate — resolves to no
+// answer and a *PeerUnreachableError, with PeerFailure() set.
 //
 // # The wire (what a binding provides)
 //
-// A binding implements the four methods of Wire — Transmit one encoded
-// frame on a Lane, AwaitReply until a deadline, Probe a peer, release
-// per-peer state in PeerGone — plus Start/Shutdown/Halt/MaxData, and
-// feeds arrivals to Core.Admit/Serve/AnswerDup and Liveness.Heard.
+// A binding implements the three methods of Wire — Transmit one encoded
+// frame on a Lane, AwaitReply until a deadline, release per-peer state in
+// PeerGone — plus Start/Shutdown/MaxData, and feeds arrivals to
+// Core.Admit/Serve/AnswerDup and Liveness.Heard.
 //
 // # The three bindings
 //
@@ -156,17 +155,12 @@ type Transport interface {
 	Shutdown(p *sim.Proc)
 
 	// SetOnPeerDead installs a callback invoked (once per peer, in
-	// scheduler or process context) when the liveness layer declares a
-	// peer dead or a send exhausts its retry budget.
+	// scheduler or process context) when a send toward the peer exhausts
+	// its retry budget.
 	SetOnPeerDead(fn func(peer int, err error))
 
 	// PeerFailure returns the first typed give-up recorded, or nil.
 	PeerFailure() *PeerUnreachableError
-
-	// Halt tears the transport down from scheduler context during crash
-	// recovery: timers stop, pending retransmissions are abandoned, and
-	// ports/sockets are released so a replacement process can rebind them.
-	Halt()
 }
 
 // OneSided is the optional capability interface for transports whose
@@ -308,11 +302,10 @@ type Stats struct {
 	PortResumes     int64 // disabled GM ports re-enabled by the transport
 	CorruptFrames   int64 // frames rejected as truncated/corrupt/unknown
 
-	// Liveness-layer counters (all zero unless Policy.Liveness or a send
-	// actually exhausts its retry budget).
+	// Give-up counters (all zero unless a send actually exhausts its
+	// retry budget).
 	SendsAbandoned    int64 // sends, calls and verbs given up after retry exhaustion or peer death
 	RetryExtensions   int64 // spent retry budgets extended because the peer is audibly alive
-	HeartbeatsSent    int64 // liveness probes transmitted
 	PeersDeclaredDead int64 // peers this process declared dead
 
 	HedgedRequests int64 // straggler requests re-issued past the hedge deadline (Policy.Hedge)
@@ -347,6 +340,15 @@ func (s *Stats) String() string {
 	}
 	if s.SendBufStalls > 0 {
 		out += fmt.Sprintf(" sendbuf=%d/%v", s.SendBufStalls, s.SendBufWait)
+	}
+	if s.HedgedRequests > 0 {
+		out += fmt.Sprintf(" hedged=%d", s.HedgedRequests)
+	}
+	if s.PeersDeclaredDead > 0 {
+		out += fmt.Sprintf(" dead=%d", s.PeersDeclaredDead)
+	}
+	if s.SendsAbandoned > 0 {
+		out += fmt.Sprintf(" abandoned=%d", s.SendsAbandoned)
 	}
 	return out
 }

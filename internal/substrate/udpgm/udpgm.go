@@ -55,7 +55,7 @@ func DefaultConfig() Config {
 
 // Transport is the UDP/GM substrate for one process: the shared protocol
 // core (call table with its retransmission clock, duplicate filter,
-// liveness — package substrate) over kernel datagram sockets.
+// give-up — package substrate) over kernel datagram sockets.
 type Transport struct {
 	substrate.Core
 	stack *sockets.Stack
@@ -68,15 +68,12 @@ type Transport struct {
 	// reply path mid-receive, so they must not share memory.
 	reqBuf []byte
 	repBuf []byte
-
-	hbData []byte // the pre-encoded heartbeat datagram
 }
 
 // New creates the transport for process rank of size over the node's
-// socket stack, under the run's policy: heartbeat datagrams on the request
-// path and the core's hedged calls. UDP is unreliable, so the core runs its
-// user-level per-call retransmission clock with this config's backoff and
-// budget.
+// socket stack, under the run's policy (the core's hedged calls). UDP is
+// unreliable, so the core runs its user-level per-call retransmission
+// clock with this config's backoff and budget.
 func New(stack *sockets.Stack, rank, size int, pol substrate.Policy, cfg Config) *Transport {
 	t := &Transport{
 		stack:  stack,
@@ -96,13 +93,12 @@ func (t *Transport) MaxData() int { return sockets.MaxDatagram }
 // datagrams whatever the calls issued with it.
 func (t *Transport) ReplyFrames(int) int { return sockets.RecvBufDefault / sockets.MaxDatagram }
 
-// Start binds the 2(size-1) sockets, arms SIGIO on the request side, and
-// starts the heartbeat clock.
+// Start binds the 2(size-1) sockets and arms SIGIO on the request side.
 func (t *Transport) Start(p *sim.Proc, h substrate.Handler) {
 	t.Attach(p, h)
-	// Handler before the first Bind: binding advances virtual time, and in
-	// a restart generation peers that started earlier may already be
-	// heartbeating at ports as they come up.
+	// Handler before the first Bind: binding advances virtual time, and a
+	// peer that started earlier may already be sending to ports as they
+	// come up.
 	p.SetInterruptHandler(t.onSIGIO)
 	t.reqIn = make([]*sockets.Socket, t.Size())
 	t.repIn = make([]*sockets.Socket, t.Size())
@@ -124,16 +120,10 @@ func (t *Transport) Start(p *sim.Proc, h substrate.Handler) {
 		t.repIn[j] = rp
 		t.replies = append(t.replies, rp)
 	}
-	if t.Live.Enabled() {
-		hb := &msg.Message{Kind: msg.KHeartbeat, From: int32(t.Rank()), ReplyTo: int32(t.Rank())}
-		t.hbData = hb.Encode()
-	}
-	t.Live.Start()
 }
 
-// Shutdown closes all sockets and stops the heartbeat clock.
+// Shutdown closes all sockets.
 func (t *Transport) Shutdown(p *sim.Proc) {
-	t.Live.Stop()
 	for _, sk := range t.bound() {
 		sk.Close(p)
 	}
@@ -152,30 +142,10 @@ func (t *Transport) bound() []*sockets.Socket {
 	return socks
 }
 
-// Probe implements substrate.Wire: one heartbeat datagram on the request
-// path, from kernel context — no syscall is charged to the process.
-func (t *Transport) Probe(peer int) bool {
-	return t.stack.SendFromKernel(myrinet.NodeID(peer), reqPortBase+t.Rank(), t.hbData) == nil
-}
-
 // PeerGone implements substrate.Wire. Nothing to release: the sockets
 // facing a dead peer stay bound so its late datagrams are drained, and a
 // collector always holds a retransmission deadline, so it needs no wake.
 func (t *Transport) PeerGone(peer int) {}
-
-// Halt implements substrate.Transport: crash teardown from scheduler
-// context. The heartbeat clock stops and every socket is force-closed so
-// a replacement process can rebind the ports; in-flight datagrams toward
-// the closed sockets are dropped by the kernel (DatagramsNoSock), exactly
-// as with a genuinely dead process.
-func (t *Transport) Halt() {
-	if !t.Quiesce() {
-		return
-	}
-	for _, sk := range t.bound() {
-		sk.ForceClose()
-	}
-}
 
 // onSIGIO is the signal handler: pay signal delivery, then drain every
 // readable request socket.
@@ -205,9 +175,8 @@ func (t *Transport) onSIGIO(p *sim.Proc, payload any) {
 	}
 }
 
-// dispatchRequest decodes one incoming request datagram, intercepts the
-// transport-internal kinds, and runs the rest through the core's
-// duplicate filter and the DSM handler.
+// dispatchRequest decodes one incoming request datagram and runs it
+// through the core's duplicate filter and the DSM handler.
 func (t *Transport) dispatchRequest(p *sim.Proc, raw, aux []byte) {
 	p.Advance(DispatchCost)
 	m, err := t.RequestDecoder(p).Decode(raw)
@@ -215,12 +184,6 @@ func (t *Transport) dispatchRequest(p *sim.Proc, raw, aux []byte) {
 		panic(fmt.Sprintf("udpgm: corrupt request on node %d: %v", t.Rank(), err))
 	}
 	t.Live.Heard(int(m.From))
-	if m.Kind == msg.KHeartbeat {
-		// Liveness probe: the arrival already refreshed the sender's
-		// last-heard clock. Intercepted before the duplicate filter (all
-		// heartbeats share Seq 0) and never handed to the DSM handler.
-		return
-	}
 	if e := t.Admit(p, m, aux, len(raw)); e != nil {
 		t.AnswerDup(p, m, e)
 	} else {

@@ -72,7 +72,6 @@ func (tp *Proc) barrierChildren() int {
 // Crossing it makes all processes' modifications visible everywhere
 // (lazily: pages are invalidated; data moves on demand).
 func (tp *Proc) Barrier(id int32) {
-	tp.maybeCrashAt(&tp.crashBarriers, tp.cluster.cfg.Crash.AtBarrier)
 	start := tp.sp.Now()
 	tp.stats.Barriers++
 

@@ -69,17 +69,9 @@ type Config struct {
 	// causal-off ones.
 	Causal *trace.Causal
 
-	// Crash configures the crash-failure model: the seeded injector and
-	// the recovery policy (abort with a post-mortem, or restart of the
-	// whole run). A trigger arms the injector and the substrate's failure
-	// detector with it, Restart the restart; the zero value is a run
-	// without a crash model.
-	Crash CrashConfig
-
 	// Hedge arms hedged re-issues of straggling calls in whichever
-	// substrate the run uses. With the failure detector it is the run's one
-	// substrate.Policy. Off, the run is bit-identical to one without it
-	// (DESIGN.md §14).
+	// substrate the run uses: the run's one substrate.Policy. Off, the run
+	// is bit-identical to one without it (DESIGN.md §14).
 	Hedge bool
 }
 
@@ -116,13 +108,8 @@ type Cluster struct {
 	fabric *myrinet.Fabric
 	gmsys  *gm.System
 	stacks []*sockets.Stack
-	procs  []*Proc // current generation, indexed by rank
-
-	// allProcs accumulates every generation's engines so aggregate
-	// statistics survive a crash-and-restart.
-	allProcs []*Proc
-	appFn    func(tp *Proc)
-	crash    crashState
+	procs  []*Proc      // indexed by rank
+	report *AbortReport // the watchdog's post-mortem, once a peer is declared dead
 
 	nextRegionID int32
 	nextPage     int32
@@ -158,12 +145,11 @@ type Result struct {
 	SocketDrops int64
 	// NetFaults reports what the fault-injection fabric actually did.
 	NetFaults myrinet.FaultStats
-	// Crash is the watchdog's post-mortem when a rank died (nil
-	// otherwise): who died, who detected it, what every survivor was
-	// blocked on, and whether recovery restarted or aborted the run.
-	Crash *CrashReport
-	// PeerFailure is the first typed transport give-up recorded across
-	// all generations, or nil.
+	// Abort is the watchdog's post-mortem when a transport declared a
+	// peer dead (nil otherwise): who was declared dead, by whom, and what
+	// every survivor was blocked on.
+	Abort *AbortReport
+	// PeerFailure is the first typed transport give-up recorded, or nil.
 	PeerFailure *substrate.PeerUnreachableError
 }
 
@@ -187,10 +173,7 @@ func newCluster(cfg Config, tune func(*testbed)) *Cluster {
 	if tune != nil {
 		tune(&c.tb)
 	}
-	// The failure detector runs exactly when something can die: a crash
-	// trigger without it would leave survivors blocked on the dead rank
-	// forever.
-	c.pol = substrate.Policy{Liveness: cfg.Crash.hasTrigger(), Hedge: cfg.Hedge}
+	c.pol = substrate.Policy{Hedge: cfg.Hedge}
 	c.sim = sim.New(cfg.Seed)
 	if cfg.Trace != nil {
 		c.sim.SetTracer(cfg.Trace)
@@ -215,25 +198,18 @@ func (c *Cluster) GM() *gm.System { return c.gmsys }
 // Proc returns the rank's DSM engine (valid after Run starts it).
 func (c *Cluster) Proc(rank int) *Proc { return c.procs[rank] }
 
-// spawnGeneration launches one process per rank for generation gen, each
-// running the application from its first line: Run launches generation 0,
-// and a restart (afterCrash) launches generation 1 the same way.
-func (c *Cluster) spawnGeneration(gen int) {
+// spawn launches one process per rank, each running app from its first
+// line.
+func (c *Cluster) spawn(app func(tp *Proc)) {
 	n := c.n
-	if c.procs == nil {
-		c.procs = make([]*Proc, n)
-	}
+	c.procs = make([]*Proc, n)
 	started := 0
 	startCond := sim.NewCond("tmk:start")
 	finished := 0
 	finCond := sim.NewCond("tmk:finish")
 	for rank := 0; rank < n; rank++ {
 		rank := rank
-		name := fmt.Sprintf("tmk%d", rank)
-		if gen > 0 {
-			name = fmt.Sprintf("tmk%d.g%d", rank, gen)
-		}
-		c.sim.Spawn(name, 0, func(sp *sim.Proc) {
+		c.sim.Spawn(fmt.Sprintf("tmk%d", rank), 0, func(sp *sim.Proc) {
 			var tr substrate.Transport
 			switch node := c.gmsys.Node(myrinet.NodeID(rank)); c.cfg.Transport {
 			case TransportUDPGM:
@@ -244,16 +220,13 @@ func (c *Cluster) spawnGeneration(gen int) {
 				tr = rdmagm.New(node, rank, n, c.pol, c.tb.Fast)
 			}
 			tp := newProc(c, rank, sp, tr)
-			tp.gen = gen
 			c.procs[rank] = tp
-			c.allProcs = append(c.allProcs, tp)
 			tr.Start(sp, tp.handleRequest)
-			// The stall watchdog rides on the transport's failure
-			// detector: any declared-dead peer (liveness miss or retry
-			// exhaustion) triggers coordinated teardown instead of an
-			// unbounded wait.
+			// The stall watchdog rides on the transport's give-up: a peer
+			// declared dead after retry exhaustion triggers a coordinated
+			// abort instead of an unbounded wait.
 			tr.SetOnPeerDead(func(peer int, err error) {
-				c.handleCrash(rank, peer, err)
+				c.abort(rank, peer, err)
 			})
 
 			// Setup rendezvous: no DSM traffic before every rank has
@@ -266,7 +239,7 @@ func (c *Cluster) spawnGeneration(gen int) {
 			}
 
 			tp.appStart = sp.Now()
-			c.appFn(tp)
+			app(tp)
 			tp.Barrier(finalBarrier)
 			tp.appEnd = sp.Now()
 			if cz := c.sim.Causal(); cz != nil {
@@ -295,15 +268,7 @@ func (c *Cluster) Run(app func(tp *Proc)) (*Result, error) {
 		return nil, c.err
 	}
 	n := c.n
-	c.appFn = app
-	c.spawnGeneration(0)
-	if cc := c.cfg.Crash; cc.AtTime > 0 {
-		c.sim.At(cc.AtTime, func() {
-			if tp := c.procs[cc.Rank]; tp != nil && tp.gen == 0 {
-				tp.sp.Kill()
-			}
-		})
-	}
+	c.spawn(app)
 	if err := c.sim.Run(); err != nil {
 		return nil, err
 	}
@@ -311,14 +276,12 @@ func (c *Cluster) Run(app func(tp *Proc)) (*Result, error) {
 	for i, tp := range c.procs {
 		d := tp.appEnd - tp.appStart
 		if tp.appEnd < tp.appStart {
-			d = 0 // killed before completing (crash-model teardown)
+			d = 0 // killed before completing (the abort)
 		}
 		res.PerProc[i] = d
 		if d > res.ExecTime {
 			res.ExecTime = d
 		}
-	}
-	for _, tp := range c.allProcs {
 		res.Stats.Add(&tp.stats)
 		res.Transport.Add(tp.tr.Stats())
 		if res.PeerFailure == nil {
@@ -345,9 +308,8 @@ func (c *Cluster) Run(app func(tp *Proc)) (*Result, error) {
 		res.SocketDrops += st.Stats().DatagramsDrop
 	}
 	res.NetFaults = c.fabric.FaultStats()
-	res.Crash = c.crash.report
-	if res.Crash != nil && res.Crash.Action == "abort" {
-		return res, &CrashAbortError{Report: res.Crash}
+	if res.Abort = c.report; res.Abort != nil {
+		return res, &AbortError{Report: res.Abort}
 	}
 	return res, nil
 }

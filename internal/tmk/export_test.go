@@ -56,8 +56,8 @@ func (g *gaugeChecked) DisableAsync(p *sim.Proc) {
 	g.checks.Comparisons++
 	got, want := g.tp.metaGauge(), g.tp.scanMetaGauge()
 	if got != want {
-		g.fail("rank %d gen %d at %v: maintained gauge %d, full scan %d (diffs %d, intervals %d, notices %d)",
-			g.tp.rank, g.tp.gen, p.Now(), got, want, g.tp.diffBytes, g.tp.store.bytes, g.tp.notices.live)
+		g.fail("rank %d at %v: maintained gauge %d, full scan %d (diffs %d, intervals %d, notices %d)",
+			g.tp.rank, p.Now(), got, want, g.tp.diffBytes, g.tp.store.bytes, g.tp.notices.live)
 	}
 	if got < g.last {
 		g.checks.Falls++
@@ -92,9 +92,6 @@ func (n *noticeMidGet) WaitVerbs(p *sim.Proc, verbs []substrate.PendingVerb) err
 	}
 	return n.OneSided.WaitVerbs(p, verbs)
 }
-
-// Generation is 0 for an original process, 1 for one a restart launched.
-func (tp *Proc) Generation() int { return tp.gen }
 
 // FrameCensus counts, over every region mapped on tp, the pages, the frames
 // their stores have carved, the frames the region's chunks hold (carved or

@@ -50,29 +50,6 @@ func TestIncrementalGaugeEqualsFullScan(t *testing.T) {
 	}
 }
 
-// TestGaugeSurvivesRestore: the generation a restart launches builds its
-// pages, notices, intervals and diffs through the same counted paths as
-// the first, so its gauge equals the scan from its first barrier on.
-func TestGaugeSurvivesRestore(t *testing.T) {
-	cfg := tmk.DefaultConfig(4, tmk.TransportFastGM)
-	cfg.Crash = tmk.CrashConfig{Rank: 1, AtBarrier: 6, Restart: true}
-	var checks tmk.GaugeChecks
-	restarted := 0
-	res, err := tmk.Run(cfg, func(tp *tmk.Proc) {
-		tp.CheckMetaGauge(t.Errorf, &checks)
-		if tp.Generation() > 0 {
-			restarted++
-		}
-		(&apps.Jacobi{N: 64, Iters: 6, CostPerPoint: 30 * sim.Nanosecond}).Run(tp)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Crash == nil || res.Crash.Action != "restart" || restarted != 4 {
-		t.Fatalf("no restart (report %v, %d restarted ranks): nothing was tested", res.Crash, restarted)
-	}
-}
-
 // TestSpanReadIntoStorageAllocatesNothing: the per-row access of every
 // grid application, on pages that are valid, is free of the host heap.
 func TestSpanReadIntoStorageAllocatesNothing(t *testing.T) {

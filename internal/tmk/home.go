@@ -53,8 +53,8 @@ func (tp *Proc) selfHomed(pg int32) bool { return tp.homeBased && tp.HomeOf(pg) 
 // windowOff maps a page to its byte offset inside its region's window.
 func windowOff(pm *pageMeta) int { return int(pm.id-pm.region.StartPage) * PageSize }
 
-// waitVerbs resolves outstanding verbs with tp.call's crash contract: a
-// target declared dead condemns this generation (the watchdog owns the
+// waitVerbs resolves outstanding verbs with tp.call's abort contract: a
+// target declared dead condemns the run (the watchdog owns the
 // post-mortem), while a window fault is a protocol bug and panics.
 func (tp *Proc) waitVerbs(on entity, verbs []substrate.PendingVerb) {
 	tp.blockedOn = on

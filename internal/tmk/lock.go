@@ -49,7 +49,6 @@ func (tp *Proc) lock(id int32) *lockState {
 // LockAcquire obtains the distributed lock, applying the consistency
 // information piggybacked on the grant (lazy release consistency).
 func (tp *Proc) LockAcquire(id int32) {
-	tp.maybeCrashAt(&tp.crashLocks, tp.cluster.cfg.Crash.AtLock)
 	start := tp.sp.Now()
 	ls := tp.lock(id)
 	if ls.held {

@@ -74,9 +74,7 @@ var textFormats = map[string]string{
 	trace.KindLockRelease:   "rank %[1]d releases lock %[2]d",
 	trace.KindBarrierArrive: "rank %[1]d arrives at barrier %[2]d episode %[5]d",
 	trace.KindBarrier:       "rank %[1]d crossed barrier %[2]d episode %[5]d (carried %[6]d intervals, %[7]d notice pages)",
-	trace.KindCrashInject:   "crash injector: rank %[1]d dies (trigger %[5]d)",
-	trace.KindCrashDetected: "watchdog: rank %[3]d dead (detected by %[1]d): tearing down generation %[5]d",
-	trace.KindRestart:       "watchdog: restarting the run as generation %[5]d",
+	trace.KindCrashDetected: "watchdog: rank %[3]d dead (detected by %[1]d): aborting the run",
 }
 
 // TextTrace returns the protocol trace as a tracer subscriber: it prints

@@ -47,7 +47,7 @@ func CheckViews(t *testing.T, tr *trace.Tracer, text string, kinds ...string) {
 }
 
 // TestEveryKindReachesEveryView runs a three-rank program that produces
-// every tmk kind but the crash kinds (TestCrashRestart has those): a sole
+// every tmk kind but crash-detected (TestAbortNamesBlockingEntity has it): a sole
 // writer for two epochs (write fault, diff create, notice, barrier arrive
 // and cross, then the others' read faults; homeless the diffs are fetched
 // and applied, home-based they are flushed to the page's home, rank 0, and

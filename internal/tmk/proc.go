@@ -59,11 +59,7 @@ type Proc struct {
 	appStart sim.Time
 	appEnd   sim.Time
 
-	// Crash model (see crash.go).
-	gen           int    // process generation (0 = original, 1 = restarted)
-	blockedOn     entity // protocol entity currently awaited (watchdog)
-	crashBarriers int    // injector counters: Barrier / LockAcquire entries
-	crashLocks    int
+	blockedOn entity // protocol entity currently awaited (the watchdog's post-mortem, abort.go)
 }
 
 // Rank returns this process's rank.

@@ -13,12 +13,10 @@ type ConfigRule string
 
 // The rules of a legal run.
 const (
-	RuleProcs          ConfigRule = "procs"           // at least one process
-	RuleTransport      ConfigRule = "transport"       // a substrate that exists
-	RuleHomeBased      ConfigRule = "home-based"      // HLRC needs one-sided verbs
-	RuleRange          ConfigRule = "range"           // a value its field can hold: BarrierFanout, Scheme, Faults
-	RuleCrashRank      ConfigRule = "crash-rank"      // an armed trigger names a process
-	RuleLivenessFaults ConfigRule = "liveness-faults" // the detector presumes a fault-free fabric
+	RuleProcs     ConfigRule = "procs"      // at least one process
+	RuleTransport ConfigRule = "transport"  // a substrate that exists
+	RuleHomeBased ConfigRule = "home-based" // HLRC needs one-sided verbs
+	RuleRange     ConfigRule = "range"      // a value its field can hold: BarrierFanout, Scheme, Faults
 )
 
 // ConfigError is one violated rule.
@@ -89,18 +87,6 @@ func (cfg *Config) Validate() error {
 	}
 	if cfg.Faults.DelayMax < 0 {
 		bad(RuleRange, "negative Faults.DelayMax %v", cfg.Faults.DelayMax)
-	}
-	if cc := cfg.Crash; cc.hasTrigger() && (cc.Rank < 0 || cc.Rank >= cfg.Procs) {
-		bad(RuleCrashRank, "crash rank %d is not one of the %d processes", cc.Rank, cfg.Procs)
-	}
-	if cfg.Faults.Enabled() && cfg.Crash.hasTrigger() {
-		// A trigger arms the failure detector. Recovering an injected
-		// fault — GM's port disable and resume, udpgm's 20 ms
-		// retransmission clock — silences a live peer for longer than the
-		// detector's deadline, so it is declared dead; and a second death
-		// after the one restart is nobody's to handle.
-		bad(RuleLivenessFaults, "the failure detector (a crash trigger arms it) "+
-			"presumes a fault-free fabric, but Faults injects faults")
 	}
 	if errs == nil {
 		return nil

@@ -57,9 +57,7 @@ const (
 	KindLockRelease   = "lock-release"   // Rank released lock ID
 	KindBarrierArrive = "barrier-arrive" // Rank reached barrier ID in episode A
 	KindBarrier       = "barrier"        // span: Rank crossed barrier ID in episode A
-	KindCrashInject   = "crash-inject"   // Rank dies on its A-th trigger
-	KindCrashDetected = "crash-detected" // Rank found Peer dead; generation A torn down
-	KindRestart       = "restart"        // the run restarts as generation A
+	KindCrashDetected = "crash-detected" // Rank found Peer dead; the run aborts
 )
 
 // layerRank orders layers bottom-up in reports; unknown layers sort last.
@@ -94,7 +92,7 @@ type Event struct {
 	Bytes int    // payload size, 0 if not applicable
 
 	// Protocol identity, set by layer tmk only. Rank is the observing DSM
-	// rank: a restarted rank runs as a new Proc under the same Rank.
+	// rank.
 	Rank       int
 	ID, Region int32 // the page, lock or barrier; a page's region
 	A, B, C    int   // small values the Kind's comment names

@@ -36,7 +36,7 @@ import (
 type (
 	// Config assembles a DSM run: process count, transport, protocol,
 	// and the features — each on when it is set: Scheme, Rendezvous,
-	// Faults, Crash (a trigger) and Hedge. The testbed's cost
+	// Faults and Hedge. The testbed's cost
 	// models (fabric, GM, kernel, CPU) are constants, not settings.
 	Config = tmk.Config
 	// Cluster is an assembled run on which Run executes an application.
@@ -55,19 +55,12 @@ type (
 	TransportKind = tmk.TransportKind
 	// Time is a virtual-time instant or duration in nanoseconds.
 	Time = sim.Time
-	// CrashConfig configures the crash-failure model: a seeded rank death
-	// (armed by its trigger, which also arms liveness detection), stall
-	// diagnosis, and restart — the application run again from its first line on a fresh
-	// generation of processes.
-	CrashConfig = tmk.CrashConfig
-	// CrashReport is the post-mortem of a detected rank death: who died,
-	// who detected it, what every survivor was blocked on, and whether
-	// the run restarted or aborted.
-	CrashReport = tmk.CrashReport
-	// CrashAbortError is returned by Run when a rank death — or, with no
-	// crash model armed, a peer a transport spent its retry budget on —
-	// could not be recovered; it carries the CrashReport.
-	CrashAbortError = tmk.CrashAbortError
+	// AbortReport is the post-mortem of a run a transport gave up on: who
+	// was declared dead, by whom, and what every survivor was blocked on.
+	AbortReport = tmk.AbortReport
+	// AbortError is returned by Run when a transport spent its retry
+	// budget on a peer and declared it dead; it carries the AbortReport.
+	AbortError = tmk.AbortError
 	// InvalidConfigError is what Config.Validate — and so Run, before
 	// anything is spawned — returns for an illegal configuration: every
 	// violated rule at once, each a ConfigError naming its rule.

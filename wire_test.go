@@ -67,10 +67,13 @@ func wireVocabulary(t *testing.T) (kinds, fields []string) {
 		for _, spec := range d.Specs {
 			switch s := spec.(type) {
 			case *ast.ValueSpec:
-				// A const block typed Kind by its first spec is the kind list.
+				// A const block typed Kind by its first spec is the kind list;
+				// a blank name is a retired kind's reserved slot.
 				if d.Tok == token.CONST && typeName(d.Specs[0].(*ast.ValueSpec).Type) == "Kind" {
 					for _, n := range s.Names {
-						kinds = append(kinds, n.Name)
+						if n.Name != "_" {
+							kinds = append(kinds, n.Name)
+						}
 					}
 				}
 			case *ast.TypeSpec:
