@@ -315,6 +315,19 @@ prof-smoke:
 
 # Causal critical-path smoke: one SOR run over FAST/GM must extract a
 # non-empty critical path whose category attributions sum exactly to the
-# end-to-end virtual time (DESIGN.md §13).
+# end-to-end virtual time, and a recorded stream replayed into a fresh
+# view must rebuild the live view's path on every substrate (DESIGN.md
+# §13). Then one tracer feeds three views end to end: tmkrun's critical
+# path, entity profile and Chrome export with its flow arrows.
 critical-smoke:
-	$(GO) test -run 'TestCriticalSmokeSORFastGM' ./internal/harness/
+	$(GO) test -run 'TestCriticalSmokeSORFastGM|TestCausalReplayEqualsLive' ./internal/harness/
+	@tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
+	out="$$($(GO) run ./cmd/tmkrun -app sor -nodes 4 -critical -prof -out $$tmp/t.json 2>&1)" || \
+		{ echo "critical-smoke: tmkrun -critical -prof -out: exited non-zero"; exit 1; }; \
+	case "$$out" in \
+		*"critical path ("[1-9]*"total"*"top pages by fault time ("[1-9]*) ;; \
+		*) echo "critical-smoke: tmkrun -critical -prof: no critical-path table or no profile"; exit 1;; \
+	esac; \
+	grep -q '"cat":"causal","ph":"s"' $$tmp/t.json || \
+		{ echo "critical-smoke: tmkrun -out: no causal flow arrows in the trace JSON"; exit 1; }; \
+	echo "critical-smoke: one tracer fed the critical path, the profile and the Chrome export"

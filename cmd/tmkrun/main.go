@@ -25,10 +25,10 @@
 // trace_event JSON, loadable in Perfetto (https://ui.perfetto.dev). Either
 // prints a per-layer time breakdown of the event ring, whose capacity
 // -trace-cap sets, after a warning with the drop count if it wrapped.
-// -critical attaches the causal-DAG collector (DESIGN.md §13) and prints
-// the critical path, end-to-end virtual time attributed to compute / wire
-// / gm / manager-indirection / straggler-wait; with -out, the Chrome
-// export draws one flow arrow per causal edge. Observation only: the
+// -critical subscribes the causal view (DESIGN.md §13) and prints the
+// critical path, end-to-end virtual time attributed to compute / wire /
+// gm / manager-indirection / straggler-wait. The Chrome export draws one
+// flow arrow per causal edge of the same events. Observation only: the
 // execution time, statistics and protocol trace are the same without it.
 //
 // The chaos sweep ignores the per-run flags and takes -seed; it and the
@@ -73,7 +73,7 @@ func main() {
 	hedge := flag.Bool("hedge", false, "enable hedged re-issues of straggling remote requests")
 	profFlag := flag.Bool("prof", false, "attach the protocol-entity profiler and print its tables")
 	profJSON := flag.String("prof-json", "", "write the entity profile as JSON (implies -prof)")
-	critical := flag.Bool("critical", false, "collect the causal DAG and print the run's critical path")
+	critical := flag.Bool("critical", false, "rebuild the causal DAG from the trace and print the run's critical path")
 	out := flag.String("out", "", "write a Chrome trace_event JSON file (Perfetto-loadable)")
 	traceCap := flag.Int("trace-cap", 0, "event ring capacity (0 = default)")
 	flag.Parse()
@@ -94,10 +94,10 @@ func main() {
 	}
 
 	// The run's views, all of one tracer: the scenario's protocol trace, the
-	// profiler, the causal collector and (after the run) the Chrome export.
+	// profiler, the causal view and (after the run) the Chrome export.
 	profiling := *profFlag || *profJSON != ""
 	var tracer *trace.Tracer
-	if *scenario != "" || profiling || *out != "" {
+	if *scenario != "" || profiling || *critical || *out != "" {
 		tracer = trace.New(*traceCap)
 	}
 	if *scenario != "" {
@@ -106,9 +106,7 @@ func main() {
 	var causal *trace.Causal
 	if *critical {
 		causal = trace.NewCausal()
-		if tracer != nil {
-			tracer.AttachCausal(causal)
-		}
+		tracer.Subscribe(causal.Observe)
 	}
 	var pf *prof.Profiler
 	if profiling {
@@ -118,7 +116,7 @@ func main() {
 	mutate := func(cfg *tmk.Config) {
 		cfg.Seed = *seed
 		cfg.Rendezvous = *rendezvous
-		cfg.Trace, cfg.Causal = tracer, causal
+		cfg.Trace = tracer
 		if *homeless {
 			cfg.HomeBased = false
 		}

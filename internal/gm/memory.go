@@ -35,9 +35,6 @@ func (m *Memory) Bytes() []byte {
 	return m.buf
 }
 
-// Registered reports whether the region is currently pinned.
-func (m *Memory) Registered() bool { return m.registered }
-
 // Deregister unpins the region, charging the (cheaper) unpin cost.
 func (m *Memory) Deregister(p *sim.Proc) {
 	if !m.registered {

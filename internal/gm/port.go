@@ -100,8 +100,7 @@ type Port struct {
 	intrProc    *sim.Proc
 	intrEnabled bool
 
-	sink   func(*Recv)
-	filter func(*Recv) bool
+	sink func(*Recv)
 
 	stats PortStats
 }
@@ -114,20 +113,6 @@ func (p *Port) tracer() *trace.Tracer { return p.node.sys.s.Tracer() }
 // models a kernel-owned port (the Sockets-GM path): the "kernel" consumes
 // arrivals immediately and recycles the receive buffers itself.
 func (p *Port) SetSink(fn func(*Recv)) { p.sink = fn }
-
-// SetFilter installs a NIC-context classifier invoked for every frame
-// this port accepts, before queueing or sinking. Returning true consumes
-// the frame: the receive buffer is re-posted immediately and the host
-// never sees it. This models firmware-level protocol handling (in the
-// spirit of the paper's firmware modification): a frame is observed at
-// arrival even while the host computes or masks interrupts.
-func (p *Port) SetFilter(fn func(*Recv) bool) { p.filter = fn }
-
-// ID returns the port number.
-func (p *Port) ID() int { return p.id }
-
-// Node returns the owning node.
-func (p *Port) Node() *Node { return p.node }
 
 // Enabled reports whether the port can send.
 func (p *Port) Enabled() bool { return p.enabled }
@@ -215,9 +200,6 @@ func (p *Port) ProvideReceiveBuffers(bufs []Buffer) {
 	}
 }
 
-// PostedBuffers reports how many buffers of the given class are preposted.
-func (p *Port) PostedBuffers(class int) int { return len(p.posted[class]) }
-
 // Send transmits n bytes from registered buffer b to (dst, dstPort). The
 // calling process is charged the host-side send overhead; cb fires when
 // the message is accepted at the receiver (SendOK) or the transfer fails.
@@ -236,15 +218,9 @@ func (p *Port) SendAux(proc *sim.Proc, dst myrinet.NodeID, dstPort int, b *Buffe
 	return p.send(proc, dst, dstPort, b, n, aux, cb)
 }
 
-// SendFromKernel is Send issued from kernel context: no process is
+// SendFromKernelAux is SendAux issued from kernel context: no process is
 // charged the host send overhead (the syscall path already accounted for
 // it, or the send happens from a completion handler on the event clock).
-func (p *Port) SendFromKernel(dst myrinet.NodeID, dstPort int, b *Buffer, n int, cb SendCallback) error {
-	return p.send(nil, dst, dstPort, b, n, nil, cb)
-}
-
-// SendFromKernelAux is SendFromKernel with uncharged envelope metadata
-// (see SendAux).
 func (p *Port) SendFromKernelAux(dst myrinet.NodeID, dstPort int, b *Buffer, n int, aux []byte, cb SendCallback) error {
 	return p.send(nil, dst, dstPort, b, n, aux, cb)
 }
@@ -469,10 +445,6 @@ func (p *Port) accept(pm *partialMsg, b *Buffer) {
 	}
 	p.node.recycle(pm)
 
-	if p.filter != nil && p.filter(rv) {
-		p.ProvideReceiveBuffer(b)
-		return
-	}
 	if p.sink != nil {
 		p.sink(rv)
 		return

@@ -48,16 +48,15 @@ func (sys *System) Node(id myrinet.NodeID) *Node { return sys.nodes[id] }
 
 // Node is one host's GM endpoint.
 type Node struct {
-	sys               *System
-	id                myrinet.NodeID
-	nic               *myrinet.NIC
-	ports             [NumPorts]*Port
-	nextMsgID         uint64
-	pinnedBytes       int64
-	maxPinnedBytes    int64
-	reassembly        map[reassemblyKey]*partialMsg
-	reassemblyExpired int64
-	free              []*partialMsg // reassembly records, reused with their buffers
+	sys            *System
+	id             myrinet.NodeID
+	nic            *myrinet.NIC
+	ports          [NumPorts]*Port
+	nextMsgID      uint64
+	pinnedBytes    int64
+	maxPinnedBytes int64
+	reassembly     map[reassemblyKey]*partialMsg
+	free           []*partialMsg // reassembly records, reused with their buffers
 }
 
 type reassemblyKey struct {
@@ -91,10 +90,6 @@ type partialMsg struct {
 
 // ID returns the node's GM node ID (as assigned by the mapper).
 func (n *Node) ID() myrinet.NodeID { return n.id }
-
-// ReassemblyExpired counts partial messages reclaimed because a fragment
-// was lost in the fabric (only possible with fault injection enabled).
-func (n *Node) ReassemblyExpired() int64 { return n.reassemblyExpired }
 
 // System returns the owning GM system.
 func (n *Node) System() *System { return n.sys }
@@ -149,7 +144,6 @@ func (n *Node) handlePacket(pkt *myrinet.Packet) {
 			n.sys.s.After(n.sys.params.ResendTimeout, func() {
 				if n.reassembly[key] == pm {
 					delete(n.reassembly, key)
-					n.reassemblyExpired++
 					n.recycle(pm)
 				}
 			})

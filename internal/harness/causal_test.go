@@ -3,6 +3,7 @@ package harness
 import (
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -140,15 +141,14 @@ func TestCriticalSmokeSORFastGM(t *testing.T) {
 	}
 }
 
-// TestChromeExportCarriesFlowArrows pins the Perfetto flow emission:
-// with a causal collector attached to the tracer, the Chrome export
-// must contain one "s"/"f" flow-event pair per accepted edge, so the
-// UI draws message arrows between the process tracks.
+// TestChromeExportCarriesFlowArrows pins the Perfetto flow emission: the
+// Chrome export of a traced run must contain one "s"/"f" flow-event pair
+// per edge the causal view of the same stream accepted, so the UI draws
+// message arrows between the process tracks.
 func TestChromeExportCarriesFlowArrows(t *testing.T) {
 	app := &apps.SOR{M: 64, N: 32, Iters: 3, Omega: 1.25, CostPerPoint: 35 * sim.Nanosecond}
 	tracer := trace.New(0)
 	cz := trace.NewCausal()
-	tracer.AttachCausal(cz)
 	if _, err := RunApp(app, 4, tmk.TransportFastGM, func(cfg *tmk.Config) {
 		cfg.Trace = tracer
 		cfg.Causal = cz
@@ -197,6 +197,55 @@ func TestChromeExportCarriesFlowArrows(t *testing.T) {
 		if !starts[id] {
 			t.Errorf("flow %d has a finish but no start", id)
 		}
+	}
+	accepted := 0
+	for _, e := range cz.Edges() {
+		if e.Arrived() {
+			accepted++
+		}
+	}
+	if len(starts) != accepted {
+		t.Errorf("%d flows for %d accepted edges", len(starts), accepted)
+	}
+}
+
+// TestCausalReplayEqualsLive: the causal view is a pure reduction of the
+// trace stream, so feeding a traced run's recorded events (Tracer.Events)
+// into a fresh Causal must rebuild exactly what the live subscriber
+// built — every edge, the duplicate count and the critical path — on
+// every substrate.
+func TestCausalReplayEqualsLive(t *testing.T) {
+	app := &apps.SOR{M: 64, N: 32, Iters: 3, Omega: 1.25, CostPerPoint: 35 * sim.Nanosecond}
+	for _, kind := range AllTransports {
+		t.Run(string(kind), func(t *testing.T) {
+			tracer, live := trace.New(1<<20), trace.NewCausal()
+			tracer.Subscribe(live.Observe)
+			if _, err := RunApp(app, 4, kind, func(cfg *tmk.Config) {
+				cfg.Trace = tracer
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if n := tracer.Overwrote(); n > 0 {
+				t.Fatalf("ring wrapped (%d events lost): raise the capacity", n)
+			}
+			replay := trace.NewCausal()
+			for _, e := range tracer.Events() {
+				replay.Observe(e)
+			}
+			if live.Len() == 0 {
+				t.Fatal("the live view recorded no edge")
+			}
+			if !reflect.DeepEqual(replay.Edges(), live.Edges()) {
+				t.Errorf("replay rebuilt %d edges, the live view %d, and they differ", replay.Len(), live.Len())
+			}
+			if replay.DupArrivals() != live.DupArrivals() {
+				t.Errorf("replay counted %d duplicate arrivals, the live view %d", replay.DupArrivals(), live.DupArrivals())
+			}
+			got, want := replay.CriticalPath(), live.CriticalPath()
+			if want == nil || !reflect.DeepEqual(got, want) {
+				t.Errorf("replayed critical path differs from the live one:\nreplay %+v\nlive   %+v", got, want)
+			}
+		})
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 // Critical-path attribution (DESIGN.md §13): rerun each application with
-// the causal-DAG collector attached and walk backward from run
+// the causal view subscribed to its trace and walk backward from run
 // completion, attributing every nanosecond of end-to-end virtual time to
 // a protocol category (compute / wire / gm / manager-indirection /
 // straggler-wait). Collection is observation only — the headline numbers
@@ -38,9 +38,10 @@ func CriticalTable(nodes int) ([]CriticalRow, error) {
 	for _, name := range AppNames {
 		app := SizeLadder(name)[0]
 		for _, kind := range AllTransports {
-			cz := trace.NewCausal()
+			tracer, cz := trace.New(1), trace.NewCausal()
+			tracer.Subscribe(cz.Observe)
 			if _, err := RunApp(app, nodes, kind, func(cfg *tmk.Config) {
-				cfg.Causal = cz
+				cfg.Trace = tracer
 			}); err != nil {
 				return nil, fmt.Errorf("critical %s %s: %w", name, kind, err)
 			}

@@ -27,11 +27,11 @@ func TestScenariosTraceDeterministically(t *testing.T) {
 					var causal *trace.Causal
 					if observe {
 						causal = trace.NewCausal()
-						tr.AttachCausal(causal)
+						tr.Subscribe(causal.Observe)
 						tr.Subscribe(prof.New().Observe)
 					}
 					res, err := RunScenario(name, ScenarioNodes, kind, func(cfg *tmk.Config) {
-						cfg.Trace, cfg.Causal = tr, causal
+						cfg.Trace = tr
 					})
 					if err != nil {
 						t.Fatal(err)

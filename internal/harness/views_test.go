@@ -11,9 +11,9 @@ import (
 )
 
 // viewHashes pins what each observer view receives from one run: the
-// trace ring's event stream, the entity profile's JSON and the printed
-// protocol trace.
-type viewHashes struct{ ring, prof, text string }
+// trace ring's event stream, the entity profile's JSON, the printed
+// protocol trace and the causal view's critical path.
+type viewHashes struct{ ring, prof, text, crit string }
 
 // goldenViews was generated at the parent of the commit that folded
 // tmk's observer channels into one event stream (the hooks were still
@@ -67,24 +67,33 @@ type viewHashes struct{ ring, prof, text string }
 // → 118 and 153 → 100, 3dfft 45 → 30 and 59 → 46), and everything after
 // them moves earlier. tsp's one-page region is homed at rank 0 under both
 // placements, and no migration ever moved it: its rows did not move.
+// The critical-path column was added when the causal DAG became a view of
+// the stream, generated at its parent through Config.Causal, the DAG's
+// own recorder then, and not moved by the change. The change regenerated
+// every ring hash, and no profile or text hash: each row gains a causal
+// event per frame sent (its edge kind, the span in A, the parent in B),
+// an arrive per acceptance no substrate span carries, a barrier root's
+// unblock per crossing and an app-end per rank; serve spans carry their
+// request's span in A, and call and verb spans their reply's or
+// completion's span in B and the rank in Rank. No time moved.
 var goldenViews = map[string]viewHashes{
-	"jacobi/udpgm":  {"2646948a534be81e2eb2b595c6eb92bc028a71a5c942f9bac383fd85deba16f9", "55ac37551c7e3c3f259d4710bac29f1cfde85b3dfa23d741f327b70403d07823", "50f92d22195e218dc27996a188a6afdf85ddb0e4e458d815a8601e7cab2dbdec"},
-	"jacobi/fastgm": {"9bf550b5a2129774552bfc0bb95cfabad36158c0d19fce86ac2141fc58b06747", "84766b8c8d622b661776451c9d6a4930dbd96f84fd605323410708abb8423ebd", "7e78e06a5efd213287e036e913147132dd79c9d9af63d5604417fc387f638404"},
-	"jacobi/rdmagm": {"5a6a906f8900ff6c4eccdb8e79bb5006dc6969ee1c4e3561a251fe9955d70401", "bdebd3b17df60a0e7e05b996bcd01a7a8caeb665da6ac2a31e41ea2d7d12413d", "87cc02547f7cc0feb3bffea2ee73bde94176596e3d17d183ac6b21738b03df98"},
-	"sor/udpgm":     {"5723a1073a0d97b7f9bf9e6f6b3cdccf461925d3caeee9f1265d2a24a54bfa52", "d46af62d23686491f855eee607fbe6a58a39cb5a44ded4acc6c263724c291f71", "19639bb5a2febb59a4a957dcb6b6004d615cde7d402ad8dda9a6162d752deab7"},
-	"sor/fastgm":    {"aa019b090e789cd9b171f3d82760457f2943ae3f105599264226a944a72115a0", "db9f8e44374b9148642110e63b86bb1c1c4629cef0a4089c76095788b356c0e6", "005af59a4c93c2654c74f9112f406344468e63e65142f6584854461bb761a1e1"},
-	"sor/rdmagm":    {"1e459d82470e8eae6110f6a275b54ac57983f41a6f1efdde3ef9c7bf52212973", "ae2649951c486a56acbd6b9693bc55fc725ac5be07e4312e68d95b0c773030a4", "a72b5bb6a0b140f811cfbdb264ebcaf8c507b8971b50d1bd2ea33bc3ae9b31ed"},
-	"3dfft/udpgm":   {"0bfc96523f78d47dd2c438bedf0539b9e05a2d84b05a08f6391689d07d31815e", "34656207ee9b1a6716acc983f466bf51a89f6172d5ea19270914489a6d1f2491", "cefb1db39e7a8c31c78ca7c5f5a60afd9c13b788abb99b1434ae4a738fa388b0"},
-	"3dfft/fastgm":  {"9a58361905769e41319f2c44518c7e1151b7492733288cb402fbbe0ce67e5fd8", "732dca6fe58369ffd17d282820be2752acd2cefa3f2d56bbcd00fd54e242e466", "e0340ee0a8c443ae9d3e8f2cd65a21f7f8cfd206ccb5d8f1922119bf55b2ee79"},
-	"3dfft/rdmagm":  {"5f6277bba157867535641169e993f80ef3913c09e015c0c8e39e68e98e7b9c05", "87565e9fd686e8d0ce58dd33a223349173a1585bfa5b8d51dd8c5c2d48c88b37", "978a65e1181e7bafaef190a4ae92001c7a5dade40d677bed1db0bd3daa8d0262"},
-	"tsp/udpgm":     {"856b22c5b1fb1f49dfeffc3557103364e6ccb7d0db97d46ff785169df13098e0", "83ee91129f389a303b94ed650055bed4cbc53077016d634871a9ddea179c0348", "fe7d7e5489df2643a9393b82fec5afcaf7a049046706f5d9fac6f7e33dd7ac2e"},
-	"tsp/fastgm":    {"e736b1101952d0a66fe9840c997f4cdb934cc29888935323a576c8cf1cafd3ed", "437b0c7c1255b72185e1cbeffedfaa4b41b8e5032a70c00cdb36a767e7d671ae", "1515925bb10c8d84f1e44d8789825c42d1f748bd9cbfa9af8ec84fa62ba5f43b"},
-	"tsp/rdmagm":    {"4e8db3dc1f15925a64740cdf8bdf2ca1521a0863721db28fcac8c06fa47e1a0d", "acbce338c363560539acb319751b40ab8282ef468f2dd6a6071d1e06781c0c3b", "3db25a17a50b4a9a70de4dc48608170f7e9b8f30ad1088ab06fbf5257c7b514e"},
+	"jacobi/udpgm":  {"fda894636db425baa51ab4a32e20ed1b9ddad244d53b25528cf2e762565acb87", "55ac37551c7e3c3f259d4710bac29f1cfde85b3dfa23d741f327b70403d07823", "50f92d22195e218dc27996a188a6afdf85ddb0e4e458d815a8601e7cab2dbdec", "08f1c8287764c47838aa9bc93e20644e1ffe803283c40123735c616ab2bc8caa"},
+	"jacobi/fastgm": {"b1924b499bff25bf93aee54be673f2a415ff309899d721d5b846c18a567e2fb2", "84766b8c8d622b661776451c9d6a4930dbd96f84fd605323410708abb8423ebd", "7e78e06a5efd213287e036e913147132dd79c9d9af63d5604417fc387f638404", "e8378746568082759e097b9d26f86f3bc8fe12ff45519ad3b332ed2e0a8a281f"},
+	"jacobi/rdmagm": {"14011b508bd28e4d9959119f2bffd3fb22234bdbd78f398f968a2a595079b5d6", "bdebd3b17df60a0e7e05b996bcd01a7a8caeb665da6ac2a31e41ea2d7d12413d", "87cc02547f7cc0feb3bffea2ee73bde94176596e3d17d183ac6b21738b03df98", "7c1cd4b4f4761a652eef661238034c4c43647e352711ff28dd0b13cabb212855"},
+	"sor/udpgm":     {"0c8d615b346dd3ec0b50fd85edd9e34a6ddca5af9846897adc3ae79f33fbad0c", "d46af62d23686491f855eee607fbe6a58a39cb5a44ded4acc6c263724c291f71", "19639bb5a2febb59a4a957dcb6b6004d615cde7d402ad8dda9a6162d752deab7", "0c6fc0cd313c6fb59830b7a7360ddd0c1d0f82e9dc3bb35ef32709f8e8054e1c"},
+	"sor/fastgm":    {"0d21482a5245eb73767f300eed9f64691d9c892ebe724df4dd762d86933d9370", "db9f8e44374b9148642110e63b86bb1c1c4629cef0a4089c76095788b356c0e6", "005af59a4c93c2654c74f9112f406344468e63e65142f6584854461bb761a1e1", "b5a5d79d5efcca966c806197ec6f8022614a7a5f1920a8c348d0c9bba6618768"},
+	"sor/rdmagm":    {"b983a6132258cf33b1c0e3b329afdcce7cca6a1cc241dc55d966dfc6f6750d65", "ae2649951c486a56acbd6b9693bc55fc725ac5be07e4312e68d95b0c773030a4", "a72b5bb6a0b140f811cfbdb264ebcaf8c507b8971b50d1bd2ea33bc3ae9b31ed", "66882ab13c49359edf2fc33fe3a36d68d1931acd7e668cd7d110d669640b28e5"},
+	"3dfft/udpgm":   {"574317baeb34a84107344281e1c47532648c8203df0509eb3c0dc729443e648d", "34656207ee9b1a6716acc983f466bf51a89f6172d5ea19270914489a6d1f2491", "cefb1db39e7a8c31c78ca7c5f5a60afd9c13b788abb99b1434ae4a738fa388b0", "80fd752056c63126a9a40c6d24060ab537a58e2cb95cea278df77f28ed1a3dca"},
+	"3dfft/fastgm":  {"74a8564d11075355c1420ed1a0f5fd25560753b0f1f9326242929c865b9b863f", "732dca6fe58369ffd17d282820be2752acd2cefa3f2d56bbcd00fd54e242e466", "e0340ee0a8c443ae9d3e8f2cd65a21f7f8cfd206ccb5d8f1922119bf55b2ee79", "d9734ebdff78f3a1782196bf73fa75ee8ec107a2729ff4879f0739bc706d3958"},
+	"3dfft/rdmagm":  {"e0cf13ae639a86f7f735b2aee865e8c6c0c074a1140d7e75dce44c01905a887f", "87565e9fd686e8d0ce58dd33a223349173a1585bfa5b8d51dd8c5c2d48c88b37", "978a65e1181e7bafaef190a4ae92001c7a5dade40d677bed1db0bd3daa8d0262", "ab40e2e7736b3db0ed572b1ab9322195f983dd6bf37bccafc57e0eeebc4deebb"},
+	"tsp/udpgm":     {"0f51b1e5b80a65004776094b9cd51cea41ec4d96b2afcfbdb8ec56e93e8393db", "83ee91129f389a303b94ed650055bed4cbc53077016d634871a9ddea179c0348", "fe7d7e5489df2643a9393b82fec5afcaf7a049046706f5d9fac6f7e33dd7ac2e", "f1d7b9621fb6aa9de57baeae81e927c68d3aa53c79dff1083a7367e57e9bfaf5"},
+	"tsp/fastgm":    {"adbb09aae104ac7d5f9cd65689fe83a6ce71b1f972a49c51d0a09c1bec802e03", "437b0c7c1255b72185e1cbeffedfaa4b41b8e5032a70c00cdb36a767e7d671ae", "1515925bb10c8d84f1e44d8789825c42d1f748bd9cbfa9af8ec84fa62ba5f43b", "880d04bc36a348e04d3b0103620d2f834cf13137d50c069a7420b6524014bf31"},
+	"tsp/rdmagm":    {"6188009e9e4b0229ca72049ab2859d5777c5e0ff72fd77c1080b468c621141b5", "acbce338c363560539acb319751b40ab8282ef468f2dd6a6071d1e06781c0c3b", "3db25a17a50b4a9a70de4dc48608170f7e9b8f30ad1088ab06fbf5257c7b514e", "e56329e5a3d3284d57a6f68af8cdf7f5dde80841122ba81196f572e67aa6d582"},
 }
 
 // TestObserverViewsGolden runs every application at its smallest ladder
-// size on 4 nodes over each substrate with all three views attached and
-// compares their content against goldenViews.
+// size on 4 nodes over each substrate with every view subscribed to one
+// tracer and compares their content against goldenViews.
 func TestObserverViewsGolden(t *testing.T) {
 	for _, name := range AppNames {
 		app := SizeLadder(name)[0]
@@ -92,9 +101,10 @@ func TestObserverViewsGolden(t *testing.T) {
 			key := fmt.Sprintf("%s/%s", name, kind)
 			t.Run(key, func(t *testing.T) {
 				cfg := tmk.DefaultConfig(4, kind)
-				tracer, pf, text := trace.New(1<<20), prof.New(), sha256.New()
+				tracer, pf, text, cz := trace.New(1<<20), prof.New(), sha256.New(), trace.NewCausal()
 				tracer.Subscribe(pf.Observe)
 				tracer.Subscribe(tmk.TextTrace(text))
+				tracer.Subscribe(cz.Observe)
 				cfg.Trace = tracer
 				if _, err := tmk.Run(cfg, app.Run); err != nil {
 					t.Fatal(err)
@@ -110,15 +120,22 @@ func TestObserverViewsGolden(t *testing.T) {
 				if err := pf.Snapshot().WriteJSON(profile); err != nil {
 					t.Fatal(err)
 				}
+				crit := sha256.New()
+				cp := cz.CriticalPath()
+				fmt.Fprintln(crit, cz.Len(), cz.DupArrivals(), cp.EndRank, cp.EndT)
+				for _, s := range cp.Segs {
+					fmt.Fprintln(crit, s.Cat, s.Kind, s.From, s.To, s.Start, s.End)
+				}
 				got := viewHashes{
 					ring: fmt.Sprintf("%x", ring.Sum(nil)),
 					prof: fmt.Sprintf("%x", profile.Sum(nil)),
 					text: fmt.Sprintf("%x", text.Sum(nil)),
+					crit: fmt.Sprintf("%x", crit.Sum(nil)),
 				}
 				if want := goldenViews[key]; got != want {
-					t.Errorf("views moved (ring %v, prof %v, text %v); got row:\n\t%q: {%q, %q, %q},",
-						got.ring == want.ring, got.prof == want.prof, got.text == want.text,
-						key, got.ring, got.prof, got.text)
+					t.Errorf("views moved (ring %v, prof %v, text %v, crit %v); got row:\n\t%q: {%q, %q, %q, %q},",
+						got.ring == want.ring, got.prof == want.prof, got.text == want.text, got.crit == want.crit,
+						key, got.ring, got.prof, got.text, got.crit)
 				}
 			})
 		}

@@ -126,9 +126,6 @@ type NIC struct {
 	stats NICStats
 }
 
-// ID returns the NIC's node ID.
-func (n *NIC) ID() NodeID { return n.id }
-
 // Stats returns a copy of the NIC's traffic counters.
 func (n *NIC) Stats() NICStats { return n.stats }
 

@@ -29,7 +29,6 @@ type Simulator struct {
 
 	tracer *trace.Tracer
 	tc     simCounters // cached registry entries, valid iff tracer != nil
-	causal *trace.Causal
 }
 
 // simCounters caches the scheduler's hot-path registry entries so the
@@ -75,14 +74,6 @@ func (s *Simulator) SetTracer(t *trace.Tracer) {
 
 // Tracer returns the attached structured tracer, or nil.
 func (s *Simulator) Tracer() *trace.Tracer { return s.tracer }
-
-// SetCausal attaches a causal-DAG collector (nil detaches). Like the
-// tracer it is observation only: contexts travel as unbilled frame
-// metadata, so results are bit-identical with and without it.
-func (s *Simulator) SetCausal(c *trace.Causal) { s.causal = c }
-
-// Causal returns the attached causal collector, or nil.
-func (s *Simulator) Causal() *trace.Causal { return s.causal }
 
 // At schedules fn to run in scheduler context at virtual time t. It hands
 // out no handle: the Event is the simulator's, recycled as it fires, so a

@@ -177,9 +177,6 @@ func NewStack(s *sim.Simulator, node *gm.Node, params Params) *Stack {
 // Stats returns a copy of the node's socket statistics.
 func (st *Stack) Stats() StackStats { return st.stats }
 
-// Node returns the underlying GM node.
-func (st *Stack) Node() *gm.Node { return st.node }
-
 // kernelRx runs in scheduler context when a UDP-bearing GM message
 // arrives at the kernel port. The kernel copies the bytes out and recycles
 // the GM buffer at once; after the modelled interrupt/softirq delay the
@@ -294,9 +291,6 @@ type Socket struct {
 	closed      bool
 	drops       int64
 }
-
-// Port returns the bound port, or -1.
-func (sk *Socket) Port() int { return sk.port }
 
 // Drops returns the number of datagrams dropped at this socket.
 func (sk *Socket) Drops() int64 { return sk.drops }

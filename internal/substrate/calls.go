@@ -325,22 +325,21 @@ func (c *Core) stale(p *sim.Proc, from int) {
 // frames, once its last frame is in.
 func (c *Core) match(p *sim.Proc, m *msg.Message) {
 	pc := c.Lookup(p, &c.calls, m.Seq, int(m.From))
-	if pc == nil {
+	done := pc != nil
+	if done {
+		if i, n := m.Frame(); n > 1 {
+			done = c.takeFrame(p, pc, m, i, n)
+		} else {
+			c.take(p, pc, m)
+		}
+	}
+	if !done {
+		// A stale reply, or an earlier frame of a continued one: no call span
+		// carries its acceptance.
+		p.Sim().Tracer().Arrive(int64(c.ctx(p).arrived), p.ID(), m.Ctx)
 		return
 	}
-	if i, n := m.Frame(); n > 1 {
-		if !c.takeFrame(p, pc, m, i, n) {
-			return
-		}
-	} else {
-		c.take(p, pc, m)
-	}
 	c.Complete(pc, nil, nil)
-	if cz := p.Sim().Causal(); cz != nil && !m.Ctx.Zero() {
-		// The matched reply is what unblocks the mainline: requests the
-		// rank issues next are caused by it.
-		cz.SetCur(c.rank, m.Ctx)
-	}
 	rtt := pc.completed - pc.issued
 	c.stats.RepliesRecvd++
 	c.stats.ReplyWaitTime += rtt
@@ -352,8 +351,10 @@ func (c *Core) match(p *sim.Proc, m *msg.Message) {
 		}
 	}
 	if tr := p.Sim().Tracer(); tr != nil {
-		// The span carries its reply's bytes, every frame's, as a serve span
-		// its request's.
+		// The span ends at its reply's arrival and carries the reply's span:
+		// it is the reply's acceptance and, in the causal view, what unblocks
+		// the rank's mainline. It carries its reply's bytes, every frame's,
+		// as a serve span its request's.
 		bytes := 0
 		if pc.cont != nil {
 			bytes = pc.cont.size
@@ -361,8 +362,9 @@ func (c *Core) match(p *sim.Proc, m *msg.Message) {
 		if bytes == 0 {
 			bytes = m.EncodedSize()
 		}
-		emit(tr, trace.Event{T: int64(pc.issued), Dur: int64(rtt),
-			Kind: "call:" + pc.kind.String(), Proc: p.ID(), Peer: pc.dst, Bytes: bytes}, "", 0)
+		emit(tr, trace.Event{T: int64(pc.issued), Dur: int64(c.ctx(p).arrived - pc.issued),
+			Kind: "call:" + pc.kind.String(), Proc: p.ID(), Peer: pc.dst, Bytes: bytes,
+			Rank: c.rank, B: int(m.Ctx.Span)}, "", 0)
 	}
 }
 

@@ -29,7 +29,7 @@ type Wire interface {
 	// and aux only until it returns: the core reuses their storage.
 	Transmit(p *sim.Proc, dst int, lane Lane, kind msg.Kind, body, aux []byte)
 	// AwaitReply blocks for the next reply and returns it decoded into
-	// into's storage, with arrival already recorded (Heard, causal Arrive,
+	// into's storage, with arrival already recorded (Heard, Core.Arrived,
 	// BytesRecvd). It returns nil when deadline (0 = none) passes first,
 	// when PeerGone woke the wait, or when the arrival was unusable.
 	AwaitReply(p *sim.Proc, deadline sim.Time, into *msg.Decoder) *msg.Message
@@ -42,9 +42,9 @@ type Wire interface {
 // Core is the protocol half of a substrate, written once: sequence
 // numbers and the table of outstanding calls (requests, and any other
 // acknowledged exchange a binding declares), the hedge/retransmission
-// clock, the (origin, seq) duplicate filter with its cached replies,
-// causal edge stamping and peer liveness. A binding embeds it, implements
-// Wire, and keeps only what its interconnect is.
+// clock, the (origin, seq) duplicate filter with its cached replies, the
+// causal view's frame events and peer liveness. A binding embeds it,
+// implements Wire, and keeps only what its interconnect is.
 type Core struct {
 	wire    Wire
 	rank    int
@@ -80,6 +80,7 @@ type context struct {
 	spare   *msg.Decoder   // where the next awaited reply is decoded (match)
 	replies []*msg.Message // Collect's result
 	one     [1]Pending     // Call's pending list
+	arrived sim.Time       // when the frame being admitted or matched arrived (Arrived)
 }
 
 // level is p's context: 1 in its interrupt handler, 0 on its mainline.
@@ -145,9 +146,6 @@ func (c *Core) Init(w Wire, rank, size int, pol Policy, rto Backoff, maxRetries 
 
 // OpenCalls returns how many two-sided calls await their replies.
 func (c *Core) OpenCalls() int { return c.open }
-
-// Policy returns the run's policy.
-func (c *Core) Policy() Policy { return c.pol }
 
 // SetWire re-points the core at w: a binding layered on another (rdmagm on
 // fastgm) takes over the wire it extends.
@@ -219,25 +217,30 @@ func emit(tr *trace.Tracer, ev trace.Event, counter string, inc int64) {
 	}
 }
 
+// Arrived records that m, whose frame carried aux, arrives now in p's
+// context: the time, where Serve's or match's span starts or ends, and
+// its causal context in m.Ctx (zero untraced: no frame carries one). Admit
+// calls it for a request, a binding for each reply AwaitReply returns.
+func (c *Core) Arrived(p *sim.Proc, m *msg.Message, aux []byte) {
+	c.ctx(p).arrived = p.Now()
+	m.Ctx = trace.DecodeCtx(aux)
+}
+
 // Admit runs the arrival half of request service for a decoded request
-// of n wire bytes: causal arrival (before the filter — redelivered copies
-// carry the same span, so Arrive stays idempotent), counters, and the
-// (origin, seq) duplicate filter. It returns nil for a fresh request,
-// which the binding hands to Serve once it has disposed of the receive
-// buffer, or the recorded entry for a duplicate, to hand to AnswerDup.
+// of n wire bytes: its arrival (Arrived), counters, and the (origin, seq)
+// duplicate filter. It returns nil for a fresh request, which the binding
+// hands to Serve once it has disposed of the receive buffer, or the
+// recorded entry for a duplicate, to hand to AnswerDup.
 func (c *Core) Admit(p *sim.Proc, m *msg.Message, aux []byte, n int) *DupEntry {
-	if cz := p.Sim().Causal(); cz != nil {
-		m.Ctx = trace.DecodeCtx(aux)
-		cz.Arrive(m.Ctx, p.ID(), int64(p.Now()))
-	}
+	c.Arrived(p, m, aux)
 	c.stats.RequestsRecvd++
 	c.stats.BytesRecvd += int64(n)
 	key := DupKey{Origin: m.ReplyTo, Seq: m.Seq}
 	if e, seen := c.dup.Lookup(key); seen {
 		c.stats.DupRequests++
-		if tr := p.Sim().Tracer(); tr != nil {
+		if tr := p.Sim().Tracer(); tr != nil { // A: the copy's span, accepted again
 			emit(tr, trace.Event{T: int64(p.Now()), Kind: "dup-request",
-				Proc: p.ID(), Peer: int(m.From), Bytes: n}, "dup.requests", 1)
+				Proc: p.ID(), Peer: int(m.From), Bytes: n, A: int(m.Ctx.Span)}, "dup.requests", 1)
 		}
 		return e
 	}
@@ -282,23 +285,27 @@ func (c *Core) encode(p *sim.Proc, m *msg.Message) []byte {
 }
 
 // Serve runs the handler on a fresh request and records its serve span.
+// The span starts at the request's arrival and carries its span: it is
+// the request's acceptance in the causal view.
 func (c *Core) Serve(p *sim.Proc, m *msg.Message, n int) {
-	start := p.Now()
+	start := c.ctx(p).arrived
 	c.handler(p, m)
 	if tr := p.Sim().Tracer(); tr != nil {
 		emit(tr, trace.Event{T: int64(start), Dur: int64(p.Now() - start),
-			Kind: "serve:" + m.Kind.String(), Proc: p.ID(), Peer: int(m.From), Bytes: n}, "", 0)
+			Kind: "serve:" + m.Kind.String(), Proc: p.ID(), Peer: int(m.From), Bytes: n,
+			A: int(m.Ctx.Span)}, "", 0)
 	}
 }
 
-// edge records the send half of a message in the causal DAG and returns
-// the encoded context the frame carries (nil with causal tracing off).
-func (c *Core) edge(p *sim.Proc, prefix string, kind msg.Kind, dst int, parent uint64, n int) []byte {
-	cz := p.Sim().Causal()
-	if cz == nil {
+// edge records a frame's send for the causal view and returns the context
+// it carries (nil untraced); parent is a span, 0 or trace.Mainline.
+func (c *Core) edge(p *sim.Proc, prefix string, kind msg.Kind, dst, parent, n int) []byte {
+	tr := p.Sim().Tracer()
+	if tr == nil {
 		return nil
 	}
-	return trace.EncodeCtx(cz.Edge(prefix+kind.String(), c.rank, dst, p.ID(), parent, n, int64(p.Now())))
+	return tr.Send(trace.Event{T: int64(p.Now()), Kind: prefix + kind.String(),
+		Proc: p.ID(), Rank: c.rank, Peer: dst, Bytes: n, B: parent})
 }
 
 // Reply implements Transport: the reply goes to the request's originator
@@ -323,7 +330,7 @@ func (c *Core) Reply(p *sim.Proc, req *msg.Message, rep *msg.Message) {
 	if !rep.Ctx.Zero() {
 		parent = rep.Ctx.Span
 	}
-	aux := c.edge(p, "rep:", rep.Kind, origin, parent, n)
+	aux := c.edge(p, "rep:", rep.Kind, origin, int(parent), n)
 	key := DupKey{Origin: req.ReplyTo, Seq: req.Seq}
 	e, ok := c.dup.Lookup(key)
 	if !ok {
@@ -366,7 +373,7 @@ func (c *Core) Reply(p *sim.Proc, req *msg.Message, rep *msg.Message) {
 func (c *Core) Forward(p *sim.Proc, dst int, req *msg.Message) {
 	req.From = int32(c.rank)
 	body := c.encode(p, req)
-	aux := c.edge(p, "fwd:", req.Kind, dst, req.Ctx.Span, len(body))
+	aux := c.edge(p, "fwd:", req.Kind, dst, int(req.Ctx.Span), len(body))
 	if e, ok := c.dup.Lookup(DupKey{Origin: req.ReplyTo, Seq: req.Seq}); ok {
 		e.ForwardedTo, e.FwdAux = dst, aux
 	}
@@ -383,15 +390,15 @@ func (c *Core) Send(p *sim.Proc, dst int, req *msg.Message) {
 
 // stamp assigns an outbound request its identity and records its causal
 // send edge. The parent is the request's explicit context when the caller
-// set one, otherwise the rank's mainline context.
+// set one, otherwise the rank's mainline.
 func (c *Core) stamp(p *sim.Proc, dst int, req *msg.Message) (aux []byte) {
 	req.Seq = c.NextSeq()
 	req.From = int32(c.rank)
 	req.ReplyTo = int32(c.rank)
-	if cz := p.Sim().Causal(); cz != nil {
-		parent := req.Ctx.Span
-		if req.Ctx.Zero() {
-			parent = cz.Cur(c.rank).Span
+	if p.Sim().Tracer() != nil {
+		parent := trace.Mainline
+		if !req.Ctx.Zero() {
+			parent = int(req.Ctx.Span)
 		}
 		aux = c.edge(p, "req:", req.Kind, dst, parent, req.EncodedSize())
 	}

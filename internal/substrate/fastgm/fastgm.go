@@ -293,10 +293,7 @@ func (t *Transport) recvSyncFrame(p *sim.Proc, rv *gm.Recv, into *msg.Decoder) *
 		t.syncPort.ProvideReceiveBuffer(rv.Buffer)
 		return nil
 	}
-	if cz := p.Sim().Causal(); cz != nil {
-		m.Ctx = trace.DecodeCtx(rv.Aux)
-		cz.Arrive(m.Ctx, p.ID(), int64(p.Now()))
-	}
+	t.Arrived(p, m, rv.Aux)
 	t.Stats().BytesRecvd += int64(len(rv.Data))
 	if rv.Data[0] == frameData {
 		t.rv.finishReceive(p, t.syncPort, rv.Buffer)

@@ -227,11 +227,11 @@ func (t *Transport) post(p *sim.Proc, dst int, vf *verbFrame) substrate.PendingV
 	vf.seq = t.NextSeq()
 	n := verbFrameLen(vf)
 	var aux []byte
-	if cz := p.Sim().Causal(); cz != nil {
+	if tr := p.Sim().Tracer(); tr != nil {
 		// A verb is always posted from the initiator's mainline (there is
 		// no handler-context posting path).
-		aux = trace.EncodeCtx(cz.Edge("verb:"+verbName(vf.op), t.Rank(), dst, p.ID(),
-			cz.Cur(t.Rank()).Span, n, int64(p.Now())))
+		aux = tr.Send(trace.Event{T: int64(p.Now()), Kind: "verb:" + verbName(vf.op),
+			Proc: p.ID(), Rank: t.Rank(), Peer: dst, Bytes: n, B: trace.Mainline})
 	}
 	pc := t.Open(p, &t.verbs, dst, vf.seq, aux)
 	encodeVerb(pc.FrameBuf(n), vf)
@@ -382,18 +382,17 @@ func (t *Transport) handleCompletion(p *sim.Proc, rv *gm.Recv) {
 		return
 	}
 	st.BytesRecvd += int64(len(rv.Data))
-	cz, ctx := p.Sim().Causal(), trace.Ctx{}
-	if cz != nil {
-		ctx = trace.DecodeCtx(rv.Aux)
-		cz.Arrive(ctx, p.ID(), int64(p.Now()))
-	}
+	tr, ctx := p.Sim().Tracer(), trace.DecodeCtx(rv.Aux)
 	pc := t.Lookup(p, &t.verbs, cf.seq, int(cf.from))
-	if pc == nil {
-		return
+	if pc != nil {
+		if frame, _ := pc.Frame(); frame[0] != cf.op {
+			// The live verb of that sequence number is not what this answers.
+			st.CorruptFrames++
+			pc = nil
+		}
 	}
-	if frame, _ := pc.Frame(); frame[0] != cf.op {
-		// The live verb of that sequence number is not what this answers.
-		st.CorruptFrames++
+	if pc == nil {
+		tr.Arrive(int64(p.Now()), p.ID(), ctx)
 		return
 	}
 	var data []byte
@@ -410,14 +409,13 @@ func (t *Transport) handleCompletion(p *sim.Proc, rv *gm.Recv) {
 		data = cf.payload
 	}
 	t.Complete(pc, data, verr)
-	if cz != nil && !ctx.Zero() {
-		// The matched completion is what unblocks WaitVerbs' mainline.
-		cz.SetCur(t.Rank(), ctx)
-	}
-	if tr := p.Sim().Tracer(); tr != nil {
+	if tr != nil {
+		// The span ends at the completion's arrival and carries its span: it
+		// is the completion's acceptance and, in the causal view, what
+		// unblocks WaitVerbs' mainline.
 		tr.Emit(trace.Event{T: int64(pc.Issued()), Dur: int64(pc.Completed() - pc.Issued()),
 			Layer: trace.LayerSubstrate, Kind: "verb:" + verbName(cf.op),
-			Proc: p.ID(), Peer: pc.Dst(), Bytes: len(rv.Data)})
+			Proc: p.ID(), Peer: pc.Dst(), Bytes: len(rv.Data), Rank: t.Rank(), B: int(ctx.Span)})
 	}
 }
 
@@ -441,13 +439,11 @@ func (t *Transport) onVerbFrame(rv *gm.Recv) {
 		return
 	}
 	st.BytesRecvd += int64(len(rv.Data))
-	cz := t.Proc().Sim().Causal()
-	if cz != nil {
-		// The firmware sink has no host process; the flow endpoint is the
-		// target process's track. Redelivered verbs carry the same span, so
-		// Arrive stays idempotent.
-		cz.Arrive(trace.DecodeCtx(rv.Aux), t.Proc().ID(), int64(t.Proc().Sim().Now()))
-	}
+	// The firmware sink has no host process; the flow endpoint is the
+	// target process's track. Redelivered verbs carry the same span: the
+	// causal view counts them as duplicates.
+	tr, vctx := t.Proc().Sim().Tracer(), trace.DecodeCtx(rv.Aux)
+	tr.Arrive(int64(t.Proc().Sim().Now()), t.Proc().ID(), vctx)
 	key := substrate.DupKey{Origin: vf.origin, Seq: vf.seq}
 	if e, seen := t.vdup.Lookup(key); seen {
 		// Redelivered verb: never re-execute (a stale Put must not
@@ -492,13 +488,11 @@ func (t *Transport) onVerbFrame(rv *gm.Recv) {
 		sim.BytesTime(dmaBytes, DMABandwidth)
 	dst := int(vf.origin)
 	var compAux []byte
-	if cz != nil {
+	if tr != nil {
 		// The completion is caused by the verb that requested it; its send
 		// time is when the firmware actually ships the entry.
-		vctx := trace.DecodeCtx(rv.Aux)
-		cctx := cz.Edge("comp:"+verbName(vf.op), t.Rank(), dst, t.Proc().ID(),
-			vctx.Span, len(comp), int64(t.Proc().Sim().Now()+delay))
-		compAux = trace.EncodeCtx(cctx)
+		compAux = tr.Send(trace.Event{T: int64(t.Proc().Sim().Now() + delay), Kind: "comp:" + verbName(vf.op),
+			Proc: t.Proc().ID(), Rank: t.Rank(), Peer: dst, Bytes: len(comp), B: int(vctx.Span)})
 	}
 	e.Done, e.Reply, e.ReplyAux, e.To = true, comp, compAux, dst
 	t.verbPort.ProvideReceiveBuffer(rv.Buffer)

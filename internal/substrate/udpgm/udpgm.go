@@ -210,10 +210,7 @@ func (t *Transport) AwaitReply(p *sim.Proc, deadline sim.Time, into *msg.Decoder
 	if err != nil {
 		panic(fmt.Sprintf("udpgm: corrupt reply on node %d: %v", t.Rank(), err))
 	}
-	if cz := p.Sim().Causal(); cz != nil {
-		m.Ctx = trace.DecodeCtx(aux)
-		cz.Arrive(m.Ctx, p.ID(), int64(p.Now()))
-	}
+	t.Arrived(p, m, aux)
 	t.Live.Heard(int(m.From))
 	return m
 }

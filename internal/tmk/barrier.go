@@ -32,8 +32,8 @@ type barrierState struct {
 	spare    []msg.Message
 	cond     *sim.Cond
 
-	// Causal-tracing observation (DESIGN.md §13): the context and time of
-	// the latest child arrival, consulted when the releases go out to name
+	// Causal-view observation (DESIGN.md §13): the context and time of the
+	// latest child arrival, consulted when the releases go out to name
 	// their enabling cause. Costs no virtual time.
 	lastArrive  trace.Ctx
 	lastArriveT sim.Time
@@ -146,28 +146,26 @@ func (tp *Proc) Barrier(id int32) {
 		tp.tr.EnableAsync(tp.sp)
 	}
 
-	// Phase 3: release our children with exactly what each lacks. With
-	// causal tracing on, each release names its enabling cause: the
-	// release received from our parent (internal node), the last child
-	// arrival (a root that waited), or the root's own timeline (a root
-	// that was itself the straggler). Parenting on the child's own arrival
-	// would mis-attribute every child's wait to its own round-trip instead
-	// of the straggler's lateness.
+	// Phase 3: release our children with exactly what each lacks. For the
+	// causal view each release names its enabling cause: the release
+	// received from our parent (internal node), the last child arrival (a
+	// root that waited), or the root's own timeline (a root that was
+	// itself the straggler). Parenting on the child's own arrival would
+	// mis-attribute every child's wait to its own round-trip instead of
+	// the straggler's lateness.
 	var enabling trace.Ctx
-	if cz := tp.sp.Sim().Causal(); cz != nil {
-		switch {
-		case parent >= 0:
-			enabling = releaseCtx
-		case tp.barrier.lastArriveT > start:
-			enabling = tp.barrier.lastArrive
-		default:
-			enabling = trace.Ctx{Trace: cz.TraceID(), Span: trace.SpanLocal}
-		}
-		if parent < 0 {
-			// The root receives no release; whatever enabled its own release
-			// is also what unblocks its mainline after the barrier.
-			cz.SetCur(tp.rank, enabling)
-		}
+	switch {
+	case parent >= 0:
+		enabling = releaseCtx
+	case tp.barrier.lastArriveT > start:
+		enabling = tp.barrier.lastArrive
+	default:
+		enabling = trace.Local
+	}
+	if parent < 0 {
+		// The root receives no release; whatever enabled its own release is
+		// also what unblocks its mainline after the barrier.
+		tp.observeCausal(trace.KindUnblock, enabling.Span)
 	}
 	tp.tr.DisableAsync(tp.sp)
 	if parent < 0 {
@@ -221,10 +219,7 @@ func (tp *Proc) handleBarrierArrive(req *msg.Message) {
 			tp.rank, tp.barrier.episode, req.ReplyTo, req.Episode))
 	}
 	tp.applyIntervals(req.Intervals)
-	if tp.sp.Sim().Causal() != nil {
-		tp.barrier.lastArrive = req.Ctx
-		tp.barrier.lastArriveT = tp.sp.Now()
-	}
+	tp.barrier.lastArrive, tp.barrier.lastArriveT = req.Ctx, tp.sp.Now()
 	tp.barrier.arrivals = keepRequest(tp.barrier.arrivals, req)
 	tp.barrier.cond.Broadcast()
 }

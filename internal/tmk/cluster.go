@@ -62,11 +62,9 @@ type Config struct {
 	// without it.
 	Trace *trace.Tracer
 
-	// Causal, when non-nil, attaches the causal-DAG collector (DESIGN.md
-	// §13): every substrate frame carries a compact trace context as
-	// uncharged envelope metadata and is recorded as a typed edge. Like
-	// Trace it is observation only — causal-on runs are bit-identical to
-	// causal-off ones.
+	// Causal, when non-nil, is subscribed to Trace — or, with none, to a
+	// tracer of the run's own — as subscribing Causal.Observe by hand would
+	// (do one or the other), and rebuilds the critical path (DESIGN.md §13).
 	Causal *trace.Causal
 
 	// Hedge arms hedged re-issues of straggling calls in whichever
@@ -175,11 +173,14 @@ func newCluster(cfg Config, tune func(*testbed)) *Cluster {
 	}
 	c.pol = substrate.Policy{Hedge: cfg.Hedge}
 	c.sim = sim.New(cfg.Seed)
-	if cfg.Trace != nil {
-		c.sim.SetTracer(cfg.Trace)
-	}
 	if cfg.Causal != nil {
-		c.sim.SetCausal(cfg.Causal)
+		if c.cfg.Trace == nil { // keeps no history: the view reads the stream
+			c.cfg.Trace = trace.New(1)
+		}
+		c.cfg.Trace.Subscribe(cfg.Causal.Observe)
+	}
+	if c.cfg.Trace != nil {
+		c.sim.SetTracer(c.cfg.Trace)
 	}
 	c.fabric = myrinet.NewFabric(c.sim, myrinet.Params{Faults: cfg.Faults}, c.n)
 	c.gmsys = gm.NewSystem(c.sim, c.fabric, gm.DefaultParams())
@@ -242,9 +243,7 @@ func (c *Cluster) spawn(app func(tp *Proc)) {
 			app(tp)
 			tp.Barrier(finalBarrier)
 			tp.appEnd = sp.Now()
-			if cz := c.sim.Causal(); cz != nil {
-				cz.End(rank, int64(tp.appEnd))
-			}
+			tp.observeCausal(trace.KindAppEnd, 0)
 
 			// Shutdown rendezvous (out of band, like the launcher's): on a
 			// lossy fabric a peer may still be retrying a request whose

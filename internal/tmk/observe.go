@@ -54,6 +54,16 @@ func (tp *Proc) observe(e event) {
 		A: e.a, B: e.b, C: e.c})
 }
 
+// observeCausal records an occurrence only the causal view reads (DESIGN.md
+// §13): KindUnblock, this rank's mainline now following frame span, or
+// KindAppEnd.
+func (tp *Proc) observeCausal(kind string, span uint64) {
+	if tr := tp.cluster.cfg.Trace; tr != nil {
+		tr.Emit(trace.Event{T: int64(tp.cluster.sim.Now()), Layer: trace.LayerCausal, Kind: kind,
+			Proc: tp.sp.ID(), Peer: -1, Rank: tp.rank, A: int(span)})
+	}
+}
+
 // textFormats is the protocol trace's line for each tmk kind. Arguments
 // are selected by index:
 // [1] rank  [2] entity id  [3] peer  [4] bytes  [5] a  [6] b  [7] c.

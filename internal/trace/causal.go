@@ -4,16 +4,16 @@ import (
 	"encoding/binary"
 )
 
-// Causal tracing (DESIGN.md §13): every cross-node frame carries a
-// compact context — (traceID, parentSpanID) — so the run assembles a
-// causal DAG whose vertices are per-rank timeline points and whose
-// edges are typed frames (requests, replies, forwards, one-sided verbs
-// and their completions). The collector lives beside the event ring:
-// attach one to a simulation with sim.SetCausal and every substrate
-// stamps, propagates, and records contexts. Like the tracer and the
-// profiler, it is pure observation — the context rides the frame
-// envelope as unbilled metadata, never as charged payload bytes, so a
-// causal-context-on run is bit-identical to a context-off run.
+// Causal tracing (DESIGN.md §13): every cross-node frame carries a compact
+// context — (traceID, span) — in its envelope as unbilled metadata, and
+// with a Tracer attached its send and acceptance are trace events, beside
+// each rank's mainline unblockings and application end (DESIGN.md §7).
+// Causal is the subscriber that rebuilds the run's DAG from them. A send
+// is a LayerCausal event named by its edge kind ("req:diff", "verb:put",
+// …) with the span in A and the parent in B. An acceptance is the A of a
+// substrate event starting at it (serve span, dup-request), the B of a
+// span ending at it (call, verb: also the caller's unblocking), or a
+// KindArrive instant.
 
 // Ctx is the compact causal context a frame carries: the run's trace ID
 // and the span (edge) ID of the frame itself — which becomes the
@@ -26,12 +26,42 @@ type Ctx struct {
 // Zero reports whether c carries no context.
 func (c Ctx) Zero() bool { return c == Ctx{} }
 
-// SpanLocal is a sentinel span: "this action's cause is the sender's
-// own local timeline, not any received frame". A barrier manager that
-// was itself the last arrival uses it to suppress the usual
-// enabling-cause override (the critical-path walk then falls back to
-// the manager's latest in-edge).
-const SpanLocal = ^uint64(0)
+// traceID is the trace ID every context of a run carries.
+const traceID = 1
+
+// Local is the context of an action caused by the sender's own timeline:
+// not Zero, so it overrides a reply's default parent, and naming no span.
+var Local = Ctx{Trace: traceID}
+
+// Kinds of LayerCausal events besides a send, whose Kind is its edge kind.
+const (
+	KindArrive  = "arrive"  // Proc accepted frame A at T
+	KindUnblock = "unblock" // Rank's mainline now follows frame A (0: its own timeline)
+	KindAppEnd  = "app-end" // Rank's application ended at T
+)
+
+// Mainline, as a send's parent (Event.B), names whatever last unblocked
+// the sending rank's mainline; the reducer resolves it.
+const Mainline = -1
+
+// Send records the send half of a frame — e gives its edge kind, send
+// time, sender (Proc, Rank), receiving rank (Peer), Bytes and parent (B)
+// — under the tracer's next span, and returns the context it carries.
+func (t *Tracer) Send(e Event) []byte {
+	t.spans++
+	e.Layer, e.A = LayerCausal, int(t.spans)
+	t.Emit(e)
+	return EncodeCtx(Ctx{Trace: traceID, Span: t.spans})
+}
+
+// Arrive records process proc's acceptance, at virtual time at, of the
+// frame ctx names, where no substrate span carries it. A nil tracer, or a
+// frame without a context, records nothing.
+func (t *Tracer) Arrive(at int64, proc int, ctx Ctx) {
+	if t != nil && ctx.Span != 0 {
+		t.Emit(Event{T: at, Layer: LayerCausal, Kind: KindArrive, Proc: proc, Peer: -1, A: int(ctx.Span)})
+	}
+}
 
 // Context wire format (DESIGN.md §13): 1-byte magic, 1-byte version,
 // then trace ID and span ID little-endian. Anything shorter, or with a
@@ -87,74 +117,84 @@ type CausalEdge struct {
 // Arrived reports whether the edge's frame was accepted.
 func (e *CausalEdge) Arrived() bool { return e.RecvT >= 0 }
 
-// Causal collects a run's causal DAG. Edge IDs are a deterministic
-// counter, so a causal-on rerun of the same tree reproduces the DAG
-// exactly. Not safe for concurrent use — the simulator is
-// single-threaded.
+// Causal is the causal-DAG view of a trace stream: subscribe Observe to a
+// run's tracer, or feed it a recorded stream (Tracer.Events) — both build
+// the same DAG, whose edge IDs are the spans the tracer issued.
 type Causal struct {
-	traceID uint32
-	edges   []CausalEdge
-	cur     map[int]Ctx
-	ends    map[int]int64
-	dups    int64
+	base     uint64 // the span before the first edge: a recorded stream may start mid-run
+	edges    []CausalEdge
+	mainline map[int]uint64 // per rank: the span that last unblocked its mainline
+	ends     map[int]int64
+	dups     int64
 }
 
-// NewCausal returns an empty collector.
+// NewCausal returns an empty view.
 func NewCausal() *Causal {
 	return &Causal{
-		traceID: 1,
-		cur:     make(map[int]Ctx),
-		ends:    make(map[int]int64),
+		mainline: make(map[int]uint64),
+		ends:     make(map[int]int64),
 	}
 }
 
-// TraceID returns the run's trace identifier.
-func (c *Causal) TraceID() uint32 { return c.traceID }
+// Observe reduces one event of the stream into the DAG.
+func (c *Causal) Observe(e Event) {
+	switch e.Layer {
+	case LayerSubstrate:
+		if e.A != 0 {
+			c.arrive(uint64(e.A), e.Proc, e.T)
+		}
+		if e.B != 0 {
+			c.arrive(uint64(e.B), e.Proc, e.T+e.Dur)
+			c.mainline[e.Rank] = uint64(e.B)
+		}
+	case LayerCausal:
+		switch e.Kind {
+		case KindArrive:
+			c.arrive(uint64(e.A), e.Proc, e.T)
+		case KindUnblock:
+			c.mainline[e.Rank] = uint64(e.A)
+		case KindAppEnd:
+			c.ends[e.Rank] = e.T
+		default:
+			c.send(e)
+		}
+	}
+}
 
-// Edge records the send half of a frame and returns the context the
-// frame must carry. parent == 0 or SpanLocal means "caused by the
-// sender's own timeline".
-func (c *Causal) Edge(kind string, from, to, fromPID int, parent uint64, bytes int, sendT int64) Ctx {
-	if parent == SpanLocal || parent > uint64(len(c.edges)) {
+// send opens a frame's edge. A parent naming no earlier edge is none.
+func (c *Causal) send(e Event) {
+	span := uint64(e.A)
+	if len(c.edges) == 0 {
+		c.base = span - 1
+	} else if span != c.base+uint64(len(c.edges))+1 {
+		return // not this stream's next span
+	}
+	parent := uint64(e.B)
+	if e.B == Mainline {
+		parent = c.mainline[e.Rank]
+	}
+	if c.edge(parent) == nil {
 		parent = 0
 	}
-	id := uint64(len(c.edges) + 1)
 	c.edges = append(c.edges, CausalEdge{
-		ID: id, Kind: kind, From: from, To: to, FromPID: fromPID, ToPID: -1,
-		Parent: parent, Bytes: bytes, SendT: sendT, RecvT: -1,
+		ID: span, Kind: e.Kind, From: e.Rank, To: e.Peer, FromPID: e.Proc, ToPID: -1,
+		Parent: parent, Bytes: e.Bytes, SendT: e.T, RecvT: -1,
 	})
-	return Ctx{Trace: c.traceID, Span: id}
 }
 
-// Arrive records the receive half. Idempotent: the first acceptance
-// wins; duplicates (GM-level or transport-level retransmission) are
-// counted in DupArrivals. Zero, foreign, or out-of-range contexts are
-// ignored — a frame without a context is simply not an edge.
-func (c *Causal) Arrive(ctx Ctx, toPID int, recvT int64) {
-	if ctx.Trace != c.traceID || ctx.Span == 0 || ctx.Span == SpanLocal ||
-		ctx.Span > uint64(len(c.edges)) {
+// arrive records process pid's acceptance of frame span at t: the first
+// one wins, and duplicates (retransmissions) are counted in DupArrivals.
+func (c *Causal) arrive(span uint64, pid int, t int64) {
+	e := c.edge(span)
+	if e == nil {
 		return
 	}
-	e := &c.edges[ctx.Span-1]
-	if e.RecvT >= 0 {
+	if e.Arrived() {
 		c.dups++
 		return
 	}
-	e.RecvT = recvT
-	e.ToPID = toPID
+	e.RecvT, e.ToPID = t, pid
 }
-
-// SetCur records rank's mainline context: the edge that last unblocked
-// its main thread (a matched reply, a barrier's enabling cause).
-// Requests the rank later issues from its mainline are parented on it.
-func (c *Causal) SetCur(rank int, ctx Ctx) { c.cur[rank] = ctx }
-
-// Cur returns rank's mainline context (zero if never set).
-func (c *Causal) Cur(rank int) Ctx { return c.cur[rank] }
-
-// End marks rank's application end time (its return from the final
-// barrier); the critical-path walk starts from the latest of these.
-func (c *Causal) End(rank int, t int64) { c.ends[rank] = t }
 
 // Len returns the number of recorded edges.
 func (c *Causal) Len() int { return len(c.edges) }
@@ -173,8 +213,8 @@ func (c *Causal) Edges() []CausalEdge {
 
 // edge returns the edge with the given ID, or nil.
 func (c *Causal) edge(id uint64) *CausalEdge {
-	if id == 0 || id == SpanLocal || id > uint64(len(c.edges)) {
+	if id <= c.base || id > c.base+uint64(len(c.edges)) {
 		return nil
 	}
-	return &c.edges[id-1]
+	return &c.edges[id-c.base-1]
 }

@@ -29,64 +29,44 @@ type chromeEvent struct {
 // "thread" per simulated process (pid 1 is the whole simulation).
 // The output loads directly in Perfetto (ui.perfetto.dev) or
 // chrome://tracing. Spans become "X" complete events, instants "i".
-// With a causal collector attached (AttachCausal), every arrived edge
-// additionally becomes a flow — an "s"/"f" event pair Perfetto renders
-// as an arrow from the sender's track at send time to the receiver's
-// track at receive time.
+// LayerCausal events are not drawn as instants: the causal view of the
+// same events (Causal) turns every accepted frame into a flow — an
+// "s"/"f" event pair Perfetto renders as an arrow from the sender's track
+// at send time to the receiver's track at receive time. A wrapped ring
+// draws the flows whose send it still holds.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n"); err != nil {
-		return err
-	}
-	enc := func(v chromeEvent, last bool) error {
-		b, err := json.Marshal(v)
-		if err != nil {
-			return err
-		}
-		if _, err := bw.Write(b); err != nil {
-			return err
-		}
-		sep := ",\n"
-		if last {
-			sep = "\n"
-		}
-		_, err = bw.WriteString(sep)
-		return err
+	events := t.Events()
+	cz := NewCausal()
+	for _, e := range events {
+		cz.Observe(e)
 	}
 
-	// Causal flows: one "s"/"f" pair per arrived edge, binding to the
+	// Causal flows: one "s"/"f" pair per accepted edge, binding to the
 	// enclosing slices on the sender's and receiver's tracks.
 	var flows []chromeEvent
-	if t.causal != nil {
-		for _, e := range t.causal.Edges() {
-			if !e.Arrived() || e.FromPID < 0 || e.ToPID < 0 {
-				continue
-			}
-			args := map[string]any{"from": e.From, "to": e.To}
-			if e.Bytes > 0 {
-				args["bytes"] = e.Bytes
-			}
-			flows = append(flows,
-				chromeEvent{Name: e.Kind, Cat: "causal", Ph: "s", ID: e.ID,
-					Pid: 1, Tid: e.FromPID, Ts: float64(e.SendT) / 1e3, Args: args},
-				chromeEvent{Name: e.Kind, Cat: "causal", Ph: "f", BP: "e", ID: e.ID,
-					Pid: 1, Tid: e.ToPID, Ts: float64(e.RecvT) / 1e3})
+	for _, e := range cz.edges {
+		if !e.Arrived() || e.FromPID < 0 || e.ToPID < 0 {
+			continue
 		}
+		args := map[string]any{"from": e.From, "to": e.To}
+		if e.Bytes > 0 {
+			args["bytes"] = e.Bytes
+		}
+		flows = append(flows,
+			chromeEvent{Name: e.Kind, Cat: "causal", Ph: "s", ID: e.ID,
+				Pid: 1, Tid: e.FromPID, Ts: float64(e.SendT) / 1e3, Args: args},
+			chromeEvent{Name: e.Kind, Cat: "causal", Ph: "f", BP: "e", ID: e.ID,
+				Pid: 1, Tid: e.ToPID, Ts: float64(e.RecvT) / 1e3})
 	}
 
 	// Thread-name metadata for every process that has a registered name
-	// or appears in an event.
+	// or appears in an event or a flow.
 	tids := make(map[int]bool)
 	for id := range t.names {
 		tids[id] = true
 	}
-	events := t.Events()
 	for i := range events {
-		if events[i].Proc >= 0 {
-			tids[events[i].Proc] = true
-		} else {
-			tids[hardwareTid] = true
-		}
+		tids[tid(events[i].Proc)] = true
 	}
 	for i := range flows {
 		tids[flows[i].Tid] = true
@@ -96,6 +76,24 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
+
+	bw := bufio.NewWriter(w)
+	if _, err := bw.WriteString("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n"); err != nil {
+		return err
+	}
+	sep := ""
+	enc := func(v chromeEvent) error {
+		b, err := json.Marshal(v)
+		if err != nil {
+			return err
+		}
+		if _, err := bw.WriteString(sep); err != nil {
+			return err
+		}
+		sep = ",\n"
+		_, err = bw.Write(b)
+		return err
+	}
 	for _, id := range ids {
 		name := t.names[id]
 		if name == "" {
@@ -108,23 +106,20 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 			Name: "thread_name", Ph: "M", Pid: 1, Tid: id,
 			Args: map[string]any{"name": name},
 		}
-		if err := enc(meta, len(events) == 0 && len(flows) == 0 && id == ids[len(ids)-1]); err != nil {
+		if err := enc(meta); err != nil {
 			return err
 		}
 	}
-
-	for i, e := range events {
+	for _, e := range events {
+		if e.Layer == LayerCausal {
+			continue
+		}
 		ce := chromeEvent{
 			Name: e.Kind,
 			Cat:  e.Layer,
 			Pid:  1,
-			Tid:  e.Proc,
+			Tid:  tid(e.Proc),
 			Ts:   float64(e.T) / 1e3,
-		}
-		if e.Proc < 0 {
-			// Device-level events (fabric, NIC) with no owning process
-			// land on a synthetic "hardware" thread.
-			ce.Tid = hardwareTid
 		}
 		if e.Dur > 0 {
 			ce.Ph = "X"
@@ -143,19 +138,31 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 			}
 			ce.Args = args
 		}
-		if err := enc(ce, len(flows) == 0 && i == len(events)-1); err != nil {
+		if err := enc(ce); err != nil {
 			return err
 		}
 	}
-	for i, fe := range flows {
-		if err := enc(fe, i == len(flows)-1); err != nil {
+	for _, fe := range flows {
+		if err := enc(fe); err != nil {
 			return err
 		}
 	}
-	if _, err := bw.WriteString("]}\n"); err != nil {
+	if sep != "" {
+		sep = "\n"
+	}
+	if _, err := bw.WriteString(sep + "]}\n"); err != nil {
 		return err
 	}
 	return bw.Flush()
+}
+
+// tid is the Chrome thread of process proc's events: device-level events
+// (fabric, NIC), of no process, land on a synthetic "hardware" thread.
+func tid(proc int) int {
+	if proc < 0 {
+		return hardwareTid
+	}
+	return proc
 }
 
 // hardwareTid is the synthetic thread id used for events that have no

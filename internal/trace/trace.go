@@ -13,8 +13,9 @@
 // The ring is one consumer of the event stream; Subscribe adds others.
 // Every view of the DSM protocol is such a reduction of one record per
 // protocol event: tmk's protocol trace renders the tmk-layer events as
-// text, and the entity profiler (internal/prof) reduces trace.Event into
-// per-page, per-lock and per-barrier attribution.
+// text, the entity profiler (internal/prof) reduces trace.Event into
+// per-page, per-lock and per-barrier attribution, and Causal rebuilds the
+// run's causal DAG and critical path from the frame events.
 //
 // Two exporters turn a Tracer into something readable: WriteChromeTrace
 // produces Chrome trace_event JSON (one "thread" per simulated process,
@@ -37,6 +38,7 @@ const (
 	LayerSockets   = "sockets"   // kernel UDP/IP over Sockets-GM
 	LayerSubstrate = "substrate" // udpgm / fastgm request-reply transports
 	LayerTMK       = "tmk"       // TreadMarks: faults, diffs, locks, barriers
+	LayerCausal    = "causal"    // frame sends and acceptances, mainline unblockings, app ends (causal.go)
 )
 
 // Layer tmk's kinds, one per protocol occurrence (DESIGN.md §8 gives each
@@ -91,8 +93,9 @@ type Event struct {
 	Peer  int    // remote rank or node involved, -1 if none
 	Bytes int    // payload size, 0 if not applicable
 
-	// Protocol identity, set by layer tmk only. Rank is the observing DSM
-	// rank.
+	// Protocol identity, set by layer tmk (Rank is the observing DSM rank).
+	// LayerCausal events, and the substrate spans that carry a frame's
+	// acceptance, use Rank, A and B as causal.go describes.
 	Rank       int
 	ID, Region int32 // the page, lock or barrier; a page's region
 	A, B, C    int   // small values the Kind's comment names
@@ -116,7 +119,7 @@ type Tracer struct {
 	overwrote int64 // events lost to ring wrap-around
 	names     map[int]string
 	reg       *Registry
-	causal    *Causal
+	spans     uint64 // the last span issued (Send)
 	subs      []func(Event)
 }
 
@@ -190,13 +193,6 @@ func (t *Tracer) SetThreadName(proc int, name string) { t.names[proc] = name }
 // Metrics returns the tracer's counter/histogram registry.
 func (t *Tracer) Metrics() *Registry { return t.reg }
 
-// AttachCausal pairs the tracer with a run's causal-DAG collector so
-// WriteChromeTrace can draw message-flow arrows between process tracks.
-func (t *Tracer) AttachCausal(c *Causal) { t.causal = c }
-
-// Causal returns the attached causal collector, or nil.
-func (t *Tracer) Causal() *Causal { return t.causal }
-
 // BreakdownRow aggregates every event of one (layer, kind) pair. The
 // percentiles are exact (computed from every recorded duration, not from
 // buckets) under nearest-rank semantics; they expose the tails a mean
@@ -233,7 +229,8 @@ func pctNearestRank(sorted []int64, q float64) int64 {
 // Breakdown aggregates the ring into per-(layer, kind) rows, ordered
 // bottom-up by layer and by descending total time within a layer. This
 // is the per-layer time attribution the paper's analysis sections build
-// their arguments on.
+// their arguments on. LayerCausal's instants take no time and are left
+// to the causal view.
 func (t *Tracer) Breakdown() []BreakdownRow {
 	type key struct{ layer, kind string }
 	agg := make(map[key]*BreakdownRow)
@@ -244,6 +241,9 @@ func (t *Tracer) Breakdown() []BreakdownRow {
 	}
 	for i := 0; i < t.n; i++ {
 		e := &t.ring[(start+i)%len(t.ring)]
+		if e.Layer == LayerCausal {
+			continue
+		}
 		k := key{e.Layer, e.Kind}
 		r := agg[k]
 		if r == nil {
