@@ -200,7 +200,7 @@ fuzz-smoke:
 chaos-smoke:
 	$(GO) run ./cmd/tmkrun -chaos
 
-# Strict refactor proof: regenerate all five suites, once, and require every
+# Strict refactor proof: regenerate all four suites, once, and require every
 # file byte-identical to the checked-in BENCH_*.json; on failure it names
 # each row that moved. The target that fails when virtual time moved — and
 # part of `test`, so `check` needs no step of its own for it. A PR that
@@ -209,7 +209,7 @@ chaos-smoke:
 bench-identical:
 	$(GO) test -count=1 -run '^TestBenchReproducibleByteIdentical$$' ./internal/harness/
 
-# The writer: BENCH_e0/e1/e2/e3/hedge.json into BENCHDIR. Not part of
+# The writer: BENCH_e0/e1/e2/e3.json into BENCHDIR. Not part of
 # `check` — CI reads the checked-in files, it does not rewrite them.
 # Deterministic, so `git diff BENCH_*.json` across commits shows real perf
 # movement.

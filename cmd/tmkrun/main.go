@@ -7,7 +7,7 @@
 // Usage:
 //
 //	tmkrun -app jacobi -nodes 16 -transport fastgm [-size 2] [-verify]
-//	       [-rendezvous] [-hedge] [-seed N] [-homeless] [-prof]
+//	       [-rendezvous] [-seed N] [-homeless] [-prof]
 //	       [-prof-json profile.json] [-critical] [-out trace.json] [-trace-cap N]
 //	tmkrun -scenario counter|sharing|lockchain [-nodes 4] [per-run flags]
 //	tmkrun -chaos [-seed N] [-nodes 4]
@@ -39,8 +39,7 @@
 //
 // -rendezvous carries FAST/GM's large messages (and rdmagm's two-sided
 // ones) by RTS/CTS instead of preposted buffers (the paper's §2.2.2
-// design; experiment E5). -hedge enables hedged re-issues of straggling
-// remote requests.
+// design; experiment E5).
 //
 // An illegal configuration (-nodes 0, an unknown -transport, ...) is
 // reported as tmk.Config.Validate's one-line verdict on stderr, exit 1.
@@ -70,7 +69,6 @@ func main() {
 	homeless := flag.Bool("homeless", false, "run the homeless protocol on rdmagm (default there is home-based LRC)")
 	seed := flag.Int64("seed", 1, "simulation RNG seed (fault schedules, tie-breaking)")
 	chaos := flag.Bool("chaos", false, "run the chaos sweep (all apps × transports on a lossy fabric)")
-	hedge := flag.Bool("hedge", false, "enable hedged re-issues of straggling remote requests")
 	profFlag := flag.Bool("prof", false, "attach the protocol-entity profiler and print its tables")
 	profJSON := flag.String("prof-json", "", "write the entity profile as JSON (implies -prof)")
 	critical := flag.Bool("critical", false, "rebuild the causal DAG from the trace and print the run's critical path")
@@ -120,7 +118,6 @@ func main() {
 		if *homeless {
 			cfg.HomeBased = false
 		}
-		cfg.Hedge = *hedge
 	}
 
 	kind := tmk.TransportKind(*transport)

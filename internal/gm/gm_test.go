@@ -784,42 +784,6 @@ func TestBytesEqualHelper(t *testing.T) {
 	}
 }
 
-func TestMapper(t *testing.T) {
-	s, sys := newTestSystem(t, 4)
-	m := sys.Mapper()
-	if m.Mapped() {
-		t.Error("mapped before Map")
-	}
-	if _, err := m.Route(0, 1); err == nil {
-		t.Error("route lookup before Map succeeded")
-	}
-	s.Spawn("boot", 0, func(p *sim.Proc) {
-		start := p.Now()
-		m.Map(p)
-		if p.Now()-start != 4*MapCost {
-			t.Errorf("mapping cost = %v", p.Now()-start)
-		}
-		m.Map(p) // idempotent: no extra cost
-		if p.Now()-start != 4*MapCost {
-			t.Error("second Map charged again")
-		}
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := m.Route(0, 3)
-	if err != nil || r.Hops != 1 {
-		t.Errorf("route 0→3 = %+v, %v", r, err)
-	}
-	self, err := m.Route(2, 2)
-	if err != nil || self.Hops != 0 {
-		t.Errorf("self route = %+v, %v", self, err)
-	}
-	if m.NodeName(2) != "myri2" {
-		t.Errorf("NodeName = %q", m.NodeName(2))
-	}
-}
-
 func TestPortInterruptDisable(t *testing.T) {
 	s, sys := newTestSystem(t, 2)
 	pa, pb := openPair(t, sys, 2)

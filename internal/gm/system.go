@@ -10,10 +10,12 @@ import (
 
 // NumPorts is the number of GM ports per node. Port 0 is reserved for the
 // mapper, leaving seven usable ports — the constraint that forces the
-// paper's substrate to multiplex all peers over two ports.
+// paper's substrate to multiplex all peers over two ports. The mapper
+// itself (probing the fabric and distributing routes at boot) is not
+// modelled: node IDs are the fabric's NIC numbers.
 const NumPorts = 8
 
-// MapperPort is the reserved port.
+// MapperPort is the reserved port: no application may open it.
 const MapperPort = 0
 
 // System is the GM installation across the fabric: one endpoint per node.
@@ -22,7 +24,6 @@ type System struct {
 	fabric *myrinet.Fabric
 	params Params
 	nodes  []*Node
-	mapper *Mapper
 }
 
 // NewSystem attaches a GM endpoint to every NIC on the fabric.
@@ -88,7 +89,7 @@ type partialMsg struct {
 	expire  func()     // pm.expired, bound once
 }
 
-// ID returns the node's GM node ID (as assigned by the mapper).
+// ID returns the node's GM node ID, its NIC's number on the fabric.
 func (n *Node) ID() myrinet.NodeID { return n.id }
 
 // System returns the owning GM system.

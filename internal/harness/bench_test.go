@@ -92,7 +92,7 @@ func movedRows(checkedIn, regenerated *BenchSuite) string {
 // virtual time runs `go run ./cmd/bench` and commits the result.
 func TestBenchReproducibleByteIdentical(t *testing.T) {
 	if testing.Short() {
-		t.Skip("regenerates all six suites (~10 s)")
+		t.Skip("regenerates all four suites (~10 s)")
 	}
 	paths, err := BenchAll("all", t.TempDir())
 	if err != nil {

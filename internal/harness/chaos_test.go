@@ -24,24 +24,44 @@ func TestChaosSweep(t *testing.T) {
 }
 
 // TestChaosDeterministic: the same spec and seed must reproduce the exact
-// same faulted run — drops, stalls, recoveries and all. This is what
-// makes a chaos failure replayable.
+// same faulted run — drops, stalls, recoveries and all — on every cell of
+// the sweep's applications × all three substrates. This is what makes a
+// chaos failure replayable; Chaos itself runs only the two-sided
+// substrates, so this is rdmagm's chaos check too. Every run verifies and
+// leaves no GM port disabled, and the home-based runs recover lost verbs
+// from the waiting process (the core's wait loop), not from a timer, so
+// they must have posted puts and retransmitted verbs.
 func TestChaosDeterministic(t *testing.T) {
 	spec := DefaultChaosSpec()
-	app := chaosApps()[1] // SOR: the heaviest recovery traffic in the sweep
-	run := func() *tmk.Result {
-		res, err := VerifiedRun(app, spec.Nodes, tmk.TransportFastGM, spec.Mutate)
-		if err != nil {
-			t.Fatal(err)
+	var rdmaPuts, rdmaRetx int64
+	for _, app := range chaosApps() {
+		for _, kind := range AllTransports {
+			a, err := VerifiedRun(app, spec.Nodes, kind, spec.Mutate)
+			if err != nil {
+				t.Fatalf("%s/%s run A: %v", app.Name(), kind, err)
+			}
+			b, err := VerifiedRun(app, spec.Nodes, kind, spec.Mutate)
+			if err != nil {
+				t.Fatalf("%s/%s run B: %v", app.Name(), kind, err)
+			}
+			if err := sameResult(a, b); err != nil {
+				t.Errorf("%s/%s: same seed, different faulted run: %v", app.Name(), kind, err)
+			}
+			if a.NetFaults != b.NetFaults {
+				t.Errorf("%s/%s: fault schedule diverged: %+v vs %+v", app.Name(), kind, a.NetFaults, b.NetFaults)
+			}
+			if a.DisabledPorts != 0 {
+				t.Errorf("%s/%s: %d GM ports left disabled", app.Name(), kind, a.DisabledPorts)
+			}
+			if kind == tmk.TransportRDMAGM {
+				rdmaPuts += a.Transport.OneSidedPuts
+				rdmaRetx += a.Transport.Retransmits
+			}
 		}
-		return res
 	}
-	a, b := run(), run()
-	if err := sameResult(a, b); err != nil {
-		t.Fatalf("same seed, different faulted run: %v", err)
-	}
-	if a.NetFaults != b.NetFaults {
-		t.Fatalf("fault schedule diverged: %+v vs %+v", a.NetFaults, b.NetFaults)
+	t.Logf("rdmagm posted %d puts and retransmitted %d verbs", rdmaPuts, rdmaRetx)
+	if rdmaPuts == 0 || rdmaRetx == 0 {
+		t.Errorf("rdmagm runs posted %d puts and retransmitted %d verbs; weak test", rdmaPuts, rdmaRetx)
 	}
 }
 

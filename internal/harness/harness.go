@@ -96,7 +96,7 @@ func SizeLadder(name string) []apps.App {
 // (DESIGN.md §16). A feature name that is no Config field panics: a
 // deleted field's name cannot linger here uncounted.
 func ConfigSurface() (features, all []string) {
-	isFeature := map[string]bool{"Scheme": true, "Rendezvous": true, "Faults": true, "Hedge": true}
+	isFeature := map[string]bool{"Scheme": true, "Rendezvous": true, "Faults": true}
 	var walk func(path string, ty reflect.Type, counted bool)
 	walk = func(path string, ty reflect.Type, counted bool) {
 		if ty.Kind() != reflect.Struct {

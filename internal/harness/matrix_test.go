@@ -26,7 +26,6 @@ func TestFeatureMatrix(t *testing.T) {
 		set  func(*tmk.Config)
 	}{
 		{"tree-barrier", func(c *tmk.Config) { c.BarrierFanout = 2 }},
-		{"hedge", func(c *tmk.Config) { c.Hedge = true }},
 		{"homeless", func(c *tmk.Config) { c.HomeBased = false }},
 		{"rendezvous", func(c *tmk.Config) { c.Rendezvous = true }},
 		{"chaos", DefaultChaosSpec().Mutate},
@@ -56,32 +55,29 @@ func TestFeatureMatrix(t *testing.T) {
 			}
 		}
 	}
-	// 5 settings make 15 pairs on each of 3 substrates, and every pair
+	// 4 settings make 10 pairs on each of 3 substrates, and every pair
 	// composes.
 	t.Logf("%d pairs verified, %d rejected by Validate", ran, rejected)
-	if ran != 45 || rejected != 0 {
-		t.Errorf("%d pairs verified and %d rejected, want 45 and 0", ran, rejected)
+	if ran != 30 || rejected != 0 {
+		t.Errorf("%d pairs verified and %d rejected, want 30 and 0", ran, rejected)
 	}
 }
 
-// TestHedgeChaosSeedSweepRDMA widens the matrix's rdmagm hedge+chaos cell
-// from one seed to sixty. It is the cell where multiplying completion
-// retry chains (rdmagm.sendCompletion) starved an unrelated initiator's
-// Get into a false "peer unreachable" — on about one seed in sixty, so one
-// seed cannot hold the fix.
-func TestHedgeChaosSeedSweepRDMA(t *testing.T) {
+// TestChaosSeedSweepRDMA widens the matrix's rdmagm chaos cell from one
+// seed to sixty: home-based Jacobi over the default lossy fabric, each
+// seed a different fault schedule, must verify every time. It is a sweep,
+// not the guard of any one fix: the completion-chain fix (rdmagm's
+// compQueued) is held by TestCompletionRetryChainsDoNotMultiply, which
+// fails without it, while these seeds pass either way.
+func TestChaosSeedSweepRDMA(t *testing.T) {
 	if testing.Short() {
 		t.Skip("60-seed sweep")
 	}
 	app := &apps.Jacobi{N: 64, Iters: 6, CostPerPoint: 30 * sim.Nanosecond}
 	for seed := int64(1); seed <= 60; seed++ {
-		_, err := VerifiedRun(app, 4, tmk.TransportRDMAGM, func(c *tmk.Config) {
-			spec := DefaultChaosSpec()
-			spec.Seed = seed
-			spec.Mutate(c)
-			c.Hedge = true
-		})
-		if err != nil {
+		spec := DefaultChaosSpec()
+		spec.Seed = seed
+		if _, err := VerifiedRun(app, 4, tmk.TransportRDMAGM, spec.Mutate); err != nil {
 			t.Errorf("seed %d: %v", seed, err)
 		}
 	}

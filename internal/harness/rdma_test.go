@@ -338,3 +338,25 @@ func TestHomeBasedHomelessOverRDMA(t *testing.T) {
 		})
 	}
 }
+
+// TestHomeBasedMetadataIsFlat: home-based LRC keeps its protocol metadata
+// flat in run length. An interval's diffs are gone once flushed to their
+// homes — a home's own writes never make one — and every barrier drops the
+// interval records of the epoch before last and all but the newest notice
+// per writer up to it (tmk's endEpoch). Quadrupling Jacobi's iterations
+// moves the metadata peak by at most 1/8 (measured: exactly flat).
+func TestHomeBasedMetadataIsFlat(t *testing.T) {
+	var hlrc []int64
+	for _, iters := range []int{8, 16, 32} {
+		app := &apps.Jacobi{N: 64, Iters: iters, CostPerPoint: 30 * sim.Nanosecond}
+		res, err := VerifiedRun(app, 4, tmk.TransportRDMAGM, func(cfg *tmk.Config) { cfg.Seed = 1 })
+		if err != nil {
+			t.Fatalf("rdmagm iters=%d: %v", iters, err)
+		}
+		hlrc = append(hlrc, res.Stats.MetaBytesPeak)
+	}
+	t.Logf("rdmagm iters=8/16/32: peak %v", hlrc)
+	if hlrc[2] > hlrc[0]*9/8 {
+		t.Errorf("rdmagm: home-based metadata kept growing: %v over iters 8/16/32", hlrc)
+	}
+}

@@ -57,16 +57,14 @@ type Call struct {
 	seq       uint32
 	kind      msg.Kind
 	done      bool
-	hedge     bool
 	reply     *msg.Message
 	data      []byte // opaque completion payload (a Get's bytes)
 	err       error  // typed failure; nil on success and until done
 	issued    sim.Time
 	completed sim.Time
 
-	// Re-issue state: the encoded frame, and the one per-call clock — the
-	// once-only hedge while hedge is set, the retransmission timeout
-	// otherwise; 0 = none.
+	// Re-issue state: the encoded frame, and the per-call retransmission
+	// clock; 0 = none.
 	body     []byte
 	aux      []byte
 	deadline sim.Time
@@ -185,30 +183,7 @@ func (c *Core) CallBegin(p *sim.Proc, dst int, req *msg.Message) Pending {
 	c.stats.RequestsSent++
 	c.wire.Transmit(p, dst, LaneRequest, req.Kind, pc.body, aux)
 	pc.Arm(p.Now())
-	if c.pol.Hedge {
-		// Hedge only when the latency-derived deadline undercuts the
-		// retransmission clock; otherwise the RTO is already the faster
-		// recovery.
-		if hd := c.hedgeDelay(); pc.deadline == 0 || p.Now()+hd < pc.deadline {
-			pc.hedge, pc.deadline = true, p.Now()+hd
-		}
-	}
 	return pc
-}
-
-// The hedge deadline is hedgeLatencyScale times the EWMA of observed reply
-// latencies, floored at hedgeMinDeadline so cold starts (no latency
-// history yet) and ultra-fast replies don't hedge spuriously.
-const (
-	hedgeLatencyScale = 4
-	hedgeMinDeadline  = 500 * sim.Microsecond
-)
-
-// hedgeDelay derives the hedge deadline from the EWMA of observed reply
-// latencies — what a healthy call costs — floored at hedgeMinDeadline so
-// cold starts don't hedge spuriously.
-func (c *Core) hedgeDelay() sim.Time {
-	return max(hedgeLatencyScale*c.hedgeEWMA, hedgeMinDeadline)
 }
 
 // Collect implements Transport: wait on the binding's reply channel until
@@ -295,14 +270,14 @@ func Step[H any](c *Core, p *sim.Proc, hs []H) int {
 	now := p.Now()
 	for _, h := range hs {
 		if pc := any(h).(*Call); !pc.done && pc.deadline != 0 && pc.deadline <= now {
-			c.reissue(p, pc, now)
+			c.reissue(p, pc)
 		}
 	}
 	return open
 }
 
 // Lookup returns the open call of family x that an answer carrying seq
-// resolves. With none — its frame was re-issued (hedge, RTO, GM-level
+// resolves. With none — its frame was re-issued (RTO, GM-level
 // redelivery) and both copies were answered — the answer is counted stale.
 func (c *Core) Lookup(p *sim.Proc, x *Exchange, seq uint32, from int) *Call {
 	if pc := c.pending[seq]; pc != nil && pc.x == x {
@@ -340,16 +315,8 @@ func (c *Core) match(p *sim.Proc, m *msg.Message) {
 		return
 	}
 	c.Complete(pc, nil, nil)
-	rtt := pc.completed - pc.issued
 	c.stats.RepliesRecvd++
-	c.stats.ReplyWaitTime += rtt
-	if c.pol.Hedge {
-		if c.hedgeEWMA == 0 {
-			c.hedgeEWMA = rtt
-		} else {
-			c.hedgeEWMA = (3*c.hedgeEWMA + rtt) / 4
-		}
-	}
+	c.stats.ReplyWaitTime += pc.completed - pc.issued
 	if tr := p.Sim().Tracer(); tr != nil {
 		// The span ends at its reply's arrival and carries the reply's span:
 		// it is the reply's acceptance and, in the causal view, what unblocks
@@ -454,21 +421,13 @@ func (c *Core) giveUp(p *sim.Proc, pc *Call, kind string, attempts int) {
 	c.Live.DeclareDead(pc.dst, kind, attempts)
 }
 
-// reissue re-sends one call whose deadline has hit. A hedge fires at most
-// once per call and consumes no retry attempt: the duplicate is safe end
-// to end (receivers deduplicate on (origin, seq) and resend the cached
-// reply; whichever reply loses the race is absorbed as a StaleReply), and
-// the retransmission clock resumes anchored at the original issue time so
-// the hedge never delays the real retransmit.
-func (c *Core) reissue(p *sim.Proc, pc *Call, now sim.Time) {
+// reissue re-sends one call whose retransmission deadline has hit, or
+// gives it up once its budget is spent. The duplicate is safe end to end:
+// receivers deduplicate on (origin, seq) and resend the cached reply, and
+// whichever reply loses the race is absorbed as a StaleReply.
+func (c *Core) reissue(p *sim.Proc, pc *Call) {
 	x, tr := pc.x, p.Sim().Tracer()
 	switch {
-	case pc.hedge:
-		c.stats.HedgedRequests++
-		if tr != nil {
-			emit(tr, trace.Event{T: int64(now), Kind: "hedge:" + pc.kind.String(),
-				Proc: p.ID(), Peer: pc.dst, Bytes: len(pc.body)}, "hedged.requests", 1)
-		}
 	case pc.attempts < x.MaxRetries:
 	case x.Grace > 0 && c.Live.HeardWithin(pc.dst, x.Grace):
 		c.stats.RetryExtensions++
@@ -476,7 +435,7 @@ func (c *Core) reissue(p *sim.Proc, pc *Call, now sim.Time) {
 		c.giveUp(p, pc, "retry-exhausted", pc.attempts+1)
 		return
 	}
-	if t0 := p.Now(); x.Resend(p, pc) && !pc.hedge {
+	if t0 := p.Now(); x.Resend(p, pc) {
 		pc.attempts = min(pc.attempts+1, x.MaxRetries)
 		c.stats.Retransmits++
 		if tr != nil {
@@ -484,15 +443,5 @@ func (c *Core) reissue(p *sim.Proc, pc *Call, now sim.Time) {
 				Proc: p.ID(), Peer: pc.dst, Bytes: len(pc.body)}, "retransmits", 0)
 		}
 	}
-	switch {
-	case x.RTO.Initial == 0:
-		pc.deadline = 0
-	case pc.hedge:
-		if pc.deadline = pc.issued + x.RTO.Initial; pc.deadline <= now {
-			pc.deadline = now + x.RTO.Initial
-		}
-	default:
-		pc.deadline = p.Now() + x.RTO.Delay(pc.attempts+1)
-	}
-	pc.hedge = false
+	pc.deadline = p.Now() + x.RTO.Delay(pc.attempts+1)
 }

@@ -16,7 +16,7 @@ type Lane uint8
 
 const (
 	LaneRequest Lane = iota // a request's first copy (Call, CallBegin, Send)
-	LaneRelay               // a relayed or repeated request: forward, hedge, retransmission
+	LaneRelay               // a relayed or repeated request: forward or retransmission
 	LaneReply               // a reply, fresh or resent from the duplicate cache
 )
 
@@ -41,9 +41,9 @@ type Wire interface {
 
 // Core is the protocol half of a substrate, written once: sequence
 // numbers and the table of outstanding calls (requests, and any other
-// acknowledged exchange a binding declares), the hedge/retransmission
-// clock, the (origin, seq) duplicate filter with its cached replies, the
-// causal view's frame events and peer liveness. A binding embeds it,
+// acknowledged exchange a binding declares), the retransmission clock,
+// the (origin, seq) duplicate filter with its cached replies, the causal
+// view's frame events and peer liveness. A binding embeds it,
 // implements Wire, and keeps only what its interconnect is.
 type Core struct {
 	wire    Wire
@@ -57,12 +57,10 @@ type Core struct {
 
 	dup *DupCache
 
-	seq       uint32
-	pending   map[uint32]*Call
-	calls     Exchange // the two-sided request/reply family
-	open      int      // calls of that family in pending (OpenCalls)
-	pol       Policy
-	hedgeEWMA sim.Time
+	seq     uint32
+	pending map[uint32]*Call
+	calls   Exchange // the two-sided request/reply family
+	open    int      // calls of that family in pending (OpenCalls)
 
 	free []*Call        // call records no one holds (Reclaim), reused by Open
 	decs []*msg.Decoder // decoders of continued replies' frames no call holds (Reclaim)
@@ -100,28 +98,12 @@ func (c *Core) ctx(p *sim.Proc) *context { return &c.cx[level(p)] }
 // (the handler) copies it.
 func (c *Core) RequestDecoder(p *sim.Proc) *msg.Decoder { return &c.ctx(p).req }
 
-// Policy is the protocol policy every process of a run must share: whether
-// hedged re-issues are armed. A receiver only absorbs a hedged duplicate on
-// the assumption that its peers run the same policy, so there is one value
-// per run — resolved by whoever assembles the cluster, handed to each
-// binding's New beside the binding's own config, and owned by the Core from
-// then on. How hedging is tuned is a constant of this package, not a
-// setting. The zero value is inert: no hedges, wire traffic bit-identical
-// to a run without it.
-type Policy struct {
-	// Hedge arms one re-issue of a call whose reply is late against the
-	// observed reply latency (hedgeDelay).
-	Hedge bool
-}
-
-// Init prepares the core of process rank of size for the binding w under
-// the run's policy. rto is the user-level per-call retransmission clock
-// and maxRetries its budget; the zero Backoff means the wire recovers
-// losses below the core (GM-level retransmission) and calls carry no
-// clock.
-func (c *Core) Init(w Wire, rank, size int, pol Policy, rto Backoff, maxRetries int) {
+// Init prepares the core of process rank of size for the binding w. rto
+// is the user-level per-call retransmission clock and maxRetries its
+// budget; the zero Backoff means the wire recovers losses below the core
+// (GM-level retransmission) and calls carry no clock.
+func (c *Core) Init(w Wire, rank, size int, rto Backoff, maxRetries int) {
 	c.wire, c.rank, c.size = w, rank, size
-	c.pol = pol
 	c.dup = NewDupCache()
 	c.pending = make(map[uint32]*Call)
 	c.calls = Exchange{RTO: rto, MaxRetries: maxRetries,

@@ -51,7 +51,6 @@ func (w *fakeWire) deliver(s *sim.Simulator, at sim.Time, seq uint32) {
 
 // coreArgs are the Init arguments a test varies.
 type coreArgs struct {
-	Policy
 	RTO        Backoff
 	MaxRetries int
 }
@@ -63,7 +62,7 @@ func runCore(t *testing.T, cfg coreArgs, body func(p *sim.Proc, c *Core, w *fake
 	s := sim.New(1)
 	w := &fakeWire{cond: sim.NewCond("fake:replies")}
 	c := &Core{}
-	c.Init(w, 0, 3, cfg.Policy, cfg.RTO, cfg.MaxRetries)
+	c.Init(w, 0, 3, cfg.RTO, cfg.MaxRetries)
 	s.Spawn("rank0", 0, func(p *sim.Proc) {
 		c.Attach(p, func(*sim.Proc, *msg.Message) {})
 		body(p, c, w)
@@ -157,25 +156,6 @@ func TestStaleReplyCountedOnce(t *testing.T) {
 	}
 }
 
-func TestHedgeFiresAtMostOncePerCall(t *testing.T) {
-	c, w := runCore(t, coreArgs{Policy: Policy{Hedge: true}}, func(p *sim.Proc, c *Core, w *fakeWire) {
-		// Both calls hedge at the 500µs floor unless answered first.
-		slow := c.CallBegin(p, 1, &msg.Message{Kind: msg.KPing})
-		fast := c.CallBegin(p, 2, &msg.Message{Kind: msg.KPing})
-		w.deliver(p.Sim(), hedgeMinDeadline/2, fast.Seq())
-		w.deliver(p.Sim(), 50*sim.Millisecond, slow.Seq())
-		reps := c.Collect(p, []Pending{slow, fast})
-		if reps[0] == nil || reps[1] == nil || p.Now() != 50*sim.Millisecond {
-			t.Errorf("replies %v at %v", reps, p.Now())
-		}
-	})
-	// Only the straggler hedges, once, however long it keeps straggling.
-	want := []Lane{LaneRequest, LaneRequest, LaneRelay}
-	if c.Stats().HedgedRequests != 1 || !slices.Equal(w.sent, want) {
-		t.Errorf("HedgedRequests=%d frames=%v, want 1 and %v", c.Stats().HedgedRequests, w.sent, want)
-	}
-}
-
 func TestRTOBacksOffThenGivesUp(t *testing.T) {
 	cfg := coreArgs{RTO: Backoff{Initial: 10 * sim.Millisecond, Max: 40 * sim.Millisecond}, MaxRetries: 3}
 	c, w := runCore(t, cfg, func(p *sim.Proc, c *Core, w *fakeWire) {
@@ -250,7 +230,7 @@ func waitAll(c *Core, p *sim.Proc, hs []*Call) {
 func TestExchangeLostCompletionReissuedResolvesOnce(t *testing.T) {
 	rto := Backoff{Initial: 10 * sim.Millisecond, Max: 40 * sim.Millisecond}
 	var v *fakeVerbs
-	c, w := runCore(t, coreArgs{Policy: Policy{Hedge: true}},
+	c, w := runCore(t, coreArgs{},
 		func(p *sim.Proc, c *Core, w *fakeWire) {
 			v = newFakeVerbs(c, rto, 3)
 			pc := v.post(p, 1)
@@ -274,9 +254,9 @@ func TestExchangeLostCompletionReissuedResolvesOnce(t *testing.T) {
 	if !slices.Equal(v.resent, []uint32{1}) || st.Retransmits != 1 || st.StaleReplies != 1 {
 		t.Errorf("resent=%v Retransmits=%d StaleReplies=%d, want one re-issue and one stale answer", v.resent, st.Retransmits, st.StaleReplies)
 	}
-	// A verb is not a request: never hedged (the 500µs hedge floor passed
-	// untouched), never on the two-sided wire, never in the call counters.
-	if st.HedgedRequests != 0 || st.RequestsSent != 0 || st.RepliesRecvd != 0 || st.ReplyWaitTime != 0 || len(w.sent) != 0 {
+	// A verb is not a request: never on the two-sided wire, never in the
+	// call counters.
+	if st.RequestsSent != 0 || st.RepliesRecvd != 0 || st.ReplyWaitTime != 0 || len(w.sent) != 0 {
 		t.Errorf("verb leaked into two-sided accounting: %+v frames=%v", st, w.sent)
 	}
 	// Resolved means gone: the last event is the second completion, not a

@@ -8,7 +8,7 @@ package substrate
 // retransmitted blindly on reply timeout; fastgm needs it because
 // GM-level recovery can deliver a frame twice (the original is accepted
 // from the receiver's park queue after the sender's resend timer already
-// fired and triggered a retransmission); hedging needs it everywhere.
+// fired and triggered a retransmission).
 
 // DupKey identifies one request cluster-wide.
 type DupKey struct {

@@ -30,7 +30,7 @@ func echoHandler(c *stest.Cluster) func(rank int) substrate.Handler {
 func TestRetryBudgetResetsAfterSendOK(t *testing.T) {
 	cfg := fastgm.DefaultConfig()
 	cfg.MaxSendRetries = 1
-	c := stest.NewFast(2, 1, substrate.Policy{}, cfg)
+	c := stest.NewFast(2, 1, cfg)
 	// GM's resend timeout is 3s: a frame sent at ~2ms into a window ending
 	// at 3s fails once (~3.002s) and its 5ms-backoff retransmission clears
 	// the window. Same shape again at 10s.
@@ -74,7 +74,7 @@ func TestRetryBudgetResetsAfterSendOK(t *testing.T) {
 func TestRetryExhaustionGivesUp(t *testing.T) {
 	cfg := fastgm.DefaultConfig()
 	cfg.MaxSendRetries = 1
-	c := stest.NewFast(2, 1, substrate.Policy{}, cfg)
+	c := stest.NewFast(2, 1, cfg)
 	c.Fabric.SetFaults(myrinet.FaultConfig{Blackouts: []myrinet.Blackout{
 		{Src: 0, Dst: 1, From: sim.Millisecond, To: 1000 * sim.Second},
 	}})

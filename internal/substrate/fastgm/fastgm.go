@@ -52,13 +52,12 @@ type Transport struct {
 	portCond *sim.Cond
 }
 
-// New creates the substrate for process rank of size on a GM node, under
-// the run's policy (the core's hedged calls).
-func New(node *gm.Node, rank, size int, pol substrate.Policy, cfg Config) *Transport {
+// New creates the substrate for process rank of size on a GM node.
+func New(node *gm.Node, rank, size int, cfg Config) *Transport {
 	t := &Transport{node: node, cfg: cfg, resuming: make(map[*gm.Port]bool)}
 	// No user-level call clock: GM-level retransmission (recovery.go)
 	// recovers lost frames below the core.
-	t.Core.Init(t, rank, size, pol, substrate.Backoff{}, 0)
+	t.Core.Init(t, rank, size, substrate.Backoff{}, 0)
 	return t
 }
 
@@ -253,9 +252,9 @@ func (t *Transport) handleAsyncFrame(p *sim.Proc, rv *gm.Recv) {
 // AwaitReply implements substrate.Wire: poll the synchronous port for
 // the next reply. GM-level retransmission (recovery.go) covers request
 // frames below the core, so calls carry no user-level clock here: the
-// wait is bounded only by a hedge deadline, and a peer's death wakes it
-// through PeerGone.
-func (t *Transport) AwaitReply(p *sim.Proc, deadline sim.Time, into *msg.Decoder) *msg.Message {
+// core passes no deadline (it is always 0), and a peer's death wakes the
+// wait through PeerGone.
+func (t *Transport) AwaitReply(p *sim.Proc, _ sim.Time, into *msg.Decoder) *msg.Message {
 	if !p.InterruptsEnabled() {
 		// The DSM must not await a reply while asynchronous delivery is
 		// masked: the peer may need to serve our request via its own
@@ -263,12 +262,7 @@ func (t *Transport) AwaitReply(p *sim.Proc, deadline sim.Time, into *msg.Decoder
 		// exchange serviced by our handler.
 		panic("fastgm: Collect with async delivery disabled")
 	}
-	var rv *gm.Recv
-	if deadline > 0 {
-		rv = t.syncPort.WaitRecvUntil(p, deadline)
-	} else {
-		rv = t.syncPort.WaitRecv(p)
-	}
+	rv := t.syncPort.WaitRecv(p)
 	if rv == nil {
 		return nil
 	}

@@ -11,20 +11,20 @@ import (
 )
 
 func buildDefault(n int, seed int64) *stest.Cluster {
-	return stest.NewFast(n, seed, substrate.Policy{}, fastgm.DefaultConfig())
+	return stest.NewFast(n, seed, fastgm.DefaultConfig())
 }
 
 func buildRendezvous(n int, seed int64) *stest.Cluster {
 	cfg := fastgm.DefaultConfig()
 	cfg.Rendezvous = true
-	return stest.NewFast(n, seed, substrate.Policy{}, cfg)
+	return stest.NewFast(n, seed, cfg)
 }
 
 func buildScheme(scheme fastgm.AsyncScheme) stest.Builder {
 	return func(n int, seed int64) *stest.Cluster {
 		cfg := fastgm.DefaultConfig()
 		cfg.Scheme = scheme
-		return stest.NewFast(n, seed, substrate.Policy{}, cfg)
+		return stest.NewFast(n, seed, cfg)
 	}
 }
 
@@ -196,7 +196,7 @@ func TestTimerSchemeBoundsServiceLatency(t *testing.T) {
 	cfg := fastgm.DefaultConfig()
 	cfg.Scheme = fastgm.AsyncTimer
 	cfg.TimerInterval = 2 * sim.Millisecond
-	c := stest.NewFast(2, 1, substrate.Policy{}, cfg)
+	c := stest.NewFast(2, 1, cfg)
 	var served sim.Time
 	c.Spawn(
 		func(rank int) substrate.Handler {
@@ -231,7 +231,7 @@ func TestPollingThreadScalesCompute(t *testing.T) {
 	cfg := fastgm.DefaultConfig()
 	cfg.Scheme = fastgm.AsyncPollingThread
 	cfg.PollComputeScale = 1.5
-	c := stest.NewFast(2, 1, substrate.Policy{}, cfg)
+	c := stest.NewFast(2, 1, cfg)
 	var end sim.Time
 	c.Spawn(
 		func(rank int) substrate.Handler {

@@ -8,7 +8,6 @@ import (
 	"repro/internal/msg"
 	"repro/internal/myrinet"
 	"repro/internal/sim"
-	"repro/internal/substrate"
 )
 
 // FuzzHandleAsyncFrame feeds arbitrary bytes to the async-port frame
@@ -48,8 +47,8 @@ func FuzzHandleAsyncFrame(f *testing.F) {
 		s := sim.New(1)
 		fabric := myrinet.NewFabric(s, myrinet.DefaultParams(), 2)
 		sys := gm.NewSystem(s, fabric, params)
-		tr0 := New(sys.Node(0), 0, 2, substrate.Policy{}, DefaultConfig())
-		tr1 := New(sys.Node(1), 1, 2, substrate.Policy{}, DefaultConfig())
+		tr0 := New(sys.Node(0), 0, 2, DefaultConfig())
+		tr1 := New(sys.Node(1), 1, 2, DefaultConfig())
 		noop := func(p *sim.Proc, m *msg.Message) {}
 		s.Spawn("peer", 0, func(p *sim.Proc) {
 			tr1.Start(p, noop)

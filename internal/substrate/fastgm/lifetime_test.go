@@ -20,7 +20,7 @@ import (
 func TestRepostReadsNothingOfTheRecv(t *testing.T) {
 	s := sim.New(1)
 	sys := gm.NewSystem(s, myrinet.NewFabric(s, myrinet.DefaultParams(), 3), gm.DefaultParams())
-	tr := New(sys.Node(0), 0, 3, substrate.Policy{}, DefaultConfig())
+	tr := New(sys.Node(0), 0, 3, DefaultConfig())
 	var served []int
 	var recvs []*gm.Recv
 	s.Spawn("target", 0, func(p *sim.Proc) {
@@ -80,7 +80,7 @@ func TestAbandonedSendNamesItsOwnPeer(t *testing.T) {
 	sys := gm.NewSystem(s, myrinet.NewFabric(s, myrinet.DefaultParams(), 3), gm.DefaultParams())
 	cfg := DefaultConfig()
 	cfg.MaxSendRetries = 0
-	tr := New(sys.Node(0), 0, 3, substrate.Policy{}, cfg)
+	tr := New(sys.Node(0), 0, 3, cfg)
 	s.Spawn("peer", 0, func(p *sim.Proc) {
 		port, err := sys.Node(1).OpenPort(AsyncPort)
 		if err != nil {

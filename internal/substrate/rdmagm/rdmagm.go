@@ -93,12 +93,12 @@ type Transport struct {
 	sq    [][]*substrate.Call
 }
 
-// New creates the substrate for process rank of size on a GM node under
-// the run's policy: fast governs the two-sided request/reply half
-// (startup, locks, barriers — everything the verbs do not cover).
-func New(node *gm.Node, rank, size int, pol substrate.Policy, fast fastgm.Config) *Transport {
+// New creates the substrate for process rank of size on a GM node: fast
+// governs the two-sided request/reply half (startup, locks, barriers —
+// everything the verbs do not cover).
+func New(node *gm.Node, rank, size int, fast fastgm.Config) *Transport {
 	t := &Transport{
-		Transport:  fastgm.New(node, rank, size, pol, fast),
+		Transport:  fastgm.New(node, rank, size, fast),
 		node:       node,
 		windows:    make(map[int32][]byte),
 		vdup:       substrate.NewDupCache(),

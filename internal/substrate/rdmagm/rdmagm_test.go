@@ -19,7 +19,7 @@ import (
 // one-sided half of the contract.
 
 func build(n int, seed int64) *stest.Cluster {
-	return stest.NewRDMA(n, seed, substrate.Policy{}, fastgm.DefaultConfig())
+	return stest.NewRDMA(n, seed, fastgm.DefaultConfig())
 }
 
 func oneSided(t *testing.T, tr substrate.Transport) substrate.OneSided {
@@ -128,6 +128,9 @@ func TestWindowBoundsErrors(t *testing.T) {
 			if wbe.Peer != 1 || wbe.Window != 99 || wbe.Size != -1 {
 				t.Errorf("unknown-window diagnosis %+v", wbe)
 			}
+			if want := "substrate: one-sided verb to rank 1: window 99 not registered"; wbe.Error() != want {
+				t.Errorf("unknown-window error %q, want %q", wbe.Error(), want)
+			}
 
 			// Out of range in a known window: Size names the window length.
 			gv := os.PostGet(p, 1, 3, 4000, 200)
@@ -137,6 +140,9 @@ func TestWindowBoundsErrors(t *testing.T) {
 			}
 			if wbe.Window != 3 || wbe.Off != 4000 || wbe.Len != 200 || wbe.Size != 4096 {
 				t.Errorf("oob diagnosis %+v", wbe)
+			}
+			if want := "substrate: one-sided verb to rank 1: [4000,4200) outside window 3 (4096 bytes)"; wbe.Error() != want {
+				t.Errorf("oob error %q, want %q", wbe.Error(), want)
 			}
 			if gv.Err() == nil || gv.Data() != nil {
 				t.Error("failed Get resolved with data")
@@ -279,7 +285,7 @@ func TestVerbBlackoutRecovery(t *testing.T) {
 // spend the verb retry budget and return a typed PeerUnreachableError
 // instead of hanging, and the failure must feed the shared liveness state.
 func TestVerbsAbandonedOnDeadPeer(t *testing.T) {
-	c := stest.NewRDMA(2, 1, substrate.Policy{}, fastgm.DefaultConfig())
+	c := stest.NewRDMA(2, 1, fastgm.DefaultConfig())
 	c.Fabric.SetFaults(myrinet.FaultConfig{Blackouts: []myrinet.Blackout{
 		{Src: -1, Dst: 1, From: 2 * sim.Millisecond, To: 100000 * sim.Second},
 	}})

@@ -234,11 +234,11 @@ func unreachableCluster(build Builder) *Cluster {
 	var c *Cluster
 	switch {
 	case probe.Stacks != nil:
-		c = NewUDPConfig(2, 1, substrate.Policy{}, udp)
+		c = NewUDPConfig(2, 1, udp)
 	case oneSided:
-		c = NewRDMA(2, 1, substrate.Policy{}, fast)
+		c = NewRDMA(2, 1, fast)
 	default:
-		c = NewFast(2, 1, substrate.Policy{}, fast)
+		c = NewFast(2, 1, fast)
 	}
 	c.Fabric.SetFaults(myrinet.FaultConfig{Blackouts: []myrinet.Blackout{
 		{Src: -1, Dst: 1, From: sim.Millisecond, To: 100000 * sim.Second},

@@ -31,13 +31,13 @@ type Cluster struct {
 
 // NewUDP builds an n-rank cluster on the UDP/GM transport.
 func NewUDP(n int, seed int64) *Cluster {
-	return NewUDPConfig(n, seed, substrate.Policy{}, udpgm.DefaultConfig())
+	return NewUDPConfig(n, seed, udpgm.DefaultConfig())
 }
 
-// NewUDPConfig builds an n-rank UDP/GM cluster under an explicit policy
-// (hedging) and transport configuration (retry budget, ...).
-func NewUDPConfig(n int, seed int64, pol substrate.Policy, cfg udpgm.Config) *Cluster {
-	return newUDP(n, seed, pol, cfg, sockets.DefaultParams())
+// NewUDPConfig builds an n-rank UDP/GM cluster under an explicit
+// transport configuration (retry budget, ...).
+func NewUDPConfig(n int, seed int64, cfg udpgm.Config) *Cluster {
+	return newUDP(n, seed, cfg, sockets.DefaultParams())
 }
 
 // NewUDPLossy builds an n-rank UDP/GM cluster whose kernels drop each
@@ -45,34 +45,34 @@ func NewUDPConfig(n int, seed int64, pol substrate.Policy, cfg udpgm.Config) *Cl
 func NewUDPLossy(n int, seed int64, drop float64) *Cluster {
 	sp := sockets.DefaultParams()
 	sp.DropProbability = drop
-	return newUDP(n, seed, substrate.Policy{}, udpgm.DefaultConfig(), sp)
+	return newUDP(n, seed, udpgm.DefaultConfig(), sp)
 }
 
-func newUDP(n int, seed int64, pol substrate.Policy, cfg udpgm.Config, sp sockets.Params) *Cluster {
+func newUDP(n int, seed int64, cfg udpgm.Config, sp sockets.Params) *Cluster {
 	c := newBase(n, seed)
 	c.Stacks = make([]*sockets.Stack, n)
 	for i := 0; i < n; i++ {
 		c.Stacks[i] = sockets.NewStack(c.Sim, c.GM.Node(myrinet.NodeID(i)), sp)
-		c.Transports[i] = udpgm.New(c.Stacks[i], i, n, pol, cfg)
+		c.Transports[i] = udpgm.New(c.Stacks[i], i, n, cfg)
 	}
 	return c
 }
 
 // NewFast builds an n-rank cluster on the FAST/GM transport.
-func NewFast(n int, seed int64, pol substrate.Policy, cfg fastgm.Config) *Cluster {
+func NewFast(n int, seed int64, cfg fastgm.Config) *Cluster {
 	c := newBase(n, seed)
 	for i := 0; i < n; i++ {
-		c.Transports[i] = fastgm.New(c.GM.Node(myrinet.NodeID(i)), i, n, pol, cfg)
+		c.Transports[i] = fastgm.New(c.GM.Node(myrinet.NodeID(i)), i, n, cfg)
 	}
 	return c
 }
 
 // NewRDMA builds an n-rank cluster on the RDMA/GM one-sided transport,
 // its two-sided half configured by fast.
-func NewRDMA(n int, seed int64, pol substrate.Policy, fast fastgm.Config) *Cluster {
+func NewRDMA(n int, seed int64, fast fastgm.Config) *Cluster {
 	c := newBase(n, seed)
 	for i := 0; i < n; i++ {
-		c.Transports[i] = rdmagm.New(c.GM.Node(myrinet.NodeID(i)), i, n, pol, fast)
+		c.Transports[i] = rdmagm.New(c.GM.Node(myrinet.NodeID(i)), i, n, fast)
 	}
 	return c
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/gm"
 	"repro/internal/msg"
 	"repro/internal/myrinet"
 	"repro/internal/sim"
@@ -25,13 +26,13 @@ func TestConformanceAllSubstrates(t *testing.T) {
 		build stest.Builder
 	}{
 		{"udpgm", func(n int, seed int64) *stest.Cluster {
-			return stest.NewUDPConfig(n, seed, substrate.Policy{}, udpgm.DefaultConfig())
+			return stest.NewUDPConfig(n, seed, udpgm.DefaultConfig())
 		}},
 		{"fastgm", func(n int, seed int64) *stest.Cluster {
-			return stest.NewFast(n, seed, substrate.Policy{}, fastgm.DefaultConfig())
+			return stest.NewFast(n, seed, fastgm.DefaultConfig())
 		}},
 		{"rdmagm", func(n int, seed int64) *stest.Cluster {
-			return stest.NewRDMA(n, seed, substrate.Policy{}, fastgm.DefaultConfig())
+			return stest.NewRDMA(n, seed, fastgm.DefaultConfig())
 		}},
 	}
 	for _, b := range builders {
@@ -39,57 +40,104 @@ func TestConformanceAllSubstrates(t *testing.T) {
 	}
 }
 
-// TestDuplicateGetsEveryFrame: a reply continued across two frames loses
-// the first packet of its first frame, and the call's hedge re-issues the
-// request. The writer has answered it, every frame, so the duplicate is
-// answered from its filter slot with every frame again: the lost frame
-// arrives in the resend, the one already held is stale, and the call
-// resolves whole, on every binding.
+// TestDuplicateGetsEveryFrame: a call's request reaches the writer twice,
+// and the writer answers the duplicate from its filter slot with every
+// frame of its reply continued across two frames, on every binding.
+//
+// udpgm: the first packet of the reply's first frame is lost and the
+// request's retransmission clock re-sends it; the lost frame arrives in
+// the resend, the one already held is stale, and the call resolves whole.
+//
+// fastgm and rdmagm recover losses below the core, so the duplicate is
+// GM's own (fastgm/recovery.go, step 3): the writer preposts one request
+// buffer per small class and masks delivery, a one-way filler holds that
+// buffer, and the call's request parks. The sender's resend timeout fires;
+// a buffer posted before the park expires accepts the original, which is
+// served once delivery is unmasked, while GM re-sends the request. Both
+// frames of the duplicate's answer are stale.
 func TestDuplicateGetsEveryFrame(t *testing.T) {
-	hedge := substrate.Policy{Hedge: true}
+	const frames = 2
+	fast := fastgm.DefaultConfig()
+	fast.SmallPerPeer = 1
 	for _, b := range []struct {
 		name  string
 		build func() *stest.Cluster
+		gm    bool
 	}{
-		{"udpgm", func() *stest.Cluster { return stest.NewUDPConfig(2, 1, hedge, udpgm.DefaultConfig()) }},
-		{"fastgm", func() *stest.Cluster { return stest.NewFast(2, 1, hedge, fastgm.DefaultConfig()) }},
-		{"rdmagm", func() *stest.Cluster { return stest.NewRDMA(2, 1, hedge, fastgm.DefaultConfig()) }},
+		{"udpgm", func() *stest.Cluster { return stest.NewUDP(2, 1) }, false},
+		{"fastgm", func() *stest.Cluster { return stest.NewFast(2, 1, fast) }, true},
+		{"rdmagm", func() *stest.Cluster { return stest.NewRDMA(2, 1, fast) }, true},
 	} {
 		t.Run(b.name, func(t *testing.T) {
 			c := b.build()
-			const frames = 2
 			cr := stest.NewContinuedReply(1, frames, 3000)
+			posted := sim.NewCond("test:posted")
+			done := false
+			var spare *gm.Buffer
 			c.Spawn(
 				func(rank int) substrate.Handler {
-					return func(p *sim.Proc, m *msg.Message) { cr.Serve(p, c.Transports[rank], m, frames) }
+					return func(p *sim.Proc, m *msg.Message) {
+						if m.Budget() == frames { // not the filler
+							cr.Serve(p, c.Transports[rank], m, frames)
+						}
+					}
 				},
 				func(rank int, p *sim.Proc, tr substrate.Transport) {
-					if rank != 0 {
-						return
-					}
-					// Armed after startup, so the next packet on 1→0 is the
-					// first of the reply's first frame.
-					c.Fabric.SetFaults(myrinet.FaultConfig{DropNexts: []myrinet.DropNext{{Src: 1, Dst: 0, Count: 1}}})
 					req := msg.Message{Kind: msg.KDiffReq}
 					req.SetBudget(frames)
-					if err := cr.Check(tr.Call(p, 1, &req), frames); err != nil {
-						t.Error(err)
+					switch {
+					case rank == 1 && b.gm:
+						tr.DisableAsync(p)
+						spare = c.GM.Node(1).AllocBuffer(p, c.GM.Params().ClassFor(len(req.Encode())+1))
+						for !done {
+							p.WaitOn(posted)
+						}
+						tr.EnableAsync(p)
+					case rank == 0 && b.gm:
+						tr.Send(p, 1, &msg.Message{Kind: msg.KDiffReq})
+						pd := tr.CallBegin(p, 1, &req)
+						p.Sim().At(p.Now()+c.GM.Params().ResendTimeout+1, func() {
+							c.GM.Node(1).Port(fastgm.AsyncPort).ProvideReceiveBuffer(spare)
+							done = true
+							posted.Broadcast()
+						})
+						if err := cr.Check(tr.Collect(p, []substrate.Pending{pd})[0], frames); err != nil {
+							t.Error(err)
+						}
+					case rank == 0:
+						// Armed after startup, so the next packet on 1→0 is the
+						// first of the reply's first frame.
+						c.Fabric.SetFaults(myrinet.FaultConfig{DropNexts: []myrinet.DropNext{{Src: 1, Dst: 0, Count: 1}}})
+						if err := cr.Check(tr.Call(p, 1, &req), frames); err != nil {
+							t.Error(err)
+						}
 					}
-					// A second call drains what the resend left on the reply path.
-					if err := cr.Check(tr.Call(p, 1, &req), frames); err != nil {
-						t.Error(err)
+					if rank == 0 {
+						// A second call drains what the resend left on the reply path.
+						if err := cr.Check(tr.Call(p, 1, &req), frames); err != nil {
+							t.Error(err)
+						}
 					}
 				},
 			)
 			if err := c.Run(); err != nil {
 				t.Fatal(err)
 			}
-			if fs := c.Fabric.FaultStats(); fs.Dropped != 1 {
-				t.Errorf("dropped %d packets, want the one armed", fs.Dropped)
-			}
 			req, wr := c.Transports[0].Stats(), c.Transports[1].Stats()
-			if req.HedgedRequests != 1 || wr.DupRequests != 1 {
-				t.Errorf("%d hedges, %d duplicates served; want 1 and 1", req.HedgedRequests, wr.DupRequests)
+			if wr.DupRequests != 1 {
+				t.Errorf("%d duplicates served, want 1", wr.DupRequests)
+			}
+			if b.gm {
+				if parked := c.GM.Node(1).Port(fastgm.AsyncPort).Stats().Parked; parked != 1 || req.GMRetransmits != 1 {
+					t.Errorf("%d requests parked, %d GM retransmits; want 1 and 1", parked, req.GMRetransmits)
+				}
+				if req.StaleReplies != frames {
+					t.Errorf("%d stale frames, want the duplicate's answer whole", req.StaleReplies)
+				}
+				return
+			}
+			if fs := c.Fabric.FaultStats(); fs.Dropped != 1 || req.Retransmits != 1 {
+				t.Errorf("dropped %d packets, %d retransmits; want 1 and 1", fs.Dropped, req.Retransmits)
 			}
 			if req.StaleReplies < frames-1 {
 				t.Errorf("%d stale frames, want the resend's copy of every frame already held", req.StaleReplies)
@@ -158,8 +206,8 @@ func TestCallAllocatesNothing(t *testing.T) {
 		build func() *stest.Cluster
 	}{
 		{"udpgm", func() *stest.Cluster { return stest.NewUDP(2, 1) }},
-		{"fastgm", func() *stest.Cluster { return stest.NewFast(2, 1, substrate.Policy{}, fastgm.DefaultConfig()) }},
-		{"rdmagm", func() *stest.Cluster { return stest.NewRDMA(2, 1, substrate.Policy{}, fastgm.DefaultConfig()) }},
+		{"fastgm", func() *stest.Cluster { return stest.NewFast(2, 1, fastgm.DefaultConfig()) }},
+		{"rdmagm", func() *stest.Cluster { return stest.NewRDMA(2, 1, fastgm.DefaultConfig()) }},
 	} {
 		t.Run(b.name, func(t *testing.T) {
 			c := b.build()

@@ -15,17 +15,13 @@
 //   - the call table (calls.go): sequence numbers and every outstanding
 //     acknowledged exchange — CallBegin/Collect/Call, and any family a
 //     binding declares as an Exchange (rdmagm's verbs) — answer matching,
-//     the one per-call clock serving both the retransmission timeout and
-//     the once-only hedge, and the one wait loop (Step);
+//     the per-call retransmission clock, and the one wait loop (Step);
 //   - request service (core.go): the (origin, seq) duplicate filter with
 //     cached replies and re-forwarding (DupCache), Reply/Forward/Send
 //     bookkeeping, causal edge stamping;
 //   - Liveness (liveness.go): last-heard clocks, declared-dead flags,
 //     the typed PeerUnreachableError;
-//   - Backoff (backoff.go): the shared retransmission schedule;
-//   - Policy (core.go): whether the run arms the one cluster-uniform
-//     mechanism, hedging, handed to every binding's New; its tuning is
-//     constants here, not settings.
+//   - Backoff (backoff.go): the shared retransmission schedule.
 //
 // There is no end-to-end credit flow control. A TreadMarks request is a
 // call awaiting its reply, not an eager send (a forward relays one such
@@ -308,8 +304,6 @@ type Stats struct {
 	RetryExtensions   int64 // spent retry budgets extended because the peer is audibly alive
 	PeersDeclaredDead int64 // peers this process declared dead
 
-	HedgedRequests int64 // straggler requests re-issued past the hedge deadline (Policy.Hedge)
-
 	// One-sided verb counters (all zero unless the transport implements
 	// OneSided and the protocol posts verbs).
 	OneSidedPuts     int64 // Put verbs posted
@@ -340,9 +334,6 @@ func (s *Stats) String() string {
 	}
 	if s.SendBufStalls > 0 {
 		out += fmt.Sprintf(" sendbuf=%d/%v", s.SendBufStalls, s.SendBufWait)
-	}
-	if s.HedgedRequests > 0 {
-		out += fmt.Sprintf(" hedged=%d", s.HedgedRequests)
 	}
 	if s.PeersDeclaredDead > 0 {
 		out += fmt.Sprintf(" dead=%d", s.PeersDeclaredDead)

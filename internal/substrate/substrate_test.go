@@ -58,9 +58,9 @@ func TestStatsStringMentionsCoreCounters(t *testing.T) {
 	}
 }
 
-// TestStatsStringPrintsWhatRanOnly: the summary line shows what a run
-// armed or gave up — hedged re-issues, peers declared dead, sends
-// abandoned — each only when it happened, after the fixed counters, so a
+// TestStatsStringPrintsWhatRanOnly: the summary line shows what only some
+// runs do — continued replies, send-buffer stalls, peers declared dead,
+// sends abandoned — each only when it happened, after the fixed counters, so a
 // run with none of them prints exactly as before.
 func TestStatsStringPrintsWhatRanOnly(t *testing.T) {
 	const base = "req=3 rep=0 fwd=0 retx=0 dup=0 async=0 bytes=0/0"
@@ -70,12 +70,11 @@ func TestStatsStringPrintsWhatRanOnly(t *testing.T) {
 	}{
 		{substrate.Stats{RequestsSent: 3}, ""},
 		{substrate.Stats{RequestsSent: 3, ContinuedFrames: 2}, " continued=2"},
-		{substrate.Stats{RequestsSent: 3, HedgedRequests: 5}, " hedged=5"},
 		{substrate.Stats{RequestsSent: 3, PeersDeclaredDead: 1}, " dead=1"},
 		{substrate.Stats{RequestsSent: 3, SendsAbandoned: 4}, " abandoned=4"},
 		{substrate.Stats{RequestsSent: 3, ContinuedFrames: 2, SendBufStalls: 1, SendBufWait: sim.Millisecond,
-			HedgedRequests: 5, PeersDeclaredDead: 1, SendsAbandoned: 4},
-			" continued=2 sendbuf=1/1.000ms hedged=5 dead=1 abandoned=4"},
+			PeersDeclaredDead: 1, SendsAbandoned: 4},
+			" continued=2 sendbuf=1/1.000ms dead=1 abandoned=4"},
 	} {
 		if got, want := row.s.String(), base+row.tail; got != want {
 			t.Errorf("Stats string = %q, want %q", got, want)

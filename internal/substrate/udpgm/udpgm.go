@@ -71,16 +71,15 @@ type Transport struct {
 }
 
 // New creates the transport for process rank of size over the node's
-// socket stack, under the run's policy (the core's hedged calls). UDP is
-// unreliable, so the core runs its user-level per-call retransmission
-// clock with this config's backoff and budget.
-func New(stack *sockets.Stack, rank, size int, pol substrate.Policy, cfg Config) *Transport {
+// socket stack. UDP is unreliable, so the core runs its user-level
+// per-call retransmission clock with this config's backoff and budget.
+func New(stack *sockets.Stack, rank, size int, cfg Config) *Transport {
 	t := &Transport{
 		stack:  stack,
 		reqBuf: make([]byte, sockets.MaxDatagram),
 		repBuf: make([]byte, sockets.MaxDatagram),
 	}
-	t.Core.Init(t, rank, size, pol,
+	t.Core.Init(t, rank, size,
 		substrate.Backoff{Initial: cfg.RetransmitInitial, Max: RetransmitMax}, cfg.MaxRetries)
 	return t
 }

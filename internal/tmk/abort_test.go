@@ -2,6 +2,7 @@ package tmk_test
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -103,6 +104,12 @@ func TestRetryExhaustionAbortsWithPostMortem(t *testing.T) {
 			}
 			if res.PeerFailure == nil || res.PeerFailure.Peer != 1 || res.PeerFailure.Kind != "retry-exhausted" {
 				t.Errorf("PeerFailure = %+v, want retry-exhausted toward peer 1", res.PeerFailure)
+			}
+			// What tmkrun prints: the verdict, then one line per survivor.
+			want := fmt.Sprintf("tmk: run aborted: rank 1 declared dead by rank %d at %v (%s)\n  rank 0: %s\n  rank 2: %s",
+				rep.DetectedBy, rep.DetectedAt, rep.Cause, rep.Entities[0], rep.Entities[2])
+			if err.Error() != want {
+				t.Errorf("abort prints\n%s\nwant\n%s", err, want)
 			}
 		})
 	}

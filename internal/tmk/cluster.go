@@ -66,11 +66,6 @@ type Config struct {
 	// tracer of the run's own — as subscribing Causal.Observe by hand would
 	// (do one or the other), and rebuilds the critical path (DESIGN.md §13).
 	Causal *trace.Causal
-
-	// Hedge arms hedged re-issues of straggling calls in whichever
-	// substrate the run uses: the run's one substrate.Policy. Off, the run
-	// is bit-identical to one without it (DESIGN.md §14).
-	Hedge bool
 }
 
 // DefaultConfig returns a calibrated n-process configuration. The
@@ -98,10 +93,9 @@ type testbed struct {
 // Cluster is one assembled DSM run.
 type Cluster struct {
 	cfg    Config
-	err    error            // Config.Validate's verdict; Run reports it
-	pol    substrate.Policy // the run's one cluster-uniform substrate policy
-	tb     testbed          // what the sockets and substrates are built from
-	n      int              // ranks (= Config.Procs)
+	err    error   // Config.Validate's verdict; Run reports it
+	tb     testbed // what the sockets and substrates are built from
+	n      int     // ranks (= Config.Procs)
 	sim    *sim.Simulator
 	fabric *myrinet.Fabric
 	gmsys  *gm.System
@@ -171,7 +165,6 @@ func newCluster(cfg Config, tune func(*testbed)) *Cluster {
 	if tune != nil {
 		tune(&c.tb)
 	}
-	c.pol = substrate.Policy{Hedge: cfg.Hedge}
 	c.sim = sim.New(cfg.Seed)
 	if cfg.Causal != nil {
 		if c.cfg.Trace == nil { // keeps no history: the view reads the stream
@@ -214,11 +207,11 @@ func (c *Cluster) spawn(app func(tp *Proc)) {
 			var tr substrate.Transport
 			switch node := c.gmsys.Node(myrinet.NodeID(rank)); c.cfg.Transport {
 			case TransportUDPGM:
-				tr = udpgm.New(c.stacks[rank], rank, n, c.pol, c.tb.UDP)
+				tr = udpgm.New(c.stacks[rank], rank, n, c.tb.UDP)
 			case TransportFastGM:
-				tr = fastgm.New(node, rank, n, c.pol, c.tb.Fast)
+				tr = fastgm.New(node, rank, n, c.tb.Fast)
 			case TransportRDMAGM:
-				tr = rdmagm.New(node, rank, n, c.pol, c.tb.Fast)
+				tr = rdmagm.New(node, rank, n, c.tb.Fast)
 			}
 			tp := newProc(c, rank, sp, tr)
 			c.procs[rank] = tp

@@ -79,6 +79,8 @@ func TestValidateRules(t *testing.T) {
 		var ce *tmk.ConfigError
 		if !errors.As(verdict, &ce) || ce.Rule != row.want[0] {
 			t.Errorf("%s: errors.As reaches %v, want the first violation (%s)", row.name, ce, row.want[0])
+		} else if want := "tmk: invalid config: " + ce.Error(); !strings.HasPrefix(verdict.Error(), want) {
+			t.Errorf("%s: verdict %q does not lead with its first violation %q", row.name, verdict.Error(), ce.Error())
 		}
 		if strings.Contains(verdict.Error(), "\n") {
 			t.Errorf("%s: verdict is not one line: %q", row.name, verdict.Error())
@@ -103,12 +105,12 @@ func TestValidateRules(t *testing.T) {
 // arguing with these numbers (DESIGN.md §16).
 func TestConfigSurface(t *testing.T) {
 	features, all := harness.ConfigSurface()
-	if len(features) != 9 {
-		t.Errorf("tmk.Config exposes %d settable feature values, want 9:\n  %s",
+	if len(features) != 8 {
+		t.Errorf("tmk.Config exposes %d settable feature values, want 8:\n  %s",
 			len(features), strings.Join(features, "\n  "))
 	}
-	if len(all) != 16 {
-		t.Errorf("tmk.Config has %d settable leaves, want 16:\n  %s",
+	if len(all) != 15 {
+		t.Errorf("tmk.Config has %d settable leaves, want 15:\n  %s",
 			len(all), strings.Join(all, "\n  "))
 	}
 }

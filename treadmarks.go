@@ -35,8 +35,8 @@ import (
 // Core types, re-exported from the implementation.
 type (
 	// Config assembles a DSM run: process count, transport, protocol,
-	// and the features — each on when it is set: Scheme, Rendezvous,
-	// Faults and Hedge. The testbed's cost
+	// and the features — each on when it is set: Scheme, Rendezvous and
+	// Faults. The testbed's cost
 	// models (fabric, GM, kernel, CPU) are constants, not settings.
 	Config = tmk.Config
 	// Cluster is an assembled run on which Run executes an application.
