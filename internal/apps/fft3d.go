@@ -232,9 +232,13 @@ func (f *FFT3D) Run(tp *tmk.Proc) {
 		// Phase 2b: gather — each process reads the blocks destined to it
 		// (volume/n of contiguous remote data) and assembles its x-planes
 		// of B: B[x][y][z'] = A[z'][y][x] (element (x,y,z') of B lives at
-		// slot idx(z', y, x), i.e. z' runs contiguously).
+		// slot idx(z', y, x), i.e. z' runs contiguously). The sources are
+		// read in rotation, block (me+k) mod n at step k, own block last:
+		// at each step every writer serves exactly one reader, where rank
+		// order would have all readers ask writer 0 first.
 		if mine > 0 {
-			for s := 0; s < n; s++ {
+			for k := 1; k <= n; k++ {
+				s := (me + k) % n
 				szlo, szhi := blockRange(0, z, s, n)
 				if szhi > szlo {
 					tp.ReadF64Span(xch, 2*blockOff[s][me], blocks[2*szlo*z*mine:2*szhi*z*mine])

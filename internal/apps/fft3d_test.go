@@ -5,9 +5,11 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/tmk"
+	"repro/internal/trace"
 )
 
 // The references are FFT3D as it was first written: a complex128 radix-2
@@ -127,7 +129,7 @@ func (io *refRowIO) write(r *tmk.Region, base int, row []complex128) {
 	io.tp.WriteF64Span(r, 2*base, raw)
 }
 
-// refRun is the original FFT3D.Run.
+// refRun is the original FFT3D.Run, its gather rotated as Run's is.
 func refRun(f *FFT3D, tp *tmk.Proc) {
 	z := f.Z
 	bytes := z * z * z * 16
@@ -209,7 +211,8 @@ func refRun(f *FFT3D, tp *tmk.Proc) {
 			xw := zhi - zlo
 			blks := make([][]complex128, n)
 			starts := make([]int, n)
-			for s := 0; s < n; s++ {
+			for k := 1; k <= n; k++ {
+				s := (tp.Rank() + k) % n
 				szlo, szhi := blockRange(0, z, s, n)
 				starts[s] = szlo
 				if szhi > szlo {
@@ -344,6 +347,62 @@ func TestFFT3DRunMatchesReference(t *testing.T) {
 				t.Errorf("Transport %v, reference %v", &got.Transport, &want.Transport)
 			case got.MaxPinnedBytes != want.MaxPinnedBytes:
 				t.Errorf("MaxPinnedBytes %d, reference %d", got.MaxPinnedBytes, want.MaxPinnedBytes)
+			}
+		})
+	}
+}
+
+// TestFFT3DGatherReadsSourcesInRotation: in every gather, the k-th writer
+// rank r fetches exchange-region diffs from is (r+k) mod n, so the first
+// wave of requests reaches n distinct writers instead of all readers
+// asking writer 0 first. A fault's wave may also fetch the next pages, and
+// so the next writer's, ahead of their reads: a writer counts once, at its
+// first fetch.
+func TestFFT3DGatherReadsSourcesInRotation(t *testing.T) {
+	const nodes, xchRegion = 8, 2 // Run allocates A, B, then the exchange region
+	for _, kind := range []tmk.TransportKind{tmk.TransportUDPGM, tmk.TransportFastGM} {
+		t.Run(string(kind), func(t *testing.T) {
+			f := &FFT3D{Z: 16, Iters: 2, CostPerButterfly: 180}
+			type gather struct{ rank, barrier int }
+			after := make([]int, nodes) // each rank's last crossed barrier
+			fetches := map[gather][]int{}
+			cfg := tmk.DefaultConfig(nodes, kind)
+			cfg.Trace = trace.New(1)
+			cfg.Trace.Subscribe(func(e trace.Event) {
+				switch {
+				case e.Layer != trace.LayerTMK:
+				case e.Kind == trace.KindBarrier:
+					after[e.Rank] = int(e.ID)
+				case e.Kind == trace.KindDiffFetch && e.Region == xchRegion:
+					g := gather{e.Rank, after[e.Rank]}
+					if !slices.Contains(fetches[g], e.Peer) {
+						fetches[g] = append(fetches[g], e.Peer)
+					}
+				}
+			})
+			if _, err := tmk.Run(cfg, f.Run); err != nil {
+				t.Fatal(err)
+			}
+			for it := 0; it < f.Iters; it++ {
+				firstWave := map[int]bool{}
+				for r := 0; r < nodes; r++ {
+					got := fetches[gather{r, 12 + it*5}]
+					if len(got) != nodes-1 {
+						t.Fatalf("iteration %d: rank %d fetched from %v, want %d writers", it, r, got, nodes-1)
+					}
+					for k, w := range got {
+						if want := (r + k + 1) % nodes; w != want {
+							t.Fatalf("iteration %d: rank %d fetched from %v, want writer %d at step %d", it, r, got, want, k+1)
+						}
+					}
+					firstWave[got[0]] = true
+				}
+				if len(firstWave) != nodes {
+					t.Errorf("iteration %d: the first wave asked %d distinct writers, want %d", it, len(firstWave), nodes)
+				}
+			}
+			if len(fetches) != nodes*f.Iters {
+				t.Errorf("exchange-region fetches outside the gathers: %d groups, want %d", len(fetches), nodes*f.Iters)
 			}
 		})
 	}

@@ -169,7 +169,7 @@ func TestBenchE3RDMAWinsHeadlineRows(t *testing.T) {
 	}
 	const (
 		lockBound   = "lock-bound: every release waits for its flush to complete at the home before the lock can move on"
-		noFastGMRow = "no comparator row (ROADMAP 5a)"
+		noFastGMRow = "no comparator row (ROADMAP item 7(a))"
 	)
 	exceptions := map[cell]struct {
 		ceiling float64

@@ -76,6 +76,11 @@ type viewHashes struct{ ring, prof, text, crit string }
 // unblock per crossing and an app-end per rank; serve spans carry their
 // request's span in A, and call and verb spans their reply's or
 // completion's span in B and the rank in Rank. No time moved.
+// The three 3dfft rows were regenerated when the gather began reading its
+// sources in rotation: each layer emits as many events of each kind as
+// before, in another order and at other times (exec time udpgm 9.273 →
+// 9.196 ms, fastgm 2.814 → 2.822, rdmagm 3.803 → 3.757), so all four
+// hashes of each row moved.
 var goldenViews = map[string]viewHashes{
 	"jacobi/udpgm":  {"fda894636db425baa51ab4a32e20ed1b9ddad244d53b25528cf2e762565acb87", "55ac37551c7e3c3f259d4710bac29f1cfde85b3dfa23d741f327b70403d07823", "50f92d22195e218dc27996a188a6afdf85ddb0e4e458d815a8601e7cab2dbdec", "08f1c8287764c47838aa9bc93e20644e1ffe803283c40123735c616ab2bc8caa"},
 	"jacobi/fastgm": {"b1924b499bff25bf93aee54be673f2a415ff309899d721d5b846c18a567e2fb2", "84766b8c8d622b661776451c9d6a4930dbd96f84fd605323410708abb8423ebd", "7e78e06a5efd213287e036e913147132dd79c9d9af63d5604417fc387f638404", "e8378746568082759e097b9d26f86f3bc8fe12ff45519ad3b332ed2e0a8a281f"},
@@ -83,9 +88,9 @@ var goldenViews = map[string]viewHashes{
 	"sor/udpgm":     {"0c8d615b346dd3ec0b50fd85edd9e34a6ddca5af9846897adc3ae79f33fbad0c", "d46af62d23686491f855eee607fbe6a58a39cb5a44ded4acc6c263724c291f71", "19639bb5a2febb59a4a957dcb6b6004d615cde7d402ad8dda9a6162d752deab7", "0c6fc0cd313c6fb59830b7a7360ddd0c1d0f82e9dc3bb35ef32709f8e8054e1c"},
 	"sor/fastgm":    {"0d21482a5245eb73767f300eed9f64691d9c892ebe724df4dd762d86933d9370", "db9f8e44374b9148642110e63b86bb1c1c4629cef0a4089c76095788b356c0e6", "005af59a4c93c2654c74f9112f406344468e63e65142f6584854461bb761a1e1", "b5a5d79d5efcca966c806197ec6f8022614a7a5f1920a8c348d0c9bba6618768"},
 	"sor/rdmagm":    {"b983a6132258cf33b1c0e3b329afdcce7cca6a1cc241dc55d966dfc6f6750d65", "ae2649951c486a56acbd6b9693bc55fc725ac5be07e4312e68d95b0c773030a4", "a72b5bb6a0b140f811cfbdb264ebcaf8c507b8971b50d1bd2ea33bc3ae9b31ed", "66882ab13c49359edf2fc33fe3a36d68d1931acd7e668cd7d110d669640b28e5"},
-	"3dfft/udpgm":   {"574317baeb34a84107344281e1c47532648c8203df0509eb3c0dc729443e648d", "34656207ee9b1a6716acc983f466bf51a89f6172d5ea19270914489a6d1f2491", "cefb1db39e7a8c31c78ca7c5f5a60afd9c13b788abb99b1434ae4a738fa388b0", "80fd752056c63126a9a40c6d24060ab537a58e2cb95cea278df77f28ed1a3dca"},
-	"3dfft/fastgm":  {"74a8564d11075355c1420ed1a0f5fd25560753b0f1f9326242929c865b9b863f", "732dca6fe58369ffd17d282820be2752acd2cefa3f2d56bbcd00fd54e242e466", "e0340ee0a8c443ae9d3e8f2cd65a21f7f8cfd206ccb5d8f1922119bf55b2ee79", "d9734ebdff78f3a1782196bf73fa75ee8ec107a2729ff4879f0739bc706d3958"},
-	"3dfft/rdmagm":  {"e0cf13ae639a86f7f735b2aee865e8c6c0c074a1140d7e75dce44c01905a887f", "87565e9fd686e8d0ce58dd33a223349173a1585bfa5b8d51dd8c5c2d48c88b37", "978a65e1181e7bafaef190a4ae92001c7a5dade40d677bed1db0bd3daa8d0262", "ab40e2e7736b3db0ed572b1ab9322195f983dd6bf37bccafc57e0eeebc4deebb"},
+	"3dfft/udpgm":   {"10cccfc2e3b9614a408a08049b59a5ebc976ecc194df3474016b0782e5f4350a", "02c7976c399238eda61d035a6dcdff41663f23c2edae3d63fa361d48bf0881b8", "e1af7806385f86c359801f906e9b9650fcbf01e6cd0cdb534b0379d286e2ba33", "6ae4d811606f39b668c16e0f9e6923fa3aaeb7f3a624ef5ce8b2e5b7b18433d6"},
+	"3dfft/fastgm":  {"51371623163e245d5bd729b36b4c5d815c6ced7b257635f05dd4aa26931cd0bc", "4d36dfd4676a899c58868169c133fef84e52d67e7f7e3accdb83c2cb2df002ca", "f307adba2e3a69ba5d7f729f6b4af2ae48aa77eb365641270d28a5b545849b32", "a9a03f8b809b068cfe3247182db27de1047c8c26e5827e055e882fc8a1a69e5d"},
+	"3dfft/rdmagm":  {"3a44ad446679cdc09708a6e6dab15b6e452d292760e5d66c7063713f9fcb3f73", "54322304033b34cc69b81018b38d079649ebae67d2f4f2c6182ebe49914a150b", "9446a195539dad989c84ebf2effa47146bf7467556cec65110070dd602be4e18", "712fd0f6fd81a9ccd6e0a5c3d81091d06713a8608e2f9379aa468d3666a53eb5"},
 	"tsp/udpgm":     {"0f51b1e5b80a65004776094b9cd51cea41ec4d96b2afcfbdb8ec56e93e8393db", "83ee91129f389a303b94ed650055bed4cbc53077016d634871a9ddea179c0348", "fe7d7e5489df2643a9393b82fec5afcaf7a049046706f5d9fac6f7e33dd7ac2e", "f1d7b9621fb6aa9de57baeae81e927c68d3aa53c79dff1083a7367e57e9bfaf5"},
 	"tsp/fastgm":    {"adbb09aae104ac7d5f9cd65689fe83a6ce71b1f972a49c51d0a09c1bec802e03", "437b0c7c1255b72185e1cbeffedfaa4b41b8e5032a70c00cdb36a767e7d671ae", "1515925bb10c8d84f1e44d8789825c42d1f748bd9cbfa9af8ec84fa62ba5f43b", "880d04bc36a348e04d3b0103620d2f834cf13137d50c069a7420b6524014bf31"},
 	"tsp/rdmagm":    {"6188009e9e4b0229ca72049ab2859d5777c5e0ff72fd77c1080b468c621141b5", "acbce338c363560539acb319751b40ab8282ef468f2dd6a6071d1e06781c0c3b", "3db25a17a50b4a9a70de4dc48608170f7e9b8f30ad1088ab06fbf5257c7b514e", "e56329e5a3d3284d57a6f68af8cdf7f5dde80841122ba81196f572e67aa6d582"},

@@ -74,12 +74,13 @@ type Packet struct {
 	Meta     any    // opaque upper-layer tag (GM: the sender's send record)
 
 	// In flight (the fabric's own packets only): the two NICs, the frame
-	// check sequence when faults were on at injection, and arrive bound
-	// once, the delivery event's callback.
+	// check sequence when faults were on at injection, the delivery time,
+	// and the next packet in flight to the same NIC.
 	from, to *NIC
 	crc      uint32
 	crcOn    bool
-	deliver  func()
+	due      sim.Time
+	next     *Packet
 }
 
 // resource is a single-server queue: an occupancy horizon in virtual time.
@@ -123,6 +124,12 @@ type NIC struct {
 	lanaiRx resource
 	rxDMA   resource
 
+	// The packets in flight to this NIC, in injection order. That is also
+	// their delivery order, because the rxDMA horizon only rises, so one
+	// delivery callback bound once (arriveHead) serves every packet.
+	head, tail *Packet
+	arrive     func()
+
 	stats NICStats
 }
 
@@ -149,7 +156,9 @@ func NewFabric(s *sim.Simulator, p Params, n int) *Fabric {
 	f := &Fabric{s: s}
 	f.SetFaults(p.Faults)
 	for i := 0; i < n; i++ {
-		f.nics = append(f.nics, &NIC{fabric: f, id: NodeID(i)})
+		nic := &NIC{fabric: f, id: NodeID(i)}
+		nic.arrive = nic.arriveHead
+		f.nics = append(f.nics, nic)
 	}
 	return f
 }
@@ -183,10 +192,10 @@ func (n *NIC) SendPacket(pkt *Packet) (txDone sim.Time) {
 	now := f.s.Now()
 
 	cp := f.packet()
-	payload, deliver := cp.Payload, cp.deliver
+	payload := cp.Payload
 	*cp = *pkt
 	cp.Payload = append(payload[:0], pkt.Payload...)
-	cp.from, cp.to, cp.deliver = n, dst, deliver
+	cp.from, cp.to = n, dst
 
 	// Fault injection (faults.go). The decision is made at injection time
 	// with deterministic RNG draws; a perfect fabric never reaches this
@@ -239,20 +248,26 @@ func (n *NIC) SendPacket(pkt *Packet) (txDone sim.Time) {
 		reg.Histogram(trace.LayerMyrinet, "txlink.occupancy.ns").Observe(int64(e3 - s3))
 	}
 
-	f.s.At(e6, cp.deliver)
+	cp.due = e6
+	if dst.tail == nil {
+		dst.head = cp
+	} else {
+		dst.tail.next = cp
+	}
+	dst.tail = cp
+	f.s.At(e6, dst.arrive)
 	return e3
 }
 
 // packet takes a free packet. A dry free list first grows by as many
-// packets as the fabric has made, in one allocation, each with its
-// delivery bound, so a burst's peak in flight costs a logarithmic number
-// of slabs.
+// packets as the fabric has made, in one allocation, so a burst's peak in
+// flight costs a logarithmic number of slabs, besides each new packet's
+// payload buffer.
 func (f *Fabric) packet() *Packet {
 	if len(f.free) == 0 {
 		slab := make([]Packet, max(f.made, 1))
 		f.made += len(slab)
 		for i := range slab {
-			slab[i].deliver = slab[i].arrive
 			f.free = append(f.free, &slab[i])
 		}
 	}
@@ -267,6 +282,21 @@ func (f *Fabric) packet() *Packet {
 func (f *Fabric) recycle(pkt *Packet) {
 	pkt.Meta = nil
 	f.free = append(f.free, pkt)
+}
+
+// arriveHead delivers the packet at the head of the NIC's in-flight queue,
+// in scheduler context. It is due now, or the queue's order is not the
+// order of delivery.
+func (n *NIC) arriveHead() {
+	pkt, now := n.head, n.fabric.s.Now()
+	if pkt == nil || pkt.due != now {
+		panic(fmt.Sprintf("myrinet: node %d: delivery at %v finds no packet due then", n.id, now))
+	}
+	if n.head = pkt.next; n.head == nil {
+		n.tail = nil
+	}
+	pkt.next = nil
+	pkt.arrive()
 }
 
 // arrive is a packet's delivery at the receiving host, in scheduler context.

@@ -2,7 +2,9 @@ package myrinet
 
 import (
 	"bytes"
+	"math/bits"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/sim"
@@ -273,4 +275,53 @@ func TestLatencyScalesWithMessageSize(t *testing.T) {
 	if l4k-l1 < sim.Micro(20) || l4k-l1 > sim.Micro(80) {
 		t.Errorf("latency delta = %v, want tens of µs", l4k-l1)
 	}
+}
+
+// TestBurstDeliversInInjectionOrderAndAllocatesLogarithmically: a burst
+// from three senders to one NIC is delivered in the order it was injected,
+// and a fresh fabric carries it for one payload buffer per packet plus a
+// logarithmic number of slabs — no allocation is bound to each packet.
+func TestBurstDeliversInInjectionOrderAndAllocatesLogarithmically(t *testing.T) {
+	const burst = 256
+	s, f := newTestFabric(t, 4)
+	var seen []uint64
+	f.NIC(3).SetHandler(func(pkt *Packet) { seen = append(seen, pkt.MsgID) })
+	seen = make([]uint64, 0, burst)
+	sent := &Packet{Dst: 3, NumFrags: 1, Payload: make([]byte, 512)}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < burst; i++ {
+		sent.Src, sent.MsgID = NodeID(i%3), uint64(i)
+		f.NIC(sent.Src).SendPacket(sent)
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	for i, id := range seen {
+		if id != uint64(i) {
+			t.Fatalf("delivery %d carries packet %d, want injection order", i, id)
+		}
+	}
+	if len(seen) != burst {
+		t.Fatalf("delivered %d packets, want %d", len(seen), burst)
+	}
+	// Packet slabs, the free list, and the simulator's event slabs and
+	// queue each double: a handful of allocations per doubling.
+	allocs := after.Mallocs - before.Mallocs
+	if limit := uint64(burst + 8*bits.Len(burst)); allocs > limit {
+		t.Errorf("a burst of %d packets allocated %d times, want at most %d", burst, allocs, limit)
+	}
+}
+
+// TestDeliveryOutOfOrderPanics: a delivery event that finds no packet due
+// at its time means the in-flight queue's order is not delivery order.
+func TestDeliveryOutOfOrderPanics(t *testing.T) {
+	_, f := newTestFabric(t, 2)
+	defer func() {
+		if recover() == nil {
+			t.Error("no panic for a delivery with no packet due")
+		}
+	}()
+	f.NIC(1).arriveHead()
 }
