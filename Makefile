@@ -259,7 +259,7 @@ bench-gate:
 # trace.
 cli-smoke:
 	@for args in "tmkrun -nodes 0" "tmkrun -transport bogus" "tmkrun -scenario lockchain -transport bogus" \
-			"figures -fig 3 -barrier-nodes 0" "figures -fig 4 -nodes 0"; do \
+			"figures -fig 3 -barrier-nodes 0" "figures -fig 4 -nodes 0" "figures -fig e6 -e6-sizes 0"; do \
 		if out="$$($(GO) run ./cmd/$$args 2>&1)"; then echo "cli-smoke: $$args: exited 0"; exit 1; fi; \
 		case "$$out" in \
 			*"goroutine "*) echo "cli-smoke: $$args: goroutine dump"; exit 1;; \

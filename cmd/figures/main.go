@@ -14,8 +14,7 @@
 // it the sweep runs on 8 nodes, which regenerates the same shapes faster.
 // -e6-sizes sets the scalability sweep's cluster sizes; the default ends
 // at the paper's future-work target of 256 nodes (the 256-node point
-// alone simulates for a couple of minutes — trim the list for a quick
-// look).
+// alone takes about a second of host time).
 // -fig prof reruns the applications with the protocol-entity profiler
 // attached and prints per-page/lock/barrier attribution with page×epoch
 // heatmaps (not part of "all"; -prof-small uses the smallest Table 1

@@ -23,7 +23,6 @@ import (
 type E6Row struct {
 	Nodes          int
 	Barrier        sim.Time // FAST/GM flat centralized barrier
-	BarrierTree    sim.Time // FAST/GM 4-ary combining-tree barrier
 	PinnedPrepost  int64    // bytes/node, full preposting
 	PinnedRendez   int64    // bytes/node, rendezvous
 	UDPSocketsNode int      // sockets per node under UDP/GM
@@ -40,13 +39,6 @@ func Scaling(sizes []int) ([]E6Row, error) {
 			return nil, fmt.Errorf("scaling %d: %w", n, err)
 		}
 		row.Barrier = br.Per
-		treeCfg := tmk.DefaultConfig(n, tmk.TransportFastGM)
-		treeCfg.BarrierFanout = 4
-		brTree, err := ubench.Barrier(treeCfg, 5)
-		if err != nil {
-			return nil, fmt.Errorf("scaling %d (tree): %w", n, err)
-		}
-		row.BarrierTree = brTree.Per
 
 		for _, rendezvous := range []bool{false, true} {
 			cfg := tmk.DefaultConfig(n, tmk.TransportFastGM)
@@ -74,11 +66,11 @@ func Scaling(sizes []int) ([]E6Row, error) {
 // PrintScaling renders the E6 table.
 func PrintScaling(w io.Writer, rows []E6Row) {
 	fprintf(w, "E6 — scalability toward 256 nodes (§2.2.2 memory math, §5 future work)\n")
-	fprintf(w, "%6s %14s %14s %16s %16s %14s\n",
-		"nodes", "barrier(flat)", "barrier(tree)", "pinned/node", "pinned(rendez)", "UDP sockets")
+	fprintf(w, "%6s %14s %16s %16s %14s\n",
+		"nodes", "barrier(flat)", "pinned/node", "pinned(rendez)", "UDP sockets")
 	for _, r := range rows {
-		fprintf(w, "%6d %14v %14v %13.2f MB %13.2f MB %14d\n",
-			r.Nodes, r.Barrier, r.BarrierTree,
+		fprintf(w, "%6d %14v %13.2f MB %13.2f MB %14d\n",
+			r.Nodes, r.Barrier,
 			float64(r.PinnedPrepost)/1e6, float64(r.PinnedRendez)/1e6, r.UDPSocketsNode)
 	}
 }

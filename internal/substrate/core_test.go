@@ -313,3 +313,41 @@ func TestExchangePeerGoneResolvesEveryFamily(t *testing.T) {
 		t.Errorf("abandoned=%d failure=%+v", st.SendsAbandoned, c.PeerFailure())
 	}
 }
+
+// TestGraceExtendsBudgetWhilePeerIsHeard: with Grace set, a spent retry
+// budget against a peer that is still audible is congestion, not death —
+// the verb keeps re-issuing at the capped RTO — and only once the peer has
+// been silent longer than Grace does it resolve as retry-exhausted. Peer 1
+// is heard every 10ms up to 200ms and never completes the verb: the budget
+// (sends at 0, 10, 30, 70ms) is spent at 110ms and extended at 110, 150,
+// 190 and 230ms; at 270ms peer 1 has been silent 70ms > Grace.
+func TestGraceExtendsBudgetWhilePeerIsHeard(t *testing.T) {
+	const grace = 50 * sim.Millisecond
+	var v *fakeVerbs
+	c, _ := runCore(t, coreArgs{}, func(p *sim.Proc, c *Core, w *fakeWire) {
+		v = newFakeVerbs(c, Backoff{Initial: 10 * sim.Millisecond, Max: 40 * sim.Millisecond}, 3)
+		v.x.Grace = grace
+		for at := sim.Time(0); at <= 200*sim.Millisecond; at += 10 * sim.Millisecond {
+			p.Sim().At(at, func() { c.Live.Heard(1) })
+		}
+		p.Sim().At(200*sim.Millisecond, func() {
+			if st := c.Stats(); st.RetryExtensions == 0 || c.Live.Dead(1) {
+				t.Errorf("at 200ms, while peer 1 is heard: %d extensions, dead=%v; want some and alive",
+					st.RetryExtensions, c.Live.Dead(1))
+			}
+		})
+		pc := v.post(p, 1)
+		waitAll(c, p, []*Call{pc})
+		var pue *PeerUnreachableError
+		if !errors.As(pc.Err(), &pue) || pue.Peer != 1 || pue.Kind != "retry-exhausted" {
+			t.Errorf("verb resolved with %v, want peer 1 unreachable (retry-exhausted)", pc.Err())
+		}
+		if pc.Completed() != 270*sim.Millisecond {
+			t.Errorf("gave up at %v, want 270ms: the first deadline after %v of silence", pc.Completed(), grace)
+		}
+	})
+	if st := c.Stats(); st.RetryExtensions != 4 || st.Retransmits != 7 || len(v.resent) != 7 || !c.Live.Dead(1) {
+		t.Errorf("extensions=%d retransmits=%d resent=%d dead=%v, want 4, 7, 7 and dead",
+			st.RetryExtensions, st.Retransmits, len(v.resent), c.Live.Dead(1))
+	}
+}

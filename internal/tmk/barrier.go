@@ -14,18 +14,9 @@ import (
 // vector clock and the intervals created since the last barrier; the
 // manager merges everything and, when the last arrival lands, releases
 // each client with exactly the intervals that client lacks.
-//
-// As the paper's §5 future-work direction ("scaling a DSM system to a
-// cluster having 256 nodes ... further optimization to communication and
-// synchronization operations"), the barrier optionally runs over a k-ary
-// combining tree (Config.BarrierFanout ≥ 2): each internal node collects
-// its children's arrivals, forwards the merged intervals upward, and
-// fans the release back down — O(log n) critical path instead of the
-// root serving n−1 messages. Fanout 0 (default) is the paper's flat
-// centralized barrier.
 type barrierState struct {
 	episode int32
-	// arrivals holds copies of this episode's children's arrive requests
+	// arrivals holds copies of this episode's clients' arrive requests
 	// (keepRequest); spare is the last episode's storage, which the next
 	// one fills while Barrier still answers from this one's.
 	arrivals []msg.Message
@@ -33,39 +24,10 @@ type barrierState struct {
 	cond     *sim.Cond
 
 	// Causal-view observation (DESIGN.md §13): the context and time of the
-	// latest child arrival, consulted when the releases go out to name
+	// latest client arrival, consulted when the releases go out to name
 	// their enabling cause. Costs no virtual time.
 	lastArrive  trace.Ctx
 	lastArriveT sim.Time
-}
-
-// barrierParent returns the rank this process reports to, or -1 for the
-// root.
-func (tp *Proc) barrierParent() int {
-	if tp.rank == 0 {
-		return -1
-	}
-	k := tp.cluster.cfg.BarrierFanout
-	if k < 2 {
-		return 0 // flat: everyone reports to the root
-	}
-	return (tp.rank - 1) / k
-}
-
-// barrierChildren returns how many ranks report to this process.
-func (tp *Proc) barrierChildren() int {
-	k := tp.cluster.cfg.BarrierFanout
-	if k < 2 {
-		if tp.rank == 0 {
-			return tp.n - 1
-		}
-		return 0
-	}
-	count := 0
-	for c := k*tp.rank + 1; c <= k*tp.rank+k && c < tp.n; c++ {
-		count++
-	}
-	return count
 }
 
 // Barrier blocks until all n processes have reached the same barrier.
@@ -82,97 +44,94 @@ func (tp *Proc) Barrier(id int32) {
 	}
 
 	// The episode counter at entry identifies this crossing cluster-wide
-	// (handleBarrierArrive asserts every arrival matches it); it is only
-	// incremented in phase 3 below.
+	// (handleBarrierArrive asserts every arrival matches it). Both halves
+	// increment it under the mask that ends the epoch, so a released
+	// client's next arrival never meets the old count.
 	ep := tp.barrier.episode
 	tp.observe(event{kind: trace.KindBarrierArrive, id: id, peer: -1, a: int(ep)})
 
-	children := tp.barrierChildren()
-	parent := tp.barrierParent()
-
-	// A parent's diff encoding overlaps its wait for the stragglers instead
-	// of following the last of them.
+	// The manager's diff encoding overlaps its wait for the stragglers
+	// instead of following the last of them.
 	tp.tr.DisableAsync(tp.sp)
 	tp.closeInterval()
 	tp.tr.EnableAsync(tp.sp)
 
-	// Phase 1: wait for all our children to arrive (their intervals are
-	// applied on receipt by the handler).
-	tp.blockedOn = blocked("barrier %d episode %d (awaiting %d arrivals)", int(id), int(ep), children)
-	for len(tp.barrier.arrivals) < children {
+	manager := -1
+	var pIvs, pPgs int
+	if tp.rank != 0 {
+		manager = 0
+		pIvs, pPgs = tp.barrierArrive(id, ep)
+	} else {
+		tp.barrierRelease(id, ep, start)
+	}
+
+	tp.stats.BarrierWait += tp.sp.Now() - start
+	tp.observe(event{kind: trace.KindBarrier, start: start, dur: tp.sp.Now() - start, id: id, peer: manager,
+		a: int(ep), b: pIvs, c: pPgs})
+}
+
+// barrierArrive is a client's half of Barrier: report the intervals
+// created since the last barrier to the manager and apply the release. It
+// returns how many intervals, and page notices in them, it reported.
+func (tp *Proc) barrierArrive(id, ep int32) (ivs, pgs int) {
+	tp.tr.DisableAsync(tp.sp)
+	recs := tp.since(tp.lastBarrierVC)
+	tp.tr.EnableAsync(tp.sp)
+	for _, r := range recs {
+		pgs += len(r.pages)
+	}
+	rep := tp.call(0, blocked("barrier %d episode %d (arrive at parent 0)", int(id), int(ep)),
+		tp.outgoing(msg.Message{
+			Kind:      msg.KBarrierArrive,
+			Barrier:   id,
+			Episode:   ep,
+			VC:        tp.vc.Ints(),
+			Intervals: tp.toWire(recs),
+		}))
+	if rep.Kind != msg.KBarrierRelease {
+		panic(fmt.Sprintf("tmk: bad barrier release %v", rep.Kind))
+	}
+	tp.tr.DisableAsync(tp.sp)
+	tp.applyIntervals(rep.Intervals)
+	tp.endEpoch()
+	tp.barrier.episode++
+	tp.tr.EnableAsync(tp.sp)
+	return len(recs), pgs
+}
+
+// barrierRelease is the manager's half of Barrier: wait for the n−1 client
+// arrivals (their intervals are applied on receipt by the handler), then
+// release each client with exactly what it lacks. For the causal view each
+// release names its enabling cause: the last arrival, or the manager's own
+// timeline if it was itself the straggler. Parenting on the client's own
+// arrival would mis-attribute every client's wait to its own round-trip
+// instead of the straggler's lateness.
+func (tp *Proc) barrierRelease(id, ep int32, start sim.Time) {
+	clients := tp.n - 1
+	tp.blockedOn = blocked("barrier %d episode %d (awaiting %d arrivals)", int(id), int(ep), clients)
+	for len(tp.barrier.arrivals) < clients {
 		tp.sp.WaitOn(tp.barrier.cond)
 	}
 	tp.blockedOn = entity{}
 
+	enabling := trace.Local
+	if tp.barrier.lastArriveT > start {
+		enabling = tp.barrier.lastArrive
+	}
+	// The manager receives no release; whatever enabled the releases is
+	// also what unblocks its mainline after the barrier.
+	tp.observeCausal(trace.KindUnblock, enabling.Span)
+
 	tp.tr.DisableAsync(tp.sp)
 	arrivals := tp.barrier.arrivals
 	tp.barrier.arrivals = tp.barrier.spare[:0]
+	tp.endEpoch()
 	for i := range arrivals {
 		req := &arrivals[i]
 		if req.Barrier != id {
 			panic(fmt.Sprintf("tmk: barrier mismatch: rank %d at %d, child %d at %d",
 				tp.rank, id, req.ReplyTo, req.Barrier))
 		}
-	}
-	tp.tr.EnableAsync(tp.sp)
-
-	// Phase 2: report our subtree's new intervals upward and apply the
-	// release coming back down.
-	var pIvs, pPgs int
-	var releaseCtx trace.Ctx
-	if parent >= 0 {
-		tp.tr.DisableAsync(tp.sp)
-		recs := tp.since(tp.lastBarrierVC)
-		tp.tr.EnableAsync(tp.sp)
-		pIvs = len(recs)
-		for _, r := range recs {
-			pPgs += len(r.pages)
-		}
-		rep := tp.call(parent, blocked("barrier %d episode %d (arrive at parent %d)", int(id), int(ep), parent),
-			tp.outgoing(msg.Message{
-				Kind:      msg.KBarrierArrive,
-				Barrier:   id,
-				Episode:   ep,
-				VC:        tp.vc.Ints(),
-				Intervals: tp.toWire(recs),
-			}))
-		if rep.Kind != msg.KBarrierRelease {
-			panic(fmt.Sprintf("tmk: bad barrier release %v", rep.Kind))
-		}
-		releaseCtx = rep.Ctx
-		tp.tr.DisableAsync(tp.sp)
-		tp.applyIntervals(rep.Intervals)
-		tp.endEpoch()
-		tp.tr.EnableAsync(tp.sp)
-	}
-
-	// Phase 3: release our children with exactly what each lacks. For the
-	// causal view each release names its enabling cause: the release
-	// received from our parent (internal node), the last child arrival (a
-	// root that waited), or the root's own timeline (a root that was
-	// itself the straggler). Parenting on the child's own arrival would
-	// mis-attribute every child's wait to its own round-trip instead of
-	// the straggler's lateness.
-	var enabling trace.Ctx
-	switch {
-	case parent >= 0:
-		enabling = releaseCtx
-	case tp.barrier.lastArriveT > start:
-		enabling = tp.barrier.lastArrive
-	default:
-		enabling = trace.Local
-	}
-	if parent < 0 {
-		// The root receives no release; whatever enabled its own release is
-		// also what unblocks its mainline after the barrier.
-		tp.observeCausal(trace.KindUnblock, enabling.Span)
-	}
-	tp.tr.DisableAsync(tp.sp)
-	if parent < 0 {
-		tp.endEpoch()
-	}
-	for i := range arrivals {
-		req := &arrivals[i]
 		recs := tp.since(VC(req.VC))
 		tp.tr.Reply(tp.sp, req, tp.outgoing(msg.Message{
 			Kind:      msg.KBarrierRelease,
@@ -185,16 +144,12 @@ func (tp *Proc) Barrier(id int32) {
 	tp.barrier.episode++
 	tp.barrier.spare = arrivals
 	tp.tr.EnableAsync(tp.sp)
-
-	tp.stats.BarrierWait += tp.sp.Now() - start
-	tp.observe(event{kind: trace.KindBarrier, start: start, dur: tp.sp.Now() - start, id: id, peer: parent,
-		a: int(ep), b: pIvs, c: pPgs})
 }
 
 // endEpoch fixes the barrier's vector clock. It runs under the mask that
-// applied the release (the root: before it builds any), where tp.vc is the
-// same on every rank; once a child is released and delivery is on, its next
-// arrival can be merged before Barrier returns. A home-based run also drops
+// applied the release (the manager: before it builds any), where tp.vc is
+// the same on every rank; once a client is released and delivery is on, its
+// next arrival can be merged before Barrier returns. A home-based run also drops
 // what nobody can ask for again: every rank is past the previous barrier, so
 // its interval records go, and all but the newest notice per writer up to it
 // (only the newest is ever read).
@@ -212,7 +167,7 @@ func (tp *Proc) endEpoch() {
 	}
 }
 
-// handleBarrierArrive runs at a parent when one of its children arrives.
+// handleBarrierArrive runs at the manager when a client arrives.
 func (tp *Proc) handleBarrierArrive(req *msg.Message) {
 	if req.Episode != tp.barrier.episode {
 		panic(fmt.Sprintf("tmk: barrier episode skew: rank %d at %d, child %d at %d",

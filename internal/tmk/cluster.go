@@ -49,11 +49,6 @@ type Config struct {
 	// a transport implementing substrate.OneSided (TransportRDMAGM).
 	HomeBased bool
 
-	// BarrierFanout selects the barrier topology: 0 or 1 is the paper's
-	// flat centralized barrier at rank 0; k ≥ 2 uses a k-ary combining
-	// tree (the §5 future-work optimization for large clusters).
-	BarrierFanout int
-
 	// Trace, when non-nil, attaches a structured tracer to the run's
 	// simulator: every layer records typed events and metrics into it,
 	// tmk one event per protocol occurrence. The protocol trace

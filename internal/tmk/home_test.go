@@ -233,53 +233,48 @@ func TestHomeFlushEndToEnd(t *testing.T) {
 // by (lastBarrierVC — what the next arrival, the metadata prune and the
 // placement rule all count from) must be the same on every rank after
 // every crossing. It used to be read after delivery was re-enabled, where
-// a root or tree-internal node may already have merged a released child's
-// next arrival. Jacobi's shape at N=64 and 30 ns per point is short enough
-// per sweep for that: a child is back before its parent has released the
-// rest.
+// the manager may already have merged a released client's next arrival.
+// Jacobi's shape at N=64 and 30 ns per point is short enough per sweep for
+// that: a client is back before the manager has released the rest.
 func TestBarrierVCAgreesOnEveryRank(t *testing.T) {
 	const n, grid, sweeps = 16, 64, 8
-	for _, fanout := range []int{0, 2} {
-		for _, kind := range []TransportKind{TransportFastGM, TransportRDMAGM} {
-			t.Run(fmt.Sprintf("%s/fanout%d", kind, fanout), func(t *testing.T) {
-				cfg := DefaultConfig(n, kind)
-				cfg.BarrierFanout = fanout
-				vcs := make([][n]VC, sweeps+1)
-				_, err := Run(cfg, func(tp *Proc) {
-					a, b := tp.AllocShared(grid*grid*8), tp.AllocShared(grid*grid*8)
-					lo := 1 + tp.Rank()*(grid-2)/n
-					hi := 1 + (tp.Rank()+1)*(grid-2)/n
-					tp.Barrier(1)
-					vcs[0][tp.Rank()] = tp.lastBarrierVC.Clone()
-					up, down := make([]float64, grid), make([]float64, grid)
-					for s := 1; s <= sweeps; s++ {
-						for i := lo; i < hi; i++ {
-							tp.ReadF64Span(a, (i-1)*grid, up)
-							tp.ReadF64Span(a, (i+1)*grid, down)
-							row := make([]float64, grid-2)
-							for j := range row {
-								row[j] = (up[j+1] + down[j+1]) / 2
-							}
-							tp.WriteF64Span(b, i*grid+1, row)
+	for _, kind := range []TransportKind{TransportFastGM, TransportRDMAGM} {
+		t.Run(string(kind), func(t *testing.T) {
+			vcs := make([][n]VC, sweeps+1)
+			_, err := Run(DefaultConfig(n, kind), func(tp *Proc) {
+				a, b := tp.AllocShared(grid*grid*8), tp.AllocShared(grid*grid*8)
+				lo := 1 + tp.Rank()*(grid-2)/n
+				hi := 1 + (tp.Rank()+1)*(grid-2)/n
+				tp.Barrier(1)
+				vcs[0][tp.Rank()] = tp.lastBarrierVC.Clone()
+				up, down := make([]float64, grid), make([]float64, grid)
+				for s := 1; s <= sweeps; s++ {
+					for i := lo; i < hi; i++ {
+						tp.ReadF64Span(a, (i-1)*grid, up)
+						tp.ReadF64Span(a, (i+1)*grid, down)
+						row := make([]float64, grid-2)
+						for j := range row {
+							row[j] = (up[j+1] + down[j+1]) / 2
 						}
-						tp.Compute(sim.Time((hi-lo)*(grid-2)) * 30 * sim.Nanosecond)
-						tp.Barrier(int32(1 + s))
-						vcs[s][tp.Rank()] = tp.lastBarrierVC.Clone()
-						a, b = b, a
+						tp.WriteF64Span(b, i*grid+1, row)
 					}
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for s, byRank := range vcs {
-					for rank, vc := range byRank {
-						if fmt.Sprint(vc) != fmt.Sprint(byRank[0]) {
-							t.Fatalf("crossing %d: rank %d remembers the barrier as %v, rank 0 as %v", s, rank, vc, byRank[0])
-						}
-					}
+					tp.Compute(sim.Time((hi-lo)*(grid-2)) * 30 * sim.Nanosecond)
+					tp.Barrier(int32(1 + s))
+					vcs[s][tp.Rank()] = tp.lastBarrierVC.Clone()
+					a, b = b, a
 				}
 			})
-		}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for s, byRank := range vcs {
+				for rank, vc := range byRank {
+					if fmt.Sprint(vc) != fmt.Sprint(byRank[0]) {
+						t.Fatalf("crossing %d: rank %d remembers the barrier as %v, rank 0 as %v", s, rank, vc, byRank[0])
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -194,10 +194,6 @@ func (tp *Proc) mapRegion(r *Region, owned bool) {
 			pm.state = pageReadOnly
 		}
 	}
-	if tp.rank == 0 && !owned {
-		// Rank 0 learned a region distributed by someone else.
-		tp.expectRegion = r.ID + 1
-	}
 	// Replay write notices from intervals learned before the region was
 	// mapped here (possible when Distribute races interval exchange).
 	tp.store.all(func(rec *intervalRec) {

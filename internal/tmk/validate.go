@@ -16,7 +16,7 @@ const (
 	RuleProcs     ConfigRule = "procs"      // at least one process
 	RuleTransport ConfigRule = "transport"  // a substrate that exists
 	RuleHomeBased ConfigRule = "home-based" // HLRC needs one-sided verbs
-	RuleRange     ConfigRule = "range"      // a value its field can hold: BarrierFanout, Scheme, Faults
+	RuleRange     ConfigRule = "range"      // a value its field can hold: Scheme, Faults
 )
 
 // ConfigError is one violated rule.
@@ -68,9 +68,6 @@ func (cfg *Config) Validate() error {
 	}
 	if cfg.HomeBased && cfg.Transport != TransportRDMAGM {
 		bad(RuleHomeBased, "HomeBased requires the one-sided transport rdmagm, got %q", cfg.Transport)
-	}
-	if cfg.BarrierFanout < 0 {
-		bad(RuleRange, "negative BarrierFanout %d", cfg.BarrierFanout)
 	}
 	switch cfg.Scheme {
 	case fastgm.AsyncInterrupt, fastgm.AsyncPollingThread, fastgm.AsyncTimer:

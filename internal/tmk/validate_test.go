@@ -46,8 +46,6 @@ func TestValidateRules(t *testing.T) {
 		{"tmkrun -scenario lockchain -transport bogus", 4, "bogus", nil, []tmk.ConfigRule{tmk.RuleTransport}},
 		{"home-based on a two-sided transport", 4, tmk.TransportFastGM,
 			func(c *tmk.Config) { c.HomeBased = true }, []tmk.ConfigRule{tmk.RuleHomeBased}},
-		{"negative fan-out", 4, tmk.TransportFastGM,
-			func(c *tmk.Config) { c.BarrierFanout = -1 }, []tmk.ConfigRule{tmk.RuleRange}},
 		{"no such async scheme", 4, tmk.TransportFastGM,
 			func(c *tmk.Config) { c.Scheme = 7 }, []tmk.ConfigRule{tmk.RuleRange}},
 		{"drop probability above one", 4, tmk.TransportFastGM,
@@ -61,7 +59,7 @@ func TestValidateRules(t *testing.T) {
 			[]tmk.ConfigRule{tmk.RuleRange}},
 
 		{"four rules at once", 0, "bogus",
-			func(c *tmk.Config) { c.HomeBased = true; c.BarrierFanout = -1 },
+			func(c *tmk.Config) { c.HomeBased = true; c.Scheme = 7 },
 			[]tmk.ConfigRule{tmk.RuleProcs, tmk.RuleTransport, tmk.RuleHomeBased, tmk.RuleRange}},
 	}
 	for _, row := range rows {
@@ -109,8 +107,8 @@ func TestConfigSurface(t *testing.T) {
 		t.Errorf("tmk.Config exposes %d settable feature values, want 8:\n  %s",
 			len(features), strings.Join(features, "\n  "))
 	}
-	if len(all) != 15 {
-		t.Errorf("tmk.Config has %d settable leaves, want 15:\n  %s",
+	if len(all) != 14 {
+		t.Errorf("tmk.Config has %d settable leaves, want 14:\n  %s",
 			len(all), strings.Join(all, "\n  "))
 	}
 }
