@@ -47,14 +47,24 @@ loc:
 # Functions of the protocol engine and the substrates that no tier-1 test
 # executes: merged statement coverage of every test binary, filtered to 0.0%
 # under internal/tmk and internal/substrate (stest is itself test support).
+# `go tool cover -func` prints 0.0% for a function with no statements too
+# (an empty method body), run or not, so a function is listed only when the
+# profile holds a statement between its first line and the next function's.
 # The instrument that finds dead code; it prints, it never gates, and it is
 # not part of `check`. What it lists is either an untested path or a
-# candidate for deletion — today a few one-line accessors and Error methods.
+# candidate for deletion.
 uncovered:
 	@tmp=$$(mktemp); \
 	$(GO) test -count=1 -short -coverpkg=./internal/... -coverprofile=$$tmp ./... > /dev/null; \
-	$(GO) tool cover -func=$$tmp | \
-		awk '$$NF == "0.0%" && $$1 ~ /internal\/(tmk|substrate)\// && $$1 !~ /\/stest\//'; \
+	$(GO) tool cover -func=$$tmp | awk -v prof=$$tmp ' \
+		BEGIN { while ((getline l < prof) > 0) { split(l, b, " "); if (b[2] + 0 > 0) { \
+			sub(/[.][0-9]+,.*/, "", b[1]); split(b[1], at, ":"); \
+			stmt[b[1]] = 1; if (at[2] + 0 > last[at[1]]) last[at[1]] = at[2] + 0 } } } \
+		{ split($$1, at, ":"); n++; file[n] = at[1]; line[n] = at[2]; out[n] = $$0; zero[n] = $$NF == "0.0%" } \
+		END { for (i = 1; i <= n; i++) { \
+			if (!zero[i] || file[i] !~ /internal\/(tmk|substrate)\// || file[i] ~ /\/stest\//) continue; \
+			end = file[i + 1] == file[i] ? line[i + 1] - 1 : last[file[i]]; \
+			for (l = line[i]; l <= end; l++) if ((file[i] ":" l) in stmt) { print out[i]; break } } }'; \
 	rm -f $$tmp
 
 # Where the host bytes of one run of a benchmark workload go (WORKLOAD, one

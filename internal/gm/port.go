@@ -73,8 +73,6 @@ type PortStats struct {
 	Interrupts    int64
 	TokenStalls   int64 // Send calls rejected for lack of tokens
 	BuffersPosted int64
-	Resumes       int64 // re-enables after a timeout disabled the port
-	Aborted       int64 // in-flight sends aborted by a port disable
 }
 
 // Port is one GM communication endpoint on a node.
@@ -131,7 +129,6 @@ func (p *Port) Resume(proc *sim.Proc) {
 	}
 	proc.Advance(p.node.sys.params.ResumeCost)
 	p.enabled = true
-	p.stats.Resumes++
 	p.traceResume()
 }
 
@@ -143,7 +140,6 @@ func (p *Port) ForceResume() {
 		return
 	}
 	p.enabled = true
-	p.stats.Resumes++
 	p.traceResume()
 }
 
@@ -151,7 +147,6 @@ func (p *Port) traceResume() {
 	if tr := p.tracer(); tr != nil {
 		tr.Emit(trace.Event{T: int64(p.node.sys.s.Now()), Layer: trace.LayerGM,
 			Kind: "port-resume", Proc: -1, Peer: int(p.node.id)})
-		tr.Metrics().Counter(trace.LayerGM, "port.resumes").Inc(1)
 	}
 }
 
@@ -344,11 +339,9 @@ func (r *sendRecord) fail(st SendStatus) {
 	cb := r.resolve()
 	defer r.recycle()
 	if st != SendTimedOut {
-		p.stats.Aborted++
 		if tr := p.tracer(); tr != nil {
 			tr.Emit(trace.Event{T: int64(p.node.sys.s.Now()), Layer: trace.LayerGM,
 				Kind: "send-aborted", Proc: -1, Peer: int(p.node.id)})
-			tr.Metrics().Counter(trace.LayerGM, "send.aborted").Inc(1)
 		}
 		if cb != nil {
 			cb(st)
@@ -361,7 +354,6 @@ func (r *sendRecord) fail(st SendStatus) {
 	if tr := p.tracer(); tr != nil {
 		tr.Emit(trace.Event{T: int64(p.node.sys.s.Now()), Layer: trace.LayerGM,
 			Kind: "send-timeout", Proc: -1, Peer: int(p.node.id)})
-		tr.Metrics().Counter(trace.LayerGM, "send.timeouts").Inc(0)
 	}
 	if cb != nil {
 		cb(st)
@@ -378,12 +370,6 @@ func (r *sendRecord) fail(st SendStatus) {
 // this port. It matches a preposted buffer of the exact class or parks.
 func (p *Port) arrive(pm *partialMsg) {
 	class := pm.class
-	if tr := p.tracer(); tr != nil {
-		// Occupancy of this class's prepost pool at arrival: 0 means the
-		// message is about to park — the paper's feared failure mode.
-		tr.Metrics().Histogram(trace.LayerGM,
-			fmt.Sprintf("prepost.class%d", class)).Observe(int64(len(p.posted[class])))
-	}
 	if bufs := p.posted[class]; len(bufs) > 0 {
 		b := bufs[0]
 		p.posted[class] = bufs[:copy(bufs, bufs[1:])]

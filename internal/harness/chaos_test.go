@@ -2,11 +2,13 @@ package harness
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/myrinet"
 	"repro/internal/tmk"
+	"repro/internal/trace"
 )
 
 // TestChaosSweep is the robustness tentpole's end-to-end gate: all four
@@ -101,5 +103,42 @@ func TestChaosSpecFaults(t *testing.T) {
 	zero := myrinet.FaultConfig{}
 	if zero.Enabled() {
 		t.Error("zero FaultConfig reports enabled")
+	}
+}
+
+// TestRegistryHoldsOnlyBenchmarkInputs: the metric registry's one reader
+// is benchmark/run.go's perLayerRows, so a counter key it does not read
+// counts an occurrence a second time beside the Stats field or trace event
+// that records it already. A traced run of every chaos app on all three
+// substrates under the lossy default spec — the runs that reach the
+// recovery paths — registers no counter outside the keys perLayerRows
+// reads (gm's send counters are one per size class, summed by prefix).
+func TestRegistryHoldsOnlyBenchmarkInputs(t *testing.T) {
+	read := []string{
+		"sim/events", "sim/advance", "sim/interrupts",
+		"myrinet/packets",
+		"gm/recv", "gm/nic.interrupts", "gm/token.stalls", "gm/parked",
+		"sockets/datagrams.sent", "sockets/sigio", "sockets/drops",
+	}
+	spec := DefaultChaosSpec()
+	for _, app := range chaosApps() {
+		for _, kind := range AllTransports {
+			tr := trace.New(1)
+			if _, err := VerifiedRun(app, spec.Nodes, kind, func(cfg *tmk.Config) {
+				spec.Mutate(cfg)
+				cfg.Trace = tr
+			}); err != nil {
+				t.Fatalf("%s/%s: %v", app.Name(), kind, err)
+			}
+			reg := tr.Metrics()
+			if reg.Lookup("sim/events") == nil {
+				t.Fatalf("%s/%s: traced run registered no sim/events", app.Name(), kind)
+			}
+			for _, k := range reg.CounterNames() {
+				if !slices.Contains(read, k) && !strings.HasPrefix(k, "gm/send.class") {
+					t.Errorf("%s/%s: counter %q is read by no benchmark row", app.Name(), kind, k)
+				}
+			}
+		}
 	}
 }

@@ -137,13 +137,12 @@ func (f *Fabric) inject(now sim.Time, src, dst NodeID, payload []byte, crc *uint
 	return in
 }
 
-// traceFault records one injected fault as a trace event plus counter.
+// traceFault records one injected fault as a trace event.
 func (f *Fabric) traceFault(kind string, src, dst NodeID, bytes int) {
 	if tr := f.s.Tracer(); tr != nil {
 		tr.Emit(trace.Event{T: int64(f.s.Now()),
 			Layer: trace.LayerMyrinet, Kind: kind,
 			Proc: int(src), Peer: int(dst), Bytes: bytes})
-		tr.Metrics().Counter(trace.LayerMyrinet, "faults."+kind).Inc(1)
 	}
 }
 

@@ -200,10 +200,8 @@ func (p *Proc) EnableInterrupts() {
 	if p.irqMasked && p.maskTraced {
 		p.maskTraced = false
 		if tr := p.s.tracer; tr != nil {
-			d := p.clock - p.maskedAt
-			tr.Emit(trace.Event{T: int64(p.maskedAt), Dur: int64(d),
+			tr.Emit(trace.Event{T: int64(p.maskedAt), Dur: int64(p.clock - p.maskedAt),
 				Layer: trace.LayerSim, Kind: "irq-masked", Proc: p.id, Peer: -1})
-			p.s.tc.maskWindow.Observe(int64(d))
 		}
 	}
 	p.irqMasked = false

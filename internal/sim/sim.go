@@ -34,10 +34,9 @@ type Simulator struct {
 // simCounters caches the scheduler's hot-path registry entries so the
 // per-event and per-Advance hooks cost one nil check and no map lookup.
 type simCounters struct {
-	events     *trace.Counter   // scheduler events dispatched
-	advance    *trace.Counter   // compute charged via Advance
-	interrupts *trace.Counter   // interrupt handlers run
-	maskWindow *trace.Histogram // interrupt-masked window lengths, ns
+	events     *trace.Counter // scheduler events dispatched
+	advance    *trace.Counter // compute charged via Advance
+	interrupts *trace.Counter // interrupt handlers run
 }
 
 // New creates a simulator whose random source is seeded deterministically.
@@ -65,7 +64,6 @@ func (s *Simulator) SetTracer(t *trace.Tracer) {
 		events:     reg.Counter(trace.LayerSim, "events"),
 		advance:    reg.Counter(trace.LayerSim, "advance"),
 		interrupts: reg.Counter(trace.LayerSim, "interrupts"),
-		maskWindow: reg.Histogram(trace.LayerSim, "irq.mask.window.ns"),
 	}
 	for _, p := range s.procs {
 		t.SetThreadName(p.id, p.name)

@@ -71,12 +71,9 @@ var (
 
 // StackStats aggregates node-level socket statistics.
 type StackStats struct {
-	DatagramsSent   int64
 	DatagramsRecvd  int64
 	DatagramsDrop   int64 // dropped: receive buffer overflow
 	DatagramsNoSock int64 // dropped: no socket bound to the port
-	BytesSent       int64
-	BytesRecvd      int64
 	SigiosRaised    int64
 }
 
@@ -231,12 +228,6 @@ func (d *rxDatagram) arrive() {
 	sk.queue = append(sk.queue, d)
 	sk.queuedBytes += n
 	st.stats.DatagramsRecvd++
-	st.stats.BytesRecvd += int64(n)
-	if tr := st.s.Tracer(); tr != nil {
-		reg := tr.Metrics()
-		reg.Counter(trace.LayerSockets, "datagrams.recvd").Inc(int64(n))
-		reg.Histogram(trace.LayerSockets, "recvbuf.occupancy").Observe(int64(sk.queuedBytes))
-	}
 	sk.cond.Broadcast()
 	if st.selCond != nil {
 		st.selCond.Broadcast()
@@ -379,8 +370,6 @@ func (sk *Socket) SendToAux(p *sim.Proc, dst myrinet.NodeID, dstPort int, data, 
 		sim.BytesTime(len(data), CopyBandwidth) +
 		UDPSendProcessing)
 
-	st.stats.DatagramsSent++
-	st.stats.BytesSent += int64(len(data))
 	if tr := st.s.Tracer(); tr != nil {
 		tr.Metrics().Counter(trace.LayerSockets, "datagrams.sent").Inc(int64(len(data)))
 	}

@@ -292,7 +292,7 @@ func (c *Core) stale(p *sim.Proc, from int) {
 	c.stats.StaleReplies++
 	if tr := p.Sim().Tracer(); tr != nil {
 		emit(tr, trace.Event{T: int64(p.Now()), Kind: "stale-reply",
-			Proc: p.ID(), Peer: from}, "stale.replies", 1)
+			Proc: p.ID(), Peer: from})
 	}
 }
 
@@ -331,7 +331,7 @@ func (c *Core) match(p *sim.Proc, m *msg.Message) {
 		}
 		emit(tr, trace.Event{T: int64(pc.issued), Dur: int64(c.ctx(p).arrived - pc.issued),
 			Kind: "call:" + pc.kind.String(), Proc: p.ID(), Peer: pc.dst, Bytes: bytes,
-			Rank: c.rank, B: int(m.Ctx.Span)}, "", 0)
+			Rank: c.rank, B: int(m.Ctx.Span)})
 	}
 }
 
@@ -416,7 +416,7 @@ func (c *Core) giveUp(p *sim.Proc, pc *Call, kind string, attempts int) {
 	c.stats.SendsAbandoned++
 	if tr := p.Sim().Tracer(); tr != nil {
 		emit(tr, trace.Event{T: int64(p.Now()), Kind: "send-abandoned:" + kind,
-			Proc: p.ID(), Peer: pc.dst}, "sends.abandoned", 1)
+			Proc: p.ID(), Peer: pc.dst})
 	}
 	c.Live.DeclareDead(pc.dst, kind, attempts)
 }
@@ -440,7 +440,7 @@ func (c *Core) reissue(p *sim.Proc, pc *Call) {
 		c.stats.Retransmits++
 		if tr != nil {
 			emit(tr, trace.Event{T: int64(t0), Kind: "retransmit",
-				Proc: p.ID(), Peer: pc.dst, Bytes: len(pc.body)}, "retransmits", 0)
+				Proc: p.ID(), Peer: pc.dst, Bytes: len(pc.body)})
 		}
 	}
 	pc.deadline = p.Now() + x.RTO.Delay(pc.attempts+1)

@@ -188,15 +188,12 @@ func KeysWhere[V any](m map[uint32]V, pred func(V) bool) []uint32 {
 	return keys
 }
 
-// emit records one substrate-layer trace event and bumps its counter
-// ("" = event only). Callers check the tracer for nil first, so an event
-// kind built by concatenation costs nothing with tracing off.
-func emit(tr *trace.Tracer, ev trace.Event, counter string, inc int64) {
+// emit records one substrate-layer trace event. Callers check the tracer
+// for nil first, so an event kind built by concatenation costs nothing
+// with tracing off.
+func emit(tr *trace.Tracer, ev trace.Event) {
 	ev.Layer = trace.LayerSubstrate
 	tr.Emit(ev)
-	if counter != "" {
-		tr.Metrics().Counter(trace.LayerSubstrate, counter).Inc(inc)
-	}
 }
 
 // Arrived records that m, whose frame carried aux, arrives now in p's
@@ -222,7 +219,7 @@ func (c *Core) Admit(p *sim.Proc, m *msg.Message, aux []byte, n int) *DupEntry {
 		c.stats.DupRequests++
 		if tr := p.Sim().Tracer(); tr != nil { // A: the copy's span, accepted again
 			emit(tr, trace.Event{T: int64(p.Now()), Kind: "dup-request",
-				Proc: p.ID(), Peer: int(m.From), Bytes: n, A: int(m.Ctx.Span)}, "dup.requests", 1)
+				Proc: p.ID(), Peer: int(m.From), Bytes: n, A: int(m.Ctx.Span)})
 		}
 		return e
 	}
@@ -275,7 +272,7 @@ func (c *Core) Serve(p *sim.Proc, m *msg.Message, n int) {
 	if tr := p.Sim().Tracer(); tr != nil {
 		emit(tr, trace.Event{T: int64(start), Dur: int64(p.Now() - start),
 			Kind: "serve:" + m.Kind.String(), Proc: p.ID(), Peer: int(m.From), Bytes: n,
-			A: int(m.Ctx.Span)}, "", 0)
+			A: int(m.Ctx.Span)})
 	}
 }
 

@@ -469,7 +469,6 @@ func (t *Transport) TakeSendBuffer(p *sim.Proc, pool *SendPool, n int) *gm.Buffe
 		if tr := p.Sim().Tracer(); tr != nil {
 			tr.Emit(trace.Event{T: int64(p.Now()), Layer: trace.LayerSubstrate,
 				Kind: "sendbuf-stall", Proc: p.ID(), Peer: -1})
-			tr.Metrics().Counter(trace.LayerSubstrate, "sendbuf.stalls").Inc(0)
 		}
 		p.WaitOn(pool.cond)
 	}

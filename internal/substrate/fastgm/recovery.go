@@ -82,7 +82,6 @@ func (t *Transport) onSendFailure(ps *pendingSend, st gm.SendStatus) {
 	if tr := t.Proc().Sim().Tracer(); tr != nil {
 		tr.Emit(trace.Event{T: int64(t.Proc().Sim().Now()), Layer: trace.LayerSubstrate,
 			Kind: "gm-send-failed", Proc: -1, Peer: ps.dst, Bytes: ps.n})
-		tr.Metrics().Counter(trace.LayerSubstrate, "gm.send.failures").Inc(1)
 	}
 	t.EnsureResume(ps.port)
 	t.scheduleRetransmit(ps)
@@ -120,7 +119,6 @@ func (ps *pendingSend) resend() {
 	if tr := t.Proc().Sim().Tracer(); tr != nil {
 		tr.Emit(trace.Event{T: int64(t.Proc().Sim().Now()), Layer: trace.LayerSubstrate,
 			Kind: "gm-retransmit", Proc: -1, Peer: ps.dst, Bytes: ps.n})
-		tr.Metrics().Counter(trace.LayerSubstrate, "gm.retransmits").Inc(1)
 	}
 }
 
@@ -146,7 +144,6 @@ func (t *Transport) abandonSend(ps *pendingSend, kind string) {
 	if tr := s.Tracer(); tr != nil {
 		tr.Emit(trace.Event{T: int64(s.Now()), Layer: trace.LayerSubstrate,
 			Kind: "send-abandoned:" + kind, Proc: -1, Peer: dst, Bytes: n})
-		tr.Metrics().Counter(trace.LayerSubstrate, "sends.abandoned").Inc(1)
 	}
 	t.Live.DeclareDead(dst, kind, attempts)
 }
@@ -182,7 +179,6 @@ func (t *Transport) EnsureResume(port *gm.Port) {
 		if tr := s.Tracer(); tr != nil {
 			tr.Emit(trace.Event{T: int64(s.Now()), Layer: trace.LayerSubstrate,
 				Kind: "transport-resume", Proc: -1, Peer: t.Rank()})
-			tr.Metrics().Counter(trace.LayerSubstrate, "port.resumes").Inc(1)
 		}
 		t.portCond.Broadcast()
 	})
@@ -203,7 +199,6 @@ func (t *Transport) rejectFrame(p *sim.Proc, rv *gm.Recv, why string) {
 	if tr := p.Sim().Tracer(); tr != nil {
 		tr.Emit(trace.Event{T: int64(p.Now()), Layer: trace.LayerSubstrate,
 			Kind: "frame-reject:" + why, Proc: p.ID(), Peer: int(rv.From), Bytes: len(rv.Data)})
-		tr.Metrics().Counter(trace.LayerSubstrate, "frame.rejects").Inc(1)
 	}
 	t.asyncPort.ProvideReceiveBuffer(rv.Buffer)
 }

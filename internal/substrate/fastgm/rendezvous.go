@@ -62,7 +62,6 @@ func (rv *rendezvousState) sendLarge(p *sim.Proc, dst, dstPort int, body, aux []
 	if tr := p.Sim().Tracer(); tr != nil {
 		tr.Emit(trace.Event{T: int64(p.Now()), Layer: trace.LayerSubstrate,
 			Kind: "rendezvous-rts", Proc: p.ID(), Peer: dst, Bytes: len(body)})
-		tr.Metrics().Counter(trace.LayerSubstrate, "rendezvous.rts").Inc(int64(len(body)))
 	}
 	id := rv.nextID
 	rv.nextID++

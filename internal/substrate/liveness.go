@@ -68,8 +68,7 @@ func (lv *Liveness) DeclareDead(peer int, kind string, attempts int) {
 	}
 	s := c.proc.Sim()
 	if tr := s.Tracer(); tr != nil {
-		emit(tr, trace.Event{T: int64(s.Now()), Kind: "peer-dead:" + kind, Proc: -1, Peer: peer},
-			"peers.dead", 1)
+		emit(tr, trace.Event{T: int64(s.Now()), Kind: "peer-dead:" + kind, Proc: -1, Peer: peer})
 	}
 	c.peerGone(err)
 	if lv.onDead != nil {

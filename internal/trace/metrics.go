@@ -1,11 +1,8 @@
 package trace
 
 import (
-	"fmt"
-	"io"
-	"math"
-	"math/bits"
-	"sort"
+	"maps"
+	"slices"
 )
 
 // Counter is a monotonic event count with an associated magnitude sum
@@ -24,85 +21,25 @@ func (c *Counter) Add(n, sum int64) {
 // Inc records one occurrence of magnitude v.
 func (c *Counter) Inc(v int64) { c.Add(1, v) }
 
-// Histogram counts observations in power-of-two buckets: bucket i holds
-// values whose bit length is i (bucket 0 holds zero and negatives), so
-// bucket i covers [2^(i-1), 2^i). Good enough resolution for size-class
-// and occupancy distributions without any configuration.
+// Histogram is a count and a sum of observed values.
 type Histogram struct {
-	Buckets [65]int64
-	N       int64
-	Sum     int64
-	Max     int64
+	N   int64
+	Sum int64
 }
 
 // Observe records one value.
 func (h *Histogram) Observe(v int64) {
 	h.N++
 	h.Sum += v
-	if v > h.Max {
-		h.Max = v
-	}
-	if v <= 0 {
-		h.Buckets[0]++
-		return
-	}
-	h.Buckets[bits.Len64(uint64(v))]++
 }
-
-// Mean returns the average observed value, 0 when empty.
-func (h *Histogram) Mean() float64 {
-	if h.N == 0 {
-		return 0
-	}
-	return float64(h.Sum) / float64(h.N)
-}
-
-// Percentile returns an upper bound for the q-th quantile (0 < q ≤ 1)
-// under nearest-rank semantics: the upper edge of the power-of-two bucket
-// holding the ranked observation, clamped to the exact Max. The bound is
-// within 2× of the true value — enough to expose tail/median separation
-// (a lock-wait distribution whose p95 is 100× its p50) that Mean hides.
-func (h *Histogram) Percentile(q float64) int64 {
-	if h.N == 0 {
-		return 0
-	}
-	rank := int64(math.Ceil(q * float64(h.N)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > h.N {
-		rank = h.N
-	}
-	var cum int64
-	for i, b := range h.Buckets {
-		cum += b
-		if cum >= rank {
-			if i == 0 {
-				return 0
-			}
-			ub := int64(1)<<uint(i) - 1 // top of [2^(i-1), 2^i)
-			if ub > h.Max {
-				ub = h.Max
-			}
-			return ub
-		}
-	}
-	return h.Max
-}
-
-// P50 returns the (bucketed) median.
-func (h *Histogram) P50() int64 { return h.Percentile(0.50) }
-
-// P95 returns the (bucketed) 95th percentile.
-func (h *Histogram) P95() int64 { return h.Percentile(0.95) }
-
-// P99 returns the (bucketed) 99th percentile.
-func (h *Histogram) P99() int64 { return h.Percentile(0.99) }
 
 // Registry holds a simulation's counters and histograms, keyed by
-// (layer, name). Lookup creates on first use, so instrumentation sites
-// never need registration boilerplate; hot paths should capture the
-// returned pointer once instead of re-looking-up per event.
+// (layer, name). It holds only what the benchmark's per-layer rows read
+// (benchmark/run.go, perLayerRows), its one reader: an occurrence nothing
+// reads is recorded by its layer's Stats field or trace event alone.
+// Lookup creates on first use, so instrumentation sites never need
+// registration boilerplate; hot paths should capture the returned pointer
+// once instead of re-looking-up per event.
 type Registry struct {
 	counters map[string]*Counter
 	hists    map[string]*Histogram
@@ -138,45 +75,10 @@ func (r *Registry) Histogram(layer, name string) *Histogram {
 }
 
 // CounterNames returns every counter key ("layer/name"), sorted.
-func (r *Registry) CounterNames() []string { return sortedKeys(r.counters) }
-
-// HistogramNames returns every histogram key ("layer/name"), sorted.
-func (r *Registry) HistogramNames() []string { return sortedKeys(r.hists) }
+func (r *Registry) CounterNames() []string { return slices.Sorted(maps.Keys(r.counters)) }
 
 // Lookup returns the counter for key ("layer/name") or nil.
 func (r *Registry) Lookup(key string) *Counter { return r.counters[key] }
 
 // LookupHistogram returns the histogram for key ("layer/name") or nil.
 func (r *Registry) LookupHistogram(key string) *Histogram { return r.hists[key] }
-
-// WriteTo dumps every metric in deterministic (sorted) order.
-func (r *Registry) WriteTo(w io.Writer) (int64, error) {
-	var total int64
-	for _, k := range r.CounterNames() {
-		c := r.counters[k]
-		n, err := fmt.Fprintf(w, "counter %-40s n=%-10d sum=%d\n", k, c.N, c.Sum)
-		total += int64(n)
-		if err != nil {
-			return total, err
-		}
-	}
-	for _, k := range r.HistogramNames() {
-		h := r.hists[k]
-		n, err := fmt.Fprintf(w, "hist    %-40s n=%-10d mean=%.1f p50=%d p95=%d p99=%d max=%d\n",
-			k, h.N, h.Mean(), h.P50(), h.P95(), h.P99(), h.Max)
-		total += int64(n)
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
-}

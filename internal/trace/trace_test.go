@@ -68,27 +68,22 @@ func TestRegistryCountersAndHistograms(t *testing.T) {
 	if got := tr.Metrics().Counter(LayerGM, "send.class5"); got != c || got.N != 3 || got.Sum != 96 {
 		t.Fatalf("counter = %+v", got)
 	}
-	h := tr.Metrics().Histogram(LayerGM, "prepost")
+	if got := tr.Metrics().Lookup("gm/send.class5"); got != c {
+		t.Fatalf("Lookup = %p, want %p", got, c)
+	}
+	if got := tr.Metrics().Lookup("gm/absent"); got != nil {
+		t.Fatalf("Lookup of an absent key = %+v", got)
+	}
+	h := tr.Metrics().Histogram(LayerMyrinet, "txlink.occupancy.ns")
 	for _, v := range []int64{0, 1, 2, 3, 4, 1000} {
 		h.Observe(v)
 	}
-	if h.N != 6 || h.Sum != 1010 || h.Max != 1000 {
-		t.Fatalf("hist = %+v", h)
-	}
-	// 0→bucket0, 1→bucket1, 2,3→bucket2, 4→bucket3, 1000→bucket10.
-	if h.Buckets[0] != 1 || h.Buckets[1] != 1 || h.Buckets[2] != 2 || h.Buckets[3] != 1 || h.Buckets[10] != 1 {
-		t.Fatalf("buckets = %v", h.Buckets[:12])
+	if got := tr.Metrics().LookupHistogram("myrinet/txlink.occupancy.ns"); got != h || got.N != 6 || got.Sum != 1010 {
+		t.Fatalf("hist = %+v", got)
 	}
 	names := tr.Metrics().CounterNames()
 	if len(names) != 1 || names[0] != "gm/send.class5" {
 		t.Fatalf("counter names = %v", names)
-	}
-	var buf bytes.Buffer
-	if _, err := tr.Metrics().WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "gm/send.class5") || !strings.Contains(buf.String(), "gm/prepost") {
-		t.Fatalf("metrics dump missing keys:\n%s", buf.String())
 	}
 }
 
@@ -171,53 +166,6 @@ func TestWriteChromeTraceEmpty(t *testing.T) {
 	}
 	if len(f.TraceEvents) != 0 {
 		t.Fatalf("want no events, got %d", len(f.TraceEvents))
-	}
-}
-
-func TestHistogramPercentiles(t *testing.T) {
-	var h Histogram
-	if h.P50() != 0 || h.P95() != 0 {
-		t.Fatalf("empty histogram percentiles nonzero: p50=%d p95=%d", h.P50(), h.P95())
-	}
-	// 19 observations at 3 (bucket 2: [2,4)) and one huge outlier.
-	for i := 0; i < 19; i++ {
-		h.Observe(3)
-	}
-	h.Observe(1 << 20)
-	// p50 lands in bucket 2, whose upper edge is 3.
-	if got := h.P50(); got != 3 {
-		t.Errorf("P50 = %d, want 3", got)
-	}
-	// p95 (rank 19 of 20) is still in the small bucket; p99 hits the outlier.
-	if got := h.P95(); got != 3 {
-		t.Errorf("P95 = %d, want 3", got)
-	}
-	if got := h.Percentile(0.999); got != 1<<20 {
-		t.Errorf("P99.9 = %d, want %d (clamped to Max)", got, 1<<20)
-	}
-	// Zero-only histogram stays in bucket 0.
-	var z Histogram
-	z.Observe(0)
-	if z.P50() != 0 || z.P95() != 0 {
-		t.Errorf("zero histogram percentiles: p50=%d p95=%d", z.P50(), z.P95())
-	}
-}
-
-func TestRegistryWriteToIncludesPercentiles(t *testing.T) {
-	tr := New(1)
-	h := tr.Metrics().Histogram(LayerTMK, "lock.wait")
-	for i := 0; i < 10; i++ {
-		h.Observe(100)
-	}
-	var buf bytes.Buffer
-	if _, err := tr.Metrics().WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"p50=", "p95=", "max=100"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("WriteTo missing %q:\n%s", want, out)
-		}
 	}
 }
 
