@@ -62,7 +62,7 @@ uncovered:
 			stmt[b[1]] = 1; if (at[2] + 0 > last[at[1]]) last[at[1]] = at[2] + 0 } } } \
 		{ split($$1, at, ":"); n++; file[n] = at[1]; line[n] = at[2]; out[n] = $$0; zero[n] = $$NF == "0.0%" } \
 		END { for (i = 1; i <= n; i++) { \
-			if (!zero[i] || file[i] !~ /internal\/(tmk|substrate)\// || file[i] ~ /\/stest\//) continue; \
+			if (!zero[i] || file[i] !~ /internal\/(tmk|substrate|gm|myrinet|sockets|sim|msg|trace)\// || file[i] ~ /\/stest\//) continue; \
 			end = file[i + 1] == file[i] ? line[i + 1] - 1 : last[file[i]]; \
 			for (l = line[i]; l <= end; l++) if ((file[i] ":" l) in stmt) { print out[i]; break } } }'; \
 	rm -f $$tmp
@@ -201,7 +201,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSendArena$$' -fuzztime $(FUZZTIME) ./internal/substrate/fastgm/
 	$(GO) test -run '^$$' -fuzz '^FuzzHandleVerbFrame$$' -fuzztime $(FUZZTIME) ./internal/substrate/rdmagm/
 	$(GO) test -run '^$$' -fuzz '^FuzzHandleCompletion$$' -fuzztime $(FUZZTIME) ./internal/substrate/rdmagm/
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCtx$$' -fuzztime $(FUZZTIME) ./internal/trace/
 
 # Chaos sweep: all four applications on the two-sided substrates (udpgm,
 # fastgm; harness.Transports) over a seeded lossy fabric (drop, corruption, latency spikes, a timed blackout),

@@ -967,7 +967,7 @@ func TestLateAcceptCannotCompleteReusedRecord(t *testing.T) {
 	}
 	reuse := func() {
 		pa.ForceResume()
-		if err := pa.SendFromKernelAux(1, 3, out, 8, nil, newer); err != nil {
+		if err := pa.SendFromKernel(1, 3, out, 8, 0, newer); err != nil {
 			t.Fatal(err)
 		}
 		second = pa.inflight[0]

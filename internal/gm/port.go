@@ -59,7 +59,7 @@ type Recv struct {
 	Class    int
 	Data     []byte  // length = message length; aliases Buffer storage
 	Buffer   *Buffer // the preposted buffer the message landed in
-	Aux      []byte  // uncharged envelope metadata (causal trace context), or nil
+	Span     uint64  // uncharged envelope metadata (causal trace span), or 0
 }
 
 // PortStats counts port-level activity.
@@ -201,26 +201,26 @@ func (p *Port) ProvideReceiveBuffers(bufs []Buffer) {
 // The data is copied out of b before Send returns, so b may be reused as
 // soon as cb fires (GM's contract).
 func (p *Port) Send(proc *sim.Proc, dst myrinet.NodeID, dstPort int, b *Buffer, n int, cb SendCallback) error {
-	return p.send(proc, dst, dstPort, b, n, nil, cb)
+	return p.send(proc, dst, dstPort, b, n, 0, cb)
 }
 
-// SendAux is Send with uncharged envelope metadata attached: aux rides
-// the message outside the billed payload (observation only — it adds no
-// bytes to any fragment and no virtual time to any charge) and surfaces
-// as Recv.Aux at the receiver. Retransmissions of the same logical
-// message must resend the same aux.
-func (p *Port) SendAux(proc *sim.Proc, dst myrinet.NodeID, dstPort int, b *Buffer, n int, aux []byte, cb SendCallback) error {
-	return p.send(proc, dst, dstPort, b, n, aux, cb)
+// SendSpan is Send carrying a causal trace span: the span rides the
+// message outside the billed payload (observation only — it adds no bytes
+// to any fragment and no virtual time to any charge) and surfaces as
+// Recv.Span at the receiver. Retransmissions of the same logical message
+// must resend the same span.
+func (p *Port) SendSpan(proc *sim.Proc, dst myrinet.NodeID, dstPort int, b *Buffer, n int, span uint64, cb SendCallback) error {
+	return p.send(proc, dst, dstPort, b, n, span, cb)
 }
 
-// SendFromKernelAux is SendAux issued from kernel context: no process is
+// SendFromKernel is SendSpan issued from kernel context: no process is
 // charged the host send overhead (the syscall path already accounted for
 // it, or the send happens from a completion handler on the event clock).
-func (p *Port) SendFromKernelAux(dst myrinet.NodeID, dstPort int, b *Buffer, n int, aux []byte, cb SendCallback) error {
-	return p.send(nil, dst, dstPort, b, n, aux, cb)
+func (p *Port) SendFromKernel(dst myrinet.NodeID, dstPort int, b *Buffer, n int, span uint64, cb SendCallback) error {
+	return p.send(nil, dst, dstPort, b, n, span, cb)
 }
 
-func (p *Port) send(proc *sim.Proc, dst myrinet.NodeID, dstPort int, b *Buffer, n int, aux []byte, cb SendCallback) error {
+func (p *Port) send(proc *sim.Proc, dst myrinet.NodeID, dstPort int, b *Buffer, n int, span uint64, cb SendCallback) error {
 	params := p.node.sys.params
 	if !p.enabled {
 		return ErrPortDisabled
@@ -255,7 +255,7 @@ func (p *Port) send(proc *sim.Proc, dst myrinet.NodeID, dstPort int, b *Buffer, 
 	}
 
 	rec := p.record()
-	rec.cb, rec.class, rec.aux = cb, class, aux
+	rec.cb, rec.class, rec.span = cb, class, span
 	p.inflight = append(p.inflight, rec)
 	p.node.nextMsgID++
 	rec.msgID = p.node.nextMsgID
@@ -416,7 +416,7 @@ func (p *Port) accept(pm *partialMsg, b *Buffer) {
 		Class:    pm.class,
 		Data:     data,
 		Buffer:   b,
-		Aux:      pm.aux,
+		Span:     pm.span,
 	}
 	p.stats.Received++
 	p.stats.RecvBytes += int64(len(data))

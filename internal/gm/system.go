@@ -41,9 +41,6 @@ func NewSystem(s *sim.Simulator, fabric *myrinet.Fabric, params Params) *System 
 // Params returns the GM cost model in use.
 func (sys *System) Params() Params { return sys.params }
 
-// Nodes returns the node count.
-func (sys *System) Nodes() int { return len(sys.nodes) }
-
 // Node returns the GM endpoint for a node ID.
 func (sys *System) Node(id myrinet.NodeID) *Node { return sys.nodes[id] }
 
@@ -68,7 +65,7 @@ type reassemblyKey struct {
 // partialMsg is one message at the receiving node: its fragments being
 // reassembled (a multi-fragment one in the node's reassembly map), then,
 // complete, parked on its port until a buffer of its class is posted. What
-// the receiver needs of the sender's record — class, source port, aux — is
+// the receiver needs of the sender's record — class, source port, span — is
 // copied here at the first fragment, while the record is certainly the
 // sender's still; the record itself is kept only to acknowledge it, and
 // only if it still holds msgID. The node reuses it, data buffer and all,
@@ -81,7 +78,7 @@ type partialMsg struct {
 	dstPort  int
 	class    int
 	srcPort  int
-	aux      []byte
+	span     uint64
 	rec      *sendRecord
 
 	port    *Port      // where it is parked
@@ -183,16 +180,16 @@ func (n *Node) partial(pkt *myrinet.Packet, rec *sendRecord) *partialMsg {
 	}
 	pm.src, pm.msgID, pm.dstPort, pm.received = pkt.Src, pkt.MsgID, pkt.DstPort, 0
 	pm.data = slices.Grow(pm.data[:0], pkt.MsgLen)[:pkt.MsgLen]
-	pm.class, pm.srcPort, pm.aux, pm.rec = 0, 0, nil, rec
+	pm.class, pm.srcPort, pm.span, pm.rec = 0, 0, 0, rec
 	if rec != nil {
-		pm.class, pm.srcPort, pm.aux = rec.class, rec.port.id, rec.aux
+		pm.class, pm.srcPort, pm.span = rec.class, rec.port.id, rec.span
 	}
 	return pm
 }
 
 // recycle returns a reassembly record no one holds any more.
 func (n *Node) recycle(pm *partialMsg) {
-	pm.aux, pm.rec, pm.port = nil, nil, nil
+	pm.rec, pm.port = nil, nil
 	n.free = append(n.free, pm)
 }
 
@@ -209,7 +206,7 @@ type sendRecord struct {
 	cb    SendCallback
 	msgID uint64
 	class int    // receive size class, derived from the length
-	aux   []byte // uncharged observation metadata (causal trace context)
+	span  uint64 // uncharged observation metadata (causal trace span)
 
 	timeout *sim.Event // the resend timeout (a Timer), until resolved
 	wire    int        // fragments sent and not yet landed at the receiver
@@ -229,7 +226,7 @@ func (r *sendRecord) landed() {
 // recycle returns the record to its port once nothing can reach it.
 func (r *sendRecord) recycle() {
 	if r.done && r.wire == 0 && !r.ackDue {
-		r.cb, r.aux = nil, nil
+		r.cb = nil
 		r.port.free = append(r.port.free, r)
 	}
 }

@@ -26,10 +26,10 @@ func smallApps() []apps.App {
 
 // TestCausalContextDoesNotPerturbResults extends the tracing-on/off
 // determinism regression to the causal collector: attaching one — which
-// makes every frame carry a 14-byte context in its envelope metadata —
-// must leave virtual end times and every protocol/transport counter
-// bit-identical on all three substrates, because the context rides the
-// aux channel (unbilled metadata), never the charged payload.
+// makes every frame carry its span in its envelope metadata — must leave
+// virtual end times and every protocol/transport counter bit-identical on
+// all three substrates, because the span rides beside the frame (unbilled
+// metadata), never in the charged payload.
 func TestCausalContextDoesNotPerturbResults(t *testing.T) {
 	for _, app := range smallApps() {
 		for _, kind := range AllTransports {
@@ -123,7 +123,9 @@ func TestCriticalPathSumsToEndToEnd(t *testing.T) {
 
 // TestCriticalSmokeSORFastGM is the `make critical-smoke` entry point:
 // one SOR run over FAST/GM must yield a non-empty critical path whose
-// attributions sum to the end-to-end virtual time.
+// attributions sum to the end-to-end virtual time, and whose rendering
+// (tmkrun -critical's) opens with the header and closes the category
+// table on the whole of it.
 func TestCriticalSmokeSORFastGM(t *testing.T) {
 	app := &apps.SOR{M: 64, N: 32, Iters: 3, Omega: 1.25, CostPerPoint: 35 * sim.Nanosecond}
 	cz := trace.NewCausal()
@@ -138,6 +140,16 @@ func TestCriticalSmokeSORFastGM(t *testing.T) {
 	}
 	if cp.Total() != cp.EndT {
 		t.Fatalf("segments sum to %d, end-to-end is %d", cp.Total(), cp.EndT)
+	}
+	var out strings.Builder
+	if err := trace.WriteCriticalPath(&out, "critical path", cp, 3); err != nil {
+		t.Fatal(err)
+	}
+	text := out.String()
+	total := fmt.Sprintf("  %-20s %12.3f %6.1f%%\n", "total", float64(cp.EndT)/1e6, 100.0)
+	if !strings.HasPrefix(text, "critical path: end rank ") || !strings.Contains(text, total) ||
+		!strings.Contains(text, "heaviest segments (3 of ") {
+		t.Errorf("rendered critical path:\n%s", text)
 	}
 }
 
@@ -295,6 +307,23 @@ func TestLockChainOnCriticalPath(t *testing.T) {
 	}
 }
 
+// causalVariant is one substrate configuration the DAG integrity test
+// runs: every substrate, and FAST/GM with rendezvous, whose data frame is
+// staged apart from the request it carries.
+type causalVariant struct {
+	name       string
+	kind       tmk.TransportKind
+	rendezvous bool
+}
+
+func causalVariants() []causalVariant {
+	var vs []causalVariant
+	for _, kind := range AllTransports {
+		vs = append(vs, causalVariant{name: string(kind), kind: kind})
+	}
+	return append(vs, causalVariant{name: "fastgm-rendezvous", kind: tmk.TransportFastGM, rendezvous: true})
+}
+
 // TestCausalDAGIntegrityUnderChaos runs a seeded lossy fabric (drop,
 // corruption, jitter, a blackout window) with the collector attached
 // and holds the DAG to its integrity invariants: duplicate frames from
@@ -302,81 +331,134 @@ func TestLockChainOnCriticalPath(t *testing.T) {
 // reply edge has a matching accepted request edge, and every parent
 // pointer resolves to an earlier-sent edge — no orphan spans.
 //
-// The duplicate-arrival expectation is per-transport: UDP/GM retries
-// whole requests on a timer, so a lost reply means the original request
-// is redelivered and must be suppressed; FAST/GM's GM layer reports
-// undelivered frames as failures (retransmission is first delivery, not
-// a duplicate), so there the invariant is retransmission activity with
-// zero duplicate edges.
+// A resent frame keeps its span (DESIGN.md §13.2): every reply, forward
+// and completion but a barrier release (whose parent is the enabling
+// arrival, or none) names a parent accepted no later than it was sent. A
+// retransmission that lost its span leaves the copy that got through
+// unaccepted and what answers it parentless. On UDP/GM, which retries
+// whole requests on a timer, every redelivered request is a duplicate
+// acceptance of its span. FAST/GM's GM layer reports undelivered frames
+// as failures (retransmission is first delivery, not a duplicate), so
+// there the invariant is retransmission activity with zero duplicate
+// edges. The clean case runs all four applications on every variant and
+// requires every edge accepted.
 func TestCausalDAGIntegrityUnderChaos(t *testing.T) {
 	spec := DefaultChaosSpec()
 	// Crank the loss past the sweep default so the retransmission paths
 	// fire many times even on these tiny runs.
 	spec.Drop = 0.08
 	app := &apps.SOR{M: 64, N: 32, Iters: 6, Omega: 1.25, CostPerPoint: 35 * sim.Nanosecond}
-	for _, kind := range Transports {
-		t.Run(string(kind), func(t *testing.T) {
+	for _, v := range causalVariants() {
+		t.Run(v.name, func(t *testing.T) {
 			cz := trace.NewCausal()
-			res, err := RunApp(app, spec.Nodes, kind, func(cfg *tmk.Config) {
+			res, err := RunApp(app, spec.Nodes, v.kind, func(cfg *tmk.Config) {
 				spec.Mutate(cfg)
+				cfg.Rendezvous = v.rendezvous
 				cfg.Causal = cz
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			switch kind {
+			switch v.kind {
 			case tmk.TransportUDPGM:
 				if cz.DupArrivals() == 0 {
 					t.Error("chaos run produced no duplicate arrivals — suppression path untested")
 				}
+				if cz.DupArrivals() < res.Transport.DupRequests {
+					t.Errorf("%d duplicate arrivals for %d duplicate requests: a redelivered request lost its span",
+						cz.DupArrivals(), res.Transport.DupRequests)
+				}
 				if res.Transport.Retransmits == 0 {
 					t.Error("no UDP retransmissions despite injected loss")
 				}
-			case tmk.TransportFastGM:
+			default:
 				if res.Transport.GMRetransmits == 0 {
 					t.Error("no GM retransmissions despite injected loss")
 				}
 			}
-			edges := cz.Edges()
-			reqArrivedFrom := map[int]bool{}
-			type sig struct {
-				kind     string
-				from, to int
-				sendT    int64
-				parent   uint64
-			}
-			seen := map[sig]int{}
-			for _, e := range edges {
-				seen[sig{e.Kind, e.From, e.To, e.SendT, e.Parent}]++
-				if e.Arrived() && (strings.HasPrefix(e.Kind, "req:") || strings.HasPrefix(e.Kind, "fwd:")) {
-					reqArrivedFrom[e.From] = true
-				}
-				if e.Parent != 0 {
-					p := findEdge(edges, e.Parent)
-					if p == nil {
-						t.Fatalf("edge %d (%s) has dangling parent %d", e.ID, e.Kind, e.Parent)
-					}
-					if p.SendT > e.SendT {
-						t.Errorf("edge %d (%s) sent at %d before its parent %d (%s) at %d",
-							e.ID, e.Kind, e.SendT, p.ID, p.Kind, p.SendT)
-					}
-				}
-			}
-			for s, n := range seen {
-				if n > 1 {
-					t.Errorf("duplicate edge recorded %d times: %+v", n, s)
-				}
-			}
-			for _, e := range edges {
-				if !e.Arrived() || !strings.HasPrefix(e.Kind, "rep:") {
-					continue
-				}
-				if !reqArrivedFrom[e.To] {
-					t.Errorf("reply edge %d (%s) to rank %d has no accepted request from that rank",
-						e.ID, e.Kind, e.To)
-				}
-			}
+			checkCausalDAG(t, cz.Edges())
 		})
+	}
+	for _, a := range smallApps() {
+		for _, v := range causalVariants() {
+			t.Run("clean/"+a.Name()+"/"+v.name, func(t *testing.T) {
+				cz := trace.NewCausal()
+				if _, err := RunApp(a, 4, v.kind, func(cfg *tmk.Config) {
+					cfg.Rendezvous = v.rendezvous
+					cfg.Causal = cz
+				}); err != nil {
+					t.Fatal(err)
+				}
+				edges := cz.Edges()
+				unaccepted := 0
+				for _, e := range edges {
+					if !e.Arrived() {
+						unaccepted++
+					}
+				}
+				if unaccepted > 0 {
+					t.Errorf("%d of %d edges never accepted on a clean fabric", unaccepted, len(edges))
+				}
+				checkCausalDAG(t, edges)
+			})
+		}
+	}
+}
+
+// checkCausalDAG holds edges to TestCausalDAGIntegrityUnderChaos's
+// invariants.
+func checkCausalDAG(t *testing.T, edges []trace.CausalEdge) {
+	t.Helper()
+	reqArrivedFrom := map[int]bool{}
+	type sig struct {
+		kind     string
+		from, to int
+		sendT    int64
+		parent   uint64
+	}
+	seen := map[sig]int{}
+	unparented := 0
+	for _, e := range edges {
+		seen[sig{e.Kind, e.From, e.To, e.SendT, e.Parent}]++
+		if e.Arrived() && (strings.HasPrefix(e.Kind, "req:") || strings.HasPrefix(e.Kind, "fwd:")) {
+			reqArrivedFrom[e.From] = true
+		}
+		var p *trace.CausalEdge
+		if e.Parent != 0 {
+			p = findEdge(edges, e.Parent)
+			if p == nil {
+				t.Fatalf("edge %d (%s) has dangling parent %d", e.ID, e.Kind, e.Parent)
+			}
+			if p.SendT > e.SendT {
+				t.Errorf("edge %d (%s) sent at %d before its parent %d (%s) at %d",
+					e.ID, e.Kind, e.SendT, p.ID, p.Kind, p.SendT)
+			}
+		}
+		answers := strings.HasPrefix(e.Kind, "rep:") || strings.HasPrefix(e.Kind, "fwd:") ||
+			strings.HasPrefix(e.Kind, "comp:")
+		if answers && e.Kind != "rep:barrier-release" && (p == nil || !p.Arrived() || p.RecvT > e.SendT) {
+			if unparented++; unparented <= 5 {
+				t.Errorf("edge %d (%s, %d->%d, sent at %d) names parent %d, not a frame accepted by then",
+					e.ID, e.Kind, e.From, e.To, e.SendT, e.Parent)
+			}
+		}
+	}
+	if unparented > 5 {
+		t.Errorf("%d answering edges in all name no accepted parent", unparented)
+	}
+	for s, n := range seen {
+		if n > 1 {
+			t.Errorf("duplicate edge recorded %d times: %+v", n, s)
+		}
+	}
+	for _, e := range edges {
+		if !e.Arrived() || !strings.HasPrefix(e.Kind, "rep:") {
+			continue
+		}
+		if !reqArrivedFrom[e.To] {
+			t.Errorf("reply edge %d (%s) to rank %d has no accepted request from that rank",
+				e.ID, e.Kind, e.To)
+		}
 	}
 }
 

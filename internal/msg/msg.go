@@ -10,8 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"repro/internal/trace"
 )
 
 // Kind discriminates protocol messages.
@@ -125,13 +123,14 @@ type Message struct {
 	From    int32  // sending process
 	ReplyTo int32  // process the reply must go to (survives forwarding)
 
-	// Ctx is the causal trace context (DESIGN.md §13). It is message-level
-	// header state, not payload: transports carry its canonical wire form
-	// (trace.EncodeCtx) as uncharged envelope metadata, stamp it here on
-	// receive, and read it to parent the edges of replies and forwards.
-	// Encode/Decode deliberately ignore it — billing it would perturb the
-	// measurement, and tracing must be bit-identical on/off.
-	Ctx trace.Ctx
+	// Span is the causal trace span of the frame that carried the message
+	// (DESIGN.md §13), 0 for none. It is message-level header state, not
+	// payload: transports carry it beside the frame as uncharged envelope
+	// metadata, stamp it here on receive, and read it to parent the edges
+	// of replies and forwards. Encode/Decode deliberately ignore it —
+	// billing it would perturb the measurement, and tracing must be
+	// bit-identical on/off.
+	Span uint64
 
 	Lock    int32
 	Barrier int32

@@ -155,9 +155,6 @@ func packetCRC(payload []byte) uint32 { return crc32.ChecksumIEEE(payload) }
 // FaultStats returns a copy of the fabric-wide fault counters.
 func (f *Fabric) FaultStats() FaultStats { return f.fstats }
 
-// Faults returns the active fault configuration.
-func (f *Fabric) Faults() FaultConfig { return f.faults }
-
 // FaultsEnabled reports whether fault injection is configured at all.
 func (f *Fabric) FaultsEnabled() bool { return f.faultsOn }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -272,6 +273,9 @@ func TestDeadlockDetection(t *testing.T) {
 	}
 	if len(de.Blocked) != 1 || de.Blocked[0] != "stuck@cond:never" {
 		t.Errorf("Blocked = %v", de.Blocked)
+	}
+	if msg := err.Error(); !strings.HasPrefix(msg, "sim: deadlock at ") || !strings.HasSuffix(msg, "; blocked: stuck@cond:never") {
+		t.Errorf("Error() = %q", msg)
 	}
 }
 

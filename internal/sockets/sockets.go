@@ -99,7 +99,7 @@ type Stack struct {
 type pendingTx struct {
 	dst     myrinet.NodeID
 	payload []byte
-	aux     []byte
+	span    uint64
 }
 
 // txBuf is one registered kernel tx buffer with its GM completion bound
@@ -127,7 +127,7 @@ type rxDatagram struct {
 	data    []byte // header and payload, in a buffer grown to need
 	src     myrinet.NodeID
 	srcPort int
-	aux     []byte // uncharged envelope metadata (causal trace context), or nil
+	span    uint64 // uncharged envelope metadata (causal trace span), or 0
 	deliver func() // d.arrive, bound once
 }
 
@@ -188,7 +188,7 @@ func (st *Stack) kernelRx(rv *gm.Recv) {
 		d.deliver = d.arrive
 	}
 	d.data = append(d.data[:0], rv.Data...)
-	d.aux, d.src = rv.Aux, rv.From
+	d.span, d.src = rv.Span, rv.From
 	st.port.ProvideReceiveBuffer(rv.Buffer) // kernel recycles immediately
 	st.s.After(RxInterrupt, d.deliver)
 }
@@ -245,7 +245,6 @@ func (d *rxDatagram) arrive() {
 
 // recycleRx returns an arrival record that was read or dropped.
 func (st *Stack) recycleRx(d *rxDatagram) {
-	d.aux = nil
 	st.rxFree = append(st.rxFree, d)
 }
 
@@ -346,16 +345,12 @@ func (sk *Socket) Close(p *sim.Proc) {
 
 // SendTo transmits one datagram. UDP semantics: it never blocks on the
 // receiver; delivery is not guaranteed (the receiving socket buffer may
-// overflow). The caller pays syscall + copy + protocol costs.
-func (sk *Socket) SendTo(p *sim.Proc, dst myrinet.NodeID, dstPort int, data []byte) error {
-	return sk.SendToAux(p, dst, dstPort, data, nil)
-}
-
-// SendToAux is SendTo with uncharged envelope metadata: aux rides the
-// datagram outside the billed bytes (it never changes any charge or any
-// wire size) and surfaces through TryRecvFromAux at the receiver.
-// Retransmissions of the same logical datagram must resend the same aux.
-func (sk *Socket) SendToAux(p *sim.Proc, dst myrinet.NodeID, dstPort int, data, aux []byte) error {
+// overflow). The caller pays syscall + copy + protocol costs. span is a
+// causal trace span (0 for none): it rides the datagram outside the billed
+// bytes (it never changes any charge or any wire size) and surfaces
+// through TryRecvFrom at the receiver. Retransmissions of the same logical
+// datagram must resend the same span.
+func (sk *Socket) SendTo(p *sim.Proc, dst myrinet.NodeID, dstPort int, data []byte, span uint64) error {
 	st := sk.stack
 	if sk.closed {
 		return ErrNoSuchSocket
@@ -373,7 +368,7 @@ func (sk *Socket) SendToAux(p *sim.Proc, dst myrinet.NodeID, dstPort int, data, 
 	if tr := st.s.Tracer(); tr != nil {
 		tr.Metrics().Counter(trace.LayerSockets, "datagrams.sent").Inc(int64(len(data)))
 	}
-	st.transmit(p, dst, sk.port, dstPort, data, aux)
+	st.transmit(p, dst, sk.port, dstPort, data, span)
 	return nil
 }
 
@@ -387,21 +382,21 @@ func datagram(b []byte, srcPort, dstPort int, data []byte) []byte {
 // transmit pushes a kernel datagram out through GM, staged straight into a
 // free tx buffer of its class; if the kernel has none, or GM refuses the
 // send, the datagram queues with a copy of its own.
-func (st *Stack) transmit(p *sim.Proc, dst myrinet.NodeID, srcPort, dstPort int, data, aux []byte) {
+func (st *Stack) transmit(p *sim.Proc, dst myrinet.NodeID, srcPort, dstPort int, data []byte, span uint64) {
 	n := headerBytes + len(data)
 	class := st.node.System().Params().ClassFor(n)
 	if bufs := st.sendBufs[class]; len(bufs) > 0 {
 		tb := bufs[len(bufs)-1]
 		st.sendBufs[class] = bufs[:len(bufs)-1]
 		datagram(tb.b.Bytes()[:0], srcPort, dstPort, data)
-		if st.port.SendAux(p, dst, KernelPort, tb.b, n, aux, tb.callback()) == nil {
+		if st.port.SendSpan(p, dst, KernelPort, tb.b, n, span, tb.callback()) == nil {
 			return
 		}
 		// Token exhaustion or disabled port: the buffer goes back to the
 		// pool and the datagram queues for completions or recovery to drain.
 		st.sendBufs[class] = append(st.sendBufs[class], tb)
 	}
-	st.txQueue = append(st.txQueue, pendingTx{dst: dst, payload: datagram(nil, srcPort, dstPort, data), aux: aux})
+	st.txQueue = append(st.txQueue, pendingTx{dst: dst, payload: datagram(nil, srcPort, dstPort, data), span: span})
 }
 
 // sent is one kernel GM send's completion: the tx buffer returns to the
@@ -443,7 +438,7 @@ func (st *Stack) drainTxQueue() {
 		tb := bufs[len(bufs)-1]
 		st.sendBufs[class] = bufs[:len(bufs)-1]
 		copy(tb.b.Bytes(), tx.payload)
-		st.port.SendFromKernelAux(tx.dst, KernelPort, tb.b, len(tx.payload), tx.aux, tb.callback())
+		st.port.SendFromKernel(tx.dst, KernelPort, tb.b, len(tx.payload), tx.span, tb.callback())
 	}
 }
 
@@ -469,35 +464,29 @@ func (sk *Socket) RecvFrom(p *sim.Proc, buf []byte) (n int, src myrinet.NodeID, 
 	return n, src, srcPort, nil
 }
 
-// TryRecvFrom is RecvFrom without blocking; ok reports whether a datagram
-// was available.
-func (sk *Socket) TryRecvFrom(p *sim.Proc, buf []byte) (n int, src myrinet.NodeID, srcPort int, ok bool) {
-	n, src, srcPort, _, ok = sk.TryRecvFromAux(p, buf)
-	return n, src, srcPort, ok
-}
-
-// TryRecvFromAux is TryRecvFrom surfacing the datagram's uncharged
-// envelope metadata (nil when the sender attached none).
-func (sk *Socket) TryRecvFromAux(p *sim.Proc, buf []byte) (n int, src myrinet.NodeID, srcPort int, aux []byte, ok bool) {
+// TryRecvFrom is RecvFrom without blocking, surfacing the datagram's
+// causal trace span (0 when the sender attached none); ok reports whether
+// a datagram was available.
+func (sk *Socket) TryRecvFrom(p *sim.Proc, buf []byte) (n int, src myrinet.NodeID, srcPort int, span uint64, ok bool) {
 	p.Advance(SyscallEntry)
 	if len(sk.queue) == 0 {
-		return 0, 0, 0, nil, false
+		return 0, 0, 0, 0, false
 	}
-	n, src, srcPort, aux = sk.dequeue(buf)
+	n, src, srcPort, span = sk.dequeue(buf)
 	p.Advance(UDPRecvProcessing + sim.BytesTime(n, CopyBandwidth))
-	return n, src, srcPort, aux, true
+	return n, src, srcPort, span, true
 }
 
 // dequeue copies the oldest queued datagram into buf, truncating it to
 // buf's length, and recycles its record.
-func (sk *Socket) dequeue(buf []byte) (n int, src myrinet.NodeID, srcPort int, aux []byte) {
+func (sk *Socket) dequeue(buf []byte) (n int, src myrinet.NodeID, srcPort int, span uint64) {
 	d := sk.queue[0]
 	sk.queue = sk.queue[:copy(sk.queue, sk.queue[1:])]
 	sk.queuedBytes -= len(d.payload())
 	n = copy(buf, d.payload())
-	src, srcPort, aux = d.src, d.srcPort, d.aux
+	src, srcPort, span = d.src, d.srcPort, d.span
 	sk.stack.recycleRx(d)
-	return n, src, srcPort, aux
+	return n, src, srcPort, span
 }
 
 // Select blocks until one of the sockets has a pending datagram or the

@@ -43,7 +43,7 @@ func TestSendToRecvFrom(t *testing.T) {
 		if err := sk.Bind(p, 6000); err != nil {
 			t.Fatal(err)
 		}
-		if err := sk.SendTo(p, 1, 7000, []byte("udp over gm")); err != nil {
+		if err := sk.SendTo(p, 1, 7000, []byte("udp over gm"), 0); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -76,7 +76,7 @@ func TestUDPLatencyMatchesPaper(t *testing.T) {
 		sk := st[0].Socket(p)
 		p.Advance(sim.Micro(100))
 		sentAt = p.Now()
-		if err := sk.SendTo(p, 1, 7000, []byte{1}); err != nil {
+		if err := sk.SendTo(p, 1, 7000, []byte{1}, 0); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -114,7 +114,7 @@ func TestOverflowDropsDatagrams(t *testing.T) {
 		sk := st[0].Socket(p)
 		data := make([]byte, msg)
 		for i := 0; i < count; i++ {
-			if err := sk.SendTo(p, 1, 7000, data); err != nil {
+			if err := sk.SendTo(p, 1, 7000, data, 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -136,7 +136,7 @@ func TestUnboundPortDropsSilently(t *testing.T) {
 	s, st := testNet(t, 2)
 	s.Spawn("send", 0, func(p *sim.Proc) {
 		sk := st[0].Socket(p)
-		if err := sk.SendTo(p, 1, 9999, []byte("void")); err != nil {
+		if err := sk.SendTo(p, 1, 9999, []byte("void"), 0); err != nil {
 			t.Fatal(err)
 		}
 		p.Advance(sim.Millisecond)
@@ -163,7 +163,7 @@ func TestSIGIODelivery(t *testing.T) {
 			sock := payload.(*Socket)
 			buf := make([]byte, 256)
 			for {
-				n, _, _, ok := sock.TryRecvFrom(p, buf)
+				n, _, _, _, ok := sock.TryRecvFrom(p, buf)
 				if !ok {
 					break
 				}
@@ -177,7 +177,7 @@ func TestSIGIODelivery(t *testing.T) {
 	s.Spawn("send", 0, func(p *sim.Proc) {
 		sk := st[0].Socket(p)
 		p.Advance(sim.Millisecond)
-		if err := sk.SendTo(p, 1, 7000, []byte("request")); err != nil {
+		if err := sk.SendTo(p, 1, 7000, []byte("request"), 0); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -219,7 +219,7 @@ func TestSelect(t *testing.T) {
 	s.Spawn("send", 0, func(p *sim.Proc) {
 		sk := st[0].Socket(p)
 		p.Advance(sim.Millisecond)
-		if err := sk.SendTo(p, 1, 7002, []byte("x")); err != nil {
+		if err := sk.SendTo(p, 1, 7002, []byte("x"), 0); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -249,7 +249,7 @@ func TestBindRules(t *testing.T) {
 			t.Errorf("recv unbound err = %v", err)
 		}
 		c.Close(p)
-		if err := c.SendTo(p, 0, 5000, []byte("x")); err != ErrNoSuchSocket {
+		if err := c.SendTo(p, 0, 5000, []byte("x"), 0); err != ErrNoSuchSocket {
 			t.Errorf("send closed err = %v", err)
 		}
 	})
@@ -263,7 +263,7 @@ func TestOversizeDatagramRejected(t *testing.T) {
 	s.Spawn("p", 0, func(p *sim.Proc) {
 		sk := st[0].Socket(p)
 		big := make([]byte, MaxDatagram+1)
-		if err := sk.SendTo(p, 0, 5000, big); err != ErrTooLarge {
+		if err := sk.SendTo(p, 0, 5000, big, 0); err != ErrTooLarge {
 			t.Errorf("err = %v, want ErrTooLarge", err)
 		}
 	})
@@ -299,7 +299,7 @@ func TestLargeDatagramRoundTrip(t *testing.T) {
 		for i := range data {
 			data[i] = byte(i * 13)
 		}
-		if err := sk.SendTo(p, 1, 7000, data); err != nil {
+		if err := sk.SendTo(p, 1, 7000, data, 0); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -332,7 +332,7 @@ func TestLargeTransferSlowerThanGM(t *testing.T) {
 		sk := st[0].Socket(p)
 		p.Advance(sim.Micro(50))
 		sentAt = p.Now()
-		if err := sk.SendTo(p, 1, 7000, make([]byte, size)); err != nil {
+		if err := sk.SendTo(p, 1, 7000, make([]byte, size), 0); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -354,11 +354,11 @@ func TestTryRecvFrom(t *testing.T) {
 			t.Fatal(err)
 		}
 		buf := make([]byte, 16)
-		if _, _, _, ok := sk.TryRecvFrom(p, buf); ok {
+		if _, _, _, _, ok := sk.TryRecvFrom(p, buf); ok {
 			t.Error("TryRecvFrom returned data from empty queue")
 		}
 		p.Advance(5 * sim.Millisecond)
-		n, _, _, ok := sk.TryRecvFrom(p, buf)
+		n, _, _, _, ok := sk.TryRecvFrom(p, buf)
 		if !ok || string(buf[:n]) != "later" {
 			t.Errorf("TryRecvFrom after arrival: ok=%v data=%q", ok, buf[:n])
 		}
@@ -366,7 +366,7 @@ func TestTryRecvFrom(t *testing.T) {
 	s.Spawn("send", 0, func(p *sim.Proc) {
 		sk := st[0].Socket(p)
 		p.Advance(sim.Millisecond)
-		if err := sk.SendTo(p, 1, 7000, []byte("later")); err != nil {
+		if err := sk.SendTo(p, 1, 7000, []byte("later"), 0); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -390,7 +390,7 @@ func TestRecvTruncation(t *testing.T) {
 	})
 	s.Spawn("send", 0, func(p *sim.Proc) {
 		sk := st[0].Socket(p)
-		if err := sk.SendTo(p, 1, 7000, []byte("truncate me")); err != nil {
+		if err := sk.SendTo(p, 1, 7000, []byte("truncate me"), 0); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -421,7 +421,7 @@ func TestManySmallDatagramsKeepOrder(t *testing.T) {
 	s.Spawn("send", 0, func(p *sim.Proc) {
 		sk := st[0].Socket(p)
 		for i := 0; i < count; i++ {
-			if err := sk.SendTo(p, 1, 7000, []byte{byte(i)}); err != nil {
+			if err := sk.SendTo(p, 1, 7000, []byte{byte(i)}, 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -460,11 +460,11 @@ func TestSIGIODisarm(t *testing.T) {
 	s.Spawn("send", 0, func(p *sim.Proc) {
 		sk := st[0].Socket(p)
 		p.Advance(sim.Millisecond)
-		if err := sk.SendTo(p, 1, 7000, []byte("a")); err != nil {
+		if err := sk.SendTo(p, 1, 7000, []byte("a"), 0); err != nil {
 			t.Fatal(err)
 		}
 		p.Advance(2 * sim.Millisecond) // after disarm at 2ms
-		if err := sk.SendTo(p, 1, 7000, []byte("b")); err != nil {
+		if err := sk.SendTo(p, 1, 7000, []byte("b"), 0); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -496,7 +496,7 @@ func TestDropProbabilityInjectsLoss(t *testing.T) {
 	s.Spawn("send", 0, func(p *sim.Proc) {
 		sk := stacks[0].Socket(p)
 		for i := 0; i < 100; i++ {
-			if err := sk.SendTo(p, 1, 7000, []byte{byte(i)}); err != nil {
+			if err := sk.SendTo(p, 1, 7000, []byte{byte(i)}, 0); err != nil {
 				t.Fatal(err)
 			}
 			p.Advance(sim.Micro(100))
@@ -527,7 +527,7 @@ func TestDatagramAllocatesNothing(t *testing.T) {
 		data, buf := make([]byte, size), make([]byte, size)
 		p.Advance(sim.Millisecond) // the partner has bound
 		roundTrip := func() {
-			if err := sk.SendTo(p, 1, 7000, data); err != nil {
+			if err := sk.SendTo(p, 1, 7000, data, 0); err != nil {
 				t.Fatal(err)
 			}
 			if _, _, _, err := sk.RecvFrom(p, buf); err != nil {
@@ -538,7 +538,7 @@ func TestDatagramAllocatesNothing(t *testing.T) {
 			roundTrip()
 		}
 		allocs = testing.AllocsPerRun(100, roundTrip)
-		if err := sk.SendTo(p, 1, 7000, data[:1]); err != nil { // stop
+		if err := sk.SendTo(p, 1, 7000, data[:1], 0); err != nil { // stop
 			t.Fatal(err)
 		}
 	})
@@ -556,7 +556,7 @@ func TestDatagramAllocatesNothing(t *testing.T) {
 			if n == 1 {
 				return
 			}
-			if err := sk.SendTo(p, 0, 6000, buf[:n]); err != nil {
+			if err := sk.SendTo(p, 0, 6000, buf[:n], 0); err != nil {
 				t.Fatal(err)
 			}
 		}

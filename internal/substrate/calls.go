@@ -66,7 +66,7 @@ type Call struct {
 	// Re-issue state: the encoded frame, and the per-call retransmission
 	// clock; 0 = none.
 	body     []byte
-	aux      []byte
+	span     uint64
 	deadline sim.Time
 	attempts int // retransmissions so far
 
@@ -102,8 +102,8 @@ func (pc *Call) Err() error          { return pc.err }
 func (pc *Call) Issued() sim.Time    { return pc.issued }
 func (pc *Call) Completed() sim.Time { return pc.completed }
 
-// Frame returns the kept encoded frame and its causal metadata.
-func (pc *Call) Frame() (body, aux []byte) { return pc.body, pc.aux }
+// Frame returns the kept encoded frame and its causal trace span.
+func (pc *Call) Frame() (body []byte, span uint64) { return pc.body, pc.span }
 
 // FrameBuf returns the call's frame storage resized to n bytes and keeps
 // it as the frame: a binding encodes its frame into it before the first
@@ -145,18 +145,18 @@ func (c *Core) NextSeq() uint32 {
 }
 
 // Open registers one outstanding call of family x under seq in a recycled
-// record, keeping aux for re-issue; the caller writes the frame into the
+// record, keeping span for re-issue; the caller writes the frame into the
 // call's storage (FrameBuf), transmits the first copy and Arms it. A call
 // toward a peer already declared dead resolves at once and must not be
 // transmitted.
-func (c *Core) Open(p *sim.Proc, x *Exchange, dst int, seq uint32, aux []byte) *Call {
+func (c *Core) Open(p *sim.Proc, x *Exchange, dst int, seq uint32, span uint64) *Call {
 	var pc *Call
 	if k := len(c.free); k > 0 {
 		pc, c.free = c.free[k-1], c.free[:k-1]
 	} else {
 		pc = new(Call)
 	}
-	*pc = Call{x: x, dst: dst, seq: seq, aux: aux, issued: p.Now(), body: pc.body[:0], dec: pc.dec, keep: pc.keep, cont: pc.cont}
+	*pc = Call{x: x, dst: dst, seq: seq, span: span, issued: p.Now(), body: pc.body[:0], dec: pc.dec, keep: pc.keep, cont: pc.cont}
 	c.pending[seq] = pc
 	if x == &c.calls {
 		c.open++
@@ -173,15 +173,15 @@ func (c *Core) CallBegin(p *sim.Proc, dst int, req *msg.Message) Pending {
 	if dst == c.rank {
 		panic("substrate: Call to self")
 	}
-	aux := c.stamp(p, dst, req)
-	pc := c.Open(p, &c.calls, dst, req.Seq, aux)
+	span := c.stamp(p, dst, req)
+	pc := c.Open(p, &c.calls, dst, req.Seq, span)
 	pc.kind = req.Kind
 	if pc.done {
 		return pc
 	}
 	pc.body = req.EncodeTo(pc.body)
 	c.stats.RequestsSent++
-	c.wire.Transmit(p, dst, LaneRequest, req.Kind, pc.body, aux)
+	c.wire.Transmit(p, dst, LaneRequest, req.Kind, pc.body, span)
 	pc.Arm(p.Now())
 	return pc
 }
@@ -311,7 +311,7 @@ func (c *Core) match(p *sim.Proc, m *msg.Message) {
 	if !done {
 		// A stale reply, or an earlier frame of a continued one: no call span
 		// carries its acceptance.
-		p.Sim().Tracer().Arrive(int64(c.ctx(p).arrived), p.ID(), m.Ctx)
+		p.Sim().Tracer().Arrive(int64(c.ctx(p).arrived), p.ID(), m.Span)
 		return
 	}
 	c.Complete(pc, nil, nil)
@@ -331,7 +331,7 @@ func (c *Core) match(p *sim.Proc, m *msg.Message) {
 		}
 		emit(tr, trace.Event{T: int64(pc.issued), Dur: int64(c.ctx(p).arrived - pc.issued),
 			Kind: "call:" + pc.kind.String(), Proc: p.ID(), Peer: pc.dst, Bytes: bytes,
-			Rank: c.rank, B: int(m.Ctx.Span)})
+			Rank: c.rank, B: int(m.Span)})
 	}
 }
 

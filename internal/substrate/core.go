@@ -26,8 +26,10 @@ const (
 type Wire interface {
 	// Transmit ships one already-encoded message toward dst. It may block
 	// (send buffers, tokens) and owns the BytesSent count. It reads body
-	// and aux only until it returns: the core reuses their storage.
-	Transmit(p *sim.Proc, dst int, lane Lane, kind msg.Kind, body, aux []byte)
+	// only until it returns: the core reuses its storage. span is the
+	// frame's causal trace span (0 for none), uncharged metadata that rides
+	// beside it and must ride again with every retransmission.
+	Transmit(p *sim.Proc, dst int, lane Lane, kind msg.Kind, body []byte, span uint64)
 	// AwaitReply blocks for the next reply and returns it decoded into
 	// into's storage, with arrival already recorded (Heard, Core.Arrived,
 	// BytesRecvd). It returns nil when deadline (0 = none) passes first,
@@ -120,7 +122,7 @@ func (c *Core) Init(w Wire, rank, size int, rto Backoff, maxRetries int) {
 		},
 		Resend: func(p *sim.Proc, pc *Call) bool {
 			c.stats.RequestsSent++
-			c.wire.Transmit(p, pc.dst, LaneRelay, pc.kind, pc.body, pc.aux)
+			c.wire.Transmit(p, pc.dst, LaneRelay, pc.kind, pc.body, pc.span)
 			return true
 		}}
 	c.Live.init(c)
@@ -196,13 +198,13 @@ func emit(tr *trace.Tracer, ev trace.Event) {
 	tr.Emit(ev)
 }
 
-// Arrived records that m, whose frame carried aux, arrives now in p's
+// Arrived records that m, whose frame carried span, arrives now in p's
 // context: the time, where Serve's or match's span starts or ends, and
-// its causal context in m.Ctx (zero untraced: no frame carries one). Admit
+// its causal span in m.Span (0 untraced: no frame carries one). Admit
 // calls it for a request, a binding for each reply AwaitReply returns.
-func (c *Core) Arrived(p *sim.Proc, m *msg.Message, aux []byte) {
+func (c *Core) Arrived(p *sim.Proc, m *msg.Message, span uint64) {
 	c.ctx(p).arrived = p.Now()
-	m.Ctx = trace.DecodeCtx(aux)
+	m.Span = span
 }
 
 // Admit runs the arrival half of request service for a decoded request
@@ -210,8 +212,8 @@ func (c *Core) Arrived(p *sim.Proc, m *msg.Message, aux []byte) {
 // duplicate filter. It returns nil for a fresh request, which the binding
 // hands to Serve once it has disposed of the receive buffer, or the
 // recorded entry for a duplicate, to hand to AnswerDup.
-func (c *Core) Admit(p *sim.Proc, m *msg.Message, aux []byte, n int) *DupEntry {
-	c.Arrived(p, m, aux)
+func (c *Core) Admit(p *sim.Proc, m *msg.Message, span uint64, n int) *DupEntry {
+	c.Arrived(p, m, span)
 	c.stats.RequestsRecvd++
 	c.stats.BytesRecvd += int64(n)
 	key := DupKey{Origin: m.ReplyTo, Seq: m.Seq}
@@ -219,7 +221,7 @@ func (c *Core) Admit(p *sim.Proc, m *msg.Message, aux []byte, n int) *DupEntry {
 		c.stats.DupRequests++
 		if tr := p.Sim().Tracer(); tr != nil { // A: the copy's span, accepted again
 			emit(tr, trace.Event{T: int64(p.Now()), Kind: "dup-request",
-				Proc: p.ID(), Peer: int(m.From), Bytes: n, A: int(m.Ctx.Span)})
+				Proc: p.ID(), Peer: int(m.From), Bytes: n, A: int(m.Span)})
 		}
 		return e
 	}
@@ -238,7 +240,7 @@ func (c *Core) AnswerDup(p *sim.Proc, m *msg.Message, e *DupEntry) {
 	} else if e.ForwardedTo >= 0 {
 		m.From = int32(c.rank)
 		c.stats.ForwardsSent++
-		c.wire.Transmit(p, e.ForwardedTo, LaneRelay, m.Kind, c.encode(p, m), e.FwdAux)
+		c.wire.Transmit(p, e.ForwardedTo, LaneRelay, m.Kind, c.encode(p, m), e.FwdSpan)
 	}
 }
 
@@ -246,10 +248,10 @@ func (c *Core) AnswerDup(p *sim.Proc, m *msg.Message, e *DupEntry) {
 // slot's storage for as long as the wire reads it (DupEntry.sending).
 func (c *Core) sendReply(p *sim.Proc, e *DupEntry, kind msg.Kind) {
 	e.sending++
-	c.wire.Transmit(p, e.To, LaneReply, kind, e.Reply, e.ReplyAux)
+	c.wire.Transmit(p, e.To, LaneReply, kind, e.Reply, e.ReplySpan)
 	if mf := e.more; mf != nil {
 		for k, body := range mf.bodies {
-			c.wire.Transmit(p, e.To, LaneReply, kind, body, mf.auxes[k])
+			c.wire.Transmit(p, e.To, LaneReply, kind, body, mf.spans[k])
 		}
 	}
 	e.sending--
@@ -272,16 +274,16 @@ func (c *Core) Serve(p *sim.Proc, m *msg.Message, n int) {
 	if tr := p.Sim().Tracer(); tr != nil {
 		emit(tr, trace.Event{T: int64(start), Dur: int64(p.Now() - start),
 			Kind: "serve:" + m.Kind.String(), Proc: p.ID(), Peer: int(m.From), Bytes: n,
-			A: int(m.Ctx.Span)})
+			A: int(m.Span)})
 	}
 }
 
-// edge records a frame's send for the causal view and returns the context
-// it carries (nil untraced); parent is a span, 0 or trace.Mainline.
-func (c *Core) edge(p *sim.Proc, prefix string, kind msg.Kind, dst, parent, n int) []byte {
+// edge records a frame's send for the causal view and returns the span it
+// carries (0 untraced); parent is a span, 0 or trace.Mainline.
+func (c *Core) edge(p *sim.Proc, prefix string, kind msg.Kind, dst, parent, n int) uint64 {
 	tr := p.Sim().Tracer()
 	if tr == nil {
-		return nil
+		return 0
 	}
 	return tr.Send(trace.Event{T: int64(p.Now()), Kind: prefix + kind.String(),
 		Proc: p.ID(), Rank: c.rank, Peer: dst, Bytes: n, B: parent})
@@ -302,14 +304,8 @@ func (c *Core) Reply(p *sim.Proc, req *msg.Message, rep *msg.Message) {
 	rep.From = int32(c.rank)
 	rep.ReplyTo = int32(c.rank)
 	n := rep.EncodedSize()
-	// A reply is caused by the request it answers, unless the handler set
-	// an explicit enabling cause (barrier releases: the true cause is the
-	// last arrival, not this rank's own early arrival).
-	parent := req.Ctx.Span
-	if !rep.Ctx.Zero() {
-		parent = rep.Ctx.Span
-	}
-	aux := c.edge(p, "rep:", rep.Kind, origin, int(parent), n)
+	// A reply is caused by the request it answers.
+	span := c.edge(p, "rep:", rep.Kind, origin, int(req.Span), n)
 	key := DupKey{Origin: req.ReplyTo, Seq: req.Seq}
 	e, ok := c.dup.Lookup(key)
 	if !ok {
@@ -322,7 +318,7 @@ func (c *Core) Reply(p *sim.Proc, req *msg.Message, rep *msg.Message) {
 	}
 	e.Done, e.To = i == frames-1, origin
 	if i == 0 {
-		e.Reply, e.ReplyAux = rep.EncodeTo(e.Reply), aux
+		e.Reply, e.ReplySpan = rep.EncodeTo(e.Reply), span
 		if e.more != nil {
 			e.more.reset()
 		}
@@ -339,10 +335,10 @@ func (c *Core) Reply(p *sim.Proc, req *msg.Message, rep *msg.Message) {
 		storage = mf.bodies[:k+1][k]
 	}
 	body := rep.EncodeTo(storage)
-	mf.bodies, mf.auxes = append(mf.bodies, body), append(mf.auxes, aux)
+	mf.bodies, mf.spans = append(mf.bodies, body), append(mf.spans, span)
 	c.stats.ContinuedFrames++
 	e.sending++
-	c.wire.Transmit(p, origin, LaneReply, rep.Kind, body, aux)
+	c.wire.Transmit(p, origin, LaneReply, rep.Kind, body, span)
 	e.sending--
 }
 
@@ -352,34 +348,29 @@ func (c *Core) Reply(p *sim.Proc, req *msg.Message, rep *msg.Message) {
 func (c *Core) Forward(p *sim.Proc, dst int, req *msg.Message) {
 	req.From = int32(c.rank)
 	body := c.encode(p, req)
-	aux := c.edge(p, "fwd:", req.Kind, dst, int(req.Ctx.Span), len(body))
+	span := c.edge(p, "fwd:", req.Kind, dst, int(req.Span), len(body))
 	if e, ok := c.dup.Lookup(DupKey{Origin: req.ReplyTo, Seq: req.Seq}); ok {
-		e.ForwardedTo, e.FwdAux = dst, aux
+		e.ForwardedTo, e.FwdSpan = dst, span
 	}
 	c.stats.ForwardsSent++
-	c.wire.Transmit(p, dst, LaneRelay, req.Kind, body, aux)
+	c.wire.Transmit(p, dst, LaneRelay, req.Kind, body, span)
 }
 
 // Send implements Transport: a one-shot request, no reply expected.
 func (c *Core) Send(p *sim.Proc, dst int, req *msg.Message) {
-	aux := c.stamp(p, dst, req)
+	span := c.stamp(p, dst, req)
 	c.stats.RequestsSent++
-	c.wire.Transmit(p, dst, LaneRequest, req.Kind, c.encode(p, req), aux)
+	c.wire.Transmit(p, dst, LaneRequest, req.Kind, c.encode(p, req), span)
 }
 
 // stamp assigns an outbound request its identity and records its causal
-// send edge. The parent is the request's explicit context when the caller
-// set one, otherwise the rank's mainline.
-func (c *Core) stamp(p *sim.Proc, dst int, req *msg.Message) (aux []byte) {
+// send edge, parented on the rank's mainline.
+func (c *Core) stamp(p *sim.Proc, dst int, req *msg.Message) uint64 {
 	req.Seq = c.NextSeq()
 	req.From = int32(c.rank)
 	req.ReplyTo = int32(c.rank)
-	if p.Sim().Tracer() != nil {
-		parent := trace.Mainline
-		if !req.Ctx.Zero() {
-			parent = int(req.Ctx.Span)
-		}
-		aux = c.edge(p, "req:", req.Kind, dst, parent, req.EncodedSize())
+	if p.Sim().Tracer() == nil {
+		return 0
 	}
-	return aux
+	return c.edge(p, "req:", req.Kind, dst, trace.Mainline, req.EncodedSize())
 }

@@ -21,7 +21,7 @@ type fakeWire struct {
 	gone    []int
 }
 
-func (w *fakeWire) Transmit(p *sim.Proc, dst int, lane Lane, kind msg.Kind, body, aux []byte) {
+func (w *fakeWire) Transmit(p *sim.Proc, dst int, lane Lane, kind msg.Kind, body []byte, span uint64) {
 	w.sent = append(w.sent, lane)
 	w.bodies = append(w.bodies, body)
 }
@@ -111,13 +111,13 @@ func TestReplyBodyIsItsOwnSnapshot(t *testing.T) {
 		page := bytes.Repeat([]byte{0xAB}, 4096)
 		want := bytes.Clone(page)
 		req := &msg.Message{Kind: msg.KPing, Seq: 7, From: 1, ReplyTo: 1, Page: 3}
-		if c.Admit(p, req, nil, 0) != nil {
+		if c.Admit(p, req, 0, 0) != nil {
 			t.Fatal("fresh request taken for a duplicate")
 		}
 		c.Reply(p, req, &msg.Message{Kind: msg.KPong, Page: 3, PageData: page})
 		clear(page) // the application writes the page after it was served
 
-		e := c.Admit(p, req, nil, 0)
+		e := c.Admit(p, req, 0, 0)
 		if e == nil {
 			t.Fatal("redelivered request not recognised")
 		}
@@ -208,7 +208,7 @@ func newFakeVerbs(c *Core, rto Backoff, maxRetries int) *fakeVerbs {
 }
 
 func (v *fakeVerbs) post(p *sim.Proc, dst int) *Call {
-	pc := v.c.Open(p, &v.x, dst, v.c.NextSeq(), nil)
+	pc := v.c.Open(p, &v.x, dst, v.c.NextSeq(), 0)
 	pc.FrameBuf(1)[0] = 0x11
 	if !pc.Done() {
 		pc.Arm(p.Now())

@@ -23,10 +23,10 @@ type DupKey struct {
 // request that takes the slot next writes its own reply into.
 type DupEntry struct {
 	Reply       []byte // the encoded cached reply (resent on duplicates), in the slot's storage
-	ReplyAux    []byte // the reply's causal-context metadata (resent with it)
+	ReplySpan   uint64 // the reply's causal trace span (resent with it)
 	To          int    // reply destination rank
 	ForwardedTo int    // where the request was relayed, or -1
-	FwdAux      []byte // the forward's causal-context metadata (resent with it)
+	FwdSpan     uint64 // the forward's causal trace span (resent with it)
 
 	// more holds the frames after the first of a reply continued across
 	// frames (Reply is the first): nil until the slot first caches one,
@@ -43,17 +43,16 @@ type DupEntry struct {
 }
 
 // moreFrames is the storage of a continued reply's frames after its
-// first, in frame order: each frame's encoding and causal-context
-// metadata. A slot keeps it, and each frame's storage, for the replies it
-// caches next.
+// first, in frame order: each frame's encoding and causal trace span. A
+// slot keeps it, and each frame's storage, for the replies it caches next.
 type moreFrames struct {
-	bodies, auxes [][]byte
+	bodies [][]byte
+	spans  []uint64
 }
 
 // reset empties the list, keeping every frame's storage.
 func (mf *moreFrames) reset() {
-	clear(mf.auxes)
-	mf.bodies, mf.auxes = mf.bodies[:0], mf.auxes[:0]
+	mf.bodies, mf.spans = mf.bodies[:0], mf.spans[:0]
 }
 
 // DupCacheSize bounds every duplicate filter — the core's per-process

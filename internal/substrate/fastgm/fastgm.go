@@ -218,7 +218,7 @@ func (t *Transport) handleAsyncFrame(p *sim.Proc, rv *gm.Recv) {
 			t.rejectFrame(p, rv, "decode")
 			return
 		}
-		if e := t.Admit(p, m, rv.Aux, n); e != nil {
+		if e := t.Admit(p, m, rv.Span, n); e != nil {
 			// Recycle to the prepost ring, then answer idempotently. For a
 			// duplicate rendezvous data frame the buffer stays in rv.pinned:
 			// the duplicate may have consumed a buffer pinned for another
@@ -287,7 +287,7 @@ func (t *Transport) recvSyncFrame(p *sim.Proc, rv *gm.Recv, into *msg.Decoder) *
 		t.syncPort.ProvideReceiveBuffer(rv.Buffer)
 		return nil
 	}
-	t.Arrived(p, m, rv.Aux)
+	t.Arrived(p, m, rv.Span)
 	t.Stats().BytesRecvd += int64(len(rv.Data))
 	if rv.Data[0] == frameData {
 		t.rv.finishReceive(p, t.syncPort, rv.Buffer)
@@ -301,7 +301,7 @@ func (t *Transport) recvSyncFrame(p *sim.Proc, rv *gm.Recv, into *msg.Decoder) *
 // alike) go to the peer's asynchronous port, replies to its synchronous
 // port. The frame is staged into a registered send buffer and sent,
 // applying the rendezvous protocol for oversized frames when enabled.
-func (t *Transport) Transmit(p *sim.Proc, dst int, lane substrate.Lane, kind msg.Kind, body, aux []byte) {
+func (t *Transport) Transmit(p *sim.Proc, dst int, lane substrate.Lane, kind msg.Kind, body []byte, span uint64) {
 	dstPort := AsyncPort
 	if lane == substrate.LaneReply {
 		dstPort = SyncPort
@@ -321,21 +321,21 @@ func (t *Transport) Transmit(p *sim.Proc, dst int, lane substrate.Lane, kind msg
 	}
 	class := params.ClassFor(n)
 	if t.cfg.Rendezvous && class >= RendezvousClass {
-		t.rv.sendLarge(p, dst, dstPort, body, aux)
+		t.rv.sendLarge(p, dst, dstPort, body, span)
 		return
 	}
-	t.stage(p, dst, dstPort, frameMsg, body, aux)
+	t.stage(p, dst, dstPort, frameMsg, body, span)
 }
 
 // stage copies one tagged frame into a registered send buffer — the copy
 // into registered memory of paper Section 2.2.3 — and hands it to GM.
-func (t *Transport) stage(p *sim.Proc, dst, dstPort int, tag byte, body, aux []byte) {
+func (t *Transport) stage(p *sim.Proc, dst, dstPort int, tag byte, body []byte, span uint64) {
 	buf := t.TakeSendBuffer(p, t.sendPool, len(body)+1)
 	buf.Bytes()[0] = tag
 	p.Advance(sim.BytesTime(len(body), CopyBandwidth))
 	copy(buf.Bytes()[1:], body)
 	t.Stats().BytesSent += int64(len(body) + 1)
-	t.gmSend(p, t.portFor(dstPort), dst, dstPort, buf, len(body)+1, aux)
+	t.gmSend(p, t.portFor(dstPort), dst, dstPort, buf, len(body)+1, span)
 }
 
 // portFor returns our sending port for a destination port: requests go
@@ -354,10 +354,10 @@ func (t *Transport) portFor(dstPort int) *gm.Port {
 // faulty one the completion hands the frame to the recovery machinery
 // (recovery.go) — resume the port, retransmit with backoff, let the
 // receiver's duplicate filter absorb redeliveries.
-func (t *Transport) gmSend(p *sim.Proc, port *gm.Port, dst, dstPort int, buf *gm.Buffer, n int, aux []byte) {
-	ps := t.pendingSend(port, dst, dstPort, buf, n, aux)
+func (t *Transport) gmSend(p *sim.Proc, port *gm.Port, dst, dstPort int, buf *gm.Buffer, n int, span uint64) {
+	ps := t.pendingSend(port, dst, dstPort, buf, n, span)
 	for {
-		err := port.SendAux(p, myrinet.NodeID(dst), dstPort, buf, n, aux, ps.done)
+		err := port.SendSpan(p, myrinet.NodeID(dst), dstPort, buf, n, span, ps.done)
 		if err == nil {
 			return
 		}

@@ -92,7 +92,7 @@ func TestAbandonedSendNamesItsOwnPeer(t *testing.T) {
 		tr.Start(p, func(*sim.Proc, *msg.Message) {})
 		// Rank 2 never opens its port: the frame is unroutable, GM's resend
 		// timeout fails it, and with no retries left it is abandoned.
-		tr.stage(p, 2, AsyncPort, frameMsg, []byte("lost"), nil)
+		tr.stage(p, 2, AsyncPort, frameMsg, []byte("lost"), 0)
 		p.Advance(4 * sim.Second)
 		if len(tr.freeSends) != 1 {
 			t.Fatalf("%d free send records after the abandonment, want its one", len(tr.freeSends))
@@ -103,7 +103,7 @@ func TestAbandonedSendNamesItsOwnPeer(t *testing.T) {
 			t.Errorf("failure %+v, dead 1/2 = %v/%v; want %+v and only rank 2 dead",
 				f, tr.Live.Dead(1), tr.Live.Dead(2), want)
 		}
-		tr.stage(p, 1, AsyncPort, frameMsg, []byte("next"), nil)
+		tr.stage(p, 1, AsyncPort, frameMsg, []byte("next"), 0)
 		if len(tr.freeSends) != 0 || abandoned.dst != 1 {
 			t.Error("the next frame did not reuse the abandoned frame's record")
 		}

@@ -38,7 +38,7 @@ type pendingSend struct {
 	dstPort  int
 	buf      *gm.Buffer
 	n        int
-	aux      []byte // causal-context metadata, resent with every retransmit
+	span     uint64 // causal trace span, resent with every retransmit
 	attempts int
 
 	done       gm.SendCallback // ps.completed, bound once
@@ -46,7 +46,7 @@ type pendingSend struct {
 }
 
 // pendingSend takes a free send record for one frame, or makes one.
-func (t *Transport) pendingSend(port *gm.Port, dst, dstPort int, buf *gm.Buffer, n int, aux []byte) *pendingSend {
+func (t *Transport) pendingSend(port *gm.Port, dst, dstPort int, buf *gm.Buffer, n int, span uint64) *pendingSend {
 	var ps *pendingSend
 	if k := len(t.freeSends); k > 0 {
 		ps, t.freeSends = t.freeSends[k-1], t.freeSends[:k-1]
@@ -54,7 +54,7 @@ func (t *Transport) pendingSend(port *gm.Port, dst, dstPort int, buf *gm.Buffer,
 		ps = &pendingSend{t: t}
 		ps.done, ps.retransmit = ps.completed, ps.resend
 	}
-	ps.port, ps.dst, ps.dstPort, ps.buf, ps.n, ps.aux = port, dst, dstPort, buf, n, aux
+	ps.port, ps.dst, ps.dstPort, ps.buf, ps.n, ps.span = port, dst, dstPort, buf, n, span
 	return ps
 }
 
@@ -110,7 +110,7 @@ func (ps *pendingSend) resend() {
 		t.scheduleRetransmit(ps)
 		return
 	}
-	err := ps.port.SendFromKernelAux(myrinet.NodeID(ps.dst), ps.dstPort, ps.buf, ps.n, ps.aux, ps.done)
+	err := ps.port.SendFromKernel(myrinet.NodeID(ps.dst), ps.dstPort, ps.buf, ps.n, ps.span, ps.done)
 	if err != nil {
 		t.scheduleRetransmit(ps)
 		return

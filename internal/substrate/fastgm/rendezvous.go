@@ -43,7 +43,7 @@ type stagedSend struct {
 	dst     int
 	dstPort int
 	body    []byte
-	aux     []byte // causal-context metadata, shipped with the data frame
+	span    uint64 // causal trace span, shipped with the data frame
 }
 
 func (rv *rendezvousState) init(t *Transport) {
@@ -56,7 +56,7 @@ func (rv *rendezvousState) init(t *Transport) {
 // sendLarge stages a copy of body — the transfer outlives Transmit, and
 // the caller's frame does not — and sends the RTS. The bulk transfer
 // completes asynchronously when the CTS arrives.
-func (rv *rendezvousState) sendLarge(p *sim.Proc, dst, dstPort int, body, aux []byte) {
+func (rv *rendezvousState) sendLarge(p *sim.Proc, dst, dstPort int, body []byte, span uint64) {
 	t := rv.t
 	t.Stats().RendezvousRTS++
 	if tr := p.Sim().Tracer(); tr != nil {
@@ -65,7 +65,7 @@ func (rv *rendezvousState) sendLarge(p *sim.Proc, dst, dstPort int, body, aux []
 	}
 	id := rv.nextID
 	rv.nextID++
-	rv.staged[id] = &stagedSend{dst: dst, dstPort: dstPort, body: bytes.Clone(body), aux: aux}
+	rv.staged[id] = &stagedSend{dst: dst, dstPort: dstPort, body: bytes.Clone(body), span: span}
 
 	class := t.node.System().Params().ClassFor(len(body) + 1)
 	var ctrl [6]byte
@@ -135,7 +135,7 @@ func (rv *rendezvousState) onCTS(p *sim.Proc, body []byte) {
 	}
 	delete(rv.staged, id)
 
-	t.stage(p, st.dst, st.dstPort, frameData, st.body, st.aux)
+	t.stage(p, st.dst, st.dstPort, frameData, st.body, st.span)
 }
 
 // finishReceive deregisters the dynamically pinned buffer a rendezvous
@@ -161,5 +161,5 @@ func (t *Transport) rawSend(p *sim.Proc, dst, dstPort int, tag byte, body []byte
 	copy(buf.Bytes()[1:], body)
 	t.Stats().BytesSent += int64(n)
 	// Control frames (RTS/CTS) are transport plumbing, not causal edges.
-	t.gmSend(p, t.portFor(dstPort), dst, dstPort, buf, n, nil)
+	t.gmSend(p, t.portFor(dstPort), dst, dstPort, buf, n, 0)
 }

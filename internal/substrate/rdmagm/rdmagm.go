@@ -226,14 +226,14 @@ func (t *Transport) post(p *sim.Proc, dst int, vf *verbFrame) substrate.PendingV
 	vf.origin = int32(t.Rank())
 	vf.seq = t.NextSeq()
 	n := verbFrameLen(vf)
-	var aux []byte
+	var span uint64
 	if tr := p.Sim().Tracer(); tr != nil {
 		// A verb is always posted from the initiator's mainline (there is
 		// no handler-context posting path).
-		aux = tr.Send(trace.Event{T: int64(p.Now()), Kind: "verb:" + verbName(vf.op),
+		span = tr.Send(trace.Event{T: int64(p.Now()), Kind: "verb:" + verbName(vf.op),
 			Proc: p.ID(), Rank: t.Rank(), Peer: dst, Bytes: n, B: trace.Mainline})
 	}
-	pc := t.Open(p, &t.verbs, dst, vf.seq, aux)
+	pc := t.Open(p, &t.verbs, dst, vf.seq, span)
 	encodeVerb(pc.FrameBuf(n), vf)
 	t.sq[dst] = append(t.sq[dst], pc)
 	if !pc.Done() {
@@ -266,7 +266,7 @@ func (t *Transport) retire(dst int) {
 // such a stall instead — GM holds a lost frame's buffer and token for its
 // full resend timeout, and the re-sender is who reaps the completion queue.
 func (t *Transport) sendVerb(p *sim.Proc, pc *substrate.Call, wait bool) bool {
-	frame, aux := pc.Frame()
+	frame, span := pc.Frame()
 	buf := t.sendPool.TryTake(len(frame))
 	if buf == nil {
 		if !wait {
@@ -277,7 +277,7 @@ func (t *Transport) sendVerb(p *sim.Proc, pc *substrate.Call, wait bool) bool {
 	copy(buf.Bytes(), frame)
 	for {
 		ss := t.staged(t.sendPool, t.verbPort, buf)
-		err := t.verbPort.SendAux(p, myrinet.NodeID(pc.Dst()), VerbPort, buf, len(frame), aux, ss.done)
+		err := t.verbPort.SendSpan(p, myrinet.NodeID(pc.Dst()), VerbPort, buf, len(frame), span, ss.done)
 		if err == nil {
 			t.Stats().BytesSent += int64(len(frame))
 			return true
@@ -382,7 +382,7 @@ func (t *Transport) handleCompletion(p *sim.Proc, rv *gm.Recv) {
 		return
 	}
 	st.BytesRecvd += int64(len(rv.Data))
-	tr, ctx := p.Sim().Tracer(), trace.DecodeCtx(rv.Aux)
+	tr := p.Sim().Tracer()
 	pc := t.Lookup(p, &t.verbs, cf.seq, int(cf.from))
 	if pc != nil {
 		if frame, _ := pc.Frame(); frame[0] != cf.op {
@@ -392,7 +392,7 @@ func (t *Transport) handleCompletion(p *sim.Proc, rv *gm.Recv) {
 		}
 	}
 	if pc == nil {
-		tr.Arrive(int64(p.Now()), p.ID(), ctx)
+		tr.Arrive(int64(p.Now()), p.ID(), rv.Span)
 		return
 	}
 	var data []byte
@@ -415,7 +415,7 @@ func (t *Transport) handleCompletion(p *sim.Proc, rv *gm.Recv) {
 		// unblocks WaitVerbs' mainline.
 		tr.Emit(trace.Event{T: int64(pc.Issued()), Dur: int64(pc.Completed() - pc.Issued()),
 			Layer: trace.LayerSubstrate, Kind: "verb:" + verbName(cf.op),
-			Proc: p.ID(), Peer: pc.Dst(), Bytes: len(rv.Data), Rank: t.Rank(), B: int(ctx.Span)})
+			Proc: p.ID(), Peer: pc.Dst(), Bytes: len(rv.Data), Rank: t.Rank(), B: int(rv.Span)})
 	}
 }
 
@@ -442,8 +442,8 @@ func (t *Transport) onVerbFrame(rv *gm.Recv) {
 	// The firmware sink has no host process; the flow endpoint is the
 	// target process's track. Redelivered verbs carry the same span: the
 	// causal view counts them as duplicates.
-	tr, vctx := t.Proc().Sim().Tracer(), trace.DecodeCtx(rv.Aux)
-	tr.Arrive(int64(t.Proc().Sim().Now()), t.Proc().ID(), vctx)
+	tr, vspan := t.Proc().Sim().Tracer(), rv.Span
+	tr.Arrive(int64(t.Proc().Sim().Now()), t.Proc().ID(), vspan)
 	key := substrate.DupKey{Origin: vf.origin, Seq: vf.seq}
 	if e, seen := t.vdup.Lookup(key); seen {
 		// Redelivered verb: never re-execute (a stale Put must not
@@ -487,14 +487,14 @@ func (t *Transport) onVerbFrame(rv *gm.Recv) {
 	delay := NICServiceCost + sim.Time(len(vf.segs))*segDMACost +
 		sim.BytesTime(dmaBytes, DMABandwidth)
 	dst := int(vf.origin)
-	var compAux []byte
+	var compSpan uint64
 	if tr != nil {
 		// The completion is caused by the verb that requested it; its send
 		// time is when the firmware actually ships the entry.
-		compAux = tr.Send(trace.Event{T: int64(t.Proc().Sim().Now() + delay), Kind: "comp:" + verbName(vf.op),
-			Proc: t.Proc().ID(), Rank: t.Rank(), Peer: dst, Bytes: len(comp), B: int(vctx.Span)})
+		compSpan = tr.Send(trace.Event{T: int64(t.Proc().Sim().Now() + delay), Kind: "comp:" + verbName(vf.op),
+			Proc: t.Proc().ID(), Rank: t.Rank(), Peer: dst, Bytes: len(comp), B: int(vspan)})
 	}
-	e.Done, e.Reply, e.ReplyAux, e.To = true, comp, compAux, dst
+	e.Done, e.Reply, e.ReplySpan, e.To = true, comp, compSpan, dst
 	t.verbPort.ProvideReceiveBuffer(rv.Buffer)
 
 	t.Proc().Sim().After(delay, t.compSend(key))
@@ -541,14 +541,14 @@ func (t *Transport) sendCompletion(key substrate.DupKey) {
 	if !ok {
 		return
 	}
-	dst, comp, aux := e.To, e.Reply, e.ReplyAux
+	dst, comp, span := e.To, e.Reply, e.ReplySpan
 	if dst < 0 || dst >= t.Size() || dst == t.Rank() {
 		return
 	}
 	if buf := t.compPool.TryTake(len(comp)); buf != nil {
 		copy(buf.Bytes(), comp)
 		ss := t.staged(t.compPool, t.cqPort, buf)
-		err := t.cqPort.SendFromKernelAux(myrinet.NodeID(dst), CQPort, buf, len(comp), aux, ss.done)
+		err := t.cqPort.SendFromKernel(myrinet.NodeID(dst), CQPort, buf, len(comp), span, ss.done)
 		if err == nil {
 			t.Stats().BytesSent += int64(len(comp))
 			return

@@ -160,11 +160,11 @@ func (t *Transport) onSIGIO(p *sim.Proc, payload any) {
 			continue
 		}
 		for {
-			n, _, _, aux, ok := sk.TryRecvFromAux(p, t.reqBuf)
+			n, _, _, span, ok := sk.TryRecvFrom(p, t.reqBuf)
 			if !ok {
 				break
 			}
-			t.dispatchRequest(p, t.reqBuf[:n], aux)
+			t.dispatchRequest(p, t.reqBuf[:n], span)
 		}
 	}
 	t.Stats().RequestService += p.Now() - start
@@ -176,14 +176,14 @@ func (t *Transport) onSIGIO(p *sim.Proc, payload any) {
 
 // dispatchRequest decodes one incoming request datagram and runs it
 // through the core's duplicate filter and the DSM handler.
-func (t *Transport) dispatchRequest(p *sim.Proc, raw, aux []byte) {
+func (t *Transport) dispatchRequest(p *sim.Proc, raw []byte, span uint64) {
 	p.Advance(DispatchCost)
 	m, err := t.RequestDecoder(p).Decode(raw)
 	if err != nil {
 		panic(fmt.Sprintf("udpgm: corrupt request on node %d: %v", t.Rank(), err))
 	}
 	t.Live.Heard(int(m.From))
-	if e := t.Admit(p, m, aux, len(raw)); e != nil {
+	if e := t.Admit(p, m, span, len(raw)); e != nil {
 		t.AnswerDup(p, m, e)
 	} else {
 		t.Serve(p, m, len(raw))
@@ -200,7 +200,7 @@ func (t *Transport) AwaitReply(p *sim.Proc, deadline sim.Time, into *msg.Decoder
 	if idx < 0 {
 		return nil
 	}
-	n, _, _, aux, ok := t.replies[idx].TryRecvFromAux(p, t.repBuf)
+	n, _, _, span, ok := t.replies[idx].TryRecvFrom(p, t.repBuf)
 	if !ok {
 		return nil
 	}
@@ -209,7 +209,7 @@ func (t *Transport) AwaitReply(p *sim.Proc, deadline sim.Time, into *msg.Decoder
 	if err != nil {
 		panic(fmt.Sprintf("udpgm: corrupt reply on node %d: %v", t.Rank(), err))
 	}
-	t.Arrived(p, m, aux)
+	t.Arrived(p, m, span)
 	t.Live.Heard(int(m.From))
 	return m
 }
@@ -218,7 +218,7 @@ func (t *Transport) AwaitReply(p *sim.Proc, deadline sim.Time, into *msg.Decoder
 // socket for this rank, replies to its reply socket. Any of our bound
 // sockets sends (addressing is by node + port; the sending socket only
 // determines the source port, which receivers ignore).
-func (t *Transport) Transmit(p *sim.Proc, dst int, lane substrate.Lane, kind msg.Kind, body, aux []byte) {
+func (t *Transport) Transmit(p *sim.Proc, dst int, lane substrate.Lane, kind msg.Kind, body []byte, span uint64) {
 	port := reqPortBase + t.Rank()
 	if lane == substrate.LaneReply {
 		port = repPortBase + t.Rank()
@@ -238,7 +238,7 @@ func (t *Transport) Transmit(p *sim.Proc, dst int, lane substrate.Lane, kind msg
 	}
 	// Rank maps to fabric node identically: one DSM process per node, as
 	// in the paper's runs.
-	if err := sk.SendToAux(p, myrinet.NodeID(dst), port, body, aux); err != nil {
+	if err := sk.SendTo(p, myrinet.NodeID(dst), port, body, span); err != nil {
 		panic(fmt.Sprintf("udpgm: sendto rank %d: %v", dst, err))
 	}
 }

@@ -23,10 +23,10 @@ type barrierState struct {
 	spare    []msg.Message
 	cond     *sim.Cond
 
-	// Causal-view observation (DESIGN.md §13): the context and time of the
+	// Causal-view observation (DESIGN.md §13): the span and time of the
 	// latest client arrival, consulted when the releases go out to name
 	// their enabling cause. Costs no virtual time.
-	lastArrive  trace.Ctx
+	lastArrive  uint64
 	lastArriveT sim.Time
 }
 
@@ -102,10 +102,11 @@ func (tp *Proc) barrierArrive(id, ep int32) (ivs, pgs int) {
 // barrierRelease is the manager's half of Barrier: wait for the n−1 client
 // arrivals (their intervals are applied on receipt by the handler), then
 // release each client with exactly what it lacks. For the causal view each
-// release names its enabling cause: the last arrival, or the manager's own
-// timeline if it was itself the straggler. Parenting on the client's own
-// arrival would mis-attribute every client's wait to its own round-trip
-// instead of the straggler's lateness.
+// release answers the arrival that enabled it: every kept arrival takes the
+// last arrival's span, or none (0: the manager's own timeline) if the
+// manager was itself the straggler, before it is replied to. Parenting on
+// the client's own arrival would mis-attribute every client's wait to its
+// own round-trip instead of the straggler's lateness.
 func (tp *Proc) barrierRelease(id, ep int32, start sim.Time) {
 	clients := tp.n - 1
 	tp.blockedOn = blocked("barrier %d episode %d (awaiting %d arrivals)", int(id), int(ep), clients)
@@ -114,13 +115,13 @@ func (tp *Proc) barrierRelease(id, ep int32, start sim.Time) {
 	}
 	tp.blockedOn = entity{}
 
-	enabling := trace.Local
+	var enabling uint64
 	if tp.barrier.lastArriveT > start {
 		enabling = tp.barrier.lastArrive
 	}
 	// The manager receives no release; whatever enabled the releases is
 	// also what unblocks its mainline after the barrier.
-	tp.observeCausal(trace.KindUnblock, enabling.Span)
+	tp.observeCausal(trace.KindUnblock, enabling)
 
 	tp.tr.DisableAsync(tp.sp)
 	arrivals := tp.barrier.arrivals
@@ -132,13 +133,13 @@ func (tp *Proc) barrierRelease(id, ep int32, start sim.Time) {
 			panic(fmt.Sprintf("tmk: barrier mismatch: rank %d at %d, child %d at %d",
 				tp.rank, id, req.ReplyTo, req.Barrier))
 		}
+		req.Span = enabling
 		recs := tp.since(VC(req.VC))
 		tp.tr.Reply(tp.sp, req, tp.outgoing(msg.Message{
 			Kind:      msg.KBarrierRelease,
 			Barrier:   id,
 			Episode:   req.Episode,
 			Intervals: tp.toWire(recs),
-			Ctx:       enabling,
 		}))
 	}
 	tp.barrier.episode++
@@ -174,7 +175,7 @@ func (tp *Proc) handleBarrierArrive(req *msg.Message) {
 			tp.rank, tp.barrier.episode, req.ReplyTo, req.Episode))
 	}
 	tp.applyIntervals(req.Intervals)
-	tp.barrier.lastArrive, tp.barrier.lastArriveT = req.Ctx, tp.sp.Now()
+	tp.barrier.lastArrive, tp.barrier.lastArriveT = req.Span, tp.sp.Now()
 	tp.barrier.arrivals = keepRequest(tp.barrier.arrivals, req)
 	tp.barrier.cond.Broadcast()
 }

@@ -1,11 +1,7 @@
 package trace
 
-import (
-	"encoding/binary"
-)
-
-// Causal tracing (DESIGN.md §13): every cross-node frame carries a compact
-// context — (traceID, span) — in its envelope as unbilled metadata, and
+// Causal tracing (DESIGN.md §13): every cross-node frame carries its span
+// — the ID of its edge — beside its envelope as unbilled metadata, and
 // with a Tracer attached its send and acceptance are trace events, beside
 // each rank's mainline unblockings and application end (DESIGN.md §7).
 // Causal is the subscriber that rebuilds the run's DAG from them. A send
@@ -14,24 +10,6 @@ import (
 // substrate event starting at it (serve span, dup-request), the B of a
 // span ending at it (call, verb: also the caller's unblocking), or a
 // KindArrive instant.
-
-// Ctx is the compact causal context a frame carries: the run's trace ID
-// and the span (edge) ID of the frame itself — which becomes the
-// parent of whatever the receiver does in response.
-type Ctx struct {
-	Trace uint32
-	Span  uint64
-}
-
-// Zero reports whether c carries no context.
-func (c Ctx) Zero() bool { return c == Ctx{} }
-
-// traceID is the trace ID every context of a run carries.
-const traceID = 1
-
-// Local is the context of an action caused by the sender's own timeline:
-// not Zero, so it overrides a reply's default parent, and naming no span.
-var Local = Ctx{Trace: traceID}
 
 // Kinds of LayerCausal events besides a send, whose Kind is its edge kind.
 const (
@@ -46,53 +24,21 @@ const Mainline = -1
 
 // Send records the send half of a frame — e gives its edge kind, send
 // time, sender (Proc, Rank), receiving rank (Peer), Bytes and parent (B)
-// — under the tracer's next span, and returns the context it carries.
-func (t *Tracer) Send(e Event) []byte {
+// — under the tracer's next span, and returns that span: the frame carries
+// it, and it becomes the parent of whatever the receiver does in response.
+func (t *Tracer) Send(e Event) uint64 {
 	t.spans++
 	e.Layer, e.A = LayerCausal, int(t.spans)
 	t.Emit(e)
-	return EncodeCtx(Ctx{Trace: traceID, Span: t.spans})
+	return t.spans
 }
 
 // Arrive records process proc's acceptance, at virtual time at, of the
-// frame ctx names, where no substrate span carries it. A nil tracer, or a
-// frame without a context, records nothing.
-func (t *Tracer) Arrive(at int64, proc int, ctx Ctx) {
-	if t != nil && ctx.Span != 0 {
-		t.Emit(Event{T: at, Layer: LayerCausal, Kind: KindArrive, Proc: proc, Peer: -1, A: int(ctx.Span)})
-	}
-}
-
-// Context wire format (DESIGN.md §13): 1-byte magic, 1-byte version,
-// then trace ID and span ID little-endian. Anything shorter, or with a
-// wrong magic/version, decodes to the zero Ctx — malformed metadata
-// degrades to "no context", never to an error.
-const (
-	ctxMagic   = 0xC7
-	ctxVersion = 1
-	// CtxWireSize is the encoded size of a causal context.
-	CtxWireSize = 14
-)
-
-// EncodeCtx serializes a context into its canonical wire form.
-func EncodeCtx(c Ctx) []byte {
-	b := make([]byte, CtxWireSize)
-	b[0] = ctxMagic
-	b[1] = ctxVersion
-	binary.LittleEndian.PutUint32(b[2:6], c.Trace)
-	binary.LittleEndian.PutUint64(b[6:14], c.Span)
-	return b
-}
-
-// DecodeCtx parses a wire-form context. Malformed or truncated input
-// yields the zero Ctx; trailing bytes are ignored.
-func DecodeCtx(b []byte) Ctx {
-	if len(b) < CtxWireSize || b[0] != ctxMagic || b[1] != ctxVersion {
-		return Ctx{}
-	}
-	return Ctx{
-		Trace: binary.LittleEndian.Uint32(b[2:6]),
-		Span:  binary.LittleEndian.Uint64(b[6:14]),
+// frame span names, where no substrate span carries it. A nil tracer, or
+// a frame without a span (0), records nothing.
+func (t *Tracer) Arrive(at int64, proc int, span uint64) {
+	if t != nil && span != 0 {
+		t.Emit(Event{T: at, Layer: LayerCausal, Kind: KindArrive, Proc: proc, Peer: -1, A: int(span)})
 	}
 }
 
