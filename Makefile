@@ -9,11 +9,11 @@ WORKLOAD ?= jacobi_fastgm_16
 BASE     ?= HEAD
 PAIRS    ?= 10
 
-.PHONY: all check fmt vet build test race loc uncovered host-allocs host-cpu wire-bytes pairs fuzz-smoke bench bench-identical bench-gate prof-smoke chaos-smoke rdma-smoke critical-smoke cli-smoke
+.PHONY: all check fmt vet build test race loc uncovered host-allocs host-cpu wire-bytes pairs fuzz-smoke bench bench-identical bench-gate chaos-smoke rdma-smoke critical-smoke cli-smoke
 
 all: check
 
-check: fmt vet build test race fuzz-smoke prof-smoke chaos-smoke rdma-smoke critical-smoke cli-smoke
+check: fmt vet build test race fuzz-smoke chaos-smoke rdma-smoke critical-smoke cli-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -244,20 +244,21 @@ rdma-smoke:
 # The one comparison: every regenerated row that differs from the
 # checked-in BENCH_*.json is printed with its old and new value, and none
 # may be worse by more than its tolerance (max(500ns, 2%·old) by default;
-# times lower-is-better, B/s higher-is-better; `-gate-rel 0 -gate-abs-ns 0`
-# for exactness); a removed row is a failure, an improvement is listed.
+# times lower-is-better, B/s higher-is-better; bench-identical is the
+# exactness check); a removed row is a failure, an improvement is listed.
 # Writes nothing. Callable on its own and not part of `check`.
 bench-gate:
 	$(GO) run ./cmd/bench -gate -out $(BENCHDIR)
 
 # Every command that builds a Config from flags reports an illegal one as
 # tmk.Config.Validate's one-line verdict and a non-zero exit — never a
-# goroutine dump — the smallest verified run passes on each substrate, and
-# so does the whole `tmkrun -verify` matrix: 4 apps × 3 substrates × {2,
-# 4, 8, 16} nodes at default sizes, one verdict line per cell, each cell
-# either verified or a one-line invalid config (about 10 s on two cores).
-# SOR's verification gather there asks for pages whose diffs fill more
-# than one 32 KB frame, and the 3dfft cells at 2 and 4 nodes read source
+# goroutine dump — figures rejects a -fig it does not print with a line
+# naming the valid ones, the smallest verified run passes on each
+# substrate, and so does the whole `tmkrun -verify` matrix: 4 apps × 3
+# substrates × {2, 4, 8, 16} nodes at default sizes, one verdict line per
+# cell, each cell either verified or a one-line invalid config (about
+# 10 s on two cores). SOR's verification gather there asks for pages
+# whose diffs fill more than one 32 KB frame, and the 3dfft cells at 2 and 4 nodes read source
 # blocks of 32 and 8 dense pages, so on the homeless substrates they
 # exercise continued replies and multi-wave span faults (DESIGN.md §4.3);
 # so do the homeless rdmagm 3dfft runs after it, and again with
@@ -274,6 +275,13 @@ cli-smoke:
 			*"goroutine "*) echo "cli-smoke: $$args: goroutine dump"; exit 1;; \
 			*"invalid config"*) ;; \
 			*) echo "cli-smoke: $$args: no invalid-config line: $$out"; exit 1;; \
+		esac; \
+	done
+	@for fig in bogus prof; do \
+		if out="$$($(GO) run ./cmd/figures -fig $$fig 2>&1)"; then echo "cli-smoke: figures -fig $$fig: exited 0"; exit 1; fi; \
+		case "$$out" in \
+			*"unknown -fig \"$$fig\" (want "*) ;; \
+			*) echo "cli-smoke: figures -fig $$fig: no unknown-fig line: $$out"; exit 1;; \
 		esac; \
 	done
 	@for t in udpgm fastgm rdmagm; do \
@@ -316,11 +324,7 @@ cli-smoke:
 		*) echo "cli-smoke: tmkrun -scenario counter -critical: no critical-path table"; exit 1;; \
 	esac; \
 	[ -s $$tmp/t.json ] || { echo "cli-smoke: tmkrun -scenario counter -out: empty trace JSON"; exit 1; }
-	@echo "cli-smoke: illegal configs rejected in one line, the -verify matrix and the homeless rdmagm and rendezvous runs pass, -prof profiles, -critical -out"
-
-# Quick end-to-end run of the protocol-entity profiler (small sizes).
-prof-smoke:
-	$(GO) run ./cmd/figures -fig prof -prof-nodes 4 -prof-small > /dev/null
+	@echo "cli-smoke: illegal configs and unknown figures rejected in one line, the -verify matrix and the homeless rdmagm and rendezvous runs pass, -prof profiles, -critical -out"
 
 # Causal critical-path smoke: one SOR run over FAST/GM must extract a
 # non-empty critical path whose category attributions sum exactly to the

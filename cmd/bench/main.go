@@ -15,15 +15,14 @@
 // selected suite is regenerated in memory and held to the checked-in
 // BENCH_<suite>.json in -out: every row that moved is printed with its
 // old and new value, and no row may be worse than the checked-in value
-// by more than its tolerance — max(-gate-abs-ns, -gate-rel · |old|);
-// times are better lower, rates better higher — with a row disappearing
-// itself a failure. `-gate-rel 0 -gate-abs-ns 0` asks for exactness.
-// Exit status is nonzero on any failure.
+// by more than its tolerance — max(500 ns, 2% of |old|), harness.GateAbsNs
+// and harness.GateRelTol; times are better lower, rates better higher —
+// with a row disappearing itself a failure. Exactness is `make
+// bench-identical`. Exit status is nonzero on any failure.
 //
 // Usage:
 //
-//	bench [-suite all|e0|e1|e2|e3] [-out DIR]
-//	      [-gate [-gate-rel 0.02] [-gate-abs-ns 500]]
+//	bench [-suite all|e0|e1|e2|e3] [-out DIR] [-gate]
 package main
 
 import (
@@ -38,12 +37,10 @@ func main() {
 	suite := flag.String("suite", "all", "which suite to run: e0, e1, e2, e3, all")
 	out := flag.String("out", ".", "directory to write BENCH_<suite>.json into (with -gate: to read the checked-in files from)")
 	gate := flag.Bool("gate", false, "write nothing: print every regenerated row that differs from the checked-in files in -out, and fail if one is worse by more than the tolerance")
-	gateRel := flag.Float64("gate-rel", harness.GateRelTol, "gate relative tolerance (fraction of the checked-in value)")
-	gateAbs := flag.Int64("gate-abs-ns", harness.GateAbsNs, "gate absolute tolerance floor, ns")
 	flag.Parse()
 
 	if *gate {
-		reports, err := harness.GateBench(*suite, *out, *gateRel, *gateAbs)
+		reports, err := harness.GateBench(*suite, *out)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

@@ -181,7 +181,7 @@ func main() {
 	}
 	if pf != nil || *out != "" {
 		fmt.Println()
-		harness.WarnRingOverflow(os.Stdout, "", tracer.Overwrote(), tracer.Len())
+		harness.WarnRingOverflow(os.Stdout, tracer.Overwrote(), tracer.Len())
 		exitOn(trace.WriteBreakdown(os.Stdout, "per-layer breakdown", tracer.Breakdown()))
 	}
 }

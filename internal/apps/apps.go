@@ -62,13 +62,6 @@ func blockRange(lo, hi, rank, n int) (int, int) {
 	return start, end
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // chargePoints bills grid-point updates to the virtual CPU.
 func chargePoints(tp *tmk.Proc, points int, per sim.Time) {
 	if points > 0 {

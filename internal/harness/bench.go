@@ -18,7 +18,7 @@ import (
 	"repro/internal/ubench"
 )
 
-// Machine-readable bench trajectory: the headline numbers of five suites
+// Machine-readable bench trajectory: the headline numbers of four suites
 // serialized as BENCH_<suite>.json so successive commits can be compared
 // mechanically. Runs are deterministic simulations, so regenerating a
 // suite on the same tree reproduces the file byte-identically — any diff
@@ -248,9 +248,8 @@ func DiffBench(old, cur *BenchSuite) []BenchDelta {
 // cross-commit movement — anything outside it means "update the
 // checked-in file deliberately or explain the regression", never noise.
 
-// Gate tolerance defaults (the -gate-rel / -gate-abs-ns flag defaults): a
-// row is within tolerance when |new−old| ≤ max(absNs, relTol·|old|). The
-// absolute floor keeps sub-microsecond rows (per-op latencies) from
+// Gate tolerances (`cmd/bench -gate`): a row is within tolerance when
+// |new−old| ≤ max(absNs, relTol·|old|). The absolute floor keeps sub-microsecond rows (per-op latencies) from
 // failing on rounding-scale movement; the relative bound scales with the
 // long application runs. Beyond it the direction decides: times ("ns",
 // "ns/op") are better lower, rates ("B/s") better higher, and only a
@@ -294,8 +293,9 @@ func (r GateReport) count(verdict string) int {
 }
 
 // GateBench regenerates the selected suites ("all" or one suite's name)
-// and gates each against the checked-in file in dir.
-func GateBench(suite, dir string, relTol float64, absNs int64) ([]GateReport, error) {
+// and gates each against the checked-in file in dir at GateRelTol and
+// GateAbsNs.
+func GateBench(suite, dir string) ([]GateReport, error) {
 	suites, err := generate(suite)
 	if err != nil {
 		return nil, err
@@ -306,7 +306,7 @@ func GateBench(suite, dir string, relTol float64, absNs int64) ([]GateReport, er
 		if err != nil {
 			return nil, err
 		}
-		reports = append(reports, gateSuite(old, cur, relTol, absNs))
+		reports = append(reports, gateSuite(old, cur, GateRelTol, GateAbsNs))
 	}
 	return reports, nil
 }

@@ -351,13 +351,27 @@ func TestCausalDAGIntegrityUnderChaos(t *testing.T) {
 	for _, v := range causalVariants() {
 		t.Run(v.name, func(t *testing.T) {
 			cz := trace.NewCausal()
+			tracer, dups, spanless := trace.New(1), 0, 0
+			tracer.Subscribe(func(e trace.Event) {
+				if e.Kind == "dup-request" {
+					dups++
+					if e.A == 0 {
+						spanless++
+					}
+				}
+			})
 			res, err := RunApp(app, spec.Nodes, v.kind, func(cfg *tmk.Config) {
 				spec.Mutate(cfg)
 				cfg.Rendezvous = v.rendezvous
-				cfg.Causal = cz
+				cfg.Trace, cfg.Causal = tracer, cz
 			})
 			if err != nil {
 				t.Fatal(err)
+			}
+			// A filter's re-relay of a forwarded request is one of these
+			// copies: it must carry the forward's span like any resend.
+			if spanless > 0 {
+				t.Errorf("%d of %d redelivered requests carried no span", spanless, dups)
 			}
 			switch v.kind {
 			case tmk.TransportUDPGM:

@@ -316,17 +316,20 @@ type Fig5Row struct {
 	Fast1  sim.Time
 }
 
-// Figure5 sweeps the Table 1 size ladders.
-func Figure5(nodes int) ([]Fig5Row, error) {
+// fig5Nodes is Figure 5's cluster size, the paper's.
+const fig5Nodes = 16
+
+// Figure5 sweeps the Table 1 size ladders on 16 nodes and on 1.
+func Figure5() ([]Fig5Row, error) {
 	var rows []Fig5Row
 	for _, name := range AppNames {
 		for _, app := range SizeLadder(name) {
 			row := Fig5Row{App: name, Size: app.Size()}
 			var err error
-			if row.UDP16, err = exec(app, nodes, tmk.TransportUDPGM); err != nil {
+			if row.UDP16, err = exec(app, fig5Nodes, tmk.TransportUDPGM); err != nil {
 				return nil, err
 			}
-			if row.Fast16, err = exec(app, nodes, tmk.TransportFastGM); err != nil {
+			if row.Fast16, err = exec(app, fig5Nodes, tmk.TransportFastGM); err != nil {
 				return nil, err
 			}
 			if row.UDP1, err = exec(app, 1, tmk.TransportUDPGM); err != nil {
@@ -350,10 +353,10 @@ func exec(app apps.App, n int, kind tmk.TransportKind) (sim.Time, error) {
 }
 
 // PrintFigure5 renders the E3 table.
-func PrintFigure5(w io.Writer, rows []Fig5Row, nodes int) {
+func PrintFigure5(w io.Writer, rows []Fig5Row) {
 	fprintf(w, "E3 — Table 1 + Figure 5: execution time vs application size\n")
 	fprintf(w, "%-8s %-12s %12s %12s %8s %12s %12s\n",
-		"app", "size", fmt.Sprintf("UDP-%d", nodes), fmt.Sprintf("FAST-%d", nodes),
+		"app", "size", fmt.Sprintf("UDP-%d", fig5Nodes), fmt.Sprintf("FAST-%d", fig5Nodes),
 		"factor", "UDP-1", "FAST-1")
 	for _, r := range rows {
 		fprintf(w, "%-8s %-12s %12v %12v %8s %12v %12v\n",

@@ -19,6 +19,12 @@ import (
 // Transports under comparison, in paper order (baseline first).
 var Transports = []tmk.TransportKind{tmk.TransportUDPGM, tmk.TransportFastGM}
 
+// AllTransports lists every substrate, in paper order (baseline first,
+// then the two GM-native designs).
+var AllTransports = []tmk.TransportKind{
+	tmk.TransportUDPGM, tmk.TransportFastGM, tmk.TransportRDMAGM,
+}
+
 // RunApp executes one application on n processes over the given
 // transport; mutate (optional) tweaks the configuration first.
 func RunApp(app apps.App, n int, kind tmk.TransportKind, mutate func(*tmk.Config)) (*tmk.Result, error) {

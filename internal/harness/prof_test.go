@@ -8,7 +8,15 @@ import (
 	"repro/internal/prof"
 	"repro/internal/sim"
 	"repro/internal/tmk"
+	"repro/internal/trace"
 )
+
+// profTracer returns a tracer with pf subscribed: how a run is profiled.
+func profTracer(pf *prof.Profiler) *trace.Tracer {
+	tr := trace.New(0)
+	tr.Subscribe(pf.Observe)
+	return tr
+}
 
 // profRun executes body on n fastgm processes with a profiler attached
 // and returns its snapshot.
@@ -177,32 +185,34 @@ func TestProfilingDoesNotPerturbResults(t *testing.T) {
 	}
 }
 
-// TestProfEntitiesSmoke runs the Eprof figure in its small mode and
-// checks every application yields a populated profile on both
-// transports, with lock attribution present exactly where the apps use
-// locks (sor, tsp) and absent where they are barrier-only.
+// TestProfEntitiesSmoke profiles every application at its smallest
+// Table 1 size on 4 nodes over both two-sided transports and checks each
+// yields a populated profile, with lock attribution present exactly where
+// the apps use locks (sor, tsp) and absent where they are barrier-only.
 func TestProfEntitiesSmoke(t *testing.T) {
-	runs, err := ProfEntities(4, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(runs) != len(AppNames)*len(Transports) {
-		t.Fatalf("got %d runs", len(runs))
-	}
-	for _, r := range runs {
-		if len(r.Profile.Pages) == 0 {
-			t.Errorf("%s/%s: no page attribution", r.App, r.Transport)
-		}
-		if r.Profile.ExecNs <= 0 {
-			t.Errorf("%s/%s: no exec time", r.App, r.Transport)
-		}
-		hasLocks := len(r.Profile.Locks) > 0
-		wantLocks := r.App == "sor" || r.App == "tsp"
-		if hasLocks != wantLocks {
-			t.Errorf("%s/%s: lock attribution = %v, want %v", r.App, r.Transport, hasLocks, wantLocks)
-		}
-		if len(r.Profile.Barriers) == 0 {
-			t.Errorf("%s/%s: no barrier attribution", r.App, r.Transport)
+	for _, name := range AppNames {
+		app := SizeLadder(name)[0]
+		for _, kind := range Transports {
+			pf := prof.New()
+			res, err := RunApp(app, 4, kind, func(cfg *tmk.Config) { cfg.Trace = profTracer(pf) })
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, kind, err)
+			}
+			pr := LabelProfile(pf, app.Name(), app.Size(), kind, 4, res)
+			if len(pr.Pages) == 0 {
+				t.Errorf("%s/%s: no page attribution", name, kind)
+			}
+			if pr.ExecNs <= 0 {
+				t.Errorf("%s/%s: no exec time", name, kind)
+			}
+			hasLocks := len(pr.Locks) > 0
+			wantLocks := name == "sor" || name == "tsp"
+			if hasLocks != wantLocks {
+				t.Errorf("%s/%s: lock attribution = %v, want %v", name, kind, hasLocks, wantLocks)
+			}
+			if len(pr.Barriers) == 0 {
+				t.Errorf("%s/%s: no barrier attribution", name, kind)
+			}
 		}
 	}
 }

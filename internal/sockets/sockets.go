@@ -65,7 +65,6 @@ var (
 	ErrPortInUse    = errors.New("sockets: port already bound")
 	ErrNotBound     = errors.New("sockets: socket not bound")
 	ErrTooLarge     = errors.New("sockets: datagram exceeds maximum size")
-	ErrBufTooSmall  = errors.New("sockets: receive buffer smaller than datagram")
 	ErrNoSuchSocket = errors.New("sockets: operation on closed socket")
 )
 

@@ -12,6 +12,7 @@ import (
 	"repro/internal/substrate/fastgm"
 	"repro/internal/substrate/stest"
 	"repro/internal/substrate/udpgm"
+	"repro/internal/trace"
 )
 
 // TestConformanceAllSubstrates drives the complete Transport contract
@@ -55,6 +56,9 @@ func TestConformanceAllSubstrates(t *testing.T) {
 // a buffer posted before the park expires accepts the original, which is
 // served once delivery is unmasked, while GM re-sends the request. Both
 // frames of the duplicate's answer are stale.
+//
+// A causal view watches the run: a resent frame keeps its span, the cached
+// continued frames of the duplicate's answer included.
 func TestDuplicateGetsEveryFrame(t *testing.T) {
 	const frames = 2
 	fast := fastgm.DefaultConfig()
@@ -70,6 +74,9 @@ func TestDuplicateGetsEveryFrame(t *testing.T) {
 	} {
 		t.Run(b.name, func(t *testing.T) {
 			c := b.build()
+			tracer, cz := trace.New(1), trace.NewCausal()
+			tracer.Subscribe(cz.Observe)
+			c.Sim.SetTracer(tracer)
 			cr := stest.NewContinuedReply(1, frames, 3000)
 			posted := sim.NewCond("test:posted")
 			done := false
@@ -124,6 +131,19 @@ func TestDuplicateGetsEveryFrame(t *testing.T) {
 				t.Fatal(err)
 			}
 			req, wr := c.Transports[0].Stats(), c.Transports[1].Stats()
+			// The filter's answer is a resend: every frame of it carries the
+			// span its first copy did, so each copy past the first — the
+			// duplicate request and every stale reply frame — is a duplicate
+			// arrival of a span, and every frame is accepted once.
+			if got, want := cz.DupArrivals(), wr.DupRequests+req.StaleReplies; got != want {
+				t.Errorf("%d duplicate arrivals recorded for %d duplicate requests and %d stale frames: a resent frame lost its span",
+					got, wr.DupRequests, req.StaleReplies)
+			}
+			for _, e := range cz.Edges() {
+				if !e.Arrived() {
+					t.Errorf("edge %d (%s) never accepted", e.ID, e.Kind)
+				}
+			}
 			if wr.DupRequests != 1 {
 				t.Errorf("%d duplicates served, want 1", wr.DupRequests)
 			}

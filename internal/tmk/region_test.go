@@ -3,6 +3,8 @@ package tmk_test
 import (
 	"testing"
 
+	"repro/internal/myrinet"
+	"repro/internal/sim"
 	"repro/internal/tmk"
 )
 
@@ -92,6 +94,51 @@ func TestSpanAcrossPages(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestLateMappedRegionReplaysNotices: a write notice can arrive before
+// the region it names is mapped here. Rank 0's KDistribute to rank 2 is
+// lost once, so rank 2 learns of rank 1's write to the region from the
+// grant of lock 1 before the retransmitted announcement maps it there;
+// mapRegion must replay that notice, or rank 2's first read zero-fills the
+// page instead of fetching rank 1's diff.
+func TestLateMappedRegionReplaysNotices(t *testing.T) {
+	for _, kind := range []tmk.TransportKind{tmk.TransportFastGM, tmk.TransportUDPGM} {
+		t.Run(string(kind), func(t *testing.T) {
+			cfg := tmk.DefaultConfig(3, kind)
+			cfg.Faults.DropNexts = []myrinet.DropNext{{Src: 0, Dst: 2, Count: 1}}
+			var got float64
+			mappedAtGrant := true
+			res, err := tmk.Run(cfg, func(tp *tmk.Proc) {
+				switch tp.Rank() {
+				case 0:
+					tp.AllocShared(8)
+				case 1: // lock 1's manager: its acquire is local
+					r := tp.AllocShared(8)
+					tp.LockAcquire(1)
+					tp.WriteF64(r, 0, 42)
+					tp.LockRelease(1)
+				case 2:
+					tp.Compute(sim.Millisecond) // rank 1 has released lock 1
+					tp.LockAcquire(1)
+					mappedAtGrant = tp.RegionByID(0) != nil
+					tp.LockRelease(1)
+					got = tp.ReadF64(tp.AllocShared(8), 0)
+				}
+				tp.Barrier(1)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.NetFaults.Dropped != 1 || mappedAtGrant {
+				t.Fatalf("dropped %d packets, region mapped at the grant: %v; want the one KDistribute lost and the grant first",
+					res.NetFaults.Dropped, mappedAtGrant)
+			}
+			if got != 42 {
+				t.Errorf("rank 2 read %v from the late-mapped region, want rank 1's 42", got)
+			}
+		})
+	}
 }
 
 func TestUnmappedPagePanics(t *testing.T) {

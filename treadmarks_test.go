@@ -6,7 +6,7 @@ import (
 	treadmarks "repro"
 )
 
-// TestPublicAPIQuickstart runs the README's quickstart program end to end
+// TestPublicAPIQuickstart runs ExampleRun's lock-protected counter end to end
 // on both transports through the public facade.
 func TestPublicAPIQuickstart(t *testing.T) {
 	for _, kind := range []treadmarks.TransportKind{treadmarks.UDPGM, treadmarks.FastGM} {
