@@ -93,7 +93,7 @@ func TestRetryExhaustionAbortsWithPostMortem(t *testing.T) {
 			}
 			// Rank 2 has the region at once; home-based, it waits for the
 			// commit round rank 0 never reaches.
-			want2 := "blocked on barrier 1 episode 0 (arrive at parent 0)"
+			want2 := "blocked on barrier 1 episode 0 (arrive at manager 0)"
 			if kind == tmk.TransportRDMAGM {
 				want2 = "blocked on region 0 (awaiting distribute from rank 0)"
 			}

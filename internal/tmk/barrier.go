@@ -80,7 +80,7 @@ func (tp *Proc) barrierArrive(id, ep int32) (ivs, pgs int) {
 	for _, r := range recs {
 		pgs += len(r.pages)
 	}
-	rep := tp.call(0, blocked("barrier %d episode %d (arrive at parent 0)", int(id), int(ep)),
+	rep := tp.call(0, blocked("barrier %d episode %d (arrive at manager 0)", int(id), int(ep)),
 		tp.outgoing(msg.Message{
 			Kind:      msg.KBarrierArrive,
 			Barrier:   id,

@@ -27,7 +27,25 @@ func roundTripSeeds() [][]byte {
 		{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12},
 		bytes.Repeat([]byte{0xff, 0x00}, 100),
 		{0, 0, 0xaa, 0xff, 0x0f, 0xbb, 1, 1, 0xcc},
+		// The states of an 8-byte word pair (pair p is words 2p, 2p+1):
+		writeBytes(4, 8, 12, 19),           // run [1,5) ends on pair 2's low word
+		writeBytes(12, 20, 24, 31),         // run [5,8) starts on pair 2's high word as [3,4) closes
+		writeBytes(40, 55),                 // one-word runs: word 10 (low), word 13 (high)
+		writeBytes(4080, 4084, 4088, 4095), // run [1020,1024) reaches word 1023
+		writeBytes(4088),                   // only the last pair changes, its low word
+		writeBytes(4095),                   // only the last pair changes, its high word
 	}
+}
+
+// writeBytes is a FuzzDiffRoundTrip input whose twin is the zero page
+// and whose current page has 0xa5 at each byte offset given.
+func writeBytes(offs ...int) []byte {
+	data := make([]byte, 3*len(offs)) // the twin's half: zeros
+	for _, off := range offs {
+		data = binary.LittleEndian.AppendUint16(data, uint16(off))
+		data = append(data, 0xa5)
+	}
+	return data
 }
 
 // FuzzApplyDiff drives ApplyDiff with arbitrary diff bytes against a full
