@@ -264,9 +264,10 @@ bench-gate:
 # so do the homeless rdmagm 3dfft runs after it, and again with
 # -rendezvous, which carries the large frames by RTS/CTS. -prof (the
 # profiler subscribed to the run's tracer), on a scenario and on an app,
-# must exit 0 and print a profile with at least one page, and a scenario's
-# -critical -out must print a critical path and write a non-empty Chrome
-# trace.
+# must exit 0 and print a profile with at least one page; two identical
+# -prof-json runs must write byte-identical tmk-prof/1 files; and a
+# scenario's -critical -out must print a critical path and write a
+# non-empty Chrome trace.
 cli-smoke:
 	@for args in "tmkrun -nodes 0" "tmkrun -transport bogus" "tmkrun -scenario lockchain -transport bogus" \
 			"figures -fig 3 -barrier-nodes 0" "figures -fig 4 -nodes 0" "figures -fig e6 -e6-sizes 0"; do \
@@ -317,6 +318,14 @@ cli-smoke:
 		esac; \
 	done
 	@tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
+	$(GO) build -o $$tmp/tmkrun ./cmd/tmkrun || exit 1; \
+	for f in a b; do \
+		$$tmp/tmkrun -app tsp -nodes 4 -size 0 -prof -prof-json $$tmp/$$f.json > /dev/null || \
+			{ echo "cli-smoke: tmkrun -prof-json: exited non-zero"; exit 1; }; \
+	done; \
+	cmp -s $$tmp/a.json $$tmp/b.json || { echo "cli-smoke: two identical -prof-json runs wrote different files"; exit 1; }; \
+	grep -q '"schema": "tmk-prof/1"' $$tmp/a.json || { echo "cli-smoke: -prof-json: no tmk-prof/1 schema"; exit 1; }
+	@tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
 	out="$$($(GO) run ./cmd/tmkrun -scenario counter -critical -out $$tmp/t.json 2>&1)" || \
 		{ echo "cli-smoke: tmkrun -scenario counter -critical -out: exited non-zero"; exit 1; }; \
 	case "$$out" in \
@@ -324,7 +333,7 @@ cli-smoke:
 		*) echo "cli-smoke: tmkrun -scenario counter -critical: no critical-path table"; exit 1;; \
 	esac; \
 	[ -s $$tmp/t.json ] || { echo "cli-smoke: tmkrun -scenario counter -out: empty trace JSON"; exit 1; }
-	@echo "cli-smoke: illegal configs and unknown figures rejected in one line, the -verify matrix and the homeless rdmagm and rendezvous runs pass, -prof profiles, -critical -out"
+	@echo "cli-smoke: illegal configs and unknown figures rejected in one line, the -verify matrix and the homeless rdmagm and rendezvous runs pass, -prof profiles, -prof-json is deterministic, -critical -out"
 
 # Causal critical-path smoke: one SOR run over FAST/GM must extract a
 # non-empty critical path whose category attributions sum exactly to the

@@ -121,20 +121,10 @@ func (p *Port) Tokens() int { return p.tokens }
 // Stats returns a copy of the port's counters.
 func (p *Port) Stats() PortStats { return p.stats }
 
-// Resume re-enables a port disabled by a send timeout. GM must probe the
-// network to do this, which is expensive (gm_resume_sending).
-func (p *Port) Resume(proc *sim.Proc) {
-	if p.enabled {
-		return
-	}
-	proc.Advance(p.node.sys.params.ResumeCost)
-	p.enabled = true
-	p.traceResume()
-}
-
-// ForceResume re-enables the port with no process charged. Kernel-owned
-// ports (and user transports that model the probe delay on the event
-// clock themselves) use this.
+// ForceResume re-enables a port disabled by a send timeout
+// (gm_resume_sending). No process is charged: the callers, the kernel's
+// port and fastgm's recovery, wait out the ResumeCost network probe on
+// the event clock themselves.
 func (p *Port) ForceResume() {
 	if p.enabled {
 		return

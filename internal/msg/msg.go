@@ -67,17 +67,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// IsRequest reports whether the kind travels on the asynchronous request
-// path (true) or the synchronous reply path (false).
-func (k Kind) IsRequest() bool {
-	switch k {
-	case KLockAcquire, KBarrierArrive, KDiffReq, KDistribute, KDistributeCommit, KPing:
-		return true
-	default:
-		return false
-	}
-}
-
 // Interval is one consistency interval: all modifications proc Proc made
 // between its timestamps TS-1 and TS, summarized as write notices (the
 // pages dirtied). VC is the writer's full vector clock when the interval

@@ -19,21 +19,6 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-func TestIsRequest(t *testing.T) {
-	reqs := []Kind{KLockAcquire, KBarrierArrive, KDiffReq, KDistribute, KDistributeCommit, KPing}
-	reps := []Kind{KLockGrant, KBarrierRelease, KDiffReply, KAck, KPong}
-	for _, k := range reqs {
-		if !k.IsRequest() {
-			t.Errorf("%v should be a request", k)
-		}
-	}
-	for _, k := range reps {
-		if k.IsRequest() {
-			t.Errorf("%v should be a reply", k)
-		}
-	}
-}
-
 func roundTrip(t *testing.T, m *Message) *Message {
 	t.Helper()
 	b := m.Encode()

@@ -19,19 +19,21 @@ package prof
 
 import "repro/internal/trace"
 
-// Profiler accumulates per-entity attribution for one DSM run. It is
-// single-threaded by construction, like the simulator it observes;
-// subscribe one per run to the run's tracer.
+// Profiler accumulates per-entity attribution for one DSM run straight
+// into the rows a Profile reports. It is single-threaded by construction,
+// like the simulator it observes; subscribe one per run to the run's
+// tracer.
 type Profiler struct {
 	epochs []int32 // per-rank epoch = barriers crossed so far
 
-	pages    map[int32]*PageStats
-	locks    map[int32]*LockStats
-	barriers map[int32]*barrierAgg
-	episodes map[episodeKey]*episodeAgg
+	pages    map[int32]*PageRow
+	writers  map[writerKey]bool // (page, rank) pairs seen writing: PageRow.Writers
+	locks    map[int32]*LockRow
+	barriers map[int32]*BarrierRow
+	episodes map[episodeKey]*EpisodeRow
 
-	pageEpochs map[cellKey]*Cell
-	lockEpochs map[cellKey]*Cell
+	pageEpochs map[cellKey]*CellRow
+	lockEpochs map[cellKey]*CellRow
 
 	heldSince  map[holderKey]int64 // acquire-completion time per (rank, lock)
 	lastHolder map[int32]int       // previous holder per lock, for handoff counts
@@ -40,120 +42,39 @@ type Profiler struct {
 // New creates an empty profiler.
 func New() *Profiler {
 	return &Profiler{
-		pages:      make(map[int32]*PageStats),
-		locks:      make(map[int32]*LockStats),
-		barriers:   make(map[int32]*barrierAgg),
-		episodes:   make(map[episodeKey]*episodeAgg),
-		pageEpochs: make(map[cellKey]*Cell),
-		lockEpochs: make(map[cellKey]*Cell),
+		pages:      make(map[int32]*PageRow),
+		writers:    make(map[writerKey]bool),
+		locks:      make(map[int32]*LockRow),
+		barriers:   make(map[int32]*BarrierRow),
+		episodes:   make(map[episodeKey]*EpisodeRow),
+		pageEpochs: make(map[cellKey]*CellRow),
+		lockEpochs: make(map[cellKey]*CellRow),
 		heldSince:  make(map[holderKey]int64),
 		lastHolder: make(map[int32]int),
 	}
 }
 
-// PageStats is the accumulated attribution for one shared page.
-type PageStats struct {
-	ID     int32
-	Region int32
-
-	// Home is the page's home rank under home-based LRC, or -1 when the
-	// run is homeless (no hook ever reported a home).
-	Home int
-
-	// Home-based LRC traffic: flushes are diff Puts into this page's home
-	// window at interval close, fetches are whole-page Gets out of it.
-	HomeFlushes    int64
-	HomeFlushBytes int64
-	HomeFetches    int64
-	HomeFetchBytes int64
-
-	ReadFaults  int64
-	WriteFaults int64
-	FaultNs     int64 // virtual time spent in faults on this page
-
-	Fetches          int64 // full-page fetches
-	FetchBytes       int64
-	DiffFetches      int64 // diff requests issued for this page
-	DiffBytesFetched int64
-	DiffsCreated     int64
-	DiffBytesCreated int64
-
-	Invalidations     int64 // state transitions to invalid from notices
-	Notices           int64 // write notices received for this page
-	FalseShareNotices int64 // notices from a peer while this rank also wrote
-
-	writers map[int]bool // distinct ranks observed writing the page
+type writerKey struct {
+	page int32
+	rank int
 }
-
-// Writers returns how many distinct ranks wrote the page.
-func (ps *PageStats) Writers() int { return len(ps.writers) }
-
-// FalseSharingScore is the fraction of received write notices that hit a
-// page the receiving rank itself writes — the multiple-writer-protocol
-// signature of false sharing. Zero for single-writer pages.
-func (ps *PageStats) FalseSharingScore() float64 {
-	if ps.Notices == 0 || len(ps.writers) < 2 {
-		return 0
-	}
-	return float64(ps.FalseShareNotices) / float64(ps.Notices)
-}
-
-// LockStats is the accumulated attribution for one distributed lock.
-type LockStats struct {
-	ID      int32
-	Manager int // statically assigned manager rank
-
-	AcquiresLocal  int64 // token already here: free re-acquire
-	AcquiresRemote int64 // grant had to travel
-	WaitNs         int64 // summed remote-acquire latency
-	Holds          int64 // completed acquire→release pairs
-	HoldNs         int64 // summed acquire→release time
-	Handoffs       int64 // acquires where the token changed rank
-	Forwards       int64 // manager indirections (3-message acquires)
-}
-
-// IndirectionRate is the fraction of remote acquires the manager had to
-// forward down the chain (the microbenchmark's "indirect" case).
-func (ls *LockStats) IndirectionRate() float64 {
-	if ls.AcquiresRemote == 0 {
-		return 0
-	}
-	return float64(ls.Forwards) / float64(ls.AcquiresRemote)
-}
-
-// Cell is one (entity, epoch) heatmap cell.
-type Cell struct {
-	Events int64 // faults (pages) or remote acquires (locks)
-	Ns     int64 // fault time (pages) or wait time (locks)
-	Bytes  int64 // page + diff bytes fetched (pages only)
-}
-
-// barrierAgg accumulates online per-barrier-id fields; skew statistics
-// are derived from the episode records at Snapshot time.
-type barrierAgg struct {
-	id          int32
-	waitNs      int64
-	intervals   int64
-	noticePages int64
-}
-
-// episodeAgg collects arrival times of one (barrier, episode).
-type episodeAgg struct {
-	barrier   int32
-	episode   int32
-	arrivals  int
-	minArrive int64
-	maxArrive int64
-}
-
 type episodeKey struct{ barrier, episode int32 }
-type cellKey struct {
-	id    int32
-	epoch int32
-}
+type cellKey struct{ id, epoch int32 }
 type holderKey struct {
 	rank int
 	lock int32
+}
+
+// row returns m's row for k, adding a copy of fresh on first sight (a
+// new(R) only then, so a repeat event allocates nothing).
+func row[K comparable, R any](m map[K]*R, k K, fresh R) *R {
+	r := m[k]
+	if r == nil {
+		r = new(R)
+		*r = fresh
+		m[k] = r
+	}
+	return r
 }
 
 // epochOf returns rank's current epoch, growing the table on demand.
@@ -164,44 +85,30 @@ func (p *Profiler) epochOf(rank int) int32 {
 	return p.epochs[rank]
 }
 
-func (p *Profiler) page(id, region int32) *PageStats {
-	ps := p.pages[id]
-	if ps == nil {
-		ps = &PageStats{ID: id, Region: region, Home: -1, writers: make(map[int]bool)}
-		p.pages[id] = ps
-	}
-	return ps
+func (p *Profiler) page(id, region int32) *PageRow {
+	return row(p.pages, id, PageRow{ID: id, Region: region, Home: -1})
 }
 
-func (p *Profiler) lockStats(id int32, manager int) *LockStats {
-	ls := p.locks[id]
-	if ls == nil {
-		ls = &LockStats{ID: id, Manager: manager}
-		p.locks[id] = ls
-	} else if manager >= 0 {
-		ls.Manager = manager
+// wrote records rank as a writer of page pr.
+func (p *Profiler) wrote(pr *PageRow, rank int) {
+	if k := (writerKey{page: pr.ID, rank: rank}); !p.writers[k] {
+		p.writers[k] = true
+		pr.Writers++
 	}
-	return ls
 }
 
-func (p *Profiler) pageCell(id int32, rank int) *Cell {
-	k := cellKey{id: id, epoch: p.epochOf(rank)}
-	c := p.pageEpochs[k]
-	if c == nil {
-		c = &Cell{}
-		p.pageEpochs[k] = c
+func (p *Profiler) lock(id int32, manager int) *LockRow {
+	lr := row(p.locks, id, LockRow{ID: id, Manager: manager})
+	if manager >= 0 {
+		lr.Manager = manager
 	}
-	return c
+	return lr
 }
 
-func (p *Profiler) lockCell(id int32, rank int) *Cell {
-	k := cellKey{id: id, epoch: p.epochOf(rank)}
-	c := p.lockEpochs[k]
-	if c == nil {
-		c = &Cell{}
-		p.lockEpochs[k] = c
-	}
-	return c
+// cell returns rank's current-epoch heatmap cell of entity id in m.
+func (p *Profiler) cell(m map[cellKey]*CellRow, id int32, rank int) *CellRow {
+	epoch := p.epochOf(rank)
+	return row(m, cellKey{id: id, epoch: epoch}, CellRow{ID: id, Epoch: epoch})
 }
 
 // Observe reduces one event of the trace stream into its entity's
@@ -217,103 +124,96 @@ func (p *Profiler) Observe(e trace.Event) {
 	at := e.T + e.Dur
 	switch e.Kind {
 	case trace.KindReadFault, trace.KindWriteFault:
-		ps := p.page(e.ID, e.Region)
+		pr := p.page(e.ID, e.Region)
 		if e.Kind == trace.KindReadFault {
-			ps.ReadFaults++
+			pr.ReadFaults++
 		} else {
-			ps.WriteFaults++
-			ps.writers[e.Rank] = true
+			pr.WriteFaults++
+			p.wrote(pr, e.Rank)
 		}
-		ps.FaultNs += e.Dur
-		c := p.pageCell(e.ID, e.Rank)
+		pr.FaultNs += e.Dur
+		c := p.cell(p.pageEpochs, e.ID, e.Rank)
 		c.Events++
 		c.Ns += e.Dur
 	case trace.KindDiffFetch:
-		ps := p.page(e.ID, e.Region)
-		ps.DiffFetches++
-		ps.DiffBytesFetched += int64(e.Bytes)
-		p.pageCell(e.ID, e.Rank).Bytes += int64(e.Bytes)
+		pr := p.page(e.ID, e.Region)
+		pr.DiffFetches++
+		pr.DiffBytesFetched += int64(e.Bytes)
+		p.cell(p.pageEpochs, e.ID, e.Rank).Bytes += int64(e.Bytes)
 	case trace.KindDiffCreate:
-		ps := p.page(e.ID, e.Region)
-		ps.DiffsCreated++
-		ps.DiffBytesCreated += int64(e.Bytes)
-		ps.writers[e.Rank] = true
+		pr := p.page(e.ID, e.Region)
+		pr.DiffsCreated++
+		pr.DiffBytesCreated += int64(e.Bytes)
+		p.wrote(pr, e.Rank)
 	case trace.KindHomeFlush:
-		ps := p.page(e.ID, e.Region)
-		ps.Home = e.Peer
-		ps.HomeFlushes++
-		ps.HomeFlushBytes += int64(e.Bytes)
-		ps.writers[e.Rank] = true
-		p.pageCell(e.ID, e.Rank).Bytes += int64(e.Bytes)
+		pr := p.page(e.ID, e.Region)
+		pr.Home = e.Peer
+		pr.HomeFlushes++
+		pr.HomeFlushBytes += int64(e.Bytes)
+		p.wrote(pr, e.Rank)
+		p.cell(p.pageEpochs, e.ID, e.Rank).Bytes += int64(e.Bytes)
 	case trace.KindHomeFetch: // a full-page fetch, from the home
-		ps := p.page(e.ID, e.Region)
-		ps.Fetches++
-		ps.FetchBytes += int64(e.Bytes)
-		p.pageCell(e.ID, e.Rank).Bytes += int64(e.Bytes)
-		ps.Home = e.Peer
-		ps.HomeFetches++
-		ps.HomeFetchBytes += int64(e.Bytes)
+		pr := p.page(e.ID, e.Region)
+		pr.Fetches++
+		pr.FetchBytes += int64(e.Bytes)
+		p.cell(p.pageEpochs, e.ID, e.Rank).Bytes += int64(e.Bytes)
+		pr.Home = e.Peer
+		pr.HomeFetches++
+		pr.HomeFetchBytes += int64(e.Bytes)
 	case trace.KindNotice:
 		// A: the notice invalidated a valid copy; B: the receiving rank has
 		// itself written the page, the multiple-writer false-sharing signal.
-		ps := p.page(e.ID, e.Region)
-		ps.Notices++
-		ps.writers[e.Peer] = true
+		pr := p.page(e.ID, e.Region)
+		pr.Notices++
+		p.wrote(pr, e.Peer)
 		if e.A != 0 {
-			ps.Invalidations++
+			pr.Invalidations++
 		}
 		if e.B != 0 && e.Peer != e.Rank {
-			ps.FalseShareNotices++
+			pr.FalseShareNotices++
 		}
 	case trace.KindLockLocal, trace.KindLockAcquire:
-		ls := p.lockStats(e.ID, e.Peer)
+		lr := p.lock(e.ID, e.Peer)
 		if e.Kind == trace.KindLockLocal {
-			ls.AcquiresLocal++
+			lr.AcquiresLocal++
 		} else {
-			ls.AcquiresRemote++
-			ls.WaitNs += e.Dur
-			c := p.lockCell(e.ID, e.Rank)
+			lr.AcquiresRemote++
+			lr.WaitNs += e.Dur
+			c := p.cell(p.lockEpochs, e.ID, e.Rank)
 			c.Events++
 			c.Ns += e.Dur
 		}
 		if prev, ok := p.lastHolder[e.ID]; ok && prev != e.Rank {
-			ls.Handoffs++
+			lr.Handoffs++
 		}
 		p.lastHolder[e.ID] = e.Rank
 		p.heldSince[holderKey{rank: e.Rank, lock: e.ID}] = at
 	case trace.KindLockForward:
-		p.lockStats(e.ID, e.Rank).Forwards++
+		p.lock(e.ID, e.Rank).Forwards++
 	case trace.KindLockRelease:
 		k := holderKey{rank: e.Rank, lock: e.ID}
 		if since, ok := p.heldSince[k]; ok {
-			ls := p.lockStats(e.ID, -1)
-			ls.Holds++
-			ls.HoldNs += at - since
+			lr := p.lock(e.ID, -1)
+			lr.Holds++
+			lr.HoldNs += at - since
 			delete(p.heldSince, k)
 		}
 	case trace.KindBarrierArrive:
 		// A, the episode, identifies the crossing cluster-wide: its skew
-		// is max−min of its arrival times.
-		k := episodeKey{barrier: e.ID, episode: int32(e.A)}
-		ea := p.episodes[k]
-		if ea == nil {
-			ea = &episodeAgg{barrier: e.ID, episode: int32(e.A), minArrive: at, maxArrive: at}
-			p.episodes[k] = ea
-		}
-		ea.arrivals++
-		ea.minArrive = min(ea.minArrive, at)
-		ea.maxArrive = max(ea.maxArrive, at)
+		// is the latest minus the earliest of its arrival times.
+		er := row(p.episodes, episodeKey{barrier: e.ID, episode: int32(e.A)},
+			EpisodeRow{Barrier: e.ID, Episode: int32(e.A), StartNs: at})
+		er.Arrivals++
+		end := max(er.StartNs+er.SkewNs, at)
+		er.StartNs = min(er.StartNs, at)
+		er.SkewNs = end - er.StartNs
 	case trace.KindBarrier:
 		// B and C: the interval records and write-notice page entries the
 		// rank's arrival carried upward.
-		ba := p.barriers[e.ID]
-		if ba == nil {
-			ba = &barrierAgg{id: e.ID}
-			p.barriers[e.ID] = ba
-		}
-		ba.waitNs += e.Dur
-		ba.intervals += int64(e.B)
-		ba.noticePages += int64(e.C)
+		br := row(p.barriers, e.ID, BarrierRow{ID: e.ID})
+		br.WaitNs += e.Dur
+		br.Intervals += int64(e.B)
+		br.NoticePages += int64(e.C)
 		// Crossing a barrier advances the rank's epoch.
 		p.epochOf(e.Rank) // ensure the table covers rank
 		p.epochs[e.Rank]++

@@ -25,9 +25,13 @@ func TestPageAttributionAndFalseSharing(t *testing.T) {
 	p.Observe(trace.Event{Layer: tmkLayer, Kind: trace.KindWriteFault, Rank: 0, ID: 8, Region: 1, Dur: 10})
 	p.Observe(trace.Event{Layer: tmkLayer, Kind: trace.KindNotice, Rank: 1, ID: 8, Region: 1, Peer: 0, A: 1})
 
-	ps := p.pages[7]
-	if ps.Writers() != 2 {
-		t.Fatalf("writers = %d, want 2", ps.Writers())
+	pr := p.Snapshot()
+	if len(pr.Pages) != 2 || pr.Pages[0].ID != 7 || pr.Pages[1].ID != 8 {
+		t.Fatalf("pages = %+v, want 7 and 8", pr.Pages)
+	}
+	ps := pr.Pages[0]
+	if ps.Writers != 2 {
+		t.Fatalf("writers = %d, want 2", ps.Writers)
 	}
 	if ps.ReadFaults != 1 || ps.WriteFaults != 2 || ps.FaultNs != 300 {
 		t.Fatalf("faults = %+v", ps)
@@ -35,10 +39,10 @@ func TestPageAttributionAndFalseSharing(t *testing.T) {
 	if ps.Notices != 5 || ps.FalseShareNotices != 4 || ps.Invalidations != 4 {
 		t.Fatalf("notices = %+v", ps)
 	}
-	if got := ps.FalseSharingScore(); got != 0.8 {
+	if got := ps.FalseSharingScore; got != 0.8 {
 		t.Fatalf("false-sharing score = %v, want 0.8", got)
 	}
-	if got := p.pages[8].FalseSharingScore(); got != 0 {
+	if got := pr.Pages[1].FalseSharingScore; got != 0 {
 		t.Fatalf("single-writer score = %v, want 0", got)
 	}
 }
@@ -56,7 +60,11 @@ func TestLockWaitHoldHandoffs(t *testing.T) {
 	p.Observe(trace.Event{Layer: tmkLayer, Kind: trace.KindLockLocal, Rank: 0, ID: 5, Peer: 1, T: 900})
 	p.Observe(trace.Event{Layer: tmkLayer, Kind: trace.KindLockRelease, Rank: 0, ID: 5, T: 950})
 
-	ls := p.locks[5]
+	pr := p.Snapshot()
+	if len(pr.Locks) != 1 || pr.Locks[0].ID != 5 {
+		t.Fatalf("locks = %+v, want lock 5 only", pr.Locks)
+	}
+	ls := pr.Locks[0]
 	if ls.Manager != 1 {
 		t.Fatalf("manager = %d", ls.Manager)
 	}
@@ -69,7 +77,7 @@ func TestLockWaitHoldHandoffs(t *testing.T) {
 	if ls.Handoffs != 1 {
 		t.Fatalf("handoffs = %d, want 1 (1→0 only)", ls.Handoffs)
 	}
-	if got := ls.IndirectionRate(); got != 1.0 {
+	if got := ls.IndirectionRate; got != 1.0 {
 		t.Fatalf("indirection rate = %v, want 1.0", got)
 	}
 }
@@ -110,6 +118,68 @@ func TestBarrierEpisodesAndEpochs(t *testing.T) {
 	if pr.PageEpochs[0].Epoch != 0 || pr.PageEpochs[0].Ns != 10 ||
 		pr.PageEpochs[1].Epoch != 1 || pr.PageEpochs[1].Ns != 20 {
 		t.Fatalf("cells = %+v", pr.PageEpochs)
+	}
+}
+
+// TestSnapshotIsNonDestructive: a snapshot is a copy. Taking one midway
+// changes neither what the profiler reports later nor the earlier
+// snapshot's rows, including the fields Snapshot derives (ratios, episode
+// and barrier skews).
+func TestSnapshotIsNonDestructive(t *testing.T) {
+	a := []trace.Event{
+		{Layer: tmkLayer, Kind: trace.KindWriteFault, Rank: 0, ID: 4, Region: 0, Dur: 70},
+		{Layer: tmkLayer, Kind: trace.KindNotice, Rank: 0, ID: 4, Region: 0, Peer: 1, A: 1, B: 1},
+		{Layer: tmkLayer, Kind: trace.KindLockAcquire, Rank: 0, ID: 2, Peer: 1, Dur: 10, T: 90},
+		{Layer: tmkLayer, Kind: trace.KindLockForward, Rank: 1, ID: 2},
+		{Layer: tmkLayer, Kind: trace.KindBarrierArrive, Rank: 0, ID: 1, A: 0, T: 500},
+		{Layer: tmkLayer, Kind: trace.KindBarrierArrive, Rank: 1, ID: 1, A: 0, T: 800},
+		{Layer: tmkLayer, Kind: trace.KindBarrier, Rank: 0, ID: 1, A: 0, Dur: 40, B: 1, C: 2},
+	}
+	b := []trace.Event{
+		{Layer: tmkLayer, Kind: trace.KindWriteFault, Rank: 1, ID: 4, Region: 0, Dur: 30},
+		{Layer: tmkLayer, Kind: trace.KindNotice, Rank: 1, ID: 4, Region: 0, Peer: 0, A: 1},
+		{Layer: tmkLayer, Kind: trace.KindLockAcquire, Rank: 1, ID: 2, Peer: 1, Dur: 20, T: 200},
+		{Layer: tmkLayer, Kind: trace.KindBarrierArrive, Rank: 2, ID: 1, A: 0, T: 1500},
+		{Layer: tmkLayer, Kind: trace.KindBarrier, Rank: 1, ID: 1, A: 0, Dur: 60, B: 2, C: 1},
+		{Layer: tmkLayer, Kind: trace.KindBarrierArrive, Rank: 0, ID: 1, A: 1, T: 2000},
+		{Layer: tmkLayer, Kind: trace.KindBarrierArrive, Rank: 1, ID: 1, A: 1, T: 2100},
+		{Layer: tmkLayer, Kind: trace.KindReadFault, Rank: 0, ID: 4, Region: 0, Dur: 5},
+	}
+	jsonOf := func(pr *Profile) string {
+		var buf bytes.Buffer
+		if err := pr.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	observe := func(p *Profiler, evs []trace.Event) {
+		for _, e := range evs {
+			p.Observe(e)
+		}
+	}
+
+	p := New()
+	observe(p, a)
+	first := p.Snapshot()
+	firstJSON := jsonOf(first)
+	observe(p, b)
+	second := jsonOf(p.Snapshot())
+
+	fresh := New()
+	observe(fresh, a)
+	observe(fresh, b)
+	if want := jsonOf(fresh.Snapshot()); second != want {
+		t.Fatalf("snapshot after a midway snapshot:\n%s\nwant (no midway snapshot):\n%s", second, want)
+	}
+	if got := jsonOf(first); got != firstJSON {
+		t.Fatalf("first snapshot changed by later events:\n%s\nwas:\n%s", got, firstJSON)
+	}
+	// The derived fields did move between the two, so the checks above saw them.
+	if first.Episodes[0].SkewNs != 300 || first.Barriers[0].SkewMeanNs != 300 || first.Pages[0].Writers != 2 {
+		t.Fatalf("first snapshot = %+v", first)
+	}
+	if !strings.Contains(second, `"skew_mean_ns": 550`) {
+		t.Fatalf("second snapshot's mean barrier skew is not (1000+100)/2:\n%s", second)
 	}
 }
 

@@ -5,75 +5,67 @@ import (
 	"io"
 )
 
+// printer is a writer that keeps its first error and skips every later
+// write.
+type printer struct {
+	w   io.Writer
+	err error
+}
+
+func (p *printer) printf(format string, args ...any) {
+	if p.err == nil {
+		_, p.err = fmt.Fprintf(p.w, format, args...)
+	}
+}
+
 // WriteTables renders the top-N entity tables as plain text: hottest
 // pages by fault time, most-contended locks by wait time, and barriers
 // by worst arrival skew. Deterministic for identical runs.
 func (pr *Profile) WriteTables(w io.Writer, pages, locks, barriers int) error {
+	p := &printer{w: w}
 	if pr.App != "" {
-		if _, err := fmt.Fprintf(w, "profile: %s/%s nodes=%d transport=%s exec=%.3fms epochs=%d\n",
-			pr.App, pr.Size, pr.Nodes, pr.Transport, float64(pr.ExecNs)/1e6, pr.MaxEpoch); err != nil {
-			return err
-		}
+		p.printf("profile: %s/%s nodes=%d transport=%s exec=%.3fms epochs=%d\n",
+			pr.App, pr.Size, pr.Nodes, pr.Transport, float64(pr.ExecNs)/1e6, pr.MaxEpoch)
 	}
 
-	if _, err := fmt.Fprintf(w, "  top pages by fault time (%d of %d):\n", min(pages, len(pr.Pages)), len(pr.Pages)); err != nil {
-		return err
-	}
+	p.printf("  top pages by fault time (%d of %d):\n", min(pages, len(pr.Pages)), len(pr.Pages))
 	if len(pr.Pages) > 0 {
-		if _, err := fmt.Fprintf(w, "  %6s %6s %7s %7s %12s %9s %11s %8s %7s %6s\n",
-			"page", "region", "rd-flt", "wr-flt", "fault(ms)", "fetch(B)", "diffs(B)", "notices", "writers", "fss"); err != nil {
-			return err
-		}
+		p.printf("  %6s %6s %7s %7s %12s %9s %11s %8s %7s %6s\n",
+			"page", "region", "rd-flt", "wr-flt", "fault(ms)", "fetch(B)", "diffs(B)", "notices", "writers", "fss")
 		for _, r := range pr.TopPages(pages) {
-			if _, err := fmt.Fprintf(w, "  %6d %6d %7d %7d %12.3f %9d %11d %8d %7d %6.2f\n",
+			p.printf("  %6d %6d %7d %7d %12.3f %9d %11d %8d %7d %6.2f\n",
 				r.ID, r.Region, r.ReadFaults, r.WriteFaults, float64(r.FaultNs)/1e6,
-				r.FetchBytes, r.DiffBytesFetched, r.Notices, r.Writers, r.FalseSharingScore); err != nil {
-				return err
-			}
+				r.FetchBytes, r.DiffBytesFetched, r.Notices, r.Writers, r.FalseSharingScore)
 		}
 	}
 
 	if len(pr.Locks) == 0 {
-		if _, err := fmt.Fprintf(w, "  locks: (no locks)\n"); err != nil {
-			return err
-		}
+		p.printf("  locks: (no locks)\n")
 	} else {
-		if _, err := fmt.Fprintf(w, "  top locks by wait time (%d of %d):\n", min(locks, len(pr.Locks)), len(pr.Locks)); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "  %6s %4s %7s %7s %12s %12s %9s %9s %9s\n",
-			"lock", "mgr", "local", "remote", "wait(ms)", "hold(ms)", "handoffs", "forwards", "indirect"); err != nil {
-			return err
-		}
+		p.printf("  top locks by wait time (%d of %d):\n", min(locks, len(pr.Locks)), len(pr.Locks))
+		p.printf("  %6s %4s %7s %7s %12s %12s %9s %9s %9s\n",
+			"lock", "mgr", "local", "remote", "wait(ms)", "hold(ms)", "handoffs", "forwards", "indirect")
 		for _, r := range pr.TopLocks(locks) {
-			if _, err := fmt.Fprintf(w, "  %6d %4d %7d %7d %12.3f %12.3f %9d %9d %9.2f\n",
+			p.printf("  %6d %4d %7d %7d %12.3f %12.3f %9d %9d %9.2f\n",
 				r.ID, r.Manager, r.AcquiresLocal, r.AcquiresRemote,
 				float64(r.WaitNs)/1e6, float64(r.HoldNs)/1e6,
-				r.Handoffs, r.Forwards, r.IndirectionRate); err != nil {
-				return err
-			}
+				r.Handoffs, r.Forwards, r.IndirectionRate)
 		}
 	}
 
 	if len(pr.Barriers) == 0 {
-		_, err := fmt.Fprintf(w, "  barriers: (no barriers)\n")
-		return err
+		p.printf("  barriers: (no barriers)\n")
+		return p.err
 	}
-	if _, err := fmt.Fprintf(w, "  barriers by arrival skew (%d of %d):\n", min(barriers, len(pr.Barriers)), len(pr.Barriers)); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "  %6s %9s %13s %13s %12s %10s %9s\n",
-		"bar", "episodes", "skew-max(ms)", "skew-avg(ms)", "wait(ms)", "intervals", "wn-pages"); err != nil {
-		return err
-	}
+	p.printf("  barriers by arrival skew (%d of %d):\n", min(barriers, len(pr.Barriers)), len(pr.Barriers))
+	p.printf("  %6s %9s %13s %13s %12s %10s %9s\n",
+		"bar", "episodes", "skew-max(ms)", "skew-avg(ms)", "wait(ms)", "intervals", "wn-pages")
 	for _, r := range pr.WorstBarriers(barriers) {
-		if _, err := fmt.Fprintf(w, "  %6d %9d %13.3f %13.3f %12.3f %10d %9d\n",
+		p.printf("  %6d %9d %13.3f %13.3f %12.3f %10d %9d\n",
 			r.ID, r.Episodes, float64(r.SkewMaxNs)/1e6, float64(r.SkewMeanNs)/1e6,
-			float64(r.WaitNs)/1e6, r.Intervals, r.NoticePages); err != nil {
-			return err
-		}
+			float64(r.WaitNs)/1e6, r.Intervals, r.NoticePages)
 	}
-	return nil
+	return p.err
 }
 
 // heatRamp maps increasing intensity to denser glyphs; index 0 is "no
@@ -92,9 +84,9 @@ func (pr *Profile) WriteHeatmap(w io.Writer, pages int) error {
 		_, err := fmt.Fprintf(w, "  heatmap: (no page activity)\n")
 		return err
 	}
-	top := pr.TopPages(pages)
-	keep := make(map[int32]int, len(top))
-	for i, r := range top {
+	hot := pr.TopPages(pages)
+	keep := make(map[int32]int, len(hot))
+	for i, r := range hot {
 		keep[r.ID] = i
 	}
 
@@ -106,43 +98,34 @@ func (pr *Profile) WriteHeatmap(w io.Writer, pages int) error {
 		cols = (nEpochs + per - 1) / per
 	}
 
-	grid := make([][]int64, len(top))
+	grid := make([][]int64, len(hot))
 	for i := range grid {
 		grid[i] = make([]int64, cols)
 	}
 	var peak int64
 	for _, c := range pr.PageEpochs {
-		row, ok := keep[c.ID]
+		i, ok := keep[c.ID]
 		if !ok || int(c.Epoch) >= nEpochs {
 			continue
 		}
 		col := int(c.Epoch) / per
-		grid[row][col] += c.Ns
-		if grid[row][col] > peak {
-			peak = grid[row][col]
-		}
+		grid[i][col] += c.Ns
+		peak = max(peak, grid[i][col])
 	}
-	if _, err := fmt.Fprintf(w, "  page x epoch heatmap (fault time, %d epochs", nEpochs); err != nil {
-		return err
-	}
+	p := &printer{w: w}
+	p.printf("  page x epoch heatmap (fault time, %d epochs", nEpochs)
 	if per > 1 {
-		if _, err := fmt.Fprintf(w, ", %d per column", per); err != nil {
-			return err
-		}
+		p.printf(", %d per column", per)
 	}
-	if _, err := fmt.Fprintf(w, "):\n"); err != nil {
-		return err
-	}
-	for i, r := range top {
+	p.printf("):\n")
+	for i, r := range hot {
 		line := make([]byte, cols)
 		for j, v := range grid[i] {
 			line[j] = heatGlyph(v, peak)
 		}
-		if _, err := fmt.Fprintf(w, "  %6d |%s|\n", r.ID, line); err != nil {
-			return err
-		}
+		p.printf("  %6d |%s|\n", r.ID, line)
 	}
-	return nil
+	return p.err
 }
 
 // heatGlyph picks the ramp glyph for value v against the grid peak:

@@ -1,9 +1,10 @@
 package prof
 
 import (
+	"cmp"
 	"encoding/json"
 	"io"
-	"sort"
+	"slices"
 )
 
 // Schema identifies the JSON profile format emitted by WriteJSON.
@@ -33,21 +34,25 @@ type Profile struct {
 
 // PageRow is one page's attribution in a Profile.
 type PageRow struct {
-	ID                int32   `json:"id"`
-	Region            int32   `json:"region"`
-	ReadFaults        int64   `json:"read_faults"`
-	WriteFaults       int64   `json:"write_faults"`
-	FaultNs           int64   `json:"fault_ns"`
-	Fetches           int64   `json:"fetches"`
-	FetchBytes        int64   `json:"fetch_bytes"`
-	DiffFetches       int64   `json:"diff_fetches"`
-	DiffBytesFetched  int64   `json:"diff_bytes_fetched"`
-	DiffsCreated      int64   `json:"diffs_created"`
-	DiffBytesCreated  int64   `json:"diff_bytes_created"`
-	Invalidations     int64   `json:"invalidations"`
-	Notices           int64   `json:"notices"`
-	FalseShareNotices int64   `json:"false_share_notices"`
-	Writers           int     `json:"writers"`
+	ID                int32 `json:"id"`
+	Region            int32 `json:"region"`
+	ReadFaults        int64 `json:"read_faults"`
+	WriteFaults       int64 `json:"write_faults"`
+	FaultNs           int64 `json:"fault_ns"` // virtual time spent in faults on this page
+	Fetches           int64 `json:"fetches"`  // full-page fetches
+	FetchBytes        int64 `json:"fetch_bytes"`
+	DiffFetches       int64 `json:"diff_fetches"` // diff requests issued for this page
+	DiffBytesFetched  int64 `json:"diff_bytes_fetched"`
+	DiffsCreated      int64 `json:"diffs_created"`
+	DiffBytesCreated  int64 `json:"diff_bytes_created"`
+	Invalidations     int64 `json:"invalidations"`       // notices that invalidated a valid copy
+	Notices           int64 `json:"notices"`             // write notices received for this page
+	FalseShareNotices int64 `json:"false_share_notices"` // notices from a peer while this rank also wrote
+	Writers           int   `json:"writers"`             // distinct ranks seen writing the page
+
+	// FalseSharingScore is the fraction of received write notices that hit
+	// a page the receiving rank itself writes — the multiple-writer
+	// protocol's signature of false sharing. Zero for single-writer pages.
 	FalseSharingScore float64 `json:"false_sharing_score"`
 
 	// Home-based LRC attribution: the page's home rank (-1 on homeless
@@ -61,15 +66,18 @@ type PageRow struct {
 
 // LockRow is one lock's attribution in a Profile.
 type LockRow struct {
-	ID              int32   `json:"id"`
-	Manager         int     `json:"manager"`
-	AcquiresLocal   int64   `json:"acquires_local"`
-	AcquiresRemote  int64   `json:"acquires_remote"`
-	WaitNs          int64   `json:"wait_ns"`
-	Holds           int64   `json:"holds"`
-	HoldNs          int64   `json:"hold_ns"`
-	Handoffs        int64   `json:"handoffs"`
-	Forwards        int64   `json:"forwards"`
+	ID             int32 `json:"id"`
+	Manager        int   `json:"manager"`         // statically assigned manager rank
+	AcquiresLocal  int64 `json:"acquires_local"`  // token already here: free re-acquire
+	AcquiresRemote int64 `json:"acquires_remote"` // grant had to travel
+	WaitNs         int64 `json:"wait_ns"`         // summed remote-acquire latency
+	Holds          int64 `json:"holds"`           // completed acquire→release pairs
+	HoldNs         int64 `json:"hold_ns"`         // summed acquire→release time
+	Handoffs       int64 `json:"handoffs"`        // acquires where the token changed rank
+	Forwards       int64 `json:"forwards"`        // manager indirections (3-message acquires)
+
+	// IndirectionRate is the fraction of remote acquires the manager had
+	// to forward down the chain (the microbenchmark's "indirect" case).
 	IndirectionRate float64 `json:"indirection_rate"`
 }
 
@@ -104,107 +112,73 @@ type CellRow struct {
 	Bytes  int64 `json:"bytes,omitempty"`
 }
 
-// Snapshot renders the profiler's state as a Profile. The profiler keeps
+// Snapshot returns a sorted copy of the profiler's rows as a Profile and
+// derives the ratios and barrier skews on the copy. The profiler keeps
 // accumulating; snapshotting is non-destructive.
 func (p *Profiler) Snapshot() *Profile {
-	pr := &Profile{Schema: Schema}
-
+	pr := &Profile{
+		Schema:   Schema,
+		Pages:    rows(nil, p.pages, func(a, b PageRow) int { return cmp.Compare(a.ID, b.ID) }),
+		Locks:    rows(nil, p.locks, func(a, b LockRow) int { return cmp.Compare(a.ID, b.ID) }),
+		Barriers: rows(nil, p.barriers, func(a, b BarrierRow) int { return cmp.Compare(a.ID, b.ID) }),
+		Episodes: rows(nil, p.episodes, func(a, b EpisodeRow) int {
+			return cmp.Or(cmp.Compare(a.Episode, b.Episode), cmp.Compare(a.Barrier, b.Barrier))
+		}),
+		// The heatmaps marshal as [] rather than null when empty.
+		PageEpochs: rows([]CellRow{}, p.pageEpochs, byCell),
+		LockEpochs: rows([]CellRow{}, p.lockEpochs, byCell),
+	}
 	for _, e := range p.epochs {
-		if e > pr.MaxEpoch {
-			pr.MaxEpoch = e
+		pr.MaxEpoch = max(pr.MaxEpoch, e)
+	}
+
+	for i := range pr.Pages {
+		if r := &pr.Pages[i]; r.Notices > 0 && r.Writers >= 2 {
+			r.FalseSharingScore = float64(r.FalseShareNotices) / float64(r.Notices)
 		}
 	}
-
-	for _, ps := range p.pages {
-		pr.Pages = append(pr.Pages, PageRow{
-			ID: ps.ID, Region: ps.Region,
-			ReadFaults: ps.ReadFaults, WriteFaults: ps.WriteFaults, FaultNs: ps.FaultNs,
-			Fetches: ps.Fetches, FetchBytes: ps.FetchBytes,
-			DiffFetches: ps.DiffFetches, DiffBytesFetched: ps.DiffBytesFetched,
-			DiffsCreated: ps.DiffsCreated, DiffBytesCreated: ps.DiffBytesCreated,
-			Invalidations: ps.Invalidations, Notices: ps.Notices,
-			FalseShareNotices: ps.FalseShareNotices,
-			Writers:           ps.Writers(), FalseSharingScore: ps.FalseSharingScore(),
-			Home:           ps.Home,
-			HomeFlushes:    ps.HomeFlushes,
-			HomeFlushBytes: ps.HomeFlushBytes,
-			HomeFetches:    ps.HomeFetches,
-			HomeFetchBytes: ps.HomeFetchBytes,
-		})
-	}
-	sort.Slice(pr.Pages, func(i, j int) bool { return pr.Pages[i].ID < pr.Pages[j].ID })
-
-	for _, ls := range p.locks {
-		pr.Locks = append(pr.Locks, LockRow{
-			ID: ls.ID, Manager: ls.Manager,
-			AcquiresLocal: ls.AcquiresLocal, AcquiresRemote: ls.AcquiresRemote,
-			WaitNs: ls.WaitNs, Holds: ls.Holds, HoldNs: ls.HoldNs,
-			Handoffs: ls.Handoffs, Forwards: ls.Forwards,
-			IndirectionRate: ls.IndirectionRate(),
-		})
-	}
-	sort.Slice(pr.Locks, func(i, j int) bool { return pr.Locks[i].ID < pr.Locks[j].ID })
-
-	for _, ea := range p.episodes {
-		pr.Episodes = append(pr.Episodes, EpisodeRow{
-			Barrier: ea.barrier, Episode: ea.episode, Arrivals: ea.arrivals,
-			StartNs: ea.minArrive, SkewNs: ea.maxArrive - ea.minArrive,
-		})
-	}
-	sort.Slice(pr.Episodes, func(i, j int) bool {
-		if pr.Episodes[i].Episode != pr.Episodes[j].Episode {
-			return pr.Episodes[i].Episode < pr.Episodes[j].Episode
+	for i := range pr.Locks {
+		if r := &pr.Locks[i]; r.AcquiresRemote > 0 {
+			r.IndirectionRate = float64(r.Forwards) / float64(r.AcquiresRemote)
 		}
-		return pr.Episodes[i].Barrier < pr.Episodes[j].Barrier
-	})
-
-	// Barrier rows: online aggregates + skew derived from episodes.
-	type skewAgg struct {
-		n   int64
-		sum int64
-		max int64
 	}
-	skews := make(map[int32]*skewAgg)
+	// A barrier's skew statistics range over its episodes.
+	byID := make(map[int32]*BarrierRow, len(pr.Barriers))
+	for i := range pr.Barriers {
+		byID[pr.Barriers[i].ID] = &pr.Barriers[i]
+	}
 	for _, er := range pr.Episodes {
-		sa := skews[er.Barrier]
-		if sa == nil {
-			sa = &skewAgg{}
-			skews[er.Barrier] = sa
-		}
-		sa.n++
-		sa.sum += er.SkewNs
-		if er.SkewNs > sa.max {
-			sa.max = er.SkewNs
+		if r := byID[er.Barrier]; r != nil {
+			r.Episodes++
+			r.SkewMaxNs = max(r.SkewMaxNs, er.SkewNs)
+			r.SkewMeanNs += er.SkewNs // a sum until the loop below
 		}
 	}
-	for id, ba := range p.barriers {
-		row := BarrierRow{ID: id, WaitNs: ba.waitNs, Intervals: ba.intervals, NoticePages: ba.noticePages}
-		if sa := skews[id]; sa != nil {
-			row.Episodes = sa.n
-			row.SkewMaxNs = sa.max
-			row.SkewMeanNs = sa.sum / sa.n
+	for _, r := range byID {
+		if r.Episodes > 0 {
+			r.SkewMeanNs /= r.Episodes
 		}
-		pr.Barriers = append(pr.Barriers, row)
 	}
-	sort.Slice(pr.Barriers, func(i, j int) bool { return pr.Barriers[i].ID < pr.Barriers[j].ID })
-
-	pr.PageEpochs = cellRows(p.pageEpochs)
-	pr.LockEpochs = cellRows(p.lockEpochs)
 	return pr
 }
 
-func cellRows(m map[cellKey]*Cell) []CellRow {
-	rows := make([]CellRow, 0, len(m))
-	for k, c := range m {
-		rows = append(rows, CellRow{ID: k.id, Epoch: k.epoch, Events: c.Events, Ns: c.Ns, Bytes: c.Bytes})
+func byCell(a, b CellRow) int {
+	return cmp.Or(cmp.Compare(a.ID, b.ID), cmp.Compare(a.Epoch, b.Epoch))
+}
+
+// rows appends a copy of every row of m to dst and sorts dst by order.
+func rows[K comparable, R any](dst []R, m map[K]*R, order func(a, b R) int) []R {
+	for _, r := range m {
+		dst = append(dst, *r)
 	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].ID != rows[j].ID {
-			return rows[i].ID < rows[j].ID
-		}
-		return rows[i].Epoch < rows[j].Epoch
-	})
-	return rows
+	slices.SortFunc(dst, order)
+	return dst
+}
+
+// top returns up to k of rs, most significant first by order.
+func top[R any](rs []R, k int, order func(a, b R) int) []R {
+	rs = slices.SortedFunc(slices.Values(rs), order)
+	return rs[:min(k, len(rs))]
 }
 
 // WriteJSON emits the profile as indented JSON (schema "tmk-prof/1",
@@ -214,68 +188,34 @@ func (pr *Profile) WriteJSON(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
+	_, err = w.Write(append(b, '\n'))
 	return err
 }
 
 // TopPages returns up to k pages ordered hottest-first: by fault time,
 // then fetched bytes, then id.
 func (pr *Profile) TopPages(k int) []PageRow {
-	rows := append([]PageRow(nil), pr.Pages...)
-	sort.Slice(rows, func(i, j int) bool {
-		a, b := rows[i], rows[j]
-		if a.FaultNs != b.FaultNs {
-			return a.FaultNs > b.FaultNs
-		}
-		ab, bb := a.FetchBytes+a.DiffBytesFetched, b.FetchBytes+b.DiffBytesFetched
-		if ab != bb {
-			return ab > bb
-		}
-		return a.ID < b.ID
+	return top(pr.Pages, k, func(a, b PageRow) int {
+		return cmp.Or(cmp.Compare(b.FaultNs, a.FaultNs),
+			cmp.Compare(b.FetchBytes+b.DiffBytesFetched, a.FetchBytes+a.DiffBytesFetched),
+			cmp.Compare(a.ID, b.ID))
 	})
-	if len(rows) > k {
-		rows = rows[:k]
-	}
-	return rows
 }
 
 // TopLocks returns up to k locks ordered most-contended-first: by wait
 // time, then remote acquires, then id.
 func (pr *Profile) TopLocks(k int) []LockRow {
-	rows := append([]LockRow(nil), pr.Locks...)
-	sort.Slice(rows, func(i, j int) bool {
-		a, b := rows[i], rows[j]
-		if a.WaitNs != b.WaitNs {
-			return a.WaitNs > b.WaitNs
-		}
-		if a.AcquiresRemote != b.AcquiresRemote {
-			return a.AcquiresRemote > b.AcquiresRemote
-		}
-		return a.ID < b.ID
+	return top(pr.Locks, k, func(a, b LockRow) int {
+		return cmp.Or(cmp.Compare(b.WaitNs, a.WaitNs),
+			cmp.Compare(b.AcquiresRemote, a.AcquiresRemote), cmp.Compare(a.ID, b.ID))
 	})
-	if len(rows) > k {
-		rows = rows[:k]
-	}
-	return rows
 }
 
 // WorstBarriers returns up to k barriers ordered by worst arrival skew,
 // then wait time, then id.
 func (pr *Profile) WorstBarriers(k int) []BarrierRow {
-	rows := append([]BarrierRow(nil), pr.Barriers...)
-	sort.Slice(rows, func(i, j int) bool {
-		a, b := rows[i], rows[j]
-		if a.SkewMaxNs != b.SkewMaxNs {
-			return a.SkewMaxNs > b.SkewMaxNs
-		}
-		if a.WaitNs != b.WaitNs {
-			return a.WaitNs > b.WaitNs
-		}
-		return a.ID < b.ID
+	return top(pr.Barriers, k, func(a, b BarrierRow) int {
+		return cmp.Or(cmp.Compare(b.SkewMaxNs, a.SkewMaxNs),
+			cmp.Compare(b.WaitNs, a.WaitNs), cmp.Compare(a.ID, b.ID))
 	})
-	if len(rows) > k {
-		rows = rows[:k]
-	}
-	return rows
 }

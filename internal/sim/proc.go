@@ -168,16 +168,6 @@ func (p *Proc) Advance(d Time) {
 	}
 }
 
-// Yield lets any same-time events (message deliveries, other runnable
-// processes) execute before continuing. Equivalent to Advance(0) except it
-// always round-trips through the scheduler once.
-func (p *Proc) Yield() {
-	ev := p.s.Timer(p.clock, p.wakeFn)
-	p.block("yield")
-	p.s.Release(ev)
-	p.serviceInterrupts()
-}
-
 // SetInterruptHandler installs the function invoked (in this process's
 // context) for every delivered interrupt. Handlers run with further
 // interrupts implicitly masked; interrupts arriving meanwhile queue.

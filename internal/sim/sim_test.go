@@ -466,22 +466,6 @@ func TestWaitOnUntilPastDeadline(t *testing.T) {
 	}
 }
 
-func TestYieldRunsSameTimeEvents(t *testing.T) {
-	s := New(1)
-	seen := false
-	s.Spawn("p", 0, func(p *Proc) {
-		p.Advance(10)
-		s.At(p.Now(), func() { seen = true })
-		p.Yield()
-		if !seen {
-			t.Error("Yield did not run same-time event")
-		}
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestInterruptToDoneProcIsDropped(t *testing.T) {
 	s := New(1)
 	p := s.Spawn("p", 0, func(p *Proc) {})

@@ -26,6 +26,7 @@ package trace
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -233,8 +234,11 @@ func pctNearestRank(sorted []int64, q float64) int64 {
 // to the causal view.
 func (t *Tracer) Breakdown() []BreakdownRow {
 	type key struct{ layer, kind string }
-	agg := make(map[key]*BreakdownRow)
-	durs := make(map[key][]int64)
+	type entry struct {
+		row  BreakdownRow
+		durs []int64
+	}
+	agg := make(map[key]*entry)
 	start := t.head - t.n
 	if start < 0 {
 		start += len(t.ring)
@@ -245,20 +249,20 @@ func (t *Tracer) Breakdown() []BreakdownRow {
 			continue
 		}
 		k := key{e.Layer, e.Kind}
-		r := agg[k]
-		if r == nil {
-			r = &BreakdownRow{Layer: e.Layer, Kind: e.Kind}
-			agg[k] = r
+		a := agg[k]
+		if a == nil {
+			a = &entry{row: BreakdownRow{Layer: e.Layer, Kind: e.Kind}}
+			agg[k] = a
 		}
-		r.Count++
-		r.Total += e.Dur
-		r.Bytes += int64(e.Bytes)
-		durs[k] = append(durs[k], e.Dur)
+		a.row.Count++
+		a.row.Total += e.Dur
+		a.row.Bytes += int64(e.Bytes)
+		a.durs = append(a.durs, e.Dur)
 	}
 	rows := make([]BreakdownRow, 0, len(agg))
-	for k, r := range agg {
-		ds := durs[k]
-		sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
+	for _, a := range agg {
+		ds, r := a.durs, &a.row
+		slices.Sort(ds)
 		r.P50 = pctNearestRank(ds, 0.50)
 		r.P95 = pctNearestRank(ds, 0.95)
 		r.P99 = pctNearestRank(ds, 0.99)
