@@ -136,6 +136,11 @@ func (p *Proc) wake() {
 // the interrupt's virtual time and the remaining computation resumes
 // afterwards — exactly the cost structure of a CPU taking a device
 // interrupt or a signal in the middle of application compute.
+//
+// When no event is due before the computation ends (and the running
+// RunUntil reaches that far), nothing can interrupt it: the clock moves
+// in place, with no wake timer and no switch. The events that run, and
+// their order, are those of the timed path.
 func (p *Proc) Advance(d Time) {
 	if d < 0 {
 		panic("sim: negative Advance")
@@ -149,6 +154,11 @@ func (p *Proc) Advance(d Time) {
 	p.serviceInterrupts()
 	for d > 0 {
 		start := p.clock
+		if p.s.idleThrough(start + d) {
+			p.clock = start + d
+			p.s.now = p.clock
+			break
+		}
 		ev := p.s.Timer(start+d, p.wakeFn)
 		p.block("advance")
 		p.s.Release(ev)
