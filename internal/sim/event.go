@@ -1,7 +1,5 @@
 package sim
 
-import "container/heap"
-
 // Event is a scheduled callback. Events fire in (time, sequence) order;
 // the sequence number makes ties deterministic (FIFO among equal times).
 //
@@ -17,43 +15,80 @@ type Event struct {
 	pooled bool // an At event: the simulator recycles it when it fires
 }
 
-// eventQueue is a min-heap of events ordered by (t, seq).
+// eventQueue is a binary min-heap of events ordered by (t, seq): q[i]
+// fires no later than its children q[2i+1] and q[2i+2], and every queued
+// event's index is its position.
 type eventQueue []*Event
 
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].t != q[j].t {
-		return q[i].t < q[j].t
-	}
-	return q[i].seq < q[j].seq
+// before reports whether a fires before b.
+func before(a, b *Event) bool {
+	return a.t < b.t || a.t == b.t && a.seq < b.seq
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*q)
+// push queues e.
+func (q *eventQueue) push(e *Event) {
 	*q = append(*q, e)
+	q.up(len(*q) - 1)
 }
 
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1 // popped
-	*q = old[:n-1]
+// pop removes and returns the earliest event.
+func (q *eventQueue) pop() *Event { return q.remove(0) }
+
+// remove takes the event at index i out of the queue and returns it.
+func (q *eventQueue) remove(i int) *Event {
+	h := *q
+	n := len(h) - 1
+	e := h[i]
+	h[i] = h[n]
+	h[n] = nil
+	*q = h[:n]
+	if i < n && !q.down(i) {
+		q.up(i)
+	}
+	e.index = -1
 	return e
 }
 
-func (q *eventQueue) push(e *Event) { heap.Push(q, e) }
+// up moves q[i] toward the root until its parent fires before it.
+func (q eventQueue) up(i int) {
+	e := q[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !before(e, q[p]) {
+			break
+		}
+		q[i] = q[p]
+		q[i].index = i
+		i = p
+	}
+	q[i] = e
+	e.index = i
+}
 
-func (q *eventQueue) pop() *Event { return heap.Pop(q).(*Event) }
+// down moves q[i] toward the leaves until it fires before both children,
+// and reports whether it moved.
+func (q eventQueue) down(i int) bool {
+	e := q[i]
+	i0 := i
+	for {
+		c := 2*i + 1
+		if c >= len(q) {
+			break
+		}
+		if r := c + 1; r < len(q) && before(q[r], q[c]) {
+			c = r
+		}
+		if !before(q[c], e) {
+			break
+		}
+		q[i] = q[c]
+		q[i].index = i
+		i = c
+	}
+	q[i] = e
+	e.index = i
+	return i > i0
+}
 
 // peek returns the earliest pending event without removing it.
 func (q eventQueue) peek() *Event {

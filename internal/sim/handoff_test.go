@@ -49,8 +49,8 @@ func TestKillAndExitRunDefersAndLetOthersFinish(t *testing.T) {
 	if end != 110 {
 		t.Errorf("surviving proc ended at %v, want 110", end)
 	}
-	if s.queue.Len() != 0 {
-		t.Errorf("%d events still queued: the killed proc's deadline timer was not released", s.queue.Len())
+	if len(s.queue) != 0 {
+		t.Errorf("%d events still queued: the killed proc's deadline timer was not released", len(s.queue))
 	}
 }
 
@@ -134,7 +134,7 @@ func TestRecycledTimerHasNoStaleHolder(t *testing.T) {
 	})
 	s.At(10, func() {
 		p.Interrupt(nil)
-		s.At(10, func() { events = s.queue.Len() })
+		s.At(10, func() { events = len(s.queue) })
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -147,9 +147,9 @@ func TestRecycledTimerHasNoStaleHolder(t *testing.T) {
 	if events != 1 {
 		t.Errorf("%d events queued after the release, want 1", events)
 	}
-	if len(s.free) != 2 || s.queue.Len() != 0 {
+	if len(s.free) != 2 || len(s.queue) != 0 {
 		t.Errorf("%d Events free and %d queued at the end, want 2 and 0: one per concurrent holder, all returned",
-			len(s.free), s.queue.Len())
+			len(s.free), len(s.queue))
 	}
 }
 
