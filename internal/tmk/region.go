@@ -407,9 +407,10 @@ func (tp *Proc) ReadF64Span(r *Region, idx int, dst []float64) {
 	tp.faultRange(r, off, len(dst)*8, false)
 	for len(dst) > 0 {
 		pm, po, k := r.within(off, len(dst)*8)
-		b := pm.bytes()[po : po+k]
-		for i := range dst[:k/8] {
-			dst[i] = f64FromBits(b[i*8:])
+		b, out := pm.bytes()[po:po+k], dst[:k/8]
+		for i := range out {
+			out[i] = f64FromBits(b) // the slot's one bounds check
+			b = b[8:]
 		}
 		off, dst = off+k, dst[k/8:]
 	}
@@ -425,8 +426,9 @@ func (tp *Proc) WriteF64Span(r *Region, idx int, vals []float64) {
 	for len(vals) > 0 {
 		pm, po, k := r.within(off, len(vals)*8)
 		b := pm.store()[po : po+k]
-		for i, v := range vals[:k/8] {
-			f64ToBits(b[i*8:], v)
+		for _, v := range vals[:k/8] {
+			f64ToBits(b, v) // the slot's one bounds check
+			b = b[8:]
 		}
 		off, vals = off+k, vals[k/8:]
 	}

@@ -96,6 +96,113 @@ func TestSpanAcrossPages(t *testing.T) {
 	})
 }
 
+// Spans against the one-slot accessors: at every slot offset of two pages
+// and at lengths from none to two pages, those ending at, one short of and
+// one past a page boundary among them, a span written reads back slot by
+// slot, one read back matches what was written slot by slot, and neither
+// touches a slot outside it.
+func TestSpanMatchesSlotAccessors(t *testing.T) {
+	const slots = tmk.PageSize / 8
+	run1(t, func(tp *tmk.Proc) {
+		r := tp.AllocShared(3 * tmk.PageSize)
+		model := make([]float64, 3*slots) // every slot's value, as written
+		buf := make([]float64, 2*slots+1)
+		next := 0.0
+		fresh := func(vals []float64) []float64 {
+			for i := range vals {
+				next++
+				vals[i] = next
+			}
+			return vals
+		}
+		same := func(what string, off, n int) {
+			for _, i := range []int{off - 1, off + n} {
+				if i >= 0 && i < len(model) {
+					if got := tp.ReadF64(r, i); got != model[i] {
+						t.Fatalf("%s [%d,+%d): slot %d outside it = %v, want %v", what, off, n, i, got, model[i])
+					}
+				}
+			}
+		}
+		for off := 0; off < 2*slots; off++ {
+			edge := slots - off%slots
+			for _, n := range []int{0, 1, 2, edge - 1, edge, edge + 1, slots, 2 * slots} {
+				if n < 0 || off+n > len(model) {
+					continue
+				}
+				vals := fresh(buf[:n])
+				tp.WriteF64Span(r, off, vals)
+				copy(model[off:], vals)
+				for i, v := range vals {
+					if got := tp.ReadF64(r, off+i); got != v {
+						t.Fatalf("WriteF64Span [%d,+%d): slot %d reads %v, want %v", off, n, off+i, got, v)
+					}
+				}
+				same("WriteF64Span", off, n)
+
+				for i, v := range fresh(buf[:n]) {
+					tp.WriteF64(r, off+i, v)
+					model[off+i] = v
+				}
+				buf[n] = -1
+				tp.ReadF64Span(r, off, buf[:n])
+				for i := range n {
+					if buf[i] != model[off+i] {
+						t.Fatalf("ReadF64Span [%d,+%d): slot %d = %v, want %v", off, n, off+i, buf[i], model[off+i])
+					}
+				}
+				if buf[n] != -1 {
+					t.Fatalf("ReadF64Span [%d,+%d) wrote past its destination", off, n)
+				}
+				same("WriteF64", off, n)
+			}
+		}
+	})
+}
+
+// BenchmarkF64Span times the span loops alone: the pages are valid, and
+// writable, before the timer starts, so no iteration faults, and the
+// buffers are reused. "page" is one whole page; "row" is a 640-slot row
+// of a 640-column grid (jacobi_fastgm_16's), which straddles two pages.
+func BenchmarkF64Span(b *testing.B) {
+	const n = 640
+	for _, c := range []struct {
+		name     string
+		idx, len int
+	}{{"page", 0, tmk.PageSize / 8}, {"row", n, n}} {
+		for _, write := range []bool{false, true} {
+			name := "read/" + c.name
+			if write {
+				name = "write/" + c.name
+			}
+			b.Run(name, func(b *testing.B) {
+				vals := make([]float64, c.len)
+				for i := range vals {
+					vals[i] = float64(i) / 3
+				}
+				cfg := tmk.DefaultConfig(1, tmk.TransportFastGM)
+				if _, err := tmk.Run(cfg, func(tp *tmk.Proc) {
+					r := tp.AllocShared(3 * n * 8)
+					tp.WriteF64Span(r, c.idx, vals) // faults the pages valid and writable
+					b.SetBytes(int64(8 * c.len))
+					b.ReportAllocs()
+					b.ResetTimer()
+					for range b.N {
+						if write {
+							tp.WriteF64Span(r, c.idx, vals)
+						} else {
+							tp.ReadF64Span(r, c.idx, vals)
+						}
+					}
+					b.StopTimer()
+				}); err != nil {
+					b.Fatal(err)
+				}
+			})
+		}
+	}
+}
+
 // TestLateMappedRegionReplaysNotices: a write notice can arrive before
 // the region it names is mapped here. Rank 0's KDistribute to rank 2 is
 // lost once, so rank 2 learns of rank 1's write to the region from the
