@@ -491,7 +491,7 @@ func (tp *Proc) applyIntervals(ivs []msg.Interval) {
 // became visible (HLRC rule 1), so our copy already holds the data, and the
 // notice is covered instead (rule 2).
 func (tp *Proc) deliverNotice(pm *pageMeta, rec *intervalRec) {
-	invalidated, wroteHere := 0, 0
+	invalidated := 0
 	if pm.addNotice(int(rec.proc), rec.ts) {
 		if tp.selfHomed(pm.id) {
 			pm.coverTo(int(rec.proc), rec.ts)
@@ -501,6 +501,10 @@ func (tp *Proc) deliverNotice(pm *pageMeta, rec *intervalRec) {
 			invalidated = 1
 		}
 	}
+	if tp.cluster.cfg.Trace == nil {
+		return // wroteHere is the trace's alone, and costs a search of pm's writers
+	}
+	wroteHere := 0
 	if pm.twin != nil || pm.state == pageWritable || pm.writer(tp.rank) != nil {
 		wroteHere = 1
 	}

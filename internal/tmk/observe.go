@@ -33,15 +33,20 @@ type event struct {
 }
 
 // observe records one protocol occurrence on the run's tracer. With none
-// attached it returns at once: nothing is allocated and nothing formatted.
-// It runs in the observing rank's own context or, for the watchdog, in
+// attached it returns at once — the check inlines into every site, so an
+// untraced site makes no call — and nothing is allocated or formatted. It
+// runs in the observing rank's own context or, for the watchdog, in
 // scheduler context, so "now" is the simulator's clock.
 func (tp *Proc) observe(e event) {
+	if tp.cluster.cfg.Trace != nil {
+		tp.record(e)
+	}
+}
+
+// record is observe with a tracer attached.
+func (tp *Proc) record(e event) {
 	c := tp.cluster
 	tr := c.cfg.Trace
-	if tr == nil {
-		return
-	}
 	if e.start == 0 && e.dur == 0 {
 		e.start = c.sim.Now()
 	}
