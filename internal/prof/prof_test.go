@@ -269,6 +269,41 @@ func TestWriteTablesAndHeatmap(t *testing.T) {
 	}
 }
 
+// Every row of every table is as wide as its header, the shutdown
+// barrier's among them: its id is printed as "final".
+func TestWriteTablesRowsFitTheirHeaders(t *testing.T) {
+	p := New()
+	p.Observe(trace.Event{Layer: tmkLayer, Kind: trace.KindReadFault, Rank: 0, ID: 12, Region: 0, Dur: 1000})
+	p.Observe(trace.Event{Layer: tmkLayer, Kind: trace.KindLockAcquire, Rank: 1, ID: 3, Peer: 0, Dur: 40})
+	for _, id := range []int32{1, trace.FinalBarrier} {
+		p.Observe(trace.Event{Layer: tmkLayer, Kind: trace.KindBarrierArrive, Rank: 0, ID: id, T: 10})
+		p.Observe(trace.Event{Layer: tmkLayer, Kind: trace.KindBarrier, Rank: 0, ID: id, Dur: 5})
+	}
+	var buf bytes.Buffer
+	if err := p.Snapshot().WriteTables(&buf, 5, 3, 3); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+	tables := 0
+	for i := 0; i < len(lines); i++ {
+		if !strings.HasSuffix(lines[i], ":") { // a table's title; its header follows
+			continue
+		}
+		tables++
+		header := lines[i+1]
+		for i += 2; i < len(lines) && !strings.HasSuffix(lines[i], ":"); i++ {
+			if len(lines[i]) != len(header) {
+				t.Errorf("row %q is %d wide, its header %q %d", lines[i], len(lines[i]), header, len(header))
+			}
+		}
+		i--
+	}
+	if tables != 3 || !strings.Contains(out, " final ") {
+		t.Errorf("want 3 tables and the shutdown barrier as final:\n%s", out)
+	}
+}
+
 func TestHeatmapBucketsWideRuns(t *testing.T) {
 	p := New()
 	for e := 0; e < 200; e++ {

@@ -3,6 +3,9 @@ package prof
 import (
 	"fmt"
 	"io"
+	"strconv"
+
+	"repro/internal/trace"
 )
 
 // printer is a writer that keeps its first error and skips every later
@@ -61,8 +64,12 @@ func (pr *Profile) WriteTables(w io.Writer, pages, locks, barriers int) error {
 	p.printf("  %6s %9s %13s %13s %12s %10s %9s\n",
 		"bar", "episodes", "skew-max(ms)", "skew-avg(ms)", "wait(ms)", "intervals", "wn-pages")
 	for _, r := range pr.WorstBarriers(barriers) {
-		p.printf("  %6d %9d %13.3f %13.3f %12.3f %10d %9d\n",
-			r.ID, r.Episodes, float64(r.SkewMaxNs)/1e6, float64(r.SkewMeanNs)/1e6,
+		id := strconv.Itoa(int(r.ID))
+		if r.ID == trace.FinalBarrier {
+			id = "final" // its id is wider than the column
+		}
+		p.printf("  %6s %9d %13.3f %13.3f %12.3f %10d %9d\n",
+			id, r.Episodes, float64(r.SkewMaxNs)/1e6, float64(r.SkewMeanNs)/1e6,
 			float64(r.WaitNs)/1e6, r.Intervals, r.NoticePages)
 	}
 	return p.err

@@ -141,7 +141,7 @@ type Result struct {
 }
 
 // finalBarrier is the implicit shutdown barrier id.
-const finalBarrier int32 = 1<<31 - 1
+const finalBarrier = trace.FinalBarrier
 
 // NewCluster assembles the simulator, fabric, GM, kernels, and per-rank
 // transports; Run then executes the application. A Config that fails

@@ -63,6 +63,10 @@ const (
 	KindCrashDetected = "crash-detected" // Rank found Peer dead; the run aborts
 )
 
+// FinalBarrier is the ID of the barrier every rank crosses as it shuts
+// down, after the application returns.
+const FinalBarrier int32 = 1<<31 - 1
+
 // layerRank orders layers bottom-up in reports; unknown layers sort last.
 func layerRank(layer string) int {
 	switch layer {
