@@ -1,6 +1,8 @@
 package tmk
 
 import (
+	"slices"
+
 	"repro/internal/msg"
 	"repro/internal/sim"
 	"repro/internal/substrate"
@@ -91,6 +93,40 @@ func (n *noticeMidGet) WaitVerbs(p *sim.Proc, verbs []substrate.PendingVerb) err
 		n.tp.applyIntervals([]msg.Interval{{Proc: int32(n.writer), TS: vc[n.writer], VC: vc.Ints(), Pages: []int32{n.pg}}})
 	}
 	return n.OneSided.WaitVerbs(p, verbs)
+}
+
+// OwnDiffs returns tp's own diffs of page pg (a global page number), oldest
+// first.
+func (tp *Proc) OwnDiffs(pg int32) []msg.Diff {
+	var ds []msg.Diff
+	for _, ts := range tp.page(pg).noticesOf(tp.rank) {
+		ds = append(ds, msg.Diff{Page: pg, Proc: int32(tp.rank), TS: ts, Data: tp.myDiffs[diffKey{page: pg, ts: ts}]})
+	}
+	return ds
+}
+
+// ServeDiffReq runs tp's diff request handler on m as if its transport's
+// frames held limit bytes, and returns the frames it replied with.
+func (tp *Proc) ServeDiffReq(m *msg.Message, limit int) []msg.Message {
+	rec := &replyRecorder{Transport: tp.tr, limit: limit}
+	tp.tr = rec
+	defer func() { tp.tr = rec.Transport }()
+	tp.handleDiffReq(m)
+	return rec.frames
+}
+
+type replyRecorder struct {
+	substrate.Transport
+	limit  int
+	frames []msg.Message
+}
+
+func (r *replyRecorder) MaxData() int { return r.limit }
+
+func (r *replyRecorder) Reply(_ *sim.Proc, _, rep *msg.Message) {
+	f := *rep
+	f.Diffs = slices.Clone(rep.Diffs)
+	r.frames = append(r.frames, f)
 }
 
 // FrameCensus counts, over every region mapped on tp, the pages, the frames

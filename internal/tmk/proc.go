@@ -166,19 +166,22 @@ func (tp *Proc) handleRequest(p *sim.Proc, m *msg.Message) {
 
 // handleDiffReq serves our own diffs for the requested page/timestamp
 // ranges, in request order, under the frame budget the request grants
-// (DESIGN.md §4.3): if the budget holds every diff asked for, all of them,
-// in as many frames as they take; if not, one frame's prefix of whole
-// pages — and always the first page, in the frames it alone takes, so
-// every request makes progress. The requester asks again for the pages
-// left out.
+// (DESIGN.md §4.3): the longest prefix of whole pages whose diffs fit in
+// the budget's frames, each frame cut where frameEnd cuts it — and always
+// the first page, in the frames it alone takes, so every request makes
+// progress. The requester asks again for the pages left out. The reply is
+// built in one pass, cutting frames as it grows, and stops at the first
+// diff past the budget: nothing after it is looked up.
 func (tp *Proc) handleDiffReq(m *msg.Message) {
-	db, limit := tp.diffBufs, tp.tr.MaxData()
-	out, data, prefix := db.out[:0], 0, 0
+	db, limit, budget := tp.diffBufs, tp.tr.MaxData(), m.Budget()
+	out := db.out[:0]
+	frames, n, data := 0, 0, 0 // out's frames so far; diffs and bytes in its last
+pages:
 	for i, dr := range m.DiffReqs {
 		if int(dr.Proc) != tp.rank {
 			panic(fmt.Sprintf("tmk: rank %d asked for rank %d's diffs", tp.rank, dr.Proc))
 		}
-		mark := len(out)
+		mark, markFrames := len(out), frames
 		own := tp.page(dr.Page).noticesOf(tp.rank)
 		j := sort.Search(len(own), func(j int) bool { return own[j] > dr.FromTS })
 		for ; j < len(own) && own[j] <= dr.ToTS; j++ {
@@ -187,19 +190,20 @@ func (tp *Proc) handleDiffReq(m *msg.Message) {
 			if !ok {
 				panic(fmt.Sprintf("tmk: rank %d missing own diff page %d ts %d", tp.rank, dr.Page, ts))
 			}
+			if n > 0 && msg.DiffReplySize(n+1, data+len(d)) <= limit {
+				n, data = n+1, data+len(d)
+			} else {
+				frames, n, data = frames+1, 1, len(d)
+			}
+			if i > 0 && frames > budget {
+				out, frames = out[:mark], markFrames
+				break pages
+			}
 			out = append(out, msg.Diff{Page: dr.Page, Proc: int32(tp.rank), TS: ts, Data: d})
-			data += len(d)
 		}
-		if i == 0 || prefix == mark && msg.DiffReplySize(len(out), data) <= limit {
-			prefix = len(out)
-		}
-	}
-	frames := replyFrames(out, limit)
-	if frames > m.Budget() {
-		out = out[:prefix]
-		frames = replyFrames(out, limit)
 	}
 	db.out = out
+	frames = max(frames, 1)
 	for f, from := 0, 0; f < frames; f++ {
 		end := frameEnd(out, from, limit)
 		db.rep = msg.Message{Kind: msg.KDiffReply, Diffs: out[from:end]}
@@ -209,16 +213,6 @@ func (tp *Proc) handleDiffReq(m *msg.Message) {
 		tp.tr.Reply(tp.sp, m, &db.rep)
 		from = end
 	}
-}
-
-// replyFrames returns how many frames a reply carrying diffs takes: at
-// least one, each cut where frameEnd cuts it.
-func replyFrames(diffs []msg.Diff, limit int) int {
-	n := 1
-	for end := frameEnd(diffs, 0, limit); end < len(diffs); end = frameEnd(diffs, end, limit) {
-		n++
-	}
-	return n
 }
 
 // frameEnd returns where the reply frame carrying diffs from from on ends:

@@ -143,8 +143,8 @@ func TestSequentialReadahead(t *testing.T) {
 // 1–cappedDense and one word of the page after them. Rank 0 reads page 0,
 // then pages 1–cappedDense in one span: that fault continues the run, so
 // the last page rides along, after the span's pages — whose diffs overfill
-// the frames the reply's budget grants, so the reply is capped at one
-// frame's prefix. The capped reply leaves the last page out, and the
+// the frames the reply's budget grants, so the reply is capped at the
+// pages those frames hold. The capped reply leaves the last page out, and the
 // span's next wave does not ask for it again: it stays invalid, and its
 // own fault fetches it later.
 func cappedReadahead(t *testing.T, kind tmk.TransportKind) {

@@ -1,8 +1,12 @@
 package tmk_test
 
 import (
+	"bytes"
+	"math/rand"
+	"slices"
 	"testing"
 
+	"repro/internal/msg"
 	"repro/internal/sim"
 	"repro/internal/tmk"
 )
@@ -187,8 +191,9 @@ const cappedDense = 19
 // TestCappedReplyDefersTwoWriterPage: rank 1 writes every word of pages
 // 1–cappedDense and word 0 of the page after them; then rank 2, ordered
 // after it by a barrier, writes word 0 of that last page. Rank 1's diffs of
-// the span overfill its reply's frame budget, so it answers one frame's
-// prefix and leaves the last page out, while rank 2 answers it. Applying
+// the span overfill its reply's frame budget, so it answers the pages its
+// budget's frames hold and leaves the last page out, while rank 2 answers
+// it. Applying
 // rank 2's diff alone, and rank 1's in a later wave, would let the older
 // write win: the page must wait whole.
 func TestCappedReplyDefersTwoWriterPage(t *testing.T) {
@@ -250,12 +255,12 @@ func TestSpanPastOneRequestFrameIsSplit(t *testing.T) {
 // lone call every reply buffer of its sync port, four, so one request
 // brings all 16 pages in three frames. udpgm grants two, what the reply
 // socket's buffer holds: the budget cannot hold all 16 pages, so the first
-// request is answered with one frame's prefix, seven pages, and the second
-// brings the other nine in two frames — 25 ranges asked. Answering as far
-// as the budget allows (14 pages, then 2) would ask 18.
+// request is answered with the pages its two frames hold, fourteen, and the
+// second brings the other two — 18 ranges asked. Answering one frame's
+// prefix (7 pages, then 9) would ask 25.
 func TestDenseGatherTakesOneRequestPerBudget(t *testing.T) {
 	const pages = 16
-	want := map[tmk.TransportKind][2]int64{tmk.TransportFastGM: {1, pages}, tmk.TransportUDPGM: {2, pages + 9}}
+	want := map[tmk.TransportKind][2]int64{tmk.TransportFastGM: {1, pages}, tmk.TransportUDPGM: {2, pages + 2}}
 	for _, kind := range bothTransports {
 		_, err := tmk.Run(tmk.DefaultConfig(4, kind), func(tp *tmk.Proc) {
 			r := tp.AllocShared(pages * tmk.PageSize)
@@ -283,4 +288,121 @@ func TestDenseGatherTakesOneRequestPerBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// TestDiffReplyFillsItsBudget holds the writer's reply to a diff request
+// to the rule written out the slow way (refDiffReply): of the pages asked,
+// in order, the longest prefix whose diffs, cut into frames only between
+// diffs, take at most the budget's frames — and at least the first page —
+// sent in exactly those frames, numbered when there is more than one. Rank
+// 1 of two writes random word counts of random page counts over one to
+// three intervals, then serves random page windows and timestamp ranges of
+// its own diffs under random frame sizes and every budget from 1 to 16.
+func TestDiffReplyFillsItsBudget(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		pages := 1 + rng.Intn(48)
+		words := make([][]int, 1+rng.Intn(3)) // per interval and page: words rank 1 writes
+		for i := range words {
+			words[i] = make([]int, pages)
+			for pg := range words[i] {
+				if rng.Intn(4) > 0 {
+					words[i][pg] = 1 + rng.Intn(wordsPerPage)
+				}
+			}
+		}
+		_, err := tmk.Run(tmk.DefaultConfig(2, tmk.TransportFastGM), func(tp *tmk.Proc) {
+			r := tp.AllocShared(pages * tmk.PageSize)
+			for i, counts := range words {
+				if tp.Rank() == 1 {
+					for pg, k := range counts {
+						for w := 0; w < k; w++ {
+							tp.WriteI32(r, pg*wordsPerPage+w, int32(i+1))
+						}
+					}
+				}
+				tp.Barrier(int32(i + 1))
+			}
+			if tp.Rank() != 1 {
+				return
+			}
+			own := make([][]msg.Diff, pages)
+			for pg := range own {
+				own[pg] = tp.OwnDiffs(r.StartPage + int32(pg))
+			}
+			for trial := 0; trial < 40; trial++ {
+				var ask []msg.DiffRange
+				var asked [][]msg.Diff // the diffs each range of ask names
+				first := rng.Intn(pages)
+				end := first + 1 + rng.Intn(pages-first)
+				for pg := first; pg < end; pg++ {
+					if len(own[pg]) == 0 {
+						continue
+					}
+					a := rng.Intn(len(own[pg]))
+					b := a + rng.Intn(len(own[pg])-a)
+					from := int32(0)
+					if a > 0 {
+						from = own[pg][a-1].TS
+					}
+					ask = append(ask, msg.DiffRange{Page: own[pg][a].Page, Proc: 1, FromTS: from, ToTS: own[pg][b].TS})
+					asked = append(asked, own[pg][a:b+1])
+				}
+				if len(ask) == 0 {
+					continue
+				}
+				limit := msg.DiffReplySize(1, 0) + rng.Intn(tp.Transport().MaxData()-msg.DiffReplySize(1, 0)+1)
+				for budget := 1; budget <= 16; budget++ {
+					req := msg.Message{Kind: msg.KDiffReq, DiffReqs: ask}
+					req.SetBudget(budget)
+					got, want := tp.ServeDiffReq(&req, limit), refDiffReply(asked, budget, limit)
+					if len(got) != len(want) {
+						t.Fatalf("seed %d trial %d budget %d limit %d: %d frames, want %d", seed, trial, budget, limit, len(got), len(want))
+					}
+					for f := range want {
+						if i, n := got[f].Frame(); i != f || n != len(want) {
+							t.Fatalf("seed %d trial %d budget %d: frame %d numbered %d of %d, want of %d", seed, trial, budget, f, i, n, len(want))
+						}
+						if !slices.EqualFunc(got[f].Diffs, want[f], func(a, b msg.Diff) bool {
+							return a.Page == b.Page && a.Proc == b.Proc && a.TS == b.TS && bytes.Equal(a.Data, b.Data)
+						}) {
+							t.Fatalf("seed %d trial %d budget %d limit %d: frame %d carries %d diffs, want %d", seed, trial, budget, limit, f, len(got[f].Diffs), len(want[f]))
+						}
+					}
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// refDiffReply is the reply rule by brute force: every prefix of the pages
+// asked (asked[i] holds page i's diffs) is cut into frames, a diff joining
+// its frame when the frame still encodes to at most limit bytes with it;
+// the longest prefix that takes at most budget frames is the reply, or the
+// first page alone if none does.
+func refDiffReply(asked [][]msg.Diff, budget, limit int) [][]msg.Diff {
+	reply := cutFrames(asked[0], limit)
+	for k := 2; k <= len(asked); k++ {
+		if frames := cutFrames(slices.Concat(asked[:k]...), limit); len(frames) <= budget {
+			reply = frames
+		}
+	}
+	return reply
+}
+
+func cutFrames(diffs []msg.Diff, limit int) [][]msg.Diff {
+	frames := [][]msg.Diff{nil}
+	for _, d := range diffs {
+		last := frames[len(frames)-1]
+		grown := msg.Message{Kind: msg.KDiffReply, Diffs: append(slices.Clip(last), d)}
+		if len(last) > 0 && grown.EncodedSize() > limit {
+			frames = append(frames, []msg.Diff{d})
+		} else {
+			frames[len(frames)-1] = grown.Diffs
+		}
+	}
+	return frames
 }
