@@ -103,7 +103,10 @@ func TestAppsWithRendezvous(t *testing.T) {
 
 func TestTSPSequentialSanity(t *testing.T) {
 	ts := smallTSP()
-	best := ts.Sequential()
+	best, err := ts.Sequential()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if best <= 0 || best >= 1<<30 {
 		t.Errorf("sequential best = %d", best)
 	}
@@ -111,6 +114,10 @@ func TestTSPSequentialSanity(t *testing.T) {
 	// positive edge nor longer than k×max edge — a coarse sanity band.
 	if best < int32(ts.Cities) {
 		t.Errorf("best %d implausibly small", best)
+	}
+	// Past what the reference's table holds, Verify's optimum is an error.
+	if _, err := (&apps.TSP{Cities: 21}).Sequential(); err == nil {
+		t.Error("Sequential solved 21 cities")
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // synchronization"). Workers prune against a possibly stale bound —
 // stale bounds are conservative, so the optimum is unaffected.
 type TSP struct {
-	Cities      int      // at most 64: the search keeps its unvisited cities in a uint64
+	Cities      int      // at most 64, the search's uint64 of unvisited cities; Verify's optimum takes at most 20
 	PrefixDepth int      // cities fixed per work unit (including city 0)
 	CostPerNode sim.Time // CPU per search-tree node visited
 }
@@ -183,15 +183,62 @@ func (d distances) search(last int, unvisited uint64, plen, bound int32) (int32,
 	return bound, nodes
 }
 
-// Sequential returns the optimal tour length.
-func (t *TSP) Sequential() int32 {
-	best, _ := t.distances().search(0, allCitiesBut0(t.Cities), 0, math.MaxInt32)
+// tspExactMax is the most cities Sequential solves: its table holds
+// (n−1)·2ⁿ⁻¹ path lengths, 40 MB at 20 cities.
+const tspExactMax = 20
+
+// Sequential returns the optimal tour length, or an error for more cities
+// than tspExactMax.
+func (t *TSP) Sequential() (int32, error) {
+	if t.Cities < 1 || t.Cities > tspExactMax {
+		return 0, fmt.Errorf("tsp: %d cities: the reference optimum is computed for 1 to %d", t.Cities, tspExactMax)
+	}
+	return t.distances().heldKarp(), nil
+}
+
+// heldKarp returns the optimal tour length by the Held–Karp dynamic
+// program over subsets, O(n²·2ⁿ) time: it shares no code with the
+// branch-and-bound kernel (search) whose answer Verify checks.
+func (d distances) heldKarp() int32 {
+	n, m := d.n, d.n-1 // cities 1..n−1 are bits 0..m−1 of a subset
+	if m == 0 {
+		return d.d[0]
+	}
+	// path[s*m+j]: the shortest path that leaves city 0, visits exactly the
+	// cities of subset s and ends at city j+1, a member of s.
+	path := make([]int32, (1<<m)*m)
+	for s := 1; s < 1<<m; s++ {
+		for j := 0; j < m; j++ {
+			if s&(1<<j) == 0 {
+				continue
+			}
+			prev := s &^ (1 << j)
+			if prev == 0 {
+				path[s*m+j] = d.d[j+1]
+				continue
+			}
+			best := int32(math.MaxInt32)
+			for k := 0; k < m; k++ {
+				if prev&(1<<k) != 0 {
+					best = min(best, path[prev*m+k]+d.d[(k+1)*n+j+1])
+				}
+			}
+			path[s*m+j] = best
+		}
+	}
+	all, best := 1<<m-1, int32(math.MaxInt32)
+	for j := 0; j < m; j++ {
+		best = min(best, path[all*m+j]+d.d[(j+1)*n])
+	}
 	return best
 }
 
 // Verify implements App.
 func (t *TSP) Verify(tp *tmk.Proc) error {
-	want := t.Sequential()
+	want, err := t.Sequential()
+	if err != nil {
+		return err
+	}
 	got := tp.ReadI32(tp.RegionByID(0), tspSlotBest)
 	if got != want {
 		return fmt.Errorf("tsp: best tour = %d, want %d", got, want)

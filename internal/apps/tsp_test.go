@@ -148,8 +148,8 @@ func TestTSPKernelMatchesReference(t *testing.T) {
 				t.Fatal("distance table differs from the reference matrix")
 			}
 			opt, _ := refSearch(m, make([]int, 1, cities), 0, math.MaxInt32)
-			if got := app.Sequential(); got != opt {
-				t.Fatalf("Sequential = %d, reference optimum %d", got, opt)
+			if got, err := app.Sequential(); err != nil || got != opt {
+				t.Fatalf("Sequential = %d, %v; reference optimum %d", got, err, opt)
 			}
 			for idx := 0; idx < app.prefixCount(); idx++ {
 				prefix, plen := refPrefix(m, app.PrefixDepth, idx)
@@ -173,7 +173,8 @@ func TestTSPKernelMatchesReference(t *testing.T) {
 // TestTSPKernelMatchesReferenceRandom is the seeded property: on random,
 // possibly asymmetric distance matrices of up to 14 cities, any prefix
 // under any bound gives the kernel and the reference the same best and
-// the same node count.
+// the same node count, and Sequential's Held–Karp table gives the
+// reference's optimum over whole tours.
 func TestTSPKernelMatchesReferenceRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	cases := 300
@@ -201,6 +202,11 @@ func TestTSPKernelMatchesReferenceRandom(t *testing.T) {
 		for _, p := range rng.Perm(n - 1)[:depth-1] {
 			plen += m[prefix[len(prefix)-1]][p+1]
 			prefix = append(prefix, p+1)
+		}
+		if n <= 11 { // the reference's whole search: at most 10 cities after city 0
+			if full, _ := refSearch(m, make([]int, 1, n), 0, math.MaxInt32); flatten(m).heldKarp() != full {
+				t.Fatalf("case %d (%d cities): Held–Karp optimum %d, reference %d", i, n, flatten(m).heldKarp(), full)
+			}
 		}
 		opt, _ := refSearch(m, prefix, plen, math.MaxInt32)
 		bounds := []int32{math.MaxInt32, opt, opt + 1, plen, plen + int32(rng.Intn(int(opt-plen)+1))}
