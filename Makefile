@@ -8,8 +8,9 @@ BENCHDIR ?= .
 WORKLOAD ?= jacobi_fastgm_16
 BASE     ?= HEAD
 PAIRS    ?= 10
+CPU_BENCH ?= BenchmarkWorkloads
 
-.PHONY: all check fmt vet build test race loc uncovered host-allocs host-cpu wire-bytes pairs fuzz-smoke bench bench-identical bench-gate chaos-smoke rdma-smoke critical-smoke cli-smoke
+.PHONY: all check fmt vet build test race loc uncovered host-allocs host-cpu setup-cpu wire-bytes pairs fuzz-smoke bench bench-identical bench-gate chaos-smoke rdma-smoke critical-smoke cli-smoke
 
 all: check
 
@@ -96,7 +97,7 @@ host-allocs:
 # and the profile's top 15 functions by flat time are printed. It prints,
 # it never gates, and it is not part of `check`.
 host-cpu:
-	@tmp=$$(mktemp -d); run='^BenchmarkWorkloads$$'; \
+	@tmp=$$(mktemp -d); run='^$(CPU_BENCH)$$'; \
 	if [ "$(WORKLOAD)" != all ]; then run="$$run/^$(WORKLOAD)$$"; fi; \
 	$(GO) test -count=1 -run '^$$' -bench "$$run" -o $$tmp/harness.test \
 		-cpuprofile $$tmp/cpu.prof ./internal/harness/ > $$tmp/out; \
@@ -106,6 +107,14 @@ host-cpu:
 		$(GO) tool pprof -top -nodecount=15 $$tmp/harness.test $$tmp/cpu.prof 2>/dev/null | tail -n +5; \
 	fi; \
 	rm -rf $$tmp; exit $$status
+
+# The same for a workload's set-up phase, what the benchmark reports as
+# setup_s: BenchmarkWorkloadSetup runs the row's 1-node FAST/GM baseline
+# and its verified run for about a second under -cpuprofile (same WORKLOAD
+# choices and default as host-cpu, the same printout). It prints, it
+# never gates, and it is not part of `check`.
+setup-cpu:
+	@$(MAKE) --no-print-directory host-cpu CPU_BENCH=BenchmarkWorkloadSetup
 
 # What a benchmark workload sends (same WORKLOAD choices and default as
 # host-allocs): BenchmarkWireBytes runs the row once with the tracer on and

@@ -101,3 +101,25 @@ func BenchmarkWorkloads(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkWorkloadSetup is the benchmark's set-up phase of the same six
+// rows, whose host seconds it reports as setup_s: per iteration the 1-node
+// FAST/GM baseline, then one run verified against the application's
+// sequential reference. `make setup-cpu WORKLOAD=<name>` profiles one
+// row's CPU with it.
+func BenchmarkWorkloadSetup(b *testing.B) {
+	for _, w := range allocWorkloads {
+		b.Run(w.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				app := w.app()
+				if _, err := RunApp(app, 1, tmk.TransportFastGM, nil); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := VerifiedRun(app, w.nodes, w.kind, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
