@@ -43,20 +43,10 @@ const (
 	RxInterrupt     = 6 * sim.Microsecond   // NIC interrupt + softirq before data is visible
 	SignalDelivery  = 12 * sim.Microsecond  // SIGIO dispatch to the user handler
 	SelectOverhead  = 4 * sim.Microsecond   // select() syscall cost
-	RecvBufDefault  = 64 * 1024             // default socket receive buffer (bytes)
+	RecvBufDefault  = 64 * 1024             // every socket's receive buffer (bytes): the kernel default
 	MaxDatagram     = 32*1024 - headerBytes // largest UDP datagram we model
 	KernelClassRing = 8                     // kernel receive buffers preposted per class
 )
-
-// Params configure a node's stack: what a run may change about the kernel.
-type Params struct {
-	// DropProbability injects random datagram loss on the receive path
-	// (fault injection for the user-level retransmission machinery).
-	DropProbability float64
-}
-
-// DefaultParams returns a lossless stack.
-func DefaultParams() Params { return Params{} }
 
 const headerBytes = 4 // [2B src socket port][2B dst socket port]
 
@@ -81,7 +71,6 @@ type Stack struct {
 	s       *sim.Simulator
 	node    *gm.Node
 	port    *gm.Port
-	params  Params
 	sockets map[int]*Socket
 	nextEph int
 	stats   StackStats
@@ -135,7 +124,7 @@ func (d *rxDatagram) payload() []byte { return d.data[headerBytes:] }
 
 // NewStack boots the kernel network stack on a GM node. It opens kernel
 // port 1 and preposts recycled receive buffers for every size class.
-func NewStack(s *sim.Simulator, node *gm.Node, params Params) *Stack {
+func NewStack(s *sim.Simulator, node *gm.Node) *Stack {
 	port, err := node.OpenPort(KernelPort)
 	if err != nil {
 		panic(fmt.Sprintf("sockets: kernel port: %v", err))
@@ -144,7 +133,6 @@ func NewStack(s *sim.Simulator, node *gm.Node, params Params) *Stack {
 		s:       s,
 		node:    node,
 		port:    port,
-		params:  params,
 		sockets: make(map[int]*Socket),
 		nextEph: 49152,
 	}
@@ -210,14 +198,7 @@ func (d *rxDatagram) arrive() {
 		st.recycleRx(d)
 		return
 	}
-	if st.params.DropProbability > 0 && st.s.Rand().Float64() < st.params.DropProbability {
-		st.stats.DatagramsDrop++
-		sk.drops++
-		st.traceDrop("drop-injected", d.src, n)
-		st.recycleRx(d)
-		return
-	}
-	if sk.queuedBytes+n > sk.recvBuf {
+	if sk.queuedBytes+n > RecvBufDefault {
 		st.stats.DatagramsDrop++
 		sk.drops++
 		st.traceDrop("drop-overflow", d.src, n)
@@ -261,10 +242,9 @@ func (st *Stack) traceDrop(kind string, src myrinet.NodeID, n int) {
 func (st *Stack) Socket(p *sim.Proc) *Socket {
 	p.Advance(SyscallEntry)
 	return &Socket{
-		stack:   st,
-		port:    -1,
-		recvBuf: RecvBufDefault,
-		cond:    sim.NewCond(fmt.Sprintf("udp:n%d:sock", st.node.ID())),
+		stack: st,
+		port:  -1,
+		cond:  sim.NewCond(fmt.Sprintf("udp:n%d:sock", st.node.ID())),
 	}
 }
 
@@ -272,7 +252,6 @@ func (st *Stack) Socket(p *sim.Proc) *Socket {
 type Socket struct {
 	stack       *Stack
 	port        int
-	recvBuf     int
 	queue       []*rxDatagram
 	queuedBytes int
 	cond        *sim.Cond
@@ -286,12 +265,6 @@ func (sk *Socket) Drops() int64 { return sk.drops }
 
 // Pending returns the number of queued datagrams (no cost: test hook).
 func (sk *Socket) Pending() int { return len(sk.queue) }
-
-// SetRecvBuffer adjusts the receive buffer size (setsockopt SO_RCVBUF).
-func (sk *Socket) SetRecvBuffer(p *sim.Proc, n int) {
-	p.Advance(SyscallEntry)
-	sk.recvBuf = n
-}
 
 // Bind attaches the socket to a UDP port on its node.
 func (sk *Socket) Bind(p *sim.Proc, port int) error {

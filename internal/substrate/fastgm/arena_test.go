@@ -21,7 +21,7 @@ const sendPoolBytes = 66240
 func testTransport() (*sim.Simulator, *gm.System, *Transport) {
 	s := sim.New(1)
 	sys := gm.NewSystem(s, myrinet.NewFabric(s, myrinet.DefaultParams(), 2), gm.DefaultParams())
-	return s, sys, New(sys.Node(0), 0, 2, DefaultConfig())
+	return s, sys, New(sys.Node(0), 0, 2, Config{})
 }
 
 // testArena returns a fresh arena of the production size and the longest

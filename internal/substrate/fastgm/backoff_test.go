@@ -20,35 +20,37 @@ func echoHandler(c *stest.Cluster) func(rank int) substrate.Handler {
 }
 
 // TestRetryBudgetResetsAfterSendOK: two disjoint blackout windows, each
-// sized to consume exactly the full per-frame retry budget
-// (MaxSendRetries = 1: the original send fails, the single retransmission
-// lands after the window closes). Both calls must succeed — the attempt
-// counter belongs to the frame and is discarded on SendOK, so the first
-// window's failure must not erode the second call's budget. A counter
-// that leaked across sends would exhaust on the second window's first
-// failure and abandon the call.
+// failing its call's request frame more than half of MaxSendRetries times
+// before a retransmission lands after the window closes. Both calls must
+// succeed — the attempt counter belongs to the frame and is discarded on
+// SendOK, so the first window's failures must not erode the second call's
+// budget. A counter that leaked across sends would exhaust inside the
+// second window and abandon the call.
 func TestRetryBudgetResetsAfterSendOK(t *testing.T) {
-	cfg := fastgm.DefaultConfig()
-	cfg.MaxSendRetries = 1
-	c := stest.NewFast(2, 1, cfg)
-	// GM's resend timeout is 3s: a frame sent at ~2ms into a window ending
-	// at 3s fails once (~3.002s) and its 5ms-backoff retransmission clears
-	// the window. Same shape again at 10s.
+	c := stest.NewFast(2, 1, fastgm.Config{})
+	// GM's resend timeout is 3s and the retransmission backoff doubles from
+	// 5ms to its 200ms cap: a frame sent 1ms into a 27.8s window fails
+	// nine times, and its ninth retransmission clears the window. Same
+	// shape again at 40s.
+	const window, second = 27800 * sim.Millisecond, 40 * sim.Second
 	c.Fabric.SetFaults(myrinet.FaultConfig{Blackouts: []myrinet.Blackout{
-		{Src: 0, Dst: 1, From: sim.Millisecond, To: 3 * sim.Second},
-		{Src: 0, Dst: 1, From: 10 * sim.Second, To: 13 * sim.Second},
+		{Src: 0, Dst: 1, From: sim.Millisecond, To: window},
+		{Src: 0, Dst: 1, From: second + sim.Millisecond, To: second + window},
 	}})
 	var reps [2]*msg.Message
+	var failures [2]int64
 	c.Spawn(echoHandler(c), func(rank int, p *sim.Proc, tr substrate.Transport) {
 		if rank != 0 {
 			return
 		}
 		p.Advance(2 * sim.Millisecond) // land inside window 1
 		reps[0] = tr.Call(p, 1, &msg.Message{Kind: msg.KPing, Page: 1})
-		if now := p.Now(); now < 10*sim.Second+2*sim.Millisecond {
-			p.Advance(10*sim.Second + 2*sim.Millisecond - now) // land inside window 2
+		failures[0] = tr.Stats().GMSendFailures
+		if now := p.Now(); now < second+2*sim.Millisecond {
+			p.Advance(second + 2*sim.Millisecond - now) // land inside window 2
 		}
 		reps[1] = tr.Call(p, 1, &msg.Message{Kind: msg.KPing, Page: 2})
+		failures[1] = tr.Stats().GMSendFailures - failures[0]
 	})
 	if err := c.Run(); err != nil {
 		t.Fatal(err)
@@ -58,11 +60,12 @@ func TestRetryBudgetResetsAfterSendOK(t *testing.T) {
 			t.Fatalf("call %d: bad reply %+v (retry budget leaked across sends?)", i, rep)
 		}
 	}
-	st := c.Transports[0].Stats()
-	if st.GMSendFailures < 2 {
-		t.Errorf("GMSendFailures = %d; each window should have failed the frame once", st.GMSendFailures)
+	for i, n := range failures {
+		if n <= fastgm.MaxSendRetries/2 || n > fastgm.MaxSendRetries {
+			t.Errorf("window %d failed the frame %d times, want more than half of the %d-retry budget", i+1, n, fastgm.MaxSendRetries)
+		}
 	}
-	if st.SendsAbandoned != 0 || st.PeersDeclaredDead != 0 {
+	if st := c.Transports[0].Stats(); st.SendsAbandoned != 0 || st.PeersDeclaredDead != 0 {
 		t.Errorf("transient blackouts escalated to abandonment: %+v", st)
 	}
 }
@@ -72,9 +75,7 @@ func TestRetryBudgetResetsAfterSendOK(t *testing.T) {
 // PeersDeclaredDead), record a typed retry-exhausted failure, and fail
 // the Call — the original fail-stop, surfaced instead as a diagnostic.
 func TestRetryExhaustionGivesUp(t *testing.T) {
-	cfg := fastgm.DefaultConfig()
-	cfg.MaxSendRetries = 1
-	c := stest.NewFast(2, 1, cfg)
+	c := stest.NewFast(2, 1, fastgm.Config{})
 	c.Fabric.SetFaults(myrinet.FaultConfig{Blackouts: []myrinet.Blackout{
 		{Src: 0, Dst: 1, From: sim.Millisecond, To: 1000 * sim.Second},
 	}})
@@ -108,7 +109,7 @@ func TestRetryExhaustionGivesUp(t *testing.T) {
 	if pf == nil || pf.Kind != "retry-exhausted" || pf.Peer != 1 {
 		t.Errorf("failure = %+v, want retry-exhausted toward peer 1", pf)
 	}
-	if pf != nil && pf.Attempts != cfg.MaxSendRetries+1 {
-		t.Errorf("failure records %d attempts, want %d", pf.Attempts, cfg.MaxSendRetries+1)
+	if pf != nil && pf.Attempts != fastgm.MaxSendRetries+1 {
+		t.Errorf("failure records %d attempts, want %d", pf.Attempts, fastgm.MaxSendRetries+1)
 	}
 }

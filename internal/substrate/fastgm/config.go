@@ -64,34 +64,35 @@ func (s AsyncScheme) String() string {
 const RendezvousClass = 13
 
 // SmallClassMax: classes ≤ this are considered "small requests" and
-// preposted Config.SmallPerPeer × (n−1) deep on the async port; classes
-// above get (n−1) buffers each (the paper's barrier-response case).
+// preposted SmallPerPeer × (n−1) deep on the async port; classes above get
+// (n−1) buffers each (the paper's barrier-response case).
 const SmallClassMax = 7
 
-// Config tunes the substrate.
+// SmallPerPeer is how deep each small class (≤ SmallClassMax) is
+// preposted per peer on the async port.
+const SmallPerPeer = 4
+
+// Config selects the paper's two FAST/GM ablations. The zero value is the
+// paper's adopted design: interrupt-driven async port, full preposting.
 type Config struct {
+	// Scheme selects how asynchronous requests are detected (experiment
+	// E4).
 	Scheme AsyncScheme
 
-	// TimerInterval is the AsyncTimer tick.
-	TimerInterval sim.Time
-	// PollComputeScale is the application slowdown imposed by the
-	// spinning thread competing for memory bandwidth and (on busy nodes)
-	// cycles. 1.0 = free.
-	PollComputeScale float64
-
 	// Rendezvous enables the RTS/CTS large-message protocol; classes ≥
-	// RendezvousClass are then never preposted.
+	// RendezvousClass are then never preposted (experiment E5).
 	Rendezvous bool
-
-	// SmallPerPeer is how deep each small class (≤ SmallClassMax) is
-	// preposted per peer on the async port.
-	SmallPerPeer int
-
-	// MaxSendRetries bounds per-frame retransmission attempts of the
-	// recovery protocol (below); past it the fault is considered
-	// permanent and the transport fail-stops.
-	MaxSendRetries int
 }
+
+// The asynchronous-detection schemes' own parameters.
+const (
+	// TimerInterval is the AsyncTimer tick.
+	TimerInterval = sim.Millisecond
+	// PollComputeScale is the application slowdown imposed by the
+	// spinning thread of AsyncPollingThread competing for memory
+	// bandwidth and (on busy nodes) cycles. 1.0 = free.
+	PollComputeScale = 1.15
+)
 
 // The host-side costs of the substrate on the testbed's 700 MHz PIII: its
 // calibrated constants, the substrate bookkeeping that turns GM's 8.99 µs
@@ -114,20 +115,10 @@ const (
 // plus an idempotent retransmission of the frame; receivers filter the
 // resulting duplicates by (origin, seq). RetryBackoff is the delay before
 // the first retransmission, doubling per attempt up to RetryBackoffMax.
+// MaxSendRetries bounds a frame's retransmissions; past it the fault is
+// considered permanent and the send is abandoned.
 const (
 	RetryBackoff    = 5 * sim.Millisecond
 	RetryBackoffMax = 200 * sim.Millisecond
+	MaxSendRetries  = 16
 )
-
-// DefaultConfig returns the paper's adopted design: interrupt-driven
-// async port, full preposting (no rendezvous).
-func DefaultConfig() Config {
-	return Config{
-		Scheme:           AsyncInterrupt,
-		TimerInterval:    sim.Millisecond,
-		PollComputeScale: 1.15,
-		Rendezvous:       false,
-		SmallPerPeer:     4,
-		MaxSendRetries:   16,
-	}
-}

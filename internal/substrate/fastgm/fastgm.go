@@ -116,7 +116,7 @@ func (t *Transport) Start(p *sim.Proc, h substrate.Handler) {
 	for c := params.MinClass; c <= t.maxPrepostClass(); c++ {
 		count := peers
 		if c <= SmallClassMax {
-			count = t.cfg.SmallPerPeer * peers
+			count = SmallPerPeer * peers
 		}
 		t.asyncPort.ProvideReceiveBuffers(t.node.Register(p, count*gm.ClassCapacity(c)).Carve(c, count))
 	}
@@ -141,7 +141,7 @@ func (t *Transport) Start(p *sim.Proc, h substrate.Handler) {
 	case AsyncPollingThread:
 		p.SetInterruptHandler(t.onPollDetect)
 		t.asyncPort.EnableInterrupt(p) // detection channel; cost differs
-		p.SetComputeScale(t.cfg.PollComputeScale)
+		p.SetComputeScale(PollComputeScale)
 	case AsyncTimer:
 		p.SetInterruptHandler(t.onPollDetect)
 		t.armTimer()
@@ -166,9 +166,9 @@ func (t *Transport) armTimer() {
 		if t.asyncPort.TryPeek() {
 			t.Proc().Interrupt(t.asyncPort)
 		}
-		s.After(t.cfg.TimerInterval, tick)
+		s.After(TimerInterval, tick)
 	}
-	s.After(t.cfg.TimerInterval, tick)
+	s.After(TimerInterval, tick)
 }
 
 // onAsyncInterrupt services the NIC interrupt (paper's firmware mod).

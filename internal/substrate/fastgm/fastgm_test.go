@@ -11,20 +11,16 @@ import (
 )
 
 func buildDefault(n int, seed int64) *stest.Cluster {
-	return stest.NewFast(n, seed, fastgm.DefaultConfig())
+	return stest.NewFast(n, seed, fastgm.Config{})
 }
 
 func buildRendezvous(n int, seed int64) *stest.Cluster {
-	cfg := fastgm.DefaultConfig()
-	cfg.Rendezvous = true
-	return stest.NewFast(n, seed, cfg)
+	return stest.NewFast(n, seed, fastgm.Config{Rendezvous: true})
 }
 
 func buildScheme(scheme fastgm.AsyncScheme) stest.Builder {
 	return func(n int, seed int64) *stest.Cluster {
-		cfg := fastgm.DefaultConfig()
-		cfg.Scheme = scheme
-		return stest.NewFast(n, seed, cfg)
+		return stest.NewFast(n, seed, fastgm.Config{Scheme: scheme})
 	}
 }
 
@@ -192,46 +188,45 @@ func TestRendezvousSlowerForLargeMessages(t *testing.T) {
 	}
 }
 
+// TestTimerSchemeBoundsServiceLatency: under AsyncTimer a request waits on
+// its rank's next tick — later than the NIC interrupt serves it, yet no
+// more than one TimerInterval later.
 func TestTimerSchemeBoundsServiceLatency(t *testing.T) {
-	cfg := fastgm.DefaultConfig()
-	cfg.Scheme = fastgm.AsyncTimer
-	cfg.TimerInterval = 2 * sim.Millisecond
-	c := stest.NewFast(2, 1, cfg)
-	var served sim.Time
-	c.Spawn(
-		func(rank int) substrate.Handler {
-			return func(p *sim.Proc, m *msg.Message) {
-				served = p.Now()
-				c.Transports[rank].Reply(p, m, &msg.Message{Kind: msg.KPong})
-			}
-		},
-		func(rank int, p *sim.Proc, tr substrate.Transport) {
-			switch rank {
-			case 0:
-				p.Advance(20 * sim.Millisecond)
-			case 1:
-				p.Advance(sim.Millisecond)
-				tr.Call(p, 0, &msg.Message{Kind: msg.KPing})
-			}
-		},
-	)
-	if err := c.Run(); err != nil {
-		t.Fatal(err)
+	wait := func(scheme fastgm.AsyncScheme) sim.Time {
+		c := stest.NewFast(2, 1, fastgm.Config{Scheme: scheme})
+		var sent, served sim.Time
+		c.Spawn(
+			func(rank int) substrate.Handler {
+				return func(p *sim.Proc, m *msg.Message) {
+					served = p.Now()
+					c.Transports[rank].Reply(p, m, &msg.Message{Kind: msg.KPong})
+				}
+			},
+			func(rank int, p *sim.Proc, tr substrate.Transport) {
+				switch rank {
+				case 0:
+					p.Advance(20 * sim.Millisecond)
+				case 1:
+					p.Advance(sim.Millisecond)
+					sent = p.Now()
+					tr.Call(p, 0, &msg.Message{Kind: msg.KPing})
+				}
+			},
+		)
+		if err := c.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return served - sent
 	}
-	// Arrived ≈1ms; must wait for a tick: served within (1ms, 1ms+2ticks].
-	if served <= sim.Millisecond || served > 5*sim.Millisecond {
-		t.Errorf("timer-scheme service at %v, want within two 2ms ticks", served)
-	}
-	if served < 2*sim.Millisecond {
-		t.Errorf("served at %v, before the first possible tick", served)
+	interrupt, timer := wait(fastgm.AsyncInterrupt), wait(fastgm.AsyncTimer)
+	if timer <= interrupt || timer > interrupt+fastgm.TimerInterval {
+		t.Errorf("timer-scheme service %v after the send, want later than the interrupt's %v by at most one %v tick",
+			timer, interrupt, fastgm.TimerInterval)
 	}
 }
 
 func TestPollingThreadScalesCompute(t *testing.T) {
-	cfg := fastgm.DefaultConfig()
-	cfg.Scheme = fastgm.AsyncPollingThread
-	cfg.PollComputeScale = 1.5
-	c := stest.NewFast(2, 1, cfg)
+	c := stest.NewFast(2, 1, fastgm.Config{Scheme: fastgm.AsyncPollingThread})
 	var end sim.Time
 	c.Spawn(
 		func(rank int) substrate.Handler {
@@ -249,8 +244,8 @@ func TestPollingThreadScalesCompute(t *testing.T) {
 	if err := c.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if end != 15*sim.Millisecond {
-		t.Errorf("scaled compute = %v, want 15ms (1.5×10ms)", end)
+	if want := sim.Time(float64(10*sim.Millisecond) * fastgm.PollComputeScale); end != want {
+		t.Errorf("scaled compute = %v, want %v (%g×10ms)", end, want, fastgm.PollComputeScale)
 	}
 }
 

@@ -47,8 +47,8 @@ func FuzzHandleAsyncFrame(f *testing.F) {
 		s := sim.New(1)
 		fabric := myrinet.NewFabric(s, myrinet.DefaultParams(), 2)
 		sys := gm.NewSystem(s, fabric, params)
-		tr0 := New(sys.Node(0), 0, 2, DefaultConfig())
-		tr1 := New(sys.Node(1), 1, 2, DefaultConfig())
+		tr0 := New(sys.Node(0), 0, 2, Config{})
+		tr1 := New(sys.Node(1), 1, 2, Config{})
 		noop := func(p *sim.Proc, m *msg.Message) {}
 		s.Spawn("peer", 0, func(p *sim.Proc) {
 			tr1.Start(p, noop)

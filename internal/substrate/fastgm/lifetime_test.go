@@ -20,7 +20,7 @@ import (
 func TestRepostReadsNothingOfTheRecv(t *testing.T) {
 	s := sim.New(1)
 	sys := gm.NewSystem(s, myrinet.NewFabric(s, myrinet.DefaultParams(), 3), gm.DefaultParams())
-	tr := New(sys.Node(0), 0, 3, DefaultConfig())
+	tr := New(sys.Node(0), 0, 3, Config{})
 	var served []int
 	var recvs []*gm.Recv
 	s.Spawn("target", 0, func(p *sim.Proc) {
@@ -78,9 +78,7 @@ func TestRepostReadsNothingOfTheRecv(t *testing.T) {
 func TestAbandonedSendNamesItsOwnPeer(t *testing.T) {
 	s := sim.New(1)
 	sys := gm.NewSystem(s, myrinet.NewFabric(s, myrinet.DefaultParams(), 3), gm.DefaultParams())
-	cfg := DefaultConfig()
-	cfg.MaxSendRetries = 0
-	tr := New(sys.Node(0), 0, 3, cfg)
+	tr := New(sys.Node(0), 0, 3, Config{})
 	s.Spawn("peer", 0, func(p *sim.Proc) {
 		port, err := sys.Node(1).OpenPort(AsyncPort)
 		if err != nil {
@@ -91,14 +89,16 @@ func TestAbandonedSendNamesItsOwnPeer(t *testing.T) {
 	s.Spawn("sender", 0, func(p *sim.Proc) {
 		tr.Start(p, func(*sim.Proc, *msg.Message) {})
 		// Rank 2 never opens its port: the frame is unroutable, GM's resend
-		// timeout fails it, and with no retries left it is abandoned.
+		// timeout fails every attempt, each followed by a port resume and a
+		// backoff, and once its retries run out it is abandoned.
 		tr.stage(p, 2, AsyncPort, frameMsg, []byte("lost"), 0)
-		p.Advance(4 * sim.Second)
+		gmp := sys.Params()
+		p.Advance((MaxSendRetries + 1) * (gmp.ResendTimeout + gmp.ResumeCost + RetryBackoffMax))
 		if len(tr.freeSends) != 1 {
 			t.Fatalf("%d free send records after the abandonment, want its one", len(tr.freeSends))
 		}
 		abandoned := tr.freeSends[0]
-		want := substrate.PeerUnreachableError{Rank: 0, Peer: 2, Attempts: 1, Kind: "retry-exhausted"}
+		want := substrate.PeerUnreachableError{Rank: 0, Peer: 2, Attempts: MaxSendRetries + 1, Kind: "retry-exhausted"}
 		if f := tr.PeerFailure(); f == nil || *f != want || !tr.Live.Dead(2) || tr.Live.Dead(1) {
 			t.Errorf("failure %+v, dead 1/2 = %v/%v; want %+v and only rank 2 dead",
 				f, tr.Live.Dead(1), tr.Live.Dead(2), want)

@@ -71,7 +71,7 @@ func (ps *pendingSend) completed(st gm.SendStatus) {
 func (t *Transport) onSendFailure(ps *pendingSend, st gm.SendStatus) {
 	t.Stats().GMSendFailures++
 	ps.attempts++
-	if ps.attempts > t.cfg.MaxSendRetries {
+	if ps.attempts > MaxSendRetries {
 		// The fault is not transient. The original code fail-stopped here;
 		// instead the send is abandoned with a typed failure so the stall
 		// surfaces in the run result rather than leaving the frame pending

@@ -21,8 +21,8 @@ func fuzzCluster(t *testing.T, run func(p *sim.Proc, target, initiator *Transpor
 	s := sim.New(1)
 	fabric := myrinet.NewFabric(s, myrinet.DefaultParams(), 2)
 	sys := gm.NewSystem(s, fabric, gm.DefaultParams())
-	tr0 := New(sys.Node(0), 0, 2, fastgm.DefaultConfig())
-	tr1 := New(sys.Node(1), 1, 2, fastgm.DefaultConfig())
+	tr0 := New(sys.Node(0), 0, 2, fastgm.Config{})
+	tr1 := New(sys.Node(1), 1, 2, fastgm.Config{})
 	noop := func(p *sim.Proc, m *msg.Message) {}
 	win := make([]byte, 4096)
 	s.Spawn("target", 0, func(p *sim.Proc) {

@@ -19,7 +19,7 @@ import (
 // one-sided half of the contract.
 
 func build(n int, seed int64) *stest.Cluster {
-	return stest.NewRDMA(n, seed, fastgm.DefaultConfig())
+	return stest.NewRDMA(n, seed, fastgm.Config{})
 }
 
 func oneSided(t *testing.T, tr substrate.Transport) substrate.OneSided {
@@ -285,7 +285,7 @@ func TestVerbBlackoutRecovery(t *testing.T) {
 // spend the verb retry budget and return a typed PeerUnreachableError
 // instead of hanging, and the failure must feed the shared liveness state.
 func TestVerbsAbandonedOnDeadPeer(t *testing.T) {
-	c := stest.NewRDMA(2, 1, fastgm.DefaultConfig())
+	c := stest.NewRDMA(2, 1, fastgm.Config{})
 	c.Fabric.SetFaults(myrinet.FaultConfig{Blackouts: []myrinet.Blackout{
 		{Src: -1, Dst: 1, From: 2 * sim.Millisecond, To: 100000 * sim.Second},
 	}})

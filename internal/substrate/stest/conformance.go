@@ -13,7 +13,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/substrate"
 	"repro/internal/substrate/fastgm"
-	"repro/internal/substrate/udpgm"
 )
 
 // Builder constructs a fresh cluster for a conformance test.
@@ -222,19 +221,16 @@ func ConformancePortDisabledMidBurstResumed(t *testing.T, build Builder) {
 
 // unreachableCluster probes the builder to learn which transport family
 // is under test, then constructs a fresh two-rank cluster of the same
-// family with a two-attempt retry budget, FAST/GM's large messages carried
-// by rendezvous, and every frame toward rank 1 lost from 1 ms on.
+// family at its own retry budget, FAST/GM's large messages carried by
+// rendezvous, and every frame toward rank 1 lost from 1 ms on.
 func unreachableCluster(build Builder) *Cluster {
 	probe := build(2, 1)
 	_, oneSided := probe.Transports[0].(substrate.OneSided)
-	udp := udpgm.DefaultConfig()
-	udp.MaxRetries = 2
-	fast := fastgm.DefaultConfig()
-	fast.MaxSendRetries, fast.Rendezvous = 2, true
+	fast := fastgm.Config{Rendezvous: true}
 	var c *Cluster
 	switch {
 	case probe.Stacks != nil:
-		c = NewUDPConfig(2, 1, udp)
+		c = NewUDP(2, 1)
 	case oneSided:
 		c = NewRDMA(2, 1, fast)
 	default:

@@ -31,29 +31,11 @@ type Cluster struct {
 
 // NewUDP builds an n-rank cluster on the UDP/GM transport.
 func NewUDP(n int, seed int64) *Cluster {
-	return NewUDPConfig(n, seed, udpgm.DefaultConfig())
-}
-
-// NewUDPConfig builds an n-rank UDP/GM cluster under an explicit
-// transport configuration (retry budget, ...).
-func NewUDPConfig(n int, seed int64, cfg udpgm.Config) *Cluster {
-	return newUDP(n, seed, cfg, sockets.DefaultParams())
-}
-
-// NewUDPLossy builds an n-rank UDP/GM cluster whose kernels drop each
-// arriving datagram with probability drop (sockets.Params.DropProbability).
-func NewUDPLossy(n int, seed int64, drop float64) *Cluster {
-	sp := sockets.DefaultParams()
-	sp.DropProbability = drop
-	return newUDP(n, seed, udpgm.DefaultConfig(), sp)
-}
-
-func newUDP(n int, seed int64, cfg udpgm.Config, sp sockets.Params) *Cluster {
 	c := newBase(n, seed)
 	c.Stacks = make([]*sockets.Stack, n)
 	for i := 0; i < n; i++ {
-		c.Stacks[i] = sockets.NewStack(c.Sim, c.GM.Node(myrinet.NodeID(i)), sp)
-		c.Transports[i] = udpgm.New(c.Stacks[i], i, n, cfg)
+		c.Stacks[i] = sockets.NewStack(c.Sim, c.GM.Node(myrinet.NodeID(i)))
+		c.Transports[i] = udpgm.New(c.Stacks[i], i, n)
 	}
 	return c
 }

@@ -11,7 +11,6 @@ import (
 	"repro/internal/substrate"
 	"repro/internal/substrate/fastgm"
 	"repro/internal/substrate/stest"
-	"repro/internal/substrate/udpgm"
 	"repro/internal/trace"
 )
 
@@ -27,13 +26,13 @@ func TestConformanceAllSubstrates(t *testing.T) {
 		build stest.Builder
 	}{
 		{"udpgm", func(n int, seed int64) *stest.Cluster {
-			return stest.NewUDPConfig(n, seed, udpgm.DefaultConfig())
+			return stest.NewUDP(n, seed)
 		}},
 		{"fastgm", func(n int, seed int64) *stest.Cluster {
-			return stest.NewFast(n, seed, fastgm.DefaultConfig())
+			return stest.NewFast(n, seed, fastgm.Config{})
 		}},
 		{"rdmagm", func(n int, seed int64) *stest.Cluster {
-			return stest.NewRDMA(n, seed, fastgm.DefaultConfig())
+			return stest.NewRDMA(n, seed, fastgm.Config{})
 		}},
 	}
 	for _, b := range builders {
@@ -50,10 +49,10 @@ func TestConformanceAllSubstrates(t *testing.T) {
 // the resend, the one already held is stale, and the call resolves whole.
 //
 // fastgm and rdmagm recover losses below the core, so the duplicate is
-// GM's own (fastgm/recovery.go, step 3): the writer preposts one request
-// buffer per small class and masks delivery, a one-way filler holds that
-// buffer, and the call's request parks. The sender's resend timeout fires;
-// a buffer posted before the park expires accepts the original, which is
+// GM's own (fastgm/recovery.go, step 3): the writer masks delivery,
+// SmallPerPeer one-way fillers hold every request buffer of their class,
+// and the call's request parks. The sender's resend timeout fires; a
+// buffer posted before the park expires accepts the original, which is
 // served once delivery is unmasked, while GM re-sends the request. Both
 // frames of the duplicate's answer are stale.
 //
@@ -61,16 +60,14 @@ func TestConformanceAllSubstrates(t *testing.T) {
 // continued frames of the duplicate's answer included.
 func TestDuplicateGetsEveryFrame(t *testing.T) {
 	const frames = 2
-	fast := fastgm.DefaultConfig()
-	fast.SmallPerPeer = 1
 	for _, b := range []struct {
 		name  string
 		build func() *stest.Cluster
 		gm    bool
 	}{
 		{"udpgm", func() *stest.Cluster { return stest.NewUDP(2, 1) }, false},
-		{"fastgm", func() *stest.Cluster { return stest.NewFast(2, 1, fast) }, true},
-		{"rdmagm", func() *stest.Cluster { return stest.NewRDMA(2, 1, fast) }, true},
+		{"fastgm", func() *stest.Cluster { return stest.NewFast(2, 1, fastgm.Config{}) }, true},
+		{"rdmagm", func() *stest.Cluster { return stest.NewRDMA(2, 1, fastgm.Config{}) }, true},
 	} {
 		t.Run(b.name, func(t *testing.T) {
 			c := b.build()
@@ -101,7 +98,9 @@ func TestDuplicateGetsEveryFrame(t *testing.T) {
 						}
 						tr.EnableAsync(p)
 					case rank == 0 && b.gm:
-						tr.Send(p, 1, &msg.Message{Kind: msg.KDiffReq})
+						for range fastgm.SmallPerPeer {
+							tr.Send(p, 1, &msg.Message{Kind: msg.KDiffReq})
+						}
 						pd := tr.CallBegin(p, 1, &req)
 						p.Sim().At(p.Now()+c.GM.Params().ResendTimeout+1, func() {
 							c.GM.Node(1).Port(fastgm.AsyncPort).ProvideReceiveBuffer(spare)
@@ -166,14 +165,15 @@ func TestDuplicateGetsEveryFrame(t *testing.T) {
 	}
 }
 
-// TestLostFrameRecoveredByRTO: udpgm's kernels drop one arriving datagram
-// in ten. Every call is answered with a reply continued across the two
-// frames udpgm grants; a lost frame (or request) is recovered by the
-// request's retransmission clock, the writer answering the duplicate with
-// every frame, and every reply reads whole.
+// TestLostFrameRecoveredByRTO: the fabric loses six udpgm packets, one
+// every 7 ms, alternately toward the writer and toward the caller. Every
+// call is answered with a reply continued across the two frames udpgm
+// grants; a lost frame (or request) is recovered by the request's
+// retransmission clock, the writer answering the duplicate with every
+// frame, and every reply reads whole.
 func TestLostFrameRecoveredByRTO(t *testing.T) {
-	c := stest.NewUDPLossy(2, 3, 0.1)
-	const calls = 40
+	c := stest.NewUDP(2, 3)
+	const calls, losses = 40, 6
 	frames := 0
 	cr := stest.NewContinuedReply(1, substrate.MaxFrames, 6000)
 	c.Spawn(
@@ -184,6 +184,12 @@ func TestLostFrameRecoveredByRTO(t *testing.T) {
 			if rank != 0 {
 				return
 			}
+			var drops []myrinet.DropNext
+			for i := range losses {
+				src, dst := myrinet.NodeID(i%2), myrinet.NodeID(1-i%2)
+				drops = append(drops, myrinet.DropNext{Src: src, Dst: dst, From: p.Now() + sim.Time(i)*7*sim.Millisecond, Count: 1})
+			}
+			c.Fabric.SetFaults(myrinet.FaultConfig{DropNexts: drops})
 			frames = tr.ReplyFrames(1)
 			req := msg.Message{Kind: msg.KDiffReq}
 			req.SetBudget(frames)
@@ -200,8 +206,8 @@ func TestLostFrameRecoveredByRTO(t *testing.T) {
 	if frames != 2 {
 		t.Errorf("udpgm grants %d frames, want 2", frames)
 	}
-	if c.Stacks[0].Stats().DatagramsDrop == 0 {
-		t.Fatal("no reply frame was dropped; weak test")
+	if fs := c.Fabric.FaultStats(); fs.Dropped != losses {
+		t.Fatalf("%d packets dropped, want %d", fs.Dropped, losses)
 	}
 	if req, wr := c.Transports[0].Stats(), c.Transports[1].Stats(); req.Retransmits == 0 || wr.DupRequests == 0 {
 		t.Errorf("%d retransmits, %d duplicates served; want the RTO to recover the lost frames", req.Retransmits, wr.DupRequests)
@@ -226,8 +232,8 @@ func TestCallAllocatesNothing(t *testing.T) {
 		build func() *stest.Cluster
 	}{
 		{"udpgm", func() *stest.Cluster { return stest.NewUDP(2, 1) }},
-		{"fastgm", func() *stest.Cluster { return stest.NewFast(2, 1, fastgm.DefaultConfig()) }},
-		{"rdmagm", func() *stest.Cluster { return stest.NewRDMA(2, 1, fastgm.DefaultConfig()) }},
+		{"fastgm", func() *stest.Cluster { return stest.NewFast(2, 1, fastgm.Config{}) }},
+		{"rdmagm", func() *stest.Cluster { return stest.NewRDMA(2, 1, fastgm.Config{}) }},
 	} {
 		t.Run(b.name, func(t *testing.T) {
 			c := b.build()

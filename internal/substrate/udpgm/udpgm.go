@@ -30,28 +30,19 @@ const (
 	repPortBase = 20000
 )
 
-// RetransmitMax caps the retransmission backoff, which doubles from
-// Config.RetransmitInitial.
-const RetransmitMax = 500 * sim.Millisecond
+// TreadMarks' stock retransmission behaviour: the first retransmit
+// timeout, the cap it doubles up to, and the retransmissions a call makes
+// before its peer is given up (fail-stop).
+const (
+	RetransmitInitial = 20 * sim.Millisecond
+	RetransmitMax     = 500 * sim.Millisecond
+	MaxRetries        = 12
+)
 
 // DispatchCost is the per-request decode/dispatch CPU on the testbed's
 // 700 MHz PIII, calibrated with package sockets' kernel costs to the
 // paper's ≈35 µs UDP/GM one-way latency.
 const DispatchCost = 500 * sim.Nanosecond
-
-// Config tunes the user-level reliability layer.
-type Config struct {
-	RetransmitInitial sim.Time // first retransmit timeout
-	MaxRetries        int      // give up (fail-stop) after this many
-}
-
-// DefaultConfig mirrors TreadMarks' retransmission behaviour.
-func DefaultConfig() Config {
-	return Config{
-		RetransmitInitial: 20 * sim.Millisecond,
-		MaxRetries:        12,
-	}
-}
 
 // Transport is the UDP/GM substrate for one process: the shared protocol
 // core (call table with its retransmission clock, duplicate filter,
@@ -72,15 +63,15 @@ type Transport struct {
 
 // New creates the transport for process rank of size over the node's
 // socket stack. UDP is unreliable, so the core runs its user-level
-// per-call retransmission clock with this config's backoff and budget.
-func New(stack *sockets.Stack, rank, size int, cfg Config) *Transport {
+// per-call retransmission clock with TreadMarks' backoff and budget.
+func New(stack *sockets.Stack, rank, size int) *Transport {
 	t := &Transport{
 		stack:  stack,
 		reqBuf: make([]byte, sockets.MaxDatagram),
 		repBuf: make([]byte, sockets.MaxDatagram),
 	}
 	t.Core.Init(t, rank, size,
-		substrate.Backoff{Initial: cfg.RetransmitInitial, Max: RetransmitMax}, cfg.MaxRetries)
+		substrate.Backoff{Initial: RetransmitInitial, Max: RetransmitMax}, MaxRetries)
 	return t
 }
 

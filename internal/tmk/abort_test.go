@@ -29,10 +29,7 @@ func TestAbortNamesBlockingEntity(t *testing.T) {
 			var text strings.Builder
 			tr.Subscribe(tmk.TextTrace(&text))
 			cfg.Trace = tr
-			res, err := tmk.NewTunedCluster(cfg, func(tb tmk.Testbed) {
-				tb.Fast.MaxSendRetries = 2
-				tb.UDP.MaxRetries = 2
-			}).Run(func(tp *tmk.Proc) {
+			res, err := tmk.NewCluster(cfg).Run(func(tp *tmk.Proc) {
 				if tp.Rank() == 1 {
 					tp.Compute(1000 * sim.Second) // killed by the abort long before
 					return
@@ -68,18 +65,15 @@ func TestAbortNamesBlockingEntity(t *testing.T) {
 // whose report names the unreachable rank, the give-up and what every
 // survivor was blocked on. Nothing reaches rank 1: rank 0's distribute
 // scatter is left owing rank 1's ack alone, and nobody else has a request
-// outstanding, so the small budget (on udpgm also the patience for a slow
-// reply) condemns nobody else.
+// outstanding, so the budget (on udpgm also the patience for a slow reply)
+// condemns nobody else.
 func TestRetryExhaustionAbortsWithPostMortem(t *testing.T) {
 	for _, kind := range allTransports {
 		t.Run(string(kind), func(t *testing.T) {
 			cfg := tmk.DefaultConfig(3, kind)
 			cfg.Faults.Blackouts = []myrinet.Blackout{{Src: -1, Dst: 1, From: 0, To: 1 << 62}}
 			app, _ := lockWorkload(3)
-			res, err := tmk.NewTunedCluster(cfg, func(tb tmk.Testbed) {
-				tb.Fast.MaxSendRetries = 2
-				tb.UDP.MaxRetries = 2
-			}).Run(app)
+			res, err := tmk.NewCluster(cfg).Run(app)
 			var abort *tmk.AbortError
 			if !errors.As(err, &abort) {
 				t.Fatalf("err = %v, want AbortError", err)
@@ -125,7 +119,7 @@ func TestAbortEndsEveryAsyncScheme(t *testing.T) {
 		cfg.Scheme = scheme
 		cfg.Faults.Blackouts = []myrinet.Blackout{{Src: -1, Dst: 1, From: 0, To: 1 << 62}}
 		app, _ := lockWorkload(3)
-		_, err := tmk.NewTunedCluster(cfg, func(tb tmk.Testbed) { tb.Fast.MaxSendRetries = 2 }).Run(app)
+		_, err := tmk.NewCluster(cfg).Run(app)
 		var abort *tmk.AbortError
 		if !errors.As(err, &abort) {
 			t.Errorf("scheme %v: err = %v, want AbortError", scheme, err)

@@ -76,21 +76,11 @@ func DefaultConfig(n int, kind TransportKind) Config {
 	}
 }
 
-// testbed is what a cluster builds the layers above the fabric from: each
-// package's defaults plus the Config features they take. Only tests change
-// it (export_test.go).
-type testbed struct {
-	Sockets sockets.Params
-	UDP     udpgm.Config
-	Fast    fastgm.Config
-}
-
 // Cluster is one assembled DSM run.
 type Cluster struct {
 	cfg    Config
-	err    error   // Config.Validate's verdict; Run reports it
-	tb     testbed // what the sockets and substrates are built from
-	n      int     // ranks (= Config.Procs)
+	err    error // Config.Validate's verdict; Run reports it
+	n      int   // ranks (= Config.Procs)
 	sim    *sim.Simulator
 	fabric *myrinet.Fabric
 	gmsys  *gm.System
@@ -146,19 +136,10 @@ const finalBarrier = trace.FinalBarrier
 // NewCluster assembles the simulator, fabric, GM, kernels, and per-rank
 // transports; Run then executes the application. A Config that fails
 // Validate assembles nothing: Run returns the verdict (and GM is nil).
-func NewCluster(cfg Config) *Cluster { return newCluster(cfg, nil) }
-
-// newCluster is NewCluster with tune, when non-nil, applied to the
-// testbed before anything is built.
-func newCluster(cfg Config, tune func(*testbed)) *Cluster {
+func NewCluster(cfg Config) *Cluster {
 	c := &Cluster{cfg: cfg, n: cfg.Procs}
 	if c.err = cfg.Validate(); c.err != nil {
 		return c
-	}
-	c.tb = testbed{Sockets: sockets.DefaultParams(), UDP: udpgm.DefaultConfig(), Fast: fastgm.DefaultConfig()}
-	c.tb.Fast.Scheme, c.tb.Fast.Rendezvous = cfg.Scheme, cfg.Rendezvous
-	if tune != nil {
-		tune(&c.tb)
 	}
 	c.sim = sim.New(cfg.Seed)
 	if cfg.Causal != nil {
@@ -175,7 +156,7 @@ func newCluster(cfg Config, tune func(*testbed)) *Cluster {
 	if cfg.Transport == TransportUDPGM {
 		c.stacks = make([]*sockets.Stack, c.n)
 		for i := 0; i < c.n; i++ {
-			c.stacks[i] = sockets.NewStack(c.sim, c.gmsys.Node(myrinet.NodeID(i)), c.tb.Sockets)
+			c.stacks[i] = sockets.NewStack(c.sim, c.gmsys.Node(myrinet.NodeID(i)))
 		}
 	}
 	return c
@@ -196,17 +177,18 @@ func (c *Cluster) spawn(app func(tp *Proc)) {
 	startCond := sim.NewCond("tmk:start")
 	finished := 0
 	finCond := sim.NewCond("tmk:finish")
+	fast := fastgm.Config{Scheme: c.cfg.Scheme, Rendezvous: c.cfg.Rendezvous}
 	for rank := 0; rank < n; rank++ {
 		rank := rank
 		c.sim.Spawn(fmt.Sprintf("tmk%d", rank), 0, func(sp *sim.Proc) {
 			var tr substrate.Transport
 			switch node := c.gmsys.Node(myrinet.NodeID(rank)); c.cfg.Transport {
 			case TransportUDPGM:
-				tr = udpgm.New(c.stacks[rank], rank, n, c.tb.UDP)
+				tr = udpgm.New(c.stacks[rank], rank, n)
 			case TransportFastGM:
-				tr = fastgm.New(node, rank, n, c.tb.Fast)
+				tr = fastgm.New(node, rank, n, fast)
 			case TransportRDMAGM:
-				tr = rdmagm.New(node, rank, n, c.tb.Fast)
+				tr = rdmagm.New(node, rank, n, fast)
 			}
 			tp := newProc(c, rank, sp, tr)
 			c.procs[rank] = tp

@@ -92,25 +92,21 @@ func TestFaultRecoveryTable(t *testing.T) {
 		procs    int
 		kind     tmk.TransportKind
 		faults   myrinet.FaultConfig // the run's Config.Faults
-		tune     func(tb tmk.Testbed)
 		workload func() (func(tp *tmk.Proc), func(t *testing.T))
 		assert   func(t *testing.T, res *tmk.Result)
 	}
 	cases := []faultCase{
 		{
-			// Socket-level datagram loss (the original UDP fault test):
-			// TreadMarks' user-level retransmission recovers.
-			name:  "udp-socket-drop",
-			procs: 8,
-			kind:  tmk.TransportUDPGM,
-			tune: func(tb tmk.Testbed) {
-				tb.Sockets.DropProbability = 0.02
-				tb.UDP.RetransmitInitial = 5 * sim.Millisecond
-			},
+			// Datagram loss (the original UDP fault test): TreadMarks'
+			// user-level retransmission recovers.
+			name:     "udp-socket-drop",
+			procs:    8,
+			kind:     tmk.TransportUDPGM,
+			faults:   myrinet.FaultConfig{Drop: 0.02},
 			workload: func() (func(tp *tmk.Proc), func(t *testing.T)) { return stripeWorkload(1024, 2) },
 			assert: func(t *testing.T, res *tmk.Result) {
 				if res.Transport.Retransmits == 0 {
-					t.Error("no retransmits despite 2% injected receive loss")
+					t.Error("no retransmits despite 2% injected loss")
 				}
 			},
 		},
@@ -118,13 +114,10 @@ func TestFaultRecoveryTable(t *testing.T) {
 			// Heavier datagram loss on fewer ranks: whichever side of the
 			// wire a datagram vanishes on, recovery is the same user-level
 			// retransmission.
-			name:  "udp-socket-send-drop",
-			procs: 4,
-			kind:  tmk.TransportUDPGM,
-			tune: func(tb tmk.Testbed) {
-				tb.Sockets.DropProbability = 0.03
-				tb.UDP.RetransmitInitial = 5 * sim.Millisecond
-			},
+			name:     "udp-socket-send-drop",
+			procs:    4,
+			kind:     tmk.TransportUDPGM,
+			faults:   myrinet.FaultConfig{Drop: 0.03},
 			workload: func() (func(tp *tmk.Proc), func(t *testing.T)) { return stripeWorkload(1024, 2) },
 			assert: func(t *testing.T, res *tmk.Result) {
 				if res.Transport.Retransmits == 0 {
@@ -133,26 +126,20 @@ func TestFaultRecoveryTable(t *testing.T) {
 			},
 		},
 		{
-			// Harsher socket loss under a lock-heavy pattern.
-			name:  "udp-socket-drop-locks",
-			procs: 4,
-			kind:  tmk.TransportUDPGM,
-			tune: func(tb tmk.Testbed) {
-				tb.Sockets.DropProbability = 0.05
-				tb.UDP.RetransmitInitial = 5 * sim.Millisecond
-			},
+			// Harsher datagram loss under a lock-heavy pattern.
+			name:     "udp-socket-drop-locks",
+			procs:    4,
+			kind:     tmk.TransportUDPGM,
+			faults:   myrinet.FaultConfig{Drop: 0.05},
 			workload: func() (func(tp *tmk.Proc), func(t *testing.T)) { return lockWorkload(8) },
 			assert:   func(t *testing.T, res *tmk.Result) {},
 		},
 		{
-			// Long retransmission timer on a clean network: slower but
-			// correct, and no spurious duplicates are generated.
-			name:  "udp-slow-retransmit-clean",
-			procs: 4,
-			kind:  tmk.TransportUDPGM,
-			tune: func(tb tmk.Testbed) {
-				tb.UDP.RetransmitInitial = 200 * sim.Millisecond
-			},
+			// The retransmission timer, thousands of round trips long, on a
+			// clean network: no spurious duplicates are generated.
+			name:     "udp-slow-retransmit-clean",
+			procs:    4,
+			kind:     tmk.TransportUDPGM,
 			workload: func() (func(tp *tmk.Proc), func(t *testing.T)) { return stripeWorkload(64, 1) },
 			assert: func(t *testing.T, res *tmk.Result) {
 				if res.Transport.Retransmits != 0 {
@@ -164,13 +151,10 @@ func TestFaultRecoveryTable(t *testing.T) {
 			// Fabric-level packet loss under UDP/GM: the kernel GM port is
 			// disabled and resumed transparently; UDP's retry budget covers
 			// the lost datagrams.
-			name:   "udp-fabric-loss",
-			procs:  4,
-			kind:   tmk.TransportUDPGM,
-			faults: myrinet.FaultConfig{Drop: 0.05},
-			tune: func(tb tmk.Testbed) {
-				tb.UDP.RetransmitInitial = 20 * sim.Millisecond
-			},
+			name:     "udp-fabric-loss",
+			procs:    4,
+			kind:     tmk.TransportUDPGM,
+			faults:   myrinet.FaultConfig{Drop: 0.05},
 			workload: func() (func(tp *tmk.Proc), func(t *testing.T)) { return stripeWorkload(1024, 2) },
 			assert: func(t *testing.T, res *tmk.Result) {
 				if res.NetFaults.Dropped == 0 {
@@ -250,7 +234,7 @@ func TestFaultRecoveryTable(t *testing.T) {
 			cfg := tmk.DefaultConfig(tc.procs, tc.kind)
 			cfg.Faults = tc.faults
 			app, check := tc.workload()
-			res, err := tmk.NewTunedCluster(cfg, tc.tune).Run(app)
+			res, err := tmk.Run(cfg, app)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -261,46 +245,5 @@ func TestFaultRecoveryTable(t *testing.T) {
 				res.Transport.Retransmits, res.Transport.GMRetransmits,
 				res.Transport.PortResumes, res.Transport.DupRequests, res.NetFaults)
 		})
-	}
-}
-
-// TestFastGMScarcePreposting reduces the preposted small-buffer depth to
-// the bare minimum; messages may park briefly awaiting recycled buffers,
-// but nothing may time out and results stay correct. (Kept separate from
-// the fault table: it injects no faults, it shrinks a resource.)
-func TestFastGMScarcePreposting(t *testing.T) {
-	cluster := tmk.NewTunedCluster(tmk.DefaultConfig(8, tmk.TransportFastGM),
-		func(tb tmk.Testbed) { tb.Fast.SmallPerPeer = 1 })
-	const slots = 512
-	_, err := cluster.Run(func(tp *tmk.Proc) {
-		r := tp.AllocShared(slots * 8)
-		tp.Barrier(1)
-		n := tp.NProcs()
-		for i := tp.Rank(); i < slots; i += n {
-			tp.WriteF64(r, i, float64(i))
-		}
-		tp.Barrier(2)
-		for i := 0; i < slots; i += 5 {
-			if got := tp.ReadF64(r, i); got != float64(i) {
-				t.Errorf("slot %d = %v", i, got)
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		for _, port := range []int{2, 3} {
-			p := cluster.GM().Node(myrinet.NodeID(i)).Port(port)
-			if p == nil {
-				continue
-			}
-			if p.Stats().Timeouts > 0 {
-				t.Errorf("node %d port %d: %d GM timeouts", i, port, p.Stats().Timeouts)
-			}
-			if !p.Enabled() {
-				t.Errorf("node %d port %d disabled", i, port)
-			}
-		}
 	}
 }

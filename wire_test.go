@@ -5,7 +5,6 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
-	"maps"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -140,11 +139,12 @@ func TestWireVocabularyIsUsed(t *testing.T) {
 
 // TestEverySettingIsSet: every exported field of a layer's settings — the
 // struct a zero-argument Default* function of myrinet, gm, sockets, a
-// substrate or tmk returns — is set somewhere outside that function, by a
-// selector assignment or a composite-literal key; tests count as setters.
-// A value nothing sets is the testbed's calibration, and that is a package
-// constant, not a field (DESIGN.md §16). Like TestWireVocabularyIsUsed the
-// walk goes by name.
+// substrate or tmk returns, or a New* constructor of one takes — is set
+// somewhere outside that function, by a selector assignment or a
+// composite-literal key. Like TestWireVocabularyIsUsed, setters in tests
+// and in the conformance suites (internal/substrate/stest) do not count: a
+// value no run sets is the testbed's calibration, and that is a package
+// constant, not a field (DESIGN.md §16). The walk goes by name.
 func TestEverySettingIsSet(t *testing.T) {
 	// gm.NewSystem takes gm.Params as the benchmark calls it, and every
 	// substrate reads it back through System().Params().
@@ -154,16 +154,20 @@ func TestEverySettingIsSet(t *testing.T) {
 		return len(parts) > 1 && parts[0] == "internal" &&
 			slices.Contains([]string{"myrinet", "gm", "sockets", "substrate", "tmk"}, parts[1])
 	}
-	files := parseModule(t, func(string, bool) bool { return false })
+	stest := filepath.Join("internal", "substrate", "stest")
+	files := parseModule(t, func(path string, dir bool) bool { return dir && path == stest })
 
-	// The settings structs and the Default* functions that fill them.
+	// The settings structs, and the Default* functions that fill them.
 	structs := map[string]*ast.StructType{} // dir/Type
-	defaults := map[string]string{}         // dir/Func → dir/Type
+	pkgDir := map[string]string{}           // package name → dir
+	defaults := map[string]bool{}           // dir/Func
+	var settings []string                   // dir/Type
 	for _, gf := range files {
 		dir := filepath.Dir(gf.path)
 		if !layer(dir) || strings.HasSuffix(gf.path, "_test.go") {
 			continue
 		}
+		pkgDir[gf.f.Name.Name] = dir
 		for _, decl := range gf.f.Decls {
 			switch d := decl.(type) {
 			case *ast.GenDecl:
@@ -175,10 +179,26 @@ func TestEverySettingIsSet(t *testing.T) {
 					}
 				}
 			case *ast.FuncDecl:
-				if d.Recv == nil && strings.HasPrefix(d.Name.Name, "Default") &&
+				if d.Recv != nil {
+					continue
+				}
+				if strings.HasPrefix(d.Name.Name, "Default") &&
 					d.Type.Params.NumFields() == 0 && d.Type.Results.NumFields() == 1 {
 					if id, ok := d.Type.Results.List[0].Type.(*ast.Ident); ok {
-						defaults[dir+"/"+d.Name.Name] = dir + "/" + id.Name
+						defaults[dir+"/"+d.Name.Name] = true
+						settings = append(settings, dir+"/"+id.Name)
+					}
+				}
+				if strings.HasPrefix(d.Name.Name, "New") {
+					for _, fl := range d.Type.Params.List {
+						switch ty := fl.Type.(type) {
+						case *ast.Ident:
+							settings = append(settings, dir+"/"+ty.Name)
+						case *ast.SelectorExpr:
+							if pkg, ok := ty.X.(*ast.Ident); ok {
+								settings = append(settings, pkg.Name+"."+ty.Sel.Name)
+							}
+						}
 					}
 				}
 			}
@@ -187,12 +207,14 @@ func TestEverySettingIsSet(t *testing.T) {
 
 	set := map[string]bool{}
 	for _, gf := range files {
+		if strings.HasSuffix(gf.path, "_test.go") {
+			continue
+		}
 		dir := filepath.Dir(gf.path)
 		ast.Inspect(gf.f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
-				_, isDefault := defaults[dir+"/"+n.Name.Name]
-				return n.Recv != nil || !isDefault
+				return n.Recv != nil || !defaults[dir+"/"+n.Name.Name]
 			case *ast.AssignStmt:
 				for _, lhs := range n.Lhs {
 					if sel, ok := lhs.(*ast.SelectorExpr); ok {
@@ -208,23 +230,29 @@ func TestEverySettingIsSet(t *testing.T) {
 		})
 	}
 
-	checked := 0
-	for _, key := range slices.Compact(slices.Sorted(maps.Values(defaults))) {
+	var checked []string
+	for _, key := range settings {
+		// A constructor's parameter from another package names it
+		// pkg.Type; resolve it to that package's directory.
+		if pkg, typ, ok := strings.Cut(key, "."); ok && !strings.Contains(key, "/") {
+			key = pkgDir[pkg] + "/" + typ
+		}
 		st := structs[key]
 		name := filepath.Base(filepath.Dir(key)) + "." + filepath.Base(key)
-		if st == nil || exempt[name] {
+		if st == nil || exempt[name] || slices.Contains(checked, name) {
 			continue
 		}
-		checked++
+		checked = append(checked, name)
 		for _, fl := range st.Fields.List {
 			for _, n := range fl.Names {
 				if n.IsExported() && !set[n.Name] {
-					t.Errorf("%s.%s: nothing outside its Default function sets it; make it a package constant", name, n.Name)
+					t.Errorf("%s.%s: no non-test code outside its Default function sets it; make it a package constant", name, n.Name)
 				}
 			}
 		}
 	}
-	if checked == 0 {
-		t.Fatal("found no settings struct returned by a Default function")
+	if len(checked) == 0 {
+		t.Fatal("found no settings struct returned by a Default function or taken by a New constructor")
 	}
+	t.Logf("settings checked: %v", checked)
 }
