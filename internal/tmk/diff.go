@@ -80,11 +80,6 @@ func appendRun(out, cur []byte, lo, hi int) []byte {
 	return append(out, cur[lo:hi]...)
 }
 
-func wordEq(a, b []byte, w int) bool {
-	i := w * 4
-	return binary.LittleEndian.Uint32(a[i:]) == binary.LittleEndian.Uint32(b[i:])
-}
-
 // ApplyDiff patches a page with an encoded diff.
 func ApplyDiff(page, diff []byte) error {
 	if len(page) != PageSize {

@@ -313,13 +313,7 @@ func (tp *Proc) applyDiffs(pm *pageMeta, all []msg.Diff) {
 		if ra == nil || rb == nil {
 			panic("tmk: diff for unknown interval")
 		}
-		switch {
-		case hbBefore(ra, rb):
-			return -1
-		case hbBefore(rb, ra):
-			return 1
-		}
-		return 0
+		return hbCompare(ra, rb)
 	})
 	tp.tr.DisableAsync(tp.sp)
 	tp.ownTwin(pm)
@@ -470,7 +464,6 @@ func (tp *Proc) applyIntervals(ivs []msg.Interval) {
 		if rec == nil {
 			continue
 		}
-		tp.stats.IntervalsLearned++
 		if tp.vc[rec.proc] < rec.ts {
 			tp.vc[rec.proc] = rec.ts
 		}

@@ -94,13 +94,14 @@ func (tp *Proc) homeApply(pm *pageMeta, data []byte, snap VC) {
 	frame := pm.store()
 	if pm.twin != nil {
 		tp.ownTwin(pm)
-		for w := 0; w < wordsPerPage; w++ {
-			i := w * 4
-			local := !wordEq(frame, pm.twin, w)
-			copy(pm.twin[i:i+4], data[i:i+4])
-			if !local {
-				copy(frame[i:i+4], data[i:i+4])
-			}
+		// The local interval's words, encoded into the scratch, go back on
+		// top of the home copy — all before the Advance below, in which a
+		// handler's own close can reuse the scratch.
+		local := appendDiff(tp.diffScratch, pm.twin, frame)
+		copy(frame, data)
+		copy(pm.twin, data)
+		if err := ApplyDiff(frame, local); err != nil {
+			panic(err)
 		}
 		// Word-compare scan over twin+data, then up to two page copies.
 		tp.sp.Advance(sim.BytesTime(2*PageSize, DiffScanBandwidth) +

@@ -229,6 +229,76 @@ func TestHomeFlushEndToEnd(t *testing.T) {
 	}
 }
 
+// TestHomeApplyKeepsLocalWords: a home copy fetched onto a page that has a
+// twin — a writable page re-fetched after a concurrent notice — keeps the
+// words the open interval changed and takes the home's everywhere else,
+// and the twin rebases onto the home copy: word for word what a per-word
+// merge gives. The merge charges one scan and two page copies.
+func TestHomeApplyKeepsLocalWords(t *testing.T) {
+	merged := false
+	_, err := Run(DefaultConfig(2, TransportRDMAGM), func(tp *Proc) {
+		r := tp.AllocShared(2 * PageSize)
+		tp.Barrier(1)
+		if tp.Rank() == 1 {
+			pg := 0
+			if tp.HomeOf(r.StartPage) == tp.rank {
+				pg = 1
+			}
+			pm := &r.pages[pg]
+			tp.WriteAt(r, pg*PageSize, []byte{1, 2, 3, 4}) // the write fault takes the twin
+			tp.ownTwin(pm)
+			frame := pm.store()
+			// Lone words, a run, either word of an 8-byte pair, the last
+			// word, and words stored with the value they had.
+			for w := 0; w < wordsPerPage; w++ {
+				i := w * 4
+				switch {
+				case w%7 == 3 || (w >= 200 && w < 260) || w == 513 || w == wordsPerPage-1:
+					for k := range 4 {
+						frame[i+k] = ^pm.twin[i+k]
+					}
+				case w%11 == 0:
+					copy(frame[i:i+4], pm.twin[i:i+4])
+				}
+			}
+			home := make([]byte, PageSize)
+			for i := range home {
+				home[i] = byte(i*7 + 3)
+			}
+			want := make([]byte, PageSize)
+			for i := 0; i < PageSize; i += 4 {
+				if bytes.Equal(frame[i:i+4], pm.twin[i:i+4]) {
+					copy(want[i:i+4], home[i:i+4])
+				} else {
+					copy(want[i:i+4], frame[i:i+4])
+				}
+			}
+			tp.tr.DisableAsync(tp.sp)
+			start := tp.sp.Now()
+			tp.homeApply(pm, home, make(VC, tp.n))
+			cost := tp.sp.Now() - start
+			tp.tr.EnableAsync(tp.sp)
+			if !bytes.Equal(frame, want) {
+				t.Error("merged page differs from the per-word merge")
+			}
+			if !bytes.Equal(pm.twin, home) {
+				t.Error("twin did not rebase onto the home copy")
+			}
+			if want := sim.BytesTime(2*PageSize, DiffScanBandwidth) + sim.BytesTime(2*PageSize, MemcpyBandwidth); cost != want {
+				t.Errorf("merge charged %v, want %v", cost, want)
+			}
+			merged = true
+		}
+		tp.Barrier(2)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !merged {
+		t.Fatal("rank 1 merged nothing")
+	}
+}
+
 // TestBarrierVCAgreesOnEveryRank: the vector clock a barrier is remembered
 // by (lastBarrierVC — what the next arrival, the metadata prune and the
 // placement rule all count from) must be the same on every rank after

@@ -126,7 +126,7 @@ func (s *intervalStore) since(v VC, out []*intervalRec) []*intervalRec {
 		i := sort.Search(len(lst), func(i int) bool { return lst[i].ts > from })
 		out = append(out, lst[i:]...)
 	}
-	sortIntervals(out)
+	slices.SortFunc(out, hbCompare)
 	return out
 }
 
@@ -149,31 +149,18 @@ func (s *intervalStore) pruneThrough(v VC) {
 	}
 }
 
-// hbBefore is the linear extension of happens-before that every replay of
+// hbCompare is the linear extension of happens-before that every replay of
 // intervals or diffs follows: vector-clock sum (a causal predecessor's is
-// strictly smaller), concurrent intervals ordered by (proc, ts).
-func hbBefore(a, b *intervalRec) bool {
-	if sa, sb := a.vc.Sum(), b.vc.Sum(); sa != sb {
-		return sa < sb
+// strictly smaller), concurrent intervals ordered by (proc, ts). It is a
+// total order on records, so any sort by it leaves them in the same order.
+func hbCompare(a, b *intervalRec) int {
+	if c := cmp.Compare(a.vc.Sum(), b.vc.Sum()); c != 0 {
+		return c
 	}
-	if a.proc != b.proc {
-		return a.proc < b.proc
+	if c := cmp.Compare(a.proc, b.proc); c != 0 {
+		return c
 	}
-	return a.ts < b.ts
-}
-
-// sortIntervals sorts recs by hbBefore, a total order on records: any
-// sort leaves them in the same order.
-func sortIntervals(recs []*intervalRec) {
-	slices.SortFunc(recs, func(a, b *intervalRec) int {
-		if c := cmp.Compare(a.vc.Sum(), b.vc.Sum()); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.proc, b.proc); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.ts, b.ts)
-	})
+	return cmp.Compare(a.ts, b.ts)
 }
 
 // toWire appends the records, as wire intervals, to out[:0].

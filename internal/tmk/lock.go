@@ -97,7 +97,6 @@ func (tp *Proc) LockRelease(id int32) {
 		panic(fmt.Sprintf("tmk: rank %d: release of unheld lock %d", tp.rank, id))
 	}
 	ls.held = false
-	tp.stats.LockReleases++
 	tp.observe(event{kind: trace.KindLockRelease, id: id, peer: -1})
 	tp.serveLockWaiters(ls)
 }

@@ -113,6 +113,7 @@ func newProc(c *Cluster, rank int, sp *sim.Proc, tr substrate.Transport) *Proc {
 	} else {
 		tp.diffBufs = new(diffBuffers)
 		tp.diffBufs.faults = tp.diffBufs.one[:0]
+		tp.diffBufs.ends = tp.diffBufs.endsBuf[:0]
 	}
 	return tp
 }
@@ -121,8 +122,9 @@ func newProc(c *Cluster, rank int, sp *sim.Proc, tr substrate.Transport) *Proc {
 // (one user at a time, like homeGets) keeps its faulted pages, the missing
 // ranges (writer-sorted: a writer's request is a sub-slice), calls in
 // flight, diffs gathered and the request CallBegin encodes before it
-// returns; handleDiffReq, which can run mid-fault, keeps its reply and the
-// reply's diffs apart, and Reply encodes them before it returns.
+// returns; handleDiffReq, which can run mid-fault, keeps its reply, the
+// reply's diffs and where each of its frames ends apart, and Reply encodes
+// them before it returns.
 type diffBuffers struct {
 	faults []diffFault
 	one    [1]diffFault // faults' first backing: a one-page fault allocates nothing
@@ -131,8 +133,10 @@ type diffBuffers struct {
 	diffs  []msg.Diff
 	req    msg.Message
 
-	rep msg.Message
-	out []msg.Diff
+	rep     msg.Message
+	out     []msg.Diff
+	ends    []int
+	endsBuf [substrate.MaxFrames]int // ends' first backing: a reply within any budget allocates nothing
 }
 
 // handleRequest dispatches one asynchronous request (handler context:
@@ -167,21 +171,22 @@ func (tp *Proc) handleRequest(p *sim.Proc, m *msg.Message) {
 // handleDiffReq serves our own diffs for the requested page/timestamp
 // ranges, in request order, under the frame budget the request grants
 // (DESIGN.md §4.3): the longest prefix of whole pages whose diffs fit in
-// the budget's frames, each frame cut where frameEnd cuts it — and always
-// the first page, in the frames it alone takes, so every request makes
-// progress. The requester asks again for the pages left out. The reply is
-// built in one pass, cutting frames as it grows, and stops at the first
-// diff past the budget: nothing after it is looked up.
+// the budget's frames — and always the first page, in the frames it alone
+// takes, so every request makes progress. A frame holds as many diffs as
+// encode to at most MaxData bytes, cut only between diffs, and at least
+// one. The requester asks again for the pages left out. The reply is built
+// in one pass, cutting frames as it grows, and stops at the first diff
+// past the budget: nothing after it is looked up.
 func (tp *Proc) handleDiffReq(m *msg.Message) {
 	db, limit, budget := tp.diffBufs, tp.tr.MaxData(), m.Budget()
-	out := db.out[:0]
-	frames, n, data := 0, 0, 0 // out's frames so far; diffs and bytes in its last
+	out, ends := db.out[:0], db.ends[:0] // ends: where each closed frame's diffs end
+	n, data := 0, 0                      // diffs and bytes in the open frame
 pages:
 	for i, dr := range m.DiffReqs {
 		if int(dr.Proc) != tp.rank {
 			panic(fmt.Sprintf("tmk: rank %d asked for rank %d's diffs", tp.rank, dr.Proc))
 		}
-		mark, markFrames := len(out), frames
+		mark, markEnds := len(out), len(ends)
 		own := tp.page(dr.Page).noticesOf(tp.rank)
 		j := sort.Search(len(own), func(j int) bool { return own[j] > dr.FromTS })
 		for ; j < len(own) && own[j] <= dr.ToTS; j++ {
@@ -193,36 +198,27 @@ pages:
 			if n > 0 && msg.DiffReplySize(n+1, data+len(d)) <= limit {
 				n, data = n+1, data+len(d)
 			} else {
-				frames, n, data = frames+1, 1, len(d)
+				if n > 0 {
+					ends = append(ends, len(out))
+				}
+				n, data = 1, len(d)
 			}
-			if i > 0 && frames > budget {
-				out, frames = out[:mark], markFrames
+			if i > 0 && len(ends)+1 > budget {
+				out, ends = out[:mark], ends[:markEnds]
 				break pages
 			}
 			out = append(out, msg.Diff{Page: dr.Page, Proc: int32(tp.rank), TS: ts, Data: d})
 		}
 	}
-	db.out = out
-	frames = max(frames, 1)
-	for f, from := 0, 0; f < frames; f++ {
-		end := frameEnd(out, from, limit)
+	ends = append(ends, len(out))
+	db.out, db.ends = out, ends
+	from := 0
+	for f, end := range ends {
 		db.rep = msg.Message{Kind: msg.KDiffReply, Diffs: out[from:end]}
-		if frames > 1 {
-			db.rep.SetFrame(f, frames)
+		if len(ends) > 1 {
+			db.rep.SetFrame(f, len(ends))
 		}
 		tp.tr.Reply(tp.sp, m, &db.rep)
 		from = end
 	}
-}
-
-// frameEnd returns where the reply frame carrying diffs from from on ends:
-// after as many diffs as encode to at most limit bytes — only between
-// diffs — and at least one.
-func frameEnd(diffs []msg.Diff, from, limit int) int {
-	end, data := from, 0
-	for end < len(diffs) && (end == from || msg.DiffReplySize(end-from+1, data+len(diffs[end].Data)) <= limit) {
-		data += len(diffs[end].Data)
-		end++
-	}
-	return end
 }

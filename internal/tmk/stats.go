@@ -20,7 +20,6 @@ const (
 type Stats struct {
 	LockAcquiresLocal  int64
 	LockAcquiresRemote int64
-	LockReleases       int64
 	Barriers           int64
 	ReadFaults         int64
 	Prefetched         int64 // pages a read fault's readahead validated past its span (not read faults)
@@ -34,7 +33,6 @@ type Stats struct {
 	DiffBytesApplied   int64
 	TwinsCreated       int64
 	IntervalsCreated   int64
-	IntervalsLearned   int64
 	Invalidations      int64
 
 	// Home-based LRC counters (zero unless Config.HomeBased).
